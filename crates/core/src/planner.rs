@@ -1,15 +1,22 @@
 //! Memory-aware batch re-partitioning (paper §4.4.3).
+//!
+//! Planning a batch is a K-independent [`OutputPartitioner::prepare`] (for
+//! Betty: the REG, and the coarsening levels its cuts share) followed by
+//! one *probe* per candidate `K`: split, restrict, estimate. A fixed-`K`
+//! plan is the one-probe case.
 
 use std::fmt;
+use std::time::Instant;
 
 use betty_device::{MemoryEstimate, MemoryEstimator};
 use betty_graph::{Batch, NodeId};
-use betty_partition::OutputPartitioner;
+use betty_partition::{OutputPartitioner, PreparedSplit};
 
 /// The outcome of planning: `K` micro-batches and their memory estimates.
 #[derive(Debug, Clone)]
 pub struct Plan {
-    /// Number of partitions actually used.
+    /// The partition count asked of the strategy. `parts.len() ≤ k`:
+    /// groups the strategy left empty are dropped.
     pub k: usize,
     /// Output-node groups, one per micro-batch (empty groups dropped).
     pub parts: Vec<Vec<NodeId>>,
@@ -17,10 +24,14 @@ pub struct Plan {
     pub micro_batches: Vec<Batch>,
     /// Per-micro-batch memory estimates, parallel to `parts`.
     pub estimates: Vec<MemoryEstimate>,
-    /// Wall-clock seconds spent partitioning (REG build + cut).
+    /// Wall-clock seconds spent partitioning: the strategy's prepare (REG
+    /// build) plus the cut of every probe, not only the winning one.
     pub partition_sec: f64,
-    /// Wall-clock seconds spent extracting micro-batch block stacks.
+    /// Wall-clock seconds spent extracting and estimating micro-batch
+    /// block stacks, summed over every probe.
     pub extraction_sec: f64,
+    /// Candidate `K`s probed to arrive at this plan (1 when `K` is fixed).
+    pub probes: usize,
 }
 
 impl Plan {
@@ -142,55 +153,18 @@ impl MemoryAwarePlanner {
     /// Splits `batch` into exactly `k` micro-batches without the capacity
     /// loop (used when an experiment fixes the batch count).
     pub fn plan_fixed(&self, batch: &Batch, strategy: &dyn OutputPartitioner, k: usize) -> Plan {
-        let started = std::time::Instant::now();
-        let parts: Vec<Vec<NodeId>> = strategy
-            .split_outputs(batch, k)
-            .into_iter()
-            .filter(|p| !p.is_empty())
-            .collect();
-        let partition_sec = started.elapsed().as_secs_f64();
-        let extract_started = std::time::Instant::now();
-        // Each restriction reads the shared batch and writes its own
-        // micro-batch, so all K materialize concurrently; results come
-        // back in part order, identical to the serial loop.
-        let micro_batches: Vec<Batch> = betty_runtime::parallel_map(
-            parts.len(),
-            betty_runtime::configured_threads(),
-            |i| batch.restrict(&parts[i]),
-        );
-        let extraction_sec = extract_started.elapsed().as_secs_f64();
-        let mut estimates: Vec<MemoryEstimate> = micro_batches
-            .iter()
-            .map(|mb| self.estimator.estimate(mb))
-            .collect();
-        if self.prefetch_staging {
-            for i in 0..estimates.len().saturating_sub(1) {
-                estimates[i].prefetch_staging = estimates[i + 1].transfer_bytes();
-            }
-        }
-        if self.feature_cache_bytes > 0 {
-            for est in &mut estimates {
-                est.feature_cache = self.feature_cache_bytes;
-            }
-        }
-        Plan {
-            k,
-            parts,
-            micro_batches,
-            estimates,
-            partition_sec,
-            extraction_sec,
-        }
+        Probing::start(self, batch, strategy).probe(k)
     }
 
     /// The memory-aware re-partitioning loop: smallest `K ≥ initial_k`
     /// whose largest estimated micro-batch fits capacity.
     ///
     /// The paper iterates `K → K + 1` (§4.4.3); since each probe costs a
-    /// full REG partitioning, this implementation probes geometrically and
-    /// then binary-searches the fitting boundary — the same minimal `K`
-    /// whenever feasibility is monotone in `K` (which holding the strategy
-    /// fixed it is, up to partitioner noise), in `O(log K)` probes.
+    /// cut, `K` restrictions and `K` estimates, this implementation probes
+    /// geometrically and then binary-searches the fitting boundary — the
+    /// same minimal `K` whenever feasibility is monotone in `K` (which
+    /// holding the strategy fixed it is, up to partitioner noise), in
+    /// `O(log K)` probes, after one K-independent prepare.
     ///
     /// # Errors
     ///
@@ -227,8 +201,9 @@ impl MemoryAwarePlanner {
         let n_outputs = batch.output_nodes().len();
         let k_limit = self.max_partitions.min(n_outputs.max(1));
         let mut best_peak = usize::MAX;
+        let mut probing = Probing::start(self, batch, strategy);
         let mut probe = |k: usize| -> (Plan, bool) {
-            let plan = self.plan_fixed(batch, strategy, k);
+            let plan = probing.probe(k);
             let peak = plan.max_estimated_peak();
             best_peak = best_peak.min(peak);
             let fits = peak <= capacity_bytes;
@@ -266,12 +241,92 @@ impl MemoryAwarePlanner {
                 lo = mid + 1;
             }
         }
-        Ok(best_plan)
+        // The plan is the winning probe's; its cost is every probe's.
+        Ok(Plan {
+            partition_sec: probing.partition_sec,
+            extraction_sec: probing.extraction_sec,
+            probes: probing.probes,
+            ..best_plan
+        })
+    }
+}
+
+/// One planning call on one batch: the K-independent preparation and the
+/// running cost of its probes.
+struct Probing<'a> {
+    planner: &'a MemoryAwarePlanner,
+    batch: &'a Batch,
+    prepared: Box<dyn PreparedSplit + 'a>,
+    partition_sec: f64,
+    extraction_sec: f64,
+    probes: usize,
+}
+
+impl<'a> Probing<'a> {
+    fn start(
+        planner: &'a MemoryAwarePlanner,
+        batch: &'a Batch,
+        strategy: &'a dyn OutputPartitioner,
+    ) -> Self {
+        let started = Instant::now();
+        let prepared = strategy.prepare(batch);
+        Self {
+            planner,
+            batch,
+            prepared,
+            partition_sec: started.elapsed().as_secs_f64(),
+            extraction_sec: 0.0,
+            probes: 0,
+        }
+    }
+
+    /// Splits into `k`, restricts, estimates. The returned plan carries
+    /// the cost of this call's probes so far.
+    fn probe(&mut self, k: usize) -> Plan {
+        let started = Instant::now();
+        let parts: Vec<Vec<NodeId>> = self
+            .prepared
+            .split(k)
+            .into_iter()
+            .filter(|p| !p.is_empty())
+            .collect();
+        self.partition_sec += started.elapsed().as_secs_f64();
+        let extract_started = Instant::now();
+        let micro_batches = self.batch.restrict_all(&parts);
+        let planner = self.planner;
+        let mut estimates: Vec<MemoryEstimate> = micro_batches
+            .iter()
+            .map(|mb| planner.estimator.estimate(mb))
+            .collect();
+        if planner.prefetch_staging {
+            for i in 0..estimates.len().saturating_sub(1) {
+                estimates[i].prefetch_staging = estimates[i + 1].transfer_bytes();
+            }
+        }
+        if planner.feature_cache_bytes > 0 {
+            for est in &mut estimates {
+                est.feature_cache = planner.feature_cache_bytes;
+            }
+        }
+        self.extraction_sec += extract_started.elapsed().as_secs_f64();
+        self.probes += 1;
+        Plan {
+            k,
+            parts,
+            micro_batches,
+            estimates,
+            partition_sec: self.partition_sec,
+            extraction_sec: self.extraction_sec,
+            probes: self.probes,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cell::{Cell, RefCell};
+    use std::time::Duration;
+
     use super::*;
     use betty_device::{AggregatorKind, ModelShape};
     use betty_graph::Block;
@@ -298,6 +353,140 @@ mod tests {
             }
         }
         Batch::new(vec![Block::new((0..8).collect(), &edges)])
+    }
+
+    /// 48 outputs in 12 groups of four that share six sources each.
+    fn wide_batch() -> Batch {
+        let mut edges = Vec::new();
+        for d in 0..48u32 {
+            for s in 0..6u32 {
+                edges.push((100 + (d / 4) * 10 + s, d));
+            }
+        }
+        Batch::new(vec![Block::new((0..48).collect(), &edges)])
+    }
+
+    /// A planner whose capacity is the peak of `batch` split five ways.
+    fn five_way_planner(batch: &Batch) -> MemoryAwarePlanner {
+        let capacity = MemoryAwarePlanner::new(estimator(), usize::MAX, 64)
+            .plan_fixed(batch, &RegPartitioner::new(0), 5)
+            .max_estimated_peak();
+        MemoryAwarePlanner::new(estimator(), capacity, 64)
+    }
+
+    /// An implementor of `split_outputs` alone — the benchmark harness's
+    /// shape — recording the `K`s it is asked for, each after a `nap`.
+    struct SplitOnly {
+        inner: RegPartitioner,
+        asked: RefCell<Vec<usize>>,
+        nap: Duration,
+    }
+
+    impl OutputPartitioner for SplitOnly {
+        fn name(&self) -> &'static str {
+            "split-only"
+        }
+
+        fn split_outputs(&self, batch: &Batch, k: usize) -> Vec<Vec<NodeId>> {
+            self.asked.borrow_mut().push(k);
+            std::thread::sleep(self.nap);
+            self.inner.split_outputs(batch, k)
+        }
+    }
+
+    /// An implementor of `prepare`, counting its calls and recording the
+    /// `K`s split through what it returns.
+    struct CountingPrepare {
+        inner: RegPartitioner,
+        prepares: Cell<usize>,
+        asked: RefCell<Vec<usize>>,
+    }
+
+    struct Recording<'a> {
+        inner: Box<dyn PreparedSplit + 'a>,
+        asked: &'a RefCell<Vec<usize>>,
+    }
+
+    impl PreparedSplit for Recording<'_> {
+        fn split(&mut self, k: usize) -> Vec<Vec<NodeId>> {
+            self.asked.borrow_mut().push(k);
+            self.inner.split(k)
+        }
+    }
+
+    impl OutputPartitioner for CountingPrepare {
+        fn name(&self) -> &'static str {
+            "counting-prepare"
+        }
+
+        fn split_outputs(&self, _: &Batch, _: usize) -> Vec<Vec<NodeId>> {
+            unreachable!("the planner splits through prepare")
+        }
+
+        fn prepare<'a>(&'a self, batch: &'a Batch) -> Box<dyn PreparedSplit + 'a> {
+            self.prepares.set(self.prepares.get() + 1);
+            Box::new(Recording {
+                inner: self.inner.prepare(batch),
+                asked: &self.asked,
+            })
+        }
+    }
+
+    #[test]
+    fn auto_plan_prepares_once_and_splits_once_per_probe() {
+        let batch = wide_batch();
+        let planner = five_way_planner(&batch);
+        // Geometric ascent 1, 2, 4, 8, then bisection of [5, 8].
+        let probes = [1usize, 2, 4, 8, 6, 5];
+
+        let counting = CountingPrepare {
+            inner: RegPartitioner::new(0),
+            prepares: Cell::new(0),
+            asked: RefCell::new(Vec::new()),
+        };
+        let prepared_plan = planner.plan(&batch, &counting, 1).unwrap();
+        assert_eq!(counting.prepares.get(), 1, "one prepare per batch");
+        assert_eq!(*counting.asked.borrow(), probes);
+        assert_eq!(prepared_plan.probes, probes.len());
+        assert_eq!(prepared_plan.k, 5);
+
+        let split_only = SplitOnly {
+            inner: RegPartitioner::new(0),
+            asked: RefCell::new(Vec::new()),
+            nap: Duration::ZERO,
+        };
+        let shim_plan = planner.plan(&batch, &split_only, 1).unwrap();
+        assert_eq!(
+            *split_only.asked.borrow(),
+            probes,
+            "one split_outputs per probe"
+        );
+        assert_eq!(shim_plan.parts, prepared_plan.parts);
+        assert_eq!(shim_plan.micro_batches, prepared_plan.micro_batches);
+
+        // A fixed-K plan is one prepare and one probe.
+        let fixed = planner.plan_fixed(&batch, &counting, 3);
+        assert_eq!(counting.prepares.get(), 2);
+        assert_eq!(fixed.probes, 1);
+    }
+
+    #[test]
+    fn auto_plan_reports_the_cost_of_every_probe() {
+        let batch = wide_batch();
+        let planner = five_way_planner(&batch);
+        let slow = SplitOnly {
+            inner: RegPartitioner::new(0),
+            asked: RefCell::new(Vec::new()),
+            nap: Duration::from_millis(3),
+        };
+        let started = Instant::now();
+        let plan = planner.plan(&batch, &slow, 1).unwrap();
+        let wall = started.elapsed().as_secs_f64();
+        assert_eq!(plan.probes, 6);
+        // Every probe's split is billed, not only the winning one's.
+        assert!(plan.partition_sec >= 6.0 * 0.003, "{}", plan.partition_sec);
+        assert!(plan.extraction_sec > 0.0);
+        assert!(plan.partition_sec + plan.extraction_sec <= wall);
     }
 
     #[test]

@@ -504,8 +504,9 @@ impl Runner {
     }
 
     /// Records `partition` and `plan` spans from the wall times the
-    /// planner already measured (`partition_sec` is the REG build + cut,
-    /// `extraction_sec` the micro-batch restriction + estimation).
+    /// planner already measured (`partition_sec` is the REG build + cuts,
+    /// `extraction_sec` the micro-batch restriction + estimation, each
+    /// summed over every probe of the planning call).
     fn record_plan_spans(&mut self, plan: &Plan) {
         if let Some(tr) = self.trainer.trace_mut() {
             let at = tr.now_sec();
@@ -1143,14 +1144,8 @@ impl Runner {
         }
         let cache = self.cached_parts.as_mut().expect("just ensured");
         cache.epochs_used += 1;
-        // Restrict all K parts concurrently (same order-preserving helper
-        // the planner uses; results are identical to the serial loop).
         let active: Vec<&Vec<NodeId>> = cache.parts.iter().filter(|p| !p.is_empty()).collect();
-        let micro_batches: Vec<Batch> = betty_runtime::parallel_map(
-            active.len(),
-            betty_runtime::configured_threads(),
-            |i| batch.restrict(active[i]),
-        );
+        let micro_batches = batch.restrict_all(&active);
         let (mut stats, steps) = self.run_micro_batches_with_steps(dataset, &micro_batches)?;
         if let Some(plan) = &fresh_plan {
             self.annotate_drift(&mut stats, &steps, plan);

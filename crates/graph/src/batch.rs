@@ -1,4 +1,4 @@
-use std::collections::HashSet;
+use std::collections::HashMap;
 
 use crate::{Block, NodeId};
 
@@ -88,43 +88,94 @@ impl Batch {
 
     /// Extracts the micro-batch induced by a subset of output nodes — the
     /// core of Betty's batch-level partitioning (§4.2.3, and the artifact's
-    /// `block_dataloader.py`).
-    ///
-    /// Walks the bipartite stack from the output layer downward, keeping at
-    /// each level exactly the edges whose destination is needed above, so
-    /// the result is a self-contained batch over `output_subset`.
+    /// `block_dataloader.py`): the one-part case of [`Batch::restrict_all`].
     ///
     /// # Panics
     ///
     /// Panics if `output_subset` contains a node that is not an output node
     /// of this batch, or duplicates.
     pub fn restrict(&self, output_subset: &[NodeId]) -> Batch {
-        let full_out: HashSet<NodeId> = self.output_nodes().iter().copied().collect();
-        let mut seen = HashSet::with_capacity(output_subset.len());
-        for &v in output_subset {
-            assert!(full_out.contains(&v), "{v} is not an output node");
-            assert!(seen.insert(v), "duplicate output node {v}");
-        }
+        self.restrict_all(&[output_subset])
+            .pop()
+            .expect("one part in, one micro-batch out")
+    }
 
-        let mut sub_blocks: Vec<Block> = Vec::with_capacity(self.blocks.len());
-        let mut needed: Vec<NodeId> = output_subset.to_vec();
-        for block in self.blocks.iter().rev() {
-            let needed_set: HashSet<NodeId> = needed.iter().copied().collect();
-            let edges: Vec<(NodeId, NodeId)> = block
-                .iter_global_edges()
-                .filter(|(_, d)| needed_set.contains(d))
+    /// The micro-batch of each part, in part order, materialized on up to
+    /// [`betty_runtime::configured_threads`] workers (the result does not
+    /// depend on the thread count).
+    ///
+    /// Walks the bipartite stack from the output layer downward, keeping at
+    /// each level exactly the in-edges of the destinations needed above, so
+    /// every result is a self-contained batch over its part. Blocks store
+    /// their edges by destination, so a part costs its own micro-batch's
+    /// size, not the whole batch's; edge order and first-seen source order
+    /// follow the batch's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a part contains a node that is not an output node of the
+    /// batch, or duplicates.
+    pub fn restrict_all<P: AsRef<[NodeId]> + Sync>(&self, parts: &[P]) -> Vec<Batch> {
+        let output_local: HashMap<NodeId, u32> = self
+            .output_nodes()
+            .iter()
+            .enumerate()
+            .map(|(local, &v)| (v, local as u32))
+            .collect();
+        let threads = betty_runtime::configured_threads();
+        betty_runtime::map_shards(parts.len(), threads, |_, range| {
+            // Per-block scratch of `Block::restrict`, shared by a worker's parts.
+            let mut marks: Vec<Vec<u32>> = self
+                .blocks
+                .iter()
+                .map(|b| vec![u32::MAX; b.num_src()])
                 .collect();
-            let sub = Block::new(needed, &edges);
-            needed = sub.src_globals().to_vec();
+            range
+                .map(|i| self.restrict_one(parts[i].as_ref(), &output_local, &mut marks))
+                .collect::<Vec<Batch>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect()
+    }
+
+    fn restrict_one(
+        &self,
+        part: &[NodeId],
+        output_local: &HashMap<NodeId, u32>,
+        marks: &mut [Vec<u32>],
+    ) -> Batch {
+        let top = self.blocks.len() - 1;
+        let mut needed = Vec::with_capacity(part.len());
+        for &v in part {
+            let Some(&local) = output_local.get(&v) else {
+                panic!("{v} is not an output node");
+            };
+            assert!(
+                marks[top][local as usize] == u32::MAX,
+                "duplicate output node {v}"
+            );
+            marks[top][local as usize] = 0;
+            needed.push(local);
+        }
+        let mut sub_blocks: Vec<Block> = Vec::with_capacity(self.blocks.len());
+        for (block, mark) in self.blocks.iter().zip(marks.iter_mut()).rev() {
+            // A block's sources are the destinations of the block below.
+            let (sub, kept) = block.restrict(&needed, mark);
+            needed = kept;
             sub_blocks.push(sub);
         }
         sub_blocks.reverse();
-        Batch::new(sub_blocks)
+        let micro = Batch { blocks: sub_blocks };
+        debug_assert!(micro.validate().is_ok(), "restriction keeps the stack");
+        micro
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
 
     /// Two-layer batch modelled on the paper's Figure 7: output nodes

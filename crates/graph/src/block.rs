@@ -80,6 +80,60 @@ impl Block {
         }
     }
 
+    /// The sub-block induced by the destinations `needed` (local indices,
+    /// duplicate-free), which become the new destinations in that order;
+    /// also returns the kept sources' local indices in new-local order.
+    /// Equals [`Block::new`] over `needed`'s global ids and this block's
+    /// edges into them, in this block's edge order.
+    ///
+    /// `mark` is scratch of `num_src` entries, all `u32::MAX` on return, and
+    /// on entry too except possibly at `needed`.
+    pub(crate) fn restrict(&self, needed: &[u32], mark: &mut [u32]) -> (Block, Vec<u32>) {
+        // Destinations take the first locals.
+        let mut kept = needed.to_vec();
+        for (new, &d) in needed.iter().enumerate() {
+            mark[d as usize] = new as u32;
+        }
+        // The other sources take theirs as this block's edge order first
+        // meets them, i.e. by ascending old destination.
+        let mut by_old = needed.to_vec();
+        by_old.sort_unstable();
+        for &d in &by_old {
+            for &s in self.in_edges(d as usize) {
+                if mark[s as usize] == u32::MAX {
+                    mark[s as usize] = kept.len() as u32;
+                    kept.push(s);
+                }
+            }
+        }
+        let num_edges = needed.iter().map(|&d| self.in_degree(d as usize)).sum();
+        let mut edge_src = Vec::with_capacity(num_edges);
+        let mut edge_dst = Vec::with_capacity(num_edges);
+        let mut dst_indptr = Vec::with_capacity(needed.len() + 1);
+        dst_indptr.push(0);
+        for (new, &d) in needed.iter().enumerate() {
+            let sources = self.in_edges(d as usize);
+            edge_src.extend(sources.iter().map(|&s| mark[s as usize]));
+            edge_dst.extend(std::iter::repeat_n(new as u32, sources.len()));
+            dst_indptr.push(edge_src.len());
+        }
+        let src_globals = kept
+            .iter()
+            .map(|&old| {
+                mark[old as usize] = u32::MAX;
+                self.src_globals[old as usize]
+            })
+            .collect();
+        let block = Self {
+            src_globals,
+            num_dst: needed.len(),
+            edge_src,
+            edge_dst,
+            dst_indptr,
+        };
+        (block, kept)
+    }
+
     /// Number of source nodes (destinations included).
     pub fn num_src(&self) -> usize {
         self.src_globals.len()

@@ -9,8 +9,9 @@
 //!   batch is made of (the equivalent of a DGL `Block`), with local↔global
 //!   index maps.
 //! * [`Batch`] — a stack of blocks forming a full multi-level bipartite
-//!   batch, plus [`Batch::restrict`], the micro-batch extraction primitive
-//!   Betty's batch-level partitioning is built on.
+//!   batch, plus [`Batch::restrict`] / [`Batch::restrict_all`], the
+//!   micro-batch extraction primitive Betty's batch-level partitioning is
+//!   built on.
 //! * [`sample_batch`] — fanout-bounded neighbor sampling producing a
 //!   [`Batch`] from seed (output) nodes.
 //! * [`shared_neighbor_graph`] — Gustavson-style sparse `Aᵀ·A` restricted to

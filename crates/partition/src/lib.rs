@@ -41,9 +41,12 @@ mod simple;
 mod streaming;
 
 pub use metrics::{input_redundancy, RedundancyReport};
-pub use multilevel::MultilevelPartitioner;
+pub use multilevel::{CutHierarchy, MultilevelPartitioner};
 pub use partitioning::Partitioning;
-pub use reg::{reg_partition, OutputGraphPartitioner, OutputPartitioner, RegPartitioner, RegScope};
+pub use reg::{
+    reg_partition, OutputGraphPartitioner, OutputPartitioner, PreparedSplit, RegPartitioner,
+    RegScope,
+};
 pub use simple::{RandomPartitioner, RangePartitioner};
 pub use streaming::LdgPartitioner;
 

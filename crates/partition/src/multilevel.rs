@@ -10,8 +10,13 @@
 //! quality: matching is randomized heavy-edge, initial partitioning is
 //! greedy graph growing, and refinement is gain-based pass-wise KL with a
 //! balance constraint and explicit rebalancing.
+//!
+//! Only the depth of the coarsening depends on `k`: the levels live in a
+//! [`CutHierarchy`] that cuts one graph at any number of `k`s, and
+//! [`Partitioner::partition_weighted`] is a hierarchy used once.
 
-use std::collections::VecDeque;
+use std::borrow::Borrow;
+use std::collections::{BTreeMap, VecDeque};
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -22,6 +27,10 @@ use betty_graph::CsrGraph;
 use crate::{Partitioner, Partitioning};
 
 /// Multilevel k-way partitioner (see module docs).
+///
+/// To cut one graph at several `k` (the memory-aware planner's probes) use
+/// [`MultilevelPartitioner::hierarchy`]: each [`CutHierarchy::cut`] equals
+/// a fresh [`partition_weighted`](Partitioner::partition_weighted).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultilevelPartitioner {
     seed: u64,
@@ -61,53 +70,97 @@ impl MultilevelPartitioner {
     }
 }
 
-/// Working representation: merged undirected adjacency with weights.
+/// Working representation: merged undirected adjacency with weights, in
+/// CSR form.
 struct Level {
-    /// Sorted, merged neighbor lists (no self-loops).
-    adj: Vec<Vec<(u32, f32)>>,
+    /// Row offsets into `adj`, one row per node.
+    indptr: Vec<usize>,
+    /// Sorted, merged neighbor lists (no self-loops), rows back to back.
+    adj: Vec<(u32, f32)>,
     node_w: Vec<f64>,
     /// For non-finest levels: fine node -> this level's coarse node.
     fine_to_coarse: Option<Vec<u32>>,
+    /// The generator as a from-scratch coarsening holds it once this level
+    /// exists (the freshly seeded one for the finest level).
+    rng: Pcg64Mcg,
 }
 
 impl Level {
+    /// Builds a level from its `(row, neighbor, weight)` entries, which
+    /// `entries` yields twice, identically: rows are filled in that order,
+    /// then sorted by neighbor and duplicate neighbors summed.
+    fn from_entries<I: Iterator<Item = (u32, u32, f32)>>(
+        entries: impl Fn() -> I,
+        node_w: Vec<f64>,
+        rng: Pcg64Mcg,
+    ) -> Level {
+        let n = node_w.len();
+        let mut indptr = vec![0usize; n + 1];
+        for (row, _, _) in entries() {
+            indptr[row as usize + 1] += 1;
+        }
+        for u in 0..n {
+            indptr[u + 1] += indptr[u];
+        }
+        let mut cursor = indptr[..n].to_vec();
+        let mut adj = vec![(0u32, 0.0f32); indptr[n]];
+        for (row, v, w) in entries() {
+            adj[cursor[row as usize]] = (v, w);
+            cursor[row as usize] += 1;
+        }
+        // Sort and merge each row, compacting in place.
+        let mut write = 0usize;
+        let mut start = 0usize;
+        for u in 0..n {
+            let end = indptr[u + 1];
+            adj[start..end].sort_unstable_by_key(|&(v, _)| v);
+            let row = write;
+            for i in start..end {
+                let (v, w) = adj[i];
+                if write > row && adj[write - 1].0 == v {
+                    adj[write - 1].1 += w;
+                } else {
+                    adj[write] = (v, w);
+                    write += 1;
+                }
+            }
+            start = end;
+            indptr[u + 1] = write;
+        }
+        adj.truncate(write);
+        Level {
+            indptr,
+            adj,
+            node_w,
+            fine_to_coarse: None,
+            rng,
+        }
+    }
+
     fn num_nodes(&self) -> usize {
-        self.adj.len()
+        self.node_w.len()
+    }
+
+    /// `(neighbor, weight)` pairs of `u`, ascending by neighbor id.
+    fn neighbors(&self, u: usize) -> &[(u32, f32)] {
+        &self.adj[self.indptr[u]..self.indptr[u + 1]]
     }
 }
 
-fn merge_neighbors(mut pairs: Vec<(u32, f32)>) -> Vec<(u32, f32)> {
-    pairs.sort_unstable_by_key(|&(v, _)| v);
-    let mut out: Vec<(u32, f32)> = Vec::with_capacity(pairs.len());
-    for (v, w) in pairs {
-        match out.last_mut() {
-            Some(last) if last.0 == v => last.1 += w,
-            _ => out.push((v, w)),
-        }
-    }
-    out
-}
-
-fn finest_level(graph: &CsrGraph, node_weights: &[f64]) -> Level {
-    let n = graph.num_nodes();
-    let mut adj: Vec<Vec<(u32, f32)>> = vec![Vec::new(); n];
+fn finest_level(graph: &CsrGraph, node_weights: Vec<f64>, rng: Pcg64Mcg) -> Level {
     // Symmetrize: accumulate both directions, drop self-loops.
-    for (u, v, w) in graph.iter_edges() {
-        if u != v {
-            adj[u as usize].push((v, w));
-            adj[v as usize].push((u, w));
-        }
-    }
-    let adj = adj.into_iter().map(merge_neighbors).collect();
-    Level {
-        adj,
-        node_w: node_weights.to_vec(),
-        fine_to_coarse: None,
-    }
+    let entries = || {
+        graph
+            .iter_edges()
+            .filter(|&(u, v, _)| u != v)
+            .flat_map(|(u, v, w)| [(u, v, w), (v, u, w)])
+    };
+    Level::from_entries(entries, node_weights, rng)
 }
 
 /// One round of randomized heavy-edge matching; returns the coarse level,
-/// or `None` if coarsening made insufficient progress.
+/// or `None` if coarsening made insufficient progress. Either way `rng`
+/// has advanced past the matching order's shuffle.
 fn coarsen(level: &Level, rng: &mut Pcg64Mcg) -> Option<Level> {
     let n = level.num_nodes();
     let mut order: Vec<u32> = (0..n as u32).collect();
@@ -119,7 +172,7 @@ fn coarsen(level: &Level, rng: &mut Pcg64Mcg) -> Option<Level> {
         }
         // Heaviest unmatched neighbor.
         let mut best: Option<(u32, f32)> = None;
-        for &(v, w) in &level.adj[u as usize] {
+        for &(v, w) in level.neighbors(u as usize) {
             if mate[v as usize] == u32::MAX && v != u {
                 match best {
                     Some((_, bw)) if bw >= w => {}
@@ -157,21 +210,19 @@ fn coarsen(level: &Level, rng: &mut Pcg64Mcg) -> Option<Level> {
     for u in 0..n {
         node_w[fine_to_coarse[u] as usize] += level.node_w[u];
     }
-    let mut adj: Vec<Vec<(u32, f32)>> = vec![Vec::new(); coarse_n];
-    for u in 0..n {
-        let cu = fine_to_coarse[u];
-        for &(v, w) in &level.adj[u] {
-            let cv = fine_to_coarse[v as usize];
-            if cu != cv {
-                adj[cu as usize].push((cv, w));
-            }
-        }
-    }
-    let adj = adj.into_iter().map(merge_neighbors).collect();
+    let entries = || {
+        let coarse = &fine_to_coarse;
+        (0..n)
+            .flat_map(move |u| {
+                let row = level.neighbors(u).iter();
+                row.map(move |&(v, w)| (coarse[u], coarse[v as usize], w))
+            })
+            .filter(|&(cu, cv, _)| cu != cv)
+    };
+    let coarse = Level::from_entries(entries, node_w, rng.clone());
     Some(Level {
-        adj,
-        node_w,
         fine_to_coarse: Some(fine_to_coarse),
+        ..coarse
     })
 }
 
@@ -179,6 +230,7 @@ fn coarsen(level: &Level, rng: &mut Pcg64Mcg) -> Option<Level> {
 fn initial_partition(level: &Level, k: usize, rng: &mut Pcg64Mcg) -> Vec<u32> {
     let n = level.num_nodes();
     let total: f64 = level.node_w.iter().sum();
+    let mut assigned_w = 0.0f64;
     let mut assignment = vec![u32::MAX; n];
     let mut unassigned = n;
     let mut order: Vec<u32> = (0..n as u32).collect();
@@ -190,10 +242,6 @@ fn initial_partition(level: &Level, k: usize, rng: &mut Pcg64Mcg) -> Vec<u32> {
             break;
         }
         let remaining_parts = (k as u32 - p) as f64;
-        let assigned_w: f64 = (0..n)
-            .filter(|&u| assignment[u] != u32::MAX)
-            .map(|u| level.node_w[u])
-            .sum();
         let target = (total - assigned_w) / remaining_parts;
         // Find an unassigned seed.
         while cursor < n && assignment[order[cursor] as usize] != u32::MAX {
@@ -226,7 +274,7 @@ fn initial_partition(level: &Level, k: usize, rng: &mut Pcg64Mcg) -> Vec<u32> {
                     s
                 }
             };
-            for &(v, _) in &level.adj[u as usize] {
+            for &(v, _) in level.neighbors(u as usize) {
                 if grown >= target {
                     break;
                 }
@@ -238,6 +286,7 @@ fn initial_partition(level: &Level, k: usize, rng: &mut Pcg64Mcg) -> Vec<u32> {
                 }
             }
         }
+        assigned_w += grown;
     }
     // Everything left goes to the last part.
     for a in assignment.iter_mut() {
@@ -313,7 +362,7 @@ fn move_pass(
             *c = 0.0;
         }
         let mut touches_other = false;
-        for &(v, w) in &level.adj[u] {
+        for &(v, w) in level.neighbors(u) {
             let p = assignment[v as usize] as usize;
             conn[p] += w;
             if p != cp {
@@ -357,10 +406,31 @@ fn move_pass(
 /// Weight of edge `u → v` at this level (0 when absent); neighbor lists are
 /// sorted, so a binary search suffices.
 fn edge_weight(level: &Level, u: usize, v: u32) -> f32 {
-    level.adj[u]
-        .binary_search_by_key(&v, |&(n, _)| n)
-        .map(|i| level.adj[u][i].1)
+    let row = level.neighbors(u);
+    row.binary_search_by_key(&v, |&(n, _)| n)
+        .map(|i| row[i].1)
         .unwrap_or(0.0)
+}
+
+/// Up to two `(gain, node)` migration candidates of one ordered part pair,
+/// best first; unused entries hold [`NO_NODE`].
+type Slot = [(f32, u32); 2];
+const NO_NODE: u32 = u32::MAX;
+const EMPTY_SLOT: Slot = [(0.0, NO_NODE); 2];
+/// Largest `k` whose swap candidates live in a dense `k × k` table.
+const DENSE_SWAP_PARTS: usize = 256;
+
+/// Offers a candidate to a slot. A newcomer goes ahead of an entry only on
+/// strictly greater gain (`total_cmp`), and nodes are offered in ascending
+/// id order, so gain ties keep the lower node id first — what a stable
+/// descending sort of every offer, cut to two, would leave.
+fn offer(slot: &mut Slot, gain: f32, node: u32) {
+    let beats = |entry: (f32, u32)| entry.1 == NO_NODE || gain.total_cmp(&entry.0).is_gt();
+    if beats(slot[0]) {
+        *slot = [(gain, node), slot[0]];
+    } else if beats(slot[1]) {
+        slot[1] = (gain, node);
+    }
 }
 
 /// Kernighan–Lin style pairwise swaps: for every (from, to) part pair keep
@@ -377,88 +447,82 @@ fn swap_pass(
     if k < 2 {
         return 0;
     }
-    const CANDIDATES: usize = 2;
-    // best[(from, to)]: up to two (gain, node) candidates, best first.
-    // Sparse: a dense k×k table explodes for large k (a user asking for
-    // thousands of parts would otherwise OOM here), and only pairs with a
-    // boundary node between them matter anyway.
-    let mut best: std::collections::HashMap<(usize, usize), Vec<(f32, u32)>> =
-        std::collections::HashMap::new();
     // For modest k, consider every target part (zero-gain partners from
     // untouched parts matter — e.g. swapping an isolated node out of the
-    // way of a heavy pair). For large k that dense enumeration is
-    // quadratic, so restrict to parts the node actually touches.
-    let dense = k <= 256;
-    let mut conn: std::collections::HashMap<usize, f32> = std::collections::HashMap::new();
+    // way of a heavy pair) in a flat table, row `from`, column `to`. For
+    // large k that table and its enumeration are quadratic (a user asking
+    // for thousands of parts would OOM here), so keep only the pairs with
+    // a boundary node between them, in a map.
+    let dense = k <= DENSE_SWAP_PARTS;
+    let mut table = vec![EMPTY_SLOT; if dense { k * k } else { 0 }];
+    let mut sparse: BTreeMap<(usize, usize), Slot> = BTreeMap::new();
+    let mut conn = vec![0.0f32; if dense { k } else { 0 }];
+    let mut touched: BTreeMap<usize, f32> = BTreeMap::new();
     for u in 0..level.num_nodes() {
         let cp = assignment[u] as usize;
-        conn.clear();
-        for &(v, w) in &level.adj[u] {
-            *conn.entry(assignment[v as usize] as usize).or_insert(0.0) += w;
-        }
-        let own = conn.get(&cp).copied().unwrap_or(0.0);
-        let push = |p: usize, gain: f32, best: &mut std::collections::HashMap<(usize, usize), Vec<(f32, u32)>>| {
-            let slot = best.entry((cp, p)).or_default();
-            slot.push((gain, u as u32));
-            slot.sort_by(|a, b| b.0.total_cmp(&a.0));
-            slot.truncate(CANDIDATES);
-        };
         if dense {
-            for p in 0..k {
-                if p != cp {
-                    push(p, conn.get(&p).copied().unwrap_or(0.0) - own, &mut best);
-                }
+            conn.fill(0.0);
+            for &(v, w) in level.neighbors(u) {
+                conn[assignment[v as usize] as usize] += w;
+            }
+            for p in (0..k).filter(|&p| p != cp) {
+                offer(&mut table[cp * k + p], conn[p] - conn[cp], u as u32);
             }
         } else {
-            // Fixed part order: HashMap iteration order differs between
-            // otherwise-identical calls, and push order breaks gain ties.
-            let mut touched: Vec<(usize, f32)> = conn.iter().map(|(&p, &c)| (p, c)).collect();
-            touched.sort_unstable_by_key(|&(p, _)| p);
-            for (p, c) in touched {
-                if p != cp {
-                    push(p, c - own, &mut best);
-                }
+            // A BTreeMap: offers go out in ascending part order, which
+            // breaks gain ties.
+            touched.clear();
+            for &(v, w) in level.neighbors(u) {
+                let part = assignment[v as usize] as usize;
+                *touched.entry(part).or_insert(0.0) += w;
+            }
+            let own = touched.get(&cp).copied().unwrap_or(0.0);
+            for (&p, &c) in touched.iter().filter(|&(&p, _)| p != cp) {
+                let slot = sparse.entry((cp, p)).or_insert(EMPTY_SLOT);
+                offer(slot, c - own, u as u32);
             }
         }
     }
     // Swaps mutate part weights, so later pairs see earlier pairs' moves:
-    // the pair order must be fixed or two identical calls can return
-    // different partitions (HashMap key order is instance-random).
-    let mut pairs: Vec<(usize, usize)> = best.keys().copied().filter(|&(a, b)| a < b).collect();
-    pairs.sort_unstable();
-    let empty: Vec<(f32, u32)> = Vec::new();
+    // pairs are visited in ascending (a, b) order, a < b.
+    let pairs: Vec<(usize, usize)> = if dense {
+        (0..k)
+            .flat_map(|a| (a + 1..k).map(move |b| (a, b)))
+            .collect()
+    } else {
+        sparse.keys().copied().filter(|&(a, b)| a < b).collect()
+    };
+    let slot = |from: usize, to: usize| -> Slot {
+        if dense {
+            table[from * k + to]
+        } else {
+            sparse.get(&(from, to)).copied().unwrap_or(EMPTY_SLOT)
+        }
+    };
     let mut swapped = 0usize;
     for (a, b) in pairs {
-        {
-            let forward = best.get(&(a, b)).unwrap_or(&empty).clone();
-            let backward = best.get(&(b, a)).unwrap_or(&empty).clone();
-            let mut done = false;
-            for &(ga, u) in &forward {
-                if done {
-                    break;
+        let (forward, backward) = (slot(a, b), slot(b, a));
+        'pair: for &(ga, u) in forward.iter().filter(|c| c.1 != NO_NODE) {
+            for &(gb, v) in backward.iter().filter(|c| c.1 != NO_NODE) {
+                // Candidate lists are stale after any swap this pass;
+                // one swap per part pair keeps the math exact.
+                let joint = ga + gb - 2.0 * edge_weight(level, u as usize, v);
+                if joint <= 0.0 {
+                    continue;
                 }
-                for &(gb, v) in &backward {
-                    // Candidate lists are stale after any swap this pass;
-                    // one swap per part pair keeps the math exact.
-                    let joint = ga + gb - 2.0 * edge_weight(level, u as usize, v);
-                    if joint <= 0.0 {
-                        continue;
-                    }
-                    let (wu, wv) = (level.node_w[u as usize], level.node_w[v as usize]);
-                    let new_a = part_w[a] - wu + wv;
-                    let new_b = part_w[b] - wv + wu;
-                    let cap = max_part_w.max(part_w[a]).max(part_w[b]);
-                    if new_a > cap || new_b > cap {
-                        continue;
-                    }
-                    assignment[u as usize] = b as u32;
-                    assignment[v as usize] = a as u32;
-                    part_w[a] = new_a;
-                    part_w[b] = new_b;
-                    swapped += 1;
-                    done = true;
-                    break;
+                let (wu, wv) = (level.node_w[u as usize], level.node_w[v as usize]);
+                let new_a = part_w[a] - wu + wv;
+                let new_b = part_w[b] - wv + wu;
+                let cap = max_part_w.max(part_w[a]).max(part_w[b]);
+                if new_a > cap || new_b > cap {
+                    continue;
                 }
+                assignment[u as usize] = b as u32;
+                assignment[v as usize] = a as u32;
+                part_w[a] = new_a;
+                part_w[b] = new_b;
+                swapped += 1;
+                break 'pair;
             }
         }
     }
@@ -487,7 +551,8 @@ fn rebalance(level: &Level, assignment: &mut [u32], k: usize, max_part_w: f64) {
         // be shuttled around, making balance worse). Cost is the cut-weight
         // delta of the move.
         let cost = |u: usize| -> f32 {
-            level.adj[u]
+            level
+                .neighbors(u)
                 .iter()
                 .map(|&(v, w)| {
                     if assignment[v as usize] as usize == over {
@@ -542,6 +607,124 @@ fn fix_empty_parts(level: &Level, assignment: &mut [u32], k: usize) {
     }
 }
 
+/// The K-independent part of a multilevel cut of one graph: the
+/// coarsening levels, shared by every [`CutHierarchy::cut`].
+///
+/// The level sequence depends on the graph and the seed only; `k` decides
+/// just how deep a cut descends (to the first level of at most
+/// `max(30·k, 64)` nodes, or to where matching stalls). Levels are built
+/// lazily, each keeping the generator state a from-scratch run holds on
+/// reaching it, so `cut(k)` returns exactly what
+/// [`Partitioner::partition_weighted`] does, whatever was cut before.
+pub struct CutHierarchy<G> {
+    cutter: MultilevelPartitioner,
+    num_nodes: usize,
+    total_weight: f64,
+    /// The input, until the first non-trivial cut turns it into level 0.
+    source: Option<(G, Vec<f64>)>,
+    levels: Vec<Level>,
+    /// Set once matching the deepest level made too little progress: the
+    /// generator after that attempt, whose shuffle a from-scratch run
+    /// spends before giving up.
+    stalled: Option<Pcg64Mcg>,
+}
+
+impl<G: Borrow<CsrGraph>> CutHierarchy<G> {
+    /// Partitions the graph into `k` parts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k == 0`.
+    pub fn cut(&mut self, k: usize) -> Partitioning {
+        assert!(k > 0, "k must be positive");
+        if k == 1 || self.num_nodes <= 1 {
+            return Partitioning::new(vec![0; self.num_nodes], k);
+        }
+        let target = (self.cutter.coarsen_nodes_per_part * k).max(64);
+        let (depth, mut rng) = self.descend(target);
+        let max_part_w = (1.0 + self.cutter.balance_epsilon) * self.total_weight / k as f64;
+        let passes = self.cutter.refinement_passes;
+
+        // Initial partition on the coarsest level.
+        let coarsest = &self.levels[depth];
+        let mut assignment = initial_partition(coarsest, k, &mut rng);
+        fix_empty_parts(coarsest, &mut assignment, k);
+        refine(coarsest, &mut assignment, k, max_part_w, passes, &mut rng);
+
+        // Uncoarsening: project and refine at each finer level.
+        for li in (0..depth).rev() {
+            let fine_to_coarse = self.levels[li + 1]
+                .fine_to_coarse
+                .as_ref()
+                .expect("coarse levels carry projection maps");
+            assignment = fine_to_coarse
+                .iter()
+                .map(|&c| assignment[c as usize])
+                .collect();
+            let level = &self.levels[li];
+            refine(level, &mut assignment, k, max_part_w, passes, &mut rng);
+        }
+
+        let finest = &self.levels[0];
+        rebalance(finest, &mut assignment, k, max_part_w);
+        fix_empty_parts(finest, &mut assignment, k);
+        Partitioning::new(assignment, k)
+    }
+
+    /// Index of the first level with at most `target` nodes — or of the
+    /// level where coarsening stalls — building levels as needed, and the
+    /// generator state a from-scratch coarsening ends in there.
+    fn descend(&mut self, target: usize) -> (usize, Pcg64Mcg) {
+        if let Some((graph, node_weights)) = self.source.take() {
+            let rng = Pcg64Mcg::seed_from_u64(self.cutter.seed);
+            self.levels
+                .push(finest_level(graph.borrow(), node_weights, rng));
+        }
+        let mut depth = 0;
+        while self.levels[depth].num_nodes() > target {
+            if depth + 1 == self.levels.len() {
+                if self.stalled.is_none() {
+                    let mut rng = self.levels[depth].rng.clone();
+                    match coarsen(&self.levels[depth], &mut rng) {
+                        Some(coarse) => self.levels.push(coarse),
+                        None => self.stalled = Some(rng),
+                    }
+                }
+                if let Some(rng) = &self.stalled {
+                    return (depth, rng.clone());
+                }
+            }
+            depth += 1;
+        }
+        (depth, self.levels[depth].rng.clone())
+    }
+}
+
+impl MultilevelPartitioner {
+    /// A coarsening hierarchy over `graph` (borrowed or owned) for cuts at
+    /// several `k`; nothing is built until a cut needs it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node_weights.len() != graph.num_nodes()`.
+    pub fn hierarchy<G: Borrow<CsrGraph>>(
+        &self,
+        graph: G,
+        node_weights: Vec<f64>,
+    ) -> CutHierarchy<G> {
+        let num_nodes = graph.borrow().num_nodes();
+        assert_eq!(node_weights.len(), num_nodes, "one weight per node");
+        CutHierarchy {
+            cutter: self.clone(),
+            num_nodes,
+            total_weight: node_weights.iter().sum(),
+            source: Some((graph, node_weights)),
+            levels: Vec::new(),
+            stalled: None,
+        }
+    }
+}
+
 impl Partitioner for MultilevelPartitioner {
     fn name(&self) -> &'static str {
         "metis-like"
@@ -553,64 +736,7 @@ impl Partitioner for MultilevelPartitioner {
         node_weights: &[f64],
         k: usize,
     ) -> Partitioning {
-        assert!(k > 0, "k must be positive");
-        let n = graph.num_nodes();
-        assert_eq!(node_weights.len(), n, "one weight per node");
-        if k == 1 || n <= 1 {
-            return Partitioning::new(vec![0; n], k.max(1));
-        }
-        let mut rng = Pcg64Mcg::seed_from_u64(self.seed);
-
-        // Coarsening phase.
-        let mut levels = vec![finest_level(graph, node_weights)];
-        let target = (self.coarsen_nodes_per_part * k).max(64);
-        while levels.last().expect("non-empty").num_nodes() > target {
-            match coarsen(levels.last().expect("non-empty"), &mut rng) {
-                Some(coarse) => levels.push(coarse),
-                None => break,
-            }
-        }
-
-        let total: f64 = node_weights.iter().sum();
-        let max_part_w = (1.0 + self.balance_epsilon) * total / k as f64;
-
-        // Initial partition on the coarsest level.
-        let coarsest = levels.last().expect("non-empty");
-        let mut assignment = initial_partition(coarsest, k, &mut rng);
-        fix_empty_parts(coarsest, &mut assignment, k);
-        refine(
-            coarsest,
-            &mut assignment,
-            k,
-            max_part_w,
-            self.refinement_passes,
-            &mut rng,
-        );
-
-        // Uncoarsening: project and refine at each finer level.
-        for li in (0..levels.len() - 1).rev() {
-            let fine_to_coarse = levels[li + 1]
-                .fine_to_coarse
-                .as_ref()
-                .expect("coarse levels carry projection maps");
-            let fine_assignment: Vec<u32> = (0..levels[li].num_nodes())
-                .map(|u| assignment[fine_to_coarse[u] as usize])
-                .collect();
-            assignment = fine_assignment;
-            refine(
-                &levels[li],
-                &mut assignment,
-                k,
-                max_part_w,
-                self.refinement_passes,
-                &mut rng,
-            );
-        }
-
-        let finest = &levels[0];
-        rebalance(finest, &mut assignment, k, max_part_w);
-        fix_empty_parts(finest, &mut assignment, k);
-        Partitioning::new(assignment, k)
+        self.hierarchy(graph, node_weights.to_vec()).cut(k)
     }
 }
 

@@ -3,7 +3,7 @@
 
 use betty_graph::{dependency_reg, shared_neighbor_graph, Batch, Block, CsrGraph, NodeId};
 
-use crate::{MultilevelPartitioner, Partitioner, Partitioning};
+use crate::{CutHierarchy, MultilevelPartitioner, Partitioner, Partitioning};
 
 /// Which redundancy information the REG embeds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -20,6 +20,11 @@ pub enum RegScope {
 
 /// A strategy that splits a batch's *output nodes* into `k` groups, each of
 /// which becomes a micro-batch via [`Batch::restrict`].
+///
+/// A caller trying several `k` on one batch (the memory-aware planner)
+/// calls [`prepare`](OutputPartitioner::prepare) once and
+/// [`PreparedSplit::split`] per `k`; an implementor with nothing to share
+/// between `k`s implements only `split_outputs`.
 pub trait OutputPartitioner {
     /// Human-readable strategy name, used in experiment output.
     fn name(&self) -> &'static str;
@@ -32,6 +37,37 @@ pub trait OutputPartitioner {
     ///
     /// Panics if `k == 0`.
     fn split_outputs(&self, batch: &Batch, k: usize) -> Vec<Vec<NodeId>>;
+
+    /// Does the `k`-independent work of splitting `batch`, once. Every
+    /// [`PreparedSplit::split`] of the result must equal `split_outputs`
+    /// for that `k`, whatever was split before it. The default prepares
+    /// nothing and forwards each split to `split_outputs`.
+    fn prepare<'a>(&'a self, batch: &'a Batch) -> Box<dyn PreparedSplit + 'a> {
+        Box::new(Unprepared {
+            strategy: self,
+            batch,
+        })
+    }
+}
+
+/// A batch prepared by [`OutputPartitioner::prepare`] for splitting at any
+/// number of `k`s.
+pub trait PreparedSplit {
+    /// [`OutputPartitioner::split_outputs`] of the prepared batch; panics
+    /// if `k == 0`.
+    fn split(&mut self, k: usize) -> Vec<Vec<NodeId>>;
+}
+
+/// [`OutputPartitioner::prepare`]'s default: nothing shared between splits.
+struct Unprepared<'a, S: ?Sized> {
+    strategy: &'a S,
+    batch: &'a Batch,
+}
+
+impl<S: OutputPartitioner + ?Sized> PreparedSplit for Unprepared<'_, S> {
+    fn split(&mut self, k: usize) -> Vec<Vec<NodeId>> {
+        self.strategy.split_outputs(self.batch, k)
+    }
 }
 
 /// Algorithm 1: builds the Redundancy-Embedded Graph of the output layer
@@ -119,15 +155,33 @@ impl OutputPartitioner for RegPartitioner {
 
     fn split_outputs(&self, batch: &Batch, k: usize) -> Vec<Vec<NodeId>> {
         assert!(k > 0, "k must be positive");
-        match self.scope {
-            RegScope::LastLayer => reg_partition(batch, k, &self.cutter),
-            RegScope::FullDependency => {
-                let reg = dependency_reg(batch, self.hub_cap);
-                let parts = self.cutter.partition(&reg, k);
-                let last = batch.blocks().last().expect("batch is never empty");
-                locals_to_globals(&parts, last)
-            }
-        }
+        self.prepare(batch).split(k)
+    }
+
+    /// Builds the REG; its cuts share one lazily built coarsening.
+    fn prepare<'a>(&'a self, batch: &'a Batch) -> Box<dyn PreparedSplit + 'a> {
+        let last = batch.blocks().last().expect("batch is never empty");
+        let reg = match self.scope {
+            RegScope::LastLayer => shared_neighbor_graph(last),
+            RegScope::FullDependency => dependency_reg(batch, self.hub_cap),
+        };
+        let unit_weights = vec![1.0; reg.num_nodes()];
+        Box::new(PreparedReg {
+            hierarchy: self.cutter.hierarchy(reg, unit_weights),
+            last,
+        })
+    }
+}
+
+/// A batch's REG under its (lazily built) coarsening hierarchy.
+struct PreparedReg<'a> {
+    hierarchy: CutHierarchy<CsrGraph>,
+    last: &'a Block,
+}
+
+impl PreparedSplit for PreparedReg<'_> {
+    fn split(&mut self, k: usize) -> Vec<Vec<NodeId>> {
+        locals_to_globals(&self.hierarchy.cut(k), self.last)
     }
 }
 

@@ -3,10 +3,10 @@
 
 use std::collections::HashSet;
 
-use betty_graph::{sample_batch, shared_neighbor_graph, Batch, CsrGraph, NodeId};
+use betty_graph::{sample_batch, shared_neighbor_graph, Batch, Block, CsrGraph, NodeId};
 use betty_partition::{
     input_redundancy, MultilevelPartitioner, OutputPartitioner, Partitioner, RandomPartitioner,
-    RangePartitioner, RegPartitioner,
+    RangePartitioner, RegPartitioner, RegScope,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -18,6 +18,113 @@ fn arb_graph() -> impl Strategy<Value = (usize, Vec<(NodeId, NodeId)>)> {
         let edges = proptest::collection::vec((0..n as NodeId, 0..n as NodeId), 0..(n * 4));
         (Just(n), edges)
     })
+}
+
+/// Strategy: a batch big enough that its REG coarsens — a few hundred
+/// outputs sampled two layers deep from a random graph.
+fn arb_coarsenable_batch() -> impl Strategy<Value = Batch> {
+    (150usize..400, 0u64..1 << 32).prop_flat_map(|(n, seed)| {
+        proptest::collection::vec((0..n as NodeId, 0..n as NodeId), (n * 3)..(n * 6)).prop_map(
+            move |edges| {
+                let g = CsrGraph::from_edges(n, &edges);
+                let seeds: Vec<NodeId> = (0..(n * 3 / 4) as NodeId).collect();
+                let mut rng = Pcg64Mcg::seed_from_u64(seed);
+                sample_batch(&g, &seeds, &[4, 6], &mut rng)
+            },
+        )
+    })
+}
+
+/// `Batch::restrict` as it was defined before the K-way restrict: each
+/// block rebuilt by `Block::new` from the edges into the needed nodes.
+fn reference_restrict(batch: &Batch, part: &[NodeId]) -> Batch {
+    let mut needed = part.to_vec();
+    let mut blocks = Vec::new();
+    for block in batch.blocks().iter().rev() {
+        let keep: HashSet<NodeId> = needed.iter().copied().collect();
+        let edges: Vec<(NodeId, NodeId)> = block
+            .iter_global_edges()
+            .filter(|(_, d)| keep.contains(d))
+            .collect();
+        let sub = Block::new(needed, &edges);
+        needed = sub.src_globals().to_vec();
+        blocks.push(sub);
+    }
+    blocks.reverse();
+    Batch::new(blocks)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn prepared_splits_equal_fresh_splits_in_any_order(
+        batch in arb_coarsenable_batch(),
+        ks in proptest::collection::vec(1usize..24, 4..9),
+    ) {
+        for scope in [RegScope::LastLayer, RegScope::FullDependency] {
+            let strategy = RegPartitioner::new(3).with_scope(scope);
+            let mut prepared = strategy.prepare(&batch);
+            // The drawn order, then the same Ks again backwards: deeper
+            // levels get built after shallower cuts used the hierarchy,
+            // and every K is asked at least twice.
+            for &k in ks.iter().chain(ks.iter().rev()) {
+                prop_assert_eq!(
+                    prepared.split(k),
+                    strategy.split_outputs(&batch, k),
+                    "{:?} k={} of {:?}", scope, k, ks
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn k_way_restrict_equals_one_restrict_per_part(
+        batch in arb_coarsenable_batch(),
+        k in 2usize..9,
+    ) {
+        let mut parts = RegPartitioner::new(1).split_outputs(&batch, k);
+        // Not in output order; one part a lone hub; one part empty.
+        for part in &mut parts {
+            part.reverse();
+        }
+        let top = batch.blocks().last().unwrap();
+        let hub = (0..top.num_dst()).max_by_key(|&d| top.in_degree(d)).unwrap();
+        parts.push(vec![top.dst_globals()[hub]]);
+        parts.push(Vec::new());
+        let micros = batch.restrict_all(&parts);
+        prop_assert_eq!(micros.len(), parts.len());
+        for (micro, part) in micros.iter().zip(&parts) {
+            prop_assert_eq!(micro, &reference_restrict(&batch, part));
+            prop_assert_eq!(micro, &batch.restrict(part));
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "duplicate output node 1")]
+fn k_way_restrict_rejects_a_duplicate_before_a_later_stranger() {
+    let batch = Batch::new(vec![Block::new(vec![0, 1, 2], &[(5, 0), (5, 1), (6, 2)])]);
+    batch.restrict_all(&[vec![1, 1, 9]]);
+}
+
+#[test]
+#[should_panic(expected = "9 is not an output node")]
+fn k_way_restrict_rejects_a_non_output() {
+    let batch = Batch::new(vec![Block::new(vec![0, 1, 2], &[(5, 0), (5, 1), (6, 2)])]);
+    batch.restrict_all(&[vec![0, 9]]);
+}
+
+#[test]
+fn k_way_restrict_rejects_a_bad_part_among_good_ones() {
+    let batch = Batch::new(vec![Block::new(vec![0, 1, 2], &[(5, 0), (5, 1), (6, 2)])]);
+    let outcome = std::panic::catch_unwind(|| {
+        batch.restrict_all(&[vec![0], vec![1, 2], vec![2, 2]])
+    });
+    assert!(outcome.is_err());
+    // All parts good: the failed call left nothing behind.
+    let good = batch.restrict_all(&[vec![0], vec![2, 1]]);
+    assert_eq!(good[1].output_nodes(), &[2, 1]);
 }
 
 proptest! {
