@@ -21,7 +21,10 @@
 //! The reported columns show the economics: a starved cache pays for its
 //! misses in page-ins and exposed NVMe seconds; once the budget covers
 //! the working set the hit rate saturates and the page-in column
-//! collapses to the cold first touch.
+//! collapses to the cold first touch. The `pages-in bound` column is the
+//! store's contract made checkable: a gather or prewarm pages each shard
+//! at most once, so no budget can push `pages in` past shards × calls —
+//! CI asserts it, so a return to per-row paging fails instead of slowing.
 
 use std::time::Instant;
 
@@ -39,6 +42,9 @@ struct Run {
     wall: f64,
     losses: Vec<u64>,
     max_peak_bytes: usize,
+    /// Gathers and prewarms issued: a gather per step, and a prewarm of
+    /// the next micro-batch on every step but an epoch's last.
+    store_calls: u64,
     hits: u64,
     misses: u64,
     pages_in: u64,
@@ -51,6 +57,7 @@ fn run_epochs(runner: &mut Runner, ds: &betty_data::Dataset, epochs: usize) -> R
         wall: 0.0,
         losses: Vec::with_capacity(epochs),
         max_peak_bytes: 0,
+        store_calls: 0,
         hits: 0,
         misses: 0,
         pages_in: 0,
@@ -64,6 +71,7 @@ fn run_epochs(runner: &mut Runner, ds: &betty_data::Dataset, epochs: usize) -> R
             .expect("bench capacity fits the paged plan");
         run.losses.push(stats.loss.to_bits());
         run.max_peak_bytes = run.max_peak_bytes.max(stats.max_peak_bytes);
+        run.store_calls += (2 * stats.num_steps).saturating_sub(1) as u64;
         run.hits += stats.feature_hits;
         run.misses += stats.feature_misses;
         run.pages_in += stats.feature_pages_in;
@@ -90,6 +98,7 @@ pub fn run(profile: Profile) {
     let total_bytes = ds.features.size_bytes();
     // Shards sized so even the bench-scale graph needs dozens of pages.
     let page_rows = (ds.num_nodes() / 64).max(1);
+    let shards = ds.num_nodes().div_ceil(page_rows) as u64;
 
     let mut table = Table::new(
         "BENCH_featurestore",
@@ -100,6 +109,7 @@ pub fn run(profile: Profile) {
             "reserved KiB",
             "hit rate",
             "pages in",
+            "pages-in bound",
             "paged KiB",
             "page-in (s)",
             "wall (s)",
@@ -118,6 +128,7 @@ pub fn run(profile: Profile) {
         "-".to_string(),
         "0.0".to_string(),
         "100.0%".to_string(),
+        "0".to_string(),
         "0".to_string(),
         "0.0".to_string(),
         "0.0000".to_string(),
@@ -164,6 +175,7 @@ pub fn run(profile: Profile) {
             format!("{:.1}", reserved as f64 / 1024.0),
             format!("{:.1}%", hit_rate(&paged) * 100.0),
             paged.pages_in.to_string(),
+            (shards * paged.store_calls).to_string(),
             format!("{:.1}", paged.page_in_bytes as f64 / 1024.0),
             format!("{:.4}", paged.page_in_sec),
             format!("{:.4}", paged.wall),

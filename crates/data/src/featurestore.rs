@@ -86,7 +86,6 @@
 //! store directory, rebuilding damaged parity shards from intact data
 //! shards as well.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -94,7 +93,7 @@ use std::sync::{Arc, Mutex};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use betty_tensor::{DType, Tensor};
+use betty_tensor::{crc32, DType, Tensor};
 
 const META_MAGIC: &[u8; 8] = b"BTYFMET1";
 const META_MAGIC_V2: &[u8; 8] = b"BTYFMET2";
@@ -115,35 +114,6 @@ pub const DEFAULT_MAX_IO_RETRIES: usize = 3;
 /// Base of the simulated exponential retry backoff:
 /// `base · 2^attempt · (0.5 + jitter)` seconds, jitter in `[0, 1)`.
 const IO_BACKOFF_BASE_SEC: f64 = 5e-3;
-
-// ---------------------------------------------------------------------------
-// CRC-32 (IEEE, reflected) — the same polynomial the checkpoint format
-// uses; betty-nn sits *above* betty-data in the dependency order, so the
-// table is re-derived here rather than imported.
-
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
-            k += 1;
-        }
-        table[i as usize] = crc;
-        i += 1;
-    }
-    table
-};
-
-fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in data {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
-}
 
 // ---------------------------------------------------------------------------
 // Errors.
@@ -213,13 +183,19 @@ impl From<io::Error> for FeatureStoreError {
 /// deterministic functions of the access sequence, so they are safe to
 /// compare across thread counts (they are *not* comparable across
 /// backends — that is the point of having them).
+///
+/// A gather has `hits + misses == indices.len()`; a prewarm copies no
+/// row and leaves both at zero. Either way `pages_in` is at most the
+/// number of distinct shards the call's rows live on.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct GatherStats {
-    /// Rows served from memory (dense) or from an already-resident shard.
+    /// Rows served from memory (dense) or from a shard that was already
+    /// resident when the call began.
     pub hits: u64,
-    /// Rows whose shard had to be paged in first.
+    /// Rows whose shard this call had to page in (every row of that
+    /// shard's bucket, not just the first to need it).
     pub misses: u64,
-    /// Shard loads performed.
+    /// Shard loads performed — at most one per shard per call.
     pub pages_in: u64,
     /// Bytes read from disk by those shard loads.
     pub bytes_in: u64,
@@ -320,6 +296,9 @@ pub trait FeatureStore: fmt::Debug + Send + Sync {
     /// Copies the given rows into `out` (row-major, `indices.len() × cols`)
     /// and reports the cache accounting of the access.
     ///
+    /// Paged stores serve the call shard by shard, not row by row: see
+    /// [`FeatureStore::try_gather_into`] for the order.
+    ///
     /// # Panics
     ///
     /// Panics if `out.len() != indices.len() * cols`, if an index is out
@@ -333,9 +312,19 @@ pub trait FeatureStore: fmt::Debug + Send + Sync {
     /// corruption) as a structured error instead of panicking. Dense
     /// stores never fail.
     ///
+    /// Paged contract: the rows are bucketed by shard; shards already
+    /// resident are served first (ascending shard index), missing shards
+    /// after (ascending), and every row a shard owes is copied before the
+    /// next shard is touched. A shard is therefore paged in **at most
+    /// once per call** whatever the cache budget, and an eviction during
+    /// the call only ever takes a shard the call is finished with. LRU
+    /// order *across* calls is unchanged.
+    ///
     /// # Errors
     ///
-    /// [`FeatureStoreError::Shard`] naming the shard and byte offset.
+    /// [`FeatureStoreError::Shard`] naming the shard and byte offset. On
+    /// `Err` the contents of `out` are unspecified (rows of shards served
+    /// before the failure have been written) and must be discarded.
     fn try_gather_into(
         &self,
         indices: &[usize],
@@ -354,7 +343,8 @@ pub trait FeatureStore: fmt::Debug + Send + Sync {
     }
 
     /// Fallible [`FeatureStore::prewarm`], mirroring
-    /// [`FeatureStore::try_gather_into`].
+    /// [`FeatureStore::try_gather_into`] — same bucketing, same
+    /// residents-first order, at most one page-in per shard.
     ///
     /// # Errors
     ///
@@ -547,10 +537,10 @@ impl ShardPayload {
 }
 
 /// The mutable hot-set cache: resident shard payloads plus LRU bookkeeping.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct CacheState {
-    /// Shard index → (payload, last-touch tick).
-    resident: HashMap<usize, (ShardPayload, u64)>,
+    /// Indexed by shard: `(payload, last-touch tick)` while resident.
+    resident: Vec<Option<(ShardPayload, u64)>>,
     /// Bytes currently held by `resident` payloads.
     held_bytes: usize,
     /// Monotonic access counter driving LRU order.
@@ -603,6 +593,13 @@ enum ShardFailure {
 
 /// Disk-resident features: fixed-row shards plus a byte-budgeted pinned
 /// hot-set cache with LRU eviction in gather access order.
+///
+/// The shard, not the row, is the unit of a gather or prewarm: one call
+/// buckets its rows by shard, serves the shards already resident, then
+/// pages in the missing ones, finishing each shard before the next. So a
+/// call pages each shard at most once — a cache `c` shards short of a
+/// repeated working set costs `c` page-ins per call, not one per row
+/// that lands on an evicted shard — and LRU decides only *between* calls.
 ///
 /// The cache is guarded by a mutex; access order (and therefore every
 /// hit/miss/eviction decision) is the sequential order of `gather_into`
@@ -721,7 +718,7 @@ impl PagedFeatures {
         for shard in 0..num_shards {
             let start_row = shard * page_rows;
             let num_rows = page_rows.min(rows - start_row);
-            let mut payload = BytesMut::new();
+            let mut payload = BytesMut::with_capacity(num_rows * cols * dtype.bytes_per_value());
             for r in start_row..start_row + num_rows {
                 for &v in features.row(r) {
                     match dtype {
@@ -831,7 +828,11 @@ impl PagedFeatures {
             dtype,
             shards,
             cache_budget_bytes,
-            cache: Mutex::new(CacheState::default()),
+            cache: Mutex::new(CacheState {
+                resident: (0..num_shards).map(|_| None).collect(),
+                held_bytes: 0,
+                tick: 0,
+            }),
             parity,
             chaos: Mutex::new(StorageChaos::default()),
         }))
@@ -908,7 +909,7 @@ impl PagedFeatures {
         bytes[offset] ^= 0x40;
         std::fs::write(&info.path, &bytes)?;
         let mut state = self.cache.lock().expect("feature cache poisoned");
-        if let Some((payload, _)) = state.resident.remove(&shard) {
+        if let Some((payload, _)) = state.resident[shard].take() {
             state.held_bytes -= payload.byte_len();
         }
         Ok(offset as u64)
@@ -1029,7 +1030,7 @@ impl PagedFeatures {
     fn read_shard_validated(&self, shard: usize) -> Result<ShardPayload, ShardFailure> {
         let info = &self.shards[shard];
         let bytes = match std::fs::read(&info.path) {
-            Ok(b) => Bytes::from(b),
+            Ok(b) => b,
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
                 return Err(ShardFailure::Corrupt {
                     offset: 0,
@@ -1051,7 +1052,7 @@ impl PagedFeatures {
                         ),
                     });
                 }
-                Ok(decode_payload(&payload, self.dtype))
+                Ok(decode_payload(payload, self.dtype))
             }
             Err((offset, detail)) => Err(ShardFailure::Corrupt { offset, detail }),
         }
@@ -1093,12 +1094,12 @@ impl PagedFeatures {
                 continue;
             }
             let path = self.dir.join(shard_name(peer));
-            let bytes = Bytes::from(std::fs::read(&path).map_err(|e| {
+            let bytes = std::fs::read(&path).map_err(|e| {
                 fail(format!(
                     "{why}; peer shard {peer} in group {group} is also unreadable ({e}) — \
                      XOR parity can repair exactly one shard per group"
                 ))
-            })?);
+            })?;
             let (_, _, payload) =
                 parse_shard(&bytes, peer, self.cols, self.dtype).map_err(|(_, msg)| {
                     fail(format!(
@@ -1138,50 +1139,83 @@ impl PagedFeatures {
         Ok((decode_payload(&acc, self.dtype), repair_bytes))
     }
 
-    /// Bytes one shard's payload occupies at the storage width.
-    fn shard_payload_bytes(&self, shard: usize) -> usize {
-        self.shards[shard].num_rows * self.cols * self.dtype.bytes_per_value()
-    }
-
-    /// Ensures `shard` is resident, updating its LRU tick; returns whether
-    /// a disk load happened. The just-touched shard is never its own
-    /// eviction victim, so a single over-budget shard still serves the
-    /// whole gather.
-    fn touch_shard(
+    /// The one gather/prewarm path. Buckets `indices` by shard (a counting
+    /// sort over `idx / page_rows`), then hands `serve` each touched
+    /// shard's payload, start row and bucket — the positions in `indices`
+    /// it owes, in call order — plus whether the shard had to be paged
+    /// in: resident shards first, missing shards after, both ascending.
+    ///
+    /// No load happens until every resident shard has been served, and
+    /// the LRU victim of a load (never the shard just loaded, so a single
+    /// over-budget shard still serves its bucket) is the stalest resident
+    /// shard — one this call did not touch or is finished with. Hence at
+    /// most one page-in per shard per call, whatever the budget.
+    fn serve_by_shard(
         &self,
-        state: &mut CacheState,
-        shard: usize,
+        indices: &[usize],
         stats: &mut GatherStats,
-    ) -> Result<bool, FeatureStoreError> {
-        state.tick += 1;
-        let tick = state.tick;
-        if let Some((_, last)) = state.resident.get_mut(&shard) {
-            *last = tick;
-            return Ok(false);
+        mut serve: impl FnMut(&ShardPayload, usize, &[usize], bool),
+    ) -> Result<(), FeatureStoreError> {
+        let num_shards = self.shards.len();
+        let mut starts = vec![0usize; num_shards + 1];
+        for &idx in indices {
+            assert!(
+                idx < self.rows,
+                "row {idx} out of range ({} rows)",
+                self.rows
+            );
+            starts[idx / self.page_rows + 1] += 1;
         }
-        let payload = self.try_read_shard_payload(shard, stats)?;
-        state.held_bytes += payload.byte_len();
-        state.resident.insert(shard, (payload, tick));
-        // Evict least-recently-used shards (never the one just loaded)
-        // until the pinned set fits the budget again. Ties cannot occur:
-        // ticks are unique.
-        while state.held_bytes > self.cache_budget_bytes && state.resident.len() > 1 {
-            let victim = state
-                .resident
-                .iter()
-                .filter(|(&s, _)| s != shard)
-                .min_by_key(|(&s, &(_, last))| (last, s))
-                .map(|(&s, _)| s);
-            match victim {
-                Some(v) => {
-                    if let Some((payload, _)) = state.resident.remove(&v) {
-                        state.held_bytes -= payload.byte_len();
-                    }
+        for shard in 0..num_shards {
+            starts[shard + 1] += starts[shard];
+        }
+        let mut cursor = starts.clone();
+        let mut slots = vec![0usize; indices.len()];
+        for (slot, &idx) in indices.iter().enumerate() {
+            let shard = idx / self.page_rows;
+            slots[cursor[shard]] = slot;
+            cursor[shard] += 1;
+        }
+
+        let mut state = self.cache.lock().expect("feature cache poisoned");
+        let mut missing = Vec::new();
+        for shard in 0..num_shards {
+            let bucket = &slots[starts[shard]..starts[shard + 1]];
+            if bucket.is_empty() {
+                continue;
+            }
+            state.tick += 1;
+            let tick = state.tick;
+            match &mut state.resident[shard] {
+                Some((payload, last)) => {
+                    *last = tick;
+                    serve(payload, self.shards[shard].start_row, bucket, false);
                 }
-                None => break,
+                None => missing.push(shard),
             }
         }
-        Ok(true)
+        for shard in missing {
+            let payload = self.try_read_shard_payload(shard, stats)?;
+            stats.pages_in += 1;
+            stats.bytes_in += payload.byte_len() as u64;
+            state.tick += 1;
+            state.held_bytes += payload.byte_len();
+            let tick = state.tick;
+            let (payload, _) = state.resident[shard].insert((payload, tick));
+            let bucket = &slots[starts[shard]..starts[shard + 1]];
+            serve(payload, self.shards[shard].start_row, bucket, true);
+            // Ticks are unique, so the victim is too.
+            while state.held_bytes > self.cache_budget_bytes {
+                let victim = (0..num_shards)
+                    .filter(|&s| s != shard)
+                    .filter_map(|s| state.resident[s].as_ref().map(|&(_, last)| (last, s)))
+                    .min();
+                let Some((_, victim)) = victim else { break };
+                let (evicted, _) = state.resident[victim].take().expect("victim is resident");
+                state.held_bytes -= evicted.byte_len();
+            }
+        }
+        Ok(())
     }
 }
 
@@ -1214,26 +1248,23 @@ impl FeatureStore for PagedFeatures {
             stats.hits = indices.len() as u64;
             return Ok(stats);
         }
-        let mut state = self.cache.lock().expect("feature cache poisoned");
-        for (slot, &idx) in indices.iter().enumerate() {
-            assert!(idx < self.rows, "row {idx} out of range ({} rows)", self.rows);
-            let shard = idx / self.page_rows;
-            if self.touch_shard(&mut state, shard, &mut stats)? {
-                stats.misses += 1;
-                stats.pages_in += 1;
-                stats.bytes_in += self.shard_payload_bytes(shard) as u64;
-            } else {
-                stats.hits += 1;
-            }
-            let (payload, _) = &state.resident[&shard];
-            let local = idx - self.shards[shard].start_row;
-            payload.copy_row(
-                self.dtype,
-                local,
-                self.cols,
-                &mut out[slot * self.cols..(slot + 1) * self.cols],
-            );
-        }
+        let (cols, dtype) = (self.cols, self.dtype);
+        let mut misses = 0u64;
+        self.serve_by_shard(
+            indices,
+            &mut stats,
+            |payload, start_row, bucket, paged_in| {
+                if paged_in {
+                    misses += bucket.len() as u64;
+                }
+                for &slot in bucket {
+                    let local = indices[slot] - start_row;
+                    payload.copy_row(dtype, local, cols, &mut out[slot * cols..(slot + 1) * cols]);
+                }
+            },
+        )?;
+        stats.misses = misses;
+        stats.hits = indices.len() as u64 - misses;
         Ok(stats)
     }
 
@@ -1243,24 +1274,8 @@ impl FeatureStore for PagedFeatures {
 
     fn try_prewarm(&self, indices: &[usize]) -> Result<GatherStats, FeatureStoreError> {
         let mut stats = GatherStats::default();
-        if self.cols == 0 {
-            return Ok(stats);
-        }
-        let mut state = self.cache.lock().expect("feature cache poisoned");
-        // Deduplicated in first-appearance order so the page-in sequence
-        // (and therefore eviction order) tracks the access pattern.
-        let mut seen = Vec::new();
-        for &idx in indices {
-            assert!(idx < self.rows, "row {idx} out of range ({} rows)", self.rows);
-            let shard = idx / self.page_rows;
-            if seen.contains(&shard) {
-                continue;
-            }
-            seen.push(shard);
-            if self.touch_shard(&mut state, shard, &mut stats)? {
-                stats.pages_in += 1;
-                stats.bytes_in += self.shard_payload_bytes(shard) as u64;
-            }
+        if self.cols > 0 {
+            self.serve_by_shard(indices, &mut stats, |_, _, _, _| {})?;
         }
         Ok(stats)
     }
@@ -1320,35 +1335,35 @@ fn encode_shard_file(
     dtype: DType,
     payload: &[u8],
 ) -> BytesMut {
-    let mut body = BytesMut::new();
-    body.put_u32_le(shard as u32);
-    body.put_u32_le(start_row as u32);
-    body.put_u32_le(num_rows as u32);
-    body.put_u32_le(cols as u32);
+    let mut file = BytesMut::with_capacity(shard_header_len(dtype) + payload.len() + 4);
+    file.put_slice(if dtype == DType::F32 {
+        SHARD_MAGIC
+    } else {
+        SHARD_MAGIC_V2
+    });
+    file.put_u32_le(shard as u32);
+    file.put_u32_le(start_row as u32);
+    file.put_u32_le(num_rows as u32);
+    file.put_u32_le(cols as u32);
     if dtype != DType::F32 {
-        body.put_u32_le(dtype.tag());
+        file.put_u32_le(dtype.tag());
     }
-    body.put_slice(payload);
-    let crc = crc32(&body);
-    let mut file = BytesMut::new();
-    file.put_slice(if dtype == DType::F32 { SHARD_MAGIC } else { SHARD_MAGIC_V2 });
-    file.put_slice(&body);
+    file.put_slice(payload);
+    let crc = crc32(&file[SHARD_MAGIC.len()..]);
     file.put_u32_le(crc);
     file
 }
 
 /// Encodes a parity shard container for `group`.
 fn encode_parity_file(group: usize, first_shard: usize, num_shards: usize, xor: &[u8]) -> BytesMut {
-    let mut body = BytesMut::new();
-    body.put_u32_le(group as u32);
-    body.put_u32_le(first_shard as u32);
-    body.put_u32_le(num_shards as u32);
-    body.put_u32_le(xor.len() as u32);
-    body.put_slice(xor);
-    let crc = crc32(&body);
-    let mut file = BytesMut::new();
+    let mut file = BytesMut::with_capacity(PARITY_MAGIC.len() + 4 * 4 + xor.len() + 4);
     file.put_slice(PARITY_MAGIC);
-    file.put_slice(&body);
+    file.put_u32_le(group as u32);
+    file.put_u32_le(first_shard as u32);
+    file.put_u32_le(num_shards as u32);
+    file.put_u32_le(xor.len() as u32);
+    file.put_slice(xor);
+    let crc = crc32(&file[PARITY_MAGIC.len()..]);
     file.put_u32_le(crc);
     file
 }
@@ -1372,35 +1387,33 @@ fn decode_payload(bytes: &[u8], dtype: DType) -> ShardPayload {
 }
 
 /// Parses and fully validates one shard file's bytes (magic, header
-/// consistency, CRC over the whole body); returns
-/// `(start_row, num_rows, payload)` or `(byte offset, detail)` locating
-/// the first structural failure.
+/// consistency, CRC over the whole body) in place; returns
+/// `(start_row, num_rows, payload)` — the payload borrowed from `bytes`
+/// — or `(byte offset, detail)` locating the first structural failure.
 fn parse_shard(
-    bytes: &Bytes,
+    bytes: &[u8],
     expect_shard: usize,
     expect_cols: usize,
     expect_dtype: DType,
-) -> Result<(usize, usize, Bytes), (u64, String)> {
+) -> Result<(usize, usize, &[u8]), (u64, String)> {
     let header = shard_header_len(expect_dtype);
     if bytes.len() < header + 4 {
         return Err((bytes.len() as u64, "truncated shard file".into()));
     }
-    let mut buf = bytes.clone();
-    let magic = buf.split_to(SHARD_MAGIC.len());
+    let (magic, rest) = bytes.split_at(SHARD_MAGIC.len());
     let expect_magic: &[u8] = if expect_dtype == DType::F32 {
         SHARD_MAGIC
     } else {
         SHARD_MAGIC_V2
     };
-    if &magic[..] != expect_magic {
+    if magic != expect_magic {
         return Err((0, "shard magic does not match meta version".into()));
     }
-    let body = buf.split_to(buf.remaining() - 4);
-    let stored_crc = buf.get_u32_le();
-    if crc32(&body) != stored_crc {
+    let (body, mut tail) = rest.split_at(rest.len() - 4);
+    if crc32(body) != tail.get_u32_le() {
         return Err(((bytes.len() - 4) as u64, "shard CRC mismatch".into()));
     }
-    let mut hdr = body.clone();
+    let mut hdr = body;
     let shard = hdr.get_u32_le() as usize;
     let start_row = hdr.get_u32_le() as usize;
     let num_rows = hdr.get_u32_le() as usize;
@@ -1426,18 +1439,17 @@ fn parse_shard(
             format!("shard has {cols} cols, meta says {expect_cols}"),
         ));
     }
-    if hdr.remaining() != num_rows * cols * expect_dtype.bytes_per_value() {
+    if hdr.len() != num_rows * cols * expect_dtype.bytes_per_value() {
         return Err((
             header as u64,
             format!(
                 "payload is {} bytes, header implies {}",
-                hdr.remaining(),
+                hdr.len(),
                 num_rows * cols * expect_dtype.bytes_per_value()
             ),
         ));
     }
-    let payload_len = hdr.remaining();
-    Ok((start_row, num_rows, hdr.split_to(payload_len)))
+    Ok((start_row, num_rows, hdr))
 }
 
 /// Validates one shard file end to end (version and dtype must match the
@@ -1448,13 +1460,13 @@ fn validate_shard(
     expect_cols: usize,
     expect_dtype: DType,
 ) -> Result<(usize, usize), FeatureStoreError> {
-    let bytes = Bytes::from(std::fs::read(path).map_err(|e| {
+    let bytes = std::fs::read(path).map_err(|e| {
         if e.kind() == io::ErrorKind::NotFound {
             FeatureStoreError::Format(format!("missing shard file {}", path.display()))
         } else {
             FeatureStoreError::Io(e)
         }
-    })?);
+    })?;
     match parse_shard(&bytes, expect_shard, expect_cols, expect_dtype) {
         Ok((start_row, num_rows, _)) => Ok((start_row, num_rows)),
         Err((_, detail)) => Err(FeatureStoreError::Format(detail)),
@@ -1559,17 +1571,14 @@ fn read_parity_payload(
     if bytes.len() < header + 4 {
         return Err("truncated parity file".into());
     }
-    let mut buf = Bytes::from(bytes);
-    let magic = buf.split_to(PARITY_MAGIC.len());
-    if &magic[..] != PARITY_MAGIC {
+    let (magic, rest) = bytes.split_at(PARITY_MAGIC.len());
+    if magic != PARITY_MAGIC {
         return Err("bad parity magic".into());
     }
-    let body = buf.split_to(buf.remaining() - 4);
-    let stored_crc = buf.get_u32_le();
-    if crc32(&body) != stored_crc {
+    let (mut body, mut tail) = rest.split_at(rest.len() - 4);
+    if crc32(body) != tail.get_u32_le() {
         return Err("parity CRC mismatch".into());
     }
-    let mut body = body;
     let got_group = body.get_u32_le() as usize;
     let first_shard = body.get_u32_le() as usize;
     let num_shards = body.get_u32_le() as usize;
@@ -1584,10 +1593,10 @@ fn read_parity_payload(
             expect_first + expect_count
         ));
     }
-    if body.remaining() != payload_len {
+    if body.len() != payload_len {
         return Err(format!(
             "payload is {} bytes, header implies {payload_len}",
-            body.remaining()
+            body.len()
         ));
     }
     Ok((first_shard, num_shards, body.to_vec()))
@@ -1648,12 +1657,10 @@ pub fn scrub(dir: impl AsRef<Path>) -> Result<ScrubReport, FeatureStoreError> {
         ..ScrubReport::default()
     };
 
-    let shard_status: Vec<Result<Bytes, String>> = (0..num_shards)
+    let shard_status: Vec<Result<Vec<u8>, String>> = (0..num_shards)
         .map(|shard| {
-            let bytes = Bytes::from(
-                std::fs::read(dir.join(shard_name(shard)))
-                    .map_err(|e| format!("unreadable: {e}"))?,
-            );
+            let bytes = std::fs::read(dir.join(shard_name(shard)))
+                .map_err(|e| format!("unreadable: {e}"))?;
             let start_row = shard * page_rows;
             let num_rows = page_rows.min(rows - start_row);
             let (got_start, got_rows, payload) =
@@ -1662,11 +1669,11 @@ pub fn scrub(dir: impl AsRef<Path>) -> Result<ScrubReport, FeatureStoreError> {
                 return Err("header rows disagree with meta".into());
             }
             if let Some(p) = &parity {
-                if crc32(&payload) != p.payload_crcs[shard] {
+                if crc32(payload) != p.payload_crcs[shard] {
                     return Err("payload CRC does not match parity sidecar".into());
                 }
             }
-            Ok(payload)
+            Ok(payload.to_vec())
         })
         .collect();
 
@@ -2070,7 +2077,8 @@ mod tests {
     fn tiny_cache_still_returns_exact_values() {
         let t = matrix(40, 3, 2);
         let dir = tmp_dir("tiny-cache");
-        // Budget of one shard: every shard switch evicts.
+        // Budget of one shard: every load evicts, yet the call walks the
+        // 5 shards once each however its rows are ordered.
         let paged = Features::dense(t.clone())
             .to_paged(&dir, 8, 8 * 3 * BYTES_PER_VALUE)
             .unwrap();
@@ -2078,7 +2086,10 @@ mod tests {
         let mut out = vec![0.0f32; indices.len() * 3];
         let stats = paged.gather_into(&indices, &mut out);
         assert_eq!(stats.hits + stats.misses, indices.len() as u64);
-        assert!(stats.pages_in > 5, "tiny budget must thrash: {stats:?}");
+        assert_eq!(
+            stats.pages_in, 5,
+            "one page-in per distinct shard: {stats:?}"
+        );
         for (slot, &idx) in indices.iter().enumerate() {
             assert_eq!(&out[slot * 3..(slot + 1) * 3], t.row(idx));
         }

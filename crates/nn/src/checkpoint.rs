@@ -41,7 +41,7 @@ use std::path::Path;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use betty_tensor::Tensor;
+use betty_tensor::{crc32, Tensor};
 
 use crate::optim::AdamState;
 use crate::GnnModel;
@@ -101,36 +101,6 @@ impl From<io::Error> for CheckpointError {
     fn from(e: io::Error) -> Self {
         CheckpointError::Io(e)
     }
-}
-
-// ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected 0xEDB88320) — hand-rolled so betty-nn takes
-// no new dependencies. Any single-bit error within a checked span is
-// guaranteed to change the checksum.
-
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 (IEEE) of `data`, as used by the v2 checkpoint sections.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in data {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
 }
 
 // ---------------------------------------------------------------------------
@@ -622,13 +592,6 @@ mod tests {
 
     fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("betty-ckpt-{name}-{}", std::process::id()))
-    }
-
-    #[test]
-    fn crc32_matches_reference_vector() {
-        // The classic IEEE check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

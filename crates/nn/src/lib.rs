@@ -55,7 +55,7 @@ mod session;
 
 pub use aggregator::{Aggregator, AggregatorSpec};
 pub use checkpoint::{
-    crc32, load_checkpoint, load_train_state, save_checkpoint, save_train_state, write_atomic,
+    load_checkpoint, load_train_state, save_checkpoint, save_train_state, write_atomic,
     CheckpointError, TrainState,
 };
 pub use gat::GatConv;

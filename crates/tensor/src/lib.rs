@@ -29,6 +29,7 @@
 
 #![deny(missing_docs)]
 
+mod crc;
 mod error;
 mod graph;
 mod pool;
@@ -42,6 +43,7 @@ pub mod kernels;
 pub mod segment;
 
 pub use backend::{set_backend_override, with_backend, Backend};
+pub use crc::crc32;
 pub use dtype::DType;
 pub use error::TensorError;
 pub use graph::{Graph, Reduction, VarId};
