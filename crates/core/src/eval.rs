@@ -49,7 +49,7 @@ pub fn predict(
         let input_idx: Vec<usize> = batch.input_nodes().iter().map(|&v| v as usize).collect();
         let feats = dataset.features.gather_rows(&input_idx);
         let mut sess = Session::new();
-        let x = sess.graph.leaf(feats);
+        let x = sess.graph.constant(feats);
         let logits = model.forward(&mut sess, batch.blocks(), x, false, rng);
         predictions.extend(sess.graph.value(logits).argmax_rows());
     }
@@ -99,7 +99,7 @@ pub fn predict_full_graph(
             let block = betty_graph::Block::new(dst, &edges);
             let idx: Vec<usize> = block.src_globals().iter().map(|&v| v as usize).collect();
             let mut sess = Session::new();
-            let x = sess.graph.leaf(segment::gather_rows(&h, &idx));
+            let x = sess.graph.constant(segment::gather_rows(&h, &idx));
             let out = model.forward_layer(&mut sess, layer, &block, x);
             let out_t = sess.graph.value(out);
             let nd = next.data_mut();

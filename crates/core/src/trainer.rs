@@ -969,7 +969,7 @@ impl Trainer {
         // Forward.
         let started = Instant::now();
         let sess = &mut self.session;
-        let x = sess.graph.leaf(input_feats);
+        let x = sess.graph.constant(input_feats);
         let logits = self
             .model
             .forward(sess, batch.blocks(), x, true, &mut self.rng);

@@ -172,7 +172,7 @@ fn lstm_aggregate(sess: &mut Session, cell: &LstmCell, block: &Block, src_feats:
             None => placed,
         });
     }
-    combined.unwrap_or_else(|| sess.graph.leaf(betty_tensor::Tensor::zeros(&[n_dst, width])))
+    combined.unwrap_or_else(|| sess.graph.zeros_leaf(&[n_dst, width]))
 }
 
 #[cfg(test)]

@@ -40,8 +40,8 @@ impl LstmCell {
 
     /// Fresh zero `(h, c)` state for a batch of `n` sequences.
     pub fn zero_state(&self, sess: &mut Session, n: usize) -> (VarId, VarId) {
-        let h = sess.graph.leaf(Tensor::zeros(&[n, self.hidden_dim]));
-        let c = sess.graph.leaf(Tensor::zeros(&[n, self.hidden_dim]));
+        let h = sess.graph.zeros_leaf(&[n, self.hidden_dim]);
+        let c = sess.graph.zeros_leaf(&[n, self.hidden_dim]);
         (h, c)
     }
 

@@ -255,43 +255,47 @@ impl Op {
     }
 
     /// Adjoint: maps the output gradient `g` of node `i` to one gradient per
-    /// parent (in parent order), pushed into `out`. Gradients are drawn from
-    /// the pool so the backward sweep recycles them.
+    /// parent (in parent order), pushed into `out`; `None` where the op saw
+    /// that the parent needs no gradient and skipped the work. Gradients
+    /// are drawn from the pool so the backward sweep recycles them, and
+    /// `packed` is the sweep's cache of transposed `Matmul` right operands
+    /// (see [`Graph::backward`]).
     fn backward(
         &self,
         nodes: &[Node],
         i: usize,
         g: &Tensor,
         pool: &mut BufferPool,
-        out: &mut Vec<Tensor>,
+        packed: &mut Vec<(VarId, Tensor)>,
+        out: &mut Vec<Option<Tensor>>,
     ) {
         let parent = |j: usize| &nodes[nodes[i].parents.get(j).0].value;
         let value = &nodes[i].value;
         match self {
             Op::Add => {
-                out.push(pooled_copy(pool, g));
-                out.push(pooled_copy(pool, g));
+                out.push(Some(pooled_copy(pool, g)));
+                out.push(Some(pooled_copy(pool, g)));
             }
             Op::Sub => {
-                out.push(pooled_copy(pool, g));
+                out.push(Some(pooled_copy(pool, g)));
                 let mut db = pool.scratch(g.shape());
                 kernels::map_into(g, db.data_mut(), |x| -x);
-                out.push(db);
+                out.push(Some(db));
             }
             Op::Mul => {
                 let (av, bv) = (parent(0), parent(1));
                 let mut da = pool.scratch(g.shape());
                 kernels::zip_map_into(g, bv, da.data_mut(), |x, y| x * y);
-                out.push(da);
+                out.push(Some(da));
                 let mut db = pool.scratch(g.shape());
                 kernels::zip_map_into(g, av, db.data_mut(), |x, y| x * y);
-                out.push(db);
+                out.push(Some(db));
             }
             Op::Scale(s) => {
                 let s = *s;
                 let mut da = pool.scratch(g.shape());
                 kernels::map_into(g, da.data_mut(), |x| x * s);
-                out.push(da);
+                out.push(Some(da));
             }
             Op::Unary(kind) => {
                 let x = parent(0);
@@ -300,33 +304,48 @@ impl Op {
                 for ((ov, &xv), &yv) in od.iter_mut().zip(x.data()).zip(value.data()) {
                     *ov *= kind.dfdx(xv, yv);
                 }
-                out.push(o);
+                out.push(Some(o));
             }
             Op::DropoutMask(scaled_mask) => {
                 let mut da = pool.scratch(g.shape());
                 kernels::zip_map_into(g, scaled_mask, da.data_mut(), |x, y| x * y);
-                out.push(da);
+                out.push(Some(da));
             }
             Op::Matmul => {
+                let (a, b) = (nodes[i].parents.get(0), nodes[i].parents.get(1));
                 let (av, bv) = (parent(0), parent(1));
-                let mut da = pool.scratch(av.shape());
-                kernels::matmul_a_bt_into(g, bv, da.data_mut());
-                out.push(da);
-                let mut db = pool.zeros(bv.shape());
-                kernels::matmul_at_b_into(av, g, db.data_mut());
-                out.push(db);
+                out.push(nodes[a.0].needs_grad.then(|| {
+                    // dA = g · bᵀ: one transpose of `b` serves every product
+                    // against it in this sweep (an unrolled LSTM binds one
+                    // weight to hundreds of `Matmul` nodes).
+                    let slot = packed.iter().position(|(id, _)| *id == b);
+                    let slot = slot.unwrap_or_else(|| {
+                        let mut bt = pool.scratch(&[bv.cols(), bv.rows()]);
+                        kernels::transpose_into(bv, bt.data_mut());
+                        packed.push((b, bt));
+                        packed.len() - 1
+                    });
+                    let mut da = pool.scratch(av.shape());
+                    kernels::matmul_a_bt_packed_into(g, bv, &packed[slot].1, da.data_mut());
+                    da
+                }));
+                out.push(nodes[b.0].needs_grad.then(|| {
+                    let mut db = pool.zeros(bv.shape());
+                    kernels::matmul_at_b_into(av, g, db.data_mut());
+                    db
+                }));
             }
             Op::AddBias => {
-                out.push(pooled_copy(pool, g));
+                out.push(Some(pooled_copy(pool, g)));
                 let mut db = pool.scratch(&[g.cols()]);
                 kernels::sum_rows_into(g, db.data_mut());
-                out.push(db);
+                out.push(Some(db));
             }
             Op::ScaleRowsBy => {
                 let (av, sv) = (parent(0), parent(1));
                 let mut da = pool.scratch(g.shape());
                 kernels::scale_rows_into(g, sv.data(), da.data_mut());
-                out.push(da);
+                out.push(Some(da));
                 let (rows, cols) = (av.rows(), av.cols());
                 let mut ds = pool.scratch(&[rows, 1]);
                 for (r, d) in ds.data_mut().iter_mut().enumerate() {
@@ -334,14 +353,14 @@ impl Op {
                     let arow = av.row(r);
                     *d = (0..cols).map(|c| grow[c] * arow[c]).sum();
                 }
-                out.push(ds);
+                out.push(Some(ds));
             }
             Op::MulScalarVar => {
                 let (av, sv) = (parent(0), parent(1));
                 let sval = sv.item();
                 let mut da = pool.scratch(g.shape());
                 kernels::map_into(g, da.data_mut(), |x| x * sval);
-                out.push(da);
+                out.push(Some(da));
                 let ds: f32 = g
                     .data()
                     .iter()
@@ -350,7 +369,7 @@ impl Op {
                     .sum();
                 let mut dst = pool.scratch(&[1]);
                 dst.data_mut()[0] = ds;
-                out.push(dst);
+                out.push(Some(dst));
             }
             Op::ConcatCols => {
                 let mut offset = 0;
@@ -358,7 +377,7 @@ impl Op {
                     let w = parent(j).cols();
                     let mut part = pool.scratch(&[g.rows(), w]);
                     kernels::slice_cols_into(g, offset, w, part.data_mut());
-                    out.push(part);
+                    out.push(Some(part));
                     offset += w;
                 }
             }
@@ -370,7 +389,7 @@ impl Op {
                     let mut part = pool.scratch(&[h, cols]);
                     part.data_mut()
                         .copy_from_slice(&g.data()[offset * cols..(offset + h) * cols]);
-                    out.push(part);
+                    out.push(Some(part));
                     offset += h;
                 }
             }
@@ -381,33 +400,33 @@ impl Op {
                 for r in 0..rows {
                     fd[r * cols + start..r * cols + start + len].copy_from_slice(g.row(r));
                 }
-                out.push(full);
+                out.push(Some(full));
             }
             Op::SliceRows => {
                 let (rows, cols) = (parent(0).rows(), parent(0).cols());
                 let head = g.rows() * cols;
                 let mut full = pool.zeros(&[rows, cols]);
                 full.data_mut()[..head].copy_from_slice(g.data());
-                out.push(full);
+                out.push(Some(full));
             }
             Op::Sum => {
-                out.push(pool.full(parent(0).shape(), g.item()));
+                out.push(Some(pool.full(parent(0).shape(), g.item())));
             }
             Op::GatherRows(idx) => {
                 let src = parent(0);
                 let mut o = pool.zeros(&[src.rows(), src.cols()]);
                 segment::scatter_add_rows(&mut o, g, idx);
-                out.push(o);
+                out.push(Some(o));
             }
             Op::ScatterRows(idx) => {
                 let mut o = pool.scratch(&[idx.len(), g.cols()]);
                 segment::gather_rows_into(g, idx, o.data_mut());
-                out.push(o);
+                out.push(Some(o));
             }
             Op::SegmentSum(ids) => {
                 let mut o = pool.scratch(&[ids.len(), g.cols()]);
                 segment::gather_rows_into(g, ids, o.data_mut());
-                out.push(o);
+                out.push(Some(o));
             }
             Op::SegmentMean { ids, inv } => {
                 let cols = g.cols();
@@ -420,7 +439,7 @@ impl Op {
                         *v *= inv[s];
                     }
                 }
-                out.push(grad);
+                out.push(Some(grad));
             }
             Op::SegmentMax { argmax } => {
                 let src = parent(0);
@@ -436,7 +455,7 @@ impl Op {
                         }
                     }
                 }
-                out.push(o);
+                out.push(Some(o));
             }
             Op::FusedSum {
                 gather_ids,
@@ -450,7 +469,7 @@ impl Op {
                     None,
                     o.data_mut(),
                 );
-                out.push(o);
+                out.push(Some(o));
             }
             Op::FusedMean {
                 gather_ids,
@@ -465,7 +484,7 @@ impl Op {
                     Some(inv.data()),
                     o.data_mut(),
                 );
-                out.push(o);
+                out.push(Some(o));
             }
             Op::FusedWeightedSum {
                 gather_ids,
@@ -480,7 +499,7 @@ impl Op {
                     &weights.data()[..gather_ids.len()],
                     o.data_mut(),
                 );
-                out.push(o);
+                out.push(Some(o));
             }
             Op::SegmentSoftmax { ids, n_segments } => {
                 // dX = y ⊙ (g − Σ_seg (g ⊙ y)), per column within a segment.
@@ -499,7 +518,7 @@ impl Op {
                 }
                 pool.give(gy);
                 pool.give(sums);
-                out.push(o);
+                out.push(Some(o));
             }
             Op::LogSoftmaxRows => {
                 let y = value;
@@ -512,7 +531,7 @@ impl Op {
                         od[r * cols + c] -= y.at2(r, c).exp() * row_sum;
                     }
                 }
-                out.push(o);
+                out.push(Some(o));
             }
             Op::CrossEntropy {
                 log_probs,
@@ -534,7 +553,7 @@ impl Op {
                 for v in gd.iter_mut() {
                     *v *= scale;
                 }
-                out.push(grad);
+                out.push(Some(grad));
             }
         }
     }
@@ -545,6 +564,10 @@ struct Node {
     parents: Parents,
     /// `None` for leaves; otherwise the recorded operation.
     op: Option<Op>,
+    /// Whether the backward sweep must produce a gradient here: true for
+    /// [`Graph::leaf`], false for [`Graph::constant`], and for an op the
+    /// OR over its parents. Never alters a value the sweep does compute.
+    needs_grad: bool,
 }
 
 impl Node {
@@ -572,7 +595,11 @@ pub struct Graph {
     grads: Vec<Option<Tensor>>,
     pool: BufferPool,
     /// Reused per-node gradient staging for the backward sweep.
-    backward_scratch: Vec<Tensor>,
+    backward_scratch: Vec<Option<Tensor>>,
+    /// Transposed `Matmul` right operands of the sweep in progress, keyed
+    /// by variable; empty between sweeps (each sweep returns its packs to
+    /// the pool, so a pack never outlives the value it was made from).
+    packed_rhs: Vec<(VarId, Tensor)>,
     /// Incrementally maintained: bumped in `push`, zeroed in `reset`.
     activation_bytes: usize,
     /// Storage width simulated for non-leaf, non-scalar tape values. At
@@ -729,14 +756,31 @@ impl Graph {
         self.pool.give_indices(v);
     }
 
-    fn push(&mut self, mut value: Tensor, parents: Parents, op: Option<Op>) -> VarId {
+    /// Records an op node; it needs a gradient iff one of its parents does.
+    fn push(&mut self, value: Tensor, parents: Parents, op: Option<Op>) -> VarId {
+        let needs_grad = (0..parents.len()).any(|j| self.nodes[parents.get(j).0].needs_grad);
+        self.push_node(value, parents, op, needs_grad)
+    }
+
+    fn push_node(
+        &mut self,
+        mut value: Tensor,
+        parents: Parents,
+        op: Option<Op>,
+        needs_grad: bool,
+    ) -> VarId {
         let is_leaf = op.is_none() && matches!(parents, Parents::None);
         if self.activation_dtype != DType::F32 && !is_leaf && value.len() > 1 {
             self.activation_dtype.quantize_slice(value.data_mut());
         }
         self.activation_bytes += stored_activation_bytes(self.activation_dtype, is_leaf, &value);
         let id = VarId(self.nodes.len());
-        self.nodes.push(Node { value, parents, op });
+        self.nodes.push(Node {
+            value,
+            parents,
+            op,
+            needs_grad,
+        });
         id
     }
 
@@ -748,9 +792,26 @@ impl Graph {
         v
     }
 
-    /// Registers a leaf variable (input or parameter).
+    /// Registers a leaf variable (input or parameter) whose gradient
+    /// [`Graph::backward`] computes.
     pub fn leaf(&mut self, value: Tensor) -> VarId {
-        self.push(value, Parents::None, None)
+        self.push_node(value, Parents::None, None, true)
+    }
+
+    /// Registers a leaf that needs no gradient (e.g. gathered input
+    /// features). Same value and tape bytes as [`Graph::leaf`]; the
+    /// backward sweep skips every op that only feeds constants and never
+    /// accumulates into one, so [`Graph::grad`] of it stays `None`. The
+    /// gradients of all other variables are bit-identical either way.
+    pub fn constant(&mut self, value: Tensor) -> VarId {
+        self.push_node(value, Parents::None, None, false)
+    }
+
+    /// [`Graph::leaf`] of a zero-filled tensor drawn from the tape's pool
+    /// (e.g. an LSTM's initial state).
+    pub fn zeros_leaf(&mut self, shape: &[usize]) -> VarId {
+        let value = self.pool.zeros(shape);
+        self.leaf(value)
     }
 
     /// The forward value of a variable.
@@ -1047,11 +1108,13 @@ impl Graph {
     /// Panics if `indices` contains duplicates (the op would otherwise drop
     /// gradient mass silently).
     pub fn scatter_rows(&mut self, values: VarId, indices: &[usize], n_rows: usize) -> VarId {
-        let mut seen = vec![false; n_rows];
+        let mut seen = self.pool.take_indices();
+        seen.resize(n_rows, 0);
         for &i in indices {
-            assert!(!seen[i], "scatter_rows requires unique indices, {i} repeats");
-            seen[i] = true;
+            assert!(seen[i] == 0, "scatter_rows requires unique indices, {i} repeats");
+            seen[i] = 1;
         }
+        self.pool.give_indices(seen);
         let idx = self.pooled_indices(indices);
         let Graph { nodes, pool, .. } = self;
         let cols = nodes[values.0].value.cols();
@@ -1331,9 +1394,13 @@ impl Graph {
     /// Runs reverse-mode differentiation from `root` (typically the loss).
     ///
     /// Seeds the root gradient with ones and accumulates into every
-    /// reachable variable; query results with [`Graph::grad`]. Calling
-    /// `backward` again replaces previous gradients. Gradient buffers come
-    /// from (and return to) the tape's pool.
+    /// reachable variable that needs a gradient (everything downstream of
+    /// a [`Graph::leaf`]; see [`Graph::constant`]); query results with
+    /// [`Graph::grad`]. Calling `backward` again replaces previous
+    /// gradients. Gradient buffers come from (and return to) the tape's
+    /// pool, and so does the transpose of each distinct `Matmul` right
+    /// operand, which the sweep packs at most once however many products
+    /// share it.
     ///
     /// # Panics
     ///
@@ -1345,6 +1412,7 @@ impl Graph {
             grads,
             pool,
             backward_scratch: scratch,
+            packed_rhs: packed,
             ..
         } = self;
         for g in grads.drain(..).flatten() {
@@ -1353,7 +1421,7 @@ impl Graph {
         grads.resize(nodes.len(), None);
         grads[root.0] = Some(pool.full(nodes[root.0].value.shape(), 1.0));
         for i in (0..=root.0).rev() {
-            let Some(op) = &nodes[i].op else {
+            let (Some(op), true) = (&nodes[i].op, nodes[i].needs_grad) else {
                 continue;
             };
             // Parents always precede their child on the tape, so splitting
@@ -1363,11 +1431,19 @@ impl Graph {
             let Some(gout) = rest[0].as_ref() else {
                 continue;
             };
-            op.backward(nodes, i, gout, pool, scratch);
+            op.backward(nodes, i, gout, pool, packed, scratch);
             let parents = &nodes[i].parents;
             debug_assert_eq!(scratch.len(), parents.len(), "one gradient per parent");
             for (idx, pg) in scratch.drain(..).enumerate() {
                 let p = parents.get(idx);
+                let Some(pg) = pg else {
+                    debug_assert!(!nodes[p.0].needs_grad, "op skipped a needed gradient");
+                    continue;
+                };
+                if !nodes[p.0].needs_grad {
+                    pool.give(pg);
+                    continue;
+                }
                 debug_assert_eq!(
                     pg.shape(),
                     nodes[p.0].value.shape(),
@@ -1381,6 +1457,9 @@ impl Graph {
                     slot @ None => *slot = Some(pg),
                 }
             }
+        }
+        for (_, bt) in packed.drain(..) {
+            pool.give(bt);
         }
     }
 }
@@ -1609,6 +1688,44 @@ mod tests {
         let loss = g.sum(a);
         g.backward(loss);
         assert!(g.grad(b).is_none());
+    }
+
+    /// A constant input prunes its adjoints from the sweep; every other
+    /// gradient, every value and the tape's byte count stay as with a leaf.
+    #[test]
+    fn constant_input_gets_no_gradient_and_moves_no_other_bit() {
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let run = |constant: bool| {
+            let mut g = Graph::new();
+            let xv = t(&[0.3, -0.7, 1.1, 0.0, -0.2, 0.9, 0.5, 0.25, -1.5], &[3, 3]);
+            let x = if constant { g.constant(xv) } else { g.leaf(xv) };
+            let w = g.leaf(t(&[0.5, -1.0, 0.25, 2.0, -0.75, 0.1], &[3, 2]));
+            let rows = g.gather_rows(x, &[0, 2, 2, 1]);
+            let y = g.matmul(rows, w);
+            let h0 = g.zeros_leaf(&[4, 2]);
+            let y = g.add(y, h0);
+            let act = g.tanh(y);
+            let loss = g.sum(act);
+            g.backward(loss);
+            (
+                g.grad(x).map(bits),
+                bits(g.grad(w).expect("weight gradient")),
+                bits(g.grad(h0).expect("zero state is a leaf")),
+                g.value(loss).item().to_bits(),
+                g.activation_bytes(),
+            )
+        };
+        let (dx_leaf, rest_leaf) = {
+            let r = run(false);
+            (r.0, (r.1, r.2, r.3, r.4))
+        };
+        let (dx_const, rest_const) = {
+            let r = run(true);
+            (r.0, (r.1, r.2, r.3, r.4))
+        };
+        assert!(dx_leaf.is_some());
+        assert!(dx_const.is_none(), "a constant must not receive a gradient");
+        assert_eq!(rest_leaf, rest_const);
     }
 
     /// One small training-ish step: forward, loss, backward.

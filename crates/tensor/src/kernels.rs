@@ -8,6 +8,26 @@
 //! flavours run the identical inner loops, so their results are bit
 //! identical. Shape validation is by `assert!` with descriptive messages
 //! since a shape error is always a programming bug.
+//!
+//! # The matmul family
+//!
+//! `a @ b`, `aᵀ @ b` and `a @ bᵀ` each have a scalar reference loop
+//! ([`Backend::Scalar`], the oracle every test compares against) and share
+//! one register-tiled micro-kernel on [`Backend::Simd`]. What a backend
+//! may never change is the sequence of roundings one output element sees:
+//!
+//! | product  | accumulator starts at | reduction order  | zero left element |
+//! |----------|-----------------------|------------------|-------------------|
+//! | `a @ b`  | `out[i][j]`           | `p` ascending    | term skipped      |
+//! | `aᵀ @ b` | `out[i][j]`           | `r` ascending    | term skipped      |
+//! | `a @ bᵀ` | `0.0`                 | `k` ascending    | term kept         |
+//!
+//! (A skipped term is not the same as adding `±0.0`: `-0.0 + 0.0` is
+//! `+0.0`, and `0.0 · ∞` is NaN.) The tile keeps the running sums of an
+//! `MR`×`NR` block of outputs in registers while it walks the shared
+//! dimension once, so it changes where a sum lives and how many sums
+//! advance per instruction — not the order of any one of them. Every
+//! product is a multiply followed by an add, never a fused multiply-add.
 
 use crate::backend::Backend;
 use crate::Tensor;
@@ -15,12 +35,12 @@ use crate::Tensor;
 /// Elements-per-thread threshold above which matmul parallelizes.
 const PAR_FLOP_THRESHOLD: usize = 1 << 22;
 
-/// Output-row count per register tile in the simd matmul blocks.
+/// Output-row count per register tile of [`gemm_simd`].
 const MR: usize = 6;
-/// Output-column count per register tile in the simd matmul blocks
-/// (256-bit lanes: two ymm registers per row).
+/// Output-column count per register tile of the portable tiles (256-bit
+/// lanes: two ymm registers per row).
 const NR: usize = 16;
-/// Wider column tile for the AVX-512 path (two zmm registers per row).
+/// Column tile of the AVX-512 tile (two zmm registers per row).
 const NR512: usize = 32;
 
 fn matmul_block(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
@@ -40,103 +60,161 @@ fn matmul_block(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: us
     }
 }
 
-/// Register-tiled `out += a @ b` with the **same per-element accumulation
-/// order** as [`matmul_block`]: for each output element, `p` ascends and a
-/// zero `a[i][p]` is skipped exactly like the scalar loop, so the result is
-/// bit-identical. The speedup comes from holding an `MR`×`NR` output tile
-/// in registers across the whole `p` loop (the scalar path reloads and
-/// restores the output row on every `p`), reusing each `b` row for `MR`
-/// output rows, and — where the CPU supports it — compiling the tile with
-/// AVX2 enabled (rustc never contracts `a*b + c` into a fused
-/// multiply-add, so wider lanes change throughput, not rounding).
-fn matmul_block_simd(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+/// Left operand of the tile product [`gemm_simd`], which accumulates
+/// `out[i][j] += Σ_p A(i, p) · b[p][j]` over row-major `b: [k, n]` and
+/// `out: [m, n]`. `A(i, p)` is `a[i * lda + p]` (`AT = false`: `a @ b`) or
+/// `a[p * lda + i]` (`AT = true`: `aᵀ @ b`); both walk memory the tile
+/// already has contiguous, so neither product needs a transposed copy.
+#[inline(always)]
+fn lhs<const AT: bool>(a: &[f32], lda: usize, i: usize, p: usize) -> f32 {
+    if AT {
+        a[p * lda + i]
+    } else {
+        a[i * lda + p]
+    }
+}
+
+/// The one register-tiled product behind `a @ b`, `aᵀ @ b` and `a @ bᵀ`
+/// on the simd backend (see [`lhs`] for the operand layout).
+///
+/// Every output element starts from the value already in `out`, adds its
+/// products with `p` ascending, and — when `SKIP` — leaves out the terms
+/// whose `A(i, p) == 0.0`: the module-level order contract of
+/// [`matmul_block`] and [`matmul_at_b_block`] as written, and of
+/// [`matmul_a_bt_block`] with `SKIP = false` over a transposed `b` and a
+/// zeroed `out`. rustc never contracts `a * b + c`, and the intrinsic
+/// tile must not use `fmadd` (one rounding where the scalar loop has two).
+fn gemm_simd<const AT: bool, const SKIP: bool>(
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    out: &mut [f32],
+    (m, k, n): (usize, usize, usize),
+) {
+    assert_eq!(b.len(), k * n, "gemm right operand length");
+    assert_eq!(out.len(), m * n, "gemm output length");
+    if m == 0 || k == 0 || n == 0 {
+        return;
+    }
+    let (ars, aps) = if AT { (1, lda) } else { (lda, 1) };
+    assert!(
+        (m - 1) * ars + (k - 1) * aps < a.len(),
+        "gemm left operand too short"
+    );
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: identical safe tile code; the feature check above
-            // guarantees the instructions are supported.
-            unsafe { matmul_block_simd_avx512(a, b, out, m, k, n) };
+            // SAFETY: avx512f was just detected; the asserts above are the
+            // slice-length preconditions `gemm_avx512` documents.
+            unsafe { gemm_avx512::<SKIP>(a, (ars, aps), b, out, (m, k, n)) };
             return;
         }
         if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: as above.
-            unsafe { matmul_block_simd_avx2(a, b, out, m, k, n) };
+            // SAFETY: avx2 was just detected; the body is safe code.
+            unsafe { gemm_avx2::<AT, SKIP>(a, lda, b, out, (m, k, n)) };
             return;
         }
     }
-    matmul_block_simd_inner::<NR>(a, b, out, m, k, n);
+    gemm_tiles::<NR, AT, SKIP>(a, lda, b, out, (m, k, n));
 }
 
-/// [`matmul_block_simd_inner`] compiled with AVX-512 codegen enabled and a
-/// double-width column tile (`NR512`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn matmul_block_simd_avx512(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    matmul_block_simd_inner::<NR512>(a, b, out, m, k, n);
-}
-
-/// [`matmul_block_simd_inner`] compiled with AVX2 codegen enabled so the
+/// [`gemm_tiles`] compiled with AVX2 codegen enabled so the
 /// auto-vectorizer emits 256-bit lanes for the tile loops.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn matmul_block_simd_avx2(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    matmul_block_simd_inner::<NR>(a, b, out, m, k, n);
-}
-
-#[inline(always)]
-fn matmul_block_simd_inner<const NRT: usize>(
+fn gemm_avx2<const AT: bool, const SKIP: bool>(
     a: &[f32],
+    lda: usize,
     b: &[f32],
     out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
+    dims: (usize, usize, usize),
 ) {
-    let mut i = 0;
-    while i < m {
-        let ir = MR.min(m - i);
-        let mut j = 0;
-        while j < n {
-            let jr = NRT.min(n - j);
-            if ir == MR && jr == NRT {
-                mm_tile_full::<NRT>(a, b, out, i, j, k, n);
-            } else {
-                mm_tile_partial::<NRT>(a, b, out, i, j, k, n, ir, jr);
+    gemm_tiles::<NR, AT, SKIP>(a, lda, b, out, dims);
+}
+
+/// Portable tile driver: safe code the auto-vectorizer turns into
+/// `MR`×`NRT` register tiles at whatever lane width the caller enables.
+/// Tiles are disjoint, so they may be visited in either order: row block
+/// by row block, or — for a transposed left operand — down each column
+/// block, which reuses every cache line of `a` (one row of it spans
+/// several row blocks) and keeps one `[k, NRT]` panel of `b` hot instead
+/// of streaming all of `b` once per row block.
+#[inline(always)]
+fn gemm_tiles<const NRT: usize, const AT: bool, const SKIP: bool>(
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    out: &mut [f32],
+    dims: (usize, usize, usize),
+) {
+    let (m, _, n) = dims;
+    if AT {
+        for j in (0..n).step_by(NRT) {
+            for i in (0..m).step_by(MR) {
+                tile::<NRT, AT, SKIP>(a, lda, b, out, (i, j), dims);
             }
-            j += jr;
         }
-        i += ir;
+    } else {
+        for i in (0..m).step_by(MR) {
+            for j in (0..n).step_by(NRT) {
+                tile::<NRT, AT, SKIP>(a, lda, b, out, (i, j), dims);
+            }
+        }
     }
 }
 
-/// Full `MR`×`NR` tile of the simd matmul: constant loop bounds so the
-/// accumulators live in vector registers. `inline(always)` so the body
-/// inherits the caller's enabled target features (AVX2 wrapper).
+/// The tile of [`gemm_tiles`] whose corner is `out[i][j]`.
 #[inline(always)]
-fn mm_tile_full<const NRT: usize>(
+fn tile<const NRT: usize, const AT: bool, const SKIP: bool>(
     a: &[f32],
+    lda: usize,
     b: &[f32],
     out: &mut [f32],
-    i: usize,
-    j: usize,
-    k: usize,
-    n: usize,
+    (i, j): (usize, usize),
+    (m, k, n): (usize, usize, usize),
+) {
+    let (ir, jr) = (MR.min(m - i), NRT.min(n - j));
+    if ir == MR && jr == NRT {
+        tile_full::<NRT, AT, SKIP>(a, lda, b, out, (i, j), (k, n));
+    } else {
+        tile_partial::<NRT, AT, SKIP>(a, lda, b, out, (i, j), (k, n), (ir, jr));
+    }
+}
+
+/// Full `MR`×`NRT` tile: constant loop bounds so the accumulators live in
+/// vector registers. `inline(always)` so the body inherits the caller's
+/// enabled target features. Kept apart from [`tile_partial`]: sharing one
+/// accumulator array between a full and a partial branch spills it.
+#[inline(always)]
+fn tile_full<const NRT: usize, const AT: bool, const SKIP: bool>(
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    out: &mut [f32],
+    (i, j): (usize, usize),
+    (k, n): (usize, usize),
 ) {
     let mut acc = [[0.0f32; NRT]; MR];
     for (r, accr) in acc.iter_mut().enumerate() {
-        accr.copy_from_slice(&out[(i + r) * n + j..(i + r) * n + j + NRT]);
+        accr.copy_from_slice(&out[(i + r) * n + j..][..NRT]);
     }
-    // Row slices of exact length `k` so `arow[p]` with `p in 0..k` needs no
-    // bounds check inside the hot loop.
+    // `a @ b`: row slices of exact length `k`, so `arows[r][p]` with
+    // `p in 0..k` needs no bounds check inside the hot loop.
     let mut arows: [&[f32]; MR] = [&[]; MR];
-    for (r, arow) in arows.iter_mut().enumerate() {
-        *arow = &a[(i + r) * k..(i + r) * k + k];
+    if !AT {
+        for (r, arow) in arows.iter_mut().enumerate() {
+            *arow = &a[(i + r) * lda..][..k];
+        }
     }
     for p in 0..k {
-        let brow: &[f32; NRT] = b[p * n + j..p * n + j + NRT].try_into().expect("full tile cols");
-        for (accr, arow) in acc.iter_mut().zip(arows.iter()) {
-            let av = arow[p];
-            if av != 0.0 {
+        let brow: &[f32; NRT] = b[p * n + j..][..NRT].try_into().expect("full tile cols");
+        let acol: [f32; MR] = if AT {
+            a[p * lda + i..][..MR].try_into().expect("full tile rows")
+        } else {
+            std::array::from_fn(|r| arows[r][p])
+        };
+        for (accr, av) in acc.iter_mut().zip(acol) {
+            if !SKIP || av != 0.0 {
                 for (o, &bv) in accr.iter_mut().zip(brow.iter()) {
                     *o += av * bv;
                 }
@@ -144,33 +222,30 @@ fn mm_tile_full<const NRT: usize>(
         }
     }
     for (r, accr) in acc.iter().enumerate() {
-        out[(i + r) * n + j..(i + r) * n + j + NRT].copy_from_slice(accr);
+        out[(i + r) * n + j..][..NRT].copy_from_slice(accr);
     }
 }
 
-/// Edge tile of the simd matmul (fewer than `MR` rows and/or `NRT` cols).
-#[allow(clippy::too_many_arguments)] // mirrors the full-tile kernel signature
+/// Edge tile (fewer than `MR` rows and/or `NRT` cols) of [`gemm_tiles`].
 #[inline(always)]
-fn mm_tile_partial<const NRT: usize>(
+fn tile_partial<const NRT: usize, const AT: bool, const SKIP: bool>(
     a: &[f32],
+    lda: usize,
     b: &[f32],
     out: &mut [f32],
-    i: usize,
-    j: usize,
-    k: usize,
-    n: usize,
-    ir: usize,
-    jr: usize,
+    (i, j): (usize, usize),
+    (k, n): (usize, usize),
+    (ir, jr): (usize, usize),
 ) {
     let mut acc = [[0.0f32; NRT]; MR];
     for (r, accr) in acc.iter_mut().enumerate().take(ir) {
-        accr[..jr].copy_from_slice(&out[(i + r) * n + j..(i + r) * n + j + jr]);
+        accr[..jr].copy_from_slice(&out[(i + r) * n + j..][..jr]);
     }
     for p in 0..k {
-        let brow = &b[p * n + j..p * n + j + jr];
+        let brow = &b[p * n + j..][..jr];
         for (r, accr) in acc.iter_mut().enumerate().take(ir) {
-            let av = a[(i + r) * k + p];
-            if av != 0.0 {
+            let av = lhs::<AT>(a, lda, i + r, p);
+            if !SKIP || av != 0.0 {
                 for (o, &bv) in accr[..jr].iter_mut().zip(brow.iter()) {
                     *o += av * bv;
                 }
@@ -178,8 +253,139 @@ fn mm_tile_partial<const NRT: usize>(
         }
     }
     for (r, accr) in acc.iter().enumerate().take(ir) {
-        out[(i + r) * n + j..(i + r) * n + j + jr].copy_from_slice(&accr[..jr]);
+        out[(i + r) * n + j..][..jr].copy_from_slice(&accr[..jr]);
     }
+}
+
+/// AVX-512 tile driver: `MR`×`NR512` tiles of [`tile_avx512`], whose lane
+/// masks and const row count make row and column remainders ordinary
+/// tiles, so no shape falls back to a slower edge path. Visits tiles in
+/// the order [`gemm_tiles`] does (`ars == 1` is the transposed operand).
+///
+/// # Safety
+///
+/// The CPU must support `avx512f`, and with `(ars, aps)` the element
+/// strides of `A(i, p)`: `b.len() == k * n`, `out.len() == m * n`,
+/// `(m - 1) * ars + (k - 1) * aps < a.len()`, and `m, k, n > 0`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn gemm_avx512<const SKIP: bool>(
+    a: &[f32],
+    (ars, aps): (usize, usize),
+    b: &[f32],
+    out: &mut [f32],
+    (m, k, n): (usize, usize, usize),
+) {
+    debug_assert!(b.len() == k * n && out.len() == m * n);
+    debug_assert!((m - 1) * ars + (k - 1) * aps < a.len());
+    let (a, b, out) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
+    let lanes = |w: usize| ((1u32 << w.min(16)) - 1) as u16;
+    let tile = |i: usize, j: usize| {
+        let jr = NR512.min(n - j);
+        // In bounds: `i < m`, `j < n`, so each corner is an element of its
+        // slice by the preconditions above.
+        let t = Tile512 {
+            a: a.add(i * ars),
+            ars,
+            aps,
+            b: b.add(j),
+            out: out.add(i * n + j),
+            k,
+            n,
+            masks: [lanes(jr), lanes(jr.saturating_sub(16))],
+        };
+        match m - i {
+            1 => tile_avx512::<1, SKIP>(t),
+            2 => tile_avx512::<2, SKIP>(t),
+            3 => tile_avx512::<3, SKIP>(t),
+            4 => tile_avx512::<4, SKIP>(t),
+            5 => tile_avx512::<5, SKIP>(t),
+            _ => tile_avx512::<MR, SKIP>(t),
+        }
+    };
+    if ars == 1 {
+        for j in (0..n).step_by(NR512) {
+            (0..m).step_by(MR).for_each(|i| tile(i, j));
+        }
+    } else {
+        for i in (0..m).step_by(MR) {
+            (0..n).step_by(NR512).for_each(|j| tile(i, j));
+        }
+    }
+}
+
+/// One [`tile_avx512`] invocation: the tile's corner of each operand.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Tile512 {
+    /// `A(i, 0)` of the tile's first row; row `r`, step `p` is at
+    /// `a + r * ars + p * aps`.
+    a: *const f32,
+    ars: usize,
+    aps: usize,
+    /// `b[0][j]` of the tile's first column; row stride `n`.
+    b: *const f32,
+    /// `out[i][j]`; row stride `n`.
+    out: *mut f32,
+    k: usize,
+    n: usize,
+    /// Live lanes of the tile's two 16-column halves.
+    masks: [u16; 2],
+}
+
+/// `MRT`×32 tile held in `2 * MRT` zmm registers across the whole `p`
+/// loop: multiply then add (never `fmadd`), masked-off lanes are neither
+/// loaded nor stored.
+///
+/// # Safety
+///
+/// `avx512f` must be available, and for every `r < MRT`, `p < t.k` and
+/// live lane `c`: `t.a + r * ars + p * aps`, `t.b + p * n + c` and
+/// `t.out + r * n + c` must be in bounds of their slices. Addresses of
+/// masked-off lanes may lie outside them (hence `wrapping_add` for the
+/// second half, whose mask can be empty): a masked load or store does not
+/// access those lanes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn tile_avx512<const MRT: usize, const SKIP: bool>(t: Tile512) {
+    use std::arch::x86_64::*;
+    let mut acc = [[_mm512_setzero_ps(); 2]; MRT];
+    for (r, accr) in acc.iter_mut().enumerate() {
+        for (h, v) in accr.iter_mut().enumerate() {
+            *v = _mm512_maskz_loadu_ps(t.masks[h], t.out.add(r * t.n).wrapping_add(16 * h));
+        }
+    }
+    // A tile of at most 16 columns leaves its second half idle.
+    let wide = t.masks[1] != 0;
+    for p in 0..t.k {
+        let brow = t.b.add(p * t.n);
+        let b0 = _mm512_maskz_loadu_ps(t.masks[0], brow);
+        let b1 = _mm512_maskz_loadu_ps(t.masks[1], brow.wrapping_add(16));
+        for (r, accr) in acc.iter_mut().enumerate() {
+            let ap = t.a.add(r * t.ars + p * t.aps);
+            // `*ap != 0.0` on the bit pattern (sign shifted out: ±0 are the
+            // only zeros, NaN is nonzero), which keeps the test off the
+            // vector ports the tile saturates.
+            if !SKIP || *ap.cast::<u32>() << 1 != 0 {
+                let av = _mm512_set1_ps(*ap);
+                accr[0] = _mm512_add_ps(accr[0], _mm512_mul_ps(av, b0));
+                if wide {
+                    accr[1] = _mm512_add_ps(accr[1], _mm512_mul_ps(av, b1));
+                }
+            }
+        }
+    }
+    for (r, accr) in acc.iter().enumerate() {
+        for (h, &v) in accr.iter().enumerate() {
+            _mm512_mask_storeu_ps(t.out.add(r * t.n).wrapping_add(16 * h), t.masks[h], v);
+        }
+    }
+}
+
+/// [`matmul_block`] through [`gemm_simd`]: `A(i, p) = a[i][p]`, zero
+/// left elements skipped.
+fn matmul_block_simd(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    gemm_simd::<false, true>(a, k, b, out, (m, k, n));
 }
 
 /// Matrix product `a @ b` for rank-2 tensors.
@@ -278,13 +484,11 @@ fn matmul_at_b_block(
     }
 }
 
-/// [`matmul_at_b_block`] for the simd backend: the loop structure (and
-/// therefore every accumulation order and zero-skip decision) is identical
-/// to the scalar block — the win comes purely from compiling the inner row
-/// update with AVX2 enabled, which doubles the autovectorized lane width.
-/// Tiling experiments lost here: the scalar structure already streams `b`
-/// and the output linearly, and `r`-ascending order per element forbids
-/// the transformations that would beat it.
+/// [`matmul_at_b_block`] through [`gemm_simd`]: `A(i, r) = a[r][i]` read in
+/// place (`a[r][i..i + MR]` is as contiguous as `b[r][j..j + NR]`), the
+/// shared dimension `r` ascending per output element and zero `a[r][i]`
+/// skipped, so every addition and every skip decision is the scalar
+/// loop's — whatever output rows `i_range` this shard owns.
 fn matmul_at_b_block_simd(
     a: &[f32],
     b: &[f32],
@@ -294,78 +498,7 @@ fn matmul_at_b_block_simd(
     n: usize,
     i_range: std::ops::Range<usize>,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: identical safe code; the feature check guarantees
-            // the instructions are supported.
-            unsafe { matmul_at_b_block_avx512(a, b, out, m, ka, n, i_range) };
-            return;
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: as above.
-            unsafe { matmul_at_b_block_avx2(a, b, out, m, ka, n, i_range) };
-            return;
-        }
-    }
-    matmul_at_b_block(a, b, out, m, ka, n, i_range);
-}
-
-/// [`matmul_at_b_block`] compiled with AVX-512 codegen enabled.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn matmul_at_b_block_avx512(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    ka: usize,
-    n: usize,
-    i_range: std::ops::Range<usize>,
-) {
-    matmul_at_b_block_body(a, b, out, m, ka, n, i_range);
-}
-
-/// [`matmul_at_b_block`] compiled with AVX2 codegen enabled.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn matmul_at_b_block_avx2(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    ka: usize,
-    n: usize,
-    i_range: std::ops::Range<usize>,
-) {
-    matmul_at_b_block_body(a, b, out, m, ka, n, i_range);
-}
-
-/// Shared loop body for the scalar and feature-gated aᵀb blocks; inlined
-/// into its wrappers so it inherits their enabled lane width.
-#[inline(always)]
-fn matmul_at_b_block_body(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    ka: usize,
-    n: usize,
-    i_range: std::ops::Range<usize>,
-) {
-    for r in 0..m {
-        let arow = &a[r * ka..(r + 1) * ka];
-        let brow = &b[r * n..(r + 1) * n];
-        for (ii, o_chunk) in out.chunks_mut(n).enumerate().take(i_range.len()) {
-            let av = arow[i_range.start + ii];
-            if av == 0.0 {
-                continue;
-            }
-            for (o, &bv) in o_chunk.iter_mut().zip(brow.iter()) {
-                *o += av * bv;
-            }
-        }
-    }
+    gemm_simd::<true, true>(&a[i_range.start..], ka, b, out, (i_range.len(), m, n));
 }
 
 /// `aᵀ @ b` without materializing the transpose.
@@ -448,110 +581,40 @@ fn matmul_a_bt_block(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize, 
     }
 }
 
-/// Row/column count per dot-product tile in [`matmul_a_bt_block_simd`].
-const BTR: usize = 4;
-
-/// Register-tiled version of [`matmul_a_bt_block`]. Each output element is
-/// still the plain `k`-ascending dot product the scalar loop computes (no
-/// reassociation, no zero-skip — exactly the scalar semantics), but a
-/// `BTR`×`BTR` tile runs 16 independent accumulation chains at once, so
-/// the floating-point latency chain that serializes the scalar loop
-/// overlaps 16 ways.
-fn matmul_a_bt_block_simd(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize, i0: usize) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: identical safe code; the feature check guarantees
-            // the instructions are supported.
-            unsafe { matmul_a_bt_block_simd_avx512(a, b, out, k, n, i0) };
-            return;
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: as above.
-            unsafe { matmul_a_bt_block_simd_avx2(a, b, out, k, n, i0) };
-            return;
-        }
-    }
-    matmul_a_bt_block_simd_inner(a, b, out, k, n, i0);
-}
-
-/// [`matmul_a_bt_block_simd_inner`] compiled with AVX-512 codegen enabled.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn matmul_a_bt_block_simd_avx512(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize, i0: usize) {
-    matmul_a_bt_block_simd_inner(a, b, out, k, n, i0);
-}
-
-/// [`matmul_a_bt_block_simd_inner`] compiled with AVX2 codegen enabled.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn matmul_a_bt_block_simd_avx2(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize, i0: usize) {
-    matmul_a_bt_block_simd_inner(a, b, out, k, n, i0);
-}
-
-#[inline(always)]
-fn matmul_a_bt_block_simd_inner(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    k: usize,
-    n: usize,
-    i0: usize,
-) {
-    if n == 0 || out.is_empty() {
-        return;
-    }
+/// [`matmul_a_bt_block`] through [`gemm_simd`] over `bt`, the `[k, n]`
+/// transpose of `b` ([`transpose_into`]): accumulators start at `0.0`, `kk`
+/// ascends and no term is skipped — the scalar dot product's chain per
+/// element, now advancing a tile of output columns per instruction
+/// instead of one scalar.
+fn matmul_a_bt_block_simd(a: &[f32], bt: &[f32], out: &mut [f32], k: usize, n: usize, i0: usize) {
     let rows = out.len() / n;
-    let mut ii = 0;
-    while ii < rows {
-        let ir = BTR.min(rows - ii);
-        let mut j = 0;
-        while j < n {
-            let jr = BTR.min(n - j);
-            // Row slices of exact length `k`: `arows[r][kk]` with
-            // `kk in 0..k` compiles without bounds checks, leaving 16
-            // independent mul-add chains per `kk` step.
-            let mut arows: [&[f32]; BTR] = [&[]; BTR];
-            for (r, arow) in arows.iter_mut().enumerate().take(ir) {
-                *arow = &a[(i0 + ii + r) * k..(i0 + ii + r) * k + k];
-            }
-            let mut brows: [&[f32]; BTR] = [&[]; BTR];
-            for (c, brow) in brows.iter_mut().enumerate().take(jr) {
-                *brow = &b[(j + c) * k..(j + c) * k + k];
-            }
-            let mut acc = [[0.0f32; BTR]; BTR];
-            if ir == BTR && jr == BTR {
-                for kk in 0..k {
-                    for (accr, arow) in acc.iter_mut().zip(arows.iter()) {
-                        let av = arow[kk];
-                        for (o, brow) in accr.iter_mut().zip(brows.iter()) {
-                            *o += av * brow[kk];
-                        }
-                    }
-                }
-            } else {
-                for kk in 0..k {
-                    for (accr, arow) in acc.iter_mut().zip(arows.iter()).take(ir) {
-                        let av = arow[kk];
-                        for (o, brow) in accr.iter_mut().zip(brows.iter()).take(jr) {
-                            *o += av * brow[kk];
-                        }
-                    }
-                }
-            }
-            for (r, accr) in acc.iter().enumerate().take(ir) {
-                out[(ii + r) * n + j..(ii + r) * n + j + jr].copy_from_slice(&accr[..jr]);
-            }
-            j += jr;
+    out.fill(0.0);
+    gemm_simd::<false, false>(&a[i0 * k..][..rows * k], k, bt, out, (rows, k, n));
+}
+
+/// Writes the transpose of rank-2 `b` (`[n, k]`) into `out` as row-major
+/// `[k, n]` — the packed right operand of [`matmul_a_bt_packed_into`].
+///
+/// # Panics
+///
+/// Panics if `out.len() != b.len()`.
+pub fn transpose_into(b: &Tensor, out: &mut [f32]) {
+    let (n, k) = (b.rows(), b.cols());
+    assert_eq!(out.len(), n * k, "transpose output length mismatch");
+    for (j, brow) in b.data().chunks_exact(k.max(1)).enumerate().take(n) {
+        for (kk, &v) in brow.iter().enumerate() {
+            out[kk * n + j] = v;
         }
-        ii += ir;
     }
 }
 
-/// `a @ bᵀ` without materializing the transpose.
+/// `a @ bᵀ` for `a: [m, k]`, `b: [n, k]`.
 ///
-/// Parallelizes over blocks of output rows for large inputs, same FLOP
-/// threshold as [`matmul`].
+/// The scalar backend reads `b` in place; the simd backend transposes it
+/// once per call and runs the register tile over the copy (callers with
+/// many products against one `b` pack it themselves, see
+/// [`matmul_a_bt_packed_into`]). Parallelizes over blocks of output rows
+/// for large inputs, same FLOP threshold as [`matmul`].
 ///
 /// # Panics
 ///
@@ -582,6 +645,30 @@ pub fn matmul_a_bt_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
 /// [`matmul_a_bt_into`] with an explicit worker count; bit-identical for
 /// every `threads` value.
 pub fn matmul_a_bt_into_with_threads(a: &Tensor, b: &Tensor, out: &mut [f32], threads: usize) {
+    a_bt_sharded(a, b, None, out, threads);
+}
+
+/// [`matmul_a_bt_into`] for a caller that already holds `bt`, the `[k, n]`
+/// transpose of `b` written by [`transpose_into`] — the backward sweep packs
+/// a weight once and reuses it for every product against it. Both forms
+/// are passed because the scalar reference reads `b` and the simd tile
+/// reads `bt`; the result is bit-identical to [`matmul_a_bt_into`].
+///
+/// # Panics
+///
+/// Panics like [`matmul_a_bt_into`], or if `bt` is not `[b.cols(), b.rows()]`.
+pub fn matmul_a_bt_packed_into(a: &Tensor, b: &Tensor, bt: &Tensor, out: &mut [f32]) {
+    assert_eq!(bt.shape(), &[b.cols(), b.rows()], "packed transpose shape mismatch");
+    a_bt_sharded(a, b, Some(bt.data()), out, betty_runtime::configured_threads());
+}
+
+/// Computes output rows `[i0, i0 + rows)` of `a @ bᵀ` into `out` from `a`
+/// and the right operand in the layout its backend reads.
+type ABtBlock = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
+
+/// Shards `a @ bᵀ` over output rows; `bt` is `b`'s packed transpose when
+/// the caller already has it.
+fn a_bt_sharded(a: &Tensor, b: &Tensor, bt: Option<&[f32]>, out: &mut [f32], threads: usize) {
     let (m, k) = (a.rows(), a.cols());
     let (n, k2) = (b.rows(), b.cols());
     assert_eq!(k, k2, "matmul_a_bt inner dimension mismatch: {k} vs {k2}");
@@ -590,10 +677,18 @@ pub fn matmul_a_bt_into_with_threads(a: &Tensor, b: &Tensor, out: &mut [f32], th
         return; // m == 0 or n == 0: nothing to overwrite
     }
     let adata = a.data();
-    let bdata = b.data();
-    let block = match Backend::current() {
-        Backend::Scalar => matmul_a_bt_block,
-        Backend::Simd => matmul_a_bt_block_simd,
+    let packed;
+    let (block, rhs): (ABtBlock, &[f32]) = match (Backend::current(), bt) {
+        (Backend::Scalar, _) => (matmul_a_bt_block, b.data()),
+        (Backend::Simd, Some(bt)) => (matmul_a_bt_block_simd, bt),
+        (Backend::Simd, None) => {
+            packed = {
+                let mut bt = vec![0.0f32; b.len()];
+                transpose_into(b, &mut bt);
+                bt
+            };
+            (matmul_a_bt_block_simd, &packed)
+        }
     };
     let flops = m * k * n;
     if flops >= PAR_FLOP_THRESHOLD && threads > 1 && m > 1 {
@@ -601,12 +696,12 @@ pub fn matmul_a_bt_into_with_threads(a: &Tensor, b: &Tensor, out: &mut [f32], th
         std::thread::scope(|scope| {
             for (t, out_chunk) in out.chunks_mut(chunk * n).enumerate() {
                 scope.spawn(move || {
-                    block(adata, bdata, out_chunk, k, n, t * chunk);
+                    block(adata, rhs, out_chunk, k, n, t * chunk);
                 });
             }
         });
     } else {
-        block(adata, bdata, out, k, n, 0);
+        block(adata, rhs, out, k, n, 0);
     }
 }
 
@@ -1027,6 +1122,72 @@ mod tests {
                 assert_eq!(bits(&s2), bits(&v2), "at_b {m}x{k}x{n} threads={threads}");
                 assert_eq!(bits(&s3), bits(&v3), "a_bt {m}x{k}x{n} threads={threads}");
             }
+        }
+    }
+
+    /// `is_x86_feature_detected!` picks one tile implementation per host,
+    /// so a host with AVX-512 never reaches the portable tiles through the
+    /// public API. Drive every implementation this host can run directly
+    /// against the scalar loops: full tiles, row and column remainders,
+    /// and operands carrying `±0.0`, NaN and ∞ (NaNs compared as NaN, not
+    /// by payload).
+    #[test]
+    fn every_tile_implementation_matches_the_scalar_loops() {
+        type Gemm = fn(&[f32], usize, &[f32], &mut [f32], (usize, usize, usize));
+        fn run(name: &str, at: Gemm, ab: Gemm, abt: Gemm) {
+            for (m, k, n) in [(1, 1, 1), (6, 9, 16), (7, 3, 17), (13, 40, 33), (25, 70, 95)] {
+                let spike = |t: Tensor, offset: usize| {
+                    let mut d = t.data().to_vec();
+                    for (i, v) in [0.0, -0.0, f32::NAN, f32::INFINITY].into_iter().enumerate() {
+                        let len = d.len();
+                        d[(offset + 7 * i) % len] = v;
+                    }
+                    d
+                };
+                let a = spike(big(m, k, 51), 0);
+                let b = spike(big(k, n, 52), 3);
+                let g = spike(big(m, n, 53), 5);
+                let canon = |v: &[f32]| -> Vec<u32> {
+                    v.iter().map(|x| if x.is_nan() { 0x7fc0_0000 } else { x.to_bits() }).collect()
+                };
+                let (mut want, mut got) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
+                matmul_block(&a, &b, &mut want, m, k, n);
+                ab(&a, k, &b, &mut got, (m, k, n));
+                assert_eq!(canon(&want), canon(&got), "{name} a@b {m}x{k}x{n}");
+
+                let (mut want, mut got) = (vec![0.0f32; k * n], vec![0.0f32; k * n]);
+                matmul_at_b_block(&a, &g, &mut want, m, k, n, 0..k);
+                at(&a, k, &g, &mut got, (k, m, n));
+                assert_eq!(canon(&want), canon(&got), "{name} aT@b {m}x{k}x{n}");
+
+                let bt = Tensor::from_vec(b.clone(), &[k, n]).unwrap().transpose();
+                let (mut want, mut got) = (vec![f32::NAN; m * k], vec![0.0f32; m * k]);
+                matmul_a_bt_block(&g, &b, &mut want, n, k, 0);
+                abt(&g, n, bt.data(), &mut got, (m, n, k));
+                assert_eq!(canon(&want), canon(&got), "{name} a@bT {m}x{k}x{n}");
+            }
+        }
+        run(
+            "portable",
+            gemm_tiles::<NR, true, true>,
+            gemm_tiles::<NR, false, true>,
+            gemm_tiles::<NR, false, false>,
+        );
+        run(
+            "dispatched",
+            gemm_simd::<true, true>,
+            gemm_simd::<false, true>,
+            gemm_simd::<false, false>,
+        );
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: avx2 was just detected; the bodies are safe code.
+            run(
+                "avx2",
+                |a, lda, b, out, d| unsafe { gemm_avx2::<true, true>(a, lda, b, out, d) },
+                |a, lda, b, out, d| unsafe { gemm_avx2::<false, true>(a, lda, b, out, d) },
+                |a, lda, b, out, d| unsafe { gemm_avx2::<false, false>(a, lda, b, out, d) },
+            );
         }
     }
 

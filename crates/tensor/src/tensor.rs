@@ -281,11 +281,7 @@ impl Tensor {
     pub fn transpose(&self) -> Self {
         let (r, c) = (self.rows(), self.cols());
         let mut out = vec![0.0f32; r * c];
-        for i in 0..r {
-            for j in 0..c {
-                out[j * r + i] = self.data[i * c + j];
-            }
-        }
+        crate::kernels::transpose_into(self, &mut out);
         Self {
             data: Arc::new(out),
             shape: Shape::from_slice(&[c, r]),

@@ -6,7 +6,7 @@
 //! round-trip exactly once quantized.
 
 use betty_tensor::dtype::{f16_bits_to_f32, f32_to_bf16_bits, f32_to_f16_bits, bf16_bits_to_f32};
-use betty_tensor::{kernels, segment, with_backend, Backend, DType, Tensor};
+use betty_tensor::{kernels, segment, with_backend, Backend, DType, Graph, Tensor};
 use proptest::prelude::*;
 
 /// Strategy: a tensor with the given shape, values in [-4, 4]. Handles
@@ -20,6 +20,16 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
 }
 
+/// [`bits`] with every NaN mapped to one pattern: which of two NaN
+/// operands' payloads an add or multiply propagates is the instruction
+/// selector's choice, so only *where* NaNs appear is part of the contract.
+fn bits_nan_canonical(t: &Tensor) -> Vec<u32> {
+    t.data()
+        .iter()
+        .map(|v| if v.is_nan() { 0x7fc0_0000 } else { v.to_bits() })
+        .collect()
+}
+
 /// Runs `f` under both backends at the given thread count and asserts
 /// bit-identical output.
 fn assert_backends_agree(threads: usize, f: impl Fn() -> Tensor) {
@@ -28,43 +38,133 @@ fn assert_backends_agree(threads: usize, f: impl Fn() -> Tensor) {
     let simd = with_backend(Backend::Simd, &f);
     betty_runtime::set_thread_override(None);
     assert_eq!(
-        bits(&scalar),
-        bits(&simd),
+        bits_nan_canonical(&scalar),
+        bits_nan_canonical(&simd),
         "backends diverged at {threads} threads"
     );
+}
+
+/// A `[rows, cols]` operand of the matmul tests: values in [-2, 2) with
+/// about one exact `0.0` in eight, then one `-0.0`, one NaN and one `∞`
+/// at seed-chosen positions. The zeros pin each variant's skip contract
+/// — `a @ b` and `aᵀ @ b` leave out a zero left element's term even when
+/// it meets NaN or `∞`, `a @ bᵀ` keeps it and yields NaN.
+fn spiked(rows: usize, cols: usize, seed: u64, phase: u64) -> Tensor {
+    let mut data: Vec<f32> = (0..rows * cols)
+        .map(|i| {
+            let v = (i as u64 ^ phase).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ seed;
+            if v.is_multiple_of(8) {
+                0.0
+            } else {
+                ((v >> 8) % 1000) as f32 / 250.0 - 2.0
+            }
+        })
+        .collect();
+    for (i, v) in [-0.0, f32::NAN, f32::INFINITY].into_iter().enumerate() {
+        if !data.is_empty() {
+            let at = (seed.wrapping_add(phase) as usize).wrapping_add(i * 13) % data.len();
+            data[at] = v;
+        }
+    }
+    Tensor::from_vec(data, &[rows, cols]).expect("sized data")
+}
+
+/// All three products at `m × k × n` (`a: [m, k]`), both thread counts.
+fn assert_matmul_family_agrees(m: usize, k: usize, n: usize, seed: u64) {
+    let a = spiked(m, k, seed, 0);
+    let b = spiked(k, n, seed, 1);
+    let bt = spiked(n, k, seed, 2);
+    let at = spiked(k, m, seed, 3);
+    for threads in [1usize, 4] {
+        assert_backends_agree(threads, || kernels::matmul(&a, &b));
+        assert_backends_agree(threads, || kernels::matmul_a_bt(&a, &bt));
+        assert_backends_agree(threads, || kernels::matmul_at_b(&at, &b));
+    }
+}
+
+/// The LSTM gate product and its adjoint shapes: several full 6×32 tiles,
+/// row and column remainders, and (the middle one) the threaded path.
+#[test]
+fn matmul_family_is_bit_identical_at_lstm_shapes() {
+    for (m, k, n) in [(17, 200, 400), (102, 400, 200), (6, 128, 256)] {
+        assert_matmul_family_agrees(m, k, n, 0x5eed);
+    }
+}
+
+/// `Graph::backward` packs each `Matmul` weight's transpose once per sweep
+/// and skips gradients nobody can read. Neither may move a bit: every
+/// gradient must equal the scalar kernels called directly — for a weight
+/// shared by two products (one pack, two uses, accumulated `dW`), for a
+/// second sweep over the same tape, and for a rebuilt tape whose weight
+/// has the same shape but new values (a pack must not outlive its sweep).
+#[test]
+fn backward_with_packed_weights_matches_the_scalar_kernels_bit_for_bit() {
+    let mut g = Graph::new();
+    for step in 0..3u64 {
+        let x1 = spiked_finite(17, 40, step, 0);
+        let x2 = spiked_finite(5, 40, step, 1);
+        let w = spiked_finite(40, 70, step, 2);
+        let (c1, c2) = (spiked_finite(17, 70, step, 3), spiked_finite(5, 70, step, 4));
+
+        let (dx1, dx2_is_none, dw) = with_backend(Backend::Simd, || {
+            g.reset();
+            let (x1v, x2v) = (g.leaf(x1.clone()), g.constant(x2.clone()));
+            let wv = g.leaf(w.clone());
+            let (c1v, c2v) = (g.constant(c1.clone()), g.constant(c2.clone()));
+            let (y1, y2) = (g.matmul(x1v, wv), g.matmul(x2v, wv));
+            let (l1, l2) = (g.mul(y1, c1v), g.mul(y2, c2v));
+            let (s1, s2) = (g.sum(l1), g.sum(l2));
+            let loss = g.add(s1, s2);
+            g.backward(loss);
+            let first = bits(g.grad(wv).expect("weight gradient"));
+            g.backward(loss);
+            assert_eq!(first, bits(g.grad(wv).unwrap()), "second sweep, step {step}");
+            (
+                bits(g.grad(x1v).expect("leaf input gradient")),
+                g.grad(x2v).is_none() && g.grad(c1v).is_none(),
+                first,
+            )
+        });
+        assert!(dx2_is_none, "constants must not receive gradients");
+
+        // d(loss)/dy = c: dX1 = c1·wᵀ; dW = x2ᵀ·c2, then += x1ᵀ·c1 (the
+        // sweep meets the later product first).
+        let (want_dx1, want_dw) = with_backend(Backend::Scalar, || {
+            let mut dw = kernels::matmul_at_b(&x2, &c2);
+            dw.add_assign(&kernels::matmul_at_b(&x1, &c1));
+            (kernels::matmul_a_bt(&c1, &w), dw)
+        });
+        assert_eq!(dx1, bits(&want_dx1), "dX at step {step}");
+        assert_eq!(dw, bits(&want_dw), "dW at step {step}");
+    }
+}
+
+/// [`spiked`] without the NaN/∞ (zeros and `-0.0` stay).
+fn spiked_finite(rows: usize, cols: usize, seed: u64, phase: u64) -> Tensor {
+    let mut t = spiked(rows, cols, seed, phase);
+    for v in t.data_mut() {
+        if !v.is_finite() {
+            *v = 0.5;
+        }
+    }
+    t
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The whole matmul family, over shapes that include `m = 1`
-    /// (single row), `k = 0` (empty reduction: output must be exact
-    /// zeros), and `n = 0` (empty output).
+    /// The whole matmul family, over shapes that cross the 6×16 and 6×32
+    /// register tiles with every remainder, and include `m = 1` (single
+    /// row), `k = 0` (empty reduction: output must be exact zeros), and
+    /// `n = 0` (empty output).
     #[test]
     fn matmul_family_is_bit_identical_across_backends_and_threads(
-        m in 1usize..24,
-        k in 0usize..24,
-        n in 0usize..24,
+        m in 1usize..40,
+        k in 0usize..70,
+        n in 0usize..100,
         seed in 0u64..u64::MAX,
     ) {
-        let fill = |rows: usize, cols: usize, phase: u64| {
-            Tensor::from_vec(
-                (0..rows * cols)
-                    .map(|i| (((i as u64 ^ seed ^ phase) % 1000) as f32 / 250.0) - 2.0)
-                    .collect(),
-                &[rows, cols],
-            )
-            .expect("sized data")
-        };
-        let a = fill(m, k, 0);
-        let b = fill(k, n, 1);
-        let bt = fill(n, k, 2);
-        let at = fill(k, m, 3);
-        for threads in [1usize, 4] {
-            assert_backends_agree(threads, || kernels::matmul(&a, &b));
-            assert_backends_agree(threads, || kernels::matmul_a_bt(&a, &bt));
-            assert_backends_agree(threads, || kernels::matmul_at_b(&at, &b));
-        }
+        assert_matmul_family_agrees(m, k, n, seed);
     }
 
     /// Fused gather+segment-sum over arbitrary (unsorted) edge lists,
