@@ -11,7 +11,9 @@
 //!
 //! Both constructions reduce to symmetric co-occurrence counting over a
 //! family of node sets (a block's per-source destination lists, or a
-//! batch's per-node dependant sets) and share one sharded Gustavson kernel,
+//! batch's per-node dependant sets), held flat in a [`SetFamily`] and built
+//! by counting passes over block-local ids — no hashing, no per-set
+//! allocation — and share one sharded Gustavson kernel,
 //! [`co_occurrence_csr`]: the set family is inverted into a CSR
 //! row-to-sets index once, destination rows are sharded across
 //! [`std::thread::scope`] workers (weighted by per-row work so power-law
@@ -22,20 +24,72 @@
 //! every thread count** — `BETTY_THREADS=1` reproduces the historical
 //! serial output byte for byte.
 
-use std::collections::HashMap;
-
 use crate::{Block, CsrGraph};
+
+/// A family of duplicate-free sets over `0..n`, stored back to back: set
+/// `k` is `data[offsets[k]..offsets[k + 1]]`.
+struct SetFamily {
+    offsets: Vec<usize>,
+    data: Vec<u32>,
+}
+
+impl SetFamily {
+    fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    fn set(&self, k: usize) -> &[u32] {
+        &self.data[self.offsets[k]..self.offsets[k + 1]]
+    }
+
+    /// `(id, members)` of the sets that hold a pair at all.
+    fn paired(&self) -> impl Iterator<Item = (u32, &[u32])> {
+        (0..self.len())
+            .map(|k| (k as u32, self.set(k)))
+            .filter(|(_, set)| set.len() >= 2)
+    }
+
+    /// Each source's destinations, by block-local ids. Block edges are
+    /// grouped by ascending destination, so a counting pass leaves every
+    /// list ascending and a parallel edge next to its twin, where it is
+    /// dropped.
+    fn destinations_by_source(block: &Block) -> SetFamily {
+        let n = block.num_src();
+        let edges = || block.edge_src_locals().iter().zip(block.edge_dst_locals());
+        let mut offsets = vec![0usize; n + 1];
+        let mut last = vec![u32::MAX; n];
+        for (&s, &d) in edges() {
+            if last[s as usize] != d {
+                last[s as usize] = d;
+                offsets[s as usize + 1] += 1;
+            }
+        }
+        for s in 0..n {
+            offsets[s + 1] += offsets[s];
+        }
+        let mut cursor = offsets[..n].to_vec();
+        let mut data = vec![0u32; offsets[n]];
+        for (&s, &d) in edges() {
+            let at = &mut cursor[s as usize];
+            if *at == offsets[s as usize] || data[*at - 1] != d {
+                data[*at] = d;
+                *at += 1;
+            }
+        }
+        SetFamily { offsets, data }
+    }
+}
 
 /// Symmetric co-occurrence SpGEMM: for sets `S₁..Sₘ ⊆ 0..n`, returns the
 /// weighted graph with `w(i, j) = |{k : i ∈ Sₖ ∧ j ∈ Sₖ}|` for `i ≠ j`.
 ///
-/// Each set must be sorted and duplicate-free; the result is independent
-/// of set order and of `threads` (see the module docs).
-fn co_occurrence_csr(n: usize, sets: &[&[u32]], threads: usize) -> CsrGraph {
+/// The result is independent of set order, of the order within a set and
+/// of `threads` (see the module docs).
+fn co_occurrence_csr(n: usize, sets: &SetFamily, threads: usize) -> CsrGraph {
     // Invert: CSR from row id to the ids of the sets containing it.
     let mut inv_ptr = vec![0usize; n + 1];
-    for set in sets {
-        for &i in *set {
+    for (_, set) in sets.paired() {
+        for &i in set {
             inv_ptr[i as usize + 1] += 1;
         }
     }
@@ -44,35 +98,37 @@ fn co_occurrence_csr(n: usize, sets: &[&[u32]], threads: usize) -> CsrGraph {
     }
     let mut inv = vec![0u32; inv_ptr[n]];
     let mut cursor = inv_ptr[..n].to_vec();
-    for (sid, set) in sets.iter().enumerate() {
-        for &i in *set {
-            inv[cursor[i as usize]] = sid as u32;
+    for (sid, set) in sets.paired() {
+        for &i in set {
+            inv[cursor[i as usize]] = sid;
             cursor[i as usize] += 1;
         }
     }
-    // Per-row Gustavson cost: every containing set is scanned in full.
-    let costs: Vec<usize> = (0..n)
-        .map(|i| {
-            inv[inv_ptr[i]..inv_ptr[i + 1]]
-                .iter()
-                .map(|&sid| sets[sid as usize].len())
-                .sum()
-        })
-        .collect();
+    let containing = |i: usize| {
+        inv[inv_ptr[i]..inv_ptr[i + 1]]
+            .iter()
+            .map(|&sid| sets.set(sid as usize))
+    };
+    // Per-row Gustavson cost: every containing set is scanned in full. One
+    // shard is not weighed.
+    let costs: Vec<usize> = if threads <= 1 {
+        vec![0; n]
+    } else {
+        (0..n)
+            .map(|i| containing(i).map(<[u32]>::len).sum())
+            .collect()
+    };
     let ranges = betty_runtime::shard_ranges_weighted(&costs, threads);
     let shards = betty_runtime::map_ranges(ranges, threads, |_, range| {
         // Dense sparse-accumulator, private to this worker.
         let mut acc = vec![0.0f32; n];
         let mut touched: Vec<u32> = Vec::new();
-        let mut row_lens = Vec::with_capacity(range.len());
+        let mut row_ends = Vec::with_capacity(range.len());
         let mut indices = Vec::new();
         let mut weights = Vec::new();
         for i in range {
-            for &sid in &inv[inv_ptr[i]..inv_ptr[i + 1]] {
-                for &j in sets[sid as usize] {
-                    if j as usize == i {
-                        continue;
-                    }
+            for set in containing(i) {
+                for &j in set {
                     if acc[j as usize] == 0.0 {
                         touched.push(j);
                     }
@@ -80,26 +136,33 @@ fn co_occurrence_csr(n: usize, sets: &[&[u32]], threads: usize) -> CsrGraph {
                 }
             }
             touched.sort_unstable();
-            row_lens.push(touched.len());
+            // The diagonal was counted like any entry (no test per update);
+            // it is dropped here.
             for &j in &touched {
-                indices.push(j);
-                weights.push(acc[j as usize]);
+                if j as usize != i {
+                    indices.push(j);
+                    weights.push(acc[j as usize]);
+                }
                 acc[j as usize] = 0.0;
             }
             touched.clear();
+            row_ends.push(indices.len());
         }
-        (row_lens, indices, weights)
+        (row_ends, indices, weights)
     });
     // Merge in row order: shard ranges are contiguous and ordered, so this
-    // is a straight concatenation.
+    // is a straight concatenation onto the first shard's arrays.
+    let nnz: usize = shards.iter().map(|(_, idx, _)| idx.len()).sum();
+    let mut shards = shards.into_iter();
+    let (row_ends, mut indices, mut weights) = shards.next().unwrap_or_default();
     let mut indptr = Vec::with_capacity(n + 1);
     indptr.push(0usize);
-    let mut indices = Vec::new();
-    let mut weights = Vec::new();
-    for (row_lens, idx, w) in shards {
-        for len in row_lens {
-            indptr.push(indptr.last().unwrap() + len);
-        }
+    indptr.extend(row_ends);
+    indices.reserve_exact(nnz - indices.len());
+    weights.reserve_exact(nnz - weights.len());
+    for (row_ends, idx, w) in shards {
+        let base = indices.len();
+        indptr.extend(row_ends.into_iter().map(|end| base + end));
         indices.extend(idx);
         weights.extend(w);
     }
@@ -131,24 +194,8 @@ pub fn shared_neighbor_graph(block: &Block) -> CsrGraph {
 /// on the calling thread. Benchmarks and determinism tests use this to pin
 /// the worker count independently of `BETTY_THREADS`.
 pub fn shared_neighbor_graph_with_threads(block: &Block, threads: usize) -> CsrGraph {
-    let num_dst = block.num_dst();
-    // Invert the block once: for each source local id, its destinations.
-    let mut by_src: Vec<Vec<u32>> = vec![Vec::new(); block.num_src()];
-    let src = block.edge_src_locals();
-    let dst = block.edge_dst_locals();
-    for (&s, &d) in src.iter().zip(dst.iter()) {
-        by_src[s as usize].push(d);
-    }
-    for dsts in &mut by_src {
-        dsts.sort_unstable();
-        dsts.dedup();
-    }
-    let sets: Vec<&[u32]> = by_src
-        .iter()
-        .filter(|dsts| dsts.len() >= 2)
-        .map(|dsts| dsts.as_slice())
-        .collect();
-    co_occurrence_csr(num_dst, &sets, threads)
+    let by_source = SetFamily::destinations_by_source(block);
+    co_occurrence_csr(block.num_dst(), &by_source, threads)
 }
 
 /// Builds the *full-dependency* Redundancy-Embedded Graph of a batch.
@@ -164,8 +211,11 @@ pub fn shared_neighbor_graph_with_threads(block: &Block, threads: usize) -> CsrG
 ///
 /// `hub_cap` bounds the dependants-set size per node: a node needed by more
 /// than `hub_cap` outputs is duplicated into nearly every micro-batch no
-/// matter the cut, so its pair contributions are skipped. This keeps the
-/// pair enumeration `O(Σ min(|D|, cap)²)`.
+/// matter the cut, so its pair contributions are skipped. Such a set is
+/// never built: it is dropped on reaching `hub_cap + 1` members and
+/// whatever feeds on its owner is dropped unread (`D(s) ⊇ D(d)` for every
+/// edge `s → d`), so propagation reads at most `hub_cap` members per block
+/// edge and the pair enumeration is `O(Σ min(|D|, cap)²)`.
 ///
 /// Nodes of the result are the batch's output nodes in *local (dst) order*
 /// of the last block, matching [`shared_neighbor_graph`].
@@ -183,54 +233,58 @@ pub fn dependency_reg_with_threads(
     hub_cap: usize,
     threads: usize,
 ) -> CsrGraph {
-    let outputs = batch.output_nodes();
-    let n_out = outputs.len();
-
-    // D(v) = sorted set of output locals depending on v, propagated from
-    // the output layer downward (the stacking invariant guarantees a dst's
-    // set is complete before it is read as a lower layer's destination).
-    let mut dep: HashMap<crate::NodeId, Vec<u32>> = HashMap::with_capacity(n_out * 2);
-    for (i, &o) in outputs.iter().enumerate() {
-        dep.insert(o, vec![i as u32]);
-    }
+    let n_out = batch.output_nodes().len();
+    // D(v) = the output locals depending on v, for the destinations of the
+    // block about to be read, by destination-local id. Every node has a
+    // dependant, so an empty set marks one over `hub_cap`.
+    let mut dep = SetFamily {
+        offsets: (0..=n_out).collect(),
+        data: (0..n_out as u32).collect(),
+    };
+    // From the output block down: a block's destinations are the sources
+    // of the block above under the same local ids (the stacking invariant),
+    // so `dep` is complete before it is read and is replaced whole, after
+    // the block scan — a source that is also a destination feeds on its
+    // set from above, as every edge out of it does.
     for block in batch.blocks().iter().rev() {
-        // Sources strictly below the dst prefix are *new* at this level;
-        // their sets accumulate from every edge into a needed destination.
-        // Destination sets are borrowed (not cloned per edge) and each
-        // source is sorted/deduped exactly once per level, after the full
-        // block scan — a source can also be one of this block's
-        // destinations, and its pre-level set must be what every edge read.
-        let mut gathered: HashMap<crate::NodeId, Vec<u32>> = HashMap::new();
-        for (s, d) in block.iter_global_edges() {
-            if s == d {
-                continue;
+        let by_source = SetFamily::destinations_by_source(block);
+        // `seen[o] == s` once output `o` is in the set being built for `s`.
+        let mut seen = vec![u32::MAX; n_out];
+        let mut offsets = Vec::with_capacity(block.num_src() + 1);
+        offsets.push(0usize);
+        let mut data: Vec<u32> = Vec::with_capacity(dep.data.len());
+        for s in 0..block.num_src() {
+            // D(s) = ⋃ D(d) over s's edges s → d, and s itself where it is
+            // a destination (a self-edge adds nothing to that).
+            let own = (s < block.num_dst()).then_some(s as u32);
+            let feeders = || own.iter().chain(by_source.set(s));
+            let start = data.len();
+            // D(s) ⊇ D(d): one feeder over the cap puts s over it.
+            if feeders().all(|&d| !dep.set(d as usize).is_empty()) {
+                for &d in feeders() {
+                    for &o in dep.set(d as usize) {
+                        if seen[o as usize] != s as u32 {
+                            seen[o as usize] = s as u32;
+                            data.push(o);
+                        }
+                    }
+                    if data.len() - start > hub_cap {
+                        data.truncate(start);
+                        break;
+                    }
+                }
             }
-            let Some(d_set) = dep.get(&d) else {
-                continue;
-            };
-            gathered.entry(s).or_default().extend_from_slice(d_set);
+            offsets.push(data.len());
         }
-        for (s, mut set) in gathered {
-            if let Some(existing) = dep.get(&s) {
-                set.extend_from_slice(existing);
-            }
-            set.sort_unstable();
-            set.dedup();
-            dep.insert(s, set);
-        }
+        dep = SetFamily { offsets, data };
     }
-    let sets: Vec<&[u32]> = dep
-        .values()
-        .filter(|set| set.len() >= 2 && set.len() <= hub_cap)
-        .map(|set| set.as_slice())
-        .collect();
-    // Set order (HashMap iteration) is irrelevant: counts are exact
-    // integer sums and rows are emitted sorted.
-    co_occurrence_csr(n_out, &sets, threads)
+    co_occurrence_csr(n_out, &dep, threads)
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use crate::NodeId;
 
@@ -345,6 +399,11 @@ mod tests {
         let block = Block::new(vec![0, 1], &[(2, 0), (3, 1)]);
         let reg = shared_neighbor_graph(&block);
         assert_eq!(reg.num_edges(), 0);
+        // Nor does a block without destinations, on one worker or several.
+        let empty = crate::Batch::new(vec![Block::new(Vec::new(), &[])]);
+        for threads in [1, 4] {
+            assert_eq!(dependency_reg_with_threads(&empty, 32, threads).num_nodes(), 0);
+        }
     }
 
     #[test]
@@ -538,6 +597,129 @@ mod tests {
                 dependency_reg_with_threads(&batch, 32, threads),
                 "dependency_reg threads={threads}"
             );
+        }
+    }
+
+    /// A power-law batch of `layers` blocks over `n_out` outputs, built
+    /// block by block from the top: source popularity falls off cubically,
+    /// sources are drawn from the block's own destinations as often as from
+    /// fresh ids, parallel edges and self-edges occur, and destination 0 of
+    /// every block has its self-edge as its only in-edge. With a finite
+    /// `hub_cap` below `n_out`, two fresh sources of the top block sit on
+    /// the saturation boundary: one feeds exactly `hub_cap` outputs, one
+    /// `hub_cap + 1` — and the blocks below draw edges into both.
+    fn power_law_batch(seed: u64, layers: usize, n_out: u32, hub_cap: usize) -> crate::Batch {
+        use rand::Rng;
+        use rand::SeedableRng;
+        let mut rng = rand_pcg::Pcg64Mcg::seed_from_u64(seed);
+        let mut dst: Vec<NodeId> = (0..n_out).collect();
+        let mut fresh = 1_000 * (layers as NodeId + 1);
+        let mut blocks = Vec::new();
+        for layer in 0..layers {
+            let pool = 4 * dst.len() as NodeId;
+            let mut edges = vec![(dst[0], dst[0])];
+            for &d in &dst[1..] {
+                for _ in 0..rng.gen_range(0..6) {
+                    let skew = rng.gen_range(0.0f64..1.0).powi(3);
+                    let s = if rng.gen_range(0..2) == 0 {
+                        dst[(skew * dst.len() as f64) as usize]
+                    } else {
+                        fresh + (skew * pool as f64) as NodeId
+                    };
+                    edges.push((s, d));
+                    if rng.gen_range(0..8) == 0 {
+                        edges.push((s, d));
+                    }
+                }
+            }
+            if layer == 0 && hub_cap < n_out as usize {
+                let (at_cap, over_cap) = (fresh + pool, fresh + pool + 1);
+                edges.extend((0..hub_cap as NodeId).map(|d| (at_cap, d)));
+                edges.extend((0..=hub_cap as NodeId).map(|d| (over_cap, d)));
+            }
+            fresh += pool + 2;
+            let block = Block::new(dst, &edges);
+            dst = block.src_globals().to_vec();
+            blocks.push(block);
+        }
+        blocks.reverse();
+        crate::Batch::new(blocks)
+    }
+
+    #[test]
+    fn saturation_boundary_keeps_the_set_at_the_cap_and_drops_the_one_over_it() {
+        // Source 100 feeds outputs 0..3, source 101 outputs 0..=3; below,
+        // 200 depends on 100 alone and 201 on 101 alone.
+        let top_edges: Vec<(NodeId, NodeId)> = (0..3)
+            .map(|d| (100, d))
+            .chain((0..4).map(|d| (101, d)))
+            .collect();
+        let top = Block::new((0..5).collect(), &top_edges);
+        let bottom = Block::new(top.src_globals().to_vec(), &[(200, 100), (201, 101)]);
+        let batch = crate::Batch::new(vec![bottom, top]);
+        let reg = dependency_reg(&batch, 3);
+        // 100 and 200 each pair outputs 0, 1, 2; 101 and 201 pair nothing.
+        for i in 0..3u32 {
+            let others: Vec<u32> = (0..3).filter(|&j| j != i).collect();
+            assert_eq!(reg.neighbors(i), others.as_slice());
+            assert_eq!(reg.neighbor_weights(i), Some(&[2.0f32, 2.0][..]));
+        }
+        assert_eq!(reg.out_degree(3) + reg.out_degree(4), 0);
+        assert_eq!(reg, dependency_reg_reference(&batch, 3));
+        // One step up the cap lets 101 and 201 in.
+        assert_eq!(
+            dependency_reg(&batch, 4).neighbor_weights(3),
+            Some(&[2.0f32; 3][..])
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn dependency_reg_equals_the_hashmap_reference_at_every_cap(
+            seed in 0u64..1 << 32,
+            layers in 1usize..4,
+            n_out in 6u32..60,
+        ) {
+            for hub_cap in [2usize, 3, 32, usize::MAX] {
+                let batch = power_law_batch(seed, layers, n_out, hub_cap);
+                let reference = dependency_reg_reference(&batch, hub_cap);
+                for threads in [1usize, 4] {
+                    proptest::prop_assert_eq!(
+                        &reference,
+                        &dependency_reg_with_threads(&batch, hub_cap, threads),
+                        "seed {} layers {} n_out {} hub_cap {} threads {}",
+                        seed, layers, n_out, hub_cap, threads
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn shared_neighbor_graph_equals_brute_force_on_multigraph_blocks(
+            seed in 0u64..1 << 32,
+            n_out in 2u32..24,
+        ) {
+            let batch = power_law_batch(seed, 1, n_out, usize::MAX);
+            let block = &batch.blocks()[0];
+            let expected = brute_force(block);
+            for threads in [1usize, 4] {
+                let reg = shared_neighbor_graph_with_threads(block, threads);
+                for i in 0..n_out {
+                    let row: Vec<(u32, f32)> = (0..n_out)
+                        .map(|j| (j, expected[i as usize][j as usize]))
+                        .filter(|&(_, w)| w != 0.0)
+                        .collect();
+                    let got: Vec<(u32, f32)> = reg
+                        .neighbors(i)
+                        .iter()
+                        .copied()
+                        .zip(reg.neighbor_weights(i).unwrap().iter().copied())
+                        .collect();
+                    proptest::prop_assert_eq!(row, got, "seed {} row {} threads {}", seed, i, threads);
+                }
+            }
         }
     }
 }

@@ -11,6 +11,17 @@
 //! greedy graph growing, and refinement is gain-based pass-wise KL with a
 //! balance constraint and explicit rebalancing.
 //!
+//! Levels are CSR rows ascending by neighbour, produced in that order and
+//! in time linear in what they read: the finest level is `A + Aᵀ` by a
+//! counting transpose and a two-pointer merge of two ascending rows; a
+//! coarse row is gathered from its one or two fine rows into a stamped
+//! dense accumulator, and only that merged row is sorted. Entries that
+//! merge are summed in a specified order — `A`'s before `Aᵀ`'s, the lower
+//! fine row before the higher, each in neighbour order — which for the
+//! REG's small-integer weights is the same bits as any other. Rebalancing
+//! keeps every move cost it has priced and re-prices only the neighbours
+//! of the node it moved.
+//!
 //! Only the depth of the coarsening depends on `k`: the levels live in a
 //! [`CutHierarchy`] that cuts one graph at any number of `k`s, and
 //! [`Partitioner::partition_weighted`] is a hierarchy used once.
@@ -86,57 +97,6 @@ struct Level {
 }
 
 impl Level {
-    /// Builds a level from its `(row, neighbor, weight)` entries, which
-    /// `entries` yields twice, identically: rows are filled in that order,
-    /// then sorted by neighbor and duplicate neighbors summed.
-    fn from_entries<I: Iterator<Item = (u32, u32, f32)>>(
-        entries: impl Fn() -> I,
-        node_w: Vec<f64>,
-        rng: Pcg64Mcg,
-    ) -> Level {
-        let n = node_w.len();
-        let mut indptr = vec![0usize; n + 1];
-        for (row, _, _) in entries() {
-            indptr[row as usize + 1] += 1;
-        }
-        for u in 0..n {
-            indptr[u + 1] += indptr[u];
-        }
-        let mut cursor = indptr[..n].to_vec();
-        let mut adj = vec![(0u32, 0.0f32); indptr[n]];
-        for (row, v, w) in entries() {
-            adj[cursor[row as usize]] = (v, w);
-            cursor[row as usize] += 1;
-        }
-        // Sort and merge each row, compacting in place.
-        let mut write = 0usize;
-        let mut start = 0usize;
-        for u in 0..n {
-            let end = indptr[u + 1];
-            adj[start..end].sort_unstable_by_key(|&(v, _)| v);
-            let row = write;
-            for i in start..end {
-                let (v, w) = adj[i];
-                if write > row && adj[write - 1].0 == v {
-                    adj[write - 1].1 += w;
-                } else {
-                    adj[write] = (v, w);
-                    write += 1;
-                }
-            }
-            start = end;
-            indptr[u + 1] = write;
-        }
-        adj.truncate(write);
-        Level {
-            indptr,
-            adj,
-            node_w,
-            fine_to_coarse: None,
-            rng,
-        }
-    }
-
     fn num_nodes(&self) -> usize {
         self.node_w.len()
     }
@@ -147,15 +107,64 @@ impl Level {
     }
 }
 
+/// Level 0: `A + Aᵀ` without the diagonal, in time linear in the edges.
+///
+/// [`CsrGraph`] rows are ascending and a counting transpose visits sources
+/// in ascending order, so `Aᵀ`'s rows are ascending too and each level row
+/// is a two-pointer merge of the two: nothing is sorted. Entries of one
+/// neighbour are summed as they are met — `A`'s in row order, then `Aᵀ`'s.
 fn finest_level(graph: &CsrGraph, node_weights: Vec<f64>, rng: Pcg64Mcg) -> Level {
-    // Symmetrize: accumulate both directions, drop self-loops.
-    let entries = || {
-        graph
-            .iter_edges()
-            .filter(|&(u, v, _)| u != v)
-            .flat_map(|(u, v, w)| [(u, v, w), (v, u, w)])
-    };
-    Level::from_entries(entries, node_weights, rng)
+    let n = node_weights.len();
+    let mut t_ptr = vec![0usize; n + 1];
+    for (_, v, _) in graph.iter_edges() {
+        t_ptr[v as usize + 1] += 1;
+    }
+    for u in 0..n {
+        t_ptr[u + 1] += t_ptr[u];
+    }
+    let mut cursor = t_ptr[..n].to_vec();
+    let mut transposed = vec![(0u32, 0.0f32); t_ptr[n]];
+    for (u, v, w) in graph.iter_edges() {
+        transposed[cursor[v as usize]] = (u, w);
+        cursor[v as usize] += 1;
+    }
+    let mut indptr = Vec::with_capacity(n + 1);
+    indptr.push(0usize);
+    let mut adj: Vec<(u32, f32)> = Vec::with_capacity(2 * transposed.len());
+    for u in 0..n as u32 {
+        let weights = graph.neighbor_weights(u);
+        let mut out = (graph.neighbors(u).iter().enumerate())
+            .map(|(i, &v)| (v, weights.map_or(1.0, |ws| ws[i])))
+            .peekable();
+        let mut back = transposed[t_ptr[u as usize]..t_ptr[u as usize + 1]]
+            .iter()
+            .copied()
+            .peekable();
+        let row = adj.len();
+        loop {
+            let next = match (out.peek(), back.peek()) {
+                (Some(a), Some(b)) if a.0 <= b.0 => out.next(),
+                (Some(_), None) => out.next(),
+                _ => back.next(),
+            };
+            let Some((v, w)) = next else { break };
+            if v == u {
+                continue;
+            }
+            match adj[row..].last_mut() {
+                Some(last) if last.0 == v => last.1 += w,
+                _ => adj.push((v, w)),
+            }
+        }
+        indptr.push(adj.len());
+    }
+    Level {
+        indptr,
+        adj,
+        node_w: node_weights,
+        fine_to_coarse: None,
+        rng,
+    }
 }
 
 /// One round of randomized heavy-edge matching; returns the coarse level,
@@ -210,19 +219,45 @@ fn coarsen(level: &Level, rng: &mut Pcg64Mcg) -> Option<Level> {
     for u in 0..n {
         node_w[fine_to_coarse[u] as usize] += level.node_w[u];
     }
-    let entries = || {
-        let coarse = &fine_to_coarse;
-        (0..n)
-            .flat_map(move |u| {
-                let row = level.neighbors(u).iter();
-                row.map(move |&(v, w)| (coarse[u], coarse[v as usize], w))
-            })
-            .filter(|&(cu, cv, _)| cu != cv)
-    };
-    let coarse = Level::from_entries(entries, node_w, rng.clone());
+    // Coarse rows in ascending order, each gathered Gustavson-style from
+    // its one or two members' rows (lower fine id first, each in neighbour
+    // order — the order duplicates are summed in) into a dense accumulator
+    // stamped with the row; only the merged row is sorted.
+    let mut indptr = Vec::with_capacity(coarse_n + 1);
+    indptr.push(0usize);
+    let mut adj: Vec<(u32, f32)> = Vec::with_capacity(level.adj.len());
+    let mut acc = vec![(u32::MAX, 0.0f32); coarse_n];
+    let mut touched: Vec<u32> = Vec::new();
+    for u in 0..n {
+        let v = mate[u] as usize;
+        if v < u {
+            continue; // the row of `v`, its pair's representative
+        }
+        let c = fine_to_coarse[u];
+        for &member in &[u, v][..1 + usize::from(v != u)] {
+            for &(x, w) in level.neighbors(member) {
+                let cx = fine_to_coarse[x as usize];
+                let slot = &mut acc[cx as usize];
+                if cx == c {
+                    continue;
+                } else if slot.0 == c {
+                    slot.1 += w;
+                } else {
+                    *slot = (c, w);
+                    touched.push(cx);
+                }
+            }
+        }
+        touched.sort_unstable();
+        adj.extend(touched.drain(..).map(|cx| (cx, acc[cx as usize].1)));
+        indptr.push(adj.len());
+    }
     Some(Level {
+        indptr,
+        adj,
+        node_w,
         fine_to_coarse: Some(fine_to_coarse),
-        ..coarse
+        rng: rng.clone(),
     })
 }
 
@@ -529,6 +564,42 @@ fn swap_pass(
     swapped
 }
 
+/// Cut-weight delta of moving `u` from part `over` to part `dest`.
+fn move_cost(level: &Level, assignment: &[u32], u: usize, over: usize, dest: usize) -> f32 {
+    #[cfg(test)]
+    tests::COST_EVALS.with(|evals| evals.set(evals.get() + 1));
+    level
+        .neighbors(u)
+        .iter()
+        .map(|&(v, w)| {
+            if assignment[v as usize] as usize == over {
+                w
+            } else if assignment[v as usize] as usize == dest {
+                -w
+            } else {
+                0.0
+            }
+        })
+        .sum()
+}
+
+/// What [`rebalance`] keeps between moves: the members of the part it is
+/// shedding from and every [`move_cost`] it has priced for them, one row
+/// per destination — the lightest part changes from move to move as the
+/// light parts fill level, so rows outlive a change of destination. A cost
+/// reads only the two parts and where the node's neighbours sit, so a move
+/// stales the moved node's neighbours (in every row) and nothing else.
+struct MoveCosts {
+    over: usize,
+    /// The nodes of `over` when it became the part to shed from,
+    /// ascending; none joins it while it is.
+    members: Vec<u32>,
+    /// `rows[dest][i]`: the cost of moving `members[i]` to `dest`, where
+    /// priced and still current. A row is empty until its part is first
+    /// the destination.
+    rows: Vec<Vec<Option<f32>>>,
+}
+
 /// Moves nodes out of overweight parts (lowest connectivity loss first)
 /// until every part fits `max_part_w`, where possible.
 fn rebalance(level: &Level, assignment: &mut [u32], k: usize, max_part_w: f64) {
@@ -537,50 +608,70 @@ fn rebalance(level: &Level, assignment: &mut [u32], k: usize, max_part_w: f64) {
     for u in 0..n {
         part_w[assignment[u] as usize] += level.node_w[u];
     }
+    let mut costs = MoveCosts {
+        over: k,
+        members: Vec::new(),
+        rows: vec![Vec::new(); k],
+    };
     for _ in 0..n {
-        let Some(over) = (0..k).find(|&p| part_w[p] > max_part_w) else {
+        if rebalance_step(level, assignment, &mut part_w, max_part_w, &mut costs).is_none() {
             break;
-        };
-        // Lightest destination part.
-        let dest = (0..k)
-            .filter(|&p| p != over)
-            .min_by(|&a, &b| part_w[a].total_cmp(&part_w[b]))
-            .expect("k >= 2 when a part can be overweight");
-        // Cheapest *feasible* node to move: the destination must stay under
-        // the cap (otherwise a single huge node — e.g. a heavy hub — would
-        // be shuttled around, making balance worse). Cost is the cut-weight
-        // delta of the move.
-        let cost = |u: usize| -> f32 {
-            level
-                .neighbors(u)
-                .iter()
-                .map(|&(v, w)| {
-                    if assignment[v as usize] as usize == over {
-                        w
-                    } else if assignment[v as usize] as usize == dest {
-                        -w
-                    } else {
-                        0.0
-                    }
-                })
-                .sum()
-        };
-        let candidate = (0..n)
-            .filter(|&u| {
-                assignment[u] as usize == over && part_w[dest] + level.node_w[u] <= max_part_w
-            })
-            .min_by(|&a, &b| cost(a).total_cmp(&cost(b)));
-        match candidate {
-            Some(u) => {
-                part_w[over] -= level.node_w[u];
-                part_w[dest] += level.node_w[u];
-                assignment[u] = dest as u32;
-            }
-            // No feasible move (the part is heavy because of one huge
-            // node): leave it — the weight model, not the cut, is at fault.
-            None => break,
         }
     }
+}
+
+/// One move of [`rebalance`]: the node moved, or `None` when every part
+/// fits or the first overweight part has no feasible move (it is heavy
+/// because of one huge node: the weight model, not the cut, is at fault).
+fn rebalance_step(
+    level: &Level,
+    assignment: &mut [u32],
+    part_w: &mut [f64],
+    max_part_w: f64,
+    costs: &mut MoveCosts,
+) -> Option<usize> {
+    let k = part_w.len();
+    let over = (0..k).find(|&p| part_w[p] > max_part_w)?;
+    // Lightest destination part.
+    let dest = (0..k)
+        .filter(|&p| p != over)
+        .min_by(|&a, &b| part_w[a].total_cmp(&part_w[b]))
+        .expect("k >= 2 when a part can be overweight");
+    if costs.over != over {
+        costs.over = over;
+        costs.members.clear();
+        let in_over =
+            (0..level.num_nodes() as u32).filter(|&u| assignment[u as usize] as usize == over);
+        costs.members.extend(in_over);
+        costs.rows.iter_mut().for_each(Vec::clear);
+    }
+    let row = &mut costs.rows[dest];
+    row.resize(costs.members.len(), None);
+    // Cheapest *feasible* node to move, the lowest id among equals: the
+    // destination must stay under the cap (otherwise a single huge node —
+    // e.g. a heavy hub — would be shuttled around, making balance worse).
+    let mut best: Option<(usize, f32)> = None;
+    for (&u, priced) in costs.members.iter().zip(row) {
+        let u = u as usize;
+        if assignment[u] as usize == over && part_w[dest] + level.node_w[u] <= max_part_w {
+            let cost = *priced.get_or_insert_with(|| move_cost(level, assignment, u, over, dest));
+            if best.is_none_or(|(_, least)| cost.total_cmp(&least).is_lt()) {
+                best = Some((u, cost));
+            }
+        }
+    }
+    let (u, _) = best?;
+    part_w[over] -= level.node_w[u];
+    part_w[dest] += level.node_w[u];
+    assignment[u] = dest as u32;
+    for &(v, _) in level.neighbors(u) {
+        if let Ok(i) = costs.members.binary_search(&v) {
+            for row in costs.rows.iter_mut().filter(|row| !row.is_empty()) {
+                row[i] = None;
+            }
+        }
+    }
+    Some(u)
 }
 
 /// Ensures all `k` parts are non-empty by stealing from the largest part.
@@ -742,8 +833,15 @@ impl Partitioner for MultilevelPartitioner {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::*;
     use betty_graph::NodeId;
+
+    thread_local! {
+        /// [`move_cost`] evaluations made on this thread.
+        pub(super) static COST_EVALS: Cell<usize> = const { Cell::new(0) };
+    }
 
     /// Builds a symmetric graph from undirected edge pairs.
     fn undirected(n: usize, edges: &[(NodeId, NodeId)]) -> CsrGraph {
@@ -936,5 +1034,407 @@ mod tests {
             .with_refinement_passes(0)
             .partition(&g, 2);
         assert!(refined.edge_cut(&g) <= unrefined.edge_cut(&g));
+    }
+
+    /// The level build as it was before rows were produced sorted: fill
+    /// each row in `entries` order (yielded twice, identically), sort it by
+    /// neighbor, sum duplicate neighbors front to back.
+    fn reference_from_entries<I: Iterator<Item = (u32, u32, f32)>>(
+        entries: impl Fn() -> I,
+        node_w: Vec<f64>,
+        rng: Pcg64Mcg,
+    ) -> Level {
+        let n = node_w.len();
+        let mut indptr = vec![0usize; n + 1];
+        for (row, _, _) in entries() {
+            indptr[row as usize + 1] += 1;
+        }
+        for u in 0..n {
+            indptr[u + 1] += indptr[u];
+        }
+        let mut cursor = indptr[..n].to_vec();
+        let mut adj = vec![(0u32, 0.0f32); indptr[n]];
+        for (row, v, w) in entries() {
+            adj[cursor[row as usize]] = (v, w);
+            cursor[row as usize] += 1;
+        }
+        let mut write = 0usize;
+        let mut start = 0usize;
+        for u in 0..n {
+            let end = indptr[u + 1];
+            adj[start..end].sort_unstable_by_key(|&(v, _)| v);
+            let row = write;
+            for i in start..end {
+                let (v, w) = adj[i];
+                if write > row && adj[write - 1].0 == v {
+                    adj[write - 1].1 += w;
+                } else {
+                    adj[write] = (v, w);
+                    write += 1;
+                }
+            }
+            start = end;
+            indptr[u + 1] = write;
+        }
+        adj.truncate(write);
+        Level {
+            indptr,
+            adj,
+            node_w,
+            fine_to_coarse: None,
+            rng,
+        }
+    }
+
+    fn reference_finest_level(graph: &CsrGraph, node_w: Vec<f64>, rng: Pcg64Mcg) -> Level {
+        let entries = || {
+            graph
+                .iter_edges()
+                .filter(|&(u, v, _)| u != v)
+                .flat_map(|(u, v, w)| [(u, v, w), (v, u, w)])
+        };
+        reference_from_entries(entries, node_w, rng)
+    }
+
+    /// The coarse level under `fine_to_coarse`, built the old way.
+    fn reference_coarse_level(level: &Level, fine_to_coarse: &[u32], rng: Pcg64Mcg) -> Level {
+        let coarse_n = fine_to_coarse
+            .iter()
+            .map(|&c| c as usize + 1)
+            .max()
+            .unwrap_or(0);
+        let mut node_w = vec![0.0f64; coarse_n];
+        for (u, &c) in fine_to_coarse.iter().enumerate() {
+            node_w[c as usize] += level.node_w[u];
+        }
+        let entries = || {
+            (0..level.num_nodes())
+                .flat_map(move |u| {
+                    let row = level.neighbors(u).iter();
+                    row.map(move |&(v, w)| (fine_to_coarse[u], fine_to_coarse[v as usize], w))
+                })
+                .filter(|&(cu, cv, _)| cu != cv)
+        };
+        Level {
+            fine_to_coarse: Some(fine_to_coarse.to_vec()),
+            ..reference_from_entries(entries, node_w, rng)
+        }
+    }
+
+    /// `rebalance` as it was: every candidate priced twice per comparison,
+    /// from scratch, for every node moved.
+    fn reference_rebalance(level: &Level, assignment: &mut [u32], k: usize, max_part_w: f64) {
+        let n = level.num_nodes();
+        let mut part_w = vec![0.0f64; k];
+        for u in 0..n {
+            part_w[assignment[u] as usize] += level.node_w[u];
+        }
+        for _ in 0..n {
+            let Some(over) = (0..k).find(|&p| part_w[p] > max_part_w) else {
+                break;
+            };
+            let dest = (0..k)
+                .filter(|&p| p != over)
+                .min_by(|&a, &b| part_w[a].total_cmp(&part_w[b]))
+                .expect("k >= 2 when a part can be overweight");
+            let cost = |u: usize| -> f32 {
+                level
+                    .neighbors(u)
+                    .iter()
+                    .map(|&(v, w)| {
+                        if assignment[v as usize] as usize == over {
+                            w
+                        } else if assignment[v as usize] as usize == dest {
+                            -w
+                        } else {
+                            0.0
+                        }
+                    })
+                    .sum()
+            };
+            let candidate = (0..n)
+                .filter(|&u| {
+                    assignment[u] as usize == over && part_w[dest] + level.node_w[u] <= max_part_w
+                })
+                .min_by(|&a, &b| cost(a).total_cmp(&cost(b)));
+            match candidate {
+                Some(u) => {
+                    part_w[over] -= level.node_w[u];
+                    part_w[dest] += level.node_w[u];
+                    assignment[u] = dest as u32;
+                }
+                None => break,
+            }
+        }
+    }
+
+    fn assert_levels_equal(new: &Level, old: &Level, what: &str) {
+        assert_eq!(new.indptr, old.indptr, "{what}: indptr");
+        let bits = |l: &Level| -> Vec<(u32, u32)> {
+            l.adj.iter().map(|&(v, w)| (v, w.to_bits())).collect()
+        };
+        assert_eq!(bits(new), bits(old), "{what}: adjacency");
+        assert_eq!(new.node_w, old.node_w, "{what}: node weights");
+        assert_eq!(new.fine_to_coarse, old.fine_to_coarse, "{what}: projection");
+        assert_eq!(new.rng, old.rng, "{what}: generator");
+    }
+
+    /// A directed multigraph with weights in `1..=9`: self-loops, parallel
+    /// edges and one-way pairs as the draw has them, nodes past `live`
+    /// isolated.
+    fn arb_multigraph() -> impl proptest::strategy::Strategy<Value = CsrGraph> {
+        use proptest::prelude::*;
+        (0usize..200, 0usize..8).prop_flat_map(|(n, density)| {
+            let live = (n * 3 / 4).max(1) as u32;
+            let edge = (0..live, 0..live, 1u32..10);
+            let count = if n == 0 { 0 } else { n * density };
+            proptest::collection::vec(edge, count).prop_map(move |edges| {
+                let weighted = edges.into_iter().map(|(u, v, w)| (u, v, w as f32));
+                CsrGraph::from_weighted_edges(n, weighted, true)
+            })
+        })
+    }
+
+    /// A symmetric, loop-free level over a random graph of about `degree`
+    /// neighbours per node, edge weights in `1..=3` or `fractional`.
+    fn random_level(n: u32, degree: u32, seed: u64, fractional: bool) -> Level {
+        use rand::Rng;
+        let mut rng = Pcg64Mcg::seed_from_u64(seed);
+        let edges: Vec<(u32, u32, f32)> = (0..n * degree / 2)
+            .map(|_| {
+                let w = if fractional {
+                    rng.gen_range(0.1f32..3.0)
+                } else {
+                    rng.gen_range(1..4) as f32
+                };
+                (rng.gen_range(0..n), rng.gen_range(0..n), w)
+            })
+            .collect();
+        let graph = CsrGraph::from_weighted_edges(n as usize, edges, true);
+        finest_level(&graph, vec![1.0; n as usize], rng)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn levels_equal_the_sort_built_reference_through_a_full_descend(
+            graph in arb_multigraph(),
+            seed in 0u64..1 << 32,
+        ) {
+            let n = graph.num_nodes();
+            let node_w: Vec<f64> = (0..n).map(|u| 1.0 + (u % 3) as f64).collect();
+            let mut hierarchy = MultilevelPartitioner::new(seed).hierarchy(&graph, node_w.clone());
+            let (depth, rng) = hierarchy.descend(1);
+            proptest::prop_assert_eq!(depth + 1, hierarchy.levels.len());
+            let mut reference =
+                vec![reference_finest_level(&graph, node_w, Pcg64Mcg::seed_from_u64(seed))];
+            for level in &hierarchy.levels[1..] {
+                let map = level.fine_to_coarse.as_ref().expect("coarse levels carry one");
+                let fine = reference.last().expect("starts with the finest");
+                reference.push(reference_coarse_level(fine, map, level.rng.clone()));
+            }
+            for (li, (new, old)) in hierarchy.levels.iter().zip(&reference).enumerate() {
+                assert_levels_equal(new, old, &format!("level {li}"));
+            }
+            // Down to one node, or to where matching stalls: then the
+            // generator is the deepest level's after one more shuffle.
+            let deepest = &hierarchy.levels[depth];
+            let stalled = hierarchy.stalled.clone();
+            proptest::prop_assert_eq!(stalled.is_some(), deepest.num_nodes() > 1);
+            if let Some(stalled) = stalled {
+                let mut after = deepest.rng.clone();
+                (0..deepest.num_nodes() as u32).collect::<Vec<_>>().shuffle(&mut after);
+                proptest::prop_assert_eq!(&after, &stalled);
+                proptest::prop_assert_eq!(&rng, &stalled);
+            }
+        }
+
+        #[test]
+        fn rebalance_equals_the_reference_from_adversarial_starts(
+            n in 40u32..400,
+            degree in 0u32..12,
+            k in 2usize..9,
+            seed in 0u64..1 << 32,
+            fractional in 0u32..2,
+        ) {
+            use rand::Rng;
+            let mut level = random_level(n, degree, seed, fractional == 1);
+            let mut rng = Pcg64Mcg::seed_from_u64(seed ^ 0xabcd);
+            let skewed: Vec<u32> = (0..n)
+                .map(|_| {
+                    // Three of four nodes in the first half of the parts:
+                    // several overweight at once, the light ones level.
+                    let half = (k as u32).div_ceil(2);
+                    if rng.gen_range(0..4) < 3 { rng.gen_range(0..half) } else { rng.gen_range(0..k as u32) }
+                })
+                .collect();
+            let starts = [vec![0u32; n as usize], skewed];
+            for heavy_hub in [false, true] {
+                if heavy_hub {
+                    // No part can take node 0, and part 0 is over the cap
+                    // while it holds it.
+                    level.node_w[0] = n as f64;
+                }
+                let total: f64 = level.node_w.iter().sum();
+                for slack in [1.0, 1.1] {
+                    let max_part_w = slack * total / k as f64;
+                    for start in &starts {
+                        let (mut new, mut old) = (start.clone(), start.clone());
+                        rebalance(&level, &mut new, k, max_part_w);
+                        reference_rebalance(&level, &mut old, k, max_part_w);
+                        proptest::prop_assert_eq!(
+                            new, old,
+                            "n {} degree {} k {} seed {} hub {} slack {}",
+                            n, degree, k, seed, heavy_hub, slack
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rebalance_leaves_an_infeasible_part_untouched() {
+        // Part 0 is over the cap because of node 0 alone, which fits
+        // nowhere: the first overweight part has no move, so nothing moves
+        // — not even out of part 1, which is over the cap too.
+        let mut level = random_level(60, 6, 5, false);
+        level.node_w[0] = 100.0;
+        let start: Vec<u32> = (0..60)
+            .map(|u| if u == 0 { 0 } else { 1 + u % 2 })
+            .collect();
+        let (mut new, mut old) = (start.clone(), start.clone());
+        rebalance(&level, &mut new, 4, 20.0);
+        reference_rebalance(&level, &mut old, 4, 20.0);
+        assert_eq!(new, start);
+        assert_eq!(old, start);
+    }
+
+    #[test]
+    fn rebalance_breaks_cost_ties_towards_the_lower_node_id() {
+        // No edges: every move costs the same.
+        let graph = CsrGraph::from_edges(10, &[]);
+        let level = finest_level(&graph, vec![1.0; 10], Pcg64Mcg::seed_from_u64(0));
+        let mut assignment = vec![0u32; 10];
+        rebalance(&level, &mut assignment, 2, 5.5);
+        assert_eq!(assignment, [1, 1, 1, 1, 1, 0, 0, 0, 0, 0]);
+        let mut reference = vec![0u32; 10];
+        reference_rebalance(&level, &mut reference, 2, 5.5);
+        assert_eq!(assignment, reference);
+    }
+
+    #[test]
+    fn a_rebalance_step_prices_what_the_last_move_staled() {
+        // A 4 k-node graph of REG-like degree, 1 k nodes to shed from part
+        // 0 into three parts that fill level, so the destination changes
+        // nearly every step.
+        let (n, k) = (4000u32, 4usize);
+        let level = random_level(n, 24, 77, false);
+        let mut assignment: Vec<u32> = (0..n)
+            .map(|u| if u < 2000 { 0 } else { 1 + u % 3 })
+            .collect();
+        let mut expected = assignment.clone();
+        reference_rebalance(&level, &mut expected, k, 1000.0);
+
+        let mut part_w = vec![0.0f64; k];
+        for &p in &assignment {
+            part_w[p as usize] += 1.0;
+        }
+        let mut costs = MoveCosts {
+            over: k,
+            members: Vec::new(),
+            rows: vec![Vec::new(); k],
+        };
+        let members_of =
+            |assignment: &[u32], p: usize| assignment.iter().filter(|&&a| a as usize == p).count();
+        let mut seen_dests = std::collections::BTreeSet::new();
+        let (mut steps, mut total, mut staled) = (0usize, 0usize, 0usize);
+        let mut last: Option<((usize, usize), usize)> = None;
+        // `over` and `dest`: the pair the step is about to choose.
+        while let Some(over) = (0..k).find(|&p| part_w[p] > 1000.0) {
+            let dest = (0..k)
+                .filter(|&p| p != over)
+                .min_by(|&a, &b| part_w[a].total_cmp(&part_w[b]))
+                .unwrap();
+            let in_over = members_of(&assignment, over);
+            let before = COST_EVALS.with(Cell::get);
+            let moved = rebalance_step(&level, &mut assignment, &mut part_w, 1000.0, &mut costs)
+                .expect("unit weights: a move is always feasible");
+            let evals = COST_EVALS.with(Cell::get) - before;
+            let degree = level.neighbors(moved).len();
+            match last {
+                Some((pair, last_degree)) if pair == (over, dest) => assert!(
+                    evals <= last_degree,
+                    "step {steps}: {evals} evaluations, the pair stood and {last_degree} costs were stale"
+                ),
+                _ => assert!(evals <= in_over, "step {steps}: {evals} evaluations for {in_over} candidates"),
+            }
+            // Back at a destination priced before, only what moved since
+            // is stale, in its row as in every other.
+            assert!(
+                seen_dests.insert(dest) || evals <= staled,
+                "step {steps}: {evals} evaluations, {staled} stale"
+            );
+            last = Some(((over, dest), degree));
+            staled += degree;
+            total += evals;
+            steps += 1;
+        }
+        assert_eq!(assignment, expected);
+        assert_eq!(steps, 1000);
+        // The reference prices 2·|over| candidates a step — at least 2 M
+        // evaluations here; this prices each row once and then what moved.
+        assert!(
+            total <= 3 * 2000 + 3 * staled,
+            "{total} evaluations over {steps} steps ({staled} neighbours of moved nodes)"
+        );
+        assert!(total < 100_000, "{total} evaluations");
+    }
+
+    #[test]
+    fn merged_coarse_weights_fold_in_fine_row_then_neighbour_order() {
+        // Edges 0–1 and 2–3 outweigh everything, so any matching order
+        // pairs them: coarse 0 = {0, 1}, coarse 1 = {2, 3}, joined by the
+        // fine edges 0–2 (1), 0–3 (2²⁴) and 1–2 (1). In f32, 1 + 2²⁴ = 2²⁴
+        // and (1 + 1) + 2²⁴ = 2²⁴ + 2: the two directions read the same
+        // three weights in different orders and must say so.
+        let big = 16_777_216.0f32;
+        let graph = CsrGraph::from_weighted_edges(
+            4,
+            [
+                (0u32, 1u32, 1e30f32),
+                (2, 3, 1e30),
+                (0, 2, 1.0),
+                (0, 3, big),
+                (1, 2, 1.0),
+            ],
+            true,
+        );
+        let level = finest_level(&graph, vec![1.0; 4], Pcg64Mcg::seed_from_u64(1));
+        assert_eq!(level.neighbors(0), &[(1, 1e30), (2, 1.0), (3, big)]);
+        for seed in 0..8 {
+            let coarse = coarsen(&level, &mut Pcg64Mcg::seed_from_u64(seed)).expect("halves");
+            assert_eq!(coarse.fine_to_coarse.as_deref(), Some(&[0u32, 0, 1, 1][..]));
+            // Row 0: fine row 0 (→2: 1, →3: 2²⁴), then fine row 1 (→2: 1).
+            assert_eq!(coarse.neighbors(0), &[(1, (1.0 + big) + 1.0)]);
+            assert_eq!(coarse.neighbors(0)[0].1, big);
+            // Row 1: fine row 2 (→0: 1, →1: 1), then fine row 3 (→0: 2²⁴).
+            assert_eq!(coarse.neighbors(1), &[(0, (1.0 + 1.0) + big)]);
+            assert_eq!(coarse.neighbors(1)[0].1, big + 2.0);
+        }
+    }
+
+    #[test]
+    fn finest_level_sums_a_neighbours_out_entries_before_its_in_entries() {
+        // Node 0 reaches node 1 by two out-edges (1, 2²⁴) and one in-edge
+        // (1): (1 + 2²⁴) + 1 = 2²⁴ for row 0, while row 1 reads the in-edge
+        // first: (1 + 1) + 2²⁴.
+        let big = 16_777_216.0f32;
+        let graph =
+            CsrGraph::from_csr_parts(vec![0, 2, 3], vec![1, 1, 0], Some(vec![1.0, big, 1.0]));
+        let level = finest_level(&graph, vec![1.0; 2], Pcg64Mcg::seed_from_u64(0));
+        assert_eq!(level.neighbors(0), &[(1, big)]);
+        assert_eq!(level.neighbors(1), &[(0, big + 2.0)]);
     }
 }
