@@ -26,12 +26,22 @@
 //!    time of a power-law-graph training run under each backend, same
 //!    seed. Per-epoch losses must be bit-identical; the SIMD run must be
 //!    faster by [`MIN_EPOCH_SPEEDUP`].
+//! 4. **Activations** (`ext_kernels_activations.json`) — Melem/s of the
+//!    crate's own `tanh` / `sigmoid` on each backend, with libm's
+//!    `f32::tanh` and `1/(1+exp(-x))` timed in the same run as the
+//!    baseline: the simd rows must clear [`MIN_ACTIVATION_SPEEDUP`], agree
+//!    with the scalar rows bit for bit and with libm to 1e-6.
+//! 5. **Fused LSTM** (`ext_kernels_lstm.json`) — nanoseconds per node-step
+//!    of `Graph::lstm_sequence` forward + backward at the SAGE-LSTM shape
+//!    (`[n, 100]` inputs, `H = 100`) for a small and a large degree bucket
+//!    and a short and a long neighbour sequence, on both backends, weight
+//!    gradients bit-identical.
 
 use std::time::Instant;
 
 use betty::{ExperimentConfig, Runner, StrategyKind};
 use betty_data::DatasetSpec;
-use betty_tensor::{kernels, segment, with_backend, Backend, Tensor};
+use betty_tensor::{kernels, segment, with_backend, Backend, Graph, Tensor};
 
 use crate::report::Table;
 use crate::Profile;
@@ -57,6 +67,12 @@ pub const MIN_ADJOINT_RATIO: f64 = 0.6;
 
 /// Required end-to-end epoch-time speedup of simd over scalar.
 pub const MIN_EPOCH_SPEEDUP: f64 = 1.05;
+
+/// Floor for the simd rows of the shared `tanh` / `sigmoid` over libm's,
+/// timed in the same run. Measured ≈ 35× (`tanh`) and ≈ 9× (`sigmoid`)
+/// on AVX-512 — libm is a scalar call per element; a row near 1× means
+/// the element function stopped inlining into its lane loop.
+pub const MIN_ACTIVATION_SPEEDUP: f64 = 4.0;
 
 /// One timed kernel invocation set: best-of-`reps` wall seconds.
 fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
@@ -408,8 +424,155 @@ fn epoch_table(profile: Profile) {
     table.finish();
 }
 
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+fn activation_table(profile: Profile) {
+    let (reps, len) = match profile {
+        Profile::Quick => (5, 1 << 18),
+        Profile::Full => (15, 1 << 20),
+    };
+    // Pre-activations as the LSTM gates see them: a few units either side
+    // of zero, some saturated.
+    let x = Tensor::from_vec(
+        (0..len).map(|i| ((i as f32) * 0.37).sin() * 9.0).collect(),
+        &[len],
+    )
+    .unwrap();
+    /// Name, libm's element function, this crate's slice kernel.
+    type Case = (&'static str, fn(f32) -> f32, fn(&Tensor, &mut [f32]));
+    let cases: [Case; 2] = [
+        ("tanh", f32::tanh, kernels::tanh_into),
+        ("sigmoid", |v| 1.0 / (1.0 + (-v).exp()), kernels::sigmoid_into),
+    ];
+    let mut table = Table::new(
+        "ext_kernels_activations",
+        "ext: shared tanh / sigmoid vs libm, same run (backends bit-identical)",
+        &[
+            "kernel",
+            "elements",
+            "libm Melem/s",
+            "scalar Melem/s",
+            "simd Melem/s",
+            "speedup",
+        ],
+    );
+    let mut out = vec![0.0f32; len];
+    for (name, libm, ours) in cases {
+        kernels::map_into(&x, &mut out, libm);
+        let reference = out.clone();
+        let scalar = with_backend(Backend::Scalar, || {
+            ours(&x, &mut out);
+            out.clone()
+        });
+        let simd = with_backend(Backend::Simd, || {
+            ours(&x, &mut out);
+            out.clone()
+        });
+        assert_eq!(bits(&scalar), bits(&simd), "{name}: simd must be bit-identical to scalar");
+        let worst = simd
+            .iter()
+            .zip(&reference)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0f32, f32::max);
+        assert!(worst <= 1e-6, "{name}: {worst:e} away from libm");
+        let libm_sec = best_of(reps, || kernels::map_into(&x, &mut out, libm));
+        let scalar_sec = best_of(reps, || with_backend(Backend::Scalar, || ours(&x, &mut out)));
+        let simd_sec = best_of(reps, || with_backend(Backend::Simd, || ours(&x, &mut out)));
+        let speedup = libm_sec / simd_sec;
+        assert!(
+            speedup >= MIN_ACTIVATION_SPEEDUP,
+            "{name}: {speedup:.1}x over libm is below the {MIN_ACTIVATION_SPEEDUP:.1}x floor"
+        );
+        let rate = |sec: f64| format!("{:.0}", len as f64 / sec / 1e6);
+        table.row(vec![
+            name.to_string(),
+            len.to_string(),
+            rate(libm_sec),
+            rate(scalar_sec),
+            rate(simd_sec),
+            format!("{speedup:.2}x"),
+        ]);
+    }
+    table.finish();
+}
+
+/// One forward + backward of `Graph::lstm_sequence` over `n` sequences of
+/// `len` steps on a warm tape; returns the weight gradient's bits.
+fn lstm_step(g: &mut Graph, operands: &[Tensor; 3], steps: &[usize], n: usize) -> Vec<u32> {
+    g.reset();
+    let [src, w, b] = operands;
+    // Gathered input features are gradient-free in training.
+    let src = g.constant(src.clone());
+    let w = g.leaf(w.clone());
+    let b = g.leaf(b.clone());
+    let h = g.lstm_sequence(src, steps, n, w, b);
+    let loss = g.sum(h);
+    g.backward(loss);
+    bits(g.grad(w).expect("weight gradient").data())
+}
+
+fn lstm_table(profile: Profile) {
+    let reps = match profile {
+        Profile::Quick => 5,
+        Profile::Full => 15,
+    };
+    let (width, src_rows) = (100usize, 4096usize);
+    let scaled = |t: Tensor, s: f32| kernels::scale(&t, s);
+    let operands = [
+        dense(src_rows, width, 0.0),
+        scaled(dense(2 * width, 4 * width, 1.0), 0.1),
+        scaled(dense(1, 4 * width, 2.0), 0.1).reshape(&[4 * width]).unwrap(),
+    ];
+    let mut table = Table::new(
+        "ext_kernels_lstm",
+        "ext: fused LSTM sequence, forward + backward (weight gradients bit-identical)",
+        &[
+            "n",
+            "L",
+            "scalar ns/node-step",
+            "simd ns/node-step",
+            "speedup",
+        ],
+    );
+    betty_runtime::set_thread_override(Some(1));
+    for n in [16usize, 1024] {
+        for len in [5usize, 25] {
+            let steps: Vec<usize> = (0..len * n).map(|k| (k * 7919) % src_rows).collect();
+            let mut g = Graph::new();
+            let mut time = |backend| {
+                with_backend(backend, || {
+                    let grad = lstm_step(&mut g, &operands, &steps, n);
+                    (grad, best_of(reps, || drop(lstm_step(&mut g, &operands, &steps, n))))
+                })
+            };
+            let (scalar_grad, scalar_sec) = time(Backend::Scalar);
+            let (simd_grad, simd_sec) = time(Backend::Simd);
+            assert_eq!(scalar_grad, simd_grad, "lstm n={n} L={len}: simd moved a gradient bit");
+            let speedup = scalar_sec / simd_sec;
+            assert!(
+                speedup >= MIN_KERNEL_SPEEDUP,
+                "lstm n={n} L={len}: simd speedup {speedup:.2}x below the {MIN_KERNEL_SPEEDUP:.2}x floor"
+            );
+            let per_step = |sec: f64| format!("{:.0}", sec * 1e9 / (len * n) as f64);
+            table.row(vec![
+                n.to_string(),
+                len.to_string(),
+                per_step(scalar_sec),
+                per_step(simd_sec),
+                format!("{speedup:.2}x"),
+            ]);
+        }
+    }
+    betty_runtime::set_thread_override(None);
+    table.finish();
+}
+
 /// Runs the exhibit.
 pub fn run(profile: Profile) {
     kernel_table(profile);
+    activation_table(profile);
+    lstm_table(profile);
     epoch_table(profile);
 }

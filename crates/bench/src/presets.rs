@@ -67,8 +67,10 @@ pub fn products_3layer(profile: Profile) -> (Dataset, ExperimentConfig) {
 /// The simulated device capacity used by the memory-wall exhibits
 /// (Figs. 2 & 10). The paper's RTX 6000 offers 24 GB against ogbn-products
 /// (2.45M nodes); our graphs are ~1000× smaller, so the wall is scaled to
-/// keep the same *relative* pressure: LSTM/deep/wide configs overflow it,
-/// plain Mean at 2 layers does not.
+/// keep the same *relative* pressure: deep/wide configs overflow it,
+/// plain Mean at 2 layers does not. (The LSTM configs overflowed it too
+/// while the cell was taped op by op; fused, they are the largest rows of
+/// their panels but fit — EXPERIMENTS.md note 6.)
 pub fn wall_capacity(profile: Profile) -> usize {
     match profile {
         Profile::Quick => 16 << 20,

@@ -217,14 +217,21 @@ fn host_staging_bytes(dataset: &Dataset, micro_batches: &[Batch]) -> usize {
             .sum::<usize>()
 }
 
-/// Calibrated per-node LSTM intermediate constant for *this* autograd
-/// implementation: each unrolled cell step tapes the gathered input (d),
-/// the concat (2d), fused gates twice (8d), four slices (4d), four
-/// activations (4d) and five state ops (5d) — 24 values per node per step.
-/// The paper's PyTorch constant is 18 and explicitly
-/// implementation-dependent (§4.4.3); Table 7 reports our estimation error
-/// under this constant.
-pub const LSTM_TAPE_CONSTANT: usize = 24;
+/// Per-node LSTM intermediate constant of Eq. 5 for *this* engine: what
+/// the fused sequence op (`betty_tensor::Graph::lstm_sequence`) keeps on
+/// the tape per neighbor step of one destination, in units of the feature
+/// width `d` —
+///
+/// * the four activated gates `i`, `f`, `g`, `o` (4d),
+/// * the cell state `c_t` (d),
+/// * the hidden state `h_t` (d; the last step's is the op's output).
+///
+/// The gathered input `x_t`, `tanh(c_t)` and the gate gradients are
+/// recomputed or transient in the backward pass, and nothing else of the
+/// cell is ever materialized. The paper's PyTorch constant is 18 and
+/// explicitly implementation-dependent (§4.4.3); Table 7 reports our
+/// estimation error under this one.
+pub const LSTM_TAPE_CONSTANT: usize = 6;
 
 impl Runner {
     /// Builds the model, device, estimator and planner for `config`.

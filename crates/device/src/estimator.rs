@@ -327,13 +327,19 @@ impl MemoryEstimator {
             // message (matmul, bias, relu).
             AggregatorKind::Pool => 2 * self.pool_expansion * e * d + sage_overhead,
             // Eq. 5: Σ_buckets L_i · B_i · d · c — the nodes fed through
-            // the LSTM at each in-degree — plus per-bucket scatter outputs.
+            // the LSTM at each in-degree — plus the buckets' final states
+            // stacked, one row per non-isolated destination, before they
+            // are scattered into the aggregated output (which the SAGE
+            // workspace above already counts).
             AggregatorKind::Lstm => {
                 let buckets = block.exact_degree_buckets();
                 let per_node: usize = buckets.iter().map(|(l, nodes)| l * nodes.len()).sum();
-                per_node * d * self.lstm_values_per_node
-                    + 2 * buckets.len() * n_dst * d
-                    + sage_overhead
+                let stacked: usize = buckets
+                    .iter()
+                    .filter(|(l, _)| *l > 0)
+                    .map(|(_, nodes)| nodes.len())
+                    .sum();
+                per_node * d * self.lstm_values_per_node + stacked * d + sage_overhead
             }
             // GAT: shared projection (n_src·heads·d_head, taped twice),
             // per-head edge tensors (scores ~5·E, gathered + weighted
@@ -404,16 +410,17 @@ mod tests {
         let est = MemoryEstimator::new(shape(AggregatorKind::Lstm));
         let e = est.estimate(&one_layer_batch());
         // Buckets: degree 2 × 1 node + degree 1 × 1 node = 3 node-steps.
-        // Eq. 5 term = 3 · d(8) · 18; plus 2 buckets · 2·n_dst·d = 64, the
-        // 56-value SAGE workspace, taped params (120), and the loss head.
-        assert_eq!(e.aggregator_intermediate, (3 * 8 * 18 + 64 + 56 + 122) * 4);
+        // Eq. 5 term = 3 · d(8) · 18; plus 2 stacked final-state rows · d
+        // = 16, the 56-value SAGE workspace, taped params (120), and the
+        // loss head.
+        assert_eq!(e.aggregator_intermediate, (3 * 8 * 18 + 16 + 56 + 122) * 4);
     }
 
     #[test]
     fn lstm_constant_is_tunable() {
         let est = MemoryEstimator::new(shape(AggregatorKind::Lstm)).with_lstm_constant(25);
         let e = est.estimate(&one_layer_batch());
-        assert_eq!(e.aggregator_intermediate, (3 * 8 * 25 + 64 + 56 + 122) * 4);
+        assert_eq!(e.aggregator_intermediate, (3 * 8 * 25 + 16 + 56 + 122) * 4);
     }
 
     #[test]

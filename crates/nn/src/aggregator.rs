@@ -71,34 +71,27 @@ impl Aggregator {
 
     /// Aggregates neighbor features for every destination of `block`.
     pub fn forward(&self, sess: &mut Session, block: &Block, src_feats: VarId) -> VarId {
-        let mut edge_src = sess.graph.take_indices();
-        edge_src.extend(block.edge_src_locals().iter().map(|&s| s as usize));
-        let mut edge_dst = sess.graph.take_indices();
-        edge_dst.extend(block.edge_dst_locals().iter().map(|&d| d as usize));
         let n_dst = block.num_dst();
-        let out = match self {
+        match self {
             // Mean/Sum use the fused kernel: no [E, D] message tensor is
             // materialized (mirroring DGL's fused message passing, which is
             // why these aggregators are the memory-cheap ones in Fig. 2).
-            Aggregator::Mean => {
+            Aggregator::Mean => with_edge_lists(sess, block, |sess, edge_src, edge_dst| {
                 sess.graph
-                    .fused_neighbor_mean(src_feats, &edge_src, &edge_dst, n_dst)
-            }
-            Aggregator::Sum => {
+                    .fused_neighbor_mean(src_feats, edge_src, edge_dst, n_dst)
+            }),
+            Aggregator::Sum => with_edge_lists(sess, block, |sess, edge_src, edge_dst| {
                 sess.graph
-                    .fused_neighbor_sum(src_feats, &edge_src, &edge_dst, n_dst)
-            }
-            Aggregator::Pool(fc) => {
-                let messages = sess.graph.gather_rows(src_feats, &edge_src);
+                    .fused_neighbor_sum(src_feats, edge_src, edge_dst, n_dst)
+            }),
+            Aggregator::Pool(fc) => with_edge_lists(sess, block, |sess, edge_src, edge_dst| {
+                let messages = sess.graph.gather_rows(src_feats, edge_src);
                 let transformed = fc.forward(sess, messages);
                 let activated = sess.graph.relu(transformed);
-                sess.graph.segment_max(activated, &edge_dst, n_dst)
-            }
+                sess.graph.segment_max(activated, edge_dst, n_dst)
+            }),
             Aggregator::Lstm(cell) => lstm_aggregate(sess, cell, block, src_feats),
-        };
-        sess.graph.recycle_indices(edge_src);
-        sess.graph.recycle_indices(edge_dst);
-        out
+        }
     }
 
     /// The aggregator's own parameters (empty for Mean/Sum).
@@ -134,45 +127,61 @@ impl Aggregator {
     }
 }
 
+/// Runs `f` on the block's edge endpoints (source locals, destination
+/// locals) widened into two pooled index lists — what the edge-parallel
+/// aggregators consume; the LSTM walks in-edge lists instead.
+fn with_edge_lists(
+    sess: &mut Session,
+    block: &Block,
+    f: impl FnOnce(&mut Session, &[usize], &[usize]) -> VarId,
+) -> VarId {
+    let mut edge_src = sess.graph.take_indices();
+    edge_src.extend(block.edge_src_locals().iter().map(|&s| s as usize));
+    let mut edge_dst = sess.graph.take_indices();
+    edge_dst.extend(block.edge_dst_locals().iter().map(|&d| d as usize));
+    let out = f(sess, &edge_src, &edge_dst);
+    sess.graph.recycle_indices(edge_src);
+    sess.graph.recycle_indices(edge_dst);
+    out
+}
+
 /// LSTM aggregation with exact in-degree bucketing.
 ///
 /// Destinations sharing an in-degree `L` form one bucket; their neighbor
-/// lists stack into `L` timesteps of a batched LSTM. The final hidden state
-/// of each bucket scatters back to its destinations' rows; buckets are
-/// summed (their destination sets are disjoint, so this is pure placement).
+/// lists stack into `L` timesteps of one batched [`LstmCell::sequence`].
+/// The buckets' final hidden states are stacked and placed on their
+/// destinations' rows in one scatter (the buckets partition the
+/// non-isolated destinations, so this is pure placement).
 fn lstm_aggregate(sess: &mut Session, cell: &LstmCell, block: &Block, src_feats: VarId) -> VarId {
     let n_dst = block.num_dst();
-    let width = cell.hidden_dim();
-    let mut combined: Option<VarId> = None;
+    let mut finals = Vec::new();
+    let mut positions = sess.graph.take_indices();
+    let mut steps = sess.graph.take_indices();
     for (degree, nodes) in block.exact_degree_buckets() {
         if degree == 0 {
             continue; // isolated destinations aggregate to zero
         }
-        // Timestep t gathers the t-th neighbor of every bucket member.
-        let (mut h, mut c) = cell.zero_state(sess, nodes.len());
+        // Timestep t reads the t-th neighbor of every bucket member.
+        steps.clear();
         for t in 0..degree {
-            let mut idx = sess.graph.take_indices();
-            idx.extend(
+            steps.extend(
                 nodes
                     .iter()
                     .map(|&d| block.in_edges(d as usize)[t] as usize),
             );
-            let x = sess.graph.gather_rows(src_feats, &idx);
-            sess.graph.recycle_indices(idx);
-            let (nh, nc) = cell.step(sess, x, h, c);
-            h = nh;
-            c = nc;
         }
-        let mut positions = sess.graph.take_indices();
+        finals.push(cell.sequence(sess, src_feats, &steps, nodes.len()));
         positions.extend(nodes.iter().map(|&d| d as usize));
-        let placed = sess.graph.scatter_rows(h, &positions, n_dst);
-        sess.graph.recycle_indices(positions);
-        combined = Some(match combined {
-            Some(acc) => sess.graph.add(acc, placed),
-            None => placed,
-        });
     }
-    combined.unwrap_or_else(|| sess.graph.zeros_leaf(&[n_dst, width]))
+    let out = if finals.is_empty() {
+        sess.graph.zeros_leaf(&[n_dst, cell.hidden_dim()])
+    } else {
+        let stacked = sess.graph.concat_rows(&finals);
+        sess.graph.scatter_rows(stacked, &positions, n_dst)
+    };
+    sess.graph.recycle_indices(steps);
+    sess.graph.recycle_indices(positions);
+    out
 }
 
 #[cfg(test)]
@@ -250,6 +259,32 @@ mod tests {
             let var = sess.bind(p);
             assert!(sess.graph.grad(var).is_some(), "LSTM param missing grad");
         }
+    }
+
+    /// The tape of one LSTM layer is O(buckets) nodes — one fused sequence
+    /// per in-degree, one stack, one placement — however long the
+    /// sequences are, and holds exactly Eq. 5's six values per neighbor
+    /// step plus the placement rows.
+    #[test]
+    fn lstm_tapes_one_node_per_degree_bucket() {
+        // Degrees 0, 1, 1, 3, 3, 3, 6 over seven destinations.
+        let degrees = [0usize, 1, 1, 3, 3, 3, 6];
+        let mut edges = Vec::new();
+        for (d, &deg) in degrees.iter().enumerate() {
+            edges.extend((0..deg).map(|k| (7 + (d + 2 * k) as u32 % 5, d as u32)));
+        }
+        let b = Block::new((0..7).collect(), &edges);
+        let (d, node_steps, placed, buckets) = (4, 17, 6, 3);
+        let mut sess = Session::new();
+        let x = sess.graph.leaf(Tensor::ones(&[b.num_src(), d]));
+        let agg = Aggregator::new(AggregatorSpec::Lstm, d, &mut rng());
+        let (nodes, bytes) = (sess.graph.len(), sess.activation_bytes());
+        let out = agg.forward(&mut sess, &b, x);
+        assert_eq!(sess.graph.value(out).shape(), &[7, d]);
+        // Two parameter leaves, then the buckets, the stack, the scatter.
+        assert_eq!(sess.graph.len() - nodes, 2 + buckets + 2);
+        let values = agg.num_params() + 6 * node_steps * d + (placed + 7) * d;
+        assert_eq!(sess.activation_bytes() - bytes, values * 4);
     }
 
     #[test]

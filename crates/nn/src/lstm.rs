@@ -7,7 +7,7 @@ use crate::{Param, Session};
 ///
 /// Gates are computed as `[x ‖ h] · W + b` with `W : [(X + H), 4H]` sliced
 /// into input/forget/cell/output gates. Used by the LSTM neighbor
-/// aggregator, which unrolls the cell over each destination's neighbor
+/// aggregator, which runs the cell over each destination's neighbor
 /// sequence (Fig. 1 of the paper).
 #[derive(Debug, Clone)]
 pub struct LstmCell {
@@ -38,36 +38,15 @@ impl LstmCell {
         self.input_dim
     }
 
-    /// Fresh zero `(h, c)` state for a batch of `n` sequences.
-    pub fn zero_state(&self, sess: &mut Session, n: usize) -> (VarId, VarId) {
-        let h = sess.graph.zeros_leaf(&[n, self.hidden_dim]);
-        let c = sess.graph.zeros_leaf(&[n, self.hidden_dim]);
-        (h, c)
-    }
-
-    /// One timestep: consumes `x : [n, X]` and state `(h, c)`, returns the
-    /// next `(h, c)`.
-    pub fn step(&self, sess: &mut Session, x: VarId, h: VarId, c: VarId) -> (VarId, VarId) {
-        let hd = self.hidden_dim;
+    /// Runs the cell from zero state over `n` equal-length sequences at
+    /// once and returns their final hidden states `[n, H]`: at step `t`
+    /// sequence `r` consumes row `steps[t * n + r]` of `src` (`[_, X]`).
+    /// One tape node, whatever the length
+    /// ([`betty_tensor::Graph::lstm_sequence`]).
+    pub fn sequence(&self, sess: &mut Session, src: VarId, steps: &[usize], n: usize) -> VarId {
         let w = sess.bind(&self.weight);
         let b = sess.bind(&self.bias);
-        let xh = sess.graph.concat_cols(&[x, h]);
-        let gates = sess.graph.matmul(xh, w);
-        let gates = sess.graph.add_bias(gates, b);
-        let i_raw = sess.graph.slice_cols(gates, 0, hd);
-        let f_raw = sess.graph.slice_cols(gates, hd, hd);
-        let g_raw = sess.graph.slice_cols(gates, 2 * hd, hd);
-        let o_raw = sess.graph.slice_cols(gates, 3 * hd, hd);
-        let i = sess.graph.sigmoid(i_raw);
-        let f = sess.graph.sigmoid(f_raw);
-        let g = sess.graph.tanh(g_raw);
-        let o = sess.graph.sigmoid(o_raw);
-        let fc = sess.graph.mul(f, c);
-        let ig = sess.graph.mul(i, g);
-        let c_next = sess.graph.add(fc, ig);
-        let c_act = sess.graph.tanh(c_next);
-        let h_next = sess.graph.mul(o, c_act);
-        (h_next, c_next)
+        sess.graph.lstm_sequence(src, steps, n, w, b)
     }
 
     /// The cell's parameters.
@@ -103,67 +82,56 @@ mod tests {
     }
 
     #[test]
-    fn step_shapes() {
+    fn sequence_shapes() {
         let c = cell(0, 3, 4);
         assert_eq!(c.num_params(), (3 + 4) * 16 + 16);
         let mut sess = Session::new();
-        let (h0, c0) = c.zero_state(&mut sess, 5);
         let x = sess.graph.leaf(Tensor::ones(&[5, 3]));
-        let (h1, c1) = c.step(&mut sess, x, h0, c0);
-        assert_eq!(sess.graph.value(h1).shape(), &[5, 4]);
-        assert_eq!(sess.graph.value(c1).shape(), &[5, 4]);
+        let h = c.sequence(&mut sess, x, &[0, 1, 2, 3, 4, 4, 3, 2, 1, 0], 5);
+        assert_eq!(sess.graph.value(h).shape(), &[5, 4]);
     }
 
     #[test]
     fn outputs_bounded_by_tanh_sigmoid() {
         let c = cell(1, 2, 3);
         let mut sess = Session::new();
-        let (mut h, mut cc) = c.zero_state(&mut sess, 2);
         let x = sess.graph.leaf(Tensor::full(&[2, 2], 10.0));
-        for _ in 0..5 {
-            let (nh, nc) = c.step(&mut sess, x, h, cc);
-            h = nh;
-            cc = nc;
-        }
+        let h = c.sequence(&mut sess, x, &[0, 1, 0, 1, 0, 1, 0, 1, 0, 1], 2);
         let hv = sess.graph.value(h);
         assert!(hv.data().iter().all(|&v| (-1.0..=1.0).contains(&v)));
         assert!(hv.all_finite());
     }
 
     #[test]
-    fn gradients_flow_through_unrolled_steps() {
+    fn gradients_flow_through_every_step() {
         let c = cell(2, 2, 2);
         let mut sess = Session::new();
-        let (mut h, mut cc) = c.zero_state(&mut sess, 1);
         let x = sess
             .graph
-            .leaf(Tensor::from_vec(vec![0.5, -0.5], &[1, 2]).unwrap());
-        for _ in 0..3 {
-            let (nh, nc) = c.step(&mut sess, x, h, cc);
-            h = nh;
-            cc = nc;
-        }
+            .leaf(Tensor::from_vec(vec![0.5, -0.5, 0.25, 1.0, -1.0, 0.75], &[3, 2]).unwrap());
+        let h = c.sequence(&mut sess, x, &[0, 1, 2], 1);
         let loss = sess.graph.sum(h);
         sess.graph.backward(loss);
         let w = sess.bind(&c.params()[0].clone());
         let grad = sess.graph.grad(w).expect("weight gradient");
         assert!(grad.max_abs() > 0.0);
         assert!(grad.all_finite());
-        // Input gradient flows too.
-        assert!(sess.graph.grad(x).unwrap().max_abs() > 0.0);
+        // Every step's input row receives gradient, the first included.
+        let dx = sess.graph.grad(x).unwrap();
+        for r in 0..3 {
+            assert!(dx.row(r).iter().any(|&v| v != 0.0), "row {r}");
+        }
     }
 
     #[test]
     fn lstm_gradcheck() {
-        // Finite-difference check through a 2-step unroll w.r.t. the input.
+        // Finite-difference check through two steps w.r.t. the input.
         let c = cell(3, 2, 2);
-        let input = betty_tensor::randn(&[2, 2], &mut Pcg64Mcg::seed_from_u64(9));
+        let input = betty_tensor::randn(&[4, 2], &mut Pcg64Mcg::seed_from_u64(9));
         let res = betty_tensor::check::check_gradient(&input, |g, x| {
             let mut sess = Session::from_graph(std::mem::take(g));
-            let (h0, c0) = c.zero_state(&mut sess, 2);
-            let (h1, c1) = c.step(&mut sess, x, h0, c0);
-            let (h2, _) = c.step(&mut sess, h1, h1, c1);
-            let out = sess.graph.sum(h2);
+            let h = c.sequence(&mut sess, x, &[0, 1, 2, 3], 2);
+            let out = sess.graph.sum(h);
             *g = std::mem::take(&mut sess.graph);
             out
         });

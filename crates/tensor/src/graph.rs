@@ -19,8 +19,11 @@
 //! same bytes — every pooled buffer is fully written before it is read — so
 //! results are bit-identical either way.
 
+use std::ops::Range;
+
 use crate::dtype::DType;
 use crate::kernels;
+use crate::lstm;
 use crate::pool::{BufferPool, PoolStats};
 use crate::segment;
 use crate::Tensor;
@@ -68,9 +71,9 @@ impl Parents {
     }
 }
 
-/// Pointwise activation recorded by [`Op::Unary`]; `dfdx` computes the
-/// derivative from the op's input `x` and output `y` (whichever is cheaper
-/// for the particular function).
+/// Pointwise activation recorded by [`Op::Unary`]. Both directions match
+/// on the kind once per call, outside the element loop, so each arm is a
+/// straight-line loop the compiler vectorises.
 #[derive(Clone, Copy)]
 enum UnaryKind {
     Relu,
@@ -81,53 +84,55 @@ enum UnaryKind {
 }
 
 impl UnaryKind {
-    fn apply(self, x: f32) -> f32 {
+    /// `out[k] = f(a[k])`.
+    fn apply_into(self, a: &Tensor, out: &mut [f32]) {
         match self {
-            UnaryKind::Relu => x.max(0.0),
+            UnaryKind::Relu => kernels::map_into(a, out, |x| x.max(0.0)),
             UnaryKind::LeakyRelu(alpha) => {
-                if x > 0.0 {
-                    x
-                } else {
-                    alpha * x
-                }
+                kernels::map_into(a, out, |x| if x > 0.0 { x } else { alpha * x })
             }
-            UnaryKind::Elu(alpha) => {
+            UnaryKind::Elu(alpha) => kernels::map_into(a, out, |x| {
                 if x > 0.0 {
                     x
                 } else {
                     alpha * (x.exp() - 1.0)
                 }
-            }
-            UnaryKind::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-            UnaryKind::Tanh => x.tanh(),
+            }),
+            UnaryKind::Sigmoid => kernels::sigmoid_into(a, out),
+            UnaryKind::Tanh => kernels::tanh_into(a, out),
         }
     }
 
-    fn dfdx(self, x: f32, y: f32) -> f32 {
+    /// `g[k] *= f'(x[k])`, from the op's input `x` and output `y`
+    /// (whichever is cheaper for the particular function).
+    fn scale_by_derivative(self, x: &[f32], y: &[f32], g: &mut [f32]) {
+        let xy = x.iter().zip(y);
         match self {
             UnaryKind::Relu => {
-                if x > 0.0 {
-                    1.0
-                } else {
-                    0.0
+                for (g, (&x, _)) in g.iter_mut().zip(xy) {
+                    *g *= if x > 0.0 { 1.0 } else { 0.0 };
                 }
             }
             UnaryKind::LeakyRelu(alpha) => {
-                if x > 0.0 {
-                    1.0
-                } else {
-                    alpha
+                for (g, (&x, _)) in g.iter_mut().zip(xy) {
+                    *g *= if x > 0.0 { 1.0 } else { alpha };
                 }
             }
             UnaryKind::Elu(alpha) => {
-                if x > 0.0 {
-                    1.0
-                } else {
-                    y + alpha
+                for (g, (&x, &y)) in g.iter_mut().zip(xy) {
+                    *g *= if x > 0.0 { 1.0 } else { y + alpha };
                 }
             }
-            UnaryKind::Sigmoid => y * (1.0 - y),
-            UnaryKind::Tanh => 1.0 - y * y,
+            UnaryKind::Sigmoid => {
+                for (g, (_, &y)) in g.iter_mut().zip(xy) {
+                    *g *= y * (1.0 - y);
+                }
+            }
+            UnaryKind::Tanh => {
+                for (g, (_, &y)) in g.iter_mut().zip(xy) {
+                    *g *= 1.0 - y * y;
+                }
+            }
         }
     }
 }
@@ -201,6 +206,13 @@ enum Op {
         targets: Vec<usize>,
         reduction: Reduction,
     },
+    /// Parents `(src, w, b)`; see [`Graph::lstm_sequence`].
+    LstmSequence {
+        /// Source row of sequence `r` at step `t`, at `t * n + r`.
+        steps: Vec<usize>,
+        n: usize,
+        saved: lstm::Saved,
+    },
 }
 
 impl Op {
@@ -250,7 +262,23 @@ impl Op {
                 pool.give(log_probs);
                 pool.give_indices(targets);
             }
+            Op::LstmSequence { steps, saved, .. } => {
+                pool.give_indices(steps);
+                saved.recycle_into(pool);
+            }
             _ => {}
+        }
+    }
+
+    /// Elements the op keeps for its adjoint that the activation ledger
+    /// charges like node values. Only the fused LSTM's state counts: it
+    /// stands in for what a dozen nodes per step used to hold, whereas the
+    /// other payloads (masks, reciprocal counts, log-probabilities) have
+    /// never been on the ledger and the estimator does not model them.
+    fn saved_len(&self) -> usize {
+        match self {
+            Op::LstmSequence { saved, .. } => saved.len(),
+            _ => 0,
         }
     }
 
@@ -258,15 +286,15 @@ impl Op {
     /// parent (in parent order), pushed into `out`; `None` where the op saw
     /// that the parent needs no gradient and skipped the work. Gradients
     /// are drawn from the pool so the backward sweep recycles them, and
-    /// `packed` is the sweep's cache of transposed `Matmul` right operands
-    /// (see [`Graph::backward`]).
+    /// `packed` is the sweep's cache of transposed weights (see
+    /// [`Graph::backward`]).
     fn backward(
         &self,
         nodes: &[Node],
         i: usize,
         g: &Tensor,
         pool: &mut BufferPool,
-        packed: &mut Vec<(VarId, Tensor)>,
+        packed: &mut Vec<PackedRows>,
         out: &mut Vec<Option<Tensor>>,
     ) {
         let parent = |j: usize| &nodes[nodes[i].parents.get(j).0].value;
@@ -298,12 +326,8 @@ impl Op {
                 out.push(Some(da));
             }
             Op::Unary(kind) => {
-                let x = parent(0);
                 let mut o = pooled_copy(pool, g);
-                let od = o.data_mut();
-                for ((ov, &xv), &yv) in od.iter_mut().zip(x.data()).zip(value.data()) {
-                    *ov *= kind.dfdx(xv, yv);
-                }
+                kind.scale_by_derivative(parent(0).data(), value.data(), o.data_mut());
                 out.push(Some(o));
             }
             Op::DropoutMask(scaled_mask) => {
@@ -316,17 +340,10 @@ impl Op {
                 let (av, bv) = (parent(0), parent(1));
                 out.push(nodes[a.0].needs_grad.then(|| {
                     // dA = g · bᵀ: one transpose of `b` serves every product
-                    // against it in this sweep (an unrolled LSTM binds one
-                    // weight to hundreds of `Matmul` nodes).
-                    let slot = packed.iter().position(|(id, _)| *id == b);
-                    let slot = slot.unwrap_or_else(|| {
-                        let mut bt = pool.scratch(&[bv.cols(), bv.rows()]);
-                        kernels::transpose_into(bv, bt.data_mut());
-                        packed.push((b, bt));
-                        packed.len() - 1
-                    });
+                    // against it in this sweep.
+                    let slot = packed_rows(packed, pool, b, bv, 0..bv.rows());
                     let mut da = pool.scratch(av.shape());
-                    kernels::matmul_a_bt_packed_into(g, bv, &packed[slot].1, da.data_mut());
+                    kernels::matmul_a_bt_packed_into(g, bv, &packed[slot].transposed, da.data_mut());
                     da
                 }));
                 out.push(nodes[b.0].needs_grad.then(|| {
@@ -555,8 +572,66 @@ impl Op {
                 }
                 out.push(Some(grad));
             }
+            Op::LstmSequence { steps, n, saved } => {
+                let [src, w, b] = [0, 1, 2].map(|j| nodes[i].parents.get(j));
+                let (srcv, wv) = (parent(0), parent(1));
+                let x_dim = srcv.cols();
+                let wt_h = packed_rows(packed, pool, w, wv, x_dim..wv.rows());
+                let wt_x = nodes[src.0]
+                    .needs_grad
+                    .then(|| packed_rows(packed, pool, w, wv, 0..x_dim));
+                out.extend(lstm::backward(
+                    pool,
+                    saved,
+                    steps,
+                    *n,
+                    srcv,
+                    wv,
+                    g,
+                    &packed[wt_h].transposed,
+                    wt_x.map(|slot| &packed[slot].transposed),
+                    (nodes[w.0].needs_grad, nodes[b.0].needs_grad),
+                ));
+            }
         }
     }
+}
+
+/// Rows `rows` of variable `var`, transposed: one entry of the backward
+/// sweep's pack-once cache. `Matmul` packs its whole right operand; the
+/// fused LSTM packs the two row blocks of its weight separately, since a
+/// sequence over constant inputs only ever needs the recurrent one.
+struct PackedRows {
+    var: VarId,
+    rows: Range<usize>,
+    /// `[value.cols(), rows.len()]`.
+    transposed: Tensor,
+}
+
+/// Slot of `value[rows]ᵀ` in `packed`, transposing it on first use.
+fn packed_rows(
+    packed: &mut Vec<PackedRows>,
+    pool: &mut BufferPool,
+    var: VarId,
+    value: &Tensor,
+    rows: Range<usize>,
+) -> usize {
+    if let Some(slot) = packed.iter().position(|p| p.var == var && p.rows == rows) {
+        return slot;
+    }
+    let cols = value.cols();
+    let mut transposed = pool.scratch(&[cols, rows.len()]);
+    kernels::transpose_slice(
+        &value.data()[rows.start * cols..rows.end * cols],
+        (rows.len(), cols),
+        transposed.data_mut(),
+    );
+    packed.push(PackedRows {
+        var,
+        rows,
+        transposed,
+    });
+    packed.len() - 1
 }
 
 struct Node {
@@ -573,6 +648,22 @@ struct Node {
 impl Node {
     fn is_leaf(&self) -> bool {
         self.op.is_none() && matches!(self.parents, Parents::None)
+    }
+
+    /// Bytes the node would occupy on a device storing activations at
+    /// `dtype`: its value — leaves and scalars are always held at f32
+    /// width — plus whatever its op saved for the adjoint
+    /// ([`Op::saved_len`]).
+    fn stored_bytes(&self, dtype: DType) -> usize {
+        let own = if self.is_leaf() || self.value.len() <= 1 {
+            self.value.size_bytes()
+        } else {
+            self.value.len() * dtype.bytes_per_value()
+        };
+        own + self
+            .op
+            .as_ref()
+            .map_or(0, |op| op.saved_len() * dtype.bytes_per_value())
     }
 }
 
@@ -596,10 +687,10 @@ pub struct Graph {
     pool: BufferPool,
     /// Reused per-node gradient staging for the backward sweep.
     backward_scratch: Vec<Option<Tensor>>,
-    /// Transposed `Matmul` right operands of the sweep in progress, keyed
-    /// by variable; empty between sweeps (each sweep returns its packs to
-    /// the pool, so a pack never outlives the value it was made from).
-    packed_rhs: Vec<(VarId, Tensor)>,
+    /// Transposed weights of the sweep in progress; empty between sweeps
+    /// (each sweep returns its packs to the pool, so a pack never outlives
+    /// the value it was made from).
+    packed_rhs: Vec<PackedRows>,
     /// Incrementally maintained: bumped in `push`, zeroed in `reset`.
     activation_bytes: usize,
     /// Storage width simulated for non-leaf, non-scalar tape values. At
@@ -608,16 +699,6 @@ pub struct Graph {
     /// [`Graph::activation_bytes`] counts it at 2 bytes per element.
     /// Leaves (parameters, gathered inputs) and loss scalars stay f32.
     activation_dtype: DType,
-}
-
-/// Bytes a node's value would occupy on a device storing activations at
-/// `dtype`. Leaves and scalars are always held at f32 width.
-fn stored_activation_bytes(dtype: DType, is_leaf: bool, value: &Tensor) -> usize {
-    if is_leaf || value.len() <= 1 {
-        value.size_bytes()
-    } else {
-        value.len() * dtype.bytes_per_value()
-    }
 }
 
 impl std::fmt::Debug for Graph {
@@ -664,7 +745,7 @@ impl Graph {
             self.activation_bytes,
             self.nodes
                 .iter()
-                .map(|n| stored_activation_bytes(self.activation_dtype, n.is_leaf(), &n.value))
+                .map(|n| n.stored_bytes(self.activation_dtype))
                 .sum::<usize>(),
             "incremental activation byte counter drifted from full recount"
         );
@@ -680,11 +761,7 @@ impl Graph {
     /// tape — typically once, when the trainer is built.
     pub fn set_activation_dtype(&mut self, dtype: DType) {
         self.activation_dtype = dtype;
-        self.activation_bytes = self
-            .nodes
-            .iter()
-            .map(|n| stored_activation_bytes(dtype, n.is_leaf(), &n.value))
-            .sum();
+        self.activation_bytes = self.nodes.iter().map(|n| n.stored_bytes(dtype)).sum();
     }
 
     /// The storage width simulated for forward activations.
@@ -773,14 +850,15 @@ impl Graph {
         if self.activation_dtype != DType::F32 && !is_leaf && value.len() > 1 {
             self.activation_dtype.quantize_slice(value.data_mut());
         }
-        self.activation_bytes += stored_activation_bytes(self.activation_dtype, is_leaf, &value);
-        let id = VarId(self.nodes.len());
-        self.nodes.push(Node {
+        let node = Node {
             value,
             parents,
             op,
             needs_grad,
-        });
+        };
+        self.activation_bytes += node.stored_bytes(self.activation_dtype);
+        let id = VarId(self.nodes.len());
+        self.nodes.push(node);
         id
     }
 
@@ -879,7 +957,7 @@ impl Graph {
     fn unary(&mut self, a: VarId, kind: UnaryKind) -> VarId {
         let Graph { nodes, pool, .. } = self;
         let mut y = pool.scratch(nodes[a.0].value.shape());
-        kernels::map_into(&nodes[a.0].value, y.data_mut(), |x| kind.apply(x));
+        kind.apply_into(&nodes[a.0].value, y.data_mut());
         self.push(y, Parents::One(a), Some(Op::Unary(kind)))
     }
 
@@ -1347,6 +1425,60 @@ impl Graph {
         self.push(value, Parents::One(a), Some(Op::LogSoftmaxRows))
     }
 
+    // ---- recurrent ----
+
+    /// Final hidden state `[n, H]` of an LSTM run over `n` sequences at
+    /// once, as a single tape node.
+    ///
+    /// The sequences all have length `L = steps.len() / n`; at step `t`
+    /// sequence `r` reads row `steps[t * n + r]` of `src` (`[_, X]`; rows
+    /// may repeat). `w` is `[X + H, 4H]` with the gate columns ordered
+    /// `i | f | g | o` and `b` is `[4H]`; state starts at zero. The value
+    /// equals, bit for bit, what gathering each step and composing the
+    /// cell out of `concat_cols`/`matmul`/`add_bias`/`slice_cols`/
+    /// activations gives — without taping any of those intermediates. Per
+    /// step, sequence and state unit the op keeps six values (the four
+    /// activated gates, the cell state and the hidden state, its own
+    /// output included), charged to [`Graph::activation_bytes`] at the
+    /// activation width like node values; its adjoint runs the whole
+    /// back-propagation through time, accumulating each of `d src`, `dW`
+    /// and `db` in one buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes disagree, `steps.len()` is not a multiple of
+    /// `n`, or a step names a row outside `src`.
+    pub fn lstm_sequence(
+        &mut self,
+        src: VarId,
+        steps: &[usize],
+        n: usize,
+        w: VarId,
+        b: VarId,
+    ) -> VarId {
+        let steps = self.pooled_indices(steps);
+        let Graph {
+            nodes,
+            pool,
+            activation_dtype,
+            ..
+        } = self;
+        let (value, saved) = lstm::forward(
+            pool,
+            *activation_dtype,
+            &nodes[src.0].value,
+            &steps,
+            n,
+            &nodes[w.0].value,
+            &nodes[b.0].value,
+        );
+        self.push(
+            value,
+            Parents::from_slice(&[src, w, b]),
+            Some(Op::LstmSequence { steps, n, saved }),
+        )
+    }
+
     // ---- losses ----
 
     /// Fused softmax cross-entropy against integer class targets.
@@ -1458,8 +1590,8 @@ impl Graph {
                 }
             }
         }
-        for (_, bt) in packed.drain(..) {
-            pool.give(bt);
+        for pack in packed.drain(..) {
+            pool.give(pack.transposed);
         }
     }
 }

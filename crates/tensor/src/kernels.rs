@@ -30,6 +30,7 @@
 //! product is a multiply followed by an add, never a fused multiply-add.
 
 use crate::backend::Backend;
+use crate::segment::lane_dispatch;
 use crate::Tensor;
 
 /// Elements-per-thread threshold above which matmul parallelizes.
@@ -42,6 +43,9 @@ const MR: usize = 6;
 const NR: usize = 16;
 /// Column tile of the AVX-512 tile (two zmm registers per row).
 const NR512: usize = 32;
+/// Rows of the shared dimension [`matmul_at_b_block_simd`] reduces per
+/// pass: at the LSTM gate shape (`b` 400 wide) a block of `b` is 800 KiB.
+const AT_B_ROW_BLOCK: usize = 512;
 
 fn matmul_block(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     // Row-major ikj loop order: streams through `b` rows, vectorizes well.
@@ -428,6 +432,21 @@ pub fn matmul_into_with_threads(a: &Tensor, b: &Tensor, out: &mut [f32], threads
     let (m, k) = (a.rows(), a.cols());
     let (k2, n) = (b.rows(), b.cols());
     assert_eq!(k, k2, "matmul inner dimension mismatch: {k} vs {k2}");
+    matmul_acc(a.data(), b.data(), out, (m, k, n), threads);
+}
+
+/// `out += a @ b` over row-major slices `a: [m, k]`, `b: [k, n]` and
+/// `out: [m, n]` — [`matmul_into_with_threads`] for operands that are row
+/// blocks of a larger tensor (an LSTM's `W[..X]` and `W[X..]`).
+pub(crate) fn matmul_acc(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    (m, k, n): (usize, usize, usize),
+    threads: usize,
+) {
+    assert_eq!(a.len(), m * k, "matmul left operand length mismatch");
+    assert_eq!(b.len(), k * n, "matmul right operand length mismatch");
     assert_eq!(out.len(), m * n, "matmul output length mismatch");
     if out.is_empty() {
         return; // m == 0 or n == 0: nothing to accumulate into
@@ -439,19 +458,17 @@ pub fn matmul_into_with_threads(a: &Tensor, b: &Tensor, out: &mut [f32], threads
     let flops = m * k * n;
     if flops >= PAR_FLOP_THRESHOLD && threads > 1 && m > 1 {
         let chunk = m.div_ceil(threads);
-        let adata = a.data();
-        let bdata = b.data();
         std::thread::scope(|scope| {
             for (t, out_chunk) in out.chunks_mut(chunk * n).enumerate() {
                 let rows = out_chunk.len() / n;
-                let a_chunk = &adata[t * chunk * k..t * chunk * k + rows * k];
+                let a_chunk = &a[t * chunk * k..t * chunk * k + rows * k];
                 scope.spawn(move || {
-                    block(a_chunk, bdata, out_chunk, rows, k, n);
+                    block(a_chunk, b, out_chunk, rows, k, n);
                 });
             }
         });
     } else {
-        block(a.data(), b.data(), out, m, k, n);
+        block(a, b, out, m, k, n);
     }
 }
 
@@ -498,7 +515,16 @@ fn matmul_at_b_block_simd(
     n: usize,
     i_range: std::ops::Range<usize>,
 ) {
-    gemm_simd::<true, true>(&a[i_range.start..], ka, b, out, (i_range.len(), m, n));
+    // The shared dimension is the batch: walked whole, a tile's panels of
+    // `a` and `b` outgrow the cache (an LSTM bucket's `dW` reduces over tens
+    // of thousands of rows). A tile keeps its sums in `out` between
+    // blocks, so blocking `r` adds the same terms in the same order.
+    for r0 in (0..m).step_by(AT_B_ROW_BLOCK) {
+        let rows = AT_B_ROW_BLOCK.min(m - r0);
+        let a_block = &a[r0 * ka + i_range.start..];
+        let b_block = &b[r0 * n..][..rows * n];
+        gemm_simd::<true, true>(a_block, ka, b_block, out, (i_range.len(), rows, n));
+    }
 }
 
 /// `aᵀ @ b` without materializing the transpose.
@@ -538,12 +564,25 @@ pub fn matmul_at_b_into_with_threads(a: &Tensor, b: &Tensor, out: &mut [f32], th
     let (m, ka) = (a.rows(), a.cols());
     let (m2, n) = (b.rows(), b.cols());
     assert_eq!(m, m2, "matmul_at_b outer dimension mismatch: {m} vs {m2}");
+    matmul_at_b_acc(a.data(), b.data(), out, (m, ka, n), threads);
+}
+
+/// `out += aᵀ @ b` over row-major slices `a: [m, ka]`, `b: [m, n]` and
+/// `out: [ka, n]` — [`matmul_at_b_into_with_threads`] accumulating into a
+/// row block of a larger gradient.
+pub(crate) fn matmul_at_b_acc(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    (m, ka, n): (usize, usize, usize),
+    threads: usize,
+) {
+    assert_eq!(a.len(), m * ka, "matmul_at_b left operand length mismatch");
+    assert_eq!(b.len(), m * n, "matmul_at_b right operand length mismatch");
     assert_eq!(out.len(), ka * n, "matmul_at_b output length mismatch");
     if out.is_empty() {
         return; // ka == 0 or n == 0: nothing to accumulate into
     }
-    let adata = a.data();
-    let bdata = b.data();
     let block = match Backend::current() {
         Backend::Scalar => matmul_at_b_block,
         Backend::Simd => matmul_at_b_block_simd,
@@ -555,12 +594,12 @@ pub fn matmul_at_b_into_with_threads(a: &Tensor, b: &Tensor, out: &mut [f32], th
             for (t, out_chunk) in out.chunks_mut(chunk * n).enumerate() {
                 let cols = out_chunk.len() / n;
                 scope.spawn(move || {
-                    block(adata, bdata, out_chunk, m, ka, n, t * chunk..t * chunk + cols);
+                    block(a, b, out_chunk, m, ka, n, t * chunk..t * chunk + cols);
                 });
             }
         });
     } else {
-        block(adata, bdata, out, m, ka, n, 0..ka);
+        block(a, b, out, m, ka, n, 0..ka);
     }
 }
 
@@ -599,9 +638,14 @@ fn matmul_a_bt_block_simd(a: &[f32], bt: &[f32], out: &mut [f32], k: usize, n: u
 ///
 /// Panics if `out.len() != b.len()`.
 pub fn transpose_into(b: &Tensor, out: &mut [f32]) {
-    let (n, k) = (b.rows(), b.cols());
+    transpose_slice(b.data(), (b.rows(), b.cols()), out);
+}
+
+/// [`transpose_into`] over a row-major slice `b: [n, k]`.
+pub(crate) fn transpose_slice(b: &[f32], (n, k): (usize, usize), out: &mut [f32]) {
+    assert_eq!(b.len(), n * k, "transpose input length mismatch");
     assert_eq!(out.len(), n * k, "transpose output length mismatch");
-    for (j, brow) in b.data().chunks_exact(k.max(1)).enumerate().take(n) {
+    for (j, brow) in b.chunks_exact(k.max(1)).enumerate().take(n) {
         for (kk, &v) in brow.iter().enumerate() {
             out[kk * n + j] = v;
         }
@@ -645,7 +689,7 @@ pub fn matmul_a_bt_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
 /// [`matmul_a_bt_into`] with an explicit worker count; bit-identical for
 /// every `threads` value.
 pub fn matmul_a_bt_into_with_threads(a: &Tensor, b: &Tensor, out: &mut [f32], threads: usize) {
-    a_bt_sharded(a, b, None, out, threads);
+    a_bt_sharded(a.data(), b.data(), None, out, a_bt_dims(a, b), threads);
 }
 
 /// [`matmul_a_bt_into`] for a caller that already holds `bt`, the `[k, n]`
@@ -659,32 +703,50 @@ pub fn matmul_a_bt_into_with_threads(a: &Tensor, b: &Tensor, out: &mut [f32], th
 /// Panics like [`matmul_a_bt_into`], or if `bt` is not `[b.cols(), b.rows()]`.
 pub fn matmul_a_bt_packed_into(a: &Tensor, b: &Tensor, bt: &Tensor, out: &mut [f32]) {
     assert_eq!(bt.shape(), &[b.cols(), b.rows()], "packed transpose shape mismatch");
-    a_bt_sharded(a, b, Some(bt.data()), out, betty_runtime::configured_threads());
+    let threads = betty_runtime::configured_threads();
+    a_bt_sharded(a.data(), b.data(), Some(bt.data()), out, a_bt_dims(a, b), threads);
+}
+
+/// `(m, k, n)` of `a @ bᵀ` for `a: [m, k]`, `b: [n, k]`.
+fn a_bt_dims(a: &Tensor, b: &Tensor) -> (usize, usize, usize) {
+    let (m, k) = (a.rows(), a.cols());
+    let (n, k2) = (b.rows(), b.cols());
+    assert_eq!(k, k2, "matmul_a_bt inner dimension mismatch: {k} vs {k2}");
+    (m, k, n)
 }
 
 /// Computes output rows `[i0, i0 + rows)` of `a @ bᵀ` into `out` from `a`
 /// and the right operand in the layout its backend reads.
 type ABtBlock = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
 
-/// Shards `a @ bᵀ` over output rows; `bt` is `b`'s packed transpose when
-/// the caller already has it.
-fn a_bt_sharded(a: &Tensor, b: &Tensor, bt: Option<&[f32]>, out: &mut [f32], threads: usize) {
-    let (m, k) = (a.rows(), a.cols());
-    let (n, k2) = (b.rows(), b.cols());
-    assert_eq!(k, k2, "matmul_a_bt inner dimension mismatch: {k} vs {k2}");
+/// `out = a @ bᵀ` over row-major slices `a: [m, k]`, `b: [n, k]` and
+/// `out: [m, n]`, sharded over output rows; `bt` is `b`'s packed `[k, n]`
+/// transpose when the caller already has it.
+pub(crate) fn a_bt_sharded(
+    a: &[f32],
+    b: &[f32],
+    bt: Option<&[f32]>,
+    out: &mut [f32],
+    (m, k, n): (usize, usize, usize),
+    threads: usize,
+) {
+    assert_eq!(a.len(), m * k, "matmul_a_bt left operand length mismatch");
+    assert_eq!(b.len(), n * k, "matmul_a_bt right operand length mismatch");
     assert_eq!(out.len(), m * n, "matmul_a_bt output length mismatch");
     if out.is_empty() {
         return; // m == 0 or n == 0: nothing to overwrite
     }
-    let adata = a.data();
     let packed;
     let (block, rhs): (ABtBlock, &[f32]) = match (Backend::current(), bt) {
-        (Backend::Scalar, _) => (matmul_a_bt_block, b.data()),
-        (Backend::Simd, Some(bt)) => (matmul_a_bt_block_simd, bt),
+        (Backend::Scalar, _) => (matmul_a_bt_block, b),
+        (Backend::Simd, Some(bt)) => {
+            assert_eq!(bt.len(), n * k, "packed transpose length mismatch");
+            (matmul_a_bt_block_simd, bt)
+        }
         (Backend::Simd, None) => {
             packed = {
                 let mut bt = vec![0.0f32; b.len()];
-                transpose_into(b, &mut bt);
+                transpose_slice(b, (n, k), &mut bt);
                 bt
             };
             (matmul_a_bt_block_simd, &packed)
@@ -696,12 +758,12 @@ fn a_bt_sharded(a: &Tensor, b: &Tensor, bt: Option<&[f32]>, out: &mut [f32], thr
         std::thread::scope(|scope| {
             for (t, out_chunk) in out.chunks_mut(chunk * n).enumerate() {
                 scope.spawn(move || {
-                    block(adata, rhs, out_chunk, k, n, t * chunk);
+                    block(a, rhs, out_chunk, k, n, t * chunk);
                 });
             }
         });
     } else {
-        block(adata, rhs, out, k, n, 0);
+        block(a, rhs, out, k, n, 0);
     }
 }
 
@@ -749,6 +811,100 @@ pub fn map_into(a: &Tensor, out: &mut [f32], f: impl Fn(f32) -> f32) {
     assert_eq!(out.len(), a.len(), "map output length mismatch");
     for (o, &x) in out.iter_mut().zip(a.data()) {
         *o = f(x);
+    }
+}
+
+/// Largest magnitude the rational of [`tanh`] is evaluated at. The
+/// quotient here is exactly `1.0`, so the clamp is what saturates `±∞`
+/// and keeps `|tanh| ≤ 1`.
+const TANH_CLAMP: f32 = 7.905_311;
+
+/// Hyperbolic tangent as the ratio of an odd degree-13 and an even degree-6
+/// polynomial in the clamped argument (the coefficients Eigen and XLA
+/// ship): absolute error below `5e-7` everywhere, exactly odd (the sign
+/// only enters through the final factor `x`), `±1` from [`TANH_CLAMP`]
+/// out, NaN in → NaN out.
+///
+/// This is the crate's only `tanh`: both backends, every lane width and
+/// the LSTM kernels call it, so a value never depends on where it was
+/// computed. It is branch-free and uses only `× + ÷ min max`, each a
+/// multiply *then* an add (never fused) — every operation rounds the same
+/// in a scalar register and in any vector lane, which is what lets
+/// [`tanh_into`] run it 16 wide and stay bit-identical to one call at a
+/// time. The price of a rational over libm is a few units of rounding
+/// noise: adjacent arguments may come back a few ulps out of order where
+/// the slope of `tanh` is below that noise (`|x| > 4`).
+#[inline(always)]
+pub fn tanh(x: f32) -> f32 {
+    let x = x.clamp(-TANH_CLAMP, TANH_CLAMP);
+    let x2 = x * x;
+    let mut p = x2 * -2.760_768_4e-16 + 2.000_188e-13;
+    p = x2 * p + -8.604_672e-11;
+    p = x2 * p + 5.122_297_3e-8;
+    p = x2 * p + 1.485_722_35e-5;
+    p = x2 * p + 6.372_619_5e-4;
+    p = x2 * p + 4.893_524_6e-3;
+    let mut q = x2 * 1.198_258_4e-6 + 1.185_347_1e-4;
+    q = x2 * q + 2.268_434_7e-3;
+    q = x2 * q + 4.893_525e-3;
+    x * p / q
+}
+
+/// Logistic sigmoid as `½ + ½·tanh(x/2)` over the shared [`tanh`]: the
+/// same lane-width independence, absolute error below `3e-7`, exactly `0`
+/// and `1` beyond `|x| ≈ 15.8`.
+#[inline(always)]
+pub fn sigmoid(x: f32) -> f32 {
+    0.5 * tanh(0.5 * x) + 0.5
+}
+
+#[inline(always)]
+fn tanh_lanes(x: &[f32], out: &mut [f32]) {
+    for (o, &v) in out.iter_mut().zip(x) {
+        *o = tanh(v);
+    }
+}
+
+#[inline(always)]
+fn sigmoid_lanes(x: &[f32], out: &mut [f32]) {
+    for (o, &v) in out.iter_mut().zip(x) {
+        *o = sigmoid(v);
+    }
+}
+
+lane_dispatch!(tanh_dispatch, tanh_avx512, tanh_avx2, tanh_lanes(x: &[f32], out: &mut [f32]));
+lane_dispatch!(
+    sigmoid_dispatch,
+    sigmoid_avx512,
+    sigmoid_avx2,
+    sigmoid_lanes(x: &[f32], out: &mut [f32])
+);
+
+/// Elementwise [`tanh`] of `a` into `out` (fully overwritten), vectorised
+/// at the host's widest lanes on [`Backend::Simd`]; the same bits on
+/// either backend.
+///
+/// # Panics
+///
+/// Panics if `out.len() != a.len()`.
+pub fn tanh_into(a: &Tensor, out: &mut [f32]) {
+    assert_eq!(out.len(), a.len(), "tanh output length mismatch");
+    match Backend::current() {
+        Backend::Scalar => tanh_lanes(a.data(), out),
+        Backend::Simd => tanh_dispatch(a.data(), out),
+    }
+}
+
+/// Elementwise [`sigmoid`] of `a` into `out`; see [`tanh_into`].
+///
+/// # Panics
+///
+/// Panics if `out.len() != a.len()`.
+pub fn sigmoid_into(a: &Tensor, out: &mut [f32]) {
+    assert_eq!(out.len(), a.len(), "sigmoid output length mismatch");
+    match Backend::current() {
+        Backend::Scalar => sigmoid_lanes(a.data(), out),
+        Backend::Simd => sigmoid_dispatch(a.data(), out),
     }
 }
 
@@ -1097,7 +1253,8 @@ mod tests {
             (1, 7, 5),      // single row
             (4, 16, 16),    // exact full tiles
             (5, 3, 17),     // partial tiles both dims
-            (257, 130, 129) // crosses PAR_FLOP_THRESHOLD
+            (257, 130, 129), // crosses PAR_FLOP_THRESHOLD
+            (2 * AT_B_ROW_BLOCK + 76, 7, 9), // aᵀ·b reduces over three row blocks
         ];
         for (m, k, n) in shapes {
             let a = big(m, k, 41);
@@ -1499,5 +1656,77 @@ mod tests {
 
     fn bits2(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A dense grid of [−20, 20] (step 2⁻¹², every point exact in f32)
+    /// followed by the edge of the subnormal range on both sides.
+    fn activation_grid() -> impl Iterator<Item = f32> {
+        let dense = (-(20 << 12)..=(20 << 12)).map(|k| k as f32 / 4096.0);
+        let tiny = [1e-45f32, 1e-42, 1e-39, f32::MIN_POSITIVE, 1e-30];
+        dense.chain(tiny).chain(tiny.map(|v| -v))
+    }
+
+    /// The shared transcendentals against an f64 reference: accuracy, exact
+    /// oddness, range, saturation and NaN propagation.
+    #[test]
+    fn tanh_and_sigmoid_track_the_f64_reference() {
+        let (mut worst_tanh, mut worst_sigmoid) = (0.0f64, 0.0f64);
+        for x in activation_grid() {
+            let (t, s) = (tanh(x), sigmoid(x));
+            let xd = f64::from(x);
+            worst_tanh = worst_tanh.max((f64::from(t) - xd.tanh()).abs());
+            worst_sigmoid = worst_sigmoid.max((f64::from(s) - 1.0 / (1.0 + (-xd).exp())).abs());
+            assert_eq!(tanh(-x).to_bits(), (-t).to_bits(), "tanh is not odd at {x}");
+            assert!((-1.0..=1.0).contains(&t), "tanh({x}) = {t}");
+            assert!((0.0..=1.0).contains(&s), "sigmoid({x}) = {s}");
+        }
+        assert!(worst_tanh <= 5e-7, "tanh off by {worst_tanh:e}");
+        assert!(worst_sigmoid <= 5e-7, "sigmoid off by {worst_sigmoid:e}");
+        assert_eq!(tanh(0.0).to_bits(), 0.0f32.to_bits());
+        assert_eq!(tanh(-0.0).to_bits(), (-0.0f32).to_bits());
+        assert_eq!(sigmoid(0.0), 0.5);
+        for big in [TANH_CLAMP, 9.0, 20.0, 1e30, f32::INFINITY] {
+            assert_eq!((tanh(big), tanh(-big)), (1.0, -1.0), "tanh(±{big})");
+            assert_eq!((sigmoid(2.0 * big), sigmoid(-2.0 * big)), (1.0, 0.0), "sigmoid(±{big})");
+        }
+        assert!(tanh(f32::NAN).is_nan() && sigmoid(f32::NAN).is_nan());
+    }
+
+    /// Monotone wherever the function moves by more than the rational's
+    /// rounding noise between neighbouring grid points: every step of 2⁻⁵
+    /// across [−6, 6]. (Beyond, values sit within 5e-7 of ±1 and may
+    /// trade places by a few ulps — see [`tanh`].)
+    #[test]
+    fn tanh_and_sigmoid_are_monotone_on_a_grid() {
+        let grid: Vec<f32> = (-6 * 32..=6 * 32).map(|k| k as f32 / 32.0).collect();
+        for pair in grid.windows(2) {
+            assert!(tanh(pair[0]) < tanh(pair[1]), "tanh falls at {}", pair[1]);
+            assert!(sigmoid(2.0 * pair[0]) < sigmoid(2.0 * pair[1]), "sigmoid falls at {}", pair[1]);
+        }
+    }
+
+    /// The slice forms run the element function at whatever lane width
+    /// the backend picks — full vectors, tails and the empty slice — and
+    /// return its bits.
+    #[test]
+    fn activation_slices_match_the_element_function_on_both_backends() {
+        for len in [0usize, 1, 7, 16, 33, 1000] {
+            let a = Tensor::from_vec(
+                (0..len).map(|i| ((i as f32) * 0.37).sin() * 9.0).collect(),
+                &[len],
+            )
+            .unwrap();
+            let want_tanh: Vec<f32> = a.data().iter().map(|&x| tanh(x)).collect();
+            let want_sigmoid: Vec<f32> = a.data().iter().map(|&x| sigmoid(x)).collect();
+            for backend in [Backend::Scalar, Backend::Simd] {
+                with_backend(backend, || {
+                    let mut out = vec![f32::NAN; len];
+                    tanh_into(&a, &mut out);
+                    assert_eq!(bits2(&out), bits2(&want_tanh), "tanh {backend} len {len}");
+                    sigmoid_into(&a, &mut out);
+                    assert_eq!(bits2(&out), bits2(&want_sigmoid), "sigmoid {backend} len {len}");
+                });
+            }
+        }
     }
 }

@@ -32,6 +32,7 @@
 mod crc;
 mod error;
 mod graph;
+mod lstm;
 mod pool;
 mod tensor;
 

@@ -418,6 +418,7 @@ macro_rules! lane_dispatch {
         }
     };
 }
+pub(crate) use lane_dispatch;
 
 lane_dispatch!(
     edge_id_scan_dispatch,

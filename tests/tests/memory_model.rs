@@ -24,25 +24,31 @@ fn config(aggregator: AggregatorSpec) -> ExperimentConfig {
     }
 }
 
-/// Relative error between the planner's estimate and the device ledger's
-/// measured peak for each micro-batch.
-fn estimation_errors(aggregator: AggregatorSpec, k: usize) -> Vec<f64> {
+/// The planner's estimate and the device ledger's measured peak, in
+/// bytes, for each micro-batch.
+fn estimates(aggregator: AggregatorSpec, k: usize) -> Vec<(f64, f64)> {
     let ds = dataset();
     let mut runner = Runner::new(&ds, &config(aggregator), 0);
     let batch = runner.sample_full_batch(&ds);
     let plan = runner.plan_fixed(&batch, StrategyKind::Betty, k);
-    let mut errors = Vec::new();
+    let mut pairs = Vec::new();
     for (mb, est) in plan.micro_batches.iter().zip(&plan.estimates) {
         // Execute exactly this micro-batch and read the measured peak.
         let mut solo = Runner::new(&ds, &config(aggregator), 0);
         let stats = solo
             .train_micro_batches(&ds, std::slice::from_ref(mb))
             .expect("8 GiB fits the test batch");
-        let measured = stats.max_peak_bytes as f64;
-        let predicted = est.peak_bytes() as f64;
-        errors.push((predicted - measured).abs() / measured);
+        pairs.push((est.peak_bytes() as f64, stats.max_peak_bytes as f64));
     }
-    errors
+    pairs
+}
+
+/// Relative error between estimate and measurement for each micro-batch.
+fn estimation_errors(aggregator: AggregatorSpec, k: usize) -> Vec<f64> {
+    estimates(aggregator, k)
+        .into_iter()
+        .map(|(predicted, measured)| (predicted - measured).abs() / measured)
+        .collect()
 }
 
 #[test]
@@ -54,10 +60,15 @@ fn mean_estimation_error_is_small() {
 
 #[test]
 fn lstm_estimation_error_within_paper_band() {
-    // Table 7 reports < 8% for the LSTM aggregator; allow modest slack for
-    // our engine.
-    for err in estimation_errors(AggregatorSpec::Lstm, 4) {
-        assert!(err < 0.15, "lstm estimation error {err}");
+    // Table 7 reports < 8% for the LSTM aggregator. The fused sequence op
+    // tapes exactly Eq. 5's six values per neighbor step, so what error
+    // remains (≤ 4.5% here, 0 on the last micro-batch) is the next
+    // micro-batch's prefetch staging, which the plan reserves and a
+    // micro-batch run on its own never fills — always on the safe side.
+    for (predicted, measured) in estimates(AggregatorSpec::Lstm, 4) {
+        assert!(predicted >= measured, "lstm under-estimated: {predicted} < {measured}");
+        let err = (predicted - measured) / measured;
+        assert!(err < 0.08, "lstm estimation error {err}");
     }
 }
 
