@@ -36,12 +36,22 @@
 //!    (`[n, 100]` inputs, `H = 100`) for a small and a large degree bucket
 //!    and a short and a long neighbour sequence, on both backends, weight
 //!    gradients bit-identical.
+//! 6. **Fused affine map** (`ext_kernels_affine.json`) — `Graph::affine`
+//!    against the `slice_rows → matmul → add_bias → add → relu`
+//!    composition it replaced, at the two SAGE layer shapes (`[n, 100] →
+//!    64` two-term + ReLU, `[n, 64] → 47` two-term), forward and backward
+//!    µs and the bytes each leaves on the tape, on both backends: output
+//!    and every gradient bit-identical, tape bytes within
+//!    [`MAX_AFFINE_TAPE_SHARE`] of the composition's. CI holds every row
+//!    of 1024 rows or more to "no slower than the composition"; a 16-row
+//!    step takes 15–95 µs and the two differ by about a microsecond either
+//!    way (0.98–1.08×), so those rows are reported without a floor.
 
 use std::time::Instant;
 
 use betty::{ExperimentConfig, Runner, StrategyKind};
 use betty_data::DatasetSpec;
-use betty_tensor::{kernels, segment, with_backend, Backend, Graph, Tensor};
+use betty_tensor::{kernels, segment, with_backend, AffineTerm, Backend, Graph, Tensor, VarId};
 
 use crate::report::Table;
 use crate::Profile;
@@ -73,6 +83,11 @@ pub const MIN_EPOCH_SPEEDUP: f64 = 1.05;
 /// on AVX-512 — libm is a scalar call per element; a row near 1× means
 /// the element function stopped inlining into its lane loop.
 pub const MIN_ACTIVATION_SPEEDUP: f64 = 4.0;
+
+/// Ceiling for the bytes the fused affine op leaves on the tape, as a
+/// share of the op-by-op composition's (0.13 and 0.16 at the two shapes
+/// timed: the output against a prefix copy, four products and a sum).
+pub const MAX_AFFINE_TAPE_SHARE: f64 = 0.3;
 
 /// One timed kernel invocation set: best-of-`reps` wall seconds.
 fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
@@ -569,10 +584,144 @@ fn lstm_table(profile: Profile) {
     table.finish();
 }
 
+/// A SAGE layer's dense half composed an op at a time, as `betty-nn`
+/// taped it before `Graph::affine`.
+fn composed_affine(g: &mut Graph, terms: &[AffineTerm; 2], rows: usize, relu: bool) -> VarId {
+    let h_dst = g.slice_rows(terms[0].x, rows);
+    let [own, neigh] = [(h_dst, &terms[0]), (terms[1].x, &terms[1])].map(|(x, t)| {
+        let product = g.matmul(x, t.w);
+        g.add_bias(product, t.bias.expect("both terms are biased"))
+    });
+    let sum = g.add(own, neigh);
+    if relu {
+        g.relu(sum)
+    } else {
+        sum
+    }
+}
+
+/// What one forward + backward of a SAGE layer's dense half reports.
+struct AffineRun {
+    forward_sec: f64,
+    backward_sec: f64,
+    /// Bytes the map's own nodes add to the tape (operand leaves excluded).
+    tape_bytes: usize,
+    /// The output, then the gradients of both inputs, weights and biases.
+    bits: Vec<Vec<u32>>,
+}
+
+/// `act(src[..rows]·W₀ + b₀ + agg·W₁ + b₁)` on a warm tape, fused or composed;
+/// both inputs want gradients, as a hidden layer's do.
+fn affine_step(g: &mut Graph, operands: &[Tensor; 6], rows: usize, relu: bool, fused: bool) -> AffineRun {
+    g.reset();
+    let v: Vec<VarId> = operands.iter().map(|t| g.leaf(t.clone())).collect();
+    let terms = [
+        AffineTerm { x: v[0], w: v[1], bias: Some(v[2]) },
+        AffineTerm { x: v[3], w: v[4], bias: Some(v[5]) },
+    ];
+    let before = g.activation_bytes();
+    let t0 = Instant::now();
+    let y = if fused {
+        g.affine(&terms, rows, relu)
+    } else {
+        composed_affine(g, &terms, rows, relu)
+    };
+    let forward_sec = t0.elapsed().as_secs_f64();
+    let tape_bytes = g.activation_bytes() - before;
+    let loss = g.sum(y);
+    let t0 = Instant::now();
+    g.backward(loss);
+    let backward_sec = t0.elapsed().as_secs_f64();
+    let mut out = vec![bits(g.value(y).data())];
+    out.extend(v.iter().map(|&var| bits(g.grad(var).expect("every operand is a leaf").data())));
+    AffineRun { forward_sec, backward_sec, tape_bytes, bits: out }
+}
+
+fn affine_table(profile: Profile) {
+    let reps = match profile {
+        Profile::Quick => 14,
+        Profile::Full => 28,
+    };
+    let mut table = Table::new(
+        "ext_kernels_affine",
+        "ext: fused affine map vs the op-by-op composition (output and gradients bit-identical)",
+        &[
+            "shape",
+            "n",
+            "backend",
+            "composed fwd us",
+            "fused fwd us",
+            "composed bwd us",
+            "fused bwd us",
+            "composed tape B",
+            "fused tape B",
+            "speedup",
+        ],
+    );
+    betty_runtime::set_thread_override(Some(1));
+    for (d, o, relu) in [(100usize, 64usize, true), (64, 47, false)] {
+        for n in [16usize, 1024, 8192] {
+            // The self term reads a prefix: half as many sources again.
+            let operands = [
+                dense(n + n / 2, d, 0.0),
+                kernels::scale(&dense(d, o, 1.0), 0.1),
+                dense(1, o, 2.0).reshape(&[o]).unwrap(),
+                dense(n, d, 3.0),
+                kernels::scale(&dense(d, o, 4.0), 0.1),
+                dense(1, o, 5.0).reshape(&[o]).unwrap(),
+            ];
+            let mut reference: Option<Vec<Vec<u32>>> = None;
+            for backend in [Backend::Scalar, Backend::Simd] {
+                let mut g = Graph::new();
+                // Best of `reps + 1` each, alternated so that a drifting
+                // clock speed falls on both alike.
+                let [composed, fused] = with_backend(backend, || {
+                    let mut best =
+                        [false, true].map(|fused| affine_step(&mut g, &operands, n, relu, fused));
+                    for _ in 0..reps {
+                        for (run, fused) in best.iter_mut().zip([false, true]) {
+                            let again = affine_step(&mut g, &operands, n, relu, fused);
+                            run.forward_sec = run.forward_sec.min(again.forward_sec);
+                            run.backward_sec = run.backward_sec.min(again.backward_sec);
+                        }
+                    }
+                    best
+                });
+                let what = format!("affine [{n}, {d}] -> {o} on {backend}");
+                let reference = reference.get_or_insert_with(|| composed.bits.clone());
+                assert_eq!(&composed.bits, &*reference, "{what}: the backend moved a bit");
+                assert_eq!(&fused.bits, &*reference, "{what}: fusing moved a bit");
+                let share = fused.tape_bytes as f64 / composed.tape_bytes as f64;
+                assert!(
+                    share <= MAX_AFFINE_TAPE_SHARE,
+                    "{what}: tape share {share:.3} above {MAX_AFFINE_TAPE_SHARE}"
+                );
+                let us = |sec: f64| format!("{:.1}", sec * 1e6);
+                let total = |r: &AffineRun| r.forward_sec + r.backward_sec;
+                table.row(vec![
+                    format!("{d}->{o}{}", if relu { "+relu" } else { "" }),
+                    n.to_string(),
+                    backend.to_string(),
+                    us(composed.forward_sec),
+                    us(fused.forward_sec),
+                    us(composed.backward_sec),
+                    us(fused.backward_sec),
+                    composed.tape_bytes.to_string(),
+                    fused.tape_bytes.to_string(),
+                    format!("{:.2}x", total(&composed) / total(&fused)),
+                ]);
+            }
+        }
+    }
+    betty_runtime::set_thread_override(None);
+    table.finish();
+}
+
 /// Runs the exhibit.
 pub fn run(profile: Profile) {
     kernel_table(profile);
     activation_table(profile);
     lstm_table(profile);
+    affine_table(profile);
     epoch_table(profile);
 }

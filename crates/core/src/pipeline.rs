@@ -368,6 +368,7 @@ mod tests {
             aggregator: betty_device::AggregatorKind::Mean,
             params_gnn: 100,
             params_agg: 0,
+            dropout: false,
         });
         MemoryAwarePlanner::new(estimator, usize::MAX, 64)
     }

@@ -341,6 +341,7 @@ mod tests {
             aggregator: AggregatorKind::Mean,
             params_gnn: 100,
             params_agg: 0,
+            dropout: false,
         })
     }
 

@@ -7,7 +7,7 @@ use rand::SeedableRng;
 use rand_pcg::Pcg64Mcg;
 
 use betty_data::{Dataset, StorageIncident};
-use betty_device::{Device, MemoryEstimator, ModelShape};
+use betty_device::{AggregatorKind, Device, MemoryEstimator, ModelShape};
 use betty_graph::{sample_batch_in, Batch, CsrGraph, NodeId};
 use betty_nn::{Gat, Gcn, Gin, GnnModel, GraphSage, TrainState};
 
@@ -281,14 +281,12 @@ impl Runner {
             )),
         };
         let estimator_aggregator = match config.model {
-            // GCN/GIN fused aggregations have the same footprint shape as
-            // fused Mean/Sum.
-            ModelKind::GraphSage | ModelKind::Gcn | ModelKind::Gin => {
-                aggregator_kind(config.aggregator)
-            }
-            ModelKind::Gat => betty_device::AggregatorKind::Attention {
+            ModelKind::GraphSage => aggregator_kind(config.aggregator),
+            ModelKind::Gat => AggregatorKind::Attention {
                 heads: config.num_heads,
             },
+            ModelKind::Gcn => AggregatorKind::Gcn,
+            ModelKind::Gin => AggregatorKind::Gin,
         };
         let shape = ModelShape {
             in_dim: dataset.feature_dim(),
@@ -298,6 +296,7 @@ impl Runner {
             aggregator: estimator_aggregator,
             params_gnn: model.gnn_param_count(),
             params_agg: model.agg_param_count(),
+            dropout: config.dropout > 0.0,
         };
         let estimator = MemoryEstimator::new(shape)
             .with_lstm_constant(LSTM_TAPE_CONSTANT)
@@ -1748,20 +1747,25 @@ mod tests {
         // the half-width byte terms must keep it that way.
         use betty_tensor::DType;
         let ds = dataset();
-        for precision in [DType::F32, DType::Bf16, DType::F16] {
-            let cfg = ExperimentConfig {
-                precision,
-                ..config()
-            };
-            let mut runner = Runner::new(&ds, &cfg, 0);
-            let stats = runner
-                .train_epoch_betty(&ds, StrategyKind::Betty, 3)
-                .unwrap();
-            assert!(stats.loss.is_finite());
-            assert_eq!(
-                stats.estimator_drift, 1.0,
-                "estimate must match the measured peak exactly under {precision:?}"
-            );
+        for aggregator in [AggregatorSpec::Mean, AggregatorSpec::Sum, AggregatorSpec::Pool] {
+            for precision in [DType::F32, DType::Bf16, DType::F16] {
+                let cfg = ExperimentConfig {
+                    aggregator,
+                    precision,
+                    ..config()
+                };
+                let mut runner = Runner::new(&ds, &cfg, 0);
+                let stats = runner
+                    .train_epoch_betty(&ds, StrategyKind::Betty, 3)
+                    .unwrap();
+                assert!(stats.loss.is_finite());
+                assert_eq!(
+                    stats.estimator_drift,
+                    1.0,
+                    "estimate must match the measured peak exactly for {} under {precision:?}",
+                    aggregator.name()
+                );
+            }
         }
     }
 

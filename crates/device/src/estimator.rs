@@ -10,6 +10,30 @@
 //! peak = (1) params + (2) input features + (3) labels + (4) blocks
 //!      + (5) hidden outputs + (8) optimizer states + max((6), (7))
 //! ```
+//!
+//! # What each layer's tape holds
+//!
+//! Items (5) and (6) together are the autograd tape, and the estimate
+//! counts it value for value. A tape keeps what some adjoint reads: every
+//! dense map `act(Σ x·W + b)` is one fused op (`Graph::affine`) whose only
+//! stored value is its output, so no product, biased product, running sum
+//! or pre-activation is ever held. Per layer, over a block with `n`
+//! destinations, `s` sources and `e` edges, input width `d` and output
+//! width `o` — the layer's output (`n·o`) being item (5), the rest (6):
+//!
+//! | layer | values besides the `n·o` output |
+//! |-------|---------------------------------|
+//! | SAGE mean / sum | the aggregate `n·d` (the self term reads `h_dst` in place) |
+//! | SAGE pool | gathered messages `e·d`, their activated transform `e·d`, the max `n·d` |
+//! | SAGE LSTM | `c·d` per neighbour step (Eq. 5; `c` = 6 here: four gates, cell, hidden), the buckets' final states stacked (`d` per non-isolated destination), their placement `n·d` |
+//! | GCN | the normalised aggregate `n·d` |
+//! | GIN | neighbour sum, gathered `h_dst`, scaled self, their sum (`n·d` each), the MLP's hidden `n·h`, and two f32 scalars (`1`, `1 + ε`) |
+//! | GAT | projection `s·p` (`p` = heads × head width `w`); per head: its slice `s·w`, two attention-vector slices `w`, two score halves `s`, five edge-score tensors `e`, gathered and weighted features `2·e·w`, the pooled `n·w`; then the concatenation `n·o` (hidden layers, before the ELU) or `heads − 1` running sums `n·o` (the last layer's mean) |
+//!
+//! Every layer but the last additionally holds the dropped-out copy of its
+//! output (`n·o`) when dropout is on — the mask itself is an op payload,
+//! not a tape value. Once per step the tape also binds a copy of every
+//! parameter and the loss head's two scalars, all at f32.
 
 use betty_graph::Batch;
 use betty_tensor::DType;
@@ -37,6 +61,11 @@ pub enum AggregatorKind {
         /// Number of attention heads.
         heads: usize,
     },
+    /// GCN's self-loop, degree-normalised weighted sum ahead of one dense
+    /// map.
+    Gcn,
+    /// GIN's `(1 + ε)·h_v + Σ h_u` ahead of a two-layer MLP.
+    Gin,
 }
 
 impl AggregatorKind {
@@ -48,6 +77,8 @@ impl AggregatorKind {
             AggregatorKind::Pool => "pool",
             AggregatorKind::Lstm => "lstm",
             AggregatorKind::Attention { .. } => "attention",
+            AggregatorKind::Gcn => "gcn",
+            AggregatorKind::Gin => "gin",
         }
     }
 }
@@ -70,6 +101,10 @@ pub struct ModelShape {
     pub params_gnn: usize,
     /// Aggregator parameter count (`NP_Agg`), in values.
     pub params_agg: usize,
+    /// Whether training drops out hidden-layer outputs (`p > 0`): every
+    /// layer but the last then also holds the dropped-out copy it feeds
+    /// the next one.
+    pub dropout: bool,
 }
 
 impl ModelShape {
@@ -161,7 +196,6 @@ impl MemoryEstimate {
 pub struct MemoryEstimator {
     shape: ModelShape,
     lstm_values_per_node: usize,
-    pool_expansion: usize,
     feature_dtype: DType,
     activation_dtype: DType,
 }
@@ -178,7 +212,6 @@ impl MemoryEstimator {
         Self {
             shape,
             lstm_values_per_node: 18,
-            pool_expansion: 2,
             feature_dtype: DType::F32,
             activation_dtype: DType::F32,
         }
@@ -252,13 +285,13 @@ impl MemoryEstimator {
 
         let params = s.params_gnn + s.params_agg;
 
-        // (6) aggregator intermediates and per-layer workspace, plus the
+        // (6) what each layer's tape holds besides its output, plus the
         // tape contributions that exist once per step rather than per
         // layer: the define-by-run graph binds a copy of every parameter
         // as a leaf (so the tape holds params *in addition to* the
         // resident copy of item (1)), and the loss head tapes the
         // cross-entropy output and micro-batch rescale.
-        let layer_agg_values: usize = batch
+        let (layer_agg_values, layer_scalars) = batch
             .blocks()
             .iter()
             .enumerate()
@@ -270,13 +303,13 @@ impl MemoryEstimator {
                     i + 1 == s.num_layers,
                 )
             })
-            .sum();
+            .fold((0, 0), |(v, f), (lv, lf)| (v + lv, f + lf));
 
         // Storage widths. Per-layer tensors (hidden outputs and aggregator
         // workspace) are stored at the activation width; input features at
         // the feature store's width. The taped parameter copies and the
-        // loss head's two scalars stay f32 — the tape never quantizes
-        // leaves or scalars — as do items (1), (3), (4), (7), and (8).
+        // scalars stay f32 — the tape never quantizes leaves or scalars —
+        // as do items (1), (3), (4), (7), and (8).
         let feat_w = self.feature_dtype.bytes_per_value();
         let act_w = self.activation_dtype.bytes_per_value();
         MemoryEstimate {
@@ -286,7 +319,7 @@ impl MemoryEstimator {
             blocks: block_values * BYTES_PER_VALUE,
             hidden_outputs: hidden_values * act_w,
             aggregator_intermediate: layer_agg_values * act_w
-                + (params + LOSS_TAPE_VALUES) * BYTES_PER_VALUE,
+                + (params + LOSS_TAPE_VALUES + layer_scalars) * BYTES_PER_VALUE,
             gradients: params * BYTES_PER_VALUE,
             optimizer_states: 2 * params * BYTES_PER_VALUE,
             prefetch_staging: 0,
@@ -294,43 +327,43 @@ impl MemoryEstimator {
         }
     }
 
-    /// Per-block aggregator intermediate + layer workspace size, in values.
-    ///
-    /// The dominant term follows the paper (edge-expanded messages for
-    /// Mean/Sum/Pool; Eq. 5's bucketed sequence tensor for LSTM); the
-    /// remaining terms account for the define-by-run tape of this
-    /// implementation (self-feature gather, segment outputs, and the two
-    /// linear maps' workspace), which a real framework also materializes.
+    /// What one layer's tape holds besides the layer's output — the
+    /// module docs' table, row by row — as `(values at the activation
+    /// width, single-element values the tape never narrows)`.
     fn aggregator_values(
         &self,
         block: &betty_graph::Block,
         d: usize,
         o: usize,
         is_last_layer: bool,
-    ) -> usize {
+    ) -> (usize, usize) {
         let e = block.num_edges();
         let n_dst = block.num_dst();
         let n_src = block.num_src();
-        // SAGE wrapper workspace: h_dst gather + aggregated output (n·d
-        // each) and the fc_self/fc_neigh matmul+bias pairs plus their sum
-        // (n·o each). Hidden layers additionally tape an activation
-        // output; the layer's *named* output (activation, or the raw sum
-        // on the last layer) is already counted in item (5), so it is
-        // excluded here either way.
-        let activation = if is_last_layer { 0 } else { n_dst * o };
-        let sage_overhead = 2 * n_dst * d + 4 * n_dst * o + activation;
-        match self.shape.aggregator {
-            // Mean/Sum run fused (no [E, d] message tensor): only the
-            // layer workspace remains.
-            AggregatorKind::Mean | AggregatorKind::Sum => sage_overhead,
-            // Pool additionally tapes the learned transform of every
-            // message (matmul, bias, relu).
-            AggregatorKind::Pool => 2 * self.pool_expansion * e * d + sage_overhead,
+        // The copy dropout makes of a hidden layer's output.
+        let dropped = if self.shape.dropout && !is_last_layer {
+            n_dst * o
+        } else {
+            0
+        };
+        // Every SAGE layer is an aggregate `[n_dst, d]` and one fused
+        // `act(h_dst·W_self + b_self + agg·W_neigh + b_neigh)` whose
+        // output is the layer's: the self term reads the leading rows of
+        // the source features where they lie, and neither product, neither
+        // biased product, nor their sum is stored.
+        let sage_overhead = n_dst * d;
+        let layer = match self.shape.aggregator {
+            // Mean/Sum run fused (no [E, d] message tensor): the aggregate
+            // is all there is. GCN's weighted sum likewise, ahead of its
+            // one dense map.
+            AggregatorKind::Mean | AggregatorKind::Sum | AggregatorKind::Gcn => sage_overhead,
+            // Pool gathers every message and keeps its activated
+            // transform for the max's adjoint.
+            AggregatorKind::Pool => 2 * e * d + sage_overhead,
             // Eq. 5: Σ_buckets L_i · B_i · d · c — the nodes fed through
             // the LSTM at each in-degree — plus the buckets' final states
             // stacked, one row per non-isolated destination, before they
-            // are scattered into the aggregated output (which the SAGE
-            // workspace above already counts).
+            // are scattered into the aggregate.
             AggregatorKind::Lstm => {
                 let buckets = block.exact_degree_buckets();
                 let per_node: usize = buckets.iter().map(|(l, nodes)| l * nodes.len()).sum();
@@ -341,26 +374,35 @@ impl MemoryEstimator {
                     .sum();
                 per_node * d * self.lstm_values_per_node + stacked * d + sage_overhead
             }
-            // GAT: shared projection (n_src·heads·d_head, taped twice),
-            // per-head edge tensors (scores ~5·E, gathered + weighted
-            // features 2·E·d_head, pooled n_dst·d_head + n_src·d_head),
-            // and the merge output. Hidden layers concatenate heads
-            // (d_head = o / heads); the final layer mean-merges full-width
-            // heads (d_head = o).
+            // The neighbour sum, the gathered self rows, their `1 + ε`
+            // multiple and the combination, then the MLP's hidden layer.
+            AggregatorKind::Gin => 4 * n_dst * d + n_dst * self.shape.hidden_dim,
+            // Hidden layers concatenate heads (d_head = o / heads) and
+            // hold the concatenation under the model's ELU; the final
+            // layer mean-merges full-width heads (d_head = o) through
+            // `heads − 1` running sums, the scaled last one being its
+            // output.
             AggregatorKind::Attention { heads } => {
                 let heads = heads.max(1);
                 let head_dim = if is_last_layer { o } else { o.div_ceil(heads) };
-                let proj = heads * head_dim;
-                2 * n_src * proj
+                let merge = if is_last_layer { heads - 1 } else { 1 };
+                n_src * heads * head_dim
                     + heads
                         * (n_src * head_dim
+                            + 2 * head_dim
                             + 2 * n_src
                             + 5 * e
                             + 2 * e * head_dim
                             + n_dst * head_dim)
-                    + 2 * n_dst * o
+                    + merge * n_dst * o
             }
-        }
+        };
+        // GIN's `1` and `1 + ε`.
+        let scalars = match self.shape.aggregator {
+            AggregatorKind::Gin => 2,
+            _ => 0,
+        };
+        (layer + dropped, scalars)
     }
 }
 
@@ -378,6 +420,7 @@ mod tests {
             aggregator: agg,
             params_gnn: 100,
             params_agg: 20,
+            dropout: false,
         }
     }
 
@@ -396,11 +439,10 @@ mod tests {
         assert_eq!(e.blocks, 3 * 3 * 4);
         // One layer, 2 dsts × 3 classes.
         assert_eq!(e.hidden_outputs, 2 * 3 * 4);
-        // Mean runs fused: workspace only. The single layer is the last
-        // layer (no activation), so 2·n_dst·d + 4·n_dst·o = 2·2·8 + 4·2·3
-        // = 56 values, plus the taped parameter copies (120) and the
-        // 2-value loss head.
-        assert_eq!(e.aggregator_intermediate, (56 + 120 + 2) * 4);
+        // Mean runs fused and the dense map keeps only its output (item
+        // 5): the aggregate n_dst·d = 2·8 = 16 values, plus the taped
+        // parameter copies (120) and the 2-value loss head.
+        assert_eq!(e.aggregator_intermediate, (16 + 120 + 2) * 4);
         assert_eq!(e.gradients, 120 * 4);
         assert_eq!(e.optimizer_states, 240 * 4);
     }
@@ -411,16 +453,16 @@ mod tests {
         let e = est.estimate(&one_layer_batch());
         // Buckets: degree 2 × 1 node + degree 1 × 1 node = 3 node-steps.
         // Eq. 5 term = 3 · d(8) · 18; plus 2 stacked final-state rows · d
-        // = 16, the 56-value SAGE workspace, taped params (120), and the
+        // = 16, their 16-value placement, taped params (120), and the
         // loss head.
-        assert_eq!(e.aggregator_intermediate, (3 * 8 * 18 + 16 + 56 + 122) * 4);
+        assert_eq!(e.aggregator_intermediate, (3 * 8 * 18 + 16 + 16 + 122) * 4);
     }
 
     #[test]
     fn lstm_constant_is_tunable() {
         let est = MemoryEstimator::new(shape(AggregatorKind::Lstm)).with_lstm_constant(25);
         let e = est.estimate(&one_layer_batch());
-        assert_eq!(e.aggregator_intermediate, (3 * 8 * 25 + 16 + 56 + 122) * 4);
+        assert_eq!(e.aggregator_intermediate, (3 * 8 * 25 + 16 + 16 + 122) * 4);
     }
 
     #[test]
@@ -466,9 +508,9 @@ mod tests {
         assert_eq!(bf16.input_features, 5 * 8 * 2);
         // Item (5) halves at the activation width.
         assert_eq!(bf16.hidden_outputs, 2 * 3 * 2);
-        // Item (6): the 56 per-layer workspace values halve; the taped
-        // parameter copies (120) and loss head (2) stay f32.
-        assert_eq!(bf16.aggregator_intermediate, 56 * 2 + 122 * 4);
+        // Item (6): the 16 aggregate values halve; the taped parameter
+        // copies (120) and loss head (2) stay f32.
+        assert_eq!(bf16.aggregator_intermediate, 16 * 2 + 122 * 4);
         // Everything else is unchanged — f32 storage throughout.
         assert_eq!(bf16.parameters, f32_est.parameters);
         assert_eq!(bf16.labels, f32_est.labels);
@@ -490,6 +532,58 @@ mod tests {
         let est = MemoryEstimator::new(shape(AggregatorKind::Mean));
         assert_eq!(est.feature_dtype(), DType::F32);
         assert_eq!(est.activation_dtype(), DType::F32);
+    }
+
+    /// Two layers so one of them is hidden: 3 outputs ← 5 sources ← 6.
+    fn two_layer_batch() -> Batch {
+        let top = Block::new(vec![0, 1, 2], &[(3, 0), (4, 0), (3, 1)]);
+        let bottom = Block::new(top.src_globals().to_vec(), &[(5, 3), (0, 4), (5, 4)]);
+        Batch::new(vec![bottom, top])
+    }
+
+    #[test]
+    fn dropout_charges_each_hidden_layers_copy() {
+        let two = |dropout| ModelShape {
+            num_layers: 2,
+            dropout,
+            ..shape(AggregatorKind::Mean)
+        };
+        let b = two_layer_batch();
+        let off = MemoryEstimator::new(two(false)).estimate(&b);
+        let on = MemoryEstimator::new(two(true)).estimate(&b);
+        // The hidden layer has 5 destinations of width 4; the last layer's
+        // logits are never dropped.
+        assert_eq!(
+            on.aggregator_intermediate - off.aggregator_intermediate,
+            5 * 4 * 4
+        );
+        assert_eq!(
+            MemoryEstimate {
+                aggregator_intermediate: off.aggregator_intermediate,
+                ..on
+            },
+            off
+        );
+    }
+
+    #[test]
+    fn pool_gcn_gin_and_gat_follow_their_tapes() {
+        let b = one_layer_batch(); // n_dst 2, n_src 5, e 3, d 8, o 3
+        let layer = |agg| {
+            let e = MemoryEstimator::new(shape(agg)).estimate(&b);
+            e.aggregator_intermediate / 4 - 122
+        };
+        // Messages and their activated transform, then the max.
+        assert_eq!(layer(AggregatorKind::Pool), 2 * 3 * 8 + 2 * 8);
+        assert_eq!(layer(AggregatorKind::Gcn), 2 * 8);
+        // Four n·d values, the MLP's hidden n·h, and the two scalars.
+        assert_eq!(layer(AggregatorKind::Gin), 4 * 2 * 8 + 2 * 4 + 2);
+        // Last layer, two full-width heads: projection 5·6, per head
+        // 5·3 + 2·3 + 2·5 + 5·3 + 2·3·3 + 2·3 = 70, one running sum 2·3.
+        assert_eq!(
+            layer(AggregatorKind::Attention { heads: 2 }),
+            30 + 2 * 70 + 6
+        );
     }
 
     #[test]

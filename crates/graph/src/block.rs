@@ -50,26 +50,86 @@ impl Block {
             assert!(prev.is_none(), "duplicate destination node {g}");
         }
         let mut src_globals = dst_globals;
-        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); num_dst];
+        let mut locals = Vec::with_capacity(edges.len());
         for &(s, d) in edges {
             let d_local = *local
                 .get(&d)
                 .unwrap_or_else(|| panic!("edge destination {d} not in dst set"));
-            debug_assert!((d_local as usize) < num_dst);
+            // A local past the destinations is a source met earlier.
+            assert!(
+                (d_local as usize) < num_dst,
+                "edge destination {d} not in dst set"
+            );
             let s_local = *local.entry(s).or_insert_with(|| {
                 src_globals.push(s);
                 (src_globals.len() - 1) as u32
             });
-            buckets[d_local as usize].push(s_local);
+            locals.push((s_local, d_local));
         }
-        let mut edge_src = Vec::with_capacity(edges.len());
-        let mut edge_dst = Vec::with_capacity(edges.len());
-        let mut dst_indptr = Vec::with_capacity(num_dst + 1);
-        dst_indptr.push(0);
-        for (d, bucket) in buckets.iter().enumerate() {
-            edge_src.extend_from_slice(bucket);
-            edge_dst.extend(std::iter::repeat_n(d as u32, bucket.len()));
-            dst_indptr.push(edge_src.len());
+        Self::from_locals(src_globals, num_dst, &locals)
+    }
+
+    /// [`Block::new`] without hashing, for a caller that knows the id
+    /// range: `stamp` has an entry for every node of the graph the ids come
+    /// from, all `u32::MAX` on entry and again on return, and holds each
+    /// node's local index in between. The sampler builds every block of
+    /// every epoch through here.
+    ///
+    /// # Panics
+    ///
+    /// As [`Block::new`], or if an id is outside `stamp`; `stamp` is left
+    /// dirty by a panic.
+    pub(crate) fn with_stamps(
+        dst_globals: Vec<NodeId>,
+        edges: &[(NodeId, NodeId)],
+        stamp: &mut [u32],
+    ) -> Self {
+        let num_dst = dst_globals.len();
+        for (i, &g) in dst_globals.iter().enumerate() {
+            assert!(stamp[g as usize] == u32::MAX, "duplicate destination node {g}");
+            stamp[g as usize] = i as u32;
+        }
+        let mut src_globals = dst_globals;
+        let mut locals = Vec::with_capacity(edges.len());
+        for &(s, d) in edges {
+            let d_local = stamp[d as usize];
+            // A stamp past the destinations is a source met earlier.
+            assert!(
+                (d_local as usize) < num_dst,
+                "edge destination {d} not in dst set"
+            );
+            let slot = &mut stamp[s as usize];
+            if *slot == u32::MAX {
+                *slot = src_globals.len() as u32;
+                src_globals.push(s);
+            }
+            locals.push((*slot, d_local));
+        }
+        for &g in &src_globals {
+            stamp[g as usize] = u32::MAX;
+        }
+        Self::from_locals(src_globals, num_dst, &locals)
+    }
+
+    /// Lays out `(src, dst)` edges, already in local indices, grouped by
+    /// destination and in the order given within each: a stable counting
+    /// sort (the identity when edges arrive grouped, as the sampler's do).
+    fn from_locals(src_globals: Vec<NodeId>, num_dst: usize, locals: &[(u32, u32)]) -> Self {
+        let mut dst_indptr = vec![0usize; num_dst + 1];
+        for &(_, d_local) in locals {
+            dst_indptr[d_local as usize + 1] += 1;
+        }
+        for d in 0..num_dst {
+            dst_indptr[d + 1] += dst_indptr[d];
+        }
+        let mut next = dst_indptr.clone();
+        let mut edge_src = vec![0u32; locals.len()];
+        let mut edge_dst = vec![0u32; locals.len()];
+        for &(s_local, d_local) in locals {
+            let at = &mut next[d_local as usize];
+            edge_src[*at] = s_local;
+            edge_dst[*at] = d_local;
+            *at += 1;
         }
         Self {
             src_globals,
@@ -232,6 +292,10 @@ impl Block {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
+    use rand_pcg::Pcg64Mcg;
 
     fn sample_block() -> Block {
         // dst = {8, 5}; edges into 8 from {4,5,7,11}, into 5 from {4,9}.
@@ -324,5 +388,70 @@ mod tests {
         let b = Block::new(vec![7], &[(7, 7)]);
         assert_eq!(b.num_src(), 1);
         assert_eq!(b.in_edges(0), &[0]);
+    }
+
+    /// A multigraph over `n` nodes: a duplicate-free destination list and
+    /// edges into it in no particular order, parallel edges and self-loops
+    /// included.
+    fn arb_block_input() -> impl Strategy<Value = (usize, Vec<NodeId>, Vec<(NodeId, NodeId)>)> {
+        (1usize..40, 0u64..u64::MAX).prop_flat_map(|(n, shuffle)| {
+            let mut ids: Vec<NodeId> = (0..n as NodeId).collect();
+            ids.shuffle(&mut Pcg64Mcg::seed_from_u64(shuffle));
+            let num_dst = 1 + shuffle as usize % n;
+            ids.truncate(num_dst);
+            let edge = (0..n as NodeId, 0..num_dst);
+            (Just(n), Just(ids), proptest::collection::vec(edge, 0..120))
+                .prop_map(|(n, dst, picks)| {
+                    let edges = picks.into_iter().map(|(s, d)| (s, dst[d])).collect();
+                    (n, dst, edges)
+                })
+        })
+    }
+
+    /// Both constructors either panic or build; `Some` is the block.
+    fn both(n: usize, dst: &[NodeId], edges: &[(NodeId, NodeId)]) -> [Option<Block>; 2] {
+        let hashed = std::panic::catch_unwind(|| Block::new(dst.to_vec(), edges));
+        let stamped = std::panic::catch_unwind(|| {
+            Block::with_stamps(dst.to_vec(), edges, &mut vec![u32::MAX; n])
+        });
+        [hashed.ok(), stamped.ok()]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The stamp-array constructor is `Block::new` field for field,
+        /// leaves its scratch clean, and rejects what `Block::new` rejects.
+        #[test]
+        fn stamped_build_equals_the_hashed_build((n, dst, edges) in arb_block_input()) {
+            let mut stamp = vec![u32::MAX; n];
+            let stamped = Block::with_stamps(dst.clone(), &edges, &mut stamp);
+            prop_assert_eq!(&stamped, &Block::new(dst.clone(), &edges));
+            prop_assert!(stamp.iter().all(|&s| s == u32::MAX));
+            // The layout the two share, against its definition: each
+            // destination's in-edges are its edges, in the order given.
+            let mut want = edges.clone();
+            want.sort_by_key(|&(_, d)| dst.iter().position(|&v| v == d)); // stable
+            prop_assert_eq!(stamped.iter_global_edges().collect::<Vec<_>>(), want);
+            for (d, &g) in dst.iter().enumerate() {
+                prop_assert_eq!(stamped.in_degree(d), edges.iter().filter(|e| e.1 == g).count());
+            }
+
+            // A repeated destination.
+            let mut twice = dst.clone();
+            twice.push(dst[edges.len() % dst.len()]);
+            prop_assert_eq!(both(n, &twice, &edges), [None, None]);
+
+            // An edge into a node outside the destination set: one never
+            // seen, or one already met as a source.
+            if let Some(foreign) = (0..n as NodeId).find(|v| !dst.contains(v)) {
+                let mut unseen = edges.clone();
+                unseen.insert(edges.len() / 2, (dst[0], foreign));
+                prop_assert_eq!(both(n, &dst, &unseen), [None, None]);
+                let mut met = vec![(foreign, dst[0])];
+                met.extend(unseen);
+                prop_assert_eq!(both(n, &dst, &met), [None, None]);
+            }
+        }
     }
 }

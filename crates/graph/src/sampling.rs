@@ -1,10 +1,22 @@
 //! Fanout-bounded neighbor sampling (DGL `MultiLayerNeighborSampler`
 //! equivalent).
 
+use std::cell::Cell;
+
 use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::{Batch, Block, CsrGraph, NodeId};
+
+thread_local! {
+    /// The block builds' local-index scratch ([`Block::with_stamps`]): one
+    /// `u32` per node of the largest graph this thread has sampled, all
+    /// `u32::MAX` between calls. Kept so that a call costs what it samples,
+    /// not the size of the graph — evaluation samples one small batch per
+    /// chunk. A call takes it out and puts it back when it is done, so one
+    /// that panics half-way drops its dirty copy instead of returning it.
+    static STAMP: Cell<Vec<u32>> = const { Cell::new(Vec::new()) };
+}
 
 /// Samples a multi-level bipartite [`Batch`] for `seeds` from `graph`.
 ///
@@ -54,6 +66,11 @@ pub fn sample_batch_in(
     assert!(!seeds.is_empty(), "at least one seed node required");
     let mut blocks: Vec<Block> = Vec::with_capacity(fanouts.len());
     let mut dst: Vec<NodeId> = seeds.to_vec();
+    // Clean on entry, between layers and on return.
+    let mut stamp = STAMP.take();
+    if stamp.len() < in_graph.num_nodes() {
+        stamp.resize(in_graph.num_nodes(), u32::MAX);
+    }
     // Iteration is output-to-input, so `rev_idx` 0 is the topmost layer
     // (whose destinations are the seeds) and the original fanout index
     // names the layer in diagnostics.
@@ -86,10 +103,11 @@ pub fn sample_batch_in(
                 edges.extend(sample.into_iter().map(|u| (u, v)));
             }
         }
-        let block = Block::new(dst, &edges);
+        let block = Block::with_stamps(dst, &edges, &mut stamp);
         dst = block.src_globals().to_vec();
         blocks.push(block);
     }
+    STAMP.set(stamp);
     blocks.reverse();
     Batch::new(blocks)
 }
@@ -181,6 +199,21 @@ mod tests {
             .position(|&v| v == 1)
             .expect("node 1 is a level-0 destination");
         assert!(bottom.in_degree(pos) <= 2);
+    }
+
+    /// The stamp scratch outlives a call. A panic inside a block build (a
+    /// repeated seed, caught here) must not hand its stamps to the thread's
+    /// next call, and a small graph after a large one meets a scratch
+    /// longer than it needs.
+    #[test]
+    fn scratch_survives_a_panicking_call_and_a_change_of_graph() {
+        let sample = || sample_batch(&star(), &[0, 3], &[4, 4], &mut rng());
+        let want = std::thread::spawn(sample).join().expect("a clean thread samples");
+        let hub: Vec<(NodeId, NodeId)> = (1..50).map(|u| (u, 0)).collect();
+        sample_batch(&CsrGraph::from_edges(50, &hub), &[0, 49], &[5], &mut rng());
+        let repeated = || sample_batch(&star(), &[3, 0, 3], &[4], &mut rng());
+        assert!(std::panic::catch_unwind(repeated).is_err());
+        assert_eq!(sample(), want);
     }
 
     #[test]

@@ -86,8 +86,7 @@ impl Aggregator {
             }),
             Aggregator::Pool(fc) => with_edge_lists(sess, block, |sess, edge_src, edge_dst| {
                 let messages = sess.graph.gather_rows(src_feats, edge_src);
-                let transformed = fc.forward(sess, messages);
-                let activated = sess.graph.relu(transformed);
+                let activated = fc.forward_act(sess, messages, true);
                 sess.graph.segment_max(activated, edge_dst, n_dst)
             }),
             Aggregator::Lstm(cell) => lstm_aggregate(sess, cell, block, src_feats),

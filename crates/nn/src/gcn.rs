@@ -32,8 +32,9 @@ impl GcnConv {
     }
 
     /// Applies the layer over `block`, producing
-    /// `[block.num_dst(), out_dim]`.
-    pub fn forward(&self, sess: &mut Session, block: &Block, src_feats: VarId) -> VarId {
+    /// `[block.num_dst(), out_dim]`, passed through a ReLU when `relu`
+    /// (every layer but a model's last).
+    pub fn forward(&self, sess: &mut Session, block: &Block, src_feats: VarId, relu: bool) -> VarId {
         let n_dst = block.num_dst();
         // Edges plus one self-loop per destination, all weighted
         // 1 / (deg + 1); dst-first source ordering makes the self index
@@ -56,7 +57,7 @@ impl GcnConv {
         let agg = sess
             .graph
             .fused_neighbor_weighted_sum(src_feats, &gather, &seg, &weights, n_dst);
-        self.linear.forward(sess, agg)
+        self.linear.forward_act(sess, agg, relu)
     }
 
     /// The layer's parameters.
@@ -95,7 +96,7 @@ mod tests {
         let layer = GcnConv::new(3, 5, &mut rng());
         let mut sess = Session::new();
         let x = sess.graph.leaf(Tensor::ones(&[4, 3]));
-        let y = layer.forward(&mut sess, &block(), x);
+        let y = layer.forward(&mut sess, &block(), x, false);
         assert_eq!(sess.graph.value(y).shape(), &[2, 5]);
     }
 
@@ -106,7 +107,7 @@ mod tests {
         let layer = GcnConv::new(2, 2, &mut rng());
         let mut sess = Session::new();
         let x = sess.graph.leaf(Tensor::full(&[4, 2], 3.0));
-        let y = layer.forward(&mut sess, &block(), x);
+        let y = layer.forward(&mut sess, &block(), x, false);
         let v = sess.graph.value(y);
         assert!(
             v.row(0).iter().zip(v.row(1)).all(|(a, b)| (a - b).abs() < 1e-5),
@@ -122,7 +123,7 @@ mod tests {
         let feats =
             Tensor::from_vec(vec![0.0, 0.0, 5.0, 5.0, 1.0, 1.0], &[3, 2]).unwrap();
         let x = sess.graph.leaf(feats);
-        let y = layer.forward(&mut sess, &b, x);
+        let y = layer.forward(&mut sess, &b, x, false);
         // dst 1 aggregates only itself (5,5); dst 0 averages (0,0) & (1,1).
         // With a shared linear map, outputs must differ.
         let v = sess.graph.value(y);
@@ -136,7 +137,7 @@ mod tests {
         let x = sess
             .graph
             .leaf(betty_tensor::randn(&[4, 2], &mut Pcg64Mcg::seed_from_u64(5)));
-        let y = layer.forward(&mut sess, &block(), x);
+        let y = layer.forward(&mut sess, &block(), x, false);
         let loss = sess.graph.cross_entropy(y, &[0, 1], Reduction::Mean);
         sess.graph.backward(loss);
         assert!(sess.graph.grad(x).unwrap().max_abs() > 0.0);
@@ -153,7 +154,7 @@ mod tests {
         let input = betty_tensor::randn(&[4, 2], &mut Pcg64Mcg::seed_from_u64(6));
         let res = betty_tensor::check::check_gradient(&input, |g, x| {
             let mut sess = Session::from_graph(std::mem::take(g));
-            let out = layer.forward(&mut sess, &b, x);
+            let out = layer.forward(&mut sess, &b, x, false);
             let t = sess.graph.tanh(out);
             let loss = sess.graph.sum(t);
             *g = sess.into_graph();

@@ -31,8 +31,9 @@ impl GinConv {
     }
 
     /// Applies the layer over `block`, producing
-    /// `[block.num_dst(), out_dim]`.
-    pub fn forward(&self, sess: &mut Session, block: &Block, src_feats: VarId) -> VarId {
+    /// `[block.num_dst(), out_dim]`, passed through a ReLU when `relu`
+    /// (every layer but a model's last).
+    pub fn forward(&self, sess: &mut Session, block: &Block, src_feats: VarId, relu: bool) -> VarId {
         let edge_src: Vec<usize> = block.edge_src_locals().iter().map(|&s| s as usize).collect();
         let edge_dst: Vec<usize> = block.edge_dst_locals().iter().map(|&d| d as usize).collect();
         let n_dst = block.num_dst();
@@ -49,9 +50,8 @@ impl GinConv {
         let scaled_self = sess.graph.mul_scalar_var(h_dst, one_plus_eps);
         let combined = sess.graph.add(scaled_self, neigh_sum);
 
-        let hidden = self.fc1.forward(sess, combined);
-        let hidden = sess.graph.relu(hidden);
-        self.fc2.forward(sess, hidden)
+        let hidden = self.fc1.forward_act(sess, combined, true);
+        self.fc2.forward_act(sess, hidden, relu)
     }
 
     /// Current ε value.
@@ -105,7 +105,7 @@ mod tests {
         assert_eq!(layer.epsilon(), 0.0);
         let mut sess = Session::new();
         let x = sess.graph.leaf(Tensor::ones(&[4, 3]));
-        let y = layer.forward(&mut sess, &block(), x);
+        let y = layer.forward(&mut sess, &block(), x, false);
         assert_eq!(sess.graph.value(y).shape(), &[2, 5]);
     }
 
@@ -116,7 +116,7 @@ mod tests {
         let x = sess
             .graph
             .leaf(betty_tensor::randn(&[4, 2], &mut Pcg64Mcg::seed_from_u64(1)));
-        let y = layer.forward(&mut sess, &block(), x);
+        let y = layer.forward(&mut sess, &block(), x, false);
         let loss = sess.graph.cross_entropy(y, &[0, 1], Reduction::Mean);
         sess.graph.backward(loss);
         for (i, p) in layer.params_mut().into_iter().enumerate() {
@@ -132,7 +132,7 @@ mod tests {
         let input = betty_tensor::randn(&[4, 2], &mut Pcg64Mcg::seed_from_u64(2));
         let res = betty_tensor::check::check_gradient(&input, |g, x| {
             let mut sess = Session::from_graph(std::mem::take(g));
-            let out = layer.forward(&mut sess, &b, x);
+            let out = layer.forward(&mut sess, &b, x, false);
             let t = sess.graph.tanh(out);
             let loss = sess.graph.sum(t);
             *g = sess.into_graph();
@@ -151,7 +151,7 @@ mod tests {
         let x = sess.graph.leaf(
             Tensor::from_vec(vec![0.0, 0.0, 0.0, 0.0, 1.0, 2.0], &[3, 2]).unwrap(),
         );
-        let y = layer.forward(&mut sess, &b, x);
+        let y = layer.forward(&mut sess, &b, x, false);
         let v = sess.graph.value(y);
         assert_ne!(v.row(0), v.row(1));
     }

@@ -1,4 +1,4 @@
-use betty_tensor::{glorot_uniform, Tensor, VarId};
+use betty_tensor::{glorot_uniform, AffineTerm, Tensor, VarId};
 use rand::Rng;
 
 use crate::{Param, Session};
@@ -19,12 +19,28 @@ impl Linear {
         }
     }
 
-    /// Applies the layer to `[n, in_dim]` variable `x`.
+    /// Applies the layer to `[n, in_dim]` variable `x`: one tape node
+    /// holding `x·W + b`.
     pub fn forward(&self, sess: &mut Session, x: VarId) -> VarId {
-        let w = sess.bind(&self.weight);
-        let b = sess.bind(&self.bias);
-        let xw = sess.graph.matmul(x, w);
-        sess.graph.add_bias(xw, b)
+        self.forward_act(sess, x, false)
+    }
+
+    /// `x·W + b`, passed through a ReLU when `relu` — still one tape node:
+    /// the pre-activation is never stored.
+    pub fn forward_act(&self, sess: &mut Session, x: VarId, relu: bool) -> VarId {
+        let rows = sess.graph.value(x).rows();
+        let term = self.term(sess, x);
+        sess.graph.affine(&[term], rows, relu)
+    }
+
+    /// This layer's `x·W + b` as one term of a wider
+    /// [`betty_tensor::Graph::affine`] call, its parameters bound on `sess`.
+    pub(crate) fn term(&self, sess: &mut Session, x: VarId) -> AffineTerm {
+        AffineTerm {
+            x,
+            w: sess.bind(&self.weight),
+            bias: Some(sess.bind(&self.bias)),
+        }
     }
 
     /// Input width.

@@ -159,9 +159,9 @@ impl GnnModel for GraphSage {
         );
         let mut h = input_feats;
         for (i, (layer, block)) in self.layers.iter().zip(blocks).enumerate() {
-            h = layer.forward(sess, block, h);
-            if i + 1 < self.layers.len() {
-                h = sess.graph.relu(h);
+            let hidden = i + 1 < self.layers.len();
+            h = layer.forward(sess, block, h, hidden);
+            if hidden {
                 h = dropout(sess, h, self.dropout_p, training, rng);
             }
         }
@@ -176,12 +176,7 @@ impl GnnModel for GraphSage {
         src_feats: VarId,
     ) -> VarId {
         assert!(layer < self.layers.len(), "layer {layer} out of range");
-        let h = self.layers[layer].forward(sess, block, src_feats);
-        if layer + 1 < self.layers.len() {
-            sess.graph.relu(h)
-        } else {
-            h
-        }
+        self.layers[layer].forward(sess, block, src_feats, layer + 1 < self.layers.len())
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -292,9 +287,9 @@ impl GnnModel for Gcn {
         );
         let mut h = input_feats;
         for (i, (layer, block)) in self.layers.iter().zip(blocks).enumerate() {
-            h = layer.forward(sess, block, h);
-            if i + 1 < self.layers.len() {
-                h = sess.graph.relu(h);
+            let hidden = i + 1 < self.layers.len();
+            h = layer.forward(sess, block, h, hidden);
+            if hidden {
                 h = dropout(sess, h, self.dropout_p, training, rng);
             }
         }
@@ -309,12 +304,7 @@ impl GnnModel for Gcn {
         src_feats: VarId,
     ) -> VarId {
         assert!(layer < self.layers.len(), "layer {layer} out of range");
-        let h = self.layers[layer].forward(sess, block, src_feats);
-        if layer + 1 < self.layers.len() {
-            sess.graph.relu(h)
-        } else {
-            h
-        }
+        self.layers[layer].forward(sess, block, src_feats, layer + 1 < self.layers.len())
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -417,9 +407,9 @@ impl GnnModel for Gin {
         );
         let mut h = input_feats;
         for (i, (layer, block)) in self.layers.iter().zip(blocks).enumerate() {
-            h = layer.forward(sess, block, h);
-            if i + 1 < self.layers.len() {
-                h = sess.graph.relu(h);
+            let hidden = i + 1 < self.layers.len();
+            h = layer.forward(sess, block, h, hidden);
+            if hidden {
                 h = dropout(sess, h, self.dropout_p, training, rng);
             }
         }
@@ -434,12 +424,7 @@ impl GnnModel for Gin {
         src_feats: VarId,
     ) -> VarId {
         assert!(layer < self.layers.len(), "layer {layer} out of range");
-        let h = self.layers[layer].forward(sess, block, src_feats);
-        if layer + 1 < self.layers.len() {
-            sess.graph.relu(h)
-        } else {
-            h
-        }
+        self.layers[layer].forward(sess, block, src_feats, layer + 1 < self.layers.len())
     }
 
     fn params(&self) -> Vec<&Param> {

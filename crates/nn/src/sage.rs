@@ -7,8 +7,10 @@ use crate::{Aggregator, AggregatorSpec, Linear, Param, Session};
 /// One GraphSAGE convolution layer (Hamilton et al., the paper's primary
 /// model).
 ///
-/// `out = fc_self(h_dst) + fc_neigh(aggregate(h_src))` — the DGL `SAGEConv`
-/// formulation. The activation is applied by the enclosing model, not here.
+/// `out = act(fc_self(h_dst) + fc_neigh(aggregate(h_src)))` — the DGL
+/// `SAGEConv` formulation, with the enclosing model's activation folded
+/// in: past the aggregator the layer is one fused affine op, so its tape
+/// holds the aggregate and the output and nothing in between.
 #[derive(Debug, Clone)]
 pub struct SageConv {
     fc_self: Linear,
@@ -27,15 +29,18 @@ impl SageConv {
     }
 
     /// Applies the layer over `block` with source features
-    /// `[block.num_src(), in_dim]`, producing `[block.num_dst(), out_dim]`.
-    pub fn forward(&self, sess: &mut Session, block: &Block, src_feats: VarId) -> VarId {
-        // Destination self-features are the first num_dst source rows
-        // (the Block construction guarantees this ordering).
-        let h_dst = sess.graph.slice_rows(src_feats, block.num_dst());
+    /// `[block.num_src(), in_dim]`, producing `[block.num_dst(), out_dim]`,
+    /// passed through a ReLU when `relu` (every layer but a model's last).
+    pub fn forward(&self, sess: &mut Session, block: &Block, src_feats: VarId, relu: bool) -> VarId {
         let h_neigh = self.aggregator.forward(sess, block, src_feats);
-        let out_self = self.fc_self.forward(sess, h_dst);
-        let out_neigh = self.fc_neigh.forward(sess, h_neigh);
-        sess.graph.add(out_self, out_neigh)
+        // Destination self-features are the first num_dst source rows
+        // (the Block construction guarantees this ordering): the self
+        // term reads them where they lie.
+        let terms = [
+            self.fc_self.term(sess, src_feats),
+            self.fc_neigh.term(sess, h_neigh),
+        ];
+        sess.graph.affine(&terms, block.num_dst(), relu)
     }
 
     /// The aggregator spec in use.
@@ -99,7 +104,7 @@ mod tests {
         let layer = SageConv::new(3, 5, AggregatorSpec::Mean, &mut rng());
         let mut sess = Session::new();
         let x = sess.graph.leaf(Tensor::ones(&[4, 3]));
-        let y = layer.forward(&mut sess, &block(), x);
+        let y = layer.forward(&mut sess, &block(), x, false);
         assert_eq!(sess.graph.value(y).shape(), &[2, 5]);
     }
 
@@ -127,7 +132,7 @@ mod tests {
                 &[4, 2],
                 &mut Pcg64Mcg::seed_from_u64(3),
             ));
-            let y = layer.forward(&mut sess, &block(), x);
+            let y = layer.forward(&mut sess, &block(), x, false);
             let loss = sess.graph.cross_entropy(y, &[0, 1], Reduction::Mean);
             sess.graph.backward(loss);
             for p in layer.params_mut() {
@@ -136,6 +141,35 @@ mod tests {
                     sess.graph.grad(var).is_some(),
                     "{}: param missing grad",
                     spec.name()
+                );
+            }
+        }
+    }
+
+    /// Past the aggregator a layer is one op: a SAGE-mean hidden layer
+    /// tapes its four parameter leaves, the aggregate and the output —
+    /// six nodes whatever the block — and the ledger grows by the
+    /// aggregate `n_dst·d` and the output `n_dst·o` at the tape's width.
+    #[test]
+    fn mean_layer_tapes_the_aggregate_and_the_output_only() {
+        use betty_tensor::DType;
+        let (d, o) = (5, 3);
+        let layer = SageConv::new(d, o, AggregatorSpec::Mean, &mut rng());
+        let params: usize = layer.params().iter().map(|p| p.len()).sum();
+        let wide = Block::new((0..7).collect(), &[(9, 0), (8, 3), (9, 3), (10, 6), (2, 6)]);
+        for b in [block(), wide] {
+            for dtype in [DType::F32, DType::Bf16, DType::F16] {
+                let mut sess = Session::new();
+                sess.graph.set_activation_dtype(dtype);
+                let x = sess.graph.leaf(Tensor::ones(&[b.num_src(), d]));
+                let (nodes, bytes) = (sess.graph.len(), sess.activation_bytes());
+                layer.forward(&mut sess, &b, x, true);
+                assert_eq!(sess.graph.len() - nodes, 6);
+                let values = b.num_dst() * d + b.num_dst() * o;
+                assert_eq!(
+                    sess.activation_bytes() - bytes,
+                    params * 4 + values * dtype.bytes_per_value(),
+                    "{dtype}"
                 );
             }
         }
@@ -151,7 +185,7 @@ mod tests {
         let x = sess.graph.leaf(
             Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0, 0.5, 0.5], &[3, 2]).unwrap(),
         );
-        let y = layer.forward(&mut sess, &b, x);
+        let y = layer.forward(&mut sess, &b, x, false);
         let v = sess.graph.value(y);
         assert_ne!(v.row(0), v.row(1));
     }

@@ -21,6 +21,7 @@
 
 use std::ops::Range;
 
+use crate::affine;
 use crate::dtype::DType;
 use crate::kernels;
 use crate::lstm;
@@ -31,6 +32,17 @@ use crate::Tensor;
 /// Handle to a variable stored on a [`Graph`] tape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VarId(usize);
+
+/// One term `x[..rows] · w (+ bias)` of [`Graph::affine`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AffineTerm {
+    /// `[≥ rows, k]` input; only its leading `rows` rows are read.
+    pub x: VarId,
+    /// `[k, o]` weight.
+    pub w: VarId,
+    /// `[o]` bias added to every row of the product, if any.
+    pub bias: Option<VarId>,
+}
 
 /// Parent list specialized for the common arities so recording an op does
 /// not allocate a `Vec` per node.
@@ -206,6 +218,15 @@ enum Op {
         targets: Vec<usize>,
         reduction: Reduction,
     },
+    /// Parents `x, w` and — where bit `i` of `biased` is set — `bias` of
+    /// each of the `terms` terms in turn; see [`Graph::affine`]. The
+    /// output's row count is the number of leading rows read from every
+    /// `x`.
+    Affine {
+        terms: usize,
+        biased: u32,
+        relu: bool,
+    },
     /// Parents `(src, w, b)`; see [`Graph::lstm_sequence`].
     LstmSequence {
         /// Source row of sequence `r` at step `t`, at `t * n + r`.
@@ -280,6 +301,23 @@ impl Op {
             Op::LstmSequence { saved, .. } => saved.len(),
             _ => 0,
         }
+    }
+
+    /// Whether parent `slot` of node `i` is read as a *strict row prefix*:
+    /// the `x` of an affine term with more rows than the output. Such a read
+    /// stands for a `slice_rows` taped as soon as `x` existed — before `x`'s
+    /// other consumers, as a SAGE layer took `h_dst` before it aggregated —
+    /// so its gradient joins `x`'s after every other contribution, when the
+    /// sweep reaches `x` itself; a sum of three or more floats depends on
+    /// that order. A full-height `x` is a plain product operand and its
+    /// gradient joins at this node's turn, as a `matmul`'s does.
+    fn reads_prefix(&self, nodes: &[Node], i: usize, slot: usize) -> bool {
+        let Op::Affine { terms, biased, .. } = self else {
+            return false;
+        };
+        let node = &nodes[i];
+        affine_slots(*terms, *biased)
+            .any(|(x, _)| x == slot && nodes[node.parents.get(x).0].value.rows() > node.value.rows())
     }
 
     /// Adjoint: maps the output gradient `g` of node `i` to one gradient per
@@ -572,6 +610,42 @@ impl Op {
                 }
                 out.push(Some(grad));
             }
+            Op::Affine {
+                terms,
+                biased,
+                relu,
+            } => {
+                let parents = &nodes[i].parents;
+                // The mask reads the output: `max(s, 0) > 0` exactly when
+                // `s > 0`.
+                let masked = relu.then(|| {
+                    let mut m = pooled_copy(pool, g);
+                    UnaryKind::Relu.scale_by_derivative(value.data(), value.data(), m.data_mut());
+                    m
+                });
+                let g = masked.as_ref().unwrap_or(g);
+                for (x, has_bias) in affine_slots(*terms, *biased) {
+                    let (xv, wv) = (parents.get(x), parents.get(x + 1));
+                    let wt = nodes[xv.0].needs_grad.then(|| {
+                        let w = &nodes[wv.0].value;
+                        packed_rows(packed, pool, wv, w, 0..w.rows())
+                    });
+                    let term = affine::Term {
+                        x: parent(x),
+                        w: parent(x + 1),
+                        bias: has_bias.then(|| parent(x + 2)),
+                    };
+                    let wanted = affine::Wanted {
+                        wt: wt.map(|slot| &packed[slot].transposed),
+                        w: nodes[wv.0].needs_grad,
+                        bias: has_bias && nodes[parents.get(x + 2).0].needs_grad,
+                    };
+                    affine::backward_term(pool, &term, &wanted, g, out);
+                }
+                if let Some(m) = masked {
+                    pool.give(m);
+                }
+            }
             Op::LstmSequence { steps, n, saved } => {
                 let [src, w, b] = [0, 1, 2].map(|j| nodes[i].parents.get(j));
                 let (srcv, wv) = (parent(0), parent(1));
@@ -634,6 +708,17 @@ fn packed_rows(
     packed.len() - 1
 }
 
+/// Parent slot of each affine term's `x` (its `w` follows, then its bias
+/// when it has one) and whether it has a bias.
+fn affine_slots(terms: usize, biased: u32) -> impl Iterator<Item = (usize, bool)> {
+    (0..terms).scan(0, move |slot, term| {
+        let has_bias = biased >> term & 1 == 1;
+        let x = *slot;
+        *slot += 2 + usize::from(has_bias);
+        Some((x, has_bias))
+    })
+}
+
 struct Node {
     value: Tensor,
     parents: Parents,
@@ -691,6 +776,10 @@ pub struct Graph {
     /// (each sweep returns its packs to the pool, so a pack never outlives
     /// the value it was made from).
     packed_rhs: Vec<PackedRows>,
+    /// Gradients of the sweep in progress that wait for their variable's
+    /// turn ([`Op::reads_prefix`]), ascending by variable with a variable's
+    /// oldest entry last; empty between sweeps.
+    parked: Vec<(VarId, Tensor)>,
     /// Incrementally maintained: bumped in `push`, zeroed in `reset`.
     activation_bytes: usize,
     /// Storage width simulated for non-leaf, non-scalar tape values. At
@@ -1029,6 +1118,60 @@ impl Graph {
             value.data_mut(),
         );
         self.push(value, Parents::Two(a, bias), Some(Op::AddBias))
+    }
+
+    /// The affine map `act(Σᵢ (xᵢ[..rows]·wᵢ + biasᵢ))` as `[rows, o]`,
+    /// with `act` the ReLU when `relu` and the identity otherwise, as a
+    /// single tape node whose only stored value is the result.
+    ///
+    /// Every term reads the leading `rows` rows of its `x` in place, so a
+    /// layer's destination self-features (a prefix of its source rows)
+    /// need no copy. At f32 the value and every gradient equal, bit for
+    /// bit, what `slice_rows`, `matmul`, `add_bias`, `add` (terms joined
+    /// left to right) and `relu` compose to — without taping the prefix
+    /// copies, the products, the biased products, their sums or the
+    /// pre-activation. At 16-bit activation widths the one rounding is at
+    /// the result. A term whose `x` has more than `rows` rows stands for a
+    /// prefix sliced off as soon as `x` existed: the gradient it sends `x`,
+    /// zero past `rows`, joins after every other consumer's. A full-height
+    /// `x` is an ordinary operand, its gradient joining at this node's turn.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `terms` is empty or longer than 32, an `x` has fewer than
+    /// `rows` rows, or the shapes disagree.
+    pub fn affine(&mut self, terms: &[AffineTerm], rows: usize, relu: bool) -> VarId {
+        assert!(
+            terms.len() <= u32::BITS as usize,
+            "affine takes at most {} terms",
+            u32::BITS
+        );
+        let Graph { nodes, pool, .. } = self;
+        let operands: Vec<_> = terms
+            .iter()
+            .map(|t| affine::Term {
+                x: &nodes[t.x.0].value,
+                w: &nodes[t.w.0].value,
+                bias: t.bias.map(|b| &nodes[b.0].value),
+            })
+            .collect();
+        let value = affine::forward(pool, &operands, rows, relu);
+        let mut biased = 0;
+        let mut parents = Vec::with_capacity(3 * terms.len());
+        for (i, t) in terms.iter().enumerate() {
+            parents.extend([t.x, t.w]);
+            parents.extend(t.bias);
+            biased |= u32::from(t.bias.is_some()) << i;
+        }
+        self.push(
+            value,
+            Parents::Many(parents),
+            Some(Op::Affine {
+                terms: terms.len(),
+                biased,
+                relu,
+            }),
+        )
     }
 
     /// Multiplies each row `r` of `[m, n]` variable `a` by the scalar in row
@@ -1545,6 +1688,7 @@ impl Graph {
             pool,
             backward_scratch: scratch,
             packed_rhs: packed,
+            parked,
             ..
         } = self;
         for g in grads.drain(..).flatten() {
@@ -1553,6 +1697,14 @@ impl Graph {
         grads.resize(nodes.len(), None);
         grads[root.0] = Some(pool.full(nodes[root.0].value.shape(), 1.0));
         for i in (0..=root.0).rev() {
+            // Every consumer of variable `i` has run: the gradients parked
+            // for it ([`Op::reads_prefix`]) join now, oldest first. `parked`
+            // is sorted and later variables' entries have landed, so the
+            // ones for `i` are at its end.
+            while parked.last().is_some_and(|(v, _)| v.0 == i) {
+                let (_, pg) = parked.pop().expect("seen by the loop condition");
+                accumulate(&mut grads[i], pg, pool);
+            }
             let (Some(op), true) = (&nodes[i].op, nodes[i].needs_grad) else {
                 continue;
             };
@@ -1581,18 +1733,29 @@ impl Graph {
                     nodes[p.0].value.shape(),
                     "gradient shape mismatch for parent {p:?} of node {i}"
                 );
-                match &mut earlier[p.0] {
-                    Some(existing) => {
-                        existing.add_assign(&pg);
-                        pool.give(pg);
-                    }
-                    slot @ None => *slot = Some(pg),
+                if op.reads_prefix(nodes, i, idx) {
+                    let at = parked.partition_point(|(v, _)| v.0 < p.0);
+                    parked.insert(at, (p, pg));
+                } else {
+                    accumulate(&mut earlier[p.0], pg, pool);
                 }
             }
         }
+        debug_assert!(parked.is_empty(), "a parked gradient never landed");
         for pack in packed.drain(..) {
             pool.give(pack.transposed);
         }
+    }
+}
+
+/// Adds gradient contribution `pg` into `slot`, recycling its buffer.
+fn accumulate(slot: &mut Option<Tensor>, pg: Tensor, pool: &mut BufferPool) {
+    match slot {
+        Some(existing) => {
+            existing.add_assign(&pg);
+            pool.give(pg);
+        }
+        None => *slot = Some(pg),
     }
 }
 

@@ -34,7 +34,7 @@ use crate::segment::lane_dispatch;
 use crate::Tensor;
 
 /// Elements-per-thread threshold above which matmul parallelizes.
-const PAR_FLOP_THRESHOLD: usize = 1 << 22;
+pub(crate) const PAR_FLOP_THRESHOLD: usize = 1 << 22;
 
 /// Output-row count per register tile of [`gemm_simd`].
 const MR: usize = 6;

@@ -29,6 +29,7 @@
 
 #![deny(missing_docs)]
 
+mod affine;
 mod crc;
 mod error;
 mod graph;
@@ -47,7 +48,7 @@ pub use backend::{set_backend_override, with_backend, Backend};
 pub use crc::crc32;
 pub use dtype::DType;
 pub use error::TensorError;
-pub use graph::{Graph, Reduction, VarId};
+pub use graph::{AffineTerm, Graph, Reduction, VarId};
 pub use pool::{BufferPool, PoolStats};
 pub use init::{glorot_uniform, kaiming_uniform, randn, uniform};
 pub use tensor::Tensor;
