@@ -369,12 +369,13 @@ pub fn train(args: &Args) -> CmdResult {
     let epochs = args.get_or("epochs", 20usize)?;
     let devices = args.get_or("devices", 1usize)?;
     let seed = args.get_or("seed", 0u64)?;
-    let k_arg = args.get("k").unwrap_or("auto").to_string();
-    if k_arg == "auto" && devices > 1 {
-        return Err(Box::new(ArgError(
-            "--devices requires an explicit --k (auto-K is single-device)".into(),
-        )));
-    }
+    // The K every epoch starts from; recovery escalates it on a failure.
+    let k0: usize = match args.get("k").unwrap_or("auto") {
+        "auto" => 1,
+        given => given.parse().map_err(|_| {
+            ArgError(format!("--k: expected 'auto' or a number, got '{given}'"))
+        })?,
+    };
     let group = device_group(args, devices.max(1), &config)?;
     let trace_out = args.get("trace-out").map(str::to_string);
     let trace_summary = args.has_flag("trace-summary");
@@ -468,27 +469,16 @@ pub fn train(args: &Args) -> CmdResult {
     let run = |runner: &mut Runner, recovery: &mut RecoveryLog| -> CmdResult {
         for epoch in start_epoch..epochs {
             recovery.set_epoch(epoch);
-            let (stats, k) = if k_arg == "auto" {
-                runner.train_epoch_auto_recovering(&ds, kind, recovery)?
-            } else {
-                let k: usize = k_arg
-                    .parse()
-                    .map_err(|_| ArgError(format!("--k: expected 'auto' or a number, got '{k_arg}'")))?;
-                if devices > 1 {
-                    let multi = runner.train_epoch_elastic(&ds, kind, k, &group, recovery)?;
-                    if multi.live_ranks < devices {
-                        println!(
-                            "epoch {epoch}: {} of {devices} ranks survived \
-                             (+{:.3}s failover overhead)",
-                            multi.live_ranks,
-                            multi.failover_overhead_sec()
-                        );
-                    }
-                    (multi.combined, k)
-                } else {
-                    (runner.train_epoch_betty(&ds, kind, k).map_err(betty::RunError::Train)?, k)
-                }
-            };
+            let multi = runner.train_epoch_elastic(&ds, kind, k0, &group, recovery)?;
+            if multi.live_ranks < devices {
+                println!(
+                    "epoch {epoch}: {} of {devices} ranks survived \
+                     (+{:.3}s failover overhead)",
+                    multi.live_ranks,
+                    multi.failover_overhead_sec()
+                );
+            }
+            let (stats, k) = (multi.combined, multi.assignment.len());
             let report = epoch == epochs - 1 || epoch % 5 == 0;
             if report {
                 let val = runner.evaluate(&ds, &ds.val_idx);

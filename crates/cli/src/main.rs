@@ -26,7 +26,8 @@ COMMANDS:
              [--strategy betty|range|random|metis] [--fanouts 10,25]
              [--compare  (run all four strategies side by side)]
   train      train a GNN with Betty          --data <file> [--epochs N]
-             [--k auto|N] [--strategy S] [--model sage|gat|gcn|gin]
+             [--k auto|N  (the K every epoch starts from; auto = 1)]
+             [--strategy S] [--model sage|gat|gcn|gin]
              [--aggregator mean|sum|pool|lstm] [--fanouts 10,25]
              [--hidden H] [--lr F] [--capacity-mib M] [--devices D]
              [--checkpoint <out.ckpt>] [--seed N]
@@ -38,13 +39,13 @@ COMMANDS:
              [--resume  (continue from the newest checkpoint in
               --checkpoint-dir; losses are bit-identical to a run that
               was never interrupted)]
-             fault injection / recovery (with --k auto):
+             fault injection / recovery (at any --k and --devices):
              [--fault-seed N] [--fault-alloc-rate F] [--fault-oom-steps 3,17]
              [--fault-nan-steps 4,9  (poison the loss at these steps to
               exercise the numeric-anomaly sentinel)]
              [--retries N] [--retry-growth F] [--retry-headroom F]
              [--fault-jitter F] [--fault-stall-rate F] [--fault-stall-sec F]
-             elastic multi-device (with --devices D > 1):
+             device-level faults (indices checked against --devices):
              [--fault-device-fail d:s,...  (kill device d after it
               completes s micro-batches; survivors absorb its queue)]
              [--fault-straggler d:f,...  (slow device d by factor f ≥ 1;

@@ -218,10 +218,21 @@ fn resume_without_checkpoint_dir_is_a_usage_error() {
 
 #[test]
 fn injected_nan_is_rolled_back_and_the_run_completes() {
+    nan_rollback_completes("auto");
+}
+
+/// Recovery is the executor's, not auto-K's: a fixed starting K rolls
+/// back and completes the same way.
+#[test]
+fn injected_nan_is_rolled_back_under_a_fixed_k() {
+    nan_rollback_completes("2");
+}
+
+fn nan_rollback_completes(k: &str) {
     let out = betty()
         .arg("train")
-        .args(SHAPE[..SHAPE.len() - 2].iter()) // drop "--k 2": recovery needs auto-K
-        .args(["--epochs", "3", "--k", "auto", "--fault-nan-steps", "1"])
+        .args(SHAPE[..SHAPE.len() - 2].iter()) // SHAPE without its "--k 2"
+        .args(["--epochs", "3", "--k", k, "--fault-nan-steps", "1"])
         .output()
         .unwrap();
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -237,6 +248,24 @@ fn injected_nan_is_rolled_back_and_the_run_completes() {
         .collect();
     assert!(!losses.is_empty(), "{stdout}");
     assert!(losses.iter().all(|l| l.is_finite()), "{stdout}");
+}
+
+/// One device is a group of one: killing it leaves nobody to migrate to.
+#[test]
+fn killing_the_only_device_exits_6() {
+    let out = betty()
+        .arg("train")
+        .args(SHAPE)
+        .args(["--epochs", "1", "--fault-device-fail", "0:0"])
+        .output()
+        .unwrap();
+    assert_eq!(
+        out.status.code(),
+        Some(6),
+        "stdout:\n{}\nstderr:\n{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 #[test]

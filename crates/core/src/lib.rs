@@ -18,7 +18,11 @@
 //! The [`Trainer`] executes (micro-)batches on the real autograd engine
 //! while charging every tensor to a simulated device
 //! ([`betty_device::Device`]), so OOM behaviour, memory breakdowns and
-//! redundancy-driven compute costs are all measurable.
+//! redundancy-driven compute costs are all measurable. The [`Runner`]
+//! drives whole epochs — sample, plan, re-plan until it fits, train with
+//! gradient accumulation, one optimizer step — through a single executor
+//! that every `train_epoch_*` entry point configures (DESIGN.md, "Epoch
+//! executor").
 //!
 //! # Quickstart
 //!

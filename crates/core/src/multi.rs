@@ -29,8 +29,10 @@
 
 use std::fmt;
 
-use betty_device::LinkFaultInjector;
+use betty_device::{FaultEvent, LinkFaultInjector};
+use betty_trace::{SpanKind, TraceRecorder};
 
+use crate::recovery::{RecoveryEvent, RecoveryLog};
 use crate::stats::{EpochStats, StepStats};
 
 /// Per-device health in the elastic group's state machine.
@@ -394,8 +396,9 @@ pub struct MultiDeviceEpoch {
     /// Simulated gradient all-reduce seconds (payload of the final
     /// surviving ring; retry/backoff time is in `sync_overhead_sec`).
     pub allreduce_sec: f64,
-    /// Health per device at epoch end (all `Healthy` on the
-    /// non-elastic path).
+    /// Health per device at epoch end. Straggler detection reads
+    /// measured wall clocks, so a noisy host can degrade a device of a
+    /// fault-free group.
     pub health: Vec<DeviceHealth>,
     /// Ranks alive at epoch end.
     pub live_ranks: usize,
@@ -448,6 +451,167 @@ impl MultiDeviceEpoch {
     }
 }
 
+/// The attribution stage of an epoch, run once its micro-batches have
+/// executed: folds the measured `steps` per device along `schedule`
+/// (under `straggler_factors`), flags stragglers against the group
+/// median, and simulates the ring all-reduce over the surviving ranks
+/// with timeout/backoff retries — exhausted retries shed the highest
+/// surviving rank and rebuild the ring. Every failover decision is
+/// appended to `log` and, when tracing, recorded as `failover` /
+/// `link_retry` spans and fault records; the failover counters (and one
+/// injected fault per scheduled device failure) land in `combined`.
+///
+/// `work` is the per-micro-batch work proxy the schedule was built from.
+/// On a group of one with no faults this folds every step onto device 0
+/// and logs nothing: no peer to straggle behind, no ring to synchronize.
+#[allow(clippy::too_many_arguments)] // the stage's inputs, each read once
+pub(crate) fn attribute_epoch(
+    mut combined: EpochStats,
+    steps: &[StepStats],
+    work: &[f64],
+    schedule: ElasticSchedule,
+    group: &DeviceGroup,
+    straggler_factors: &[(usize, f64)],
+    grad_bytes: usize,
+    link: Option<&mut LinkFaultInjector>,
+    log: &mut RecoveryLog,
+    mut trace: Option<&mut TraceRecorder>,
+) -> MultiDeviceEpoch {
+    let d = group.num_devices;
+    let per_device = fold_by_device_scaled(steps, &schedule.assignment, d, straggler_factors);
+    let baseline = fold_by_device_scaled(steps, &schedule.initial_assignment, d, &[]);
+    let fault_free_wall_sec = baseline
+        .iter()
+        .map(EpochStats::total_sec)
+        .fold(0.0, f64::max)
+        + group.allreduce_sec(grad_bytes, d);
+    let mut health = schedule.health;
+
+    for fo in &schedule.failovers {
+        log.record(RecoveryEvent::Fault(FaultEvent::DeviceFail {
+            device: fo.device,
+            completed_steps: fo.completed_steps,
+        }));
+        log.record(RecoveryEvent::DeviceLost {
+            device: fo.device,
+            completed_steps: fo.completed_steps,
+            live_ranks: fo.live_ranks,
+        });
+        log.record(RecoveryEvent::WorkMigrated {
+            from_device: fo.device,
+            micro_batches: fo.migrated.len(),
+            survivors: fo.live_ranks,
+        });
+        log.record(RecoveryEvent::RingRebuilt {
+            live_ranks: fo.live_ranks,
+            allreduce_sec: group.allreduce_sec(grad_bytes, fo.live_ranks),
+        });
+        if let Some(tr) = trace.as_deref_mut() {
+            let at = tr.now_sec();
+            tr.record_span(SpanKind::Failover, Some(fo.device), at, 0.0);
+            tr.record_fault(
+                "device_fail",
+                format!(
+                    "device {} lost after {} steps; {} micro-batches migrated",
+                    fo.device,
+                    fo.completed_steps,
+                    fo.migrated.len()
+                ),
+            );
+        }
+    }
+
+    // Straggler detection on the attributed (post-failover,
+    // slowdown-scaled) timings.
+    let mut work_per_device = vec![0.0f64; d];
+    for (&device, &job_work) in schedule.assignment.iter().zip(work) {
+        work_per_device[device] += job_work;
+    }
+    let stragglers = detect_stragglers(&per_device, &work_per_device, group.straggler_threshold);
+    for &(device, slowdown) in &stragglers {
+        if health[device] == DeviceHealth::Healthy {
+            health[device] = DeviceHealth::Degraded;
+        }
+        log.record(RecoveryEvent::StragglerDetected { device, slowdown });
+        if let Some(tr) = trace.as_deref_mut() {
+            tr.record_fault(
+                "straggler",
+                format!("device {device} at {slowdown:.2}x the median time per work"),
+            );
+        }
+    }
+
+    // Elastic all-reduce over the surviving ranks.
+    let mut live: Vec<usize> = (0..d)
+        .filter(|&dev| health[dev] != DeviceHealth::Failed)
+        .collect();
+    let sync = simulate_allreduce(group, grad_bytes, &mut live, link);
+    for retry in &sync.retries {
+        log.record(RecoveryEvent::LinkRetry {
+            attempt: retry.attempt,
+            stall_sec: retry.stall_sec,
+            backoff_sec: retry.backoff_sec,
+        });
+        if let Some(tr) = trace.as_deref_mut() {
+            let at = tr.now_sec();
+            tr.record_span(
+                SpanKind::LinkRetry,
+                Some(retry.attempt),
+                at,
+                group.allreduce_timeout_sec + retry.backoff_sec,
+            );
+        }
+    }
+    for (&lost, &(ranks, sec)) in sync.lost_ranks.iter().zip(&sync.rebuilt) {
+        health[lost] = DeviceHealth::Failed;
+        let completed = schedule.assignment.iter().filter(|&&dev| dev == lost).count();
+        log.record(RecoveryEvent::DeviceLost {
+            device: lost,
+            completed_steps: completed,
+            live_ranks: ranks,
+        });
+        log.record(RecoveryEvent::RingRebuilt {
+            live_ranks: ranks,
+            allreduce_sec: sec,
+        });
+        if let Some(tr) = trace.as_deref_mut() {
+            let at = tr.now_sec();
+            tr.record_span(SpanKind::Failover, Some(lost), at, 0.0);
+            tr.record_fault(
+                "link_exhausted",
+                format!("rank {lost} shed after sync retries ran out; ring now {ranks}"),
+            );
+        }
+    }
+    // A group of one has no ring, hence no all-reduce to show.
+    if let Some(tr) = trace.filter(|_| d > 1) {
+        // Simulated ring all-reduce: the span carries the modelled
+        // synchronization seconds.
+        let at = tr.now_sec();
+        tr.record_span(SpanKind::Allreduce, None, at, sync.total_sec);
+    }
+
+    combined.devices_lost = schedule.failovers.len() + sync.lost_ranks.len();
+    combined.migrated_steps = schedule
+        .failovers
+        .iter()
+        .map(|fo| fo.migrated.len())
+        .sum();
+    combined.link_retries = sync.retries.len();
+    combined.stragglers_detected = stragglers.len();
+    combined.injected_faults = schedule.failovers.len();
+    MultiDeviceEpoch {
+        combined,
+        per_device,
+        assignment: schedule.assignment,
+        allreduce_sec: sync.final_ring_sec,
+        health,
+        live_ranks: live.len(),
+        sync_overhead_sec: sync.total_sec - sync.final_ring_sec,
+        fault_free_wall_sec,
+    }
+}
+
 /// Longest-processing-time-first assignment of jobs (by `work`) onto
 /// `num_devices` queues; returns a device index per job.
 ///
@@ -470,19 +634,11 @@ pub fn lpt_assignment(work: &[f64], num_devices: usize) -> Vec<usize> {
     assignment
 }
 
-/// Folds per-step stats into per-device epoch aggregates.
-pub(crate) fn fold_by_device(
-    steps: &[StepStats],
-    assignment: &[usize],
-    num_devices: usize,
-) -> Vec<EpochStats> {
-    fold_by_device_scaled(steps, assignment, num_devices, &[])
-}
-
-/// [`fold_by_device`] with per-device straggler slowdown factors
-/// applied to each step's attributed compute and transfer seconds —
-/// the injected fault model for "device d runs f× slower". Losses and
-/// memory are untouched: stragglers are slow, not wrong.
+/// Folds per-step stats into per-device epoch aggregates, with per-device
+/// straggler slowdown factors applied to each step's attributed compute
+/// and transfer seconds — the injected fault model for "device d runs f×
+/// slower". Losses and memory are untouched: stragglers are slow, not
+/// wrong.
 pub(crate) fn fold_by_device_scaled(
     steps: &[StepStats],
     assignment: &[usize],

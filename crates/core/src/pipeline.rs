@@ -44,21 +44,43 @@ use std::time::Instant;
 use rand_pcg::Pcg64Mcg;
 
 use betty_graph::{sample_batch_in, Batch, CsrGraph, NodeId};
+use betty_partition::OutputPartitioner;
 use betty_runtime::{OrderedQueue, WorkerPool};
 
 use crate::planner::{MemoryAwarePlanner, Plan, PlanError};
 use crate::strategy::{build_strategy, StrategyKind};
 
-/// How staged epochs are planned — mirrors the synchronous entry points.
+/// How an epoch's batch is planned — by the pipeline's workers or, with
+/// the same result, synchronously on the training thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanMode {
-    /// Exactly `k` micro-batches (`Runner::train_epoch_betty`): planning
-    /// is infallible.
+    /// Exactly `k` micro-batches, whatever the capacity: planning is
+    /// infallible.
     Fixed(usize),
-    /// Memory-aware selection against the planner's own capacity, from
-    /// `K = 1` (`Runner::train_epoch_auto` and attempt 0 of
-    /// `Runner::train_epoch_auto_recovering`).
-    Auto,
+    /// Memory-aware selection: the smallest fitting `K ≥ k`. Auto-K is
+    /// `From(1)`; a user-given starting `K` is `From(k)`.
+    From(usize),
+}
+
+impl PlanMode {
+    /// Plans `batch` in this mode, a `From` search against
+    /// `capacity_bytes`.
+    ///
+    /// # Errors
+    ///
+    /// [`PlanError`] if no `K` of a `From` search fits.
+    pub fn plan(
+        self,
+        planner: &MemoryAwarePlanner,
+        batch: &Batch,
+        strategy: &dyn OutputPartitioner,
+        capacity_bytes: usize,
+    ) -> Result<Plan, PlanError> {
+        match self {
+            PlanMode::Fixed(k) => Ok(planner.plan_fixed(batch, strategy, k)),
+            PlanMode::From(k) => planner.plan_with_capacity(batch, strategy, k, capacity_bytes),
+        }
+    }
 }
 
 /// One staged epoch: the sampled batch, its plan, and the bookkeeping the
@@ -109,7 +131,7 @@ pub struct PipelineSpec {
     pub strategy: StrategyKind,
     /// Strategy seed (the runner's experiment seed).
     pub seed: u64,
-    /// Fixed-K or auto planning.
+    /// Fixed-K or memory-aware planning.
     pub mode: PlanMode,
     /// Maximum bundles in flight (≥ 1).
     pub depth: usize,
@@ -193,12 +215,12 @@ impl PlanPipeline {
                     let planner = planner.clone();
                     pool.submit(move || {
                         let strategy_impl = build_strategy(strategy, seed);
-                        let plan = match mode {
-                            PlanMode::Fixed(k) => {
-                                Ok(planner.plan_fixed(&batch, strategy_impl.as_ref(), k))
-                            }
-                            PlanMode::Auto => planner.plan(&batch, strategy_impl.as_ref(), 1),
-                        };
+                        let plan = mode.plan(
+                            &planner,
+                            &batch,
+                            strategy_impl.as_ref(),
+                            planner.capacity_bytes(),
+                        );
                         let bytes = plan.as_ref().map_or(0, |p| {
                             p.estimates.iter().map(|e| e.transfer_bytes()).sum()
                         });
@@ -437,7 +459,7 @@ mod tests {
         let pipeline = PlanPipeline::spawn(spec(&ds, 2));
         assert!(pipeline.matches(StrategyKind::Betty, PlanMode::Fixed(3), key, 2));
         assert!(!pipeline.matches(StrategyKind::Range, PlanMode::Fixed(3), key, 2));
-        assert!(!pipeline.matches(StrategyKind::Betty, PlanMode::Auto, key, 2));
+        assert!(!pipeline.matches(StrategyKind::Betty, PlanMode::From(1), key, 2));
         assert!(!pipeline.matches(StrategyKind::Betty, PlanMode::Fixed(3), key ^ 1, 2));
         assert!(!pipeline.matches(StrategyKind::Betty, PlanMode::Fixed(3), key, 3));
     }

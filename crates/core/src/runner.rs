@@ -1,5 +1,6 @@
 //! High-level experiment facade: dataset + config → epochs.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -7,16 +8,20 @@ use rand::SeedableRng;
 use rand_pcg::Pcg64Mcg;
 
 use betty_data::{Dataset, StorageIncident};
-use betty_device::{AggregatorKind, Device, MemoryEstimator, ModelShape};
+use betty_device::{
+    AggregatorKind, Device, FaultPlan, MemoryEstimate, MemoryEstimator, ModelShape,
+    BYTES_PER_VALUE,
+};
 use betty_graph::{sample_batch_in, Batch, CsrGraph, NodeId};
 use betty_nn::{Gat, Gcn, Gin, GnnModel, GraphSage, TrainState};
 
 use betty_trace::{SpanKind, TraceRecorder};
 
 use crate::config::{ExperimentConfig, ModelKind};
+use crate::multi::{attribute_epoch, simulate_elastic_schedule, DeviceGroup, MultiDeviceEpoch};
 use crate::pipeline::{dataset_key, PipelineSpec, PlanMode, PlanPipeline, StagedBundle};
 use crate::planner::{MemoryAwarePlanner, Plan, PlanError};
-use crate::recovery::{RecoveryEvent, RecoveryLog};
+use crate::recovery::{RecoveryEvent, RecoveryLog, RetryPolicy};
 use crate::stats::{EpochStats, StepStats};
 use crate::strategy::{build_strategy, StrategyKind};
 use crate::trainer::{TrainError, Trainer};
@@ -106,11 +111,30 @@ impl From<TrainError> for RunError {
     }
 }
 
+impl RunError {
+    /// The step failure behind an executor error, for the entry points
+    /// whose signature is [`TrainError`]. They run a fixed, cached or
+    /// caller-supplied plan on a fault-free group with no retry budget,
+    /// which can fail in no other way.
+    fn into_train_error(self) -> TrainError {
+        match self {
+            RunError::Train(e)
+            | RunError::RetryExhausted { source: e, .. }
+            | RunError::Anomaly { source: e, .. } => e,
+            other => panic!("an epoch with nothing to plan or lose failed before training: {other}"),
+        }
+    }
+}
+
 /// Ties a model, trainer, planner, and sampler together for one experiment.
 ///
 /// Each `train_epoch_*` call re-samples the full training batch (per-epoch
 /// neighbor sampling, as DGL does), partitions it with the requested
-/// strategy, and trains. See the [crate docs](crate) for an example.
+/// strategy, and trains. They are one epoch executor under different
+/// configurations — a plan source, a device group, a fault policy; one
+/// device is a group of one, no recovery a zero retry budget (DESIGN.md,
+/// "Epoch executor") — and [`Runner::train_epoch_elastic`] is the general
+/// one. See the [crate docs](crate) for an example.
 pub struct Runner {
     config: ExperimentConfig,
     trainer: Trainer,
@@ -185,18 +209,73 @@ struct CachedParts {
     epochs_used: usize,
 }
 
-/// One epoch's batch + plan, as produced by [`Runner::acquire_plan`] —
-/// either consumed from the partition-ahead pipeline or planned
-/// synchronously (in which case the two timing/accounting extras are 0).
-struct EpochPlanSource {
-    batch: Batch,
-    plan: Result<Plan, PlanError>,
-    /// Planning seconds hidden off the critical path
-    /// ([`EpochStats::plan_ahead_overlap_sec`]).
+/// Where an epoch's micro-batches come from.
+#[derive(Clone, Copy)]
+enum PlanSource<'a> {
+    /// Sample, then plan — staged ahead by the partition-ahead pipeline
+    /// when one is running.
+    Planned(PlanMode),
+    /// Sample, then regroup by the cached `k`-way cut, which serves
+    /// `refresh_every` epochs before it is cut afresh.
+    Cached { k: usize, refresh_every: usize },
+    /// Caller-built micro-batches: nothing is sampled or planned.
+    Given(&'a [Batch]),
+}
+
+/// One configuration of [`Runner::run_epoch`]; every public
+/// `train_epoch_*` entry point but the mini-batch baseline constructs one.
+struct EpochSpec<'a> {
+    source: PlanSource<'a>,
+    /// One device is a group of one.
+    group: &'a DeviceGroup,
+    /// No recovery is a zero budget.
+    retry: RetryPolicy,
+    /// The plan whose `device_fail_steps`, `straggler_factors` and link
+    /// stalls hit the group; `None` is a fault-free group.
+    device_faults: Option<FaultPlan>,
+}
+
+/// What one attempt trains.
+struct Work<'a> {
+    micro_batches: Cow<'a, [Batch]>,
+    /// Eq. 5 estimates parallel to `micro_batches` — empty when nothing
+    /// priced *these* micro-batches (caller-supplied, or cut for an
+    /// earlier epoch's batch), which leaves the drift fields at 0.
+    estimates: Vec<MemoryEstimate>,
+}
+
+impl From<Plan> for Work<'_> {
+    fn from(plan: Plan) -> Self {
+        Work {
+            micro_batches: Cow::Owned(plan.micro_batches),
+            estimates: plan.estimates,
+        }
+    }
+}
+
+/// The acquire stage's product.
+struct Acquired<'a> {
+    /// The sampled full batch, which retries re-partition (`None` for
+    /// caller-supplied micro-batches).
+    sampled: Option<Batch>,
+    /// Attempt 0's work.
+    work: Result<Work<'a>, PlanError>,
+    /// [`EpochStats::plan_ahead_overlap_sec`].
     overlap_sec: f64,
-    /// Bytes charged to the `plan ahead` ledger category
-    /// ([`EpochStats::plan_ahead_staged_bytes`]).
+    /// [`EpochStats::plan_ahead_staged_bytes`].
     staged_bytes: usize,
+}
+
+impl<'a> Acquired<'a> {
+    /// Work acquired on the training thread: nothing was staged ahead.
+    fn synchronous(sampled: Option<Batch>, work: Result<Work<'a>, PlanError>) -> Self {
+        Acquired {
+            sampled,
+            work,
+            overlap_sec: 0.0,
+            staged_bytes: 0,
+        }
+    }
 }
 
 impl fmt::Debug for Runner {
@@ -207,14 +286,24 @@ impl fmt::Debug for Runner {
     }
 }
 
-/// Host bytes staging one epoch: raw features plus every micro-batch's
-/// block structure (3 values per edge).
-fn host_staging_bytes(dataset: &Dataset, micro_batches: &[Batch]) -> usize {
-    dataset.features.size_bytes()
-        + micro_batches
-            .iter()
-            .map(|mb| mb.total_edges() * 3 * betty_device::BYTES_PER_VALUE)
-            .sum::<usize>()
+/// Host bytes staging one epoch: raw features plus the block structure
+/// (3 values per edge) of the sampled batch, when there is one, and of
+/// every micro-batch.
+fn host_staging_bytes(dataset: &Dataset, sampled: Option<&Batch>, micro_batches: &[Batch]) -> usize {
+    let edges = sampled.map_or(0, Batch::total_edges)
+        + micro_batches.iter().map(Batch::total_edges).sum::<usize>();
+    dataset.features.size_bytes() + edges * 3 * BYTES_PER_VALUE
+}
+
+/// Records the `partition` and `plan` spans of a planning call that
+/// finished at recorder second `finished`, from the wall times the planner
+/// measured (`partition_sec` is the REG build + cuts, `extraction_sec` the
+/// micro-batch restriction + estimation, each summed over every probe).
+fn record_plan_spans(tr: &mut TraceRecorder, plan: &Plan, finished: f64) {
+    let start = (finished - plan.extraction_sec - plan.partition_sec).max(0.0);
+    tr.record_span(SpanKind::Partition, None, start, plan.partition_sec);
+    let extraction_start = start + plan.partition_sec;
+    tr.record_span(SpanKind::Plan, None, extraction_start, plan.extraction_sec);
 }
 
 /// Per-node LSTM intermediate constant of Eq. 5 for *this* engine: what
@@ -372,22 +461,16 @@ impl Runner {
         self.trainer.disable_tracing()
     }
 
-    /// Stamps the recorder with this epoch's ordinal; every
-    /// `train_epoch_*` entry point calls this first so spans and drift
-    /// records carry monotone epoch ids.
-    fn begin_traced_epoch(&mut self) {
+    /// Epoch preamble: stamps the trace recorder with this epoch's
+    /// ordinal (so spans and drift records carry monotone epoch ids),
+    /// then applies any scheduled shard corruption due this epoch to the
+    /// on-disk feature store.
+    fn begin_epoch(&mut self, dataset: &Dataset) {
         let epoch = self.epochs_run;
         self.epochs_run += 1;
         if let Some(tr) = self.trainer.trace_mut() {
             tr.set_epoch(epoch);
         }
-    }
-
-    /// Epoch preamble shared by every `train_epoch_*` entry point:
-    /// stamps the trace epoch, then applies any scheduled shard
-    /// corruption due this epoch to the on-disk feature store.
-    fn begin_epoch(&mut self, dataset: &Dataset) {
-        self.begin_traced_epoch();
         self.apply_scheduled_corruption(dataset);
     }
 
@@ -400,7 +483,7 @@ impl Runner {
         if self.shard_corrupt.is_empty() {
             return;
         }
-        let epoch = self.epochs_run - 1; // begin_traced_epoch just bumped it
+        let epoch = self.epochs_run - 1; // begin_epoch just bumped it
         let mut remaining = Vec::with_capacity(self.shard_corrupt.len());
         for &(shard, at_epoch) in &self.shard_corrupt {
             if at_epoch != epoch {
@@ -418,41 +501,28 @@ impl Runner {
         self.shard_corrupt = remaining;
     }
 
-    /// Drains storage-fault events (from the seeded injector) and
-    /// repair/retry incidents (from the feature store) accumulated since
-    /// the last call — into `log` when recovering, and into the trace
-    /// stream when tracing. Returns how many *injected* fault events
-    /// were drained (for [`EpochStats::injected_faults`]).
-    fn drain_storage_events(&mut self, dataset: &Dataset, mut log: Option<&mut RecoveryLog>) -> usize {
-        let mut injected = 0usize;
+    /// Drains every injected-fault source — the trainer's (allocation,
+    /// transfer, NaN), the all-reduce link's and the storage injector's —
+    /// and the feature store's retry/repair incidents accumulated since
+    /// the last call, into `log` and, when tracing, the trace stream.
+    /// Returns how many *injected* fault events were drained (for
+    /// [`EpochStats::injected_faults`]).
+    fn drain_faults(&mut self, dataset: &Dataset, log: &mut RecoveryLog) -> usize {
+        let mut events = self.trainer.drain_fault_events();
+        if let Some(link) = self.link_faults.as_mut() {
+            events.extend(link.drain_events());
+        }
         if let Some(inj) = &self.storage_faults {
-            let events = betty_device::FaultEvents::drain_events(
-                &mut *inj.lock().expect("storage fault injector lock poisoned"),
-            );
-            for event in events {
-                injected += 1;
-                if let Some(tr) = self.trainer.trace_mut() {
-                    let (kind, detail) = match &event {
-                        betty_device::FaultEvent::StorageIoError { shard, attempt } => (
-                            "storage_io",
-                            format!("shard {shard}: transient read error on attempt {attempt}"),
-                        ),
-                        betty_device::FaultEvent::StorageStall { shard, stall_sec } => (
-                            "storage_stall",
-                            format!("shard {shard}: +{stall_sec:.3}s read stall"),
-                        ),
-                        betty_device::FaultEvent::ShardCorrupted { shard, epoch } => (
-                            "shard_corrupt",
-                            format!("shard {shard}: payload byte flipped before epoch {epoch}"),
-                        ),
-                        _ => ("storage_fault", format!("{event:?}")),
-                    };
-                    tr.record_fault(kind, detail);
-                }
-                if let Some(log) = log.as_deref_mut() {
-                    log.record(RecoveryEvent::Fault(event));
-                }
+            let mut inj = inj.lock().expect("storage fault injector lock poisoned");
+            events.extend(inj.drain_events());
+        }
+        let injected = events.len();
+        for event in events {
+            if let Some(tr) = self.trainer.trace_mut() {
+                let (kind, detail) = event.trace_record();
+                tr.record_fault(kind, detail);
             }
+            log.record(RecoveryEvent::Fault(event));
         }
         for incident in dataset.features.drain_storage_incidents() {
             match incident {
@@ -460,33 +530,22 @@ impl Runner {
                     shard,
                     attempt,
                     backoff_sec,
-                } => {
-                    if let Some(log) = log.as_deref_mut() {
-                        log.record(RecoveryEvent::IoRetry {
-                            shard,
-                            attempt,
-                            backoff_sec,
-                        });
-                    }
-                }
+                } => log.record(RecoveryEvent::IoRetry {
+                    shard,
+                    attempt,
+                    backoff_sec,
+                }),
                 StorageIncident::ShardRepaired {
                     shard,
                     group,
                     repair_bytes,
                 } => {
-                    if self.trainer.tracing_enabled() {
-                        let sec = self
-                            .trainer
-                            .feature_link()
-                            .time_for(repair_bytes as usize);
-                        if let Some(tr) = self.trainer.trace_mut() {
-                            let at = tr.now_sec();
-                            tr.record_span(SpanKind::StorageRepair, Some(shard), at, sec);
-                        }
+                    let sec = self.trainer.feature_link().time_for(repair_bytes as usize);
+                    if let Some(tr) = self.trainer.trace_mut() {
+                        let at = tr.now_sec();
+                        tr.record_span(SpanKind::StorageRepair, Some(shard), at, sec);
                     }
-                    if let Some(log) = log.as_deref_mut() {
-                        log.record(RecoveryEvent::ShardRepaired { shard, group });
-                    }
+                    log.record(RecoveryEvent::ShardRepaired { shard, group });
                 }
             }
         }
@@ -509,38 +568,43 @@ impl Runner {
         batch
     }
 
-    /// Records `partition` and `plan` spans from the wall times the
-    /// planner already measured (`partition_sec` is the REG build + cuts,
-    /// `extraction_sec` the micro-batch restriction + estimation, each
-    /// summed over every probe of the planning call).
-    fn record_plan_spans(&mut self, plan: &Plan) {
+    /// Plans `batch` on this thread — exactly `k` parts, or from `k` up
+    /// against `capacity_bytes` — under `partition` and `plan` spans.
+    fn plan_traced(
+        &mut self,
+        batch: &Batch,
+        strategy: StrategyKind,
+        mode: PlanMode,
+        capacity_bytes: usize,
+    ) -> Result<Plan, PlanError> {
+        let strategy = build_strategy(strategy, self.seed);
+        let plan = mode.plan(&self.planner, batch, strategy.as_ref(), capacity_bytes)?;
         if let Some(tr) = self.trainer.trace_mut() {
-            let at = tr.now_sec();
-            let start = at - plan.extraction_sec - plan.partition_sec;
-            tr.record_span(SpanKind::Partition, None, start, plan.partition_sec);
-            tr.record_span(
-                SpanKind::Plan,
-                None,
-                start + plan.partition_sec,
-                plan.extraction_sec,
-            );
+            let finished = tr.now_sec();
+            record_plan_spans(tr, &plan, finished);
         }
+        Ok(plan)
     }
 
     /// Fills [`EpochStats::estimated_peak_bytes`] /
-    /// [`EpochStats::estimator_drift`] from a plan's per-micro-batch
-    /// estimates and the measured step peaks, and — when tracing — emits
+    /// [`EpochStats::estimator_drift`] from the per-micro-batch
+    /// `estimates` and the measured step peaks, and — when tracing — emits
     /// one [`betty_trace::DriftRecord`] per micro-batch. The planner
-    /// filters empty parts, so `plan.estimates` and the executed steps
-    /// align one to one.
-    fn annotate_drift(&mut self, stats: &mut EpochStats, steps: &[StepStats], plan: &Plan) {
-        debug_assert_eq!(steps.len(), plan.estimates.len());
+    /// filters empty parts, so estimates and executed steps align one to
+    /// one; work without estimates leaves both fields at 0.
+    fn annotate_drift(
+        &mut self,
+        stats: &mut EpochStats,
+        steps: &[StepStats],
+        estimates: &[MemoryEstimate],
+    ) {
+        debug_assert!(estimates.is_empty() || steps.len() == estimates.len());
         // Steps consumed their global ids during the epoch; recover the
         // first one from the trainer's monotone counter.
         let base_step = self.trainer.global_step() - steps.len();
         let mut max_estimated = 0usize;
         let mut worst_ratio = 0.0f64;
-        for (i, (step, estimate)) in steps.iter().zip(&plan.estimates).enumerate() {
+        for (i, (step, estimate)) in steps.iter().zip(estimates).enumerate() {
             let estimated = estimate.peak_bytes();
             max_estimated = max_estimated.max(estimated);
             let ratio = step.peak_bytes as f64 / estimated.max(1) as f64;
@@ -551,15 +615,6 @@ impl Runner {
         }
         stats.estimated_peak_bytes = max_estimated;
         stats.estimator_drift = worst_ratio;
-    }
-
-    /// Runs a plan's micro-batches and annotates the stats with the
-    /// estimator-drift comparison.
-    fn run_planned(&mut self, dataset: &Dataset, plan: &Plan) -> Result<EpochStats, TrainError> {
-        let (mut stats, steps) =
-            self.run_micro_batches_with_steps(dataset, &plan.micro_batches)?;
-        self.annotate_drift(&mut stats, &steps, plan);
-        Ok(stats)
     }
 
     /// The experiment configuration.
@@ -711,14 +766,7 @@ impl Runner {
             tr.record_span(SpanKind::Sample, None, sample_start, bundle.sample_sec);
             if let Ok(plan) = &bundle.plan {
                 let finished = tr.sec_at(bundle.plan_finished);
-                let start = (finished - plan.extraction_sec - plan.partition_sec).max(0.0);
-                tr.record_span(SpanKind::Partition, None, start, plan.partition_sec);
-                tr.record_span(
-                    SpanKind::Plan,
-                    None,
-                    start + plan.partition_sec,
-                    plan.extraction_sec,
-                );
+                record_plan_spans(tr, plan, finished);
             }
             let now = tr.now_sec();
             tr.record_span(
@@ -747,6 +795,29 @@ impl Runner {
         }
     }
 
+    /// The acquire stage: this epoch's sampled batch and attempt 0's work
+    /// from `source`.
+    fn acquire<'a>(
+        &mut self,
+        dataset: &Dataset,
+        strategy: StrategyKind,
+        source: PlanSource<'a>,
+    ) -> Acquired<'a> {
+        match source {
+            PlanSource::Planned(mode) => self.acquire_plan(dataset, strategy, mode),
+            PlanSource::Cached { k, refresh_every } => {
+                self.acquire_cached(dataset, strategy, k, refresh_every)
+            }
+            PlanSource::Given(micro_batches) => {
+                let work = Work {
+                    micro_batches: Cow::Borrowed(micro_batches),
+                    estimates: Vec::new(),
+                };
+                Acquired::synchronous(None, Ok(work))
+            }
+        }
+    }
+
     /// Produces this epoch's batch and plan — from the partition-ahead
     /// pipeline when one is running, synchronously otherwise. Both paths
     /// draw the same batch from the same RNG cursor and plan it with the
@@ -760,7 +831,7 @@ impl Runner {
         dataset: &Dataset,
         strategy: StrategyKind,
         mode: PlanMode,
-    ) -> EpochPlanSource {
+    ) -> Acquired<'static> {
         if let Some((bundle, wait_sec, requested_at)) =
             self.pipelined_bundle(dataset, strategy, mode)
         {
@@ -769,27 +840,57 @@ impl Runner {
             // Adopt the post-sample cursor: synchronous sampling (or a
             // restarted pipeline) continues the exact same stream.
             self.sample_rng = Pcg64Mcg::new(bundle.rng_after);
-            return EpochPlanSource {
-                batch: bundle.batch,
-                plan: bundle.plan,
+            return Acquired {
+                sampled: Some(bundle.batch),
+                work: bundle.plan.map(Work::from),
                 overlap_sec,
                 staged_bytes,
             };
         }
         let batch = self.traced_sample_full_batch(dataset);
-        let plan = match mode {
-            PlanMode::Fixed(k) => Ok(self.plan_fixed(&batch, strategy, k)),
-            PlanMode::Auto => self.plan_auto(&batch, strategy),
-        };
-        if let Ok(plan) = &plan {
-            self.record_plan_spans(plan);
+        let capacity = self.config.capacity_bytes;
+        let plan = self.plan_traced(&batch, strategy, mode, capacity);
+        Acquired::synchronous(Some(batch), plan.map(Work::from))
+    }
+
+    /// Samples synchronously (resetting any running pipeline), then cuts
+    /// the batch `k` ways — or, for up to `refresh_every − 1` epochs after
+    /// a cut, regroups it by that cut's output assignment, which stays
+    /// *valid* because the output set is the training split every epoch.
+    fn acquire_cached(
+        &mut self,
+        dataset: &Dataset,
+        strategy: StrategyKind,
+        k: usize,
+        refresh_every: usize,
+    ) -> Acquired<'static> {
+        let batch = self.traced_sample_full_batch(dataset);
+        let reusable = self.cached_parts.as_mut().filter(|c| {
+            c.strategy == strategy && c.k == k && c.epochs_used < refresh_every
+        });
+        if let Some(cache) = reusable {
+            cache.epochs_used += 1;
+            // The cut's estimates priced an earlier batch, not this
+            // re-sampled one: a reuse epoch carries none.
+            let work = Work {
+                micro_batches: Cow::Owned(batch.restrict_all(&cache.parts)),
+                estimates: Vec::new(),
+            };
+            return Acquired::synchronous(Some(batch), Ok(work));
         }
-        EpochPlanSource {
-            batch,
-            plan,
-            overlap_sec: 0.0,
-            staged_bytes: 0,
-        }
+        let capacity = self.config.capacity_bytes;
+        let work = self
+            .plan_traced(&batch, strategy, PlanMode::Fixed(k), capacity)
+            .map(|plan| {
+                self.cached_parts = Some(CachedParts {
+                    strategy,
+                    k,
+                    parts: plan.parts.clone(),
+                    epochs_used: 1,
+                });
+                Work::from(plan)
+            });
+        Acquired::synchronous(Some(batch), work)
     }
 
     /// Splits a batch into exactly `k` micro-batches using `strategy`.
@@ -798,44 +899,260 @@ impl Runner {
             .plan_fixed(batch, build_strategy(strategy, self.seed).as_ref(), k)
     }
 
-    /// Memory-aware planning: smallest `K` fitting the configured capacity.
-    ///
-    /// # Errors
-    ///
-    /// [`PlanError`] if no partition count fits.
-    pub fn plan_auto(&self, batch: &Batch, strategy: StrategyKind) -> Result<Plan, PlanError> {
-        self.planner
-            .plan(batch, build_strategy(strategy, self.seed).as_ref(), 1)
-    }
-
-    /// Runs one gradient-accumulated epoch over pre-built micro-batches,
-    /// double-buffering host→device transfers when
-    /// [`ExperimentConfig::prefetch`] is on (the default). Both paths
-    /// produce bit-identical losses; prefetch only changes timing and the
-    /// device-memory schedule.
-    fn run_micro_batches(
+    /// The one epoch executor — Fig. 6's micro-batch workflow around the
+    /// §4.4.3 re-partitioning loop (DESIGN.md, "Epoch executor"). One loop
+    /// with one `attempt` counter chains four stages: **acquire** the
+    /// batch and plan from the spec's source (a retry re-partitions the
+    /// same batch from an escalated `K` under compounding headroom),
+    /// **schedule** the micro-batches over the group under its scheduled
+    /// device failures, **execute** them once on the shared model in plan
+    /// order — whatever the schedule, which is why losses and parameters
+    /// are bit-identical across group sizes and device faults — and
+    /// **attribute** the measured steps to devices ([`attribute_epoch`]).
+    /// Injected-fault events are drained into `log` once per attempt, and
+    /// the epoch's stats are filled in here and nowhere else.
+    fn run_epoch(
         &mut self,
         dataset: &Dataset,
-        micro_batches: &[Batch],
-    ) -> Result<EpochStats, TrainError> {
-        self.run_micro_batches_with_steps(dataset, micro_batches)
-            .map(|(stats, _)| stats)
-    }
+        strategy: StrategyKind,
+        spec: &EpochSpec<'_>,
+        log: &mut RecoveryLog,
+    ) -> Result<MultiDeviceEpoch, RunError> {
+        self.begin_epoch(dataset);
+        let (group, policy) = (spec.group, &spec.retry);
+        let capacity = self.config.capacity_bytes;
+        let max_partitions = self.config.max_partitions;
+        let faults = spec.device_faults.as_ref();
+        let fail_steps = faults.map_or(&[][..], |f| f.device_fail_steps.as_slice());
+        let straggler_factors = faults.map_or(&[][..], |f| f.straggler_factors.as_slice());
+        // Staging the next micro-batch's transfer only means something
+        // when consecutive micro-batches share a device.
+        let prefetch = self.config.prefetch && group.num_devices == 1;
+        let Acquired {
+            sampled,
+            work: mut planned,
+            overlap_sec,
+            staged_bytes,
+        } = self.acquire(dataset, strategy, spec.source);
+        // What a retry re-partitions, while its budget lasts. Work that
+        // came without its batch (caller-supplied micro-batches) has
+        // nothing to re-partition: its first failure is final.
+        let retry_batch = |spent: usize, budget: usize| sampled.as_ref().filter(|_| spent < budget);
+        // Only a retry ever restores, so a zero budget skips the copy.
+        let snapshot = (policy.max_retries > 0 || policy.max_anomaly_retries > 0)
+            .then(|| self.trainer.snapshot());
+        let mut injected_faults = 0usize;
+        let mut attempt = 0usize; // escalations so far: OOM'd attempts, infeasible schedules
+        let mut anomaly_rollbacks = 0usize;
+        let mut original: Option<TrainError> = None;
+        loop {
+            let work = match planned {
+                Ok(work) => work,
+                // A retry planned itself into a corner (headroom or K
+                // growth exceeded what max_partitions can satisfy):
+                // surface the original OOM, not the planning artifact.
+                // A failed first plan has nothing to recover from.
+                Err(e) => {
+                    let Some(source) = original else {
+                        return Err(RunError::Plan(e));
+                    };
+                    log.record(RecoveryEvent::Exhausted { attempts: attempt });
+                    return Err(RunError::RetryExhausted {
+                        attempts: attempt,
+                        source,
+                    });
+                }
+            };
+            let k = work.micro_batches.len();
 
-    /// Like [`Runner::run_micro_batches`], keeping the per-step stats the
-    /// drift annotation compares against the plan's estimates.
-    fn run_micro_batches_with_steps(
-        &mut self,
-        dataset: &Dataset,
-        micro_batches: &[Batch],
-    ) -> Result<(EpochStats, Vec<StepStats>), TrainError> {
-        if self.config.prefetch {
-            self.trainer
-                .micro_batch_epoch_prefetched_with_steps(dataset, micro_batches)
-        } else {
-            self.trainer
-                .micro_batch_epoch_with_steps(dataset, micro_batches)
+            // Work proxy: total edges of each micro-batch's block stack.
+            let jobs: Vec<f64> = work
+                .micro_batches
+                .iter()
+                .map(|mb| mb.total_edges() as f64)
+                .collect();
+            let schedule = simulate_elastic_schedule(&jobs, group.num_devices, fail_steps)
+                .map_err(|e| {
+                    log.record(RecoveryEvent::Exhausted { attempts: attempt });
+                    RunError::DevicesExhausted(e)
+                })?;
+            // Migration never changes a micro-batch's own peak, only who
+            // pays it.
+            let survivor_capacity = policy.planning_capacity(capacity, attempt + 1);
+            let worst_migrated = schedule
+                .failovers
+                .iter()
+                .flat_map(|fo| &fo.migrated)
+                .filter_map(|&job| work.estimates.get(job))
+                .map(MemoryEstimate::peak_bytes)
+                .max()
+                .unwrap_or(0);
+
+            let (batch, next_k) = if worst_migrated > survivor_capacity {
+                let Some(batch) = retry_batch(attempt, policy.max_retries) else {
+                    log.record(RecoveryEvent::Exhausted { attempts: attempt });
+                    return Err(RunError::Plan(PlanError::CapacityUnreachable {
+                        max_partitions,
+                        best_peak: worst_migrated,
+                        capacity: survivor_capacity,
+                    }));
+                };
+                attempt += 1;
+                (batch, policy.escalate_k(k).min(max_partitions))
+            } else {
+                let err = match self
+                    .trainer
+                    .micro_batch_epoch(dataset, &work.micro_batches, prefetch)
+                {
+                    Ok((mut combined, steps)) => {
+                        self.annotate_drift(&mut combined, &steps, &work.estimates);
+                        let grad_bytes =
+                            self.trainer.model().total_param_count() * BYTES_PER_VALUE;
+                        let mut epoch = attribute_epoch(
+                            combined,
+                            &steps,
+                            &jobs,
+                            schedule,
+                            group,
+                            straggler_factors,
+                            grad_bytes,
+                            faults.and(self.link_faults.as_mut()),
+                            log,
+                            self.trainer.trace_mut(),
+                        );
+                        injected_faults += self.drain_faults(dataset, log);
+                        if attempt > 0 {
+                            log.record(RecoveryEvent::Recovered {
+                                attempts: attempt,
+                                final_k: k,
+                            });
+                        }
+                        let stats = &mut epoch.combined;
+                        stats.host_bytes =
+                            host_staging_bytes(dataset, sampled.as_ref(), &work.micro_batches);
+                        stats.oom_retries = attempt;
+                        stats.anomaly_rollbacks = anomaly_rollbacks;
+                        stats.injected_faults += injected_faults;
+                        stats.plan_ahead_overlap_sec = overlap_sec;
+                        stats.plan_ahead_staged_bytes = staged_bytes;
+                        return Ok(epoch);
+                    }
+                    Err(err) => err,
+                };
+                self.trainer.release_device();
+                injected_faults += self.drain_faults(dataset, log);
+                let retry = match err {
+                    // A numeric anomaly is not a capacity problem:
+                    // restore the snapshot and retry the *same* plan
+                    // under its own (small) budget. Injected NaNs
+                    // fire once — step indices are monotone — so the
+                    // retry replays clean and bit-identical to a
+                    // never-faulted epoch; a genuine divergence
+                    // reproduces deterministically and aborts once
+                    // the budget is spent.
+                    TrainError::NumericAnomaly {
+                        step,
+                        kind,
+                        injected,
+                    } => {
+                        let Some(batch) =
+                            retry_batch(anomaly_rollbacks, policy.max_anomaly_retries)
+                        else {
+                            log.record(RecoveryEvent::AnomalyAbort {
+                                rollbacks: anomaly_rollbacks,
+                                step,
+                                kind,
+                            });
+                            return Err(RunError::Anomaly {
+                                rollbacks: anomaly_rollbacks,
+                                source: err,
+                            });
+                        };
+                        anomaly_rollbacks += 1;
+                        log.record(RecoveryEvent::AnomalyRollback {
+                            attempt: anomaly_rollbacks,
+                            step,
+                            kind,
+                            injected,
+                        });
+                        (batch, k)
+                    }
+                    TrainError::StepOom {
+                        step,
+                        phase,
+                        ref source,
+                    } => {
+                        let Some(batch) = retry_batch(attempt, policy.max_retries) else {
+                            if attempt == 0 {
+                                // Recovery disabled: the plain training
+                                // error.
+                                return Err(RunError::Train(err));
+                            }
+                            log.record(RecoveryEvent::Exhausted { attempts: attempt });
+                            return Err(RunError::RetryExhausted {
+                                attempts: attempt,
+                                source: original.unwrap_or(err),
+                            });
+                        };
+                        attempt += 1;
+                        let next_k = policy.escalate_k(k).min(max_partitions);
+                        log.record(RecoveryEvent::OomRetry {
+                            attempt,
+                            step,
+                            phase,
+                            injected: source.injected,
+                            failed_k: k,
+                            next_k,
+                            planning_capacity: policy.planning_capacity(capacity, attempt),
+                        });
+                        original.get_or_insert(err);
+                        (batch, next_k)
+                    }
+                    // Storage damage is not a capacity problem:
+                    // re-partitioning cannot resurrect a dead shard
+                    // (retry/backoff and parity repair already ran
+                    // *inside* the store). Abort with the structured
+                    // error so the CLI names the shard and offset.
+                    TrainError::Storage { .. } => return Err(RunError::Train(err)),
+                };
+                self.invalidate_pipeline_for_retry(log);
+                if let Some(snapshot) = &snapshot {
+                    self.trainer.restore(snapshot);
+                }
+                retry
+            };
+            planned = self
+                .plan_traced(
+                    batch,
+                    strategy,
+                    PlanMode::From(next_k),
+                    policy.planning_capacity(capacity, attempt),
+                )
+                .map(Work::from);
         }
+    }
+
+    /// [`Runner::run_epoch`] with nothing to recover from and nothing to
+    /// survive: `source` on a fault-free `group` under a zero retry
+    /// budget, fault events drained into a scratch log.
+    fn run_plain(
+        &mut self,
+        dataset: &Dataset,
+        strategy: StrategyKind,
+        source: PlanSource<'_>,
+        group: &DeviceGroup,
+    ) -> Result<MultiDeviceEpoch, RunError> {
+        let spec = EpochSpec {
+            source,
+            group,
+            retry: RetryPolicy {
+                max_retries: 0,
+                max_anomaly_retries: 0,
+                ..self.config.retry.clone()
+            },
+            device_faults: None,
+        };
+        self.run_epoch(dataset, strategy, &spec, &mut RecoveryLog::new())
     }
 
     /// One epoch of micro-batch training with a fixed partition count.
@@ -854,15 +1171,10 @@ impl Runner {
         strategy: StrategyKind,
         k: usize,
     ) -> Result<EpochStats, TrainError> {
-        self.begin_epoch(dataset);
-        let source = self.acquire_plan(dataset, strategy, PlanMode::Fixed(k));
-        let plan = source.plan.expect("fixed-K planning is infallible");
-        let mut stats = self.run_planned(dataset, &plan)?;
-        stats.host_bytes = host_staging_bytes(dataset, &plan.micro_batches)
-            + source.batch.total_edges() * 3 * betty_device::BYTES_PER_VALUE;
-        stats.plan_ahead_overlap_sec = source.overlap_sec;
-        stats.plan_ahead_staged_bytes = source.staged_bytes;
-        Ok(stats)
+        let source = PlanSource::Planned(PlanMode::Fixed(k));
+        self.run_plain(dataset, strategy, source, &DeviceGroup::new(1))
+            .map(|epoch| epoch.combined)
+            .map_err(RunError::into_train_error)
     }
 
     /// One epoch with memory-aware partition-count selection; returns the
@@ -876,15 +1188,14 @@ impl Runner {
         dataset: &Dataset,
         strategy: StrategyKind,
     ) -> Result<(EpochStats, usize), RunError> {
-        self.begin_epoch(dataset);
-        let source = self.acquire_plan(dataset, strategy, PlanMode::Auto);
-        let plan = source.plan?;
-        let mut stats = self.run_planned(dataset, &plan)?;
-        stats.host_bytes = host_staging_bytes(dataset, &plan.micro_batches)
-            + source.batch.total_edges() * 3 * betty_device::BYTES_PER_VALUE;
-        stats.plan_ahead_overlap_sec = source.overlap_sec;
-        stats.plan_ahead_staged_bytes = source.staged_bytes;
-        Ok((stats, plan.micro_batches.len()))
+        let source = PlanSource::Planned(PlanMode::From(1));
+        self.run_plain(dataset, strategy, source, &DeviceGroup::new(1))
+            .map(|epoch| (epoch.combined, epoch.assignment.len()))
+            .map_err(|e| match e {
+                // No rollback was on offer, so none is reported spent.
+                RunError::Anomaly { source, .. } => RunError::Train(source),
+                other => other,
+            })
     }
 
     /// Like [`Runner::train_epoch_auto`], but with checkpointed OOM
@@ -917,165 +1228,14 @@ impl Runner {
         strategy: StrategyKind,
         log: &mut RecoveryLog,
     ) -> Result<(EpochStats, usize), RunError> {
-        self.begin_epoch(dataset);
-        let policy = self.config.retry.clone();
-        let capacity = self.config.capacity_bytes;
-        // The first attempt's batch + plan come from `acquire_plan` —
-        // staged by the partition-ahead pipeline when one is running,
-        // synchronous otherwise, bit-identical either way (attempt 0
-        // plans from K = 1 against the full capacity, exactly what the
-        // pipeline's auto mode stages). Retries replan inside the loop.
-        let source = self.acquire_plan(dataset, strategy, PlanMode::Auto);
-        let batch = source.batch;
-        let mut pending = Some(source.plan);
-        let snapshot = self.trainer.snapshot();
-        let strategy_impl = build_strategy(strategy, self.seed);
-        let mut injected_faults = 0usize;
-        let mut attempt = 0usize; // failed OOM attempts so far
-        let mut anomaly_rollbacks = 0usize;
-        let mut initial_k = 1usize;
-        let mut original: Option<TrainError> = None;
-        loop {
-            let planning_capacity = policy.planning_capacity(capacity, attempt);
-            let plan = match pending.take() {
-                // Attempt 0: spans were already recorded at acquisition.
-                Some(Ok(plan)) => plan,
-                // The *first* plan failed (nothing to recover from).
-                Some(Err(e)) => return Err(RunError::Plan(e)),
-                None => match self.planner.plan_with_capacity(
-                    &batch,
-                    strategy_impl.as_ref(),
-                    initial_k,
-                    planning_capacity,
-                ) {
-                    Ok(plan) => {
-                        self.record_plan_spans(&plan);
-                        plan
-                    }
-                    // Escalation planned itself into a corner (headroom or
-                    // K growth exceeded what max_partitions can satisfy):
-                    // surface the original OOM, not the planning artifact.
-                    Err(e) => match original {
-                        Some(source) => {
-                            log.record(RecoveryEvent::Exhausted { attempts: attempt });
-                            return Err(RunError::RetryExhausted {
-                                attempts: attempt,
-                                source,
-                            });
-                        }
-                        None => return Err(RunError::Plan(e)),
-                    },
-                },
-            };
-            let k = plan.micro_batches.len();
-            match self.run_planned(dataset, &plan) {
-                Ok(mut stats) => {
-                    for event in self.trainer.drain_fault_events() {
-                        injected_faults += 1;
-                        log.record(RecoveryEvent::Fault(event));
-                    }
-                    injected_faults += self.drain_storage_events(dataset, Some(log));
-                    if attempt > 0 {
-                        log.record(RecoveryEvent::Recovered {
-                            attempts: attempt,
-                            final_k: k,
-                        });
-                    }
-                    stats.host_bytes = host_staging_bytes(dataset, &plan.micro_batches)
-                        + batch.total_edges() * 3 * betty_device::BYTES_PER_VALUE;
-                    stats.oom_retries = attempt;
-                    stats.anomaly_rollbacks = anomaly_rollbacks;
-                    stats.injected_faults = injected_faults;
-                    stats.plan_ahead_overlap_sec = source.overlap_sec;
-                    stats.plan_ahead_staged_bytes = source.staged_bytes;
-                    return Ok((stats, k));
-                }
-                Err(err) => {
-                    self.trainer.release_device();
-                    for event in self.trainer.drain_fault_events() {
-                        injected_faults += 1;
-                        log.record(RecoveryEvent::Fault(event));
-                    }
-                    injected_faults += self.drain_storage_events(dataset, Some(log));
-                    match err {
-                        // A numeric anomaly is not a capacity problem:
-                        // restore the snapshot and retry the *same* plan
-                        // under its own (small) budget. Injected NaNs
-                        // fire once — step indices are monotone — so the
-                        // retry replays clean and bit-identical to a
-                        // never-faulted epoch; a genuine divergence
-                        // reproduces deterministically and aborts once
-                        // the budget is spent.
-                        TrainError::NumericAnomaly {
-                            step,
-                            kind,
-                            injected,
-                        } => {
-                            if anomaly_rollbacks >= policy.max_anomaly_retries {
-                                log.record(RecoveryEvent::AnomalyAbort {
-                                    rollbacks: anomaly_rollbacks,
-                                    step,
-                                    kind,
-                                });
-                                return Err(RunError::Anomaly {
-                                    rollbacks: anomaly_rollbacks,
-                                    source: err,
-                                });
-                            }
-                            anomaly_rollbacks += 1;
-                            log.record(RecoveryEvent::AnomalyRollback {
-                                attempt: anomaly_rollbacks,
-                                step,
-                                kind,
-                                injected,
-                            });
-                            self.invalidate_pipeline_for_retry(log);
-                            self.trainer.restore(&snapshot);
-                            initial_k = k.max(1);
-                        }
-                        TrainError::StepOom {
-                            step,
-                            phase,
-                            ref source,
-                        } => {
-                            if attempt >= policy.max_retries {
-                                if attempt == 0 {
-                                    // Recovery disabled: the plain
-                                    // training error.
-                                    return Err(RunError::Train(err));
-                                }
-                                log.record(RecoveryEvent::Exhausted { attempts: attempt });
-                                return Err(RunError::RetryExhausted {
-                                    attempts: attempt,
-                                    source: original.unwrap_or(err),
-                                });
-                            }
-                            attempt += 1;
-                            let next_k = policy.escalate_k(k).min(self.config.max_partitions);
-                            log.record(RecoveryEvent::OomRetry {
-                                attempt,
-                                step,
-                                phase,
-                                injected: source.injected,
-                                failed_k: k,
-                                next_k,
-                                planning_capacity: policy.planning_capacity(capacity, attempt),
-                            });
-                            original.get_or_insert(err);
-                            self.invalidate_pipeline_for_retry(log);
-                            self.trainer.restore(&snapshot);
-                            initial_k = next_k;
-                        }
-                        // Storage damage is not a capacity problem:
-                        // re-partitioning cannot resurrect a dead shard
-                        // (retry/backoff and parity repair already ran
-                        // *inside* the store). Abort with the structured
-                        // error so the CLI names the shard and offset.
-                        TrainError::Storage { .. } => return Err(RunError::Train(err)),
-                    }
-                }
-            }
-        }
+        let spec = EpochSpec {
+            source: PlanSource::Planned(PlanMode::From(1)),
+            group: &DeviceGroup::new(1),
+            retry: self.config.retry.clone(),
+            device_faults: None,
+        };
+        self.run_epoch(dataset, strategy, &spec, log)
+            .map(|epoch| (epoch.combined, epoch.assignment.len()))
     }
 
     /// Trains one effective batch from pre-built micro-batches (gradient
@@ -1090,10 +1250,11 @@ impl Runner {
         dataset: &Dataset,
         micro_batches: &[Batch],
     ) -> Result<EpochStats, TrainError> {
-        self.begin_epoch(dataset);
-        let mut stats = self.run_micro_batches(dataset, micro_batches)?;
-        stats.host_bytes = host_staging_bytes(dataset, micro_batches);
-        Ok(stats)
+        // Nothing is partitioned, so the strategy is never consulted.
+        let source = PlanSource::Given(micro_batches);
+        self.run_plain(dataset, StrategyKind::Betty, source, &DeviceGroup::new(1))
+            .map(|epoch| epoch.combined)
+            .map_err(RunError::into_train_error)
     }
 
     /// Like [`Runner::train_epoch_betty`], but reuses the previous epoch's
@@ -1126,39 +1287,13 @@ impl Runner {
         refresh_every: usize,
     ) -> Result<(EpochStats, bool), TrainError> {
         assert!(refresh_every > 0, "refresh_every must be positive");
-        self.begin_epoch(dataset);
-        let batch = self.traced_sample_full_batch(dataset);
-        let reusable = self.cached_parts.as_ref().is_some_and(|c| {
-            c.strategy == strategy && c.k == k && c.epochs_used < refresh_every
-        });
-        let fresh = !reusable;
-        // Kept on fresh epochs: its estimates were computed for *this*
-        // batch, so the drift annotation is meaningful. On cached epochs
-        // the stale plan's estimates don't describe the re-sampled batch
-        // and the drift fields stay 0.
-        let mut fresh_plan = None;
-        if fresh {
-            let plan = self.plan_fixed(&batch, strategy, k);
-            self.record_plan_spans(&plan);
-            self.cached_parts = Some(CachedParts {
-                strategy,
-                k,
-                parts: plan.parts.clone(),
-                epochs_used: 0,
-            });
-            fresh_plan = Some(plan);
-        }
-        let cache = self.cached_parts.as_mut().expect("just ensured");
-        cache.epochs_used += 1;
-        let active: Vec<&Vec<NodeId>> = cache.parts.iter().filter(|p| !p.is_empty()).collect();
-        let micro_batches = batch.restrict_all(&active);
-        let (mut stats, steps) = self.run_micro_batches_with_steps(dataset, &micro_batches)?;
-        if let Some(plan) = &fresh_plan {
-            self.annotate_drift(&mut stats, &steps, plan);
-        }
-        stats.host_bytes = host_staging_bytes(dataset, &micro_batches)
-            + batch.total_edges() * 3 * betty_device::BYTES_PER_VALUE;
-        Ok((stats, fresh))
+        let source = PlanSource::Cached { k, refresh_every };
+        let epoch = self.run_plain(dataset, strategy, source, &DeviceGroup::new(1));
+        // A cut that has served one epoch was made for this one.
+        let fresh = self.cached_parts.as_ref().is_some_and(|c| c.epochs_used == 1);
+        epoch
+            .map(|epoch| (epoch.combined, fresh))
+            .map_err(RunError::into_train_error)
     }
 
     /// One epoch of simulated data-parallel training on a device group
@@ -1176,87 +1311,41 @@ impl Runner {
         dataset: &Dataset,
         strategy: StrategyKind,
         k: usize,
-        group: &crate::multi::DeviceGroup,
-    ) -> Result<crate::multi::MultiDeviceEpoch, TrainError> {
-        self.begin_epoch(dataset);
-        let batch = self.traced_sample_full_batch(dataset);
-        let plan = self.plan_fixed(&batch, strategy, k);
-        self.record_plan_spans(&plan);
-        // Work proxy: total edges of each micro-batch's block stack.
-        let work: Vec<f64> = plan
-            .micro_batches
-            .iter()
-            .map(|mb| mb.total_edges() as f64)
-            .collect();
-        let assignment = crate::multi::lpt_assignment(&work, group.num_devices);
-        let (mut combined, steps) = self
-            .trainer
-            .micro_batch_epoch_with_steps(dataset, &plan.micro_batches)?;
-        self.annotate_drift(&mut combined, &steps, &plan);
-        let per_device = crate::multi::fold_by_device(&steps, &assignment, group.num_devices);
-        let grad_bytes =
-            self.trainer.model().total_param_count() * betty_device::BYTES_PER_VALUE;
-        let allreduce_sec = group.allreduce_sec(grad_bytes, group.num_devices);
-        if let Some(tr) = self.trainer.trace_mut() {
-            // Simulated ring all-reduce: the span carries the modelled
-            // synchronization seconds.
-            let at = tr.now_sec();
-            tr.record_span(SpanKind::Allreduce, None, at, allreduce_sec);
-        }
-        let wall = per_device
-            .iter()
-            .map(EpochStats::total_sec)
-            .fold(0.0, f64::max)
-            + allreduce_sec;
-        Ok(crate::multi::MultiDeviceEpoch {
-            combined,
-            per_device,
-            assignment,
-            allreduce_sec,
-            health: vec![crate::multi::DeviceHealth::Healthy; group.num_devices],
-            live_ranks: group.num_devices,
-            sync_overhead_sec: 0.0,
-            fault_free_wall_sec: wall,
-        })
+        group: &DeviceGroup,
+    ) -> Result<MultiDeviceEpoch, TrainError> {
+        let source = PlanSource::Planned(PlanMode::Fixed(k));
+        self.run_plain(dataset, strategy, source, group)
+            .map_err(RunError::into_train_error)
     }
 
-    /// One epoch of *elastic* data-parallel training: like
-    /// [`Runner::train_epoch_multi_device`], but the group survives the
-    /// device-level faults of the armed
-    /// [`betty_device::FaultPlan`] — scheduled device failures,
+    /// One epoch of *elastic* data-parallel training from a starting `k`:
+    /// like [`Runner::train_epoch_multi_device`], but with the config's
+    /// retry budget, and the group survives the device-level faults of
+    /// the armed [`betty_device::FaultPlan`] — scheduled device failures,
     /// per-device straggler slowdowns, and transient all-reduce link
-    /// stalls.
+    /// stalls. This is the executor's general configuration (the CLI's
+    /// one call): a group of one is the single-device recovering path,
+    /// and `k = 1` is auto-K.
     ///
-    /// The epoch runs in three phases:
-    ///
-    /// 1. **Schedule** (pre-numeric): the fault plan's
-    ///    `device_fail_steps` are replayed against the LPT schedule;
-    ///    each lost device's unfinished micro-batches are LPT re-packed
-    ///    onto survivors. If the migrated load no longer fits the
-    ///    survivors' headroom budget (Eq. 5 estimate vs.
-    ///    [`RetryPolicy`](crate::RetryPolicy) planning capacity), `K`
-    ///    is escalated through the same recovery loop as OOM retries
-    ///    until it fits or the budget runs out.
-    /// 2. **Numerics**: every micro-batch executes once on the shared
-    ///    model in plan order — identical to the fault-free path, which
-    ///    is why losses and parameters are bit-identical with and
-    ///    without injected device faults (proven by test).
-    /// 3. **Attribution**: per-device timing is folded under straggler
-    ///    slowdowns, stragglers are flagged against the group median,
-    ///    and the ring all-reduce is simulated over the surviving ranks
-    ///    with timeout/backoff retries; exhausted retries shed the
-    ///    highest surviving rank and rebuild the ring.
-    ///
-    /// Every failover decision is appended to `log` and, when tracing,
-    /// recorded as `failover`/`link_retry` spans and fault records.
+    /// A lost device's unfinished micro-batches migrate onto survivors
+    /// before any numerics run; if the migrated load no longer fits the
+    /// survivors' headroom budget, or a step OOMs, `K` escalates from `k`
+    /// within [`RetryPolicy`](crate::RetryPolicy)'s budget. Numerics are
+    /// those of the fault-free path, so losses and parameters are
+    /// bit-identical with and without injected device faults (proven by
+    /// test). Every failover and recovery decision is appended to `log`
+    /// and, when tracing, recorded as `failover`/`link_retry` spans and
+    /// fault records.
     ///
     /// # Errors
     ///
     /// * [`RunError::DevicesExhausted`] if every device is lost with
     ///   unfinished work outstanding;
-    /// * [`RunError::Plan`] if the migrated load cannot be made to fit
-    ///   survivors within the retry budget;
-    /// * [`RunError::Train`] if a micro-batch fails to execute.
+    /// * [`RunError::Plan`] if no `K ≥ k` fits, or the migrated load
+    ///   cannot be made to fit survivors within the retry budget;
+    /// * [`RunError::Train`], [`RunError::RetryExhausted`] and
+    ///   [`RunError::Anomaly`] as
+    ///   [`Runner::train_epoch_auto_recovering`].
     ///
     /// # Panics
     ///
@@ -1268,254 +1357,20 @@ impl Runner {
         dataset: &Dataset,
         strategy: StrategyKind,
         k: usize,
-        group: &crate::multi::DeviceGroup,
+        group: &DeviceGroup,
         log: &mut RecoveryLog,
-    ) -> Result<crate::multi::MultiDeviceEpoch, RunError> {
-        self.begin_epoch(dataset);
-        let fault = self.config.fault_plan.clone().unwrap_or_default();
-        fault
+    ) -> Result<MultiDeviceEpoch, RunError> {
+        let faults = self.config.fault_plan.clone().unwrap_or_default();
+        faults
             .validate_for_devices(group.num_devices)
             .unwrap_or_else(|e| panic!("invalid fault plan for elastic group: {e}"));
-        let policy = self.config.retry.clone();
-        let capacity = self.config.capacity_bytes;
-        let batch = self.traced_sample_full_batch(dataset);
-        let strategy_impl = build_strategy(strategy, self.seed);
-
-        // Phase 1: schedule under scheduled device failures, escalating
-        // K until the migrated load fits the survivors' headroom budget.
-        let mut attempt = 0usize;
-        let mut k_now = k;
-        let (plan, schedule) = loop {
-            let plan = self
-                .planner
-                .plan_with_capacity(
-                    &batch,
-                    strategy_impl.as_ref(),
-                    k_now,
-                    policy.planning_capacity(capacity, attempt),
-                )
-                .map_err(RunError::Plan)?;
-            let work: Vec<f64> = plan
-                .micro_batches
-                .iter()
-                .map(|mb| mb.total_edges() as f64)
-                .collect();
-            let schedule = crate::multi::simulate_elastic_schedule(
-                &work,
-                group.num_devices,
-                &fault.device_fail_steps,
-            )
-            .map_err(|e| {
-                log.record(RecoveryEvent::Exhausted { attempts: attempt });
-                RunError::DevicesExhausted(e)
-            })?;
-            // Eq. 5 feasibility re-check on the survivors: every
-            // migrated micro-batch must fit a survivor's budget with
-            // one extra headroom step (migration never changes a
-            // micro-batch's own peak, only who pays it).
-            let survivor_capacity = policy.planning_capacity(capacity, attempt + 1);
-            let worst_migrated = schedule
-                .failovers
-                .iter()
-                .flat_map(|fo| fo.migrated.iter())
-                .map(|&job| plan.estimates[job].peak_bytes())
-                .max()
-                .unwrap_or(0);
-            if worst_migrated <= survivor_capacity {
-                break (plan, schedule);
-            }
-            if attempt >= policy.max_retries {
-                log.record(RecoveryEvent::Exhausted { attempts: attempt });
-                return Err(RunError::Plan(PlanError::CapacityUnreachable {
-                    max_partitions: self.config.max_partitions,
-                    best_peak: worst_migrated,
-                    capacity: survivor_capacity,
-                }));
-            }
-            attempt += 1;
-            k_now = policy
-                .escalate_k(plan.micro_batches.len())
-                .min(self.config.max_partitions);
-        };
-        self.record_plan_spans(&plan);
-
-        // Phase 2: numerics — identical to the fault-free path.
-        let (mut combined, steps) = self
-            .trainer
-            .micro_batch_epoch_with_steps(dataset, &plan.micro_batches)
-            .map_err(RunError::Train)?;
-        self.annotate_drift(&mut combined, &steps, &plan);
-        combined.host_bytes = host_staging_bytes(dataset, &plan.micro_batches)
-            + batch.total_edges() * 3 * betty_device::BYTES_PER_VALUE;
-        combined.oom_retries = attempt;
-
-        // Phase 3: timing attribution, straggler detection, and the
-        // elastic all-reduce.
-        let d = group.num_devices;
-        let grad_bytes =
-            self.trainer.model().total_param_count() * betty_device::BYTES_PER_VALUE;
-        let per_device = crate::multi::fold_by_device_scaled(
-            &steps,
-            &schedule.assignment,
-            d,
-            &fault.straggler_factors,
-        );
-        let baseline = crate::multi::fold_by_device(&steps, &schedule.initial_assignment, d);
-        let fault_free_wall_sec = baseline
-            .iter()
-            .map(EpochStats::total_sec)
-            .fold(0.0, f64::max)
-            + group.allreduce_sec(grad_bytes, d);
-        let mut health = schedule.health.clone();
-        let mut injected_faults = 0usize;
-
-        for fo in &schedule.failovers {
-            injected_faults += 1;
-            log.record(RecoveryEvent::Fault(
-                betty_device::FaultEvent::DeviceFail {
-                    device: fo.device,
-                    completed_steps: fo.completed_steps,
-                },
-            ));
-            log.record(RecoveryEvent::DeviceLost {
-                device: fo.device,
-                completed_steps: fo.completed_steps,
-                live_ranks: fo.live_ranks,
-            });
-            log.record(RecoveryEvent::WorkMigrated {
-                from_device: fo.device,
-                micro_batches: fo.migrated.len(),
-                survivors: fo.live_ranks,
-            });
-            log.record(RecoveryEvent::RingRebuilt {
-                live_ranks: fo.live_ranks,
-                allreduce_sec: group.allreduce_sec(grad_bytes, fo.live_ranks),
-            });
-            if let Some(tr) = self.trainer.trace_mut() {
-                let at = tr.now_sec();
-                tr.record_span(SpanKind::Failover, Some(fo.device), at, 0.0);
-                tr.record_fault(
-                    "device_fail",
-                    format!(
-                        "device {} lost after {} steps; {} micro-batches migrated",
-                        fo.device,
-                        fo.completed_steps,
-                        fo.migrated.len()
-                    ),
-                );
-            }
-        }
-
-        // Straggler detection on the attributed (post-failover,
-        // slowdown-scaled) timings.
-        let mut work_per_device = vec![0.0f64; d];
-        for (job, &device) in schedule.assignment.iter().enumerate() {
-            work_per_device[device] += plan.micro_batches[job].total_edges() as f64;
-        }
-        let stragglers = crate::multi::detect_stragglers(
-            &per_device,
-            &work_per_device,
-            group.straggler_threshold,
-        );
-        for &(device, slowdown) in &stragglers {
-            if health[device] == crate::multi::DeviceHealth::Healthy {
-                health[device] = crate::multi::DeviceHealth::Degraded;
-            }
-            log.record(RecoveryEvent::StragglerDetected { device, slowdown });
-            if let Some(tr) = self.trainer.trace_mut() {
-                tr.record_fault(
-                    "straggler",
-                    format!("device {device} at {slowdown:.2}x the median time per work"),
-                );
-            }
-        }
-
-        // Elastic all-reduce over the surviving ranks.
-        let mut live: Vec<usize> = (0..d)
-            .filter(|&dev| health[dev] != crate::multi::DeviceHealth::Failed)
-            .collect();
-        let sync = crate::multi::simulate_allreduce(
+        let spec = EpochSpec {
+            source: PlanSource::Planned(PlanMode::From(k)),
             group,
-            grad_bytes,
-            &mut live,
-            self.link_faults.as_mut(),
-        );
-        for retry in &sync.retries {
-            log.record(RecoveryEvent::LinkRetry {
-                attempt: retry.attempt,
-                stall_sec: retry.stall_sec,
-                backoff_sec: retry.backoff_sec,
-            });
-            if let Some(tr) = self.trainer.trace_mut() {
-                let at = tr.now_sec();
-                tr.record_span(
-                    SpanKind::LinkRetry,
-                    Some(retry.attempt),
-                    at,
-                    group.allreduce_timeout_sec + retry.backoff_sec,
-                );
-            }
-        }
-        for (&lost, &(ranks, sec)) in sync.lost_ranks.iter().zip(&sync.rebuilt) {
-            health[lost] = crate::multi::DeviceHealth::Failed;
-            let completed = steps
-                .iter()
-                .zip(&schedule.assignment)
-                .filter(|(_, &dev)| dev == lost)
-                .count();
-            log.record(RecoveryEvent::DeviceLost {
-                device: lost,
-                completed_steps: completed,
-                live_ranks: ranks,
-            });
-            log.record(RecoveryEvent::RingRebuilt {
-                live_ranks: ranks,
-                allreduce_sec: sec,
-            });
-            if let Some(tr) = self.trainer.trace_mut() {
-                let at = tr.now_sec();
-                tr.record_span(SpanKind::Failover, Some(lost), at, 0.0);
-                tr.record_fault(
-                    "link_exhausted",
-                    format!("rank {lost} shed after sync retries ran out; ring now {ranks}"),
-                );
-            }
-        }
-        if let Some(tr) = self.trainer.trace_mut() {
-            let at = tr.now_sec();
-            tr.record_span(SpanKind::Allreduce, None, at, sync.total_sec);
-        }
-        for event in self.trainer.drain_fault_events() {
-            injected_faults += 1;
-            log.record(RecoveryEvent::Fault(event));
-        }
-        if let Some(link) = self.link_faults.as_mut() {
-            for event in betty_device::FaultEvents::drain_events(link) {
-                injected_faults += 1;
-                log.record(RecoveryEvent::Fault(event));
-            }
-        }
-
-        combined.devices_lost = schedule.failovers.len() + sync.lost_ranks.len();
-        combined.migrated_steps = schedule
-            .failovers
-            .iter()
-            .map(|fo| fo.migrated.len())
-            .sum();
-        combined.link_retries = sync.retries.len();
-        combined.stragglers_detected = stragglers.len();
-        combined.injected_faults = injected_faults;
-        let live_ranks = live.len();
-        Ok(crate::multi::MultiDeviceEpoch {
-            combined,
-            per_device,
-            assignment: schedule.assignment,
-            allreduce_sec: sync.final_ring_sec,
-            health,
-            live_ranks,
-            sync_overhead_sec: sync.total_sec - sync.final_ring_sec,
-            fault_free_wall_sec,
-        })
+            retry: self.config.retry.clone(),
+            device_faults: Some(faults),
+        };
+        self.run_epoch(dataset, strategy, &spec, log)
     }
 
     /// One epoch of classic mini-batch training over `num_batches` chunks
@@ -1548,7 +1403,12 @@ impl Runner {
             .iter()
             .map(|c| self.sample_batch_for(c))
             .collect();
-        self.trainer.mini_batch_epoch(dataset, &batches)
+        let result = self.trainer.mini_batch_epoch(dataset, &batches);
+        let injected_faults = self.drain_faults(dataset, &mut RecoveryLog::new());
+        result.map(|stats| EpochStats {
+            injected_faults,
+            ..stats
+        })
     }
 
     /// Epochs this runner has trained (monotone across every
@@ -2009,6 +1869,31 @@ mod tests {
         );
         // The next epoch trains through cleanly on the drained device.
         runner.train_epoch_betty(&ds, StrategyKind::Betty, 3).unwrap();
+    }
+
+    #[test]
+    fn entry_points_without_a_log_still_drain_injected_faults() {
+        use betty_device::FaultPlan;
+        let ds = dataset();
+        let cfg = ExperimentConfig {
+            fault_plan: Some(FaultPlan {
+                transfer_stall_rate: 1.0,
+                ..FaultPlan::default()
+            }),
+            ..config()
+        };
+        let mut runner = Runner::new(&ds, &cfg, 0);
+        // Every micro-batch is one host→device transfer and every
+        // transfer stalls: an epoch reports its own steps' worth, never
+        // its predecessor's, and leaves nothing queued in the injectors.
+        for _ in 0..2 {
+            let stats = runner.train_epoch_betty(&ds, StrategyKind::Betty, 3).unwrap();
+            assert_eq!(stats.injected_faults, stats.num_steps);
+            assert!(runner.trainer_mut().drain_fault_events().is_empty());
+        }
+        let stats = runner.train_epoch_mini(&ds, 4).unwrap();
+        assert_eq!(stats.injected_faults, 4);
+        assert!(runner.trainer_mut().drain_fault_events().is_empty());
     }
 
     #[test]

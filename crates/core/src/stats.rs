@@ -63,16 +63,16 @@ pub struct EpochStats {
     /// micro-batch; everything else waits in host memory.
     pub host_bytes: usize,
     /// Checkpointed recovery attempts consumed producing this epoch
-    /// (0 when the first attempt succeeded; only
-    /// [`crate::Runner::train_epoch_auto_recovering`] sets this).
+    /// (0 when the first attempt succeeded, and always from the entry
+    /// points that run without a retry budget).
     pub oom_retries: usize,
     /// Injected fault events observed during this epoch (0 without an
     /// armed [`betty_device::FaultPlan`]).
     pub injected_faults: usize,
     /// Numeric-anomaly rollbacks consumed producing this epoch: a NaN/Inf
     /// loss or gradient was caught by the trainer's sentinel and the
-    /// trainable state was restored from the epoch-start snapshot (only
-    /// [`crate::Runner::train_epoch_auto_recovering`] sets this).
+    /// trainable state was restored from the epoch-start snapshot (0 from
+    /// the entry points that run without a retry budget).
     pub anomaly_rollbacks: usize,
     /// Simulated transfer seconds hidden behind compute by the
     /// double-buffered prefetch executor (0 without prefetch). The epoch's
@@ -118,8 +118,8 @@ pub struct EpochStats {
     /// (`4 * elements` summed over every pool hit).
     pub pool_bytes_recycled: u64,
     /// Devices of the simulated group declared lost during this epoch
-    /// (mid-epoch failures plus all-reduce exhaustion; only the elastic
-    /// multi-device path sets this).
+    /// (mid-epoch failures plus all-reduce exhaustion; 0 unless
+    /// [`crate::Runner::train_epoch_elastic`] ran under device faults).
     pub devices_lost: usize,
     /// Micro-batches migrated off lost devices onto survivors.
     pub migrated_steps: usize,

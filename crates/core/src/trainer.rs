@@ -507,59 +507,13 @@ impl Trainer {
     }
 
     /// Drains injected-fault events from the device, the transfer link,
-    /// and the trainer's NaN-loss poisoner (allocation events first), for
-    /// the recovery log. When tracing, each drained event is also
-    /// forwarded into the trace stream as a fault record, so the JSONL
-    /// export carries the injected faults alongside spans and timelines.
+    /// and the trainer's NaN-loss poisoner (allocation events first).
+    /// [`Runner`](crate::Runner) calls this once per attempt and forwards
+    /// what it returns into the recovery log and the trace stream.
     pub fn drain_fault_events(&mut self) -> Vec<FaultEvent> {
         let mut events = self.device.drain_fault_events();
         events.extend(self.transfer.drain_fault_events());
         events.append(&mut self.nan_events);
-        if let Some(tr) = self.trace.as_mut() {
-            for event in &events {
-                let (kind, detail) = match event {
-                    FaultEvent::AllocFailure {
-                        step, requested, ..
-                    } => (
-                        "alloc_failure",
-                        format!("step {step}: {requested} bytes denied"),
-                    ),
-                    FaultEvent::TransferStall {
-                        transfer_index,
-                        stall_sec,
-                    } => (
-                        "transfer_stall",
-                        format!("transfer {transfer_index}: +{stall_sec:.3}s"),
-                    ),
-                    FaultEvent::NanLoss { step } => {
-                        ("nan_loss", format!("step {step}: loss poisoned"))
-                    }
-                    FaultEvent::DeviceFail {
-                        device,
-                        completed_steps,
-                    } => (
-                        "device_fail",
-                        format!("device {device} after {completed_steps} steps"),
-                    ),
-                    FaultEvent::LinkStall { round, stall_sec } => {
-                        ("link_stall", format!("round {round}: +{stall_sec:.3}s"))
-                    }
-                    FaultEvent::StorageIoError { shard, attempt } => (
-                        "storage_io",
-                        format!("shard {shard}: transient read error on attempt {attempt}"),
-                    ),
-                    FaultEvent::StorageStall { shard, stall_sec } => (
-                        "storage_stall",
-                        format!("shard {shard}: +{stall_sec:.3}s read stall"),
-                    ),
-                    FaultEvent::ShardCorrupted { shard, epoch } => (
-                        "shard_corrupt",
-                        format!("shard {shard}: payload byte flipped before epoch {epoch}"),
-                    ),
-                };
-                tr.record_fault(kind, detail);
-            }
-        }
         events
     }
 
@@ -637,96 +591,30 @@ impl Trainer {
 
     /// Trains one *effective batch* as a sequence of micro-batches with
     /// gradient accumulation: a single optimizer update at the end
-    /// (Fig. 6's micro-batch workflow).
+    /// (Fig. 6's micro-batch workflow). Returns the epoch aggregate and
+    /// the per-micro-batch [`StepStats`] (in `micro_batches` order,
+    /// skipping empty ones) — what the multi-device scheduler folds per
+    /// device. Passing a single batch is exactly full-batch training.
     ///
-    /// Passing a single batch is exactly full-batch training.
-    ///
-    /// # Errors
-    ///
-    /// [`TrainError::StepOom`] if any micro-batch exceeds device capacity; the
-    /// model is left unstepped in that case.
-    pub fn micro_batch_epoch(
-        &mut self,
-        dataset: &Dataset,
-        micro_batches: &[Batch],
-    ) -> Result<EpochStats, TrainError> {
-        self.micro_batch_epoch_with_steps(dataset, micro_batches)
-            .map(|(epoch, _)| epoch)
-    }
-
-    /// Like [`Trainer::micro_batch_epoch`], additionally returning the
-    /// per-micro-batch [`StepStats`] (in `micro_batches` order, skipping
-    /// empty ones) — what the multi-device scheduler folds per device.
-    ///
-    /// # Errors
-    ///
-    /// [`TrainError::StepOom`] if any micro-batch exceeds device capacity.
-    pub fn micro_batch_epoch_with_steps(
-        &mut self,
-        dataset: &Dataset,
-        micro_batches: &[Batch],
-    ) -> Result<(EpochStats, Vec<StepStats>), TrainError> {
-        let effective_batch: usize = micro_batches
-            .iter()
-            .map(|b| b.output_nodes().len())
-            .sum();
-        let mut epoch = EpochStats::default();
-        let mut steps = Vec::with_capacity(micro_batches.len());
-        let pool_before = self.session.graph.pool_stats();
-        self.model.for_each_param_mut(&mut |p| p.zero_grad());
-        for mb in micro_batches {
-            if mb.output_nodes().is_empty() {
-                continue;
-            }
-            let step = self.run_step(dataset, mb, &LossMode::MicroBatch { effective_batch })?;
-            epoch.absorb(&step);
-            steps.push(step);
-        }
-        // No gradient was computed when every micro-batch was empty;
-        // stepping Adam anyway would advance its timestep and push stale
-        // momentum into the parameters.
-        if !steps.is_empty() {
-            self.release_tape();
-            self.optimizer.step(&mut self.model.params_mut());
-        }
-        self.finish_epoch_pool_stats(&mut epoch, pool_before);
-        Ok((epoch, steps))
-    }
-
-    /// Like [`Trainer::micro_batch_epoch`], but with double-buffered
-    /// prefetch: while micro-batch `i` computes, micro-batch `i + 1`'s
-    /// host→device transfer is staged on the device (charged under
-    /// [`MemoryCategory::PrefetchStaging`]), so only the transfer time
-    /// not covered by compute stays on the critical path. Losses, gradients,
-    /// and RNG consumption are bit-identical to the non-prefetched epoch —
-    /// only the timing and the device-memory schedule differ. The hidden
-    /// link time is reported in [`EpochStats::prefetch_overlap_sec`].
+    /// With `prefetch`, transfers are double-buffered: while micro-batch
+    /// `i` computes, micro-batch `i + 1`'s host→device transfer is staged
+    /// on the device (charged under [`MemoryCategory::PrefetchStaging`]),
+    /// so only the transfer time not covered by compute stays on the
+    /// critical path. Losses, gradients, and RNG consumption are
+    /// bit-identical either way — only the timing and the device-memory
+    /// schedule differ. The hidden link time is reported in
+    /// [`EpochStats::prefetch_overlap_sec`].
     ///
     /// # Errors
     ///
     /// [`TrainError::StepOom`] if any micro-batch (including its staging
     /// buffer) exceeds device capacity; every charge, staged or not, is
-    /// released before returning.
-    pub fn micro_batch_epoch_prefetched(
+    /// released before returning and the model is left unstepped.
+    pub fn micro_batch_epoch(
         &mut self,
         dataset: &Dataset,
         micro_batches: &[Batch],
-    ) -> Result<EpochStats, TrainError> {
-        self.micro_batch_epoch_prefetched_with_steps(dataset, micro_batches)
-            .map(|(epoch, _)| epoch)
-    }
-
-    /// Like [`Trainer::micro_batch_epoch_prefetched`], additionally
-    /// returning the per-micro-batch [`StepStats`] (in `micro_batches`
-    /// order, skipping empty ones).
-    ///
-    /// # Errors
-    ///
-    /// [`TrainError::StepOom`] if any micro-batch exceeds device capacity.
-    pub fn micro_batch_epoch_prefetched_with_steps(
-        &mut self,
-        dataset: &Dataset,
-        micro_batches: &[Batch],
+        prefetch: bool,
     ) -> Result<(EpochStats, Vec<StepStats>), TrainError> {
         let effective_batch: usize = micro_batches
             .iter()
@@ -743,9 +631,8 @@ impl Trainer {
         self.model.for_each_param_mut(&mut |p| p.zero_grad());
         let mut staged: Option<StagedTransfer> = None;
         for (i, mb) in active.iter().enumerate() {
-            let stage_next = active.get(i + 1).copied();
-            let (step, staged_out) =
-                self.run_step_inner(dataset, mb, &mode, staged.take(), stage_next)?;
+            let stage_next = if prefetch { active.get(i + 1).copied() } else { None };
+            let (step, staged_out) = self.run_step(dataset, mb, &mode, staged.take(), stage_next)?;
             if let Some(s) = &staged_out {
                 epoch.prefetch_overlap_sec += s.raw_sec - s.exposed_sec;
             }
@@ -753,8 +640,9 @@ impl Trainer {
             epoch.absorb(&step);
             steps.push(step);
         }
-        // Same guard as the non-prefetched path: an all-empty epoch must
-        // not advance the optimizer.
+        // No gradient was computed when every micro-batch was empty;
+        // stepping Adam anyway would advance its timestep and push stale
+        // momentum into the parameters.
         if !steps.is_empty() {
             self.release_tape();
             self.optimizer.step(&mut self.model.params_mut());
@@ -781,7 +669,7 @@ impl Trainer {
                 continue;
             }
             self.model.for_each_param_mut(&mut |p| p.zero_grad());
-            let step = self.run_step(dataset, batch, &LossMode::MiniBatch)?;
+            let (step, _) = self.run_step(dataset, batch, &LossMode::MiniBatch, None, None)?;
             self.release_tape();
             self.optimizer.step(&mut self.model.params_mut());
             epoch.absorb(&step);
@@ -795,17 +683,6 @@ impl Trainer {
     }
 
     /// Executes one batch forward/backward, charging the device.
-    fn run_step(
-        &mut self,
-        dataset: &Dataset,
-        batch: &Batch,
-        mode: &LossMode,
-    ) -> Result<StepStats, TrainError> {
-        self.run_step_inner(dataset, batch, mode, None, None)
-            .map(|(stats, _)| stats)
-    }
-
-    /// Executes one batch forward/backward, charging the device.
     ///
     /// `prefetch_in` is this batch's already-staged transfer: its bytes are
     /// on the device and only the exposed fraction of its link time is
@@ -815,7 +692,7 @@ impl Trainer {
     /// boundary and must be fed to the next call as `prefetch_in`. On
     /// error every charge — including any staging buffer — is released,
     /// so the device ledger always reads zero after a failure.
-    fn run_step_inner(
+    fn run_step(
         &mut self,
         dataset: &Dataset,
         batch: &Batch,
@@ -1171,15 +1048,15 @@ mod tests {
         let batch = full_batch(&ds, 2);
         let mut t = Trainer::new(model(&ds, 0), 0.01, Device::unbounded(), 3);
         let first = t
-            .micro_batch_epoch(&ds, std::slice::from_ref(&batch))
-            .unwrap();
+            .micro_batch_epoch(&ds, std::slice::from_ref(&batch), false)
+            .unwrap().0;
         assert!(first.loss.is_finite());
         assert!(first.max_peak_bytes > 0);
         let mut last = first;
         for _ in 0..10 {
             last = t
-                .micro_batch_epoch(&ds, std::slice::from_ref(&batch))
-                .unwrap();
+                .micro_batch_epoch(&ds, std::slice::from_ref(&batch), false)
+                .unwrap().0;
         }
         assert!(last.loss < first.loss, "{} -> {}", first.loss, last.loss);
     }
@@ -1197,10 +1074,10 @@ mod tests {
 
         let mut t_full = Trainer::new(model(&ds, 7), 0.01, Device::unbounded(), 3);
         let full = t_full
-            .micro_batch_epoch(&ds, std::slice::from_ref(&batch))
-            .unwrap();
+            .micro_batch_epoch(&ds, std::slice::from_ref(&batch), false)
+            .unwrap().0;
         let mut t_micro = Trainer::new(model(&ds, 7), 0.01, Device::unbounded(), 3);
-        let micro = t_micro.micro_batch_epoch(&ds, &micros).unwrap();
+        let micro = t_micro.micro_batch_epoch(&ds, &micros, false).unwrap().0;
         // Same initial weights (same seed) → identical effective loss.
         assert!(
             (full.loss - micro.loss).abs() < 1e-4,
@@ -1222,9 +1099,9 @@ mod tests {
             .collect();
         let mut t = Trainer::new(model(&ds, 0), 0.01, Device::unbounded(), 3);
         let full = t
-            .micro_batch_epoch(&ds, std::slice::from_ref(&batch))
-            .unwrap();
-        let micro = t.micro_batch_epoch(&ds, &micros).unwrap();
+            .micro_batch_epoch(&ds, std::slice::from_ref(&batch), false)
+            .unwrap().0;
+        let micro = t.micro_batch_epoch(&ds, &micros, false).unwrap().0;
         assert!(
             micro.max_peak_bytes < full.max_peak_bytes,
             "micro {} vs full {}",
@@ -1238,7 +1115,7 @@ mod tests {
         let ds = dataset();
         let batch = full_batch(&ds, 2);
         let mut t = Trainer::new(model(&ds, 0), 0.01, Device::new(10_000), 3);
-        match t.micro_batch_epoch(&ds, std::slice::from_ref(&batch)) {
+        match t.micro_batch_epoch(&ds, std::slice::from_ref(&batch), false) {
             Err(TrainError::StepOom {
                 step,
                 phase,
@@ -1261,7 +1138,7 @@ mod tests {
         let batch = full_batch(&ds, 2);
         let mut t = Trainer::new(model(&ds, 0), 0.01, Device::new(10_000), 3);
         assert_eq!(t.global_step(), 0);
-        assert!(t.micro_batch_epoch(&ds, std::slice::from_ref(&batch)).is_err());
+        assert!(t.micro_batch_epoch(&ds, std::slice::from_ref(&batch), false).is_err());
         assert_eq!(t.global_step(), 1, "a failed step still consumes its index");
     }
 
@@ -1282,17 +1159,17 @@ mod tests {
         ));
         let mut t = Trainer::new(m, 0.01, Device::unbounded(), 3);
         // Advance so the optimizer has non-trivial moments.
-        t.micro_batch_epoch(&ds, std::slice::from_ref(&batch)).unwrap();
+        t.micro_batch_epoch(&ds, std::slice::from_ref(&batch), false).unwrap();
         let snap = t.snapshot();
         assert!(snap.num_params() > 0);
         assert!(snap.param_bytes() > 0);
         let a = t
-            .micro_batch_epoch(&ds, std::slice::from_ref(&batch))
-            .unwrap();
+            .micro_batch_epoch(&ds, std::slice::from_ref(&batch), false)
+            .unwrap().0;
         t.restore(&snap);
         let b = t
-            .micro_batch_epoch(&ds, std::slice::from_ref(&batch))
-            .unwrap();
+            .micro_batch_epoch(&ds, std::slice::from_ref(&batch), false)
+            .unwrap().0;
         assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "restore must rewind exactly");
     }
 
@@ -1307,7 +1184,7 @@ mod tests {
             ..FaultPlan::default()
         });
         let err = t
-            .micro_batch_epoch(&ds, std::slice::from_ref(&batch))
+            .micro_batch_epoch(&ds, std::slice::from_ref(&batch), false)
             .unwrap_err();
         assert!(err.is_injected());
         assert!(err.oom().is_some());
@@ -1315,7 +1192,7 @@ mod tests {
         assert_eq!(events.len(), 1);
         assert!(t.drain_fault_events().is_empty());
         // The very next epoch (step 1) passes: capacity was never short.
-        t.micro_batch_epoch(&ds, std::slice::from_ref(&batch))
+        t.micro_batch_epoch(&ds, std::slice::from_ref(&batch), false)
             .unwrap();
         t.disarm_faults();
     }
@@ -1352,8 +1229,8 @@ mod tests {
         let mut plain = Trainer::new(dropout_model(7), 0.01, Device::unbounded(), 3);
         let mut pre = Trainer::new(dropout_model(7), 0.01, Device::unbounded(), 3);
         for epoch in 0..3 {
-            let a = plain.micro_batch_epoch(&ds, &micros).unwrap();
-            let b = pre.micro_batch_epoch_prefetched(&ds, &micros).unwrap();
+            let a = plain.micro_batch_epoch(&ds, &micros, false).unwrap().0;
+            let b = pre.micro_batch_epoch(&ds, &micros, true).unwrap().0;
             assert_eq!(
                 a.loss.to_bits(),
                 b.loss.to_bits(),
@@ -1380,10 +1257,10 @@ mod tests {
         let micros = micros_of(&batch, 4);
         assert!(micros.len() >= 2);
         let mut plain = Trainer::new(model(&ds, 0), 0.01, Device::unbounded(), 3);
-        let (_, plain_steps) = plain.micro_batch_epoch_with_steps(&ds, &micros).unwrap();
+        let (_, plain_steps) = plain.micro_batch_epoch(&ds, &micros, false).unwrap();
         let mut pre = Trainer::new(model(&ds, 0), 0.01, Device::unbounded(), 3);
         let (_, pre_steps) = pre
-            .micro_batch_epoch_prefetched_with_steps(&ds, &micros)
+            .micro_batch_epoch(&ds, &micros, true)
             .unwrap();
         // Every step that stages its successor pays for the staged bytes.
         for i in 0..micros.len() - 1 {
@@ -1423,7 +1300,7 @@ mod tests {
         let staged1 = StepSizes::for_batch(&micros[1], ds.feature_dim(), param_values, opt_values, DType::F32)
             .transfer_bytes();
         let mut t = Trainer::new(model(&ds, 0), 0.01, Device::new(statics0 + staged1 - 1), 3);
-        match t.micro_batch_epoch_prefetched(&ds, &micros) {
+        match t.micro_batch_epoch(&ds, &micros, true) {
             Err(TrainError::StepOom { step, phase, source }) => {
                 assert_eq!(step, 0);
                 assert_eq!(phase, StepPhase::Prefetch);
@@ -1442,7 +1319,7 @@ mod tests {
         // charge fails instead — while the staging buffer is live, so the
         // error path must free it too.
         let mut t2 = Trainer::new(model(&ds, 0), 0.01, Device::new(statics0 + staged1), 3);
-        match t2.micro_batch_epoch_prefetched(&ds, &micros) {
+        match t2.micro_batch_epoch(&ds, &micros, true) {
             Err(TrainError::StepOom { phase, .. }) => assert_eq!(phase, StepPhase::Forward),
             other => panic!("expected forward-phase OOM, got {other:?}"),
         }
@@ -1468,17 +1345,17 @@ mod tests {
         let mut t = Trainer::new(model(&ds, 0), 0.01, Device::unbounded(), 3);
         // Train once so Adam holds non-zero moments — the bug applied
         // stale momentum, which only shows once moments exist.
-        t.micro_batch_epoch(&ds, std::slice::from_ref(&batch)).unwrap();
+        t.micro_batch_epoch(&ds, std::slice::from_ref(&batch), false).unwrap();
         let before = param_bits(&t);
 
         // Zero micro-batches, and micro-batches whose output sets are all
         // empty, both mean no gradient: the optimizer must not step.
-        let stats = t.micro_batch_epoch(&ds, &[]).unwrap();
+        let stats = t.micro_batch_epoch(&ds, &[], false).unwrap().0;
         assert_eq!(stats.num_steps, 0);
         let empty = batch.restrict(&[]);
-        t.micro_batch_epoch(&ds, std::slice::from_ref(&empty)).unwrap();
-        t.micro_batch_epoch_prefetched(&ds, &[]).unwrap();
-        t.micro_batch_epoch_prefetched(&ds, std::slice::from_ref(&empty))
+        t.micro_batch_epoch(&ds, std::slice::from_ref(&empty), false).unwrap();
+        t.micro_batch_epoch(&ds, &[], true).unwrap();
+        t.micro_batch_epoch(&ds, std::slice::from_ref(&empty), true)
             .unwrap();
         assert_eq!(
             before,
@@ -1487,7 +1364,7 @@ mod tests {
         );
 
         // A real epoch afterwards still updates them.
-        t.micro_batch_epoch(&ds, std::slice::from_ref(&batch)).unwrap();
+        t.micro_batch_epoch(&ds, std::slice::from_ref(&batch), false).unwrap();
         assert_ne!(before, param_bits(&t));
     }
 
@@ -1501,8 +1378,8 @@ mod tests {
         traced.enable_tracing();
         assert!(traced.tracing_enabled());
         for _ in 0..2 {
-            let a = plain.micro_batch_epoch(&ds, &micros).unwrap();
-            let b = traced.micro_batch_epoch(&ds, &micros).unwrap();
+            let a = plain.micro_batch_epoch(&ds, &micros, false).unwrap().0;
+            let b = traced.micro_batch_epoch(&ds, &micros, false).unwrap().0;
             assert_eq!(a.loss.to_bits(), b.loss.to_bits());
             assert_eq!(a.num_steps, b.num_steps);
             assert_eq!(a.max_peak_bytes, b.max_peak_bytes);
@@ -1552,8 +1429,8 @@ mod tests {
         let mut clean = Trainer::new(model(&ds, 7), 0.01, Device::unbounded(), 3);
         let mut faulty = Trainer::new(model(&ds, 7), 0.01, Device::unbounded(), 3);
         assert!(faulty.sentinel(), "sentinel defaults on");
-        let a0 = clean.micro_batch_epoch(&ds, &micros).unwrap();
-        let b0 = faulty.micro_batch_epoch(&ds, &micros).unwrap();
+        let a0 = clean.micro_batch_epoch(&ds, &micros, false).unwrap().0;
+        let b0 = faulty.micro_batch_epoch(&ds, &micros, false).unwrap().0;
         assert_eq!(a0.loss.to_bits(), b0.loss.to_bits());
 
         // Poison the second micro-batch of faulty's next epoch.
@@ -1563,7 +1440,7 @@ mod tests {
             ..FaultPlan::default()
         });
         let snap = faulty.snapshot();
-        let err = faulty.micro_batch_epoch(&ds, &micros).unwrap_err();
+        let err = faulty.micro_batch_epoch(&ds, &micros, false).unwrap_err();
         assert!(err.is_injected());
         assert!(err.oom().is_none());
         match &err {
@@ -1582,8 +1459,8 @@ mod tests {
         // are monotone), so the retried epoch is clean — and bit-identical
         // to the trainer that never saw a fault.
         faulty.restore(&snap);
-        let a1 = clean.micro_batch_epoch(&ds, &micros).unwrap();
-        let b1 = faulty.micro_batch_epoch(&ds, &micros).unwrap();
+        let a1 = clean.micro_batch_epoch(&ds, &micros, false).unwrap().0;
+        let b1 = faulty.micro_batch_epoch(&ds, &micros, false).unwrap().0;
         assert_eq!(
             a1.loss.to_bits(),
             b1.loss.to_bits(),
@@ -1606,7 +1483,7 @@ mod tests {
         });
         // Without the sentinel the epoch "succeeds" with a NaN loss — the
         // silent corruption the sentinel exists to stop.
-        let stats = t.micro_batch_epoch(&ds, std::slice::from_ref(&batch)).unwrap();
+        let stats = t.micro_batch_epoch(&ds, std::slice::from_ref(&batch), false).unwrap().0;
         assert!(stats.loss.is_nan());
     }
 
@@ -1624,7 +1501,7 @@ mod tests {
             nan_loss_steps: vec![0],
             ..FaultPlan::default()
         });
-        let err = t.micro_batch_epoch_prefetched(&ds, &micros).unwrap_err();
+        let err = t.micro_batch_epoch(&ds, &micros, true).unwrap_err();
         assert!(matches!(err, TrainError::NumericAnomaly { step: 0, .. }), "{err:?}");
         assert_eq!(
             t.device().current_bytes(),
@@ -1644,8 +1521,8 @@ mod tests {
         assert!(pooled.pooling());
         assert!(!plain.pooling());
         for _ in 0..3 {
-            let a = pooled.micro_batch_epoch(&ds, &micros).unwrap();
-            let b = plain.micro_batch_epoch(&ds, &micros).unwrap();
+            let a = pooled.micro_batch_epoch(&ds, &micros, false).unwrap().0;
+            let b = plain.micro_batch_epoch(&ds, &micros, false).unwrap().0;
             assert_eq!(a.loss.to_bits(), b.loss.to_bits());
             assert_eq!(a.max_peak_bytes, b.max_peak_bytes);
             // Only the pooled trainer recycles buffers.

@@ -364,6 +364,51 @@ pub enum FaultEvent {
     },
 }
 
+impl FaultEvent {
+    /// The `(kind, detail)` pair this event is exported as in the
+    /// `betty-trace` JSONL stream's `fault` records.
+    pub fn trace_record(&self) -> (&'static str, String) {
+        match self {
+            FaultEvent::AllocFailure {
+                step, requested, ..
+            } => (
+                "alloc_failure",
+                format!("step {step}: {requested} bytes denied"),
+            ),
+            FaultEvent::TransferStall {
+                transfer_index,
+                stall_sec,
+            } => (
+                "transfer_stall",
+                format!("transfer {transfer_index}: +{stall_sec:.3}s"),
+            ),
+            FaultEvent::NanLoss { step } => ("nan_loss", format!("step {step}: loss poisoned")),
+            FaultEvent::DeviceFail {
+                device,
+                completed_steps,
+            } => (
+                "device_fail",
+                format!("device {device} after {completed_steps} steps"),
+            ),
+            FaultEvent::LinkStall { round, stall_sec } => {
+                ("link_stall", format!("round {round}: +{stall_sec:.3}s"))
+            }
+            FaultEvent::StorageIoError { shard, attempt } => (
+                "storage_io",
+                format!("shard {shard}: transient read error on attempt {attempt}"),
+            ),
+            FaultEvent::StorageStall { shard, stall_sec } => (
+                "storage_stall",
+                format!("shard {shard}: +{stall_sec:.3}s read stall"),
+            ),
+            FaultEvent::ShardCorrupted { shard, epoch } => (
+                "shard_corrupt",
+                format!("shard {shard}: payload byte flipped before epoch {epoch}"),
+            ),
+        }
+    }
+}
+
 /// Common surface of every fault injector: recorded events can be
 /// removed for the recovery log / trace, or counted in place. Inherent
 /// methods of the same names exist on each injector; this trait lets
