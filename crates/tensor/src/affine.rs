@@ -299,8 +299,8 @@ mod tests {
         readout: Tensor,
     }
 
-    /// Normal samples with the small ones flushed to exact zeros, so the
-    /// products meet the kernels' skipped terms.
+    /// Normal samples with the small ones flushed to exact zeros, as a ReLU
+    /// or dropout output has them.
     fn sparse_randn(shape: &[usize], rng: &mut Pcg64Mcg) -> Tensor {
         let mut t = crate::randn(shape, rng);
         for v in t.data_mut() {

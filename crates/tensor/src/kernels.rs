@@ -16,18 +16,20 @@
 //! one register-tiled micro-kernel on [`Backend::Simd`]. What a backend
 //! may never change is the sequence of roundings one output element sees:
 //!
-//! | product  | accumulator starts at | reduction order  | zero left element |
-//! |----------|-----------------------|------------------|-------------------|
-//! | `a @ b`  | `out[i][j]`           | `p` ascending    | term skipped      |
-//! | `aᵀ @ b` | `out[i][j]`           | `r` ascending    | term skipped      |
-//! | `a @ bᵀ` | `0.0`                 | `k` ascending    | term kept         |
+//! | product  | accumulator starts at | reduction order  |
+//! |----------|-----------------------|------------------|
+//! | `a @ b`  | `out[i][j]`           | `p` ascending    |
+//! | `aᵀ @ b` | `out[i][j]`           | `r` ascending    |
+//! | `a @ bᵀ` | `0.0`                 | `k` ascending    |
 //!
-//! (A skipped term is not the same as adding `±0.0`: `-0.0 + 0.0` is
-//! `+0.0`, and `0.0 · ∞` is NaN.) The tile keeps the running sums of an
-//! `MR`×`NR` block of outputs in registers while it walks the shared
-//! dimension once, so it changes where a sum lives and how many sums
-//! advance per instruction — not the order of any one of them. Every
-//! product is a multiply followed by an add, never a fused multiply-add.
+//! Every term is kept, whatever its operands hold: a zero left element
+//! adds its `±0.0` (or, against NaN or `∞`, its NaN), so neither the
+//! result nor the speed depends on where the data has zeros. The tile
+//! keeps the running sums of an `MR`×`NR` block of outputs in registers
+//! while it walks the shared dimension once, so it changes where a sum
+//! lives and how many sums advance per instruction — not the order of any
+//! one of them. Every product is a multiply followed by an add, never a
+//! fused multiply-add.
 
 use crate::backend::Backend;
 use crate::segment::lane_dispatch;
@@ -53,9 +55,6 @@ fn matmul_block(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: us
         let arow = &a[i * k..(i + 1) * k];
         let orow = &mut out[i * n..(i + 1) * n];
         for (p, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
             let brow = &b[p * n..(p + 1) * n];
             for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
                 *o += av * bv;
@@ -81,14 +80,13 @@ fn lhs<const AT: bool>(a: &[f32], lda: usize, i: usize, p: usize) -> f32 {
 /// The one register-tiled product behind `a @ b`, `aᵀ @ b` and `a @ bᵀ`
 /// on the simd backend (see [`lhs`] for the operand layout).
 ///
-/// Every output element starts from the value already in `out`, adds its
-/// products with `p` ascending, and — when `SKIP` — leaves out the terms
-/// whose `A(i, p) == 0.0`: the module-level order contract of
-/// [`matmul_block`] and [`matmul_at_b_block`] as written, and of
-/// [`matmul_a_bt_block`] with `SKIP = false` over a transposed `b` and a
-/// zeroed `out`. rustc never contracts `a * b + c`, and the intrinsic
-/// tile must not use `fmadd` (one rounding where the scalar loop has two).
-fn gemm_simd<const AT: bool, const SKIP: bool>(
+/// Every output element starts from the value already in `out` and adds
+/// every one of its products with `p` ascending: the module-level order
+/// contract of [`matmul_block`] and [`matmul_at_b_block`] as written, and
+/// of [`matmul_a_bt_block`] over a transposed `b` and a zeroed `out`.
+/// rustc never contracts `a * b + c`, and the intrinsic tile must not use
+/// `fmadd` (one rounding where the scalar loop has two).
+fn gemm_simd<const AT: bool>(
     a: &[f32],
     lda: usize,
     b: &[f32],
@@ -110,30 +108,30 @@ fn gemm_simd<const AT: bool, const SKIP: bool>(
         if std::arch::is_x86_feature_detected!("avx512f") {
             // SAFETY: avx512f was just detected; the asserts above are the
             // slice-length preconditions `gemm_avx512` documents.
-            unsafe { gemm_avx512::<SKIP>(a, (ars, aps), b, out, (m, k, n)) };
+            unsafe { gemm_avx512(a, (ars, aps), b, out, (m, k, n)) };
             return;
         }
         if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: avx2 was just detected; the body is safe code.
-            unsafe { gemm_avx2::<AT, SKIP>(a, lda, b, out, (m, k, n)) };
+            unsafe { gemm_avx2::<AT>(a, lda, b, out, (m, k, n)) };
             return;
         }
     }
-    gemm_tiles::<NR, AT, SKIP>(a, lda, b, out, (m, k, n));
+    gemm_tiles::<NR, AT>(a, lda, b, out, (m, k, n));
 }
 
 /// [`gemm_tiles`] compiled with AVX2 codegen enabled so the
 /// auto-vectorizer emits 256-bit lanes for the tile loops.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn gemm_avx2<const AT: bool, const SKIP: bool>(
+fn gemm_avx2<const AT: bool>(
     a: &[f32],
     lda: usize,
     b: &[f32],
     out: &mut [f32],
     dims: (usize, usize, usize),
 ) {
-    gemm_tiles::<NR, AT, SKIP>(a, lda, b, out, dims);
+    gemm_tiles::<NR, AT>(a, lda, b, out, dims);
 }
 
 /// Portable tile driver: safe code the auto-vectorizer turns into
@@ -144,7 +142,7 @@ fn gemm_avx2<const AT: bool, const SKIP: bool>(
 /// several row blocks) and keeps one `[k, NRT]` panel of `b` hot instead
 /// of streaming all of `b` once per row block.
 #[inline(always)]
-fn gemm_tiles<const NRT: usize, const AT: bool, const SKIP: bool>(
+fn gemm_tiles<const NRT: usize, const AT: bool>(
     a: &[f32],
     lda: usize,
     b: &[f32],
@@ -155,13 +153,13 @@ fn gemm_tiles<const NRT: usize, const AT: bool, const SKIP: bool>(
     if AT {
         for j in (0..n).step_by(NRT) {
             for i in (0..m).step_by(MR) {
-                tile::<NRT, AT, SKIP>(a, lda, b, out, (i, j), dims);
+                tile::<NRT, AT>(a, lda, b, out, (i, j), dims);
             }
         }
     } else {
         for i in (0..m).step_by(MR) {
             for j in (0..n).step_by(NRT) {
-                tile::<NRT, AT, SKIP>(a, lda, b, out, (i, j), dims);
+                tile::<NRT, AT>(a, lda, b, out, (i, j), dims);
             }
         }
     }
@@ -169,7 +167,7 @@ fn gemm_tiles<const NRT: usize, const AT: bool, const SKIP: bool>(
 
 /// The tile of [`gemm_tiles`] whose corner is `out[i][j]`.
 #[inline(always)]
-fn tile<const NRT: usize, const AT: bool, const SKIP: bool>(
+fn tile<const NRT: usize, const AT: bool>(
     a: &[f32],
     lda: usize,
     b: &[f32],
@@ -179,9 +177,9 @@ fn tile<const NRT: usize, const AT: bool, const SKIP: bool>(
 ) {
     let (ir, jr) = (MR.min(m - i), NRT.min(n - j));
     if ir == MR && jr == NRT {
-        tile_full::<NRT, AT, SKIP>(a, lda, b, out, (i, j), (k, n));
+        tile_full::<NRT, AT>(a, lda, b, out, (i, j), (k, n));
     } else {
-        tile_partial::<NRT, AT, SKIP>(a, lda, b, out, (i, j), (k, n), (ir, jr));
+        tile_partial::<NRT, AT>(a, lda, b, out, (i, j), (k, n), (ir, jr));
     }
 }
 
@@ -190,7 +188,7 @@ fn tile<const NRT: usize, const AT: bool, const SKIP: bool>(
 /// enabled target features. Kept apart from [`tile_partial`]: sharing one
 /// accumulator array between a full and a partial branch spills it.
 #[inline(always)]
-fn tile_full<const NRT: usize, const AT: bool, const SKIP: bool>(
+fn tile_full<const NRT: usize, const AT: bool>(
     a: &[f32],
     lda: usize,
     b: &[f32],
@@ -218,10 +216,8 @@ fn tile_full<const NRT: usize, const AT: bool, const SKIP: bool>(
             std::array::from_fn(|r| arows[r][p])
         };
         for (accr, av) in acc.iter_mut().zip(acol) {
-            if !SKIP || av != 0.0 {
-                for (o, &bv) in accr.iter_mut().zip(brow.iter()) {
-                    *o += av * bv;
-                }
+            for (o, &bv) in accr.iter_mut().zip(brow.iter()) {
+                *o += av * bv;
             }
         }
     }
@@ -232,7 +228,7 @@ fn tile_full<const NRT: usize, const AT: bool, const SKIP: bool>(
 
 /// Edge tile (fewer than `MR` rows and/or `NRT` cols) of [`gemm_tiles`].
 #[inline(always)]
-fn tile_partial<const NRT: usize, const AT: bool, const SKIP: bool>(
+fn tile_partial<const NRT: usize, const AT: bool>(
     a: &[f32],
     lda: usize,
     b: &[f32],
@@ -249,10 +245,8 @@ fn tile_partial<const NRT: usize, const AT: bool, const SKIP: bool>(
         let brow = &b[p * n + j..][..jr];
         for (r, accr) in acc.iter_mut().enumerate().take(ir) {
             let av = lhs::<AT>(a, lda, i + r, p);
-            if !SKIP || av != 0.0 {
-                for (o, &bv) in accr[..jr].iter_mut().zip(brow.iter()) {
-                    *o += av * bv;
-                }
+            for (o, &bv) in accr[..jr].iter_mut().zip(brow.iter()) {
+                *o += av * bv;
             }
         }
     }
@@ -273,7 +267,7 @@ fn tile_partial<const NRT: usize, const AT: bool, const SKIP: bool>(
 /// `(m - 1) * ars + (k - 1) * aps < a.len()`, and `m, k, n > 0`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn gemm_avx512<const SKIP: bool>(
+unsafe fn gemm_avx512(
     a: &[f32],
     (ars, aps): (usize, usize),
     b: &[f32],
@@ -299,12 +293,12 @@ unsafe fn gemm_avx512<const SKIP: bool>(
             masks: [lanes(jr), lanes(jr.saturating_sub(16))],
         };
         match m - i {
-            1 => tile_avx512::<1, SKIP>(t),
-            2 => tile_avx512::<2, SKIP>(t),
-            3 => tile_avx512::<3, SKIP>(t),
-            4 => tile_avx512::<4, SKIP>(t),
-            5 => tile_avx512::<5, SKIP>(t),
-            _ => tile_avx512::<MR, SKIP>(t),
+            1 => tile_avx512::<1>(t),
+            2 => tile_avx512::<2>(t),
+            3 => tile_avx512::<3>(t),
+            4 => tile_avx512::<4>(t),
+            5 => tile_avx512::<5>(t),
+            _ => tile_avx512::<MR>(t),
         }
     };
     if ars == 1 {
@@ -351,7 +345,7 @@ struct Tile512 {
 /// access those lanes.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn tile_avx512<const MRT: usize, const SKIP: bool>(t: Tile512) {
+unsafe fn tile_avx512<const MRT: usize>(t: Tile512) {
     use std::arch::x86_64::*;
     let mut acc = [[_mm512_setzero_ps(); 2]; MRT];
     for (r, accr) in acc.iter_mut().enumerate() {
@@ -366,16 +360,10 @@ unsafe fn tile_avx512<const MRT: usize, const SKIP: bool>(t: Tile512) {
         let b0 = _mm512_maskz_loadu_ps(t.masks[0], brow);
         let b1 = _mm512_maskz_loadu_ps(t.masks[1], brow.wrapping_add(16));
         for (r, accr) in acc.iter_mut().enumerate() {
-            let ap = t.a.add(r * t.ars + p * t.aps);
-            // `*ap != 0.0` on the bit pattern (sign shifted out: ±0 are the
-            // only zeros, NaN is nonzero), which keeps the test off the
-            // vector ports the tile saturates.
-            if !SKIP || *ap.cast::<u32>() << 1 != 0 {
-                let av = _mm512_set1_ps(*ap);
-                accr[0] = _mm512_add_ps(accr[0], _mm512_mul_ps(av, b0));
-                if wide {
-                    accr[1] = _mm512_add_ps(accr[1], _mm512_mul_ps(av, b1));
-                }
+            let av = _mm512_set1_ps(*t.a.add(r * t.ars + p * t.aps));
+            accr[0] = _mm512_add_ps(accr[0], _mm512_mul_ps(av, b0));
+            if wide {
+                accr[1] = _mm512_add_ps(accr[1], _mm512_mul_ps(av, b1));
             }
         }
     }
@@ -386,10 +374,9 @@ unsafe fn tile_avx512<const MRT: usize, const SKIP: bool>(t: Tile512) {
     }
 }
 
-/// [`matmul_block`] through [`gemm_simd`]: `A(i, p) = a[i][p]`, zero
-/// left elements skipped.
+/// [`matmul_block`] through [`gemm_simd`]: `A(i, p) = a[i][p]`.
 fn matmul_block_simd(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_simd::<false, true>(a, k, b, out, (m, k, n));
+    gemm_simd::<false>(a, k, b, out, (m, k, n));
 }
 
 /// Matrix product `a @ b` for rank-2 tensors.
@@ -491,9 +478,6 @@ fn matmul_at_b_block(
         let brow = &b[r * n..(r + 1) * n];
         for (ii, o_chunk) in out.chunks_mut(n).enumerate().take(i_range.len()) {
             let av = arow[i_range.start + ii];
-            if av == 0.0 {
-                continue;
-            }
             for (o, &bv) in o_chunk.iter_mut().zip(brow.iter()) {
                 *o += av * bv;
             }
@@ -503,9 +487,8 @@ fn matmul_at_b_block(
 
 /// [`matmul_at_b_block`] through [`gemm_simd`]: `A(i, r) = a[r][i]` read in
 /// place (`a[r][i..i + MR]` is as contiguous as `b[r][j..j + NR]`), the
-/// shared dimension `r` ascending per output element and zero `a[r][i]`
-/// skipped, so every addition and every skip decision is the scalar
-/// loop's — whatever output rows `i_range` this shard owns.
+/// shared dimension `r` ascending per output element, so every addition
+/// is the scalar loop's — whatever output rows `i_range` this shard owns.
 fn matmul_at_b_block_simd(
     a: &[f32],
     b: &[f32],
@@ -523,7 +506,7 @@ fn matmul_at_b_block_simd(
         let rows = AT_B_ROW_BLOCK.min(m - r0);
         let a_block = &a[r0 * ka + i_range.start..];
         let b_block = &b[r0 * n..][..rows * n];
-        gemm_simd::<true, true>(a_block, ka, b_block, out, (i_range.len(), rows, n));
+        gemm_simd::<true>(a_block, ka, b_block, out, (i_range.len(), rows, n));
     }
 }
 
@@ -621,14 +604,14 @@ fn matmul_a_bt_block(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize, 
 }
 
 /// [`matmul_a_bt_block`] through [`gemm_simd`] over `bt`, the `[k, n]`
-/// transpose of `b` ([`transpose_into`]): accumulators start at `0.0`, `kk`
-/// ascends and no term is skipped — the scalar dot product's chain per
-/// element, now advancing a tile of output columns per instruction
-/// instead of one scalar.
+/// transpose of `b` ([`transpose_into`]): accumulators start at `0.0` and
+/// `kk` ascends — the scalar dot product's chain per element, now
+/// advancing a tile of output columns per instruction instead of one
+/// scalar.
 fn matmul_a_bt_block_simd(a: &[f32], bt: &[f32], out: &mut [f32], k: usize, n: usize, i0: usize) {
     let rows = out.len() / n;
     out.fill(0.0);
-    gemm_simd::<false, false>(&a[i0 * k..][..rows * k], k, bt, out, (rows, k, n));
+    gemm_simd::<false>(&a[i0 * k..][..rows * k], k, bt, out, (rows, k, n));
 }
 
 /// Writes the transpose of rank-2 `b` (`[n, k]`) into `out` as row-major
@@ -1242,9 +1225,8 @@ mod tests {
         Tensor::from_vec(data.to_vec(), shape).unwrap()
     }
 
-    /// The simd tiles preserve the scalar per-element accumulation order
-    /// (including the zero-skip semantics of each kernel), so every f32
-    /// result bit must match across backends — for edge shapes, partial
+    /// The simd tiles preserve the scalar per-element accumulation order,
+    /// so every f32 result bit must match across backends — for edge shapes, partial
     /// tiles, and every thread count.
     #[test]
     fn simd_matmuls_bit_identical_to_scalar_across_shapes_and_threads() {
@@ -1291,7 +1273,7 @@ mod tests {
     #[test]
     fn every_tile_implementation_matches_the_scalar_loops() {
         type Gemm = fn(&[f32], usize, &[f32], &mut [f32], (usize, usize, usize));
-        fn run(name: &str, at: Gemm, ab: Gemm, abt: Gemm) {
+        fn run(name: &str, at: Gemm, ab: Gemm) {
             for (m, k, n) in [(1, 1, 1), (6, 9, 16), (7, 3, 17), (13, 40, 33), (25, 70, 95)] {
                 let spike = |t: Tensor, offset: usize| {
                     let mut d = t.data().to_vec();
@@ -1320,30 +1302,19 @@ mod tests {
                 let bt = Tensor::from_vec(b.clone(), &[k, n]).unwrap().transpose();
                 let (mut want, mut got) = (vec![f32::NAN; m * k], vec![0.0f32; m * k]);
                 matmul_a_bt_block(&g, &b, &mut want, n, k, 0);
-                abt(&g, n, bt.data(), &mut got, (m, n, k));
+                ab(&g, n, bt.data(), &mut got, (m, n, k));
                 assert_eq!(canon(&want), canon(&got), "{name} a@bT {m}x{k}x{n}");
             }
         }
-        run(
-            "portable",
-            gemm_tiles::<NR, true, true>,
-            gemm_tiles::<NR, false, true>,
-            gemm_tiles::<NR, false, false>,
-        );
-        run(
-            "dispatched",
-            gemm_simd::<true, true>,
-            gemm_simd::<false, true>,
-            gemm_simd::<false, false>,
-        );
+        run("portable", gemm_tiles::<NR, true>, gemm_tiles::<NR, false>);
+        run("dispatched", gemm_simd::<true>, gemm_simd::<false>);
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: avx2 was just detected; the bodies are safe code.
             run(
                 "avx2",
-                |a, lda, b, out, d| unsafe { gemm_avx2::<true, true>(a, lda, b, out, d) },
-                |a, lda, b, out, d| unsafe { gemm_avx2::<false, true>(a, lda, b, out, d) },
-                |a, lda, b, out, d| unsafe { gemm_avx2::<false, false>(a, lda, b, out, d) },
+                |a, lda, b, out, d| unsafe { gemm_avx2::<true>(a, lda, b, out, d) },
+                |a, lda, b, out, d| unsafe { gemm_avx2::<false>(a, lda, b, out, d) },
             );
         }
     }

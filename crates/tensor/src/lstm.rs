@@ -117,7 +117,9 @@ pub(crate) fn forward(
         let c_prev = if t == 0 {
             c0.data()
         } else {
-            // `h_0 = 0` adds nothing to a product that skips zero terms.
+            // `h_0 = 0` is not multiplied: its terms are all `±0.0`, which
+            // leave gates that started at `+0.0` bit for bit as they are
+            // (a NaN or `∞` in `W[X..]` first shows at `t = 1`).
             let h_prev = &h_done[(t - 1) * nh..];
             kernels::matmul_acc(h_prev, wh, gates_t, (n, h, 4 * h), threads);
             &c_done[(t - 1) * nh..]

@@ -46,9 +46,9 @@ fn assert_backends_agree(threads: usize, f: impl Fn() -> Tensor) {
 
 /// A `[rows, cols]` operand of the matmul tests: values in [-2, 2) with
 /// about one exact `0.0` in eight, then one `-0.0`, one NaN and one `∞`
-/// at seed-chosen positions. The zeros pin each variant's skip contract
-/// — `a @ b` and `aᵀ @ b` leave out a zero left element's term even when
-/// it meets NaN or `∞`, `a @ bᵀ` keeps it and yields NaN.
+/// at seed-chosen positions. The zeros pin the one rule all three
+/// products follow — every term is kept, so a zero element that meets NaN
+/// or `∞` yields NaN on either side of any product, on both backends.
 fn spiked(rows: usize, cols: usize, seed: u64, phase: u64) -> Tensor {
     let mut data: Vec<f32> = (0..rows * cols)
         .map(|i| {
