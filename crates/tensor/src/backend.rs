@@ -12,6 +12,9 @@
 //!   is identical to the scalar path**, so f32 results are bit-identical
 //!   across backends — the speedup comes from register accumulation,
 //!   operand reuse, and independent FMA chains, never from reassociation.
+//!   The matmul family fuses each multiply-add on *both* backends (one
+//!   rounding per term, see [`crate::kernels`]); every other kernel
+//!   multiplies, then adds, on both.
 //!
 //! Resolution order (highest priority first):
 //!

@@ -13,23 +13,18 @@
 //!
 //! `a @ b`, `aᵀ @ b` and `a @ bᵀ` each have a scalar reference loop
 //! ([`Backend::Scalar`], the oracle every test compares against) and share
-//! one register-tiled micro-kernel on [`Backend::Simd`]. What a backend
-//! may never change is the sequence of roundings one output element sees:
-//!
-//! | product  | accumulator starts at | reduction order  |
-//! |----------|-----------------------|------------------|
-//! | `a @ b`  | `out[i][j]`           | `p` ascending    |
-//! | `aᵀ @ b` | `out[i][j]`           | `r` ascending    |
-//! | `a @ bᵀ` | `0.0`                 | `k` ascending    |
-//!
-//! Every term is kept, whatever its operands hold: a zero left element
-//! adds its `±0.0` (or, against NaN or `∞`, its NaN), so neither the
-//! result nor the speed depends on where the data has zeros. The tile
-//! keeps the running sums of an `MR`×`NR` block of outputs in registers
-//! while it walks the shared dimension once, so it changes where a sum
-//! lives and how many sums advance per instruction — not the order of any
-//! one of them. Every product is a multiply followed by an add, never a
-//! fused multiply-add.
+//! one register-tiled micro-kernel on [`Backend::Simd`]. One rule for all:
+//! an output element starts from its accumulator (`out[i][j]`; `0.0` for
+//! `a @ bᵀ`), takes its terms in ascending reduction index (`p`, `r`, `k`),
+//! keeps every term, and each step is one correctly rounded
+//! `fma(a, b, acc)`. IEEE-754 gives that exactly one result — in a zmm
+//! lane, an xmm scalar, aarch64 `fmla` or libm's `fmaf` — so the backends
+//! agree by construction, and since a zero element still adds its `±0.0`
+//! (against NaN or `∞`, its NaN) neither result nor speed depends on where
+//! the data has zeros. The tile keeps the running sums of an `MR`×`NR`
+//! block of outputs in registers while it walks the shared dimension
+//! once: it changes where a sum lives and how many advance per
+//! instruction, not the order of any one of them.
 
 use crate::backend::Backend;
 use crate::segment::lane_dispatch;
@@ -49,43 +44,63 @@ const NR512: usize = 32;
 /// pass: at the LSTM gate shape (`b` 400 wide) a block of `b` is 800 KiB.
 const AT_B_ROW_BLOCK: usize = 512;
 
-fn matmul_block(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    // Row-major ikj loop order: streams through `b` rows, vectorizes well.
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let orow = &mut out[i * n..(i + 1) * n];
-        for (p, &av) in arow.iter().enumerate() {
-            let brow = &b[p * n..(p + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                *o += av * bv;
+/// A scalar reference loop, compiled with the `fma` instructions where the
+/// host has them (aarch64 always does): without the feature enabled
+/// `f32::mul_add` is a libm call per element — the same bits, and all an
+/// x86-64 without FMA has, at 0.7 instead of 19 GFLOP/s: too slow for an
+/// oracle every test runs.
+macro_rules! fused_reference {
+    ($(#[$doc:meta])* fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $body:block) => {
+        $(#[$doc])*
+        fn $name($($arg: $ty),*) {
+            #[inline(always)]
+            fn reference($($arg: $ty),*) $body
+            #[cfg(target_arch = "x86_64")]
+            {
+                #[target_feature(enable = "fma")]
+                fn fused($($arg: $ty),*) {
+                    reference($($arg),*);
+                }
+                if std::arch::is_x86_feature_detected!("fma") {
+                    // SAFETY: `fma` was just detected; `fused` is safe code.
+                    return unsafe { fused($($arg),*) };
+                }
+            }
+            reference($($arg),*);
+        }
+    };
+}
+
+fused_reference! {
+    fn matmul_block(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+        // Row-major ikj loop order: streams through `b` rows, vectorizes well.
+        for i in 0..m {
+            let arow = &a[i * k..(i + 1) * k];
+            let orow = &mut out[i * n..(i + 1) * n];
+            for (p, &av) in arow.iter().enumerate() {
+                let brow = &b[p * n..(p + 1) * n];
+                for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
+                    *o = av.mul_add(bv, *o);
+                }
             }
         }
     }
 }
 
-/// Left operand of the tile product [`gemm_simd`], which accumulates
-/// `out[i][j] += Σ_p A(i, p) · b[p][j]` over row-major `b: [k, n]` and
-/// `out: [m, n]`. `A(i, p)` is `a[i * lda + p]` (`AT = false`: `a @ b`) or
-/// `a[p * lda + i]` (`AT = true`: `aᵀ @ b`); both walk memory the tile
-/// already has contiguous, so neither product needs a transposed copy.
-#[inline(always)]
-fn lhs<const AT: bool>(a: &[f32], lda: usize, i: usize, p: usize) -> f32 {
-    if AT {
-        a[p * lda + i]
-    } else {
-        a[i * lda + p]
-    }
-}
-
 /// The one register-tiled product behind `a @ b`, `aᵀ @ b` and `a @ bᵀ`
-/// on the simd backend (see [`lhs`] for the operand layout).
+/// on the simd backend: `out[i][j] += Σ_p A(i, p) · b[p][j]` over row-major
+/// `b: [k, n]` and `out: [m, n]`, where `A(i, p)` is `a[i * lda + p]`
+/// (`AT = false`: `a @ b`) or `a[p * lda + i]` (`AT = true`: `aᵀ @ b`) —
+/// both walk memory the tile already has contiguous, so neither product
+/// needs a transposed copy.
 ///
-/// Every output element starts from the value already in `out` and adds
-/// every one of its products with `p` ascending: the module-level order
+/// Every output element starts from the value already in `out` and fuses
+/// in every one of its products with `p` ascending: the module-level
 /// contract of [`matmul_block`] and [`matmul_at_b_block`] as written, and
 /// of [`matmul_a_bt_block`] over a transposed `b` and a zeroed `out`.
-/// rustc never contracts `a * b + c`, and the intrinsic tile must not use
-/// `fmadd` (one rounding where the scalar loop has two).
+/// The portable tile is dispatched under AVX2 only together with `fma`;
+/// a host with neither tile ISA runs it on libm's `fmaf` (aarch64
+/// natively) — the same bits, slowly.
 fn gemm_simd<const AT: bool>(
     a: &[f32],
     lda: usize,
@@ -108,22 +123,20 @@ fn gemm_simd<const AT: bool>(
         if std::arch::is_x86_feature_detected!("avx512f") {
             // SAFETY: avx512f was just detected; the asserts above are the
             // slice-length preconditions `gemm_avx512` documents.
-            unsafe { gemm_avx512(a, (ars, aps), b, out, (m, k, n)) };
-            return;
+            return unsafe { gemm_avx512(a, (ars, aps), b, out, (m, k, n)) };
         }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: avx2 was just detected; the body is safe code.
-            unsafe { gemm_avx2::<AT>(a, lda, b, out, (m, k, n)) };
-            return;
+        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
+            // SAFETY: avx2 and fma were just detected; the body is safe code.
+            return unsafe { gemm_avx2::<AT>(a, lda, b, out, (m, k, n)) };
         }
     }
     gemm_tiles::<NR, AT>(a, lda, b, out, (m, k, n));
 }
 
-/// [`gemm_tiles`] compiled with AVX2 codegen enabled so the
-/// auto-vectorizer emits 256-bit lanes for the tile loops.
+/// [`gemm_tiles`] compiled with AVX2 and FMA codegen enabled so the
+/// auto-vectorizer emits 256-bit `vfmadd` lanes for the tile loops.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 fn gemm_avx2<const AT: bool>(
     a: &[f32],
     lda: usize,
@@ -217,7 +230,7 @@ fn tile_full<const NRT: usize, const AT: bool>(
         };
         for (accr, av) in acc.iter_mut().zip(acol) {
             for (o, &bv) in accr.iter_mut().zip(brow.iter()) {
-                *o += av * bv;
+                *o = av.mul_add(bv, *o);
             }
         }
     }
@@ -244,9 +257,9 @@ fn tile_partial<const NRT: usize, const AT: bool>(
     for p in 0..k {
         let brow = &b[p * n + j..][..jr];
         for (r, accr) in acc.iter_mut().enumerate().take(ir) {
-            let av = lhs::<AT>(a, lda, i + r, p);
+            let av = if AT { a[p * lda + i + r] } else { a[(i + r) * lda + p] };
             for (o, &bv) in accr[..jr].iter_mut().zip(brow.iter()) {
-                *o += av * bv;
+                *o = av.mul_add(bv, *o);
             }
         }
     }
@@ -332,8 +345,9 @@ struct Tile512 {
 }
 
 /// `MRT`×32 tile held in `2 * MRT` zmm registers across the whole `p`
-/// loop: multiply then add (never `fmadd`), masked-off lanes are neither
-/// loaded nor stored.
+/// loop: one `vfmadd231ps` per register and step and no test of the
+/// operand (a branch here mispredicts on every ReLU or dropout output);
+/// masked-off lanes are neither loaded nor stored.
 ///
 /// # Safety
 ///
@@ -361,9 +375,9 @@ unsafe fn tile_avx512<const MRT: usize>(t: Tile512) {
         let b1 = _mm512_maskz_loadu_ps(t.masks[1], brow.wrapping_add(16));
         for (r, accr) in acc.iter_mut().enumerate() {
             let av = _mm512_set1_ps(*t.a.add(r * t.ars + p * t.aps));
-            accr[0] = _mm512_add_ps(accr[0], _mm512_mul_ps(av, b0));
+            accr[0] = _mm512_fmadd_ps(av, b0, accr[0]);
             if wide {
-                accr[1] = _mm512_add_ps(accr[1], _mm512_mul_ps(av, b1));
+                accr[1] = _mm512_fmadd_ps(av, b1, accr[1]);
             }
         }
     }
@@ -459,27 +473,29 @@ pub(crate) fn matmul_acc(
     }
 }
 
-/// Accumulates `aᵀ @ b` into output rows `i_range`.
-///
-/// The `r` (shared outer dimension) loop stays outermost and ascending, so
-/// each output element sees additions in exactly the serial order no matter
-/// how the `i` range is sharded.
-fn matmul_at_b_block(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    ka: usize,
-    n: usize,
-    i_range: std::ops::Range<usize>,
-) {
-    for r in 0..m {
-        let arow = &a[r * ka..(r + 1) * ka];
-        let brow = &b[r * n..(r + 1) * n];
-        for (ii, o_chunk) in out.chunks_mut(n).enumerate().take(i_range.len()) {
-            let av = arow[i_range.start + ii];
-            for (o, &bv) in o_chunk.iter_mut().zip(brow.iter()) {
-                *o += av * bv;
+fused_reference! {
+    /// Accumulates `aᵀ @ b` into output rows `i_range`.
+    ///
+    /// The `r` (shared outer dimension) loop stays outermost and ascending,
+    /// so each output element sees additions in exactly the serial order no
+    /// matter how the `i` range is sharded.
+    fn matmul_at_b_block(
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        m: usize,
+        ka: usize,
+        n: usize,
+        i_range: std::ops::Range<usize>,
+    ) {
+        for r in 0..m {
+            let arow = &a[r * ka..(r + 1) * ka];
+            let brow = &b[r * n..(r + 1) * n];
+            for (ii, o_chunk) in out.chunks_mut(n).enumerate().take(i_range.len()) {
+                let av = arow[i_range.start + ii];
+                for (o, &bv) in o_chunk.iter_mut().zip(brow.iter()) {
+                    *o = av.mul_add(bv, *o);
+                }
             }
         }
     }
@@ -586,28 +602,29 @@ pub(crate) fn matmul_at_b_acc(
     }
 }
 
-/// Computes output rows `[i0, i0 + rows)` of `a @ bᵀ`; rows are fully
-/// independent, so sharding cannot change any result bit.
-fn matmul_a_bt_block(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize, i0: usize) {
-    for (ii, orow) in out.chunks_mut(n).enumerate() {
-        let i = i0 + ii;
-        let arow = &a[i * k..(i + 1) * k];
-        for (j, o) in orow.iter_mut().enumerate() {
-            let brow = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in arow.iter().zip(brow.iter()) {
-                acc += av * bv;
+fused_reference! {
+    /// Computes output rows `[i0, i0 + rows)` of `a @ bᵀ`; rows are fully
+    /// independent, so sharding cannot change any result bit.
+    fn matmul_a_bt_block(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize, i0: usize) {
+        for (ii, orow) in out.chunks_mut(n).enumerate() {
+            let i = i0 + ii;
+            let arow = &a[i * k..(i + 1) * k];
+            for (j, o) in orow.iter_mut().enumerate() {
+                let brow = &b[j * k..(j + 1) * k];
+                let mut acc = 0.0f32;
+                for (&av, &bv) in arow.iter().zip(brow.iter()) {
+                    acc = av.mul_add(bv, acc);
+                }
+                *o = acc;
             }
-            *o = acc;
         }
     }
 }
 
 /// [`matmul_a_bt_block`] through [`gemm_simd`] over `bt`, the `[k, n]`
 /// transpose of `b` ([`transpose_into`]): accumulators start at `0.0` and
-/// `kk` ascends — the scalar dot product's chain per element, now
-/// advancing a tile of output columns per instruction instead of one
-/// scalar.
+/// `kk` ascends — the scalar dot product's chain per element, a tile of
+/// output columns advancing per instruction instead of one scalar.
 fn matmul_a_bt_block_simd(a: &[f32], bt: &[f32], out: &mut [f32], k: usize, n: usize, i0: usize) {
     let rows = out.len() / n;
     out.fill(0.0);
@@ -1264,17 +1281,25 @@ mod tests {
         }
     }
 
+    /// `x` and `c` with `fma(x, x, -c) = 2⁻²⁴` but `x * x - c = 0.0`: the
+    /// exact square `1 + 2⁻¹¹ + 2⁻²⁴` is a tie that rounds to `c`.
+    const FUSED_WITNESS: (f32, f32) = (1.0 + 1.0 / 4096.0, 1.0 + 1.0 / 2048.0);
+
     /// `is_x86_feature_detected!` picks one tile implementation per host,
     /// so a host with AVX-512 never reaches the portable tiles through the
     /// public API. Drive every implementation this host can run directly
     /// against the scalar loops: full tiles, row and column remainders,
-    /// and operands carrying `±0.0`, NaN and ∞ (NaNs compared as NaN, not
-    /// by payload).
+    /// left operands with a fifth and with over half exact zeros, and
+    /// operands carrying `±0.0`, NaN and ∞ (NaNs compared as NaN, not by
+    /// payload). Then the witness whose fused and multiply-then-add
+    /// results differ, so that none of them — the scalar loops included —
+    /// can go back to two roundings unnoticed.
     #[test]
     fn every_tile_implementation_matches_the_scalar_loops() {
         type Gemm = fn(&[f32], usize, &[f32], &mut [f32], (usize, usize, usize));
         fn run(name: &str, at: Gemm, ab: Gemm) {
-            for (m, k, n) in [(1, 1, 1), (6, 9, 16), (7, 3, 17), (13, 40, 33), (25, 70, 95)] {
+            let shapes = [(1, 1, 1), (6, 9, 16), (7, 3, 17), (13, 40, 33), (25, 70, 95)];
+            for ((m, k, n), relu_like) in shapes.into_iter().flat_map(|s| [(s, false), (s, true)]) {
                 let spike = |t: Tensor, offset: usize| {
                     let mut d = t.data().to_vec();
                     for (i, v) in [0.0, -0.0, f32::NAN, f32::INFINITY].into_iter().enumerate() {
@@ -1283,9 +1308,11 @@ mod tests {
                     }
                     d
                 };
-                let a = spike(big(m, k, 51), 0);
+                // A ReLU or dropout output: every other element exactly zero.
+                let left = |t: Tensor| if relu_like { half_zeroed(t) } else { t };
+                let a = spike(left(big(m, k, 51)), 0);
                 let b = spike(big(k, n, 52), 3);
-                let g = spike(big(m, n, 53), 5);
+                let g = spike(left(big(m, n, 53)), 5);
                 let canon = |v: &[f32]| -> Vec<u32> {
                     v.iter().map(|x| if x.is_nan() { 0x7fc0_0000 } else { x.to_bits() }).collect()
                 };
@@ -1305,14 +1332,36 @@ mod tests {
                 ab(&g, n, bt.data(), &mut got, (m, n, k));
                 assert_eq!(canon(&want), canon(&got), "{name} a@bT {m}x{k}x{n}");
             }
+
+            // `out = 1·(-c) + x·x` over a full tile and both remainders.
+            let ((x, c), (m, n)) = (FUSED_WITNESS, (7, 33));
+            let a: Vec<f32> = [1.0, x].repeat(m);
+            let a_t = [vec![1.0; m], vec![x; m]].concat();
+            let b = [vec![-c; n], vec![x; n]].concat();
+            let b_t: Vec<f32> = [-c, x].repeat(n);
+            type Product<'a> = (&'a str, &'a dyn Fn(&mut [f32]));
+            let products: [Product; 5] = [
+                ("tile a@b", &|out| ab(&a, 2, &b, out, (m, 2, n))),
+                ("tile aT@b", &|out| at(&a_t, m, &b, out, (m, 2, n))),
+                ("scalar a@b", &|out| matmul_block(&a, &b, out, m, 2, n)),
+                ("scalar aT@b", &|out| matmul_at_b_block(&a_t, &b, out, 2, m, n, 0..m)),
+                ("scalar a@bT", &|out| matmul_a_bt_block(&a, &b_t, out, 2, n, 0)),
+            ];
+            for (what, product) in products {
+                let mut out = vec![0.0f32; m * n];
+                product(&mut out);
+                let fused = out.iter().all(|v| v.to_bits() == 2f32.powi(-24).to_bits());
+                assert!(fused, "{name} {what} rounds twice: {:?}", &out[..2]);
+            }
         }
         run("portable", gemm_tiles::<NR, true>, gemm_tiles::<NR, false>);
+        // The AVX-512 tile where the host has it.
         run("dispatched", gemm_simd::<true>, gemm_simd::<false>);
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: avx2 was just detected; the bodies are safe code.
+        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
+            // SAFETY: avx2 and fma were just detected; the bodies are safe code.
             run(
-                "avx2",
+                "avx2+fma",
                 |a, lda, b, out, d| unsafe { gemm_avx2::<true>(a, lda, b, out, d) },
                 |a, lda, b, out, d| unsafe { gemm_avx2::<false>(a, lda, b, out, d) },
             );
@@ -1391,6 +1440,17 @@ mod tests {
             })
             .collect();
         Tensor::from_vec(data, &[rows, cols]).unwrap()
+    }
+
+    /// `t` with the elements a multiplicative hash picks — half of them —
+    /// set to exactly `0.0`.
+    fn half_zeroed(mut t: Tensor) -> Tensor {
+        for (i, v) in t.data_mut().iter_mut().enumerate() {
+            if (i as u32).wrapping_mul(2654435761) >> 31 == 0 {
+                *v = 0.0;
+            }
+        }
+        t
     }
 
     fn bits(t: &Tensor) -> Vec<u32> {

@@ -91,6 +91,70 @@ fn matmul_family_is_bit_identical_at_lstm_shapes() {
     }
 }
 
+/// `a·b` three ways — from `a: [m, k]`, `b: [k, n]` and their transposes —
+/// through each product of the family, by name.
+fn product_three_ways(a: &Tensor, b: &Tensor) -> [(&'static str, Tensor); 3] {
+    [
+        ("a @ b", kernels::matmul(a, b)),
+        ("aT @ b", kernels::matmul_at_b(&a.transpose(), b)),
+        ("a @ bT", kernels::matmul_a_bt(a, &b.transpose())),
+    ]
+}
+
+/// A unit a ReLU zeroed, against a corrupt weight row: `0 · NaN` and
+/// `0 · ∞` are NaN, and every term is kept, so all three products report
+/// it on both backends — the forward `a @ b` and the `dW` product
+/// `aᵀ @ b` see a corrupt weight, not only the backward `dX = a @ bᵀ`.
+/// The larger shape is threaded.
+#[test]
+fn a_zero_against_a_non_finite_weight_is_nan_in_every_product() {
+    for (m, k, n) in [(7usize, 9usize, 33usize), (257, 130, 129)] {
+        let (dead, bad, nan_at, inf_at) = (m / 2, k / 3, n / 4, n - 1);
+        let finite = |rows, cols, phase| spiked_finite(rows, cols, 0xdead, phase);
+        // Row `dead` of `a` is zero, row `bad` of `b` is corrupt: as `aᵀ @ b`
+        // sees them, a zero column of its `[k, m]` left operand; as `a @ bᵀ`
+        // does, the corrupt values in two rows of its `[n, k]` right operand.
+        let mut a = finite(m, k, 0);
+        a.data_mut()[dead * k..][..k].fill(0.0);
+        let mut b = finite(k, n, 1);
+        b.data_mut()[bad * n + nan_at] = f32::NAN;
+        b.data_mut()[bad * n + inf_at] = f32::INFINITY;
+        for threads in [1usize, 4] {
+            betty_runtime::set_thread_override(Some(threads));
+            for backend in [Backend::Scalar, Backend::Simd] {
+                for (name, out) in with_backend(backend, || product_three_ways(&a, &b)) {
+                    let what = format!("{name} {m}x{k}x{n} on {backend}, {threads} threads");
+                    for (j, v) in out.row(dead).iter().enumerate() {
+                        let corrupt = j == nan_at || j == inf_at;
+                        assert_eq!(v.is_nan(), corrupt, "{what}: out[{dead}][{j}] = {v}");
+                    }
+                }
+            }
+            betty_runtime::set_thread_override(None);
+        }
+    }
+}
+
+/// Every step of every product is one fused multiply-add: with
+/// `x = 1 + 2⁻¹²` the exact square `1 + 2⁻¹¹ + 2⁻²⁴` is a tie that rounds
+/// to `c = 1 + 2⁻¹¹`, so `1·(-c) + x·x` is the rounding error `2⁻²⁴` fused
+/// and `0.0` as a multiply followed by an add — on both backends, over a
+/// full register tile and its row and column remainders.
+#[test]
+fn every_product_rounds_once_per_term() {
+    let (x, c) = (1.0 + 1.0 / 4096.0, 1.0 + 1.0 / 2048.0);
+    let (m, n) = (7, 33);
+    let tensor = |data: Vec<f32>, shape: [usize; 2]| Tensor::from_vec(data, &shape).expect("sized data");
+    let a = tensor([1.0, x].repeat(m), [m, 2]);
+    let b = tensor([vec![-c; n], vec![x; n]].concat(), [2, n]);
+    for backend in [Backend::Scalar, Backend::Simd] {
+        for (name, out) in with_backend(backend, || product_three_ways(&a, &b)) {
+            let fused = out.data().iter().all(|v| v.to_bits() == 2f32.powi(-24).to_bits());
+            assert!(fused, "{name} on {backend} rounds twice: {:?}", &out.data()[..2]);
+        }
+    }
+}
+
 /// `Graph::backward` packs each `Matmul` weight's transpose once per sweep
 /// and skips gradients nobody can read. Neither may move a bit: every
 /// gradient must equal the scalar kernels called directly — for a weight
