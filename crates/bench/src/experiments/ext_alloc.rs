@@ -22,7 +22,7 @@
 //! 3. **Pool hit rate** — after a one-epoch warm-up, the measured epochs
 //!    must serve at least [`STEADY_STATE_HIT_RATE`] of buffer requests
 //!    from recycled storage. CI's alloc-smoke job re-checks this from the
-//!    JSON artifact (`BENCH_alloc.json`, also at the repo root).
+//!    JSON artifact (`experiments_out/BENCH_alloc.json`).
 
 use std::time::Instant;
 

@@ -2,7 +2,7 @@
 //!
 //! Betty's heterogeneous-memory story (§2.2) keeps the full feature
 //! matrix in host memory and ships one micro-batch at a time to the
-//! device. The paged [`betty_data::FeatureStore`] extends that ladder one
+//! device. The paged [`betty_data::Features`] store extends that ladder one
 //! rung down: features live in row-range shards on disk, and training
 //! gathers are served through a pinned hot-set cache whose byte budget is
 //! charged to the device ledger's dedicated `feature cache` category.

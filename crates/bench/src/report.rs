@@ -4,10 +4,8 @@ use std::fs;
 use std::path::PathBuf;
 
 /// A printable experiment table that also persists its rows as JSON under
-/// `experiments_out/<id>.json`. Tables whose id starts with `BENCH_`
-/// (the `ext_*` perf-trajectory exhibits) are additionally written to
-/// `<id>.json` at the repo root, so successive PRs overwrite the same
-/// tracked file and the trajectory shows up in diffs.
+/// `experiments_out/<id>.json` (relative to the working directory, never
+/// to where the binary was built), which is the copy CI validates.
 #[derive(Debug, Clone)]
 pub struct Table {
     id: String,
@@ -100,22 +98,7 @@ impl Table {
         });
         let pretty = serde_json::to_string_pretty(&doc).expect("static structure serializes");
         let _ = fs::write(dir.join(format!("{}.json", self.id)), &pretty);
-        if self.id.starts_with("BENCH_") {
-            let _ = fs::write(repo_root().join(format!("{}.json", self.id)), &pretty);
-        }
     }
-}
-
-/// The workspace root, resolved from this crate's compile-time manifest
-/// directory (`crates/bench` → two levels up) so `BENCH_*.json` lands in
-/// the same tracked location no matter where the binary is invoked from.
-fn repo_root() -> PathBuf {
-    let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    manifest
-        .ancestors()
-        .nth(2)
-        .map(PathBuf::from)
-        .unwrap_or(manifest)
 }
 
 /// Formats bytes as MiB with one decimal.

@@ -53,7 +53,7 @@ impl StepSizes {
     /// Adds the out-of-core feature store's pinned hot-set reservation
     /// (`Features::cache_reservation_bytes`) to the step's static charges.
     /// Zero (the dense backend) is a no-op, keeping dense runs
-    /// bit-identical to the pre-FeatureStore ledger.
+    /// bit-identical to the pre-feature-store ledger.
     pub(crate) fn with_feature_cache(mut self, bytes: usize) -> Self {
         self.feature_cache = bytes;
         self
@@ -93,7 +93,7 @@ impl StepCharges {
             // The dense backend reserves no cache; skipping the alloc
             // outright (rather than charging 0 bytes) keeps the armed
             // fault injector's per-alloc decision stream identical to
-            // the pre-FeatureStore ledger.
+            // the pre-feature-store ledger.
             if cat == MemoryCategory::FeatureCache && bytes == 0 {
                 continue;
             }

@@ -5,9 +5,9 @@
 //! (and the CLI's epoch loop) save a full [`TrainState`] — parameters,
 //! Adam moments, both RNG streams, step/epoch counters, the loss history,
 //! and the config fingerprint — at the end of every `every`-th epoch.
-//! Writes go through [`betty_nn::write_atomic`] (tmp + fsync + rename),
-//! so a checkpoint either exists completely with valid CRCs or not at
-//! all; a SIGKILL mid-write leaves the previous checkpoint intact.
+//! Writes go through [`betty_tensor::sealed::write_atomic`], so a
+//! checkpoint either exists completely with valid CRCs or not at all; a
+//! SIGKILL mid-write leaves the previous checkpoint intact.
 //!
 //! Resume ([`latest_checkpoint`] + [`Runner::import_session`]) restores
 //! every piece of state training consumes, so a killed-and-resumed run

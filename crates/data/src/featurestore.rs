@@ -2,8 +2,8 @@
 //!
 //! Betty's Eq. 5 planner bounds *activation* memory, but the node-feature
 //! matrix itself was a single dense in-memory [`Tensor`] — capping
-//! reachable graph scale at whatever the host can hold. This module puts
-//! features behind the [`FeatureStore`] trait with two implementations:
+//! reachable graph scale at whatever the host can hold. [`Features`], the
+//! type a `Dataset` holds, is one of two backends:
 //!
 //! * [`DenseFeatures`] — the original in-memory matrix. Zero overhead;
 //!   every gather is a hit.
@@ -29,31 +29,41 @@
 //! compute stays f32. Quantization is idempotent — spilling an
 //! already-quantized dense store re-encodes to the identical bits.
 //!
-//! ## Shard layout
+//! ## Store directory layout
+//!
+//! Every file is sealed by [`betty_tensor::sealed`] — `magic | body |
+//! crc32(body)`, written tmp → fsync → rename — so what a kind defines is
+//! its body. All header words are little-endian `u32`:
 //!
 //! ```text
-//! meta file "features.meta" (v1 — f32 stores, unchanged on disk):
-//!   magic "BTYFMET1" | rows u32 | cols u32 | page_rows u32 | crc32
-//! meta file (v2 — written for 16-bit dtypes):
-//!   magic "BTYFMET2" | rows u32 | cols u32 | page_rows u32
-//!   | dtype tag u32 | crc32
+//! meta file "features.meta":
+//!   v1 "BTYFMET1" (f32 stores, unchanged on disk):
+//!       rows | cols | page_rows
+//!   v2 "BTYFMET2" (written for 16-bit dtypes):
+//!       rows | cols | page_rows | dtype tag
 //! shard file "shard-NNNNN.bfs" (one per `page_rows` rows):
-//!   v1: magic "BTYFSHD1" | shard u32 | start_row u32 | num_rows u32
-//!       | cols u32 | payload (num_rows × cols f32 LE) | crc32
-//!   v2: magic "BTYFSHD2" | shard u32 | start_row u32 | num_rows u32
-//!       | cols u32 | dtype tag u32 | payload (num_rows × cols u16 LE)
-//!       | crc32
+//!   v1 "BTYFSHD1": shard | start_row | num_rows | cols
+//!                  | payload (num_rows × cols f32 LE)
+//!   v2 "BTYFSHD2": shard | start_row | num_rows | cols | dtype tag
+//!                  | payload (num_rows × cols u16 LE)
+//! parity meta "parity.meta" (absent unless spilled with `parity > 0`,
+//! so plain stores stay byte-identical to the v1/v2 formats):
+//!   "BTYFPMT1": parity_width | shard_count
+//!               | payload crc32 per data shard (u32 × shard_count)
+//! parity shard "parity-NNNNN.bfp" (one per group):
+//!   "BTYFPAR1": group | first_shard | num_shards | payload_len
+//!               | XOR of member payloads (zero-padded)
 //! ```
 //!
-//! Every file's CRC covers everything after its magic. [`PagedFeatures::open`]
-//! verifies every shard (existence, header consistency, full CRC) up
-//! front — a truncated or bit-flipped shard is rejected at open with a
-//! structured [`FeatureStoreError::Format`], never silently trained on.
+//! [`PagedFeatures::open`] verifies every file (existence, seal, header
+//! against the meta) up front — a truncated or bit-flipped shard is
+//! rejected at open with a structured [`FeatureStoreError::Format`],
+//! never silently trained on.
 //!
 //! ## Storage fault tolerance
 //!
-//! Mid-run, every physical shard read re-validates the full container
-//! (magic, header, CRC) instead of trusting the open-time check:
+//! Mid-run, every physical shard read re-validates the whole file instead
+//! of trusting the open-time check:
 //!
 //! * **Transient I/O errors** (real, or injected through an armed
 //!   [`StorageFaultHook`]) are retried with seeded-jitter exponential
@@ -63,49 +73,26 @@
 //!   shard file) is repaired in place from an **XOR parity group** when
 //!   the store was spilled with `parity > 0`: every `parity` consecutive
 //!   data shards share one parity shard, so any single damaged member is
-//!   reconstructed bit-identically (verified against per-shard payload
-//!   CRCs recorded in the parity sidecar) and atomically re-persisted.
+//!   reconstructed bit-identically (verified against the payload CRC the
+//!   parity meta recorded for it) and atomically re-persisted.
 //! * Two damaged members in one group — or damage without parity — is a
 //!   structured [`FeatureStoreError::Shard`] carrying the shard index
 //!   and byte offset, surfaced through the fallible gather path instead
 //!   of a panic.
 //!
-//! Parity sidecar layout (absent unless spilled with `parity > 0`, so
-//! plain stores stay byte-identical to the v1/v2 formats):
-//!
-//! ```text
-//! parity meta "parity.meta":
-//!   magic "BTYFPMT1" | parity_width u32 | shard_count u32
-//!   | payload crc32 per data shard (u32 × shard_count) | crc32
-//! parity shard "parity-NNNNN.bfp" (one per group):
-//!   magic "BTYFPAR1" | group u32 | first_shard u32 | num_shards u32
-//!   | payload_len u32 | XOR of member payloads (zero-padded) | crc32
-//! ```
-//!
-//! [`scrub`] performs the same validation + repair pass offline over a
-//! store directory, rebuilding damaged parity shards from intact data
-//! shards as well.
+//! [`scrub`] runs the same validation and the same reconstruction
+//! offline over a store directory, one parity group at a time, and also
+//! rebuilds damaged parity shards from intact data shards.
 
 use std::fmt;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use betty_tensor::{DType, Tensor};
 
-use betty_tensor::{crc32, DType, Tensor};
-
-const META_MAGIC: &[u8; 8] = b"BTYFMET1";
-const META_MAGIC_V2: &[u8; 8] = b"BTYFMET2";
-const SHARD_MAGIC: &[u8; 8] = b"BTYFSHD1";
-const SHARD_MAGIC_V2: &[u8; 8] = b"BTYFSHD2";
-const PARITY_META_MAGIC: &[u8; 8] = b"BTYFPMT1";
-const PARITY_MAGIC: &[u8; 8] = b"BTYFPAR1";
-/// File name of the paged-store metadata header inside a store dir
-/// (public so offline tools can probe "is this a paged store?").
-pub const META_FILE: &str = "features.meta";
-/// File name of the optional XOR-parity sidecar metadata.
-pub const PARITY_META_FILE: &str = "parity.meta";
+use crate::shards::{shard_header_len, write_store, Layout, ShardFailure};
+pub use crate::shards::{scrub, ScrubReport, META_FILE, PARITY_META_FILE};
 
 /// Default transient-I/O retry budget per logical shard read (the
 /// training layer overrides this from `RetryPolicy::max_io_retries`).
@@ -277,100 +264,6 @@ pub enum StorageIncident {
 }
 
 // ---------------------------------------------------------------------------
-// The trait.
-
-/// A source of node-feature rows.
-///
-/// Implementations must be value-identical for the same logical matrix:
-/// `gather_into` writes the exact same `f32` bits regardless of backend,
-/// so the storage choice can never move a training trajectory. Shared
-/// references must be usable from multiple threads (`Sync`); paged
-/// backends guard their cache internally.
-pub trait FeatureStore: fmt::Debug + Send + Sync {
-    /// Number of feature rows (nodes).
-    fn rows(&self) -> usize;
-
-    /// Feature dimensionality (columns).
-    fn cols(&self) -> usize;
-
-    /// Copies the given rows into `out` (row-major, `indices.len() × cols`)
-    /// and reports the cache accounting of the access.
-    ///
-    /// Paged stores serve the call shard by shard, not row by row: see
-    /// [`FeatureStore::try_gather_into`] for the order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != indices.len() * cols`, if an index is out
-    /// of range, or (paged stores) if a shard read fails at runtime —
-    /// shards are fully validated at open, so this only fires if the
-    /// backing files are deleted or the device dies mid-training.
-    fn gather_into(&self, indices: &[usize], out: &mut [f32]) -> GatherStats;
-
-    /// Fallible [`FeatureStore::gather_into`]: paged stores surface an
-    /// unrecoverable shard failure (retry budget exhausted, unrepairable
-    /// corruption) as a structured error instead of panicking. Dense
-    /// stores never fail.
-    ///
-    /// Paged contract: the rows are bucketed by shard; shards already
-    /// resident are served first (ascending shard index), missing shards
-    /// after (ascending), and every row a shard owes is copied before the
-    /// next shard is touched. A shard is therefore paged in **at most
-    /// once per call** whatever the cache budget, and an eviction during
-    /// the call only ever takes a shard the call is finished with. LRU
-    /// order *across* calls is unchanged.
-    ///
-    /// # Errors
-    ///
-    /// [`FeatureStoreError::Shard`] naming the shard and byte offset. On
-    /// `Err` the contents of `out` are unspecified (rows of shards served
-    /// before the failure have been written) and must be discarded.
-    fn try_gather_into(
-        &self,
-        indices: &[usize],
-        out: &mut [f32],
-    ) -> Result<GatherStats, FeatureStoreError> {
-        Ok(self.gather_into(indices, out))
-    }
-
-    /// Pages in (and pins, subject to the cache budget) every shard the
-    /// given rows live on, without copying any row out. Dense stores do
-    /// nothing. Prefetchers call this so a later `gather_into` for the
-    /// same rows hits memory.
-    fn prewarm(&self, indices: &[usize]) -> GatherStats {
-        let _ = indices;
-        GatherStats::default()
-    }
-
-    /// Fallible [`FeatureStore::prewarm`], mirroring
-    /// [`FeatureStore::try_gather_into`] — same bucketing, same
-    /// residents-first order, at most one page-in per shard.
-    ///
-    /// # Errors
-    ///
-    /// [`FeatureStoreError::Shard`] naming the shard and byte offset.
-    fn try_prewarm(&self, indices: &[usize]) -> Result<GatherStats, FeatureStoreError> {
-        Ok(self.prewarm(indices))
-    }
-
-    /// Materializes the full matrix as a dense tensor.
-    fn to_dense(&self) -> Tensor;
-
-    /// Bytes of host/device memory the store pins for its hot-set cache:
-    /// 0 for dense stores, `min(cache budget, total feature bytes)` for
-    /// paged ones. The trainer charges exactly this many bytes to the
-    /// `FeatureCache` ledger category every step, and the planner adds
-    /// the same constant to every estimate — so estimator drift stays
-    /// exact.
-    fn cache_reservation_bytes(&self) -> usize {
-        0
-    }
-
-    /// Flat index and value of the first non-finite feature, if any.
-    fn find_non_finite(&self) -> Option<(usize, f32)>;
-}
-
-// ---------------------------------------------------------------------------
 // Dense backend.
 
 /// The original in-memory backend: a dense `[rows, cols]` matrix, held
@@ -422,21 +315,28 @@ impl DenseFeatures {
             DenseStorage::Half { dtype, .. } => *dtype,
         }
     }
-}
 
-impl FeatureStore for DenseFeatures {
-    fn rows(&self) -> usize {
+    /// Number of feature rows (nodes).
+    pub fn rows(&self) -> usize {
         match &self.storage {
             DenseStorage::F32(t) => t.rows(),
             DenseStorage::Half { rows, .. } => *rows,
         }
     }
 
-    fn cols(&self) -> usize {
+    /// Feature dimensionality (columns).
+    pub fn cols(&self) -> usize {
         self.cols
     }
 
-    fn gather_into(&self, indices: &[usize], out: &mut [f32]) -> GatherStats {
+    /// Copies the given rows into `out` (row-major, `indices.len() × cols`);
+    /// every row is a hit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != indices.len() * cols` or an index is out of
+    /// range.
+    pub fn gather_into(&self, indices: &[usize], out: &mut [f32]) -> GatherStats {
         match &self.storage {
             DenseStorage::F32(t) => {
                 betty_tensor::segment::gather_rows_into(t, indices, out);
@@ -459,7 +359,8 @@ impl FeatureStore for DenseFeatures {
         }
     }
 
-    fn to_dense(&self) -> Tensor {
+    /// Materializes the full matrix as a dense f32 tensor.
+    pub fn to_dense(&self) -> Tensor {
         match &self.storage {
             DenseStorage::F32(t) => t.clone(),
             DenseStorage::Half { dtype, rows, bits } => {
@@ -469,33 +370,23 @@ impl FeatureStore for DenseFeatures {
         }
     }
 
-    fn find_non_finite(&self) -> Option<(usize, f32)> {
+    /// Flat index and value of the first non-finite feature, if any.
+    pub fn find_non_finite(&self) -> Option<(usize, f32)> {
         match &self.storage {
-            DenseStorage::F32(t) => t
-                .data()
-                .iter()
-                .enumerate()
-                .find(|(_, v)| !v.is_finite())
-                .map(|(i, &v)| (i, v)),
-            DenseStorage::Half { dtype, bits, .. } => bits
-                .iter()
-                .map(|&b| dtype.decode16(b))
-                .enumerate()
-                .find(|(_, v)| !v.is_finite()),
+            DenseStorage::F32(t) => first_non_finite(t.data().iter().copied()),
+            DenseStorage::Half { dtype, bits, .. } => {
+                first_non_finite(bits.iter().map(|&b| dtype.decode16(b)))
+            }
         }
     }
 }
 
+fn first_non_finite(values: impl Iterator<Item = f32>) -> Option<(usize, f32)> {
+    values.enumerate().find(|(_, v)| !v.is_finite())
+}
+
 // ---------------------------------------------------------------------------
 // Paged backend.
-
-/// One shard's location on disk plus its payload geometry.
-#[derive(Debug, Clone)]
-struct ShardInfo {
-    path: PathBuf,
-    start_row: usize,
-    num_rows: usize,
-}
 
 /// One resident shard's payload at its storage width. Half-width shards
 /// stay encoded in the cache — the byte savings the planner budgets for
@@ -547,14 +438,6 @@ struct CacheState {
     tick: u64,
 }
 
-/// XOR parity sidecar contents: group width plus the payload CRC of
-/// every data shard (what a reconstruction is verified against).
-#[derive(Debug, Clone, PartialEq)]
-struct ParityMeta {
-    width: usize,
-    payload_crcs: Vec<u32>,
-}
-
 /// Mutable storage-chaos state: the armed fault hook, the retry budget,
 /// and recovery incidents awaiting a drain by the training layer.
 struct StorageChaos {
@@ -583,14 +466,6 @@ impl fmt::Debug for StorageChaos {
     }
 }
 
-/// How one validated shard read failed.
-enum ShardFailure {
-    /// Transient-looking I/O error (worth retrying).
-    Io(io::Error),
-    /// Structural damage at a byte offset (worth repairing, not retrying).
-    Corrupt { offset: u64, detail: String },
-}
-
 /// Disk-resident features: fixed-row shards plus a byte-budgeted pinned
 /// hot-set cache with LRU eviction in gather access order.
 ///
@@ -607,22 +482,28 @@ enum ShardFailure {
 /// so paged accounting is as deterministic as the training loop itself.
 #[derive(Debug)]
 pub struct PagedFeatures {
-    dir: PathBuf,
-    rows: usize,
-    cols: usize,
-    page_rows: usize,
-    dtype: DType,
-    shards: Vec<ShardInfo>,
+    layout: Layout,
     cache_budget_bytes: usize,
     cache: Mutex<CacheState>,
-    parity: Option<ParityMeta>,
     chaos: Mutex<StorageChaos>,
 }
 
 impl PagedFeatures {
-    /// Writes `features` to `dir` as a paged store (meta file + shards of
-    /// `page_rows` rows each, all CRC-checksummed and atomically written)
-    /// and opens it with the given cache budget.
+    /// Writes `features` to `dir` as a paged store — meta file + shards of
+    /// `page_rows` rows each, payloads encoded at `dtype` width, all
+    /// sealed and atomically written — and opens it with the given cache
+    /// budget.
+    ///
+    /// `F32` writes the v1 format byte-for-byte; 16-bit dtypes write the
+    /// v2 format (u16 payloads, dtype tag in meta and every shard header).
+    ///
+    /// `parity > 0` additionally writes an XOR parity sidecar: every
+    /// `parity` consecutive data shards get one parity shard, so any
+    /// single damaged member of a group can be reconstructed
+    /// bit-identically mid-run (or by [`scrub`]). `parity == 0` writes no
+    /// sidecar — the on-disk bytes are exactly the plain v1/v2 format.
+    /// `parity == 1` duplicates each shard's payload (mirroring); larger
+    /// widths trade redundancy for space.
     ///
     /// # Errors
     ///
@@ -637,139 +518,17 @@ impl PagedFeatures {
         dir: impl AsRef<Path>,
         page_rows: usize,
         cache_budget_bytes: usize,
-    ) -> Result<Arc<Self>, FeatureStoreError> {
-        Self::spill_with_dtype(features, dir, page_rows, cache_budget_bytes, DType::F32)
-    }
-
-    /// [`PagedFeatures::spill`] encoding the payloads at `dtype` width.
-    ///
-    /// `F32` writes the v1 format byte-for-byte; 16-bit dtypes write the
-    /// v2 format (u16 payloads, dtype tag in meta and every shard header).
-    ///
-    /// # Errors
-    ///
-    /// [`FeatureStoreError::Io`] if the directory or a file cannot be
-    /// written.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page_rows == 0`.
-    pub fn spill_with_dtype(
-        features: &Tensor,
-        dir: impl AsRef<Path>,
-        page_rows: usize,
-        cache_budget_bytes: usize,
-        dtype: DType,
-    ) -> Result<Arc<Self>, FeatureStoreError> {
-        Self::spill_with_parity(features, dir, page_rows, cache_budget_bytes, dtype, 0)
-    }
-
-    /// [`PagedFeatures::spill_with_dtype`] additionally writing an XOR
-    /// parity sidecar: every `parity` consecutive data shards get one
-    /// parity shard, so any single damaged member of a group can be
-    /// reconstructed bit-identically mid-run (or by [`scrub`]).
-    ///
-    /// `parity == 0` writes no sidecar — the on-disk bytes are exactly
-    /// the plain v1/v2 format. `parity == 1` duplicates each shard's
-    /// payload (mirroring); larger widths trade redundancy for space.
-    ///
-    /// # Errors
-    ///
-    /// [`FeatureStoreError::Io`] if the directory or a file cannot be
-    /// written.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page_rows == 0`.
-    pub fn spill_with_parity(
-        features: &Tensor,
-        dir: impl AsRef<Path>,
-        page_rows: usize,
-        cache_budget_bytes: usize,
         dtype: DType,
         parity: usize,
     ) -> Result<Arc<Self>, FeatureStoreError> {
-        assert!(page_rows > 0, "page_rows must be positive");
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        let (rows, cols) = (features.rows(), features.cols());
-
-        let mut meta = BytesMut::new();
-        meta.put_u32_le(rows as u32);
-        meta.put_u32_le(cols as u32);
-        meta.put_u32_le(page_rows as u32);
-        if dtype != DType::F32 {
-            meta.put_u32_le(dtype.tag());
-        }
-        let crc = crc32(&meta);
-        let mut meta_file = BytesMut::new();
-        meta_file.put_slice(if dtype == DType::F32 { META_MAGIC } else { META_MAGIC_V2 });
-        meta_file.put_slice(&meta);
-        meta_file.put_u32_le(crc);
-        write_atomic(&dir.join(META_FILE), &meta_file)?;
-
-        let num_shards = shard_count(rows, page_rows);
-        let mut payload_crcs = Vec::with_capacity(num_shards);
-        // Current parity group's running XOR (zero-padded to the widest
-        // member payload) and its first member, flushed at group
-        // boundaries — shards are written in order, so each group's
-        // members are consecutive.
-        let mut group_xor: Vec<u8> = Vec::new();
-        for shard in 0..num_shards {
-            let start_row = shard * page_rows;
-            let num_rows = page_rows.min(rows - start_row);
-            let mut payload = BytesMut::with_capacity(num_rows * cols * dtype.bytes_per_value());
-            for r in start_row..start_row + num_rows {
-                for &v in features.row(r) {
-                    match dtype {
-                        DType::F32 => payload.put_f32_le(v),
-                        _ => payload.put_u16_le(dtype.encode16(v)),
-                    }
-                }
-            }
-            payload_crcs.push(crc32(&payload));
-            let file = encode_shard_file(shard, start_row, num_rows, cols, dtype, &payload);
-            write_atomic(&dir.join(shard_name(shard)), &file)?;
-            if parity > 0 {
-                if shard % parity == 0 {
-                    group_xor.clear();
-                }
-                if payload.len() > group_xor.len() {
-                    group_xor.resize(payload.len(), 0);
-                }
-                for (acc, &b) in group_xor.iter_mut().zip(payload.iter()) {
-                    *acc ^= b;
-                }
-                let last_in_group = shard % parity == parity - 1 || shard == num_shards - 1;
-                if last_in_group {
-                    let group = shard / parity;
-                    let first = group * parity;
-                    let file = encode_parity_file(group, first, shard - first + 1, &group_xor);
-                    write_atomic(&dir.join(parity_name(group)), &file)?;
-                }
-            }
-        }
-        if parity > 0 {
-            let mut body = BytesMut::new();
-            body.put_u32_le(parity as u32);
-            body.put_u32_le(num_shards as u32);
-            for &crc in &payload_crcs {
-                body.put_u32_le(crc);
-            }
-            let crc = crc32(&body);
-            let mut file = BytesMut::new();
-            file.put_slice(PARITY_META_MAGIC);
-            file.put_slice(&body);
-            file.put_u32_le(crc);
-            write_atomic(&dir.join(PARITY_META_FILE), &file)?;
-        }
+        write_store(features, dir.as_ref(), page_rows, dtype, parity)?;
         Self::open(dir, cache_budget_bytes)
     }
 
     /// Opens a paged store written by [`PagedFeatures::spill`], fully
-    /// validating the meta file and **every** shard (magic, header
-    /// consistency, CRC over the whole body) so later gathers are
-    /// infallible.
+    /// validating the meta file and **every** shard and parity file
+    /// (seal, then header against the meta) so only damage that happens
+    /// later can surface mid-run.
     ///
     /// # Errors
     ///
@@ -780,60 +539,17 @@ impl PagedFeatures {
         dir: impl AsRef<Path>,
         cache_budget_bytes: usize,
     ) -> Result<Arc<Self>, FeatureStoreError> {
-        let dir = dir.as_ref().to_path_buf();
-        let (rows, cols, page_rows, dtype) = read_meta(&dir)?;
-
-        let num_shards = shard_count(rows, page_rows);
-        let mut shards = Vec::with_capacity(num_shards);
-        for shard in 0..num_shards {
-            let path = dir.join(shard_name(shard));
-            let start_row = shard * page_rows;
-            let num_rows = page_rows.min(rows - start_row);
-            let (got_start, got_rows) =
-                validate_shard(&path, shard, cols, dtype).map_err(|e| match e {
-                    FeatureStoreError::Format(msg) => {
-                        FeatureStoreError::Format(format!("shard {shard}: {msg}"))
-                    }
-                    other => other,
-                })?;
-            if got_start != start_row || got_rows != num_rows {
-                return Err(FeatureStoreError::Format(format!(
-                    "shard {shard}: header says rows {got_start}..{} but meta expects {start_row}..{}",
-                    got_start + got_rows,
-                    start_row + num_rows
-                )));
-            }
-            shards.push(ShardInfo {
-                path,
-                start_row,
-                num_rows,
-            });
-        }
-        let parity = if dir.join(PARITY_META_FILE).exists() {
-            let meta = load_parity_meta(&dir, num_shards)?;
-            for group in 0..num_shards.div_ceil(meta.width) {
-                read_parity_payload(&dir, group, meta.width, num_shards).map_err(|msg| {
-                    FeatureStoreError::Format(format!("parity shard {group}: {msg}"))
-                })?;
-            }
-            Some(meta)
-        } else {
-            None
-        };
+        let layout = Layout::read(dir.as_ref())?;
+        layout.validate()?;
+        let resident = (0..layout.num_shards()).map(|_| None).collect();
         Ok(Arc::new(Self {
-            dir,
-            rows,
-            cols,
-            page_rows,
-            dtype,
-            shards,
+            layout,
             cache_budget_bytes,
             cache: Mutex::new(CacheState {
-                resident: (0..num_shards).map(|_| None).collect(),
+                resident,
                 held_bytes: 0,
                 tick: 0,
             }),
-            parity,
             chaos: Mutex::new(StorageChaos::default()),
         }))
     }
@@ -841,7 +557,7 @@ impl PagedFeatures {
     /// Width of the XOR parity groups (data shards per parity shard),
     /// or 0 when the store was spilled without parity.
     pub fn parity_width(&self) -> usize {
-        self.parity.as_ref().map_or(0, |p| p.width)
+        self.layout.parity_width
     }
 
     /// Arms a storage-chaos hook: every subsequent physical shard read
@@ -895,19 +611,18 @@ impl PagedFeatures {
     /// [`FeatureStoreError::Format`] if the shard has no payload bytes
     /// to flip.
     pub fn corrupt_shard_byte(&self, shard: usize) -> Result<u64, FeatureStoreError> {
-        assert!(shard < self.shards.len(), "shard {shard} out of range");
-        let info = &self.shards[shard];
-        let mut bytes = std::fs::read(&info.path)?;
-        let header = shard_header_len(self.dtype);
-        let payload_len = info.num_rows * self.cols * self.dtype.bytes_per_value();
+        assert!(shard < self.num_shards(), "shard {shard} out of range");
+        let path = self.layout.shard_path(shard);
+        let mut bytes = std::fs::read(&path)?;
+        let payload_len = self.layout.payload_len(shard);
         if payload_len == 0 {
             return Err(FeatureStoreError::Format(format!(
                 "shard {shard} has an empty payload; nothing to corrupt"
             )));
         }
-        let offset = header + payload_len / 2;
+        let offset = shard_header_len(self.layout.dtype) + payload_len / 2;
         bytes[offset] ^= 0x40;
-        std::fs::write(&info.path, &bytes)?;
+        std::fs::write(&path, &bytes)?;
         let mut state = self.cache.lock().expect("feature cache poisoned");
         if let Some((payload, _)) = state.resident[shard].take() {
             state.held_bytes -= payload.byte_len();
@@ -915,29 +630,29 @@ impl PagedFeatures {
         Ok(offset as u64)
     }
 
-    /// The storage width of the shard payloads.
-    pub fn dtype(&self) -> DType {
-        self.dtype
+    /// Number of feature rows (nodes).
+    pub fn rows(&self) -> usize {
+        self.layout.rows
     }
 
-    /// The directory the shards live in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+    /// Feature dimensionality (columns).
+    pub fn cols(&self) -> usize {
+        self.layout.cols
+    }
+
+    /// The storage width of the shard payloads.
+    pub fn dtype(&self) -> DType {
+        self.layout.dtype
     }
 
     /// Rows per shard (the page size).
     pub fn page_rows(&self) -> usize {
-        self.page_rows
+        self.layout.page_rows
     }
 
     /// Number of shard files.
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The configured cache budget, in bytes (not clamped to the total).
-    pub fn cache_budget_bytes(&self) -> usize {
-        self.cache_budget_bytes
+        self.layout.num_shards()
     }
 
     /// Bytes of shard payload currently resident in the cache.
@@ -945,25 +660,35 @@ impl PagedFeatures {
         self.cache.lock().expect("feature cache poisoned").held_bytes
     }
 
-    /// Reads one shard's payload, panicking on unrecoverable failure —
-    /// the historical infallible path, kept for direct callers
-    /// (`to_dense`, `find_non_finite`). Transient errors are still
-    /// retried and corruption still repaired from parity before the
-    /// panic fires.
-    fn read_shard_payload(&self, shard: usize) -> ShardPayload {
-        let mut stats = GatherStats::default();
-        self.try_read_shard_payload(shard, &mut stats)
-            .unwrap_or_else(|e| panic!("{e}"))
+    /// Bytes of host/device memory the store pins for its hot-set cache:
+    /// `min(cache budget, total feature bytes)`. The trainer charges
+    /// exactly this many bytes to the `FeatureCache` ledger category every
+    /// step, and the planner adds the same constant to every estimate — so
+    /// estimator drift stays exact.
+    pub fn cache_reservation_bytes(&self) -> usize {
+        self.cache_budget_bytes
+            .min(self.rows() * self.cols() * self.dtype().bytes_per_value())
     }
 
-    /// Reads one shard's payload with full re-validation (magic, header,
-    /// CRC), transient-error retry with seeded-jitter backoff, and XOR
-    /// parity repair; accumulates retry/repair accounting into `stats`.
+    /// Reads one shard's payload as f32, panicking on unrecoverable
+    /// failure — for the infallible whole-matrix readers (`to_dense`,
+    /// `find_non_finite`). Transient errors are still retried and
+    /// corruption still repaired from parity before the panic fires.
+    fn read_shard_f32(&self, shard: usize) -> Vec<f32> {
+        self.try_read_shard_payload(shard, &mut GatherStats::default())
+            .unwrap_or_else(|e| panic!("{e}"))
+            .to_f32(self.dtype())
+    }
+
+    /// Reads one shard's payload with full re-validation (seal, header),
+    /// transient-error retry with seeded-jitter backoff, and XOR parity
+    /// repair; accumulates retry/repair accounting into `stats`.
     fn try_read_shard_payload(
         &self,
         shard: usize,
         stats: &mut GatherStats,
     ) -> Result<ShardPayload, FeatureStoreError> {
+        let dtype = self.dtype();
         let mut chaos = self.chaos.lock().expect("storage chaos state poisoned");
         let max_io_retries = chaos.max_io_retries;
         let mut attempt = 0usize;
@@ -979,7 +704,8 @@ impl PagedFeatures {
                     format!("injected transient read error (attempt {attempt})"),
                 )))
             } else {
-                self.read_shard_validated(shard)
+                self.layout
+                    .with_payload(shard, |payload| decode_payload(payload, dtype))
             };
             match outcome {
                 Ok(payload) => return Ok(payload),
@@ -1011,132 +737,19 @@ impl PagedFeatures {
                     // On-disk damage is not transient: repair from
                     // parity (bit-identical, verified, re-persisted)
                     // or fail structurally.
-                    let (payload, repair_bytes) = self.repair_shard(shard, offset, &detail)?;
-                    let group = shard / self.parity.as_ref().map_or(1, |p| p.width);
+                    let (payload, repair_bytes) =
+                        self.layout.repair_shard(shard, offset, &detail)?;
                     stats.shards_repaired += 1;
                     stats.repair_bytes += repair_bytes;
                     chaos.incidents.push(StorageIncident::ShardRepaired {
                         shard,
-                        group,
+                        group: shard / self.parity_width(),
                         repair_bytes,
                     });
-                    return Ok(payload);
+                    return Ok(decode_payload(&payload, dtype));
                 }
             }
         }
-    }
-
-    /// One physical read of `shard` with full container validation.
-    fn read_shard_validated(&self, shard: usize) -> Result<ShardPayload, ShardFailure> {
-        let info = &self.shards[shard];
-        let bytes = match std::fs::read(&info.path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                return Err(ShardFailure::Corrupt {
-                    offset: 0,
-                    detail: "shard file missing".into(),
-                })
-            }
-            Err(e) => return Err(ShardFailure::Io(e)),
-        };
-        match parse_shard(&bytes, shard, self.cols, self.dtype) {
-            Ok((start_row, num_rows, payload)) => {
-                if start_row != info.start_row || num_rows != info.num_rows {
-                    return Err(ShardFailure::Corrupt {
-                        offset: SHARD_MAGIC.len() as u64,
-                        detail: format!(
-                            "header says rows {start_row}..{} but meta expects {}..{}",
-                            start_row + num_rows,
-                            info.start_row,
-                            info.start_row + info.num_rows
-                        ),
-                    });
-                }
-                Ok(decode_payload(payload, self.dtype))
-            }
-            Err((offset, detail)) => Err(ShardFailure::Corrupt { offset, detail }),
-        }
-    }
-
-    /// Reconstructs `shard`'s payload from its XOR parity group, verifies
-    /// it against the recorded payload CRC, re-persists the full shard
-    /// container atomically, and returns the payload plus the bytes
-    /// re-read from disk to rebuild it.
-    fn repair_shard(
-        &self,
-        shard: usize,
-        offset: u64,
-        why: &str,
-    ) -> Result<(ShardPayload, u64), FeatureStoreError> {
-        let fail = |detail: String| FeatureStoreError::Shard {
-            shard,
-            offset,
-            detail,
-        };
-        let Some(parity) = &self.parity else {
-            return Err(fail(format!(
-                "{why}; store has no parity sidecar to repair from"
-            )));
-        };
-        let width = parity.width;
-        let group = shard / width;
-        let first = group * width;
-        let members = first..(first + width).min(self.shards.len());
-        let (_, _, mut acc) = read_parity_payload(&self.dir, group, width, self.shards.len())
-            .map_err(|msg| {
-                fail(format!(
-                    "{why}; parity shard for group {group} is unusable ({msg})"
-                ))
-            })?;
-        let mut repair_bytes = acc.len() as u64;
-        for peer in members {
-            if peer == shard {
-                continue;
-            }
-            let path = self.dir.join(shard_name(peer));
-            let bytes = std::fs::read(&path).map_err(|e| {
-                fail(format!(
-                    "{why}; peer shard {peer} in group {group} is also unreadable ({e}) — \
-                     XOR parity can repair exactly one shard per group"
-                ))
-            })?;
-            let (_, _, payload) =
-                parse_shard(&bytes, peer, self.cols, self.dtype).map_err(|(_, msg)| {
-                    fail(format!(
-                        "{why}; peer shard {peer} in group {group} is also damaged ({msg}) — \
-                         XOR parity can repair exactly one shard per group"
-                    ))
-                })?;
-            repair_bytes += payload.len() as u64;
-            for (acc_byte, &b) in acc.iter_mut().zip(payload.iter()) {
-                *acc_byte ^= b;
-            }
-        }
-        let info = &self.shards[shard];
-        let my_len = info.num_rows * self.cols * self.dtype.bytes_per_value();
-        if acc.len() < my_len {
-            return Err(fail(format!(
-                "{why}; parity payload is {} bytes but shard needs {my_len}",
-                acc.len()
-            )));
-        }
-        acc.truncate(my_len);
-        if crc32(&acc) != parity.payload_crcs[shard] {
-            return Err(fail(format!(
-                "{why}; parity reconstruction failed its recorded CRC — \
-                 more than one shard in group {group} is damaged"
-            )));
-        }
-        let file = encode_shard_file(
-            shard,
-            info.start_row,
-            info.num_rows,
-            self.cols,
-            self.dtype,
-            &acc,
-        );
-        write_atomic(&info.path, &file)?;
-        Ok((decode_payload(&acc, self.dtype), repair_bytes))
     }
 
     /// The one gather/prewarm path. Buckets `indices` by shard (a counting
@@ -1156,15 +769,11 @@ impl PagedFeatures {
         stats: &mut GatherStats,
         mut serve: impl FnMut(&ShardPayload, usize, &[usize], bool),
     ) -> Result<(), FeatureStoreError> {
-        let num_shards = self.shards.len();
+        let (num_shards, rows, page_rows) = (self.num_shards(), self.rows(), self.page_rows());
         let mut starts = vec![0usize; num_shards + 1];
         for &idx in indices {
-            assert!(
-                idx < self.rows,
-                "row {idx} out of range ({} rows)",
-                self.rows
-            );
-            starts[idx / self.page_rows + 1] += 1;
+            assert!(idx < rows, "row {idx} out of range ({rows} rows)");
+            starts[idx / page_rows + 1] += 1;
         }
         for shard in 0..num_shards {
             starts[shard + 1] += starts[shard];
@@ -1172,7 +781,7 @@ impl PagedFeatures {
         let mut cursor = starts.clone();
         let mut slots = vec![0usize; indices.len()];
         for (slot, &idx) in indices.iter().enumerate() {
-            let shard = idx / self.page_rows;
+            let shard = idx / page_rows;
             slots[cursor[shard]] = slot;
             cursor[shard] += 1;
         }
@@ -1189,7 +798,7 @@ impl PagedFeatures {
             match &mut state.resident[shard] {
                 Some((payload, last)) => {
                     *last = tick;
-                    serve(payload, self.shards[shard].start_row, bucket, false);
+                    serve(payload, shard * page_rows, bucket, false);
                 }
                 None => missing.push(shard),
             }
@@ -1203,7 +812,7 @@ impl PagedFeatures {
             let tick = state.tick;
             let (payload, _) = state.resident[shard].insert((payload, tick));
             let bucket = &slots[starts[shard]..starts[shard + 1]];
-            serve(payload, self.shards[shard].start_row, bucket, true);
+            serve(payload, shard * page_rows, bucket, true);
             // Ticks are unique, so the victim is too.
             while state.held_bytes > self.cache_budget_bytes {
                 let victim = (0..num_shards)
@@ -1217,38 +826,46 @@ impl PagedFeatures {
         }
         Ok(())
     }
-}
 
-impl FeatureStore for PagedFeatures {
-    fn rows(&self) -> usize {
-        self.rows
-    }
-
-    fn cols(&self) -> usize {
-        self.cols
-    }
-
-    fn gather_into(&self, indices: &[usize], out: &mut [f32]) -> GatherStats {
-        self.try_gather_into(indices, out)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn try_gather_into(
+    /// Copies the given rows into `out` (row-major, `indices.len() × cols`)
+    /// and reports the cache accounting of the access, surfacing an
+    /// unrecoverable shard failure (retry budget exhausted, unrepairable
+    /// corruption) as a structured error.
+    ///
+    /// The rows are bucketed by shard; shards already resident are served
+    /// first (ascending shard index), missing shards after (ascending),
+    /// and every row a shard owes is copied before the next shard is
+    /// touched. A shard is therefore paged in **at most once per call**
+    /// whatever the cache budget, and an eviction during the call only
+    /// ever takes a shard the call is finished with. LRU order *across*
+    /// calls is unchanged.
+    ///
+    /// # Errors
+    ///
+    /// [`FeatureStoreError::Shard`] naming the shard and byte offset. On
+    /// `Err` the contents of `out` are unspecified (rows of shards served
+    /// before the failure have been written) and must be discarded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != indices.len() * cols` or an index is out of
+    /// range.
+    pub fn try_gather_into(
         &self,
         indices: &[usize],
         out: &mut [f32],
     ) -> Result<GatherStats, FeatureStoreError> {
+        let (cols, dtype) = (self.cols(), self.dtype());
         assert_eq!(
             out.len(),
-            indices.len() * self.cols,
+            indices.len() * cols,
             "output buffer must be indices.len() × cols"
         );
         let mut stats = GatherStats::default();
-        if self.cols == 0 {
+        if cols == 0 {
             stats.hits = indices.len() as u64;
             return Ok(stats);
         }
-        let (cols, dtype) = (self.cols, self.dtype);
         let mut misses = 0u64;
         self.serve_by_shard(
             indices,
@@ -1268,104 +885,48 @@ impl FeatureStore for PagedFeatures {
         Ok(stats)
     }
 
-    fn prewarm(&self, indices: &[usize]) -> GatherStats {
-        self.try_prewarm(indices).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn try_prewarm(&self, indices: &[usize]) -> Result<GatherStats, FeatureStoreError> {
+    /// Pages in (and pins, subject to the cache budget) every shard the
+    /// given rows live on, without copying any row out — same bucketing,
+    /// same residents-first order, at most one page-in per shard.
+    /// Prefetchers call this so a later gather of the same rows hits
+    /// memory.
+    ///
+    /// # Errors
+    ///
+    /// [`FeatureStoreError::Shard`] naming the shard and byte offset.
+    pub fn try_prewarm(&self, indices: &[usize]) -> Result<GatherStats, FeatureStoreError> {
         let mut stats = GatherStats::default();
-        if self.cols > 0 {
+        if self.cols() > 0 {
             self.serve_by_shard(indices, &mut stats, |_, _, _, _| {})?;
         }
         Ok(stats)
     }
 
-    fn to_dense(&self) -> Tensor {
-        let mut data = vec![0.0f32; self.rows * self.cols];
-        for (shard, info) in self.shards.iter().enumerate() {
-            let payload = self.read_shard_payload(shard).to_f32(self.dtype);
-            let start = info.start_row * self.cols;
-            data[start..start + payload.len()].copy_from_slice(&payload);
+    /// Materializes the full matrix as a dense f32 tensor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a shard is unreadable and cannot be repaired.
+    pub fn to_dense(&self) -> Tensor {
+        let (rows, cols) = (self.rows(), self.cols());
+        let mut data = Vec::with_capacity(rows * cols);
+        for shard in 0..self.num_shards() {
+            data.extend_from_slice(&self.read_shard_f32(shard));
         }
-        Tensor::from_vec(data, &[self.rows, self.cols]).expect("shard geometry is validated")
+        Tensor::from_vec(data, &[rows, cols]).expect("shard geometry is validated")
     }
 
-    fn cache_reservation_bytes(&self) -> usize {
-        self.cache_budget_bytes
-            .min(self.rows * self.cols * self.dtype.bytes_per_value())
+    /// Flat index and value of the first non-finite feature, if any.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a shard is unreadable and cannot be repaired.
+    pub fn find_non_finite(&self) -> Option<(usize, f32)> {
+        (0..self.num_shards()).find_map(|shard| {
+            let (at, v) = first_non_finite(self.read_shard_f32(shard).into_iter())?;
+            Some((shard * self.page_rows() * self.cols() + at, v))
+        })
     }
-
-    fn find_non_finite(&self) -> Option<(usize, f32)> {
-        for (shard, info) in self.shards.iter().enumerate() {
-            let payload = self.read_shard_payload(shard).to_f32(self.dtype);
-            if let Some((i, &v)) = payload.iter().enumerate().find(|(_, v)| !v.is_finite()) {
-                return Some((info.start_row * self.cols + i, v));
-            }
-        }
-        None
-    }
-}
-
-fn shard_count(rows: usize, page_rows: usize) -> usize {
-    rows.div_ceil(page_rows).max(1)
-}
-
-fn shard_name(shard: usize) -> String {
-    format!("shard-{shard:05}.bfs")
-}
-
-fn parity_name(group: usize) -> String {
-    format!("parity-{group:05}.bfp")
-}
-
-/// Bytes of magic + header fields before a shard file's payload.
-fn shard_header_len(dtype: DType) -> usize {
-    let header_words = if dtype == DType::F32 { 4 } else { 5 };
-    SHARD_MAGIC.len() + header_words * 4
-}
-
-/// Encodes a full shard container (magic, header, payload, CRC) — the
-/// single source of the on-disk bytes, used by both the spiller and the
-/// parity repairer so reconstruction is byte-identical to the original.
-fn encode_shard_file(
-    shard: usize,
-    start_row: usize,
-    num_rows: usize,
-    cols: usize,
-    dtype: DType,
-    payload: &[u8],
-) -> BytesMut {
-    let mut file = BytesMut::with_capacity(shard_header_len(dtype) + payload.len() + 4);
-    file.put_slice(if dtype == DType::F32 {
-        SHARD_MAGIC
-    } else {
-        SHARD_MAGIC_V2
-    });
-    file.put_u32_le(shard as u32);
-    file.put_u32_le(start_row as u32);
-    file.put_u32_le(num_rows as u32);
-    file.put_u32_le(cols as u32);
-    if dtype != DType::F32 {
-        file.put_u32_le(dtype.tag());
-    }
-    file.put_slice(payload);
-    let crc = crc32(&file[SHARD_MAGIC.len()..]);
-    file.put_u32_le(crc);
-    file
-}
-
-/// Encodes a parity shard container for `group`.
-fn encode_parity_file(group: usize, first_shard: usize, num_shards: usize, xor: &[u8]) -> BytesMut {
-    let mut file = BytesMut::with_capacity(PARITY_MAGIC.len() + 4 * 4 + xor.len() + 4);
-    file.put_slice(PARITY_MAGIC);
-    file.put_u32_le(group as u32);
-    file.put_u32_le(first_shard as u32);
-    file.put_u32_le(num_shards as u32);
-    file.put_u32_le(xor.len() as u32);
-    file.put_slice(xor);
-    let crc = crc32(&file[PARITY_MAGIC.len()..]);
-    file.put_u32_le(crc);
-    file
 }
 
 /// Decodes raw payload bytes to a cache-resident payload at `dtype`.
@@ -1384,387 +945,6 @@ fn decode_payload(bytes: &[u8], dtype: DType) -> ShardPayload {
                 .collect(),
         ),
     }
-}
-
-/// Parses and fully validates one shard file's bytes (magic, header
-/// consistency, CRC over the whole body) in place; returns
-/// `(start_row, num_rows, payload)` — the payload borrowed from `bytes`
-/// — or `(byte offset, detail)` locating the first structural failure.
-fn parse_shard(
-    bytes: &[u8],
-    expect_shard: usize,
-    expect_cols: usize,
-    expect_dtype: DType,
-) -> Result<(usize, usize, &[u8]), (u64, String)> {
-    let header = shard_header_len(expect_dtype);
-    if bytes.len() < header + 4 {
-        return Err((bytes.len() as u64, "truncated shard file".into()));
-    }
-    let (magic, rest) = bytes.split_at(SHARD_MAGIC.len());
-    let expect_magic: &[u8] = if expect_dtype == DType::F32 {
-        SHARD_MAGIC
-    } else {
-        SHARD_MAGIC_V2
-    };
-    if magic != expect_magic {
-        return Err((0, "shard magic does not match meta version".into()));
-    }
-    let (body, mut tail) = rest.split_at(rest.len() - 4);
-    if crc32(body) != tail.get_u32_le() {
-        return Err(((bytes.len() - 4) as u64, "shard CRC mismatch".into()));
-    }
-    let mut hdr = body;
-    let shard = hdr.get_u32_le() as usize;
-    let start_row = hdr.get_u32_le() as usize;
-    let num_rows = hdr.get_u32_le() as usize;
-    let cols = hdr.get_u32_le() as usize;
-    if expect_dtype != DType::F32 {
-        let tag = hdr.get_u32_le();
-        if DType::from_tag(tag) != Some(expect_dtype) {
-            return Err((
-                (SHARD_MAGIC.len() + 4 * 4) as u64,
-                format!("shard dtype tag {tag} does not match meta dtype {expect_dtype}"),
-            ));
-        }
-    }
-    if shard != expect_shard {
-        return Err((
-            SHARD_MAGIC.len() as u64,
-            format!("header names shard {shard}, expected {expect_shard}"),
-        ));
-    }
-    if cols != expect_cols {
-        return Err((
-            (SHARD_MAGIC.len() + 3 * 4) as u64,
-            format!("shard has {cols} cols, meta says {expect_cols}"),
-        ));
-    }
-    if hdr.len() != num_rows * cols * expect_dtype.bytes_per_value() {
-        return Err((
-            header as u64,
-            format!(
-                "payload is {} bytes, header implies {}",
-                hdr.len(),
-                num_rows * cols * expect_dtype.bytes_per_value()
-            ),
-        ));
-    }
-    Ok((start_row, num_rows, hdr))
-}
-
-/// Validates one shard file end to end (version and dtype must match the
-/// meta file); returns `(start_row, num_rows)` from its header.
-fn validate_shard(
-    path: &Path,
-    expect_shard: usize,
-    expect_cols: usize,
-    expect_dtype: DType,
-) -> Result<(usize, usize), FeatureStoreError> {
-    let bytes = std::fs::read(path).map_err(|e| {
-        if e.kind() == io::ErrorKind::NotFound {
-            FeatureStoreError::Format(format!("missing shard file {}", path.display()))
-        } else {
-            FeatureStoreError::Io(e)
-        }
-    })?;
-    match parse_shard(&bytes, expect_shard, expect_cols, expect_dtype) {
-        Ok((start_row, num_rows, _)) => Ok((start_row, num_rows)),
-        Err((_, detail)) => Err(FeatureStoreError::Format(detail)),
-    }
-}
-
-/// Reads and validates the store's meta file; returns
-/// `(rows, cols, page_rows, dtype)`.
-fn read_meta(dir: &Path) -> Result<(usize, usize, usize, DType), FeatureStoreError> {
-    let meta_bytes = Bytes::from(std::fs::read(dir.join(META_FILE))?);
-    let mut buf = meta_bytes.clone();
-    if buf.remaining() < META_MAGIC.len() + 3 * 4 + 4 {
-        return Err(FeatureStoreError::Format("meta file truncated".into()));
-    }
-    let magic = buf.split_to(META_MAGIC.len());
-    let v2 = match &magic[..] {
-        m if m == META_MAGIC => false,
-        m if m == META_MAGIC_V2 => true,
-        _ => return Err(FeatureStoreError::Format("bad meta magic".into())),
-    };
-    let body_len = if v2 { 4 * 4 } else { 3 * 4 };
-    if buf.remaining() < body_len + 4 {
-        return Err(FeatureStoreError::Format("meta file truncated".into()));
-    }
-    let body = buf.split_to(body_len);
-    let stored_crc = buf.get_u32_le();
-    if buf.remaining() > 0 {
-        return Err(FeatureStoreError::Format("trailing bytes in meta file".into()));
-    }
-    if crc32(&body) != stored_crc {
-        return Err(FeatureStoreError::Format("meta CRC mismatch".into()));
-    }
-    let mut body = body;
-    let rows = body.get_u32_le() as usize;
-    let cols = body.get_u32_le() as usize;
-    let page_rows = body.get_u32_le() as usize;
-    let dtype = if v2 {
-        let tag = body.get_u32_le();
-        match DType::from_tag(tag) {
-            Some(DType::F32) | None => {
-                return Err(FeatureStoreError::Format(format!(
-                    "meta names invalid 16-bit dtype tag {tag}"
-                )))
-            }
-            Some(d) => d,
-        }
-    } else {
-        DType::F32
-    };
-    if page_rows == 0 {
-        return Err(FeatureStoreError::Format("page_rows is zero".into()));
-    }
-    Ok((rows, cols, page_rows, dtype))
-}
-
-/// Loads and validates the parity sidecar meta for a store with
-/// `num_shards` data shards.
-fn load_parity_meta(dir: &Path, num_shards: usize) -> Result<ParityMeta, FeatureStoreError> {
-    let bytes = Bytes::from(std::fs::read(dir.join(PARITY_META_FILE))?);
-    if bytes.len() < PARITY_META_MAGIC.len() + 2 * 4 + 4 {
-        return Err(FeatureStoreError::Format("parity meta truncated".into()));
-    }
-    let mut buf = bytes.clone();
-    let magic = buf.split_to(PARITY_META_MAGIC.len());
-    if &magic[..] != PARITY_META_MAGIC {
-        return Err(FeatureStoreError::Format("bad parity meta magic".into()));
-    }
-    let body = buf.split_to(buf.remaining() - 4);
-    let stored_crc = buf.get_u32_le();
-    if crc32(&body) != stored_crc {
-        return Err(FeatureStoreError::Format("parity meta CRC mismatch".into()));
-    }
-    let mut body = body;
-    let width = body.get_u32_le() as usize;
-    let count = body.get_u32_le() as usize;
-    if width == 0 {
-        return Err(FeatureStoreError::Format("parity width is zero".into()));
-    }
-    if count != num_shards || body.remaining() != count * 4 {
-        return Err(FeatureStoreError::Format(format!(
-            "parity meta covers {count} shards, store has {num_shards}"
-        )));
-    }
-    let payload_crcs = (0..count).map(|_| body.get_u32_le()).collect();
-    Ok(ParityMeta {
-        width,
-        payload_crcs,
-    })
-}
-
-/// Reads and validates one parity shard; returns
-/// `(first_shard, num_shards, xor payload)` or a failure description.
-fn read_parity_payload(
-    dir: &Path,
-    group: usize,
-    width: usize,
-    total_shards: usize,
-) -> Result<(usize, usize, Vec<u8>), String> {
-    let path = dir.join(parity_name(group));
-    let bytes = std::fs::read(&path).map_err(|e| format!("unreadable: {e}"))?;
-    let header = PARITY_MAGIC.len() + 4 * 4;
-    if bytes.len() < header + 4 {
-        return Err("truncated parity file".into());
-    }
-    let (magic, rest) = bytes.split_at(PARITY_MAGIC.len());
-    if magic != PARITY_MAGIC {
-        return Err("bad parity magic".into());
-    }
-    let (mut body, mut tail) = rest.split_at(rest.len() - 4);
-    if crc32(body) != tail.get_u32_le() {
-        return Err("parity CRC mismatch".into());
-    }
-    let got_group = body.get_u32_le() as usize;
-    let first_shard = body.get_u32_le() as usize;
-    let num_shards = body.get_u32_le() as usize;
-    let payload_len = body.get_u32_le() as usize;
-    let expect_first = group * width;
-    let expect_count = width.min(total_shards - expect_first);
-    if got_group != group || first_shard != expect_first || num_shards != expect_count {
-        return Err(format!(
-            "header names group {got_group} (shards {first_shard}..{}), \
-             expected group {group} (shards {expect_first}..{})",
-            first_shard + num_shards,
-            expect_first + expect_count
-        ));
-    }
-    if body.len() != payload_len {
-        return Err(format!(
-            "payload is {} bytes, header implies {payload_len}",
-            body.len()
-        ));
-    }
-    Ok((first_shard, num_shards, body.to_vec()))
-}
-
-// ---------------------------------------------------------------------------
-// Offline scrub.
-
-/// Outcome of a [`scrub`] pass over a paged store directory.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ScrubReport {
-    /// Data shards examined (all of them).
-    pub shards_checked: usize,
-    /// Data shards reconstructed from parity and re-persisted.
-    pub shards_repaired: Vec<usize>,
-    /// Parity groups examined (0 for stores without a parity sidecar).
-    pub parity_checked: usize,
-    /// Parity shards rebuilt from intact data shards and re-persisted.
-    pub parity_rebuilt: Vec<usize>,
-    /// Data shards that remain damaged: no parity sidecar, a damaged
-    /// parity shard, or more than one damaged member in their group.
-    pub unrepairable: Vec<usize>,
-    /// Width of the parity groups (0 when there is no sidecar).
-    pub parity_width: usize,
-}
-
-impl ScrubReport {
-    /// Whether every shard is now valid (repairs count as clean).
-    pub fn is_clean(&self) -> bool {
-        self.unrepairable.is_empty()
-    }
-}
-
-/// Verifies every shard and parity file of the paged store in `dir`
-/// end to end (magic, header, CRC, parity-sidecar payload CRCs) and
-/// repairs what parity allows: a single damaged data shard per group is
-/// reconstructed bit-identically and re-persisted, and a damaged parity
-/// shard is rebuilt from its intact data shards. Anything else is
-/// reported as unrepairable and left untouched.
-///
-/// # Errors
-///
-/// [`FeatureStoreError::Io`] / [`FeatureStoreError::Format`] if the
-/// meta or parity-meta files themselves are unreadable or invalid —
-/// without them nothing can be verified.
-pub fn scrub(dir: impl AsRef<Path>) -> Result<ScrubReport, FeatureStoreError> {
-    let dir = dir.as_ref();
-    let (rows, cols, page_rows, dtype) = read_meta(dir)?;
-    let num_shards = shard_count(rows, page_rows);
-    let parity = if dir.join(PARITY_META_FILE).exists() {
-        Some(load_parity_meta(dir, num_shards)?)
-    } else {
-        None
-    };
-    let mut report = ScrubReport {
-        shards_checked: num_shards,
-        parity_width: parity.as_ref().map_or(0, |p| p.width),
-        ..ScrubReport::default()
-    };
-
-    let shard_status: Vec<Result<Vec<u8>, String>> = (0..num_shards)
-        .map(|shard| {
-            let bytes = std::fs::read(dir.join(shard_name(shard)))
-                .map_err(|e| format!("unreadable: {e}"))?;
-            let start_row = shard * page_rows;
-            let num_rows = page_rows.min(rows - start_row);
-            let (got_start, got_rows, payload) =
-                parse_shard(&bytes, shard, cols, dtype).map_err(|(_, detail)| detail)?;
-            if got_start != start_row || got_rows != num_rows {
-                return Err("header rows disagree with meta".into());
-            }
-            if let Some(p) = &parity {
-                if crc32(payload) != p.payload_crcs[shard] {
-                    return Err("payload CRC does not match parity sidecar".into());
-                }
-            }
-            Ok(payload.to_vec())
-        })
-        .collect();
-
-    let Some(parity) = parity else {
-        for (shard, status) in shard_status.iter().enumerate() {
-            if status.is_err() {
-                report.unrepairable.push(shard);
-            }
-        }
-        return Ok(report);
-    };
-
-    let width = parity.width;
-    let num_groups = num_shards.div_ceil(width);
-    report.parity_checked = num_groups;
-    for group in 0..num_groups {
-        let first = group * width;
-        let members: Vec<usize> = (first..(first + width).min(num_shards)).collect();
-        let bad: Vec<usize> = members
-            .iter()
-            .copied()
-            .filter(|&s| shard_status[s].is_err())
-            .collect();
-        let parity_payload = read_parity_payload(dir, group, width, num_shards);
-        match (bad.len(), parity_payload) {
-            (0, Ok(_)) => {}
-            (0, Err(_)) => {
-                // Every data shard is intact: the parity shard itself
-                // is the damaged one — rebuild it.
-                let mut xor: Vec<u8> = Vec::new();
-                for &member in &members {
-                    let payload = shard_status[member].as_ref().expect("member is intact");
-                    if payload.len() > xor.len() {
-                        xor.resize(payload.len(), 0);
-                    }
-                    for (acc, &b) in xor.iter_mut().zip(payload.iter()) {
-                        *acc ^= b;
-                    }
-                }
-                let file = encode_parity_file(group, first, members.len(), &xor);
-                write_atomic(&dir.join(parity_name(group)), &file)?;
-                report.parity_rebuilt.push(group);
-            }
-            (1, Ok((_, _, mut acc))) => {
-                let shard = bad[0];
-                for &member in &members {
-                    if member == shard {
-                        continue;
-                    }
-                    let payload = shard_status[member].as_ref().expect("member is intact");
-                    for (acc_byte, &b) in acc.iter_mut().zip(payload.iter()) {
-                        *acc_byte ^= b;
-                    }
-                }
-                let start_row = shard * page_rows;
-                let num_rows = page_rows.min(rows - start_row);
-                let my_len = num_rows * cols * dtype.bytes_per_value();
-                if acc.len() < my_len || crc32(&acc[..my_len]) != parity.payload_crcs[shard] {
-                    report.unrepairable.push(shard);
-                    continue;
-                }
-                acc.truncate(my_len);
-                let file = encode_shard_file(shard, start_row, num_rows, cols, dtype, &acc);
-                write_atomic(&dir.join(shard_name(shard)), &file)?;
-                report.shards_repaired.push(shard);
-            }
-            // ≥2 damaged members, or one damaged member plus a damaged
-            // parity shard: XOR cannot recover — leave everything as-is.
-            (_, _) => report.unrepairable.extend(bad.iter().copied()),
-        }
-    }
-    Ok(report)
-}
-
-/// Same-directory atomic write (tmp + fsync + rename), mirroring the
-/// dataset and checkpoint writers.
-fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let file_name = path
-        .file_name()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?;
-    let mut tmp_name = file_name.to_os_string();
-    tmp_name.push(".tmp");
-    let tmp = path.with_file_name(tmp_name);
-    {
-        use std::io::Write;
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1821,11 +1001,6 @@ impl Features {
         }
     }
 
-    /// Wraps an opened paged store.
-    pub fn paged(store: Arc<PagedFeatures>) -> Self {
-        Features::Paged(store)
-    }
-
     /// Spills this matrix to `dir` as a paged store and returns a paged
     /// handle over it (the dense copy is dropped by the caller).
     ///
@@ -1856,7 +1031,7 @@ impl Features {
         parity: usize,
     ) -> Result<Self, FeatureStoreError> {
         let dense = self.to_dense();
-        Ok(Features::Paged(PagedFeatures::spill_with_parity(
+        Ok(Features::Paged(PagedFeatures::spill(
             &dense,
             dir,
             page_rows,
@@ -1866,17 +1041,19 @@ impl Features {
         )?))
     }
 
-    /// The backend as a trait object.
-    pub fn store(&self) -> &dyn FeatureStore {
+    /// The paged store behind this handle, if that is the backend. What a
+    /// dense store answers to a paged-only question — no cache, no
+    /// parity, no physical reads to fault — is the `None` arm, once.
+    fn paged(&self) -> Option<&PagedFeatures> {
         match self {
-            Features::Dense(d) => d,
-            Features::Paged(p) => p.as_ref(),
+            Features::Dense(_) => None,
+            Features::Paged(p) => Some(p),
         }
     }
 
     /// Whether this is the paged backend.
     pub fn is_paged(&self) -> bool {
-        matches!(self, Features::Paged(_))
+        self.paged().is_some()
     }
 
     /// Stable backend name (`"dense"` / `"paged"`).
@@ -1889,12 +1066,18 @@ impl Features {
 
     /// Number of feature rows (nodes).
     pub fn rows(&self) -> usize {
-        self.store().rows()
+        match self {
+            Features::Dense(d) => d.rows(),
+            Features::Paged(p) => p.rows(),
+        }
     }
 
     /// Feature dimensionality.
     pub fn cols(&self) -> usize {
-        self.store().cols()
+        match self {
+            Features::Dense(d) => d.cols(),
+            Features::Paged(p) => p.cols(),
+        }
     }
 
     /// Logical size of the feature matrix in bytes at its storage width
@@ -1904,51 +1087,59 @@ impl Features {
         self.rows() * self.cols() * self.dtype().bytes_per_value()
     }
 
-    /// See [`FeatureStore::gather_into`].
-    pub fn gather_into(&self, indices: &[usize], out: &mut [f32]) -> GatherStats {
-        self.store().gather_into(indices, out)
-    }
-
-    /// See [`FeatureStore::try_gather_into`].
+    /// Copies the given rows into `out` (row-major, `indices.len() × cols`)
+    /// and reports the cache accounting of the access. Dense stores never
+    /// fail; see [`PagedFeatures::try_gather_into`] for the order a paged
+    /// store serves the rows in.
     ///
     /// # Errors
     ///
-    /// [`FeatureStoreError::Shard`] on an unrecoverable shard failure.
+    /// [`FeatureStoreError::Shard`] on an unrecoverable shard failure; the
+    /// contents of `out` must then be discarded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != indices.len() * cols` or an index is out of
+    /// range.
     pub fn try_gather_into(
         &self,
         indices: &[usize],
         out: &mut [f32],
     ) -> Result<GatherStats, FeatureStoreError> {
-        self.store().try_gather_into(indices, out)
+        match self {
+            Features::Dense(d) => Ok(d.gather_into(indices, out)),
+            Features::Paged(p) => p.try_gather_into(indices, out),
+        }
     }
 
-    /// See [`FeatureStore::try_prewarm`].
+    /// Pages in the shards the given rows live on without copying any
+    /// row out ([`PagedFeatures::try_prewarm`]); dense stores do nothing.
     ///
     /// # Errors
     ///
     /// [`FeatureStoreError::Shard`] on an unrecoverable shard failure.
     pub fn try_prewarm(&self, indices: &[usize]) -> Result<GatherStats, FeatureStoreError> {
-        self.store().try_prewarm(indices)
+        self.paged().map_or(Ok(GatherStats::default()), |p| p.try_prewarm(indices))
     }
 
     /// Arms a storage-chaos hook on a paged store (no-op for dense —
     /// there are no physical reads to fault).
     pub fn arm_storage_faults(&self, hook: Box<dyn StorageFaultHook>) {
-        if let Features::Paged(p) = self {
+        if let Some(p) = self.paged() {
             p.arm_storage_faults(hook);
         }
     }
 
     /// Removes any armed storage-chaos hook (no-op for dense).
     pub fn disarm_storage_faults(&self) {
-        if let Features::Paged(p) = self {
+        if let Some(p) = self.paged() {
             p.disarm_storage_faults();
         }
     }
 
     /// Sets the transient-I/O retry budget (no-op for dense).
     pub fn set_max_io_retries(&self, max_io_retries: usize) {
-        if let Features::Paged(p) = self {
+        if let Some(p) = self.paged() {
             p.set_max_io_retries(max_io_retries);
         }
     }
@@ -1956,18 +1147,12 @@ impl Features {
     /// Drains recorded storage-recovery incidents (always empty for
     /// dense stores).
     pub fn drain_storage_incidents(&self) -> Vec<StorageIncident> {
-        match self {
-            Features::Dense(_) => Vec::new(),
-            Features::Paged(p) => p.drain_storage_incidents(),
-        }
+        self.paged().map_or_else(Vec::new, PagedFeatures::drain_storage_incidents)
     }
 
     /// Parity group width of a paged store (0 for dense or no sidecar).
     pub fn parity_width(&self) -> usize {
-        match self {
-            Features::Dense(_) => 0,
-            Features::Paged(p) => p.parity_width(),
-        }
+        self.paged().map_or(0, PagedFeatures::parity_width)
     }
 
     /// See [`PagedFeatures::corrupt_shard_byte`].
@@ -1976,48 +1161,55 @@ impl Features {
     ///
     /// [`FeatureStoreError::Format`] for dense stores (no shard files).
     pub fn corrupt_shard_byte(&self, shard: usize) -> Result<u64, FeatureStoreError> {
-        match self {
-            Features::Dense(_) => Err(FeatureStoreError::Format(
+        let Some(paged) = self.paged() else {
+            return Err(FeatureStoreError::Format(
                 "dense stores have no shard files to corrupt".into(),
-            )),
-            Features::Paged(p) => p.corrupt_shard_byte(shard),
-        }
+            ));
+        };
+        paged.corrupt_shard_byte(shard)
     }
 
     /// Gathers rows into a freshly allocated `[indices.len(), cols]`
     /// tensor, discarding the cache accounting.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of range or (paged stores) a shard is
+    /// unreadable and cannot be repaired — use
+    /// [`Features::try_gather_into`] where that must be survivable.
     pub fn gather_rows(&self, indices: &[usize]) -> Tensor {
         let mut out = Tensor::zeros(&[indices.len(), self.cols()]);
-        self.store().gather_into(indices, out.data_mut());
+        self.try_gather_into(indices, out.data_mut())
+            .unwrap_or_else(|e| panic!("{e}"));
         out
     }
 
-    /// See [`FeatureStore::prewarm`].
-    pub fn prewarm(&self, indices: &[usize]) -> GatherStats {
-        self.store().prewarm(indices)
-    }
-
-    /// See [`FeatureStore::to_dense`].
+    /// Materializes the full matrix as a dense f32 tensor.
     pub fn to_dense(&self) -> Tensor {
-        self.store().to_dense()
+        match self {
+            Features::Dense(d) => d.to_dense(),
+            Features::Paged(p) => p.to_dense(),
+        }
     }
 
-    /// See [`FeatureStore::cache_reservation_bytes`].
+    /// Bytes of memory the store pins for its hot-set cache: 0 for dense
+    /// stores, [`PagedFeatures::cache_reservation_bytes`] for paged ones.
     pub fn cache_reservation_bytes(&self) -> usize {
-        self.store().cache_reservation_bytes()
+        self.paged().map_or(0, PagedFeatures::cache_reservation_bytes)
     }
 
-    /// See [`FeatureStore::find_non_finite`].
+    /// Flat index and value of the first non-finite feature, if any.
     pub fn find_non_finite(&self) -> Option<(usize, f32)> {
-        self.store().find_non_finite()
+        match self {
+            Features::Dense(d) => d.find_non_finite(),
+            Features::Paged(p) => p.find_non_finite(),
+        }
     }
 
     /// One feature value (row-major). Test/diagnostic convenience; paged
     /// stores pay a single-row gather.
     pub fn at2(&self, row: usize, col: usize) -> f32 {
-        let mut out = vec![0.0f32; self.cols()];
-        self.gather_into(&[row], &mut out);
-        out[col]
+        self.gather_rows(&[row]).at2(0, col)
     }
 }
 
@@ -2047,8 +1239,10 @@ mod tests {
     const BYTES_PER_VALUE: usize = 4;
 
     use super::*;
+    use crate::shards::{parity_name, shard_name, META_MAGIC, SHARD_MAGIC};
     use rand::SeedableRng;
     use rand_pcg::Pcg64Mcg;
+    use std::path::PathBuf;
 
     fn tmp_dir(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("betty-fstore-{name}-{}", std::process::id()))
@@ -2084,7 +1278,7 @@ mod tests {
             .unwrap();
         let indices: Vec<usize> = (0..40).rev().chain(0..40).collect();
         let mut out = vec![0.0f32; indices.len() * 3];
-        let stats = paged.gather_into(&indices, &mut out);
+        let stats = paged.try_gather_into(&indices, &mut out).unwrap();
         assert_eq!(stats.hits + stats.misses, indices.len() as u64);
         assert_eq!(
             stats.pages_in, 5,
@@ -2106,9 +1300,9 @@ mod tests {
         let paged = Features::dense(t).to_paged(&dir, 7, usize::MAX).unwrap();
         let indices: Vec<usize> = (0..30).chain(0..30).collect();
         let mut out = vec![0.0f32; indices.len() * 4];
-        let stats = paged.gather_into(&indices, &mut out);
+        let stats = paged.try_gather_into(&indices, &mut out).unwrap();
         assert_eq!(stats.pages_in, 5, "30 rows / 7 per page = 5 shards");
-        let second = paged.gather_into(&indices, &mut out);
+        let second = paged.try_gather_into(&indices, &mut out).unwrap();
         assert_eq!(second.pages_in, 0, "warm cache must not re-page");
         assert_eq!(second.hits, indices.len() as u64);
         let _ = std::fs::remove_dir_all(&dir);
@@ -2120,11 +1314,11 @@ mod tests {
         let dir = tmp_dir("prewarm");
         let paged = Features::dense(t).to_paged(&dir, 5, usize::MAX).unwrap();
         let indices: Vec<usize> = vec![19, 3, 11];
-        let warm = paged.prewarm(&indices);
+        let warm = paged.try_prewarm(&indices).unwrap();
         assert_eq!(warm.pages_in, 3);
         assert!(warm.bytes_in > 0);
         let mut out = vec![0.0f32; indices.len() * 2];
-        let stats = paged.gather_into(&indices, &mut out);
+        let stats = paged.try_gather_into(&indices, &mut out).unwrap();
         assert_eq!(stats.misses, 0, "prewarmed rows must all hit");
         assert_eq!(stats.hits, 3);
         let _ = std::fs::remove_dir_all(&dir);
@@ -2205,14 +1399,14 @@ mod tests {
         let budget = 2 * 4 * 2 * BYTES_PER_VALUE;
         let paged = Features::dense(t).to_paged(&dir, 4, budget).unwrap();
         let mut out = vec![0.0f32; 2];
-        paged.gather_into(&[0], &mut out); // shard 0 in
-        paged.gather_into(&[4], &mut out); // shard 1 in
-        paged.gather_into(&[0], &mut out); // shard 0 freshened
-        let stats = paged.gather_into(&[8], &mut out); // shard 2 evicts shard 1
+        paged.try_gather_into(&[0], &mut out).unwrap(); // shard 0 in
+        paged.try_gather_into(&[4], &mut out).unwrap(); // shard 1 in
+        paged.try_gather_into(&[0], &mut out).unwrap(); // shard 0 freshened
+        let stats = paged.try_gather_into(&[8], &mut out).unwrap(); // shard 2 evicts shard 1
         assert_eq!(stats.pages_in, 1);
-        let again = paged.gather_into(&[0], &mut out);
+        let again = paged.try_gather_into(&[0], &mut out).unwrap();
         assert_eq!(again.hits, 1, "shard 0 must have survived");
-        let reload = paged.gather_into(&[4], &mut out);
+        let reload = paged.try_gather_into(&[4], &mut out).unwrap();
         assert_eq!(reload.pages_in, 1, "shard 1 must have been the victim");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2266,7 +1460,7 @@ mod tests {
             .to_paged(&dir, 4, usize::MAX)
             .unwrap();
         let mut out = vec![0.0f32; 4];
-        let stats = paged.gather_into(&[0], &mut out);
+        let stats = paged.try_gather_into(&[0], &mut out).unwrap();
         assert_eq!(stats.bytes_in, 4 * 4 * 2, "one 4×4 shard at 2 B/value");
         if let Features::Paged(p) = &paged {
             assert_eq!(p.cache_held_bytes(), 4 * 4 * 2);
@@ -2546,7 +1740,7 @@ mod tests {
             .to_paged(&dir, 2, usize::MAX)
             .unwrap();
         let mut out = vec![];
-        let stats = paged.gather_into(&[1, 5], &mut out);
+        let stats = paged.try_gather_into(&[1, 5], &mut out).unwrap();
         assert_eq!(stats.hits, 2);
         assert_eq!(stats.pages_in, 0);
         assert_eq!(paged.cache_reservation_bytes(), 0);

@@ -16,6 +16,7 @@ use std::path::Path;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use betty_graph::{CsrGraph, NodeId};
+use betty_tensor::sealed::write_atomic;
 use betty_tensor::Tensor;
 
 use crate::{DataError, Dataset};
@@ -66,38 +67,6 @@ impl From<DataError> for LoadError {
     fn from(e: DataError) -> Self {
         LoadError::Data(e)
     }
-}
-
-/// Writes `bytes` to `path` atomically: the data goes to a same-directory
-/// temp file, is fsynced, then renamed over the destination (with a
-/// best-effort directory fsync), so `path` either keeps its old content
-/// or holds the complete new image — never a torn write.
-fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let file_name = path
-        .file_name()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?;
-    let mut tmp_name = file_name.to_os_string();
-    tmp_name.push(".tmp");
-    let tmp = path.with_file_name(tmp_name);
-    {
-        use std::io::Write;
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)?;
-    #[cfg(unix)]
-    if let Some(parent) = path.parent() {
-        let dir = if parent.as_os_str().is_empty() {
-            Path::new(".")
-        } else {
-            parent
-        };
-        if let Ok(d) = fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
 }
 
 fn put_u32_slice(buf: &mut BytesMut, values: impl IntoIterator<Item = u32>) {

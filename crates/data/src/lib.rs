@@ -36,12 +36,13 @@ mod dataset;
 pub mod featurestore;
 mod generate;
 pub mod io;
+mod shards;
 mod spec;
 
 pub use dataset::{DataError, Dataset};
 pub use featurestore::{
-    scrub, DenseFeatures, FeatureStore, FeatureStoreError, Features, GatherStats, PagedFeatures,
-    ReadFault, ScrubReport, StorageFaultHook, StorageIncident, DEFAULT_MAX_IO_RETRIES, META_FILE,
+    scrub, DenseFeatures, FeatureStoreError, Features, GatherStats, PagedFeatures, ReadFault,
+    ScrubReport, StorageFaultHook, StorageIncident, DEFAULT_MAX_IO_RETRIES, META_FILE,
     PARITY_META_FILE,
 };
 pub use generate::{planted_power_law, PlantedPowerLawConfig};

@@ -409,18 +409,6 @@ impl FaultEvent {
     }
 }
 
-/// Common surface of every fault injector: recorded events can be
-/// removed for the recovery log / trace, or counted in place. Inherent
-/// methods of the same names exist on each injector; this trait lets
-/// generic plumbing (event forwarding into `betty-trace`) treat the
-/// alloc, transfer, and link injectors uniformly.
-pub trait FaultEvents {
-    /// Removes and returns every event recorded since the last drain.
-    fn drain_events(&mut self) -> Vec<FaultEvent>;
-    /// Number of events currently recorded (not yet drained).
-    fn pending_events(&self) -> usize;
-}
-
 /// Runtime state injecting allocation faults into a
 /// [`Device`](crate::Device).
 #[derive(Debug, Clone, PartialEq)]
@@ -490,16 +478,6 @@ impl AllocFaultInjector {
     }
 }
 
-impl FaultEvents for AllocFaultInjector {
-    fn drain_events(&mut self) -> Vec<FaultEvent> {
-        AllocFaultInjector::drain_events(self)
-    }
-
-    fn pending_events(&self) -> usize {
-        AllocFaultInjector::pending_events(self)
-    }
-}
-
 /// Runtime state injecting stalls into a
 /// [`TransferModel`](crate::TransferModel).
 #[derive(Debug, Clone, PartialEq)]
@@ -536,16 +514,6 @@ impl TransferFaultInjector {
     /// Number of events currently recorded (not yet drained).
     pub fn pending_events(&self) -> usize {
         self.events.len()
-    }
-}
-
-impl FaultEvents for TransferFaultInjector {
-    fn drain_events(&mut self) -> Vec<FaultEvent> {
-        TransferFaultInjector::drain_events(self)
-    }
-
-    fn pending_events(&self) -> usize {
-        TransferFaultInjector::pending_events(self)
     }
 }
 
@@ -595,16 +563,6 @@ impl LinkFaultInjector {
     /// Number of events currently recorded (not yet drained).
     pub fn pending_events(&self) -> usize {
         self.events.len()
-    }
-}
-
-impl FaultEvents for LinkFaultInjector {
-    fn drain_events(&mut self) -> Vec<FaultEvent> {
-        LinkFaultInjector::drain_events(self)
-    }
-
-    fn pending_events(&self) -> usize {
-        LinkFaultInjector::pending_events(self)
     }
 }
 
@@ -672,16 +630,6 @@ impl StorageFaultInjector {
     /// Number of events currently recorded (not yet drained).
     pub fn pending_events(&self) -> usize {
         self.events.len()
-    }
-}
-
-impl FaultEvents for StorageFaultInjector {
-    fn drain_events(&mut self) -> Vec<FaultEvent> {
-        StorageFaultInjector::drain_events(self)
-    }
-
-    fn pending_events(&self) -> usize {
-        StorageFaultInjector::pending_events(self)
     }
 }
 
@@ -771,6 +719,7 @@ mod tests {
         assert_eq!(inj.check_alloc(10, 0, 1000), None, "fires only once");
         inj.begin_step(2, 1000);
         assert_eq!(inj.check_alloc(10, 0, 1000), None);
+        assert_eq!(inj.pending_events(), 1, "counted in place before the drain");
         let events = inj.drain_events();
         assert_eq!(events.len(), 1);
         assert_eq!(
@@ -912,7 +861,10 @@ mod tests {
             }
             .link_injector();
             let stalls: Vec<Option<f64>> = (0..32).map(|_| inj.check_round()).collect();
-            (stalls, inj.drain_events())
+            let pending = inj.pending_events();
+            let events = inj.drain_events();
+            assert_eq!((pending, inj.pending_events()), (events.len(), 0));
+            (stalls, events)
         };
         let (a, a_ev) = run(11);
         let (b, b_ev) = run(11);
@@ -941,31 +893,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_events_trait_unifies_the_injectors() {
-        let plan = FaultPlan {
-            oom_steps: vec![0],
-            transfer_stall_rate: 1.0,
-            transfer_stall_sec: 0.1,
-            link_stall_rate: 1.0,
-            link_stall_sec: 0.2,
-            ..FaultPlan::default()
-        };
-        let mut alloc = plan.alloc_injector();
-        alloc.begin_step(0, 1000);
-        alloc.check_alloc(10, 0, 1000);
-        let mut transfer = plan.transfer_injector();
-        transfer.check_transfer();
-        let mut link = plan.link_injector();
-        link.check_round();
-        let injectors: Vec<&mut dyn FaultEvents> = vec![&mut alloc, &mut transfer, &mut link];
-        for inj in injectors {
-            assert_eq!(inj.pending_events(), 1);
-            assert_eq!(inj.drain_events().len(), 1);
-            assert_eq!(inj.pending_events(), 0);
-        }
-    }
-
-    #[test]
     fn storage_faults_are_seeded_and_recorded() {
         let run = |seed: u64| {
             let mut inj = FaultPlan {
@@ -979,7 +906,10 @@ mod tests {
             let verdicts: Vec<StorageReadFault> =
                 (0..40).map(|i| inj.check_read(i % 7, 0)).collect();
             let jitter: Vec<u64> = (0..4).map(|_| inj.backoff_jitter().to_bits()).collect();
-            (verdicts, jitter, inj.drain_events())
+            let pending = inj.pending_events();
+            let events = inj.drain_events();
+            assert_eq!((pending, inj.pending_events()), (events.len(), 0));
+            (verdicts, jitter, events)
         };
         let (a, a_j, a_ev) = run(13);
         let (b, b_j, b_ev) = run(13);
@@ -1056,29 +986,15 @@ mod tests {
     }
 
     #[test]
-    fn storage_injector_joins_the_fault_events_trait() {
-        let mut inj = FaultPlan {
-            io_failure_rate: 1.0,
-            ..FaultPlan::default()
-        }
-        .storage_injector();
-        assert!(inj.check_read(0, 0).fail);
-        let dyn_inj: &mut dyn FaultEvents = &mut inj;
-        assert_eq!(dyn_inj.pending_events(), 1);
-        assert_eq!(
-            dyn_inj.drain_events(),
-            vec![FaultEvent::StorageIoError { shard: 0, attempt: 0 }]
-        );
-        assert_eq!(dyn_inj.pending_events(), 0);
-    }
-
-    #[test]
     fn transfer_stalls_are_seeded_and_recorded() {
         let run = |seed: u64| {
             let mut inj = plan(seed).transfer_injector();
             let stalls: Vec<Option<f64>> =
                 (0..40).map(|_| inj.check_transfer()).collect();
-            (stalls, inj.drain_events())
+            let pending = inj.pending_events();
+            let events = inj.drain_events();
+            assert_eq!((pending, inj.pending_events()), (events.len(), 0));
+            (stalls, events)
         };
         let (a, a_ev) = run(4);
         let (b, b_ev) = run(4);

@@ -40,7 +40,7 @@ mod transfer;
 pub use device::{AllocationId, Device, MemoryCategory, OomError};
 pub use estimator::{AggregatorKind, MemoryEstimate, MemoryEstimator, ModelShape};
 pub use fault::{
-    AllocFaultInjector, AllocFaultKind, FaultEvent, FaultEvents, FaultPlan, LinkFaultInjector,
+    AllocFaultInjector, AllocFaultKind, FaultEvent, FaultPlan, LinkFaultInjector,
     StorageFaultInjector, StorageReadFault, TransferFaultInjector,
 };
 pub use transfer::TransferModel;

@@ -2,7 +2,7 @@
 //!
 //! The v2 format supersedes the positional params-only `BTYCKPT1` layout:
 //! a checkpoint is now a sequence of independently CRC-checked *sections*,
-//! written atomically (tmp file + fsync + rename), so a crash mid-write
+//! written atomically ([`write_atomic`]), so a crash mid-write
 //! can never leave a torn file behind and any corruption — truncation or
 //! bit flips anywhere in the file — is rejected deterministically at load
 //! time instead of silently restoring garbage parameters.
@@ -41,7 +41,8 @@ use std::path::Path;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use betty_tensor::{crc32, Tensor};
+use betty_tensor::sealed::{seal, unseal, write_atomic};
+use betty_tensor::Tensor;
 
 use crate::optim::AdamState;
 use crate::GnnModel;
@@ -101,45 +102,6 @@ impl From<io::Error> for CheckpointError {
     fn from(e: io::Error) -> Self {
         CheckpointError::Io(e)
     }
-}
-
-// ---------------------------------------------------------------------------
-// Atomic writes.
-
-/// Writes `bytes` to `path` atomically: the data goes to `<path>.tmp`,
-/// is fsynced, and is renamed over `path`, so a crash at any point leaves
-/// either the old file or the new one — never a torn mix.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = match path.file_name() {
-        Some(name) => {
-            let mut n = name.to_os_string();
-            n.push(".tmp");
-            path.with_file_name(n)
-        }
-        None => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("cannot write to '{}': no file name", path.display()),
-            ))
-        }
-    };
-    {
-        use io::Write;
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)?;
-    // Persist the rename itself: fsync the containing directory where the
-    // platform supports opening directories (unix).
-    #[cfg(unix)]
-    if let Some(parent) = path.parent() {
-        let dir = if parent.as_os_str().is_empty() { Path::new(".") } else { parent };
-        if let Ok(d) = fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -215,14 +177,14 @@ impl TrainState {
 // ---------------------------------------------------------------------------
 // Encoding.
 
+/// A section is a sealed record with an empty magic: `seal` appends the
+/// CRC of `tag | len | payload`.
 fn push_section(out: &mut BytesMut, tag: &[u8; 4], payload: &[u8]) {
     let mut span = Vec::with_capacity(8 + payload.len());
     span.extend_from_slice(tag);
     span.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     span.extend_from_slice(payload);
-    let crc = crc32(&span);
-    out.put_slice(&span);
-    out.put_u32_le(crc);
+    out.put_slice(&seal(&[], &span));
 }
 
 fn encode_state(state: &TrainState) -> BytesMut {
@@ -444,22 +406,18 @@ fn decode_state(bytes: &[u8]) -> Result<TrainState, CheckpointError> {
     for _ in 0..section_count {
         r.need(8, "section header")?;
         let mut tag = [0u8; 4];
-        tag.copy_from_slice(&r.buf.split_to(4)[..]);
-        let len = r.buf.get_u32_le() as usize;
-        r.need(len + 4, "section payload")?;
-        let payload = r.buf.split_to(len);
-        let stored_crc = r.buf.get_u32_le();
-
-        let mut span = Vec::with_capacity(8 + len);
-        span.extend_from_slice(&tag);
-        span.extend_from_slice(&(len as u32).to_le_bytes());
-        span.extend_from_slice(&payload);
-        if crc32(&span) != stored_crc {
+        tag.copy_from_slice(&r.buf[..4]);
+        let len = (&r.buf[4..8]).get_u32_le() as usize;
+        r.need(8 + len + 4, "section payload")?;
+        if unseal(&r.buf[..8 + len + 4], &[&[]]).is_err() {
             return Err(CheckpointError::Format(format!(
                 "crc mismatch in section {:?}",
                 String::from_utf8_lossy(&tag)
             )));
         }
+        r.buf.advance(8);
+        let payload = r.buf.split_to(len);
+        r.buf.advance(4);
 
         let rank = TAG_ORDER
             .iter()

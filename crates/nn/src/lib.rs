@@ -55,8 +55,8 @@ mod session;
 
 pub use aggregator::{Aggregator, AggregatorSpec};
 pub use checkpoint::{
-    load_checkpoint, load_train_state, save_checkpoint, save_train_state, write_atomic,
-    CheckpointError, TrainState,
+    load_checkpoint, load_train_state, save_checkpoint, save_train_state, CheckpointError,
+    TrainState,
 };
 pub use gat::GatConv;
 pub use gcn::GcnConv;

@@ -2,7 +2,7 @@
 //!
 //! Betty's compute is f32 everywhere — gradients, optimizer moments, and
 //! every accumulation. What `DType` controls is *storage*: node features
-//! (both `FeatureStore` backends, including the on-disk shard payloads)
+//! (both `Features` backends, including the on-disk shard payloads)
 //! and forward activations can be held at bf16/f16 width, halving the
 //! bytes the Eq. 5 planner has to budget for. A stored value is encoded
 //! with round-to-nearest-even and decoded back to f32 before any

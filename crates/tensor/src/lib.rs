@@ -42,6 +42,7 @@ pub mod check;
 pub mod dtype;
 pub mod init;
 pub mod kernels;
+pub mod sealed;
 pub mod segment;
 
 pub use backend::{set_backend_override, with_backend, Backend};
