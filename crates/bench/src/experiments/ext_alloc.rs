@@ -57,14 +57,7 @@ struct RunResult {
 /// pool's cold misses are paid, then run `epochs` training epochs over the
 /// same micro-batches under the allocation counter — the pure forward/
 /// backward/optimizer loop the pooled workspace targets.
-fn measure(
-    ds: &betty_data::Dataset,
-    pool: bool,
-    threads: usize,
-    epochs: usize,
-    k: usize,
-) -> RunResult {
-    betty_runtime::set_thread_override(Some(threads));
+fn measure(ds: &betty_data::Dataset, pool: bool, epochs: usize, k: usize) -> RunResult {
     let config = ExperimentConfig {
         fanouts: vec![5, 10],
         hidden_dim: 32,
@@ -98,7 +91,6 @@ fn measure(
     }
     let wall_sec = started.elapsed().as_secs_f64();
     let heap_allocs = alloc_count::allocations() - allocs_before;
-    betty_runtime::set_thread_override(None);
 
     let param_bits = runner
         .trainer()
@@ -151,8 +143,9 @@ pub fn run(profile: Profile) {
     );
 
     for threads in [1usize, 4] {
-        let pooled = measure(&ds, true, threads, epochs, k);
-        let plain = measure(&ds, false, threads, epochs, k);
+        let [pooled, plain] = betty_runtime::with_threads(threads, || {
+            [true, false].map(|pool| measure(&ds, pool, epochs, k))
+        });
 
         // The determinism contract: pooling and thread count change
         // mechanics only, never a single bit of the math.

@@ -411,50 +411,50 @@ fn kernel_table(profile: Profile) {
     );
     for mut group in kernel_cases(profile) {
         for threads in [1usize, 4] {
-            betty_runtime::set_thread_override(Some(threads));
-            for case in &mut group {
-                let mut bits_on = |backend| {
-                    with_backend(backend, || (case.run)(&mut case.out));
-                    bits(&case.out)
-                };
-                assert_eq!(
-                    bits_on(Backend::Scalar),
-                    bits_on(Backend::Simd),
-                    "{} at {} threads: simd must be bit-identical to scalar",
-                    case.name,
-                    threads
-                );
-            }
-            let mut best = vec![[f64::MAX; 2]; group.len()];
-            let mut miss = None;
-            for round in 1..=4 * rounds {
-                for (case, best) in group.iter_mut().zip(&mut best) {
-                    for (backend, best) in [Backend::Scalar, Backend::Simd].into_iter().zip(best) {
-                        let sec = best_of_a_burst(|| with_backend(backend, || (case.run)(&mut case.out)));
-                        *best = best.min(sec);
+            betty_runtime::with_threads(threads, || {
+                for case in &mut group {
+                    let mut bits_on = |backend| {
+                        with_backend(backend, || (case.run)(&mut case.out));
+                        bits(&case.out)
+                    };
+                    assert_eq!(
+                        bits_on(Backend::Scalar),
+                        bits_on(Backend::Simd),
+                        "{} at {} threads: simd must be bit-identical to scalar",
+                        case.name,
+                        threads
+                    );
+                }
+                let mut best = vec![[f64::MAX; 2]; group.len()];
+                let mut miss = None;
+                for round in 1..=4 * rounds {
+                    for (case, best) in group.iter_mut().zip(&mut best) {
+                        for (backend, best) in [Backend::Scalar, Backend::Simd].into_iter().zip(best) {
+                            let sec = best_of_a_burst(|| with_backend(backend, || (case.run)(&mut case.out)));
+                            *best = best.min(sec);
+                        }
+                    }
+                    miss = unmet_floor(&group, &best, threads);
+                    if round >= rounds && miss.is_none() {
+                        break;
                     }
                 }
-                miss = unmet_floor(&group, &best, threads);
-                if round >= rounds && miss.is_none() {
-                    break;
+                if let Some(miss) = miss {
+                    panic!("{miss}");
                 }
-            }
-            if let Some(miss) = miss {
-                panic!("{miss}");
-            }
-            for (case, &[scalar_sec, simd_sec]) in group.iter().zip(&best) {
-                table.row(vec![
-                    case.name.to_string(),
-                    case.shape.clone(),
-                    threads.to_string(),
-                    format!("{:.2}", case.flops / scalar_sec / 1e9),
-                    format!("{:.2}", case.flops / simd_sec / 1e9),
-                    format!("{:.2}x", scalar_sec / simd_sec),
-                ]);
-            }
+                for (case, &[scalar_sec, simd_sec]) in group.iter().zip(&best) {
+                    table.row(vec![
+                        case.name.to_string(),
+                        case.shape.clone(),
+                        threads.to_string(),
+                        format!("{:.2}", case.flops / scalar_sec / 1e9),
+                        format!("{:.2}", case.flops / simd_sec / 1e9),
+                        format!("{:.2}x", scalar_sec / simd_sec),
+                    ]);
+                }
+            });
         }
     }
-    betty_runtime::set_thread_override(None);
     table.finish();
 }
 
@@ -642,36 +642,36 @@ fn lstm_table(profile: Profile) {
             "speedup",
         ],
     );
-    betty_runtime::set_thread_override(Some(1));
-    for n in [16usize, 1024] {
-        for len in [5usize, 25] {
-            let steps: Vec<usize> = (0..len * n).map(|k| (k * 7919) % src_rows).collect();
-            let mut g = Graph::new();
-            let mut time = |backend| {
-                with_backend(backend, || {
-                    let grad = lstm_step(&mut g, &operands, &steps, n);
-                    (grad, best_of(reps, || drop(lstm_step(&mut g, &operands, &steps, n))))
-                })
-            };
-            let (scalar_grad, scalar_sec) = time(Backend::Scalar);
-            let (simd_grad, simd_sec) = time(Backend::Simd);
-            assert_eq!(scalar_grad, simd_grad, "lstm n={n} L={len}: simd moved a gradient bit");
-            let speedup = scalar_sec / simd_sec;
-            assert!(
-                speedup >= MIN_KERNEL_SPEEDUP,
-                "lstm n={n} L={len}: simd speedup {speedup:.2}x below the {MIN_KERNEL_SPEEDUP:.2}x floor"
-            );
-            let per_step = |sec: f64| format!("{:.0}", sec * 1e9 / (len * n) as f64);
-            table.row(vec![
-                n.to_string(),
-                len.to_string(),
-                per_step(scalar_sec),
-                per_step(simd_sec),
-                format!("{speedup:.2}x"),
-            ]);
+    betty_runtime::with_threads(1, || {
+        for n in [16usize, 1024] {
+            for len in [5usize, 25] {
+                let steps: Vec<usize> = (0..len * n).map(|k| (k * 7919) % src_rows).collect();
+                let mut g = Graph::new();
+                let mut time = |backend| {
+                    with_backend(backend, || {
+                        let grad = lstm_step(&mut g, &operands, &steps, n);
+                        (grad, best_of(reps, || drop(lstm_step(&mut g, &operands, &steps, n))))
+                    })
+                };
+                let (scalar_grad, scalar_sec) = time(Backend::Scalar);
+                let (simd_grad, simd_sec) = time(Backend::Simd);
+                assert_eq!(scalar_grad, simd_grad, "lstm n={n} L={len}: simd moved a gradient bit");
+                let speedup = scalar_sec / simd_sec;
+                assert!(
+                    speedup >= MIN_KERNEL_SPEEDUP,
+                    "lstm n={n} L={len}: simd speedup {speedup:.2}x below the {MIN_KERNEL_SPEEDUP:.2}x floor"
+                );
+                let per_step = |sec: f64| format!("{:.0}", sec * 1e9 / (len * n) as f64);
+                table.row(vec![
+                    n.to_string(),
+                    len.to_string(),
+                    per_step(scalar_sec),
+                    per_step(simd_sec),
+                    format!("{speedup:.2}x"),
+                ]);
+            }
         }
-    }
-    betty_runtime::set_thread_override(None);
+    });
     table.finish();
 }
 
@@ -749,62 +749,62 @@ fn affine_table(profile: Profile) {
             "speedup",
         ],
     );
-    betty_runtime::set_thread_override(Some(1));
-    for (d, o, relu) in [(100usize, 64usize, true), (64, 47, false)] {
-        for n in [16usize, 1024, 8192] {
-            // The self term reads a prefix: half as many sources again.
-            let operands = [
-                dense(n + n / 2, d, 0.0),
-                kernels::scale(&dense(d, o, 1.0), 0.1),
-                dense(1, o, 2.0).reshape(&[o]).unwrap(),
-                dense(n, d, 3.0),
-                kernels::scale(&dense(d, o, 4.0), 0.1),
-                dense(1, o, 5.0).reshape(&[o]).unwrap(),
-            ];
-            let mut reference: Option<Vec<Vec<u32>>> = None;
-            for backend in [Backend::Scalar, Backend::Simd] {
-                let mut g = Graph::new();
-                // Best of `reps + 1` each, alternated so that a drifting
-                // clock speed falls on both alike.
-                let [composed, fused] = with_backend(backend, || {
-                    let mut best =
-                        [false, true].map(|fused| affine_step(&mut g, &operands, n, relu, fused));
-                    for _ in 0..reps {
-                        for (run, fused) in best.iter_mut().zip([false, true]) {
-                            let again = affine_step(&mut g, &operands, n, relu, fused);
-                            run.forward_sec = run.forward_sec.min(again.forward_sec);
-                            run.backward_sec = run.backward_sec.min(again.backward_sec);
+    betty_runtime::with_threads(1, || {
+        for (d, o, relu) in [(100usize, 64usize, true), (64, 47, false)] {
+            for n in [16usize, 1024, 8192] {
+                // The self term reads a prefix: half as many sources again.
+                let operands = [
+                    dense(n + n / 2, d, 0.0),
+                    kernels::scale(&dense(d, o, 1.0), 0.1),
+                    dense(1, o, 2.0).reshape(&[o]).unwrap(),
+                    dense(n, d, 3.0),
+                    kernels::scale(&dense(d, o, 4.0), 0.1),
+                    dense(1, o, 5.0).reshape(&[o]).unwrap(),
+                ];
+                let mut reference: Option<Vec<Vec<u32>>> = None;
+                for backend in [Backend::Scalar, Backend::Simd] {
+                    let mut g = Graph::new();
+                    // Best of `reps + 1` each, alternated so that a drifting
+                    // clock speed falls on both alike.
+                    let [composed, fused] = with_backend(backend, || {
+                        let mut best =
+                            [false, true].map(|fused| affine_step(&mut g, &operands, n, relu, fused));
+                        for _ in 0..reps {
+                            for (run, fused) in best.iter_mut().zip([false, true]) {
+                                let again = affine_step(&mut g, &operands, n, relu, fused);
+                                run.forward_sec = run.forward_sec.min(again.forward_sec);
+                                run.backward_sec = run.backward_sec.min(again.backward_sec);
+                            }
                         }
-                    }
-                    best
-                });
-                let what = format!("affine [{n}, {d}] -> {o} on {backend}");
-                let reference = reference.get_or_insert_with(|| composed.bits.clone());
-                assert_eq!(&composed.bits, &*reference, "{what}: the backend moved a bit");
-                assert_eq!(&fused.bits, &*reference, "{what}: fusing moved a bit");
-                let share = fused.tape_bytes as f64 / composed.tape_bytes as f64;
-                assert!(
-                    share <= MAX_AFFINE_TAPE_SHARE,
-                    "{what}: tape share {share:.3} above {MAX_AFFINE_TAPE_SHARE}"
-                );
-                let us = |sec: f64| format!("{:.1}", sec * 1e6);
-                let total = |r: &AffineRun| r.forward_sec + r.backward_sec;
-                table.row(vec![
-                    format!("{d}->{o}{}", if relu { "+relu" } else { "" }),
-                    n.to_string(),
-                    backend.to_string(),
-                    us(composed.forward_sec),
-                    us(fused.forward_sec),
-                    us(composed.backward_sec),
-                    us(fused.backward_sec),
-                    composed.tape_bytes.to_string(),
-                    fused.tape_bytes.to_string(),
-                    format!("{:.2}x", total(&composed) / total(&fused)),
-                ]);
+                        best
+                    });
+                    let what = format!("affine [{n}, {d}] -> {o} on {backend}");
+                    let reference = reference.get_or_insert_with(|| composed.bits.clone());
+                    assert_eq!(&composed.bits, &*reference, "{what}: the backend moved a bit");
+                    assert_eq!(&fused.bits, &*reference, "{what}: fusing moved a bit");
+                    let share = fused.tape_bytes as f64 / composed.tape_bytes as f64;
+                    assert!(
+                        share <= MAX_AFFINE_TAPE_SHARE,
+                        "{what}: tape share {share:.3} above {MAX_AFFINE_TAPE_SHARE}"
+                    );
+                    let us = |sec: f64| format!("{:.1}", sec * 1e6);
+                    let total = |r: &AffineRun| r.forward_sec + r.backward_sec;
+                    table.row(vec![
+                        format!("{d}->{o}{}", if relu { "+relu" } else { "" }),
+                        n.to_string(),
+                        backend.to_string(),
+                        us(composed.forward_sec),
+                        us(fused.forward_sec),
+                        us(composed.backward_sec),
+                        us(fused.backward_sec),
+                        composed.tape_bytes.to_string(),
+                        fused.tape_bytes.to_string(),
+                        format!("{:.2}x", total(&composed) / total(&fused)),
+                    ]);
+                }
             }
         }
-    }
-    betty_runtime::set_thread_override(None);
+    });
     table.finish();
 }
 

@@ -1,8 +1,9 @@
 //! Extension exhibit: the deterministic parallel batch-preparation
 //! pipeline.
 //!
-//! Three optimizations share the `betty-runtime` thread pool, and this
-//! exhibit measures each one end to end:
+//! Three optimizations share `betty-runtime`'s fork-join seam, and this
+//! exhibit measures each one end to end, then asks what a second thread
+//! buys a whole epoch:
 //!
 //! 1. **Sharded REG construction** — the shared-neighbor / dependency REG
 //!    build (`betty-graph::spgemm`) shards destination rows across worker
@@ -14,6 +15,10 @@
 //! 3. **Double-buffered transfer prefetch** — while micro-batch `i`
 //!    computes, micro-batch `i + 1`'s host→device transfer is staged (and
 //!    charged against the device budget), hiding link time behind compute.
+//! 4. **The thread probe** — alternated pairs of one- and two-thread
+//!    epochs at the repo benchmark's `mean2_k8` and `lstm2_k8` shapes, on
+//!    one `Runner`: the measurement `betty_runtime::MIN_SHARD_WORK` was
+//!    calibrated with (DESIGN.md "The fork-join seam and its gate").
 //!
 //! Speedup columns depend on real cores: on a single-core host the
 //! parallel REG rows hover near 1.0×, while the prefetch rows still show
@@ -23,8 +28,10 @@
 use std::time::Instant;
 
 use betty::{ExperimentConfig, Runner, StrategyKind};
-use betty_graph::dependency_reg_with_threads;
+use betty_data::DatasetSpec;
+use betty_graph::dependency_reg;
 use betty_nn::AggregatorSpec;
+use betty_runtime::with_threads;
 
 use crate::presets::bench_dataset;
 use crate::report::Table;
@@ -70,11 +77,10 @@ pub fn run(profile: Profile) {
     };
     let batch = Runner::new(&reg_ds, &reg_config, 0).sample_full_batch(&reg_ds);
     let hub_cap = 32;
-    let (serial_sec, serial_reg) =
-        time_sec(reps, || dependency_reg_with_threads(&batch, hub_cap, 1));
+    let reg_at = |threads| with_threads(threads, || time_sec(reps, || dependency_reg(&batch, hub_cap)));
+    let (serial_sec, serial_reg) = reg_at(1);
     for threads in [2usize, 4, 8] {
-        let (par_sec, par_reg) =
-            time_sec(reps, || dependency_reg_with_threads(&batch, hub_cap, threads));
+        let (par_sec, par_reg) = reg_at(threads);
         assert_eq!(
             serial_reg, par_reg,
             "REG must be bit-identical at {threads} threads"
@@ -137,6 +143,63 @@ pub fn run(profile: Profile) {
             "K={k}: {epochs} epochs, {:.4}s transfer time hidden behind compute",
             overlap
         );
+    }
+
+    // --- What a second thread buys an epoch, at the harness's shapes. ---
+    let pairs = match profile {
+        Profile::Quick => 5,
+        Profile::Full => 10,
+    };
+    for (name, scale, aggregator) in [
+        ("mean2_k8", 0.04, AggregatorSpec::Mean),
+        ("lstm2_k8", 0.01, AggregatorSpec::Lstm),
+    ] {
+        let ds = DatasetSpec::ogbn_products().scaled(scale).generate(1);
+        let config = ExperimentConfig {
+            fanouts: vec![10, 25],
+            hidden_dim: 64,
+            aggregator,
+            dropout: 0.0,
+            plan_ahead: 0,
+            ..ExperimentConfig::default()
+        };
+        let mut runner = Runner::new(&ds, &config, 1);
+        let mut epoch_at = |threads| {
+            with_threads(threads, || {
+                let started = Instant::now();
+                runner
+                    .train_epoch_betty(&ds, StrategyKind::Betty, 8)
+                    .expect("default capacity fits the harness batch");
+                started.elapsed().as_secs_f64()
+            })
+        };
+        epoch_at(1); // warm-up: pools fill, pages fault in
+        epoch_at(2);
+        let (mut one, mut two, mut lost) = (Vec::new(), Vec::new(), 0usize);
+        for pair in 0..pairs {
+            // Alternate which width goes first, so drift favours neither.
+            let (a, b) = if pair % 2 == 0 {
+                let a = epoch_at(1);
+                (a, epoch_at(2))
+            } else {
+                let b = epoch_at(2);
+                (epoch_at(1), b)
+            };
+            lost += usize::from(b > a);
+            one.push(a);
+            two.push(b);
+        }
+        one.sort_by(f64::total_cmp);
+        two.sort_by(f64::total_cmp);
+        let (one, two) = (one[pairs / 2], two[pairs / 2]);
+        table.row(vec![
+            format!("epoch {name}"),
+            format!("2 threads, lost {lost}/{pairs} pairs"),
+            format!("{two:.4}"),
+            format!("{one:.4}"),
+            format!("{:.2}x", one / two.max(1e-12)),
+            cores.to_string(),
+        ]);
     }
 
     table.finish();

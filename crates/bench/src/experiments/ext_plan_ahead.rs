@@ -62,77 +62,77 @@ pub fn run(profile: Profile) {
     // thread-count-invariant, so only the timings (honestly) reflect
     // whether spare cores exist to hide the planning in.
     let workers = cores.max(4);
-    betty_runtime::set_thread_override(Some(workers));
-    let (ds, base_config) = products_3layer(profile);
-    let epochs = profile.epochs(8);
+    betty_runtime::with_threads(workers, || {
+        let (ds, base_config) = products_3layer(profile);
+        let epochs = profile.epochs(8);
 
-    let mut table = Table::new(
-        "BENCH_plan_ahead",
-        "partition-ahead pipeline: wall time vs depth (power-law preset)",
-        &[
-            "strategy",
-            "depth",
-            "epochs",
-            "pipelined",
-            "wall (s)",
-            "s/epoch",
-            "hidden plan (s)",
-            "vs range",
-            "loss bits",
-        ],
-    );
+        let mut table = Table::new(
+            "BENCH_plan_ahead",
+            "partition-ahead pipeline: wall time vs depth (power-law preset)",
+            &[
+                "strategy",
+                "depth",
+                "epochs",
+                "pipelined",
+                "wall (s)",
+                "s/epoch",
+                "hidden plan (s)",
+                "vs range",
+                "loss bits",
+            ],
+        );
 
-    // Range anchor: planning is ~free, so this is the floor the pipeline
-    // chases. Depth is irrelevant for it (kept at 0 to stay synchronous).
-    let (range_wall, range_losses, _) = run_epochs(
-        &mut Runner::new(&ds, &base_config, 0),
-        &ds,
-        StrategyKind::Range,
-        epochs,
-    );
-    table.row(vec![
-        "range".to_string(),
-        "0".to_string(),
-        epochs.to_string(),
-        "no".to_string(),
-        format!("{range_wall:.4}"),
-        format!("{:.4}", range_wall / epochs as f64),
-        "0.0000".to_string(),
-        "1.00x".to_string(),
-        format!("{:#018x}", range_losses[epochs - 1]),
-    ]);
-
-    let mut betty_losses: Option<Vec<u64>> = None;
-    for depth in [0usize, 1, 2, 4] {
-        let config = betty::ExperimentConfig {
-            plan_ahead: depth,
-            ..base_config.clone()
-        };
-        let mut runner = Runner::new(&ds, &config, 0);
-        let (wall, losses, hidden) = run_epochs(&mut runner, &ds, StrategyKind::Betty, epochs);
-        let live = runner.plan_ahead_active();
-        assert_eq!(live, depth > 0, "pipeline liveness must track depth");
-        match &betty_losses {
-            None => betty_losses = Some(losses.clone()),
-            Some(reference) => assert_eq!(
-                reference, &losses,
-                "depth {depth} changed the training math"
-            ),
-        }
+        // Range anchor: planning is ~free, so this is the floor the pipeline
+        // chases. Depth is irrelevant for it (kept at 0 to stay synchronous).
+        let (range_wall, range_losses, _) = run_epochs(
+            &mut Runner::new(&ds, &base_config, 0),
+            &ds,
+            StrategyKind::Range,
+            epochs,
+        );
         table.row(vec![
-            "betty".to_string(),
-            depth.to_string(),
+            "range".to_string(),
+            "0".to_string(),
             epochs.to_string(),
-            if live { "yes" } else { "no" }.to_string(),
-            format!("{wall:.4}"),
-            format!("{:.4}", wall / epochs as f64),
-            format!("{hidden:.4}"),
-            format!("{:.2}x", wall / range_wall.max(1e-12)),
-            format!("{:#018x}", losses[epochs - 1]),
+            "no".to_string(),
+            format!("{range_wall:.4}"),
+            format!("{:.4}", range_wall / epochs as f64),
+            "0.0000".to_string(),
+            "1.00x".to_string(),
+            format!("{:#018x}", range_losses[epochs - 1]),
         ]);
-    }
-    table.finish();
-    betty_runtime::set_thread_override(None);
+
+        let mut betty_losses: Option<Vec<u64>> = None;
+        for depth in [0usize, 1, 2, 4] {
+            let config = betty::ExperimentConfig {
+                plan_ahead: depth,
+                ..base_config.clone()
+            };
+            let mut runner = Runner::new(&ds, &config, 0);
+            let (wall, losses, hidden) = run_epochs(&mut runner, &ds, StrategyKind::Betty, epochs);
+            let live = runner.plan_ahead_active();
+            assert_eq!(live, depth > 0, "pipeline liveness must track depth");
+            match &betty_losses {
+                None => betty_losses = Some(losses.clone()),
+                Some(reference) => assert_eq!(
+                    reference, &losses,
+                    "depth {depth} changed the training math"
+                ),
+            }
+            table.row(vec![
+                "betty".to_string(),
+                depth.to_string(),
+                epochs.to_string(),
+                if live { "yes" } else { "no" }.to_string(),
+                format!("{wall:.4}"),
+                format!("{:.4}", wall / epochs as f64),
+                format!("{hidden:.4}"),
+                format!("{:.2}x", wall / range_wall.max(1e-12)),
+                format!("{:#018x}", losses[epochs - 1]),
+            ]);
+        }
+        table.finish();
+    });
     println!(
         "note: every betty row carries identical loss bits (hard-asserted) — \
          the pipeline relocates planning in time, never in value. 'hidden \

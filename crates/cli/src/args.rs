@@ -15,6 +15,16 @@ impl fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
+/// The flags one command reads, as groups of keys: `values` take an
+/// argument (`--k 8`), `switches` take none (`--resume`).
+#[derive(Debug, Clone, Copy)]
+pub struct Accepts {
+    /// Keys read with [`Args::get`] and its typed forms.
+    pub values: &'static [&'static [&'static str]],
+    /// Keys read with [`Args::has_flag`].
+    pub switches: &'static [&'static [&'static str]],
+}
+
 /// Parsed `--key value` flags (plus bare `--flag` booleans).
 #[derive(Debug, Clone, Default)]
 pub struct Args {
@@ -53,6 +63,36 @@ impl Args {
             }
         }
         Ok(out)
+    }
+
+    /// Checks what was given against what the command reads: a flag that
+    /// would otherwise be silently ignored — a misspelt key, a value flag
+    /// whose value is missing, a switch handed a value — is an error
+    /// naming it (the first in alphabetical order, so the message does not
+    /// depend on hash order).
+    ///
+    /// # Errors
+    ///
+    /// Names the offending flag.
+    pub fn reject_unread(&self, accepts: &Accepts) -> Result<(), ArgError> {
+        let listed = |groups: &[&[&str]], key: &str| groups.iter().any(|g| g.contains(&key));
+        let mut given: Vec<(&str, Option<&str>)> = self
+            .values
+            .iter()
+            .map(|(k, v)| (k.as_str(), Some(v.as_str())))
+            .chain(self.flags.iter().map(|k| (k.as_str(), None)))
+            .collect();
+        given.sort_unstable();
+        for (key, value) in given {
+            let problem = match (value, listed(accepts.values, key), listed(accepts.switches, key)) {
+                (Some(_), true, _) | (None, _, true) => continue,
+                (Some(value), false, true) => format!("--{key} takes no value (got '{value}')"),
+                (None, true, false) => format!("--{key} needs a value"),
+                _ => format!("unknown flag --{key} for this command"),
+            };
+            return Err(ArgError(problem));
+        }
+        Ok(())
     }
 
     /// String value of `--key`, if present.
@@ -164,6 +204,32 @@ mod tests {
     fn rejects_positional_and_duplicates() {
         assert!(parse(&["oops"]).is_err());
         assert!(parse(&["--k", "1", "--k", "2"]).is_err());
+    }
+
+    #[test]
+    fn reject_unread_names_what_the_command_would_have_ignored() {
+        let accepts = Accepts {
+            values: &[&["epochs", "k"], &["fault-oom-steps"]],
+            switches: &[&["resume"]],
+        };
+        let check = |parts: &[&str]| parse(parts).unwrap().reject_unread(&accepts).map_err(|e| e.0);
+        assert_eq!(check(&["--epochs", "5", "--resume", "--fault-oom-steps", "0,3"]), Ok(()));
+        assert_eq!(check(&[]), Ok(()));
+        // A misspelt key, with or without a value.
+        let unknown = |key| Err(format!("unknown flag --{key} for this command"));
+        assert_eq!(check(&["--epcohs", "50"]), unknown("epcohs"));
+        assert_eq!(check(&["--fault-oom-step", "3"]), unknown("fault-oom-step"));
+        assert_eq!(check(&["--epochs", "5", "--verbose"]), unknown("verbose"));
+        // A value flag given bare: at the end, or swallowed by the next flag.
+        assert_eq!(check(&["--epochs", "5", "--k"]), Err("--k needs a value".into()));
+        assert_eq!(check(&["--k", "--epochs", "5"]), Err("--k needs a value".into()));
+        // A switch handed a value.
+        assert_eq!(
+            check(&["--resume", "yes"]),
+            Err("--resume takes no value (got 'yes')".into())
+        );
+        // Several offenders: the alphabetically first is named.
+        assert_eq!(check(&["--zeta", "1", "--alpha"]), unknown("alpha"));
     }
 
     #[test]

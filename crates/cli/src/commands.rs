@@ -15,9 +15,103 @@ use betty_nn::AggregatorSpec;
 use betty_partition::input_redundancy;
 use betty_tensor::DType;
 
-use crate::args::{ArgError, Args};
+use crate::args::{Accepts, ArgError, Args};
 
-type CmdResult = Result<(), Box<dyn Error>>;
+/// What a subcommand returns.
+pub type CmdResult = Result<(), Box<dyn Error>>;
+
+/// Flags every command takes (USAGE "GLOBAL FLAGS"), then [`PAGED_STORE`].
+const GLOBAL: &[&str] = &["feature-store", "threads", "backend", "precision", "plan-ahead"];
+const GLOBAL_SWITCHES: &[&str] = &["no-prefetch", "no-pool"];
+/// The flags that mean something only under `--feature-store paged`.
+const PAGED_STORE: &[&str] = &[
+    "feature-cache-bytes",
+    "feature-page-rows",
+    "feature-dir",
+    "feature-parity",
+];
+/// What [`load`] reads to find or synthesize the dataset.
+const DATASET: &[&str] = &["data", "preset", "scale", "feature-dim", "seed"];
+/// What [`experiment_config`] reads besides the globals, [`FAULTS`] and
+/// the `--no-sentinel` switch.
+const MODEL: &[&str] = &[
+    "fanouts",
+    "hidden",
+    "aggregator",
+    "model",
+    "heads",
+    "dropout",
+    "lr",
+    "capacity-mib",
+    "retries",
+    "retry-growth",
+    "retry-headroom",
+    "anomaly-retries",
+    "io-retries",
+];
+/// The fault-injection flags: any one of them arms a [`FaultPlan`].
+const FAULTS: &[&str] = &[
+    "fault-seed",
+    "fault-alloc-rate",
+    "fault-oom-steps",
+    "fault-jitter",
+    "fault-stall-rate",
+    "fault-stall-sec",
+    "fault-nan-steps",
+    "fault-device-fail",
+    "fault-straggler",
+    "fault-link-rate",
+    "fault-link-stall-sec",
+    "fault-io-rate",
+    "fault-io-stall-rate",
+    "fault-io-stall-sec",
+    "fault-shard-corrupt",
+];
+
+/// What `betty generate` reads.
+pub const GENERATE: Accepts = Accepts {
+    values: &[GLOBAL, PAGED_STORE, &["preset", "out", "scale", "feature-dim", "seed"]],
+    switches: &[GLOBAL_SWITCHES],
+};
+/// What `betty info` reads.
+pub const INFO: Accepts = Accepts {
+    values: &[GLOBAL, PAGED_STORE, DATASET],
+    switches: &[GLOBAL_SWITCHES],
+};
+/// What `betty partition` reads.
+pub const PARTITION: Accepts = Accepts {
+    values: &[GLOBAL, PAGED_STORE, DATASET, MODEL, FAULTS, &["k", "strategy"]],
+    switches: &[GLOBAL_SWITCHES, &["no-sentinel", "compare"]],
+};
+/// What `betty train` reads.
+pub const TRAIN: Accepts = Accepts {
+    values: &[
+        GLOBAL,
+        PAGED_STORE,
+        DATASET,
+        MODEL,
+        FAULTS,
+        &[
+            "k",
+            "strategy",
+            "epochs",
+            "devices",
+            "allreduce-timeout-ms",
+            "max-device-retries",
+            "straggler-threshold",
+            "checkpoint",
+            "checkpoint-dir",
+            "checkpoint-every",
+            "trace-out",
+        ],
+    ],
+    switches: &[GLOBAL_SWITCHES, &["no-sentinel", "resume", "trace-summary"]],
+};
+/// What `betty eval` reads.
+pub const EVAL: Accepts = Accepts {
+    values: &[GLOBAL, PAGED_STORE, DATASET, MODEL, FAULTS, &["checkpoint", "chunk"]],
+    switches: &[GLOBAL_SWITCHES, &["no-sentinel"]],
+};
 
 /// Parses the `--precision` storage dtype (default f32).
 fn precision(args: &Args) -> Result<DType, ArgError> {
@@ -68,12 +162,7 @@ fn apply_feature_store(mut ds: Dataset, args: &Args) -> Result<Dataset, Box<dyn 
     let backend = args.get("feature-store").unwrap_or("dense");
     match backend {
         "dense" => {
-            for flag in [
-                "feature-cache-bytes",
-                "feature-page-rows",
-                "feature-dir",
-                "feature-parity",
-            ] {
+            for flag in PAGED_STORE {
                 if args.get(flag).is_some() {
                     return Err(Box::new(ArgError(format!(
                         "--{flag} requires --feature-store paged"
@@ -171,25 +260,7 @@ fn experiment_config(args: &Args) -> Result<ExperimentConfig, Box<dyn Error>> {
 /// Builds the fault-injection plan from `--fault-*` flags, or `None`
 /// when no fault flag was given.
 fn fault_plan(args: &Args) -> Result<Option<FaultPlan>, Box<dyn Error>> {
-    let given = [
-        "fault-seed",
-        "fault-alloc-rate",
-        "fault-oom-steps",
-        "fault-jitter",
-        "fault-stall-rate",
-        "fault-stall-sec",
-        "fault-nan-steps",
-        "fault-device-fail",
-        "fault-straggler",
-        "fault-link-rate",
-        "fault-link-stall-sec",
-        "fault-io-rate",
-        "fault-io-stall-rate",
-        "fault-io-stall-sec",
-        "fault-shard-corrupt",
-    ]
-    .iter()
-    .any(|key| args.get(key).is_some());
+    let given = FAULTS.iter().any(|key| args.get(key).is_some());
     if !given {
         return Ok(None);
     }

@@ -88,6 +88,9 @@ COMMANDS:
              remains (two bad shards in one parity group, no parity
              sidecar, or every checkpoint slot corrupt).
 
+A flag the command does not read — a misspelt key, a value flag with no
+value, a switch given one — is a usage error naming it (exit 1).
+
 GLOBAL FLAGS (accepted by every command, after the command name):
   --feature-store dense|paged
                  where node features live (default dense, fully in memory).
@@ -115,10 +118,14 @@ GLOBAL FLAGS (accepted by every command, after the command name):
                  in place and re-persisted; two bad shards in one group are
                  a structured storage error. Parity shards ride the same
                  CRC-checksummed atomic-write container as data shards.
-  --threads N    worker threads for parallel stages (REG build, micro-batch
-                 extraction, large matmuls); 1 is exactly serial. Defaults
-                 to the BETTY_THREADS env var, then the core count. Every
-                 thread count produces bit-identical results.
+  --threads N    worker threads: the REG build and micro-batch extraction
+                 are always sharded across them, a dense product or fused
+                 aggregation only when the call carries 2^26 multiply-adds
+                 per shard (smaller calls run inline — a second thread
+                 there loses), and --plan-ahead stages future epochs on
+                 them. 1 is exactly serial. Defaults to the BETTY_THREADS
+                 env var, then the core count (capped at 8). Every thread
+                 count produces bit-identical results.
   --backend scalar|simd
                  compute backend for the tensor kernels (default simd, or
                  the BETTY_BACKEND env var). 'scalar' is the portable
@@ -186,7 +193,24 @@ fn main() -> ExitCode {
             }
         };
     }
-    let parsed = match args::Args::parse(argv) {
+    let (run, accepts): (fn(&args::Args) -> commands::CmdResult, _) = match command.as_str() {
+        "generate" => (commands::generate, commands::GENERATE),
+        "info" => (commands::info, commands::INFO),
+        "partition" => (commands::partition, commands::PARTITION),
+        "train" => (commands::train, commands::TRAIN),
+        "eval" => (commands::eval, commands::EVAL),
+        "help" | "--help" | "-h" => {
+            print!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        other => {
+            eprintln!("error: unknown command '{other}'\n");
+            eprint!("{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
+    // A flag the command does not read is an error, not a default.
+    let parsed = match args::Args::parse(argv).and_then(|p| p.reject_unread(&accepts).map(|()| p)) {
         Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("error: {e}\n");
@@ -219,23 +243,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    let result = match command.as_str() {
-        "generate" => commands::generate(&parsed),
-        "info" => commands::info(&parsed),
-        "partition" => commands::partition(&parsed),
-        "train" => commands::train(&parsed),
-        "eval" => commands::eval(&parsed),
-        "help" | "--help" | "-h" => {
-            print!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        other => {
-            eprintln!("error: unknown command '{other}'\n");
-            eprint!("{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match result {
+    match run(&parsed) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");

@@ -216,6 +216,32 @@ fn resume_without_checkpoint_dir_is_a_usage_error() {
     );
 }
 
+/// A flag the command would not read used to run to exit 0 on defaults:
+/// a misspelt key, a value flag with its value missing, a switch handed a
+/// value. Each is a usage error (exit 1) naming the flag, before any work.
+#[test]
+fn flags_a_command_would_ignore_are_usage_errors() {
+    let cases: [(&[&str], &str); 5] = [
+        (&["train", "--epcohs", "50"], "unknown flag --epcohs"),
+        (&["train", "--epochs", "1", "--fault-oom-step", "3"], "unknown flag --fault-oom-step"),
+        (&["train", "--epochs", "1", "--k"], "--k needs a value"),
+        (&["train", "--resume", "yes", "--checkpoint-dir", "x"], "--resume takes no value"),
+        // Known to `train`, not to `info`.
+        (&["info", "--epochs", "1"], "unknown flag --epochs"),
+    ];
+    for (args, message) in cases {
+        let out = betty()
+            .args(args)
+            .args(["--preset", "cora", "--scale", "0.05"])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} started work before rejecting");
+    }
+}
+
 #[test]
 fn injected_nan_is_rolled_back_and_the_run_completes() {
     nan_rollback_completes("auto");

@@ -21,7 +21,7 @@
 //!   from the very same cursor.
 //! * **Handoff order.** Bundles return through an index-ordered queue
 //!   ([`betty_runtime::OrderedQueue`], the same discipline as
-//!   [`betty_runtime::parallel_map`]): epoch `t`'s consumer blocks until
+//!   [`betty_runtime::map_ranges`]): epoch `t`'s consumer blocks until
 //!   bundle `t` specifically is ready, regardless of completion order.
 //! * **Pure stages.** Partitioner strategies are stateless (`&self`), so
 //!   a plan computed on a worker is identical to one computed inline.

@@ -619,18 +619,18 @@ mod tests {
     fn parallel_restrict_matches_serial_exactly() {
         let planner = MemoryAwarePlanner::new(estimator(), usize::MAX, 64);
         let strategy = RegPartitioner::new(0);
-        betty_runtime::set_thread_override(Some(1));
-        let serial = planner.plan_fixed(&batch(), &strategy, 4);
+        let plan_at = |threads| {
+            betty_runtime::with_threads(threads, || planner.plan_fixed(&batch(), &strategy, 4))
+        };
+        let serial = plan_at(1);
         for threads in [2, 3, 8] {
-            betty_runtime::set_thread_override(Some(threads));
-            let parallel = planner.plan_fixed(&batch(), &strategy, 4);
+            let parallel = plan_at(threads);
             assert_eq!(serial.parts, parallel.parts);
             assert_eq!(
                 serial.micro_batches, parallel.micro_batches,
                 "{threads} threads must materialize identical micro-batches"
             );
         }
-        betty_runtime::set_thread_override(None);
     }
 
     #[test]

@@ -123,7 +123,8 @@ impl Batch {
             .map(|(local, &v)| (v, local as u32))
             .collect();
         let threads = betty_runtime::configured_threads();
-        betty_runtime::map_shards(parts.len(), threads, |_, range| {
+        let ranges = betty_runtime::shard_ranges(parts.len(), threads);
+        betty_runtime::map_ranges(ranges, |_, range| {
             // Per-block scratch of `Block::restrict`, shared by a worker's parts.
             let mut marks: Vec<Vec<u32>> = self
                 .blocks

@@ -48,10 +48,7 @@ pub use block::Block;
 pub use components::{weakly_connected_components, Components};
 pub use csr::CsrGraph;
 pub use sampling::{sample_batch, sample_batch_in};
-pub use spgemm::{
-    dependency_reg, dependency_reg_with_threads, shared_neighbor_graph,
-    shared_neighbor_graph_with_threads,
-};
+pub use spgemm::{dependency_reg, shared_neighbor_graph};
 
 /// Node identifier within a graph (global id).
 pub type NodeId = u32;

@@ -16,7 +16,7 @@
 //! allocation — and share one sharded Gustavson kernel,
 //! [`co_occurrence_csr`]: the set family is inverted into a CSR
 //! row-to-sets index once, destination rows are sharded across
-//! [`std::thread::scope`] workers (weighted by per-row work so power-law
+//! [`betty_runtime::map_ranges`] workers (weighted by per-row work so power-law
 //! hubs don't serialize a shard), each worker accumulates its rows into a
 //! private dense sparse-accumulator, and shard outputs are concatenated in
 //! row order. Weights are exact small-integer counts, so per-row sums are
@@ -84,8 +84,9 @@ impl SetFamily {
 /// weighted graph with `w(i, j) = |{k : i ∈ Sₖ ∧ j ∈ Sₖ}|` for `i ≠ j`.
 ///
 /// The result is independent of set order, of the order within a set and
-/// of `threads` (see the module docs).
-fn co_occurrence_csr(n: usize, sets: &SetFamily, threads: usize) -> CsrGraph {
+/// of the thread count (see the module docs).
+fn co_occurrence_csr(n: usize, sets: &SetFamily) -> CsrGraph {
+    let threads = betty_runtime::configured_threads();
     // Invert: CSR from row id to the ids of the sets containing it.
     let mut inv_ptr = vec![0usize; n + 1];
     for (_, set) in sets.paired() {
@@ -119,7 +120,7 @@ fn co_occurrence_csr(n: usize, sets: &SetFamily, threads: usize) -> CsrGraph {
             .collect()
     };
     let ranges = betty_runtime::shard_ranges_weighted(&costs, threads);
-    let shards = betty_runtime::map_ranges(ranges, threads, |_, range| {
+    let shards = betty_runtime::map_ranges(ranges, |_, range| {
         // Dense sparse-accumulator, private to this worker.
         let mut acc = vec![0.0f32; n];
         let mut touched: Vec<u32> = Vec::new();
@@ -185,17 +186,8 @@ fn co_occurrence_csr(n: usize, sets: &SetFamily, threads: usize) -> CsrGraph {
 /// destinations' in-degrees are fanout-bounded, keeping this tractable
 /// (the paper computes the same product via `dgl.adj_product_graph`).
 pub fn shared_neighbor_graph(block: &Block) -> CsrGraph {
-    shared_neighbor_graph_with_threads(block, betty_runtime::configured_threads())
-}
-
-/// [`shared_neighbor_graph`] with an explicit worker count.
-///
-/// The output is bit-identical for every `threads` value; `1` runs entirely
-/// on the calling thread. Benchmarks and determinism tests use this to pin
-/// the worker count independently of `BETTY_THREADS`.
-pub fn shared_neighbor_graph_with_threads(block: &Block, threads: usize) -> CsrGraph {
     let by_source = SetFamily::destinations_by_source(block);
-    co_occurrence_csr(block.num_dst(), &by_source, threads)
+    co_occurrence_csr(block.num_dst(), &by_source)
 }
 
 /// Builds the *full-dependency* Redundancy-Embedded Graph of a batch.
@@ -217,22 +209,13 @@ pub fn shared_neighbor_graph_with_threads(block: &Block, threads: usize) -> CsrG
 /// edge `s → d`), so propagation reads at most `hub_cap` members per block
 /// edge and the pair enumeration is `O(Σ min(|D|, cap)²)`.
 ///
+/// Dependency-set propagation is inherently sequential across layers and
+/// stays on the calling thread; the quadratic pair-counting stage runs on
+/// the sharded kernel, bit-identical at every thread count.
+///
 /// Nodes of the result are the batch's output nodes in *local (dst) order*
 /// of the last block, matching [`shared_neighbor_graph`].
 pub fn dependency_reg(batch: &crate::Batch, hub_cap: usize) -> CsrGraph {
-    dependency_reg_with_threads(batch, hub_cap, betty_runtime::configured_threads())
-}
-
-/// [`dependency_reg`] with an explicit worker count.
-///
-/// Dependency-set propagation is inherently sequential across layers and
-/// stays on the calling thread; the quadratic pair-counting stage runs on
-/// the sharded kernel. Output is bit-identical for every `threads` value.
-pub fn dependency_reg_with_threads(
-    batch: &crate::Batch,
-    hub_cap: usize,
-    threads: usize,
-) -> CsrGraph {
     let n_out = batch.output_nodes().len();
     // D(v) = the output locals depending on v, for the destinations of the
     // block about to be read, by destination-local id. Every node has a
@@ -278,12 +261,14 @@ pub fn dependency_reg_with_threads(
         }
         dep = SetFamily { offsets, data };
     }
-    co_occurrence_csr(n_out, &dep, threads)
+    co_occurrence_csr(n_out, &dep)
 }
 
 #[cfg(test)]
 mod tests {
     use std::collections::HashMap;
+
+    use betty_runtime::with_threads;
 
     use super::*;
     use crate::NodeId;
@@ -402,7 +387,7 @@ mod tests {
         // Nor does a block without destinations, on one worker or several.
         let empty = crate::Batch::new(vec![Block::new(Vec::new(), &[])]);
         for threads in [1, 4] {
-            assert_eq!(dependency_reg_with_threads(&empty, 32, threads).num_nodes(), 0);
+            assert_eq!(with_threads(threads, || dependency_reg(&empty, 32)).num_nodes(), 0);
         }
     }
 
@@ -584,17 +569,17 @@ mod tests {
     fn reg_bit_identical_across_thread_counts() {
         let batch = hub_heavy_batch(7);
         let block = &batch.blocks()[batch.blocks().len() - 1];
-        let serial = shared_neighbor_graph_with_threads(block, 1);
-        let serial_dep = dependency_reg_with_threads(&batch, 32, 1);
+        let serial = with_threads(1, || shared_neighbor_graph(block));
+        let serial_dep = with_threads(1, || dependency_reg(&batch, 32));
         for threads in [2usize, 3, 8] {
             assert_eq!(
                 serial,
-                shared_neighbor_graph_with_threads(block, threads),
+                with_threads(threads, || shared_neighbor_graph(block)),
                 "shared_neighbor_graph threads={threads}"
             );
             assert_eq!(
                 serial_dep,
-                dependency_reg_with_threads(&batch, 32, threads),
+                with_threads(threads, || dependency_reg(&batch, 32)),
                 "dependency_reg threads={threads}"
             );
         }
@@ -688,7 +673,7 @@ mod tests {
                 for threads in [1usize, 4] {
                     proptest::prop_assert_eq!(
                         &reference,
-                        &dependency_reg_with_threads(&batch, hub_cap, threads),
+                        &with_threads(threads, || dependency_reg(&batch, hub_cap)),
                         "seed {} layers {} n_out {} hub_cap {} threads {}",
                         seed, layers, n_out, hub_cap, threads
                     );
@@ -705,7 +690,7 @@ mod tests {
             let block = &batch.blocks()[0];
             let expected = brute_force(block);
             for threads in [1usize, 4] {
-                let reg = shared_neighbor_graph_with_threads(block, threads);
+                let reg = with_threads(threads, || shared_neighbor_graph(block));
                 for i in 0..n_out {
                     let row: Vec<(u32, f32)> = (0..n_out)
                         .map(|j| (j, expected[i as usize][j as usize]))

@@ -38,7 +38,6 @@ mod multilevel;
 mod partitioning;
 mod reg;
 mod simple;
-mod streaming;
 
 pub use metrics::{input_redundancy, RedundancyReport};
 pub use multilevel::{CutHierarchy, MultilevelPartitioner};
@@ -48,7 +47,6 @@ pub use reg::{
     RegScope,
 };
 pub use simple::{RandomPartitioner, RangePartitioner};
-pub use streaming::LdgPartitioner;
 
 use betty_graph::CsrGraph;
 

@@ -21,7 +21,9 @@
 //! the sweep's packed transpose, written into the leading rows of a
 //! zero-filled buffer of `xᵢ`'s shape.
 
-use crate::kernels::{self, PAR_FLOP_THRESHOLD};
+use betty_runtime::Shards;
+
+use crate::kernels;
 use crate::pool::BufferPool;
 use crate::segment::lane_dispatch;
 use crate::Tensor;
@@ -85,40 +87,24 @@ pub(crate) fn forward(
     if out.is_empty() {
         return out;
     }
-    let threads = betty_runtime::configured_threads();
-    let flops: usize = terms.iter().map(|t| rows * t.x.cols() * o).sum();
-    let shards = if flops >= PAR_FLOP_THRESHOLD && threads > 1 {
-        threads
-    } else {
-        1
-    };
-    let ranges = betty_runtime::shard_ranges(rows, shards);
-    // One scratch block per worker, for the products of terms 1…
+    let work: usize = terms.iter().map(|t| rows * t.x.cols() * o).sum();
+    let shards = Shards::for_work(rows, work);
+    // One scratch block per shard, for the products of terms 1…
     let block = if terms.len() > 1 { ROW_BLOCK * o } else { 0 };
-    let mut scratch = (block > 0).then(|| pool.scratch(&[ranges.len(), block]));
+    let mut scratch = (block > 0).then(|| pool.scratch(&[shards.count(), block]));
     let scratch_data = scratch.as_mut().map_or(&mut [][..], Tensor::data_mut);
-    if let [whole] = ranges.as_slice() {
-        forward_rows(terms, whole.start, out.data_mut(), scratch_data, o, relu);
-    } else {
-        std::thread::scope(|scope| {
-            let mut out_rest = out.data_mut();
-            let mut scratch_rest = scratch_data;
-            for range in ranges {
-                let (out_rows, tail) = out_rest.split_at_mut(range.len() * o);
-                out_rest = tail;
-                let (mine, tail) = scratch_rest.split_at_mut(block);
-                scratch_rest = tail;
-                scope.spawn(move || forward_rows(terms, range.start, out_rows, mine, o, relu));
-            }
-        });
-    }
+    shards.run(out.data_mut(), o, scratch_data, |range, out_rows, mine| {
+        forward_rows(terms, range.start, out_rows, mine, o, relu);
+    });
     if let Some(scratch) = scratch {
         pool.give(scratch);
     }
     out
 }
 
-/// Output rows `row0..row0 + out.len() / o`, a block at a time.
+/// Output rows `row0..row0 + out.len() / o`, a block at a time. A
+/// block's product asks the gate like any other: 96 rows carry a second
+/// shard's work only where `k·o` passes 1.4 M (layers ≈ 1 180 wide).
 fn forward_rows(
     terms: &[Term<'_>],
     row0: usize,
@@ -136,12 +122,12 @@ fn forward_rows(
             let act = relu && i + 1 == terms.len();
             if i == 0 {
                 out_block.fill(0.0);
-                kernels::matmul_acc(x, t.w.data(), out_block, (m, k, o), 1);
+                kernels::matmul_acc(x, t.w.data(), out_block, (m, k, o));
                 epilogue_dispatch(out_block, None, bias, act);
             } else {
                 let product = &mut scratch[..m * o];
                 product.fill(0.0);
-                kernels::matmul_acc(x, t.w.data(), product, (m, k, o), 1);
+                kernels::matmul_acc(x, t.w.data(), product, (m, k, o));
                 epilogue_dispatch(out_block, Some(product), bias, act);
             }
         }
@@ -205,7 +191,6 @@ pub(crate) fn backward_term(
     out: &mut Vec<Option<Tensor>>,
 ) {
     let (rows, o, k) = (g.rows(), g.cols(), t.x.cols());
-    let threads = betty_runtime::configured_threads();
     out.push(wanted.wt.map(|wt| {
         // `a·bᵀ` overwrites the rows it is given; the rows past the prefix
         // took no part in the product.
@@ -220,14 +205,13 @@ pub(crate) fn backward_term(
             Some(wt.data()),
             &mut dx.data_mut()[..rows * k],
             (rows, o, k),
-            threads,
         );
         dx
     }));
     out.push(wanted.w.then(|| {
         let mut dw = pool.zeros(t.w.shape());
         let x = &t.x.data()[..rows * k];
-        kernels::matmul_at_b_acc(x, g.data(), dw.data_mut(), (rows, k, o), threads);
+        kernels::matmul_at_b_acc(x, g.data(), dw.data_mut(), (rows, k, o));
         dw
     }));
     if t.bias.is_some() {
@@ -241,6 +225,7 @@ pub(crate) fn backward_term(
 
 #[cfg(test)]
 mod tests {
+    use betty_runtime::{with_threads, Shards, MIN_SHARD_WORK};
     use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_pcg::Pcg64Mcg;
@@ -399,9 +384,7 @@ mod tests {
             let want = run(&case, false);
             for backend in [Backend::Scalar, Backend::Simd] {
                 for threads in [1usize, 4] {
-                    betty_runtime::set_thread_override(Some(threads));
-                    let got = with_backend(backend, || run(&case, true));
-                    betty_runtime::set_thread_override(None);
+                    let got = with_threads(threads, || with_backend(backend, || run(&case, true)));
                     prop_assert_eq!(got.len(), want.len());
                     for (slot, (got, want)) in got.iter().zip(&want).enumerate() {
                         prop_assert_eq!(got, want, "slot {} on {} x{}", slot, backend, threads);
@@ -422,12 +405,13 @@ mod tests {
         Tensor::from_vec(data, shape).expect("sized data")
     }
 
-    /// The SAGE hidden-layer shape past the threading threshold: worker
-    /// shards, each with its own scratch block, leave every bit where the
-    /// composition puts it.
+    /// The SAGE hidden-layer shape at a height the gate grants more than
+    /// one shard (asserted): worker shards, each with its own scratch
+    /// block, leave every bit where the composition puts it.
     #[test]
     fn sharded_rows_match_the_composition() {
-        let (rows, d, o) = (700, 100, 64);
+        let (rows, d, o) = (10_501, 100, 64);
+        assert!(2 * rows * d * o >= 2 * MIN_SHARD_WORK);
         let case = Case {
             terms: vec![
                 TermCase {
@@ -447,10 +431,11 @@ mod tests {
             readout: dense(&[rows, o], 6.0, 1.0),
         };
         let want = run(&case, false);
-        for threads in [1usize, 3, 4] {
-            betty_runtime::set_thread_override(Some(threads));
-            let got = with_backend(Backend::Simd, || run(&case, true));
-            betty_runtime::set_thread_override(None);
+        for threads in [1usize, 4] {
+            let got = with_threads(threads, || {
+                assert_eq!(Shards::for_work(rows, 2 * rows * d * o).count() > 1, threads > 1);
+                with_backend(Backend::Simd, || run(&case, true))
+            });
             assert_eq!(got, want, "{threads} threads");
         }
     }

@@ -94,7 +94,6 @@ pub(crate) fn forward(
     b: &Tensor,
 ) -> (Tensor, Saved) {
     let (len, x, h) = dims(src, steps, n, w, b);
-    let threads = betty_runtime::configured_threads();
     let (rows, nh) = (len * n, n * h);
     let (wx, wh) = w.data().split_at(x * 4 * h);
 
@@ -111,7 +110,7 @@ pub(crate) fn forward(
     for t in 0..len {
         let gates_t = &mut gates.data_mut()[t * 4 * nh..][..4 * nh];
         segment::gather_rows_into(src, &steps[t * n..][..n], x_t.data_mut());
-        kernels::matmul_acc(x_t.data(), wx, gates_t, (n, x, 4 * h), threads);
+        kernels::matmul_acc(x_t.data(), wx, gates_t, (n, x, 4 * h));
         let (c_done, c_rest) = cells.data_mut().split_at_mut(t * nh);
         let (h_done, h_rest) = hidden.data_mut().split_at_mut(t * nh);
         let c_prev = if t == 0 {
@@ -121,7 +120,7 @@ pub(crate) fn forward(
             // leave gates that started at `+0.0` bit for bit as they are
             // (a NaN or `∞` in `W[X..]` first shows at `t = 1`).
             let h_prev = &h_done[(t - 1) * nh..];
-            kernels::matmul_acc(h_prev, wh, gates_t, (n, h, 4 * h), threads);
+            kernels::matmul_acc(h_prev, wh, gates_t, (n, h, 4 * h));
             &c_done[(t - 1) * nh..]
         };
         let h_t = if t + 1 < len {
@@ -228,7 +227,6 @@ pub(crate) fn backward(
 ) -> [Option<Tensor>; 3] {
     let (x, h) = (src.cols(), w.cols() / 4);
     let len = steps.len().checked_div(n).unwrap_or(0);
-    let threads = betty_runtime::configured_threads();
     let (rows, nh) = (len * n, n * h);
     let (wx, wh) = w.data().split_at(x * 4 * h);
 
@@ -253,7 +251,7 @@ pub(crate) fn backward(
         cell(gates_t, c_t, c_prev, dh.data(), dc.data_mut(), dgates_t, h);
         if t > 0 {
             let wt_h = Some(wt_h.data());
-            kernels::a_bt_sharded(dgates_t, wh, wt_h, dh.data_mut(), (n, 4 * h, h), threads);
+            kernels::a_bt_sharded(dgates_t, wh, wt_h, dh.data_mut(), (n, 4 * h, h));
         }
     }
     pool.give(dc);
@@ -265,7 +263,7 @@ pub(crate) fn backward(
         let (dwx, dwh) = dw.data_mut().split_at_mut(x * 4 * h);
         let mut xs = pool.scratch(&[rows, x]);
         segment::gather_rows_into(src, steps, xs.data_mut());
-        kernels::matmul_at_b_acc(xs.data(), dgates.data(), dwx, (rows, x, 4 * h), threads);
+        kernels::matmul_at_b_acc(xs.data(), dgates.data(), dwx, (rows, x, 4 * h));
         pool.give(xs);
         // Step `t ≥ 2` multiplied `h_{t-1}`; step 1 multiplied zeros.
         let later = dgates.data().get(4 * nh..).unwrap_or(&[]);
@@ -274,7 +272,6 @@ pub(crate) fn backward(
             later,
             dwh,
             (rows.saturating_sub(n), h, 4 * h),
-            threads,
         );
         dw
     });
@@ -292,7 +289,6 @@ pub(crate) fn backward(
             wt_x,
             dxs.data_mut(),
             (rows, 4 * h, x),
-            threads,
         );
         let mut dsrc = pool.zeros(src.shape());
         segment::scatter_add_rows(&mut dsrc, &dxs, steps);
@@ -473,9 +469,7 @@ mod tests {
             let mut first: Option<Vec<Vec<u32>>> = None;
             for backend in [Backend::Scalar, Backend::Simd] {
                 for threads in [1usize, 4] {
-                    betty_runtime::set_thread_override(Some(threads));
-                    let got = with_backend(backend, || run(&case, true));
-                    betty_runtime::set_thread_override(None);
+                    let got = betty_runtime::with_threads(threads, || with_backend(backend, || run(&case, true)));
                     prop_assert_eq!(bits(&got[0]), bits(&want[0]), "h_L on {} x{}", backend, threads);
                     for (name, (got, want)) in ["src", "w", "b"].iter().zip(got.iter().zip(&want).skip(1)) {
                         let tol = 1e-5 * want.max_abs().max(1.0);

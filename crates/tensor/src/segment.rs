@@ -8,10 +8,6 @@
 use crate::backend::Backend;
 use crate::Tensor;
 
-/// Work threshold (edges × cols) above which the simd fused kernels shard
-/// output ownership across [`betty_runtime::configured_threads`] workers.
-const FUSED_PAR_WORK_THRESHOLD: usize = 1 << 20;
-
 /// Pre-pass bounds check: panics on the first out-of-range index with the
 /// same message the per-row asserts used to produce, so the copy/accumulate
 /// loops that follow can run branch-light.
@@ -343,13 +339,23 @@ pub fn segment_max_into_reusing(
     }
 }
 
-/// Runs `body(out_chunk, owned_range)` for the simd fused kernels: either
-/// inline over the whole output, or — when the work crosses
-/// [`FUSED_PAR_WORK_THRESHOLD`] and more than one worker is configured —
-/// once per contiguous output-row shard on scoped threads. Every worker
-/// scans the full edge list but touches only rows it owns, so per-element
-/// additions happen in edge order no matter the thread count:
-/// bit-identical output, no atomics.
+/// What one gathered element costs in the multiply-adds
+/// [`betty_runtime::Shards::for_work`] counts: the fused kernels stream
+/// rows at random from memory (1.5–3 G elements/s where a dense product
+/// retires 35–50 G multiply-adds/s), but every shard re-scans the whole
+/// edge list, so a split halves less than the whole call. Measured with
+/// the probe of DESIGN.md "The fork-join seam and its gate" (2 threads
+/// against 1, `[n·deg]` edges × `cols`): 10 M elements 1.05×, 40 M
+/// 1.02× / 0.67×, 160 M 0.64× — two shards pay from about 33 M elements,
+/// a quarter of the dense products' 134 M.
+const GATHERED_ELEMENT_WORK: usize = 4;
+
+/// Runs `body(out_chunk, owned_range)` for the simd fused kernels, once
+/// per contiguous output-row shard [`betty_runtime::Shards`] grants the
+/// call's `edges × cols` gathered elements. Every worker scans the full
+/// edge list but touches only rows it owns, so per-element additions
+/// happen in edge order no matter the thread count: bit-identical output,
+/// no atomics.
 fn fused_forward_sharded(
     out: &mut [f32],
     n_rows: usize,
@@ -357,20 +363,8 @@ fn fused_forward_sharded(
     edges: usize,
     body: &(dyn Fn(&mut [f32], std::ops::Range<usize>) + Sync),
 ) {
-    let threads = betty_runtime::configured_threads();
-    if threads > 1 && n_rows > 1 && edges * cols >= FUSED_PAR_WORK_THRESHOLD {
-        let ranges = betty_runtime::shard_ranges(n_rows, threads);
-        std::thread::scope(|scope| {
-            let mut rest = out;
-            for range in ranges {
-                let (chunk, tail) = rest.split_at_mut(range.len() * cols);
-                rest = tail;
-                scope.spawn(move || body(chunk, range));
-            }
-        });
-    } else {
-        body(out, 0..n_rows);
-    }
+    betty_runtime::Shards::for_work(n_rows, GATHERED_ELEMENT_WORK * edges * cols)
+        .run(out, cols, &mut [], |range, chunk, _| body(chunk, range));
 }
 
 /// Generates `<name>_dispatch`, which runs `<name>` recompiled for the
@@ -1051,6 +1045,8 @@ pub fn segment_softmax_into(
 
 #[cfg(test)]
 mod tests {
+    use betty_runtime::{with_threads, MIN_SHARD_WORK};
+
     use super::*;
 
     fn t(data: &[f32], shape: &[usize]) -> Tensor {
@@ -1142,7 +1138,13 @@ mod tests {
             (33, 20, 7, 257),
             (65, 70, 9, 513),  // sorted: wide rows, chunk + tail columns
             (40, 130, 11, 400), // unsorted: crosses RUN_ACC_WIDE
+            (4099, 128, 1031, SHARDED_EDGES), // sorted, sharded
+            (4098, 128, 1031, SHARDED_EDGES), // unsorted, sharded
         ];
+        // The last two shapes take more than one shard at four threads, or
+        // every row above compares serial against serial.
+        const SHARDED_EDGES: usize = 262_147;
+        const { assert!(GATHERED_ELEMENT_WORK * SHARDED_EDGES * 128 >= 2 * MIN_SHARD_WORK) };
         for &(rows, cols, n_segments, n_edges) in &shapes {
             let src = salted(rows, cols, 0.41);
             let grad = salted(n_segments, cols, 2.3);
@@ -1157,55 +1159,30 @@ mod tests {
             }
             let weights: Vec<f32> = (0..n_edges).map(|e| (e as f32 * 0.37).cos()).collect();
             let scale: Vec<f32> = (0..n_segments).map(|s| 1.0 / (s + 1) as f32).collect();
+            let kernels = || {
+                [
+                    fused_gather_segment_sum(&src, &gather_ids, &segment_ids, n_segments),
+                    fused_gather_segment_weighted_sum(
+                        &src, &gather_ids, &segment_ids, &weights, n_segments,
+                    ),
+                    fused_gather_segment_sum_backward(&grad, &gather_ids, &segment_ids, None, rows),
+                    fused_gather_segment_sum_backward(
+                        &grad, &gather_ids, &segment_ids, Some(&scale), rows,
+                    ),
+                    fused_gather_segment_weighted_sum_backward(
+                        &grad, &gather_ids, &segment_ids, &weights, rows,
+                    ),
+                ]
+            };
+            // The scalar loops never shard: one reference for both widths.
+            let want = crate::with_backend(crate::Backend::Scalar, kernels);
             for threads in [1usize, 4] {
-                betty_runtime::set_thread_override(Some(threads));
-                let fwd_ref = crate::with_backend(crate::Backend::Scalar, || {
-                    fused_gather_segment_sum(&src, &gather_ids, &segment_ids, n_segments)
-                });
-                let fwd = crate::with_backend(crate::Backend::Simd, || {
-                    fused_gather_segment_sum(&src, &gather_ids, &segment_ids, n_segments)
-                });
-                assert_eq!(bits(&fwd_ref), bits(&fwd), "fused sum {rows}x{cols} t={threads}");
-
-                let wfwd_ref = crate::with_backend(crate::Backend::Scalar, || {
-                    fused_gather_segment_weighted_sum(
-                        &src, &gather_ids, &segment_ids, &weights, n_segments,
-                    )
-                });
-                let wfwd = crate::with_backend(crate::Backend::Simd, || {
-                    fused_gather_segment_weighted_sum(
-                        &src, &gather_ids, &segment_ids, &weights, n_segments,
-                    )
-                });
-                assert_eq!(bits(&wfwd_ref), bits(&wfwd), "weighted {rows}x{cols} t={threads}");
-
-                for sc in [None, Some(scale.as_slice())] {
-                    let bwd_ref = crate::with_backend(crate::Backend::Scalar, || {
-                        fused_gather_segment_sum_backward(
-                            &grad, &gather_ids, &segment_ids, sc, rows,
-                        )
-                    });
-                    let bwd = crate::with_backend(crate::Backend::Simd, || {
-                        fused_gather_segment_sum_backward(
-                            &grad, &gather_ids, &segment_ids, sc, rows,
-                        )
-                    });
-                    assert_eq!(bits(&bwd_ref), bits(&bwd), "backward {rows}x{cols} t={threads}");
+                let got = with_threads(threads, || crate::with_backend(crate::Backend::Simd, kernels));
+                let names = ["sum", "weighted", "backward", "scaled backward", "weighted backward"];
+                for (name, (want, got)) in names.iter().zip(want.iter().zip(&got)) {
+                    assert_eq!(bits(want), bits(got), "fused {name} {rows}x{cols} t={threads}");
                 }
-
-                let wbwd_ref = crate::with_backend(crate::Backend::Scalar, || {
-                    fused_gather_segment_weighted_sum_backward(
-                        &grad, &gather_ids, &segment_ids, &weights, rows,
-                    )
-                });
-                let wbwd = crate::with_backend(crate::Backend::Simd, || {
-                    fused_gather_segment_weighted_sum_backward(
-                        &grad, &gather_ids, &segment_ids, &weights, rows,
-                    )
-                });
-                assert_eq!(bits(&wbwd_ref), bits(&wbwd), "wbackward {rows}x{cols} t={threads}");
             }
-            betty_runtime::set_thread_override(None);
         }
     }
 

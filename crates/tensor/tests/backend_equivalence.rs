@@ -33,10 +33,9 @@ fn bits_nan_canonical(t: &Tensor) -> Vec<u32> {
 /// Runs `f` under both backends at the given thread count and asserts
 /// bit-identical output.
 fn assert_backends_agree(threads: usize, f: impl Fn() -> Tensor) {
-    betty_runtime::set_thread_override(Some(threads));
-    let scalar = with_backend(Backend::Scalar, &f);
-    let simd = with_backend(Backend::Simd, &f);
-    betty_runtime::set_thread_override(None);
+    let (scalar, simd) = betty_runtime::with_threads(threads, || {
+        (with_backend(Backend::Scalar, &f), with_backend(Backend::Simd, &f))
+    });
     assert_eq!(
         bits_nan_canonical(&scalar),
         bits_nan_canonical(&simd),
@@ -83,10 +82,13 @@ fn assert_matmul_family_agrees(m: usize, k: usize, n: usize, seed: u64) {
 }
 
 /// The LSTM gate product and its adjoint shapes: several full 6×32 tiles,
-/// row and column remainders, and (the middle one) the threaded path.
+/// row and column remainders, and (the last one, asserted) a `dW`-sized
+/// product that takes more than one shard at four threads.
 #[test]
 fn matmul_family_is_bit_identical_at_lstm_shapes() {
-    for (m, k, n) in [(17, 200, 400), (102, 400, 200), (6, 128, 256)] {
+    let sharded = (1027, 400, 330);
+    assert!(sharded.0 * sharded.1 * sharded.2 >= 2 * betty_runtime::MIN_SHARD_WORK);
+    for (m, k, n) in [(17, 200, 400), (102, 400, 200), (6, 128, 256), sharded] {
         assert_matmul_family_agrees(m, k, n, 0x5eed);
     }
 }
@@ -105,7 +107,6 @@ fn product_three_ways(a: &Tensor, b: &Tensor) -> [(&'static str, Tensor); 3] {
 /// `0 · ∞` are NaN, and every term is kept, so all three products report
 /// it on both backends — the forward `a @ b` and the `dW` product
 /// `aᵀ @ b` see a corrupt weight, not only the backward `dX = a @ bᵀ`.
-/// The larger shape is threaded.
 #[test]
 fn a_zero_against_a_non_finite_weight_is_nan_in_every_product() {
     for (m, k, n) in [(7usize, 9usize, 33usize), (257, 130, 129)] {
@@ -120,9 +121,11 @@ fn a_zero_against_a_non_finite_weight_is_nan_in_every_product() {
         b.data_mut()[bad * n + nan_at] = f32::NAN;
         b.data_mut()[bad * n + inf_at] = f32::INFINITY;
         for threads in [1usize, 4] {
-            betty_runtime::set_thread_override(Some(threads));
             for backend in [Backend::Scalar, Backend::Simd] {
-                for (name, out) in with_backend(backend, || product_three_ways(&a, &b)) {
+                let products = betty_runtime::with_threads(threads, || {
+                    with_backend(backend, || product_three_ways(&a, &b))
+                });
+                for (name, out) in products {
                     let what = format!("{name} {m}x{k}x{n} on {backend}, {threads} threads");
                     for (j, v) in out.row(dead).iter().enumerate() {
                         let corrupt = j == nan_at || j == inf_at;
@@ -130,7 +133,6 @@ fn a_zero_against_a_non_finite_weight_is_nan_in_every_product() {
                     }
                 }
             }
-            betty_runtime::set_thread_override(None);
         }
     }
 }

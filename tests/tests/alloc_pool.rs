@@ -41,18 +41,18 @@ fn trajectory(
     seed: u64,
     threads: usize,
 ) -> (Vec<u64>, Vec<u32>) {
-    betty_runtime::set_thread_override(Some(threads));
     let mut runner = Runner::new(ds, &config(aggregator, pool), seed);
-    let losses: Vec<u64> = (0..2)
-        .map(|_| {
-            runner
-                .train_epoch_betty(ds, StrategyKind::Betty, k)
-                .expect("capacity is ample")
-                .loss
-                .to_bits()
-        })
-        .collect();
-    betty_runtime::set_thread_override(None);
+    let losses: Vec<u64> = betty_runtime::with_threads(threads, || {
+        (0..2)
+            .map(|_| {
+                runner
+                    .train_epoch_betty(ds, StrategyKind::Betty, k)
+                    .expect("capacity is ample")
+                    .loss
+                    .to_bits()
+            })
+            .collect()
+    });
     let params: Vec<u32> = runner
         .trainer()
         .model()

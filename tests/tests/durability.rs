@@ -68,55 +68,55 @@ fn session_import_resets_a_hot_plan_ahead_pipeline() {
     // in flight must discard them (they were sampled from the
     // pre-import RNG cursor) and replay the checkpointed epoch
     // bit-identically to a never-pipelined run.
-    betty_runtime::set_thread_override(Some(4));
-    let ds = DatasetSpec::cora()
-        .scaled(0.1)
-        .with_feature_dim(12)
-        .generate(6);
-    let cfg = ExperimentConfig {
-        fanouts: vec![4, 6],
-        hidden_dim: 16,
-        dropout: 0.2,
-        plan_ahead: 3,
-        ..ExperimentConfig::default()
-    };
-    let train = |runner: &mut Runner| {
-        runner
-            .train_epoch_betty(&ds, StrategyKind::Betty, 3)
-            .expect("default capacity is ample")
-            .loss
-            .to_bits()
-    };
+    betty_runtime::with_threads(4, || {
+        let ds = DatasetSpec::cora()
+            .scaled(0.1)
+            .with_feature_dim(12)
+            .generate(6);
+        let cfg = ExperimentConfig {
+            fanouts: vec![4, 6],
+            hidden_dim: 16,
+            dropout: 0.2,
+            plan_ahead: 3,
+            ..ExperimentConfig::default()
+        };
+        let train = |runner: &mut Runner| {
+            runner
+                .train_epoch_betty(&ds, StrategyKind::Betty, 3)
+                .expect("default capacity is ample")
+                .loss
+                .to_bits()
+        };
 
-    // Reference trajectory: the same schedule without a pipeline.
-    let sync_cfg = ExperimentConfig {
-        plan_ahead: 0,
-        ..cfg.clone()
-    };
-    let mut sync = Runner::new(&ds, &sync_cfg, 11);
-    let sync_losses: Vec<u64> = (0..3).map(|_| train(&mut sync)).collect();
+        // Reference trajectory: the same schedule without a pipeline.
+        let sync_cfg = ExperimentConfig {
+            plan_ahead: 0,
+            ..cfg.clone()
+        };
+        let mut sync = Runner::new(&ds, &sync_cfg, 11);
+        let sync_losses: Vec<u64> = (0..3).map(|_| train(&mut sync)).collect();
 
-    let mut runner = Runner::new(&ds, &cfg, 11);
-    let mut losses = vec![train(&mut runner), train(&mut runner)];
-    let saved = runner.export_session();
-    losses.push(train(&mut runner)); // epoch 2, bundles staged ahead
-    assert!(
-        runner.plan_ahead_active(),
-        "depth 3 at 4 threads must keep a live pipeline"
-    );
-    assert_eq!(losses, sync_losses, "pipelined trajectory diverged");
+        let mut runner = Runner::new(&ds, &cfg, 11);
+        let mut losses = vec![train(&mut runner), train(&mut runner)];
+        let saved = runner.export_session();
+        losses.push(train(&mut runner)); // epoch 2, bundles staged ahead
+        assert!(
+            runner.plan_ahead_active(),
+            "depth 3 at 4 threads must keep a live pipeline"
+        );
+        assert_eq!(losses, sync_losses, "pipelined trajectory diverged");
 
-    runner.import_session(&saved).expect("same config, same shapes");
-    assert!(
-        !runner.plan_ahead_active(),
-        "import must invalidate in-flight pipeline state"
-    );
-    let replayed = train(&mut runner);
-    assert_eq!(
-        replayed, losses[2],
-        "the resumed epoch must replay the checkpointed epoch bit for bit"
-    );
-    betty_runtime::set_thread_override(None);
+        runner.import_session(&saved).expect("same config, same shapes");
+        assert!(
+            !runner.plan_ahead_active(),
+            "import must invalidate in-flight pipeline state"
+        );
+        let replayed = train(&mut runner);
+        assert_eq!(
+            replayed, losses[2],
+            "the resumed epoch must replay the checkpointed epoch bit for bit"
+        );
+    });
 }
 
 #[test]

@@ -11,6 +11,7 @@ use betty::{
 use betty_data::{Dataset, DatasetSpec};
 use betty_device::{gib, FaultPlan};
 use betty_nn::AggregatorSpec;
+use betty_runtime::with_threads;
 
 const K: usize = 4;
 const EPOCHS: usize = 3;
@@ -69,18 +70,6 @@ fn run(
         },
         stats,
     }
-}
-
-/// Runs `f` at `threads` worker threads. The override is process-wide and
-/// the tests of this file run concurrently, so whoever needs a particular
-/// width holds this lock while it is set.
-fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
-    static WIDTH: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    let _held = WIDTH.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-    betty_runtime::set_thread_override(Some(threads));
-    let out = f();
-    betty_runtime::set_thread_override(None);
-    out
 }
 
 /// The oracle: `train_epoch_betty(K)`, one thread, no prefetch, no

@@ -18,10 +18,6 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_pcg::Pcg64Mcg;
 
-/// Tests that mutate the process-global thread override serialize on
-/// this lock (same discipline as `parallel_determinism.rs`).
-static THREAD_OVERRIDE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 fn dataset() -> Dataset {
     DatasetSpec::cora()
         .scaled(0.12)
@@ -88,46 +84,46 @@ fn trajectory(
     Vec<u32>,
     (u64, u64, u64),
 ) {
-    betty_runtime::set_thread_override(Some(threads));
-    let mut runner = Runner::new(ds, cfg, seed);
-    let mut log = RecoveryLog::new();
-    let mut epochs = Vec::new();
-    let mut peaks = Vec::new();
-    let mut counters = (0u64, 0u64, 0u64);
-    let train = |runner: &mut Runner, log: &mut RecoveryLog| {
-        let (stats, _k) = runner
-            .train_epoch_auto_recovering(ds, StrategyKind::Betty, log)
-            .expect("retry budget covers the single injected OOM");
-        stats
-    };
-    for _ in 0..3 {
-        let stats = train(&mut runner, &mut log);
-        epochs.push(value_stats(&stats));
-        peaks.push((stats.max_peak_bytes, stats.estimated_peak_bytes));
-        counters.0 += stats.feature_hits;
-        counters.1 += stats.feature_misses;
-        counters.2 += stats.feature_pages_in;
-    }
-    let saved = runner.export_session();
-    let live = train(&mut runner, &mut log);
-    epochs.push(value_stats(&live));
-    peaks.push((live.max_peak_bytes, live.estimated_peak_bytes));
-    // Resume: a fresh runner over the same (possibly paged) dataset must
-    // replay the post-checkpoint epoch bit-identically.
-    let mut resumed = Runner::new(ds, cfg, seed);
-    resumed
-        .import_session(&saved)
-        .expect("same config and dataset shape");
-    let replay = train(&mut resumed, &mut log);
-    assert_eq!(
-        value_stats(&replay),
-        *epochs.last().unwrap(),
-        "the resumed epoch diverged from the uninterrupted run"
-    );
-    let accuracy = runner.evaluate(ds, &ds.val_idx).to_bits();
-    let params = param_bits(&runner);
-    betty_runtime::set_thread_override(None);
-    (epochs, peaks, accuracy, params, counters)
+    betty_runtime::with_threads(threads, || {
+        let mut runner = Runner::new(ds, cfg, seed);
+        let mut log = RecoveryLog::new();
+        let mut epochs = Vec::new();
+        let mut peaks = Vec::new();
+        let mut counters = (0u64, 0u64, 0u64);
+        let train = |runner: &mut Runner, log: &mut RecoveryLog| {
+            let (stats, _k) = runner
+                .train_epoch_auto_recovering(ds, StrategyKind::Betty, log)
+                .expect("retry budget covers the single injected OOM");
+            stats
+        };
+        for _ in 0..3 {
+            let stats = train(&mut runner, &mut log);
+            epochs.push(value_stats(&stats));
+            peaks.push((stats.max_peak_bytes, stats.estimated_peak_bytes));
+            counters.0 += stats.feature_hits;
+            counters.1 += stats.feature_misses;
+            counters.2 += stats.feature_pages_in;
+        }
+        let saved = runner.export_session();
+        let live = train(&mut runner, &mut log);
+        epochs.push(value_stats(&live));
+        peaks.push((live.max_peak_bytes, live.estimated_peak_bytes));
+        // Resume: a fresh runner over the same (possibly paged) dataset must
+        // replay the post-checkpoint epoch bit-identically.
+        let mut resumed = Runner::new(ds, cfg, seed);
+        resumed
+            .import_session(&saved)
+            .expect("same config and dataset shape");
+        let replay = train(&mut resumed, &mut log);
+        assert_eq!(
+            value_stats(&replay),
+            *epochs.last().unwrap(),
+            "the resumed epoch diverged from the uninterrupted run"
+        );
+        let accuracy = runner.evaluate(ds, &ds.val_idx).to_bits();
+        let params = param_bits(&runner);
+        (epochs, peaks, accuracy, params, counters)
+    })
 }
 
 proptest! {
@@ -142,7 +138,6 @@ proptest! {
         seed in 0u64..500,
         inject_oom in (0u8..2).prop_map(|b| b == 1),
     ) {
-        let _guard = THREAD_OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let ds = dataset();
         let total_bytes = ds.features.size_bytes();
         let fault_plan = inject_oom.then(|| FaultPlan {

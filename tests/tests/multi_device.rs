@@ -126,19 +126,19 @@ fn failover_is_bit_identical_to_fault_free_run_across_thread_counts() {
         ..config()
     };
     let run = |cfg: &ExperimentConfig, threads: usize| {
-        betty_runtime::set_thread_override(Some(threads));
-        let mut runner = Runner::new(&ds, cfg, 21);
-        let mut log = RecoveryLog::new();
-        let mut losses = Vec::new();
-        for epoch in 0..2 {
-            log.set_epoch(epoch);
-            let multi = runner
-                .train_epoch_elastic(&ds, StrategyKind::Betty, 8, &DeviceGroup::new(4), &mut log)
-                .unwrap();
-            losses.push(multi.combined.loss.to_bits());
-        }
-        betty_runtime::set_thread_override(None);
-        (losses, param_bits(&runner))
+        betty_runtime::with_threads(threads, || {
+            let mut runner = Runner::new(&ds, cfg, 21);
+            let mut log = RecoveryLog::new();
+            let mut losses = Vec::new();
+            for epoch in 0..2 {
+                log.set_epoch(epoch);
+                let multi = runner
+                    .train_epoch_elastic(&ds, StrategyKind::Betty, 8, &DeviceGroup::new(4), &mut log)
+                    .unwrap();
+                losses.push(multi.combined.loss.to_bits());
+            }
+            (losses, param_bits(&runner))
+        })
     };
     let (clean_losses, clean_params) = run(&config(), 1);
     for threads in [1usize, 4] {
@@ -256,13 +256,11 @@ proptest! {
     ) {
         let ds = dataset();
         let run = |devices: usize, threads: usize| {
-            betty_runtime::set_thread_override(Some(threads));
-            let mut runner = Runner::new(&ds, &config(), 13);
-            let epoch = runner
-                .train_epoch_multi_device(&ds, StrategyKind::Betty, k, &DeviceGroup::new(devices))
-                .unwrap();
-            betty_runtime::set_thread_override(None);
-            epoch
+            betty_runtime::with_threads(threads, || {
+                Runner::new(&ds, &config(), 13)
+                    .train_epoch_multi_device(&ds, StrategyKind::Betty, k, &DeviceGroup::new(devices))
+                    .unwrap()
+            })
         };
         let base = run(1, 1);
         let other = run(devices, threads);

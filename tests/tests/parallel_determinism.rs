@@ -6,11 +6,9 @@
 use betty::{EpochStats, ExperimentConfig, RecoveryLog, Runner, StrategyKind};
 use betty_data::{Dataset, DatasetSpec};
 use betty_device::{gib, FaultPlan};
-use betty_graph::{
-    dependency_reg_with_threads, sample_batch, shared_neighbor_graph_with_threads, CsrGraph,
-    NodeId,
-};
+use betty_graph::{dependency_reg, sample_batch, shared_neighbor_graph, CsrGraph, NodeId};
 use betty_nn::AggregatorSpec;
+use betty_runtime::with_threads;
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_pcg::Pcg64Mcg;
@@ -55,17 +53,17 @@ proptest! {
         let seeds: Vec<NodeId> = (0..(n as NodeId).min(8)).collect();
         let mut rng = Pcg64Mcg::seed_from_u64(seed);
         let batch = sample_batch(&g, &seeds, &[5, 10], &mut rng);
-        let serial = dependency_reg_with_threads(&batch, hub_cap, 1);
+        let serial = with_threads(1, || dependency_reg(&batch, hub_cap));
         for threads in [2usize, 8] {
-            let parallel = dependency_reg_with_threads(&batch, hub_cap, threads);
+            let parallel = with_threads(threads, || dependency_reg(&batch, hub_cap));
             prop_assert_eq!(&serial, &parallel, "REG diverged at {} threads", threads);
         }
         // The per-block co-occurrence kernel must hold the same property on
         // its own (it shards rows differently for small inputs).
         let block = batch.blocks().last().unwrap();
-        let base = shared_neighbor_graph_with_threads(block, 1);
+        let base = with_threads(1, || shared_neighbor_graph(block));
         for threads in [2usize, 8] {
-            let parallel = shared_neighbor_graph_with_threads(block, threads);
+            let parallel = with_threads(threads, || shared_neighbor_graph(block));
             prop_assert_eq!(&base, &parallel, "SNG diverged at {} threads", threads);
         }
     }
@@ -98,11 +96,6 @@ proptest! {
         prop_assert_eq!(&losses[0], &losses[1], "prefetch changed the math at k={}", k);
     }
 }
-
-/// Tests that mutate the process-global thread override serialize on
-/// this lock, so one test's override can't leak into another's
-/// pipeline-liveness assertions mid-run.
-static THREAD_OVERRIDE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// The deterministic subset of [`EpochStats`]: everything except
 /// wall-clock timings and the plan-ahead accounting extras (staged bytes
@@ -150,7 +143,6 @@ proptest! {
         seed in 0u64..500,
         inject_oom in (0u8..2).prop_map(|b| b == 1),
     ) {
-        let _guard = THREAD_OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let ds = dataset();
         let fault_plan = inject_oom.then(|| FaultPlan {
             // Global step 1 lands mid-run: its epoch OOMs, rolls back,
@@ -160,39 +152,39 @@ proptest! {
             ..FaultPlan::default()
         });
         let run = |depth: usize, threads: usize| {
-            betty_runtime::set_thread_override(Some(threads));
-            let cfg = ExperimentConfig {
-                plan_ahead: depth,
-                fault_plan: fault_plan.clone(),
-                ..config(true)
-            };
-            let mut runner = Runner::new(&ds, &cfg, seed);
-            let mut log = RecoveryLog::new();
-            let mut epochs = Vec::new();
-            for _ in 0..3 {
-                let (stats, _k) = runner
-                    .train_epoch_auto_recovering(&ds, StrategyKind::Betty, &mut log)
-                    .expect("retry budget covers the single injected OOM");
-                epochs.push(deterministic_stats(&stats));
-            }
-            assert_eq!(
-                runner.plan_ahead_active(),
-                depth > 0 && threads > 1,
-                "pipeline liveness must track depth and thread count"
-            );
-            // Evaluation draws from the sampler stream: it must reset
-            // the pipeline and still see identical batches.
-            let accuracy = runner.evaluate(&ds, &ds.val_idx).to_bits();
-            assert!(!runner.plan_ahead_active(), "evaluation must reset the pipeline");
-            for _ in 0..2 {
-                let (stats, _k) = runner
-                    .train_epoch_auto_recovering(&ds, StrategyKind::Betty, &mut log)
-                    .expect("post-evaluation epochs are fault-free");
-                epochs.push(deterministic_stats(&stats));
-            }
-            let params = param_bits(&runner);
-            betty_runtime::set_thread_override(None);
-            (epochs, accuracy, params)
+            with_threads(threads, || {
+                let cfg = ExperimentConfig {
+                    plan_ahead: depth,
+                    fault_plan: fault_plan.clone(),
+                    ..config(true)
+                };
+                let mut runner = Runner::new(&ds, &cfg, seed);
+                let mut log = RecoveryLog::new();
+                let mut epochs = Vec::new();
+                for _ in 0..3 {
+                    let (stats, _k) = runner
+                        .train_epoch_auto_recovering(&ds, StrategyKind::Betty, &mut log)
+                        .expect("retry budget covers the single injected OOM");
+                    epochs.push(deterministic_stats(&stats));
+                }
+                assert_eq!(
+                    runner.plan_ahead_active(),
+                    depth > 0 && threads > 1,
+                    "pipeline liveness must track depth and thread count"
+                );
+                // Evaluation draws from the sampler stream: it must reset
+                // the pipeline and still see identical batches.
+                let accuracy = runner.evaluate(&ds, &ds.val_idx).to_bits();
+                assert!(!runner.plan_ahead_active(), "evaluation must reset the pipeline");
+                for _ in 0..2 {
+                    let (stats, _k) = runner
+                        .train_epoch_auto_recovering(&ds, StrategyKind::Betty, &mut log)
+                        .expect("post-evaluation epochs are fault-free");
+                    epochs.push(deterministic_stats(&stats));
+                }
+                let params = param_bits(&runner);
+                (epochs, accuracy, params)
+            })
         };
         let reference = run(0, 1);
         for depth in [0usize, 1, 3] {
@@ -217,22 +209,20 @@ fn epoch_losses_invariant_under_thread_override() {
     // (parallel restrict), REG construction, and the kernels all route
     // through the shared pool, so overriding its width must not move a
     // single bit of the training trajectory.
-    let _guard = THREAD_OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let ds = dataset();
     let run = |threads: usize| {
-        betty_runtime::set_thread_override(Some(threads));
-        let mut runner = Runner::new(&ds, &config(true), 9);
-        let losses: Vec<u64> = (0..3)
-            .map(|_| {
-                runner
-                    .train_epoch_betty(&ds, StrategyKind::Betty, 4)
-                    .expect("capacity is ample")
-                    .loss
-                    .to_bits()
-            })
-            .collect();
-        betty_runtime::set_thread_override(None);
-        losses
+        with_threads(threads, || {
+            let mut runner = Runner::new(&ds, &config(true), 9);
+            (0..3)
+                .map(|_| {
+                    runner
+                        .train_epoch_betty(&ds, StrategyKind::Betty, 4)
+                        .expect("capacity is ample")
+                        .loss
+                        .to_bits()
+                })
+                .collect::<Vec<u64>>()
+        })
     };
     let serial = run(1);
     assert_eq!(serial, run(2), "2-thread run diverged from serial");

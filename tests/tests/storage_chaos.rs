@@ -14,10 +14,6 @@ use betty_device::{gib, FaultPlan};
 use betty_nn::AggregatorSpec;
 use proptest::prelude::*;
 
-/// Tests that mutate the process-global thread override serialize on
-/// this lock (same discipline as `parallel_determinism.rs`).
-static THREAD_OVERRIDE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 /// Rows per on-disk shard: small enough that the cora-scale graph spans
 /// dozens of shards and every parity group is really exercised.
 const PAGE_ROWS: usize = 8;
@@ -89,24 +85,24 @@ fn trajectory(
     seed: u64,
     threads: usize,
 ) -> (Vec<Vec<u64>>, Vec<u32>, u64, Chaos) {
-    betty_runtime::set_thread_override(Some(threads));
-    let mut runner = Runner::new(ds, cfg, seed);
-    let mut log = RecoveryLog::new();
-    let mut epochs = Vec::new();
-    let mut chaos = Chaos::default();
-    for _ in 0..4 {
-        let (stats, _k) = runner
-            .train_epoch_auto_recovering(ds, StrategyKind::Betty, &mut log)
-            .expect("storage chaos within the retry/parity budget is survivable");
-        epochs.push(value_stats(&stats));
-        chaos.io_retries += stats.io_retries;
-        chaos.shards_repaired += stats.shards_repaired;
-        chaos.repair_sec += stats.repair_sec;
-    }
-    let accuracy = runner.evaluate(ds, &ds.val_idx).to_bits();
-    let params = param_bits(&runner);
-    betty_runtime::set_thread_override(None);
-    (epochs, params, accuracy, chaos)
+    betty_runtime::with_threads(threads, || {
+        let mut runner = Runner::new(ds, cfg, seed);
+        let mut log = RecoveryLog::new();
+        let mut epochs = Vec::new();
+        let mut chaos = Chaos::default();
+        for _ in 0..4 {
+            let (stats, _k) = runner
+                .train_epoch_auto_recovering(ds, StrategyKind::Betty, &mut log)
+                .expect("storage chaos within the retry/parity budget is survivable");
+            epochs.push(value_stats(&stats));
+            chaos.io_retries += stats.io_retries;
+            chaos.shards_repaired += stats.shards_repaired;
+            chaos.repair_sec += stats.repair_sec;
+        }
+        let accuracy = runner.evaluate(ds, &ds.val_idx).to_bits();
+        let params = param_bits(&runner);
+        (epochs, params, accuracy, chaos)
+    })
 }
 
 /// Spills `ds`'s features into a fresh temp store with `parity`-wide XOR
@@ -134,7 +130,6 @@ proptest! {
         seed in 0u64..500,
         shard in 0usize..8,
     ) {
-        let _guard = THREAD_OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let ds = dataset();
         let dense = trajectory(&ds, &config(None), seed, 1);
         prop_assert_eq!(dense.3, Chaos::default(), "the dense run sees no chaos");
@@ -167,7 +162,6 @@ proptest! {
         seed in 0u64..500,
         fault_seed in 0u64..100,
     ) {
-        let _guard = THREAD_OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let ds = dataset();
         let (quiet_ds, quiet_dir) = paged(&ds, &format!("quiet-{seed}-{fault_seed}"), 0);
         let quiet = trajectory(&quiet_ds, &config(None), seed, 1);
@@ -205,44 +199,43 @@ proptest! {
 /// trained on — and the damage must still be visible to a direct read.
 #[test]
 fn double_corruption_in_one_group_is_rejected_not_trained_on() {
-    let _guard = THREAD_OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    betty_runtime::set_thread_override(Some(1));
-    let ds = dataset();
-    // Shards 0 and 1 share parity group 0 at width 2, and cover rows
-    // 0..16 — touched by the very first gather of an epoch, so the
-    // failing epoch dies on its first step.
-    let plan = FaultPlan {
-        shard_corrupt: vec![(0, 1), (1, 1)],
-        ..FaultPlan::default()
-    };
-    let (paged_ds, dir) = paged(&ds, "double", 2);
-    let mut runner = Runner::new(&paged_ds, &config(Some(plan)), 3);
-    let mut log = RecoveryLog::new();
-    let (_, _) = runner
-        .train_epoch_auto_recovering(&paged_ds, StrategyKind::Betty, &mut log)
-        .expect("epoch 0 runs before the scheduled corruption");
-    let before = param_bits(&runner);
-    let err = runner
-        .train_epoch_auto_recovering(&paged_ds, StrategyKind::Betty, &mut log)
-        .expect_err("a doubly-damaged parity group is unrepairable");
-    match err {
-        RunError::Train(TrainError::Storage { shard, detail, .. }) => {
-            assert!(shard <= 1, "the error names a shard of the damaged group: {shard}");
-            assert!(detail.contains("group"), "{detail}");
+    betty_runtime::with_threads(1, || {
+        let ds = dataset();
+        // Shards 0 and 1 share parity group 0 at width 2, and cover rows
+        // 0..16 — touched by the very first gather of an epoch, so the
+        // failing epoch dies on its first step.
+        let plan = FaultPlan {
+            shard_corrupt: vec![(0, 1), (1, 1)],
+            ..FaultPlan::default()
+        };
+        let (paged_ds, dir) = paged(&ds, "double", 2);
+        let mut runner = Runner::new(&paged_ds, &config(Some(plan)), 3);
+        let mut log = RecoveryLog::new();
+        let (_, _) = runner
+            .train_epoch_auto_recovering(&paged_ds, StrategyKind::Betty, &mut log)
+            .expect("epoch 0 runs before the scheduled corruption");
+        let before = param_bits(&runner);
+        let err = runner
+            .train_epoch_auto_recovering(&paged_ds, StrategyKind::Betty, &mut log)
+            .expect_err("a doubly-damaged parity group is unrepairable");
+        match err {
+            RunError::Train(TrainError::Storage { shard, detail, .. }) => {
+                assert!(shard <= 1, "the error names a shard of the damaged group: {shard}");
+                assert!(detail.contains("group"), "{detail}");
+            }
+            other => panic!("expected a structured storage error, got {other}"),
         }
-        other => panic!("expected a structured storage error, got {other}"),
-    }
-    // No optimizer step ran on damaged bytes: the parameters are
-    // exactly what the last clean epoch left behind.
-    assert_eq!(before, param_bits(&runner), "damaged data reached the optimizer");
-    // The store itself still refuses to serve the damaged rows.
-    let mut sink = vec![0.0f32; 2 * paged_ds.feature_dim()];
-    assert!(
-        paged_ds.features.try_gather_into(&[0, PAGE_ROWS], &mut sink).is_err(),
-        "damaged rows must stay unreadable until repaired or re-spilled"
-    );
-    betty_runtime::set_thread_override(None);
-    let _ = std::fs::remove_dir_all(&dir);
+        // No optimizer step ran on damaged bytes: the parameters are
+        // exactly what the last clean epoch left behind.
+        assert_eq!(before, param_bits(&runner), "damaged data reached the optimizer");
+        // The store itself still refuses to serve the damaged rows.
+        let mut sink = vec![0.0f32; 2 * paged_ds.feature_dim()];
+        assert!(
+            paged_ds.features.try_gather_into(&[0, PAGE_ROWS], &mut sink).is_err(),
+            "damaged rows must stay unreadable until repaired or re-spilled"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    });
 }
 
 /// Fails the first `fail_first` attempts of every read of the listed
@@ -272,9 +265,6 @@ impl StorageFaultHook for FlakyShards {
 /// records must not depend on the thread count.
 #[test]
 fn faults_in_the_page_in_phase_never_yield_a_stale_ok() {
-    let _guard = THREAD_OVERRIDE_LOCK
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
     let ds = dataset();
     let cols = ds.feature_dim();
     // Six shards in three parity groups; 0, 2 and 4 are made resident,
@@ -287,98 +277,98 @@ fn faults_in_the_page_in_phase_never_yield_a_stale_ok() {
 
     let mut logs = Vec::new();
     for threads in [1usize, 4] {
-        betty_runtime::set_thread_override(Some(threads));
-        let (paged_ds, dir) = paged(&ds, &format!("phase2-{threads}"), 2);
-        let store = &paged_ds.features;
-        let warm = |store: &betty_data::Features| {
-            store
-                .try_gather_into(&resident, &mut vec![0.0f32; resident.len() * cols])
-                .expect("warming the resident shards")
-        };
+        betty_runtime::with_threads(threads, || {
+            let (paged_ds, dir) = paged(&ds, &format!("phase2-{threads}"), 2);
+            let store = &paged_ds.features;
+            let warm = |store: &betty_data::Features| {
+                store
+                    .try_gather_into(&resident, &mut vec![0.0f32; resident.len() * cols])
+                    .expect("warming the resident shards")
+            };
 
-        // Survivable: shard 3 is corrupt on disk (repairable from its
-        // peer 2 and the group's parity), shards 1 and 5 fail transiently.
-        warm(store);
-        store.corrupt_shard_byte(3).expect("damaging shard 3");
-        store.arm_storage_faults(Box::new(FlakyShards {
-            shards: vec![1, 5],
-            fail_first: 2,
-        }));
-        let mut out = stale.clone();
-        let stats = store
-            .try_gather_into(&indices, &mut out)
-            .expect("retries and one parity repair are within budget");
-        assert_eq!(
-            out,
-            expect.data(),
-            "recovered gather must be exact at {threads} threads"
-        );
-        assert_eq!(
-            (stats.io_retries, stats.shards_repaired, stats.pages_in),
-            (4, 1, 3)
-        );
-        assert_eq!(stats.hits + stats.misses, indices.len() as u64);
-        let incidents = store.drain_storage_incidents();
-        let order: Vec<(usize, bool)> = incidents
-            .iter()
-            .map(|i| match i {
-                StorageIncident::IoRetry { shard, .. } => (*shard, false),
-                StorageIncident::ShardRepaired { shard, .. } => (*shard, true),
-            })
-            .collect();
-        assert_eq!(
-            order,
-            [(1, false), (1, false), (3, true), (5, false), (5, false)],
-            "missing shards are paged in ascending order"
-        );
+            // Survivable: shard 3 is corrupt on disk (repairable from its
+            // peer 2 and the group's parity), shards 1 and 5 fail transiently.
+            warm(store);
+            store.corrupt_shard_byte(3).expect("damaging shard 3");
+            store.arm_storage_faults(Box::new(FlakyShards {
+                shards: vec![1, 5],
+                fail_first: 2,
+            }));
+            let mut out = stale.clone();
+            let stats = store
+                .try_gather_into(&indices, &mut out)
+                .expect("retries and one parity repair are within budget");
+            assert_eq!(
+                out,
+                expect.data(),
+                "recovered gather must be exact at {threads} threads"
+            );
+            assert_eq!(
+                (stats.io_retries, stats.shards_repaired, stats.pages_in),
+                (4, 1, 3)
+            );
+            assert_eq!(stats.hits + stats.misses, indices.len() as u64);
+            let incidents = store.drain_storage_incidents();
+            let order: Vec<(usize, bool)> = incidents
+                .iter()
+                .map(|i| match i {
+                    StorageIncident::IoRetry { shard, .. } => (*shard, false),
+                    StorageIncident::ShardRepaired { shard, .. } => (*shard, true),
+                })
+                .collect();
+            assert_eq!(
+                order,
+                [(1, false), (1, false), (3, true), (5, false), (5, false)],
+                "missing shards are paged in ascending order"
+            );
 
-        // Unsurvivable, transient: shard 3 never reads. The call has
-        // already copied shards 0/2/4 (and paged shard 1) when it fails.
-        let (fatal_ds, fatal_dir) = paged(&ds, &format!("phase2-fatal-{threads}"), 2);
-        let fatal = &fatal_ds.features;
-        warm(fatal);
-        fatal.set_max_io_retries(2);
-        fatal.arm_storage_faults(Box::new(FlakyShards {
-            shards: vec![3],
-            fail_first: usize::MAX,
-        }));
-        let mut out = stale.clone();
-        match fatal.try_gather_into(&indices, &mut out) {
-            Err(FeatureStoreError::Shard {
-                shard: 3, detail, ..
-            }) => {
-                assert!(detail.contains("retry budget 2"), "{detail}");
+            // Unsurvivable, transient: shard 3 never reads. The call has
+            // already copied shards 0/2/4 (and paged shard 1) when it fails.
+            let (fatal_ds, fatal_dir) = paged(&ds, &format!("phase2-fatal-{threads}"), 2);
+            let fatal = &fatal_ds.features;
+            warm(fatal);
+            fatal.set_max_io_retries(2);
+            fatal.arm_storage_faults(Box::new(FlakyShards {
+                shards: vec![3],
+                fail_first: usize::MAX,
+            }));
+            let mut out = stale.clone();
+            match fatal.try_gather_into(&indices, &mut out) {
+                Err(FeatureStoreError::Shard {
+                    shard: 3, detail, ..
+                }) => {
+                    assert!(detail.contains("retry budget 2"), "{detail}");
+                }
+                other => panic!("expected a structured error naming shard 3, got {other:?}"),
             }
-            other => panic!("expected a structured error naming shard 3, got {other:?}"),
-        }
-        let exhausted = fatal.drain_storage_incidents();
-        // Unsurvivable, corrupt: both members of group 2 are damaged.
-        fatal.disarm_storage_faults();
-        fatal.corrupt_shard_byte(4).expect("damaging shard 4");
-        fatal.corrupt_shard_byte(5).expect("damaging shard 5");
-        let mut out = stale.clone();
-        match fatal.try_gather_into(&indices, &mut out) {
-            Err(FeatureStoreError::Shard {
-                shard: 4, detail, ..
-            }) => {
-                assert!(detail.contains("group 2"), "{detail}");
+            let exhausted = fatal.drain_storage_incidents();
+            // Unsurvivable, corrupt: both members of group 2 are damaged.
+            fatal.disarm_storage_faults();
+            fatal.corrupt_shard_byte(4).expect("damaging shard 4");
+            fatal.corrupt_shard_byte(5).expect("damaging shard 5");
+            let mut out = stale.clone();
+            match fatal.try_gather_into(&indices, &mut out) {
+                Err(FeatureStoreError::Shard {
+                    shard: 4, detail, ..
+                }) => {
+                    assert!(detail.contains("group 2"), "{detail}");
+                }
+                other => panic!("expected a structured error naming shard 4, got {other:?}"),
             }
-            other => panic!("expected a structured error naming shard 4, got {other:?}"),
-        }
-        // A failed call leaves the cache usable: the undamaged shards
-        // still gather exactly, the damaged ones still refuse.
-        let healthy: Vec<usize> = (0..4 * PAGE_ROWS).rev().collect();
-        assert_eq!(
-            fatal.gather_rows(&healthy),
-            ds.features.gather_rows(&healthy)
-        );
-        assert!(fatal.try_gather_into(&indices, &mut out).is_err());
+            // A failed call leaves the cache usable: the undamaged shards
+            // still gather exactly, the damaged ones still refuse.
+            let healthy: Vec<usize> = (0..4 * PAGE_ROWS).rev().collect();
+            assert_eq!(
+                fatal.gather_rows(&healthy),
+                ds.features.gather_rows(&healthy)
+            );
+            assert!(fatal.try_gather_into(&indices, &mut out).is_err());
 
-        logs.push((incidents, exhausted, stats));
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&fatal_dir);
+            logs.push((incidents, exhausted, stats));
+            let _ = std::fs::remove_dir_all(&dir);
+            let _ = std::fs::remove_dir_all(&fatal_dir);
+        });
     }
-    betty_runtime::set_thread_override(None);
     assert_eq!(
         logs[0], logs[1],
         "incident order and accounting differ across thread counts"

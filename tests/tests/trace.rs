@@ -123,26 +123,26 @@ fn pipelined_partition_work_overlaps_training_spans() {
     // must contain epoch e−1's forward/backward spans — the partition
     // work literally ran while the previous epoch trained. And the
     // losses must still match the synchronous run bit for bit.
-    betty_runtime::set_thread_override(Some(4));
     let ds = dataset();
-    let pipelined_cfg = ExperimentConfig {
-        plan_ahead: 2,
-        ..config(AggregatorSpec::Mean)
-    };
-    let mut runner = Runner::new(&ds, &pipelined_cfg, 0);
-    runner.enable_tracing();
-    let losses: Vec<u64> = (0..EPOCHS)
-        .map(|_| {
-            runner
-                .train_epoch_betty(&ds, StrategyKind::Betty, K)
-                .expect("default capacity fits the test batch")
-                .loss
-                .to_bits()
-        })
-        .collect();
-    assert!(runner.plan_ahead_active(), "pipeline must be live at depth 2");
-    let trace = runner.take_trace().expect("tracing was enabled");
-    betty_runtime::set_thread_override(None);
+    let (losses, trace) = betty_runtime::with_threads(4, || {
+        let pipelined_cfg = ExperimentConfig {
+            plan_ahead: 2,
+            ..config(AggregatorSpec::Mean)
+        };
+        let mut runner = Runner::new(&ds, &pipelined_cfg, 0);
+        runner.enable_tracing();
+        let losses: Vec<u64> = (0..EPOCHS)
+            .map(|_| {
+                runner
+                    .train_epoch_betty(&ds, StrategyKind::Betty, K)
+                    .expect("default capacity fits the test batch")
+                    .loss
+                    .to_bits()
+            })
+            .collect();
+        assert!(runner.plan_ahead_active(), "pipeline must be live at depth 2");
+        (losses, runner.take_trace().expect("tracing was enabled"))
+    });
 
     let spans = trace.spans();
     let staging: Vec<_> = spans
