@@ -28,7 +28,10 @@ impl CsrGraph {
     /// Builds a weighted graph from `(src, dst, weight)` triples.
     ///
     /// When `store_weights` is false, weights are discarded (all edges count
-    /// as 1.0 in queries).
+    /// as 1.0 in queries). Edges are bucketed by source in one counting
+    /// pass and each row is then sorted by destination; the weights of
+    /// parallel edges (equal source and destination) land in an unspecified
+    /// order among themselves.
     ///
     /// # Panics
     ///
@@ -38,23 +41,29 @@ impl CsrGraph {
         edges: impl IntoIterator<Item = (NodeId, NodeId, f32)>,
         store_weights: bool,
     ) -> Self {
-        let mut triples: Vec<(NodeId, NodeId, f32)> = edges.into_iter().collect();
+        let triples: Vec<(NodeId, NodeId, f32)> = edges.into_iter().collect();
+        let mut indptr = vec![0usize; n + 1];
         for &(u, v, _) in &triples {
             assert!(
                 (u as usize) < n && (v as usize) < n,
                 "edge ({u},{v}) out of bounds for {n} nodes"
             );
-        }
-        triples.sort_unstable_by_key(|a| (a.0, a.1));
-        let mut indptr = vec![0usize; n + 1];
-        for &(u, _, _) in &triples {
             indptr[u as usize + 1] += 1;
         }
         for i in 0..n {
             indptr[i + 1] += indptr[i];
         }
-        let indices = triples.iter().map(|&(_, v, _)| v).collect();
-        let weights = store_weights.then(|| triples.iter().map(|&(_, _, w)| w).collect());
+        let mut cursor = indptr[..n].to_vec();
+        let mut rows = vec![(0, 0.0); triples.len()];
+        for (u, v, w) in triples {
+            rows[cursor[u as usize]] = (v, w);
+            cursor[u as usize] += 1;
+        }
+        for u in 0..n {
+            rows[indptr[u]..indptr[u + 1]].sort_unstable_by_key(|&(v, _)| v);
+        }
+        let indices = rows.iter().map(|&(v, _)| v).collect();
+        let weights = store_weights.then(|| rows.iter().map(|&(_, w)| w).collect());
         Self {
             indptr,
             indices,
@@ -161,10 +170,37 @@ impl CsrGraph {
     }
 
     /// The reverse graph (every edge flipped), preserving weights.
+    ///
+    /// A counting transpose: sources are visited in ascending order, so
+    /// every reversed row comes out ascending, parallel edges in their
+    /// original order.
     pub fn reverse(&self) -> Self {
         let n = self.num_nodes();
-        let edges = self.iter_edges().map(|(u, v, w)| (v, u, w));
-        Self::from_weighted_edges(n, edges, self.weights.is_some())
+        let mut indptr = vec![0usize; n + 1];
+        for &v in &self.indices {
+            indptr[v as usize + 1] += 1;
+        }
+        for i in 0..n {
+            indptr[i + 1] += indptr[i];
+        }
+        let mut cursor = indptr[..n].to_vec();
+        let mut indices = vec![0; self.indices.len()];
+        let mut weights = self.weights.as_ref().map(|w| vec![0.0; w.len()]);
+        for u in 0..n {
+            for i in self.indptr[u]..self.indptr[u + 1] {
+                let at = &mut cursor[self.indices[i] as usize];
+                indices[*at] = u as NodeId;
+                if let (Some(out), Some(w)) = (&mut weights, &self.weights) {
+                    out[*at] = w[i];
+                }
+                *at += 1;
+            }
+        }
+        Self {
+            indptr,
+            indices,
+            weights,
+        }
     }
 
     /// Iterates all edges as `(src, dst, weight)`; weight is 1.0 when the
@@ -310,6 +346,72 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn bounds_checked() {
         CsrGraph::from_edges(2, &[(0, 5)]);
+    }
+
+    /// The constructor as it was: every triple sorted by `(src, dst)`.
+    fn sorted_reference(
+        n: usize,
+        mut triples: Vec<(NodeId, NodeId, f32)>,
+        weighted: bool,
+    ) -> CsrGraph {
+        triples.sort_unstable_by_key(|a| (a.0, a.1));
+        let mut indptr = vec![0usize; n + 1];
+        for &(u, _, _) in &triples {
+            indptr[u as usize + 1] += 1;
+        }
+        for i in 0..n {
+            indptr[i + 1] += indptr[i];
+        }
+        let indices = triples.iter().map(|&(_, v, _)| v).collect();
+        let weights = weighted.then(|| triples.iter().map(|&(_, _, w)| w).collect());
+        CsrGraph {
+            indptr,
+            indices,
+            weights,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn counting_construction_and_transpose_equal_the_global_sort(
+            n in 1usize..60,
+            edges in proptest::collection::vec((0u32..60, 0u32..60, 0u32..1000), 0..400),
+        ) {
+            let all: Vec<(NodeId, NodeId, f32)> = edges
+                .iter()
+                .map(|&(u, v, w)| (u % n as u32, v % n as u32, w as f32))
+                .collect();
+            let flip = |t: &[(NodeId, NodeId, f32)]| t.iter().map(|&(u, v, w)| (v, u, w)).collect();
+            // Identical arrays, unless parallel edges carry weights.
+            let mut seen = std::collections::BTreeSet::new();
+            let simple: Vec<_> =
+                all.iter().copied().filter(|&(u, v, _)| seen.insert((u, v))).collect();
+            for (triples, weighted) in [(&all, false), (&simple, true)] {
+                let built = CsrGraph::from_weighted_edges(n, triples.iter().copied(), weighted);
+                proptest::prop_assert_eq!(&built, &sorted_reference(n, triples.clone(), weighted));
+                let reversed = sorted_reference(n, flip(triples), weighted);
+                proptest::prop_assert_eq!(built.reverse(), reversed);
+            }
+            // Parallel weighted edges: each row holds the same weights.
+            let bags = |g: &CsrGraph| -> Vec<Vec<(NodeId, u32)>> {
+                (0..n as NodeId)
+                    .map(|u| {
+                        let weights = g.neighbor_weights(u).expect("weighted");
+                        let mut row: Vec<_> = (g.neighbors(u).iter().copied())
+                            .zip(weights.iter().map(|w| w.to_bits()))
+                            .collect();
+                        row.sort_unstable();
+                        row
+                    })
+                    .collect()
+            };
+            let built = CsrGraph::from_weighted_edges(n, all.iter().copied(), true);
+            proptest::prop_assert_eq!(bags(&built), bags(&sorted_reference(n, all.clone(), true)));
+            let reversed = sorted_reference(n, flip(&all), true);
+            proptest::prop_assert_eq!(bags(&built.reverse()), bags(&reversed));
+        }
     }
 
     #[test]

@@ -13,14 +13,19 @@
 //!
 //! Levels are CSR rows ascending by neighbour, produced in that order and
 //! in time linear in what they read: the finest level is `A + Aᵀ` by a
-//! counting transpose and a two-pointer merge of two ascending rows; a
-//! coarse row is gathered from its one or two fine rows into a stamped
-//! dense accumulator, and only that merged row is sorted. Entries that
-//! merge are summed in a specified order — `A`'s before `Aᵀ`'s, the lower
-//! fine row before the higher, each in neighbour order — which for the
-//! REG's small-integer weights is the same bits as any other. Rebalancing
-//! keeps every move cost it has priced and re-prices only the neighbours
-//! of the node it moved.
+//! counting transpose and a two-pointer merge of two ascending rows — or,
+//! for a graph that is already symmetric (the REG), `A` itself, which cuts
+//! exactly as `A + Aᵀ = 2A` does; a coarse row is gathered from its one or
+//! two fine rows into a stamped dense accumulator, and only that merged row
+//! is sorted. Entries that merge are summed in a specified order — `A`'s
+//! before `Aᵀ`'s, the lower fine row before the higher, each in neighbour
+//! order — which for the REG's small-integer weights is the same bits as
+//! any other.
+//!
+//! Refinement and rebalancing read one [`Connectivity`] table per level —
+//! each node's edge weight into each part its neighbours occupy — built
+//! once from the level's rows and updated in `O(deg)` per move, instead of
+//! recounting a node's row on every visit.
 //!
 //! Only the depth of the coarsening depends on `k`: the levels live in a
 //! [`CutHierarchy`] that cuts one graph at any number of `k`s, and
@@ -107,39 +112,27 @@ impl Level {
     }
 }
 
+/// `u`'s out-edges as `(neighbour, weight)`, ascending.
+fn weighted_row(graph: &CsrGraph, u: u32) -> impl Iterator<Item = (u32, f32)> + '_ {
+    let weights = graph.neighbor_weights(u);
+    let row = graph.neighbors(u).iter().enumerate();
+    row.map(move |(i, &v)| (v, weights.map_or(1.0, |ws| ws[i])))
+}
+
 /// Level 0: `A + Aᵀ` without the diagonal, in time linear in the edges.
 ///
-/// [`CsrGraph`] rows are ascending and a counting transpose visits sources
-/// in ascending order, so `Aᵀ`'s rows are ascending too and each level row
-/// is a two-pointer merge of the two: nothing is sorted. Entries of one
-/// neighbour are summed as they are met — `A`'s in row order, then `Aᵀ`'s.
+/// [`CsrGraph`] rows are ascending, and so are those of its counting
+/// transpose [`CsrGraph::reverse`], so each level row is a two-pointer
+/// merge of the two: nothing is sorted. Entries of one neighbour are
+/// summed as they are met — `A`'s in row order, then `Aᵀ`'s.
 fn finest_level(graph: &CsrGraph, node_weights: Vec<f64>, rng: Pcg64Mcg) -> Level {
-    let n = node_weights.len();
-    let mut t_ptr = vec![0usize; n + 1];
-    for (_, v, _) in graph.iter_edges() {
-        t_ptr[v as usize + 1] += 1;
-    }
-    for u in 0..n {
-        t_ptr[u + 1] += t_ptr[u];
-    }
-    let mut cursor = t_ptr[..n].to_vec();
-    let mut transposed = vec![(0u32, 0.0f32); t_ptr[n]];
-    for (u, v, w) in graph.iter_edges() {
-        transposed[cursor[v as usize]] = (u, w);
-        cursor[v as usize] += 1;
-    }
-    let mut indptr = Vec::with_capacity(n + 1);
+    let transposed = graph.reverse();
+    let mut indptr = Vec::with_capacity(node_weights.len() + 1);
     indptr.push(0usize);
-    let mut adj: Vec<(u32, f32)> = Vec::with_capacity(2 * transposed.len());
-    for u in 0..n as u32 {
-        let weights = graph.neighbor_weights(u);
-        let mut out = (graph.neighbors(u).iter().enumerate())
-            .map(|(i, &v)| (v, weights.map_or(1.0, |ws| ws[i])))
-            .peekable();
-        let mut back = transposed[t_ptr[u as usize]..t_ptr[u as usize + 1]]
-            .iter()
-            .copied()
-            .peekable();
+    let mut adj: Vec<(u32, f32)> = Vec::with_capacity(2 * graph.num_edges());
+    for u in 0..node_weights.len() as u32 {
+        let mut out = weighted_row(graph, u).peekable();
+        let mut back = weighted_row(&transposed, u).peekable();
         let row = adj.len();
         loop {
             let next = match (out.peek(), back.peek()) {
@@ -156,6 +149,30 @@ fn finest_level(graph: &CsrGraph, node_weights: Vec<f64>, rng: Pcg64Mcg) -> Leve
                 _ => adj.push((v, w)),
             }
         }
+        indptr.push(adj.len());
+    }
+    Level {
+        indptr,
+        adj,
+        node_w: node_weights,
+        fine_to_coarse: None,
+        rng,
+    }
+}
+
+/// Level 0 of a graph that is already symmetric, loop-free and without
+/// parallel edges — the REG — taken as it is.
+///
+/// [`finest_level`] of such a graph is `2A`. Every decision of the cutter
+/// compares sums and differences of edge weights, and doubling every
+/// weight doubles each of those exactly in binary floating point, so `A`
+/// cuts exactly as `2A` does, without the transpose and merge.
+fn symmetric_level(graph: &CsrGraph, node_weights: Vec<f64>, rng: Pcg64Mcg) -> Level {
+    let mut indptr = Vec::with_capacity(node_weights.len() + 1);
+    indptr.push(0usize);
+    let mut adj = Vec::with_capacity(graph.num_edges());
+    for u in 0..node_weights.len() as u32 {
+        adj.extend(weighted_row(graph, u));
         indptr.push(adj.len());
     }
     Level {
@@ -332,60 +349,204 @@ fn initial_partition(level: &Level, k: usize, rng: &mut Pcg64Mcg) -> Vec<u32> {
     assignment
 }
 
-/// Gain-based pass-wise KL refinement with balance constraint.
+/// One part of a node's [`Connectivity`] row.
+#[derive(Debug, Clone, Copy, Default)]
+struct Link {
+    part: u32,
+    /// How many of the node's neighbours are in `part` (never 0).
+    neighbours: u32,
+    /// Their summed edge weight.
+    weight: f32,
+}
+
+/// A level's connectivity table: for each node, the summed edge weight
+/// into each part its neighbours occupy, kept current as nodes move.
+///
+/// *Invariant:* node `u`'s row lists, in no particular order, exactly the
+/// parts that hold a neighbour of `u`, each with how many do and their
+/// weight. *Exactness:* a row is summed in neighbour order when built, as a
+/// recount sums it, then changes by `±w` per move, so it equals a fresh
+/// recount while all weights and partial sums are integers below 2²⁴ (or
+/// such integers times one power of two) — true of every REG, whose
+/// weights count shared nodes, and of every caller in the workspace.
+/// *Memory:* a row has room for `min(deg(u), k)` links, so the table is
+/// O(level nodes + adjacency) at every `k`; a dense `n × k` one at the
+/// planner's 512 parts would be ≈ 400 MB for the paper's 196 k-output
+/// ogbn-products batch.
+struct Connectivity<'a> {
+    level: &'a Level,
+    /// Row `u` is `links[start[u]..][..len[u]]`, its room ends at
+    /// `start[u + 1]`.
+    start: Vec<usize>,
+    links: Vec<Link>,
+    len: Vec<u32>,
+    /// `k` zeros between calls of [`spread`](Self::spread).
+    dense: Vec<f32>,
+}
+
+impl<'a> Connectivity<'a> {
+    fn new(level: &'a Level, assignment: &[u32], k: usize) -> Self {
+        let n = level.num_nodes();
+        let mut start = Vec::with_capacity(n + 1);
+        start.push(0);
+        for u in 0..n {
+            start.push(start[u] + level.neighbors(u).len().min(k));
+        }
+        let (mut links, mut len) = (Vec::with_capacity(start[n]), Vec::with_capacity(n));
+        // Per part, the row's neighbours in it and their weight; `met`
+        // lists the parts in the order first met, the slot past them is
+        // scratch.
+        let mut sums = vec![(0u32, 0.0f32); k];
+        let mut met = vec![0u32; k + 1];
+        for u in 0..n {
+            let mut parts = 0;
+            for &(v, w) in level.neighbors(u) {
+                let part = assignment[v as usize];
+                let sum = &mut sums[part as usize];
+                met[parts] = part;
+                parts += usize::from(sum.0 == 0);
+                *sum = (sum.0 + 1, sum.1 + w);
+            }
+            links.extend(met[..parts].iter().map(|&part| {
+                let (neighbours, weight) = std::mem::take(&mut sums[part as usize]);
+                Link {
+                    part,
+                    neighbours,
+                    weight,
+                }
+            }));
+            len.push(parts as u32);
+            links.resize(start[u + 1], Link::default());
+        }
+        let dense = vec![0.0; k];
+        Self {
+            level,
+            start,
+            links,
+            len,
+            dense,
+        }
+    }
+
+    fn row(&self, u: usize) -> &[Link] {
+        &self.links[self.start[u]..][..self.len[u] as usize]
+    }
+
+    /// `u`'s edge weight into `part` (`0.0` when no neighbour is there).
+    fn weight(&self, u: usize, part: usize) -> f32 {
+        let row = self.row(u);
+        row.iter()
+            .find(|l| l.part as usize == part)
+            .map_or(0.0, |l| l.weight)
+    }
+
+    /// Runs `f` on `u`'s edge weight into each of the `k` parts.
+    fn spread<T>(&mut self, u: usize, f: impl FnOnce(&[f32]) -> T) -> T {
+        let row = &self.links[self.start[u]..][..self.len[u] as usize];
+        row.iter()
+            .for_each(|l| self.dense[l.part as usize] = l.weight);
+        let out = f(&self.dense);
+        row.iter().for_each(|l| self.dense[l.part as usize] = 0.0);
+        out
+    }
+
+    /// What moving `u` from `over` to `dest` adds to the cut. A node
+    /// without neighbours costs `−0.0`, the empty sum of a recount, which
+    /// `total_cmp` orders below the `+0.0` of a node whose neighbours all
+    /// sit in other parts.
+    fn move_cost(&self, u: usize, over: usize, dest: usize) -> f32 {
+        if self.level.neighbors(u).is_empty() {
+            return -0.0;
+        }
+        self.weight(u, over) - self.weight(u, dest)
+    }
+
+    /// Records that `u` left part `from` for part `to`: the rows of `u`'s
+    /// neighbours change, nothing else.
+    fn moved(&mut self, u: usize, from: u32, to: u32) {
+        for &(v, w) in self.level.neighbors(u) {
+            let (row, len) = (
+                &mut self.links[self.start[v as usize]..],
+                &mut self.len[v as usize],
+            );
+            let i = (row[..*len as usize].iter().position(|l| l.part == from))
+                .expect("a neighbour's part is in the row");
+            row[i].neighbours -= 1;
+            row[i].weight -= w;
+            if row[i].neighbours == 0 {
+                *len -= 1;
+                row[i] = row[*len as usize];
+            }
+            match row[..*len as usize].iter_mut().find(|l| l.part == to) {
+                Some(link) => {
+                    (link.neighbours, link.weight) = (link.neighbours + 1, link.weight + w)
+                }
+                // A new part: the row has room, one link per neighbour.
+                None => {
+                    row[*len as usize] = Link {
+                        part: to,
+                        neighbours: 1,
+                        weight: w,
+                    };
+                    *len += 1;
+                }
+            }
+        }
+    }
+}
+
+/// Gain-based pass-wise KL refinement with balance constraint; returns
+/// the level's connectivity table, current for `assignment`.
 ///
 /// Each pass runs a single-node *move* sweep (greedy gain, balance-capped)
 /// followed by a pairwise *swap* sweep — the swaps escape the local optimum
 /// where both parts sit at the weight cap and no single move is feasible.
-fn refine(
-    level: &Level,
+fn refine<'a>(
+    level: &'a Level,
     assignment: &mut [u32],
     k: usize,
     max_part_w: f64,
     passes: usize,
     rng: &mut Pcg64Mcg,
-) {
+) -> Connectivity<'a> {
     let n = level.num_nodes();
-    let mut part_w = vec![0.0f64; k];
+    let mut conn = Connectivity::new(level, assignment, k);
+    let (mut part_w, mut part_count) = (vec![0.0f64; k], vec![0usize; k]);
     for u in 0..n {
         part_w[assignment[u] as usize] += level.node_w[u];
-    }
-    let mut part_count = vec![0usize; k];
-    for u in 0..n {
         part_count[assignment[u] as usize] += 1;
     }
     let mut order: Vec<u32> = (0..n as u32).collect();
     for _ in 0..passes {
         order.shuffle(rng);
         let moved = move_pass(
-            level,
+            &mut conn,
             assignment,
             &mut part_w,
             &mut part_count,
-            k,
             max_part_w,
             &order,
         );
-        let swapped = swap_pass(level, assignment, &mut part_w, k, max_part_w);
+        let swapped = swap_pass(&mut conn, assignment, &mut part_w, max_part_w);
         if moved + swapped == 0 {
             break;
         }
     }
+    conn
 }
 
 /// Greedy single-node moves. A move is allowed into a part that stays under
 /// the cap, or that remains strictly lighter than the source part (which
 /// always improves balance even when both exceed the cap).
 fn move_pass(
-    level: &Level,
+    conn: &mut Connectivity,
     assignment: &mut [u32],
     part_w: &mut [f64],
     part_count: &mut [usize],
-    k: usize,
     max_part_w: f64,
     order: &[u32],
 ) -> usize {
-    let mut conn = vec![0.0f32; k];
+    let k = part_w.len();
     let mut moved = 0usize;
     for &u in order {
         let u = u as usize;
@@ -393,40 +554,37 @@ fn move_pass(
         if part_count[cp] <= 1 {
             continue; // never empty a part
         }
-        for c in conn.iter_mut() {
-            *c = 0.0;
+        // In a feasible part only a positive gain moves a node, and only a
+        // part holding more of its weight than its own gives one.
+        let own = conn.weight(u, cp);
+        let gains = conn.row(u).iter().any(|l| l.weight > own);
+        if !gains && part_w[cp] <= max_part_w {
+            continue;
         }
-        let mut touches_other = false;
-        for &(v, w) in level.neighbors(u) {
-            let p = assignment[v as usize] as usize;
-            conn[p] += w;
-            if p != cp {
-                touches_other = true;
+        let uw = conn.level.node_w[u];
+        let best = conn.spread(u, |to| {
+            let mut best: Option<(usize, f32)> = None;
+            for p in 0..k {
+                if p == cp {
+                    continue;
+                }
+                let fits_cap = part_w[p] + uw <= max_part_w;
+                let improves = part_w[p] + uw < part_w[cp];
+                if !fits_cap && !improves {
+                    continue;
+                }
+                let gain = to[p] - to[cp];
+                if best.is_none_or(|(_, bg)| gain > bg) {
+                    best = Some((p, gain));
+                }
             }
-        }
-        if !touches_other && part_w[cp] <= max_part_w {
-            continue; // interior node in a feasible part
-        }
-        let uw = level.node_w[u];
-        let mut best: Option<(usize, f32)> = None;
-        for p in 0..k {
-            if p == cp {
-                continue;
-            }
-            let fits_cap = part_w[p] + uw <= max_part_w;
-            let improves = part_w[p] + uw < part_w[cp];
-            if !fits_cap && !improves {
-                continue;
-            }
-            let gain = conn[p] - conn[cp];
-            if best.is_none_or(|(_, bg)| gain > bg) {
-                best = Some((p, gain));
-            }
-        }
+            best
+        });
         if let Some((p, gain)) = best {
             let overweight = part_w[cp] > max_part_w;
             if gain > 0.0 || (gain == 0.0 && overweight) {
                 assignment[u] = p as u32;
+                conn.moved(u, cp as u32, p as u32);
                 part_w[cp] -= uw;
                 part_w[p] += uw;
                 part_count[cp] -= 1;
@@ -473,12 +631,12 @@ fn offer(slot: &mut Slot, gain: f32, node: u32) {
 /// combination whose joint gain — corrected by twice the direct edge weight
 /// between the swapped nodes — is positive and weight-feasible.
 fn swap_pass(
-    level: &Level,
+    conn: &mut Connectivity,
     assignment: &mut [u32],
     part_w: &mut [f64],
-    k: usize,
     max_part_w: f64,
 ) -> usize {
+    let (level, k) = (conn.level, part_w.len());
     if k < 2 {
         return 0;
     }
@@ -491,30 +649,21 @@ fn swap_pass(
     let dense = k <= DENSE_SWAP_PARTS;
     let mut table = vec![EMPTY_SLOT; if dense { k * k } else { 0 }];
     let mut sparse: BTreeMap<(usize, usize), Slot> = BTreeMap::new();
-    let mut conn = vec![0.0f32; if dense { k } else { 0 }];
-    let mut touched: BTreeMap<usize, f32> = BTreeMap::new();
-    for u in 0..level.num_nodes() {
-        let cp = assignment[u] as usize;
+    for (u, &cp) in assignment.iter().enumerate() {
+        let cp = cp as usize;
         if dense {
-            conn.fill(0.0);
-            for &(v, w) in level.neighbors(u) {
-                conn[assignment[v as usize] as usize] += w;
-            }
-            for p in (0..k).filter(|&p| p != cp) {
-                offer(&mut table[cp * k + p], conn[p] - conn[cp], u as u32);
-            }
+            conn.spread(u, |to| {
+                for p in (0..k).filter(|&p| p != cp) {
+                    offer(&mut table[cp * k + p], to[p] - to[cp], u as u32);
+                }
+            });
         } else {
-            // A BTreeMap: offers go out in ascending part order, which
-            // breaks gain ties.
-            touched.clear();
-            for &(v, w) in level.neighbors(u) {
-                let part = assignment[v as usize] as usize;
-                *touched.entry(part).or_insert(0.0) += w;
-            }
-            let own = touched.get(&cp).copied().unwrap_or(0.0);
-            for (&p, &c) in touched.iter().filter(|&(&p, _)| p != cp) {
-                let slot = sparse.entry((cp, p)).or_insert(EMPTY_SLOT);
-                offer(slot, c - own, u as u32);
+            // Each of a node's offers goes to a slot of its own, so only
+            // the node order (ascending) breaks gain ties.
+            let own = conn.weight(u, cp);
+            for link in conn.row(u).iter().filter(|l| l.part as usize != cp) {
+                let slot = sparse.entry((cp, link.part as usize)).or_insert(EMPTY_SLOT);
+                offer(slot, link.weight - own, u as u32);
             }
         }
     }
@@ -552,6 +701,10 @@ fn swap_pass(
                 if new_a > cap || new_b > cap {
                     continue;
                 }
+                // A node offered to two pairs may have moved already: the
+                // table follows it from where it is.
+                conn.moved(u as usize, assignment[u as usize], b as u32);
+                conn.moved(v as usize, assignment[v as usize], a as u32);
                 assignment[u as usize] = b as u32;
                 assignment[v as usize] = a as u32;
                 part_w[a] = new_a;
@@ -564,114 +717,50 @@ fn swap_pass(
     swapped
 }
 
-/// Cut-weight delta of moving `u` from part `over` to part `dest`.
-fn move_cost(level: &Level, assignment: &[u32], u: usize, over: usize, dest: usize) -> f32 {
-    #[cfg(test)]
-    tests::COST_EVALS.with(|evals| evals.set(evals.get() + 1));
-    level
-        .neighbors(u)
-        .iter()
-        .map(|&(v, w)| {
-            if assignment[v as usize] as usize == over {
-                w
-            } else if assignment[v as usize] as usize == dest {
-                -w
-            } else {
-                0.0
-            }
-        })
-        .sum()
-}
-
-/// What [`rebalance`] keeps between moves: the members of the part it is
-/// shedding from and every [`move_cost`] it has priced for them, one row
-/// per destination — the lightest part changes from move to move as the
-/// light parts fill level, so rows outlive a change of destination. A cost
-/// reads only the two parts and where the node's neighbours sit, so a move
-/// stales the moved node's neighbours (in every row) and nothing else.
-struct MoveCosts {
-    over: usize,
-    /// The nodes of `over` when it became the part to shed from,
-    /// ascending; none joins it while it is.
-    members: Vec<u32>,
-    /// `rows[dest][i]`: the cost of moving `members[i]` to `dest`, where
-    /// priced and still current. A row is empty until its part is first
-    /// the destination.
-    rows: Vec<Vec<Option<f32>>>,
-}
-
 /// Moves nodes out of overweight parts (lowest connectivity loss first)
-/// until every part fits `max_part_w`, where possible.
-fn rebalance(level: &Level, assignment: &mut [u32], k: usize, max_part_w: f64) {
+/// until every part fits `max_part_w`, or the first overweight part has no
+/// feasible move (it is heavy because of one huge node: the weight model,
+/// not the cut, is at fault).
+fn rebalance(conn: &mut Connectivity, assignment: &mut [u32], k: usize, max_part_w: f64) {
+    let level = conn.level;
     let n = level.num_nodes();
     let mut part_w = vec![0.0f64; k];
     for u in 0..n {
         part_w[assignment[u] as usize] += level.node_w[u];
     }
-    let mut costs = MoveCosts {
-        over: k,
-        members: Vec::new(),
-        rows: vec![Vec::new(); k],
-    };
+    // The nodes of the part being shed from, ascending: none joins it
+    // while it is.
+    let (mut shedding, mut members) = (k, Vec::new());
     for _ in 0..n {
-        if rebalance_step(level, assignment, &mut part_w, max_part_w, &mut costs).is_none() {
-            break;
+        let Some(over) = (0..k).find(|&p| part_w[p] > max_part_w) else {
+            return;
+        };
+        // Lightest destination part.
+        let dest = (0..k)
+            .filter(|&p| p != over)
+            .min_by(|&a, &b| part_w[a].total_cmp(&part_w[b]))
+            .expect("k >= 2 when a part can be overweight");
+        if shedding != over {
+            shedding = over;
+            members = (0..n).filter(|&u| assignment[u] as usize == over).collect();
         }
+        // Cheapest *feasible* node to move, the lowest id among equals: the
+        // destination must stay under the cap (otherwise a single huge node —
+        // e.g. a heavy hub — would be shuttled around, making balance worse).
+        let feasible = members.iter().copied().filter(|&u| {
+            assignment[u] as usize == over && part_w[dest] + level.node_w[u] <= max_part_w
+        });
+        let cheapest = feasible
+            .map(|u| (u, conn.move_cost(u, over, dest)))
+            .min_by(|a, b| a.1.total_cmp(&b.1));
+        let Some((u, _)) = cheapest else {
+            return;
+        };
+        part_w[over] -= level.node_w[u];
+        part_w[dest] += level.node_w[u];
+        assignment[u] = dest as u32;
+        conn.moved(u, over as u32, dest as u32);
     }
-}
-
-/// One move of [`rebalance`]: the node moved, or `None` when every part
-/// fits or the first overweight part has no feasible move (it is heavy
-/// because of one huge node: the weight model, not the cut, is at fault).
-fn rebalance_step(
-    level: &Level,
-    assignment: &mut [u32],
-    part_w: &mut [f64],
-    max_part_w: f64,
-    costs: &mut MoveCosts,
-) -> Option<usize> {
-    let k = part_w.len();
-    let over = (0..k).find(|&p| part_w[p] > max_part_w)?;
-    // Lightest destination part.
-    let dest = (0..k)
-        .filter(|&p| p != over)
-        .min_by(|&a, &b| part_w[a].total_cmp(&part_w[b]))
-        .expect("k >= 2 when a part can be overweight");
-    if costs.over != over {
-        costs.over = over;
-        costs.members.clear();
-        let in_over =
-            (0..level.num_nodes() as u32).filter(|&u| assignment[u as usize] as usize == over);
-        costs.members.extend(in_over);
-        costs.rows.iter_mut().for_each(Vec::clear);
-    }
-    let row = &mut costs.rows[dest];
-    row.resize(costs.members.len(), None);
-    // Cheapest *feasible* node to move, the lowest id among equals: the
-    // destination must stay under the cap (otherwise a single huge node —
-    // e.g. a heavy hub — would be shuttled around, making balance worse).
-    let mut best: Option<(usize, f32)> = None;
-    for (&u, priced) in costs.members.iter().zip(row) {
-        let u = u as usize;
-        if assignment[u] as usize == over && part_w[dest] + level.node_w[u] <= max_part_w {
-            let cost = *priced.get_or_insert_with(|| move_cost(level, assignment, u, over, dest));
-            if best.is_none_or(|(_, least)| cost.total_cmp(&least).is_lt()) {
-                best = Some((u, cost));
-            }
-        }
-    }
-    let (u, _) = best?;
-    part_w[over] -= level.node_w[u];
-    part_w[dest] += level.node_w[u];
-    assignment[u] = dest as u32;
-    for &(v, _) in level.neighbors(u) {
-        if let Ok(i) = costs.members.binary_search(&v) {
-            for row in costs.rows.iter_mut().filter(|row| !row.is_empty()) {
-                row[i] = None;
-            }
-        }
-    }
-    Some(u)
 }
 
 /// Ensures all `k` parts are non-empty by stealing from the largest part.
@@ -713,6 +802,8 @@ pub struct CutHierarchy<G> {
     total_weight: f64,
     /// The input, until the first non-trivial cut turns it into level 0.
     source: Option<(G, Vec<f64>)>,
+    /// How it does: [`finest_level`], or [`symmetric_level`] for the REG.
+    finest: fn(&CsrGraph, Vec<f64>, Pcg64Mcg) -> Level,
     levels: Vec<Level>,
     /// Set once matching the deepest level made too little progress: the
     /// generator after that attempt, whose shuffle a from-scratch run
@@ -740,7 +831,7 @@ impl<G: Borrow<CsrGraph>> CutHierarchy<G> {
         let coarsest = &self.levels[depth];
         let mut assignment = initial_partition(coarsest, k, &mut rng);
         fix_empty_parts(coarsest, &mut assignment, k);
-        refine(coarsest, &mut assignment, k, max_part_w, passes, &mut rng);
+        let mut conn = refine(coarsest, &mut assignment, k, max_part_w, passes, &mut rng);
 
         // Uncoarsening: project and refine at each finer level.
         for li in (0..depth).rev() {
@@ -753,12 +844,11 @@ impl<G: Borrow<CsrGraph>> CutHierarchy<G> {
                 .map(|&c| assignment[c as usize])
                 .collect();
             let level = &self.levels[li];
-            refine(level, &mut assignment, k, max_part_w, passes, &mut rng);
+            conn = refine(level, &mut assignment, k, max_part_w, passes, &mut rng);
         }
 
-        let finest = &self.levels[0];
-        rebalance(finest, &mut assignment, k, max_part_w);
-        fix_empty_parts(finest, &mut assignment, k);
+        rebalance(&mut conn, &mut assignment, k, max_part_w);
+        fix_empty_parts(&self.levels[0], &mut assignment, k);
         Partitioning::new(assignment, k)
     }
 
@@ -769,7 +859,7 @@ impl<G: Borrow<CsrGraph>> CutHierarchy<G> {
         if let Some((graph, node_weights)) = self.source.take() {
             let rng = Pcg64Mcg::seed_from_u64(self.cutter.seed);
             self.levels
-                .push(finest_level(graph.borrow(), node_weights, rng));
+                .push((self.finest)(graph.borrow(), node_weights, rng));
         }
         let mut depth = 0;
         while self.levels[depth].num_nodes() > target {
@@ -810,8 +900,23 @@ impl MultilevelPartitioner {
             num_nodes,
             total_weight: node_weights.iter().sum(),
             source: Some((graph, node_weights)),
+            finest: finest_level,
             levels: Vec::new(),
             stalled: None,
+        }
+    }
+
+    /// [`hierarchy`](Self::hierarchy) of a graph that is already symmetric,
+    /// loop-free and without parallel edges, whose level 0 is the graph
+    /// itself (see [`symmetric_level`]): every cut equals the public one.
+    pub(crate) fn symmetric_hierarchy(
+        &self,
+        graph: CsrGraph,
+        node_weights: Vec<f64>,
+    ) -> CutHierarchy<CsrGraph> {
+        CutHierarchy {
+            finest: symmetric_level,
+            ..self.hierarchy(graph, node_weights)
         }
     }
 }
@@ -833,14 +938,62 @@ impl Partitioner for MultilevelPartitioner {
 
 #[cfg(test)]
 mod tests {
+    use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
     use std::cell::Cell;
 
     use super::*;
     use betty_graph::NodeId;
 
+    // What the calling thread has allocated: the high-water mark of live
+    // bytes since `measured` started. Thread-local (const-initialised, no
+    // destructor, so safe to touch from inside the allocator), which keeps
+    // the figure exact while other tests run.
     thread_local! {
-        /// [`move_cost`] evaluations made on this thread.
-        pub(super) static COST_EVALS: Cell<usize> = const { Cell::new(0) };
+        static LIVE: Cell<isize> = const { Cell::new(0) };
+        static PEAK: Cell<isize> = const { Cell::new(0) };
+    }
+
+    struct Tracking;
+
+    fn track(delta: isize) {
+        let _ = LIVE.try_with(|live| {
+            live.set(live.get() + delta);
+            let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+        });
+    }
+
+    // SAFETY: every method forwards its arguments unchanged to `System`,
+    // which upholds the `GlobalAlloc` contract; the bookkeeping around the
+    // calls touches only thread-local `Cell`s and cannot unwind.
+    unsafe impl GlobalAlloc for Tracking {
+        unsafe fn alloc(&self, layout: AllocLayout) -> *mut u8 {
+            track(layout.size() as isize);
+            // SAFETY: the caller's contract is `System.alloc`'s contract.
+            unsafe { System.alloc(layout) }
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: AllocLayout) {
+            track(-(layout.size() as isize));
+            // SAFETY: `ptr` came from `System` with this layout.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+        unsafe fn realloc(&self, ptr: *mut u8, layout: AllocLayout, new_size: usize) -> *mut u8 {
+            track(new_size as isize);
+            track(-(layout.size() as isize));
+            // SAFETY: `ptr` came from `System` with this layout.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: Tracking = Tracking;
+
+    /// Runs `f`; returns its result and how far the calling thread's live
+    /// bytes rose above where they started.
+    fn measured<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        let before = LIVE.with(Cell::get);
+        PEAK.with(|p| p.set(before));
+        let out = f();
+        (out, (PEAK.with(Cell::get) - before) as usize)
     }
 
     /// Builds a symmetric graph from undirected edge pairs.
@@ -1168,6 +1321,300 @@ mod tests {
         }
     }
 
+    /// The move sweep as it was before the connectivity table, verbatim:
+    /// every visited node's row recounted into all `k` parts.
+    fn oracle_move_pass(
+        level: &Level,
+        assignment: &mut [u32],
+        part_w: &mut [f64],
+        part_count: &mut [usize],
+        k: usize,
+        max_part_w: f64,
+        order: &[u32],
+    ) -> usize {
+        let mut conn = vec![0.0f32; k];
+        let mut moved = 0usize;
+        for &u in order {
+            let u = u as usize;
+            let cp = assignment[u] as usize;
+            if part_count[cp] <= 1 {
+                continue; // never empty a part
+            }
+            for c in conn.iter_mut() {
+                *c = 0.0;
+            }
+            let mut touches_other = false;
+            for &(v, w) in level.neighbors(u) {
+                let p = assignment[v as usize] as usize;
+                conn[p] += w;
+                if p != cp {
+                    touches_other = true;
+                }
+            }
+            if !touches_other && part_w[cp] <= max_part_w {
+                continue; // interior node in a feasible part
+            }
+            let uw = level.node_w[u];
+            let mut best: Option<(usize, f32)> = None;
+            for p in 0..k {
+                if p == cp {
+                    continue;
+                }
+                let fits_cap = part_w[p] + uw <= max_part_w;
+                let improves = part_w[p] + uw < part_w[cp];
+                if !fits_cap && !improves {
+                    continue;
+                }
+                let gain = conn[p] - conn[cp];
+                if best.is_none_or(|(_, bg)| gain > bg) {
+                    best = Some((p, gain));
+                }
+            }
+            if let Some((p, gain)) = best {
+                let overweight = part_w[cp] > max_part_w;
+                if gain > 0.0 || (gain == 0.0 && overweight) {
+                    assignment[u] = p as u32;
+                    part_w[cp] -= uw;
+                    part_w[p] += uw;
+                    part_count[cp] -= 1;
+                    part_count[p] += 1;
+                    moved += 1;
+                }
+            }
+        }
+        moved
+    }
+
+    /// The swap sweep as it was before the connectivity table, verbatim:
+    /// every node's row recounted to price its offers.
+    fn oracle_swap_pass(
+        level: &Level,
+        assignment: &mut [u32],
+        part_w: &mut [f64],
+        k: usize,
+        max_part_w: f64,
+    ) -> usize {
+        if k < 2 {
+            return 0;
+        }
+        // For modest k, consider every target part (zero-gain partners from
+        // untouched parts matter — e.g. swapping an isolated node out of the
+        // way of a heavy pair) in a flat table, row `from`, column `to`. For
+        // large k that table and its enumeration are quadratic (a user asking
+        // for thousands of parts would OOM here), so keep only the pairs with
+        // a boundary node between them, in a map.
+        let dense = k <= DENSE_SWAP_PARTS;
+        let mut table = vec![EMPTY_SLOT; if dense { k * k } else { 0 }];
+        let mut sparse: BTreeMap<(usize, usize), Slot> = BTreeMap::new();
+        let mut conn = vec![0.0f32; if dense { k } else { 0 }];
+        let mut touched: BTreeMap<usize, f32> = BTreeMap::new();
+        for u in 0..level.num_nodes() {
+            let cp = assignment[u] as usize;
+            if dense {
+                conn.fill(0.0);
+                for &(v, w) in level.neighbors(u) {
+                    conn[assignment[v as usize] as usize] += w;
+                }
+                for p in (0..k).filter(|&p| p != cp) {
+                    offer(&mut table[cp * k + p], conn[p] - conn[cp], u as u32);
+                }
+            } else {
+                // A BTreeMap: offers go out in ascending part order, which
+                // breaks gain ties.
+                touched.clear();
+                for &(v, w) in level.neighbors(u) {
+                    let part = assignment[v as usize] as usize;
+                    *touched.entry(part).or_insert(0.0) += w;
+                }
+                let own = touched.get(&cp).copied().unwrap_or(0.0);
+                for (&p, &c) in touched.iter().filter(|&(&p, _)| p != cp) {
+                    let slot = sparse.entry((cp, p)).or_insert(EMPTY_SLOT);
+                    offer(slot, c - own, u as u32);
+                }
+            }
+        }
+        // Swaps mutate part weights, so later pairs see earlier pairs' moves:
+        // pairs are visited in ascending (a, b) order, a < b.
+        let pairs: Vec<(usize, usize)> = if dense {
+            (0..k)
+                .flat_map(|a| (a + 1..k).map(move |b| (a, b)))
+                .collect()
+        } else {
+            sparse.keys().copied().filter(|&(a, b)| a < b).collect()
+        };
+        let slot = |from: usize, to: usize| -> Slot {
+            if dense {
+                table[from * k + to]
+            } else {
+                sparse.get(&(from, to)).copied().unwrap_or(EMPTY_SLOT)
+            }
+        };
+        let mut swapped = 0usize;
+        for (a, b) in pairs {
+            let (forward, backward) = (slot(a, b), slot(b, a));
+            'pair: for &(ga, u) in forward.iter().filter(|c| c.1 != NO_NODE) {
+                for &(gb, v) in backward.iter().filter(|c| c.1 != NO_NODE) {
+                    // Candidate lists are stale after any swap this pass;
+                    // one swap per part pair keeps the math exact.
+                    let joint = ga + gb - 2.0 * edge_weight(level, u as usize, v);
+                    if joint <= 0.0 {
+                        continue;
+                    }
+                    let (wu, wv) = (level.node_w[u as usize], level.node_w[v as usize]);
+                    let new_a = part_w[a] - wu + wv;
+                    let new_b = part_w[b] - wv + wu;
+                    let cap = max_part_w.max(part_w[a]).max(part_w[b]);
+                    if new_a > cap || new_b > cap {
+                        continue;
+                    }
+                    assignment[u as usize] = b as u32;
+                    assignment[v as usize] = a as u32;
+                    part_w[a] = new_a;
+                    part_w[b] = new_b;
+                    swapped += 1;
+                    break 'pair;
+                }
+            }
+        }
+        swapped
+    }
+    /// A fresh recount of every node's connectivity row: the parts holding
+    /// a neighbour, ascending, each with how many do and their weight summed
+    /// from `0.0` in neighbour order (as bits).
+    fn recount(level: &Level, assignment: &[u32]) -> Vec<Vec<(u32, u32, u32)>> {
+        (0..level.num_nodes())
+            .map(|u| {
+                let mut row: BTreeMap<u32, (u32, f32)> = BTreeMap::new();
+                for &(v, w) in level.neighbors(u) {
+                    let link = row.entry(assignment[v as usize]).or_insert((0, 0.0));
+                    link.0 += 1;
+                    link.1 += w;
+                }
+                row.into_iter()
+                    .map(|(p, (c, w))| (p, c, w.to_bits()))
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn assert_recounted(conn: &Connectivity, assignment: &[u32], what: &str) {
+        let table: Vec<Vec<(u32, u32, u32)>> = (0..conn.level.num_nodes())
+            .map(|u| {
+                let row = conn.row(u).iter();
+                let mut row: Vec<_> = row
+                    .map(|l| (l.part, l.neighbours, l.weight.to_bits()))
+                    .collect();
+                row.sort_unstable();
+                row
+            })
+            .collect();
+        assert!(
+            table == recount(conn.level, assignment),
+            "{what}: the table is not a fresh recount"
+        );
+    }
+
+    /// [`rebalance`] from `assignment` through a table built for it, which
+    /// must still be a fresh recount afterwards.
+    fn table_rebalance(level: &Level, assignment: &mut [u32], k: usize, max_part_w: f64) {
+        let mut conn = Connectivity::new(level, assignment, k);
+        rebalance(&mut conn, assignment, k, max_part_w);
+        assert_recounted(&conn, assignment, "rebalance");
+    }
+
+    /// [`CutHierarchy::cut`] with every sweep run twice from one state —
+    /// through the table and by the recounting oracle — asserting after
+    /// each that both left the same assignment, part weights and counts and
+    /// that the table is a fresh recount; then the same of [`rebalance`]
+    /// against [`reference_rebalance`].
+    fn cut_against_the_oracle<G: Borrow<CsrGraph>>(
+        hierarchy: &mut CutHierarchy<G>,
+        k: usize,
+    ) -> Vec<u32> {
+        let cutter = hierarchy.cutter.clone();
+        let (depth, mut rng) = hierarchy.descend((cutter.coarsen_nodes_per_part * k).max(64));
+        let max_part_w = (1.0 + cutter.balance_epsilon) * hierarchy.total_weight / k as f64;
+        let levels = &hierarchy.levels;
+        let mut assignment = initial_partition(&levels[depth], k, &mut rng);
+        fix_empty_parts(&levels[depth], &mut assignment, k);
+        for li in (0..=depth).rev() {
+            let level = &levels[li];
+            if li < depth {
+                let map = levels[li + 1].fine_to_coarse.as_ref().expect("coarse");
+                assignment = map.iter().map(|&c| assignment[c as usize]).collect();
+            }
+            let mut conn = Connectivity::new(level, &assignment, k);
+            let (mut part_w, mut part_count) = (vec![0.0f64; k], vec![0usize; k]);
+            for (u, &p) in assignment.iter().enumerate() {
+                part_w[p as usize] += level.node_w[u];
+                part_count[p as usize] += 1;
+            }
+            let mut order: Vec<u32> = (0..level.num_nodes() as u32).collect();
+            for pass in 0..cutter.refinement_passes {
+                order.shuffle(&mut rng);
+                let what = format!("k {k} level {li} pass {pass}");
+                let mut oracle = (assignment.clone(), part_w.clone(), part_count.clone());
+                let (a, w, c) = (&mut oracle.0, &mut oracle.1, &mut oracle.2);
+                let moved = move_pass(
+                    &mut conn,
+                    &mut assignment,
+                    &mut part_w,
+                    &mut part_count,
+                    max_part_w,
+                    &order,
+                );
+                let expected = oracle_move_pass(level, a, w, c, k, max_part_w, &order);
+                assert_eq!(moved, expected, "{what}: moves");
+                assert_eq!(
+                    (&assignment, &part_w, &part_count),
+                    (&*a, &*w, &*c),
+                    "{what}: moves"
+                );
+                assert_recounted(&conn, &assignment, &what);
+                let swapped = swap_pass(&mut conn, &mut assignment, &mut part_w, max_part_w);
+                let expected = oracle_swap_pass(level, a, w, k, max_part_w);
+                assert_eq!(swapped, expected, "{what}: swaps");
+                assert_eq!((&assignment, &part_w), (&*a, &*w), "{what}: swaps");
+                assert_recounted(&conn, &assignment, &what);
+                if moved + swapped == 0 {
+                    break;
+                }
+            }
+            if li == 0 {
+                let mut oracle = assignment.clone();
+                rebalance(&mut conn, &mut assignment, k, max_part_w);
+                reference_rebalance(level, &mut oracle, k, max_part_w);
+                assert_eq!(assignment, oracle, "k {k}: rebalance");
+                assert_recounted(&conn, &assignment, &format!("k {k}: rebalance"));
+            }
+        }
+        fix_empty_parts(&levels[0], &mut assignment, k);
+        assignment
+    }
+
+    /// A symmetric graph without loops or parallel edges over `n` nodes:
+    /// about `degree` neighbours a node, weights in `1..=3` or fractional.
+    fn symmetric_graph(n: usize, degree: usize, seed: u64, fractional: bool) -> CsrGraph {
+        use rand::Rng;
+        let mut rng = Pcg64Mcg::seed_from_u64(seed);
+        let mut pairs = BTreeMap::new();
+        for _ in 0..n * degree / 2 {
+            let (u, v) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
+            let w = if fractional {
+                rng.gen_range(0.1f32..3.0)
+            } else {
+                rng.gen_range(1..4) as f32
+            };
+            if u != v {
+                pairs.insert((u.min(v), u.max(v)), w);
+            }
+        }
+        let both = pairs
+            .into_iter()
+            .flat_map(|((u, v), w)| [(u, v, w), (v, u, w)]);
+        CsrGraph::from_weighted_edges(n, both, true)
+    }
+
     fn assert_levels_equal(new: &Level, old: &Level, what: &str) {
         assert_eq!(new.indptr, old.indptr, "{what}: indptr");
         let bits = |l: &Level| -> Vec<(u32, u32)> {
@@ -1179,12 +1626,13 @@ mod tests {
         assert_eq!(new.rng, old.rng, "{what}: generator");
     }
 
-    /// A directed multigraph with weights in `1..=9`: self-loops, parallel
-    /// edges and one-way pairs as the draw has them, nodes past `live`
-    /// isolated.
-    fn arb_multigraph() -> impl proptest::strategy::Strategy<Value = CsrGraph> {
+    /// A directed multigraph of fewer than `max_nodes` nodes with weights
+    /// in `1..=9`: self-loops, parallel edges and one-way pairs as the draw
+    /// has them, nodes past `live` isolated. Its level 0, `A + Aᵀ`, is a
+    /// symmetric integer-weighted graph.
+    fn arb_multigraph(max_nodes: usize) -> impl proptest::strategy::Strategy<Value = CsrGraph> {
         use proptest::prelude::*;
-        (0usize..200, 0usize..8).prop_flat_map(|(n, density)| {
+        (0usize..max_nodes, 0usize..8).prop_flat_map(|(n, density)| {
             let live = (n * 3 / 4).max(1) as u32;
             let edge = (0..live, 0..live, 1u32..10);
             let count = if n == 0 { 0 } else { n * density };
@@ -1196,14 +1644,16 @@ mod tests {
     }
 
     /// A symmetric, loop-free level over a random graph of about `degree`
-    /// neighbours per node, edge weights in `1..=3` or `fractional`.
+    /// neighbours per node, edge weights in `1..=3` or `fractional`:
+    /// quarters in `0.25..=2.75`, integers times one power of two, whose
+    /// sums the connectivity table keeps exact.
     fn random_level(n: u32, degree: u32, seed: u64, fractional: bool) -> Level {
         use rand::Rng;
         let mut rng = Pcg64Mcg::seed_from_u64(seed);
         let edges: Vec<(u32, u32, f32)> = (0..n * degree / 2)
             .map(|_| {
                 let w = if fractional {
-                    rng.gen_range(0.1f32..3.0)
+                    rng.gen_range(1..12) as f32 / 4.0
                 } else {
                     rng.gen_range(1..4) as f32
                 };
@@ -1219,7 +1669,7 @@ mod tests {
 
         #[test]
         fn levels_equal_the_sort_built_reference_through_a_full_descend(
-            graph in arb_multigraph(),
+            graph in arb_multigraph(200),
             seed in 0u64..1 << 32,
         ) {
             let n = graph.num_nodes();
@@ -1247,6 +1697,48 @@ mod tests {
                 (0..deepest.num_nodes() as u32).collect::<Vec<_>>().shuffle(&mut after);
                 proptest::prop_assert_eq!(&after, &stalled);
                 proptest::prop_assert_eq!(&rng, &stalled);
+            }
+        }
+
+        #[test]
+        fn every_sweep_and_rebalance_match_the_recounting_oracle(
+            graph in arb_multigraph(500),
+            seed in 0u64..1 << 32,
+        ) {
+            // k = 300 cuts level 0 alone and takes the sparse swap table.
+            let node_w: Vec<f64> = (0..graph.num_nodes()).map(|u| 1.0 + (u % 3) as f64).collect();
+            let cutter = MultilevelPartitioner::new(seed);
+            let mut checked = cutter.hierarchy(&graph, node_w.clone());
+            let mut plain = cutter.hierarchy(&graph, node_w);
+            for k in [2usize, 3, 8, 300] {
+                let assignment = cut_against_the_oracle(&mut checked, k);
+                if graph.num_nodes() > 1 {
+                    proptest::prop_assert_eq!(plain.cut(k).assignment(), &assignment[..]);
+                }
+            }
+        }
+
+        #[test]
+        fn a_symmetric_graph_cuts_the_same_as_its_level_zero_or_through_a_plus_a_transposed(
+            n in 2usize..400,
+            degree in 0usize..12,
+            seed in 0u64..1 << 32,
+            fractional in 0u32..2,
+        ) {
+            let graph = symmetric_graph(n, degree, seed, fractional == 1);
+            let node_w: Vec<f64> = (0..n).map(|u| 1.0 + (u % 3) as f64).collect();
+            let rng = Pcg64Mcg::seed_from_u64(seed);
+            let direct = symmetric_level(&graph, node_w.clone(), rng.clone());
+            let doubled = finest_level(&graph, node_w.clone(), rng);
+            proptest::prop_assert_eq!(&direct.indptr, &doubled.indptr);
+            for (&(u, w), &(v, two_w)) in direct.adj.iter().zip(&doubled.adj) {
+                proptest::prop_assert_eq!((u, (2.0 * w).to_bits()), (v, two_w.to_bits()));
+            }
+            let cutter = MultilevelPartitioner::new(seed);
+            let mut direct = cutter.symmetric_hierarchy(graph.clone(), node_w.clone());
+            let mut doubled = cutter.hierarchy(&graph, node_w);
+            for k in [2usize, 3, 8, 300] {
+                proptest::prop_assert_eq!(direct.cut(k), doubled.cut(k), "k {}", k);
             }
         }
 
@@ -1281,12 +1773,12 @@ mod tests {
                     let max_part_w = slack * total / k as f64;
                     for start in &starts {
                         let (mut new, mut old) = (start.clone(), start.clone());
-                        rebalance(&level, &mut new, k, max_part_w);
+                        table_rebalance(&level, &mut new, k, max_part_w);
                         reference_rebalance(&level, &mut old, k, max_part_w);
                         proptest::prop_assert_eq!(
                             new, old,
-                            "n {} degree {} k {} seed {} hub {} slack {}",
-                            n, degree, k, seed, heavy_hub, slack
+                            "n {} degree {} k {} seed {} hub {} slack {} fractional {}",
+                            n, degree, k, seed, heavy_hub, slack, fractional
                         );
                     }
                 }
@@ -1305,7 +1797,7 @@ mod tests {
             .map(|u| if u == 0 { 0 } else { 1 + u % 2 })
             .collect();
         let (mut new, mut old) = (start.clone(), start.clone());
-        rebalance(&level, &mut new, 4, 20.0);
+        table_rebalance(&level, &mut new, 4, 20.0);
         reference_rebalance(&level, &mut old, 4, 20.0);
         assert_eq!(new, start);
         assert_eq!(old, start);
@@ -1317,7 +1809,7 @@ mod tests {
         let graph = CsrGraph::from_edges(10, &[]);
         let level = finest_level(&graph, vec![1.0; 10], Pcg64Mcg::seed_from_u64(0));
         let mut assignment = vec![0u32; 10];
-        rebalance(&level, &mut assignment, 2, 5.5);
+        table_rebalance(&level, &mut assignment, 2, 5.5);
         assert_eq!(assignment, [1, 1, 1, 1, 1, 0, 0, 0, 0, 0]);
         let mut reference = vec![0u32; 10];
         reference_rebalance(&level, &mut reference, 2, 5.5);
@@ -1325,73 +1817,66 @@ mod tests {
     }
 
     #[test]
-    fn a_rebalance_step_prices_what_the_last_move_staled() {
+    fn a_long_rebalance_keeps_the_table_current() {
         // A 4 k-node graph of REG-like degree, 1 k nodes to shed from part
         // 0 into three parts that fill level, so the destination changes
-        // nearly every step.
+        // nearly every step: a thousand moves, each followed in the table.
         let (n, k) = (4000u32, 4usize);
         let level = random_level(n, 24, 77, false);
-        let mut assignment: Vec<u32> = (0..n)
+        let start: Vec<u32> = (0..n)
             .map(|u| if u < 2000 { 0 } else { 1 + u % 3 })
             .collect();
-        let mut expected = assignment.clone();
+        let mut expected = start.clone();
         reference_rebalance(&level, &mut expected, k, 1000.0);
-
-        let mut part_w = vec![0.0f64; k];
-        for &p in &assignment {
-            part_w[p as usize] += 1.0;
-        }
-        let mut costs = MoveCosts {
-            over: k,
-            members: Vec::new(),
-            rows: vec![Vec::new(); k],
-        };
-        let members_of =
-            |assignment: &[u32], p: usize| assignment.iter().filter(|&&a| a as usize == p).count();
-        let mut seen_dests = std::collections::BTreeSet::new();
-        let (mut steps, mut total, mut staled) = (0usize, 0usize, 0usize);
-        let mut last: Option<((usize, usize), usize)> = None;
-        // `over` and `dest`: the pair the step is about to choose.
-        while let Some(over) = (0..k).find(|&p| part_w[p] > 1000.0) {
-            let dest = (0..k)
-                .filter(|&p| p != over)
-                .min_by(|&a, &b| part_w[a].total_cmp(&part_w[b]))
-                .unwrap();
-            let in_over = members_of(&assignment, over);
-            let before = COST_EVALS.with(Cell::get);
-            let moved = rebalance_step(&level, &mut assignment, &mut part_w, 1000.0, &mut costs)
-                .expect("unit weights: a move is always feasible");
-            let evals = COST_EVALS.with(Cell::get) - before;
-            let degree = level.neighbors(moved).len();
-            match last {
-                Some((pair, last_degree)) if pair == (over, dest) => assert!(
-                    evals <= last_degree,
-                    "step {steps}: {evals} evaluations, the pair stood and {last_degree} costs were stale"
-                ),
-                _ => assert!(evals <= in_over, "step {steps}: {evals} evaluations for {in_over} candidates"),
-            }
-            // Back at a destination priced before, only what moved since
-            // is stale, in its row as in every other.
-            assert!(
-                seen_dests.insert(dest) || evals <= staled,
-                "step {steps}: {evals} evaluations, {staled} stale"
-            );
-            last = Some(((over, dest), degree));
-            staled += degree;
-            total += evals;
-            steps += 1;
-        }
+        let mut assignment = start.clone();
+        table_rebalance(&level, &mut assignment, k, 1000.0);
         assert_eq!(assignment, expected);
-        assert_eq!(steps, 1000);
-        // The reference prices 2·|over| candidates a step — at least 2 M
-        // evaluations here; this prices each row once and then what moved.
-        assert!(
-            total <= 3 * 2000 + 3 * staled,
-            "{total} evaluations over {steps} steps ({staled} neighbours of moved nodes)"
-        );
-        assert!(total < 100_000, "{total} evaluations");
+        let moved = start.iter().zip(&assignment).filter(|(a, b)| a != b);
+        assert_eq!(moved.count(), 1000);
     }
 
+    #[test]
+    fn the_table_stays_linear_in_the_level_at_512_parts() {
+        // 20 k nodes scattered over the planner's 512 parts: most rows hold
+        // one link per neighbour. A dense n × k table would be 41 MB.
+        let (n, k) = (20_000usize, 512usize);
+        let level = random_level(n as u32, 12, 3, false);
+        let mut assignment: Vec<u32> = (0..n as u32)
+            .map(|u| u.wrapping_mul(2_654_435_761) % k as u32)
+            .collect();
+        let max_part_w = 1.1 * n as f64 / k as f64;
+        let order: Vec<u32> = (0..n as u32).collect();
+        let (mut part_w, mut part_count) = (vec![0.0f64; k], vec![0usize; k]);
+        for &p in &assignment {
+            part_w[p as usize] += 1.0;
+            part_count[p as usize] += 1;
+        }
+        let ((conn, moved), peak) = measured(|| {
+            let mut conn = Connectivity::new(&level, &assignment, k);
+            let moved = move_pass(
+                &mut conn,
+                &mut assignment,
+                &mut part_w,
+                &mut part_count,
+                max_part_w,
+                &order,
+            );
+            rebalance(&mut conn, &mut assignment, k, max_part_w);
+            (conn, moved)
+        });
+        assert_recounted(&conn, &assignment, "512 parts");
+        assert!(moved > 1000, "{moved} moves");
+        // The table: room for `min(deg, k)` links a node, and a start and a
+        // length per node. Beside it: O(k) scratch, and rebalance's part
+        // weights and the members of one part.
+        let room: usize = (0..n).map(|u| level.neighbors(u).len().min(k)).sum();
+        let table = room * std::mem::size_of::<Link>() + n * 12;
+        assert!(
+            peak <= table + n * 8 + k * 32 + 4096,
+            "peak {peak} B, table {table} B"
+        );
+        assert!(8 * peak < n * k * 4, "peak {peak} B");
+    }
     #[test]
     fn merged_coarse_weights_fold_in_fine_row_then_neighbour_order() {
         // Edges 0–1 and 2–3 outweigh everything, so any matching order

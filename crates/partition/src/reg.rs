@@ -158,7 +158,8 @@ impl OutputPartitioner for RegPartitioner {
         self.prepare(batch).split(k)
     }
 
-    /// Builds the REG; its cuts share one lazily built coarsening.
+    /// Builds the REG; its cuts share one lazily built coarsening, whose
+    /// level 0 is the REG itself: it is symmetric, sorted and loop-free.
     fn prepare<'a>(&'a self, batch: &'a Batch) -> Box<dyn PreparedSplit + 'a> {
         let last = batch.blocks().last().expect("batch is never empty");
         let reg = match self.scope {
@@ -167,7 +168,7 @@ impl OutputPartitioner for RegPartitioner {
         };
         let unit_weights = vec![1.0; reg.num_nodes()];
         Box::new(PreparedReg {
-            hierarchy: self.cutter.hierarchy(reg, unit_weights),
+            hierarchy: self.cutter.symmetric_hierarchy(reg, unit_weights),
             last,
         })
     }

@@ -24,9 +24,12 @@
 //! 3. the default, [`Backend::Simd`].
 //!
 //! The resolved value is a pure function of those inputs — no CPU feature
-//! sniffing — so a config is deterministic across machines.
+//! sniffing — so a config is deterministic across machines. 2 and 3 are
+//! read once per process; the override is an atomic that wins whenever it
+//! is set.
 
 use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::{Mutex, OnceLock};
 
 /// Which implementation of the hot kernels to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -58,18 +61,21 @@ impl Backend {
     }
 
     /// Resolves the active backend (override > `BETTY_BACKEND` > simd).
+    ///
+    /// Every kernel call asks, so the answer costs one atomic load: the
+    /// environment (an allocation per read) is resolved once.
     pub fn current() -> Backend {
+        static DEFAULT: OnceLock<Backend> = OnceLock::new();
         match BACKEND_OVERRIDE.load(Ordering::Relaxed) {
-            OVERRIDE_SCALAR => return Backend::Scalar,
-            OVERRIDE_SIMD => return Backend::Simd,
-            _ => {}
+            OVERRIDE_SCALAR => Backend::Scalar,
+            OVERRIDE_SIMD => Backend::Simd,
+            _ => *DEFAULT.get_or_init(|| {
+                let from_env = std::env::var("BETTY_BACKEND").ok();
+                from_env
+                    .and_then(|raw| Backend::parse(raw.trim()))
+                    .unwrap_or_default()
+            }),
         }
-        if let Ok(raw) = std::env::var("BETTY_BACKEND") {
-            if let Some(b) = Backend::parse(raw.trim()) {
-                return b;
-            }
-        }
-        Backend::Simd
     }
 }
 
@@ -99,9 +105,17 @@ pub fn set_backend_override(backend: Option<Backend>) {
     BACKEND_OVERRIDE.store(tag, Ordering::Relaxed);
 }
 
+/// Serialises [`with_backend`] holders: the override is process-wide.
+static BACKEND_HOLDER: Mutex<()> = Mutex::new(());
+
 /// Runs `f` with the backend pinned to `backend`, restoring the previous
-/// override afterwards (even on panic). Test helper: kernels consult
+/// override afterwards (even on panic). Kernels consult
 /// [`Backend::current`] at call time, so pinning must bracket the call.
+///
+/// The override is process-wide and a test binary runs its tests on
+/// parallel threads, so holders are serialised: a second `with_backend`
+/// waits until the first has restored the override. Do not nest calls on
+/// one thread.
 pub fn with_backend<T>(backend: Backend, f: impl FnOnce() -> T) -> T {
     struct Restore(u8);
     impl Drop for Restore {
@@ -109,6 +123,9 @@ pub fn with_backend<T>(backend: Backend, f: impl FnOnce() -> T) -> T {
             BACKEND_OVERRIDE.store(self.0, Ordering::Relaxed);
         }
     }
+    // A holder that panicked has already restored the override (`Restore`
+    // runs during unwinding), so a poisoned lock guards nothing broken.
+    let _held = BACKEND_HOLDER.lock().unwrap_or_else(|e| e.into_inner());
     let _restore = Restore(BACKEND_OVERRIDE.load(Ordering::Relaxed));
     set_backend_override(Some(backend));
     f()
@@ -128,11 +145,41 @@ mod tests {
 
     #[test]
     fn override_beats_env_and_default_and_restores() {
-        let before = Backend::current();
-        let seen = with_backend(Backend::Scalar, Backend::current);
-        assert_eq!(seen, Backend::Scalar);
-        let seen = with_backend(Backend::Simd, Backend::current);
-        assert_eq!(seen, Backend::Simd);
-        assert_eq!(Backend::current(), before);
+        // The first call may well be the one that resolves the default:
+        // an override installed after it must still win.
+        let unresolved = Backend::current();
+        for backend in [Backend::Scalar, Backend::Simd] {
+            assert_eq!(with_backend(backend, Backend::current), backend);
+        }
+        let _held = BACKEND_HOLDER.lock().unwrap_or_else(|e| e.into_inner());
+        assert_eq!(Backend::current(), unresolved);
+    }
+
+    #[test]
+    fn with_backend_serialises_holders_and_restores_after_a_panic() {
+        let caught = std::panic::catch_unwind(|| {
+            with_backend(Backend::Scalar, || {
+                assert_eq!(Backend::current(), Backend::Scalar);
+                panic!("body failed");
+            })
+        });
+        assert!(caught.is_err());
+        // Two threads pinning opposite backends each see only their own.
+        let pinned = |backend| {
+            std::thread::spawn(move || {
+                (0..200).all(|_| {
+                    with_backend(backend, || {
+                        std::thread::yield_now();
+                        Backend::current() == backend
+                    })
+                })
+            })
+        };
+        let (scalar, simd) = (pinned(Backend::Scalar), pinned(Backend::Simd));
+        assert!(scalar.join().unwrap() && simd.join().unwrap());
+        // Nothing in this binary installs a bare override: what is read
+        // here is what the holders left behind.
+        let _held = BACKEND_HOLDER.lock().unwrap_or_else(|e| e.into_inner());
+        assert_eq!(BACKEND_OVERRIDE.load(Ordering::Relaxed), OVERRIDE_NONE);
     }
 }
