@@ -463,6 +463,20 @@ fn scrub_unrepairable_store_exits_7() {
 }
 
 #[test]
+fn scrub_of_a_store_without_parity_missing_a_shard_exits_7() {
+    let dir = tmp("scrub-missing-shard");
+    spill_store(&dir, "0");
+    std::fs::remove_file(dir.join("shard-00001.bfs")).unwrap();
+
+    let out = betty().arg("scrub").arg(&dir).output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(7), "{stdout}");
+    assert!(stdout.contains("UNREPAIRABLE: shard 1"), "{stdout}");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn scrub_of_missing_dir_is_a_usage_error() {
     let out = betty().arg("scrub").arg(tmp("scrub-no-such-dir")).output().unwrap();
     assert_eq!(out.status.code(), Some(1));

@@ -92,8 +92,8 @@ impl std::error::Error for PlanError {}
 ///
 /// Starting from `initial_k`, the planner splits the batch, estimates every
 /// micro-batch (§4.4.3's "partition memory estimation"), and accepts the
-/// first `K` whose largest micro-batch fits the capacity; otherwise it
-/// retries with `K + 1` (the paper's re-partitioning loop).
+/// smallest `K` whose largest micro-batch fits the capacity: the paper's
+/// `K + 1` loop, searched geometrically (warm across a runner's epochs).
 #[derive(Debug, Clone)]
 pub struct MemoryAwarePlanner {
     estimator: MemoryEstimator,
@@ -198,56 +198,91 @@ impl MemoryAwarePlanner {
         initial_k: usize,
         capacity_bytes: usize,
     ) -> Result<Plan, PlanError> {
-        let n_outputs = batch.output_nodes().len();
-        let k_limit = self.max_partitions.min(n_outputs.max(1));
+        self.plan_warm(batch, strategy, initial_k, initial_k, capacity_bytes)
+    }
+
+    /// [`MemoryAwarePlanner::plan_with_capacity`] resumed near `start_k`
+    /// ([`search`]): the cold plan whenever the probes it skips would fail —
+    /// always under monotone feasibility — in fewer probes.
+    pub(crate) fn plan_warm(
+        &self,
+        batch: &Batch,
+        strategy: &dyn OutputPartitioner,
+        initial_k: usize,
+        start_k: usize,
+        capacity_bytes: usize,
+    ) -> Result<Plan, PlanError> {
+        let k_limit = self.max_partitions.min(batch.output_nodes().len().max(1));
         let mut best_peak = usize::MAX;
         let mut probing = Probing::start(self, batch, strategy);
-        let mut probe = |k: usize| -> (Plan, bool) {
+        let found = search(initial_k, start_k, k_limit, |k| {
             let plan = probing.probe(k);
             let peak = plan.max_estimated_peak();
             best_peak = best_peak.min(peak);
-            let fits = peak <= capacity_bytes;
-            (plan, fits)
-        };
-
-        // Geometric ascent to the first fitting K (or the limit).
-        let mut lo = initial_k.max(1).min(k_limit); // highest known-failing K + 1 semantics below
-        let mut k = lo;
-        let (mut plan, mut fits) = probe(k);
-        while !fits {
-            if k >= k_limit {
-                return Err(PlanError::CapacityUnreachable {
-                    max_partitions: self.max_partitions,
-                    best_peak,
-                    capacity: capacity_bytes,
-                });
-            }
-            lo = k + 1;
-            k = (k * 2).min(k_limit);
-            let next = probe(k);
-            plan = next.0;
-            fits = next.1;
-        }
-        // Binary search the smallest fitting K in [lo, k].
-        let mut hi = k;
-        let mut best_plan = plan;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let (mid_plan, mid_fits) = probe(mid);
-            if mid_fits {
-                best_plan = mid_plan;
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
+            (peak <= capacity_bytes).then_some(plan)
+        });
+        let plan = found.ok_or(PlanError::CapacityUnreachable {
+            max_partitions: self.max_partitions,
+            best_peak,
+            capacity: capacity_bytes,
+        })?;
         // The plan is the winning probe's; its cost is every probe's.
         Ok(Plan {
             partition_sec: probing.partition_sec,
             extraction_sec: probing.extraction_sec,
             probes: probing.probes,
-            ..best_plan
+            ..plan
         })
+    }
+}
+
+/// The cold search — the ascent `min_k, 2·min_k, 4·min_k, …, k_limit` to
+/// the first fitting `K`, then bisection below it — resumed at the last
+/// ascent point at or below `start_k` (`probe` returns what a fitting `K`
+/// made). It takes the cold search's own probe path from there, so it finds
+/// the cold `K` — also where feasibility is not monotone — whenever the
+/// skipped ascent points fail, which a bracket that ends on its floor checks
+/// by probing the point below. From `start_k ≤ min_k` it is the cold search.
+fn search<T>(
+    min_k: usize,
+    start_k: usize,
+    k_limit: usize,
+    mut probe: impl FnMut(usize) -> Option<T>,
+) -> Option<T> {
+    let min_k = min_k.clamp(1, k_limit);
+    let mut ascent = vec![min_k];
+    while let Some(&a) = ascent.last().filter(|&&a| a < k_limit) {
+        ascent.push((2 * a).min(k_limit));
+    }
+    let floor = |i: usize| if i == 0 { min_k } else { ascent[i - 1] + 1 };
+    let resumed = ascent.iter().rposition(|&a| a <= start_k).unwrap_or(0);
+    let mut i = resumed;
+    let mut best = loop {
+        if let Some(found) = probe(ascent[i]) {
+            break found;
+        }
+        if i + 1 == ascent.len() {
+            return None;
+        }
+        i += 1;
+    };
+    loop {
+        let (mut lo, mut hi) = (floor(i), ascent[i]);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match probe(mid) {
+                Some(found) => (best, hi) = (found, mid),
+                None => lo = mid + 1,
+            }
+        }
+        // The ascent point below the bracket failed if the ascent probed it.
+        if i == 0 || i > resumed || hi > floor(i) {
+            return Some(best);
+        }
+        let Some(found) = probe(ascent[i - 1]) else {
+            return Some(best);
+        };
+        (best, i) = (found, i - 1);
     }
 }
 
@@ -469,6 +504,140 @@ mod tests {
         let fixed = planner.plan_fixed(&batch, &counting, 3);
         assert_eq!(counting.prepares.get(), 2);
         assert_eq!(fixed.probes, 1);
+    }
+
+    /// The search before it took a start: a doubling ascent from `min_k`,
+    /// then bisection. Returns its answer and the `K`s it probed.
+    fn cold_loop(
+        min_k: usize,
+        k_limit: usize,
+        fits: impl Fn(usize) -> bool,
+    ) -> (Option<usize>, Vec<usize>) {
+        let mut probed = Vec::new();
+        let mut probe = |k| {
+            probed.push(k);
+            fits(k)
+        };
+        let mut lo = min_k.max(1).min(k_limit);
+        let mut k = lo;
+        while !probe(k) {
+            if k >= k_limit {
+                return (None, probed);
+            }
+            lo = k + 1;
+            k = (k * 2).min(k_limit);
+        }
+        let mut hi = k;
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if probe(mid) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        (Some(hi), probed)
+    }
+
+    /// [`search`] over a predicate: its answer and the `K`s it probed.
+    fn searched(
+        min_k: usize,
+        start_k: usize,
+        k_limit: usize,
+        fits: impl Fn(usize) -> bool,
+    ) -> (Option<usize>, Vec<usize>) {
+        let mut probed = Vec::new();
+        let found = search(min_k, start_k, k_limit, |k| {
+            probed.push(k);
+            fits(k).then_some(k)
+        });
+        (found, probed)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Feasibility monotone in K — fitting from `threshold` up, which
+        /// may lie past the limit — and starts anywhere, below `min_k` too.
+        #[test]
+        fn a_search_from_any_start_finds_the_cold_answer_under_monotone_feasibility(
+            min_k in 1usize..20,
+            span in 0usize..80,
+            threshold in 1usize..120,
+            start in 0usize..120,
+        ) {
+            let k_limit = min_k + span;
+            let fits = |k: usize| k >= threshold;
+            let (cold, cold_probes) = cold_loop(min_k, k_limit, fits);
+            proptest::prop_assert_eq!(cold, Some(threshold.max(min_k)).filter(|&k| k <= k_limit));
+            proptest::prop_assert_eq!(searched(min_k, min_k, k_limit, fits), (cold, cold_probes));
+            let (warm, mut probed) = searched(min_k, start, k_limit, fits);
+            proptest::prop_assert_eq!(warm, cold, "from {}", start);
+            probed.sort_unstable();
+            probed.dedup();
+            proptest::prop_assert!(probed.iter().all(|k| (min_k..=k_limit).contains(k)));
+        }
+
+        /// Any feasibility at all: what is found fits and is `min_k` or has
+        /// a failing predecessor, and nothing is found only when `k_limit`
+        /// fails. Where the ascent points below the start's all fail, the
+        /// search probes only what the cold one does and finds its `K`.
+        #[test]
+        fn a_search_follows_the_cold_path_from_where_it_resumes_whatever_the_feasibility(
+            min_k in 1usize..20,
+            span in 0usize..80,
+            mask in 0u64..u64::MAX,
+            start in 0usize..120,
+        ) {
+            let k_limit = min_k + span;
+            let mut ascent = vec![min_k];
+            while ascent[ascent.len() - 1] < k_limit {
+                ascent.push((2 * ascent[ascent.len() - 1]).min(k_limit));
+            }
+            let resume = ascent.iter().copied().filter(|&a| a <= start).max().unwrap_or(min_k);
+            let noisy = |k: usize| mask >> (k % 64) & 1 == 1;
+            let skipped_fail = |k: usize| noisy(k) && !(k < resume && ascent.contains(&k));
+            for fits in [&noisy as &dyn Fn(usize) -> bool, &skipped_fail] {
+                match searched(min_k, start, k_limit, fits).0 {
+                    Some(k) => proptest::prop_assert!(
+                        (min_k..=k_limit).contains(&k) && fits(k) && (k == min_k || !fits(k - 1)),
+                        "from {} found {}", start, k
+                    ),
+                    None => proptest::prop_assert!(!fits(k_limit), "from {}", start),
+                }
+            }
+            let (cold, cold_probes) = cold_loop(min_k, k_limit, skipped_fail);
+            let (warm, probed) = searched(min_k, start, k_limit, skipped_fail);
+            proptest::prop_assert_eq!(warm, cold, "from {}", start);
+            proptest::prop_assert!(
+                probed.len() <= cold_probes.len() && probed.iter().all(|k| cold_probes.contains(k)),
+                "from {}: {:?} against the cold {:?}", start, probed, cold_probes
+            );
+        }
+    }
+
+    #[test]
+    fn a_warm_plan_is_the_cold_plan() {
+        let batch = wide_batch();
+        let planner = five_way_planner(&batch);
+        let strategy = RegPartitioner::new(0);
+        let cold = planner.plan(&batch, &strategy, 1).unwrap();
+        for start in [0, 1, 4, 5, 6, 9, 48, 500] {
+            let warm = planner
+                .plan_warm(&batch, &strategy, 1, start, planner.capacity_bytes())
+                .unwrap();
+            assert_eq!((warm.k, &warm.parts), (cold.k, &cold.parts), "from {start}");
+            assert_eq!(warm.micro_batches, cold.micro_batches);
+        }
+        // From 5 the cold path resumes at 4: 4, 8, 6, 5 — not 1, 2 first.
+        let warm = planner
+            .plan_warm(&batch, &strategy, 1, 5, planner.capacity_bytes())
+            .unwrap();
+        assert_eq!((warm.k, warm.probes), (5, 4));
+        // Everything fits: each bracket ends on its floor, so the ascent
+        // point below is checked, down to K = 1.
+        let roomy = planner.plan_warm(&batch, &strategy, 1, 5, usize::MAX).unwrap();
+        assert_eq!((roomy.k, roomy.probes), (1, 4));
     }
 
     #[test]

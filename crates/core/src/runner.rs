@@ -153,6 +153,8 @@ pub struct Runner {
     /// the next epoch plans synchronously; anything that perturbs the
     /// sampler RNG stream or the staged work's assumptions resets it.
     pipeline: Option<PlanPipeline>,
+    /// Where the next auto-K search starts: the last one's `Plan::k`.
+    warm_k: Option<usize>,
     epochs_run: usize,
     /// All-reduce link-stall injector, armed once per run from the
     /// config's fault plan so its seeded stream continues across epochs
@@ -441,6 +443,7 @@ impl Runner {
                 dataset.num_nodes(),
             ),
             pipeline: None,
+            warm_k: None,
             epochs_run: 0,
             link_faults,
             storage_faults,
@@ -569,7 +572,7 @@ impl Runner {
     }
 
     /// Plans `batch` on this thread — exactly `k` parts, or from `k` up
-    /// against `capacity_bytes` — under `partition` and `plan` spans.
+    /// against `capacity_bytes`, warm — under `partition` and `plan` spans.
     fn plan_traced(
         &mut self,
         batch: &Batch,
@@ -578,7 +581,16 @@ impl Runner {
         capacity_bytes: usize,
     ) -> Result<Plan, PlanError> {
         let strategy = build_strategy(strategy, self.seed);
-        let plan = mode.plan(&self.planner, batch, strategy.as_ref(), capacity_bytes)?;
+        let (strategy, planner) = (strategy.as_ref(), &self.planner);
+        let plan = match mode {
+            PlanMode::From(k) => {
+                let start = self.warm_k.unwrap_or(k);
+                let plan = planner.plan_warm(batch, strategy, k, start, capacity_bytes)?;
+                self.warm_k = Some(plan.k);
+                plan
+            }
+            PlanMode::Fixed(_) => mode.plan(planner, batch, strategy, capacity_bytes)?,
+        };
         if let Some(tr) = self.trainer.trace_mut() {
             let finished = tr.now_sec();
             record_plan_spans(tr, &plan, finished);
@@ -1582,6 +1594,43 @@ mod tests {
             .unwrap();
         assert!(k > 1);
         assert!(stats.max_peak_bytes <= full_peak);
+    }
+
+    #[test]
+    fn every_auto_plan_equals_the_cold_search_in_fewer_probes() {
+        // mean3_auto's shape: a 3-layer mean model at fanouts 25, 35, 40 on
+        // a 22 MiB device, where K moves between 4 and 5. Each epoch's batch
+        // is planned as an auto-K epoch plans it, then again cold.
+        let (mut ks, mut warm_probes, mut cold_probes) = (Vec::new(), 0, 0);
+        for seed in [1u64, 2, 3] {
+            let ds = DatasetSpec::ogbn_products().scaled(0.01).generate(seed);
+            let cfg = ExperimentConfig {
+                fanouts: vec![25, 35, 40],
+                hidden_dim: 64,
+                capacity_bytes: 22 << 20,
+                ..config()
+            };
+            let mut runner = Runner::new(&ds, &cfg, seed);
+            let strategy = build_strategy(StrategyKind::Betty, seed);
+            for epoch in 0..10 {
+                let batch = runner.sample_full_batch(&ds);
+                let (auto, capacity) = (PlanMode::From(1), cfg.capacity_bytes);
+                let warm = runner.plan_traced(&batch, StrategyKind::Betty, auto, capacity);
+                let (warm, cold) = (
+                    warm.unwrap(),
+                    runner.planner().plan(&batch, strategy.as_ref(), 1).unwrap(),
+                );
+                let what = format!("seed {seed} epoch {epoch}");
+                assert_eq!((warm.k, &warm.parts), (cold.k, &cold.parts), "{what}");
+                assert_eq!(runner.warm_k, Some(cold.k), "{what}");
+                ks.push(cold.k);
+                warm_probes += warm.probes;
+                cold_probes += cold.probes;
+            }
+        }
+        // K moved, and every search after a seed's first skipped probes.
+        assert!(ks.windows(2).any(|w| w[0] != w[1]), "{ks:?}");
+        assert!(warm_probes + ks.len() - 3 <= cold_probes, "{warm_probes} vs {cold_probes}");
     }
 
     #[test]

@@ -588,6 +588,16 @@ pub fn scrub(dir: impl AsRef<Path>) -> Result<ScrubReport, FeatureStoreError> {
         layout.with_payload(shard, matches_sidecar).unwrap_or(false)
     };
     if layout.parity_width == 0 {
+        // Without a sidecar (whose CRC list is as long as the store) the
+        // meta alone says how many shards exist: believe it only while about
+        // half are here, so a lie costs one listing, not an open per shard.
+        let names = std::fs::read_dir(&layout.dir)?.flatten().map(|e| e.file_name());
+        let present = names.filter(|n| n.to_string_lossy().starts_with("shard-")).count();
+        if num_shards > 2 * present + 1 {
+            return Err(FeatureStoreError::Format(format!(
+                "meta claims {num_shards} shards, the directory holds {present} shard files"
+            )));
+        }
         report.unrepairable = (0..num_shards).filter(|&s| !intact(s)).collect();
     }
     for group in 0..layout.num_groups() {
@@ -902,13 +912,7 @@ mod tests {
                     PARITY_META_FILE => 2,
                     _ => 4,
                 };
-                let mut kind = MUTATIONS[rng.gen_range(0..MUTATIONS.len())];
-                // Without a sidecar the meta alone says how many shards
-                // there are, and `scrub` of a meta that claims 2³² of them
-                // is 2³² failed opens: slow, not unsafe, and not timed here.
-                if parity == 0 && victim == META_FILE && kind == Mutation::Lie {
-                    kind = Mutation::BitFlip;
-                }
+                let kind = MUTATIONS[rng.gen_range(0..MUTATIONS.len())];
                 match rng.gen_range(0..8u32) {
                     0 => std::fs::remove_file(dir.join(victim)).unwrap(),
                     1 => std::fs::write(dir.join(victim), other).unwrap(),
@@ -943,6 +947,33 @@ mod tests {
             }
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    /// Without a parity sidecar the meta alone says how many shards exist:
+    /// a deleted shard is damage to report, a meta claiming 2³² − 1 shards
+    /// over a directory of four is a lie to refuse — in one listing, where
+    /// believing it was 2³² failed opens and a list as long.
+    #[test]
+    fn scrub_refuses_a_meta_claiming_far_more_shards_than_are_present() {
+        let dir = tmp_dir("scrub-lying-meta");
+        write_store(&matrix(37, 5), &dir, 8, DType::F32, 0).unwrap();
+        std::fs::remove_file(dir.join(shard_name(3))).unwrap();
+        let report = scrub(&dir).unwrap();
+        assert_eq!((report.shards_checked, report.unrepairable), (5, vec![3]));
+
+        let mut meta = Vec::new();
+        put_words(&mut meta, [u32::MAX as usize, 5, 1]);
+        std::fs::write(dir.join(META_FILE), seal(META_MAGIC, &meta)).unwrap();
+        let (outcome, largest, _) = measured(|| scrub(&dir));
+        match outcome {
+            Err(FeatureStoreError::Format(msg)) => assert!(
+                msg.contains("4294967295 shards") && msg.contains("holds 4 shard files"),
+                "{msg}"
+            ),
+            other => panic!("a lying meta must be a format error, got {other:?}"),
+        }
+        assert!(largest < 4096, "allocated {largest} bytes at once");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// `scrub` walks a store a group at a time: on 64 shards with one

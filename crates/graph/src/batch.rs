@@ -101,8 +101,9 @@ impl Batch {
     }
 
     /// The micro-batch of each part, in part order, materialized on up to
-    /// [`betty_runtime::configured_threads`] workers (the result does not
-    /// depend on the thread count).
+    /// [`betty_runtime::configured_threads`] workers when
+    /// [`betty_runtime::Shards::for_work`] says the restricted edges are
+    /// worth it (the result does not depend on the thread count).
     ///
     /// Walks the bipartite stack from the output layer downward, keeping at
     /// each level exactly the in-edges of the destinations needed above, so
@@ -116,14 +117,25 @@ impl Batch {
     /// Panics if a part contains a node that is not an output node of the
     /// batch, or duplicates.
     pub fn restrict_all<P: AsRef<[NodeId]> + Sync>(&self, parts: &[P]) -> Vec<Batch> {
+        // The work is the restricted edges; a split covering the outputs
+        // restricts every edge of the batch at least once.
+        let shards = betty_runtime::Shards::for_work(parts.len(), self.total_edges());
+        self.restrict_sharded(parts, shards.count())
+    }
+
+    /// [`Batch::restrict_all`] on `shards` contiguous ranges of parts.
+    fn restrict_sharded<P: AsRef<[NodeId]> + Sync>(
+        &self,
+        parts: &[P],
+        shards: usize,
+    ) -> Vec<Batch> {
         let output_local: HashMap<NodeId, u32> = self
             .output_nodes()
             .iter()
             .enumerate()
             .map(|(local, &v)| (v, local as u32))
             .collect();
-        let threads = betty_runtime::configured_threads();
-        let ranges = betty_runtime::shard_ranges(parts.len(), threads);
+        let ranges = betty_runtime::shard_ranges(parts.len(), shards);
         betty_runtime::map_ranges(ranges, |_, range| {
             // Per-block scratch of `Block::restrict`, shared by a worker's parts.
             let mut marks: Vec<Vec<u32>> = self
@@ -286,6 +298,17 @@ mod tests {
         let s1: HashSet<_> = m1.input_nodes().iter().copied().collect();
         let s2: HashSet<_> = m2.input_nodes().iter().copied().collect();
         assert!(s1.intersection(&s2).count() > 0);
+    }
+
+    #[test]
+    fn sharded_restriction_matches_one_shard_exactly() {
+        let b = fig7_batch();
+        let parts: [&[NodeId]; 3] = [&[5], &[8, 5], &[8]];
+        let serial = b.restrict_sharded(&parts, 1);
+        assert_eq!(serial, b.restrict_all(&parts));
+        for shards in [2, 3, 8] {
+            assert_eq!(b.restrict_sharded(&parts, shards), serial, "{shards} shards");
+        }
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //!   [`Batch`] from seed (output) nodes.
 //! * [`shared_neighbor_graph`] — Gustavson-style sparse `Aᵀ·A` restricted to
 //!   destination nodes: the **Redundancy-Embedded Graph** (REG) of the paper.
+//! * [`ColumnBitmap`] — the ascending, sort-free row emission the REG build
+//!   and the partitioner's coarse levels share.
 //! * [`degree`] — degree-distribution statistics (power-law tails,
 //!   in-degree bucketing histograms).
 //!
@@ -36,6 +38,7 @@
 #![deny(missing_docs)]
 
 mod batch;
+mod bitmap;
 mod block;
 mod components;
 mod csr;
@@ -44,6 +47,7 @@ mod sampling;
 mod spgemm;
 
 pub use batch::Batch;
+pub use bitmap::ColumnBitmap;
 pub use block::Block;
 pub use components::{weakly_connected_components, Components};
 pub use csr::CsrGraph;

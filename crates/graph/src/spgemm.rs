@@ -16,15 +16,17 @@
 //! allocation — and share one sharded Gustavson kernel,
 //! [`co_occurrence_csr`]: the set family is inverted into a CSR
 //! row-to-sets index once, destination rows are sharded across
-//! [`betty_runtime::map_ranges`] workers (weighted by per-row work so power-law
-//! hubs don't serialize a shard), each worker accumulates its rows into a
-//! private dense sparse-accumulator, and shard outputs are concatenated in
-//! row order. Weights are exact small-integer counts, so per-row sums are
-//! order-independent and the resulting [`CsrGraph`] is **bit-identical for
-//! every thread count** — `BETTY_THREADS=1` reproduces the historical
-//! serial output byte for byte.
+//! [`betty_runtime::map_ranges`] workers when
+//! [`betty_runtime::Shards::for_work`] says the pair updates are worth it
+//! (weighted by per-row work so power-law hubs don't serialize a shard),
+//! each worker counts its rows into a private dense accumulator and emits
+//! each row in order from a [`ColumnBitmap`], and shard outputs are
+//! concatenated in row order. Weights are exact small-integer counts, so
+//! per-row sums are order-independent and the resulting [`CsrGraph`] is
+//! **bit-identical for every thread count** — `BETTY_THREADS=1` reproduces
+//! the historical serial output byte for byte.
 
-use crate::{Block, CsrGraph};
+use crate::{Block, ColumnBitmap, CsrGraph};
 
 /// A family of duplicate-free sets over `0..n`, stored back to back: set
 /// `k` is `data[offsets[k]..offsets[k + 1]]`.
@@ -84,9 +86,16 @@ impl SetFamily {
 /// weighted graph with `w(i, j) = |{k : i ∈ Sₖ ∧ j ∈ Sₖ}|` for `i ≠ j`.
 ///
 /// The result is independent of set order, of the order within a set and
-/// of the thread count (see the module docs).
+/// of the thread count (see the module docs). Counts leave as `f32`, exact
+/// to 2²⁴: far above what the fanouts let one node's sets number.
 fn co_occurrence_csr(n: usize, sets: &SetFamily) -> CsrGraph {
-    let threads = betty_runtime::configured_threads();
+    // The work is the pair updates, Σ|S|², in the gate's units.
+    let work = sets.paired().map(|(_, set)| set.len() * set.len()).sum();
+    co_occurrence_sharded(n, sets, betty_runtime::Shards::for_work(n, work).count())
+}
+
+/// [`co_occurrence_csr`] on `shards` row ranges balanced by pair updates.
+fn co_occurrence_sharded(n: usize, sets: &SetFamily, shards: usize) -> CsrGraph {
     // Invert: CSR from row id to the ids of the sets containing it.
     let mut inv_ptr = vec![0usize; n + 1];
     for (_, set) in sets.paired() {
@@ -112,41 +121,45 @@ fn co_occurrence_csr(n: usize, sets: &SetFamily) -> CsrGraph {
     };
     // Per-row Gustavson cost: every containing set is scanned in full. One
     // shard is not weighed.
-    let costs: Vec<usize> = if threads <= 1 {
-        vec![0; n]
-    } else {
-        (0..n)
+    let ranges = if shards > 1 {
+        let costs: Vec<usize> = (0..n)
             .map(|i| containing(i).map(<[u32]>::len).sum())
-            .collect()
+            .collect();
+        betty_runtime::shard_ranges_weighted(&costs, shards)
+    } else {
+        betty_runtime::shard_ranges(n, 1)
     };
-    let ranges = betty_runtime::shard_ranges_weighted(&costs, threads);
     let shards = betty_runtime::map_ranges(ranges, |_, range| {
-        // Dense sparse-accumulator, private to this worker.
-        let mut acc = vec![0.0f32; n];
-        let mut touched: Vec<u32> = Vec::new();
+        // Dense counts and first touches, private to this worker. Every
+        // update writes a `touched` slot, so a full row writes slot `n` too.
+        let mut count = vec![0u32; n];
+        let mut touched = vec![0u32; n + 1];
+        let mut row = ColumnBitmap::new(n);
         let mut row_ends = Vec::with_capacity(range.len());
         let mut indices = Vec::new();
         let mut weights = Vec::new();
         for i in range {
+            let mut len = 0;
             for set in containing(i) {
                 for &j in set {
-                    if acc[j as usize] == 0.0 {
-                        touched.push(j);
-                    }
-                    acc[j as usize] += 1.0;
+                    let c = &mut count[j as usize];
+                    touched[len] = j;
+                    len += usize::from(*c == 0);
+                    *c += 1;
                 }
             }
-            touched.sort_unstable();
+            for &j in &touched[..len] {
+                row.insert(j);
+            }
             // The diagonal was counted like any entry (no test per update);
             // it is dropped here.
-            for &j in &touched {
+            row.drain(|j| {
                 if j as usize != i {
                     indices.push(j);
-                    weights.push(acc[j as usize]);
+                    weights.push(count[j as usize] as f32);
                 }
-                acc[j as usize] = 0.0;
-            }
-            touched.clear();
+                count[j as usize] = 0;
+            });
             row_ends.push(indices.len());
         }
         (row_ends, indices, weights)
@@ -181,9 +194,10 @@ fn co_occurrence_csr(n: usize, sets: &SetFamily) -> CsrGraph {
 /// Implementation is Gustavson's row-wise SpGEMM over the source-to-
 /// destination incidence: for each source `k` with destination list `N(k)`,
 /// every ordered pair in `N(k) × N(k)` contributes 1 — accumulated sparsely
-/// per destination row, sharded across [`betty_runtime::configured_threads`]
-/// workers. A source contributing to `d` destinations costs `d²` updates;
-/// destinations' in-degrees are fanout-bounded, keeping this tractable
+/// per destination row, sharded across up to
+/// [`betty_runtime::configured_threads`] workers. A source contributing to
+/// `d` destinations costs `d²` updates; destinations' in-degrees are
+/// fanout-bounded, keeping this tractable
 /// (the paper computes the same product via `dgl.adj_product_graph`).
 pub fn shared_neighbor_graph(block: &Block) -> CsrGraph {
     let by_source = SetFamily::destinations_by_source(block);
@@ -349,6 +363,117 @@ mod tests {
             .into_iter()
             .flat_map(|((i, j), w)| [(i, j, w), (j, i, w)]);
         CsrGraph::from_weighted_edges(n_out, edges, true)
+    }
+
+    /// `co_occurrence_csr` as it was before rows came out of a bitmap, on
+    /// one worker: `f32` counts, first touches pushed behind a branch, and
+    /// each row sorted. The sort-free kernel must reproduce it bit for bit.
+    fn co_occurrence_sorted(n: usize, sets: &SetFamily) -> CsrGraph {
+        let mut containing = vec![Vec::new(); n];
+        for (_, set) in sets.paired() {
+            for &i in set {
+                containing[i as usize].push(set);
+            }
+        }
+        let mut acc = vec![0.0f32; n];
+        let mut touched: Vec<u32> = Vec::new();
+        let (mut indptr, mut indices, mut weights) = (vec![0usize], Vec::new(), Vec::new());
+        for (i, members) in containing.iter().enumerate() {
+            for &j in members.iter().copied().flatten() {
+                if acc[j as usize] == 0.0 {
+                    touched.push(j);
+                }
+                acc[j as usize] += 1.0;
+            }
+            touched.sort_unstable();
+            for &j in &touched {
+                if j as usize != i {
+                    indices.push(j);
+                    weights.push(acc[j as usize]);
+                }
+                acc[j as usize] = 0.0;
+            }
+            touched.clear();
+            indptr.push(indices.len());
+        }
+        CsrGraph::from_csr_parts(indptr, indices, Some(weights))
+    }
+
+    /// `m` random duplicate-free sets over `0..n`, of up to 40 members,
+    /// then a star on the middle column twice over — `{c, j}` for every
+    /// other `j` — so row `c` touches every column and keeps updating after
+    /// its last first touch.
+    fn random_family(seed: u64, n: usize, m: usize) -> SetFamily {
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_pcg::Pcg64Mcg::seed_from_u64(seed);
+        let mut columns: Vec<u32> = (0..n as u32).collect();
+        let mut family = family_of(std::iter::empty());
+        for _ in 0..m {
+            columns.shuffle(&mut rng);
+            let size = rng.gen_range(0..n.min(40) + 1);
+            family.push(&columns[..size]);
+        }
+        let c = n as u32 / 2;
+        for _ in 0..2 {
+            for j in (0..n as u32).filter(|&j| j != c) {
+                family.push(&[j, c]);
+            }
+        }
+        family
+    }
+
+    fn family_of<'a>(sets: impl Iterator<Item = &'a [u32]>) -> SetFamily {
+        let mut family = SetFamily {
+            offsets: vec![0],
+            data: Vec::new(),
+        };
+        for set in sets {
+            family.push(set);
+        }
+        family
+    }
+
+    impl SetFamily {
+        fn push(&mut self, set: &[u32]) {
+            self.data.extend_from_slice(set);
+            self.offsets.push(self.data.len());
+        }
+    }
+
+    #[test]
+    fn sort_free_rows_equal_the_sorted_kernel_at_word_and_summary_edges() {
+        for n in [0usize, 1, 2, 63, 64, 65, 4095, 4097] {
+            let family = random_family(n as u64, n, 60);
+            let oracle = co_occurrence_sorted(n, &family);
+            let c = n / 2;
+            if n > 1 {
+                assert_eq!(oracle.out_degree(c as u32), n - 1, "row {c} touches every column");
+            }
+            for shards in [1usize, 2, 3, 7] {
+                let sharded = co_occurrence_sharded(n, &family, shards);
+                assert_eq!(sharded, oracle, "n = {n}, {shards} shards");
+            }
+            assert_eq!(co_occurrence_csr(n, &family), oracle, "n = {n}, gated");
+        }
+    }
+
+    #[test]
+    fn counts_are_exact_up_to_the_f32_bound() {
+        // One triple in 70 000 sets: counts past every u16.
+        let family = family_of(std::iter::repeat_n(&[2u32, 0, 1][..], 70_000));
+        let reg = co_occurrence_csr(3, &family);
+        assert_eq!(reg, co_occurrence_sorted(3, &family));
+        assert_eq!(reg.neighbor_weights(0), Some(&[70_000.0f32; 2][..]));
+        // The `u32 → f32` emission equals repeated `+= 1.0` for every count
+        // through 2²⁴, and no further: there the `f32` sum stops moving.
+        let mut sum = 0.0f32;
+        for count in 1..=1u32 << 24 {
+            sum += 1.0;
+            assert_eq!(sum.to_bits(), (count as f32).to_bits(), "count {count}");
+        }
+        assert_eq!(sum + 1.0 + 1.0, sum);
+        assert_ne!(((1u32 << 24) + 2) as f32, sum);
     }
 
     #[test]
@@ -679,6 +804,20 @@ mod tests {
                     );
                 }
             }
+        }
+
+        #[test]
+        fn sort_free_rows_equal_the_sorted_kernel_on_random_families(
+            seed in 0u64..1 << 32,
+            n in 0usize..300,
+            m in 0usize..80,
+        ) {
+            let family = random_family(seed, n, m);
+            proptest::prop_assert_eq!(
+                co_occurrence_csr(n, &family),
+                co_occurrence_sorted(n, &family),
+                "seed {} n {} m {}", seed, n, m
+            );
         }
 
         #[test]

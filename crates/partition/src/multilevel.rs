@@ -16,11 +16,11 @@
 //! counting transpose and a two-pointer merge of two ascending rows — or,
 //! for a graph that is already symmetric (the REG), `A` itself, which cuts
 //! exactly as `A + Aᵀ = 2A` does; a coarse row is gathered from its one or
-//! two fine rows into a stamped dense accumulator, and only that merged row
-//! is sorted. Entries that merge are summed in a specified order — `A`'s
-//! before `Aᵀ`'s, the lower fine row before the higher, each in neighbour
-//! order — which for the REG's small-integer weights is the same bits as
-//! any other.
+//! two fine rows into a stamped dense accumulator and drained in order from
+//! a [`ColumnBitmap`]: nothing is sorted. Entries that merge are summed in a
+//! specified order — `A`'s before `Aᵀ`'s, the lower fine row before the
+//! higher, each in neighbour order — which for the REG's small-integer
+//! weights is the same bits as any other.
 //!
 //! Refinement and rebalancing read one [`Connectivity`] table per level —
 //! each node's edge weight into each part its neighbours occupy — built
@@ -38,7 +38,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_pcg::Pcg64Mcg;
 
-use betty_graph::CsrGraph;
+use betty_graph::{ColumnBitmap, CsrGraph};
 
 use crate::{Partitioner, Partitioning};
 
@@ -239,12 +239,12 @@ fn coarsen(level: &Level, rng: &mut Pcg64Mcg) -> Option<Level> {
     // Coarse rows in ascending order, each gathered Gustavson-style from
     // its one or two members' rows (lower fine id first, each in neighbour
     // order — the order duplicates are summed in) into a dense accumulator
-    // stamped with the row; only the merged row is sorted.
+    // stamped with the row, and emitted in neighbour order from a bitmap.
     let mut indptr = Vec::with_capacity(coarse_n + 1);
     indptr.push(0usize);
     let mut adj: Vec<(u32, f32)> = Vec::with_capacity(level.adj.len());
     let mut acc = vec![(u32::MAX, 0.0f32); coarse_n];
-    let mut touched: Vec<u32> = Vec::new();
+    let mut row = ColumnBitmap::new(coarse_n);
     for u in 0..n {
         let v = mate[u] as usize;
         if v < u {
@@ -261,12 +261,11 @@ fn coarsen(level: &Level, rng: &mut Pcg64Mcg) -> Option<Level> {
                     slot.1 += w;
                 } else {
                     *slot = (c, w);
-                    touched.push(cx);
+                    row.insert(cx);
                 }
             }
         }
-        touched.sort_unstable();
-        adj.extend(touched.drain(..).map(|cx| (cx, acc[cx as usize].1)));
+        row.drain(|cx| adj.push((cx, acc[cx as usize].1)));
         indptr.push(adj.len());
     }
     Some(Level {
@@ -1877,6 +1876,30 @@ mod tests {
         );
         assert!(8 * peak < n * k * 4, "peak {peak} B");
     }
+
+    #[test]
+    fn coarse_rows_equal_the_sort_built_reference_at_word_and_summary_edges() {
+        // Pairs {2i, 2i + 1} joined by a heavy edge match whatever the
+        // order, so `m` coarse nodes come out, and fine nodes 0 and 1 touch
+        // every other node: coarse row 0 touches every coarse column.
+        for m in [0u32, 1, 2, 63, 64, 65, 4095, 4097] {
+            let n = 2 * m;
+            let pairs = (0..m).map(|i| (2 * i, 2 * i + 1, 10.0f32));
+            let hubs = (2..n).flat_map(|j| [(0, j, 1.0), (1, j, 1.0)]);
+            let edges = pairs.chain(hubs).flat_map(|(u, v, w)| [(u, v, w), (v, u, w)]);
+            let graph = CsrGraph::from_weighted_edges(n as usize, edges, true);
+            let level = symmetric_level(&graph, vec![1.0; n as usize], Pcg64Mcg::seed_from_u64(7));
+            let coarse = coarsen(&level, &mut level.rng.clone()).expect("pairs halve the level");
+            assert_eq!(coarse.num_nodes(), m as usize);
+            if m > 0 {
+                assert_eq!(coarse.neighbors(0).len(), m as usize - 1, "m = {m}");
+            }
+            let map = coarse.fine_to_coarse.as_ref().expect("coarse levels carry one");
+            let reference = reference_coarse_level(&level, map, coarse.rng.clone());
+            assert_levels_equal(&coarse, &reference, &format!("m = {m}"));
+        }
+    }
+
     #[test]
     fn merged_coarse_weights_fold_in_fine_row_then_neighbour_order() {
         // Edges 0–1 and 2–3 outweigh everything, so any matching order
