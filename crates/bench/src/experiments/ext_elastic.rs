@@ -36,15 +36,14 @@ pub fn run(profile: Profile) {
     );
     for devices in [2usize, 4, 8] {
         for killed in 0..devices {
-            let fault_plan = (killed > 0).then(|| FaultPlan {
-                seed: 0,
-                // Device d dies after completing d steps of its own
-                // queue; device 0 always survives to absorb the load.
+            let mut cfg = config.clone();
+            // Device d dies after completing d steps of its own queue;
+            // device 0 always survives to absorb the load. Killing none
+            // is the empty plan.
+            cfg.fault_plan = FaultPlan {
                 device_fail_steps: (1..=killed).map(|d| (d, d)).collect(),
                 ..FaultPlan::default()
-            });
-            let mut cfg = config.clone();
-            cfg.fault_plan = fault_plan;
+            };
             let mut runner = Runner::new(&ds, &cfg, 0);
             let mut log = RecoveryLog::new();
             let epoch = runner

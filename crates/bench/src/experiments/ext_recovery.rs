@@ -29,33 +29,33 @@ pub fn run(profile: Profile) {
     // Mean config — K-escalation shrinks nothing that helps them, so the
     // row shows recovery absorbing transient flakiness (or exhausting the
     // budget when the flakiness persists).
-    let scenarios: Vec<(&str, AggregatorSpec, Option<FaultPlan>)> = vec![
-        ("no faults", AggregatorSpec::Lstm, None),
+    let scenarios: Vec<(&str, AggregatorSpec, FaultPlan)> = vec![
+        ("no faults", AggregatorSpec::Lstm, FaultPlan::default()),
         (
             "scheduled OOM at step 0",
             AggregatorSpec::Lstm,
-            Some(FaultPlan {
+            FaultPlan {
                 oom_steps: vec![0],
                 ..FaultPlan::default()
-            }),
+            },
         ),
         (
             "spurious alloc failures (5%)",
             AggregatorSpec::Mean,
-            Some(FaultPlan {
+            FaultPlan {
                 seed: 99,
                 alloc_failure_rate: 0.05,
                 ..FaultPlan::default()
-            }),
+            },
         ),
         (
             "capacity jitter (75%)",
             AggregatorSpec::Lstm,
-            Some(FaultPlan {
+            FaultPlan {
                 seed: 7,
                 capacity_jitter: 0.75,
                 ..FaultPlan::default()
-            }),
+            },
         ),
         // A poisoned loss is not a capacity problem: the numeric sentinel
         // rolls the epoch back to its snapshot and replays it at the same
@@ -64,10 +64,10 @@ pub fn run(profile: Profile) {
         (
             "NaN loss at step 1",
             AggregatorSpec::Mean,
-            Some(FaultPlan {
+            FaultPlan {
                 nan_loss_steps: vec![1],
                 ..FaultPlan::default()
-            }),
+            },
         ),
     ];
 

@@ -143,7 +143,7 @@ pub fn run(profile: Profile) {
             .expect("spilling bench features to the temp dir");
         let mut chaos_config = config.clone();
         if rate > 0.0 || corrupt {
-            chaos_config.fault_plan = Some(chaos_plan(rate, corrupt));
+            chaos_config.fault_plan = chaos_plan(rate, corrupt);
             // Backoff is accounted, never slept, so a deep retry budget
             // costs nothing: at a 0.5 per-read failure rate the sweep
             // performs thousands of reads, and the budget must make
@@ -199,7 +199,7 @@ pub fn run(profile: Profile) {
         .to_paged_with_parity(&dir, page_rows, usize::MAX, 0)
         .expect("spilling bench features to the temp dir");
     let mut bare_config = config.clone();
-    bare_config.fault_plan = Some(chaos_plan(0.0, true));
+    bare_config.fault_plan = chaos_plan(0.0, true);
     let mut runner = Runner::new(&paged_ds, &bare_config, 0);
     let mut aborted = false;
     for _ in 0..epochs {

@@ -49,7 +49,7 @@ const MODEL: &[&str] = &[
     "anomaly-retries",
     "io-retries",
 ];
-/// The fault-injection flags: any one of them arms a [`FaultPlan`].
+/// The fault-injection flags [`fault_plan`] reads.
 const FAULTS: &[&str] = &[
     "fault-seed",
     "fault-alloc-rate",
@@ -257,15 +257,11 @@ fn experiment_config(args: &Args) -> Result<ExperimentConfig, Box<dyn Error>> {
     Ok(config)
 }
 
-/// Builds the fault-injection plan from `--fault-*` flags, or `None`
-/// when no fault flag was given.
-fn fault_plan(args: &Args) -> Result<Option<FaultPlan>, Box<dyn Error>> {
-    let given = FAULTS.iter().any(|key| args.get(key).is_some());
-    if !given {
-        return Ok(None);
-    }
+/// Builds the fault-injection plan from `--fault-*` flags: the empty plan
+/// when none was given.
+fn fault_plan(args: &Args) -> Result<FaultPlan, Box<dyn Error>> {
     let defaults = FaultPlan::default();
-    Ok(Some(FaultPlan {
+    Ok(FaultPlan {
         seed: args.get_or("fault-seed", defaults.seed)?,
         alloc_failure_rate: args.get_or("fault-alloc-rate", defaults.alloc_failure_rate)?,
         oom_steps: args.get_usize_list("fault-oom-steps")?.unwrap_or_default(),
@@ -287,7 +283,7 @@ fn fault_plan(args: &Args) -> Result<Option<FaultPlan>, Box<dyn Error>> {
         shard_corrupt: args
             .get_pair_list::<usize>("fault-shard-corrupt")?
             .unwrap_or_default(),
-    }))
+    })
 }
 
 /// Builds the elastic device group from `--devices` and its tuning
@@ -300,9 +296,10 @@ fn device_group(args: &Args, devices: usize, config: &ExperimentConfig) -> Resul
     group.max_device_retries = args.get_or("max-device-retries", group.max_device_retries)?;
     group.straggler_threshold =
         args.get_or("straggler-threshold", group.straggler_threshold)?;
-    if let Some(plan) = &config.fault_plan {
-        plan.validate_for_devices(devices).map_err(ArgError)?;
-    }
+    config
+        .fault_plan
+        .validate_for_devices(devices)
+        .map_err(ArgError)?;
     Ok(group)
 }
 
@@ -424,17 +421,20 @@ pub fn partition(args: &Args) -> CmdResult {
 pub fn train(args: &Args) -> CmdResult {
     let ds = load(args)?;
     let config = experiment_config(args)?;
-    if config
-        .fault_plan
-        .as_ref()
-        .is_some_and(FaultPlan::has_storage_faults)
-        && !ds.features.is_paged()
-    {
+    let plan = &config.fault_plan;
+    if plan.has_storage_faults() && !ds.features.is_paged() {
         return Err(Box::new(ArgError(
             "--fault-io-rate / --fault-io-stall-rate / --fault-shard-corrupt \
              target the paged feature store; add --feature-store paged"
                 .into(),
         )));
+    }
+    let shards = ds.features.num_shards();
+    if let Some(&(shard, epoch)) = plan.shard_corrupt.iter().find(|&&(s, _)| s >= shards) {
+        return Err(Box::new(ArgError(format!(
+            "--fault-shard-corrupt entry (shard {shard}, epoch {epoch}): \
+             shard index out of range for {shards} shards"
+        ))));
     }
     let kind = strategy(args)?;
     let epochs = args.get_or("epochs", 20usize)?;
@@ -526,11 +526,10 @@ pub fn train(args: &Args) -> CmdResult {
             mib(ds.features.cache_reservation_bytes())
         );
     }
-    if config.fault_plan.is_some() {
+    if !config.fault_plan.is_noop() {
         println!(
             "fault injection armed (seed {}), recovery budget {} retries",
-            config.fault_plan.as_ref().map_or(0, |p| p.seed),
-            config.retry.max_retries
+            config.fault_plan.seed, config.retry.max_retries
         );
     }
     println!(

@@ -359,6 +359,28 @@ fn storage_faults_with_dense_store_are_a_usage_error() {
     );
 }
 
+/// A scheduled corruption of a shard the store does not have is a usage
+/// error naming the entry, caught before the first epoch (it used to
+/// panic mid-run with exit 101).
+#[test]
+fn out_of_range_shard_corruption_is_a_usage_error() {
+    let dir = tmp("bad-shard-store");
+    let out = betty()
+        .arg("train")
+        .args(SHAPE)
+        .args(["--epochs", "2", "--feature-store", "paged", "--feature-dir"])
+        .arg(&dir)
+        .args(["--fault-shard-corrupt", "999:0"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("(shard 999, epoch 0)"), "{stderr}");
+    assert!(stderr.contains("out of range"), "{stderr}");
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("loss"), "no epoch ran");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn storage_chaos_run_is_bit_identical_to_fault_free_run() {
     let quiet_dir = tmp("chaos-quiet-store");

@@ -66,9 +66,13 @@ impl StepSizes {
     }
 }
 
-/// Live allocations of one step, so the trainer can stage frees.
-#[derive(Debug)]
+/// Live allocations of one step, so the trainer can stage frees and a
+/// failing step can release everything it holds in one call.
+#[derive(Debug, Default)]
 pub(crate) struct StepCharges {
+    /// The next micro-batch's staged transfer, which a successful step
+    /// hands on instead of releasing.
+    staged: Option<AllocationId>,
     statics: Vec<AllocationId>,
     hidden: Option<AllocationId>,
     aggregator: Option<AllocationId>,
@@ -109,10 +113,26 @@ impl StepCharges {
         }
         Ok(Self {
             statics,
-            hidden: None,
-            aggregator: None,
-            gradients: None,
+            ..Self::default()
         })
+    }
+
+    /// Charges the next micro-batch's transfer, staged while this step
+    /// computes.
+    pub(crate) fn charge_staging(
+        &mut self,
+        device: &mut Device,
+        bytes: usize,
+    ) -> Result<AllocationId, OomError> {
+        let id = device.alloc(bytes, MemoryCategory::PrefetchStaging)?;
+        self.staged = Some(id);
+        Ok(id)
+    }
+
+    /// Hands the staged transfer on to the next step: [`Self::release`]
+    /// no longer frees it.
+    pub(crate) fn keep_staged(&mut self) {
+        self.staged = None;
     }
 
     /// Charges forward activations: named hidden outputs plus everything
@@ -143,15 +163,11 @@ impl StepCharges {
         Ok(())
     }
 
-    /// Releases every remaining allocation of the step.
+    /// Releases every remaining allocation of the step, the staged
+    /// transfer first.
     pub(crate) fn release(self, device: &mut Device) {
-        for id in self.statics {
-            device.free(id);
-        }
-        for id in [self.hidden, self.aggregator, self.gradients]
-            .into_iter()
-            .flatten()
-        {
+        let transients = [self.hidden, self.aggregator, self.gradients].into_iter().flatten();
+        for id in self.staged.into_iter().chain(self.statics).chain(transients) {
             device.free(id);
         }
     }

@@ -45,9 +45,10 @@ pub struct ExperimentConfig {
     pub capacity_bytes: usize,
     /// Upper bound on micro-batch count for memory-aware re-partitioning.
     pub max_partitions: usize,
-    /// Optional deterministic fault-injection schedule, armed onto the
-    /// trainer's device and transfer link at construction.
-    pub fault_plan: Option<FaultPlan>,
+    /// Deterministic fault-injection schedule, armed at construction onto
+    /// the trainer's device and transfer link, the all-reduce link and the
+    /// paged feature store. The empty default injects nothing.
+    pub fault_plan: FaultPlan,
     /// OOM recovery policy used by
     /// [`Runner::train_epoch_auto_recovering`](crate::Runner::train_epoch_auto_recovering)
     /// and [`fit`](crate::fit()).
@@ -100,7 +101,7 @@ impl Default for ExperimentConfig {
             learning_rate: 3e-3,
             capacity_bytes: gib(24),
             max_partitions: 512,
-            fault_plan: None,
+            fault_plan: FaultPlan::default(),
             retry: RetryPolicy::default(),
             prefetch: true,
             pool: true,
@@ -144,11 +145,9 @@ impl ExperimentConfig {
         if self.max_partitions == 0 {
             return Err("max_partitions must be positive".into());
         }
-        if let Some(fault_plan) = &self.fault_plan {
-            fault_plan
-                .validate()
-                .map_err(|e| format!("fault plan: {e}"))?;
-        }
+        self.fault_plan
+            .validate()
+            .map_err(|e| format!("fault plan: {e}"))?;
         self.retry
             .validate()
             .map_err(|e| format!("retry policy: {e}"))?;
@@ -262,10 +261,10 @@ mod tests {
     #[test]
     fn rejects_bad_fault_and_retry_knobs() {
         let bad_rate = ExperimentConfig {
-            fault_plan: Some(FaultPlan {
+            fault_plan: FaultPlan {
                 alloc_failure_rate: 2.0,
                 ..FaultPlan::default()
-            }),
+            },
             ..ExperimentConfig::default()
         };
         assert!(bad_rate.validate().unwrap_err().contains("fault plan"));
@@ -300,7 +299,10 @@ mod tests {
         // Fault/retry/execution knobs must not change the fingerprint: a
         // run resumed without its fault plan still has to load.
         let perturbed = ExperimentConfig {
-            fault_plan: Some(FaultPlan::default()),
+            fault_plan: FaultPlan {
+                alloc_failure_rate: 0.5,
+                ..FaultPlan::default()
+            },
             retry: RetryPolicy {
                 max_retries: 9,
                 ..RetryPolicy::default()

@@ -440,12 +440,12 @@ mod tests {
         .unwrap();
 
         let faulty_cfg = ExperimentConfig {
-            fault_plan: Some(FaultPlan {
+            fault_plan: FaultPlan {
                 // Auto planning picks K=1 here, so step == epoch: poison
                 // epoch 2's only micro-batch.
                 nan_loss_steps: vec![2],
                 ..FaultPlan::default()
-            }),
+            },
             ..config()
         };
         let mut faulty = Runner::new(&ds, &faulty_cfg, 0);
@@ -478,10 +478,10 @@ mod tests {
         use betty_device::FaultPlan;
         let ds = dataset();
         let cfg = ExperimentConfig {
-            fault_plan: Some(FaultPlan {
+            fault_plan: FaultPlan {
                 nan_loss_steps: vec![1],
                 ..FaultPlan::default()
-            }),
+            },
             retry: RetryPolicy {
                 max_anomaly_retries: 0,
                 ..RetryPolicy::default()

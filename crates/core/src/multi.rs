@@ -29,7 +29,7 @@
 
 use std::fmt;
 
-use betty_device::{FaultEvent, LinkFaultInjector};
+use betty_device::{FaultEvent, StallInjector};
 use betty_trace::{SpanKind, TraceRecorder};
 
 use crate::recovery::{RecoveryEvent, RecoveryLog};
@@ -339,12 +339,13 @@ pub(crate) struct SyncOutcome {
 /// seeded-jitter exponential backoff. When the retry budget runs out
 /// the highest surviving rank (the modelled owner of the dead link) is
 /// popped from `live` and the ring is rebuilt one rank smaller — a lone
-/// survivor needs no sync, so this always terminates.
+/// survivor needs no sync (and draws nothing from `link`), so this
+/// always terminates.
 pub(crate) fn simulate_allreduce(
     group: &DeviceGroup,
     grad_bytes: usize,
     live: &mut Vec<usize>,
-    mut link: Option<&mut LinkFaultInjector>,
+    link: &mut StallInjector,
 ) -> SyncOutcome {
     let mut out = SyncOutcome::default();
     loop {
@@ -355,10 +356,10 @@ pub(crate) fn simulate_allreduce(
         let round_sec = group.allreduce_sec(grad_bytes, live.len());
         let mut attempt = 0usize;
         while attempt <= group.max_device_retries {
-            match link.as_mut().and_then(|l| l.check_round()) {
+            match link.check() {
                 Some(stall) if stall >= group.allreduce_timeout_sec => {
                     attempt += 1;
-                    let jitter = link.as_mut().map_or(0.0, |l| l.backoff_jitter());
+                    let jitter = link.backoff_jitter();
                     let backoff =
                         group.backoff_base_sec * 2f64.powi(attempt as i32 - 1) * (1.0 + jitter);
                     out.total_sec += group.allreduce_timeout_sec + backoff;
@@ -473,7 +474,7 @@ pub(crate) fn attribute_epoch(
     group: &DeviceGroup,
     straggler_factors: &[(usize, f64)],
     grad_bytes: usize,
-    link: Option<&mut LinkFaultInjector>,
+    link: &mut StallInjector,
     log: &mut RecoveryLog,
     mut trace: Option<&mut TraceRecorder>,
 ) -> MultiDeviceEpoch {
@@ -797,7 +798,8 @@ mod tests {
     fn allreduce_simulation_without_faults_is_one_clean_round() {
         let group = DeviceGroup::new(4);
         let mut live = vec![0, 1, 2, 3];
-        let out = simulate_allreduce(&group, 1 << 20, &mut live, None);
+        let mut link = betty_device::FaultPlan::default().link_injector();
+        let out = simulate_allreduce(&group, 1 << 20, &mut live, &mut link);
         assert_eq!(live.len(), 4);
         assert!(out.retries.is_empty());
         assert!(out.lost_ranks.is_empty());
@@ -820,7 +822,7 @@ mod tests {
         }
         .link_injector();
         let mut live = vec![0, 1, 2];
-        let out = simulate_allreduce(&group, 1 << 20, &mut live, Some(&mut link));
+        let out = simulate_allreduce(&group, 1 << 20, &mut live, &mut link);
         assert_eq!(live, vec![0], "rings shed ranks from the top");
         assert_eq!(out.lost_ranks, vec![2, 1]);
         assert_eq!(out.rebuilt.len(), 2);

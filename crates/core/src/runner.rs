@@ -2,15 +2,15 @@
 
 use std::borrow::Cow;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use rand::SeedableRng;
 use rand_pcg::Pcg64Mcg;
 
-use betty_data::{Dataset, StorageIncident};
+use betty_data::{Dataset, InjectedStorageFault, SeededStorageFaults, StorageIncident};
 use betty_device::{
-    AggregatorKind, Device, FaultPlan, MemoryEstimate, MemoryEstimator, ModelShape,
-    BYTES_PER_VALUE,
+    AggregatorKind, Device, FaultEvent, FaultPlan, MemoryEstimate, MemoryEstimator, ModelShape,
+    StallInjector, BYTES_PER_VALUE,
 };
 use betty_graph::{sample_batch_in, Batch, CsrGraph, NodeId};
 use betty_nn::{Gat, Gcn, Gin, GnnModel, GraphSage, TrainState};
@@ -114,8 +114,8 @@ impl From<TrainError> for RunError {
 impl RunError {
     /// The step failure behind an executor error, for the entry points
     /// whose signature is [`TrainError`]. They run a fixed, cached or
-    /// caller-supplied plan on a fault-free group with no retry budget,
-    /// which can fail in no other way.
+    /// caller-supplied plan on a group of one under the empty plan with
+    /// no retry budget, which can fail in no other way.
     fn into_train_error(self) -> TrainError {
         match self {
             RunError::Train(e)
@@ -158,44 +158,9 @@ pub struct Runner {
     epochs_run: usize,
     /// All-reduce link-stall injector, armed once per run from the
     /// config's fault plan so its seeded stream continues across epochs
-    /// (mirrors the alloc/transfer injectors owned by the trainer).
-    link_faults: Option<betty_device::LinkFaultInjector>,
-    /// Storage fault injector shared with the paged feature store's
-    /// chaos hook (`None` without storage faults in the plan). The store
-    /// calls into it on every shard read; the runner drains its events
-    /// into the recovery log at epoch boundaries.
-    storage_faults: Option<Arc<Mutex<betty_device::StorageFaultInjector>>>,
-    /// Scheduled `(shard, epoch)` payload corruptions from the fault
-    /// plan, applied to the on-disk store at the start of the named
-    /// epoch (entries are consumed as they fire).
-    shard_corrupt: Vec<(usize, usize)>,
-}
-
-/// Adapts the device crate's seedable [`betty_device::StorageFaultInjector`]
-/// onto the data crate's [`betty_data::StorageFaultHook`] (betty-data
-/// cannot depend on betty-device, so the trait lives downstream and this
-/// shim lives here).
-struct StorageHookAdapter(Arc<Mutex<betty_device::StorageFaultInjector>>);
-
-impl betty_data::StorageFaultHook for StorageHookAdapter {
-    fn check_read(&mut self, shard: usize, attempt: usize) -> betty_data::ReadFault {
-        let verdict = self
-            .0
-            .lock()
-            .expect("storage fault injector lock poisoned")
-            .check_read(shard, attempt);
-        betty_data::ReadFault {
-            fail: verdict.fail,
-            stall_sec: verdict.stall_sec,
-        }
-    }
-
-    fn backoff_jitter(&mut self) -> f64 {
-        self.0
-            .lock()
-            .expect("storage fault injector lock poisoned")
-            .backoff_jitter()
-    }
+    /// (the trainer holds the alloc/transfer injectors, the paged
+    /// feature store the storage stream).
+    link_faults: StallInjector,
 }
 
 /// A reusable output-node assignment from a previous epoch's plan.
@@ -232,9 +197,9 @@ struct EpochSpec<'a> {
     group: &'a DeviceGroup,
     /// No recovery is a zero budget.
     retry: RetryPolicy,
-    /// The plan whose `device_fail_steps`, `straggler_factors` and link
-    /// stalls hit the group; `None` is a fault-free group.
-    device_faults: Option<FaultPlan>,
+    /// The plan whose `device_fail_steps` and `straggler_factors` hit
+    /// the group; no device faults is the empty plan.
+    faults: &'a FaultPlan,
 }
 
 /// What one attempt trains.
@@ -406,28 +371,17 @@ impl Runner {
         trainer.set_pooling(config.pool);
         trainer.set_sentinel(config.sentinel);
         trainer.set_precision(config.precision);
-        let mut link_faults = None;
-        let mut storage_faults = None;
-        let mut shard_corrupt = Vec::new();
-        if let Some(fault_plan) = &config.fault_plan {
-            trainer.arm_faults(fault_plan);
-            link_faults = Some(fault_plan.link_injector());
-            if fault_plan.has_storage_faults() {
-                let injector = Arc::new(Mutex::new(fault_plan.storage_injector()));
-                dataset
-                    .features
-                    .arm_storage_faults(Box::new(StorageHookAdapter(Arc::clone(&injector))));
-                storage_faults = Some(injector);
-                shard_corrupt = fault_plan.shard_corrupt.clone();
-            } else {
-                // The store outlives any one runner (datasets are shared);
-                // a storage-quiet plan must clear a predecessor's hook so
-                // an armed-but-inert run stays byte-identical to no plan.
-                dataset.features.disarm_storage_faults();
-            }
-        } else {
-            dataset.features.disarm_storage_faults();
-        }
+        let plan = &config.fault_plan;
+        trainer.arm_faults(plan);
+        // The store outlives any one runner (datasets are shared): arming
+        // this run's stream replaces a predecessor's and what it recorded.
+        dataset.features.arm_storage_faults(Box::new(SeededStorageFaults::new(
+            plan.seed,
+            plan.io_failure_rate,
+            plan.io_stall_rate,
+            plan.io_stall_sec,
+            plan.shard_corrupt.clone(),
+        )));
         dataset.features.set_max_io_retries(config.retry.max_io_retries);
         Self {
             config: config.clone(),
@@ -445,9 +399,7 @@ impl Runner {
             pipeline: None,
             warm_k: None,
             epochs_run: 0,
-            link_faults,
-            storage_faults,
-            shard_corrupt,
+            link_faults: plan.link_injector(),
         }
     }
 
@@ -466,59 +418,39 @@ impl Runner {
 
     /// Epoch preamble: stamps the trace recorder with this epoch's
     /// ordinal (so spans and drift records carry monotone epoch ids),
-    /// then applies any scheduled shard corruption due this epoch to the
-    /// on-disk feature store.
+    /// then lets the feature store apply the shard corruption its fault
+    /// stream schedules for this epoch.
     fn begin_epoch(&mut self, dataset: &Dataset) {
         let epoch = self.epochs_run;
         self.epochs_run += 1;
         if let Some(tr) = self.trainer.trace_mut() {
             tr.set_epoch(epoch);
         }
-        self.apply_scheduled_corruption(dataset);
-    }
-
-    /// Fires the fault plan's `(shard, epoch)` corruption schedule for
-    /// the epoch that just began: flips one payload byte of each named
-    /// shard on disk (and evicts it from the page cache), so the next
-    /// read genuinely fails its CRC and must repair from parity. A noop
-    /// for dense stores (the CLI validates the flag against the backend).
-    fn apply_scheduled_corruption(&mut self, dataset: &Dataset) {
-        if self.shard_corrupt.is_empty() {
-            return;
-        }
-        let epoch = self.epochs_run - 1; // begin_epoch just bumped it
-        let mut remaining = Vec::with_capacity(self.shard_corrupt.len());
-        for &(shard, at_epoch) in &self.shard_corrupt {
-            if at_epoch != epoch {
-                remaining.push((shard, at_epoch));
-                continue;
-            }
-            if dataset.features.corrupt_shard_byte(shard).is_ok() {
-                if let Some(inj) = &self.storage_faults {
-                    inj.lock()
-                        .expect("storage fault injector lock poisoned")
-                        .note_corruption(shard, epoch);
-                }
-            }
-        }
-        self.shard_corrupt = remaining;
+        dataset.features.begin_epoch(epoch);
     }
 
     /// Drains every injected-fault source — the trainer's (allocation,
-    /// transfer, NaN), the all-reduce link's and the storage injector's —
-    /// and the feature store's retry/repair incidents accumulated since
-    /// the last call, into `log` and, when tracing, the trace stream.
-    /// Returns how many *injected* fault events were drained (for
-    /// [`EpochStats::injected_faults`]).
+    /// transfer, NaN), the all-reduce link's and the feature store's
+    /// (scheduled corruption, then failed and stalled reads, in the order
+    /// they happened) — and then the store's retry/repair incidents
+    /// accumulated since the last call, into `log` and, when tracing, the
+    /// trace stream. Returns how many *injected* fault events were
+    /// drained (for [`EpochStats::injected_faults`]).
     fn drain_faults(&mut self, dataset: &Dataset, log: &mut RecoveryLog) -> usize {
         let mut events = self.trainer.drain_fault_events();
-        if let Some(link) = self.link_faults.as_mut() {
-            events.extend(link.drain_events());
-        }
-        if let Some(inj) = &self.storage_faults {
-            let mut inj = inj.lock().expect("storage fault injector lock poisoned");
-            events.extend(inj.drain_events());
-        }
+        events.extend(self.link_faults.drain_events());
+        let storage = dataset.features.drain_storage_faults().into_iter();
+        events.extend(storage.map(|fault| match fault {
+            InjectedStorageFault::ReadFailed { shard, attempt } => {
+                FaultEvent::StorageIoError { shard, attempt }
+            }
+            InjectedStorageFault::ReadStalled { shard, stall_sec } => {
+                FaultEvent::StorageStall { shard, stall_sec }
+            }
+            InjectedStorageFault::Corrupted { shard, epoch } => {
+                FaultEvent::ShardCorrupted { shard, epoch }
+            }
+        }));
         let injected = events.len();
         for event in events {
             if let Some(tr) = self.trainer.trace_mut() {
@@ -934,9 +866,8 @@ impl Runner {
         let (group, policy) = (spec.group, &spec.retry);
         let capacity = self.config.capacity_bytes;
         let max_partitions = self.config.max_partitions;
-        let faults = spec.device_faults.as_ref();
-        let fail_steps = faults.map_or(&[][..], |f| f.device_fail_steps.as_slice());
-        let straggler_factors = faults.map_or(&[][..], |f| f.straggler_factors.as_slice());
+        let (fail_steps, straggler_factors) =
+            (&spec.faults.device_fail_steps, &spec.faults.straggler_factors);
         // Staging the next micro-batch's transfer only means something
         // when consecutive micro-batches share a device.
         let prefetch = self.config.prefetch && group.num_devices == 1;
@@ -1028,7 +959,7 @@ impl Runner {
                             group,
                             straggler_factors,
                             grad_bytes,
-                            faults.and(self.link_faults.as_mut()),
+                            &mut self.link_faults,
                             log,
                             self.trainer.trace_mut(),
                         );
@@ -1145,24 +1076,23 @@ impl Runner {
     }
 
     /// [`Runner::run_epoch`] with nothing to recover from and nothing to
-    /// survive: `source` on a fault-free `group` under a zero retry
-    /// budget, fault events drained into a scratch log.
+    /// survive: `source` on a group of one under a zero retry budget,
+    /// fault events drained into a scratch log.
     fn run_plain(
         &mut self,
         dataset: &Dataset,
         strategy: StrategyKind,
         source: PlanSource<'_>,
-        group: &DeviceGroup,
     ) -> Result<MultiDeviceEpoch, RunError> {
         let spec = EpochSpec {
             source,
-            group,
+            group: &DeviceGroup::new(1),
             retry: RetryPolicy {
                 max_retries: 0,
                 max_anomaly_retries: 0,
                 ..self.config.retry.clone()
             },
-            device_faults: None,
+            faults: &FaultPlan::default(),
         };
         self.run_epoch(dataset, strategy, &spec, &mut RecoveryLog::new())
     }
@@ -1184,7 +1114,7 @@ impl Runner {
         k: usize,
     ) -> Result<EpochStats, TrainError> {
         let source = PlanSource::Planned(PlanMode::Fixed(k));
-        self.run_plain(dataset, strategy, source, &DeviceGroup::new(1))
+        self.run_plain(dataset, strategy, source)
             .map(|epoch| epoch.combined)
             .map_err(RunError::into_train_error)
     }
@@ -1201,7 +1131,7 @@ impl Runner {
         strategy: StrategyKind,
     ) -> Result<(EpochStats, usize), RunError> {
         let source = PlanSource::Planned(PlanMode::From(1));
-        self.run_plain(dataset, strategy, source, &DeviceGroup::new(1))
+        self.run_plain(dataset, strategy, source)
             .map(|epoch| (epoch.combined, epoch.assignment.len()))
             .map_err(|e| match e {
                 // No rollback was on offer, so none is reported spent.
@@ -1244,7 +1174,7 @@ impl Runner {
             source: PlanSource::Planned(PlanMode::From(1)),
             group: &DeviceGroup::new(1),
             retry: self.config.retry.clone(),
-            device_faults: None,
+            faults: &FaultPlan::default(),
         };
         self.run_epoch(dataset, strategy, &spec, log)
             .map(|epoch| (epoch.combined, epoch.assignment.len()))
@@ -1264,7 +1194,7 @@ impl Runner {
     ) -> Result<EpochStats, TrainError> {
         // Nothing is partitioned, so the strategy is never consulted.
         let source = PlanSource::Given(micro_batches);
-        self.run_plain(dataset, StrategyKind::Betty, source, &DeviceGroup::new(1))
+        self.run_plain(dataset, StrategyKind::Betty, source)
             .map(|epoch| epoch.combined)
             .map_err(RunError::into_train_error)
     }
@@ -1300,7 +1230,7 @@ impl Runner {
     ) -> Result<(EpochStats, bool), TrainError> {
         assert!(refresh_every > 0, "refresh_every must be positive");
         let source = PlanSource::Cached { k, refresh_every };
-        let epoch = self.run_plain(dataset, strategy, source, &DeviceGroup::new(1));
+        let epoch = self.run_plain(dataset, strategy, source);
         // A cut that has served one epoch was made for this one.
         let fresh = self.cached_parts.as_ref().is_some_and(|c| c.epochs_used == 1);
         epoch
@@ -1309,35 +1239,17 @@ impl Runner {
     }
 
     /// One epoch of simulated data-parallel training on a device group
-    /// (the paper's multi-GPU future work, §7): micro-batches are
-    /// LPT-scheduled across devices by estimated work, gradients are
-    /// ring-all-reduced (numerically identical to single-device
-    /// accumulation), and the wall time is the slowest device plus the
-    /// synchronization cost.
-    ///
-    /// # Errors
-    ///
-    /// [`TrainError::StepOom`] if a micro-batch exceeds capacity.
-    pub fn train_epoch_multi_device(
-        &mut self,
-        dataset: &Dataset,
-        strategy: StrategyKind,
-        k: usize,
-        group: &DeviceGroup,
-    ) -> Result<MultiDeviceEpoch, TrainError> {
-        let source = PlanSource::Planned(PlanMode::Fixed(k));
-        self.run_plain(dataset, strategy, source, group)
-            .map_err(RunError::into_train_error)
-    }
-
-    /// One epoch of *elastic* data-parallel training from a starting `k`:
-    /// like [`Runner::train_epoch_multi_device`], but with the config's
-    /// retry budget, and the group survives the device-level faults of
-    /// the armed [`betty_device::FaultPlan`] — scheduled device failures,
-    /// per-device straggler slowdowns, and transient all-reduce link
-    /// stalls. This is the executor's general configuration (the CLI's
+    /// (the paper's multi-GPU future work, §7) from a starting `k`:
+    /// micro-batches are LPT-scheduled across devices by estimated work,
+    /// gradients are ring-all-reduced (numerically identical to
+    /// single-device accumulation), and the wall time is the slowest
+    /// device plus the synchronization cost. The group survives the
+    /// device-level faults of the config's [`betty_device::FaultPlan`] —
+    /// scheduled device failures, per-device straggler slowdowns, and
+    /// transient all-reduce link stalls — within the config's retry
+    /// budget. This is the executor's general configuration (the CLI's
     /// one call): a group of one is the single-device recovering path,
-    /// and `k = 1` is auto-K.
+    /// the empty plan a fault-free group, and `k = 1` is auto-K.
     ///
     /// A lost device's unfinished micro-batches migrate onto survivors
     /// before any numerics run; if the migrated load no longer fits the
@@ -1361,7 +1273,7 @@ impl Runner {
     ///
     /// # Panics
     ///
-    /// Panics if the armed fault plan fails
+    /// Panics if the config's fault plan fails
     /// [`betty_device::FaultPlan::validate_for_devices`] for this
     /// group's size (the CLI validates before construction).
     pub fn train_epoch_elastic(
@@ -1372,7 +1284,7 @@ impl Runner {
         group: &DeviceGroup,
         log: &mut RecoveryLog,
     ) -> Result<MultiDeviceEpoch, RunError> {
-        let faults = self.config.fault_plan.clone().unwrap_or_default();
+        let faults = self.config.fault_plan.clone();
         faults
             .validate_for_devices(group.num_devices)
             .unwrap_or_else(|e| panic!("invalid fault plan for elastic group: {e}"));
@@ -1380,7 +1292,7 @@ impl Runner {
             source: PlanSource::Planned(PlanMode::From(k)),
             group,
             retry: self.config.retry.clone(),
-            device_faults: Some(faults),
+            faults: &faults,
         };
         self.run_epoch(dataset, strategy, &spec, log)
     }
@@ -1783,10 +1695,10 @@ mod tests {
         use betty_device::FaultPlan;
         let ds = dataset();
         let cfg = ExperimentConfig {
-            fault_plan: Some(FaultPlan {
+            fault_plan: FaultPlan {
                 oom_steps: vec![0],
                 ..FaultPlan::default()
-            }),
+            },
             ..config()
         };
         let mut runner = Runner::new(&ds, &cfg, 0);
@@ -1809,10 +1721,10 @@ mod tests {
         use betty_device::{FaultPlan, OomError};
         let ds = dataset();
         let cfg = ExperimentConfig {
-            fault_plan: Some(FaultPlan {
+            fault_plan: FaultPlan {
                 alloc_failure_rate: 1.0, // every allocation fails
                 ..FaultPlan::default()
-            }),
+            },
             retry: RetryPolicy {
                 max_retries: 2,
                 ..RetryPolicy::default()
@@ -1846,10 +1758,10 @@ mod tests {
         use betty_device::FaultPlan;
         let ds = dataset();
         let cfg = ExperimentConfig {
-            fault_plan: Some(FaultPlan {
+            fault_plan: FaultPlan {
                 oom_steps: vec![0],
                 ..FaultPlan::default()
-            }),
+            },
             retry: RetryPolicy {
                 max_retries: 0,
                 ..RetryPolicy::default()
@@ -1899,10 +1811,10 @@ mod tests {
         let cfg = ExperimentConfig {
             // Step 0 stages step 1's transfer; the fault then kills step 1,
             // which must drop the staged charge along with everything else.
-            fault_plan: Some(FaultPlan {
+            fault_plan: FaultPlan {
                 oom_steps: vec![1],
                 ..FaultPlan::default()
-            }),
+            },
             ..config()
         };
         assert!(cfg.prefetch);
@@ -1925,10 +1837,10 @@ mod tests {
         use betty_device::FaultPlan;
         let ds = dataset();
         let cfg = ExperimentConfig {
-            fault_plan: Some(FaultPlan {
+            fault_plan: FaultPlan {
                 transfer_stall_rate: 1.0,
                 ..FaultPlan::default()
-            }),
+            },
             ..config()
         };
         let mut runner = Runner::new(&ds, &cfg, 0);
@@ -1951,10 +1863,10 @@ mod tests {
         use betty_device::FaultPlan;
         let ds = dataset();
         let cfg = ExperimentConfig {
-            fault_plan: Some(FaultPlan {
+            fault_plan: FaultPlan {
                 oom_steps: vec![0],
                 ..FaultPlan::default()
-            }),
+            },
             ..config()
         };
         assert!(cfg.prefetch);
@@ -1974,11 +1886,12 @@ mod tests {
         let ds = dataset();
         let clean_cfg = config();
         let armed_cfg = ExperimentConfig {
-            // Non-zero seed, all rates zero: armed but inert.
-            fault_plan: Some(FaultPlan {
+            // A zero-rate plan's seed changes nothing: every stream it
+            // seeds is drawn from only at a non-zero rate.
+            fault_plan: FaultPlan {
                 seed: 1234,
                 ..FaultPlan::default()
-            }),
+            },
             ..config()
         };
         let mut clean = Runner::new(&ds, &clean_cfg, 0);
@@ -1994,5 +1907,82 @@ mod tests {
         assert_eq!(a.max_peak_bytes, b.max_peak_bytes);
         assert_eq!(a.loss.to_bits(), b.loss.to_bits());
         assert!(log.is_empty());
+    }
+
+    /// One epoch's recovery log under `plan`, one line per entry as the
+    /// CLI prints it, with the epoch's injected-fault count.
+    fn logged_epoch(ds: &Dataset, plan: FaultPlan) -> (Vec<String>, usize) {
+        let mut cfg = ExperimentConfig {
+            fanouts: vec![4, 8],
+            dropout: 0.3,
+            capacity_bytes: gib(8),
+            fault_plan: plan,
+            ..config()
+        };
+        cfg.retry.max_io_retries = 25;
+        cfg.retry.max_retries = 8;
+        betty_runtime::with_threads(1, || {
+            let mut runner = Runner::new(ds, &cfg, 3);
+            let mut log = RecoveryLog::new();
+            let epoch = runner
+                .train_epoch_elastic(ds, StrategyKind::Betty, 4, &DeviceGroup::new(1), &mut log)
+                .unwrap();
+            let lines = log.entries().iter().map(|e| format!("{}: {}", e.epoch, e.event));
+            (lines.collect(), epoch.combined.injected_faults)
+        })
+    }
+
+    fn fnv1a(lines: &[String]) -> u64 {
+        lines.iter().flat_map(|l| l.bytes().chain([b'\n'])).fold(
+            0xcbf2_9ce4_8422_2325,
+            |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3),
+        )
+    }
+
+    /// Two epochs' recovery logs, recorded before the storage stream
+    /// moved from a device-crate injector behind an adapter into the
+    /// store: every line, in order — trainer events, then the store's
+    /// injected faults (the scheduled corruption first), then its retries
+    /// and repair — and the injected-fault count. Never edit these for a
+    /// refactor.
+    #[test]
+    fn fault_logs_are_pinned() {
+        let ds = DatasetSpec::cora().scaled(0.12).with_feature_dim(16).generate(5);
+        let dir = std::env::temp_dir().join(format!("betty-pinned-log-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut paged = ds.clone();
+        paged.features = paged.features.to_paged_with_parity(&dir, 8, usize::MAX, 2).unwrap();
+        let storage = FaultPlan {
+            seed: 7,
+            io_failure_rate: 0.3,
+            io_stall_rate: 0.2,
+            io_stall_sec: 0.002,
+            shard_corrupt: vec![(1, 0)],
+            ..FaultPlan::default()
+        };
+        let (lines, injected) = logged_epoch(&paged, storage);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(lines[0], "0: injected payload corruption of shard 1 before epoch 0");
+        assert_eq!(
+            (fnv1a(&lines), lines.len(), injected),
+            (0xc060_94d6_5112_a42b, 39, 24),
+            "{lines:#?}"
+        );
+
+        let device = FaultPlan {
+            seed: 3,
+            alloc_failure_rate: 0.004,
+            oom_steps: vec![1],
+            transfer_stall_rate: 0.5,
+            transfer_stall_sec: 0.001,
+            nan_loss_steps: vec![6],
+            ..FaultPlan::default()
+        };
+        let (lines, injected) = logged_epoch(&ds, device);
+        assert_eq!(
+            (fnv1a(&lines), lines.len(), injected),
+            (0x6a83_77e7_9c2f_b8e2, 9, 6),
+            "{lines:#?}"
+        );
     }
 }

@@ -239,8 +239,8 @@ pub struct Trainer {
     transfer: TransferModel,
     /// Simulated NVMe-like link feature shards page in over. Separate
     /// from `transfer` so paged feature stores never perturb the PCIe
-    /// link's counters or its armed fault-injector stream — dense and
-    /// paged runs draw identical stall sequences on `transfer`.
+    /// link's counters or its fault-injector stream — dense and paged
+    /// runs draw identical stall sequences on `transfer`.
     feature_link: TransferModel,
     rng: Pcg64Mcg,
     global_step: usize,
@@ -491,19 +491,12 @@ impl Trainer {
 
     /// Arms deterministic fault injection on the device (allocation
     /// faults), the transfer link (stalls), and the trainer itself
-    /// (NaN-loss poisoning). Replaces any previously armed plan.
+    /// (NaN-loss poisoning). Replaces the plan armed so far; a new
+    /// trainer holds the empty plan.
     pub fn arm_faults(&mut self, plan: &FaultPlan) {
         self.device.arm_faults(plan.alloc_injector());
         self.transfer.arm_faults(plan.transfer_injector());
         self.nan_steps = plan.nan_loss_steps.iter().copied().collect();
-    }
-
-    /// Disarms fault injection on the device, the transfer link, and the
-    /// trainer's NaN-loss schedule.
-    pub fn disarm_faults(&mut self) {
-        self.device.disarm_faults();
-        self.transfer.disarm_faults();
-        self.nan_steps.clear();
     }
 
     /// Drains injected-fault events from the device, the transfer link,
@@ -689,9 +682,12 @@ impl Trainer {
     /// still owed. `stage_next` asks the step to stage the following
     /// micro-batch's transfer while this one computes; the returned
     /// [`StagedTransfer`] (if any) stays allocated across the step
-    /// boundary and must be fed to the next call as `prefetch_in`. On
-    /// error every charge — including any staging buffer — is released,
-    /// so the device ledger always reads zero after a failure.
+    /// boundary and must be fed to the next call as `prefetch_in`.
+    ///
+    /// Every charge goes through one [`StepCharges`], released on one
+    /// path: all of it when the step fails — so the device ledger always
+    /// reads zero after a failure — and all but the handed-on staging
+    /// buffer when it succeeds.
     fn run_step(
         &mut self,
         dataset: &Dataset,
@@ -699,6 +695,35 @@ impl Trainer {
         mode: &LossMode,
         prefetch_in: Option<StagedTransfer>,
         stage_next: Option<&Batch>,
+    ) -> Result<(StepStats, Option<StagedTransfer>), TrainError> {
+        let step = self.global_step;
+        let mut charges = StepCharges::default();
+        let result =
+            self.charged_step(dataset, batch, mode, prefetch_in, stage_next, &mut charges);
+        if let Ok((_, Some(_))) = &result {
+            charges.keep_staged();
+        }
+        charges.release(&mut self.device);
+        if result.is_ok() && self.trace.is_some() {
+            let events = self.device.drain_timeline_events();
+            if let Some(tr) = self.trace.as_mut() {
+                tr.record_mem_events(step, events);
+            }
+        }
+        result
+    }
+
+    /// The body of [`Trainer::run_step`]: every device charge lands in
+    /// `charges`, and every exit, `?` included, leaves the release to the
+    /// caller.
+    fn charged_step(
+        &mut self,
+        dataset: &Dataset,
+        batch: &Batch,
+        mode: &LossMode,
+        prefetch_in: Option<StagedTransfer>,
+        stage_next: Option<&Batch>,
+        charges: &mut StepCharges,
     ) -> Result<(StepStats, Option<StagedTransfer>), TrainError> {
         let step = self.global_step;
         self.global_step += 1;
@@ -736,7 +761,7 @@ impl Trainer {
         self.device.free_all();
         self.device.reset_peak();
         self.device.begin_step(step);
-        let mut charges = StepCharges::charge_static(&mut self.device, &sizes)
+        *charges = StepCharges::charge_static(&mut self.device, &sizes)
             .map_err(oom(StepPhase::StaticCharge))?;
         // Only the transfer time the previous step's compute did not cover
         // is still owed when the batch was prefetched.
@@ -761,16 +786,9 @@ impl Trainer {
                 let next_sizes =
                     StepSizes::for_batch(next, in_dim, param_values, opt_values, self.precision);
                 let staged_bytes = next_sizes.transfer_bytes();
-                let alloc = match self
-                    .device
-                    .alloc(staged_bytes, MemoryCategory::PrefetchStaging)
-                {
-                    Ok(id) => id,
-                    Err(e) => {
-                        charges.release(&mut self.device);
-                        return Err(oom(StepPhase::Prefetch)(e));
-                    }
-                };
+                let alloc = charges
+                    .charge_staging(&mut self.device, staged_bytes)
+                    .map_err(oom(StepPhase::Prefetch))?;
                 // Page the next micro-batch's feature shards in alongside
                 // the staged PCIe bytes: their NVMe seconds join `raw_sec`
                 // and are hidden behind this step's compute like the rest
@@ -778,14 +796,7 @@ impl Trainer {
                 // hits the warm cache.
                 let next_idx: Vec<usize> =
                     next.input_nodes().iter().map(|&v| v as usize).collect();
-                let warm = match dataset.features.try_prewarm(&next_idx) {
-                    Ok(warm) => warm,
-                    Err(e) => {
-                        self.device.free(alloc);
-                        charges.release(&mut self.device);
-                        return Err(storage(e));
-                    }
-                };
+                let warm = dataset.features.try_prewarm(&next_idx).map_err(storage)?;
                 feature_stats.absorb(&warm);
                 let raw_sec = self.transfer.transfer(staged_bytes)
                     + self.feature_link.transfer(warm.bytes_in as usize);
@@ -813,27 +824,17 @@ impl Trainer {
             .session
             .graph
             .take_scratch(&[input_idx.len(), dataset.features.cols()]);
-        let gather_stats = match dataset
+        let gathered = dataset
             .features
-            .try_gather_into(&input_idx, input_feats.data_mut())
-        {
-            Ok(stats) => stats,
-            Err(e) => {
-                self.session.graph.recycle_indices(input_idx);
-                if let Some(s) = staged_out.take() {
-                    self.device.free(s.alloc);
-                }
-                charges.release(&mut self.device);
-                return Err(storage(e));
-            }
-        };
+            .try_gather_into(&input_idx, input_feats.data_mut());
+        self.session.graph.recycle_indices(input_idx);
+        let gather_stats = gathered.map_err(storage)?;
         // Shards the prefetcher did not (or could not) keep warm page in
         // on the critical path, over the NVMe-like feature link. Dense
         // stores and warm caches read zero bytes, which the link models
         // as free.
         let page_in_sec = self.feature_link.transfer(gather_stats.bytes_in as usize);
         feature_stats.absorb(&gather_stats);
-        self.session.graph.recycle_indices(input_idx);
         let input_bytes = input_feats.size_bytes();
         let mut targets = self.session.graph.take_indices();
         targets.extend(
@@ -895,22 +896,14 @@ impl Trainer {
         let aggregator_bytes = tape_bytes
             .saturating_sub(input_bytes)
             .saturating_sub(hidden_bytes);
-        if let Err(e) = charges.charge_forward(&mut self.device, hidden_bytes, aggregator_bytes) {
-            if let Some(s) = staged_out.take() {
-                self.device.free(s.alloc);
-            }
-            charges.release(&mut self.device);
-            return Err(oom(StepPhase::Forward)(e));
-        }
+        charges
+            .charge_forward(&mut self.device, hidden_bytes, aggregator_bytes)
+            .map_err(oom(StepPhase::Forward))?;
 
         // Backward.
-        if let Err(e) = charges.charge_backward(&mut self.device, sizes.params) {
-            if let Some(s) = staged_out.take() {
-                self.device.free(s.alloc);
-            }
-            charges.release(&mut self.device);
-            return Err(oom(StepPhase::Backward)(e));
-        }
+        charges
+            .charge_backward(&mut self.device, sizes.params)
+            .map_err(oom(StepPhase::Backward))?;
         sess.backward(loss_var, self.model.as_mut());
         let compute_sec = started.elapsed().as_secs_f64();
         let loss = sess.graph.value(loss_var).item() as f64;
@@ -936,10 +929,6 @@ impl Trainer {
                 if let Some(tr) = self.trace.as_mut() {
                     tr.record_anomaly(step, kind.to_string(), injected_nan);
                 }
-                if let Some(s) = staged_out.take() {
-                    self.device.free(s.alloc);
-                }
-                charges.release(&mut self.device);
                 return Err(TrainError::NumericAnomaly {
                     step,
                     kind,
@@ -971,13 +960,6 @@ impl Trainer {
                 .map(|(c, b)| (c.name(), b))
                 .collect();
             tr.record_peak(step, peak_bytes, breakdown);
-        }
-        charges.release(&mut self.device);
-        if self.trace.is_some() {
-            let events = self.device.drain_timeline_events();
-            if let Some(tr) = self.trace.as_mut() {
-                tr.record_mem_events(step, events);
-            }
         }
         Ok((
             StepStats {
@@ -1194,7 +1176,6 @@ mod tests {
         // The very next epoch (step 1) passes: capacity was never short.
         t.micro_batch_epoch(&ds, std::slice::from_ref(&batch), false)
             .unwrap();
-        t.disarm_faults();
     }
 
     fn micros_of(batch: &Batch, k: usize) -> Vec<Batch> {

@@ -65,7 +65,7 @@
 //! Mid-run, every physical shard read re-validates the whole file instead
 //! of trusting the open-time check:
 //!
-//! * **Transient I/O errors** (real, or injected through an armed
+//! * **Transient I/O errors** (real, or injected through the armed
 //!   [`StorageFaultHook`]) are retried with seeded-jitter exponential
 //!   backoff, bounded by a configurable retry budget. Backoff and stall
 //!   seconds are *accounted, never slept* — numerics are untouched.
@@ -83,6 +83,16 @@
 //! [`scrub`] runs the same validation and the same reconstruction
 //! offline over a store directory, one parity group at a time, and also
 //! rebuilds damaged parity shards from intact data shards.
+//!
+//! The store is the one owner of the storage fault stream. The training
+//! layer arms it once per run with a [`SeededStorageFaults`] (the empty
+//! plan's draws nothing); the store asks it for a [`ReadFault`] before
+//! every shard-read attempt, for backoff jitter before every retry and
+//! for the shards to corrupt at every epoch start
+//! ([`PagedFeatures::begin_epoch`]), and records what it injected as
+//! [`InjectedStorageFault`]s apart from the [`StorageIncident`]s it
+//! performed in response. The training layer drains both, injected
+//! faults first.
 
 use std::fmt;
 use std::io;
@@ -90,6 +100,8 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use betty_tensor::{DType, Tensor};
+use rand::{Rng, SeedableRng};
+use rand_pcg::Pcg64Mcg;
 
 use crate::shards::{shard_header_len, write_store, Layout, ShardFailure};
 pub use crate::shards::{scrub, ScrubReport, META_FILE, PARITY_META_FILE};
@@ -212,9 +224,13 @@ impl GatherStats {
 }
 
 // ---------------------------------------------------------------------------
-// Storage chaos hook.
+// Storage fault injection.
 
-/// Verdict for one physical shard-read attempt from an armed
+/// Seed-domain separator of the storage stream: the device streams salt
+/// the same user-facing seed with their own constants.
+const STORAGE_STREAM_SALT: u64 = 0x5704_A6E1_FA17_0004;
+
+/// Verdict for one physical shard-read attempt from a
 /// [`StorageFaultHook`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ReadFault {
@@ -224,10 +240,7 @@ pub struct ReadFault {
     pub stall_sec: f64,
 }
 
-/// Seedable storage-chaos source consulted before every physical shard
-/// read. `betty-data` sits below the fault-injection crate in the
-/// dependency order, so the concrete injector (seeded PCG stream in
-/// `betty-device`) is adapted onto this trait by the training layer.
+/// Seedable storage-chaos source consulted by the paged feature store.
 pub trait StorageFaultHook: Send {
     /// Verdict for attempt `attempt` (zero-based) of reading `shard`.
     fn check_read(&mut self, shard: usize, attempt: usize) -> ReadFault;
@@ -235,7 +248,106 @@ pub trait StorageFaultHook: Send {
     /// Jitter in `[0, 1)` for the retry backoff, drawn from the hook's
     /// own seeded stream so backoff timing is replayable.
     fn backoff_jitter(&mut self) -> f64;
+
+    /// Shards whose payload the store corrupts on disk at the start of
+    /// epoch `epoch`. None by default.
+    fn corruptions_due(&self, _epoch: usize) -> Vec<usize> {
+        Vec::new()
+    }
 }
+
+/// One fault a [`StorageFaultHook`] injected, as the store recorded it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum InjectedStorageFault {
+    /// A read attempt was made to fail with a transient I/O error.
+    ReadFailed {
+        /// Shard whose read failed.
+        shard: usize,
+        /// Zero-based attempt index of the logical read.
+        attempt: usize,
+    },
+    /// A read attempt stalled.
+    ReadStalled {
+        /// Shard whose read stalled.
+        shard: usize,
+        /// Simulated seconds added.
+        stall_sec: f64,
+    },
+    /// One payload byte of a shard was flipped on disk at an epoch start.
+    Corrupted {
+        /// Shard that was corrupted.
+        shard: usize,
+        /// Epoch at whose start it was corrupted.
+        epoch: usize,
+    },
+}
+
+/// The seeded storage fault stream: each read attempt draws its failure,
+/// then its stall, from one salted PCG stream, and a retry draws its
+/// backoff jitter from the same stream. Draws nothing at zero rates.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SeededStorageFaults {
+    failure_rate: f64,
+    stall_rate: f64,
+    stall_sec: f64,
+    /// `(shard, epoch)` corruptions.
+    corrupt: Vec<(usize, usize)>,
+    rng: Pcg64Mcg,
+}
+
+impl SeededStorageFaults {
+    /// The stream of a plan with this `seed`: reads fail at
+    /// `failure_rate`, stall `stall_sec` at `stall_rate`, and each
+    /// `(shard, epoch)` of `corrupt` is corrupted when that epoch begins.
+    pub fn new(
+        seed: u64,
+        failure_rate: f64,
+        stall_rate: f64,
+        stall_sec: f64,
+        corrupt: Vec<(usize, usize)>,
+    ) -> Self {
+        SeededStorageFaults {
+            failure_rate,
+            stall_rate,
+            stall_sec,
+            corrupt,
+            rng: Pcg64Mcg::seed_from_u64(seed ^ STORAGE_STREAM_SALT),
+        }
+    }
+}
+
+impl Default for SeededStorageFaults {
+    /// The empty plan's stream: injects nothing.
+    fn default() -> Self {
+        Self::new(0, 0.0, 0.0, 0.0, Vec::new())
+    }
+}
+
+impl StorageFaultHook for SeededStorageFaults {
+    fn check_read(&mut self, _shard: usize, _attempt: usize) -> ReadFault {
+        let mut fires = |rate: f64| rate > 0.0 && self.rng.gen_bool(rate);
+        let (fail, stalled) = (fires(self.failure_rate), fires(self.stall_rate));
+        ReadFault {
+            fail,
+            stall_sec: if stalled { self.stall_sec } else { 0.0 },
+        }
+    }
+
+    fn backoff_jitter(&mut self) -> f64 {
+        self.rng.gen()
+    }
+
+    fn corruptions_due(&self, epoch: usize) -> Vec<usize> {
+        self.corrupt
+            .iter()
+            .filter(|&&(_, at)| at == epoch)
+            .map(|&(shard, _)| shard)
+            .collect()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Storage recovery.
 
 /// One storage-recovery action the store performed, drained by the
 /// training layer into its recovery log and trace.
@@ -438,19 +550,23 @@ struct CacheState {
     tick: u64,
 }
 
-/// Mutable storage-chaos state: the armed fault hook, the retry budget,
-/// and recovery incidents awaiting a drain by the training layer.
+/// Mutable storage-chaos state: the armed fault hook (the empty plan's
+/// stream until one is armed), the retry budget, and what the hook
+/// injected and the store did about it, awaiting a drain by the training
+/// layer.
 struct StorageChaos {
-    hook: Option<Box<dyn StorageFaultHook>>,
+    hook: Box<dyn StorageFaultHook>,
     max_io_retries: usize,
+    injected: Vec<InjectedStorageFault>,
     incidents: Vec<StorageIncident>,
 }
 
 impl Default for StorageChaos {
     fn default() -> Self {
         StorageChaos {
-            hook: None,
+            hook: Box::<SeededStorageFaults>::default(),
             max_io_retries: DEFAULT_MAX_IO_RETRIES,
+            injected: Vec::new(),
             incidents: Vec::new(),
         }
     }
@@ -459,8 +575,8 @@ impl Default for StorageChaos {
 impl fmt::Debug for StorageChaos {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("StorageChaos")
-            .field("armed", &self.hook.is_some())
             .field("max_io_retries", &self.max_io_retries)
+            .field("pending_injected", &self.injected.len())
             .field("pending_incidents", &self.incidents.len())
             .finish()
     }
@@ -560,41 +676,50 @@ impl PagedFeatures {
         self.layout.parity_width
     }
 
+    fn chaos(&self) -> std::sync::MutexGuard<'_, StorageChaos> {
+        self.chaos.lock().expect("storage chaos state poisoned")
+    }
+
     /// Arms a storage-chaos hook: every subsequent physical shard read
-    /// consults it for injected transient failures and stalls. Replaces
-    /// any previously armed hook and clears pending incidents, so each
-    /// training run starts from a clean chaos stream.
+    /// consults it for injected transient failures and stalls, and every
+    /// [`PagedFeatures::begin_epoch`] for scheduled corruption. Replaces
+    /// any previously armed hook and clears everything pending, so each
+    /// training run starts from a clean chaos stream. A new store holds
+    /// the empty plan's stream, [`SeededStorageFaults::default`].
     pub fn arm_storage_faults(&self, hook: Box<dyn StorageFaultHook>) {
-        let mut chaos = self.chaos.lock().expect("storage chaos state poisoned");
-        chaos.hook = Some(hook);
+        let mut chaos = self.chaos();
+        chaos.hook = hook;
+        chaos.injected.clear();
         chaos.incidents.clear();
     }
 
-    /// Removes any armed storage-chaos hook and clears pending incidents.
-    pub fn disarm_storage_faults(&self) {
-        let mut chaos = self.chaos.lock().expect("storage chaos state poisoned");
-        chaos.hook = None;
-        chaos.incidents.clear();
+    /// Applies the armed hook's corruptions due at the start of `epoch`
+    /// ([`PagedFeatures::corrupt_shard_byte`] on each) and records each
+    /// one that landed.
+    pub fn begin_epoch(&self, epoch: usize) {
+        let due = self.chaos().hook.corruptions_due(epoch);
+        for shard in due {
+            if self.corrupt_shard_byte(shard).is_ok() {
+                self.chaos().injected.push(InjectedStorageFault::Corrupted { shard, epoch });
+            }
+        }
     }
 
     /// Sets the transient-I/O retry budget per logical shard read.
     pub fn set_max_io_retries(&self, max_io_retries: usize) {
-        self.chaos
-            .lock()
-            .expect("storage chaos state poisoned")
-            .max_io_retries = max_io_retries;
+        self.chaos().max_io_retries = max_io_retries;
+    }
+
+    /// Removes and returns every fault the hook injected since the last
+    /// drain, in the order they happened.
+    pub fn drain_storage_faults(&self) -> Vec<InjectedStorageFault> {
+        std::mem::take(&mut self.chaos().injected)
     }
 
     /// Removes and returns every storage-recovery incident recorded
     /// since the last drain.
     pub fn drain_storage_incidents(&self) -> Vec<StorageIncident> {
-        std::mem::take(
-            &mut self
-                .chaos
-                .lock()
-                .expect("storage chaos state poisoned")
-                .incidents,
-        )
+        std::mem::take(&mut self.chaos().incidents)
     }
 
     /// Flips one payload byte of `shard`'s file on disk (plain
@@ -608,10 +733,15 @@ impl PagedFeatures {
     /// # Errors
     ///
     /// [`FeatureStoreError::Io`] if the file cannot be rewritten;
-    /// [`FeatureStoreError::Format`] if the shard has no payload bytes
-    /// to flip.
+    /// [`FeatureStoreError::Format`] if the store has no such shard or
+    /// the shard has no payload bytes to flip.
     pub fn corrupt_shard_byte(&self, shard: usize) -> Result<u64, FeatureStoreError> {
-        assert!(shard < self.num_shards(), "shard {shard} out of range");
+        if shard >= self.num_shards() {
+            return Err(FeatureStoreError::Format(format!(
+                "shard {shard} out of range for {} shards",
+                self.num_shards()
+            )));
+        }
         let path = self.layout.shard_path(shard);
         let mut bytes = std::fs::read(&path)?;
         let payload_len = self.layout.payload_len(shard);
@@ -689,15 +819,19 @@ impl PagedFeatures {
         stats: &mut GatherStats,
     ) -> Result<ShardPayload, FeatureStoreError> {
         let dtype = self.dtype();
-        let mut chaos = self.chaos.lock().expect("storage chaos state poisoned");
+        let mut chaos = self.chaos();
         let max_io_retries = chaos.max_io_retries;
         let mut attempt = 0usize;
         loop {
-            let verdict = match chaos.hook.as_mut() {
-                Some(hook) => hook.check_read(shard, attempt),
-                None => ReadFault::default(),
-            };
-            stats.backoff_sec += verdict.stall_sec;
+            let verdict = chaos.hook.check_read(shard, attempt);
+            let (fail, stall_sec) = (verdict.fail, verdict.stall_sec);
+            if fail {
+                chaos.injected.push(InjectedStorageFault::ReadFailed { shard, attempt });
+            }
+            if stall_sec > 0.0 {
+                chaos.injected.push(InjectedStorageFault::ReadStalled { shard, stall_sec });
+            }
+            stats.backoff_sec += stall_sec;
             let outcome = if verdict.fail {
                 Err(ShardFailure::Io(io::Error::new(
                     io::ErrorKind::Interrupted,
@@ -721,7 +855,7 @@ impl PagedFeatures {
                             ),
                         });
                     }
-                    let jitter = chaos.hook.as_mut().map_or(0.5, |h| h.backoff_jitter());
+                    let jitter = chaos.hook.backoff_jitter();
                     let backoff_sec =
                         IO_BACKOFF_BASE_SEC * (1u64 << attempt.min(32)) as f64 * (0.5 + jitter);
                     stats.io_retries += 1;
@@ -1130,10 +1264,10 @@ impl Features {
         }
     }
 
-    /// Removes any armed storage-chaos hook (no-op for dense).
-    pub fn disarm_storage_faults(&self) {
+    /// See [`PagedFeatures::begin_epoch`] (no-op for dense).
+    pub fn begin_epoch(&self, epoch: usize) {
         if let Some(p) = self.paged() {
-            p.disarm_storage_faults();
+            p.begin_epoch(epoch);
         }
     }
 
@@ -1144,10 +1278,21 @@ impl Features {
         }
     }
 
+    /// Drains the injected storage faults (always empty for dense
+    /// stores).
+    pub fn drain_storage_faults(&self) -> Vec<InjectedStorageFault> {
+        self.paged().map_or_else(Vec::new, PagedFeatures::drain_storage_faults)
+    }
+
     /// Drains recorded storage-recovery incidents (always empty for
     /// dense stores).
     pub fn drain_storage_incidents(&self) -> Vec<StorageIncident> {
         self.paged().map_or_else(Vec::new, PagedFeatures::drain_storage_incidents)
+    }
+
+    /// Number of shard files (0 for dense stores).
+    pub fn num_shards(&self) -> usize {
+        self.paged().map_or(0, PagedFeatures::num_shards)
     }
 
     /// Parity group width of a paged store (0 for dense or no sidecar).
@@ -1655,6 +1800,42 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// What a hook injects is recorded by the store, apart from what the
+    /// store did about it: failures and stalls in draw order, and the
+    /// corruptions the hook schedules when their epoch begins.
+    #[test]
+    fn injected_faults_are_recorded_by_the_store() {
+        use InjectedStorageFault::{Corrupted, ReadFailed, ReadStalled};
+        let dir = tmp_dir("injected");
+        let paged = Features::dense(matrix(12, 3, 58)).to_paged(&dir, 4, usize::MAX).unwrap();
+        paged.arm_storage_faults(Box::new(FlakyHook { fail_next: 2 }));
+        paged.try_gather_into(&[0, 5], &mut [0.0f32; 6]).unwrap();
+        let stall_sec = 1e-3;
+        assert_eq!(
+            paged.drain_storage_faults(),
+            [
+                ReadFailed { shard: 0, attempt: 0 },
+                ReadStalled { shard: 0, stall_sec },
+                ReadFailed { shard: 0, attempt: 1 },
+                ReadStalled { shard: 0, stall_sec },
+            ]
+        );
+        assert_eq!(paged.drain_storage_incidents().len(), 2, "two retries");
+        assert!(paged.drain_storage_faults().is_empty(), "drained");
+
+        let pristine = std::fs::read(dir.join(shard_name(1))).unwrap();
+        let schedule = vec![(1, 2), (99, 2)];
+        paged.arm_storage_faults(Box::new(SeededStorageFaults::new(0, 0.0, 0.0, 0.0, schedule)));
+        paged.begin_epoch(1);
+        assert!(paged.drain_storage_faults().is_empty(), "nothing due at epoch 1");
+        paged.begin_epoch(2);
+        assert_eq!(paged.drain_storage_faults(), [Corrupted { shard: 1, epoch: 2 }]);
+        assert_ne!(std::fs::read(dir.join(shard_name(1))).unwrap(), pristine);
+        let err = paged.corrupt_shard_byte(99).unwrap_err();
+        assert!(err.to_string().contains("shard 99 out of range for 3 shards"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn exhausted_retry_budget_is_a_structured_error() {
         let t = matrix(12, 3, 56);
@@ -1671,8 +1852,8 @@ mod tests {
             }
             other => panic!("expected Shard, got {other:?}"),
         }
-        // Disarming clears the chaos stream; the store works again.
-        paged.disarm_storage_faults();
+        // The empty plan's stream injects nothing; the store works again.
+        paged.arm_storage_faults(Box::<SeededStorageFaults>::default());
         assert!(paged.try_gather_into(&[0], &mut out).is_ok());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1745,5 +1926,66 @@ mod tests {
         assert_eq!(stats.pages_in, 0);
         assert_eq!(paged.cache_reservation_bytes(), 0);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn fnv1a(h: &mut u64, bytes: &[u8]) {
+        for &b in bytes {
+            *h ^= u64::from(b);
+            *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The stream's first 64 verdicts over cycling shards and 8 backoff
+    /// jitters, recorded when the stream lived in the device crate behind
+    /// an adapter. Never edit the hash for a refactor: a moved draw (a
+    /// stall drawn before the failure, a jitter drawn per read) changes it.
+    #[test]
+    fn the_storage_stream_is_pinned() {
+        let mut hook = SeededStorageFaults::new(0x5EED, 0.3, 0.2, 0.004, Vec::new());
+        let (mut h, mut fails, mut stalls) = (0xcbf2_9ce4_8422_2325u64, 0, 0);
+        for i in 0..64 {
+            let verdict = hook.check_read(i % 7, 0);
+            fails += usize::from(verdict.fail);
+            stalls += usize::from(verdict.stall_sec > 0.0);
+            fnv1a(&mut h, &[u8::from(verdict.fail)]);
+            fnv1a(&mut h, &verdict.stall_sec.to_bits().to_le_bytes());
+        }
+        for _ in 0..8 {
+            fnv1a(&mut h, &hook.backoff_jitter().to_bits().to_le_bytes());
+        }
+        assert_eq!((h, fails, stalls), (0xbd3e_5612_4460_f8ed, 16, 13));
+    }
+
+    #[test]
+    fn storage_faults_are_seeded_and_recorded() {
+        let run = |seed: u64| {
+            let mut hook = SeededStorageFaults::new(seed, 0.4, 0.25, 2e-3, Vec::new());
+            let verdicts: Vec<ReadFault> = (0..40).map(|i| hook.check_read(i % 7, 0)).collect();
+            let jitter: Vec<u64> = (0..4).map(|_| hook.backoff_jitter().to_bits()).collect();
+            (verdicts, jitter)
+        };
+        let (a, a_j) = run(13);
+        let (b, b_j) = run(13);
+        assert_eq!(a, b);
+        assert_eq!(a_j, b_j);
+        let failed = a.iter().filter(|v| v.fail).count();
+        let stalled = a.iter().filter(|v| v.stall_sec > 0.0).count();
+        assert!(failed > 0, "rate 0.4 over 40 reads should fail some");
+        assert!(stalled > 0, "rate 0.25 over 40 reads should stall some");
+        assert!(a.iter().all(|v| v.stall_sec == 0.0 || v.stall_sec == 2e-3));
+        let (c, _) = run(14);
+        assert_ne!(a, c, "different seeds should diverge");
+    }
+
+    #[test]
+    fn zero_rate_storage_injector_never_draws() {
+        let mut hook = SeededStorageFaults::new(9, 0.0, 0.0, 0.5, vec![(3, 1), (5, 2)]);
+        let pristine = hook.clone();
+        for shard in 0..16 {
+            assert_eq!(hook.check_read(shard, 0), ReadFault::default());
+        }
+        assert_eq!(hook, pristine, "no randomness consumed");
+        assert_eq!(hook.corruptions_due(1), vec![3]);
+        assert!(hook.corruptions_due(0).is_empty());
     }
 }

@@ -41,9 +41,9 @@ mod spec;
 
 pub use dataset::{DataError, Dataset};
 pub use featurestore::{
-    scrub, DenseFeatures, FeatureStoreError, Features, GatherStats, PagedFeatures, ReadFault,
-    ScrubReport, StorageFaultHook, StorageIncident, DEFAULT_MAX_IO_RETRIES, META_FILE,
-    PARITY_META_FILE,
+    scrub, DenseFeatures, FeatureStoreError, Features, GatherStats, InjectedStorageFault,
+    PagedFeatures, ReadFault, ScrubReport, SeededStorageFaults, StorageFaultHook, StorageIncident,
+    DEFAULT_MAX_IO_RETRIES, META_FILE, PARITY_META_FILE,
 };
 pub use generate::{planted_power_law, PlantedPowerLawConfig};
 pub use io::{load_dataset, save_dataset, LoadError};

@@ -3,7 +3,7 @@ use std::fmt;
 
 use betty_trace::{MemEvent, MemTimeline};
 
-use crate::fault::{AllocFaultInjector, FaultEvent};
+use crate::fault::{AllocFaultInjector, FaultEvent, FaultPlan};
 
 /// What a device allocation holds — the categories of the paper's memory
 /// breakdown (Fig. 3).
@@ -98,8 +98,8 @@ pub struct OomError {
     pub in_use: usize,
     /// Device capacity.
     pub capacity: usize,
-    /// Whether an armed [`FaultPlan`](crate::FaultPlan) injected this
-    /// failure rather than the ledger genuinely running out of room.
+    /// Whether the device's [`FaultPlan`] injected this failure rather
+    /// than the ledger genuinely running out of room.
     pub injected: bool,
 }
 
@@ -133,7 +133,8 @@ pub struct Device {
     current_by_cat: HashMap<MemoryCategory, usize>,
     peak_by_cat: HashMap<MemoryCategory, usize>,
     peak_snapshot: HashMap<MemoryCategory, usize>,
-    faults: Option<AllocFaultInjector>,
+    /// The armed plan's allocation injector; an empty plan's by default.
+    faults: AllocFaultInjector,
     timeline: Option<MemTimeline>,
 }
 
@@ -149,7 +150,7 @@ impl Device {
             current_by_cat: HashMap::new(),
             peak_by_cat: HashMap::new(),
             peak_snapshot: HashMap::new(),
-            faults: None,
+            faults: FaultPlan::default().alloc_injector(),
             timeline: None,
         }
     }
@@ -172,20 +173,18 @@ impl Device {
     /// Returns [`OomError`] if the allocation would exceed capacity; the
     /// ledger is unchanged in that case.
     pub fn alloc(&mut self, bytes: usize, category: MemoryCategory) -> Result<AllocationId, OomError> {
-        if let Some(faults) = self.faults.as_mut() {
-            if faults.check_alloc(bytes, self.current, self.capacity).is_some() {
-                return Err(OomError {
-                    requested: bytes,
-                    in_use: self.current,
-                    capacity: self.capacity,
-                    injected: true,
-                });
-            }
+        if self.faults.check_alloc(bytes, self.current, self.capacity).is_some() {
+            return Err(OomError {
+                requested: bytes,
+                in_use: self.current,
+                capacity: self.capacity,
+                injected: true,
+            });
         }
         self.alloc_unfaulted(bytes, category)
     }
 
-    /// Like [`Device::alloc`], but bypassing any armed fault injector:
+    /// Like [`Device::alloc`], but bypassing the fault injector:
     /// only the genuine capacity check applies and the injector's seeded
     /// decision stream is not consumed. Used for bookkeeping charges that
     /// must not perturb fault schedules aligned with an uninstrumented
@@ -311,40 +310,22 @@ impl Device {
     }
 
     /// Arms fault injection: subsequent allocations consult `injector`
-    /// and may fail with [`OomError::injected`] set. Replaces any
-    /// previously armed injector.
+    /// and may fail with [`OomError::injected`] set. Replaces the
+    /// injector held so far.
     pub fn arm_faults(&mut self, injector: AllocFaultInjector) {
-        self.faults = Some(injector);
-    }
-
-    /// Disarms fault injection, returning the injector (with any
-    /// undrained events) if one was armed.
-    pub fn disarm_faults(&mut self) -> Option<AllocFaultInjector> {
-        self.faults.take()
-    }
-
-    /// Whether a fault injector is armed.
-    pub fn faults_armed(&self) -> bool {
-        self.faults.is_some()
+        self.faults = injector;
     }
 
     /// Marks a step boundary for fault injection: re-arms scheduled
-    /// step faults and redraws capacity jitter. No-op when no injector
-    /// is armed.
+    /// step faults and redraws capacity jitter.
     pub fn begin_step(&mut self, step: usize) {
-        let capacity = self.capacity;
-        if let Some(faults) = self.faults.as_mut() {
-            faults.begin_step(step, capacity);
-        }
+        self.faults.begin_step(step, self.capacity);
     }
 
     /// Removes and returns the fault events recorded since the last
-    /// drain. Empty when no injector is armed.
+    /// drain.
     pub fn drain_fault_events(&mut self) -> Vec<FaultEvent> {
-        self.faults
-            .as_mut()
-            .map(AllocFaultInjector::drain_events)
-            .unwrap_or_default()
+        self.faults.drain_events()
     }
 
     /// Starts recording a memory timeline: every subsequent
@@ -545,7 +526,6 @@ mod tests {
             ..FaultPlan::default()
         };
         d.arm_faults(plan.alloc_injector());
-        assert!(d.faults_armed());
         d.begin_step(0);
         let err = d.alloc(10, MemoryCategory::Blocks).unwrap_err();
         assert!(err.injected);
@@ -556,9 +536,6 @@ mod tests {
         let events = d.drain_fault_events();
         assert_eq!(events.len(), 1);
         assert!(d.drain_fault_events().is_empty());
-        let injector = d.disarm_faults();
-        assert!(injector.is_some());
-        assert!(!d.faults_armed());
     }
 
     #[test]
@@ -587,7 +564,7 @@ mod tests {
     #[test]
     fn disarmed_device_never_injects() {
         let mut d = Device::new(1000);
-        d.begin_step(0); // no-op without an injector
+        d.begin_step(0); // the empty plan's injector fires nothing
         assert!(d.alloc(10, MemoryCategory::Blocks).is_ok());
         assert!(d.drain_fault_events().is_empty());
     }

@@ -3,23 +3,25 @@
 //! Real GNN training jobs die to transient allocator failures, memory
 //! fragmentation, and link hiccups that a clean simulation never
 //! produces. [`FaultPlan`] describes a reproducible schedule of such
-//! faults; armed onto a [`Device`](crate::Device) /
-//! [`TransferModel`](crate::TransferModel) pair it injects:
+//! faults. This module is its device half, the injectors a
+//! [`Device`](crate::Device), a [`TransferModel`](crate::TransferModel)
+//! and the elastic group's interconnect hold:
 //!
-//! * **spurious allocation failures** — an allocation fails even though
-//!   capacity is available, at a configured probability per allocation;
-//! * **step-scheduled OOMs** — the first allocation of listed step
-//!   indices fails deterministically (for targeted regression tests);
+//! * **spurious allocation failures** at a configured probability;
+//! * **step-scheduled OOMs** — the first allocation of listed steps fails;
 //! * **capacity jitter** — a per-step random slice of capacity is
 //!   withheld, so allocations near the limit fail early (fragmentation
 //!   stand-in);
-//! * **transfer stalls** — a transfer takes a configured extra delay at
-//!   a configured probability (link contention stand-in).
+//! * **stalls** — a transfer or an all-reduce round takes a configured
+//!   extra delay at a configured probability, through one
+//!   [`StallInjector`] type.
 //!
-//! All draws come from a [`Pcg64Mcg`] seeded from [`FaultPlan::seed`],
-//! so the same plan over the same workload injects the same faults in
-//! the same order on every run. Every injected fault is recorded as a
-//! [`FaultEvent`] that the training layer drains into its recovery log.
+//! The paged feature store owns the storage half (`SeededStorageFaults`).
+//! No faults is the empty plan, [`FaultPlan::default`]: its injectors
+//! draw nothing and fire nothing. Each injector draws from its own
+//! stream, seeded from [`FaultPlan::seed`] and a salt, so the same plan
+//! over the same workload injects the same faults on every run, and
+//! records every injected fault as a [`FaultEvent`] for the recovery log.
 
 use rand::{Rng, SeedableRng};
 use rand_pcg::Pcg64Mcg;
@@ -31,15 +33,15 @@ use std::collections::BTreeSet;
 const ALLOC_STREAM_SALT: u64 = 0xA110_C8ED_FA17_0001;
 const TRANSFER_STREAM_SALT: u64 = 0x7247_5FE2_FA17_0002;
 const LINK_STREAM_SALT: u64 = 0x1141_C057_FA17_0003;
-const STORAGE_STREAM_SALT: u64 = 0x5704_A6E1_FA17_0004;
 
-/// A declarative, seedable schedule of injected faults.
+/// A declarative, seedable schedule of injected faults. The default is
+/// the empty plan: no faults.
 ///
 /// The plan itself is inert configuration (cheap to clone, compare, and
-/// log); [`FaultPlan::alloc_injector`] and
-/// [`FaultPlan::transfer_injector`] instantiate the stateful runtime
-/// injectors that devices arm.
-#[derive(Debug, Clone, PartialEq)]
+/// log); [`FaultPlan::alloc_injector`], [`FaultPlan::transfer_injector`]
+/// and [`FaultPlan::link_injector`] instantiate the stateful runtime
+/// injectors.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Seed for all fault draws. Two runs with equal plans (including
     /// this seed) and equal workloads observe identical fault sequences.
@@ -94,32 +96,10 @@ pub struct FaultPlan {
     pub io_stall_sec: f64,
     /// Scheduled on-disk shard corruption: `(shard, epoch)` flips one
     /// payload byte of feature shard `shard` at the start of epoch
-    /// `epoch` (epoch ordinal within the run, starting at 0). The flip
-    /// happens in the training layer, which owns the store; it lives
-    /// here so one `FaultPlan` describes the whole fault schedule.
+    /// `epoch` (epoch ordinal within the run, starting at 0). The store
+    /// applies it; it lives here so one `FaultPlan` describes the whole
+    /// fault schedule.
     pub shard_corrupt: Vec<(usize, usize)>,
-}
-
-impl Default for FaultPlan {
-    fn default() -> Self {
-        Self {
-            seed: 0,
-            alloc_failure_rate: 0.0,
-            oom_steps: Vec::new(),
-            capacity_jitter: 0.0,
-            transfer_stall_rate: 0.0,
-            transfer_stall_sec: 0.0,
-            nan_loss_steps: Vec::new(),
-            device_fail_steps: Vec::new(),
-            straggler_factors: Vec::new(),
-            link_stall_rate: 0.0,
-            link_stall_sec: 0.0,
-            io_failure_rate: 0.0,
-            io_stall_rate: 0.0,
-            io_stall_sec: 0.0,
-            shard_corrupt: Vec::new(),
-        }
-    }
 }
 
 impl FaultPlan {
@@ -222,9 +202,13 @@ impl FaultPlan {
             && self.device_fail_steps.is_empty()
             && self.straggler_factors.is_empty()
             && self.link_stall_rate == 0.0
-            && self.io_failure_rate == 0.0
-            && self.io_stall_rate == 0.0
-            && self.shard_corrupt.is_empty()
+            && !self.has_storage_faults()
+    }
+
+    /// Whether the storage side of the plan can inject anything: shard
+    /// reads failing or stalling, or scheduled on-disk corruption.
+    pub fn has_storage_faults(&self) -> bool {
+        self.io_failure_rate > 0.0 || self.io_stall_rate > 0.0 || !self.shard_corrupt.is_empty()
     }
 
     /// Builds the allocation-side injector for this plan.
@@ -233,55 +217,33 @@ impl FaultPlan {
             rate: self.alloc_failure_rate,
             jitter_fraction: self.capacity_jitter,
             oom_steps: self.oom_steps.iter().copied().collect(),
-            rng: Pcg64Mcg::seed_from_u64(self.seed ^ ALLOC_STREAM_SALT),
             step: 0,
             step_fault_pending: false,
             withheld: 0,
-            events: Vec::new(),
+            stream: SeededStream::new(self.seed ^ ALLOC_STREAM_SALT),
         }
     }
 
-    /// Builds the transfer-side injector for this plan.
-    pub fn transfer_injector(&self) -> TransferFaultInjector {
-        TransferFaultInjector {
-            stall_rate: self.transfer_stall_rate,
-            stall_sec: self.transfer_stall_sec,
-            rng: Pcg64Mcg::seed_from_u64(self.seed ^ TRANSFER_STREAM_SALT),
-            transfers_seen: 0,
-            events: Vec::new(),
-        }
+    /// Builds the host→device transfer stall injector for this plan.
+    pub fn transfer_injector(&self) -> StallInjector {
+        StallInjector::new(
+            StallSite::Transfer,
+            self.transfer_stall_rate,
+            self.transfer_stall_sec,
+            self.seed ^ TRANSFER_STREAM_SALT,
+        )
     }
 
-    /// Builds the all-reduce-link injector for this plan. One injector
-    /// should live for a whole run so its stream continues across
-    /// epochs, mirroring the other injectors.
-    pub fn link_injector(&self) -> LinkFaultInjector {
-        LinkFaultInjector {
-            stall_rate: self.link_stall_rate,
-            stall_sec: self.link_stall_sec,
-            rng: Pcg64Mcg::seed_from_u64(self.seed ^ LINK_STREAM_SALT),
-            rounds_seen: 0,
-            events: Vec::new(),
-        }
-    }
-
-    /// Builds the storage-side injector for this plan. One injector
-    /// should live for a whole run so its stream continues across
-    /// epochs, mirroring the other injectors.
-    pub fn storage_injector(&self) -> StorageFaultInjector {
-        StorageFaultInjector {
-            failure_rate: self.io_failure_rate,
-            stall_rate: self.io_stall_rate,
-            stall_sec: self.io_stall_sec,
-            rng: Pcg64Mcg::seed_from_u64(self.seed ^ STORAGE_STREAM_SALT),
-            events: Vec::new(),
-        }
-    }
-
-    /// Whether the storage side of the plan can inject anything: shard
-    /// reads failing or stalling, or scheduled on-disk corruption.
-    pub fn has_storage_faults(&self) -> bool {
-        self.io_failure_rate > 0.0 || self.io_stall_rate > 0.0 || !self.shard_corrupt.is_empty()
+    /// Builds the all-reduce link stall injector for this plan. One
+    /// injector should live for a whole run so its stream continues
+    /// across epochs, mirroring the other injectors.
+    pub fn link_injector(&self) -> StallInjector {
+        StallInjector::new(
+            StallSite::Link,
+            self.link_stall_rate,
+            self.link_stall_sec,
+            self.seed ^ LINK_STREAM_SALT,
+        )
     }
 }
 
@@ -409,6 +371,38 @@ impl FaultEvent {
     }
 }
 
+/// The part every injector shares: one salted PCG stream and the events
+/// its injector has fired, awaiting a drain.
+#[derive(Debug, Clone, PartialEq)]
+struct SeededStream {
+    rng: Pcg64Mcg,
+    events: Vec<FaultEvent>,
+}
+
+impl SeededStream {
+    fn new(seed: u64) -> Self {
+        SeededStream {
+            rng: Pcg64Mcg::seed_from_u64(seed),
+            events: Vec::new(),
+        }
+    }
+
+    /// Draws against `rate`. Draws nothing at rate 0, so an empty plan
+    /// leaves the stream untouched.
+    fn fires(&mut self, rate: f64) -> bool {
+        rate > 0.0 && self.rng.gen_bool(rate)
+    }
+
+    /// A uniform draw in `[0, 1)`.
+    fn jitter(&mut self) -> f64 {
+        self.rng.gen()
+    }
+
+    fn drain_events(&mut self) -> Vec<FaultEvent> {
+        std::mem::take(&mut self.events)
+    }
+}
+
 /// Runtime state injecting allocation faults into a
 /// [`Device`](crate::Device).
 #[derive(Debug, Clone, PartialEq)]
@@ -416,11 +410,10 @@ pub struct AllocFaultInjector {
     rate: f64,
     jitter_fraction: f64,
     oom_steps: BTreeSet<usize>,
-    rng: Pcg64Mcg,
     step: usize,
     step_fault_pending: bool,
     withheld: usize,
-    events: Vec<FaultEvent>,
+    stream: SeededStream,
 }
 
 impl AllocFaultInjector {
@@ -431,7 +424,7 @@ impl AllocFaultInjector {
         self.step_fault_pending = self.oom_steps.contains(&step);
         self.withheld = if self.jitter_fraction > 0.0 {
             let max_withheld = self.jitter_fraction * capacity as f64;
-            (self.rng.gen::<f64>() * max_withheld) as usize
+            (self.stream.jitter() * max_withheld) as usize
         } else {
             0
         };
@@ -448,7 +441,7 @@ impl AllocFaultInjector {
         let kind = if self.step_fault_pending {
             self.step_fault_pending = false;
             Some(AllocFaultKind::StepScheduled)
-        } else if self.rate > 0.0 && self.rng.gen_bool(self.rate) {
+        } else if self.stream.fires(self.rate) {
             Some(AllocFaultKind::Spurious)
         } else if self.withheld > 0
             && current.saturating_add(bytes) > capacity.saturating_sub(self.withheld)
@@ -458,7 +451,7 @@ impl AllocFaultInjector {
             None
         };
         if let Some(kind) = kind {
-            self.events.push(FaultEvent::AllocFailure {
+            self.stream.events.push(FaultEvent::AllocFailure {
                 step: self.step,
                 requested: bytes,
                 kind,
@@ -469,167 +462,73 @@ impl AllocFaultInjector {
 
     /// Removes and returns every event recorded since the last drain.
     pub fn drain_events(&mut self) -> Vec<FaultEvent> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// Number of events currently recorded (not yet drained).
-    pub fn pending_events(&self) -> usize {
-        self.events.len()
+        self.stream.drain_events()
     }
 }
 
-/// Runtime state injecting stalls into a
-/// [`TransferModel`](crate::TransferModel).
+/// Which link a [`StallInjector`] stalls, and so which event it records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum StallSite {
+    Transfer,
+    Link,
+}
+
+/// Runtime state injecting stalls into a link: the host→device
+/// [`TransferModel`](crate::TransferModel) or the elastic group's
+/// all-reduce interconnect. A stall is a rate, a duration and a counter
+/// of the attempts seen.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TransferFaultInjector {
-    stall_rate: f64,
+pub struct StallInjector {
+    site: StallSite,
+    rate: f64,
     stall_sec: f64,
-    rng: Pcg64Mcg,
-    transfers_seen: u64,
-    events: Vec<FaultEvent>,
+    seen: u64,
+    stream: SeededStream,
 }
 
-impl TransferFaultInjector {
-    /// Decides whether this transfer stalls; returns the extra seconds
-    /// and records the event if so.
-    pub(crate) fn check_transfer(&mut self) -> Option<f64> {
-        let index = self.transfers_seen;
-        self.transfers_seen += 1;
-        if self.stall_rate > 0.0 && self.rng.gen_bool(self.stall_rate) {
-            self.events.push(FaultEvent::TransferStall {
+impl StallInjector {
+    fn new(site: StallSite, rate: f64, stall_sec: f64, seed: u64) -> Self {
+        StallInjector {
+            site,
+            rate,
+            stall_sec,
+            seen: 0,
+            stream: SeededStream::new(seed),
+        }
+    }
+
+    /// Decides whether this attempt (a transfer, or an all-reduce round)
+    /// stalls; returns the extra seconds and records the event if so.
+    /// Draws nothing when the rate is zero.
+    pub fn check(&mut self) -> Option<f64> {
+        let index = self.seen;
+        self.seen += 1;
+        if !self.stream.fires(self.rate) {
+            return None;
+        }
+        let stall_sec = self.stall_sec;
+        self.stream.events.push(match self.site {
+            StallSite::Transfer => FaultEvent::TransferStall {
                 transfer_index: index,
-                stall_sec: self.stall_sec,
-            });
-            Some(self.stall_sec)
-        } else {
-            None
-        }
-    }
-
-    /// Removes and returns every event recorded since the last drain.
-    pub fn drain_events(&mut self) -> Vec<FaultEvent> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// Number of events currently recorded (not yet drained).
-    pub fn pending_events(&self) -> usize {
-        self.events.len()
-    }
-}
-
-/// Runtime state injecting stalls into simulated all-reduce rounds.
-///
-/// Unlike the other injectors this one is consulted by the elastic
-/// device-group layer (crate `betty`), so its check method is public.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LinkFaultInjector {
-    stall_rate: f64,
-    stall_sec: f64,
-    rng: Pcg64Mcg,
-    rounds_seen: u64,
-    events: Vec<FaultEvent>,
-}
-
-impl LinkFaultInjector {
-    /// Decides whether this all-reduce attempt stalls; returns the
-    /// extra seconds and records the event if so. Draws nothing when
-    /// the stall rate is zero, so a no-fault plan leaves the generator
-    /// untouched.
-    pub fn check_round(&mut self) -> Option<f64> {
-        let round = self.rounds_seen;
-        self.rounds_seen += 1;
-        if self.stall_rate > 0.0 && self.rng.gen_bool(self.stall_rate) {
-            self.events.push(FaultEvent::LinkStall {
-                round,
-                stall_sec: self.stall_sec,
-            });
-            Some(self.stall_sec)
-        } else {
-            None
-        }
+                stall_sec,
+            },
+            StallSite::Link => FaultEvent::LinkStall {
+                round: index,
+                stall_sec,
+            },
+        });
+        Some(stall_sec)
     }
 
     /// Seeded jitter in `[0, 1)` for exponential-backoff delays, drawn
     /// from this injector's own stream so backoff timing is replayable.
     pub fn backoff_jitter(&mut self) -> f64 {
-        self.rng.gen::<f64>()
+        self.stream.jitter()
     }
 
     /// Removes and returns every event recorded since the last drain.
     pub fn drain_events(&mut self) -> Vec<FaultEvent> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// Number of events currently recorded (not yet drained).
-    pub fn pending_events(&self) -> usize {
-        self.events.len()
-    }
-}
-
-/// Verdict for one physical shard-read attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct StorageReadFault {
-    /// The attempt should fail with a transient I/O error.
-    pub fail: bool,
-    /// Simulated NVMe stall seconds charged to the attempt.
-    pub stall_sec: f64,
-}
-
-/// Runtime state injecting storage faults into the paged feature
-/// store's shard reads.
-///
-/// Like [`LinkFaultInjector`] this is consulted from outside the
-/// device crate (the training layer adapts it onto the store), so its
-/// check methods are public.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StorageFaultInjector {
-    failure_rate: f64,
-    stall_rate: f64,
-    stall_sec: f64,
-    rng: Pcg64Mcg,
-    events: Vec<FaultEvent>,
-}
-
-impl StorageFaultInjector {
-    /// Decides whether this shard-read attempt fails and/or stalls;
-    /// records the event(s) if so. Draws nothing when both rates are
-    /// zero, so a no-fault plan leaves the generator untouched.
-    pub fn check_read(&mut self, shard: usize, attempt: usize) -> StorageReadFault {
-        let mut verdict = StorageReadFault::default();
-        if self.failure_rate > 0.0 && self.rng.gen_bool(self.failure_rate) {
-            verdict.fail = true;
-            self.events.push(FaultEvent::StorageIoError { shard, attempt });
-        }
-        if self.stall_rate > 0.0 && self.rng.gen_bool(self.stall_rate) {
-            verdict.stall_sec = self.stall_sec;
-            self.events.push(FaultEvent::StorageStall {
-                shard,
-                stall_sec: self.stall_sec,
-            });
-        }
-        verdict
-    }
-
-    /// Seeded jitter in `[0, 1)` for retry-backoff delays, drawn from
-    /// this injector's own stream so backoff timing is replayable.
-    pub fn backoff_jitter(&mut self) -> f64 {
-        self.rng.gen::<f64>()
-    }
-
-    /// Records a scheduled on-disk corruption applied by the training
-    /// layer. Consumes no randomness.
-    pub fn note_corruption(&mut self, shard: usize, epoch: usize) {
-        self.events.push(FaultEvent::ShardCorrupted { shard, epoch });
-    }
-
-    /// Removes and returns every event recorded since the last drain.
-    pub fn drain_events(&mut self) -> Vec<FaultEvent> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// Number of events currently recorded (not yet drained).
-    pub fn pending_events(&self) -> usize {
-        self.events.len()
+        self.stream.drain_events()
     }
 }
 
@@ -719,7 +618,7 @@ mod tests {
         assert_eq!(inj.check_alloc(10, 0, 1000), None, "fires only once");
         inj.begin_step(2, 1000);
         assert_eq!(inj.check_alloc(10, 0, 1000), None);
-        assert_eq!(inj.pending_events(), 1, "counted in place before the drain");
+        assert_eq!(inj.stream.events.len(), 1, "counted in place before the drain");
         let events = inj.drain_events();
         assert_eq!(events.len(), 1);
         assert_eq!(
@@ -730,7 +629,7 @@ mod tests {
                 kind: AllocFaultKind::StepScheduled,
             }
         );
-        assert_eq!(inj.pending_events(), 0, "drain empties the queue");
+        assert!(inj.stream.events.is_empty(), "drain empties the queue");
     }
 
     #[test]
@@ -745,7 +644,7 @@ mod tests {
         }
         assert!(inj.drain_events().is_empty());
         // No randomness consumed: generator state is untouched.
-        assert_eq!(inj.rng, pristine.rng);
+        assert_eq!(inj.stream, pristine.stream);
     }
 
     #[test]
@@ -860,10 +759,10 @@ mod tests {
                 ..FaultPlan::default()
             }
             .link_injector();
-            let stalls: Vec<Option<f64>> = (0..32).map(|_| inj.check_round()).collect();
-            let pending = inj.pending_events();
+            let stalls: Vec<Option<f64>> = (0..32).map(|_| inj.check()).collect();
+            let pending = inj.stream.events.len();
             let events = inj.drain_events();
-            assert_eq!((pending, inj.pending_events()), (events.len(), 0));
+            assert_eq!((pending, inj.stream.events.len()), (events.len(), 0));
             (stalls, events)
         };
         let (a, a_ev) = run(11);
@@ -887,57 +786,9 @@ mod tests {
         let mut inj = FaultPlan::default().link_injector();
         let pristine = inj.clone();
         for _ in 0..16 {
-            assert_eq!(inj.check_round(), None);
+            assert_eq!(inj.check(), None);
         }
-        assert_eq!(inj.rng, pristine.rng, "no randomness consumed");
-    }
-
-    #[test]
-    fn storage_faults_are_seeded_and_recorded() {
-        let run = |seed: u64| {
-            let mut inj = FaultPlan {
-                seed,
-                io_failure_rate: 0.4,
-                io_stall_rate: 0.25,
-                io_stall_sec: 2e-3,
-                ..FaultPlan::default()
-            }
-            .storage_injector();
-            let verdicts: Vec<StorageReadFault> =
-                (0..40).map(|i| inj.check_read(i % 7, 0)).collect();
-            let jitter: Vec<u64> = (0..4).map(|_| inj.backoff_jitter().to_bits()).collect();
-            let pending = inj.pending_events();
-            let events = inj.drain_events();
-            assert_eq!((pending, inj.pending_events()), (events.len(), 0));
-            (verdicts, jitter, events)
-        };
-        let (a, a_j, a_ev) = run(13);
-        let (b, b_j, b_ev) = run(13);
-        assert_eq!(a, b);
-        assert_eq!(a_j, b_j);
-        assert_eq!(a_ev, b_ev);
-        let failed = a.iter().filter(|v| v.fail).count();
-        let stalled = a.iter().filter(|v| v.stall_sec > 0.0).count();
-        assert!(failed > 0, "rate 0.4 over 40 reads should fail some");
-        assert!(stalled > 0, "rate 0.25 over 40 reads should stall some");
-        assert_eq!(a_ev.len(), failed + stalled);
-        let (c, _, _) = run(14);
-        assert_ne!(a, c, "different seeds should diverge");
-    }
-
-    #[test]
-    fn zero_rate_storage_injector_never_draws() {
-        let mut inj = FaultPlan::default().storage_injector();
-        let pristine = inj.clone();
-        for shard in 0..16 {
-            assert_eq!(inj.check_read(shard, 0), StorageReadFault::default());
-        }
-        inj.note_corruption(3, 1);
-        assert_eq!(inj.rng, pristine.rng, "no randomness consumed");
-        assert_eq!(
-            inj.drain_events(),
-            vec![FaultEvent::ShardCorrupted { shard: 3, epoch: 1 }]
-        );
+        assert_eq!(inj.stream, pristine.stream, "no randomness consumed");
     }
 
     #[test]
@@ -989,11 +840,10 @@ mod tests {
     fn transfer_stalls_are_seeded_and_recorded() {
         let run = |seed: u64| {
             let mut inj = plan(seed).transfer_injector();
-            let stalls: Vec<Option<f64>> =
-                (0..40).map(|_| inj.check_transfer()).collect();
-            let pending = inj.pending_events();
+            let stalls: Vec<Option<f64>> = (0..40).map(|_| inj.check()).collect();
+            let pending = inj.stream.events.len();
             let events = inj.drain_events();
-            assert_eq!((pending, inj.pending_events()), (events.len(), 0));
+            assert_eq!((pending, inj.stream.events.len()), (events.len(), 0));
             (stalls, events)
         };
         let (a, a_ev) = run(4);
@@ -1004,5 +854,6 @@ mod tests {
         assert!(stalled > 0, "rate 0.25 over 40 transfers should stall some");
         assert_eq!(a_ev.len(), stalled);
         assert!(a.iter().flatten().all(|&s| s == 1e-3));
+        assert!(a_ev.iter().all(|e| matches!(e, FaultEvent::TransferStall { .. })));
     }
 }

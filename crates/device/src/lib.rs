@@ -39,10 +39,7 @@ mod transfer;
 
 pub use device::{AllocationId, Device, MemoryCategory, OomError};
 pub use estimator::{AggregatorKind, MemoryEstimate, MemoryEstimator, ModelShape};
-pub use fault::{
-    AllocFaultInjector, AllocFaultKind, FaultEvent, FaultPlan, LinkFaultInjector,
-    StorageFaultInjector, StorageReadFault, TransferFaultInjector,
-};
+pub use fault::{AllocFaultInjector, AllocFaultKind, FaultEvent, FaultPlan, StallInjector};
 pub use transfer::TransferModel;
 
 // Re-exported so ledger consumers can drain timelines without a direct

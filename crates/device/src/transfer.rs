@@ -1,4 +1,4 @@
-use crate::fault::{FaultEvent, TransferFaultInjector};
+use crate::fault::{FaultEvent, FaultPlan, StallInjector};
 
 /// Host→device transfer cost model.
 ///
@@ -14,7 +14,8 @@ pub struct TransferModel {
     total_time_sec: f64,
     num_transfers: u64,
     total_stall_sec: f64,
-    faults: Option<TransferFaultInjector>,
+    /// The armed plan's stall injector; an empty plan's by default.
+    faults: StallInjector,
 }
 
 impl TransferModel {
@@ -35,7 +36,7 @@ impl TransferModel {
             total_time_sec: 0.0,
             num_transfers: 0,
             total_stall_sec: 0.0,
-            faults: None,
+            faults: FaultPlan::default().transfer_injector(),
         }
     }
 
@@ -74,7 +75,7 @@ impl TransferModel {
             return 0.0;
         }
         let mut t = self.time_for(bytes);
-        if let Some(stall) = self.faults.as_mut().and_then(TransferFaultInjector::check_transfer) {
+        if let Some(stall) = self.faults.check() {
             t += stall;
             self.total_stall_sec += stall;
         }
@@ -104,8 +105,8 @@ impl TransferModel {
         self.total_stall_sec
     }
 
-    /// Clears accumulated counters (per-epoch reporting). Armed fault
-    /// injectors keep their state: counters are reporting-side only.
+    /// Clears accumulated counters (per-epoch reporting). The fault
+    /// injector keeps its state: counters are reporting-side only.
     pub fn reset(&mut self) {
         self.total_bytes = 0;
         self.total_time_sec = 0.0;
@@ -114,24 +115,14 @@ impl TransferModel {
     }
 
     /// Arms stall injection: subsequent transfers consult `injector`.
-    /// Replaces any previously armed injector.
-    pub fn arm_faults(&mut self, injector: TransferFaultInjector) {
-        self.faults = Some(injector);
-    }
-
-    /// Disarms stall injection, returning the injector (with any
-    /// undrained events) if one was armed.
-    pub fn disarm_faults(&mut self) -> Option<TransferFaultInjector> {
-        self.faults.take()
+    /// Replaces the injector held so far.
+    pub fn arm_faults(&mut self, injector: StallInjector) {
+        self.faults = injector;
     }
 
     /// Removes and returns stall events recorded since the last drain.
-    /// Empty when no injector is armed.
     pub fn drain_fault_events(&mut self) -> Vec<FaultEvent> {
-        self.faults
-            .as_mut()
-            .map(TransferFaultInjector::drain_events)
-            .unwrap_or_default()
+        self.faults.drain_events()
     }
 }
 
@@ -176,7 +167,6 @@ mod tests {
         // An armed injector must not be consulted either — otherwise an
         // empty prefetch would consume a stall draw and shift every
         // later stall onto a different transfer.
-        use crate::fault::FaultPlan;
         let plan = FaultPlan {
             seed: 9,
             transfer_stall_rate: 1.0,
@@ -210,7 +200,6 @@ mod tests {
 
     #[test]
     fn injected_stalls_add_time_and_are_reported() {
-        use crate::fault::FaultPlan;
         let plan = FaultPlan {
             seed: 5,
             transfer_stall_rate: 1.0,
@@ -225,8 +214,8 @@ mod tests {
         assert_eq!(m.drain_fault_events().len(), 1);
         m.reset();
         assert_eq!(m.total_stall_sec(), 0.0);
-        assert!(m.disarm_faults().is_some());
+        m.arm_faults(FaultPlan::default().transfer_injector());
         let clean = m.transfer(1_000);
-        assert!(clean < 0.5, "disarmed transfers are stall-free");
+        assert!(clean < 0.5, "the empty plan's transfers are stall-free");
     }
 }

@@ -828,6 +828,11 @@ fn jnum(v: f64) -> String {
     }
 }
 
+/// Deepest nesting of arrays and objects [`validate_jsonl`] accepts.
+/// Exported records nest at most 3 deep; the bound keeps the recursive
+/// descent from overflowing the stack on hostile input.
+const MAX_NESTING: usize = 128;
+
 /// Validates that `input` is well-formed JSON-lines: every non-empty line
 /// must parse as a standalone JSON value. Returns the number of lines
 /// validated.
@@ -840,7 +845,8 @@ fn jnum(v: f64) -> String {
 /// # Errors
 ///
 /// Returns `(line_number, message)` for the first malformed line
-/// (1-based).
+/// (1-based), including a line nesting arrays and objects more than 128
+/// deep.
 pub fn validate_jsonl(input: &str) -> Result<usize, (usize, String)> {
     let mut lines = 0;
     for (i, line) in input.lines().enumerate() {
@@ -850,6 +856,7 @@ pub fn validate_jsonl(input: &str) -> Result<usize, (usize, String)> {
         let mut p = JsonParser {
             bytes: line.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         p.value().map_err(|e| (i + 1, e))?;
@@ -865,6 +872,8 @@ pub fn validate_jsonl(input: &str) -> Result<usize, (usize, String)> {
 struct JsonParser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl JsonParser<'_> {
@@ -902,8 +911,12 @@ impl JsonParser<'_> {
     fn value(&mut self) -> Result<(), String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_NESTING => Err(format!(
+                "nesting deeper than {MAX_NESTING} at offset {}",
+                self.pos
+            )),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => self.string(),
             Some(b't') => self.literal("true"),
             Some(b'f') => self.literal("false"),
@@ -911,6 +924,13 @@ impl JsonParser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(format!("unexpected {other:?} at offset {}", self.pos)),
         }
+    }
+
+    fn nested(&mut self, body: fn(&mut Self) -> Result<(), String>) -> Result<(), String> {
+        self.depth += 1;
+        let parsed = body(self);
+        self.depth -= 1;
+        parsed
     }
 
     fn object(&mut self) -> Result<(), String> {
@@ -1203,6 +1223,97 @@ mod tests {
         assert!(validate_jsonl("{} extra").is_err());
         let err = validate_jsonl("{\"ok\":1}\nnot json").unwrap_err();
         assert_eq!(err.0, 2, "error names the offending line");
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert_eq!(validate_jsonl(&nest(MAX_NESTING)), Ok(1));
+        let err = validate_jsonl(&format!("{{}}\n{}", nest(MAX_NESTING + 1))).unwrap_err();
+        assert_eq!(err.0, 2);
+        assert!(err.1.starts_with("nesting deeper than 128"), "{}", err.1);
+        let deep = "[".repeat(1_000_000);
+        let err = validate_jsonl(&deep).unwrap_err();
+        assert!(err.1.starts_with("nesting deeper than 128"), "{}", err.1);
+        let objects = "{\"a\":".repeat(1_000_000);
+        assert!(validate_jsonl(&objects).unwrap_err().1.starts_with("nesting deeper"));
+    }
+
+    /// A real export with every record type.
+    fn exported_trace() -> String {
+        let mut t = TraceRecorder::new();
+        t.set_run_context("simd", "f32");
+        for epoch in 0..3 {
+            t.set_epoch(epoch);
+            t.record_span(SpanKind::Sample, None, 0.0, 0.25);
+            t.record_span(SpanKind::Forward, Some(epoch), 0.3, 0.1);
+            t.record_mem_events(
+                epoch,
+                vec![MemEvent {
+                    seq: epoch as u64,
+                    at_sec: 0.31,
+                    total_bytes: 128,
+                    delta_bytes: -64,
+                    category: "blocks",
+                }],
+            );
+            t.record_peak(epoch, 128, vec![("blocks", 128), ("labels", 0)]);
+            t.record_drift(epoch, 150, 128);
+            t.record_alloc(epoch, 30, 10, 4096);
+            t.record_featurestore(epoch, 75, 25, 5, 10_240);
+            t.record_anomaly(epoch, "non-finite loss".to_string(), true);
+            t.record_fault("link_stall", "round 3: +0.250s \"stall\"");
+        }
+        t.to_jsonl()
+    }
+
+    /// Seeded byte-level fuzz of the validator over a real export: bit
+    /// flips, truncations, splices and runs of `[` / `{` at random
+    /// offsets. Every case must come back `Ok` or `Err` — no panic, no
+    /// stack overflow. A failing case prints its kind, number and seed.
+    #[test]
+    fn mutated_traces_validate_to_a_structured_outcome() {
+        let valid = exported_trace().into_bytes();
+        assert!(validate_jsonl(std::str::from_utf8(&valid).unwrap()).is_ok());
+        // SplitMix64: the crate has no RNG dependency.
+        let next = |state: &mut u64| {
+            *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = *state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for case in 0..4000u64 {
+            let seed = 0x7ace_f022 ^ case;
+            let mut rng = seed;
+            let mut at = |bound: usize| (next(&mut rng) % bound as u64) as usize;
+            let mut bytes = valid.clone();
+            let kind = ["flip", "truncate", "splice", "open-run"][case as usize % 4];
+            match kind {
+                "flip" => {
+                    for _ in 0..1 + at(4) {
+                        let bit = at(bytes.len() * 8);
+                        bytes[bit / 8] ^= 1 << (bit % 8);
+                    }
+                }
+                "truncate" => bytes.truncate(at(valid.len())),
+                "splice" => {
+                    let (cut, from) = (at(valid.len()), at(valid.len()));
+                    bytes.truncate(cut);
+                    bytes.extend_from_slice(&valid[from..]);
+                }
+                _ => {
+                    let open = if at(2) == 0 { b'[' } else { b'{' };
+                    let longest = if at(8) == 0 { 100_000 } else { 300 };
+                    let run = 1 + at(longest);
+                    let offset = at(valid.len());
+                    bytes.splice(offset..offset, std::iter::repeat_n(open, run));
+                }
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            let outcome = std::panic::catch_unwind(|| validate_jsonl(&text));
+            assert!(outcome.is_ok(), "case {case} ({kind}, seed {seed:#x}) panicked");
+        }
     }
 
     #[test]

@@ -117,18 +117,10 @@ fn elastic_on(r: &mut Runner, ds: &Dataset, devices: usize) -> EpochStats {
     epoch.combined
 }
 
-fn multi_on(r: &mut Runner, ds: &Dataset, devices: usize) -> EpochStats {
-    r.train_epoch_multi_device(ds, StrategyKind::Betty, K, &DeviceGroup::new(devices))
-        .unwrap()
-        .combined
-}
-
-const ROWS: [Row; 7] = [
+const ROWS: [Row; 5] = [
     ("betty", 1, Source::Planned, |r, ds| {
         r.train_epoch_betty(ds, StrategyKind::Betty, K).unwrap()
     }),
-    ("multi_device n=1", 1, Source::Planned, |r, ds| multi_on(r, ds, 1)),
-    ("multi_device n=3", 3, Source::Planned, |r, ds| multi_on(r, ds, 3)),
     ("elastic n=1", 1, Source::Planned, |r, ds| elastic_on(r, ds, 1)),
     ("elastic n=3", 3, Source::Planned, |r, ds| elastic_on(r, ds, 3)),
     ("betty_cached, every epoch fresh", 1, Source::Cached, |r, ds| {
@@ -171,8 +163,7 @@ fn every_constructor_matches_the_reference_at_every_setting() {
                         assert_eq!(got.max_peak_bytes, want.max_peak_bytes, "{cell}");
                     }
                     // One stats fill-in: every constructor that samples
-                    // reports the same host staging (multi_device used to
-                    // report 0).
+                    // reports the same host staging.
                     if source != Source::Given {
                         assert_eq!(got.host_bytes, want.host_bytes, "{cell}");
                     }
@@ -200,10 +191,10 @@ fn fixed_k_epoch_recovers_from_an_injected_oom_on_any_group() {
         ..config()
     };
     let faulty_cfg = ExperimentConfig {
-        fault_plan: Some(FaultPlan {
+        fault_plan: FaultPlan {
             oom_steps: vec![1],
             ..FaultPlan::default()
-        }),
+        },
         ..clean_cfg.clone()
     };
     let clean = reference(&ds, &clean_cfg);
@@ -241,10 +232,10 @@ fn injected_nan_replays_bit_identically_on_any_group() {
     let ds = dataset();
     let oracle = reference(&ds, &config());
     let faulty_cfg = ExperimentConfig {
-        fault_plan: Some(FaultPlan {
+        fault_plan: FaultPlan {
             nan_loss_steps: vec![1],
             ..FaultPlan::default()
-        }),
+        },
         ..config()
     };
     for devices in [1usize, 3] {
@@ -268,12 +259,12 @@ fn device_faults_do_nothing_to_the_single_device_constructors() {
     let ds = dataset();
     let oracle = reference(&ds, &config());
     let armed = ExperimentConfig {
-        fault_plan: Some(FaultPlan {
+        fault_plan: FaultPlan {
             device_fail_steps: vec![(0, 0)],
             straggler_factors: vec![(0, 3.0)],
             link_stall_rate: 1.0,
             ..FaultPlan::default()
-        }),
+        },
         ..config()
     };
     for (name, _, _, epoch) in ROWS.iter().filter(|row| !row.0.starts_with("elastic")) {
@@ -295,10 +286,11 @@ fn device_faults_do_nothing_to_the_single_device_constructors() {
     assert!(row.stats.iter().all(|s| s.devices_lost == 0));
 }
 
-/// A fault-free group is still a group: `train_epoch_multi_device` runs
-/// the executor's attribution stage, straggler detector included. The
-/// detector reads wall clocks; a zero threshold makes it deterministic —
-/// every device that worked is slower than 0× the median.
+/// A fault-free group is still a group: under the empty plan
+/// `train_epoch_elastic` runs the executor's attribution stage, straggler
+/// detector included. The detector reads wall clocks; a zero threshold
+/// makes it deterministic — every device that worked is slower than 0×
+/// the median.
 #[test]
 fn multi_device_epoch_runs_the_straggler_detector() {
     let ds = dataset();
@@ -306,7 +298,7 @@ fn multi_device_epoch_runs_the_straggler_detector() {
     group.straggler_threshold = 0.0;
     let mut runner = Runner::new(&ds, &config(), SEED);
     let epoch = runner
-        .train_epoch_multi_device(&ds, StrategyKind::Betty, K, &group)
+        .train_epoch_elastic(&ds, StrategyKind::Betty, K, &group, &mut RecoveryLog::new())
         .unwrap();
     assert_eq!(epoch.combined.stragglers_detected, 3);
     assert_eq!(epoch.health, [DeviceHealth::Degraded; 3]);

@@ -25,7 +25,7 @@ fn dataset() -> Dataset {
         .generate(5)
 }
 
-fn config(fault_plan: Option<FaultPlan>) -> ExperimentConfig {
+fn config(fault_plan: FaultPlan) -> ExperimentConfig {
     ExperimentConfig {
         fanouts: vec![4, 8],
         hidden_dim: 16,
@@ -140,13 +140,13 @@ proptest! {
     ) {
         let ds = dataset();
         let total_bytes = ds.features.size_bytes();
-        let fault_plan = inject_oom.then(|| FaultPlan {
+        let fault_plan = FaultPlan {
             // Global step 1 lands mid-run: that epoch OOMs, rolls back,
             // and recovery escalates K. The paged store's extra cache
             // alloc must not shift the scheduled fault off its step.
-            oom_steps: vec![1],
+            oom_steps: if inject_oom { vec![1] } else { vec![] },
             ..FaultPlan::default()
-        });
+        };
         let cfg = config(fault_plan);
         let reference = trajectory(&ds, &cfg, seed, 1);
         prop_assert_eq!(reference.4.1, 0, "the dense backend never misses");

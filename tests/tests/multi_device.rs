@@ -36,7 +36,13 @@ fn every_micro_batch_is_assigned_and_loss_matches_single_device() {
 
     let mut multi = Runner::new(&ds, &config(), 3);
     let epoch = multi
-        .train_epoch_multi_device(&ds, StrategyKind::Betty, k, &DeviceGroup::new(4))
+        .train_epoch_elastic(
+            &ds,
+            StrategyKind::Betty,
+            k,
+            &DeviceGroup::new(4),
+            &mut RecoveryLog::new(),
+        )
         .unwrap();
     assert_eq!(epoch.assignment.len(), epoch.combined.num_steps);
     assert!(epoch.assignment.iter().all(|&d| d < 4));
@@ -58,11 +64,12 @@ fn model_parameters_identical_to_single_device_after_epoch() {
         let mut runner = Runner::new(&ds, &config(), 9);
         for _ in 0..3 {
             runner
-                .train_epoch_multi_device(
+                .train_epoch_elastic(
                     &ds,
                     StrategyKind::Betty,
                     6,
                     &DeviceGroup::new(devices),
+                    &mut RecoveryLog::new(),
                 )
                 .unwrap();
         }
@@ -78,10 +85,22 @@ fn wall_time_improves_with_devices() {
     let ds = dataset();
     let mut runner = Runner::new(&ds, &config(), 0);
     let one = runner
-        .train_epoch_multi_device(&ds, StrategyKind::Betty, 8, &DeviceGroup::new(1))
+        .train_epoch_elastic(
+            &ds,
+            StrategyKind::Betty,
+            8,
+            &DeviceGroup::new(1),
+            &mut RecoveryLog::new(),
+        )
         .unwrap();
     let four = runner
-        .train_epoch_multi_device(&ds, StrategyKind::Betty, 8, &DeviceGroup::new(4))
+        .train_epoch_elastic(
+            &ds,
+            StrategyKind::Betty,
+            8,
+            &DeviceGroup::new(4),
+            &mut RecoveryLog::new(),
+        )
         .unwrap();
     // Step times are measured, hence noisy from one epoch to the next:
     // compare each epoch's wall time only with the serial sum of its own
@@ -115,14 +134,14 @@ fn param_bits(runner: &Runner) -> Vec<u32> {
 fn failover_is_bit_identical_to_fault_free_run_across_thread_counts() {
     let ds = dataset();
     let faulty = ExperimentConfig {
-        fault_plan: Some(FaultPlan {
+        fault_plan: FaultPlan {
             seed: 11,
             device_fail_steps: vec![(1, 1), (3, 0)],
             straggler_factors: vec![(0, 2.0)],
             link_stall_rate: 0.5,
             link_stall_sec: 0.4,
             ..FaultPlan::default()
-        }),
+        },
         ..config()
     };
     let run = |cfg: &ExperimentConfig, threads: usize| {
@@ -133,7 +152,13 @@ fn failover_is_bit_identical_to_fault_free_run_across_thread_counts() {
             for epoch in 0..2 {
                 log.set_epoch(epoch);
                 let multi = runner
-                    .train_epoch_elastic(&ds, StrategyKind::Betty, 8, &DeviceGroup::new(4), &mut log)
+                    .train_epoch_elastic(
+                        &ds,
+                        StrategyKind::Betty,
+                        8,
+                        &DeviceGroup::new(4),
+                        &mut log,
+                    )
                     .unwrap();
                 losses.push(multi.combined.loss.to_bits());
             }
@@ -161,11 +186,11 @@ fn failover_is_bit_identical_to_fault_free_run_across_thread_counts() {
 fn elastic_epoch_reports_failover_in_stats_and_log() {
     let ds = dataset();
     let cfg = ExperimentConfig {
-        fault_plan: Some(FaultPlan {
+        fault_plan: FaultPlan {
             seed: 5,
             device_fail_steps: vec![(1, 0)],
             ..FaultPlan::default()
-        }),
+        },
         ..config()
     };
     let mut runner = Runner::new(&ds, &cfg, 21);
@@ -189,7 +214,13 @@ fn elastic_epoch_without_faults_matches_multi_device_path() {
     let ds = dataset();
     let mut plain = Runner::new(&ds, &config(), 7);
     let a = plain
-        .train_epoch_multi_device(&ds, StrategyKind::Betty, 6, &DeviceGroup::new(3))
+        .train_epoch_elastic(
+            &ds,
+            StrategyKind::Betty,
+            6,
+            &DeviceGroup::new(3),
+            &mut RecoveryLog::new(),
+        )
         .unwrap();
     let mut elastic = Runner::new(&ds, &config(), 7);
     let mut log = RecoveryLog::new();
@@ -258,7 +289,13 @@ proptest! {
         let run = |devices: usize, threads: usize| {
             betty_runtime::with_threads(threads, || {
                 Runner::new(&ds, &config(), 13)
-                    .train_epoch_multi_device(&ds, StrategyKind::Betty, k, &DeviceGroup::new(devices))
+                    .train_epoch_elastic(
+                        &ds,
+                        StrategyKind::Betty,
+                        k,
+                        &DeviceGroup::new(devices),
+                        &mut RecoveryLog::new(),
+                    )
                     .unwrap()
             })
         };
@@ -275,7 +312,13 @@ fn more_devices_than_micro_batches_is_fine() {
     let ds = dataset();
     let mut runner = Runner::new(&ds, &config(), 0);
     let epoch = runner
-        .train_epoch_multi_device(&ds, StrategyKind::Betty, 2, &DeviceGroup::new(8))
+        .train_epoch_elastic(
+            &ds,
+            StrategyKind::Betty,
+            2,
+            &DeviceGroup::new(8),
+            &mut RecoveryLog::new(),
+        )
         .unwrap();
     // Some devices idle; wall time is still the busiest device.
     assert!(epoch.wall_sec() > 0.0);

@@ -144,13 +144,13 @@ proptest! {
         inject_oom in (0u8..2).prop_map(|b| b == 1),
     ) {
         let ds = dataset();
-        let fault_plan = inject_oom.then(|| FaultPlan {
+        let fault_plan = FaultPlan {
             // Global step 1 lands mid-run: its epoch OOMs, rolls back,
             // and recovery escalates K — staged plans must be discarded
             // without perturbing the trajectory.
-            oom_steps: vec![1],
+            oom_steps: if inject_oom { vec![1] } else { vec![] },
             ..FaultPlan::default()
-        });
+        };
         let run = |depth: usize, threads: usize| {
             with_threads(threads, || {
                 let cfg = ExperimentConfig {

@@ -47,10 +47,10 @@ fn faulted_first_step_recovers_and_matches_clean_accuracy() {
     assert!(clean.recovery.is_empty(), "no faults armed, none expected");
 
     let faulted_config = ExperimentConfig {
-        fault_plan: Some(FaultPlan {
+        fault_plan: FaultPlan {
             oom_steps: vec![0],
             ..FaultPlan::default()
-        }),
+        },
         ..config()
     };
     let mut runner = Runner::new(&ds, &faulted_config, 42);
@@ -112,11 +112,11 @@ fn plan_that_fits_the_estimator_but_not_the_device_is_rescued() {
     let jittered = ExperimentConfig {
         capacity_bytes,
         // …but the device withholds up to 90% of capacity each step.
-        fault_plan: Some(FaultPlan {
+        fault_plan: FaultPlan {
             seed: 13,
             capacity_jitter: 0.9,
             ..FaultPlan::default()
-        }),
+        },
         retry: RetryPolicy {
             max_retries: 10,
             ..RetryPolicy::default()
@@ -158,10 +158,10 @@ fn plan_that_fits_the_estimator_but_not_the_device_is_rescued() {
 fn recovered_epoch_is_bit_identical_to_unfaulted_run_at_same_k() {
     let ds = dataset();
     let faulted_config = ExperimentConfig {
-        fault_plan: Some(FaultPlan {
+        fault_plan: FaultPlan {
             oom_steps: vec![0],
             ..FaultPlan::default()
-        }),
+        },
         ..config()
     };
     let mut faulted = Runner::new(&ds, &faulted_config, 7);
@@ -193,7 +193,7 @@ fn recovered_epoch_is_bit_identical_to_unfaulted_run_at_same_k() {
 fn fault_and_recovery_sequence_is_deterministic() {
     let ds = dataset();
     let faulted_config = ExperimentConfig {
-        fault_plan: Some(FaultPlan {
+        fault_plan: FaultPlan {
             seed: 99,
             oom_steps: vec![0, 3],
             alloc_failure_rate: 0.01,
@@ -201,7 +201,7 @@ fn fault_and_recovery_sequence_is_deterministic() {
             transfer_stall_rate: 0.3,
             transfer_stall_sec: 0.01,
             ..FaultPlan::default()
-        }),
+        },
         retry: RetryPolicy {
             max_retries: 8,
             ..RetryPolicy::default()
@@ -241,10 +241,10 @@ fn fault_and_recovery_sequence_is_deterministic() {
 fn retry_exhaustion_preserves_original_oom_in_source_chain() {
     let ds = dataset();
     let hopeless = ExperimentConfig {
-        fault_plan: Some(FaultPlan {
+        fault_plan: FaultPlan {
             alloc_failure_rate: 1.0,
             ..FaultPlan::default()
-        }),
+        },
         retry: RetryPolicy {
             max_retries: 2,
             ..RetryPolicy::default()
@@ -289,10 +289,10 @@ fn retry_exhaustion_preserves_original_oom_in_source_chain() {
 fn inert_fault_plan_is_byte_for_byte_noop() {
     let ds = dataset();
     let armed_config = ExperimentConfig {
-        fault_plan: Some(FaultPlan {
+        fault_plan: FaultPlan {
             seed: 1234,
             ..FaultPlan::default()
-        }),
+        },
         ..config()
     };
     let fit_config = FitConfig {

@@ -8,7 +8,8 @@
 
 use betty::{EpochStats, ExperimentConfig, RecoveryLog, RunError, Runner, StrategyKind, TrainError};
 use betty_data::{
-    Dataset, DatasetSpec, FeatureStoreError, ReadFault, StorageFaultHook, StorageIncident,
+    Dataset, DatasetSpec, FeatureStoreError, ReadFault, SeededStorageFaults, StorageFaultHook,
+    StorageIncident,
 };
 use betty_device::{gib, FaultPlan};
 use betty_nn::AggregatorSpec;
@@ -25,7 +26,7 @@ fn dataset() -> Dataset {
         .generate(5)
 }
 
-fn config(fault_plan: Option<FaultPlan>) -> ExperimentConfig {
+fn config(fault_plan: FaultPlan) -> ExperimentConfig {
     let mut cfg = ExperimentConfig {
         fanouts: vec![4, 8],
         hidden_dim: 16,
@@ -131,7 +132,7 @@ proptest! {
         shard in 0usize..8,
     ) {
         let ds = dataset();
-        let dense = trajectory(&ds, &config(None), seed, 1);
+        let dense = trajectory(&ds, &config(FaultPlan::default()), seed, 1);
         prop_assert_eq!(dense.3, Chaos::default(), "the dense run sees no chaos");
 
         let plan = FaultPlan {
@@ -140,7 +141,7 @@ proptest! {
         };
         for threads in [1usize, 4] {
             let (paged_ds, dir) = paged(&ds, &format!("repair-{seed}-{shard}-{threads}"), 2);
-            let chaos = trajectory(&paged_ds, &config(Some(plan.clone())), seed, threads);
+            let chaos = trajectory(&paged_ds, &config(plan.clone()), seed, threads);
             prop_assert_eq!(
                 &dense.0, &chaos.0,
                 "corrupting shard {} changed the training math at {} threads",
@@ -164,7 +165,7 @@ proptest! {
     ) {
         let ds = dataset();
         let (quiet_ds, quiet_dir) = paged(&ds, &format!("quiet-{seed}-{fault_seed}"), 0);
-        let quiet = trajectory(&quiet_ds, &config(None), seed, 1);
+        let quiet = trajectory(&quiet_ds, &config(FaultPlan::default()), seed, 1);
         prop_assert_eq!(quiet.3, Chaos::default(), "the fault-free run sees no chaos");
 
         let plan = FaultPlan {
@@ -177,7 +178,7 @@ proptest! {
         for threads in [1usize, 4] {
             let (noisy_ds, noisy_dir) =
                 paged(&ds, &format!("noisy-{seed}-{fault_seed}-{threads}"), 0);
-            let noisy = trajectory(&noisy_ds, &config(Some(plan.clone())), seed, threads);
+            let noisy = trajectory(&noisy_ds, &config(plan.clone()), seed, threads);
             prop_assert_eq!(
                 &quiet.0, &noisy.0,
                 "transient I/O faults changed the training math at {} threads",
@@ -209,7 +210,7 @@ fn double_corruption_in_one_group_is_rejected_not_trained_on() {
             ..FaultPlan::default()
         };
         let (paged_ds, dir) = paged(&ds, "double", 2);
-        let mut runner = Runner::new(&paged_ds, &config(Some(plan)), 3);
+        let mut runner = Runner::new(&paged_ds, &config(plan), 3);
         let mut log = RecoveryLog::new();
         let (_, _) = runner
             .train_epoch_auto_recovering(&paged_ds, StrategyKind::Betty, &mut log)
@@ -343,7 +344,7 @@ fn faults_in_the_page_in_phase_never_yield_a_stale_ok() {
             }
             let exhausted = fatal.drain_storage_incidents();
             // Unsurvivable, corrupt: both members of group 2 are damaged.
-            fatal.disarm_storage_faults();
+            fatal.arm_storage_faults(Box::<SeededStorageFaults>::default());
             fatal.corrupt_shard_byte(4).expect("damaging shard 4");
             fatal.corrupt_shard_byte(5).expect("damaging shard 5");
             let mut out = stale.clone();
