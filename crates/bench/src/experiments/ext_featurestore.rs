@@ -22,9 +22,10 @@
 //! misses in page-ins and exposed NVMe seconds; once the budget covers
 //! the working set the hit rate saturates and the page-in column
 //! collapses to the cold first touch. The `pages-in bound` column is the
-//! store's contract made checkable: a gather or prewarm pages each shard
-//! at most once, so no budget can push `pages in` past shards × calls —
-//! CI asserts it, so a return to per-row paging fails instead of slowing.
+//! store's contract made checkable: a gather pages each shard at most
+//! once, and a step issues one gather, so no budget can push `pages in`
+//! past shards × steps — CI asserts it, so a return to per-row paging (or
+//! to paging in a micro-batch ahead of its step) fails instead of slowing.
 
 use std::time::Instant;
 
@@ -42,8 +43,7 @@ struct Run {
     wall: f64,
     losses: Vec<u64>,
     max_peak_bytes: usize,
-    /// Gathers and prewarms issued: a gather per step, and a prewarm of
-    /// the next micro-batch on every step but an epoch's last.
+    /// Gathers issued: one per step.
     store_calls: u64,
     hits: u64,
     misses: u64,
@@ -71,7 +71,7 @@ fn run_epochs(runner: &mut Runner, ds: &betty_data::Dataset, epochs: usize) -> R
             .expect("bench capacity fits the paged plan");
         run.losses.push(stats.loss.to_bits());
         run.max_peak_bytes = run.max_peak_bytes.max(stats.max_peak_bytes);
-        run.store_calls += (2 * stats.num_steps).saturating_sub(1) as u64;
+        run.store_calls += stats.num_steps as u64;
         run.hits += stats.feature_hits;
         run.misses += stats.feature_misses;
         run.pages_in += stats.feature_pages_in;
@@ -189,9 +189,8 @@ pub fn run(profile: Profile) {
         "note: every paged row carries the dense row's loss bits and a peak of \
          exactly dense + min(budget, {total_bytes} feature bytes) — both are \
          hard-asserted, so a silent accounting or gather regression fails the \
-         exhibit instead of skewing it. 'page-in (s)' is simulated NVMe time \
-         paid on the critical path; prefetch-hidden page-ins land in the \
-         prefetch overlap, which is why the unbounded row's column shows only \
-         the cold first touch."
+         exhibit instead of skewing it. 'page-in (s)' is simulated NVMe time, \
+         all of it paid on the critical path; the unbounded row's column is \
+         the cold first touch alone."
     );
 }

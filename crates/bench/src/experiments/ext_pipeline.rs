@@ -1,9 +1,9 @@
 //! Extension exhibit: the deterministic parallel batch-preparation
 //! pipeline.
 //!
-//! Three optimizations share `betty-runtime`'s fork-join seam, and this
-//! exhibit measures each one end to end, then asks what a second thread
-//! buys a whole epoch:
+//! Two optimizations share `betty-runtime`'s fork-join seam; this exhibit
+//! times the first on its own, then asks what a second thread buys a
+//! whole epoch:
 //!
 //! 1. **Sharded REG construction** — the shared-neighbor / dependency REG
 //!    build (`betty-graph::spgemm`) shards destination rows across worker
@@ -12,18 +12,14 @@
 //!    below are pure wall-clock comparisons of the same output.
 //! 2. **Parallel micro-batch materialization** — all `K` restrictions of
 //!    the sampled batch run concurrently inside planning.
-//! 3. **Double-buffered transfer prefetch** — while micro-batch `i`
-//!    computes, micro-batch `i + 1`'s host→device transfer is staged (and
-//!    charged against the device budget), hiding link time behind compute.
-//! 4. **The thread probe** — alternated pairs of one- and two-thread
+//! 3. **The thread probe** — alternated pairs of one- and two-thread
 //!    epochs at the repo benchmark's `mean2_k8` and `lstm2_k8` shapes, on
 //!    one `Runner`: the measurement `betty_runtime::MIN_SHARD_WORK` was
 //!    calibrated with (DESIGN.md "The fork-join seam and its gate").
 //!
-//! Speedup columns depend on real cores: on a single-core host the
-//! parallel REG rows hover near 1.0×, while the prefetch rows still show
-//! overlap because transfer time is simulated. The detected core count is
-//! reported with every row so CI artifacts are self-describing.
+//! Speedup columns depend on real cores: on a single-core host every row
+//! hovers near 1.0×. The detected core count is reported with every row
+//! so CI artifacts are self-describing.
 
 use std::time::Instant;
 
@@ -62,7 +58,7 @@ pub fn run(profile: Profile) {
 
     let mut table = Table::new(
         "BENCH_pipeline",
-        "parallel batch-preparation pipeline (REG build + prefetched epochs)",
+        "parallel batch-preparation pipeline (REG build + thread probe)",
         &["section", "setting", "time (s)", "baseline (s)", "speedup", "cores"],
     );
 
@@ -93,56 +89,6 @@ pub fn run(profile: Profile) {
             format!("{:.2}x", serial_sec / par_sec.max(1e-12)),
             cores.to_string(),
         ]);
-    }
-
-    // --- End-to-end epochs: prefetch on vs off at K ∈ {2, 4, 8}. ---
-    let ds = bench_dataset("ogbn-arxiv", profile);
-    let epochs = profile.epochs(4);
-    for k in [2usize, 4, 8] {
-        let mut timings = [0.0f64; 2]; // [off, on]
-        let mut losses = [0u64; 2];
-        let mut overlap = 0.0f64;
-        for (slot, prefetch) in [(0usize, false), (1usize, true)] {
-            let config = ExperimentConfig {
-                fanouts: vec![5, 10],
-                hidden_dim: 32,
-                aggregator: AggregatorSpec::Mean,
-                dropout: 0.0,
-                prefetch,
-                ..ExperimentConfig::default()
-            };
-            let mut runner = Runner::new(&ds, &config, 0);
-            let mut total = 0.0;
-            let mut last_loss = 0.0f64;
-            for _ in 0..epochs {
-                let stats = runner
-                    .train_epoch_betty(&ds, StrategyKind::Betty, k)
-                    .expect("default capacity fits the bench batch");
-                total += stats.total_sec();
-                last_loss = stats.loss;
-                if prefetch {
-                    overlap += stats.prefetch_overlap_sec;
-                }
-            }
-            timings[slot] = total;
-            losses[slot] = last_loss.to_bits();
-        }
-        assert_eq!(
-            losses[0], losses[1],
-            "prefetch must not change the training math at K={k}"
-        );
-        table.row(vec![
-            format!("epoch K={k}"),
-            "prefetch on".to_string(),
-            format!("{:.4}", timings[1]),
-            format!("{:.4}", timings[0]),
-            format!("{:.2}x", timings[0] / timings[1].max(1e-12)),
-            cores.to_string(),
-        ]);
-        println!(
-            "K={k}: {epochs} epochs, {:.4}s transfer time hidden behind compute",
-            overlap
-        );
     }
 
     // --- What a second thread buys an epoch, at the harness's shapes. ---
@@ -205,8 +151,6 @@ pub fn run(profile: Profile) {
     table.finish();
     println!(
         "note: REG rows compare identical (bit-equal) outputs; their speedup \
-         tracks the physical core count ({cores} detected here). Prefetch rows \
-         overlap simulated transfer with measured compute, so they improve \
-         even on one core."
+         tracks the physical core count ({cores} detected here)."
     );
 }

@@ -22,7 +22,7 @@ pub type CmdResult = Result<(), Box<dyn Error>>;
 
 /// Flags every command takes (USAGE "GLOBAL FLAGS"), then [`PAGED_STORE`].
 const GLOBAL: &[&str] = &["feature-store", "threads", "backend", "precision", "plan-ahead"];
-const GLOBAL_SWITCHES: &[&str] = &["no-prefetch", "no-pool"];
+const GLOBAL_SWITCHES: &[&str] = &["no-pool"];
 /// The flags that mean something only under `--feature-store paged`.
 const PAGED_STORE: &[&str] = &[
     "feature-cache-bytes",
@@ -246,7 +246,6 @@ fn experiment_config(args: &Args) -> Result<ExperimentConfig, Box<dyn Error>> {
                 .get_or("anomaly-retries", RetryPolicy::default().max_anomaly_retries)?,
             max_io_retries: args.get_or("io-retries", RetryPolicy::default().max_io_retries)?,
         },
-        prefetch: !args.has_flag("no-prefetch"),
         pool: !args.has_flag("no-pool"),
         sentinel: !args.has_flag("no-sentinel"),
         plan_ahead: args.get_or("plan-ahead", 0usize)?,

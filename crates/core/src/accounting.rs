@@ -70,9 +70,6 @@ impl StepSizes {
 /// failing step can release everything it holds in one call.
 #[derive(Debug, Default)]
 pub(crate) struct StepCharges {
-    /// The next micro-batch's staged transfer, which a successful step
-    /// hands on instead of releasing.
-    staged: Option<AllocationId>,
     statics: Vec<AllocationId>,
     hidden: Option<AllocationId>,
     aggregator: Option<AllocationId>,
@@ -117,24 +114,6 @@ impl StepCharges {
         })
     }
 
-    /// Charges the next micro-batch's transfer, staged while this step
-    /// computes.
-    pub(crate) fn charge_staging(
-        &mut self,
-        device: &mut Device,
-        bytes: usize,
-    ) -> Result<AllocationId, OomError> {
-        let id = device.alloc(bytes, MemoryCategory::PrefetchStaging)?;
-        self.staged = Some(id);
-        Ok(id)
-    }
-
-    /// Hands the staged transfer on to the next step: [`Self::release`]
-    /// no longer frees it.
-    pub(crate) fn keep_staged(&mut self) {
-        self.staged = None;
-    }
-
     /// Charges forward activations: named hidden outputs plus everything
     /// else on the tape (attributed to the aggregator).
     pub(crate) fn charge_forward(
@@ -163,11 +142,10 @@ impl StepCharges {
         Ok(())
     }
 
-    /// Releases every remaining allocation of the step, the staged
-    /// transfer first.
+    /// Releases every remaining allocation of the step.
     pub(crate) fn release(self, device: &mut Device) {
         let transients = [self.hidden, self.aggregator, self.gradients].into_iter().flatten();
-        for id in self.staged.into_iter().chain(self.statics).chain(transients) {
+        for id in self.statics.into_iter().chain(transients) {
             device.free(id);
         }
     }

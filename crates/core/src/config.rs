@@ -53,12 +53,6 @@ pub struct ExperimentConfig {
     /// [`Runner::train_epoch_auto_recovering`](crate::Runner::train_epoch_auto_recovering)
     /// and [`fit`](crate::fit()).
     pub retry: RetryPolicy,
-    /// Double-buffered prefetch: stage micro-batch `i + 1`'s host→device
-    /// transfer while micro-batch `i` computes. The staging buffer is
-    /// charged against the device budget and accounted by the memory-aware
-    /// planner; losses are bit-identical either way (only timing and the
-    /// memory schedule change). The CLI exposes this as `--no-prefetch`.
-    pub prefetch: bool,
     /// Pooled tensor workspace: the trainer reuses one autograd tape and
     /// recycles its value/gradient buffers across micro-batches, so
     /// steady-state epochs run with near-zero allocator traffic. Pooled
@@ -103,7 +97,6 @@ impl Default for ExperimentConfig {
             max_partitions: 512,
             fault_plan: FaultPlan::default(),
             retry: RetryPolicy::default(),
-            prefetch: true,
             pool: true,
             sentinel: true,
             plan_ahead: 0,
@@ -307,7 +300,6 @@ mod tests {
                 max_retries: 9,
                 ..RetryPolicy::default()
             },
-            prefetch: false,
             pool: false,
             sentinel: false,
             plan_ahead: 3,

@@ -99,7 +99,6 @@ pub struct MemoryAwarePlanner {
     estimator: MemoryEstimator,
     capacity_bytes: usize,
     max_partitions: usize,
-    prefetch_staging: bool,
     feature_cache_bytes: usize,
 }
 
@@ -111,22 +110,8 @@ impl MemoryAwarePlanner {
             estimator,
             capacity_bytes,
             max_partitions,
-            prefetch_staging: false,
             feature_cache_bytes: 0,
         }
-    }
-
-    /// Makes the planner account for double-buffered prefetch: every
-    /// micro-batch except the last additionally holds its successor's
-    /// transfer bytes (blocks + input features + labels) while it
-    /// executes, so each estimate's
-    /// [`prefetch_staging`](MemoryEstimate::prefetch_staging) term is
-    /// filled in and the capacity loop sizes `K` for the overlap buffer
-    /// too. Single-micro-batch plans never stage anything and are
-    /// unaffected.
-    pub fn with_prefetch_staging(mut self, enabled: bool) -> Self {
-        self.prefetch_staging = enabled;
-        self
     }
 
     /// Makes the planner charge the out-of-core feature store's pinned
@@ -329,20 +314,13 @@ impl<'a> Probing<'a> {
         let extract_started = Instant::now();
         let micro_batches = self.batch.restrict_all(&parts);
         let planner = self.planner;
-        let mut estimates: Vec<MemoryEstimate> = micro_batches
+        let estimates: Vec<MemoryEstimate> = micro_batches
             .iter()
-            .map(|mb| planner.estimator.estimate(mb))
+            .map(|mb| MemoryEstimate {
+                feature_cache: planner.feature_cache_bytes,
+                ..planner.estimator.estimate(mb)
+            })
             .collect();
-        if planner.prefetch_staging {
-            for i in 0..estimates.len().saturating_sub(1) {
-                estimates[i].prefetch_staging = estimates[i + 1].transfer_bytes();
-            }
-        }
-        if planner.feature_cache_bytes > 0 {
-            for est in &mut estimates {
-                est.feature_cache = planner.feature_cache_bytes;
-            }
-        }
         self.extraction_sec += extract_started.elapsed().as_secs_f64();
         self.probes += 1;
         Plan {
@@ -640,6 +618,36 @@ mod tests {
         assert_eq!((roomy.k, roomy.probes), (1, 4));
     }
 
+    /// `mean3_auto`'s batches, planned as its epochs plan them: each warm
+    /// search starts at the previous batch's cold `K` and must return this
+    /// batch's cold plan.
+    #[test]
+    fn a_warm_plan_from_the_previous_batchs_k_is_the_cold_plan() {
+        use crate::{ExperimentConfig, Runner};
+        let ds = betty_data::DatasetSpec::ogbn_products().scaled(0.01).generate(4);
+        let cfg = ExperimentConfig {
+            fanouts: vec![25, 35, 40],
+            hidden_dim: 64,
+            dropout: 0.0,
+            capacity_bytes: 22 << 20,
+            ..ExperimentConfig::default()
+        };
+        let mut runner = Runner::new(&ds, &cfg, 4);
+        let strategy = RegPartitioner::new(4);
+        let mut previous_k = 1;
+        for epoch in 0..4 {
+            let batch = runner.sample_full_batch(&ds);
+            let planner = runner.planner();
+            let cold = planner.plan(&batch, &strategy, 1).unwrap();
+            let warm = planner
+                .plan_warm(&batch, &strategy, 1, previous_k, cfg.capacity_bytes)
+                .unwrap();
+            assert_eq!((warm.k, &warm.parts), (cold.k, &cold.parts), "epoch {epoch}");
+            assert_eq!(warm.estimates, cold.estimates, "epoch {epoch}");
+            previous_k = cold.k;
+        }
+    }
+
     #[test]
     fn auto_plan_reports_the_cost_of_every_probe() {
         let batch = wide_batch();
@@ -735,32 +743,6 @@ mod tests {
             .plan(&batch(), &RegPartitioner::new(0), 500)
             .unwrap();
         assert!(plan.micro_batches.len() <= 8);
-    }
-
-    #[test]
-    fn prefetch_staging_charges_each_successors_transfer() {
-        let plain = MemoryAwarePlanner::new(estimator(), usize::MAX, 64);
-        let staged = plain.clone().with_prefetch_staging(true);
-        let strategy = RegPartitioner::new(0);
-        let base = plain.plan_fixed(&batch(), &strategy, 4);
-        let plan = staged.plan_fixed(&batch(), &strategy, 4);
-        let k = plan.estimates.len();
-        assert!(k >= 2);
-        for i in 0..k - 1 {
-            assert_eq!(
-                plan.estimates[i].prefetch_staging,
-                base.estimates[i + 1].transfer_bytes(),
-                "micro-batch {i} must hold its successor's transfer"
-            );
-            assert_eq!(
-                plan.estimates[i].peak_bytes(),
-                base.estimates[i].peak_bytes() + plan.estimates[i].prefetch_staging
-            );
-        }
-        // The last micro-batch stages nothing; K = 1 plans are untouched.
-        assert_eq!(plan.estimates[k - 1].prefetch_staging, 0);
-        let single = staged.plan_fixed(&batch(), &strategy, 1);
-        assert_eq!(single.estimates[0].prefetch_staging, 0);
     }
 
     #[test]

@@ -360,7 +360,6 @@ impl Runner {
             .with_activation_dtype(config.precision);
         let planner =
             MemoryAwarePlanner::new(estimator, config.capacity_bytes, config.max_partitions)
-                .with_prefetch_staging(config.prefetch)
                 .with_feature_cache(dataset.features.cache_reservation_bytes());
         let mut trainer = Trainer::new(
             model,
@@ -868,9 +867,6 @@ impl Runner {
         let max_partitions = self.config.max_partitions;
         let (fail_steps, straggler_factors) =
             (&spec.faults.device_fail_steps, &spec.faults.straggler_factors);
-        // Staging the next micro-batch's transfer only means something
-        // when consecutive micro-batches share a device.
-        let prefetch = self.config.prefetch && group.num_devices == 1;
         let Acquired {
             sampled,
             work: mut planned,
@@ -943,10 +939,7 @@ impl Runner {
                 attempt += 1;
                 (batch, policy.escalate_k(k).min(max_partitions))
             } else {
-                let err = match self
-                    .trainer
-                    .micro_batch_epoch(dataset, &work.micro_batches, prefetch)
-                {
+                let err = match self.trainer.micro_batch_epoch(dataset, &work.micro_batches) {
                     Ok((mut combined, steps)) => {
                         self.annotate_drift(&mut combined, &steps, &work.estimates);
                         let grad_bytes =
@@ -1510,8 +1503,9 @@ mod tests {
 
     #[test]
     fn every_auto_plan_equals_the_cold_search_in_fewer_probes() {
-        // mean3_auto's shape: a 3-layer mean model at fanouts 25, 35, 40 on
-        // a 22 MiB device, where K moves between 4 and 5. Each epoch's batch
+        // mean3_auto's model: a 3-layer mean model at fanouts 25, 35, 40,
+        // here on a 16 MiB device, where K moves between 4 and 5 (under
+        // mean3_auto's own 22 MiB it is 3 every epoch). Each epoch's batch
         // is planned as an auto-K epoch plans it, then again cold.
         let (mut ks, mut warm_probes, mut cold_probes) = (Vec::new(), 0, 0);
         for seed in [1u64, 2, 3] {
@@ -1519,7 +1513,7 @@ mod tests {
             let cfg = ExperimentConfig {
                 fanouts: vec![25, 35, 40],
                 hidden_dim: 64,
-                capacity_bytes: 22 << 20,
+                capacity_bytes: 16 << 20,
                 ..config()
             };
             let mut runner = Runner::new(&ds, &cfg, seed);
@@ -1713,6 +1707,7 @@ mod tests {
         assert_eq!(log.injected_faults(), 1);
         assert_eq!(log.recoveries(), 1);
         assert!(!log.exhausted());
+        assert_eq!(runner.trainer().device().current_bytes(), 0);
     }
 
     #[test]
@@ -1781,43 +1776,18 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_toggle_does_not_change_losses() {
-        let ds = dataset();
-        let on_cfg = config();
-        assert!(on_cfg.prefetch, "prefetch is the default");
-        let off_cfg = ExperimentConfig {
-            prefetch: false,
-            ..config()
-        };
-        let mut on = Runner::new(&ds, &on_cfg, 0);
-        let mut off = Runner::new(&ds, &off_cfg, 0);
-        for epoch in 0..3 {
-            let a = on.train_epoch_betty(&ds, StrategyKind::Betty, 3).unwrap();
-            let b = off.train_epoch_betty(&ds, StrategyKind::Betty, 3).unwrap();
-            assert_eq!(
-                a.loss.to_bits(),
-                b.loss.to_bits(),
-                "epoch {epoch}: prefetch must only change timing"
-            );
-            assert_eq!(b.prefetch_overlap_sec, 0.0);
-            assert!(a.transfer_sec <= b.transfer_sec + 1e-12);
-        }
-    }
-
-    #[test]
-    fn fault_mid_prefetched_epoch_leaves_ledger_drained() {
+    fn fault_mid_epoch_leaves_ledger_drained() {
         use betty_device::FaultPlan;
         let ds = dataset();
         let cfg = ExperimentConfig {
-            // Step 0 stages step 1's transfer; the fault then kills step 1,
-            // which must drop the staged charge along with everything else.
+            // Step 0 succeeds; the fault then kills step 1, which must drop
+            // its charges along with everything else.
             fault_plan: FaultPlan {
                 oom_steps: vec![1],
                 ..FaultPlan::default()
             },
             ..config()
         };
-        assert!(cfg.prefetch);
         let mut runner = Runner::new(&ds, &cfg, 0);
         let err = runner
             .train_epoch_betty(&ds, StrategyKind::Betty, 3)
@@ -1826,7 +1796,7 @@ mod tests {
         assert_eq!(
             runner.trainer().device().current_bytes(),
             0,
-            "failure in a prefetched epoch must leave no staged charge behind"
+            "a failed step must leave no charge behind"
         );
         // The next epoch trains through cleanly on the drained device.
         runner.train_epoch_betty(&ds, StrategyKind::Betty, 3).unwrap();
@@ -1855,28 +1825,6 @@ mod tests {
         let stats = runner.train_epoch_mini(&ds, 4).unwrap();
         assert_eq!(stats.injected_faults, 4);
         assert!(runner.trainer_mut().drain_fault_events().is_empty());
-    }
-
-    #[test]
-    fn recovering_epoch_with_prefetch_still_escalates_and_recovers() {
-        use crate::recovery::RecoveryLog;
-        use betty_device::FaultPlan;
-        let ds = dataset();
-        let cfg = ExperimentConfig {
-            fault_plan: FaultPlan {
-                oom_steps: vec![0],
-                ..FaultPlan::default()
-            },
-            ..config()
-        };
-        assert!(cfg.prefetch);
-        let mut runner = Runner::new(&ds, &cfg, 0);
-        let mut log = RecoveryLog::new();
-        let (stats, _k) = runner
-            .train_epoch_auto_recovering(&ds, StrategyKind::Betty, &mut log)
-            .expect("recovery must work with prefetch enabled");
-        assert_eq!(stats.oom_retries, 1);
-        assert_eq!(runner.trainer().device().current_bytes(), 0);
     }
 
     #[test]
@@ -1978,10 +1926,14 @@ mod tests {
             nan_loss_steps: vec![6],
             ..FaultPlan::default()
         };
+        // Recorded from the same test with double-buffered prefetch
+        // switched off, before that mechanism was removed: the transfers
+        // it staged for micro-batches a failed step never reached drew
+        // one stall more (9 lines, 6 faults, 0x6a83_77e7_9c2f_b8e2).
         let (lines, injected) = logged_epoch(&ds, device);
         assert_eq!(
             (fnv1a(&lines), lines.len(), injected),
-            (0x6a83_77e7_9c2f_b8e2, 9, 6),
+            (0x5008_3ac9_0d4d_27fc, 8, 5),
             "{lines:#?}"
         );
     }

@@ -23,9 +23,8 @@ pub struct StepStats {
     pub feature_pages_in: u64,
     /// Bytes of shard payload read from disk for this step.
     pub feature_page_in_bytes: u64,
-    /// Simulated seconds spent paging feature shards over the store's
-    /// NVMe-like link, for the portion *not* hidden behind compute (the
-    /// prefetcher folds hidden page-in time into its overlap instead).
+    /// Simulated seconds spent paging this step's feature shards over the
+    /// store's NVMe-like link.
     pub page_in_sec: f64,
     /// Transient shard-read failures absorbed by the retry/backoff path
     /// during this step (0 without injected storage faults).
@@ -74,11 +73,9 @@ pub struct EpochStats {
     /// trainable state was restored from the epoch-start snapshot (0 from
     /// the entry points that run without a retry budget).
     pub anomaly_rollbacks: usize,
-    /// Simulated transfer seconds hidden behind compute by the
-    /// double-buffered prefetch executor (0 without prefetch). The epoch's
-    /// `transfer_sec` already excludes this, so
-    /// `transfer_sec + prefetch_overlap_sec` is what a prefetch-less run
-    /// would have paid on the link.
+    /// Always `0.0`: every step pays its own transfer synchronously, so no
+    /// link time is hidden behind compute. Kept for callers that still
+    /// read it.
     pub prefetch_overlap_sec: f64,
     /// Wall-clock planning seconds (sampling + REG partitioning +
     /// micro-batch extraction) hidden off the critical path by the
@@ -138,10 +135,8 @@ pub struct EpochStats {
     pub feature_pages_in: u64,
     /// Shard payload bytes read from disk over the epoch.
     pub feature_page_in_bytes: u64,
-    /// Simulated page-in seconds paid on the critical path (excludes
-    /// page-ins hidden behind compute by the prefetcher, which land in
-    /// `prefetch_overlap_sec`). Wall-clock-like timing: excluded from
-    /// bit-identity comparisons.
+    /// Simulated page-in seconds, all paid on the critical path.
+    /// Wall-clock-like timing: excluded from bit-identity comparisons.
     pub page_in_sec: f64,
     /// Transient shard-read failures absorbed by retry/backoff over the
     /// epoch (0 without injected storage faults). Fault-injection

@@ -6,10 +6,9 @@ use std::time::Instant;
 use rand::SeedableRng;
 use rand_pcg::Pcg64Mcg;
 
-use betty_data::{Dataset, GatherStats};
+use betty_data::Dataset;
 use betty_device::{
-    AllocationId, Device, FaultEvent, FaultPlan, MemoryCategory, OomError, TransferModel,
-    BYTES_PER_VALUE,
+    Device, FaultEvent, FaultPlan, MemoryCategory, OomError, TransferModel, BYTES_PER_VALUE,
 };
 use betty_graph::Batch;
 use betty_nn::{Adam, GnnModel, Optimizer, Param, Session};
@@ -25,9 +24,6 @@ pub enum StepPhase {
     /// Charging static tensors (parameters, optimizer state, blocks,
     /// input features, labels).
     StaticCharge,
-    /// Staging the *next* micro-batch's host→device transfer (the
-    /// double-buffered prefetch allocation).
-    Prefetch,
     /// Charging forward activations (hidden outputs + aggregator
     /// workspace).
     Forward,
@@ -39,7 +35,6 @@ impl fmt::Display for StepPhase {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             StepPhase::StaticCharge => "static charge",
-            StepPhase::Prefetch => "prefetch staging",
             StepPhase::Forward => "forward",
             StepPhase::Backward => "backward",
         })
@@ -203,19 +198,6 @@ impl TrainerSnapshot {
             .map(|p| p.len() * 2 * BYTES_PER_VALUE)
             .sum()
     }
-}
-
-/// A prefetched host→device transfer staged for the *next* micro-batch:
-/// its bytes already occupy the device (under
-/// [`MemoryCategory::PrefetchStaging`]) and only `exposed_sec` of its link
-/// time remains on the critical path of the step that consumes it.
-#[derive(Debug, Clone, Copy)]
-struct StagedTransfer {
-    alloc: AllocationId,
-    /// Full simulated link seconds the staged transfer took.
-    raw_sec: f64,
-    /// The portion not hidden behind the staging step's compute.
-    exposed_sec: f64,
 }
 
 /// How a step's loss feeds the gradient.
@@ -589,25 +571,19 @@ impl Trainer {
     /// skipping empty ones) — what the multi-device scheduler folds per
     /// device. Passing a single batch is exactly full-batch training.
     ///
-    /// With `prefetch`, transfers are double-buffered: while micro-batch
-    /// `i` computes, micro-batch `i + 1`'s host→device transfer is staged
-    /// on the device (charged under [`MemoryCategory::PrefetchStaging`]),
-    /// so only the transfer time not covered by compute stays on the
-    /// critical path. Losses, gradients, and RNG consumption are
-    /// bit-identical either way — only the timing and the device-memory
-    /// schedule differ. The hidden link time is reported in
-    /// [`EpochStats::prefetch_overlap_sec`].
+    /// Each step holds only its own micro-batch on the device — one
+    /// synchronous transfer, then its own gather — so its measured peak
+    /// is exactly its Eq. 5 estimate.
     ///
     /// # Errors
     ///
-    /// [`TrainError::StepOom`] if any micro-batch (including its staging
-    /// buffer) exceeds device capacity; every charge, staged or not, is
-    /// released before returning and the model is left unstepped.
+    /// [`TrainError::StepOom`] if any micro-batch exceeds device capacity;
+    /// every charge is released before returning and the model is left
+    /// unstepped.
     pub fn micro_batch_epoch(
         &mut self,
         dataset: &Dataset,
         micro_batches: &[Batch],
-        prefetch: bool,
     ) -> Result<(EpochStats, Vec<StepStats>), TrainError> {
         let effective_batch: usize = micro_batches
             .iter()
@@ -622,14 +598,8 @@ impl Trainer {
         let mut steps = Vec::with_capacity(active.len());
         let pool_before = self.session.graph.pool_stats();
         self.model.for_each_param_mut(&mut |p| p.zero_grad());
-        let mut staged: Option<StagedTransfer> = None;
-        for (i, mb) in active.iter().enumerate() {
-            let stage_next = if prefetch { active.get(i + 1).copied() } else { None };
-            let (step, staged_out) = self.run_step(dataset, mb, &mode, staged.take(), stage_next)?;
-            if let Some(s) = &staged_out {
-                epoch.prefetch_overlap_sec += s.raw_sec - s.exposed_sec;
-            }
-            staged = staged_out;
+        for mb in active {
+            let step = self.run_step(dataset, mb, &mode)?;
             epoch.absorb(&step);
             steps.push(step);
         }
@@ -662,7 +632,7 @@ impl Trainer {
                 continue;
             }
             self.model.for_each_param_mut(&mut |p| p.zero_grad());
-            let (step, _) = self.run_step(dataset, batch, &LossMode::MiniBatch, None, None)?;
+            let step = self.run_step(dataset, batch, &LossMode::MiniBatch)?;
             self.release_tape();
             self.optimizer.step(&mut self.model.params_mut());
             epoch.absorb(&step);
@@ -677,32 +647,18 @@ impl Trainer {
 
     /// Executes one batch forward/backward, charging the device.
     ///
-    /// `prefetch_in` is this batch's already-staged transfer: its bytes are
-    /// on the device and only the exposed fraction of its link time is
-    /// still owed. `stage_next` asks the step to stage the following
-    /// micro-batch's transfer while this one computes; the returned
-    /// [`StagedTransfer`] (if any) stays allocated across the step
-    /// boundary and must be fed to the next call as `prefetch_in`.
-    ///
     /// Every charge goes through one [`StepCharges`], released on one
-    /// path: all of it when the step fails — so the device ledger always
-    /// reads zero after a failure — and all but the handed-on staging
-    /// buffer when it succeeds.
+    /// path whether the step succeeds or fails, so the device ledger
+    /// always reads zero between steps.
     fn run_step(
         &mut self,
         dataset: &Dataset,
         batch: &Batch,
         mode: &LossMode,
-        prefetch_in: Option<StagedTransfer>,
-        stage_next: Option<&Batch>,
-    ) -> Result<(StepStats, Option<StagedTransfer>), TrainError> {
+    ) -> Result<StepStats, TrainError> {
         let step = self.global_step;
         let mut charges = StepCharges::default();
-        let result =
-            self.charged_step(dataset, batch, mode, prefetch_in, stage_next, &mut charges);
-        if let Ok((_, Some(_))) = &result {
-            charges.keep_staged();
-        }
+        let result = self.charged_step(dataset, batch, mode, &mut charges);
         charges.release(&mut self.device);
         if result.is_ok() && self.trace.is_some() {
             let events = self.device.drain_timeline_events();
@@ -721,10 +677,8 @@ impl Trainer {
         dataset: &Dataset,
         batch: &Batch,
         mode: &LossMode,
-        prefetch_in: Option<StagedTransfer>,
-        stage_next: Option<&Batch>,
         charges: &mut StepCharges,
-    ) -> Result<(StepStats, Option<StagedTransfer>), TrainError> {
+    ) -> Result<StepStats, TrainError> {
         let step = self.global_step;
         self.global_step += 1;
         let oom = |phase: StepPhase| move |source: OomError| TrainError::StepOom { step, phase, source };
@@ -753,61 +707,18 @@ impl Trainer {
         let sizes = StepSizes::for_batch(batch, in_dim, param_values, opt_values, self.precision)
             .with_feature_cache(dataset.features.cache_reservation_bytes());
 
-        // This batch's staged copy is re-charged below under the regular
-        // static categories, so the staging buffer is dropped first.
-        if let Some(p) = &prefetch_in {
-            self.device.free(p.alloc);
-        }
         self.device.free_all();
         self.device.reset_peak();
         self.device.begin_step(step);
         *charges = StepCharges::charge_static(&mut self.device, &sizes)
             .map_err(oom(StepPhase::StaticCharge))?;
-        // Only the transfer time the previous step's compute did not cover
-        // is still owed when the batch was prefetched.
-        let transfer_sec = match &prefetch_in {
-            Some(p) => p.exposed_sec,
-            None => self.transfer.transfer(sizes.transfer_bytes()),
-        };
+        let transfer_sec = self.transfer.transfer(sizes.transfer_bytes());
         if let Some(tr) = self.trace.as_mut() {
-            // The transfer is simulated, so the span carries the modelled
-            // link seconds still owed on this step's critical path.
+            // The transfer is simulated, so the span carries its modelled
+            // link seconds.
             let at = tr.now_sec();
             tr.record_span(SpanKind::Transfer, Some(step), at, transfer_sec);
         }
-        // Stage the next micro-batch's transfer while this one computes.
-        // Its bytes share the device with this step's working set for the
-        // whole step, so the charge lands before the forward pass —
-        // matching the planner's `prefetch_staging` term in the peak
-        // estimate (Eq. 5).
-        let mut feature_stats = GatherStats::default();
-        let mut staged_out = match stage_next {
-            Some(next) => {
-                let next_sizes =
-                    StepSizes::for_batch(next, in_dim, param_values, opt_values, self.precision);
-                let staged_bytes = next_sizes.transfer_bytes();
-                let alloc = charges
-                    .charge_staging(&mut self.device, staged_bytes)
-                    .map_err(oom(StepPhase::Prefetch))?;
-                // Page the next micro-batch's feature shards in alongside
-                // the staged PCIe bytes: their NVMe seconds join `raw_sec`
-                // and are hidden behind this step's compute like the rest
-                // of the staged transfer, so the consuming step's gather
-                // hits the warm cache.
-                let next_idx: Vec<usize> =
-                    next.input_nodes().iter().map(|&v| v as usize).collect();
-                let warm = dataset.features.try_prewarm(&next_idx).map_err(storage)?;
-                feature_stats.absorb(&warm);
-                let raw_sec = self.transfer.transfer(staged_bytes)
-                    + self.feature_link.transfer(warm.bytes_in as usize);
-                Some(StagedTransfer {
-                    alloc,
-                    raw_sec,
-                    exposed_sec: raw_sec,
-                })
-            }
-            None => None,
-        };
 
         // Reuse the persistent workspace: reset drains the previous step's
         // tape into the buffer pool, so this step's identically-shaped
@@ -828,13 +739,11 @@ impl Trainer {
             .features
             .try_gather_into(&input_idx, input_feats.data_mut());
         self.session.graph.recycle_indices(input_idx);
-        let gather_stats = gathered.map_err(storage)?;
-        // Shards the prefetcher did not (or could not) keep warm page in
-        // on the critical path, over the NVMe-like feature link. Dense
-        // stores and warm caches read zero bytes, which the link models
-        // as free.
-        let page_in_sec = self.feature_link.transfer(gather_stats.bytes_in as usize);
-        feature_stats.absorb(&gather_stats);
+        let feature_stats = gathered.map_err(storage)?;
+        // Shards the cache does not hold page in over the NVMe-like
+        // feature link. Dense stores and warm caches read zero bytes,
+        // which the link models as free.
+        let page_in_sec = self.feature_link.transfer(feature_stats.bytes_in as usize);
         let input_bytes = input_feats.size_bytes();
         let mut targets = self.session.graph.take_indices();
         targets.extend(
@@ -937,13 +846,6 @@ impl Trainer {
             }
         }
 
-        // Whatever part of the staged transfer this step's compute covered
-        // is hidden; only the remainder reaches the next step's critical
-        // path.
-        if let Some(s) = staged_out.as_mut() {
-            s.exposed_sec = (s.raw_sec - compute_sec).max(0.0);
-        }
-
         let peak_bytes = self.device.peak_bytes();
         if let Some(tr) = self.trace.as_mut() {
             let end = tr.now_sec();
@@ -961,33 +863,30 @@ impl Trainer {
                 .collect();
             tr.record_peak(step, peak_bytes, breakdown);
         }
-        Ok((
-            StepStats {
-                loss,
-                compute_sec,
-                transfer_sec,
-                peak_bytes,
-                input_nodes: batch.input_nodes().len(),
-                total_src_nodes: batch.total_src_nodes(),
-                feature_hits: feature_stats.hits,
-                feature_misses: feature_stats.misses,
-                feature_pages_in: feature_stats.pages_in,
-                feature_page_in_bytes: feature_stats.bytes_in,
-                page_in_sec,
-                io_retries: feature_stats.io_retries,
-                shards_repaired: feature_stats.shards_repaired,
-                // Repair cost is modelled, never slept: backoff seconds
-                // accumulated by the retry path plus the link time of the
-                // parity/peer reads that fed reconstruction. Charged via
-                // the *pure* `time_for` so repairs can never perturb the
-                // feature link's counters or its fault-injector stream.
-                repair_sec: feature_stats.backoff_sec
-                    + self
-                        .feature_link
-                        .time_for(feature_stats.repair_bytes as usize),
-            },
-            staged_out,
-        ))
+        Ok(StepStats {
+            loss,
+            compute_sec,
+            transfer_sec,
+            peak_bytes,
+            input_nodes: batch.input_nodes().len(),
+            total_src_nodes: batch.total_src_nodes(),
+            feature_hits: feature_stats.hits,
+            feature_misses: feature_stats.misses,
+            feature_pages_in: feature_stats.pages_in,
+            feature_page_in_bytes: feature_stats.bytes_in,
+            page_in_sec,
+            io_retries: feature_stats.io_retries,
+            shards_repaired: feature_stats.shards_repaired,
+            // Repair cost is modelled, never slept: backoff seconds
+            // accumulated by the retry path plus the link time of the
+            // parity/peer reads that fed reconstruction. Charged via the
+            // *pure* `time_for` so repairs can never perturb the feature
+            // link's counters or its fault-injector stream.
+            repair_sec: feature_stats.backoff_sec
+                + self
+                    .feature_link
+                    .time_for(feature_stats.repair_bytes as usize),
+        })
     }
 }
 
@@ -1030,14 +929,14 @@ mod tests {
         let batch = full_batch(&ds, 2);
         let mut t = Trainer::new(model(&ds, 0), 0.01, Device::unbounded(), 3);
         let first = t
-            .micro_batch_epoch(&ds, std::slice::from_ref(&batch), false)
+            .micro_batch_epoch(&ds, std::slice::from_ref(&batch))
             .unwrap().0;
         assert!(first.loss.is_finite());
         assert!(first.max_peak_bytes > 0);
         let mut last = first;
         for _ in 0..10 {
             last = t
-                .micro_batch_epoch(&ds, std::slice::from_ref(&batch), false)
+                .micro_batch_epoch(&ds, std::slice::from_ref(&batch))
                 .unwrap().0;
         }
         assert!(last.loss < first.loss, "{} -> {}", first.loss, last.loss);
@@ -1056,10 +955,10 @@ mod tests {
 
         let mut t_full = Trainer::new(model(&ds, 7), 0.01, Device::unbounded(), 3);
         let full = t_full
-            .micro_batch_epoch(&ds, std::slice::from_ref(&batch), false)
+            .micro_batch_epoch(&ds, std::slice::from_ref(&batch))
             .unwrap().0;
         let mut t_micro = Trainer::new(model(&ds, 7), 0.01, Device::unbounded(), 3);
-        let micro = t_micro.micro_batch_epoch(&ds, &micros, false).unwrap().0;
+        let micro = t_micro.micro_batch_epoch(&ds, &micros).unwrap().0;
         // Same initial weights (same seed) → identical effective loss.
         assert!(
             (full.loss - micro.loss).abs() < 1e-4,
@@ -1081,9 +980,9 @@ mod tests {
             .collect();
         let mut t = Trainer::new(model(&ds, 0), 0.01, Device::unbounded(), 3);
         let full = t
-            .micro_batch_epoch(&ds, std::slice::from_ref(&batch), false)
+            .micro_batch_epoch(&ds, std::slice::from_ref(&batch))
             .unwrap().0;
-        let micro = t.micro_batch_epoch(&ds, &micros, false).unwrap().0;
+        let micro = t.micro_batch_epoch(&ds, &micros).unwrap().0;
         assert!(
             micro.max_peak_bytes < full.max_peak_bytes,
             "micro {} vs full {}",
@@ -1097,7 +996,7 @@ mod tests {
         let ds = dataset();
         let batch = full_batch(&ds, 2);
         let mut t = Trainer::new(model(&ds, 0), 0.01, Device::new(10_000), 3);
-        match t.micro_batch_epoch(&ds, std::slice::from_ref(&batch), false) {
+        match t.micro_batch_epoch(&ds, std::slice::from_ref(&batch)) {
             Err(TrainError::StepOom {
                 step,
                 phase,
@@ -1120,7 +1019,7 @@ mod tests {
         let batch = full_batch(&ds, 2);
         let mut t = Trainer::new(model(&ds, 0), 0.01, Device::new(10_000), 3);
         assert_eq!(t.global_step(), 0);
-        assert!(t.micro_batch_epoch(&ds, std::slice::from_ref(&batch), false).is_err());
+        assert!(t.micro_batch_epoch(&ds, std::slice::from_ref(&batch)).is_err());
         assert_eq!(t.global_step(), 1, "a failed step still consumes its index");
     }
 
@@ -1141,16 +1040,16 @@ mod tests {
         ));
         let mut t = Trainer::new(m, 0.01, Device::unbounded(), 3);
         // Advance so the optimizer has non-trivial moments.
-        t.micro_batch_epoch(&ds, std::slice::from_ref(&batch), false).unwrap();
+        t.micro_batch_epoch(&ds, std::slice::from_ref(&batch)).unwrap();
         let snap = t.snapshot();
         assert!(snap.num_params() > 0);
         assert!(snap.param_bytes() > 0);
         let a = t
-            .micro_batch_epoch(&ds, std::slice::from_ref(&batch), false)
+            .micro_batch_epoch(&ds, std::slice::from_ref(&batch))
             .unwrap().0;
         t.restore(&snap);
         let b = t
-            .micro_batch_epoch(&ds, std::slice::from_ref(&batch), false)
+            .micro_batch_epoch(&ds, std::slice::from_ref(&batch))
             .unwrap().0;
         assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "restore must rewind exactly");
     }
@@ -1166,7 +1065,7 @@ mod tests {
             ..FaultPlan::default()
         });
         let err = t
-            .micro_batch_epoch(&ds, std::slice::from_ref(&batch), false)
+            .micro_batch_epoch(&ds, std::slice::from_ref(&batch))
             .unwrap_err();
         assert!(err.is_injected());
         assert!(err.oom().is_some());
@@ -1174,7 +1073,7 @@ mod tests {
         assert_eq!(events.len(), 1);
         assert!(t.drain_fault_events().is_empty());
         // The very next epoch (step 1) passes: capacity was never short.
-        t.micro_batch_epoch(&ds, std::slice::from_ref(&batch), false)
+        t.micro_batch_epoch(&ds, std::slice::from_ref(&batch))
             .unwrap();
     }
 
@@ -1185,130 +1084,6 @@ mod tests {
             .filter(|p| !p.is_empty())
             .map(|p| batch.restrict(p))
             .collect()
-    }
-
-    #[test]
-    fn prefetched_epoch_losses_bit_identical_to_plain() {
-        let ds = dataset();
-        let batch = full_batch(&ds, 2);
-        let micros = micros_of(&batch, 4);
-        assert!(micros.len() >= 2, "need real double buffering");
-
-        // Dropout > 0 so RNG consumption must line up step for step.
-        let dropout_model = |seed: u64| -> Box<dyn GnnModel> {
-            let mut rng = Pcg64Mcg::seed_from_u64(seed);
-            Box::new(GraphSage::new(
-                ds.feature_dim(),
-                16,
-                ds.num_classes,
-                2,
-                AggregatorSpec::Mean,
-                0.3,
-                &mut rng,
-            ))
-        };
-        let mut plain = Trainer::new(dropout_model(7), 0.01, Device::unbounded(), 3);
-        let mut pre = Trainer::new(dropout_model(7), 0.01, Device::unbounded(), 3);
-        for epoch in 0..3 {
-            let a = plain.micro_batch_epoch(&ds, &micros, false).unwrap().0;
-            let b = pre.micro_batch_epoch(&ds, &micros, true).unwrap().0;
-            assert_eq!(
-                a.loss.to_bits(),
-                b.loss.to_bits(),
-                "epoch {epoch}: prefetch must not change the math"
-            );
-            assert!(b.prefetch_overlap_sec >= 0.0);
-            // The link moved the same bytes either way: exposed + hidden
-            // transfer time matches the serial epoch's transfer time.
-            assert!(
-                (a.transfer_sec - (b.transfer_sec + b.prefetch_overlap_sec)).abs() < 1e-9,
-                "epoch {epoch}: {} vs {} + {}",
-                a.transfer_sec,
-                b.transfer_sec,
-                b.prefetch_overlap_sec
-            );
-        }
-        assert_eq!(pre.device().current_bytes(), 0, "no staging buffer lingers");
-    }
-
-    #[test]
-    fn prefetch_staging_raises_peak_and_is_recharged_next_step() {
-        let ds = dataset();
-        let batch = full_batch(&ds, 2);
-        let micros = micros_of(&batch, 4);
-        assert!(micros.len() >= 2);
-        let mut plain = Trainer::new(model(&ds, 0), 0.01, Device::unbounded(), 3);
-        let (_, plain_steps) = plain.micro_batch_epoch(&ds, &micros, false).unwrap();
-        let mut pre = Trainer::new(model(&ds, 0), 0.01, Device::unbounded(), 3);
-        let (_, pre_steps) = pre
-            .micro_batch_epoch(&ds, &micros, true)
-            .unwrap();
-        // Every step that stages its successor pays for the staged bytes.
-        for i in 0..micros.len() - 1 {
-            let param_values = pre.model.total_param_count();
-            let opt_values = param_values * pre.optimizer.state_values_per_param();
-            let staged = StepSizes::for_batch(&micros[i + 1], ds.feature_dim(), param_values, opt_values, DType::F32)
-                .transfer_bytes();
-            assert_eq!(
-                pre_steps[i].peak_bytes,
-                plain_steps[i].peak_bytes + staged,
-                "step {i} peak must include its successor's staged transfer"
-            );
-        }
-        // The last step stages nothing.
-        let last = micros.len() - 1;
-        assert_eq!(pre_steps[last].peak_bytes, plain_steps[last].peak_bytes);
-    }
-
-    #[test]
-    fn oom_mid_prefetch_reports_prefetch_phase_and_drains_ledger() {
-        let ds = dataset();
-        let batch = full_batch(&ds, 2);
-        let micros = micros_of(&batch, 2);
-        assert!(micros.len() >= 2);
-        // Capacity that admits micro-batch 0's statics but not micro-batch
-        // 1's staging buffer on top of them: a genuine capacity OOM in the
-        // prefetch phase, before any forward work.
-        let probe = Trainer::new(model(&ds, 0), 0.01, Device::unbounded(), 3);
-        let param_values = probe.model.total_param_count();
-        let opt_values = param_values * probe.optimizer.state_values_per_param();
-        let sizes0 = StepSizes::for_batch(&micros[0], ds.feature_dim(), param_values, opt_values, DType::F32);
-        let statics0 = sizes0.params
-            + sizes0.optimizer_states
-            + sizes0.blocks
-            + sizes0.input_features
-            + sizes0.labels;
-        let staged1 = StepSizes::for_batch(&micros[1], ds.feature_dim(), param_values, opt_values, DType::F32)
-            .transfer_bytes();
-        let mut t = Trainer::new(model(&ds, 0), 0.01, Device::new(statics0 + staged1 - 1), 3);
-        match t.micro_batch_epoch(&ds, &micros, true) {
-            Err(TrainError::StepOom { step, phase, source }) => {
-                assert_eq!(step, 0);
-                assert_eq!(phase, StepPhase::Prefetch);
-                assert_eq!(source.requested, staged1);
-                assert!(!source.injected);
-            }
-            other => panic!("expected prefetch-phase OOM, got {other:?}"),
-        }
-        assert_eq!(
-            t.device().current_bytes(),
-            0,
-            "an OOM mid-prefetch must drop the staged charge with the rest"
-        );
-
-        // With exactly enough room for statics + staging, the forward
-        // charge fails instead — while the staging buffer is live, so the
-        // error path must free it too.
-        let mut t2 = Trainer::new(model(&ds, 0), 0.01, Device::new(statics0 + staged1), 3);
-        match t2.micro_batch_epoch(&ds, &micros, true) {
-            Err(TrainError::StepOom { phase, .. }) => assert_eq!(phase, StepPhase::Forward),
-            other => panic!("expected forward-phase OOM, got {other:?}"),
-        }
-        assert_eq!(
-            t2.device().current_bytes(),
-            0,
-            "a forward OOM with a live staging buffer must free it"
-        );
     }
 
     fn param_bits(t: &Trainer) -> Vec<u32> {
@@ -1326,18 +1101,15 @@ mod tests {
         let mut t = Trainer::new(model(&ds, 0), 0.01, Device::unbounded(), 3);
         // Train once so Adam holds non-zero moments — the bug applied
         // stale momentum, which only shows once moments exist.
-        t.micro_batch_epoch(&ds, std::slice::from_ref(&batch), false).unwrap();
+        t.micro_batch_epoch(&ds, std::slice::from_ref(&batch)).unwrap();
         let before = param_bits(&t);
 
         // Zero micro-batches, and micro-batches whose output sets are all
         // empty, both mean no gradient: the optimizer must not step.
-        let stats = t.micro_batch_epoch(&ds, &[], false).unwrap().0;
+        let stats = t.micro_batch_epoch(&ds, &[]).unwrap().0;
         assert_eq!(stats.num_steps, 0);
         let empty = batch.restrict(&[]);
-        t.micro_batch_epoch(&ds, std::slice::from_ref(&empty), false).unwrap();
-        t.micro_batch_epoch(&ds, &[], true).unwrap();
-        t.micro_batch_epoch(&ds, std::slice::from_ref(&empty), true)
-            .unwrap();
+        t.micro_batch_epoch(&ds, std::slice::from_ref(&empty)).unwrap();
         assert_eq!(
             before,
             param_bits(&t),
@@ -1345,7 +1117,7 @@ mod tests {
         );
 
         // A real epoch afterwards still updates them.
-        t.micro_batch_epoch(&ds, std::slice::from_ref(&batch), false).unwrap();
+        t.micro_batch_epoch(&ds, std::slice::from_ref(&batch)).unwrap();
         assert_ne!(before, param_bits(&t));
     }
 
@@ -1359,8 +1131,8 @@ mod tests {
         traced.enable_tracing();
         assert!(traced.tracing_enabled());
         for _ in 0..2 {
-            let a = plain.micro_batch_epoch(&ds, &micros, false).unwrap().0;
-            let b = traced.micro_batch_epoch(&ds, &micros, false).unwrap().0;
+            let a = plain.micro_batch_epoch(&ds, &micros).unwrap().0;
+            let b = traced.micro_batch_epoch(&ds, &micros).unwrap().0;
             assert_eq!(a.loss.to_bits(), b.loss.to_bits());
             assert_eq!(a.num_steps, b.num_steps);
             assert_eq!(a.max_peak_bytes, b.max_peak_bytes);
@@ -1410,8 +1182,8 @@ mod tests {
         let mut clean = Trainer::new(model(&ds, 7), 0.01, Device::unbounded(), 3);
         let mut faulty = Trainer::new(model(&ds, 7), 0.01, Device::unbounded(), 3);
         assert!(faulty.sentinel(), "sentinel defaults on");
-        let a0 = clean.micro_batch_epoch(&ds, &micros, false).unwrap().0;
-        let b0 = faulty.micro_batch_epoch(&ds, &micros, false).unwrap().0;
+        let a0 = clean.micro_batch_epoch(&ds, &micros).unwrap().0;
+        let b0 = faulty.micro_batch_epoch(&ds, &micros).unwrap().0;
         assert_eq!(a0.loss.to_bits(), b0.loss.to_bits());
 
         // Poison the second micro-batch of faulty's next epoch.
@@ -1421,7 +1193,7 @@ mod tests {
             ..FaultPlan::default()
         });
         let snap = faulty.snapshot();
-        let err = faulty.micro_batch_epoch(&ds, &micros, false).unwrap_err();
+        let err = faulty.micro_batch_epoch(&ds, &micros).unwrap_err();
         assert!(err.is_injected());
         assert!(err.oom().is_none());
         match &err {
@@ -1440,8 +1212,8 @@ mod tests {
         // are monotone), so the retried epoch is clean — and bit-identical
         // to the trainer that never saw a fault.
         faulty.restore(&snap);
-        let a1 = clean.micro_batch_epoch(&ds, &micros, false).unwrap().0;
-        let b1 = faulty.micro_batch_epoch(&ds, &micros, false).unwrap().0;
+        let a1 = clean.micro_batch_epoch(&ds, &micros).unwrap().0;
+        let b1 = faulty.micro_batch_epoch(&ds, &micros).unwrap().0;
         assert_eq!(
             a1.loss.to_bits(),
             b1.loss.to_bits(),
@@ -1464,31 +1236,8 @@ mod tests {
         });
         // Without the sentinel the epoch "succeeds" with a NaN loss — the
         // silent corruption the sentinel exists to stop.
-        let stats = t.micro_batch_epoch(&ds, std::slice::from_ref(&batch), false).unwrap().0;
+        let stats = t.micro_batch_epoch(&ds, std::slice::from_ref(&batch)).unwrap().0;
         assert!(stats.loss.is_nan());
-    }
-
-    #[test]
-    fn anomaly_mid_prefetch_frees_the_staged_buffer() {
-        use betty_device::FaultPlan;
-        let ds = dataset();
-        let batch = full_batch(&ds, 2);
-        let micros = micros_of(&batch, 4);
-        assert!(micros.len() >= 2);
-        let mut t = Trainer::new(model(&ds, 0), 0.01, Device::unbounded(), 3);
-        // Poison the first step: its successor's transfer is already
-        // staged when the sentinel fires, and must be freed with the rest.
-        t.arm_faults(&FaultPlan {
-            nan_loss_steps: vec![0],
-            ..FaultPlan::default()
-        });
-        let err = t.micro_batch_epoch(&ds, &micros, true).unwrap_err();
-        assert!(matches!(err, TrainError::NumericAnomaly { step: 0, .. }), "{err:?}");
-        assert_eq!(
-            t.device().current_bytes(),
-            0,
-            "anomaly with a live staging buffer must free it"
-        );
     }
 
     #[test]
@@ -1502,8 +1251,8 @@ mod tests {
         assert!(pooled.pooling());
         assert!(!plain.pooling());
         for _ in 0..3 {
-            let a = pooled.micro_batch_epoch(&ds, &micros, false).unwrap().0;
-            let b = plain.micro_batch_epoch(&ds, &micros, false).unwrap().0;
+            let a = pooled.micro_batch_epoch(&ds, &micros).unwrap().0;
+            let b = plain.micro_batch_epoch(&ds, &micros).unwrap().0;
             assert_eq!(a.loss.to_bits(), b.loss.to_bits());
             assert_eq!(a.max_peak_bytes, b.max_peak_bytes);
             // Only the pooled trainer recycles buffers.

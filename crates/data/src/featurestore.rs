@@ -1022,8 +1022,8 @@ impl PagedFeatures {
     /// Pages in (and pins, subject to the cache budget) every shard the
     /// given rows live on, without copying any row out — same bucketing,
     /// same residents-first order, at most one page-in per shard.
-    /// Prefetchers call this so a later gather of the same rows hits
-    /// memory.
+    /// A later gather of the same rows then hits memory. Training does not
+    /// call it: each step pages in what its own gather needs.
     ///
     /// # Errors
     ///

@@ -25,11 +25,6 @@ pub enum MemoryCategory {
     Gradients,
     /// Optimizer state (Adam: first and second moments).
     OptimizerStates,
-    /// Double-buffered prefetch: the *next* micro-batch's transfer data
-    /// (blocks, input features, labels) staged while the current one
-    /// computes. Held across the step boundary, then re-charged as the
-    /// static categories of the step that consumes it.
-    PrefetchStaging,
     /// Partition-ahead staging: transfer data of a *future epoch's*
     /// micro-batches whose plan was computed by the pipelined scheduler
     /// while the current epoch trained. Charged at the epoch boundary
@@ -45,7 +40,7 @@ pub enum MemoryCategory {
 
 impl MemoryCategory {
     /// All categories, in breakdown-report order.
-    pub const ALL: [MemoryCategory; 11] = [
+    pub const ALL: [MemoryCategory; 10] = [
         MemoryCategory::Parameters,
         MemoryCategory::InputFeatures,
         MemoryCategory::Labels,
@@ -54,7 +49,6 @@ impl MemoryCategory {
         MemoryCategory::AggregatorIntermediate,
         MemoryCategory::Gradients,
         MemoryCategory::OptimizerStates,
-        MemoryCategory::PrefetchStaging,
         MemoryCategory::PlanAhead,
         MemoryCategory::FeatureCache,
     ];
@@ -71,7 +65,6 @@ impl MemoryCategory {
             MemoryCategory::AggregatorIntermediate => "aggregator intermediate",
             MemoryCategory::Gradients => "gradients",
             MemoryCategory::OptimizerStates => "optimizer states",
-            MemoryCategory::PrefetchStaging => "prefetch staging",
             MemoryCategory::PlanAhead => "plan ahead",
             MemoryCategory::FeatureCache => "feature cache",
         }

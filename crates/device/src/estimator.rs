@@ -147,12 +147,7 @@ pub struct MemoryEstimate {
     pub gradients: usize,
     /// (8) optimizer state (Adam: 2 × parameters).
     pub optimizer_states: usize,
-    /// (9) double-buffered prefetch staging: the *next* micro-batch's
-    /// transfer data held on-device while this one computes. Zero unless a
-    /// planner with prefetch accounting fills it in
-    /// ([`MemoryEstimator::estimate`] itself cannot know the neighbor).
-    pub prefetch_staging: usize,
-    /// (10) pinned hot-set reservation of an out-of-core feature store:
+    /// (9) pinned hot-set reservation of an out-of-core feature store:
     /// `min(cache budget, total feature bytes)`, constant across steps.
     /// Zero for dense in-memory features; filled in by a planner built
     /// with feature-cache accounting (the estimator itself cannot know
@@ -169,12 +164,10 @@ impl MemoryEstimate {
             + self.blocks
             + self.hidden_outputs
             + self.optimizer_states
-            + self.prefetch_staging
             + self.feature_cache
     }
 
-    /// Bytes that cross the host→device link for the estimated batch —
-    /// exactly what a neighboring step must reserve to prefetch it.
+    /// Bytes that cross the host→device link for the estimated batch.
     pub fn transfer_bytes(&self) -> usize {
         self.blocks + self.input_features + self.labels
     }
@@ -322,7 +315,6 @@ impl MemoryEstimator {
                 + (params + LOSS_TAPE_VALUES + layer_scalars) * BYTES_PER_VALUE,
             gradients: params * BYTES_PER_VALUE,
             optimizer_states: 2 * params * BYTES_PER_VALUE,
-            prefetch_staging: 0,
             feature_cache: 0,
         }
     }

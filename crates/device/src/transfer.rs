@@ -54,9 +54,7 @@ impl TransferModel {
     /// Time a single transfer of `bytes` would take, without recording it.
     ///
     /// A zero-byte transfer is free: no data crosses the link, so no
-    /// latency is charged. (Empty micro-batch prefetches and zero-byte
-    /// feature page-ins used to pay full link latency here, inflating
-    /// `prefetch_overlap_sec` with time no hardware would spend.)
+    /// latency is charged (a warm gather's zero-byte page-in costs nothing).
     pub fn time_for(&self, bytes: usize) -> f64 {
         if bytes == 0 {
             return 0.0;
@@ -165,7 +163,7 @@ mod tests {
         assert_eq!(m.total_bytes(), 0);
         assert_eq!(m.total_time_sec(), 0.0);
         // An armed injector must not be consulted either — otherwise an
-        // empty prefetch would consume a stall draw and shift every
+        // empty transfer would consume a stall draw and shift every
         // later stall onto a different transfer.
         let plan = FaultPlan {
             seed: 9,

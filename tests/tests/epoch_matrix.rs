@@ -1,6 +1,6 @@
 //! One oracle, every way into the epoch executor: each public
-//! `Runner::train_epoch_*` constructor, at every prefetch / plan-ahead /
-//! group-size setting that must not touch the math, against a single
+//! `Runner::train_epoch_*` constructor, at every plan-ahead / group-size
+//! setting that must not touch the math, against a single
 //! reference run — plus the recovery cells of the matrix that exist only
 //! because the constructors share one attempt loop (fixed-K and
 //! multi-device OOM recovery, NaN replay on a group).
@@ -72,11 +72,9 @@ fn run(
     }
 }
 
-/// The oracle: `train_epoch_betty(K)`, one thread, no prefetch, no
-/// plan-ahead.
+/// The oracle: `train_epoch_betty(K)`, one thread, no plan-ahead.
 fn reference(ds: &Dataset, base: &ExperimentConfig) -> Run {
     let cfg = ExperimentConfig {
-        prefetch: false,
         plan_ahead: 0,
         ..base.clone()
     };
@@ -99,14 +97,9 @@ enum Source {
     Given,
 }
 
-/// One public constructor: a name, the group size it runs on, its plan
-/// source, and how to train one epoch.
-type Row = (
-    &'static str,
-    usize,
-    Source,
-    fn(&mut Runner, &Dataset) -> EpochStats,
-);
+/// One public constructor: a name, its plan source, and how to train one
+/// epoch.
+type Row = (&'static str, Source, fn(&mut Runner, &Dataset) -> EpochStats);
 
 fn elastic_on(r: &mut Runner, ds: &Dataset, devices: usize) -> EpochStats {
     let mut log = RecoveryLog::new();
@@ -118,19 +111,19 @@ fn elastic_on(r: &mut Runner, ds: &Dataset, devices: usize) -> EpochStats {
 }
 
 const ROWS: [Row; 5] = [
-    ("betty", 1, Source::Planned, |r, ds| {
+    ("betty", Source::Planned, |r, ds| {
         r.train_epoch_betty(ds, StrategyKind::Betty, K).unwrap()
     }),
-    ("elastic n=1", 1, Source::Planned, |r, ds| elastic_on(r, ds, 1)),
-    ("elastic n=3", 3, Source::Planned, |r, ds| elastic_on(r, ds, 3)),
-    ("betty_cached, every epoch fresh", 1, Source::Cached, |r, ds| {
+    ("elastic n=1", Source::Planned, |r, ds| elastic_on(r, ds, 1)),
+    ("elastic n=3", Source::Planned, |r, ds| elastic_on(r, ds, 3)),
+    ("betty_cached, every epoch fresh", Source::Cached, |r, ds| {
         let (stats, fresh) = r
             .train_epoch_betty_cached(ds, StrategyKind::Betty, K, 1)
             .unwrap();
         assert!(fresh);
         stats
     }),
-    ("micro_batches of plan_fixed", 1, Source::Given, |r, ds| {
+    ("micro_batches of plan_fixed", Source::Given, |r, ds| {
         let batch = r.sample_full_batch(ds);
         let plan = r.plan_fixed(&batch, StrategyKind::Betty, K);
         r.train_micro_batches(ds, &plan.micro_batches).unwrap()
@@ -141,38 +134,29 @@ const ROWS: [Row; 5] = [
 fn every_constructor_matches_the_reference_at_every_setting() {
     let ds = dataset();
     let oracle = reference(&ds, &config());
-    for (name, devices, source, epoch) in ROWS {
-        for prefetch in [false, true] {
-            for (plan_ahead, threads) in [(0usize, 1usize), (2, 4)] {
-                let cell = format!("{name}, prefetch {prefetch}, plan-ahead {plan_ahead}");
-                let cfg = ExperimentConfig {
-                    prefetch,
-                    plan_ahead,
-                    ..config()
-                };
-                let row = with_threads(threads, || run(&ds, &cfg, epoch));
-                assert_eq!(row.bits, oracle.bits, "{cell}");
-                // Next-micro-batch staging needs consecutive micro-batches
-                // on one device; without it the ledger is the oracle's.
-                let stages = prefetch && devices == 1;
-                for (got, want) in row.stats.iter().zip(&oracle.stats) {
-                    assert_eq!(got.num_steps, want.num_steps, "{cell}");
-                    if stages {
-                        assert!(got.max_peak_bytes > want.max_peak_bytes, "{cell}");
-                    } else {
-                        assert_eq!(got.max_peak_bytes, want.max_peak_bytes, "{cell}");
-                    }
-                    // One stats fill-in: every constructor that samples
-                    // reports the same host staging.
-                    if source != Source::Given {
-                        assert_eq!(got.host_bytes, want.host_bytes, "{cell}");
-                    }
-                    // The pipeline serves every planning constructor,
-                    // whatever its group.
-                    let staged = plan_ahead > 0 && source == Source::Planned;
-                    assert_eq!(got.plan_ahead_staged_bytes > 0, staged, "{cell}");
-                    assert_eq!(got.injected_faults + got.oom_retries + got.devices_lost, 0);
+    for (name, source, epoch) in ROWS {
+        for (plan_ahead, threads) in [(0usize, 1usize), (2, 4)] {
+            let cell = format!("{name}, plan-ahead {plan_ahead}");
+            let cfg = ExperimentConfig {
+                plan_ahead,
+                ..config()
+            };
+            let row = with_threads(threads, || run(&ds, &cfg, epoch));
+            assert_eq!(row.bits, oracle.bits, "{cell}");
+            for (got, want) in row.stats.iter().zip(&oracle.stats) {
+                assert_eq!(got.num_steps, want.num_steps, "{cell}");
+                // A step holds only its own micro-batch, whatever the group.
+                assert_eq!(got.max_peak_bytes, want.max_peak_bytes, "{cell}");
+                // One stats fill-in: every constructor that samples
+                // reports the same host staging.
+                if source != Source::Given {
+                    assert_eq!(got.host_bytes, want.host_bytes, "{cell}");
                 }
+                // The pipeline serves every planning constructor,
+                // whatever its group.
+                let staged = plan_ahead > 0 && source == Source::Planned;
+                assert_eq!(got.plan_ahead_staged_bytes > 0, staged, "{cell}");
+                assert_eq!(got.injected_faults + got.oom_retries + got.devices_lost, 0);
             }
         }
     }
@@ -267,7 +251,7 @@ fn device_faults_do_nothing_to_the_single_device_constructors() {
         },
         ..config()
     };
-    for (name, _, _, epoch) in ROWS.iter().filter(|row| !row.0.starts_with("elastic")) {
+    for (name, _, epoch) in ROWS.iter().filter(|row| !row.0.starts_with("elastic")) {
         let row = run(&ds, &armed, epoch);
         assert_eq!(row.bits, oracle.bits, "{name}");
         for stats in &row.stats {

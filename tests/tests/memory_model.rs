@@ -52,27 +52,10 @@ fn estimation_errors(aggregator: AggregatorSpec, k: usize) -> Vec<f64> {
 }
 
 #[test]
-fn mean_estimation_error_is_small() {
-    // All of this error is the next micro-batch's prefetch staging, which
-    // the plan reserves and a micro-batch run on its own never fills
-    // (`solo_run_error_is_the_unfilled_staging_reservation`) — always on
-    // the safe side. A mean layer tapes only `d + o` values per
-    // destination, so the next batch's inputs are up to a quarter of a
-    // solo peak (24.5% here).
-    for (predicted, measured) in estimates(AggregatorSpec::Mean, 4) {
-        assert!(predicted >= measured, "mean under-estimated: {predicted} < {measured}");
-        let err = (predicted - measured) / measured;
-        assert!(err < 0.30, "mean-aggregator estimation error {err}");
-    }
-}
-
-#[test]
 fn lstm_estimation_error_within_paper_band() {
     // Table 7 reports < 8% for the LSTM aggregator. The fused sequence op
-    // tapes exactly Eq. 5's six values per neighbor step, so what error
-    // remains (≤ 5.7% here, 0 on the last micro-batch) is the next
-    // micro-batch's prefetch staging, which the plan reserves and a
-    // micro-batch run on its own never fills — always on the safe side.
+    // tapes exactly Eq. 5's six values per neighbor step, so the error is
+    // zero (`eq5_equals_every_steps_measured_peak`).
     for (predicted, measured) in estimates(AggregatorSpec::Lstm, 4) {
         assert!(predicted >= measured, "lstm under-estimated: {predicted} < {measured}");
         let err = (predicted - measured) / measured;
@@ -87,28 +70,33 @@ fn pool_estimation_error_is_bounded() {
     }
 }
 
-/// What the solo-run comparisons above leave as error is exactly the
-/// reservation a solo run cannot fill: without it the estimate is the
-/// ledger's peak to the byte, for every aggregator and micro-batch.
+/// Eq. 5 is each step's measured peak to the byte: a step holds its own
+/// micro-batch and nothing of its neighbours', so a micro-batch measures
+/// the same whether it runs alone or in its plan's sequence.
 #[test]
-fn solo_run_error_is_the_unfilled_staging_reservation() {
+fn eq5_equals_every_steps_measured_peak() {
     let ds = dataset();
     for aggregator in [AggregatorSpec::Mean, AggregatorSpec::Pool, AggregatorSpec::Lstm] {
+        let name = aggregator.name();
         let mut runner = Runner::new(&ds, &config(aggregator), 0);
         let batch = runner.sample_full_batch(&ds);
         let plan = runner.plan_fixed(&batch, StrategyKind::Betty, 4);
-        for (mb, est) in plan.micro_batches.iter().zip(&plan.estimates) {
+        let estimated: Vec<usize> = plan.estimates.iter().map(|e| e.peak_bytes()).collect();
+        for (mb, est) in plan.micro_batches.iter().zip(&estimated) {
             let mut solo = Runner::new(&ds, &config(aggregator), 0);
             let stats = solo
                 .train_micro_batches(&ds, std::slice::from_ref(mb))
                 .expect("8 GiB fits the test batch");
-            assert_eq!(
-                est.peak_bytes() - est.prefetch_staging,
-                stats.max_peak_bytes,
-                "{}",
-                aggregator.name()
-            );
+            assert_eq!(*est, stats.max_peak_bytes, "{name} alone");
         }
+        let mut sequence = Runner::new(&ds, &config(aggregator), 0);
+        sequence.enable_tracing();
+        sequence
+            .train_micro_batches(&ds, &plan.micro_batches)
+            .expect("8 GiB fits the test batch");
+        let trace = sequence.take_trace().expect("tracing was on");
+        let measured: Vec<usize> = trace.peaks().iter().map(|p| p.peak_bytes).collect();
+        assert_eq!(estimated, measured, "{name} in sequence");
     }
 }
 

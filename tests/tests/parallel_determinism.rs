@@ -1,7 +1,7 @@
 //! Property tests for the deterministic parallel pipeline: REG
-//! construction, micro-batch materialization, and the prefetch executor
-//! must produce byte-identical results regardless of thread count or
-//! transfer overlap.
+//! construction, micro-batch materialization and the partition-ahead
+//! pipeline must produce byte-identical results regardless of thread
+//! count or pipeline depth.
 
 use betty::{EpochStats, ExperimentConfig, RecoveryLog, Runner, StrategyKind};
 use betty_data::{Dataset, DatasetSpec};
@@ -28,14 +28,13 @@ fn dataset() -> Dataset {
         .generate(5)
 }
 
-fn config(prefetch: bool) -> ExperimentConfig {
+fn config() -> ExperimentConfig {
     ExperimentConfig {
         fanouts: vec![4, 8],
         hidden_dim: 16,
         aggregator: AggregatorSpec::Mean,
         dropout: 0.3,
         capacity_bytes: gib(8),
-        prefetch,
         ..ExperimentConfig::default()
     }
 }
@@ -66,34 +65,6 @@ proptest! {
             let parallel = with_threads(threads, || shared_neighbor_graph(block));
             prop_assert_eq!(&base, &parallel, "SNG diverged at {} threads", threads);
         }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    #[test]
-    fn prefetch_reproduces_plain_losses_bitwise(k in 2usize..6, seed in 0u64..500) {
-        // The prefetch executor only reorders *when* transfers are simulated,
-        // never what is computed: with a shared seed every epoch loss must
-        // match the plain executor bit for bit, dropout included.
-        let ds = dataset();
-        let mut losses: Vec<Vec<u64>> = Vec::new();
-        for prefetch in [false, true] {
-            let mut runner = Runner::new(&ds, &config(prefetch), seed);
-            losses.push(
-                (0..3)
-                    .map(|_| {
-                        runner
-                            .train_epoch_betty(&ds, StrategyKind::Betty, k)
-                            .expect("capacity is ample")
-                            .loss
-                            .to_bits()
-                    })
-                    .collect(),
-            );
-        }
-        prop_assert_eq!(&losses[0], &losses[1], "prefetch changed the math at k={}", k);
     }
 }
 
@@ -156,7 +127,7 @@ proptest! {
                 let cfg = ExperimentConfig {
                     plan_ahead: depth,
                     fault_plan: fault_plan.clone(),
-                    ..config(true)
+                    ..config()
                 };
                 let mut runner = Runner::new(&ds, &cfg, seed);
                 let mut log = RecoveryLog::new();
@@ -212,7 +183,7 @@ fn epoch_losses_invariant_under_thread_override() {
     let ds = dataset();
     let run = |threads: usize| {
         with_threads(threads, || {
-            let mut runner = Runner::new(&ds, &config(true), 9);
+            let mut runner = Runner::new(&ds, &config(), 9);
             (0..3)
                 .map(|_| {
                     runner
