@@ -1707,6 +1707,29 @@ mod tests {
         assert_eq!(log.injected_faults(), 1);
         assert_eq!(log.recoveries(), 1);
         assert!(!log.exhausted());
+    }
+
+    #[test]
+    fn recovering_epoch_with_prefetch_still_escalates_and_recovers() {
+        // The default configuration once staged each successor's transfer;
+        // recovery from a fault on the first step must still escalate once
+        // and leave no charge of the failed attempt on the ledger.
+        use crate::recovery::RecoveryLog;
+        use betty_device::FaultPlan;
+        let ds = dataset();
+        let cfg = ExperimentConfig {
+            fault_plan: FaultPlan {
+                oom_steps: vec![0],
+                ..FaultPlan::default()
+            },
+            ..config()
+        };
+        let mut runner = Runner::new(&ds, &cfg, 0);
+        let mut log = RecoveryLog::new();
+        let (stats, _k) = runner
+            .train_epoch_auto_recovering(&ds, StrategyKind::Betty, &mut log)
+            .expect("recovery must work in the default configuration");
+        assert_eq!(stats.oom_retries, 1);
         assert_eq!(runner.trainer().device().current_bytes(), 0);
     }
 

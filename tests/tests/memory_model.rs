@@ -52,6 +52,18 @@ fn estimation_errors(aggregator: AggregatorSpec, k: usize) -> Vec<f64> {
 }
 
 #[test]
+fn mean_estimation_error_is_small() {
+    // A step holds only its own micro-batch, so the estimate is the
+    // measured peak (`solo_run_error_is_the_unfilled_staging_reservation`)
+    // and the error sits well inside Table 7's < 8 %.
+    for (predicted, measured) in estimates(AggregatorSpec::Mean, 4) {
+        assert!(predicted >= measured, "mean under-estimated: {predicted} < {measured}");
+        let err = (predicted - measured) / measured;
+        assert!(err < 0.08, "mean-aggregator estimation error {err}");
+    }
+}
+
+#[test]
 fn lstm_estimation_error_within_paper_band() {
     // Table 7 reports < 8% for the LSTM aggregator. The fused sequence op
     // tapes exactly Eq. 5's six values per neighbor step, so the error is
@@ -70,9 +82,29 @@ fn pool_estimation_error_is_bounded() {
     }
 }
 
-/// Eq. 5 is each step's measured peak to the byte: a step holds its own
-/// micro-batch and nothing of its neighbours', so a micro-batch measures
-/// the same whether it runs alone or in its plan's sequence.
+/// A micro-batch run on its own once measured below its estimate by the
+/// successor-staging reservation it could not fill. No plan reserves for a
+/// successor now, so that error is zero: the estimate is the solo run's
+/// peak to the byte, for every aggregator and micro-batch.
+#[test]
+fn solo_run_error_is_the_unfilled_staging_reservation() {
+    let ds = dataset();
+    for aggregator in [AggregatorSpec::Mean, AggregatorSpec::Pool, AggregatorSpec::Lstm] {
+        let mut runner = Runner::new(&ds, &config(aggregator), 0);
+        let batch = runner.sample_full_batch(&ds);
+        let plan = runner.plan_fixed(&batch, StrategyKind::Betty, 4);
+        for (mb, est) in plan.micro_batches.iter().zip(&plan.estimates) {
+            let mut solo = Runner::new(&ds, &config(aggregator), 0);
+            let stats = solo
+                .train_micro_batches(&ds, std::slice::from_ref(mb))
+                .expect("8 GiB fits the test batch");
+            assert_eq!(est.peak_bytes(), stats.max_peak_bytes, "{}", aggregator.name());
+        }
+    }
+}
+
+/// Eq. 5 is each step's measured peak to the byte in its plan's sequence
+/// too: a step holds its own micro-batch and nothing of its neighbours'.
 #[test]
 fn eq5_equals_every_steps_measured_peak() {
     let ds = dataset();
@@ -82,13 +114,6 @@ fn eq5_equals_every_steps_measured_peak() {
         let batch = runner.sample_full_batch(&ds);
         let plan = runner.plan_fixed(&batch, StrategyKind::Betty, 4);
         let estimated: Vec<usize> = plan.estimates.iter().map(|e| e.peak_bytes()).collect();
-        for (mb, est) in plan.micro_batches.iter().zip(&estimated) {
-            let mut solo = Runner::new(&ds, &config(aggregator), 0);
-            let stats = solo
-                .train_micro_batches(&ds, std::slice::from_ref(mb))
-                .expect("8 GiB fits the test batch");
-            assert_eq!(*est, stats.max_peak_bytes, "{name} alone");
-        }
         let mut sequence = Runner::new(&ds, &config(aggregator), 0);
         sequence.enable_tracing();
         sequence
