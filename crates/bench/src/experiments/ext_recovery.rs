@@ -4,14 +4,15 @@
 //! this exhibit measures what happens when that assumption breaks. A
 //! deterministic [`betty_device::FaultPlan`] injects allocation failures
 //! and capacity jitter into the simulated device, and the recovering
-//! trainer ([`Runner::train_epoch_auto_recovering`]) rolls back to the
-//! epoch-start checkpoint and escalates K until the epoch fits. Columns:
+//! trainer (an auto-K [`Runner::train_epoch_elastic`] on a group of one)
+//! rolls back to the epoch-start checkpoint and escalates K until the
+//! epoch fits. Columns:
 //! injected faults observed, checkpointed retries consumed, the final K
 //! the run settled on, and validation accuracy — which should survive
 //! every recoverable scenario (recovery replays the epoch bit-exactly
 //! from the snapshot, so accuracy degradation would mean lost state).
 
-use betty::{RecoveryLog, RetryPolicy, Runner, StrategyKind};
+use betty::{DeviceGroup, RecoveryLog, RetryPolicy, Runner, StrategyKind};
 use betty_device::FaultPlan;
 use betty_nn::AggregatorSpec;
 
@@ -89,8 +90,9 @@ pub fn run(profile: Profile) {
         let mut failed = false;
         for epoch in 0..epochs {
             log.set_epoch(epoch);
-            match runner.train_epoch_auto_recovering(&ds, StrategyKind::Betty, &mut log) {
-                Ok((_, k)) => final_k = k,
+            let group = DeviceGroup::new(1);
+            match runner.train_epoch_elastic(&ds, StrategyKind::Betty, 1, &group, &mut log) {
+                Ok(epoch) => final_k = epoch.assignment.len(),
                 Err(e) => {
                     println!("scenario '{name}' did not survive: {e}");
                     failed = true;

@@ -22,7 +22,7 @@
 
 use std::time::Instant;
 
-use betty::{Runner, StrategyKind, TrainError};
+use betty::{RunError, Runner, StrategyKind, TrainError};
 use betty_device::FaultPlan;
 
 use crate::presets::products_3layer;
@@ -205,7 +205,7 @@ pub fn run(profile: Profile) {
     for _ in 0..epochs {
         match runner.train_epoch_betty(&paged_ds, StrategyKind::Betty, K) {
             Ok(_) => {}
-            Err(TrainError::Storage { shard, .. }) => {
+            Err(RunError::Train(TrainError::Storage { shard, .. })) => {
                 assert_eq!(shard, CORRUPT.0, "the corrupted shard is named in the error");
                 aborted = true;
                 break;

@@ -149,10 +149,12 @@ GLOBAL FLAGS (accepted by every command, after the command name):
                  allocator-level debugging and the alloc benchmarks)
   --plan-ahead N stage up to N future epochs' sampling + REG partitioning
                  on spare worker threads while the current epoch trains
-                 (default 0 = synchronous). Losses, parameters, and every
-                 deterministic stat are bit-identical at any depth; only
-                 where the planning time is spent changes. Degrades to
-                 the synchronous path under --threads 1
+                 (default 0: each epoch samples and plans its own batch
+                 inline). Staged plans search K from the last plan's K,
+                 as inline ones do, and wait in host memory. Losses,
+                 parameters, and every deterministic stat are
+                 bit-identical at any depth; only where the planning time
+                 is spent changes. Under --threads 1 every depth is 0
 
 Presets: cora, pubmed, reddit, ogbn-arxiv, ogbn-products.
 

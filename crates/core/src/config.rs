@@ -50,7 +50,7 @@ pub struct ExperimentConfig {
     /// paged feature store. The empty default injects nothing.
     pub fault_plan: FaultPlan,
     /// OOM recovery policy used by
-    /// [`Runner::train_epoch_auto_recovering`](crate::Runner::train_epoch_auto_recovering)
+    /// [`Runner::train_epoch_elastic`](crate::Runner::train_epoch_elastic)
     /// and [`fit`](crate::fit()).
     pub retry: RetryPolicy,
     /// Pooled tensor workspace: the trainer reuses one autograd tape and

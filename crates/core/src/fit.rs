@@ -6,6 +6,7 @@ use betty_nn::{LrSchedule, TrainState};
 use crate::durable::{
     CheckpointPlan, CTR_BEST_EPOCH, CTR_NEXT_EPOCH, CTR_SINCE_BEST, FLT_BEST_VAL,
 };
+use crate::multi::DeviceGroup;
 use crate::recovery::RecoveryLog;
 use crate::runner::{RunError, Runner};
 use crate::stats::EpochStats;
@@ -90,11 +91,14 @@ pub struct FitReport {
 /// Trains with memory-aware Betty partitioning until `max_epochs` or
 /// validation patience runs out; evaluates on `dataset.val_idx` each epoch.
 ///
-/// Each epoch runs with checkpointed OOM recovery
-/// ([`Runner::train_epoch_auto_recovering`]): mid-step OOMs — genuine or
-/// injected by the config's fault plan — roll the model, optimizer and
-/// RNG back to the epoch-start snapshot and retry with an escalated
-/// plan, up to the config's retry budget. The returned report's
+/// Each epoch is an auto-K [`Runner::train_epoch_elastic`] on a group of
+/// one, so it runs with checkpointed OOM recovery: mid-step OOMs —
+/// genuine or injected by the config's fault plan — roll the model,
+/// optimizer and RNG back to the epoch-start snapshot and retry with an
+/// escalated plan, up to the config's retry budget. The plan's device
+/// faults apply to that group of one: a straggler factor only stretches
+/// its simulated time, and a failure of device 0 ends the run with
+/// [`RunError::DevicesExhausted`]. The returned report's
 /// [`recovery`](FitReport::recovery) log records everything that
 /// happened.
 ///
@@ -115,6 +119,11 @@ pub struct FitReport {
 ///
 /// Propagates planning/training failures ([`RunError`]), including
 /// [`RunError::RetryExhausted`] when recovery ran out of retries.
+///
+/// # Panics
+///
+/// Panics if the config's fault plan names a device other than 0
+/// ([`betty_device::FaultPlan::validate_for_devices`]).
 pub fn fit(runner: &mut Runner, dataset: &Dataset, config: &FitConfig<'_>) -> Result<FitReport, RunError> {
     let mut recovery = RecoveryLog::new();
     fit_with_log(runner, dataset, config, &mut recovery).map(|mut report| {
@@ -134,6 +143,10 @@ pub fn fit(runner: &mut Runner, dataset: &Dataset, config: &FitConfig<'_>) -> Re
 /// # Errors
 ///
 /// Propagates planning/training failures ([`RunError`]).
+///
+/// # Panics
+///
+/// As [`fit`].
 pub fn fit_with_log(
     runner: &mut Runner,
     dataset: &Dataset,
@@ -163,12 +176,15 @@ pub fn fit_with_log(
     }
     let mut history = Vec::new();
     let mut early_stopped = false;
+    let group = DeviceGroup::new(1);
     for epoch in start_epoch..config.max_epochs {
         if let Some(schedule) = config.schedule {
             runner.set_learning_rate(schedule.lr_at(config.base_lr, epoch));
         }
         log.set_epoch(epoch);
-        let (stats, _k) = runner.train_epoch_auto_recovering(dataset, config.strategy, log)?;
+        let stats = runner
+            .train_epoch_elastic(dataset, config.strategy, 1, &group, log)?
+            .combined;
         loss_history.push(stats.loss);
         history.push(stats);
         let val = runner.evaluate(dataset, &dataset.val_idx);

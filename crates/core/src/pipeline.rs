@@ -26,15 +26,18 @@
 //! * **Pure stages.** Partitioner strategies are stateless (`&self`), so
 //!   a plan computed on a worker is identical to one computed inline.
 //!
+//! # Depth 0
+//!
+//! No plan-ahead is the same work done inline: the runner builds the
+//! epoch's [`StagedBundle`] on the training thread through the
+//! [`sample_next`] and [`plan_batch`] the driver and workers call, and
+//! consumes it like a staged one. Requests carry the runner's warm `K`,
+//! so every search starts where an inline one would.
+//!
 //! # Memory
 //!
-//! Staged plans hold real host memory (micro-batch block stacks) destined
-//! for the device. Consumers charge each bundle's transfer bytes to the
-//! device ledger as [`betty_device::MemoryCategory::PlanAhead`] at the
-//! epoch boundary (see `Trainer::charge_plan_ahead`), and the pipeline's
-//! depth governor ([`PlanPipeline::top_up`]) stops requesting new bundles
-//! while the staged total exceeds the device budget — shrinking effective
-//! depth *before* anything escalates `K`.
+//! Staged plans hold host memory only. The depth governor
+//! ([`PlanPipeline::top_up`]) bounds it and changes no plan.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -62,56 +65,66 @@ pub enum PlanMode {
     From(usize),
 }
 
-impl PlanMode {
-    /// Plans `batch` in this mode, a `From` search against
-    /// `capacity_bytes`.
-    ///
-    /// # Errors
-    ///
-    /// [`PlanError`] if no `K` of a `From` search fits.
-    pub fn plan(
-        self,
-        planner: &MemoryAwarePlanner,
-        batch: &Batch,
-        strategy: &dyn OutputPartitioner,
-        capacity_bytes: usize,
-    ) -> Result<Plan, PlanError> {
-        match self {
-            PlanMode::Fixed(k) => Ok(planner.plan_fixed(batch, strategy, k)),
-            PlanMode::From(k) => planner.plan_with_capacity(batch, strategy, k, capacity_bytes),
-        }
+/// Draws the next full batch from `rng`: the batch, when sampling began,
+/// and its seconds.
+pub fn sample_next(
+    graph: &CsrGraph,
+    seeds: &[NodeId],
+    fanouts: &[usize],
+    rng: &mut Pcg64Mcg,
+) -> (Batch, Instant, f64) {
+    let started = Instant::now();
+    let batch = sample_batch_in(graph, seeds, fanouts, rng);
+    (batch, started, started.elapsed().as_secs_f64())
+}
+
+/// Plans `batch` in `mode`; a `From` search against `capacity_bytes`
+/// resumes at `start_k` (at or below the mode's `K`: the cold search).
+///
+/// # Errors
+///
+/// [`PlanError`] if no `K` of a `From` search fits.
+pub fn plan_batch(
+    planner: &MemoryAwarePlanner,
+    batch: &Batch,
+    strategy: &dyn OutputPartitioner,
+    mode: PlanMode,
+    start_k: usize,
+    capacity_bytes: usize,
+) -> Result<Plan, PlanError> {
+    match mode {
+        PlanMode::Fixed(k) => Ok(planner.plan_fixed(batch, strategy, k)),
+        PlanMode::From(k) => planner.plan_warm(batch, strategy, k, start_k, capacity_bytes),
     }
 }
 
 /// One staged epoch: the sampled batch, its plan, and the bookkeeping the
 /// consumer needs to take over as if it had done the work itself.
 pub struct StagedBundle {
-    /// The epoch's full training batch, sampled with the driver's
+    /// The epoch's full training batch, drawn from the runner's
     /// sequential RNG cursor.
     pub batch: Batch,
     /// The plan for `batch` ([`PlanMode::Fixed`] plans never fail).
     pub plan: Result<Plan, PlanError>,
     /// Sampler RNG state *after* drawing `batch`; the consumer adopts it
-    /// so later synchronous sampling continues the same stream.
+    /// so later sampling continues the same stream.
     pub rng_after: u128,
-    /// Total transfer bytes (blocks + features + labels) over the plan's
-    /// micro-batches — what the consumer charges to the `plan ahead`
-    /// ledger category. 0 for failed plans.
-    pub staged_bytes: usize,
-    /// Wall-clock seconds the driver spent sampling `batch`.
+    /// Wall-clock seconds spent sampling `batch`.
     pub sample_sec: f64,
-    /// When sampling began (start of this bundle's staging window).
+    /// When sampling began.
     pub sample_started: Instant,
-    /// When planning finished on the worker.
+    /// When planning finished.
     pub plan_finished: Instant,
 }
 
-impl std::fmt::Debug for StagedBundle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StagedBundle")
-            .field("staged_bytes", &self.staged_bytes)
-            .field("ok", &self.plan.is_ok())
-            .finish()
+impl StagedBundle {
+    /// Total transfer bytes (blocks + features + labels) over the plan's
+    /// micro-batches — what the depth governor counts. 0 for failed
+    /// plans.
+    pub fn staged_bytes(&self) -> usize {
+        self.plan
+            .as_ref()
+            .map_or(0, |p| p.estimates.iter().map(|e| e.transfer_bytes()).sum())
     }
 }
 
@@ -147,7 +160,9 @@ pub struct PipelineSpec {
 /// A bounded-depth pipeline staging `(Batch, Plan)` bundles for future
 /// epochs. See the [module docs](self) for the determinism argument.
 pub struct PlanPipeline {
-    req_tx: Option<mpsc::Sender<()>>,
+    /// One request per staged epoch, carrying the `K` its search starts
+    /// from.
+    req_tx: Option<mpsc::Sender<usize>>,
     driver: Option<JoinHandle<()>>,
     queue: Arc<OrderedQueue<StagedBundle>>,
     staged_bytes: Arc<AtomicUsize>,
@@ -185,7 +200,7 @@ impl PlanPipeline {
         let pool_threads = spec.threads.saturating_sub(1).min(depth).max(1);
         let queue = Arc::new(OrderedQueue::new());
         let staged_bytes = Arc::new(AtomicUsize::new(0));
-        let (req_tx, req_rx) = mpsc::channel::<()>();
+        let (req_tx, req_rx) = mpsc::channel::<usize>();
         let driver = {
             let queue = Arc::clone(&queue);
             let staged_bytes = Arc::clone(&staged_bytes);
@@ -203,40 +218,35 @@ impl PlanPipeline {
                 // One request = one staged epoch. Sampling stays on this
                 // thread so the RNG stream is drawn strictly in epoch
                 // order; the (pure) planning fans out to the pool.
-                while req_rx.recv().is_ok() {
+                while let Ok(start_k) = req_rx.recv() {
                     let index = issued;
                     issued += 1;
-                    let sample_started = Instant::now();
-                    let batch = sample_batch_in(&graph, &seeds, &fanouts, &mut rng);
-                    let sample_sec = sample_started.elapsed().as_secs_f64();
+                    let (batch, sample_started, sample_sec) =
+                        sample_next(&graph, &seeds, &fanouts, &mut rng);
                     let rng_after = rng.state();
                     let queue = Arc::clone(&queue);
                     let staged_bytes = Arc::clone(&staged_bytes);
                     let planner = planner.clone();
                     pool.submit(move || {
                         let strategy_impl = build_strategy(strategy, seed);
-                        let plan = mode.plan(
+                        let plan = plan_batch(
                             &planner,
                             &batch,
                             strategy_impl.as_ref(),
+                            mode,
+                            start_k,
                             planner.capacity_bytes(),
                         );
-                        let bytes = plan.as_ref().map_or(0, |p| {
-                            p.estimates.iter().map(|e| e.transfer_bytes()).sum()
-                        });
-                        staged_bytes.fetch_add(bytes, Ordering::Relaxed);
-                        queue.push(
-                            index,
-                            StagedBundle {
-                                batch,
-                                plan,
-                                rng_after,
-                                staged_bytes: bytes,
-                                sample_sec,
-                                sample_started,
-                                plan_finished: Instant::now(),
-                            },
-                        );
+                        let bundle = StagedBundle {
+                            batch,
+                            plan,
+                            rng_after,
+                            sample_sec,
+                            sample_started,
+                            plan_finished: Instant::now(),
+                        };
+                        staged_bytes.fetch_add(bundle.staged_bytes(), Ordering::Relaxed);
+                        queue.push(index, bundle);
                     });
                 }
                 // Sender dropped: no more requests will ever arrive.
@@ -286,44 +296,42 @@ impl PlanPipeline {
         self.requested - self.consumed
     }
 
-    /// Asks the driver to stage one more epoch. A send failure (driver
-    /// died) is deliberately ignored: the next
-    /// [`PlanPipeline::next_bundle`] will observe the closed queue and
-    /// report it.
-    fn request_one(&mut self) {
+    /// Asks the driver to stage one more epoch, searching from
+    /// `start_k`. A send failure (driver died) is deliberately ignored:
+    /// the next [`PlanPipeline::next_bundle`] will observe the closed
+    /// queue and report it.
+    fn request_one(&mut self, start_k: usize) {
         if let Some(tx) = &self.req_tx {
-            let _ = tx.send(());
+            let _ = tx.send(start_k);
         }
         self.request_times.push_back(Instant::now());
         self.requested += 1;
     }
 
-    /// The staging governor: keep up to `depth` bundles in flight, but
-    /// stop requesting while the staged transfer bytes already exceed
-    /// `budget_bytes` — backpressure that shrinks effective pipeline
-    /// depth *before* memory pressure can force `K` to escalate. Purely
-    /// advisory: it times when work is requested, never what any bundle
-    /// contains, so results stay bit-identical at every budget.
-    pub fn top_up(&mut self, budget_bytes: usize) {
+    /// The staging governor: keep up to `depth` bundles in flight, each
+    /// searching from `start_k`, but stop requesting while the staged
+    /// transfer bytes already exceed `budget_bytes`. Purely advisory: it
+    /// times when work is requested, never what any bundle contains, so
+    /// results stay bit-identical at every budget.
+    pub fn top_up(&mut self, budget_bytes: usize, start_k: usize) {
         while self.in_flight() < self.depth {
             if self.staged_bytes.load(Ordering::Relaxed) > budget_bytes {
                 break;
             }
-            self.request_one();
+            self.request_one(start_k);
         }
     }
 
     /// Blocks until the next staged epoch (in strict issue order) is
     /// ready and returns it with the seconds spent waiting and the
     /// instant its request was issued (the start of its staging
-    /// window). Requests one bundle first if none is outstanding, so
-    /// depth 1 behaves as "prepare during the previous epoch", not
-    /// "prepare on demand". `None` means the driver is gone (panicked
+    /// window). Requests one bundle, searching from `start_k`, first if
+    /// none is outstanding. `None` means the driver is gone (panicked
     /// worker or closed queue); the caller should fall back to
     /// synchronous planning.
-    pub fn next_bundle(&mut self) -> Option<(StagedBundle, f64, Instant)> {
+    pub fn next_bundle(&mut self, start_k: usize) -> Option<(StagedBundle, f64, Instant)> {
         if self.in_flight() == 0 {
-            self.request_one();
+            self.request_one(start_k);
         }
         let wait_started = Instant::now();
         let bundle = self.queue.pop(self.consumed)?;
@@ -334,7 +342,7 @@ impl PlanPipeline {
             .pop_front()
             .unwrap_or(bundle.sample_started);
         self.staged_bytes
-            .fetch_sub(bundle.staged_bytes, Ordering::Relaxed);
+            .fetch_sub(bundle.staged_bytes(), Ordering::Relaxed);
         Some((bundle, wait_sec, requested_at))
     }
 }
@@ -427,13 +435,61 @@ mod tests {
         }
 
         let mut pipeline = PlanPipeline::spawn(spec(&ds, 2));
-        pipeline.top_up(usize::MAX);
+        pipeline.top_up(usize::MAX, 1);
         for (batch, parts, rng_after) in &expected {
-            let (bundle, _wait, _req) = pipeline.next_bundle().expect("driver alive");
-            pipeline.top_up(usize::MAX);
+            let (bundle, _wait, _req) = pipeline.next_bundle(1).expect("driver alive");
+            pipeline.top_up(usize::MAX, 1);
             assert_eq!(&bundle.batch, batch, "staged batch must match sync sampling");
             assert_eq!(&bundle.plan.unwrap().parts, parts);
             assert_eq!(bundle.rng_after, *rng_after);
+        }
+    }
+
+    #[test]
+    fn staged_auto_plans_equal_the_synchronous_warm_plans() {
+        // mean3_auto's model on a 16 MiB device, where K moves between 4
+        // and 5: each request carries the K the previous plan found, so
+        // every staged search takes the synchronous warm search's path.
+        let ds = DatasetSpec::ogbn_products().scaled(0.01).generate(1);
+        let cfg = crate::ExperimentConfig {
+            fanouts: vec![25, 35, 40],
+            hidden_dim: 64,
+            capacity_bytes: 16 << 20,
+            dropout: 0.0,
+            ..crate::ExperimentConfig::default()
+        };
+        let planner = crate::Runner::new(&ds, &cfg, 1).planner().clone();
+        let graph = ds.graph.reverse();
+        let strategy = build_strategy(StrategyKind::Betty, 1);
+        let mut rng = Pcg64Mcg::new(0x1234_5678_9abc_def0);
+        let (mut expected, mut start_k) = (Vec::new(), 1);
+        for _ in 0..8 {
+            let batch = sample_batch_in(&graph, &ds.train_idx, &cfg.fanouts, &mut rng);
+            let capacity = planner.capacity_bytes();
+            let plan = planner.plan_warm(&batch, strategy.as_ref(), 1, start_k, capacity);
+            let plan = plan.expect("16 MiB fits some K");
+            start_k = plan.k;
+            expected.push(plan);
+        }
+        let ks: Vec<usize> = expected.iter().map(|p| p.k).collect();
+        assert!(ks.windows(2).any(|w| w[0] != w[1]), "K never moved: {ks:?}");
+
+        let mut pipeline = PlanPipeline::spawn(PipelineSpec {
+            graph: Arc::new(graph),
+            fanouts: cfg.fanouts.clone(),
+            planner,
+            seed: 1,
+            mode: PlanMode::From(1),
+            ..spec(&ds, 1)
+        });
+        let mut start_k = 1;
+        for (epoch, want) in expected.iter().enumerate() {
+            let (bundle, _, _) = pipeline.next_bundle(start_k).expect("driver alive");
+            let got = bundle.plan.expect("16 MiB fits some K");
+            assert_eq!((got.k, got.probes), (want.k, want.probes), "epoch {epoch}");
+            assert!(got.parts == want.parts, "epoch {epoch}: the parts differ");
+            start_k = got.k;
+            pipeline.top_up(usize::MAX, start_k);
         }
     }
 
@@ -442,13 +498,13 @@ mod tests {
         let ds = dataset();
         let mut pipeline = PlanPipeline::spawn(spec(&ds, 4));
         // A zero budget admits at most the one unconditional request.
-        pipeline.top_up(0);
+        pipeline.top_up(0, 1);
         let first_wave = pipeline.in_flight();
         assert!(first_wave <= 4);
-        let (bundle, _, _) = pipeline.next_bundle().expect("driver alive");
-        assert!(bundle.staged_bytes > 0, "plans stage real transfer bytes");
+        let (bundle, _, _) = pipeline.next_bundle(1).expect("driver alive");
+        assert!(bundle.staged_bytes() > 0, "plans stage real transfer bytes");
         // An unbounded budget fills the pipeline to depth.
-        pipeline.top_up(usize::MAX);
+        pipeline.top_up(usize::MAX, 1);
         assert_eq!(pipeline.in_flight(), 4);
     }
 
@@ -468,7 +524,7 @@ mod tests {
     fn dropping_mid_flight_joins_cleanly() {
         let ds = dataset();
         let mut pipeline = PlanPipeline::spawn(spec(&ds, 3));
-        pipeline.top_up(usize::MAX);
+        pipeline.top_up(usize::MAX, 1);
         assert_eq!(pipeline.in_flight(), 3);
         drop(pipeline); // must not hang or leak panicking threads
     }
@@ -485,7 +541,7 @@ mod tests {
     fn rng_handoff_resumes_the_stream_exactly() {
         let ds = dataset();
         let mut pipeline = PlanPipeline::spawn(spec(&ds, 1));
-        let (bundle, _, _) = pipeline.next_bundle().expect("driver alive");
+        let (bundle, _, _) = pipeline.next_bundle(1).expect("driver alive");
         drop(pipeline);
         // A consumer adopting `rng_after` draws the same next batch the
         // pipeline would have staged.

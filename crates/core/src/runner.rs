@@ -3,6 +3,7 @@
 use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
+use std::time::Instant;
 
 use rand::SeedableRng;
 use rand_pcg::Pcg64Mcg;
@@ -19,7 +20,9 @@ use betty_trace::{SpanKind, TraceRecorder};
 
 use crate::config::{ExperimentConfig, ModelKind};
 use crate::multi::{attribute_epoch, simulate_elastic_schedule, DeviceGroup, MultiDeviceEpoch};
-use crate::pipeline::{dataset_key, PipelineSpec, PlanMode, PlanPipeline, StagedBundle};
+use crate::pipeline::{
+    dataset_key, plan_batch, sample_next, PipelineSpec, PlanMode, PlanPipeline, StagedBundle,
+};
 use crate::planner::{MemoryAwarePlanner, Plan, PlanError};
 use crate::recovery::{RecoveryEvent, RecoveryLog, RetryPolicy};
 use crate::stats::{EpochStats, StepStats};
@@ -111,21 +114,6 @@ impl From<TrainError> for RunError {
     }
 }
 
-impl RunError {
-    /// The step failure behind an executor error, for the entry points
-    /// whose signature is [`TrainError`]. They run a fixed, cached or
-    /// caller-supplied plan on a group of one under the empty plan with
-    /// no retry budget, which can fail in no other way.
-    fn into_train_error(self) -> TrainError {
-        match self {
-            RunError::Train(e)
-            | RunError::RetryExhausted { source: e, .. }
-            | RunError::Anomaly { source: e, .. } => e,
-            other => panic!("an epoch with nothing to plan or lose failed before training: {other}"),
-        }
-    }
-}
-
 /// Ties a model, trainer, planner, and sampler together for one experiment.
 ///
 /// Each `train_epoch_*` call re-samples the full training batch (per-epoch
@@ -150,11 +138,12 @@ pub struct Runner {
     dataset_fingerprint: u64,
     /// Partition-ahead pipeline staging future epochs' plans on
     /// background workers (`config.plan_ahead > 0` only). `None` means
-    /// the next epoch plans synchronously; anything that perturbs the
+    /// the next epoch builds its bundle inline; anything that perturbs the
     /// sampler RNG stream or the staged work's assumptions resets it.
     pipeline: Option<PlanPipeline>,
-    /// Where the next auto-K search starts: the last one's `Plan::k`.
-    warm_k: Option<usize>,
+    /// Where the next memory-aware search starts: the last one's
+    /// `Plan::k`, or 1 (the cold search) before there is one.
+    warm_k: usize,
     epochs_run: usize,
     /// All-reduce link-stall injector, armed once per run from the
     /// config's fault plan so its seeded stream continues across epochs
@@ -229,8 +218,6 @@ struct Acquired<'a> {
     work: Result<Work<'a>, PlanError>,
     /// [`EpochStats::plan_ahead_overlap_sec`].
     overlap_sec: f64,
-    /// [`EpochStats::plan_ahead_staged_bytes`].
-    staged_bytes: usize,
 }
 
 impl<'a> Acquired<'a> {
@@ -240,7 +227,6 @@ impl<'a> Acquired<'a> {
             sampled,
             work,
             overlap_sec: 0.0,
-            staged_bytes: 0,
         }
     }
 }
@@ -396,7 +382,7 @@ impl Runner {
                 dataset.num_nodes(),
             ),
             pipeline: None,
-            warm_k: None,
+            warm_k: 1,
             epochs_run: 0,
             link_faults: plan.link_injector(),
         }
@@ -486,47 +472,76 @@ impl Runner {
         injected
     }
 
-    /// [`Runner::sample_full_batch`] wrapped in a `sample` span when
-    /// tracing.
-    fn traced_sample_full_batch(&mut self, dataset: &Dataset) -> Batch {
-        if !self.trainer.tracing_enabled() {
-            return self.sample_full_batch(dataset);
-        }
-        let start_sec = self.trainer.trace_mut().map_or(0.0, |t| t.now_sec());
-        let wall = std::time::Instant::now();
-        let batch = self.sample_full_batch(dataset);
-        let dur = wall.elapsed().as_secs_f64();
-        if let Some(tr) = self.trainer.trace_mut() {
-            tr.record_span(SpanKind::Sample, None, start_sec, dur);
-        }
-        batch
+    /// Depth 0: draws this epoch's batch on this thread, dropping any
+    /// pipeline (its staged batches were drawn ahead of this cursor).
+    fn sample_here(&mut self, dataset: &Dataset) -> (Batch, Instant, f64) {
+        self.pipeline = None;
+        let (graph, fanouts) = (&self.in_graph, &self.config.fanouts);
+        sample_next(graph, &dataset.train_idx, fanouts, &mut self.sample_rng)
     }
 
-    /// Plans `batch` on this thread — exactly `k` parts, or from `k` up
-    /// against `capacity_bytes`, warm — under `partition` and `plan` spans.
-    fn plan_traced(
-        &mut self,
+    /// Plans `batch` on this thread in `mode`, a `From` search resuming at
+    /// the warm `K` against `capacity_bytes`.
+    fn plan_here(
+        &self,
         batch: &Batch,
         strategy: StrategyKind,
         mode: PlanMode,
         capacity_bytes: usize,
     ) -> Result<Plan, PlanError> {
         let strategy = build_strategy(strategy, self.seed);
-        let (strategy, planner) = (strategy.as_ref(), &self.planner);
-        let plan = match mode {
-            PlanMode::From(k) => {
-                let start = self.warm_k.unwrap_or(k);
-                let plan = planner.plan_warm(batch, strategy, k, start, capacity_bytes)?;
-                self.warm_k = Some(plan.k);
-                plan
-            }
-            PlanMode::Fixed(_) => mode.plan(planner, batch, strategy, capacity_bytes)?,
-        };
-        if let Some(tr) = self.trainer.trace_mut() {
-            let finished = tr.now_sec();
-            record_plan_spans(tr, &plan, finished);
+        plan_batch(&self.planner, batch, strategy.as_ref(), mode, self.warm_k, capacity_bytes)
+    }
+
+    /// Depth 0: this epoch's bundle, sampled and planned on this thread.
+    fn inline_bundle(
+        &mut self,
+        dataset: &Dataset,
+        strategy: StrategyKind,
+        mode: PlanMode,
+    ) -> StagedBundle {
+        let (batch, sample_started, sample_sec) = self.sample_here(dataset);
+        let plan = self.plan_here(&batch, strategy, mode, self.config.capacity_bytes);
+        StagedBundle {
+            batch,
+            plan,
+            rng_after: self.sample_rng.state(),
+            sample_sec,
+            sample_started,
+            plan_finished: Instant::now(),
         }
-        Ok(plan)
+    }
+
+    /// Records a `sample` span over the given start and seconds.
+    fn record_sample(&mut self, started: Instant, sec: f64) {
+        if let Some(tr) = self.trainer.trace_mut() {
+            let start = tr.sec_at(started);
+            tr.record_span(SpanKind::Sample, None, start, sec);
+        }
+    }
+
+    /// Takes over a plan made in `mode` that finished at `finished`: its
+    /// `partition` and `plan` spans, and — from a `From` search — its `K`
+    /// as where the next search starts.
+    fn adopt_plan(&mut self, plan: &Result<Plan, PlanError>, mode: PlanMode, finished: Instant) {
+        let Ok(plan) = plan else { return };
+        if let PlanMode::From(_) = mode {
+            self.warm_k = plan.k;
+        }
+        if let Some(tr) = self.trainer.trace_mut() {
+            let finished = tr.sec_at(finished);
+            record_plan_spans(tr, plan, finished);
+        }
+    }
+
+    /// Takes over a bundle, inline or staged, as if this thread had done
+    /// its work: adopts its RNG cursor, records its sample, partition and
+    /// plan spans, and sets the warm `K`.
+    fn consume(&mut self, bundle: StagedBundle, mode: PlanMode) -> (Batch, Result<Plan, PlanError>) {
+        self.sample_rng = Pcg64Mcg::new(bundle.rng_after);
+        self.record_sample(bundle.sample_started, bundle.sample_sec);
+        self.adopt_plan(&bundle.plan, mode, bundle.plan_finished);
+        (bundle.batch, bundle.plan)
     }
 
     /// Fills [`EpochStats::estimated_peak_bytes`] /
@@ -592,15 +607,7 @@ impl Runner {
 
     /// Samples the full training batch with the configured fanouts.
     pub fn sample_full_batch(&mut self, dataset: &Dataset) -> Batch {
-        // Direct sampling advances the RNG cursor the pipeline's staged
-        // batches were drawn ahead of — they are now the wrong stream.
-        self.pipeline = None;
-        sample_batch_in(
-            &self.in_graph,
-            &dataset.train_idx,
-            &self.config.fanouts,
-            &mut self.sample_rng,
-        )
+        self.sample_here(dataset).0
     }
 
     /// Samples a batch for an arbitrary seed set (e.g. mini-batch chunks).
@@ -624,17 +631,24 @@ impl Runner {
     }
 
     /// Hands out this epoch's staged bundle from the partition-ahead
-    /// pipeline, spawning or replacing the pipeline as needed. `None`
-    /// means "plan synchronously": depth 0, a single worker thread, or a
-    /// dead driver (a panicked worker); the last case also resets the
-    /// pipeline so the synchronous path resumes from the unconsumed RNG
-    /// cursor.
+    /// pipeline, spawning or replacing the pipeline as needed, with the
+    /// planning seconds it hid off this epoch's critical path (`prep time −
+    /// handoff wait`, clamped at 0). `None` means depth 0: no plan-ahead,
+    /// a single worker thread, or a dead driver (a panicked worker); the
+    /// last case also resets the pipeline so the inline bundle resumes
+    /// from the unconsumed RNG cursor.
+    ///
+    /// When tracing, records the bundle's `plan_ahead` span. It runs from
+    /// the instant the bundle's request was issued (on *this* thread,
+    /// before the overlapped epoch began training) to now, so it contains
+    /// every forward/backward span of the epoch that trained while this
+    /// bundle was being staged.
     fn pipelined_bundle(
         &mut self,
         dataset: &Dataset,
         strategy: StrategyKind,
         mode: PlanMode,
-    ) -> Option<(StagedBundle, f64, std::time::Instant)> {
+    ) -> Option<(StagedBundle, f64)> {
         let depth = self.config.plan_ahead;
         if depth == 0 || betty_runtime::configured_threads() <= 1 {
             self.pipeline = None;
@@ -651,8 +665,8 @@ impl Runner {
             // it only advances at consumption.
             self.pipeline = None;
         }
-        if self.pipeline.is_none() {
-            self.pipeline = Some(PlanPipeline::spawn(PipelineSpec {
+        let pipeline = self.pipeline.get_or_insert_with(|| {
+            PlanPipeline::spawn(PipelineSpec {
                 graph: Arc::clone(&self.in_graph),
                 seeds: Arc::new(dataset.train_idx.clone()),
                 fanouts: self.config.fanouts.clone(),
@@ -664,62 +678,23 @@ impl Runner {
                 rng_state: self.sample_rng.state(),
                 dataset_key: key,
                 threads: betty_runtime::configured_threads(),
-            }));
+            })
+        });
+        let Some((bundle, wait_sec, requested_at)) = pipeline.next_bundle(self.warm_k) else {
+            self.pipeline = None;
+            return None;
+        };
+        if let Some(tr) = self.trainer.trace_mut() {
+            let window_start = tr.sec_at(requested_at);
+            let window = (tr.now_sec() - window_start).max(0.0);
+            tr.record_span(SpanKind::PlanAhead, None, window_start, window);
         }
-        let pipeline = self.pipeline.as_mut().expect("just ensured");
-        match pipeline.next_bundle() {
-            Some((bundle, wait_sec, requested_at)) => {
-                // Keep up to `depth` future epochs staged, unless the
-                // staged bytes already exceed the device budget (Eq. 5
-                // feasibility: shrink pipeline depth before memory
-                // pressure can escalate K).
-                pipeline.top_up(self.config.capacity_bytes);
-                Some((bundle, wait_sec, requested_at))
-            }
-            None => {
-                self.pipeline = None;
-                None
-            }
-        }
-    }
-
-    /// Records the trace spans for a consumed staged bundle — back-dated
-    /// onto the recorder clock at the instants the background work
-    /// actually ran — and returns the planning seconds this epoch hid
-    /// off its critical path (`prep time − handoff wait`, clamped at 0).
-    ///
-    /// The `plan_ahead` span runs from the instant the bundle's request
-    /// was issued (on *this* thread, before the overlapped epoch began
-    /// training) to the consumption instant, so by construction it
-    /// contains every forward/backward span of the epoch that trained
-    /// while this bundle was being staged.
-    fn consume_bundle_spans(
-        &mut self,
-        bundle: &StagedBundle,
-        wait_sec: f64,
-        requested_at: std::time::Instant,
-    ) -> f64 {
         let plan_sec = bundle
             .plan
             .as_ref()
             .map_or(0.0, |p| p.partition_sec + p.extraction_sec);
-        if let Some(tr) = self.trainer.trace_mut() {
-            let window_start = tr.sec_at(requested_at);
-            let sample_start = tr.sec_at(bundle.sample_started);
-            tr.record_span(SpanKind::Sample, None, sample_start, bundle.sample_sec);
-            if let Ok(plan) = &bundle.plan {
-                let finished = tr.sec_at(bundle.plan_finished);
-                record_plan_spans(tr, plan, finished);
-            }
-            let now = tr.now_sec();
-            tr.record_span(
-                SpanKind::PlanAhead,
-                None,
-                window_start,
-                (now - window_start).max(0.0),
-            );
-        }
-        (bundle.sample_sec + plan_sec - wait_sec).max(0.0)
+        let overlap_sec = (bundle.sample_sec + plan_sec - wait_sec).max(0.0);
+        Some((bundle, overlap_sec))
     }
 
     /// Drops the partition-ahead pipeline because a recovery retry is
@@ -761,42 +736,36 @@ impl Runner {
         }
     }
 
-    /// Produces this epoch's batch and plan — from the partition-ahead
-    /// pipeline when one is running, synchronously otherwise. Both paths
-    /// draw the same batch from the same RNG cursor and plan it with the
-    /// same strategy/capacity, so the result is bit-identical; only
-    /// where the wall-clock time was spent differs. The staged path also
-    /// charges the bundle's transfer bytes to the `plan ahead` ledger
-    /// category (released immediately — the charge is an epoch-boundary
-    /// feasibility probe, not a persistent residency).
+    /// Produces this epoch's batch and plan as a bundle — staged by the
+    /// partition-ahead pipeline when one is running, built inline (depth
+    /// 0) otherwise — and consumes it. Both draw the same batch from the
+    /// same RNG cursor and plan it from the same warm `K`, so the result
+    /// is bit-identical; only where the wall-clock time was spent differs.
     fn acquire_plan(
         &mut self,
         dataset: &Dataset,
         strategy: StrategyKind,
         mode: PlanMode,
     ) -> Acquired<'static> {
-        if let Some((bundle, wait_sec, requested_at)) =
-            self.pipelined_bundle(dataset, strategy, mode)
-        {
-            let overlap_sec = self.consume_bundle_spans(&bundle, wait_sec, requested_at);
-            let staged_bytes = self.trainer.charge_plan_ahead(bundle.staged_bytes);
-            // Adopt the post-sample cursor: synchronous sampling (or a
-            // restarted pipeline) continues the exact same stream.
-            self.sample_rng = Pcg64Mcg::new(bundle.rng_after);
-            return Acquired {
-                sampled: Some(bundle.batch),
-                work: bundle.plan.map(Work::from),
-                overlap_sec,
-                staged_bytes,
-            };
+        let (bundle, overlap_sec) = match self.pipelined_bundle(dataset, strategy, mode) {
+            Some(staged) => staged,
+            None => (self.inline_bundle(dataset, strategy, mode), 0.0),
+        };
+        let (batch, plan) = self.consume(bundle, mode);
+        if let Some(pipeline) = &mut self.pipeline {
+            // Keep up to `depth` future epochs staged, searching from the
+            // K this one found, while the staged bytes fit the device
+            // budget.
+            pipeline.top_up(self.config.capacity_bytes, self.warm_k);
         }
-        let batch = self.traced_sample_full_batch(dataset);
-        let capacity = self.config.capacity_bytes;
-        let plan = self.plan_traced(&batch, strategy, mode, capacity);
-        Acquired::synchronous(Some(batch), plan.map(Work::from))
+        Acquired {
+            sampled: Some(batch),
+            work: plan.map(Work::from),
+            overlap_sec,
+        }
     }
 
-    /// Samples synchronously (resetting any running pipeline), then cuts
+    /// Samples on this thread (resetting any running pipeline), then cuts
     /// the batch `k` ways — or, for up to `refresh_every − 1` epochs after
     /// a cut, regroups it by that cut's output assignment, which stays
     /// *valid* because the output set is the training split every epoch.
@@ -807,24 +776,14 @@ impl Runner {
         k: usize,
         refresh_every: usize,
     ) -> Acquired<'static> {
-        let batch = self.traced_sample_full_batch(dataset);
-        let reusable = self.cached_parts.as_mut().filter(|c| {
+        let reusable = self.cached_parts.as_ref().is_some_and(|c| {
             c.strategy == strategy && c.k == k && c.epochs_used < refresh_every
         });
-        if let Some(cache) = reusable {
-            cache.epochs_used += 1;
-            // The cut's estimates priced an earlier batch, not this
-            // re-sampled one: a reuse epoch carries none.
-            let work = Work {
-                micro_batches: Cow::Owned(batch.restrict_all(&cache.parts)),
-                estimates: Vec::new(),
-            };
-            return Acquired::synchronous(Some(batch), Ok(work));
-        }
-        let capacity = self.config.capacity_bytes;
-        let work = self
-            .plan_traced(&batch, strategy, PlanMode::Fixed(k), capacity)
-            .map(|plan| {
+        if !reusable {
+            let mode = PlanMode::Fixed(k);
+            let bundle = self.inline_bundle(dataset, strategy, mode);
+            let (batch, plan) = self.consume(bundle, mode);
+            let work = plan.map(|plan| {
                 self.cached_parts = Some(CachedParts {
                     strategy,
                     k,
@@ -833,7 +792,19 @@ impl Runner {
                 });
                 Work::from(plan)
             });
-        Acquired::synchronous(Some(batch), work)
+            return Acquired::synchronous(Some(batch), work);
+        }
+        let (batch, started, sec) = self.sample_here(dataset);
+        self.record_sample(started, sec);
+        let cache = self.cached_parts.as_mut().expect("checked reusable");
+        cache.epochs_used += 1;
+        // The cut's estimates priced an earlier batch, not this
+        // re-sampled one: a reuse epoch carries none.
+        let work = Work {
+            micro_batches: Cow::Owned(batch.restrict_all(&cache.parts)),
+            estimates: Vec::new(),
+        };
+        Acquired::synchronous(Some(batch), Ok(work))
     }
 
     /// Splits a batch into exactly `k` micro-batches using `strategy`.
@@ -871,7 +842,6 @@ impl Runner {
             sampled,
             work: mut planned,
             overlap_sec,
-            staged_bytes,
         } = self.acquire(dataset, strategy, spec.source);
         // What a retry re-partitions, while its budget lasts. Work that
         // came without its batch (caller-supplied micro-batches) has
@@ -970,7 +940,6 @@ impl Runner {
                         stats.anomaly_rollbacks = anomaly_rollbacks;
                         stats.injected_faults += injected_faults;
                         stats.plan_ahead_overlap_sec = overlap_sec;
-                        stats.plan_ahead_staged_bytes = staged_bytes;
                         return Ok(epoch);
                     }
                     Err(err) => err,
@@ -1057,14 +1026,11 @@ impl Runner {
                 }
                 retry
             };
-            planned = self
-                .plan_traced(
-                    batch,
-                    strategy,
-                    PlanMode::From(next_k),
-                    policy.planning_capacity(capacity, attempt),
-                )
-                .map(Work::from);
+            let mode = PlanMode::From(next_k);
+            let shrunk = policy.planning_capacity(capacity, attempt);
+            let plan = self.plan_here(batch, strategy, mode, shrunk);
+            self.adopt_plan(&plan, mode, Instant::now());
+            planned = plan.map(Work::from);
         }
     }
 
@@ -1099,17 +1065,16 @@ impl Runner {
     ///
     /// # Errors
     ///
-    /// [`TrainError::StepOom`] if a micro-batch exceeds capacity.
+    /// [`RunError::Train`] if a micro-batch exceeds capacity;
+    /// [`RunError::Anomaly`] (with no rollback spent) on a numeric anomaly.
     pub fn train_epoch_betty(
         &mut self,
         dataset: &Dataset,
         strategy: StrategyKind,
         k: usize,
-    ) -> Result<EpochStats, TrainError> {
+    ) -> Result<EpochStats, RunError> {
         let source = PlanSource::Planned(PlanMode::Fixed(k));
-        self.run_plain(dataset, strategy, source)
-            .map(|epoch| epoch.combined)
-            .map_err(RunError::into_train_error)
+        self.run_plain(dataset, strategy, source).map(|epoch| epoch.combined)
     }
 
     /// One epoch with memory-aware partition-count selection; returns the
@@ -1117,7 +1082,8 @@ impl Runner {
     ///
     /// # Errors
     ///
-    /// [`RunError`] if planning or training fails.
+    /// [`RunError`] if planning or training fails; with no retry budget a
+    /// numeric anomaly is [`RunError::Anomaly`] with `rollbacks: 0`.
     pub fn train_epoch_auto(
         &mut self,
         dataset: &Dataset,
@@ -1125,51 +1091,6 @@ impl Runner {
     ) -> Result<(EpochStats, usize), RunError> {
         let source = PlanSource::Planned(PlanMode::From(1));
         self.run_plain(dataset, strategy, source)
-            .map(|epoch| (epoch.combined, epoch.assignment.len()))
-            .map_err(|e| match e {
-                // No rollback was on offer, so none is reported spent.
-                RunError::Anomaly { source, .. } => RunError::Train(source),
-                other => other,
-            })
-    }
-
-    /// Like [`Runner::train_epoch_auto`], but with checkpointed OOM
-    /// recovery.
-    ///
-    /// Before the first attempt the trainable state (parameters,
-    /// optimizer moments, dropout RNG) is snapshotted. If a step OOMs —
-    /// genuinely or via an armed [`betty_device::FaultPlan`] — the
-    /// device's charges are released, any partially accumulated
-    /// gradients are discarded with the restored snapshot, and planning
-    /// escalates: `K ← max(K + 1, ceil(K · growth))` against a capacity
-    /// shrunk by the compounding headroom fraction (see
-    /// [`RetryPolicy`](crate::RetryPolicy)). Up to
-    /// `config.retry.max_retries` retries are attempted before giving
-    /// up. Every injected fault and recovery action is appended to
-    /// `log`; the returned stats carry retry/fault counters.
-    ///
-    /// # Errors
-    ///
-    /// * [`RunError::Plan`] if the *first* plan fails (nothing to
-    ///   recover from);
-    /// * [`RunError::Train`] if the first attempt fails and the retry
-    ///   budget is zero (recovery disabled);
-    /// * [`RunError::RetryExhausted`] once retries run out, carrying
-    ///   the original failure as its
-    ///   [`source`](std::error::Error::source).
-    pub fn train_epoch_auto_recovering(
-        &mut self,
-        dataset: &Dataset,
-        strategy: StrategyKind,
-        log: &mut RecoveryLog,
-    ) -> Result<(EpochStats, usize), RunError> {
-        let spec = EpochSpec {
-            source: PlanSource::Planned(PlanMode::From(1)),
-            group: &DeviceGroup::new(1),
-            retry: self.config.retry.clone(),
-            faults: &FaultPlan::default(),
-        };
-        self.run_epoch(dataset, strategy, &spec, log)
             .map(|epoch| (epoch.combined, epoch.assignment.len()))
     }
 
@@ -1179,17 +1100,15 @@ impl Runner {
     ///
     /// # Errors
     ///
-    /// [`TrainError::StepOom`] if a micro-batch exceeds capacity.
+    /// As [`Runner::train_epoch_betty`].
     pub fn train_micro_batches(
         &mut self,
         dataset: &Dataset,
         micro_batches: &[Batch],
-    ) -> Result<EpochStats, TrainError> {
+    ) -> Result<EpochStats, RunError> {
         // Nothing is partitioned, so the strategy is never consulted.
         let source = PlanSource::Given(micro_batches);
-        self.run_plain(dataset, StrategyKind::Betty, source)
-            .map(|epoch| epoch.combined)
-            .map_err(RunError::into_train_error)
+        self.run_plain(dataset, StrategyKind::Betty, source).map(|epoch| epoch.combined)
     }
 
     /// Like [`Runner::train_epoch_betty`], but reuses the previous epoch's
@@ -1209,7 +1128,7 @@ impl Runner {
     ///
     /// # Errors
     ///
-    /// [`TrainError::StepOom`] if a micro-batch exceeds capacity.
+    /// As [`Runner::train_epoch_betty`].
     ///
     /// # Panics
     ///
@@ -1220,15 +1139,13 @@ impl Runner {
         strategy: StrategyKind,
         k: usize,
         refresh_every: usize,
-    ) -> Result<(EpochStats, bool), TrainError> {
+    ) -> Result<(EpochStats, bool), RunError> {
         assert!(refresh_every > 0, "refresh_every must be positive");
         let source = PlanSource::Cached { k, refresh_every };
-        let epoch = self.run_plain(dataset, strategy, source);
+        let epoch = self.run_plain(dataset, strategy, source)?;
         // A cut that has served one epoch was made for this one.
         let fresh = self.cached_parts.as_ref().is_some_and(|c| c.epochs_used == 1);
-        epoch
-            .map(|epoch| (epoch.combined, fresh))
-            .map_err(RunError::into_train_error)
+        Ok((epoch.combined, fresh))
     }
 
     /// One epoch of simulated data-parallel training on a device group
@@ -1246,8 +1163,11 @@ impl Runner {
     ///
     /// A lost device's unfinished micro-batches migrate onto survivors
     /// before any numerics run; if the migrated load no longer fits the
-    /// survivors' headroom budget, or a step OOMs, `K` escalates from `k`
-    /// within [`RetryPolicy`](crate::RetryPolicy)'s budget. Numerics are
+    /// survivors' headroom budget, or a step OOMs, the epoch-start snapshot
+    /// (parameters, optimizer moments, dropout RNG) is restored and `K`
+    /// escalates from `k` — `max(K + 1, ceil(K · growth))` against a
+    /// capacity shrunk by compounding headroom — within
+    /// [`RetryPolicy`](crate::RetryPolicy)'s budget. Numerics are
     /// those of the fault-free path, so losses and parameters are
     /// bit-identical with and without injected device faults (proven by
     /// test). Every failover and recovery decision is appended to `log`
@@ -1260,9 +1180,12 @@ impl Runner {
     ///   unfinished work outstanding;
     /// * [`RunError::Plan`] if no `K ≥ k` fits, or the migrated load
     ///   cannot be made to fit survivors within the retry budget;
-    /// * [`RunError::Train`], [`RunError::RetryExhausted`] and
-    ///   [`RunError::Anomaly`] as
-    ///   [`Runner::train_epoch_auto_recovering`].
+    /// * [`RunError::Train`] if a step fails and the retry budget is zero
+    ///   (recovery disabled), or on storage damage;
+    /// * [`RunError::RetryExhausted`] once OOM retries run out, carrying
+    ///   the original failure as its
+    ///   [`source`](std::error::Error::source);
+    /// * [`RunError::Anomaly`] once numeric-anomaly rollbacks run out.
     ///
     /// # Panics
     ///
@@ -1295,12 +1218,12 @@ impl Runner {
     ///
     /// # Errors
     ///
-    /// [`TrainError::StepOom`] if a mini-batch exceeds capacity.
+    /// [`RunError::Train`] if a mini-batch exceeds capacity.
     pub fn train_epoch_mini(
         &mut self,
         dataset: &Dataset,
         num_batches: usize,
-    ) -> Result<EpochStats, TrainError> {
+    ) -> Result<EpochStats, RunError> {
         self.begin_epoch(dataset);
         // Split as evenly as possible into *exactly* num_batches chunks
         // (plain `chunks(ceil(n/k))` can come up short, e.g. 9 nodes into
@@ -1322,9 +1245,9 @@ impl Runner {
             .collect();
         let result = self.trainer.mini_batch_epoch(dataset, &batches);
         let injected_faults = self.drain_faults(dataset, &mut RecoveryLog::new());
-        result.map(|stats| EpochStats {
+        Ok(EpochStats {
             injected_faults,
-            ..stats
+            ..result?
         })
     }
 
@@ -1446,6 +1369,17 @@ mod tests {
             .generate(4)
     }
 
+    /// An auto-K epoch with recovery on a group of one.
+    fn recovering_epoch(
+        runner: &mut Runner,
+        ds: &Dataset,
+        log: &mut RecoveryLog,
+    ) -> Result<(EpochStats, usize), RunError> {
+        runner
+            .train_epoch_elastic(ds, StrategyKind::Betty, 1, &DeviceGroup::new(1), log)
+            .map(|epoch| (epoch.combined, epoch.assignment.len()))
+    }
+
     fn config() -> ExperimentConfig {
         ExperimentConfig {
             fanouts: vec![4, 8],
@@ -1521,14 +1455,15 @@ mod tests {
             for epoch in 0..10 {
                 let batch = runner.sample_full_batch(&ds);
                 let (auto, capacity) = (PlanMode::From(1), cfg.capacity_bytes);
-                let warm = runner.plan_traced(&batch, StrategyKind::Betty, auto, capacity);
+                let warm = runner.plan_here(&batch, StrategyKind::Betty, auto, capacity);
+                runner.adopt_plan(&warm, auto, Instant::now());
                 let (warm, cold) = (
                     warm.unwrap(),
                     runner.planner().plan(&batch, strategy.as_ref(), 1).unwrap(),
                 );
                 let what = format!("seed {seed} epoch {epoch}");
                 assert_eq!((warm.k, &warm.parts), (cold.k, &cold.parts), "{what}");
-                assert_eq!(runner.warm_k, Some(cold.k), "{what}");
+                assert_eq!(runner.warm_k, cold.k, "{what}");
                 ks.push(cold.k);
                 warm_probes += warm.probes;
                 cold_probes += cold.probes;
@@ -1697,8 +1632,7 @@ mod tests {
         };
         let mut runner = Runner::new(&ds, &cfg, 0);
         let mut log = RecoveryLog::new();
-        let (stats, k) = runner
-            .train_epoch_auto_recovering(&ds, StrategyKind::Betty, &mut log)
+        let (stats, k) = recovering_epoch(&mut runner, &ds, &mut log)
             .expect("recovery must rescue the injected OOM");
         assert_eq!(stats.oom_retries, 1);
         assert_eq!(stats.injected_faults, 1);
@@ -1726,8 +1660,7 @@ mod tests {
         };
         let mut runner = Runner::new(&ds, &cfg, 0);
         let mut log = RecoveryLog::new();
-        let (stats, _k) = runner
-            .train_epoch_auto_recovering(&ds, StrategyKind::Betty, &mut log)
+        let (stats, _k) = recovering_epoch(&mut runner, &ds, &mut log)
             .expect("recovery must work in the default configuration");
         assert_eq!(stats.oom_retries, 1);
         assert_eq!(runner.trainer().device().current_bytes(), 0);
@@ -1751,8 +1684,7 @@ mod tests {
         };
         let mut runner = Runner::new(&ds, &cfg, 0);
         let mut log = RecoveryLog::new();
-        let err = runner
-            .train_epoch_auto_recovering(&ds, StrategyKind::Betty, &mut log)
+        let err = recovering_epoch(&mut runner, &ds, &mut log)
             .unwrap_err();
         let RunError::RetryExhausted { attempts, .. } = &err else {
             panic!("expected RetryExhausted, got {err:?}");
@@ -1788,8 +1720,7 @@ mod tests {
         };
         let mut runner = Runner::new(&ds, &cfg, 0);
         let mut log = RecoveryLog::new();
-        let err = runner
-            .train_epoch_auto_recovering(&ds, StrategyKind::Betty, &mut log)
+        let err = recovering_epoch(&mut runner, &ds, &mut log)
             .unwrap_err();
         assert!(
             matches!(err, RunError::Train(_)),
@@ -1815,7 +1746,7 @@ mod tests {
         let err = runner
             .train_epoch_betty(&ds, StrategyKind::Betty, 3)
             .unwrap_err();
-        assert!(err.is_injected());
+        assert!(matches!(&err, RunError::Train(e) if e.is_injected()), "{err:?}");
         assert_eq!(
             runner.trainer().device().current_bytes(),
             0,
@@ -1868,11 +1799,9 @@ mod tests {
         let mut clean = Runner::new(&ds, &clean_cfg, 0);
         let mut armed = Runner::new(&ds, &armed_cfg, 0);
         let mut log = RecoveryLog::new();
-        let (a, ka) = clean
-            .train_epoch_auto_recovering(&ds, StrategyKind::Betty, &mut log)
+        let (a, ka) = recovering_epoch(&mut clean, &ds, &mut log)
             .unwrap();
-        let (b, kb) = armed
-            .train_epoch_auto_recovering(&ds, StrategyKind::Betty, &mut log)
+        let (b, kb) = recovering_epoch(&mut armed, &ds, &mut log)
             .unwrap();
         assert_eq!(ka, kb);
         assert_eq!(a.max_peak_bytes, b.max_peak_bytes);

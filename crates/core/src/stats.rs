@@ -86,12 +86,6 @@ pub struct EpochStats {
     /// synchronous. Wall-clock: excluded from bit-identity comparisons,
     /// like every other timing field.
     pub plan_ahead_overlap_sec: f64,
-    /// Transfer bytes of the staged plan this epoch consumed from the
-    /// partition-ahead pipeline, as charged to the device ledger's
-    /// `plan ahead` category at the epoch boundary (0 when the epoch
-    /// planned synchronously, or when the charge was skipped because it
-    /// alone exceeded device capacity).
-    pub plan_ahead_staged_bytes: usize,
     /// Largest analytical peak estimate (Eq. 5) over the epoch's
     /// micro-batches, in bytes — the planner's prediction of
     /// `max_peak_bytes`. 0 when the epoch ran without a plan (e.g.

@@ -7,9 +7,7 @@ use rand::SeedableRng;
 use rand_pcg::Pcg64Mcg;
 
 use betty_data::Dataset;
-use betty_device::{
-    Device, FaultEvent, FaultPlan, MemoryCategory, OomError, TransferModel, BYTES_PER_VALUE,
-};
+use betty_device::{Device, FaultEvent, FaultPlan, OomError, TransferModel, BYTES_PER_VALUE};
 use betty_graph::Batch;
 use betty_nn::{Adam, GnnModel, Optimizer, Param, Session};
 use betty_tensor::{DType, PoolStats, Reduction};
@@ -231,7 +229,6 @@ pub struct Trainer {
     /// tape in place and rebuilds it from recycled buffers instead of
     /// reallocating the whole forward/backward state.
     session: Session,
-    pooling: bool,
     /// Numeric-anomaly sentinel: when on (the default), a NaN/Inf loss or
     /// gradient aborts the step instead of corrupting the accumulation.
     sentinel: bool,
@@ -269,7 +266,6 @@ impl Trainer {
             global_step: 0,
             trace: None,
             session: Session::new(),
-            pooling: true,
             sentinel: true,
             nan_steps: std::collections::BTreeSet::new(),
             nan_events: Vec::new(),
@@ -312,13 +308,12 @@ impl Trainer {
     /// parameters, and device accounting are bit-identical either way,
     /// because every pooled buffer is fully overwritten before it is read.
     pub fn set_pooling(&mut self, on: bool) {
-        self.pooling = on;
         self.session.graph.set_pool_enabled(on);
     }
 
     /// Whether the pooled workspace is active.
     pub fn pooling(&self) -> bool {
-        self.pooling
+        self.session.graph.pool_enabled()
     }
 
     /// Cumulative workspace-pool counters (hits, misses, bytes recycled)
@@ -499,35 +494,6 @@ impl Trainer {
         self.device.free_all();
     }
 
-    /// Charges a partition-ahead staging residency to the device ledger
-    /// at the epoch boundary and immediately releases it, returning the
-    /// bytes actually charged.
-    ///
-    /// The charge is a feasibility probe plus timeline bookkeeping: it
-    /// makes the pipeline's in-flight plan bytes visible to Eq. 5-style
-    /// accounting (and to the memory timeline as the `plan ahead`
-    /// category) without persisting into step execution — the first
-    /// step's `free_all → reset_peak` boundary wipes it before any step
-    /// peak is measured, so `max_peak_bytes` stays bit-identical to a
-    /// non-pipelined run. Fault injection is bypassed
-    /// ([`betty_device::Device::alloc_unfaulted`]) so an armed
-    /// `alloc_failure_rate` stream stays aligned with `--plan-ahead 0`.
-    /// A charge that alone exceeds capacity is skipped (returns 0)
-    /// rather than failing the epoch — the pipeline's depth governor,
-    /// not the trainer, is the backpressure mechanism.
-    pub fn charge_plan_ahead(&mut self, bytes: usize) -> usize {
-        if bytes == 0 {
-            return 0;
-        }
-        match self.device.alloc_unfaulted(bytes, MemoryCategory::PlanAhead) {
-            Ok(id) => {
-                self.device.free(id);
-                bytes
-            }
-            Err(_) => 0,
-        }
-    }
-
     /// Folds this epoch's workspace-pool activity (counter delta since
     /// `before`) into the epoch stats and, when tracing, the trace stream.
     fn finish_epoch_pool_stats(&mut self, epoch: &mut EpochStats, before: PoolStats) {
@@ -555,7 +521,7 @@ impl Trainer {
     /// optimizer step: a live tape would force copy-on-write of each
     /// parameter the step touches.
     fn release_tape(&mut self) {
-        if self.pooling {
+        if self.pooling() {
             self.session.reset();
         } else {
             self.session = Session::new();

@@ -25,12 +25,6 @@ pub enum MemoryCategory {
     Gradients,
     /// Optimizer state (Adam: first and second moments).
     OptimizerStates,
-    /// Partition-ahead staging: transfer data of a *future epoch's*
-    /// micro-batches whose plan was computed by the pipelined scheduler
-    /// while the current epoch trained. Charged at the epoch boundary
-    /// (and released before the first step runs), so Eq. 5 feasibility
-    /// accounting sees in-flight plans without perturbing step peaks.
-    PlanAhead,
     /// Pinned hot-set cache of an out-of-core feature store: the byte
     /// budget the paged backend may keep resident, charged as a constant
     /// reservation every step (`min(cache budget, total feature bytes)`)
@@ -40,7 +34,7 @@ pub enum MemoryCategory {
 
 impl MemoryCategory {
     /// All categories, in breakdown-report order.
-    pub const ALL: [MemoryCategory; 10] = [
+    pub const ALL: [MemoryCategory; 9] = [
         MemoryCategory::Parameters,
         MemoryCategory::InputFeatures,
         MemoryCategory::Labels,
@@ -49,7 +43,6 @@ impl MemoryCategory {
         MemoryCategory::AggregatorIntermediate,
         MemoryCategory::Gradients,
         MemoryCategory::OptimizerStates,
-        MemoryCategory::PlanAhead,
         MemoryCategory::FeatureCache,
     ];
 
@@ -65,7 +58,6 @@ impl MemoryCategory {
             MemoryCategory::AggregatorIntermediate => "aggregator intermediate",
             MemoryCategory::Gradients => "gradients",
             MemoryCategory::OptimizerStates => "optimizer states",
-            MemoryCategory::PlanAhead => "plan ahead",
             MemoryCategory::FeatureCache => "feature cache",
         }
     }
@@ -174,26 +166,6 @@ impl Device {
                 injected: true,
             });
         }
-        self.alloc_unfaulted(bytes, category)
-    }
-
-    /// Like [`Device::alloc`], but bypassing the fault injector:
-    /// only the genuine capacity check applies and the injector's seeded
-    /// decision stream is not consumed. Used for bookkeeping charges that
-    /// must not perturb fault schedules aligned with an uninstrumented
-    /// run (e.g. the partition-ahead pipeline's staging charge, which
-    /// must keep `--fault-alloc-rate` draws bit-identical to a run at
-    /// `--plan-ahead 0`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OomError`] if the allocation would exceed capacity; the
-    /// ledger is unchanged in that case.
-    pub fn alloc_unfaulted(
-        &mut self,
-        bytes: usize,
-        category: MemoryCategory,
-    ) -> Result<AllocationId, OomError> {
         if self.current.saturating_add(bytes) > self.capacity {
             return Err(OomError {
                 requested: bytes,
@@ -536,22 +508,27 @@ mod tests {
         use crate::fault::FaultPlan;
         let mut d = Device::new(100);
         let plan = FaultPlan {
-            oom_steps: vec![0],
+            oom_steps: vec![1],
             ..FaultPlan::default()
         };
         d.arm_faults(plan.alloc_injector());
+        // Step 0 is not scheduled to fault: an armed device allocates
+        // there as a disarmed one does.
         d.begin_step(0);
-        // The armed step fault does not fire: the charge lands and the
-        // injector still holds its shot for the next faultable alloc.
-        let id = d.alloc_unfaulted(60, MemoryCategory::PlanAhead).unwrap();
-        assert_eq!(d.current_in(MemoryCategory::PlanAhead), 60);
-        assert!(d.alloc(10, MemoryCategory::Blocks).unwrap_err().injected);
-        d.free(id);
-        // The genuine capacity check still applies.
-        let err = d.alloc_unfaulted(200, MemoryCategory::PlanAhead).unwrap_err();
+        let id = d.alloc(60, MemoryCategory::Blocks).unwrap();
+        assert_eq!(d.current_in(MemoryCategory::Blocks), 60);
+        // The genuine capacity check still applies, and its failure is
+        // neither marked nor recorded as injected.
+        let err = d.alloc(200, MemoryCategory::Blocks).unwrap_err();
         assert!(!err.injected);
+        assert_eq!(d.current_bytes(), 60);
+        assert!(d.drain_fault_events().is_empty());
+        d.free(id);
+        // The scheduled step still gets its shot.
+        d.begin_step(1);
+        assert!(d.alloc(10, MemoryCategory::Blocks).unwrap_err().injected);
         let events = d.drain_fault_events();
-        assert_eq!(events.len(), 1, "only the faultable alloc recorded an event");
+        assert_eq!(events.len(), 1, "only the scheduled fault recorded an event");
     }
 
     #[test]

@@ -159,7 +159,6 @@ impl UnaryKind {
 /// output values are read back from the tape during the backward sweep.
 enum Op {
     Add,
-    Sub,
     Mul,
     Scale(f32),
     Unary(UnaryKind),
@@ -341,12 +340,6 @@ impl Op {
             Op::Add => {
                 out.push(Some(pooled_copy(pool, g)));
                 out.push(Some(pooled_copy(pool, g)));
-            }
-            Op::Sub => {
-                out.push(Some(pooled_copy(pool, g)));
-                let mut db = pool.scratch(g.shape());
-                kernels::map_into(g, db.data_mut(), |x| -x);
-                out.push(Some(db));
             }
             Op::Mul => {
                 let (av, bv) = (parent(0), parent(1));
@@ -1007,19 +1000,6 @@ impl Graph {
         self.push(value, Parents::Two(a, b), Some(Op::Add))
     }
 
-    /// Elementwise difference `a - b`.
-    pub fn sub(&mut self, a: VarId, b: VarId) -> VarId {
-        let Graph { nodes, pool, .. } = self;
-        let mut value = pool.scratch(nodes[a.0].value.shape());
-        kernels::zip_map_into(
-            &nodes[a.0].value,
-            &nodes[b.0].value,
-            value.data_mut(),
-            |x, y| x - y,
-        );
-        self.push(value, Parents::Two(a, b), Some(Op::Sub))
-    }
-
     /// Elementwise (Hadamard) product.
     pub fn mul(&mut self, a: VarId, b: VarId) -> VarId {
         let Graph { nodes, pool, .. } = self;
@@ -1300,13 +1280,6 @@ impl Graph {
         let mut value = pool.scratch(&[1]);
         value.data_mut()[0] = total;
         self.push(value, Parents::One(a), Some(Op::Sum))
-    }
-
-    /// Mean of all elements as a `[1]` tensor.
-    pub fn mean(&mut self, a: VarId) -> VarId {
-        let n = self.value(a).len() as f32;
-        let s = self.sum(a);
-        self.scale(s, 1.0 / n)
     }
 
     // ---- graph aggregation primitives ----

@@ -8,7 +8,7 @@
 //! *exactly* the cache reservation, on both the measured and the
 //! estimated side of the ledger.
 
-use betty::{EpochStats, ExperimentConfig, RecoveryLog, Runner, StrategyKind};
+use betty::{DeviceGroup, EpochStats, ExperimentConfig, RecoveryLog, Runner, StrategyKind};
 use betty_data::{Dataset, DatasetSpec, Features};
 use betty_device::{gib, FaultPlan};
 use betty_nn::AggregatorSpec;
@@ -91,10 +91,10 @@ fn trajectory(
         let mut peaks = Vec::new();
         let mut counters = (0u64, 0u64, 0u64);
         let train = |runner: &mut Runner, log: &mut RecoveryLog| {
-            let (stats, _k) = runner
-                .train_epoch_auto_recovering(ds, StrategyKind::Betty, log)
-                .expect("retry budget covers the single injected OOM");
-            stats
+            runner
+                .train_epoch_elastic(ds, StrategyKind::Betty, 1, &DeviceGroup::new(1), log)
+                .expect("retry budget covers the single injected OOM")
+                .combined
         };
         for _ in 0..3 {
             let stats = train(&mut runner, &mut log);

@@ -3,7 +3,7 @@
 //! pipeline must produce byte-identical results regardless of thread
 //! count or pipeline depth.
 
-use betty::{EpochStats, ExperimentConfig, RecoveryLog, Runner, StrategyKind};
+use betty::{DeviceGroup, EpochStats, ExperimentConfig, RecoveryLog, Runner, StrategyKind};
 use betty_data::{Dataset, DatasetSpec};
 use betty_device::{gib, FaultPlan};
 use betty_graph::{dependency_reg, sample_batch, shared_neighbor_graph, CsrGraph, NodeId};
@@ -131,12 +131,13 @@ proptest! {
                 };
                 let mut runner = Runner::new(&ds, &cfg, seed);
                 let mut log = RecoveryLog::new();
+                let group = DeviceGroup::new(1);
                 let mut epochs = Vec::new();
                 for _ in 0..3 {
-                    let (stats, _k) = runner
-                        .train_epoch_auto_recovering(&ds, StrategyKind::Betty, &mut log)
+                    let epoch = runner
+                        .train_epoch_elastic(&ds, StrategyKind::Betty, 1, &group, &mut log)
                         .expect("retry budget covers the single injected OOM");
-                    epochs.push(deterministic_stats(&stats));
+                    epochs.push(deterministic_stats(&epoch.combined));
                 }
                 assert_eq!(
                     runner.plan_ahead_active(),
@@ -148,10 +149,10 @@ proptest! {
                 let accuracy = runner.evaluate(&ds, &ds.val_idx).to_bits();
                 assert!(!runner.plan_ahead_active(), "evaluation must reset the pipeline");
                 for _ in 0..2 {
-                    let (stats, _k) = runner
-                        .train_epoch_auto_recovering(&ds, StrategyKind::Betty, &mut log)
+                    let epoch = runner
+                        .train_epoch_elastic(&ds, StrategyKind::Betty, 1, &group, &mut log)
                         .expect("post-evaluation epochs are fault-free");
-                    epochs.push(deterministic_stats(&stats));
+                    epochs.push(deterministic_stats(&epoch.combined));
                 }
                 let params = param_bits(&runner);
                 (epochs, accuracy, params)

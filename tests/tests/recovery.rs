@@ -6,7 +6,9 @@
 use std::error::Error;
 
 use betty::fit::{fit, fit_with_log, FitConfig};
-use betty::{ExperimentConfig, RecoveryLog, RetryPolicy, RunError, Runner, StrategyKind};
+use betty::{
+    DeviceGroup, ExperimentConfig, RecoveryLog, RetryPolicy, RunError, Runner, StrategyKind,
+};
 use betty_data::{Dataset, DatasetSpec};
 use betty_device::{gib, FaultPlan, OomError};
 use betty_nn::AggregatorSpec;
@@ -166,9 +168,10 @@ fn recovered_epoch_is_bit_identical_to_unfaulted_run_at_same_k() {
     };
     let mut faulted = Runner::new(&ds, &faulted_config, 7);
     let mut log = RecoveryLog::new();
-    let (stats, k) = faulted
-        .train_epoch_auto_recovering(&ds, StrategyKind::Betty, &mut log)
+    let epoch = faulted
+        .train_epoch_elastic(&ds, StrategyKind::Betty, 1, &DeviceGroup::new(1), &mut log)
         .expect("recovers");
+    let (stats, k) = (epoch.combined, epoch.assignment.len());
     assert!(k >= 2, "escalation must have raised K, got {k}");
     assert_eq!(stats.oom_retries, 1);
 
@@ -214,8 +217,13 @@ fn fault_and_recovery_sequence_is_deterministic() {
         let mut outcomes = Vec::new();
         for epoch in 0..4 {
             log.set_epoch(epoch);
-            match runner.train_epoch_auto_recovering(&ds, StrategyKind::Betty, &mut log) {
-                Ok((stats, k)) => outcomes.push(format!("ok {} K={k}", stats.loss.to_bits())),
+            let group = DeviceGroup::new(1);
+            match runner.train_epoch_elastic(&ds, StrategyKind::Betty, 1, &group, &mut log) {
+                Ok(epoch) => outcomes.push(format!(
+                    "ok {} K={}",
+                    epoch.combined.loss.to_bits(),
+                    epoch.assignment.len()
+                )),
                 Err(e) => {
                     outcomes.push(format!("err {e}"));
                     break;

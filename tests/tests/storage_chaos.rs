@@ -6,7 +6,10 @@
 //! parity can reconstruct must surface as a structured storage error
 //! before a single damaged byte reaches the model.
 
-use betty::{EpochStats, ExperimentConfig, RecoveryLog, RunError, Runner, StrategyKind, TrainError};
+use betty::{
+    DeviceGroup, EpochStats, ExperimentConfig, RecoveryLog, RunError, Runner, StrategyKind,
+    TrainError,
+};
 use betty_data::{
     Dataset, DatasetSpec, FeatureStoreError, ReadFault, SeededStorageFaults, StorageFaultHook,
     StorageIncident,
@@ -92,9 +95,10 @@ fn trajectory(
         let mut epochs = Vec::new();
         let mut chaos = Chaos::default();
         for _ in 0..4 {
-            let (stats, _k) = runner
-                .train_epoch_auto_recovering(ds, StrategyKind::Betty, &mut log)
-                .expect("storage chaos within the retry/parity budget is survivable");
+            let stats = runner
+                .train_epoch_elastic(ds, StrategyKind::Betty, 1, &DeviceGroup::new(1), &mut log)
+                .expect("storage chaos within the retry/parity budget is survivable")
+                .combined;
             epochs.push(value_stats(&stats));
             chaos.io_retries += stats.io_retries;
             chaos.shards_repaired += stats.shards_repaired;
@@ -212,12 +216,13 @@ fn double_corruption_in_one_group_is_rejected_not_trained_on() {
         let (paged_ds, dir) = paged(&ds, "double", 2);
         let mut runner = Runner::new(&paged_ds, &config(plan), 3);
         let mut log = RecoveryLog::new();
-        let (_, _) = runner
-            .train_epoch_auto_recovering(&paged_ds, StrategyKind::Betty, &mut log)
+        let group = DeviceGroup::new(1);
+        runner
+            .train_epoch_elastic(&paged_ds, StrategyKind::Betty, 1, &group, &mut log)
             .expect("epoch 0 runs before the scheduled corruption");
         let before = param_bits(&runner);
         let err = runner
-            .train_epoch_auto_recovering(&paged_ds, StrategyKind::Betty, &mut log)
+            .train_epoch_elastic(&paged_ds, StrategyKind::Betty, 1, &group, &mut log)
             .expect_err("a doubly-damaged parity group is unrepairable");
         match err {
             RunError::Train(TrainError::Storage { shard, detail, .. }) => {
