@@ -5,17 +5,18 @@
 //! "optimize the REG construction and graph partition to reduce the
 //! partitioning overhead"). The `plan_ahead` scheduler removes that
 //! overhead from the critical path instead of from the algorithm: while
-//! epoch `t` trains, spare `betty-runtime` workers sample and REG-partition
-//! epoch `t + 1`, handing the finished plan over at the next epoch
-//! boundary.
+//! epoch `t` trains, one planner thread samples and REG-partitions the
+//! coming epochs in order, at most `depth` staged or in progress, handing
+//! each finished plan over at its epoch boundary.
 //!
 //! This exhibit sweeps the pipeline depth on the power-law
 //! (ogbn-products-like) preset and reports wall time per epoch against two
 //! anchors: the synchronous Betty run (depth 0 — what the pipeline must
 //! beat) and the range-partitioned run (whose planning cost is already
-//! negligible — what the pipeline chases). With depth ≥ 1 and at least two
-//! worker threads the Betty rows should close to within a few percent of
-//! the range baseline; the residual gap is handoff overhead, not planning.
+//! negligible — what the pipeline chases). With depth ≥ 1, at least two
+//! configured threads and a spare core for the planner thread, the Betty
+//! rows close on the range baseline; the residual gap is handoff overhead
+//! and the planning that outlasts an epoch's training.
 //!
 //! Loss bits are hard-asserted identical across every depth: the pipeline
 //! moves work in time, never in value.
@@ -57,12 +58,12 @@ pub fn run(profile: Profile) {
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    // Every row runs on the same pool width. At least 4 workers keeps the
+    // Every row runs at the same configured width. At least 4 keeps the
     // pipeline live even on narrow CI hosts — determinism is
     // thread-count-invariant, so only the timings (honestly) reflect
-    // whether spare cores exist to hide the planning in.
-    let workers = cores.max(4);
-    betty_runtime::with_threads(workers, || {
+    // whether a spare core exists to hide the planning in.
+    let threads = cores.max(4);
+    betty_runtime::with_threads(threads, || {
         let (ds, base_config) = products_3layer(profile);
         let epochs = profile.epochs(8);
 
@@ -138,8 +139,9 @@ pub fn run(profile: Profile) {
          the pipeline relocates planning in time, never in value. 'hidden \
          plan (s)' is the sampling + partitioning time that ran under the \
          previous epoch's training instead of on the critical path. With \
-         depth >= 1 the betty rows chase the range anchor ({workers} pool \
-         threads over {cores} physical cores here; without spare cores the \
-         overlap is interleaved, not parallel)."
+         depth >= 1 the betty rows chase the range anchor: one planner \
+         thread beside {threads} configured threads over {cores} cores \
+         here; without a spare core the overlap is interleaved, not \
+         parallel."
     );
 }

@@ -122,10 +122,11 @@ GLOBAL FLAGS (accepted by every command, after the command name):
                  are always sharded across them, a dense product or fused
                  aggregation only when the call carries 2^26 multiply-adds
                  per shard (smaller calls run inline — a second thread
-                 there loses), and --plan-ahead stages future epochs on
-                 them. 1 is exactly serial. Defaults to the BETTY_THREADS
-                 env var, then the core count (capped at 8). Every thread
-                 count produces bit-identical results.
+                 there loses). --plan-ahead stages future epochs on one
+                 planner thread beside them. 1 is exactly serial.
+                 Defaults to the BETTY_THREADS env var, then the core
+                 count (capped at 8). Every thread count produces
+                 bit-identical results.
   --backend scalar|simd
                  compute backend for the tensor kernels (default simd, or
                  the BETTY_BACKEND env var). 'scalar' is the portable
@@ -148,13 +149,14 @@ GLOBAL FLAGS (accepted by every command, after the command name):
                  bit-identical either way — this is an escape hatch for
                  allocator-level debugging and the alloc benchmarks)
   --plan-ahead N stage up to N future epochs' sampling + REG partitioning
-                 on spare worker threads while the current epoch trains
+                 on one planner thread while the current epoch trains
                  (default 0: each epoch samples and plans its own batch
                  inline). Staged plans search K from the last plan's K,
-                 as inline ones do, and wait in host memory. Losses,
-                 parameters, and every deterministic stat are
-                 bit-identical at any depth; only where the planning time
-                 is spent changes. Under --threads 1 every depth is 0
+                 as inline ones do, and wait in host memory: at most N
+                 bundles are staged or in progress. Losses, parameters,
+                 and every deterministic stat are bit-identical at any
+                 depth; only where the planning time is spent changes.
+                 Under --threads 1 every depth is 0
 
 Presets: cora, pubmed, reddit, ogbn-arxiv, ogbn-products.
 

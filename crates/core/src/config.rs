@@ -65,9 +65,9 @@ pub struct ExperimentConfig {
     /// The CLI exposes this as `--no-sentinel`.
     pub sentinel: bool,
     /// Partition-ahead pipeline depth: how many future epochs' batches may
-    /// be sampled and REG-partitioned on background workers while the
-    /// current epoch trains. `0` (the default) is the classic synchronous
-    /// path; any depth degrades to it when only one worker thread is
+    /// be staged or in progress on one background planner thread while
+    /// the current epoch trains. `0` (the default) is the classic
+    /// synchronous path; any depth degrades to it when only one thread is
     /// configured. Losses, parameters, and deterministic epoch stats are
     /// bit-identical at every depth. The CLI exposes this as
     /// `--plan-ahead`.
@@ -155,17 +155,8 @@ impl ExperimentConfig {
     /// perturb *how* a run executes, not *what* it computes, and a run
     /// resumed without the fault plan that killed it must still load.
     pub fn fingerprint(&self) -> u64 {
-        // FNV-1a, hand-rolled so the value is stable across Rust releases
-        // (std's DefaultHasher makes no such promise).
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
+        let mut h = FNV_OFFSET;
+        let mut eat = |bytes: &[u8]| h = fnv1a(h, bytes);
         for &fanout in &self.fanouts {
             eat(&(fanout as u64).to_le_bytes());
         }
@@ -203,19 +194,22 @@ impl ExperimentConfig {
         num_classes: usize,
         num_nodes: usize,
     ) -> u64 {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = self.fingerprint();
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        eat(&(feature_dim as u64).to_le_bytes());
-        eat(&(num_classes as u64).to_le_bytes());
-        eat(&(num_nodes as u64).to_le_bytes());
-        h
+        [feature_dim, num_classes, num_nodes]
+            .iter()
+            .fold(self.fingerprint(), |h, &v| fnv1a(h, &(v as u64).to_le_bytes()))
     }
+}
+
+/// The FNV-1a offset basis: the hash of no bytes.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the FNV-1a hash `h`. Hand-rolled so a stored value
+/// is stable across Rust releases (std's `DefaultHasher` makes no such
+/// promise).
+pub(crate) fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
 }
 
 #[cfg(test)]
@@ -349,5 +343,26 @@ mod tests {
             ..ExperimentConfig::default()
         };
         assert_ne!(base, wider.fingerprint_for_dataset(128, 40, 1000));
+    }
+
+    /// Every checkpoint stores `fingerprint_for_dataset` and `--resume`
+    /// rejects a mismatch, so a refactor that moves either value orphans
+    /// every checkpoint written before it. Never edit these.
+    #[test]
+    fn fingerprints_are_pinned() {
+        let bf16 = ExperimentConfig {
+            precision: DType::Bf16,
+            ..ExperimentConfig::default()
+        };
+        let pins = [
+            ExperimentConfig::default().fingerprint(),
+            bf16.fingerprint(),
+            ExperimentConfig::default().fingerprint_for_dataset(128, 40, 1000),
+        ];
+        assert_eq!(
+            pins,
+            [0xfc14_78ba_dccc_50f1, 0x7473_d5e0_1d9f_045c, 0x6ad5_6d90_af12_70c0],
+            "{pins:#x?}"
+        );
     }
 }

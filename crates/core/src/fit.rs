@@ -110,7 +110,7 @@ pub struct FitReport {
 /// `fit` evaluates on the validation split after *every* epoch, and
 /// evaluation sampling resets the partition-ahead pipeline (it draws
 /// from the same RNG stream the staged batches were sampled ahead of).
-/// Under `fit`, each epoch's pipeline therefore restarts cold and the
+/// Under `fit`, each epoch's pipeline therefore restarts empty and the
 /// overlap is effectively zero — results remain bit-identical, but the
 /// speedup only materializes with sparser evaluation cadences (the CLI
 /// evaluates every 5th epoch).

@@ -1,46 +1,53 @@
-//! Partition-ahead pipeline: sample + REG-partition epoch `t + 1` on
-//! background workers while epoch `t` trains.
+//! Partition-ahead pipeline: sample + REG-partition the coming epochs on
+//! one background planner thread while the current epoch trains.
 //!
 //! Betty's planning overhead (neighbor sampling, REG construction + cut,
 //! micro-batch extraction) sits on the critical path of every epoch in the
 //! synchronous design. But planning for the *next* epoch needs nothing the
 //! current epoch produces — only the sampler's RNG cursor, which advances
-//! deterministically — so it can run concurrently with forward/backward
-//! compute on spare [`betty_runtime`] workers.
+//! deterministically — so it can run on another thread, concurrently with
+//! forward/backward compute.
+//!
+//! # Shape
+//!
+//! One planner thread samples and plans epochs in order and hands each
+//! [`StagedBundle`] over a `sync_channel(depth − 1)`: the channel holds
+//! `depth − 1` bundles and the thread one more, so at most `depth` are
+//! staged or in progress. That also bounds the host memory staged plans
+//! hold; nothing else governs it. At depth 1 the channel is a
+//! rendezvous: the next bundle begins at the handoff.
 //!
 //! # Determinism
 //!
 //! The pipeline reproduces the synchronous path bit for bit:
 //!
-//! * **Sampling order.** A dedicated driver thread owns a clone of the
-//!   runner's sampler RNG and draws every batch *sequentially*, exactly as
-//!   the synchronous loop would; only the (pure) partitioning work fans
-//!   out to the worker pool. Each staged bundle records the RNG state
-//!   after its draw, and the runner adopts that state at the handoff — so
-//!   dropping the pipeline at any point lets the synchronous path resume
-//!   from the very same cursor.
-//! * **Handoff order.** Bundles return through an index-ordered queue
-//!   ([`betty_runtime::OrderedQueue`], the same discipline as
-//!   [`betty_runtime::map_ranges`]): epoch `t`'s consumer blocks until
-//!   bundle `t` specifically is ready, regardless of completion order.
+//! * **Sampling order.** The thread owns a clone of the runner's sampler
+//!   RNG and draws every batch sequentially, exactly as the synchronous
+//!   loop would. Each bundle records the RNG state after its draw, and the
+//!   runner adopts that state at the handoff — so dropping the pipeline
+//!   at any point lets the synchronous path resume from the very same
+//!   cursor.
+//! * **Warm `K`.** The thread carries its own warm-`K` chain, started
+//!   from the runner's warm `K` at spawn: each `From` search starts at the
+//!   `K` the previous staged plan found, so it takes exactly the path the
+//!   synchronous search would at every depth.
+//! * **Handoff order.** One producer and one FIFO channel: bundles arrive
+//!   in epoch order.
 //! * **Pure stages.** Partitioner strategies are stateless (`&self`), so
-//!   a plan computed on a worker is identical to one computed inline.
+//!   a plan computed on the planner thread is identical to one computed
+//!   inline.
 //!
 //! # Depth 0
 //!
 //! No plan-ahead is the same work done inline: the runner builds the
 //! epoch's [`StagedBundle`] on the training thread through the
-//! [`sample_next`] and [`plan_batch`] the driver and workers call, and
-//! consumes it like a staged one. Requests carry the runner's warm `K`,
-//! so every search starts where an inline one would.
-//!
-//! # Memory
-//!
-//! Staged plans hold host memory only. The depth governor
-//! ([`PlanPipeline::top_up`]) bounds it and changes no plan.
+//! [`sample_next`] and [`plan_batch`] the planner thread calls, and
+//! consumes it like a staged one.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc::{self, SyncSender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -48,13 +55,13 @@ use rand_pcg::Pcg64Mcg;
 
 use betty_graph::{sample_batch_in, Batch, CsrGraph, NodeId};
 use betty_partition::OutputPartitioner;
-use betty_runtime::{OrderedQueue, WorkerPool};
 
+use crate::config::{fnv1a, FNV_OFFSET};
 use crate::planner::{MemoryAwarePlanner, Plan, PlanError};
 use crate::strategy::{build_strategy, StrategyKind};
 
-/// How an epoch's batch is planned — by the pipeline's workers or, with
-/// the same result, synchronously on the training thread.
+/// How an epoch's batch is planned — by the planner thread or, with the
+/// same result, synchronously on the training thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanMode {
     /// Exactly `k` micro-batches, whatever the capacity: planning is
@@ -117,19 +124,8 @@ pub struct StagedBundle {
     pub plan_finished: Instant,
 }
 
-impl StagedBundle {
-    /// Total transfer bytes (blocks + features + labels) over the plan's
-    /// micro-batches — what the depth governor counts. 0 for failed
-    /// plans.
-    pub fn staged_bytes(&self) -> usize {
-        self.plan
-            .as_ref()
-            .map_or(0, |p| p.estimates.iter().map(|e| e.transfer_bytes()).sum())
-    }
-}
-
-/// Everything the pipeline needs to reproduce the runner's synchronous
-/// sampling + planning on background threads.
+/// Everything the planner thread needs to reproduce the runner's
+/// synchronous sampling + planning.
 pub struct PipelineSpec {
     /// Reversed (in-edge) graph the sampler walks.
     pub graph: Arc<CsrGraph>,
@@ -139,41 +135,38 @@ pub struct PipelineSpec {
     pub fanouts: Vec<usize>,
     /// The runner's planner (cheap to clone: estimator + scalars).
     pub planner: MemoryAwarePlanner,
-    /// Partitioning strategy; rebuilt per job — strategies are stateless,
-    /// so a fresh instance plans identically to a reused one.
+    /// Partitioning strategy, built once on the planner thread.
     pub strategy: StrategyKind,
     /// Strategy seed (the runner's experiment seed).
     pub seed: u64,
     /// Fixed-K or memory-aware planning.
     pub mode: PlanMode,
-    /// Maximum bundles in flight (≥ 1).
+    /// Maximum bundles staged or in progress (≥ 1).
     pub depth: usize,
     /// Sampler RNG state to start the sequential cursor from.
     pub rng_state: u128,
+    /// The runner's warm `K`: where the first `From` search starts.
+    pub start_k: usize,
     /// Fingerprint of the dataset the seeds/graph came from, for
     /// [`PlanPipeline::matches`].
     pub dataset_key: u64,
-    /// Worker threads configured at spawn time.
-    pub threads: usize,
 }
 
 /// A bounded-depth pipeline staging `(Batch, Plan)` bundles for future
-/// epochs. See the [module docs](self) for the determinism argument.
+/// epochs. See the [module docs](self) for its shape and the determinism
+/// argument.
 pub struct PlanPipeline {
-    /// One request per staged epoch, carrying the `K` its search starts
-    /// from.
-    req_tx: Option<mpsc::Sender<usize>>,
-    driver: Option<JoinHandle<()>>,
-    queue: Arc<OrderedQueue<StagedBundle>>,
-    staged_bytes: Arc<AtomicUsize>,
-    /// When each outstanding request was issued, oldest first — the
-    /// consumer-side start of each bundle's staging window (issue
-    /// happens *before* the overlapped epoch trains, so a span anchored
-    /// here contains that epoch's compute spans by construction; the
-    /// driver's own sampling start races with it).
-    request_times: std::collections::VecDeque<Instant>,
-    requested: usize,
+    /// `None` only while dropping: hanging up stops the planner thread.
+    handoff: Option<mpsc::Receiver<StagedBundle>>,
+    thread: Option<JoinHandle<()>>,
+    /// Bundles the planner thread has finished, consumed or not.
+    finished: Arc<AtomicUsize>,
     consumed: usize,
+    /// When each of the next `depth` bundles' slots opened, oldest first:
+    /// at spawn for the first `depth`, then one at each handoff. The
+    /// consumer's clock stamps these, before the overlapped epoch trains,
+    /// so a span anchored here contains that epoch's compute spans.
+    slots_opened: VecDeque<Instant>,
     depth: usize,
     strategy: StrategyKind,
     mode: PlanMode,
@@ -190,86 +183,24 @@ impl std::fmt::Debug for PlanPipeline {
 }
 
 impl PlanPipeline {
-    /// Starts the driver thread and its worker pool. Nothing is staged
-    /// until the first [`PlanPipeline::top_up`] /
-    /// [`PlanPipeline::next_bundle`].
+    /// Starts the planner thread, which begins staging at once.
     pub fn spawn(spec: PipelineSpec) -> Self {
         let depth = spec.depth.max(1);
-        // The consuming thread trains while workers plan; leave it one
-        // core, and never park more workers than the depth can feed.
-        let pool_threads = spec.threads.saturating_sub(1).min(depth).max(1);
-        let queue = Arc::new(OrderedQueue::new());
-        let staged_bytes = Arc::new(AtomicUsize::new(0));
-        let (req_tx, req_rx) = mpsc::channel::<usize>();
-        let driver = {
-            let queue = Arc::clone(&queue);
-            let staged_bytes = Arc::clone(&staged_bytes);
-            let strategy = spec.strategy;
-            let seed = spec.seed;
-            let mode = spec.mode;
-            let graph = spec.graph;
-            let seeds = spec.seeds;
-            let fanouts = spec.fanouts;
-            let planner = spec.planner;
-            let mut rng = Pcg64Mcg::new(spec.rng_state);
-            std::thread::spawn(move || {
-                let pool = WorkerPool::new(pool_threads);
-                let mut issued = 0usize;
-                // One request = one staged epoch. Sampling stays on this
-                // thread so the RNG stream is drawn strictly in epoch
-                // order; the (pure) planning fans out to the pool.
-                while let Ok(start_k) = req_rx.recv() {
-                    let index = issued;
-                    issued += 1;
-                    let (batch, sample_started, sample_sec) =
-                        sample_next(&graph, &seeds, &fanouts, &mut rng);
-                    let rng_after = rng.state();
-                    let queue = Arc::clone(&queue);
-                    let staged_bytes = Arc::clone(&staged_bytes);
-                    let planner = planner.clone();
-                    pool.submit(move || {
-                        let strategy_impl = build_strategy(strategy, seed);
-                        let plan = plan_batch(
-                            &planner,
-                            &batch,
-                            strategy_impl.as_ref(),
-                            mode,
-                            start_k,
-                            planner.capacity_bytes(),
-                        );
-                        let bundle = StagedBundle {
-                            batch,
-                            plan,
-                            rng_after,
-                            sample_sec,
-                            sample_started,
-                            plan_finished: Instant::now(),
-                        };
-                        staged_bytes.fetch_add(bundle.staged_bytes(), Ordering::Relaxed);
-                        queue.push(index, bundle);
-                    });
-                }
-                // Sender dropped: no more requests will ever arrive.
-                // Close the queue at the issue horizon — pops below it
-                // still block for in-flight jobs (the pool joins them on
-                // drop, pushing every pending bundle first); pops at or
-                // beyond it return `None` immediately.
-                queue.close_at(issued);
-                drop(pool);
-            })
-        };
+        let (tx, handoff) = mpsc::sync_channel(depth - 1);
+        let finished = Arc::new(AtomicUsize::new(0));
+        let (strategy, mode, dataset_key) = (spec.strategy, spec.mode, spec.dataset_key);
+        let done = Arc::clone(&finished);
+        let thread = std::thread::spawn(move || plan_ahead(spec, tx, done));
         Self {
-            req_tx: Some(req_tx),
-            driver: Some(driver),
-            queue,
-            staged_bytes,
-            request_times: std::collections::VecDeque::new(),
-            requested: 0,
+            handoff: Some(handoff),
+            thread: Some(thread),
+            finished,
             consumed: 0,
+            slots_opened: std::iter::repeat_n(Instant::now(), depth).collect(),
             depth,
-            strategy: spec.strategy,
-            mode: spec.mode,
-            dataset_key: spec.dataset_key,
+            strategy,
+            mode,
+            dataset_key,
         }
     }
 
@@ -290,71 +221,64 @@ impl PlanPipeline {
             && self.depth == depth.max(1)
     }
 
-    /// Bundles requested but not yet consumed — what an invalidation
+    /// Bundles finished but not yet consumed — what an invalidation
     /// throws away.
     pub fn in_flight(&self) -> usize {
-        self.requested - self.consumed
+        self.finished.load(Ordering::Relaxed) - self.consumed
     }
 
-    /// Asks the driver to stage one more epoch, searching from
-    /// `start_k`. A send failure (driver died) is deliberately ignored:
-    /// the next [`PlanPipeline::next_bundle`] will observe the closed
-    /// queue and report it.
-    fn request_one(&mut self, start_k: usize) {
-        if let Some(tx) = &self.req_tx {
-            let _ = tx.send(start_k);
-        }
-        self.request_times.push_back(Instant::now());
-        self.requested += 1;
-    }
-
-    /// The staging governor: keep up to `depth` bundles in flight, each
-    /// searching from `start_k`, but stop requesting while the staged
-    /// transfer bytes already exceed `budget_bytes`. Purely advisory: it
-    /// times when work is requested, never what any bundle contains, so
-    /// results stay bit-identical at every budget.
-    pub fn top_up(&mut self, budget_bytes: usize, start_k: usize) {
-        while self.in_flight() < self.depth {
-            if self.staged_bytes.load(Ordering::Relaxed) > budget_bytes {
-                break;
-            }
-            self.request_one(start_k);
-        }
-    }
-
-    /// Blocks until the next staged epoch (in strict issue order) is
+    /// Blocks until the next staged epoch (in strict epoch order) is
     /// ready and returns it with the seconds spent waiting and the
-    /// instant its request was issued (the start of its staging
-    /// window). Requests one bundle, searching from `start_k`, first if
-    /// none is outstanding. `None` means the driver is gone (panicked
-    /// worker or closed queue); the caller should fall back to
-    /// synchronous planning.
-    pub fn next_bundle(&mut self, start_k: usize) -> Option<(StagedBundle, f64, Instant)> {
-        if self.in_flight() == 0 {
-            self.request_one(start_k);
-        }
+    /// instant its slot opened (the start of its staging window). `None`
+    /// means the planner thread is gone (it panicked); the caller should
+    /// fall back to synchronous planning.
+    pub fn next_bundle(&mut self) -> Option<(StagedBundle, f64, Instant)> {
         let wait_started = Instant::now();
-        let bundle = self.queue.pop(self.consumed)?;
+        let bundle = self.handoff.as_ref()?.recv().ok()?;
         let wait_sec = wait_started.elapsed().as_secs_f64();
         self.consumed += 1;
-        let requested_at = self
-            .request_times
-            .pop_front()
-            .unwrap_or(bundle.sample_started);
-        self.staged_bytes
-            .fetch_sub(bundle.staged_bytes(), Ordering::Relaxed);
-        Some((bundle, wait_sec, requested_at))
+        // Taking this bundle opens the slot of the one `depth` epochs on.
+        let opened = self.slots_opened.pop_front().expect("one slot per bundle");
+        self.slots_opened.push_back(Instant::now());
+        Some((bundle, wait_sec, opened))
+    }
+}
+
+/// The planner thread (see the [module docs](self)); `done` counts the
+/// bundles it has finished.
+fn plan_ahead(spec: PipelineSpec, tx: SyncSender<StagedBundle>, done: Arc<AtomicUsize>) {
+    let strategy = build_strategy(spec.strategy, spec.seed);
+    let capacity = spec.planner.capacity_bytes();
+    let (mut rng, mut start_k) = (Pcg64Mcg::new(spec.rng_state), spec.start_k);
+    loop {
+        let (batch, sample_started, sample_sec) =
+            sample_next(&spec.graph, &spec.seeds, &spec.fanouts, &mut rng);
+        let plan = plan_batch(&spec.planner, &batch, &*strategy, spec.mode, start_k, capacity);
+        if let (PlanMode::From(_), Ok(plan)) = (spec.mode, &plan) {
+            start_k = plan.k;
+        }
+        let bundle = StagedBundle {
+            batch,
+            plan,
+            rng_after: rng.state(),
+            sample_sec,
+            sample_started,
+            plan_finished: Instant::now(),
+        };
+        done.fetch_add(1, Ordering::Relaxed);
+        if tx.send(bundle).is_err() {
+            return; // the pipeline hung up
+        }
     }
 }
 
 impl Drop for PlanPipeline {
     fn drop(&mut self) {
-        // Hang up the request channel; the driver drains, closes the
-        // queue, joins its pool, and exits. Joining here bounds the
-        // stragglers' lifetime to the drop.
-        drop(self.req_tx.take());
-        if let Some(driver) = self.driver.take() {
-            let _ = driver.join();
+        // Hang up: the planner thread's next handoff fails and it exits.
+        // Joining bounds its lifetime to the drop.
+        drop(self.handoff.take());
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
         }
     }
 }
@@ -362,21 +286,11 @@ impl Drop for PlanPipeline {
 /// Cheap FNV-1a fingerprint of the sampling inputs a pipeline bakes in,
 /// used to detect a caller switching datasets between epochs.
 pub fn dataset_key(dataset: &betty_data::Dataset) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    eat(dataset.graph.num_nodes() as u64);
-    eat(dataset.train_idx.len() as u64);
-    for &node in &dataset.train_idx {
-        eat(u64::from(node));
-    }
-    h
+    let train = &dataset.train_idx;
+    [dataset.graph.num_nodes() as u64, train.len() as u64]
+        .into_iter()
+        .chain(train.iter().map(|&node| u64::from(node)))
+        .fold(FNV_OFFSET, |h, v| fnv1a(h, &v.to_le_bytes()))
 }
 
 #[cfg(test)]
@@ -414,8 +328,8 @@ mod tests {
             mode: PlanMode::Fixed(3),
             depth,
             rng_state: 0x1234_5678_9abc_def0,
+            start_k: 1,
             dataset_key: dataset_key(ds),
-            threads: 4,
         }
     }
 
@@ -435,10 +349,8 @@ mod tests {
         }
 
         let mut pipeline = PlanPipeline::spawn(spec(&ds, 2));
-        pipeline.top_up(usize::MAX, 1);
         for (batch, parts, rng_after) in &expected {
-            let (bundle, _wait, _req) = pipeline.next_bundle(1).expect("driver alive");
-            pipeline.top_up(usize::MAX, 1);
+            let (bundle, _wait, _opened) = pipeline.next_bundle().expect("planner alive");
             assert_eq!(&bundle.batch, batch, "staged batch must match sync sampling");
             assert_eq!(&bundle.plan.unwrap().parts, parts);
             assert_eq!(bundle.rng_after, *rng_after);
@@ -448,8 +360,9 @@ mod tests {
     #[test]
     fn staged_auto_plans_equal_the_synchronous_warm_plans() {
         // mean3_auto's model on a 16 MiB device, where K moves between 4
-        // and 5: each request carries the K the previous plan found, so
-        // every staged search takes the synchronous warm search's path.
+        // and 5: the planner thread starts each search at the K its
+        // previous plan found, so at every depth each staged search takes
+        // the synchronous warm search's path.
         let ds = DatasetSpec::ogbn_products().scaled(0.01).generate(1);
         let cfg = crate::ExperimentConfig {
             fanouts: vec![25, 35, 40],
@@ -474,38 +387,24 @@ mod tests {
         let ks: Vec<usize> = expected.iter().map(|p| p.k).collect();
         assert!(ks.windows(2).any(|w| w[0] != w[1]), "K never moved: {ks:?}");
 
-        let mut pipeline = PlanPipeline::spawn(PipelineSpec {
-            graph: Arc::new(graph),
-            fanouts: cfg.fanouts.clone(),
-            planner,
-            seed: 1,
-            mode: PlanMode::From(1),
-            ..spec(&ds, 1)
-        });
-        let mut start_k = 1;
-        for (epoch, want) in expected.iter().enumerate() {
-            let (bundle, _, _) = pipeline.next_bundle(start_k).expect("driver alive");
-            let got = bundle.plan.expect("16 MiB fits some K");
-            assert_eq!((got.k, got.probes), (want.k, want.probes), "epoch {epoch}");
-            assert!(got.parts == want.parts, "epoch {epoch}: the parts differ");
-            start_k = got.k;
-            pipeline.top_up(usize::MAX, start_k);
+        let graph = Arc::new(graph);
+        for depth in 1..=3 {
+            let mut pipeline = PlanPipeline::spawn(PipelineSpec {
+                graph: Arc::clone(&graph),
+                fanouts: cfg.fanouts.clone(),
+                planner: planner.clone(),
+                seed: 1,
+                mode: PlanMode::From(1),
+                ..spec(&ds, depth)
+            });
+            for (epoch, want) in expected.iter().enumerate() {
+                let (bundle, _, _) = pipeline.next_bundle().expect("planner alive");
+                let got = bundle.plan.expect("16 MiB fits some K");
+                let what = format!("depth {depth}, epoch {epoch}");
+                assert_eq!((got.k, got.probes), (want.k, want.probes), "{what}");
+                assert!(got.parts == want.parts, "{what}: the parts differ");
+            }
         }
-    }
-
-    #[test]
-    fn staged_byte_governor_caps_requests_not_results() {
-        let ds = dataset();
-        let mut pipeline = PlanPipeline::spawn(spec(&ds, 4));
-        // A zero budget admits at most the one unconditional request.
-        pipeline.top_up(0, 1);
-        let first_wave = pipeline.in_flight();
-        assert!(first_wave <= 4);
-        let (bundle, _, _) = pipeline.next_bundle(1).expect("driver alive");
-        assert!(bundle.staged_bytes() > 0, "plans stage real transfer bytes");
-        // An unbounded budget fills the pipeline to depth.
-        pipeline.top_up(usize::MAX, 1);
-        assert_eq!(pipeline.in_flight(), 4);
     }
 
     #[test]
@@ -523,9 +422,17 @@ mod tests {
     #[test]
     fn dropping_mid_flight_joins_cleanly() {
         let ds = dataset();
-        let mut pipeline = PlanPipeline::spawn(spec(&ds, 3));
-        pipeline.top_up(usize::MAX, 1);
-        assert_eq!(pipeline.in_flight(), 3);
+        let depth = 3;
+        let pipeline = PlanPipeline::spawn(spec(&ds, depth));
+        let waiting = Instant::now();
+        while pipeline.in_flight() < depth {
+            assert!(waiting.elapsed().as_secs() < 60, "staging never reached depth");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        // Nothing is consumed, so the planner thread stays blocked at
+        // `depth` staged bundles.
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        assert_eq!(pipeline.in_flight(), depth);
         drop(pipeline); // must not hang or leak panicking threads
     }
 
@@ -541,7 +448,7 @@ mod tests {
     fn rng_handoff_resumes_the_stream_exactly() {
         let ds = dataset();
         let mut pipeline = PlanPipeline::spawn(spec(&ds, 1));
-        let (bundle, _, _) = pipeline.next_bundle(1).expect("driver alive");
+        let (bundle, _, _) = pipeline.next_bundle().expect("planner alive");
         drop(pipeline);
         // A consumer adopting `rng_after` draws the same next batch the
         // pipeline would have staged.

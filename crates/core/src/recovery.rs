@@ -228,7 +228,7 @@ pub enum RecoveryEvent {
     /// The retry replans synchronously; the pipeline restarts from the
     /// canonical post-epoch state on the next epoch.
     PlanAheadInvalidated {
-        /// Staged bundles that were discarded (requested but unconsumed).
+        /// Staged bundles that were discarded (finished but unconsumed).
         staged: usize,
     },
 }
@@ -504,12 +504,6 @@ impl RecoveryLog {
     /// Number of timed-out all-reduce rounds retried with backoff.
     pub fn link_retries(&self) -> usize {
         self.count(|e| matches!(e, RecoveryEvent::LinkRetry { .. }))
-    }
-
-    /// Number of partition-ahead pipeline invalidations forced by
-    /// recovery rollbacks.
-    pub fn plan_ahead_invalidations(&self) -> usize {
-        self.count(|e| matches!(e, RecoveryEvent::PlanAheadInvalidated { .. }))
     }
 
     /// Number of transient shard-read failures absorbed by retry/backoff.

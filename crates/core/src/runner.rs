@@ -136,8 +136,8 @@ pub struct Runner {
     /// checkpoint produced against a different dataset (same-config,
     /// different-data used to slip through the config-only fingerprint).
     dataset_fingerprint: u64,
-    /// Partition-ahead pipeline staging future epochs' plans on
-    /// background workers (`config.plan_ahead > 0` only). `None` means
+    /// Partition-ahead pipeline staging future epochs' plans on its
+    /// planner thread (`config.plan_ahead > 0` only). `None` means
     /// the next epoch builds its bundle inline; anything that perturbs the
     /// sampler RNG stream or the staged work's assumptions resets it.
     pipeline: Option<PlanPipeline>,
@@ -621,11 +621,11 @@ impl Runner {
         )
     }
 
-    /// Whether a partition-ahead pipeline is currently alive (staged
-    /// work exists or will be requested next epoch). False at
+    /// Whether a partition-ahead pipeline is currently alive (its
+    /// planner thread is staging the coming epochs). False at
     /// `plan_ahead: 0`, after any invalidation (recovery retry, direct
-    /// sampling, evaluation, session import), and under a single worker
-    /// thread.
+    /// sampling, evaluation, session import), and under a single
+    /// configured thread.
     pub fn plan_ahead_active(&self) -> bool {
         self.pipeline.is_some()
     }
@@ -634,15 +634,15 @@ impl Runner {
     /// pipeline, spawning or replacing the pipeline as needed, with the
     /// planning seconds it hid off this epoch's critical path (`prep time −
     /// handoff wait`, clamped at 0). `None` means depth 0: no plan-ahead,
-    /// a single worker thread, or a dead driver (a panicked worker); the
-    /// last case also resets the pipeline so the inline bundle resumes
-    /// from the unconsumed RNG cursor.
+    /// a single configured thread, or a dead (panicked) planner thread;
+    /// the last case also resets the pipeline so the inline bundle
+    /// resumes from the unconsumed RNG cursor.
     ///
     /// When tracing, records the bundle's `plan_ahead` span. It runs from
-    /// the instant the bundle's request was issued (on *this* thread,
-    /// before the overlapped epoch began training) to now, so it contains
-    /// every forward/backward span of the epoch that trained while this
-    /// bundle was being staged.
+    /// the instant the bundle's slot opened (stamped on *this* thread, at
+    /// spawn or at an earlier handoff, before the overlapped epoch began
+    /// training) to now, so it contains every forward/backward span of
+    /// the epoch that trained while this bundle was being staged.
     fn pipelined_bundle(
         &mut self,
         dataset: &Dataset,
@@ -676,16 +676,16 @@ impl Runner {
                 mode,
                 depth,
                 rng_state: self.sample_rng.state(),
+                start_k: self.warm_k,
                 dataset_key: key,
-                threads: betty_runtime::configured_threads(),
             })
         });
-        let Some((bundle, wait_sec, requested_at)) = pipeline.next_bundle(self.warm_k) else {
+        let Some((bundle, wait_sec, slot_opened)) = pipeline.next_bundle() else {
             self.pipeline = None;
             return None;
         };
         if let Some(tr) = self.trainer.trace_mut() {
-            let window_start = tr.sec_at(requested_at);
+            let window_start = tr.sec_at(slot_opened);
             let window = (tr.now_sec() - window_start).max(0.0);
             tr.record_span(SpanKind::PlanAhead, None, window_start, window);
         }
@@ -752,12 +752,6 @@ impl Runner {
             None => (self.inline_bundle(dataset, strategy, mode), 0.0),
         };
         let (batch, plan) = self.consume(bundle, mode);
-        if let Some(pipeline) = &mut self.pipeline {
-            // Keep up to `depth` future epochs staged, searching from the
-            // K this one found, while the staged bytes fit the device
-            // budget.
-            pipeline.top_up(self.config.capacity_bytes, self.warm_k);
-        }
         Acquired {
             sampled: Some(batch),
             work: plan.map(Work::from),
@@ -1059,7 +1053,7 @@ impl Runner {
     /// One epoch of micro-batch training with a fixed partition count.
     ///
     /// With [`ExperimentConfig::plan_ahead`] `> 0` (and more than one
-    /// worker thread) the batch and plan come pre-staged from the
+    /// configured thread) the batch and plan come pre-staged from the
     /// partition-ahead pipeline; results are bit-identical to the
     /// synchronous path.
     ///

@@ -81,7 +81,7 @@ pub struct EpochStats {
     /// micro-batch extraction) hidden off the critical path by the
     /// partition-ahead pipeline: the staged bundle's total preparation
     /// time minus whatever wait the consuming epoch still paid at the
-    /// handoff. 0 at `--plan-ahead 0` (or one worker thread), and for the
+    /// handoff. 0 at `--plan-ahead 0` (or one configured thread), and for the
     /// first epoch after a pipeline (re)start, which is effectively
     /// synchronous. Wall-clock: excluded from bit-identity comparisons,
     /// like every other timing field.

@@ -31,6 +31,9 @@
 //! inline call on the calling thread: no spawn, no allocation, exactly the
 //! serial execution. "Off" is the degenerate case of "on".
 //!
+//! Nothing here outlives the call that forked it: the partition-ahead
+//! pipeline's one background planner thread belongs to `betty::pipeline`.
+//!
 //! Thread-count resolution (highest priority first):
 //!
 //! 1. a process-wide override installed via [`set_thread_override`] (the
@@ -45,10 +48,9 @@
 
 #![deny(missing_docs)]
 
-use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
 /// Upper bound on the automatically detected thread count.
 ///
@@ -247,7 +249,7 @@ where
 /// 26 of 30 (1.04×); at 2²⁶ — two shards from 134 M multiply-adds, 3 ms
 /// of one thread — both sit inside the spread of one thread against
 /// itself (0.97–1.01×, 10–18 of 30 "lost"). Two real cores would repay a
-/// lower gate; so would a cheaper hand-off (ROADMAP 5(a)'s parked pool),
+/// lower gate; so would a cheaper hand-off (ROADMAP 8(b)'s parked pool),
 /// which is when to measure again.
 pub const MIN_SHARD_WORK: usize = 1 << 26;
 
@@ -306,176 +308,6 @@ impl Shards {
             })
             .collect();
         map_ranges(items, |_, (range, shard, mine)| body(range, shard, mine));
-    }
-}
-
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A persistent pool of background worker threads executing boxed jobs.
-///
-/// Unlike the scoped helpers above — which exist for *synchronous* fan-out
-/// with an in-order merge — the pool runs fire-and-forget work items that
-/// outlive the submitting call (e.g. the partition-ahead pipeline staging
-/// the next epoch's plan while the current one trains). Jobs are pulled
-/// from a single queue in submission order, but nothing about *completion*
-/// order is guaranteed; callers needing deterministic consumption pair the
-/// pool with an [`OrderedQueue`].
-///
-/// Dropping the pool closes the job channel, lets every already-submitted
-/// job finish, and joins the workers.
-pub struct WorkerPool {
-    tx: Option<mpsc::Sender<Job>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("threads", &self.workers.len())
-            .finish()
-    }
-}
-
-impl WorkerPool {
-    /// Spawns a pool of `threads.max(1)` workers.
-    pub fn new(threads: usize) -> Self {
-        let (tx, rx) = mpsc::channel::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..threads.max(1))
-            .map(|_| {
-                let rx = Arc::clone(&rx);
-                std::thread::spawn(move || loop {
-                    // Holding the lock while blocked in `recv` is fine: the
-                    // holder releases it the moment a job arrives, before
-                    // running the job, so workers execute concurrently.
-                    let job = rx.lock().unwrap_or_else(|e| e.into_inner()).recv();
-                    match job {
-                        Ok(job) => job(),
-                        Err(_) => break, // channel closed and drained
-                    }
-                })
-            })
-            .collect();
-        Self {
-            tx: Some(tx),
-            workers,
-        }
-    }
-
-    /// Number of worker threads in the pool.
-    pub fn threads(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Submits a job; it runs as soon as a worker is free. Jobs submitted
-    /// before drop are always executed.
-    pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
-        let _ = self
-            .tx
-            .as_ref()
-            .expect("pool channel open until drop")
-            .send(Box::new(job));
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        drop(self.tx.take()); // close the channel; workers drain and exit
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
-struct OrderedQueueState<T> {
-    items: BTreeMap<usize, T>,
-    /// Once set, no index at or past this limit will ever be pushed;
-    /// indices below it are still in flight and worth blocking for.
-    close_limit: Option<usize>,
-}
-
-/// A blocking index-ordered handoff queue.
-///
-/// Producers [`push`](OrderedQueue::push) values tagged with a monotone
-/// index in *any* completion order; the consumer [`pop`](OrderedQueue::pop)s
-/// them strictly in index order, blocking until the requested index arrives
-/// — the same consume-in-index-order discipline [`map_ranges`] enforces
-/// with its shard-order merge, extended to asynchronous producers.
-pub struct OrderedQueue<T> {
-    state: Mutex<OrderedQueueState<T>>,
-    ready: Condvar,
-}
-
-impl<T> Default for OrderedQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> std::fmt::Debug for OrderedQueue<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OrderedQueue").finish_non_exhaustive()
-    }
-}
-
-impl<T> OrderedQueue<T> {
-    /// An empty, open queue.
-    pub fn new() -> Self {
-        Self {
-            state: Mutex::new(OrderedQueueState {
-                items: BTreeMap::new(),
-                close_limit: None,
-            }),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Delivers the value for `index`, waking a consumer blocked on it.
-    pub fn push(&self, index: usize, value: T) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.items.insert(index, value);
-        self.ready.notify_all();
-    }
-
-    /// Declares that no index at or past `limit` will ever be pushed.
-    /// Indices below `limit` may still arrive (and consumers keep blocking
-    /// for them); a `pop` at or past `limit` returns `None` immediately.
-    pub fn close_at(&self, limit: usize) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.close_limit = Some(limit);
-        self.ready.notify_all();
-    }
-
-    /// Blocks until the value for `index` is available and returns it, or
-    /// returns `None` once the queue is closed below `index`.
-    pub fn pop(&self, index: usize) -> Option<T> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(value) = state.items.remove(&index) {
-                return Some(value);
-            }
-            if state.close_limit.is_some_and(|limit| index >= limit) {
-                return None;
-            }
-            state = self
-                .ready
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Number of delivered-but-unconsumed values.
-    pub fn len(&self) -> usize {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .items
-            .len()
-    }
-
-    /// Whether no delivered value is waiting.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -634,89 +466,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn ordered_queue_consumes_in_index_order_despite_push_order() {
-        let queue = OrderedQueue::new();
-        queue.push(2, "c");
-        queue.push(0, "a");
-        queue.push(1, "b");
-        assert_eq!(queue.len(), 3);
-        assert_eq!(queue.pop(0), Some("a"));
-        assert_eq!(queue.pop(1), Some("b"));
-        assert_eq!(queue.pop(2), Some("c"));
-        assert!(queue.is_empty());
-    }
-
-    #[test]
-    fn ordered_queue_pop_blocks_until_the_index_arrives() {
-        let queue = Arc::new(OrderedQueue::new());
-        let producer = {
-            let queue = Arc::clone(&queue);
-            std::thread::spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                queue.push(0, 41);
-                queue.push(1, 42);
-            })
-        };
-        assert_eq!(queue.pop(0), Some(41));
-        assert_eq!(queue.pop(1), Some(42));
-        producer.join().unwrap();
-    }
-
-    #[test]
-    fn ordered_queue_close_drains_pending_then_returns_none() {
-        let queue = OrderedQueue::new();
-        queue.push(0, 7);
-        queue.close_at(1);
-        assert_eq!(queue.pop(0), Some(7), "closing must not drop delivered values");
-        assert_eq!(queue.pop(1), None);
-        assert_eq!(queue.pop(99), None);
-    }
-
-    #[test]
-    fn ordered_queue_close_still_blocks_for_in_flight_indices() {
-        let queue = Arc::new(OrderedQueue::new());
-        queue.close_at(1); // index 0 is promised but not yet delivered
-        let late = {
-            let queue = Arc::clone(&queue);
-            std::thread::spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                queue.push(0, "late");
-            })
-        };
-        assert_eq!(queue.pop(0), Some("late"));
-        late.join().unwrap();
-    }
-
-    #[test]
-    fn worker_pool_runs_every_submitted_job() {
-        let pool = WorkerPool::new(3);
-        assert_eq!(pool.threads(), 3);
-        let counter = Arc::new(AtomicUsize::new(0));
-        for _ in 0..32 {
-            let counter = Arc::clone(&counter);
-            pool.submit(move || {
-                counter.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        drop(pool); // joins workers after the queue drains
-        assert_eq!(counter.load(Ordering::SeqCst), 32);
-    }
-
-    #[test]
-    fn worker_pool_feeds_an_ordered_queue_deterministically() {
-        let pool = WorkerPool::new(4);
-        let queue = Arc::new(OrderedQueue::new());
-        for i in 0..16usize {
-            let queue = Arc::clone(&queue);
-            pool.submit(move || queue.push(i, i * i));
-        }
-        queue.close_at(16);
-        for i in 0..16usize {
-            assert_eq!(queue.pop(i), Some(i * i));
-        }
-        assert_eq!(queue.pop(16), None);
     }
 }

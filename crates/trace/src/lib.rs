@@ -54,8 +54,8 @@ pub enum SpanKind {
     /// micro-batches onto survivors and rebuilding the ring.
     Failover,
     /// Partition-ahead staging window: from the moment a future epoch's
-    /// sampling + planning began on a background worker until the epoch
-    /// consumed the staged bundle. By construction this window contains
+    /// slot on the planner thread opened (its sampling + planning could
+    /// begin) until the epoch consumed the staged bundle. By construction this window contains
     /// the previous epoch's forward/backward spans — the visible proof
     /// that partition work left the critical path.
     PlanAhead,
@@ -407,8 +407,8 @@ impl TraceRecorder {
         self.origin.elapsed().as_secs_f64()
     }
 
-    /// Converts an [`Instant`] captured elsewhere (e.g. on a background
-    /// pipeline worker) into seconds on this recorder's clock. Instants
+    /// Converts an [`Instant`] captured elsewhere (e.g. on the pipeline's
+    /// planner thread) into seconds on this recorder's clock. Instants
     /// predating the recorder clamp to `0.0`.
     pub fn sec_at(&self, at: Instant) -> f64 {
         at.checked_duration_since(self.origin)

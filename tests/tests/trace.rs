@@ -119,7 +119,7 @@ fn jsonl_export_is_valid_and_covers_every_event_type() {
 #[test]
 fn pipelined_partition_work_overlaps_training_spans() {
     // Partition-ahead in action: epoch e's staging window (the
-    // `plan_ahead` span, from sampling start to bundle consumption)
+    // `plan_ahead` span, from its slot opening to bundle consumption)
     // must contain epoch e−1's forward/backward spans — the partition
     // work literally ran while the previous epoch trained. And the
     // losses must still match the synchronous run bit for bit.
