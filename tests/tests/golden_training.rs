@@ -1,4 +1,4 @@
-//! Golden test for training numerics: two epochs of three models, hashed.
+//! Golden test for training numerics: two epochs of six models, hashed.
 //!
 //! The hashes pin every loss bit and every parameter bit, on both
 //! backends, against silent change: a rewrite of the dense kernels, the
@@ -84,11 +84,13 @@ struct Golden {
     aggregator: AggregatorSpec,
     hash: u64,
     /// The two epoch losses at the last commit whose matmuls rounded
-    /// twice per term (both backends).
+    /// twice per term (both backends). `sage-pool`, `gcn` and `gin` were
+    /// pinned after that change; theirs are the losses they were pinned
+    /// with.
     parent_losses: [f64; 2],
 }
 
-const GOLDEN: [Golden; 3] = [
+const GOLDEN: [Golden; 6] = [
     Golden {
         name: "sage-lstm",
         model: ModelKind::GraphSage,
@@ -109,6 +111,27 @@ const GOLDEN: [Golden; 3] = [
         aggregator: AggregatorSpec::Mean,
         hash: 0x1aa754e764a0b2fd,
         parent_losses: [1.9478726387023926, 1.9360283613204956],
+    },
+    Golden {
+        name: "sage-pool",
+        model: ModelKind::GraphSage,
+        aggregator: AggregatorSpec::Pool,
+        hash: 0x41e461b93578b3fb,
+        parent_losses: [2.712488830089569, 2.5197341442108154],
+    },
+    Golden {
+        name: "gcn",
+        model: ModelKind::Gcn,
+        aggregator: AggregatorSpec::Mean,
+        hash: 0x595c207d2f877b79,
+        parent_losses: [2.1625558137893677, 2.122723877429962],
+    },
+    Golden {
+        name: "gin",
+        model: ModelKind::Gin,
+        aggregator: AggregatorSpec::Mean,
+        hash: 0x0535cfb1c4acdec5,
+        parent_losses: [3.6337804198265076, 3.0000107288360596],
     },
 ];
 
