@@ -331,13 +331,13 @@ fn decode_params(r: &mut Reader) -> Result<Vec<Tensor>, CheckpointError> {
                 "parameter {i}: implausible rank {ndim}"
             )));
         }
-        let mut shape = Vec::with_capacity(ndim);
-        for _ in 0..ndim {
-            shape.push(r.u32("shape")? as usize);
-        }
-        let len: usize = shape.iter().product();
-        r.need(len * 4, "tensor data")?;
-        let data: Vec<f32> = (0..len).map(|_| r.buf.get_f32_le()).collect();
+        let shape: Vec<usize> = (0..ndim).map(|_| r.u32("shape").map(|d| d as usize)).collect::<Result<_, _>>()?;
+        // Up to eight untrusted dims: their byte count may not fit a usize.
+        let bytes = shape.iter().try_fold(4usize, |n, &d| n.checked_mul(d)).ok_or_else(|| {
+            CheckpointError::Format(format!("parameter {i}: shape {shape:?} overflows"))
+        })?;
+        r.need(bytes, "tensor data")?;
+        let data: Vec<f32> = (0..bytes / 4).map(|_| r.buf.get_f32_le()).collect();
         let tensor = Tensor::from_vec(data, &shape)
             .map_err(|e| CheckpointError::Format(format!("parameter {i}: {e}")))?;
         params.push(tensor);
@@ -682,6 +682,151 @@ mod tests {
                     Err(e) => panic!("bit flip at byte {byte} bit {bit}: unexpected {e}"),
                 }
             }
+        }
+    }
+
+    /// A file of the given sections, each sealed with a valid CRC.
+    fn file(sections: &[(&[u8; 4], &[u8])]) -> Vec<u8> {
+        let mut out = BytesMut::new();
+        out.put_slice(MAGIC);
+        out.put_u32_le(sections.len() as u32);
+        for (tag, payload) in sections {
+            push_section(&mut out, tag, payload);
+        }
+        out.to_vec()
+    }
+
+    /// Rank 8 and eight valid words pass every per-word check; the 2⁶⁴
+    /// values of a `[65536; 4]` shape are what must not be formed.
+    #[test]
+    fn overflowing_shape_is_rejected() {
+        let mut prms = BytesMut::new();
+        for word in [1, 4, 65536, 65536, 65536, 65536] {
+            prms.put_u32_le(word);
+        }
+        match decode_state(&file(&[(TAG_PARAMS, &prms)])) {
+            Err(CheckpointError::Format(msg)) => assert!(msg.contains("overflows"), "{msg}"),
+            other => panic!("a 2^64-value tensor from a 28-byte section: {other:?}"),
+        }
+    }
+
+    /// Every section present, no zero dim or zero value: a lie about any
+    /// count or dim moves where the payload ends.
+    fn full_state() -> TrainState {
+        let a = Tensor::from_vec((1..7).map(|i| i as f32 * 0.5).collect(), &[2, 3]).unwrap();
+        let b = Tensor::from_slice(&[1.0, -2.0, 3.0, -4.0]);
+        TrainState {
+            adam: Some(AdamState {
+                t: 3,
+                moments: vec![Some((a.clone(), Tensor::ones(&[2, 3]))), None],
+            }),
+            params: vec![a, b],
+            rngs: vec![u128::MAX - 5, 77],
+            counters: vec![4, 120, 2],
+            floats: vec![0.75, -3.0],
+            history: vec![2.25, 1.5, 1.0],
+            fingerprint: Some(0x0123_4567_89AB_CDEF),
+        }
+    }
+
+    /// `(section start, word offset)` of every count, rank and dim the
+    /// decoder sizes its reads by in `PRMS`, `ADAM`, `RNGS` and `CTRS`.
+    fn structural_words(bytes: &[u8], state: &TrainState) -> Vec<(usize, usize)> {
+        let mut words = Vec::new();
+        let mut start = MAGIC.len() + 4;
+        while start < bytes.len() {
+            let len = u32::from_le_bytes(bytes[start + 4..start + 8].try_into().unwrap()) as usize;
+            let payload = start + 8;
+            match &bytes[start..start + 4] {
+                t if t == TAG_PARAMS => {
+                    let mut at = payload;
+                    words.push((start, at));
+                    for p in &state.params {
+                        for k in 0..=p.ndim() {
+                            words.push((start, at + 4 + 4 * k));
+                        }
+                        at += 4 * (1 + p.ndim() + p.len());
+                    }
+                }
+                t if t == TAG_ADAM => words.push((start, payload + 8)),
+                t if t == TAG_RNGS || t == TAG_COUNTERS => words.push((start, payload)),
+                _ => {}
+            }
+            start = payload + len + 4;
+        }
+        words
+    }
+
+    /// Re-seals the section at `start` after its payload was edited.
+    fn reseal(bytes: &mut [u8], start: usize) {
+        let len = u32::from_le_bytes(bytes[start + 4..start + 8].try_into().unwrap()) as usize;
+        let sealed = seal(&[], &bytes[start..start + 8 + len]);
+        bytes[start..start + 12 + len].copy_from_slice(&sealed);
+    }
+
+    /// Truncation at every offset, then 2 400 seeded mutations of a full
+    /// session file: bit flips (the CRC's to catch), word lies about a
+    /// count, rank or dim re-sealed so the structural checks meet them, and
+    /// sections cut or padded under a re-sealed length. Every case must be
+    /// an `Err` or decode to the original; none may panic.
+    #[test]
+    fn fuzz_decoder() {
+        use rand::{Rng, SeedableRng};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let state = full_state();
+        let valid = encode_state(&state).to_vec();
+        assert_eq!(decode_state(&valid).unwrap(), state);
+        let words = structural_words(&valid, &state);
+        let run = |what: String, bytes: &[u8]| {
+            match catch_unwind(AssertUnwindSafe(|| decode_state(bytes))) {
+                Err(_) => panic!("decoder panicked on {what}"),
+                Ok(Ok(decoded)) => assert_eq!(decoded, state, "{what} decoded to something else"),
+                Ok(Err(_)) => {}
+            }
+        };
+        for len in 0..valid.len() {
+            run(format!("truncation to {len} bytes"), &valid[..len]);
+        }
+        for case in 0..2400u64 {
+            let mut rng = rand_pcg::Pcg64Mcg::seed_from_u64(0xC4EC ^ case);
+            let mut bytes = valid.clone();
+            match case % 3 {
+                0 => {
+                    let at = rng.gen_range(0..bytes.len());
+                    bytes[at] ^= rng.gen_range(1..256u32) as u8;
+                }
+                1 => {
+                    let (start, at) = words[rng.gen_range(0..words.len())];
+                    let old = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+                    let lie = match rng.gen_range(0..8u32) {
+                        0 => 0,
+                        1 => u32::MAX,
+                        2 => 0x8000_0000,
+                        3 => 65536,
+                        4 => old.wrapping_add(1),
+                        5 => old.wrapping_sub(1),
+                        // A rank that passes the rank check reads data as dims.
+                        6 => rng.gen_range(0..9),
+                        _ => rng.gen(),
+                    };
+                    bytes[at..at + 4].copy_from_slice(&lie.to_le_bytes());
+                    reseal(&mut bytes, start);
+                }
+                _ => {
+                    let (start, _) = words[rng.gen_range(0..words.len())];
+                    let len = u32::from_le_bytes(bytes[start + 4..start + 8].try_into().unwrap()) as usize;
+                    let mut payload = bytes[start + 8..start + 8 + len].to_vec();
+                    if rng.gen_bool(0.5) {
+                        payload.truncate(rng.gen_range(0..len));
+                    } else {
+                        payload.resize(len + rng.gen_range(1..9usize), 0);
+                    }
+                    let mut section = BytesMut::new();
+                    push_section(&mut section, bytes[start..start + 4].try_into().unwrap(), &payload);
+                    bytes.splice(start..start + 12 + len, section.to_vec());
+                }
+            }
+            run(format!("case {case}"), &bytes);
         }
     }
 
