@@ -285,50 +285,25 @@ impl Runner {
         config
             .validate()
             .unwrap_or_else(|e| panic!("invalid config: {e}"));
-        let mut model_rng = Pcg64Mcg::seed_from_u64(seed);
-        let model: Box<dyn GnnModel> = match config.model {
-            ModelKind::GraphSage => Box::new(GraphSage::new(
-                dataset.feature_dim(),
-                config.hidden_dim,
-                dataset.num_classes,
-                config.num_layers(),
-                config.aggregator,
-                config.dropout,
-                &mut model_rng,
-            )),
-            ModelKind::Gat => Box::new(Gat::new(
-                dataset.feature_dim(),
-                config.hidden_dim,
-                dataset.num_classes,
-                config.num_layers(),
-                config.num_heads,
-                config.dropout,
-                &mut model_rng,
-            )),
-            ModelKind::Gcn => Box::new(Gcn::new(
-                dataset.feature_dim(),
-                config.hidden_dim,
-                dataset.num_classes,
-                config.num_layers(),
-                config.dropout,
-                &mut model_rng,
-            )),
-            ModelKind::Gin => Box::new(Gin::new(
-                dataset.feature_dim(),
-                config.hidden_dim,
-                dataset.num_classes,
-                config.num_layers(),
-                config.dropout,
-                &mut model_rng,
-            )),
-        };
-        let estimator_aggregator = match config.model {
-            ModelKind::GraphSage => aggregator_kind(config.aggregator),
-            ModelKind::Gat => AggregatorKind::Attention {
-                heads: config.num_heads,
-            },
-            ModelKind::Gcn => AggregatorKind::Gcn,
-            ModelKind::Gin => AggregatorKind::Gin,
+        let (d, h, c, l, p) = (
+            dataset.feature_dim(),
+            config.hidden_dim,
+            dataset.num_classes,
+            config.num_layers(),
+            config.dropout,
+        );
+        let rng = &mut Pcg64Mcg::seed_from_u64(seed);
+        let (model, estimator_aggregator): (Box<dyn GnnModel>, _) = match config.model {
+            ModelKind::GraphSage => (
+                Box::new(GraphSage::new(d, h, c, l, config.aggregator, p, rng)),
+                aggregator_kind(config.aggregator),
+            ),
+            ModelKind::Gat => (
+                Box::new(Gat::new(d, h, c, l, config.num_heads, p, rng)),
+                AggregatorKind::Attention { heads: config.num_heads },
+            ),
+            ModelKind::Gcn => (Box::new(Gcn::new(d, h, c, l, p, rng)), AggregatorKind::Gcn),
+            ModelKind::Gin => (Box::new(Gin::new(d, h, c, l, p, rng)), AggregatorKind::Gin),
         };
         let shape = ModelShape {
             in_dim: dataset.feature_dim(),

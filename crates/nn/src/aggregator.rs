@@ -2,7 +2,7 @@ use betty_graph::Block;
 use betty_tensor::VarId;
 use rand::Rng;
 
-use crate::{Linear, LstmCell, Param, Session};
+use crate::{Linear, LstmCell, Param, Params, Session};
 
 /// Declarative choice of neighbor aggregator (what experiment configs name).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -59,16 +59,6 @@ impl Aggregator {
         }
     }
 
-    /// The spec this aggregator was built from.
-    pub fn spec(&self) -> AggregatorSpec {
-        match self {
-            Aggregator::Mean => AggregatorSpec::Mean,
-            Aggregator::Sum => AggregatorSpec::Sum,
-            Aggregator::Pool(_) => AggregatorSpec::Pool,
-            Aggregator::Lstm(_) => AggregatorSpec::Lstm,
-        }
-    }
-
     /// Aggregates neighbor features for every destination of `block`.
     pub fn forward(&self, sess: &mut Session, block: &Block, src_feats: VarId) -> VarId {
         let n_dst = block.num_dst();
@@ -92,37 +82,23 @@ impl Aggregator {
             Aggregator::Lstm(cell) => lstm_aggregate(sess, cell, block, src_feats),
         }
     }
+}
 
-    /// The aggregator's own parameters (empty for Mean/Sum).
-    pub fn params(&self) -> Vec<&Param> {
-        match self {
-            Aggregator::Mean | Aggregator::Sum => Vec::new(),
-            Aggregator::Pool(fc) => fc.params(),
-            Aggregator::Lstm(cell) => cell.params(),
-        }
-    }
-
-    /// Mutable parameter access.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        match self {
-            Aggregator::Mean | Aggregator::Sum => Vec::new(),
-            Aggregator::Pool(fc) => fc.params_mut(),
-            Aggregator::Lstm(cell) => cell.params_mut(),
-        }
-    }
-
-    /// Visits the aggregator's parameters without materializing a list.
-    pub fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+impl Params for Aggregator {
+    fn visit<'a>(&'a self, f: &mut dyn FnMut(&'a Param)) {
         match self {
             Aggregator::Mean | Aggregator::Sum => {}
-            Aggregator::Pool(fc) => fc.for_each_param_mut(f),
-            Aggregator::Lstm(cell) => cell.for_each_param_mut(f),
+            Aggregator::Pool(fc) => fc.visit(f),
+            Aggregator::Lstm(cell) => cell.visit(f),
         }
     }
 
-    /// Scalar parameter count.
-    pub fn num_params(&self) -> usize {
-        self.params().iter().map(|p| p.len()).sum()
+    fn visit_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
+        match self {
+            Aggregator::Mean | Aggregator::Sum => {}
+            Aggregator::Pool(fc) => fc.visit_mut(f),
+            Aggregator::Lstm(cell) => cell.visit_mut(f),
+        }
     }
 }
 
@@ -322,7 +298,13 @@ mod tests {
             AggregatorSpec::Pool,
             AggregatorSpec::Lstm,
         ] {
-            assert_eq!(Aggregator::new(spec, 4, &mut rng()).spec(), spec);
+            let built = match Aggregator::new(spec, 4, &mut rng()) {
+                Aggregator::Mean => AggregatorSpec::Mean,
+                Aggregator::Sum => AggregatorSpec::Sum,
+                Aggregator::Pool(_) => AggregatorSpec::Pool,
+                Aggregator::Lstm(_) => AggregatorSpec::Lstm,
+            };
+            assert_eq!(built, spec);
         }
     }
 

@@ -2,7 +2,7 @@ use betty_graph::Block;
 use betty_tensor::{glorot_uniform, VarId};
 use rand::Rng;
 
-use crate::{Linear, Param, Session};
+use crate::{Conv, Linear, Param, Params, Session};
 
 /// How a multi-head [`GatConv`] merges its heads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,23 +55,12 @@ impl GatConv {
             merge,
         }
     }
+}
 
-    /// Output width after head merging.
-    pub fn out_dim(&self) -> usize {
-        match self.merge {
-            HeadMerge::Concat => self.num_heads * self.head_dim,
-            HeadMerge::Mean => self.head_dim,
-        }
-    }
-
-    /// Number of attention heads.
-    pub fn num_heads(&self) -> usize {
-        self.num_heads
-    }
-
-    /// Applies the layer over `block`, producing
-    /// `[block.num_dst(), out_dim()]`.
-    pub fn forward(&self, sess: &mut Session, block: &Block, src_feats: VarId) -> VarId {
+impl Conv for GatConv {
+    /// `[block.num_dst(), heads × head_dim]` (concat) or
+    /// `[block.num_dst(), head_dim]` (mean), through an ELU when `hidden`.
+    fn forward(&self, sess: &mut Session, block: &Block, src_feats: VarId, hidden: bool) -> VarId {
         let edge_src: Vec<usize> = block.edge_src_locals().iter().map(|&s| s as usize).collect();
         let edge_dst: Vec<usize> = block.edge_dst_locals().iter().map(|&d| d as usize).collect();
         let n_dst = block.num_dst();
@@ -101,7 +90,7 @@ impl GatConv {
             let weighted = sess.graph.scale_rows_by(zh_e, alpha);
             head_outputs.push(sess.graph.segment_sum(weighted, &edge_dst, n_dst));
         }
-        match self.merge {
+        let out = match self.merge {
             HeadMerge::Concat => sess.graph.concat_cols(&head_outputs),
             HeadMerge::Mean => {
                 let mut acc = head_outputs[0];
@@ -110,28 +99,24 @@ impl GatConv {
                 }
                 sess.graph.scale(acc, 1.0 / self.num_heads as f32)
             }
+        };
+        if hidden {
+            sess.graph.elu(out, 1.0)
+        } else {
+            out
         }
     }
+}
 
-    /// All parameters.
-    pub fn params(&self) -> Vec<&Param> {
-        let mut p = self.fc.params();
-        p.push(&self.attn_l);
-        p.push(&self.attn_r);
-        p
+impl Params for GatConv {
+    fn visit<'a>(&'a self, f: &mut dyn FnMut(&'a Param)) {
+        self.fc.visit(f);
+        f(&self.attn_l);
+        f(&self.attn_r);
     }
 
-    /// Mutable parameter access.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut p = self.fc.params_mut();
-        p.push(&mut self.attn_l);
-        p.push(&mut self.attn_r);
-        p
-    }
-
-    /// Visits the layer's parameters without materializing a list.
-    pub fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.fc.for_each_param_mut(f);
+    fn visit_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
+        self.fc.visit_mut(f);
         f(&mut self.attn_l);
         f(&mut self.attn_r);
     }
@@ -155,20 +140,18 @@ mod tests {
     #[test]
     fn concat_output_width() {
         let layer = GatConv::new(3, 4, 2, HeadMerge::Concat, &mut rng());
-        assert_eq!(layer.out_dim(), 8);
         let mut sess = Session::new();
         let x = sess.graph.leaf(Tensor::ones(&[4, 3]));
-        let y = layer.forward(&mut sess, &block(), x);
+        let y = layer.forward(&mut sess, &block(), x, false);
         assert_eq!(sess.graph.value(y).shape(), &[2, 8]);
     }
 
     #[test]
     fn mean_merge_output_width() {
         let layer = GatConv::new(3, 4, 3, HeadMerge::Mean, &mut rng());
-        assert_eq!(layer.out_dim(), 4);
         let mut sess = Session::new();
         let x = sess.graph.leaf(Tensor::ones(&[4, 3]));
-        let y = layer.forward(&mut sess, &block(), x);
+        let y = layer.forward(&mut sess, &block(), x, false);
         assert_eq!(sess.graph.value(y).shape(), &[2, 4]);
     }
 
@@ -179,7 +162,7 @@ mod tests {
         let layer = GatConv::new(2, 3, 1, HeadMerge::Concat, &mut rng());
         let mut sess = Session::new();
         let x = sess.graph.leaf(Tensor::ones(&[4, 2]));
-        let y = layer.forward(&mut sess, &block(), x);
+        let y = layer.forward(&mut sess, &block(), x, false);
         let v = sess.graph.value(y);
         // Both destinations aggregate identical rows → identical outputs.
         assert!(v.row(0).iter().zip(v.row(1)).all(|(a, b)| (a - b).abs() < 1e-5));
@@ -192,7 +175,7 @@ mod tests {
         let x = sess
             .graph
             .leaf(betty_tensor::randn(&[4, 2], &mut Pcg64Mcg::seed_from_u64(2)));
-        let y = layer.forward(&mut sess, &block(), x);
+        let y = layer.forward(&mut sess, &block(), x, false);
         let loss = sess.graph.cross_entropy(y, &[0, 1], Reduction::Mean);
         sess.graph.backward(loss);
         for p in layer.params_mut() {

@@ -2,7 +2,7 @@ use betty_graph::Block;
 use betty_tensor::VarId;
 use rand::Rng;
 
-use crate::{Linear, Param, Session};
+use crate::{Conv, Linear, Param, Params, Session};
 
 /// A graph convolution layer (Kipf & Welling) adapted to sampled bipartite
 /// blocks.
@@ -30,11 +30,10 @@ impl GcnConv {
             linear: Linear::new(in_dim, out_dim, rng),
         }
     }
+}
 
-    /// Applies the layer over `block`, producing
-    /// `[block.num_dst(), out_dim]`, passed through a ReLU when `relu`
-    /// (every layer but a model's last).
-    pub fn forward(&self, sess: &mut Session, block: &Block, src_feats: VarId, relu: bool) -> VarId {
+impl Conv for GcnConv {
+    fn forward(&self, sess: &mut Session, block: &Block, src_feats: VarId, hidden: bool) -> VarId {
         let n_dst = block.num_dst();
         // Edges plus one self-loop per destination, all weighted
         // 1 / (deg + 1); dst-first source ordering makes the self index
@@ -57,22 +56,17 @@ impl GcnConv {
         let agg = sess
             .graph
             .fused_neighbor_weighted_sum(src_feats, &gather, &seg, &weights, n_dst);
-        self.linear.forward_act(sess, agg, relu)
+        self.linear.forward_act(sess, agg, hidden)
+    }
+}
+
+impl Params for GcnConv {
+    fn visit<'a>(&'a self, f: &mut dyn FnMut(&'a Param)) {
+        self.linear.visit(f);
     }
 
-    /// The layer's parameters.
-    pub fn params(&self) -> Vec<&Param> {
-        self.linear.params()
-    }
-
-    /// Mutable parameter access.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.linear.params_mut()
-    }
-
-    /// Visits the layer's parameters without materializing a list.
-    pub fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.linear.for_each_param_mut(f);
+    fn visit_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
+        self.linear.visit_mut(f);
     }
 }
 

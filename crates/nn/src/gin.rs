@@ -2,7 +2,7 @@ use betty_graph::Block;
 use betty_tensor::{Tensor, VarId};
 use rand::Rng;
 
-use crate::{Linear, Param, Session};
+use crate::{Conv, Linear, Param, Params, Session};
 
 /// A Graph Isomorphism Network layer (Xu et al., "How Powerful are Graph
 /// Neural Networks?" — reference [41] of the paper).
@@ -29,11 +29,10 @@ impl GinConv {
             fc2: Linear::new(hidden, out_dim, rng),
         }
     }
+}
 
-    /// Applies the layer over `block`, producing
-    /// `[block.num_dst(), out_dim]`, passed through a ReLU when `relu`
-    /// (every layer but a model's last).
-    pub fn forward(&self, sess: &mut Session, block: &Block, src_feats: VarId, relu: bool) -> VarId {
+impl Conv for GinConv {
+    fn forward(&self, sess: &mut Session, block: &Block, src_feats: VarId, hidden: bool) -> VarId {
         let edge_src: Vec<usize> = block.edge_src_locals().iter().map(|&s| s as usize).collect();
         let edge_dst: Vec<usize> = block.edge_dst_locals().iter().map(|&d| d as usize).collect();
         let n_dst = block.num_dst();
@@ -50,36 +49,22 @@ impl GinConv {
         let scaled_self = sess.graph.mul_scalar_var(h_dst, one_plus_eps);
         let combined = sess.graph.add(scaled_self, neigh_sum);
 
-        let hidden = self.fc1.forward_act(sess, combined, true);
-        self.fc2.forward_act(sess, hidden, relu)
+        let mlp = self.fc1.forward_act(sess, combined, true);
+        self.fc2.forward_act(sess, mlp, hidden)
+    }
+}
+
+impl Params for GinConv {
+    fn visit<'a>(&'a self, f: &mut dyn FnMut(&'a Param)) {
+        f(&self.eps);
+        self.fc1.visit(f);
+        self.fc2.visit(f);
     }
 
-    /// Current ε value.
-    pub fn epsilon(&self) -> f32 {
-        self.eps.value().item()
-    }
-
-    /// The layer's parameters (ε plus both MLP layers).
-    pub fn params(&self) -> Vec<&Param> {
-        let mut p = vec![&self.eps];
-        p.extend(self.fc1.params());
-        p.extend(self.fc2.params());
-        p
-    }
-
-    /// Mutable parameter access.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut p = vec![&mut self.eps];
-        p.extend(self.fc1.params_mut());
-        p.extend(self.fc2.params_mut());
-        p
-    }
-
-    /// Visits the layer's parameters without materializing a list.
-    pub fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+    fn visit_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
         f(&mut self.eps);
-        self.fc1.for_each_param_mut(f);
-        self.fc2.for_each_param_mut(f);
+        self.fc1.visit_mut(f);
+        self.fc2.visit_mut(f);
     }
 }
 
@@ -102,7 +87,7 @@ mod tests {
     fn output_shape_and_param_count() {
         let layer = GinConv::new(3, 8, 5, &mut rng());
         assert_eq!(layer.params().len(), 5); // eps + 2×(W, b)
-        assert_eq!(layer.epsilon(), 0.0);
+        assert_eq!(layer.params()[0].value().item(), 0.0); // ε starts at 0
         let mut sess = Session::new();
         let x = sess.graph.leaf(Tensor::ones(&[4, 3]));
         let y = layer.forward(&mut sess, &block(), x, false);

@@ -9,12 +9,16 @@
 //!   Table 1 ([`Aggregator::Mean`], [`Aggregator::Sum`], pooling, and the
 //!   memory-hungry LSTM aggregator with exact in-degree bucketing).
 //! * [`GatConv`] — multi-head graph attention.
-//! * [`GraphSage`] / [`Gat`] — ready-made multi-layer models implementing
-//!   [`GnnModel`].
+//! * [`GcnConv`] / [`GinConv`] — the GCN and GIN convolutions.
+//! * [`Stack`] — the one multi-layer model: a [`Conv`] per block, the
+//!   [`GnnModel`] the trainer drives. [`GraphSage`], [`Gat`], [`Gcn`] and
+//!   [`Gin`] are its four instances.
+//! * [`Params`] — one parameter walk per owner, in the one order the
+//!   optimizer, checkpoints and gradient accumulation share.
 //! * [`Session`] — binds persistent [`Param`]s to tape variables for one
 //!   forward/backward pass and accumulates gradients back, which is what
 //!   makes micro-batch gradient accumulation (§4.2) a one-liner.
-//! * [`Adam`] / [`Sgd`] — optimizers.
+//! * [`Adam`] — the optimizer; [`schedule`] — learning-rate schedules.
 //!
 //! # Example: one training step
 //!
@@ -63,10 +67,10 @@ pub use gcn::GcnConv;
 pub use gin::GinConv;
 pub use linear::Linear;
 pub use lstm::LstmCell;
-pub use models::{Gat, Gcn, Gin, GnnModel, GraphSage};
+pub use models::{Conv, Gat, Gcn, Gin, GnnModel, GraphSage, Stack};
 pub use gat::HeadMerge;
-pub use optim::{zero_grads, Adam, AdamState, Optimizer, Sgd};
-pub use param::{total_params, Param};
+pub use optim::{Adam, AdamState, Optimizer};
+pub use param::{Param, Params};
 pub use sage::SageConv;
-pub use schedule::{clip_grad_norm, ConstantLr, CosineAnnealing, LrSchedule, StepDecay, Warmup};
+pub use schedule::{CosineAnnealing, LrSchedule, StepDecay};
 pub use session::Session;

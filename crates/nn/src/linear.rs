@@ -1,7 +1,7 @@
 use betty_tensor::{glorot_uniform, AffineTerm, Tensor, VarId};
 use rand::Rng;
 
-use crate::{Param, Session};
+use crate::{Param, Params, Session};
 
 /// A dense affine layer `y = x·W + b`.
 #[derive(Debug, Clone)]
@@ -42,36 +42,17 @@ impl Linear {
             bias: Some(sess.bind(&self.bias)),
         }
     }
+}
 
-    /// Input width.
-    pub fn in_dim(&self) -> usize {
-        self.weight.value().rows()
+impl Params for Linear {
+    fn visit<'a>(&'a self, f: &mut dyn FnMut(&'a Param)) {
+        f(&self.weight);
+        f(&self.bias);
     }
 
-    /// Output width.
-    pub fn out_dim(&self) -> usize {
-        self.weight.value().cols()
-    }
-
-    /// The layer's parameters.
-    pub fn params(&self) -> Vec<&Param> {
-        vec![&self.weight, &self.bias]
-    }
-
-    /// Mutable parameter access.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.weight, &mut self.bias]
-    }
-
-    /// Visits both parameters without materializing a parameter list.
-    pub fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+    fn visit_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
         f(&mut self.weight);
         f(&mut self.bias);
-    }
-
-    /// Scalar parameter count.
-    pub fn num_params(&self) -> usize {
-        self.weight.len() + self.bias.len()
     }
 }
 
@@ -86,8 +67,7 @@ mod tests {
     fn shapes_and_param_count() {
         let mut rng = Pcg64Mcg::seed_from_u64(0);
         let l = Linear::new(3, 5, &mut rng);
-        assert_eq!(l.in_dim(), 3);
-        assert_eq!(l.out_dim(), 5);
+        assert_eq!(l.params()[0].value().shape(), &[3, 5]);
         assert_eq!(l.num_params(), 20);
         let mut sess = Session::new();
         let x = sess.graph.leaf(Tensor::ones(&[2, 3]));

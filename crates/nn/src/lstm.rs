@@ -1,7 +1,7 @@
 use betty_tensor::{glorot_uniform, Tensor, VarId};
 use rand::Rng;
 
-use crate::{Param, Session};
+use crate::{Param, Params, Session};
 
 /// A standard LSTM cell with fused gate weights.
 ///
@@ -13,7 +13,6 @@ use crate::{Param, Session};
 pub struct LstmCell {
     weight: Param,
     bias: Param,
-    input_dim: usize,
     hidden_dim: usize,
 }
 
@@ -23,7 +22,6 @@ impl LstmCell {
         Self {
             weight: Param::new(glorot_uniform(input_dim + hidden_dim, 4 * hidden_dim, rng)),
             bias: Param::new(Tensor::zeros(&[4 * hidden_dim])),
-            input_dim,
             hidden_dim,
         }
     }
@@ -31,11 +29,6 @@ impl LstmCell {
     /// State width.
     pub fn hidden_dim(&self) -> usize {
         self.hidden_dim
-    }
-
-    /// Input width.
-    pub fn input_dim(&self) -> usize {
-        self.input_dim
     }
 
     /// Runs the cell from zero state over `n` equal-length sequences at
@@ -48,26 +41,17 @@ impl LstmCell {
         let b = sess.bind(&self.bias);
         sess.graph.lstm_sequence(src, steps, n, w, b)
     }
+}
 
-    /// The cell's parameters.
-    pub fn params(&self) -> Vec<&Param> {
-        vec![&self.weight, &self.bias]
+impl Params for LstmCell {
+    fn visit<'a>(&'a self, f: &mut dyn FnMut(&'a Param)) {
+        f(&self.weight);
+        f(&self.bias);
     }
 
-    /// Mutable parameter access.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.weight, &mut self.bias]
-    }
-
-    /// Visits both parameters without materializing a parameter list.
-    pub fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+    fn visit_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
         f(&mut self.weight);
         f(&mut self.bias);
-    }
-
-    /// Scalar parameter count.
-    pub fn num_params(&self) -> usize {
-        self.weight.len() + self.bias.len()
     }
 }
 

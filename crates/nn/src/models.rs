@@ -3,12 +3,30 @@ use betty_tensor::{Tensor, VarId};
 use rand::{Rng, RngCore};
 
 use crate::gat::HeadMerge;
-use crate::{AggregatorSpec, GatConv, GcnConv, GinConv, Param, SageConv, Session};
+use crate::{AggregatorSpec, GatConv, GcnConv, GinConv, Param, Params, SageConv, Session};
+
+/// One GNN layer: a block's source features in, its destination features
+/// out.
+pub trait Conv: Params {
+    /// Applies the layer over `block` to source features
+    /// `[block.num_src(), in_dim]`, producing `[block.num_dst(), out_dim]`.
+    /// A `hidden` layer (every one but a model's last) ends in its
+    /// activation — ReLU, or ELU for attention.
+    fn forward(&self, sess: &mut Session, block: &Block, src_feats: VarId, hidden: bool) -> VarId;
+
+    /// Scalar parameter count of the layer's aggregator (`NP_Agg`,
+    /// Table 3); every other parameter is a GNN parameter (`NP_GNN`).
+    fn agg_param_count(&self) -> usize {
+        0
+    }
+}
 
 /// A multi-layer GNN usable by the Betty trainer.
 ///
 /// `forward` consumes one block per layer (input-most first — the
 /// [`betty_graph::Batch`] convention) and returns per-output-node logits.
+/// Parameters are walked in one fixed order ([`GnnModel::visit`]), which
+/// the optimizer's moments, checkpoints and gradient accumulation share.
 pub trait GnnModel {
     /// Runs the model over the block stack.
     ///
@@ -23,34 +41,6 @@ pub trait GnnModel {
         training: bool,
         rng: &mut dyn RngCore,
     ) -> VarId;
-
-    /// All trainable parameters.
-    fn params(&self) -> Vec<&Param>;
-
-    /// Mutable access to all trainable parameters.
-    fn params_mut(&mut self) -> Vec<&mut Param>;
-
-    /// Visits every trainable parameter mutably, in [`GnnModel::params_mut`]
-    /// order, without materializing the parameter list — the training hot
-    /// path calls this every micro-batch, so built-in models override it
-    /// with an allocation-free walk.
-    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        for p in self.params_mut() {
-            f(p);
-        }
-    }
-
-    /// Number of GNN layers (= blocks consumed per forward).
-    fn num_layers(&self) -> usize;
-
-    /// Raw input feature dimension.
-    fn in_dim(&self) -> usize;
-
-    /// Hidden width.
-    fn hidden_dim(&self) -> usize;
-
-    /// Output class count.
-    fn num_classes(&self) -> usize;
 
     /// Runs a single layer over one block (inference mode: activation
     /// applied for non-final layers, no dropout). Enables exact layer-wise
@@ -68,15 +58,58 @@ pub trait GnnModel {
         src_feats: VarId,
     ) -> VarId;
 
-    /// Scalar parameter count excluding aggregators (`NP_GNN`, Table 3).
-    fn gnn_param_count(&self) -> usize;
+    /// Visits every trainable parameter, layer by layer.
+    fn visit<'a>(&'a self, f: &mut dyn FnMut(&'a Param));
+
+    /// Visits every trainable parameter mutably, in [`GnnModel::visit`]
+    /// order.
+    fn visit_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param));
+
+    /// Number of GNN layers (= blocks consumed per forward).
+    fn num_layers(&self) -> usize;
+
+    /// Raw input feature dimension.
+    fn in_dim(&self) -> usize;
+
+    /// Hidden width.
+    fn hidden_dim(&self) -> usize;
+
+    /// Output class count.
+    fn num_classes(&self) -> usize;
 
     /// Scalar parameter count of aggregators (`NP_Agg`, Table 3).
     fn agg_param_count(&self) -> usize;
 
+    /// All trainable parameters.
+    fn params(&self) -> Vec<&Param> {
+        let mut out = Vec::new();
+        self.visit(&mut |p| out.push(p));
+        out
+    }
+
+    /// Mutable access to all trainable parameters.
+    fn params_mut(&mut self) -> Vec<&mut Param> {
+        let mut out = Vec::new();
+        self.visit_mut(&mut |p| out.push(p));
+        out
+    }
+
+    /// Visits every trainable parameter mutably without materializing the
+    /// parameter list — the training hot path's walk, every micro-batch.
+    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        self.visit_mut(&mut |p| f(p));
+    }
+
     /// Total scalar parameter count.
     fn total_param_count(&self) -> usize {
-        self.gnn_param_count() + self.agg_param_count()
+        let mut n = 0;
+        self.visit(&mut |p| n += p.len());
+        n
+    }
+
+    /// Scalar parameter count excluding aggregators (`NP_GNN`, Table 3).
+    fn gnn_param_count(&self) -> usize {
+        self.total_param_count() - self.agg_param_count()
     }
 }
 
@@ -93,19 +126,58 @@ fn dropout(sess: &mut Session, x: VarId, p: f32, training: bool, rng: &mut dyn R
     sess.graph.dropout_with_mask(x, &mask, p)
 }
 
-/// Multi-layer GraphSAGE (the paper's primary model).
+/// A multi-layer GNN: `in_dim → hidden…hidden → num_classes`, one [`Conv`]
+/// per block, dropout after every layer but the last.
 #[derive(Debug, Clone)]
-pub struct GraphSage {
-    layers: Vec<SageConv>,
+pub struct Stack<C> {
+    layers: Vec<C>,
     in_dim: usize,
     hidden_dim: usize,
     num_classes: usize,
     dropout_p: f32,
 }
 
+/// Multi-layer GraphSAGE (the paper's primary model).
+pub type GraphSage = Stack<SageConv>;
+/// Multi-layer GCN (Kipf & Welling) with self-loop right normalization.
+pub type Gcn = Stack<GcnConv>;
+/// Multi-layer GIN (sum aggregation + per-layer MLP with learnable ε).
+pub type Gin = Stack<GinConv>;
+/// Multi-layer GAT: hidden layers concatenate heads, the output layer
+/// averages them.
+pub type Gat = Stack<GatConv>;
+
+impl<C> Stack<C> {
+    /// Builds layer `i` as `layer(in_dim, out_dim, last)`, input-most first.
+    fn build(
+        in_dim: usize,
+        hidden_dim: usize,
+        num_classes: usize,
+        num_layers: usize,
+        dropout_p: f32,
+        mut layer: impl FnMut(usize, usize, bool) -> C,
+    ) -> Self {
+        assert!(num_layers > 0, "at least one layer required");
+        let layers = (0..num_layers)
+            .map(|i| {
+                let last = i + 1 == num_layers;
+                let li = if i == 0 { in_dim } else { hidden_dim };
+                layer(li, if last { num_classes } else { hidden_dim }, last)
+            })
+            .collect();
+        Self {
+            layers,
+            in_dim,
+            hidden_dim,
+            num_classes,
+            dropout_p,
+        }
+    }
+}
+
 impl GraphSage {
-    /// Builds an `num_layers`-deep GraphSAGE: `in_dim → hidden…hidden →
-    /// num_classes`, ReLU + dropout between layers.
+    /// Builds an `num_layers`-deep GraphSAGE with `aggregator` in every
+    /// layer.
     ///
     /// # Panics
     ///
@@ -119,127 +191,14 @@ impl GraphSage {
         dropout_p: f32,
         rng: &mut impl Rng,
     ) -> Self {
-        assert!(num_layers > 0, "at least one layer required");
-        let mut layers = Vec::with_capacity(num_layers);
-        for i in 0..num_layers {
-            let li = if i == 0 { in_dim } else { hidden_dim };
-            let lo = if i + 1 == num_layers { num_classes } else { hidden_dim };
-            layers.push(SageConv::new(li, lo, aggregator, rng));
-        }
-        Self {
-            layers,
-            in_dim,
-            hidden_dim,
-            num_classes,
-            dropout_p,
-        }
+        Self::build(in_dim, hidden_dim, num_classes, num_layers, dropout_p, |i, o, _| {
+            SageConv::new(i, o, aggregator, rng)
+        })
     }
-
-    /// The aggregator used by every layer.
-    pub fn aggregator_spec(&self) -> AggregatorSpec {
-        self.layers[0].aggregator_spec()
-    }
-}
-
-impl GnnModel for GraphSage {
-    fn forward(
-        &self,
-        sess: &mut Session,
-        blocks: &[Block],
-        input_feats: VarId,
-        training: bool,
-        rng: &mut dyn RngCore,
-    ) -> VarId {
-        assert_eq!(
-            blocks.len(),
-            self.layers.len(),
-            "model expects {} blocks, got {}",
-            self.layers.len(),
-            blocks.len()
-        );
-        let mut h = input_feats;
-        for (i, (layer, block)) in self.layers.iter().zip(blocks).enumerate() {
-            let hidden = i + 1 < self.layers.len();
-            h = layer.forward(sess, block, h, hidden);
-            if hidden {
-                h = dropout(sess, h, self.dropout_p, training, rng);
-            }
-        }
-        h
-    }
-
-    fn forward_layer(
-        &self,
-        sess: &mut Session,
-        layer: usize,
-        block: &Block,
-        src_feats: VarId,
-    ) -> VarId {
-        assert!(layer < self.layers.len(), "layer {layer} out of range");
-        self.layers[layer].forward(sess, block, src_feats, layer + 1 < self.layers.len())
-    }
-
-    fn params(&self) -> Vec<&Param> {
-        self.layers.iter().flat_map(SageConv::params).collect()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.layers.iter_mut().flat_map(SageConv::params_mut).collect()
-    }
-
-    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        for layer in &mut self.layers {
-            layer.for_each_param_mut(f);
-        }
-    }
-
-    fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
-    fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    fn hidden_dim(&self) -> usize {
-        self.hidden_dim
-    }
-
-    fn num_classes(&self) -> usize {
-        self.num_classes
-    }
-
-    fn gnn_param_count(&self) -> usize {
-        self.layers
-            .iter()
-            .flat_map(SageConv::gnn_params)
-            .map(Param::len)
-            .sum()
-    }
-
-    fn agg_param_count(&self) -> usize {
-        self.layers
-            .iter()
-            .flat_map(SageConv::aggregator_params)
-            .map(Param::len)
-            .sum()
-    }
-}
-
-/// Multi-layer GCN (Kipf & Welling) with self-loop right normalization;
-/// ReLU + dropout between layers.
-#[derive(Debug, Clone)]
-pub struct Gcn {
-    layers: Vec<GcnConv>,
-    in_dim: usize,
-    hidden_dim: usize,
-    num_classes: usize,
-    dropout_p: f32,
 }
 
 impl Gcn {
-    /// Builds an `num_layers`-deep GCN: `in_dim → hidden…hidden →
-    /// num_classes`.
+    /// Builds an `num_layers`-deep GCN.
     ///
     /// # Panics
     ///
@@ -252,109 +211,10 @@ impl Gcn {
         dropout_p: f32,
         rng: &mut impl Rng,
     ) -> Self {
-        assert!(num_layers > 0, "at least one layer required");
-        let mut layers = Vec::with_capacity(num_layers);
-        for i in 0..num_layers {
-            let li = if i == 0 { in_dim } else { hidden_dim };
-            let lo = if i + 1 == num_layers { num_classes } else { hidden_dim };
-            layers.push(GcnConv::new(li, lo, rng));
-        }
-        Self {
-            layers,
-            in_dim,
-            hidden_dim,
-            num_classes,
-            dropout_p,
-        }
+        Self::build(in_dim, hidden_dim, num_classes, num_layers, dropout_p, |i, o, _| {
+            GcnConv::new(i, o, rng)
+        })
     }
-}
-
-impl GnnModel for Gcn {
-    fn forward(
-        &self,
-        sess: &mut Session,
-        blocks: &[Block],
-        input_feats: VarId,
-        training: bool,
-        rng: &mut dyn RngCore,
-    ) -> VarId {
-        assert_eq!(
-            blocks.len(),
-            self.layers.len(),
-            "model expects {} blocks, got {}",
-            self.layers.len(),
-            blocks.len()
-        );
-        let mut h = input_feats;
-        for (i, (layer, block)) in self.layers.iter().zip(blocks).enumerate() {
-            let hidden = i + 1 < self.layers.len();
-            h = layer.forward(sess, block, h, hidden);
-            if hidden {
-                h = dropout(sess, h, self.dropout_p, training, rng);
-            }
-        }
-        h
-    }
-
-    fn forward_layer(
-        &self,
-        sess: &mut Session,
-        layer: usize,
-        block: &Block,
-        src_feats: VarId,
-    ) -> VarId {
-        assert!(layer < self.layers.len(), "layer {layer} out of range");
-        self.layers[layer].forward(sess, block, src_feats, layer + 1 < self.layers.len())
-    }
-
-    fn params(&self) -> Vec<&Param> {
-        self.layers.iter().flat_map(GcnConv::params).collect()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.layers.iter_mut().flat_map(GcnConv::params_mut).collect()
-    }
-
-    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        for layer in &mut self.layers {
-            layer.for_each_param_mut(f);
-        }
-    }
-
-    fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
-    fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    fn hidden_dim(&self) -> usize {
-        self.hidden_dim
-    }
-
-    fn num_classes(&self) -> usize {
-        self.num_classes
-    }
-
-    fn gnn_param_count(&self) -> usize {
-        self.params().iter().map(|p| p.len()).sum()
-    }
-
-    fn agg_param_count(&self) -> usize {
-        0
-    }
-}
-
-/// Multi-layer GIN (sum aggregation + per-layer MLP with learnable ε);
-/// ReLU + dropout between layers.
-#[derive(Debug, Clone)]
-pub struct Gin {
-    layers: Vec<GinConv>,
-    in_dim: usize,
-    hidden_dim: usize,
-    num_classes: usize,
-    dropout_p: f32,
 }
 
 impl Gin {
@@ -372,110 +232,10 @@ impl Gin {
         dropout_p: f32,
         rng: &mut impl Rng,
     ) -> Self {
-        assert!(num_layers > 0, "at least one layer required");
-        let mut layers = Vec::with_capacity(num_layers);
-        for i in 0..num_layers {
-            let li = if i == 0 { in_dim } else { hidden_dim };
-            let lo = if i + 1 == num_layers { num_classes } else { hidden_dim };
-            layers.push(GinConv::new(li, hidden_dim, lo, rng));
-        }
-        Self {
-            layers,
-            in_dim,
-            hidden_dim,
-            num_classes,
-            dropout_p,
-        }
+        Self::build(in_dim, hidden_dim, num_classes, num_layers, dropout_p, |i, o, _| {
+            GinConv::new(i, hidden_dim, o, rng)
+        })
     }
-}
-
-impl GnnModel for Gin {
-    fn forward(
-        &self,
-        sess: &mut Session,
-        blocks: &[Block],
-        input_feats: VarId,
-        training: bool,
-        rng: &mut dyn RngCore,
-    ) -> VarId {
-        assert_eq!(
-            blocks.len(),
-            self.layers.len(),
-            "model expects {} blocks, got {}",
-            self.layers.len(),
-            blocks.len()
-        );
-        let mut h = input_feats;
-        for (i, (layer, block)) in self.layers.iter().zip(blocks).enumerate() {
-            let hidden = i + 1 < self.layers.len();
-            h = layer.forward(sess, block, h, hidden);
-            if hidden {
-                h = dropout(sess, h, self.dropout_p, training, rng);
-            }
-        }
-        h
-    }
-
-    fn forward_layer(
-        &self,
-        sess: &mut Session,
-        layer: usize,
-        block: &Block,
-        src_feats: VarId,
-    ) -> VarId {
-        assert!(layer < self.layers.len(), "layer {layer} out of range");
-        self.layers[layer].forward(sess, block, src_feats, layer + 1 < self.layers.len())
-    }
-
-    fn params(&self) -> Vec<&Param> {
-        self.layers.iter().flat_map(GinConv::params).collect()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.layers.iter_mut().flat_map(GinConv::params_mut).collect()
-    }
-
-    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        for layer in &mut self.layers {
-            layer.for_each_param_mut(f);
-        }
-    }
-
-    fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
-    fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    fn hidden_dim(&self) -> usize {
-        self.hidden_dim
-    }
-
-    fn num_classes(&self) -> usize {
-        self.num_classes
-    }
-
-    fn gnn_param_count(&self) -> usize {
-        self.params().iter().map(|p| p.len()).sum()
-    }
-
-    fn agg_param_count(&self) -> usize {
-        0
-    }
-}
-
-/// Multi-layer GAT: hidden layers concatenate heads, the output layer
-/// averages them; ELU + dropout between layers.
-#[derive(Debug, Clone)]
-pub struct Gat {
-    layers: Vec<GatConv>,
-    in_dim: usize,
-    hidden_dim: usize,
-    num_classes: usize,
-    num_heads: usize,
-    dropout_p: f32,
 }
 
 impl Gat {
@@ -495,38 +255,21 @@ impl Gat {
         dropout_p: f32,
         rng: &mut impl Rng,
     ) -> Self {
-        assert!(num_layers > 0, "at least one layer required");
         assert!(
             hidden_dim.is_multiple_of(num_heads),
             "hidden_dim {hidden_dim} must divide into {num_heads} heads"
         );
-        let head_dim = hidden_dim / num_heads;
-        let mut layers = Vec::with_capacity(num_layers);
-        for i in 0..num_layers {
-            let li = if i == 0 { in_dim } else { hidden_dim };
-            if i + 1 == num_layers {
-                layers.push(GatConv::new(li, num_classes, num_heads, HeadMerge::Mean, rng));
+        Self::build(in_dim, hidden_dim, num_classes, num_layers, dropout_p, |i, o, last| {
+            if last {
+                GatConv::new(i, o, num_heads, HeadMerge::Mean, rng)
             } else {
-                layers.push(GatConv::new(li, head_dim, num_heads, HeadMerge::Concat, rng));
+                GatConv::new(i, hidden_dim / num_heads, num_heads, HeadMerge::Concat, rng)
             }
-        }
-        Self {
-            layers,
-            in_dim,
-            hidden_dim,
-            num_classes,
-            num_heads,
-            dropout_p,
-        }
-    }
-
-    /// Attention heads per layer.
-    pub fn num_heads(&self) -> usize {
-        self.num_heads
+        })
     }
 }
 
-impl GnnModel for Gat {
+impl<C: Conv> GnnModel for Stack<C> {
     fn forward(
         &self,
         sess: &mut Session,
@@ -544,9 +287,9 @@ impl GnnModel for Gat {
         );
         let mut h = input_feats;
         for (i, (layer, block)) in self.layers.iter().zip(blocks).enumerate() {
-            h = layer.forward(sess, block, h);
-            if i + 1 < self.layers.len() {
-                h = sess.graph.elu(h, 1.0);
+            let hidden = i + 1 < self.layers.len();
+            h = layer.forward(sess, block, h, hidden);
+            if hidden {
                 h = dropout(sess, h, self.dropout_p, training, rng);
             }
         }
@@ -561,25 +304,18 @@ impl GnnModel for Gat {
         src_feats: VarId,
     ) -> VarId {
         assert!(layer < self.layers.len(), "layer {layer} out of range");
-        let h = self.layers[layer].forward(sess, block, src_feats);
-        if layer + 1 < self.layers.len() {
-            sess.graph.elu(h, 1.0)
-        } else {
-            h
+        self.layers[layer].forward(sess, block, src_feats, layer + 1 < self.layers.len())
+    }
+
+    fn visit<'a>(&'a self, f: &mut dyn FnMut(&'a Param)) {
+        for layer in &self.layers {
+            layer.visit(f);
         }
     }
 
-    fn params(&self) -> Vec<&Param> {
-        self.layers.iter().flat_map(GatConv::params).collect()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.layers.iter_mut().flat_map(GatConv::params_mut).collect()
-    }
-
-    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+    fn visit_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
         for layer in &mut self.layers {
-            layer.for_each_param_mut(f);
+            layer.visit_mut(f);
         }
     }
 
@@ -599,14 +335,8 @@ impl GnnModel for Gat {
         self.num_classes
     }
 
-    fn gnn_param_count(&self) -> usize {
-        // GAT's attention vectors are integral to the layer, not a
-        // detachable aggregator; all parameters count as GNN parameters.
-        self.params().iter().map(|p| p.len()).sum()
-    }
-
     fn agg_param_count(&self) -> usize {
-        0
+        self.layers.iter().map(C::agg_param_count).sum()
     }
 }
 
@@ -651,6 +381,47 @@ mod tests {
         assert_eq!(lstm.total_param_count(), lstm.gnn_param_count() + lstm.agg_param_count());
     }
 
+    /// One model of every kind the runner builds: GraphSAGE with each
+    /// aggregator, then GAT, GCN and GIN.
+    fn every_kind(seed: u64) -> Vec<(&'static str, Box<dyn GnnModel>)> {
+        let mut r = Pcg64Mcg::seed_from_u64(seed);
+        let mut kinds: Vec<(&'static str, Box<dyn GnnModel>)> = Vec::new();
+        for spec in [AggregatorSpec::Mean, AggregatorSpec::Sum, AggregatorSpec::Pool, AggregatorSpec::Lstm] {
+            kinds.push((spec.name(), Box::new(GraphSage::new(3, 8, 4, 2, spec, 0.0, &mut r))));
+        }
+        kinds.push(("gat", Box::new(Gat::new(3, 8, 4, 2, 2, 0.0, &mut r))));
+        kinds.push(("gcn", Box::new(Gcn::new(3, 8, 4, 2, 0.0, &mut r))));
+        kinds.push(("gin", Box::new(Gin::new(3, 8, 4, 2, 0.0, &mut r))));
+        kinds
+    }
+
+    /// Every walk of every kind yields one parameter order, the Table 3
+    /// split adds up (aggregator parameters only where there is an
+    /// aggregator to own them), and a checkpoint of one model restores
+    /// into a fresh one of its kind exactly.
+    #[test]
+    fn every_kind_walks_one_order_and_round_trips() {
+        use crate::TrainState;
+        for ((name, mut model), (_, mut fresh)) in every_kind(1).into_iter().zip(every_kind(2)) {
+            let ids: Vec<u64> = model.params().iter().map(|p| p.id()).collect();
+            let ids_mut: Vec<u64> = model.params_mut().iter().map(|p| p.id()).collect();
+            let mut walked = Vec::new();
+            model.for_each_param_mut(&mut |p| walked.push(p.id()));
+            assert_eq!(ids_mut, ids, "{name}");
+            assert_eq!(walked, ids, "{name}");
+
+            let total: usize = model.params().iter().map(|p| p.len()).sum();
+            assert_eq!(model.total_param_count(), total, "{name}");
+            assert_eq!(model.gnn_param_count() + model.agg_param_count(), total, "{name}");
+            assert_eq!(model.agg_param_count() > 0, matches!(name, "pool" | "lstm"), "{name}");
+
+            let state = TrainState::from_model(model.as_ref());
+            assert_ne!(TrainState::from_model(fresh.as_ref()), state, "{name}: same values");
+            state.apply_params(fresh.as_mut()).unwrap();
+            assert_eq!(TrainState::from_model(fresh.as_ref()), state, "{name}");
+        }
+    }
+
     #[test]
     fn gat_forward_shapes() {
         let model = Gat::new(3, 8, 4, 2, 2, 0.0, &mut rng());
@@ -678,7 +449,7 @@ mod tests {
             let logits = model.forward(&mut sess, batch.blocks(), x, true, &mut rng());
             let loss = sess.graph.cross_entropy(logits, &targets, Reduction::Mean);
             losses.push(sess.graph.value(loss).item());
-            crate::optim::zero_grads(&mut model.params_mut());
+            model.for_each_param_mut(&mut |p| p.zero_grad());
             sess.backward(loss, &mut model);
             opt.step(&mut model.params_mut());
         }

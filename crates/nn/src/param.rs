@@ -58,12 +58,6 @@ impl Param {
         self.grad.add_assign(delta);
     }
 
-    /// Scales the accumulated gradient (used to turn a sum over
-    /// micro-batches into a mean over the effective batch).
-    pub fn scale_grad(&mut self, factor: f32) {
-        self.grad.scale_assign(factor);
-    }
-
     /// Clears the accumulated gradient.
     pub fn zero_grad(&mut self) {
         self.grad.fill(0.0);
@@ -80,9 +74,37 @@ impl Param {
     }
 }
 
-/// Total scalar count across a parameter list.
-pub fn total_params(params: &[&Param]) -> usize {
-    params.iter().map(|p| p.len()).sum()
+/// An owner of trainable parameters: one walk over them, in one fixed
+/// order, which the optimizer's moments, checkpoints and gradient
+/// accumulation all line up on. `visit_mut` must follow `visit`'s order;
+/// everything else is built on the two.
+pub trait Params {
+    /// Visits every parameter.
+    fn visit<'a>(&'a self, f: &mut dyn FnMut(&'a Param));
+
+    /// Visits every parameter mutably, in [`Params::visit`] order.
+    fn visit_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param));
+
+    /// All parameters, in walk order.
+    fn params(&self) -> Vec<&Param> {
+        let mut out = Vec::new();
+        self.visit(&mut |p| out.push(p));
+        out
+    }
+
+    /// Mutable access to all parameters, in walk order.
+    fn params_mut(&mut self) -> Vec<&mut Param> {
+        let mut out = Vec::new();
+        self.visit_mut(&mut |p| out.push(p));
+        out
+    }
+
+    /// Scalar parameter count.
+    fn num_params(&self) -> usize {
+        let mut n = 0;
+        self.visit(&mut |p| n += p.len());
+        n
+    }
 }
 
 #[cfg(test)]
@@ -102,8 +124,6 @@ mod tests {
         p.accumulate_grad(&Tensor::from_slice(&[1.0, 2.0]));
         p.accumulate_grad(&Tensor::from_slice(&[0.5, 0.5]));
         assert_eq!(p.grad().data(), &[1.5, 2.5]);
-        p.scale_grad(2.0);
-        assert_eq!(p.grad().data(), &[3.0, 5.0]);
         p.zero_grad();
         assert_eq!(p.grad().data(), &[0.0, 0.0]);
     }
@@ -113,12 +133,5 @@ mod tests {
         // Cloning a Param (e.g. checkpointing) preserves identity.
         let p = Param::new(Tensor::zeros(&[1]));
         assert_eq!(p.clone().id(), p.id());
-    }
-
-    #[test]
-    fn total_params_sums_lengths() {
-        let a = Param::new(Tensor::zeros(&[2, 3]));
-        let b = Param::new(Tensor::zeros(&[4]));
-        assert_eq!(total_params(&[&a, &b]), 10);
     }
 }

@@ -2,7 +2,7 @@ use betty_graph::Block;
 use betty_tensor::VarId;
 use rand::Rng;
 
-use crate::{Aggregator, AggregatorSpec, Linear, Param, Session};
+use crate::{Aggregator, AggregatorSpec, Conv, Linear, Param, Params, Session};
 
 /// One GraphSAGE convolution layer (Hamilton et al., the paper's primary
 /// model).
@@ -27,11 +27,12 @@ impl SageConv {
             aggregator: Aggregator::new(spec, in_dim, rng),
         }
     }
+}
 
-    /// Applies the layer over `block` with source features
-    /// `[block.num_src(), in_dim]`, producing `[block.num_dst(), out_dim]`,
-    /// passed through a ReLU when `relu` (every layer but a model's last).
-    pub fn forward(&self, sess: &mut Session, block: &Block, src_feats: VarId, relu: bool) -> VarId {
+impl Conv for SageConv {
+    /// `[block.num_src(), in_dim]` source features to
+    /// `[block.num_dst(), out_dim]`, through a ReLU when `hidden`.
+    fn forward(&self, sess: &mut Session, block: &Block, src_feats: VarId, hidden: bool) -> VarId {
         let h_neigh = self.aggregator.forward(sess, block, src_feats);
         // Destination self-features are the first num_dst source rows
         // (the Block construction guarantees this ordering): the self
@@ -40,47 +41,27 @@ impl SageConv {
             self.fc_self.term(sess, src_feats),
             self.fc_neigh.term(sess, h_neigh),
         ];
-        sess.graph.affine(&terms, block.num_dst(), relu)
+        sess.graph.affine(&terms, block.num_dst(), hidden)
     }
 
-    /// The aggregator spec in use.
-    pub fn aggregator_spec(&self) -> AggregatorSpec {
-        self.aggregator.spec()
+    /// The aggregator's parameters are `NP_Agg` (Table 3); the two linear
+    /// maps are the GNN parameters.
+    fn agg_param_count(&self) -> usize {
+        self.aggregator.num_params()
+    }
+}
+
+impl Params for SageConv {
+    fn visit<'a>(&'a self, f: &mut dyn FnMut(&'a Param)) {
+        self.fc_self.visit(f);
+        self.fc_neigh.visit(f);
+        self.aggregator.visit(f);
     }
 
-    /// Parameters of the two linear maps (the "GNN" parameters in the
-    /// paper's memory model).
-    pub fn gnn_params(&self) -> Vec<&Param> {
-        let mut p = self.fc_self.params();
-        p.extend(self.fc_neigh.params());
-        p
-    }
-
-    /// Parameters owned by the aggregator (`NP_Agg` in Table 3).
-    pub fn aggregator_params(&self) -> Vec<&Param> {
-        self.aggregator.params()
-    }
-
-    /// All parameters.
-    pub fn params(&self) -> Vec<&Param> {
-        let mut p = self.gnn_params();
-        p.extend(self.aggregator.params());
-        p
-    }
-
-    /// Mutable access to all parameters.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut p = self.fc_self.params_mut();
-        p.extend(self.fc_neigh.params_mut());
-        p.extend(self.aggregator.params_mut());
-        p
-    }
-
-    /// Visits all parameters without materializing a parameter list.
-    pub fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.fc_self.for_each_param_mut(f);
-        self.fc_neigh.for_each_param_mut(f);
-        self.aggregator.for_each_param_mut(f);
+    fn visit_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
+        self.fc_self.visit_mut(f);
+        self.fc_neigh.visit_mut(f);
+        self.aggregator.visit_mut(f);
     }
 }
 
@@ -111,11 +92,13 @@ mod tests {
     #[test]
     fn param_split_gnn_vs_aggregator() {
         let mean = SageConv::new(3, 5, AggregatorSpec::Mean, &mut rng());
-        assert_eq!(mean.gnn_params().len(), 4);
-        assert!(mean.aggregator_params().is_empty());
+        assert_eq!(mean.params().len(), 4);
+        assert_eq!(mean.agg_param_count(), 0);
         let lstm = SageConv::new(3, 5, AggregatorSpec::Lstm, &mut rng());
-        assert_eq!(lstm.aggregator_params().len(), 2);
         assert_eq!(lstm.params().len(), 6);
+        // The cell's [(3 + 3), 12] gate weight and 12 biases.
+        assert_eq!(lstm.agg_param_count(), 6 * 12 + 12);
+        assert_eq!(lstm.num_params() - lstm.agg_param_count(), 2 * (3 * 5 + 5));
     }
 
     #[test]

@@ -1,10 +1,7 @@
-//! Learning-rate schedules and gradient utilities.
+//! Learning-rate schedules.
 //!
 //! Convergence experiments (Figs. 4 & 13, Table 5) train with a fixed
-//! learning rate like the paper; these utilities cover the standard knobs
-//! a practitioner reaches for on harder runs.
-
-use crate::Param;
+//! learning rate like the paper; these schedules are for longer runs.
 
 /// A learning-rate schedule: maps an epoch index to a multiplier of the
 /// base learning rate.
@@ -15,16 +12,6 @@ pub trait LrSchedule {
     /// Effective learning rate at `epoch`.
     fn lr_at(&self, base_lr: f32, epoch: usize) -> f32 {
         base_lr * self.factor(epoch)
-    }
-}
-
-/// Constant learning rate.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ConstantLr;
-
-impl LrSchedule for ConstantLr {
-    fn factor(&self, _epoch: usize) -> f32 {
-        1.0
     }
 }
 
@@ -60,59 +47,9 @@ impl LrSchedule for CosineAnnealing {
     }
 }
 
-/// Linear warmup wrapped around another schedule: ramps 0 → 1 over
-/// `warmup_epochs`, then defers to `inner` (with the epoch offset removed).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Warmup<S> {
-    /// Ramp length in epochs.
-    pub warmup_epochs: usize,
-    /// Schedule to follow after the ramp.
-    pub inner: S,
-}
-
-impl<S: LrSchedule> LrSchedule for Warmup<S> {
-    fn factor(&self, epoch: usize) -> f32 {
-        if epoch < self.warmup_epochs {
-            (epoch + 1) as f32 / self.warmup_epochs as f32
-        } else {
-            self.inner.factor(epoch - self.warmup_epochs)
-        }
-    }
-}
-
-/// Scales all gradients so their global L2 norm is at most `max_norm`.
-///
-/// Returns the pre-clipping norm.
-///
-/// # Panics
-///
-/// Panics if `max_norm` is not positive.
-pub fn clip_grad_norm(params: &mut [&mut Param], max_norm: f32) -> f32 {
-    assert!(max_norm > 0.0, "max_norm must be positive");
-    let total_sq: f32 = params
-        .iter()
-        .map(|p| p.grad().data().iter().map(|g| g * g).sum::<f32>())
-        .sum();
-    let norm = total_sq.sqrt();
-    if norm > max_norm {
-        let scale = max_norm / norm;
-        for p in params.iter_mut() {
-            p.scale_grad(scale);
-        }
-    }
-    norm
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use betty_tensor::Tensor;
-
-    #[test]
-    fn constant_is_one() {
-        assert_eq!(ConstantLr.factor(0), 1.0);
-        assert_eq!(ConstantLr.lr_at(0.01, 99), 0.01);
-    }
 
     #[test]
     fn step_decay_halves() {
@@ -141,29 +78,5 @@ mod tests {
         }
         assert!((s.factor(20) - 0.1).abs() < 1e-6);
         assert!((s.factor(100) - 0.1).abs() < 1e-6, "clamped past the end");
-    }
-
-    #[test]
-    fn warmup_ramps_then_defers() {
-        let s = Warmup {
-            warmup_epochs: 4,
-            inner: ConstantLr,
-        };
-        assert!((s.factor(0) - 0.25).abs() < 1e-6);
-        assert!((s.factor(3) - 1.0).abs() < 1e-6);
-        assert_eq!(s.factor(10), 1.0);
-    }
-
-    #[test]
-    fn clip_rescales_only_when_needed() {
-        let mut a = Param::new(Tensor::zeros(&[2]));
-        a.accumulate_grad(&Tensor::from_slice(&[3.0, 4.0])); // norm 5
-        let norm = clip_grad_norm(&mut [&mut a], 2.5);
-        assert!((norm - 5.0).abs() < 1e-6);
-        assert!((a.grad().norm() - 2.5).abs() < 1e-5);
-        // Already under the cap: untouched.
-        let norm2 = clip_grad_norm(&mut [&mut a], 10.0);
-        assert!((norm2 - 2.5).abs() < 1e-5);
-        assert!((a.grad().norm() - 2.5).abs() < 1e-5);
     }
 }

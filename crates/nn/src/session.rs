@@ -81,11 +81,6 @@ impl Session {
     pub fn activation_bytes(&self) -> usize {
         self.graph.activation_bytes()
     }
-
-    /// Number of parameters bound so far.
-    pub fn num_bindings(&self) -> usize {
-        self.bindings.len()
-    }
 }
 
 #[cfg(test)]
@@ -100,7 +95,7 @@ mod tests {
         let a = s.bind(&p);
         let b = s.bind(&p);
         assert_eq!(a, b);
-        assert_eq!(s.num_bindings(), 1);
+        assert_eq!(s.graph.len(), 1);
     }
 
     #[test]
@@ -116,12 +111,13 @@ mod tests {
         let mut s = Session::new();
         let p = Param::new(Tensor::ones(&[2, 2]));
         s.bind(&p);
-        assert_eq!(s.num_bindings(), 1);
         s.reset();
-        assert_eq!(s.num_bindings(), 0);
+        assert_eq!(s.graph.len(), 0);
         assert_eq!(s.activation_bytes(), 0);
-        // The session stays usable after reset.
+        // The session stays usable after reset, and binding again makes a
+        // fresh leaf rather than returning the cleared one.
         let v = s.bind(&p);
+        assert_eq!(s.graph.len(), 1);
         let w = s.graph.relu(v);
         assert_eq!(s.graph.value(w).shape(), &[2, 2]);
     }
