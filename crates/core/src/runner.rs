@@ -300,7 +300,9 @@ impl Runner {
             ),
             ModelKind::Gat => (
                 Box::new(Gat::new(d, h, c, l, config.num_heads, p, rng)),
-                AggregatorKind::Attention { heads: config.num_heads },
+                AggregatorKind::Attention {
+                    heads: config.num_heads,
+                },
             ),
             ModelKind::Gcn => (Box::new(Gcn::new(d, h, c, l, p, rng)), AggregatorKind::Gcn),
             ModelKind::Gin => (Box::new(Gin::new(d, h, c, l, p, rng)), AggregatorKind::Gin),

@@ -314,11 +314,6 @@ impl Reader {
         self.need(8, what)?;
         Ok(self.buf.get_u64_le())
     }
-
-    fn f32(&mut self, what: &str) -> Result<f32, CheckpointError> {
-        self.need(4, what)?;
-        Ok(self.buf.get_f32_le())
-    }
 }
 
 fn decode_params(r: &mut Reader) -> Result<Vec<Tensor>, CheckpointError> {
@@ -331,11 +326,14 @@ fn decode_params(r: &mut Reader) -> Result<Vec<Tensor>, CheckpointError> {
                 "parameter {i}: implausible rank {ndim}"
             )));
         }
-        let shape: Vec<usize> = (0..ndim).map(|_| r.u32("shape").map(|d| d as usize)).collect::<Result<_, _>>()?;
+        let shape = (0..ndim).map(|_| r.u32("shape").map(|d| d as usize));
+        let shape = shape.collect::<Result<Vec<_>, _>>()?;
         // Up to eight untrusted dims: their byte count may not fit a usize.
-        let bytes = shape.iter().try_fold(4usize, |n, &d| n.checked_mul(d)).ok_or_else(|| {
-            CheckpointError::Format(format!("parameter {i}: shape {shape:?} overflows"))
-        })?;
+        let Some(bytes) = shape.iter().try_fold(4usize, |n, &d| n.checked_mul(d)) else {
+            return Err(CheckpointError::Format(format!(
+                "parameter {i}: shape {shape:?} overflows"
+            )));
+        };
         r.need(bytes, "tensor data")?;
         let data: Vec<f32> = (0..bytes / 4).map(|_| r.buf.get_f32_le()).collect();
         let tensor = Tensor::from_vec(data, &shape)
@@ -363,11 +361,10 @@ fn decode_adam(r: &mut Reader, params: &[Tensor]) -> Result<AdamState, Checkpoin
             0 => moments.push(None),
             1 => {
                 let len = p.len();
+                // `len` values of a decoded tensor: 4 * len fitted a usize.
                 let mut read = |what| -> Result<Tensor, CheckpointError> {
-                    let mut data = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        data.push(r.f32(what)?);
-                    }
+                    r.need(4 * len, what)?;
+                    let data = (0..len).map(|_| r.buf.get_f32_le()).collect();
                     Tensor::from_vec(data, p.shape())
                         .map_err(|e| CheckpointError::Format(format!("moment {i}: {e}")))
                 };
@@ -696,8 +693,8 @@ mod tests {
         out.to_vec()
     }
 
-    /// Rank 8 and eight valid words pass every per-word check; the 2⁶⁴
-    /// values of a `[65536; 4]` shape are what must not be formed.
+    /// A rank of 4 and four in-range dims pass every per-word check; the
+    /// 2⁶⁴ values of a `[65536; 4]` shape are what must not be formed.
     #[test]
     fn overflowing_shape_is_rejected() {
         let mut prms = BytesMut::new();
@@ -706,7 +703,7 @@ mod tests {
         }
         match decode_state(&file(&[(TAG_PARAMS, &prms)])) {
             Err(CheckpointError::Format(msg)) => assert!(msg.contains("overflows"), "{msg}"),
-            other => panic!("a 2^64-value tensor from a 28-byte section: {other:?}"),
+            other => panic!("a 2^64-value tensor from a 24-byte payload: {other:?}"),
         }
     }
 
@@ -778,7 +775,8 @@ mod tests {
         assert_eq!(decode_state(&valid).unwrap(), state);
         let words = structural_words(&valid, &state);
         let run = |what: String, bytes: &[u8]| {
-            match catch_unwind(AssertUnwindSafe(|| decode_state(bytes))) {
+            let outcome = catch_unwind(AssertUnwindSafe(|| decode_state(bytes)));
+            match outcome {
                 Err(_) => panic!("decoder panicked on {what}"),
                 Ok(Ok(decoded)) => assert_eq!(decoded, state, "{what} decoded to something else"),
                 Ok(Err(_)) => {}
@@ -814,15 +812,17 @@ mod tests {
                 }
                 _ => {
                     let (start, _) = words[rng.gen_range(0..words.len())];
-                    let len = u32::from_le_bytes(bytes[start + 4..start + 8].try_into().unwrap()) as usize;
+                    let len = u32::from_le_bytes(bytes[start + 4..start + 8].try_into().unwrap());
+                    let len = len as usize;
                     let mut payload = bytes[start + 8..start + 8 + len].to_vec();
                     if rng.gen_bool(0.5) {
                         payload.truncate(rng.gen_range(0..len));
                     } else {
                         payload.resize(len + rng.gen_range(1..9usize), 0);
                     }
+                    let tag: [u8; 4] = bytes[start..start + 4].try_into().unwrap();
                     let mut section = BytesMut::new();
-                    push_section(&mut section, bytes[start..start + 4].try_into().unwrap(), &payload);
+                    push_section(&mut section, &tag, &payload);
                     bytes.splice(start..start + 12 + len, section.to_vec());
                 }
             }

@@ -63,12 +63,12 @@ pub use checkpoint::{
     TrainState,
 };
 pub use gat::GatConv;
+pub use gat::HeadMerge;
 pub use gcn::GcnConv;
 pub use gin::GinConv;
 pub use linear::Linear;
 pub use lstm::LstmCell;
 pub use models::{Conv, Gat, Gcn, Gin, GnnModel, GraphSage, Stack};
-pub use gat::HeadMerge;
 pub use optim::{Adam, AdamState, Optimizer};
 pub use param::{Param, Params};
 pub use sage::SageConv;

@@ -191,9 +191,14 @@ impl GraphSage {
         dropout_p: f32,
         rng: &mut impl Rng,
     ) -> Self {
-        Self::build(in_dim, hidden_dim, num_classes, num_layers, dropout_p, |i, o, _| {
-            SageConv::new(i, o, aggregator, rng)
-        })
+        Self::build(
+            in_dim,
+            hidden_dim,
+            num_classes,
+            num_layers,
+            dropout_p,
+            |i, o, _| SageConv::new(i, o, aggregator, rng),
+        )
     }
 }
 
@@ -211,9 +216,14 @@ impl Gcn {
         dropout_p: f32,
         rng: &mut impl Rng,
     ) -> Self {
-        Self::build(in_dim, hidden_dim, num_classes, num_layers, dropout_p, |i, o, _| {
-            GcnConv::new(i, o, rng)
-        })
+        Self::build(
+            in_dim,
+            hidden_dim,
+            num_classes,
+            num_layers,
+            dropout_p,
+            |i, o, _| GcnConv::new(i, o, rng),
+        )
     }
 }
 
@@ -232,9 +242,14 @@ impl Gin {
         dropout_p: f32,
         rng: &mut impl Rng,
     ) -> Self {
-        Self::build(in_dim, hidden_dim, num_classes, num_layers, dropout_p, |i, o, _| {
-            GinConv::new(i, hidden_dim, o, rng)
-        })
+        Self::build(
+            in_dim,
+            hidden_dim,
+            num_classes,
+            num_layers,
+            dropout_p,
+            |i, o, _| GinConv::new(i, hidden_dim, o, rng),
+        )
     }
 }
 
@@ -259,13 +274,20 @@ impl Gat {
             hidden_dim.is_multiple_of(num_heads),
             "hidden_dim {hidden_dim} must divide into {num_heads} heads"
         );
-        Self::build(in_dim, hidden_dim, num_classes, num_layers, dropout_p, |i, o, last| {
-            if last {
-                GatConv::new(i, o, num_heads, HeadMerge::Mean, rng)
-            } else {
-                GatConv::new(i, hidden_dim / num_heads, num_heads, HeadMerge::Concat, rng)
-            }
-        })
+        Self::build(
+            in_dim,
+            hidden_dim,
+            num_classes,
+            num_layers,
+            dropout_p,
+            |i, o, last| {
+                if last {
+                    GatConv::new(i, o, num_heads, HeadMerge::Mean, rng)
+                } else {
+                    GatConv::new(i, hidden_dim / num_heads, num_heads, HeadMerge::Concat, rng)
+                }
+            },
+        )
     }
 }
 
@@ -378,7 +400,10 @@ mod tests {
         assert_eq!(model.agg_param_count(), 0);
         let lstm = GraphSage::new(3, 8, 4, 2, AggregatorSpec::Lstm, 0.0, &mut rng());
         assert!(lstm.agg_param_count() > 0);
-        assert_eq!(lstm.total_param_count(), lstm.gnn_param_count() + lstm.agg_param_count());
+        assert_eq!(
+            lstm.total_param_count(),
+            lstm.gnn_param_count() + lstm.agg_param_count()
+        );
     }
 
     /// One model of every kind the runner builds: GraphSAGE with each
@@ -386,8 +411,16 @@ mod tests {
     fn every_kind(seed: u64) -> Vec<(&'static str, Box<dyn GnnModel>)> {
         let mut r = Pcg64Mcg::seed_from_u64(seed);
         let mut kinds: Vec<(&'static str, Box<dyn GnnModel>)> = Vec::new();
-        for spec in [AggregatorSpec::Mean, AggregatorSpec::Sum, AggregatorSpec::Pool, AggregatorSpec::Lstm] {
-            kinds.push((spec.name(), Box::new(GraphSage::new(3, 8, 4, 2, spec, 0.0, &mut r))));
+        for spec in [
+            AggregatorSpec::Mean,
+            AggregatorSpec::Sum,
+            AggregatorSpec::Pool,
+            AggregatorSpec::Lstm,
+        ] {
+            kinds.push((
+                spec.name(),
+                Box::new(GraphSage::new(3, 8, 4, 2, spec, 0.0, &mut r)),
+            ));
         }
         kinds.push(("gat", Box::new(Gat::new(3, 8, 4, 2, 2, 0.0, &mut r))));
         kinds.push(("gcn", Box::new(Gcn::new(3, 8, 4, 2, 0.0, &mut r))));
@@ -412,11 +445,23 @@ mod tests {
 
             let total: usize = model.params().iter().map(|p| p.len()).sum();
             assert_eq!(model.total_param_count(), total, "{name}");
-            assert_eq!(model.gnn_param_count() + model.agg_param_count(), total, "{name}");
-            assert_eq!(model.agg_param_count() > 0, matches!(name, "pool" | "lstm"), "{name}");
+            assert_eq!(
+                model.gnn_param_count() + model.agg_param_count(),
+                total,
+                "{name}"
+            );
+            assert_eq!(
+                model.agg_param_count() > 0,
+                matches!(name, "pool" | "lstm"),
+                "{name}"
+            );
 
             let state = TrainState::from_model(model.as_ref());
-            assert_ne!(TrainState::from_model(fresh.as_ref()), state, "{name}: same values");
+            assert_ne!(
+                TrainState::from_model(fresh.as_ref()),
+                state,
+                "{name}: same values"
+            );
             state.apply_params(fresh.as_mut()).unwrap();
             assert_eq!(TrainState::from_model(fresh.as_ref()), state, "{name}");
         }

@@ -30,8 +30,6 @@ impl SageConv {
 }
 
 impl Conv for SageConv {
-    /// `[block.num_src(), in_dim]` source features to
-    /// `[block.num_dst(), out_dim]`, through a ReLU when `hidden`.
     fn forward(&self, sess: &mut Session, block: &Block, src_feats: VarId, hidden: bool) -> VarId {
         let h_neigh = self.aggregator.forward(sess, block, src_feats);
         // Destination self-features are the first num_dst source rows
