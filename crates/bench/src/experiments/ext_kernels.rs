@@ -227,7 +227,6 @@ fn kernel_cases(profile: Profile) -> Vec<Vec<KernelCase>> {
             kernels::matmul_a_bt_into(&a2, &bt, out);
         }),
         KernelCase::product("matmul_at_b", &shape, dims, m * n, adjoint, move |out| {
-            out.fill(0.0);
             kernels::matmul_at_b_into(&at, &b2, out);
         }),
     ]);
@@ -254,7 +253,6 @@ fn kernel_cases(profile: Profile) -> Vec<Vec<KernelCase>> {
                 kernels::matmul_a_bt_packed_into(&g, &w2, &wt, out);
             }),
             KernelCase::product("matmul_at_b", &shape, dims, gk * gn, adjoint, move |out| {
-                out.fill(0.0);
                 kernels::matmul_at_b_into(&x2, &g2, out);
             }),
         ]);
@@ -280,7 +278,6 @@ fn kernel_cases(profile: Profile) -> Vec<Vec<KernelCase>> {
         let weight_grad = |x: Tensor| {
             let g = dense(rows, on, 2.0);
             move |out: &mut [f32]| {
-                out.fill(0.0);
                 kernels::matmul_at_b_into(&x, &g, out);
             }
         };

@@ -378,7 +378,7 @@ impl Op {
                     da
                 }));
                 out.push(nodes[b.0].needs_grad.then(|| {
-                    let mut db = pool.zeros(bv.shape());
+                    let mut db = pool.scratch(bv.shape());
                     kernels::matmul_at_b_into(av, g, db.data_mut());
                     db
                 }));

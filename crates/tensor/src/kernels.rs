@@ -21,10 +21,22 @@
 //! lane, an xmm scalar, aarch64 `fmla` or libm's `fmaf` — so the backends
 //! agree by construction, and since a zero element still adds its `±0.0`
 //! (against NaN or `∞`, its NaN) neither result nor speed depends on where
-//! the data has zeros. The tile keeps the running sums of an `MR`×`NR`
-//! block of outputs in registers while it walks the shared dimension
-//! once: it changes where a sum lives and how many advance per
-//! instruction, not the order of any one of them.
+//! the data has zeros. The tile keeps the running sums of a block of
+//! outputs in registers while it walks the shared dimension once: it
+//! changes where a sum lives and how many advance per instruction, not
+//! the order of any one of them.
+//!
+//! On AVX-512 the block is 12 rows × 32 columns in 24 zmm accumulators
+//! (`MR512` × `NR512`); a tile whose 32 columns are all live runs
+//! unmasked, the last column tile of a row band takes lane masks, and the
+//! last row band is a tile of 1–11 rows. The portable tile is 6 × 16.
+//! `aᵀ @ b` reduces its shared dimension — the batch, tens of thousands
+//! of rows for an LSTM's `dW` — in blocks of `AT_B_ROW_BLOCK` = 128
+//! rows, each walked by every column block of the output while it is in
+//! L2; the sums stay in `out` between blocks, so the order is unchanged.
+//! `a @ bᵀ` and [`matmul_at_b_into`] start their sums at `+0.0` in the
+//! tile instead of reading a zeroed output: an `aᵀ @ b` output is
+//! weight-shaped and, over a short batch, many times the work.
 
 use betty_runtime::Shards;
 
@@ -32,16 +44,20 @@ use crate::backend::Backend;
 use crate::segment::lane_dispatch;
 use crate::Tensor;
 
-/// Output-row count per register tile of [`gemm_simd`].
+/// Output-row count per register tile of the portable tiles.
 const MR: usize = 6;
 /// Output-column count per register tile of the portable tiles (256-bit
 /// lanes: two ymm registers per row).
 const NR: usize = 16;
+/// Output-row count per AVX-512 tile: 24 of the 32 zmm registers hold
+/// sums, three more the step's two `b` vectors and one broadcast `a`.
+const MR512: usize = 12;
 /// Column tile of the AVX-512 tile (two zmm registers per row).
 const NR512: usize = 32;
 /// Rows of the shared dimension [`matmul_at_b_block_simd`] reduces per
-/// pass: at the LSTM gate shape (`b` 400 wide) a block of `b` is 800 KiB.
-const AT_B_ROW_BLOCK: usize = 512;
+/// pass: at the LSTM gate shape (`b` 400 wide) a block of `b` is 200 KiB,
+/// which stays in L2 while every column block of the output walks it.
+const AT_B_ROW_BLOCK: usize = 128;
 
 /// A scalar reference loop, compiled with the `fma` instructions where the
 /// host has them (aarch64 always does): without the feature enabled
@@ -93,23 +109,28 @@ fused_reference! {
 /// both walk memory the tile already has contiguous, so neither product
 /// needs a transposed copy.
 ///
-/// Every output element starts from the value already in `out` and fuses
-/// in every one of its products with `p` ascending: the module-level
+/// Every output element starts from the value already in `out` — or from
+/// `+0.0` when `zero` is set, which never reads `out` — and fuses in
+/// every one of its products with `p` ascending: the module-level
 /// contract of [`matmul_block`] and [`matmul_at_b_block`] as written, and
-/// of [`matmul_a_bt_block`] over a transposed `b` and a zeroed `out`.
-/// The portable tile is dispatched under AVX2 only together with `fma`;
-/// a host with neither tile ISA runs it on libm's `fmaf` (aarch64
-/// natively) — the same bits, slowly.
+/// of [`matmul_a_bt_block`] over a transposed `b`. The portable tile is
+/// dispatched under AVX2 only together with `fma`; a host with neither
+/// tile ISA runs it on libm's `fmaf` (aarch64 natively) — the same bits,
+/// slowly.
 fn gemm_simd<const AT: bool>(
     a: &[f32],
     lda: usize,
     b: &[f32],
     out: &mut [f32],
     (m, k, n): (usize, usize, usize),
+    zero: bool,
 ) {
     assert_eq!(b.len(), k * n, "gemm right operand length");
     assert_eq!(out.len(), m * n, "gemm output length");
     if m == 0 || k == 0 || n == 0 {
+        if zero {
+            out.fill(0.0);
+        }
         return;
     }
     let (ars, aps) = if AT { (1, lda) } else { (lda, 1) };
@@ -122,12 +143,16 @@ fn gemm_simd<const AT: bool>(
         if std::arch::is_x86_feature_detected!("avx512f") {
             // SAFETY: avx512f was just detected; the asserts above are the
             // slice-length preconditions `gemm_avx512` documents.
-            return unsafe { gemm_avx512(a, (ars, aps), b, out, (m, k, n)) };
+            return unsafe { gemm_avx512(a, (ars, aps), b, out, (m, k, n), zero) };
         }
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
-            // SAFETY: avx2 and fma were just detected; the body is safe code.
-            return unsafe { gemm_avx2::<AT>(a, lda, b, out, (m, k, n)) };
-        }
+    }
+    if zero {
+        out.fill(0.0);
+    }
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
+        // SAFETY: avx2 and fma were just detected; the body is safe code.
+        return unsafe { gemm_avx2::<AT>(a, lda, b, out, (m, k, n)) };
     }
     gemm_tiles::<NR, AT>(a, lda, b, out, (m, k, n));
 }
@@ -267,10 +292,12 @@ fn tile_partial<const NRT: usize, const AT: bool>(
     }
 }
 
-/// AVX-512 tile driver: `MR`×`NR512` tiles of [`tile_avx512`], whose lane
-/// masks and const row count make row and column remainders ordinary
-/// tiles, so no shape falls back to a slower edge path. Visits tiles in
-/// the order [`gemm_tiles`] does (`ars == 1` is the transposed operand).
+/// AVX-512 tile driver: `MR512`×`NR512` tiles of [`tile_avx512`]. Every
+/// tile whose 32 columns are all live runs unmasked; the last column
+/// tile of a row band takes lane masks, and a const row count 1..=12 makes
+/// the last row band an ordinary tile, so no shape falls back to a slower
+/// edge path. Visits tiles in the order [`gemm_tiles`] does (`ars == 1` is
+/// the transposed operand).
 ///
 /// # Safety
 ///
@@ -285,6 +312,7 @@ unsafe fn gemm_avx512(
     b: &[f32],
     out: &mut [f32],
     (m, k, n): (usize, usize, usize),
+    zero: bool,
 ) {
     debug_assert!(b.len() == k * n && out.len() == m * n);
     debug_assert!((m - 1) * ars + (k - 1) * aps < a.len());
@@ -303,24 +331,46 @@ unsafe fn gemm_avx512(
             k,
             n,
             masks: [lanes(jr), lanes(jr.saturating_sub(16))],
+            zero,
         };
-        match m - i {
-            1 => tile_avx512::<1>(t),
-            2 => tile_avx512::<2>(t),
-            3 => tile_avx512::<3>(t),
-            4 => tile_avx512::<4>(t),
-            5 => tile_avx512::<5>(t),
-            _ => tile_avx512::<MR>(t),
+        if jr == NR512 {
+            tile_rows::<true>(t, m - i);
+        } else {
+            tile_rows::<false>(t, m - i);
         }
     };
     if ars == 1 {
         for j in (0..n).step_by(NR512) {
-            (0..m).step_by(MR).for_each(|i| tile(i, j));
+            (0..m).step_by(MR512).for_each(|i| tile(i, j));
         }
     } else {
-        for i in (0..m).step_by(MR) {
+        for i in (0..m).step_by(MR512) {
             (0..n).step_by(NR512).for_each(|j| tile(i, j));
         }
+    }
+}
+
+/// [`tile_avx512`] over the first `min(rows, MR512)` rows of `t`.
+///
+/// # Safety
+///
+/// As [`tile_avx512`] for that many rows.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn tile_rows<const FULL: bool>(t: Tile512, rows: usize) {
+    match rows {
+        1 => tile_avx512::<1, FULL>(t),
+        2 => tile_avx512::<2, FULL>(t),
+        3 => tile_avx512::<3, FULL>(t),
+        4 => tile_avx512::<4, FULL>(t),
+        5 => tile_avx512::<5, FULL>(t),
+        6 => tile_avx512::<6, FULL>(t),
+        7 => tile_avx512::<7, FULL>(t),
+        8 => tile_avx512::<8, FULL>(t),
+        9 => tile_avx512::<9, FULL>(t),
+        10 => tile_avx512::<10, FULL>(t),
+        11 => tile_avx512::<11, FULL>(t),
+        _ => tile_avx512::<MR512, FULL>(t),
     }
 }
 
@@ -339,39 +389,55 @@ struct Tile512 {
     out: *mut f32,
     k: usize,
     n: usize,
-    /// Live lanes of the tile's two 16-column halves.
+    /// Live lanes of the tile's two 16-column halves (read only when the
+    /// tile is not `FULL`).
     masks: [u16; 2],
+    /// Start the sums at `+0.0` instead of loading them from `out`.
+    zero: bool,
 }
 
 /// `MRT`×32 tile held in `2 * MRT` zmm registers across the whole `p`
-/// loop: one `vfmadd231ps` per register and step and no test of the
-/// operand (a branch here mispredicts on every ReLU or dropout output);
-/// masked-off lanes are neither loaded nor stored.
+/// loop, starting from `out` or, when `t.zero`, from `+0.0`: one
+/// `vfmadd231ps` per register and step and no test of the operand (a
+/// branch here mispredicts on every ReLU or dropout output).
+/// A `FULL` tile has all 32 columns live and loads and stores them
+/// unmasked; otherwise masked-off lanes are neither loaded nor stored.
 ///
 /// # Safety
 ///
 /// `avx512f` must be available, and for every `r < MRT`, `p < t.k` and
-/// live lane `c`: `t.a + r * ars + p * aps`, `t.b + p * n + c` and
-/// `t.out + r * n + c` must be in bounds of their slices. Addresses of
-/// masked-off lanes may lie outside them (hence `wrapping_add` for the
-/// second half, whose mask can be empty): a masked load or store does not
-/// access those lanes.
+/// live lane `c` (every `c < 32` when `FULL`): `t.a + r * ars + p * aps`,
+/// `t.b + p * n + c` and `t.out + r * n + c` must be in bounds of their
+/// slices. Addresses of masked-off lanes may lie outside them (hence
+/// `wrapping_add` for the second half, whose mask can be empty): a masked
+/// load or store does not access those lanes.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn tile_avx512<const MRT: usize>(t: Tile512) {
+unsafe fn tile_avx512<const MRT: usize, const FULL: bool>(t: Tile512) {
     use std::arch::x86_64::*;
     let mut acc = [[_mm512_setzero_ps(); 2]; MRT];
-    for (r, accr) in acc.iter_mut().enumerate() {
-        for (h, v) in accr.iter_mut().enumerate() {
-            *v = _mm512_maskz_loadu_ps(t.masks[h], t.out.add(r * t.n).wrapping_add(16 * h));
+    if !t.zero {
+        for (r, accr) in acc.iter_mut().enumerate() {
+            for (h, v) in accr.iter_mut().enumerate() {
+                let src = t.out.add(r * t.n).wrapping_add(16 * h);
+                *v = if FULL {
+                    _mm512_loadu_ps(src)
+                } else {
+                    _mm512_maskz_loadu_ps(t.masks[h], src)
+                };
+            }
         }
     }
     // A tile of at most 16 columns leaves its second half idle.
-    let wide = t.masks[1] != 0;
+    let wide = FULL || t.masks[1] != 0;
     for p in 0..t.k {
         let brow = t.b.add(p * t.n);
-        let b0 = _mm512_maskz_loadu_ps(t.masks[0], brow);
-        let b1 = _mm512_maskz_loadu_ps(t.masks[1], brow.wrapping_add(16));
+        let (b0, b1) = if FULL {
+            (_mm512_loadu_ps(brow), _mm512_loadu_ps(brow.add(16)))
+        } else {
+            let b0 = _mm512_maskz_loadu_ps(t.masks[0], brow);
+            (b0, _mm512_maskz_loadu_ps(t.masks[1], brow.wrapping_add(16)))
+        };
         for (r, accr) in acc.iter_mut().enumerate() {
             let av = _mm512_set1_ps(*t.a.add(r * t.ars + p * t.aps));
             accr[0] = _mm512_fmadd_ps(av, b0, accr[0]);
@@ -382,14 +448,19 @@ unsafe fn tile_avx512<const MRT: usize>(t: Tile512) {
     }
     for (r, accr) in acc.iter().enumerate() {
         for (h, &v) in accr.iter().enumerate() {
-            _mm512_mask_storeu_ps(t.out.add(r * t.n).wrapping_add(16 * h), t.masks[h], v);
+            let dst = t.out.add(r * t.n).wrapping_add(16 * h);
+            if FULL {
+                _mm512_storeu_ps(dst, v);
+            } else {
+                _mm512_mask_storeu_ps(dst, t.masks[h], v);
+            }
         }
     }
 }
 
 /// [`matmul_block`] through [`gemm_simd`]: `A(i, p) = a[i][p]`.
 fn matmul_block_simd(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_simd::<false>(a, k, b, out, (m, k, n));
+    gemm_simd::<false>(a, k, b, out, (m, k, n), false);
 }
 
 /// Matrix product `a @ b` for rank-2 tensors.
@@ -441,7 +512,8 @@ pub(crate) fn matmul_acc(a: &[f32], b: &[f32], out: &mut [f32], (m, k, n): (usiz
 }
 
 fused_reference! {
-    /// Accumulates `aᵀ @ b` into output rows `i_range`.
+    /// Accumulates `aᵀ @ b` into output rows `i_range` (`out` holds just
+    /// those rows), from `+0.0` when `zero` is set.
     ///
     /// The `r` (shared outer dimension) loop stays outermost and ascending,
     /// so each output element sees additions in exactly the serial order no
@@ -450,11 +522,14 @@ fused_reference! {
         a: &[f32],
         b: &[f32],
         out: &mut [f32],
-        m: usize,
-        ka: usize,
-        n: usize,
+        dims: (usize, usize, usize),
         i_range: std::ops::Range<usize>,
+        zero: bool,
     ) {
+        let (m, ka, n) = dims;
+        if zero {
+            out.fill(0.0);
+        }
         for r in 0..m {
             let arow = &a[r * ka..(r + 1) * ka];
             let brow = &b[r * n..(r + 1) * n];
@@ -469,27 +544,32 @@ fused_reference! {
 }
 
 /// [`matmul_at_b_block`] through [`gemm_simd`]: `A(i, r) = a[r][i]` read in
-/// place (`a[r][i..i + MR]` is as contiguous as `b[r][j..j + NR]`), the
-/// shared dimension `r` ascending per output element, so every addition
-/// is the scalar loop's — whatever output rows `i_range` this shard owns.
+/// place (`a[r][i..i + MR512]` is as contiguous as `b[r][j..j + NR512]`),
+/// the shared dimension `r` ascending per output element, so every
+/// addition is the scalar loop's — whatever output rows `i_range` this
+/// shard owns.
 fn matmul_at_b_block_simd(
     a: &[f32],
     b: &[f32],
     out: &mut [f32],
-    m: usize,
-    ka: usize,
-    n: usize,
+    (m, ka, n): (usize, usize, usize),
     i_range: std::ops::Range<usize>,
+    zero: bool,
 ) {
     // The shared dimension is the batch: walked whole, a tile's panels of
-    // `a` and `b` outgrow the cache (an LSTM bucket's `dW` reduces over tens
+    // `a` and `b` outgrow the cache (an LSTM layer's `dW` reduces over tens
     // of thousands of rows). A tile keeps its sums in `out` between
-    // blocks, so blocking `r` adds the same terms in the same order.
+    // blocks, so blocking `r` adds the same terms in the same order; only
+    // the first block may start from zero.
+    if m == 0 && zero {
+        out.fill(0.0);
+    }
     for r0 in (0..m).step_by(AT_B_ROW_BLOCK) {
         let rows = AT_B_ROW_BLOCK.min(m - r0);
         let a_block = &a[r0 * ka + i_range.start..];
         let b_block = &b[r0 * n..][..rows * n];
-        gemm_simd::<true>(a_block, ka, b_block, out, (i_range.len(), rows, n));
+        let dims = (i_range.len(), rows, n);
+        gemm_simd::<true>(a_block, ka, b_block, out, dims, zero && r0 == 0);
     }
 }
 
@@ -507,8 +587,11 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_vec(out, &[ka, n]).expect("matmul_at_b output shape")
 }
 
-/// [`matmul_at_b`] writing into `out`, which must be zero-filled
-/// `[a.cols()*b.cols()]` (the kernel accumulates).
+/// [`matmul_at_b`] writing into `out` of length `a.cols()*b.cols()`. The
+/// kernel overwrites every element without reading it, so `out` may hold
+/// arbitrary data: the output is weight-shaped and, over a short shared
+/// dimension, far larger than the work, so neither the caller nor the
+/// kernel pays a pass over it to start from zero.
 ///
 /// # Panics
 ///
@@ -517,17 +600,29 @@ pub fn matmul_at_b_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
     let (m, ka) = (a.rows(), a.cols());
     let (m2, n) = (b.rows(), b.cols());
     assert_eq!(m, m2, "matmul_at_b outer dimension mismatch: {m} vs {m2}");
-    matmul_at_b_acc(a.data(), b.data(), out, (m, ka, n));
+    at_b_sharded(a.data(), b.data(), out, (m, ka, n), true);
 }
 
 /// `out += aᵀ @ b` over row-major slices `a: [m, ka]`, `b: [m, n]` and
-/// `out: [ka, n]` — [`matmul_at_b_into`] accumulating into a row block of
+/// `out: [ka, n]` — [`matmul_at_b`] accumulating into a row block of
 /// a larger gradient.
 pub(crate) fn matmul_at_b_acc(
     a: &[f32],
     b: &[f32],
     out: &mut [f32],
+    dims: (usize, usize, usize),
+) {
+    at_b_sharded(a, b, out, dims, false);
+}
+
+/// `aᵀ @ b` into `out`, sharded over output rows, the sums starting from
+/// `out` or, when `zero` is set, from `+0.0`.
+fn at_b_sharded(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
     (m, ka, n): (usize, usize, usize),
+    zero: bool,
 ) {
     assert_eq!(a.len(), m * ka, "matmul_at_b left operand length mismatch");
     assert_eq!(b.len(), m * n, "matmul_at_b right operand length mismatch");
@@ -540,7 +635,7 @@ pub(crate) fn matmul_at_b_acc(
         Backend::Simd => matmul_at_b_block_simd,
     };
     Shards::for_work(ka, m * ka * n).run(out, n, &mut [], |rows, out, _| {
-        block(a, b, out, m, ka, n, rows);
+        block(a, b, out, (m, ka, n), rows, zero);
     });
 }
 
@@ -569,8 +664,7 @@ fused_reference! {
 /// output columns advancing per instruction instead of one scalar.
 fn matmul_a_bt_block_simd(a: &[f32], bt: &[f32], out: &mut [f32], k: usize, n: usize, i0: usize) {
     let rows = out.len() / n;
-    out.fill(0.0);
-    gemm_simd::<false>(&a[i0 * k..][..rows * k], k, bt, out, (rows, k, n));
+    gemm_simd::<false>(&a[i0 * k..][..rows * k], k, bt, out, (rows, k, n), true);
 }
 
 /// Writes the transpose of rank-2 `b` (`[n, k]`) into `out` as row-major
@@ -1238,7 +1332,7 @@ mod tests {
                 assert_eq!(canon(&want), canon(&got), "{name} a@b {m}x{k}x{n}");
 
                 let (mut want, mut got) = (vec![0.0f32; k * n], vec![0.0f32; k * n]);
-                matmul_at_b_block(&a, &g, &mut want, m, k, n, 0..k);
+                matmul_at_b_block(&a, &g, &mut want, (m, k, n), 0..k, false);
                 at(&a, k, &g, &mut got, (k, m, n));
                 assert_eq!(canon(&want), canon(&got), "{name} aT@b {m}x{k}x{n}");
 
@@ -1260,7 +1354,7 @@ mod tests {
                 ("tile a@b", &|out| ab(&a, 2, &b, out, (m, 2, n))),
                 ("tile aT@b", &|out| at(&a_t, m, &b, out, (m, 2, n))),
                 ("scalar a@b", &|out| matmul_block(&a, &b, out, m, 2, n)),
-                ("scalar aT@b", &|out| matmul_at_b_block(&a_t, &b, out, 2, m, n, 0..m)),
+                ("scalar aT@b", &|out| matmul_at_b_block(&a_t, &b, out, (2, m, n), 0..m, false)),
                 ("scalar a@bT", &|out| matmul_a_bt_block(&a, &b_t, out, 2, n, 0)),
             ];
             for (what, product) in products {
@@ -1272,7 +1366,11 @@ mod tests {
         }
         run("portable", gemm_tiles::<NR, true>, gemm_tiles::<NR, false>);
         // The AVX-512 tile where the host has it.
-        run("dispatched", gemm_simd::<true>, gemm_simd::<false>);
+        run(
+            "dispatched",
+            |a, lda, b, out, d| gemm_simd::<true>(a, lda, b, out, d, false),
+            |a, lda, b, out, d| gemm_simd::<false>(a, lda, b, out, d, false),
+        );
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
             // SAFETY: avx2 and fma were just detected; the bodies are safe code.
@@ -1281,6 +1379,39 @@ mod tests {
                 |a, lda, b, out, d| unsafe { gemm_avx2::<true>(a, lda, b, out, d) },
                 |a, lda, b, out, d| unsafe { gemm_avx2::<false>(a, lda, b, out, d) },
             );
+        }
+    }
+
+    /// The AVX-512 tile at every row remainder of its 12-row band and at
+    /// 32-lane column remainders 0, 4 and 16, through the three public
+    /// products against the scalar loops: `a·b` accumulating into an
+    /// output that already holds values, `aᵀ·b` (over more than one
+    /// [`AT_B_ROW_BLOCK`], so zero-started then accumulated) and `a·bᵀ`
+    /// overwriting outputs full of NaN.
+    #[test]
+    fn twelve_row_tiles_match_the_scalar_loops_at_every_remainder() {
+        let shared = AT_B_ROW_BLOCK + 22;
+        for rows in 0..MR512 {
+            for cols in [0usize, 4, 16] {
+                let (m, n) = (2 * MR512 + rows, 2 * NR512 + cols);
+                let (a, b, start) = (big(m, shared, 61), big(shared, n, 62), big(m, n, 63));
+                let (at, g, bt) = (big(shared, m, 64), big(shared, n, 65), big(n, shared, 66));
+                let run = |backend| {
+                    with_backend(backend, || {
+                        let mut ab = start.clone();
+                        matmul_into(&a, &b, ab.data_mut());
+                        let mut atb = vec![f32::NAN; m * n];
+                        matmul_at_b_into(&at, &g, &mut atb);
+                        let mut abt = vec![f32::NAN; m * n];
+                        matmul_a_bt_into(&a, &bt, &mut abt);
+                        [bits(&ab), bits2(&atb), bits2(&abt)]
+                    })
+                };
+                let (want, got) = (run(Backend::Scalar), run(Backend::Simd));
+                for (what, (want, got)) in ["a@b", "aT@b", "a@bT"].iter().zip(want.iter().zip(&got)) {
+                    assert_eq!(want, got, "{what} {m}x{shared}x{n}");
+                }
+            }
         }
     }
 
