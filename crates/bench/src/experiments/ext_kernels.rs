@@ -40,9 +40,12 @@
 //!    with the scalar rows bit for bit and with libm to 1e-6.
 //! 5. **Fused LSTM** (`ext_kernels_lstm.json`) — nanoseconds per node-step
 //!    of `Graph::lstm_sequence` forward + backward at the SAGE-LSTM shape
-//!    (`[n, 100]` inputs, `H = 100`) for a small and a large degree bucket
-//!    and a short and a long neighbour sequence, on both backends, weight
-//!    gradients bit-identical.
+//!    (`[n, 100]` inputs, `H = 100`) for a small and a large set of
+//!    equal-length sequences, a short and a long neighbour sequence, and
+//!    `lstm2_k8`'s layer-0 block: 1024 destinations with power-law
+//!    degrees up to 25, as one packed call and as the one call per degree
+//!    the aggregator used to make — on both backends, weight gradients
+//!    bit-identical.
 //! 6. **Fused affine map** (`ext_kernels_affine.json`) — `Graph::affine`
 //!    against the `slice_rows → matmul → add_bias → add → relu`
 //!    composition it replaced, at the two SAGE layer shapes (`[n, 100] →
@@ -234,8 +237,8 @@ fn kernel_cases(profile: Profile) -> Vec<Vec<KernelCase>> {
     // The SAGE-LSTM gate product `[rows, 200]·[200, 400]` and its two
     // adjoints as the backward sweep runs them: `dX = G·Wᵀ` against a
     // weight transposed once outside the timed region, `dW = Xᵀ·G`. 16
-    // rows is a small degree bucket, 1024 a large one; neither is scaled
-    // by the profile (the remainder tiles are the point).
+    // rows is a short step or a small batch, 1024 a wide one; neither is
+    // scaled by the profile (the remainder tiles are the point).
     let (gk, gn) = (200, 400);
     for rows in [16usize, 1024] {
         let dims = (rows, gk, gn);
@@ -601,19 +604,60 @@ fn activation_table(profile: Profile) {
     table.finish();
 }
 
-/// One forward + backward of `Graph::lstm_sequence` over `n` sequences of
-/// `len` steps on a warm tape; returns the weight gradient's bits.
-fn lstm_step(g: &mut Graph, operands: &[Tensor; 3], steps: &[usize], n: usize) -> Vec<u32> {
+/// One packed `Graph::lstm_sequence` call: its source rows and sizes.
+type LstmCall = (Vec<usize>, Vec<usize>);
+
+/// One forward + backward of `Graph::lstm_sequence` over each call on a
+/// warm tape; returns the weight gradient's bits.
+fn lstm_step(g: &mut Graph, operands: &[Tensor; 3], calls: &[LstmCall]) -> Vec<u32> {
     g.reset();
     let [src, w, b] = operands;
     // Gathered input features are gradient-free in training.
     let src = g.constant(src.clone());
     let w = g.leaf(w.clone());
     let b = g.leaf(b.clone());
-    let h = g.lstm_sequence(src, steps, n, w, b);
-    let loss = g.sum(h);
+    let sums: Vec<VarId> = calls
+        .iter()
+        .map(|(steps, sizes)| {
+            let h = g.lstm_sequence(src, steps, sizes, w, b);
+            g.sum(h)
+        })
+        .collect();
+    let loss = sums[1..].iter().fold(sums[0], |acc, &s| g.add(acc, s));
     g.backward(loss);
     bits(g.grad(w).expect("weight gradient").data())
+}
+
+/// `n` destinations with power-law in-degrees capped at `fanout` (a
+/// Pareto tail of exponent 1 sampled at fixed quantiles, as a sampled
+/// block of a power-law graph has them), each with its own neighbour
+/// list over `src_rows` source rows; returned as one packed call and as
+/// one uniform call per distinct degree over the same edges.
+fn power_law_calls(n: usize, fanout: usize, src_rows: usize) -> (LstmCall, Vec<LstmCall>) {
+    let lists: Vec<Vec<usize>> = (0..n)
+        .map(|r| {
+            let u = ((r as f64 + 0.5) * 0.618_034).fract();
+            let degree = (1.0 / u).floor().clamp(1.0, fanout as f64) as usize;
+            (0..degree).map(|t| (r * 7919 + t * 104_729) % src_rows).collect()
+        })
+        .collect();
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by_key(|&r| std::cmp::Reverse(lists[r].len()));
+    let longest = lists[order[0]].len();
+    let (mut steps, mut sizes) = (Vec::new(), Vec::new());
+    for t in 0..longest {
+        let running = order.partition_point(|&r| lists[r].len() > t);
+        sizes.push(running);
+        steps.extend(order[..running].iter().map(|&r| lists[r][t]));
+    }
+    let by_degree = (1..=longest)
+        .filter_map(|degree| {
+            let members: Vec<&Vec<usize>> = lists.iter().filter(|l| l.len() == degree).collect();
+            let steps = (0..degree).flat_map(|t| members.iter().map(move |l| l[t])).collect();
+            (!members.is_empty()).then(|| (steps, vec![members.len(); degree]))
+        })
+        .collect();
+    ((steps, sizes), by_degree)
 }
 
 fn lstm_table(profile: Profile) {
@@ -634,39 +678,52 @@ fn lstm_table(profile: Profile) {
         &[
             "n",
             "L",
+            "calls",
             "scalar ns/node-step",
             "simd ns/node-step",
             "speedup",
         ],
     );
+    // Equal lengths (one uniform call), then `lstm2_k8`'s layer-0 shape:
+    // power-law degrees up to the fanout 25, packed into one call and
+    // run as one call per degree the way the aggregator bucketed them.
+    let mut rows: Vec<(usize, String, Vec<LstmCall>)> = Vec::new();
+    for n in [16usize, 1024] {
+        for len in [5usize, 25] {
+            let steps = (0..len * n).map(|k| (k * 7919) % src_rows).collect();
+            rows.push((n, len.to_string(), vec![(steps, vec![n; len])]));
+        }
+    }
+    let (packed, by_degree) = power_law_calls(1024, 25, src_rows);
+    rows.push((1024, "1-25 packed".into(), vec![packed]));
+    rows.push((1024, "1-25 by degree".into(), by_degree));
     betty_runtime::with_threads(1, || {
-        for n in [16usize, 1024] {
-            for len in [5usize, 25] {
-                let steps: Vec<usize> = (0..len * n).map(|k| (k * 7919) % src_rows).collect();
-                let mut g = Graph::new();
-                let mut time = |backend| {
-                    with_backend(backend, || {
-                        let grad = lstm_step(&mut g, &operands, &steps, n);
-                        (grad, best_of(reps, || drop(lstm_step(&mut g, &operands, &steps, n))))
-                    })
-                };
-                let (scalar_grad, scalar_sec) = time(Backend::Scalar);
-                let (simd_grad, simd_sec) = time(Backend::Simd);
-                assert_eq!(scalar_grad, simd_grad, "lstm n={n} L={len}: simd moved a gradient bit");
-                let speedup = scalar_sec / simd_sec;
-                assert!(
-                    speedup >= MIN_KERNEL_SPEEDUP,
-                    "lstm n={n} L={len}: simd speedup {speedup:.2}x below the {MIN_KERNEL_SPEEDUP:.2}x floor"
-                );
-                let per_step = |sec: f64| format!("{:.0}", sec * 1e9 / (len * n) as f64);
-                table.row(vec![
-                    n.to_string(),
-                    len.to_string(),
-                    per_step(scalar_sec),
-                    per_step(simd_sec),
-                    format!("{speedup:.2}x"),
-                ]);
-            }
+        for (n, len, calls) in &rows {
+            let node_steps: usize = calls.iter().map(|(steps, _)| steps.len()).sum();
+            let mut g = Graph::new();
+            let mut time = |backend| {
+                with_backend(backend, || {
+                    let grad = lstm_step(&mut g, &operands, calls);
+                    (grad, best_of(reps, || drop(lstm_step(&mut g, &operands, calls))))
+                })
+            };
+            let (scalar_grad, scalar_sec) = time(Backend::Scalar);
+            let (simd_grad, simd_sec) = time(Backend::Simd);
+            assert_eq!(scalar_grad, simd_grad, "lstm n={n} L={len}: simd moved a gradient bit");
+            let speedup = scalar_sec / simd_sec;
+            assert!(
+                speedup >= MIN_KERNEL_SPEEDUP,
+                "lstm n={n} L={len}: simd speedup {speedup:.2}x below the {MIN_KERNEL_SPEEDUP:.2}x floor"
+            );
+            let per_step = |sec: f64| format!("{:.0}", sec * 1e9 / node_steps as f64);
+            table.row(vec![
+                n.to_string(),
+                len.clone(),
+                calls.len().to_string(),
+                per_step(scalar_sec),
+                per_step(simd_sec),
+                format!("{speedup:.2}x"),
+            ]);
         }
     });
     table.finish();

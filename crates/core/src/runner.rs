@@ -1461,6 +1461,37 @@ mod tests {
         assert!(stats.loss.is_finite());
     }
 
+    /// Eq. 5's LSTM term follows the layer's one packed sequence op: every
+    /// neighbour step — one edge — adds `LSTM_TAPE_CONSTANT · d` tape
+    /// values, whether it lengthens a sequence or starts one.
+    #[test]
+    fn lstm_estimate_charges_the_tape_constant_per_neighbour_step() {
+        use betty_device::{AggregatorKind, MemoryEstimator, ModelShape};
+        use betty_graph::{Batch, Block};
+        let d = 8;
+        let estimator = MemoryEstimator::new(ModelShape {
+            in_dim: d,
+            hidden_dim: 4,
+            num_classes: 3,
+            num_layers: 1,
+            aggregator: AggregatorKind::Lstm,
+            params_gnn: 100,
+            params_agg: 20,
+            dropout: false,
+        })
+        .with_lstm_constant(LSTM_TAPE_CONSTANT);
+        let tape = |edges: &[(u32, u32)]| {
+            let batch = Batch::new(vec![Block::new(vec![0, 1], edges)]);
+            estimator.estimate(&batch).aggregator_intermediate
+        };
+        // Destination 1 starts isolated; destination 0 has two neighbours.
+        let base = tape(&[(10, 0), (11, 0)]);
+        let step_bytes = LSTM_TAPE_CONSTANT * d * 4;
+        assert_eq!(tape(&[(10, 0), (11, 0), (12, 1)]) - base, step_bytes, "a new sequence");
+        assert_eq!(tape(&[(10, 0), (11, 0), (12, 0)]) - base, step_bytes, "a longer sequence");
+        assert_eq!(LSTM_TAPE_CONSTANT, 6, "four gates, the cell and the hidden state");
+    }
+
     #[test]
     fn estimator_drift_is_exact_at_every_precision() {
         // Eq. 5 exactness is the planner's contract: the measured step

@@ -25,7 +25,7 @@
 //! |-------|---------------------------------|
 //! | SAGE mean / sum | the aggregate `n·d` (the self term reads `h_dst` in place) |
 //! | SAGE pool | gathered messages `e·d`, their activated transform `e·d`, the max `n·d` |
-//! | SAGE LSTM | `c·d` per neighbour step (Eq. 5; `c` = 6 here: four gates, cell, hidden), the buckets' final states stacked (`d` per non-isolated destination), their placement `n·d` |
+//! | SAGE LSTM | `c·d` per neighbour step, i.e. per edge (Eq. 5; `c` = 6 here: four gates, cell, hidden — the last step's hidden state is the packed sequence's output), and the final states' placement `n·d` |
 //! | GCN | the normalised aggregate `n·d` |
 //! | GIN | neighbour sum, gathered `h_dst`, scaled self, their sum (`n·d` each), the MLP's hidden `n·h`, and two f32 scalars (`1`, `1 + ε`) |
 //! | GAT | projection `s·p` (`p` = heads × head width `w`); per head: its slice `s·w`, two attention-vector slices `w`, two score halves `s`, five edge-score tensors `e`, gathered and weighted features `2·e·w`, the pooled `n·w`; then the concatenation `n·o` (hidden layers, before the ELU) or `heads − 1` running sums `n·o` (the last layer's mean) |
@@ -353,19 +353,10 @@ impl MemoryEstimator {
             // transform for the max's adjoint.
             AggregatorKind::Pool => 2 * e * d + sage_overhead,
             // Eq. 5: Σ_buckets L_i · B_i · d · c — the nodes fed through
-            // the LSTM at each in-degree — plus the buckets' final states
-            // stacked, one row per non-isolated destination, before they
-            // are scattered into the aggregate.
-            AggregatorKind::Lstm => {
-                let buckets = block.exact_degree_buckets();
-                let per_node: usize = buckets.iter().map(|(l, nodes)| l * nodes.len()).sum();
-                let stacked: usize = buckets
-                    .iter()
-                    .filter(|(l, _)| *l > 0)
-                    .map(|(_, nodes)| nodes.len())
-                    .sum();
-                per_node * d * self.lstm_values_per_node + stacked * d + sage_overhead
-            }
+            // the LSTM at each in-degree, which sum to one neighbour step
+            // per edge. The layer's one packed sequence places its final
+            // states straight into the aggregate.
+            AggregatorKind::Lstm => e * d * self.lstm_values_per_node + sage_overhead,
             // The neighbour sum, the gathered self rows, their `1 + ε`
             // multiple and the combination, then the MLP's hidden layer.
             AggregatorKind::Gin => 4 * n_dst * d + n_dst * self.shape.hidden_dim,
@@ -444,17 +435,16 @@ mod tests {
         let est = MemoryEstimator::new(shape(AggregatorKind::Lstm));
         let e = est.estimate(&one_layer_batch());
         // Buckets: degree 2 × 1 node + degree 1 × 1 node = 3 node-steps.
-        // Eq. 5 term = 3 · d(8) · 18; plus 2 stacked final-state rows · d
-        // = 16, their 16-value placement, taped params (120), and the
-        // loss head.
-        assert_eq!(e.aggregator_intermediate, (3 * 8 * 18 + 16 + 16 + 122) * 4);
+        // Eq. 5 term = 3 · d(8) · 18; plus the final states' 16-value
+        // placement, taped params (120), and the loss head.
+        assert_eq!(e.aggregator_intermediate, (3 * 8 * 18 + 16 + 122) * 4);
     }
 
     #[test]
     fn lstm_constant_is_tunable() {
         let est = MemoryEstimator::new(shape(AggregatorKind::Lstm)).with_lstm_constant(25);
         let e = est.estimate(&one_layer_batch());
-        assert_eq!(e.aggregator_intermediate, (3 * 8 * 25 + 16 + 16 + 122) * 4);
+        assert_eq!(e.aggregator_intermediate, (3 * 8 * 25 + 16 + 122) * 4);
     }
 
     #[test]

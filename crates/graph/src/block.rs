@@ -253,35 +253,6 @@ impl Block {
             .map(move |(&s, &d)| (self.src_globals[s as usize], self.src_globals[d as usize]))
     }
 
-    /// Groups destinations by in-degree for bucketed aggregation, clamping
-    /// degrees above `max_bucket` into the final bucket (DGL's "in-degree
-    /// bucketing", the source of the paper's *bucketing explosion*, §4.4.2).
-    ///
-    /// Returns `max_bucket + 1` buckets; bucket `i < max_bucket` holds
-    /// destinations of in-degree exactly `i`, and bucket `max_bucket` holds
-    /// the long tail (`in-degree >= max_bucket`).
-    pub fn degree_buckets(&self, max_bucket: usize) -> Vec<Vec<u32>> {
-        let mut buckets = vec![Vec::new(); max_bucket + 1];
-        for d in 0..self.num_dst {
-            let deg = self.in_degree(d).min(max_bucket);
-            buckets[deg].push(d as u32);
-        }
-        buckets
-    }
-
-    /// Groups destinations by *exact* in-degree: map from degree to the
-    /// destinations with that degree (used by the LSTM aggregator, which
-    /// processes equal-length neighbor sequences together).
-    pub fn exact_degree_buckets(&self) -> Vec<(usize, Vec<u32>)> {
-        let mut map: HashMap<usize, Vec<u32>> = HashMap::new();
-        for d in 0..self.num_dst {
-            map.entry(self.in_degree(d)).or_default().push(d as u32);
-        }
-        let mut out: Vec<(usize, Vec<u32>)> = map.into_iter().collect();
-        out.sort_unstable_by_key(|(deg, _)| *deg);
-        out
-    }
-
     /// The paper's block-size measure (§4.4.3 item 4): each edge is two node
     /// ids plus a weight, i.e. `3 · |E|` stored values.
     pub fn storage_values(&self) -> usize {
@@ -341,22 +312,6 @@ mod tests {
         let mut expected = vec![(4, 8), (5, 8), (7, 8), (11, 8), (4, 5), (9, 5)];
         expected.sort_unstable();
         assert_eq!(edges, expected);
-    }
-
-    #[test]
-    fn degree_buckets_clamp_tail() {
-        let b = sample_block();
-        let buckets = b.degree_buckets(3);
-        assert_eq!(buckets.len(), 4);
-        assert_eq!(buckets[2], vec![1]); // dst 1 has degree 2
-        assert_eq!(buckets[3], vec![0]); // dst 0 has degree 4, clamped
-    }
-
-    #[test]
-    fn exact_degree_buckets_sorted() {
-        let b = sample_block();
-        let buckets = b.exact_degree_buckets();
-        assert_eq!(buckets, vec![(2, vec![1]), (4, vec![0])]);
     }
 
     #[test]

@@ -1,3 +1,5 @@
+use std::cmp::Reverse;
+
 use betty_graph::Block;
 use betty_tensor::VarId;
 use rand::Rng;
@@ -42,9 +44,10 @@ pub enum Aggregator {
     Sum,
     /// `max(relu(W·x + b))` over neighbors.
     Pool(Linear),
-    /// Final hidden state of an LSTM run over the neighbor sequence,
-    /// processed in exact in-degree buckets (equal-length sequences batch
-    /// together — the "in-degree bucketing" the paper analyzes in §4.4.2).
+    /// Final hidden state of an LSTM run over the neighbor sequence. A
+    /// layer runs every destination's sequence as one packed op, longest
+    /// first, instead of one op per in-degree bucket — the "in-degree
+    /// bucketing" the paper analyzes in §4.4.2.
     Lstm(LstmCell),
 }
 
@@ -120,42 +123,35 @@ fn with_edge_lists(
     out
 }
 
-/// LSTM aggregation with exact in-degree bucketing.
+/// LSTM aggregation as one packed sequence per layer.
 ///
-/// Destinations sharing an in-degree `L` form one bucket; their neighbor
-/// lists stack into `L` timesteps of one batched [`LstmCell::sequence`].
-/// The buckets' final hidden states are stacked and placed on their
-/// destinations' rows in one scatter (the buckets partition the
-/// non-isolated destinations, so this is pure placement).
+/// The non-isolated destinations are sorted by in-degree, longest first
+/// (ties by id), so step `t` of one [`LstmCell::sequence`] runs exactly
+/// those with more than `t` neighbors and reads each one's `t`-th
+/// neighbor. Their final hidden states are placed on their destinations'
+/// rows in one scatter; isolated destinations aggregate to zero.
 fn lstm_aggregate(sess: &mut Session, cell: &LstmCell, block: &Block, src_feats: VarId) -> VarId {
     let n_dst = block.num_dst();
-    let mut finals = Vec::new();
-    let mut positions = sess.graph.take_indices();
+    let degree = |d: usize| block.in_degree(d);
+    let mut order = sess.graph.take_indices();
+    order.extend((0..n_dst).filter(|&d| degree(d) > 0));
+    order.sort_unstable_by_key(|&d| (Reverse(degree(d)), d));
+    let mut sizes = sess.graph.take_indices();
     let mut steps = sess.graph.take_indices();
-    for (degree, nodes) in block.exact_degree_buckets() {
-        if degree == 0 {
-            continue; // isolated destinations aggregate to zero
-        }
-        // Timestep t reads the t-th neighbor of every bucket member.
-        steps.clear();
-        for t in 0..degree {
-            steps.extend(
-                nodes
-                    .iter()
-                    .map(|&d| block.in_edges(d as usize)[t] as usize),
-            );
-        }
-        finals.push(cell.sequence(sess, src_feats, &steps, nodes.len()));
-        positions.extend(nodes.iter().map(|&d| d as usize));
+    for t in 0..order.first().map_or(0, |&d| degree(d)) {
+        let running = order.partition_point(|&d| degree(d) > t);
+        sizes.push(running);
+        steps.extend(order[..running].iter().map(|&d| block.in_edges(d)[t] as usize));
     }
-    let out = if finals.is_empty() {
+    let out = if order.is_empty() {
         sess.graph.zeros_leaf(&[n_dst, cell.hidden_dim()])
     } else {
-        let stacked = sess.graph.concat_rows(&finals);
-        sess.graph.scatter_rows(stacked, &positions, n_dst)
+        let finals = cell.sequence(sess, src_feats, &steps, &sizes);
+        sess.graph.scatter_rows(finals, &order, n_dst)
     };
     sess.graph.recycle_indices(steps);
-    sess.graph.recycle_indices(positions);
+    sess.graph.recycle_indices(sizes);
+    sess.graph.recycle_indices(order);
     out
 }
 
@@ -236,12 +232,12 @@ mod tests {
         }
     }
 
-    /// The tape of one LSTM layer is O(buckets) nodes — one fused sequence
-    /// per in-degree, one stack, one placement — however long the
+    /// The tape of one LSTM layer is one packed sequence node and one
+    /// placement however many distinct degrees and however long the
     /// sequences are, and holds exactly Eq. 5's six values per neighbor
     /// step plus the placement rows.
     #[test]
-    fn lstm_tapes_one_node_per_degree_bucket() {
+    fn lstm_tapes_one_sequence_node_per_layer() {
         // Degrees 0, 1, 1, 3, 3, 3, 6 over seven destinations.
         let degrees = [0usize, 1, 1, 3, 3, 3, 6];
         let mut edges = Vec::new();
@@ -249,17 +245,44 @@ mod tests {
             edges.extend((0..deg).map(|k| (7 + (d + 2 * k) as u32 % 5, d as u32)));
         }
         let b = Block::new((0..7).collect(), &edges);
-        let (d, node_steps, placed, buckets) = (4, 17, 6, 3);
+        let (d, node_steps) = (4, 17);
         let mut sess = Session::new();
         let x = sess.graph.leaf(Tensor::ones(&[b.num_src(), d]));
         let agg = Aggregator::new(AggregatorSpec::Lstm, d, &mut rng());
         let (nodes, bytes) = (sess.graph.len(), sess.activation_bytes());
         let out = agg.forward(&mut sess, &b, x);
         assert_eq!(sess.graph.value(out).shape(), &[7, d]);
-        // Two parameter leaves, then the buckets, the stack, the scatter.
-        assert_eq!(sess.graph.len() - nodes, 2 + buckets + 2);
-        let values = agg.num_params() + 6 * node_steps * d + (placed + 7) * d;
+        // Two parameter leaves, then the sequence and the scatter.
+        assert_eq!(sess.graph.len() - nodes, 2 + 1 + 1);
+        let values = agg.num_params() + 6 * node_steps * d + 7 * d;
         assert_eq!(sess.activation_bytes() - bytes, values * 4);
+    }
+
+    /// Each destination's row is the cell run over its own neighbor list
+    /// alone, bit for bit: the packing only batches sequences, it never
+    /// mixes them.
+    #[test]
+    fn packed_rows_equal_each_destination_run_alone() {
+        let b = Block::new((0..5).collect(), &[(5, 0), (6, 0), (7, 1), (5, 3), (8, 3), (6, 3), (7, 4)]);
+        let mut sess = Session::new();
+        let feats = betty_tensor::randn(&[b.num_src(), 3], &mut Pcg64Mcg::seed_from_u64(4));
+        let x = sess.graph.leaf(feats);
+        let Aggregator::Lstm(cell) = Aggregator::new(AggregatorSpec::Lstm, 3, &mut rng()) else {
+            unreachable!("an LSTM spec builds an LSTM aggregator")
+        };
+        let out = lstm_aggregate(&mut sess, &cell, &b, x);
+        let packed = sess.graph.value(out).clone();
+        for d in 0..b.num_dst() {
+            let steps: Vec<usize> = b.in_edges(d).iter().map(|&s| s as usize).collect();
+            let alone = if steps.is_empty() {
+                vec![0.0; 3]
+            } else {
+                let h = cell.sequence(&mut sess, x, &steps, &vec![1; steps.len()]);
+                sess.graph.value(h).data().to_vec()
+            };
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(packed.row(d)), bits(&alone), "destination {d}");
+        }
     }
 
     #[test]

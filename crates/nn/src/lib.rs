@@ -7,7 +7,7 @@
 //!
 //! * [`SageConv`] — GraphSAGE convolution with the four aggregators of
 //!   Table 1 ([`Aggregator::Mean`], [`Aggregator::Sum`], pooling, and the
-//!   memory-hungry LSTM aggregator with exact in-degree bucketing).
+//!   memory-hungry LSTM aggregator, one packed sequence per layer).
 //! * [`GatConv`] — multi-head graph attention.
 //! * [`GcnConv`] / [`GinConv`] — the GCN and GIN convolutions.
 //! * [`Stack`] — the one multi-layer model: a [`Conv`] per block, the

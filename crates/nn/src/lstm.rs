@@ -31,15 +31,18 @@ impl LstmCell {
         self.hidden_dim
     }
 
-    /// Runs the cell from zero state over `n` equal-length sequences at
-    /// once and returns their final hidden states `[n, H]`: at step `t`
-    /// sequence `r` consumes row `steps[t * n + r]` of `src` (`[_, X]`).
-    /// One tape node, whatever the length
+    /// Runs the cell from zero state over `sizes[0]` sequences at once
+    /// and returns their final hidden states `[sizes[0], H]`. The
+    /// sequences are packed longest first: step `t` runs the first
+    /// `sizes[t]` of them (`sizes` non-increasing), and its rows of
+    /// `steps` — the `sizes[t]` after those of earlier steps — name the
+    /// row of `src` (`[_, X]`) each consumes. Equal lengths `L` are
+    /// `sizes = [n; L]`. One tape node, whatever the lengths
     /// ([`betty_tensor::Graph::lstm_sequence`]).
-    pub fn sequence(&self, sess: &mut Session, src: VarId, steps: &[usize], n: usize) -> VarId {
+    pub fn sequence(&self, sess: &mut Session, src: VarId, steps: &[usize], sizes: &[usize]) -> VarId {
         let w = sess.bind(&self.weight);
         let b = sess.bind(&self.bias);
-        sess.graph.lstm_sequence(src, steps, n, w, b)
+        sess.graph.lstm_sequence(src, steps, sizes, w, b)
     }
 }
 
@@ -71,7 +74,7 @@ mod tests {
         assert_eq!(c.num_params(), (3 + 4) * 16 + 16);
         let mut sess = Session::new();
         let x = sess.graph.leaf(Tensor::ones(&[5, 3]));
-        let h = c.sequence(&mut sess, x, &[0, 1, 2, 3, 4, 4, 3, 2, 1, 0], 5);
+        let h = c.sequence(&mut sess, x, &[0, 1, 2, 3, 4, 4, 3, 2, 1, 0], &[5, 5]);
         assert_eq!(sess.graph.value(h).shape(), &[5, 4]);
     }
 
@@ -80,7 +83,7 @@ mod tests {
         let c = cell(1, 2, 3);
         let mut sess = Session::new();
         let x = sess.graph.leaf(Tensor::full(&[2, 2], 10.0));
-        let h = c.sequence(&mut sess, x, &[0, 1, 0, 1, 0, 1, 0, 1, 0, 1], 2);
+        let h = c.sequence(&mut sess, x, &[0, 1, 0, 1, 0, 1, 0, 1, 0, 1], &[2; 5]);
         let hv = sess.graph.value(h);
         assert!(hv.data().iter().all(|&v| (-1.0..=1.0).contains(&v)));
         assert!(hv.all_finite());
@@ -93,7 +96,7 @@ mod tests {
         let x = sess
             .graph
             .leaf(Tensor::from_vec(vec![0.5, -0.5, 0.25, 1.0, -1.0, 0.75], &[3, 2]).unwrap());
-        let h = c.sequence(&mut sess, x, &[0, 1, 2], 1);
+        let h = c.sequence(&mut sess, x, &[0, 1, 2], &[1, 1, 1]);
         let loss = sess.graph.sum(h);
         sess.graph.backward(loss);
         let w = sess.bind(&c.params()[0].clone());
@@ -114,7 +117,7 @@ mod tests {
         let input = betty_tensor::randn(&[4, 2], &mut Pcg64Mcg::seed_from_u64(9));
         let res = betty_tensor::check::check_gradient(&input, |g, x| {
             let mut sess = Session::from_graph(std::mem::take(g));
-            let h = c.sequence(&mut sess, x, &[0, 1, 2, 3], 2);
+            let h = c.sequence(&mut sess, x, &[0, 1, 2, 3], &[2, 2]);
             let out = sess.graph.sum(h);
             *g = std::mem::take(&mut sess.graph);
             out

@@ -121,13 +121,11 @@ fn forward_rows(
             let bias = t.bias.map(Tensor::data);
             let act = relu && i + 1 == terms.len();
             if i == 0 {
-                out_block.fill(0.0);
-                kernels::matmul_acc(x, t.w.data(), out_block, (m, k, o));
+                kernels::matmul_set(x, t.w.data(), out_block, (m, k, o));
                 epilogue_dispatch(out_block, None, bias, act);
             } else {
                 let product = &mut scratch[..m * o];
-                product.fill(0.0);
-                kernels::matmul_acc(x, t.w.data(), product, (m, k, o));
+                kernels::matmul_set(x, t.w.data(), product, (m, k, o));
                 epilogue_dispatch(out_block, Some(product), bias, act);
             }
         }
@@ -441,7 +439,7 @@ mod tests {
     }
 
     /// A SAGE layer's source features feed the self term's prefix *and*
-    /// the aggregator (one node per degree bucket under the LSTM). The op
+    /// the aggregator (one packed sequence node under the LSTM). The op
     /// by op layer sliced `h_dst` before it aggregated, so the self term's
     /// gradient was the last of three or more added into the features';
     /// the fused op is taped after the aggregator and must still add last.

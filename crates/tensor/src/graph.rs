@@ -169,7 +169,6 @@ enum Op {
     ScaleRowsBy,
     MulScalarVar,
     ConcatCols,
-    ConcatRows,
     SliceCols {
         start: usize,
         len: usize,
@@ -228,9 +227,10 @@ enum Op {
     },
     /// Parents `(src, w, b)`; see [`Graph::lstm_sequence`].
     LstmSequence {
-        /// Source row of sequence `r` at step `t`, at `t * n + r`.
+        /// Source row of each neighbour step, in packed order.
         steps: Vec<usize>,
-        n: usize,
+        /// Sequences running at each step, non-increasing.
+        sizes: Vec<usize>,
         saved: lstm::Saved,
     },
 }
@@ -282,8 +282,13 @@ impl Op {
                 pool.give(log_probs);
                 pool.give_indices(targets);
             }
-            Op::LstmSequence { steps, saved, .. } => {
+            Op::LstmSequence {
+                steps,
+                sizes,
+                saved,
+            } => {
                 pool.give_indices(steps);
+                pool.give_indices(sizes);
                 saved.recycle_into(pool);
             }
             _ => {}
@@ -427,18 +432,6 @@ impl Op {
                     kernels::slice_cols_into(g, offset, w, part.data_mut());
                     out.push(Some(part));
                     offset += w;
-                }
-            }
-            Op::ConcatRows => {
-                let cols = g.cols();
-                let mut offset = 0;
-                for j in 0..nodes[i].parents.len() {
-                    let h = parent(j).rows();
-                    let mut part = pool.scratch(&[h, cols]);
-                    part.data_mut()
-                        .copy_from_slice(&g.data()[offset * cols..(offset + h) * cols]);
-                    out.push(Some(part));
-                    offset += h;
                 }
             }
             Op::SliceCols { start, len } => {
@@ -639,7 +632,11 @@ impl Op {
                     pool.give(m);
                 }
             }
-            Op::LstmSequence { steps, n, saved } => {
+            Op::LstmSequence {
+                steps,
+                sizes,
+                saved,
+            } => {
                 let [src, w, b] = [0, 1, 2].map(|j| nodes[i].parents.get(j));
                 let (srcv, wv) = (parent(0), parent(1));
                 let x_dim = srcv.cols();
@@ -651,7 +648,7 @@ impl Op {
                     pool,
                     saved,
                     steps,
-                    *n,
+                    sizes,
                     srcv,
                     wv,
                     g,
@@ -1217,29 +1214,6 @@ impl Graph {
         self.push(value, Parents::from_slice(parts), Some(Op::ConcatCols))
     }
 
-    /// Vertical concatenation of rank-2 variables sharing a column count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts` is empty or column counts disagree.
-    pub fn concat_rows(&mut self, parts: &[VarId]) -> VarId {
-        assert!(!parts.is_empty(), "concat_rows requires at least one part");
-        let Graph { nodes, pool, .. } = self;
-        let cols = nodes[parts[0].0].value.cols();
-        let total: usize = parts.iter().map(|&p| nodes[p.0].value.rows()).sum();
-        let mut value = pool.scratch(&[total, cols]);
-        let vd = value.data_mut();
-        let mut offset = 0;
-        for &p in parts {
-            let t = &nodes[p.0].value;
-            assert_eq!(t.cols(), cols, "concat_rows column count mismatch");
-            let h = t.rows();
-            vd[offset * cols..(offset + h) * cols].copy_from_slice(t.data());
-            offset += h;
-        }
-        self.push(value, Parents::from_slice(parts), Some(Op::ConcatRows))
-    }
-
     /// Extracts columns `[start, start+len)` of a rank-2 variable.
     ///
     /// # Panics
@@ -1543,36 +1517,43 @@ impl Graph {
 
     // ---- recurrent ----
 
-    /// Final hidden state `[n, H]` of an LSTM run over `n` sequences at
-    /// once, as a single tape node.
+    /// Last hidden states `[n, H]` of an LSTM run over `n` sequences of
+    /// any lengths at once, as a single tape node.
     ///
-    /// The sequences all have length `L = steps.len() / n`; at step `t`
-    /// sequence `r` reads row `steps[t * n + r]` of `src` (`[_, X]`; rows
-    /// may repeat). `w` is `[X + H, 4H]` with the gate columns ordered
-    /// `i | f | g | o` and `b` is `[4H]`; state starts at zero. The value
-    /// equals, bit for bit, what gathering each step and composing the
-    /// cell out of `concat_cols`/`matmul`/`add_bias`/`slice_cols`/
-    /// activations gives — without taping any of those intermediates. Per
-    /// step, sequence and state unit the op keeps six values (the four
-    /// activated gates, the cell state and the hidden state, its own
-    /// output included), charged to [`Graph::activation_bytes`] at the
-    /// activation width like node values; its adjoint runs the whole
-    /// back-propagation through time, accumulating each of `d src`, `dW`
-    /// and `db` in one buffer.
+    /// The sequences are packed longest first, like PyTorch's
+    /// `PackedSequence`: step `t` runs the first `sizes[t]` of them
+    /// (`sizes` non-increasing; `n = sizes[0]`, and sequence `r` lasts as
+    /// many steps as `sizes` has entries above `r`), and its rows of
+    /// `steps` are the `sizes[t]` after those of the steps before it. Row
+    /// `r` of a step's block names the row of `src` (`[_, X]`; rows may
+    /// repeat) that sequence `r` reads there. Equal lengths are the
+    /// uniform `sizes = [n; L]`. `w` is `[X + H, 4H]` with the gate
+    /// columns ordered `i | f | g | o` and `b` is `[4H]`; state starts at
+    /// zero. Row `r` of the value equals, bit for bit, what gathering each
+    /// of sequence `r`'s steps and composing the cell out of
+    /// `concat_cols`/`matmul`/`add_bias`/`slice_cols`/activations gives —
+    /// without taping any of those intermediates. Per neighbour step and
+    /// state unit the op keeps six values (the four activated gates, the
+    /// cell state and the hidden state, its own output included), charged
+    /// to [`Graph::activation_bytes`] at the activation width like node
+    /// values; its adjoint runs the whole back-propagation through time,
+    /// accumulating each of `d src`, `dW` and `db` in one buffer.
     ///
     /// # Panics
     ///
-    /// Panics if the shapes disagree, `steps.len()` is not a multiple of
-    /// `n`, or a step names a row outside `src`.
+    /// Panics if the shapes disagree, `sizes` increases anywhere,
+    /// `steps.len()` is not the sum of `sizes`, or a step names a row
+    /// outside `src`.
     pub fn lstm_sequence(
         &mut self,
         src: VarId,
         steps: &[usize],
-        n: usize,
+        sizes: &[usize],
         w: VarId,
         b: VarId,
     ) -> VarId {
         let steps = self.pooled_indices(steps);
+        let sizes = self.pooled_indices(sizes);
         let Graph {
             nodes,
             pool,
@@ -1584,14 +1565,18 @@ impl Graph {
             *activation_dtype,
             &nodes[src.0].value,
             &steps,
-            n,
+            &sizes,
             &nodes[w.0].value,
             &nodes[b.0].value,
         );
         self.push(
             value,
             Parents::from_slice(&[src, w, b]),
-            Some(Op::LstmSequence { steps, n, saved }),
+            Some(Op::LstmSequence {
+                steps,
+                sizes,
+                saved,
+            }),
         )
     }
 

@@ -87,7 +87,11 @@ macro_rules! fused_reference {
 }
 
 fused_reference! {
-    fn matmul_block(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    /// Accumulates `a @ b` into `out`, from `+0.0` when `zero` is set.
+    fn matmul_block(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize, zero: bool) {
+        if zero {
+            out.fill(0.0);
+        }
         // Row-major ikj loop order: streams through `b` rows, vectorizes well.
         for i in 0..m {
             let arow = &a[i * k..(i + 1) * k];
@@ -459,8 +463,8 @@ unsafe fn tile_avx512<const MRT: usize, const FULL: bool>(t: Tile512) {
 }
 
 /// [`matmul_block`] through [`gemm_simd`]: `A(i, p) = a[i][p]`.
-fn matmul_block_simd(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_simd::<false>(a, k, b, out, (m, k, n), false);
+fn matmul_block_simd(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize, zero: bool) {
+    gemm_simd::<false>(a, k, b, out, (m, k, n), zero);
 }
 
 /// Matrix product `a @ b` for rank-2 tensors.
@@ -495,7 +499,20 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
 /// `out += a @ b` over row-major slices `a: [m, k]`, `b: [k, n]` and
 /// `out: [m, n]` — [`matmul_into`] for operands that are row blocks of a
 /// larger tensor (an LSTM's `W[..X]` and `W[X..]`).
-pub(crate) fn matmul_acc(a: &[f32], b: &[f32], out: &mut [f32], (m, k, n): (usize, usize, usize)) {
+pub(crate) fn matmul_acc(a: &[f32], b: &[f32], out: &mut [f32], dims: (usize, usize, usize)) {
+    ab_sharded(a, b, out, dims, false);
+}
+
+/// `out = a @ b` over the slices of [`matmul_acc`], the sums starting from
+/// `+0.0` in the tile: the same bits as zero-filling `out` first, without
+/// the pass over it.
+pub(crate) fn matmul_set(a: &[f32], b: &[f32], out: &mut [f32], dims: (usize, usize, usize)) {
+    ab_sharded(a, b, out, dims, true);
+}
+
+/// `a @ b` into `out`, sharded over output rows, the sums starting from
+/// `out` or, when `zero` is set, from `+0.0`.
+fn ab_sharded(a: &[f32], b: &[f32], out: &mut [f32], (m, k, n): (usize, usize, usize), zero: bool) {
     assert_eq!(a.len(), m * k, "matmul left operand length mismatch");
     assert_eq!(b.len(), k * n, "matmul right operand length mismatch");
     assert_eq!(out.len(), m * n, "matmul output length mismatch");
@@ -507,7 +524,7 @@ pub(crate) fn matmul_acc(a: &[f32], b: &[f32], out: &mut [f32], (m, k, n): (usiz
         Backend::Simd => matmul_block_simd,
     };
     Shards::for_work(m, m * k * n).run(out, n, &mut [], |rows, out, _| {
-        block(&a[rows.start * k..rows.end * k], b, out, rows.len(), k, n);
+        block(&a[rows.start * k..rows.end * k], b, out, rows.len(), k, n, zero);
     });
 }
 
@@ -1327,7 +1344,7 @@ mod tests {
                     v.iter().map(|x| if x.is_nan() { 0x7fc0_0000 } else { x.to_bits() }).collect()
                 };
                 let (mut want, mut got) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
-                matmul_block(&a, &b, &mut want, m, k, n);
+                matmul_block(&a, &b, &mut want, m, k, n, false);
                 ab(&a, k, &b, &mut got, (m, k, n));
                 assert_eq!(canon(&want), canon(&got), "{name} a@b {m}x{k}x{n}");
 
@@ -1353,7 +1370,7 @@ mod tests {
             let products: [Product; 5] = [
                 ("tile a@b", &|out| ab(&a, 2, &b, out, (m, 2, n))),
                 ("tile aT@b", &|out| at(&a_t, m, &b, out, (m, 2, n))),
-                ("scalar a@b", &|out| matmul_block(&a, &b, out, m, 2, n)),
+                ("scalar a@b", &|out| matmul_block(&a, &b, out, m, 2, n, false)),
                 ("scalar aT@b", &|out| matmul_at_b_block(&a_t, &b, out, (2, m, n), 0..m, false)),
                 ("scalar a@bT", &|out| matmul_a_bt_block(&a, &b_t, out, 2, n, 0)),
             ];
@@ -1383,9 +1400,9 @@ mod tests {
     }
 
     /// The AVX-512 tile at every row remainder of its 12-row band and at
-    /// 32-lane column remainders 0, 4 and 16, through the three public
-    /// products against the scalar loops: `a·b` accumulating into an
-    /// output that already holds values, `aᵀ·b` (over more than one
+    /// 32-lane column remainders 0, 4 and 16, through the three products
+    /// against the scalar loops: `a·b` accumulating into an output that
+    /// already holds values and started from zero, `aᵀ·b` (over more than one
     /// [`AT_B_ROW_BLOCK`], so zero-started then accumulated) and `a·bᵀ`
     /// overwriting outputs full of NaN.
     #[test]
@@ -1400,15 +1417,18 @@ mod tests {
                     with_backend(backend, || {
                         let mut ab = start.clone();
                         matmul_into(&a, &b, ab.data_mut());
+                        let mut ab_set = vec![f32::NAN; m * n];
+                        matmul_set(a.data(), b.data(), &mut ab_set, (m, shared, n));
                         let mut atb = vec![f32::NAN; m * n];
                         matmul_at_b_into(&at, &g, &mut atb);
                         let mut abt = vec![f32::NAN; m * n];
                         matmul_a_bt_into(&a, &bt, &mut abt);
-                        [bits(&ab), bits2(&atb), bits2(&abt)]
+                        [bits(&ab), bits2(&ab_set), bits2(&atb), bits2(&abt)]
                     })
                 };
                 let (want, got) = (run(Backend::Scalar), run(Backend::Simd));
-                for (what, (want, got)) in ["a@b", "aT@b", "a@bT"].iter().zip(want.iter().zip(&got)) {
+                let products = ["a@b", "a@b from zero", "aT@b", "a@bT"];
+                for (what, (want, got)) in products.iter().zip(want.iter().zip(&got)) {
                     assert_eq!(want, got, "{what} {m}x{shared}x{n}");
                 }
             }

@@ -134,17 +134,21 @@ pub fn scatter_add_rows(out: &mut Tensor, values: &Tensor, indices: &[usize]) {
     let cols = out.cols();
     assert_eq!(values.cols(), cols, "scatter column mismatch");
     assert_eq!(values.rows(), indices.len(), "one index per value row");
-    let n = out.rows();
+    scatter_add_slice(out.data_mut(), cols, values.data(), indices);
+}
+
+/// [`scatter_add_rows`] over row-major slices: `values` holds one
+/// `cols`-wide row per index, `out` whole rows of the same width.
+pub(crate) fn scatter_add_slice(out: &mut [f32], cols: usize, values: &[f32], indices: &[usize]) {
     if cols == 0 {
         return;
     }
+    assert_eq!(values.len(), indices.len() * cols, "one index per value row");
     // Hoisted pre-pass (see `gather_rows_into`): the accumulate loop adds
     // in exactly the same row order, so output bits are unchanged.
-    check_scatter_ids(indices, n);
-    let vdata = values.data();
-    let odata = out.data_mut();
-    for (vrow, &i) in vdata.chunks(cols).zip(indices) {
-        for (o, &v) in odata[i * cols..(i + 1) * cols].iter_mut().zip(vrow) {
+    check_scatter_ids(indices, out.len() / cols);
+    for (vrow, &i) in values.chunks(cols).zip(indices) {
+        for (o, &v) in out[i * cols..(i + 1) * cols].iter_mut().zip(vrow) {
             *o += v;
         }
     }
