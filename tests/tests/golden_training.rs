@@ -3,10 +3,10 @@
 //! The hashes pin every loss bit and every parameter bit, on both
 //! backends, against silent change: a rewrite of the dense kernels, the
 //! backward sweep or a fused op that promises "bit for bit" must keep
-//! them. They have been re-recorded twice, each time for a change that
-//! moves round-off on purpose, and each time tied to the behaviour before
-//! it by the parent commit's epoch losses ([`Golden::parent_losses`]),
-//! which the models must still reach to 1e-5:
+//! them. They have been re-recorded three times, each time for a change
+//! that moves round-off on purpose, and each time tied to the behaviour
+//! before it by the parent commit's epoch losses
+//! ([`Golden::parent_losses`]), which the models must still reach to 1e-5:
 //!
 //! * `sage-lstm`, when the unrolled cell became the fused sequence op and
 //!   `tanh`/`sigmoid` became the crate's own rational
@@ -19,6 +19,11 @@
 //!   a kept `±0.0` term never moves a finite sum that started at `+0.0` —
 //!   so the whole difference is the second rounding: the losses moved by
 //!   at most 5.3e-8 relative.
+//! * `sage-lstm`, when the aggregator's one sequence op per in-degree
+//!   bucket became one packed sequence per layer. The forward pass is
+//!   bit for bit the same (the epoch-0 loss is unchanged); `dW`, `db` and
+//!   `d src` add the same terms in packed rather than bucketed row order,
+//!   which moved the epoch-1 loss by 2.7e-8 relative.
 //!
 //! Every model's loss passes through libm's `expf`/`logf` (log-softmax;
 //! GAT's ELU and attention softmax too), so the hashes stay pinned to the
@@ -86,7 +91,8 @@ struct Golden {
     /// The two epoch losses at the last commit whose matmuls rounded
     /// twice per term (both backends). `sage-pool`, `gcn` and `gin` were
     /// pinned after that change; theirs are the losses they were pinned
-    /// with.
+    /// with. `sage-lstm`'s are those of the last commit that bucketed its
+    /// sequences by in-degree.
     parent_losses: [f64; 2],
 }
 
@@ -95,8 +101,8 @@ const GOLDEN: [Golden; 6] = [
         name: "sage-lstm",
         model: ModelKind::GraphSage,
         aggregator: AggregatorSpec::Lstm,
-        hash: 0x40737823c7afc202,
-        parent_losses: [2.4714673161506653, 2.241548776626587],
+        hash: 0x363b5d650b5af43a,
+        parent_losses: [2.471467435359955, 2.2415486574172974],
     },
     Golden {
         name: "sage-mean",
