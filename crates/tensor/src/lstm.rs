@@ -17,9 +17,9 @@
 //! op's `[n, H]` value. What is kept for the backward pass is [`Saved`] —
 //! six values per neighbour step and state unit, counting the op's own
 //! output — and nothing else round-trips through memory: `x_t` is
-//! gathered again from the source, `tanh(c_t)` is recomputed, and the
-//! pre-activation gates, the `[x ‖ h]` concatenation and the gate slices
-//! an op-by-op cell tapes never exist.
+//! gathered again from the source, `tanh(c_t)` is recomputed, the
+//! pre-activation gates and the gate slices an op-by-op cell tapes never
+//! exist, and the `[x ‖ h]` rows exist a chunk at a time.
 //!
 //! Forward, a step runs in chunks of [`CHUNK_ROWS`] rows — gather the
 //! chunk's `[x_t ‖ h_{t-1}]` rows, multiply them by the whole `W` into
@@ -27,11 +27,13 @@
 //! cache when the cell reads them. Every accumulator sees the additions
 //! an unrolled cell gives it — `x` terms then `h` terms in ascending
 //! order from zero, bias last — so the value is that cell's, bit for bit.
-//! Backwards, only the recurrence is sequential: it leaves the gate
-//! gradients of every step in one buffer, which one ascending walk in
-//! blocks of [`GRAD_BLOCK_ROWS`] rows turns into `dW`, `db` and `d src`
-//! together (`dW` again as one product over `[x_t ‖ h_{t-1}]`), every
-//! gradient element taking its rows in ascending packed order.
+//! Backwards, only the recurrence is sequential. It runs each step in the
+//! same chunks, so a chunk's gate gradients are still in cache when they
+//! go back through `W[X..]ᵀ`, and leaves the gate gradients of every step
+//! in one buffer. One ascending walk over it in blocks of
+//! [`GRAD_BLOCK_ROWS`] rows then yields `dW`, `db` and `d src` together
+//! (`dW` again as one product over `[x_t ‖ h_{t-1}]`), every gradient
+//! element taking its rows in ascending packed order.
 
 use crate::backend::Backend;
 use crate::dtype::DType;
@@ -309,10 +311,17 @@ pub(crate) fn backward(
             &saved.cells.data()[(off - sizes[t - 1]) * h..][..size * h]
         };
         let dgates_t = &mut dgates.data_mut()[off * 4 * h..][..size * 4 * h];
-        let (dh_t, dc_t) = (&mut dh.data_mut()[..size * h], &mut dc.data_mut()[..size * h]);
-        cell(gates_t, c_t, c_prev, dh_t, dc_t, dgates_t, h);
-        if t > 0 {
-            kernels::a_bt_sharded(dgates_t, wh, Some(wt_h.data()), dh_t, (size, 4 * h, h));
+        // In chunks, like the forward pass: a chunk's gate gradients are
+        // still in cache when they are sent back through `W[X..]ᵀ`.
+        for r0 in (0..size).step_by(CHUNK_ROWS) {
+            let r1 = size.min(r0 + CHUNK_ROWS);
+            let [dh_c, dc_c] = [&mut dh, &mut dc].map(|v| &mut v.data_mut()[r0 * h..r1 * h]);
+            let dgates_c = &mut dgates_t[r0 * 4 * h..r1 * 4 * h];
+            let gates_c = &gates_t[r0 * 4 * h..r1 * 4 * h];
+            cell(gates_c, &c_t[r0 * h..r1 * h], &c_prev[r0 * h..r1 * h], dh_c, dc_c, dgates_c, h);
+            if t > 0 {
+                kernels::a_bt_sharded(dgates_c, wh, Some(wt_h.data()), dh_c, (r1 - r0, 4 * h, h));
+            }
         }
     }
     pool.give(dc);
