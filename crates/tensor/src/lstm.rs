@@ -191,6 +191,9 @@ fn gather_inputs(src: &Tensor, steps: &[usize], hidden: Option<&[f32]>, out: &mu
     let x = src.cols();
     let h = hidden.map_or(0, |hd| hd.len() / steps.len().max(1));
     assert_eq!(out.len(), steps.len() * (x + h), "lstm input rows length mismatch");
+    if out.is_empty() {
+        return;
+    }
     for (r, (row, &s)) in out.chunks_exact_mut(x + h).zip(steps).enumerate() {
         let (xr, hr) = row.split_at_mut(x);
         xr.copy_from_slice(src.row(s));
