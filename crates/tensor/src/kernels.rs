@@ -1076,39 +1076,6 @@ pub fn softmax_rows(a: &Tensor) -> Tensor {
     map(&log_softmax_rows(a), f32::exp)
 }
 
-/// Vertical concatenation of matrices sharing a column count.
-///
-/// # Panics
-///
-/// Panics if `parts` is empty or the column counts disagree.
-pub fn concat_rows(parts: &[&Tensor]) -> Tensor {
-    assert!(!parts.is_empty(), "concat_rows requires at least one part");
-    let n = parts[0].cols();
-    let rows: usize = parts.iter().map(|p| p.rows()).sum();
-    let mut data = vec![0.0f32; rows * n];
-    concat_rows_into(parts, &mut data);
-    Tensor::from_vec(data, &[rows, n]).expect("concat output shape")
-}
-
-/// [`concat_rows`] writing into `out` (fully overwritten).
-///
-/// # Panics
-///
-/// Panics if `parts` is empty, column counts disagree, or `out` has the
-/// wrong length.
-pub fn concat_rows_into(parts: &[&Tensor], out: &mut [f32]) {
-    assert!(!parts.is_empty(), "concat_rows requires at least one part");
-    let n = parts[0].cols();
-    let total: usize = parts.iter().map(|p| p.len()).sum();
-    assert_eq!(out.len(), total, "concat_rows output length mismatch");
-    let mut offset = 0;
-    for p in parts {
-        assert_eq!(p.cols(), n, "concat_rows column mismatch");
-        out[offset..offset + p.len()].copy_from_slice(p.data());
-        offset += p.len();
-    }
-}
-
 /// Horizontal concatenation of matrices sharing a row count.
 ///
 /// # Panics
@@ -1589,8 +1556,6 @@ mod tests {
     fn concat_and_slice() {
         let a = t(&[1.0, 2.0], &[1, 2]);
         let b = t(&[3.0, 4.0], &[1, 2]);
-        let v = concat_rows(&[&a, &b]);
-        assert_eq!(v.shape(), &[2, 2]);
         let h = concat_cols(&[&a, &b]);
         assert_eq!(h.shape(), &[1, 4]);
         assert_eq!(h.data(), &[1.0, 2.0, 3.0, 4.0]);
@@ -1611,19 +1576,9 @@ mod tests {
     #[test]
     fn row_copy_kernels_bitwise_match_index_loop_reference() {
         let a = big(13, 7, 11);
-        let b = big(9, 7, 12);
         let c = big(13, 5, 13);
 
-        // concat_rows reference: element-by-element.
-        let fast = concat_rows(&[&a, &b]);
-        let mut reference = vec![0.0f32; fast.len()];
-        for (r, v) in reference.iter_mut().enumerate() {
-            let (i, j) = (r / 7, r % 7);
-            *v = if i < 13 { a.at2(i, j) } else { b.at2(i - 13, j) };
-        }
-        assert_eq!(bits(&fast), reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
-
-        // concat_cols reference.
+        // concat_cols reference: element-by-element.
         let fast = concat_cols(&[&a, &c]);
         let mut reference = vec![0.0f32; fast.len()];
         for i in 0..13 {
