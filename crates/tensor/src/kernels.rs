@@ -493,19 +493,14 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
     let (m, k) = (a.rows(), a.cols());
     let (k2, n) = (b.rows(), b.cols());
     assert_eq!(k, k2, "matmul inner dimension mismatch: {k} vs {k2}");
-    matmul_acc(a.data(), b.data(), out, (m, k, n));
+    ab_sharded(a.data(), b.data(), out, (m, k, n), false);
 }
 
-/// `out += a @ b` over row-major slices `a: [m, k]`, `b: [k, n]` and
-/// `out: [m, n]` — [`matmul_into`] for operands that are row blocks of a
-/// larger tensor (an LSTM's `W[..X]` and `W[X..]`).
-pub(crate) fn matmul_acc(a: &[f32], b: &[f32], out: &mut [f32], dims: (usize, usize, usize)) {
-    ab_sharded(a, b, out, dims, false);
-}
-
-/// `out = a @ b` over the slices of [`matmul_acc`], the sums starting from
-/// `+0.0` in the tile: the same bits as zero-filling `out` first, without
-/// the pass over it.
+/// `out = a @ b` over row-major slices `a: [m, k]`, `b: [k, n]` and
+/// `out: [m, n]`, the sums starting from `+0.0` in the tile: the same bits
+/// as zero-filling `out` and calling [`matmul_into`], without the pass
+/// over it — for operands that are row blocks of larger tensors (an LSTM
+/// chunk's gates, an affine op's rows).
 pub(crate) fn matmul_set(a: &[f32], b: &[f32], out: &mut [f32], dims: (usize, usize, usize)) {
     ab_sharded(a, b, out, dims, true);
 }
