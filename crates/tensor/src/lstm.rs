@@ -340,6 +340,15 @@ pub(crate) fn backward(
     for r0 in (0..rows).step_by(GRAD_BLOCK_ROWS) {
         let r1 = rows.min(r0 + GRAD_BLOCK_ROWS);
         let dgates_b = &dgates.data()[r0 * 4 * h..r1 * 4 * h];
+        // `db` first: its sequential read brings the block into cache for
+        // the `dW` product, which walks it a 32-column panel at a time.
+        if let Some(db) = &mut db {
+            for row in dgates_b.chunks_exact(4 * h) {
+                for (d, &v) in db.data_mut().iter_mut().zip(row) {
+                    *d += v;
+                }
+            }
+        }
         if let Some(dw) = &mut dw {
             // Packed rows `..n` are step 0, which multiplied no `h`: they
             // feed `dW[..X]` alone. Every later row feeds the whole `dW`
@@ -354,13 +363,6 @@ pub(crate) fn backward(
             let xh_b = &mut block.data_mut()[..(r1 - mid) * (x + h)];
             gather_inputs(src, &steps[mid..r1], Some(hidden_b), xh_b);
             kernels::matmul_at_b_acc(xh_b, later, dw.data_mut(), (r1 - mid, x + h, 4 * h));
-        }
-        if let Some(db) = &mut db {
-            for row in dgates_b.chunks_exact(4 * h) {
-                for (d, &v) in db.data_mut().iter_mut().zip(row) {
-                    *d += v;
-                }
-            }
         }
         if let (Some(dsrc), Some(wt_x)) = (&mut dsrc, wt_x) {
             let wx = &w.data()[..x * 4 * h];
