@@ -126,11 +126,6 @@ impl CsrGraph {
         self.indices.len()
     }
 
-    /// Whether edge weights are stored.
-    pub fn is_weighted(&self) -> bool {
-        self.weights.is_some()
-    }
-
     /// Out-neighbors of `u`, sorted.
     ///
     /// # Panics

@@ -67,17 +67,6 @@ impl MultilevelPartitioner {
         }
     }
 
-    /// Sets the allowed imbalance: max part weight ≤ (1 + ε) · ideal.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `epsilon` is negative.
-    pub fn with_balance_epsilon(mut self, epsilon: f64) -> Self {
-        assert!(epsilon >= 0.0, "balance epsilon must be non-negative");
-        self.balance_epsilon = epsilon;
-        self
-    }
-
     /// Sets the number of refinement passes per level (0 disables
     /// refinement — used by the ablation benches).
     pub fn with_refinement_passes(mut self, passes: usize) -> Self {

@@ -21,11 +21,6 @@ impl Partitioning {
         Self { assignment, k }
     }
 
-    /// Number of parts.
-    pub fn num_parts(&self) -> usize {
-        self.k
-    }
-
     /// Part label of `node`.
     ///
     /// # Panics
