@@ -110,18 +110,19 @@ pub fn save_dataset(dataset: &Dataset, path: impl AsRef<Path>) -> io::Result<()>
     write_atomic(path.as_ref(), &buf)
 }
 
-fn need(buf: &Bytes, bytes: usize, what: &str) -> Result<(), LoadError> {
-    if buf.remaining() < bytes {
-        return Err(LoadError::Format(format!(
-            "truncated while reading {what} ({bytes} bytes needed, {} left)",
+/// Checks `buf` holds `count` values of `width` bytes, a product that must not wrap.
+fn need(buf: &Bytes, count: usize, width: usize, what: &str) -> Result<(), LoadError> {
+    match count.checked_mul(width) {
+        Some(bytes) if bytes <= buf.remaining() => Ok(()),
+        _ => Err(LoadError::Format(format!(
+            "truncated while reading {what} ({count} × {width} bytes needed, {} left)",
             buf.remaining()
-        )));
+        ))),
     }
-    Ok(())
 }
 
 fn read_u32_vec(buf: &mut Bytes, n: usize, what: &str) -> Result<Vec<u32>, LoadError> {
-    need(buf, n * 4, what)?;
+    need(buf, n, 4, what)?;
     Ok((0..n).map(|_| buf.get_u32_le()).collect())
 }
 
@@ -132,17 +133,21 @@ fn read_u32_vec(buf: &mut Bytes, n: usize, what: &str) -> Result<Vec<u32>, LoadE
 /// [`LoadError::Io`] on filesystem problems, [`LoadError::Format`] when
 /// the file is not a valid dataset image.
 pub fn load_dataset(path: impl AsRef<Path>) -> Result<Dataset, LoadError> {
-    let mut buf = Bytes::from(fs::read(path)?);
-    need(&buf, MAGIC.len(), "magic")?;
+    decode_dataset(Bytes::from(fs::read(path)?))
+}
+
+/// Decodes a [`save_dataset`] image, which must end with its features.
+fn decode_dataset(mut buf: Bytes) -> Result<Dataset, LoadError> {
+    need(&buf, MAGIC.len(), 1, "magic")?;
     if &buf.split_to(MAGIC.len())[..] != MAGIC {
         return Err(LoadError::Format("bad magic".into()));
     }
-    need(&buf, 4, "name length")?;
+    need(&buf, 1, 4, "name length")?;
     let name_len = buf.get_u32_le() as usize;
-    need(&buf, name_len, "name")?;
+    need(&buf, name_len, 1, "name")?;
     let name = String::from_utf8(buf.split_to(name_len).to_vec())
         .map_err(|_| LoadError::Format("name is not UTF-8".into()))?;
-    need(&buf, 7 * 4, "header counts")?;
+    need(&buf, 7, 4, "header counts")?;
     let n = buf.get_u32_le() as usize;
     let e = buf.get_u32_le() as usize;
     let d = buf.get_u32_le() as usize;
@@ -151,7 +156,7 @@ pub fn load_dataset(path: impl AsRef<Path>) -> Result<Dataset, LoadError> {
     let n_val = buf.get_u32_le() as usize;
     let n_test = buf.get_u32_le() as usize;
 
-    let flat_edges = read_u32_vec(&mut buf, e * 2, "edges")?;
+    let flat_edges = read_u32_vec(&mut buf, e.saturating_mul(2), "edges")?;
     let edges: Vec<(NodeId, NodeId)> = flat_edges.chunks_exact(2).map(|p| (p[0], p[1])).collect();
     let labels: Vec<usize> = read_u32_vec(&mut buf, n, "labels")?
         .into_iter()
@@ -160,8 +165,11 @@ pub fn load_dataset(path: impl AsRef<Path>) -> Result<Dataset, LoadError> {
     let train_idx = read_u32_vec(&mut buf, n_train, "train split")?;
     let val_idx = read_u32_vec(&mut buf, n_val, "val split")?;
     let test_idx = read_u32_vec(&mut buf, n_test, "test split")?;
-    need(&buf, n * d * 4, "features")?;
+    need(&buf, n.saturating_mul(d), 4, "features")?;
     let feats: Vec<f32> = (0..n * d).map(|_| buf.get_f32_le()).collect();
+    if buf.remaining() > 0 {
+        return Err(LoadError::Format(format!("{} bytes after the features", buf.remaining())));
+    }
 
     for (i, &(u, v)) in edges.iter().enumerate() {
         if u as usize >= n || v as usize >= n {
@@ -291,6 +299,80 @@ mod tests {
                 assert_eq!(num_nodes, ds.num_nodes());
             }
             other => panic!("expected EdgeOutOfRange, got {other:?}"),
+        }
+    }
+
+    /// Every truncation, seeded bit flips, and header counts that lie
+    /// (`n`, `e`, `d` and the split sizes): no image may panic the decoder
+    /// or make it allocate more than a few times the image at once.
+    /// Truncations and lies are errors (a lie that repeats the true count
+    /// decodes to the original). A flipped bit may decode to another valid
+    /// dataset — `BTYDATA1` carries no checksum, and the class count is
+    /// not a count of stored values — but never to one of another shape.
+    #[test]
+    fn fuzzed_images_are_rejected_or_keep_the_original_shape() {
+        use crate::shards::tests::measured;
+        use rand::{Rng, SeedableRng};
+        use rand_pcg::Pcg64Mcg;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        let ds = DatasetSpec::cora().scaled(0.03).with_feature_dim(3).generate(8);
+        let path = tmp("fuzz");
+        save_dataset(&ds, &path).unwrap();
+        let valid = std::fs::read(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let budget = 4 * valid.len() + 4096;
+        let decode = |what: &str, bytes: &[u8]| {
+            let image = Bytes::from(bytes.to_vec());
+            let outcome = catch_unwind(AssertUnwindSafe(|| measured(|| decode_dataset(image))));
+            let Ok((decoded, largest, _)) = outcome else {
+                panic!("{what}: the decoder panicked");
+            };
+            assert!(largest <= budget, "{what}: allocated {largest} bytes at once");
+            decoded
+        };
+        let shape = |d: &Dataset| {
+            let splits = (d.train_idx.len(), d.val_idx.len(), d.test_idx.len());
+            (d.num_nodes(), d.graph.num_edges(), d.feature_dim(), splits)
+        };
+        let original = |d: &Dataset| {
+            (d.name == ds.name && d.graph == ds.graph && d.features == ds.features)
+                && (d.labels == ds.labels && d.train_idx == ds.train_idx)
+                && (d.val_idx == ds.val_idx && d.test_idx == ds.test_idx)
+                && (d.num_classes == ds.num_classes && shape(d) == shape(&ds))
+        };
+        assert!(original(&decode("the valid image", &valid).unwrap()));
+
+        for len in 0..valid.len() {
+            let what = format!("truncation to {len} bytes");
+            assert!(decode(&what, &valid[..len]).is_err(), "{what} decoded");
+        }
+        let mut rng = Pcg64Mcg::seed_from_u64(0xb7da_7a01);
+        for case in 0..2000 {
+            let mut flipped = valid.clone();
+            let bit = rng.gen_range(0..valid.len() * 8);
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let what = format!("flip {case} of bit {bit}");
+            if let Ok(d) = decode(&what, &flipped) {
+                assert_eq!(shape(&d), shape(&ds), "{what} decoded to another shape");
+            }
+        }
+        // The header words after the name: n, e, d, classes, then the
+        // three split sizes. Classes is not a count of stored values.
+        let words = MAGIC.len() + 4 + ds.name.len();
+        for word in [0, 1, 2, 4, 5, 6] {
+            let at = words + 4 * word;
+            let truth = u32::from_le_bytes(valid[at..at + 4].try_into().unwrap());
+            let random: u32 = rng.gen();
+            for lie in [0, 1, u32::MAX, 0x8000_0000, truth.wrapping_add(1), truth.wrapping_sub(1), random] {
+                let mut lying = valid.clone();
+                lying[at..at + 4].copy_from_slice(&lie.to_le_bytes());
+                let what = format!("header word {word} = {lie} (truly {truth})");
+                match decode(&what, &lying) {
+                    Ok(d) => assert!(lie == truth && original(&d), "{what} decoded"),
+                    Err(e) => assert!(lie != truth, "{what}: {e}"),
+                }
+            }
         }
     }
 

@@ -625,7 +625,7 @@ pub fn scrub(dir: impl AsRef<Path>) -> Result<ScrubReport, FeatureStoreError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::PagedFeatures;
     use rand::{Rng, SeedableRng};
@@ -683,7 +683,7 @@ mod tests {
 
     /// Runs `f`; returns its result, the largest single allocation it made
     /// and how far its live bytes rose above where they started.
-    fn measured<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
+    pub(crate) fn measured<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
         LARGEST.with(|l| l.set(0));
         let before = LIVE.with(Cell::get);
         PEAK.with(|p| p.set(before));
