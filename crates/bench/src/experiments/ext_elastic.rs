@@ -8,7 +8,7 @@
 //! bit-identical across every row of a given D — failover only moves
 //! *timing*, never numerics.
 
-use betty::{DeviceGroup, RecoveryLog, Runner, StrategyKind};
+use betty::{DeviceGroup, Runner, StrategyKind};
 use betty_device::FaultPlan;
 
 use crate::presets::products_3layer;
@@ -45,22 +45,15 @@ pub fn run(profile: Profile) {
                 ..FaultPlan::default()
             };
             let mut runner = Runner::new(&ds, &cfg, 0);
-            let mut log = RecoveryLog::new();
             let epoch = runner
-                .train_epoch_elastic(
-                    &ds,
-                    StrategyKind::Betty,
-                    k,
-                    &DeviceGroup::new(devices),
-                    &mut log,
-                )
+                .train_epoch_elastic(&ds, StrategyKind::Betty, k, &DeviceGroup::new(devices))
                 .expect("device 0 always survives");
             table.row(vec![
                 devices.to_string(),
                 killed.to_string(),
                 secs(epoch.wall_sec()),
                 secs(epoch.failover_overhead_sec()),
-                epoch.combined.migrated_steps.to_string(),
+                runner.recovery_log().migrated_steps().to_string(),
                 epoch.live_ranks.to_string(),
                 format!("{:.6}", epoch.combined.loss),
             ]);

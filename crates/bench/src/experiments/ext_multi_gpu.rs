@@ -7,7 +7,7 @@
 //! micro-batches, but the peak is still a single micro-batch, so it is
 //! flat; the win is time).
 
-use betty::{DeviceGroup, RecoveryLog, Runner, StrategyKind};
+use betty::{DeviceGroup, Runner, StrategyKind};
 
 use crate::presets::products_3layer;
 use crate::report::{secs, Table};
@@ -28,13 +28,7 @@ pub fn run(profile: Profile) {
     for devices in [1usize, 2, 4, 8] {
         let mut runner = Runner::new(&ds, &config, 0);
         let epoch = runner
-            .train_epoch_elastic(
-                &ds,
-                StrategyKind::Betty,
-                k,
-                &DeviceGroup::new(devices),
-                &mut RecoveryLog::new(),
-            )
+            .train_epoch_elastic(&ds, StrategyKind::Betty, k, &DeviceGroup::new(devices))
             .expect("unbounded device");
         let busiest = epoch
             .per_device

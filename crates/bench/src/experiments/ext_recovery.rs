@@ -12,7 +12,7 @@
 //! every recoverable scenario (recovery replays the epoch bit-exactly
 //! from the snapshot, so accuracy degradation would mean lost state).
 
-use betty::{DeviceGroup, RecoveryLog, RetryPolicy, Runner, StrategyKind};
+use betty::{DeviceGroup, RetryPolicy, Runner, StrategyKind};
 use betty_device::FaultPlan;
 use betty_nn::AggregatorSpec;
 
@@ -85,13 +85,11 @@ pub fn run(profile: Profile) {
             ..RetryPolicy::default()
         };
         let mut runner = Runner::new(&ds, &config, 0);
-        let mut log = RecoveryLog::new();
         let mut final_k = 0usize;
         let mut failed = false;
-        for epoch in 0..epochs {
-            log.set_epoch(epoch);
+        for _ in 0..epochs {
             let group = DeviceGroup::new(1);
-            match runner.train_epoch_elastic(&ds, StrategyKind::Betty, 1, &group, &mut log) {
+            match runner.train_epoch_elastic(&ds, StrategyKind::Betty, 1, &group) {
                 Ok(epoch) => final_k = epoch.assignment.len(),
                 Err(e) => {
                     println!("scenario '{name}' did not survive: {e}");
@@ -101,6 +99,7 @@ pub fn run(profile: Profile) {
             }
         }
         let val = runner.evaluate(&ds, &ds.val_idx);
+        let log = runner.recovery_log();
         table.row(vec![
             name.to_string(),
             log.injected_faults().to_string(),

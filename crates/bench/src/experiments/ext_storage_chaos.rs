@@ -39,8 +39,8 @@ const CORRUPT: (usize, usize) = (1, 1);
 struct Run {
     wall: f64,
     losses: Vec<u64>,
-    io_retries: u64,
-    shards_repaired: u64,
+    io_retries: usize,
+    shards_repaired: usize,
     repair_sec: f64,
     page_in_sec: f64,
 }
@@ -60,12 +60,12 @@ fn run_epochs(runner: &mut Runner, ds: &betty_data::Dataset, epochs: usize) -> R
             .train_epoch_betty(ds, StrategyKind::Betty, K)
             .expect("bench capacity fits the paged plan");
         run.losses.push(stats.loss.to_bits());
-        run.io_retries += stats.io_retries;
-        run.shards_repaired += stats.shards_repaired;
         run.repair_sec += stats.repair_sec;
         run.page_in_sec += stats.page_in_sec;
     }
     run.wall = started.elapsed().as_secs_f64();
+    run.io_retries = runner.recovery_log().io_retries();
+    run.shards_repaired = runner.recovery_log().shards_repaired();
     run
 }
 

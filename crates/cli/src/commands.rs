@@ -6,7 +6,7 @@ use std::fmt;
 
 use betty::{
     latest_valid_checkpoint, load_checkpoint_state, CheckpointPlan, DeviceGroup, ExperimentConfig,
-    ModelKind, RecoveryEvent, RecoveryLog, RetryPolicy, Runner, StrategyKind,
+    ModelKind, RetryPolicy, Runner, StrategyKind,
 };
 use betty_data::{load_dataset, save_dataset, Dataset, DatasetSpec};
 use betty_device::FaultPlan;
@@ -228,6 +228,10 @@ fn experiment_config(args: &Args) -> Result<ExperimentConfig, Box<dyn Error>> {
         "gin" => ModelKind::Gin,
         other => return Err(Box::new(ArgError(format!("unknown model '{other}'")))),
     };
+    let capacity_mib: usize = args.get_or("capacity-mib", 24 * 1024)?;
+    let capacity_bytes = capacity_mib.checked_mul(1 << 20).ok_or_else(|| {
+        ArgError(format!("--capacity-mib {capacity_mib}: more bytes than this machine can address"))
+    })?;
     let config = ExperimentConfig {
         fanouts: args.get_usize_list("fanouts")?.unwrap_or(vec![10, 25]),
         hidden_dim: args.get_or("hidden", 64usize)?,
@@ -236,7 +240,7 @@ fn experiment_config(args: &Args) -> Result<ExperimentConfig, Box<dyn Error>> {
         num_heads: args.get_or("heads", 4usize)?,
         dropout: args.get_or("dropout", 0.1f32)?,
         learning_rate: args.get_or("lr", 3e-3f32)?,
-        capacity_bytes: args.get_or("capacity-mib", 24 * 1024usize)? << 20,
+        capacity_bytes,
         fault_plan: fault_plan(args)?,
         retry: RetryPolicy {
             max_retries: args.get_or("retries", RetryPolicy::default().max_retries)?,
@@ -472,9 +476,8 @@ pub fn train(args: &Args) -> CmdResult {
     // Resume replaces every piece of the freshly built session — params,
     // Adam moments, both RNG streams, counters, even the base seed — so
     // the continued run is bit-identical to one that was never killed.
-    // The log is created before the resume so a checkpoint-slot fallback
-    // (newest slot fails CRC, an older one loads) is recorded in it.
-    let mut recovery = RecoveryLog::new();
+    // A checkpoint-slot fallback (newest slot fails CRC, an older one
+    // loads) lands in the runner's recovery log.
     let mut start_epoch = 0usize;
     if args.has_flag("resume") {
         let plan = ckpt_plan.as_ref().expect("checked above");
@@ -484,20 +487,14 @@ pub fn train(args: &Args) -> CmdResult {
                 plan.dir.display()
             ))));
         };
-        if !found.skipped.is_empty() {
-            for skipped in &found.skipped {
-                println!(
-                    "skipping corrupt checkpoint {} (failed CRC/format validation)",
-                    skipped.display()
-                );
-            }
-            recovery.record(RecoveryEvent::CheckpointFallback {
-                skipped: found.skipped.clone(),
-                used: found.path.clone(),
-            });
+        for skipped in &found.skipped {
+            println!(
+                "skipping corrupt checkpoint {} (failed CRC/format validation)",
+                skipped.display()
+            );
         }
+        runner.resume(&found)?;
         let path = found.path;
-        runner.import_session(&found.state)?;
         start_epoch = runner.epochs_run();
         if start_epoch >= epochs {
             println!(
@@ -535,10 +532,9 @@ pub fn train(args: &Args) -> CmdResult {
         "{:>6} {:>10} {:>5} {:>12} {:>10}",
         "epoch", "loss", "K", "peak MiB", "val acc"
     );
-    let run = |runner: &mut Runner, recovery: &mut RecoveryLog| -> CmdResult {
+    let run = |runner: &mut Runner| -> CmdResult {
         for epoch in start_epoch..epochs {
-            recovery.set_epoch(epoch);
-            let multi = runner.train_epoch_elastic(&ds, kind, k0, &group, recovery)?;
+            let multi = runner.train_epoch_elastic(&ds, kind, k0, &group)?;
             if multi.live_ranks < devices {
                 println!(
                     "epoch {epoch}: {} of {devices} ranks survived \
@@ -569,7 +565,7 @@ pub fn train(args: &Args) -> CmdResult {
         }
         Ok(())
     };
-    let result = run(&mut runner, &mut recovery);
+    let result = run(&mut runner);
     // The trace is written even when training failed: a trace of the run
     // that OOMed is exactly what the flags exist to capture.
     if let Some(trace) = runner.take_trace() {
@@ -581,6 +577,7 @@ pub fn train(args: &Args) -> CmdResult {
             println!("{}", trace.summary());
         }
     }
+    let recovery = runner.recovery_log();
     if let Err(e) = result {
         if !recovery.is_empty() {
             eprintln!("{}", recovery.summary());

@@ -200,6 +200,63 @@ fn sigkill_then_resume_matches_uninterrupted_run() {
     let _ = std::fs::remove_file(&model_b);
 }
 
+/// A faulted, traced run exports one `fault` record per recovery-log
+/// entry — its epoch, its kind, and the line the printed log shows — as
+/// valid JSONL.
+#[test]
+fn traced_faulted_run_exports_its_recovery_log() {
+    let trace = tmp("faulted-trace.jsonl");
+    let out = betty()
+        .args(["train", "--preset", "cora", "--scale", "0.05", "--epochs", "3", "--k", "2"])
+        .args(["--fault-stall-rate", "1", "--fault-nan-steps", "3", "--trace-out"])
+        .arg(&trace)
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}{}", String::from_utf8_lossy(&out.stderr));
+    let jsonl = std::fs::read_to_string(&trace).unwrap();
+    let _ = std::fs::remove_file(&trace);
+    betty::validate_jsonl(&jsonl).expect("the trace is valid JSONL");
+    let faults: Vec<&str> = jsonl.lines().filter(|l| l.starts_with("{\"type\":\"fault\"")).collect();
+    let logged: Vec<(&str, &str)> = stdout
+        .lines()
+        .filter_map(|l| l.trim_start().strip_prefix("[epoch ")?.split_once("] "))
+        .collect();
+    assert!(!logged.is_empty(), "{stdout}");
+    assert_eq!(faults.len(), logged.len(), "{jsonl}\n{stdout}");
+    for (fault, (epoch, line)) in faults.iter().zip(&logged) {
+        assert!(fault.contains(&format!("\"epoch\":{epoch},")), "{fault} vs epoch {epoch}");
+        assert!(fault.contains(&format!("\"detail\":\"{line}\"")), "{fault} vs {line}");
+    }
+    assert!(jsonl.contains("\"kind\":\"anomaly_rollback\""), "{jsonl}");
+}
+
+/// A learning rate that is not a positive finite number, and a capacity
+/// whose byte count overflows, are usage errors (exit 1) naming the flag:
+/// `--lr NaN` used to panic in the optimizer, `--lr inf` to train, and
+/// `--capacity-mib 2^44` to wrap to a 0-byte device.
+#[test]
+fn bad_learning_rates_and_capacities_are_usage_errors() {
+    let too_many_mib = (1u64 << 44).to_string();
+    let cases: [(&[&str], &str); 4] = [
+        (&["--lr", "NaN"], "learning rate must be positive and finite"),
+        (&["--lr", "inf"], "learning rate must be positive and finite"),
+        (&["--lr", "0"], "learning rate must be positive and finite"),
+        (&["--capacity-mib", too_many_mib.as_str()], "--capacity-mib"),
+    ];
+    for (args, message) in cases {
+        let out = betty()
+            .args(["train", "--preset", "cora", "--scale", "0.05", "--epochs", "1"])
+            .args(args)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} started work before rejecting");
+    }
+}
+
 #[test]
 fn resume_without_checkpoint_dir_is_a_usage_error() {
     let out = betty()
@@ -268,7 +325,7 @@ fn nan_rollback_completes(k: &str) {
         .unwrap();
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{stdout}\n{}", String::from_utf8_lossy(&out.stderr));
-    assert!(stdout.contains("anomaly rollbacks"), "{stdout}");
+    assert!(stdout.contains("1 anomaly_rollback"), "{stdout}");
     assert!(stdout.contains("test accuracy"), "{stdout}");
     // Every reported per-epoch loss is finite — the poisoned step was
     // rolled back, not trained through.

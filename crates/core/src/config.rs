@@ -132,8 +132,8 @@ impl ExperimentConfig {
         if !(0.0..1.0).contains(&self.dropout) {
             return Err("dropout must be in [0, 1)".into());
         }
-        if self.learning_rate <= 0.0 {
-            return Err("learning rate must be positive".into());
+        if !(self.learning_rate.is_finite() && self.learning_rate > 0.0) {
+            return Err(format!("learning rate must be positive and finite, got {}", self.learning_rate));
         }
         if self.max_partitions == 0 {
             return Err("max_partitions must be positive".into());
@@ -243,6 +243,14 @@ mod tests {
             ..ExperimentConfig::default()
         };
         assert!(bad_dropout.validate().is_err());
+
+        for learning_rate in [0.0, -1.0, f32::NAN, f32::INFINITY] {
+            let bad_lr = ExperimentConfig {
+                learning_rate,
+                ..ExperimentConfig::default()
+            };
+            assert!(bad_lr.validate().unwrap_err().contains("learning rate"), "{learning_rate}");
+        }
     }
 
     #[test]

@@ -7,7 +7,6 @@ use crate::durable::{
     CheckpointPlan, CTR_BEST_EPOCH, CTR_NEXT_EPOCH, CTR_SINCE_BEST, FLT_BEST_VAL,
 };
 use crate::multi::DeviceGroup;
-use crate::recovery::RecoveryLog;
 use crate::runner::{RunError, Runner};
 use crate::stats::EpochStats;
 use crate::strategy::StrategyKind;
@@ -83,9 +82,6 @@ pub struct FitReport {
     /// carry, so an interrupted-and-resumed run can be compared
     /// loss-for-loss against an uninterrupted one.
     pub loss_history: Vec<f64>,
-    /// Injected faults and recovery actions observed across the run
-    /// (empty when nothing faulted).
-    pub recovery: RecoveryLog,
 }
 
 /// Trains with memory-aware Betty partitioning until `max_epochs` or
@@ -98,9 +94,9 @@ pub struct FitReport {
 /// escalated plan, up to the config's retry budget. The plan's device
 /// faults apply to that group of one: a straggler factor only stretches
 /// its simulated time, and a failure of device 0 ends the run with
-/// [`RunError::DevicesExhausted`]. The returned report's
-/// [`recovery`](FitReport::recovery) log records everything that
-/// happened.
+/// [`RunError::DevicesExhausted`]. Everything that happened — up to the
+/// fatal error, when there is one — is in the runner's
+/// [`recovery log`](Runner::recovery_log).
 ///
 /// Note: early stopping monitors accuracy only — the *returned* model is
 /// the final one (checkpoint the best epoch externally via
@@ -125,34 +121,6 @@ pub struct FitReport {
 /// Panics if the config's fault plan names a device other than 0
 /// ([`betty_device::FaultPlan::validate_for_devices`]).
 pub fn fit(runner: &mut Runner, dataset: &Dataset, config: &FitConfig<'_>) -> Result<FitReport, RunError> {
-    let mut recovery = RecoveryLog::new();
-    fit_with_log(runner, dataset, config, &mut recovery).map(|mut report| {
-        report.recovery = recovery;
-        report
-    })
-}
-
-/// Like [`fit`], but recording faults and recovery actions into a
-/// caller-owned log — on failure the log survives with everything
-/// recorded up to the fatal error, so callers (e.g. the CLI) can print
-/// a recovery summary alongside the error.
-///
-/// The returned report's own [`recovery`](FitReport::recovery) field is
-/// left empty; `log` is the authoritative record.
-///
-/// # Errors
-///
-/// Propagates planning/training failures ([`RunError`]).
-///
-/// # Panics
-///
-/// As [`fit`].
-pub fn fit_with_log(
-    runner: &mut Runner,
-    dataset: &Dataset,
-    config: &FitConfig<'_>,
-    log: &mut RecoveryLog,
-) -> Result<FitReport, RunError> {
     if let Some(plan) = &config.checkpoint {
         plan.validate().map_err(RunError::Checkpoint)?;
     }
@@ -181,9 +149,8 @@ pub fn fit_with_log(
         if let Some(schedule) = config.schedule {
             runner.set_learning_rate(schedule.lr_at(config.base_lr, epoch));
         }
-        log.set_epoch(epoch);
         let stats = runner
-            .train_epoch_elastic(dataset, config.strategy, 1, &group, log)?
+            .train_epoch_elastic(dataset, config.strategy, 1, &group)?
             .combined;
         loss_history.push(stats.loss);
         history.push(stats);
@@ -225,7 +192,6 @@ pub fn fit_with_log(
         early_stopped,
         history,
         loss_history,
-        recovery: RecoveryLog::new(),
     })
 }
 
@@ -475,11 +441,12 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(report.recovery.anomaly_rollbacks(), 1);
-        assert_eq!(report.recovery.injected_faults(), 1);
-        assert!(!report.recovery.anomaly_aborted());
+        let log = faulty.recovery_log();
+        assert_eq!(log.anomaly_rollbacks(), 1);
+        assert_eq!(log.injected_faults(), 1);
+        assert!(!log.anomaly_aborted());
         assert!(report.loss_history.iter().all(|l| l.is_finite()));
-        assert_eq!(report.history[2].anomaly_rollbacks, 1);
+        assert_eq!(log.of_epoch(2).anomaly_rollbacks(), 1);
         // The injection fired once and was rolled back; every loss matches
         // the never-faulted run bit for bit.
         for (a, b) in clean_report.loss_history.iter().zip(&report.loss_history) {
@@ -505,8 +472,7 @@ mod tests {
             ..config()
         };
         let mut runner = Runner::new(&ds, &cfg, 0);
-        let mut log = RecoveryLog::new();
-        let err = fit_with_log(
+        let err = fit(
             &mut runner,
             &ds,
             &FitConfig {
@@ -514,13 +480,13 @@ mod tests {
                 patience: None,
                 ..FitConfig::default()
             },
-            &mut log,
         )
         .unwrap_err();
         assert!(
             matches!(err, RunError::Anomaly { rollbacks: 0, .. }),
             "{err:?}"
         );
+        let log = runner.recovery_log();
         assert!(log.anomaly_aborted());
         assert_eq!(log.anomaly_rollbacks(), 0);
     }

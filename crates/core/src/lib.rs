@@ -68,7 +68,7 @@ pub use durable::{
     CheckpointResolution,
 };
 pub use eval::{accuracy, accuracy_full_graph, predict, predict_full_graph};
-pub use fit::{fit, fit_with_log, FitConfig, FitReport};
+pub use fit::{fit, FitConfig, FitReport};
 pub use multi::{
     lpt_assignment, simulate_elastic_schedule, DeviceGroup, DeviceHealth, DevicesExhausted,
     ElasticSchedule, Failover, MultiDeviceEpoch,

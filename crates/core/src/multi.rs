@@ -457,17 +457,16 @@ impl MultiDeviceEpoch {
 /// (under `straggler_factors`), flags stragglers against the group
 /// median, and simulates the ring all-reduce over the surviving ranks
 /// with timeout/backoff retries — exhausted retries shed the highest
-/// surviving rank and rebuild the ring. Every failover decision is
-/// appended to `log` and, when tracing, recorded as `failover` /
-/// `link_retry` spans and fault records; the failover counters (and one
-/// injected fault per scheduled device failure) land in `combined`.
+/// surviving rank and rebuild the ring. Every failover decision, and one
+/// injected fault per scheduled device failure, is appended to `log`
+/// and, when tracing, recorded as `failover` / `link_retry` spans.
 ///
 /// `work` is the per-micro-batch work proxy the schedule was built from.
 /// On a group of one with no faults this folds every step onto device 0
 /// and logs nothing: no peer to straggle behind, no ring to synchronize.
 #[allow(clippy::too_many_arguments)] // the stage's inputs, each read once
 pub(crate) fn attribute_epoch(
-    mut combined: EpochStats,
+    combined: EpochStats,
     steps: &[StepStats],
     work: &[f64],
     schedule: ElasticSchedule,
@@ -510,15 +509,6 @@ pub(crate) fn attribute_epoch(
         if let Some(tr) = trace.as_deref_mut() {
             let at = tr.now_sec();
             tr.record_span(SpanKind::Failover, Some(fo.device), at, 0.0);
-            tr.record_fault(
-                "device_fail",
-                format!(
-                    "device {} lost after {} steps; {} micro-batches migrated",
-                    fo.device,
-                    fo.completed_steps,
-                    fo.migrated.len()
-                ),
-            );
         }
     }
 
@@ -534,12 +524,6 @@ pub(crate) fn attribute_epoch(
             health[device] = DeviceHealth::Degraded;
         }
         log.record(RecoveryEvent::StragglerDetected { device, slowdown });
-        if let Some(tr) = trace.as_deref_mut() {
-            tr.record_fault(
-                "straggler",
-                format!("device {device} at {slowdown:.2}x the median time per work"),
-            );
-        }
     }
 
     // Elastic all-reduce over the surviving ranks.
@@ -578,10 +562,6 @@ pub(crate) fn attribute_epoch(
         if let Some(tr) = trace.as_deref_mut() {
             let at = tr.now_sec();
             tr.record_span(SpanKind::Failover, Some(lost), at, 0.0);
-            tr.record_fault(
-                "link_exhausted",
-                format!("rank {lost} shed after sync retries ran out; ring now {ranks}"),
-            );
         }
     }
     // A group of one has no ring, hence no all-reduce to show.
@@ -592,15 +572,6 @@ pub(crate) fn attribute_epoch(
         tr.record_span(SpanKind::Allreduce, None, at, sync.total_sec);
     }
 
-    combined.devices_lost = schedule.failovers.len() + sync.lost_ranks.len();
-    combined.migrated_steps = schedule
-        .failovers
-        .iter()
-        .map(|fo| fo.migrated.len())
-        .sum();
-    combined.link_retries = sync.retries.len();
-    combined.stragglers_detected = stragglers.len();
-    combined.injected_faults = schedule.failovers.len();
     MultiDeviceEpoch {
         combined,
         per_device,

@@ -13,6 +13,7 @@
 
 use std::fmt;
 
+use betty_data::InjectedStorageFault;
 use betty_device::{AllocFaultKind, FaultEvent};
 
 use crate::trainer::{AnomalyKind, StepPhase};
@@ -95,8 +96,10 @@ impl RetryPolicy {
 /// One recorded fault or recovery action.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RecoveryEvent {
-    /// An injected fault observed by the device or transfer link.
+    /// An injected fault observed by the device or a link.
     Fault(FaultEvent),
+    /// An injected fault the paged feature store observed.
+    StorageFault(InjectedStorageFault),
     /// A mid-step OOM triggered a checkpointed retry with an escalated
     /// plan.
     OomRetry {
@@ -114,6 +117,20 @@ pub enum RecoveryEvent {
         next_k: usize,
         /// Capacity the next attempt plans against (after headroom
         /// backoff).
+        planning_capacity: usize,
+    },
+    /// A lost device's migrated micro-batch would not fit the survivors'
+    /// shrunk planning capacity: the plan escalates before anything runs.
+    MigrationEscalation {
+        /// 1-based recovery attempt number within the epoch.
+        attempt: usize,
+        /// Estimated peak of the largest migrated micro-batch.
+        needed: usize,
+        /// Partition count of the plan that could not be migrated.
+        failed_k: usize,
+        /// Partition count the next attempt starts from.
+        next_k: usize,
+        /// Capacity the survivors plan against (after headroom backoff).
         planning_capacity: usize,
     },
     /// A non-finite loss or gradient was caught by the sentinel and the
@@ -272,15 +289,14 @@ impl fmt::Display for RecoveryEvent {
                 f,
                 "injected {stall_sec:.3}s stall on all-reduce round {round}"
             ),
-            RecoveryEvent::Fault(FaultEvent::StorageIoError { shard, attempt }) => write!(
+            RecoveryEvent::StorageFault(InjectedStorageFault::ReadFailed { shard, attempt }) => write!(
                 f,
                 "injected transient read error on shard {shard} (attempt {attempt})"
             ),
-            RecoveryEvent::Fault(FaultEvent::StorageStall { shard, stall_sec }) => write!(
-                f,
-                "injected {stall_sec:.3}s read stall on shard {shard}"
-            ),
-            RecoveryEvent::Fault(FaultEvent::ShardCorrupted { shard, epoch }) => write!(
+            RecoveryEvent::StorageFault(InjectedStorageFault::ReadStalled { shard, stall_sec }) => {
+                write!(f, "injected {stall_sec:.3}s read stall on shard {shard}")
+            }
+            RecoveryEvent::StorageFault(InjectedStorageFault::Corrupted { shard, epoch }) => write!(
                 f,
                 "injected payload corruption of shard {shard} before epoch {epoch}"
             ),
@@ -385,6 +401,18 @@ impl fmt::Display for RecoveryEvent {
                  escalating to K≥{next_k} against {planning_capacity} bytes",
                 if *injected { "injected " } else { "" }
             ),
+            RecoveryEvent::MigrationEscalation {
+                attempt,
+                needed,
+                failed_k,
+                next_k,
+                planning_capacity,
+            } => write!(
+                f,
+                "retry {attempt}: a micro-batch migrated off a lost device needs {needed} \
+                 bytes at K={failed_k}, over the survivors' {planning_capacity}; \
+                 escalating to K≥{next_k}"
+            ),
             RecoveryEvent::Recovered { attempts, final_k } => {
                 write!(f, "recovered after {attempts} retries at K={final_k}")
             }
@@ -400,18 +428,55 @@ impl fmt::Display for RecoveryEvent {
     }
 }
 
+impl RecoveryEvent {
+    /// Stable lowercase name, the `kind` of the event's trace record.
+    pub const fn kind(&self) -> &'static str {
+        match self {
+            RecoveryEvent::Fault(fault) => match fault {
+                FaultEvent::AllocFailure { .. } => "alloc_failure",
+                FaultEvent::TransferStall { .. } => "transfer_stall",
+                FaultEvent::NanLoss { .. } => "nan_loss",
+                FaultEvent::DeviceFail { .. } => "device_fail",
+                FaultEvent::LinkStall { .. } => "link_stall",
+            },
+            RecoveryEvent::StorageFault(fault) => match fault {
+                InjectedStorageFault::ReadFailed { .. } => "storage_io",
+                InjectedStorageFault::ReadStalled { .. } => "storage_stall",
+                InjectedStorageFault::Corrupted { .. } => "shard_corrupt",
+            },
+            RecoveryEvent::OomRetry { .. } => "oom_retry",
+            RecoveryEvent::MigrationEscalation { .. } => "migration_escalation",
+            RecoveryEvent::AnomalyRollback { .. } => "anomaly_rollback",
+            RecoveryEvent::AnomalyAbort { .. } => "anomaly_abort",
+            RecoveryEvent::Recovered { .. } => "recovered",
+            RecoveryEvent::Exhausted { .. } => "exhausted",
+            RecoveryEvent::DeviceLost { .. } => "device_lost",
+            RecoveryEvent::WorkMigrated { .. } => "work_migrated",
+            RecoveryEvent::RingRebuilt { .. } => "ring_rebuilt",
+            RecoveryEvent::StragglerDetected { .. } => "straggler",
+            RecoveryEvent::LinkRetry { .. } => "link_retry",
+            RecoveryEvent::IoRetry { .. } => "io_retry",
+            RecoveryEvent::ShardRepaired { .. } => "shard_repaired",
+            RecoveryEvent::CheckpointFallback { .. } => "checkpoint_fallback",
+            RecoveryEvent::PlanAheadInvalidated { .. } => "plan_ahead_invalidated",
+        }
+    }
+}
+
 /// A [`RecoveryEvent`] stamped with the epoch it occurred in.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryEntry {
-    /// Epoch the event occurred in (as set by [`RecoveryLog::set_epoch`]).
+    /// The runner's epoch ordinal when the event was recorded.
     pub epoch: usize,
     /// What happened.
     pub event: RecoveryEvent,
 }
 
 /// Append-only record of every injected fault and recovery action of a
-/// run, surfaced through [`crate::FitReport`] and the bench report.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// run. Each [`crate::Runner`] owns one for its lifetime
+/// ([`crate::Runner::recovery_log`]) and stamps it with its own epoch;
+/// the counts below are the run's only fault and recovery counters.
+#[derive(Debug)]
 pub struct RecoveryLog {
     current_epoch: usize,
     entries: Vec<RecoveryEntry>,
@@ -419,17 +484,20 @@ pub struct RecoveryLog {
 
 impl RecoveryLog {
     /// An empty log starting at epoch 0.
-    pub fn new() -> Self {
-        Self::default()
+    pub(crate) fn new() -> Self {
+        RecoveryLog {
+            current_epoch: 0,
+            entries: Vec::new(),
+        }
     }
 
     /// Sets the epoch stamped onto subsequently recorded events.
-    pub fn set_epoch(&mut self, epoch: usize) {
+    pub(crate) fn set_epoch(&mut self, epoch: usize) {
         self.current_epoch = epoch;
     }
 
     /// Appends an event at the current epoch.
-    pub fn record(&mut self, event: RecoveryEvent) {
+    pub(crate) fn record(&mut self, event: RecoveryEvent) {
         self.entries.push(RecoveryEntry {
             epoch: self.current_epoch,
             event,
@@ -439,6 +507,15 @@ impl RecoveryLog {
     /// Every recorded entry, in order.
     pub fn entries(&self) -> &[RecoveryEntry] {
         &self.entries
+    }
+
+    /// The entries stamped with `epoch`, counted like a log of their own.
+    pub fn of_epoch(&self, epoch: usize) -> RecoveryLog {
+        let entries = self.entries.iter().filter(|e| e.epoch == epoch).cloned().collect();
+        RecoveryLog {
+            current_epoch: epoch,
+            entries,
+        }
     }
 
     /// Whether nothing has been recorded.
@@ -453,12 +530,27 @@ impl RecoveryLog {
 
     /// Number of injected faults observed.
     pub fn injected_faults(&self) -> usize {
-        self.count(|e| matches!(e, RecoveryEvent::Fault(_)))
+        self.count(|e| matches!(e, RecoveryEvent::Fault(_) | RecoveryEvent::StorageFault(_)))
     }
 
     /// Number of OOM-triggered retries.
     pub fn oom_retries(&self) -> usize {
         self.count(|e| matches!(e, RecoveryEvent::OomRetry { .. }))
+    }
+
+    /// Recovery attempts consumed: what every `Recovered` and `Exhausted`
+    /// entry reports, summed (each attempt is one `OomRetry` or
+    /// `MigrationEscalation` entry).
+    pub fn retries(&self) -> usize {
+        self.entries
+            .iter()
+            .map(|e| match e.event {
+                RecoveryEvent::Recovered { attempts, .. } | RecoveryEvent::Exhausted { attempts } => {
+                    attempts
+                }
+                _ => 0,
+            })
+            .sum()
     }
 
     /// Number of epochs that completed only after retrying.
@@ -491,6 +583,17 @@ impl RecoveryLog {
         self.count(|e| matches!(e, RecoveryEvent::WorkMigrated { .. }))
     }
 
+    /// Micro-batches migrated off lost devices.
+    pub fn migrated_steps(&self) -> usize {
+        self.entries
+            .iter()
+            .map(|e| match e.event {
+                RecoveryEvent::WorkMigrated { micro_batches, .. } => micro_batches,
+                _ => 0,
+            })
+            .sum()
+    }
+
     /// Number of ring-all-reduce rebuilds over surviving ranks.
     pub fn ring_rebuilds(&self) -> usize {
         self.count(|e| matches!(e, RecoveryEvent::RingRebuilt { .. }))
@@ -516,61 +619,24 @@ impl RecoveryLog {
         self.count(|e| matches!(e, RecoveryEvent::ShardRepaired { .. }))
     }
 
-    /// Number of resume-time checkpoint fallbacks past corrupt slots.
-    pub fn checkpoint_fallbacks(&self) -> usize {
-        self.count(|e| matches!(e, RecoveryEvent::CheckpointFallback { .. }))
-    }
-
     fn count(&self, pred: impl Fn(&RecoveryEvent) -> bool) -> usize {
         self.entries.iter().filter(|e| pred(&e.event)).count()
     }
 
-    /// Human-readable multi-line summary (counts, then one line per
-    /// entry) — what the CLI prints when a run fails.
+    /// Human-readable multi-line summary: how many entries of each
+    /// [`RecoveryEvent::kind`], in order of first appearance, then one
+    /// line per entry — what the CLI prints after a faulted run.
     pub fn summary(&self) -> String {
-        let mut out = format!(
-            "recovery log: {} injected faults, {} OOM retries, \
-             {} anomaly rollbacks, {} recoveries{}{}",
-            self.injected_faults(),
-            self.oom_retries(),
-            self.anomaly_rollbacks(),
-            self.recoveries(),
-            if self.exhausted() {
-                ", retries EXHAUSTED"
-            } else {
-                ""
-            },
-            if self.anomaly_aborted() {
-                ", anomaly ABORT"
-            } else {
-                ""
+        let mut tally: Vec<(&str, usize)> = Vec::new();
+        for entry in &self.entries {
+            let kind = entry.event.kind();
+            match tally.iter_mut().find(|(k, _)| *k == kind) {
+                Some((_, n)) => *n += 1,
+                None => tally.push((kind, 1)),
             }
-        );
-        let elastic = (
-            self.devices_lost(),
-            self.work_migrations(),
-            self.link_retries(),
-            self.stragglers_detected(),
-        );
-        if elastic != (0, 0, 0, 0) {
-            out.push_str(&format!(
-                "\nelastic: {} devices lost, {} work migrations, \
-                 {} link retries, {} stragglers",
-                elastic.0, elastic.1, elastic.2, elastic.3
-            ));
         }
-        let storage = (
-            self.io_retries(),
-            self.shards_repaired(),
-            self.checkpoint_fallbacks(),
-        );
-        if storage != (0, 0, 0) {
-            out.push_str(&format!(
-                "\nstorage: {} I/O retries, {} shards repaired, \
-                 {} checkpoint fallbacks",
-                storage.0, storage.1, storage.2
-            ));
-        }
+        let tally: Vec<String> = tally.iter().map(|(kind, n)| format!("{n} {kind}")).collect();
+        let mut out = format!("recovery log: {}", tally.join(", "));
         for entry in &self.entries {
             out.push_str(&format!("\n  [epoch {}] {}", entry.epoch, entry.event));
         }
@@ -656,7 +722,7 @@ mod tests {
         assert!(!log.exhausted());
         assert_eq!(log.entries()[2].epoch, 1);
         let summary = log.summary();
-        assert!(summary.contains("1 OOM retries"), "{summary}");
+        assert!(summary.starts_with("recovery log: 1 alloc_failure, 1 oom_retry, 1 recovered"), "{summary}");
         assert!(summary.contains("[epoch 0]"), "{summary}");
         assert!(summary.contains("escalating to K≥2"), "{summary}");
     }
@@ -666,7 +732,7 @@ mod tests {
         let mut log = RecoveryLog::new();
         log.record(RecoveryEvent::Exhausted { attempts: 3 });
         assert!(log.exhausted());
-        assert!(log.summary().contains("EXHAUSTED"));
+        assert!(log.summary().contains("1 exhausted"));
     }
 
     #[test]
@@ -707,7 +773,7 @@ mod tests {
         assert_eq!(log.injected_faults(), 1);
         let summary = log.summary();
         assert!(
-            summary.contains("1 devices lost, 1 work migrations, 1 link retries, 1 stragglers"),
+            summary.contains("1 device_lost, 1 work_migrated, 1 ring_rebuilt, 1 straggler, 1 link_retry"),
             "{summary}"
         );
         assert!(summary.contains("device 1 lost after 2 completed steps"), "{summary}");
@@ -720,7 +786,7 @@ mod tests {
     #[test]
     fn storage_events_are_counted_and_summarized() {
         let mut log = RecoveryLog::new();
-        log.record(RecoveryEvent::Fault(FaultEvent::StorageIoError {
+        log.record(RecoveryEvent::StorageFault(InjectedStorageFault::ReadFailed {
             shard: 3,
             attempt: 1,
         }));
@@ -729,7 +795,7 @@ mod tests {
             attempt: 1,
             backoff_sec: 0.005,
         });
-        log.record(RecoveryEvent::Fault(FaultEvent::ShardCorrupted {
+        log.record(RecoveryEvent::StorageFault(InjectedStorageFault::Corrupted {
             shard: 2,
             epoch: 1,
         }));
@@ -740,11 +806,10 @@ mod tests {
         });
         assert_eq!(log.io_retries(), 1);
         assert_eq!(log.shards_repaired(), 1);
-        assert_eq!(log.checkpoint_fallbacks(), 1);
         assert_eq!(log.injected_faults(), 2);
         let summary = log.summary();
         assert!(
-            summary.contains("storage: 1 I/O retries, 1 shards repaired, 1 checkpoint fallbacks"),
+            summary.contains("1 io_retry, 1 shard_corrupt, 1 shard_repaired, 1 checkpoint_fallback"),
             "{summary}"
         );
         assert!(summary.contains("shard 3 read retry 1"), "{summary}");
@@ -774,8 +839,7 @@ mod tests {
         assert!(log.anomaly_aborted());
         assert_eq!(log.injected_faults(), 1);
         let summary = log.summary();
-        assert!(summary.contains("1 anomaly rollbacks"), "{summary}");
-        assert!(summary.contains("anomaly ABORT"), "{summary}");
+        assert!(summary.contains("1 anomaly_rollback, 1 anomaly_abort"), "{summary}");
         assert!(summary.contains("injected NaN loss at step 4"), "{summary}");
         assert!(
             summary.contains("injected non-finite loss at step 4"),

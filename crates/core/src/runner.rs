@@ -8,9 +8,9 @@ use std::time::Instant;
 use rand::SeedableRng;
 use rand_pcg::Pcg64Mcg;
 
-use betty_data::{Dataset, InjectedStorageFault, SeededStorageFaults, StorageIncident};
+use betty_data::{Dataset, SeededStorageFaults, StorageIncident};
 use betty_device::{
-    AggregatorKind, Device, FaultEvent, FaultPlan, MemoryEstimate, MemoryEstimator, ModelShape,
+    AggregatorKind, Device, FaultPlan, MemoryEstimate, MemoryEstimator, ModelShape,
     StallInjector, BYTES_PER_VALUE,
 };
 use betty_graph::{sample_batch_in, Batch, CsrGraph, NodeId};
@@ -19,6 +19,7 @@ use betty_nn::{Gat, Gcn, Gin, GnnModel, GraphSage, TrainState};
 use betty_trace::{SpanKind, TraceRecorder};
 
 use crate::config::{ExperimentConfig, ModelKind};
+use crate::durable::CheckpointResolution;
 use crate::multi::{attribute_epoch, simulate_elastic_schedule, DeviceGroup, MultiDeviceEpoch};
 use crate::pipeline::{
     dataset_key, plan_batch, sample_next, PipelineSpec, PlanMode, PlanPipeline, StagedBundle,
@@ -150,6 +151,11 @@ pub struct Runner {
     /// (the trainer holds the alloc/transfer injectors, the paged
     /// feature store the storage stream).
     link_faults: StallInjector,
+    /// Every injected fault and recovery decision of this runner's life,
+    /// stamped with its epoch ordinal.
+    log: RecoveryLog,
+    /// Log entries before this one predate [`Runner::enable_tracing`].
+    traced_from: usize,
 }
 
 /// A reusable output-node assignment from a previous epoch's plan.
@@ -362,6 +368,8 @@ impl Runner {
             warm_k: 1,
             epochs_run: 0,
             link_faults: plan.link_injector(),
+            log: RecoveryLog::new(),
+            traced_from: 0,
         }
     }
 
@@ -370,21 +378,38 @@ impl Runner {
     /// the math — see [`Trainer::enable_tracing`].
     pub fn enable_tracing(&mut self) {
         self.trainer.enable_tracing();
+        self.traced_from = self.log.len();
     }
 
     /// Stops trace recording, returning everything captured since
-    /// [`Runner::enable_tracing`], if tracing was enabled.
+    /// [`Runner::enable_tracing`], if tracing was enabled. The trace's
+    /// fault records are made here, one per recovery-log entry recorded
+    /// while tracing: its epoch, its [`RecoveryEvent::kind`] and the line
+    /// the log prints for it.
     pub fn take_trace(&mut self) -> Option<TraceRecorder> {
-        self.trainer.disable_tracing()
+        let mut trace = self.trainer.disable_tracing()?;
+        for entry in &self.log.entries()[self.traced_from..] {
+            trace.record_fault(entry.epoch, entry.event.kind(), entry.event.to_string());
+        }
+        Some(trace)
     }
 
-    /// Epoch preamble: stamps the trace recorder with this epoch's
-    /// ordinal (so spans and drift records carry monotone epoch ids),
-    /// then lets the feature store apply the shard corruption its fault
-    /// stream schedules for this epoch.
+    /// Every injected fault and recovery decision since this runner was
+    /// built, each stamped with the epoch ordinal it happened in
+    /// ([`Runner::epochs_run`] before that epoch began). A failed epoch
+    /// leaves its entries here too.
+    pub fn recovery_log(&self) -> &RecoveryLog {
+        &self.log
+    }
+
+    /// Epoch preamble: stamps the recovery log and trace recorder with
+    /// this epoch's ordinal (so entries, spans and drift records carry
+    /// monotone epoch ids), then lets the feature store apply the shard
+    /// corruption its fault stream schedules for this epoch.
     fn begin_epoch(&mut self, dataset: &Dataset) {
         let epoch = self.epochs_run;
         self.epochs_run += 1;
+        self.log.set_epoch(epoch);
         if let Some(tr) = self.trainer.trace_mut() {
             tr.set_epoch(epoch);
         }
@@ -395,31 +420,15 @@ impl Runner {
     /// transfer, NaN), the all-reduce link's and the feature store's
     /// (scheduled corruption, then failed and stalled reads, in the order
     /// they happened) — and then the store's retry/repair incidents
-    /// accumulated since the last call, into `log` and, when tracing, the
-    /// trace stream. Returns how many *injected* fault events were
-    /// drained (for [`EpochStats::injected_faults`]).
-    fn drain_faults(&mut self, dataset: &Dataset, log: &mut RecoveryLog) -> usize {
+    /// accumulated since the last call, into the recovery log.
+    fn drain_faults(&mut self, dataset: &Dataset) {
         let mut events = self.trainer.drain_fault_events();
         events.extend(self.link_faults.drain_events());
-        let storage = dataset.features.drain_storage_faults().into_iter();
-        events.extend(storage.map(|fault| match fault {
-            InjectedStorageFault::ReadFailed { shard, attempt } => {
-                FaultEvent::StorageIoError { shard, attempt }
-            }
-            InjectedStorageFault::ReadStalled { shard, stall_sec } => {
-                FaultEvent::StorageStall { shard, stall_sec }
-            }
-            InjectedStorageFault::Corrupted { shard, epoch } => {
-                FaultEvent::ShardCorrupted { shard, epoch }
-            }
-        }));
-        let injected = events.len();
         for event in events {
-            if let Some(tr) = self.trainer.trace_mut() {
-                let (kind, detail) = event.trace_record();
-                tr.record_fault(kind, detail);
-            }
-            log.record(RecoveryEvent::Fault(event));
+            self.log.record(RecoveryEvent::Fault(event));
+        }
+        for fault in dataset.features.drain_storage_faults() {
+            self.log.record(RecoveryEvent::StorageFault(fault));
         }
         for incident in dataset.features.drain_storage_incidents() {
             match incident {
@@ -427,7 +436,7 @@ impl Runner {
                     shard,
                     attempt,
                     backoff_sec,
-                } => log.record(RecoveryEvent::IoRetry {
+                } => self.log.record(RecoveryEvent::IoRetry {
                     shard,
                     attempt,
                     backoff_sec,
@@ -442,11 +451,10 @@ impl Runner {
                         let at = tr.now_sec();
                         tr.record_span(SpanKind::StorageRepair, Some(shard), at, sec);
                     }
-                    log.record(RecoveryEvent::ShardRepaired { shard, group });
+                    self.log.record(RecoveryEvent::ShardRepaired { shard, group });
                 }
             }
         }
-        injected
     }
 
     /// Depth 0: draws this epoch's batch on this thread, dropping any
@@ -682,9 +690,9 @@ impl Runner {
     /// advances when a bundle is consumed — so the retry (and the
     /// pipeline restart next epoch) continues the exact synchronous
     /// stream.
-    fn invalidate_pipeline_for_retry(&mut self, log: &mut RecoveryLog) {
+    fn invalidate_pipeline_for_retry(&mut self) {
         if let Some(p) = self.pipeline.take() {
-            log.record(RecoveryEvent::PlanAheadInvalidated {
+            self.log.record(RecoveryEvent::PlanAheadInvalidated {
                 staged: p.in_flight(),
             });
         }
@@ -794,14 +802,13 @@ impl Runner {
     /// order — whatever the schedule, which is why losses and parameters
     /// are bit-identical across group sizes and device faults — and
     /// **attribute** the measured steps to devices ([`attribute_epoch`]).
-    /// Injected-fault events are drained into `log` once per attempt, and
-    /// the epoch's stats are filled in here and nowhere else.
+    /// Injected-fault events are drained into the recovery log once per
+    /// attempt, and the epoch's stats are filled in here and nowhere else.
     fn run_epoch(
         &mut self,
         dataset: &Dataset,
         strategy: StrategyKind,
         spec: &EpochSpec<'_>,
-        log: &mut RecoveryLog,
     ) -> Result<MultiDeviceEpoch, RunError> {
         self.begin_epoch(dataset);
         let (group, policy) = (spec.group, &spec.retry);
@@ -821,7 +828,6 @@ impl Runner {
         // Only a retry ever restores, so a zero budget skips the copy.
         let snapshot = (policy.max_retries > 0 || policy.max_anomaly_retries > 0)
             .then(|| self.trainer.snapshot());
-        let mut injected_faults = 0usize;
         let mut attempt = 0usize; // escalations so far: OOM'd attempts, infeasible schedules
         let mut anomaly_rollbacks = 0usize;
         let mut original: Option<TrainError> = None;
@@ -836,7 +842,7 @@ impl Runner {
                     let Some(source) = original else {
                         return Err(RunError::Plan(e));
                     };
-                    log.record(RecoveryEvent::Exhausted { attempts: attempt });
+                    self.log.record(RecoveryEvent::Exhausted { attempts: attempt });
                     return Err(RunError::RetryExhausted {
                         attempts: attempt,
                         source,
@@ -853,7 +859,7 @@ impl Runner {
                 .collect();
             let schedule = simulate_elastic_schedule(&jobs, group.num_devices, fail_steps)
                 .map_err(|e| {
-                    log.record(RecoveryEvent::Exhausted { attempts: attempt });
+                    self.log.record(RecoveryEvent::Exhausted { attempts: attempt });
                     RunError::DevicesExhausted(e)
                 })?;
             // Migration never changes a micro-batch's own peak, only who
@@ -870,7 +876,7 @@ impl Runner {
 
             let (batch, next_k) = if worst_migrated > survivor_capacity {
                 let Some(batch) = retry_batch(attempt, policy.max_retries) else {
-                    log.record(RecoveryEvent::Exhausted { attempts: attempt });
+                    self.log.record(RecoveryEvent::Exhausted { attempts: attempt });
                     return Err(RunError::Plan(PlanError::CapacityUnreachable {
                         max_partitions,
                         best_peak: worst_migrated,
@@ -878,7 +884,15 @@ impl Runner {
                     }));
                 };
                 attempt += 1;
-                (batch, policy.escalate_k(k).min(max_partitions))
+                let next_k = policy.escalate_k(k).min(max_partitions);
+                self.log.record(RecoveryEvent::MigrationEscalation {
+                    attempt,
+                    needed: worst_migrated,
+                    failed_k: k,
+                    next_k,
+                    planning_capacity: survivor_capacity,
+                });
+                (batch, next_k)
             } else {
                 let err = match self.trainer.micro_batch_epoch(dataset, &work.micro_batches) {
                     Ok((mut combined, steps)) => {
@@ -894,12 +908,12 @@ impl Runner {
                             straggler_factors,
                             grad_bytes,
                             &mut self.link_faults,
-                            log,
+                            &mut self.log,
                             self.trainer.trace_mut(),
                         );
-                        injected_faults += self.drain_faults(dataset, log);
+                        self.drain_faults(dataset);
                         if attempt > 0 {
-                            log.record(RecoveryEvent::Recovered {
+                            self.log.record(RecoveryEvent::Recovered {
                                 attempts: attempt,
                                 final_k: k,
                             });
@@ -907,16 +921,13 @@ impl Runner {
                         let stats = &mut epoch.combined;
                         stats.host_bytes =
                             host_staging_bytes(dataset, sampled.as_ref(), &work.micro_batches);
-                        stats.oom_retries = attempt;
-                        stats.anomaly_rollbacks = anomaly_rollbacks;
-                        stats.injected_faults += injected_faults;
                         stats.plan_ahead_overlap_sec = overlap_sec;
                         return Ok(epoch);
                     }
                     Err(err) => err,
                 };
                 self.trainer.release_device();
-                injected_faults += self.drain_faults(dataset, log);
+                self.drain_faults(dataset);
                 let retry = match err {
                     // A numeric anomaly is not a capacity problem:
                     // restore the snapshot and retry the *same* plan
@@ -934,7 +945,7 @@ impl Runner {
                         let Some(batch) =
                             retry_batch(anomaly_rollbacks, policy.max_anomaly_retries)
                         else {
-                            log.record(RecoveryEvent::AnomalyAbort {
+                            self.log.record(RecoveryEvent::AnomalyAbort {
                                 rollbacks: anomaly_rollbacks,
                                 step,
                                 kind,
@@ -945,7 +956,7 @@ impl Runner {
                             });
                         };
                         anomaly_rollbacks += 1;
-                        log.record(RecoveryEvent::AnomalyRollback {
+                        self.log.record(RecoveryEvent::AnomalyRollback {
                             attempt: anomaly_rollbacks,
                             step,
                             kind,
@@ -964,7 +975,7 @@ impl Runner {
                                 // error.
                                 return Err(RunError::Train(err));
                             }
-                            log.record(RecoveryEvent::Exhausted { attempts: attempt });
+                            self.log.record(RecoveryEvent::Exhausted { attempts: attempt });
                             return Err(RunError::RetryExhausted {
                                 attempts: attempt,
                                 source: original.unwrap_or(err),
@@ -972,7 +983,7 @@ impl Runner {
                         };
                         attempt += 1;
                         let next_k = policy.escalate_k(k).min(max_partitions);
-                        log.record(RecoveryEvent::OomRetry {
+                        self.log.record(RecoveryEvent::OomRetry {
                             attempt,
                             step,
                             phase,
@@ -991,7 +1002,7 @@ impl Runner {
                     // error so the CLI names the shard and offset.
                     TrainError::Storage { .. } => return Err(RunError::Train(err)),
                 };
-                self.invalidate_pipeline_for_retry(log);
+                self.invalidate_pipeline_for_retry();
                 if let Some(snapshot) = &snapshot {
                     self.trainer.restore(snapshot);
                 }
@@ -1006,8 +1017,7 @@ impl Runner {
     }
 
     /// [`Runner::run_epoch`] with nothing to recover from and nothing to
-    /// survive: `source` on a group of one under a zero retry budget,
-    /// fault events drained into a scratch log.
+    /// survive: `source` on a group of one under a zero retry budget.
     fn run_plain(
         &mut self,
         dataset: &Dataset,
@@ -1024,7 +1034,7 @@ impl Runner {
             },
             faults: &FaultPlan::default(),
         };
-        self.run_epoch(dataset, strategy, &spec, &mut RecoveryLog::new())
+        self.run_epoch(dataset, strategy, &spec)
     }
 
     /// One epoch of micro-batch training with a fixed partition count.
@@ -1141,9 +1151,9 @@ impl Runner {
     /// [`RetryPolicy`](crate::RetryPolicy)'s budget. Numerics are
     /// those of the fault-free path, so losses and parameters are
     /// bit-identical with and without injected device faults (proven by
-    /// test). Every failover and recovery decision is appended to `log`
-    /// and, when tracing, recorded as `failover`/`link_retry` spans and
-    /// fault records.
+    /// test). Every failover and recovery decision is appended to the
+    /// [`recovery log`](Runner::recovery_log) and, when tracing, recorded
+    /// as `failover`/`link_retry` spans.
     ///
     /// # Errors
     ///
@@ -1169,7 +1179,6 @@ impl Runner {
         strategy: StrategyKind,
         k: usize,
         group: &DeviceGroup,
-        log: &mut RecoveryLog,
     ) -> Result<MultiDeviceEpoch, RunError> {
         let faults = self.config.fault_plan.clone();
         faults
@@ -1181,7 +1190,7 @@ impl Runner {
             retry: self.config.retry.clone(),
             faults: &faults,
         };
-        self.run_epoch(dataset, strategy, &spec, log)
+        self.run_epoch(dataset, strategy, &spec)
     }
 
     /// One epoch of classic mini-batch training over `num_batches` chunks
@@ -1215,11 +1224,8 @@ impl Runner {
             .map(|c| self.sample_batch_for(c))
             .collect();
         let result = self.trainer.mini_batch_epoch(dataset, &batches);
-        let injected_faults = self.drain_faults(dataset, &mut RecoveryLog::new());
-        Ok(EpochStats {
-            injected_faults,
-            ..result?
-        })
+        self.drain_faults(dataset);
+        Ok(result?)
     }
 
     /// Epochs this runner has trained (monotone across every
@@ -1308,6 +1314,25 @@ impl Runner {
         Ok(())
     }
 
+    /// Resumes from the checkpoint [`crate::latest_valid_checkpoint`]
+    /// found: imports its session and, when newer slots had to be skipped,
+    /// logs the fallback at the resumed epoch.
+    ///
+    /// # Errors
+    ///
+    /// As [`Runner::import_session`].
+    pub fn resume(&mut self, found: &CheckpointResolution) -> Result<(), RunError> {
+        self.import_session(&found.state)?;
+        if !found.skipped.is_empty() {
+            self.log.set_epoch(self.epochs_run);
+            self.log.record(RecoveryEvent::CheckpointFallback {
+                skipped: found.skipped.clone(),
+                used: found.path.clone(),
+            });
+        }
+        Ok(())
+    }
+
     /// Accuracy on `nodes` using the configured fanouts for inference.
     pub fn evaluate(&mut self, dataset: &Dataset, nodes: &[NodeId]) -> f64 {
         // Evaluation sampling draws from the same RNG stream the
@@ -1341,13 +1366,9 @@ mod tests {
     }
 
     /// An auto-K epoch with recovery on a group of one.
-    fn recovering_epoch(
-        runner: &mut Runner,
-        ds: &Dataset,
-        log: &mut RecoveryLog,
-    ) -> Result<(EpochStats, usize), RunError> {
+    fn recovering_epoch(runner: &mut Runner, ds: &Dataset) -> Result<(EpochStats, usize), RunError> {
         runner
-            .train_epoch_elastic(ds, StrategyKind::Betty, 1, &DeviceGroup::new(1), log)
+            .train_epoch_elastic(ds, StrategyKind::Betty, 1, &DeviceGroup::new(1))
             .map(|epoch| (epoch.combined, epoch.assignment.len()))
     }
 
@@ -1622,7 +1643,6 @@ mod tests {
 
     #[test]
     fn recovering_epoch_escalates_past_an_injected_oom() {
-        use crate::recovery::RecoveryLog;
         use betty_device::FaultPlan;
         let ds = dataset();
         let cfg = ExperimentConfig {
@@ -1633,12 +1653,11 @@ mod tests {
             ..config()
         };
         let mut runner = Runner::new(&ds, &cfg, 0);
-        let mut log = RecoveryLog::new();
-        let (stats, k) = recovering_epoch(&mut runner, &ds, &mut log)
+        let (_, k) = recovering_epoch(&mut runner, &ds)
             .expect("recovery must rescue the injected OOM");
-        assert_eq!(stats.oom_retries, 1);
-        assert_eq!(stats.injected_faults, 1);
         assert!(k >= 2, "escalation grows K, got {k}");
+        let log = runner.recovery_log();
+        assert_eq!(log.retries(), 1);
         assert_eq!(log.oom_retries(), 1);
         assert_eq!(log.injected_faults(), 1);
         assert_eq!(log.recoveries(), 1);
@@ -1650,7 +1669,6 @@ mod tests {
         // The default configuration once staged each successor's transfer;
         // recovery from a fault on the first step must still escalate once
         // and leave no charge of the failed attempt on the ledger.
-        use crate::recovery::RecoveryLog;
         use betty_device::FaultPlan;
         let ds = dataset();
         let cfg = ExperimentConfig {
@@ -1661,16 +1679,15 @@ mod tests {
             ..config()
         };
         let mut runner = Runner::new(&ds, &cfg, 0);
-        let mut log = RecoveryLog::new();
-        let (stats, _k) = recovering_epoch(&mut runner, &ds, &mut log)
+        recovering_epoch(&mut runner, &ds)
             .expect("recovery must work in the default configuration");
-        assert_eq!(stats.oom_retries, 1);
+        assert_eq!(runner.recovery_log().retries(), 1);
         assert_eq!(runner.trainer().device().current_bytes(), 0);
     }
 
     #[test]
     fn retry_exhaustion_surfaces_the_original_error_chain() {
-        use crate::recovery::{RecoveryLog, RetryPolicy};
+        use crate::recovery::RetryPolicy;
         use betty_device::{FaultPlan, OomError};
         let ds = dataset();
         let cfg = ExperimentConfig {
@@ -1685,14 +1702,13 @@ mod tests {
             ..config()
         };
         let mut runner = Runner::new(&ds, &cfg, 0);
-        let mut log = RecoveryLog::new();
-        let err = recovering_epoch(&mut runner, &ds, &mut log)
-            .unwrap_err();
+        let err = recovering_epoch(&mut runner, &ds).unwrap_err();
         let RunError::RetryExhausted { attempts, .. } = &err else {
             panic!("expected RetryExhausted, got {err:?}");
         };
         assert_eq!(*attempts, 2);
-        assert!(log.exhausted());
+        assert!(runner.recovery_log().exhausted());
+        assert_eq!(runner.recovery_log().retries(), 2);
         // Walk the source() chain down to the original OomError.
         let mut cause: &dyn std::error::Error = &err;
         while let Some(next) = cause.source() {
@@ -1706,7 +1722,7 @@ mod tests {
 
     #[test]
     fn zero_retry_budget_reports_plain_train_error() {
-        use crate::recovery::{RecoveryLog, RetryPolicy};
+        use crate::recovery::RetryPolicy;
         use betty_device::FaultPlan;
         let ds = dataset();
         let cfg = ExperimentConfig {
@@ -1721,14 +1737,12 @@ mod tests {
             ..config()
         };
         let mut runner = Runner::new(&ds, &cfg, 0);
-        let mut log = RecoveryLog::new();
-        let err = recovering_epoch(&mut runner, &ds, &mut log)
-            .unwrap_err();
+        let err = recovering_epoch(&mut runner, &ds).unwrap_err();
         assert!(
             matches!(err, RunError::Train(_)),
             "no retries attempted → plain Train error, got {err:?}"
         );
-        assert_eq!(log.oom_retries(), 0);
+        assert_eq!(runner.recovery_log().oom_retries(), 0);
     }
 
     #[test]
@@ -1759,7 +1773,7 @@ mod tests {
     }
 
     #[test]
-    fn entry_points_without_a_log_still_drain_injected_faults() {
+    fn every_entry_point_drains_injected_faults_into_the_log() {
         use betty_device::FaultPlan;
         let ds = dataset();
         let cfg = ExperimentConfig {
@@ -1771,21 +1785,21 @@ mod tests {
         };
         let mut runner = Runner::new(&ds, &cfg, 0);
         // Every micro-batch is one host→device transfer and every
-        // transfer stalls: an epoch reports its own steps' worth, never
-        // its predecessor's, and leaves nothing queued in the injectors.
-        for _ in 0..2 {
+        // transfer stalls: an epoch logs its own steps' worth, never its
+        // predecessor's, and leaves nothing queued in the injectors.
+        for epoch in 0..2 {
             let stats = runner.train_epoch_betty(&ds, StrategyKind::Betty, 3).unwrap();
-            assert_eq!(stats.injected_faults, stats.num_steps);
+            let log = runner.recovery_log().of_epoch(epoch);
+            assert_eq!(log.injected_faults(), stats.num_steps);
             assert!(runner.trainer_mut().drain_fault_events().is_empty());
         }
-        let stats = runner.train_epoch_mini(&ds, 4).unwrap();
-        assert_eq!(stats.injected_faults, 4);
+        runner.train_epoch_mini(&ds, 4).unwrap();
+        assert_eq!(runner.recovery_log().of_epoch(2).injected_faults(), 4);
         assert!(runner.trainer_mut().drain_fault_events().is_empty());
     }
 
     #[test]
     fn noop_fault_plan_is_byte_identical_to_no_plan() {
-        use crate::recovery::RecoveryLog;
         use betty_device::FaultPlan;
         let ds = dataset();
         let clean_cfg = config();
@@ -1800,15 +1814,12 @@ mod tests {
         };
         let mut clean = Runner::new(&ds, &clean_cfg, 0);
         let mut armed = Runner::new(&ds, &armed_cfg, 0);
-        let mut log = RecoveryLog::new();
-        let (a, ka) = recovering_epoch(&mut clean, &ds, &mut log)
-            .unwrap();
-        let (b, kb) = recovering_epoch(&mut armed, &ds, &mut log)
-            .unwrap();
+        let (a, ka) = recovering_epoch(&mut clean, &ds).unwrap();
+        let (b, kb) = recovering_epoch(&mut armed, &ds).unwrap();
         assert_eq!(ka, kb);
         assert_eq!(a.max_peak_bytes, b.max_peak_bytes);
         assert_eq!(a.loss.to_bits(), b.loss.to_bits());
-        assert!(log.is_empty());
+        assert!(clean.recovery_log().is_empty() && armed.recovery_log().is_empty());
     }
 
     /// One epoch's recovery log under `plan`, one line per entry as the
@@ -1825,12 +1836,12 @@ mod tests {
         cfg.retry.max_retries = 8;
         betty_runtime::with_threads(1, || {
             let mut runner = Runner::new(ds, &cfg, 3);
-            let mut log = RecoveryLog::new();
-            let epoch = runner
-                .train_epoch_elastic(ds, StrategyKind::Betty, 4, &DeviceGroup::new(1), &mut log)
+            runner
+                .train_epoch_elastic(ds, StrategyKind::Betty, 4, &DeviceGroup::new(1))
                 .unwrap();
+            let log = runner.recovery_log();
             let lines = log.entries().iter().map(|e| format!("{}: {}", e.epoch, e.event));
-            (lines.collect(), epoch.combined.injected_faults)
+            (lines.collect(), log.injected_faults())
         })
     }
 

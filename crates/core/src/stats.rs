@@ -26,12 +26,6 @@ pub struct StepStats {
     /// Simulated seconds spent paging this step's feature shards over the
     /// store's NVMe-like link.
     pub page_in_sec: f64,
-    /// Transient shard-read failures absorbed by the retry/backoff path
-    /// during this step (0 without injected storage faults).
-    pub io_retries: u64,
-    /// Shards whose payload failed CRC mid-run and were reconstructed
-    /// bit-identically from their XOR parity group.
-    pub shards_repaired: u64,
     /// Simulated seconds spent on storage recovery: retry backoff plus
     /// the link time of parity/peer reads feeding shard reconstruction.
     /// Wall-clock-like, excluded from bit-identity comparisons.
@@ -39,6 +33,8 @@ pub struct StepStats {
 }
 
 /// Aggregated measurements for one epoch (all micro-batches of all batches).
+/// Faults and recovery actions are not counted here: the runner's
+/// [`crate::RecoveryLog`] is their one record.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EpochStats {
     /// Mean training loss over the effective batch.
@@ -61,18 +57,6 @@ pub struct EpochStats {
     /// heterogeneous-memory story (§2.2): the device only ever holds one
     /// micro-batch; everything else waits in host memory.
     pub host_bytes: usize,
-    /// Checkpointed recovery attempts consumed producing this epoch
-    /// (0 when the first attempt succeeded, and always from the entry
-    /// points that run without a retry budget).
-    pub oom_retries: usize,
-    /// Injected fault events observed during this epoch (0 without an
-    /// armed [`betty_device::FaultPlan`]).
-    pub injected_faults: usize,
-    /// Numeric-anomaly rollbacks consumed producing this epoch: a NaN/Inf
-    /// loss or gradient was caught by the trainer's sentinel and the
-    /// trainable state was restored from the epoch-start snapshot (0 from
-    /// the entry points that run without a retry budget).
-    pub anomaly_rollbacks: usize,
     /// Always `0.0`: every step pays its own transfer synchronously, so no
     /// link time is hidden behind compute. Kept for callers that still
     /// read it.
@@ -108,17 +92,6 @@ pub struct EpochStats {
     /// Bytes handed back out from recycled buffers instead of the heap
     /// (`4 * elements` summed over every pool hit).
     pub pool_bytes_recycled: u64,
-    /// Devices of the simulated group declared lost during this epoch
-    /// (mid-epoch failures plus all-reduce exhaustion; 0 unless
-    /// [`crate::Runner::train_epoch_elastic`] ran under device faults).
-    pub devices_lost: usize,
-    /// Micro-batches migrated off lost devices onto survivors.
-    pub migrated_steps: usize,
-    /// Timed-out all-reduce rounds that were retried with backoff.
-    pub link_retries: usize,
-    /// Devices flagged as stragglers (attributed time per unit work
-    /// exceeded the group's threshold over the median device).
-    pub stragglers_detected: usize,
     /// Feature rows served from the store's resident set over the epoch.
     /// The dense in-memory backend scores every row as a hit, so
     /// `feature_misses == 0` is the out-of-core story's baseline.
@@ -132,14 +105,6 @@ pub struct EpochStats {
     /// Simulated page-in seconds, all paid on the critical path.
     /// Wall-clock-like timing: excluded from bit-identity comparisons.
     pub page_in_sec: f64,
-    /// Transient shard-read failures absorbed by retry/backoff over the
-    /// epoch (0 without injected storage faults). Fault-injection
-    /// bookkeeping: excluded from bit-identity comparisons.
-    pub io_retries: u64,
-    /// Shards reconstructed from XOR parity after a mid-run CRC mismatch.
-    /// Fault-injection bookkeeping: excluded from bit-identity
-    /// comparisons.
-    pub shards_repaired: u64,
     /// Simulated storage-recovery seconds (retry backoff + parity/peer
     /// read link time). Wall-clock-like: excluded from bit-identity
     /// comparisons.
@@ -161,8 +126,6 @@ impl EpochStats {
         self.feature_pages_in += step.feature_pages_in;
         self.feature_page_in_bytes += step.feature_page_in_bytes;
         self.page_in_sec += step.page_in_sec;
-        self.io_retries += step.io_retries;
-        self.shards_repaired += step.shards_repaired;
         self.repair_sec += step.repair_sec;
     }
 
@@ -212,8 +175,6 @@ mod tests {
             feature_pages_in: 1,
             feature_page_in_bytes: 256,
             page_in_sec: 0.01,
-            io_retries: 2,
-            shards_repaired: 1,
             repair_sec: 0.005,
         }
     }
@@ -232,8 +193,6 @@ mod tests {
         assert_eq!(e.feature_page_in_bytes, 512);
         assert!((e.feature_hit_rate() - 0.8).abs() < 1e-12);
         assert_eq!(EpochStats::default().feature_hit_rate(), 1.0);
-        assert_eq!(e.io_retries, 4);
-        assert_eq!(e.shards_repaired, 2);
         assert!((e.repair_sec - 0.01).abs() < 1e-12);
         assert!((e.loss - 1.0).abs() < 1e-12);
         assert!(

@@ -801,9 +801,6 @@ impl Trainer {
                 None
             };
             if let Some(kind) = anomaly {
-                if let Some(tr) = self.trace.as_mut() {
-                    tr.record_anomaly(step, kind.to_string(), injected_nan);
-                }
                 return Err(TrainError::NumericAnomaly {
                     step,
                     kind,
@@ -841,8 +838,6 @@ impl Trainer {
             feature_pages_in: feature_stats.pages_in,
             feature_page_in_bytes: feature_stats.bytes_in,
             page_in_sec,
-            io_retries: feature_stats.io_retries,
-            shards_repaired: feature_stats.shards_repaired,
             // Repair cost is modelled, never slept: backoff seconds
             // accumulated by the retry path plus the link time of the
             // parity/peer reads that fed reconstruction. Charged via the

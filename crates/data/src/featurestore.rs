@@ -198,10 +198,6 @@ pub struct GatherStats {
     pub pages_in: u64,
     /// Bytes read from disk by those shard loads.
     pub bytes_in: u64,
-    /// Transient-I/O retries performed during shard loads.
-    pub io_retries: u64,
-    /// Shards reconstructed from XOR parity during shard loads.
-    pub shards_repaired: u64,
     /// Bytes re-read from disk (group peers + parity) by reconstructions.
     pub repair_bytes: u64,
     /// Simulated seconds of injected read stalls and retry backoff
@@ -216,8 +212,6 @@ impl GatherStats {
         self.misses += other.misses;
         self.pages_in += other.pages_in;
         self.bytes_in += other.bytes_in;
-        self.io_retries += other.io_retries;
-        self.shards_repaired += other.shards_repaired;
         self.repair_bytes += other.repair_bytes;
         self.backoff_sec += other.backoff_sec;
     }
@@ -858,7 +852,6 @@ impl PagedFeatures {
                     let jitter = chaos.hook.backoff_jitter();
                     let backoff_sec =
                         IO_BACKOFF_BASE_SEC * (1u64 << attempt.min(32)) as f64 * (0.5 + jitter);
-                    stats.io_retries += 1;
                     stats.backoff_sec += backoff_sec;
                     chaos.incidents.push(StorageIncident::IoRetry {
                         shard,
@@ -873,7 +866,6 @@ impl PagedFeatures {
                     // or fail structurally.
                     let (payload, repair_bytes) =
                         self.layout.repair_shard(shard, offset, &detail)?;
-                    stats.shards_repaired += 1;
                     stats.repair_bytes += repair_bytes;
                     chaos.incidents.push(StorageIncident::ShardRepaired {
                         shard,
@@ -1700,7 +1692,6 @@ mod tests {
         let indices: Vec<usize> = (4..8).collect();
         let mut out = vec![0.0f32; indices.len() * 4];
         let stats = paged.try_gather_into(&indices, &mut out).unwrap();
-        assert_eq!(stats.shards_repaired, 1);
         assert!(stats.repair_bytes > 0);
         for (slot, &idx) in indices.iter().enumerate() {
             assert_eq!(&out[slot * 4..(slot + 1) * 4], t.row(idx), "row {idx}");
@@ -1788,7 +1779,6 @@ mod tests {
         let indices = [0, 5, 10];
         let mut out = vec![0.0f32; 9];
         let stats = paged.try_gather_into(&indices, &mut out).unwrap();
-        assert_eq!(stats.io_retries, 2);
         assert!(stats.backoff_sec > 0.0, "stalls + backoff are accounted");
         assert_eq!(paged.gather_rows(&indices), Features::dense(t).gather_rows(&indices));
         let incidents = paged.drain_storage_incidents();

@@ -259,7 +259,9 @@ pub enum AllocFaultKind {
     CapacityJitter,
 }
 
-/// One injected fault, as recorded for the recovery log.
+/// One injected device, transfer or link fault, as recorded for the
+/// recovery log (the paged feature store records its own storage faults,
+/// `betty_data::InjectedStorageFault`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultEvent {
     /// An allocation was made to fail.
@@ -301,74 +303,6 @@ pub enum FaultEvent {
         /// Extra seconds added (or lost to the timeout).
         stall_sec: f64,
     },
-    /// A physical shard-read attempt was made to fail with a transient
-    /// I/O error (from [`FaultPlan::io_failure_rate`]).
-    StorageIoError {
-        /// Feature shard whose read failed.
-        shard: usize,
-        /// Zero-based attempt index for this logical read.
-        attempt: usize,
-    },
-    /// A shard read stalled (from [`FaultPlan::io_stall_rate`]).
-    StorageStall {
-        /// Feature shard whose read stalled.
-        shard: usize,
-        /// Extra simulated seconds added.
-        stall_sec: f64,
-    },
-    /// A shard payload byte was flipped on disk (from
-    /// [`FaultPlan::shard_corrupt`]).
-    ShardCorrupted {
-        /// Feature shard that was corrupted.
-        shard: usize,
-        /// Epoch ordinal at which the flip was applied.
-        epoch: usize,
-    },
-}
-
-impl FaultEvent {
-    /// The `(kind, detail)` pair this event is exported as in the
-    /// `betty-trace` JSONL stream's `fault` records.
-    pub fn trace_record(&self) -> (&'static str, String) {
-        match self {
-            FaultEvent::AllocFailure {
-                step, requested, ..
-            } => (
-                "alloc_failure",
-                format!("step {step}: {requested} bytes denied"),
-            ),
-            FaultEvent::TransferStall {
-                transfer_index,
-                stall_sec,
-            } => (
-                "transfer_stall",
-                format!("transfer {transfer_index}: +{stall_sec:.3}s"),
-            ),
-            FaultEvent::NanLoss { step } => ("nan_loss", format!("step {step}: loss poisoned")),
-            FaultEvent::DeviceFail {
-                device,
-                completed_steps,
-            } => (
-                "device_fail",
-                format!("device {device} after {completed_steps} steps"),
-            ),
-            FaultEvent::LinkStall { round, stall_sec } => {
-                ("link_stall", format!("round {round}: +{stall_sec:.3}s"))
-            }
-            FaultEvent::StorageIoError { shard, attempt } => (
-                "storage_io",
-                format!("shard {shard}: transient read error on attempt {attempt}"),
-            ),
-            FaultEvent::StorageStall { shard, stall_sec } => (
-                "storage_stall",
-                format!("shard {shard}: +{stall_sec:.3}s read stall"),
-            ),
-            FaultEvent::ShardCorrupted { shard, epoch } => (
-                "shard_corrupt",
-                format!("shard {shard}: payload byte flipped before epoch {epoch}"),
-            ),
-        }
-    }
 }
 
 /// The part every injector shares: one salted PCG stream and the events

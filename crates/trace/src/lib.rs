@@ -305,37 +305,22 @@ impl FeatureStoreRecord {
     }
 }
 
-/// One numeric anomaly caught by the trainer's sentinel: a NaN/Inf loss
-/// or gradient detected (and aborted) before it could reach the
-/// optimizer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AnomalyRecord {
-    /// Epoch of the step.
-    pub epoch: usize,
-    /// Global step id at which the anomaly was detected.
-    pub step: usize,
-    /// What was non-finite (e.g. `"non-finite loss"`).
-    pub kind: String,
-    /// Whether a fault plan injected the anomaly (vs genuine divergence).
-    pub injected: bool,
-}
-
-/// One injected fault forwarded from a drained fault injector, as a
-/// pair of stable strings (the trace crate is below the device crate in
-/// the dependency order, so it cannot name `FaultEvent` directly).
+/// One entry of the run's recovery log — an injected fault or a
+/// recovery action — as a pair of stable strings (the trace crate is below
+/// the crates that define the log, so it cannot name its events).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultRecord {
-    /// Epoch the fault was drained in.
+    /// Epoch the entry was recorded in.
     pub epoch: usize,
-    /// Stable kind slug (e.g. `"alloc_failure"`, `"link_stall"`).
+    /// Stable kind slug (e.g. `"alloc_failure"`, `"oom_retry"`).
     pub kind: String,
-    /// Human-readable detail of the event.
+    /// The line the recovery log prints for the entry.
     pub detail: String,
 }
 
 /// The trace of one training run: spans, memory events, peak snapshots,
-/// drift records, caught numeric anomalies, and injected faults, all
-/// stamped with monotonic epoch/step ids.
+/// drift records, and fault/recovery records, all stamped with monotonic
+/// epoch/step ids.
 #[derive(Debug, Clone)]
 pub struct TraceRecorder {
     origin: Instant,
@@ -346,7 +331,6 @@ pub struct TraceRecorder {
     drift: Vec<DriftRecord>,
     allocs: Vec<(usize, AllocRecord)>,
     features: Vec<(usize, FeatureStoreRecord)>,
-    anomalies: Vec<AnomalyRecord>,
     faults: Vec<FaultRecord>,
     /// Compute backend and storage precision of the run, when the trainer
     /// stamped them (`("simd", "bf16")`-style pairs).
@@ -371,7 +355,6 @@ impl TraceRecorder {
             drift: Vec::new(),
             allocs: Vec::new(),
             features: Vec::new(),
-            anomalies: Vec::new(),
             faults: Vec::new(),
             run_context: None,
         }
@@ -487,27 +470,17 @@ impl TraceRecorder {
         ));
     }
 
-    /// Records a numeric anomaly the sentinel caught at the current epoch.
-    pub fn record_anomaly(&mut self, step: usize, kind: String, injected: bool) {
-        self.anomalies.push(AnomalyRecord {
-            epoch: self.epoch,
-            step,
-            kind,
-            injected,
-        });
-    }
-
-    /// Records one drained fault-injector event at the current epoch, as
-    /// a stable kind slug plus a human-readable detail line.
-    pub fn record_fault(&mut self, kind: impl Into<String>, detail: impl Into<String>) {
+    /// Records one recovery-log entry of `epoch`, as a stable kind slug
+    /// plus the line the log prints for it.
+    pub fn record_fault(&mut self, epoch: usize, kind: impl Into<String>, detail: impl Into<String>) {
         self.faults.push(FaultRecord {
-            epoch: self.epoch,
+            epoch,
             kind: kind.into(),
             detail: detail.into(),
         });
     }
 
-    /// All forwarded fault events, in record order.
+    /// All fault/recovery records, in record order.
     pub fn fault_records(&self) -> &[FaultRecord] {
         &self.faults
     }
@@ -515,11 +488,6 @@ impl TraceRecorder {
     /// All recorded spans, in record order.
     pub fn spans(&self) -> &[SpanRecord] {
         &self.spans
-    }
-
-    /// All caught numeric anomalies, in record order.
-    pub fn anomalies(&self) -> &[AnomalyRecord] {
-        &self.anomalies
     }
 
     /// All step-attributed memory events, in record order.
@@ -568,7 +536,6 @@ impl TraceRecorder {
             + self.drift.len()
             + self.allocs.len()
             + self.features.len()
-            + self.anomalies.len()
             + self.faults.len()
     }
 
@@ -654,12 +621,6 @@ impl TraceRecorder {
                 r.pages_in,
                 r.page_in_bytes,
                 jnum(r.hit_rate()),
-            ));
-        }
-        for a in &self.anomalies {
-            out.push_str(&format!(
-                "{{\"type\":\"anomaly\",\"epoch\":{},\"step\":{},\"kind\":\"{}\",\"injected\":{}}}\n",
-                a.epoch, a.step, a.kind, a.injected,
             ));
         }
         for fault in &self.faults {
@@ -773,19 +734,9 @@ impl TraceRecorder {
                 rate * 100.0,
             ));
         }
-        if !self.anomalies.is_empty() {
-            let injected = self.anomalies.iter().filter(|a| a.injected).count();
-            out.push_str(&format!(
-                "\n  anomaly   {} caught ({injected} injected), first at epoch {} step {} ({})",
-                self.anomalies.len(),
-                self.anomalies[0].epoch,
-                self.anomalies[0].step,
-                self.anomalies[0].kind,
-            ));
-        }
         if !self.faults.is_empty() {
             out.push_str(&format!(
-                "\n  fault     {} injected events forwarded, first at epoch {} ({})",
+                "\n  fault     {} recovery-log entries, first at epoch {} ({})",
                 self.faults.len(),
                 self.faults[0].epoch,
                 self.faults[0].kind,
@@ -1091,10 +1042,10 @@ mod tests {
         t.record_peak(7, 128, vec![("blocks", 128), ("labels", 0)]);
         t.record_drift(7, 150, 128);
         t.record_alloc(7, 30, 10, 4096);
-        t.record_anomaly(8, "non-finite loss".to_string(), true);
+        t.record_fault(2, "anomaly_rollback", "anomaly rollback 1: injected non-finite loss at step 8");
         assert_eq!(t.len(), 7);
-        assert_eq!(t.anomalies().len(), 1);
-        assert_eq!(t.anomalies()[0].epoch, 2);
+        assert_eq!(t.fault_records().len(), 1);
+        assert_eq!(t.fault_records()[0].epoch, 2);
         assert_eq!(t.spans()[0].epoch, 2);
         assert_eq!(t.spans()[1].step, Some(7));
         assert!((t.max_drift_ratio() - 128.0 / 150.0).abs() < 1e-12);
@@ -1111,15 +1062,15 @@ mod tests {
         assert!(jsonl.contains("\"type\":\"drift\""));
         assert!(jsonl.contains("\"type\":\"alloc\""));
         assert!(jsonl.contains("\"bytes_recycled\":4096"));
-        assert!(jsonl.contains("\"type\":\"anomaly\""));
-        assert!(jsonl.contains("\"injected\":true"));
+        assert!(jsonl.contains("\"type\":\"fault\""));
+        assert!(jsonl.contains("\"kind\":\"anomaly_rollback\""));
 
         let summary = t.summary();
         assert!(summary.contains("sample"), "{summary}");
         assert!(summary.contains("drift"), "{summary}");
         assert!(summary.contains("all estimates admissible"), "{summary}");
         assert!(summary.contains("bytes recycled"), "{summary}");
-        assert!(summary.contains("1 caught (1 injected)"), "{summary}");
+        assert!(summary.contains("1 recovery-log entries"), "{summary}");
     }
 
     #[test]
@@ -1261,8 +1212,7 @@ mod tests {
             t.record_drift(epoch, 150, 128);
             t.record_alloc(epoch, 30, 10, 4096);
             t.record_featurestore(epoch, 75, 25, 5, 10_240);
-            t.record_anomaly(epoch, "non-finite loss".to_string(), true);
-            t.record_fault("link_stall", "round 3: +0.250s \"stall\"");
+            t.record_fault(epoch, "link_stall", "round 3: +0.250s \"stall\"");
         }
         t.to_jsonl()
     }
@@ -1338,9 +1288,8 @@ mod tests {
     #[test]
     fn fault_records_round_trip_through_jsonl_and_summary() {
         let mut tr = TraceRecorder::new();
-        tr.set_epoch(2);
-        tr.record_fault("link_stall", "0.250s stall on all-reduce round 3");
-        tr.record_fault("device_fail", "device 1 failed after 2 \"steps\"");
+        tr.record_fault(2, "link_stall", "0.250s stall on all-reduce round 3");
+        tr.record_fault(2, "device_fail", "device 1 failed after 2 \"steps\"");
         assert_eq!(tr.fault_records().len(), 2);
         assert_eq!(tr.len(), 2);
         let jsonl = tr.to_jsonl();
@@ -1348,7 +1297,7 @@ mod tests {
         assert!(jsonl.contains("\"type\":\"fault\""), "{jsonl}");
         assert!(jsonl.contains("\\\"steps\\\""), "quotes must be escaped: {jsonl}");
         let summary = tr.summary();
-        assert!(summary.contains("2 injected events forwarded"), "{summary}");
+        assert!(summary.contains("2 recovery-log entries"), "{summary}");
         assert!(summary.contains("epoch 2"), "{summary}");
     }
 }

@@ -7,7 +7,7 @@
 //! cargo run --release --bin multi_gpu
 //! ```
 
-use betty::{DeviceGroup, ExperimentConfig, RecoveryLog, Runner, StrategyKind};
+use betty::{DeviceGroup, ExperimentConfig, Runner, StrategyKind};
 use betty_data::DatasetSpec;
 use betty_device::gib;
 use betty_nn::AggregatorSpec;
@@ -38,13 +38,7 @@ fn main() {
     for devices in [1usize, 2, 4, 8] {
         let mut runner = Runner::new(&dataset, &config, 0);
         let epoch = runner
-            .train_epoch_elastic(
-                &dataset,
-                StrategyKind::Betty,
-                k,
-                &DeviceGroup::new(devices),
-                &mut RecoveryLog::new(),
-            )
+            .train_epoch_elastic(&dataset, StrategyKind::Betty, k, &DeviceGroup::new(devices))
             .expect("24 GiB is ample");
         println!(
             "{devices:>8} {:>10.3} {:>11.2}x {:>12.3} {:>14.1}",

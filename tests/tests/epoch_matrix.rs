@@ -5,9 +5,7 @@
 //! because the constructors share one attempt loop (fixed-K and
 //! multi-device OOM recovery, NaN replay on a group).
 
-use betty::{
-    DeviceGroup, DeviceHealth, EpochStats, ExperimentConfig, RecoveryLog, Runner, StrategyKind,
-};
+use betty::{DeviceGroup, DeviceHealth, EpochStats, ExperimentConfig, Runner, StrategyKind};
 use betty_data::{Dataset, DatasetSpec};
 use betty_device::{gib, FaultPlan};
 use betty_nn::AggregatorSpec;
@@ -47,6 +45,7 @@ struct Bits {
 struct Run {
     bits: Bits,
     stats: Vec<EpochStats>,
+    runner: Runner,
 }
 
 fn run(
@@ -69,6 +68,7 @@ fn run(
             params,
         },
         stats,
+        runner,
     }
 }
 
@@ -102,12 +102,9 @@ enum Source {
 type Row = (&'static str, Source, fn(&mut Runner, &Dataset) -> EpochStats);
 
 fn elastic_on(r: &mut Runner, ds: &Dataset, devices: usize) -> EpochStats {
-    let mut log = RecoveryLog::new();
-    let epoch = r
-        .train_epoch_elastic(ds, StrategyKind::Betty, K, &DeviceGroup::new(devices), &mut log)
-        .unwrap();
-    assert_eq!(log.oom_retries() + log.anomaly_rollbacks() + log.devices_lost(), 0);
-    epoch.combined
+    r.train_epoch_elastic(ds, StrategyKind::Betty, K, &DeviceGroup::new(devices))
+        .unwrap()
+        .combined
 }
 
 const ROWS: [Row; 5] = [
@@ -152,8 +149,10 @@ fn every_constructor_matches_the_reference_at_every_setting() {
                 if source != Source::Given {
                     assert_eq!(got.host_bytes, want.host_bytes, "{cell}");
                 }
-                assert_eq!(got.injected_faults + got.oom_retries + got.devices_lost, 0);
             }
+            let log = row.runner.recovery_log();
+            let faulted = log.injected_faults() + log.retries() + log.anomaly_rollbacks();
+            assert_eq!(faulted + log.devices_lost(), 0, "{cell}: {}", log.summary());
         }
     }
 }
@@ -180,17 +179,18 @@ fn fixed_k_epoch_recovers_from_an_injected_oom_on_any_group() {
     let clean = reference(&ds, &clean_cfg);
     for devices in [1usize, 3] {
         let group = DeviceGroup::new(devices);
-        let mut log = RecoveryLog::new();
         let mut ks = Vec::new();
         let row = run(&ds, &faulty_cfg, |r, ds| {
             let epoch = r
-                .train_epoch_elastic(ds, StrategyKind::Betty, K, &group, &mut log)
+                .train_epoch_elastic(ds, StrategyKind::Betty, K, &group)
                 .expect("the retry budget covers one injected OOM");
             ks.push(epoch.assignment.len());
             epoch.combined
         });
-        assert_eq!(row.stats[0].oom_retries, 1, "{devices} devices");
-        assert_eq!(row.stats[0].injected_faults, 1, "{devices} devices");
+        let log = row.runner.recovery_log();
+        let first = log.of_epoch(0);
+        assert_eq!(first.retries(), 1, "{devices} devices");
+        assert_eq!(first.injected_faults(), 1, "{devices} devices");
         assert_eq!((log.oom_retries(), log.recoveries()), (1, 1), "{}", log.summary());
         assert!(ks[0] > K, "epoch 0 escalated past K = {K}: {ks:?}");
         assert_eq!(ks[1..], [K; EPOCHS - 1], "later epochs start from K again");
@@ -220,14 +220,14 @@ fn injected_nan_replays_bit_identically_on_any_group() {
     };
     for devices in [1usize, 3] {
         let group = DeviceGroup::new(devices);
-        let mut log = RecoveryLog::new();
         let row = run(&ds, &faulty_cfg, |r, ds| {
-            r.train_epoch_elastic(ds, StrategyKind::Betty, K, &group, &mut log)
+            r.train_epoch_elastic(ds, StrategyKind::Betty, K, &group)
                 .expect("one rollback is in the default budget")
                 .combined
         });
         assert_eq!(row.bits, oracle.bits, "{devices} devices");
-        assert_eq!(row.stats[0].anomaly_rollbacks, 1, "{devices} devices");
+        let log = row.runner.recovery_log();
+        assert_eq!(log.of_epoch(0).anomaly_rollbacks(), 1, "{devices} devices");
         assert_eq!(log.anomaly_rollbacks(), 1, "{}", log.summary());
     }
 }
@@ -250,16 +250,14 @@ fn device_faults_do_nothing_to_the_single_device_constructors() {
     for (name, _, epoch) in ROWS.iter().filter(|row| !row.0.starts_with("elastic")) {
         let row = run(&ds, &armed, epoch);
         assert_eq!(row.bits, oracle.bits, "{name}");
-        for stats in &row.stats {
-            assert_eq!(stats.devices_lost + stats.injected_faults, 0, "{name}");
-        }
+        assert!(row.runner.recovery_log().is_empty(), "{name}");
     }
     let row = run(&ds, &armed, |r, ds| {
         let (stats, k) = r.train_epoch_auto(ds, StrategyKind::Betty).unwrap();
         assert_eq!(k, 1, "8 GiB fits the batch whole");
         stats
     });
-    assert!(row.stats.iter().all(|s| s.devices_lost + s.injected_faults == 0));
+    assert!(row.runner.recovery_log().is_empty());
 }
 
 /// A fault-free group is still a group: under the empty plan
@@ -274,9 +272,9 @@ fn multi_device_epoch_runs_the_straggler_detector() {
     group.straggler_threshold = 0.0;
     let mut runner = Runner::new(&ds, &config(), SEED);
     let epoch = runner
-        .train_epoch_elastic(&ds, StrategyKind::Betty, K, &group, &mut RecoveryLog::new())
+        .train_epoch_elastic(&ds, StrategyKind::Betty, K, &group)
         .unwrap();
-    assert_eq!(epoch.combined.stragglers_detected, 3);
+    assert_eq!(runner.recovery_log().stragglers_detected(), 3);
     assert_eq!(epoch.health, [DeviceHealth::Degraded; 3]);
     assert_eq!(epoch.live_ranks, 3, "degraded devices keep serving");
 }

@@ -8,7 +8,7 @@
 //! *exactly* the cache reservation, on both the measured and the
 //! estimated side of the ledger.
 
-use betty::{DeviceGroup, EpochStats, ExperimentConfig, RecoveryLog, Runner, StrategyKind};
+use betty::{DeviceGroup, EpochStats, ExperimentConfig, Runner, StrategyKind};
 use betty_data::{Dataset, DatasetSpec, Features};
 use betty_device::{gib, FaultPlan};
 use betty_nn::AggregatorSpec;
@@ -37,19 +37,21 @@ fn config(fault_plan: FaultPlan) -> ExperimentConfig {
     }
 }
 
-/// The value-determined subset of [`EpochStats`]: everything except
-/// wall-clock timings, the paging counters (defined to differ between
-/// backends), and the memory accounting (compared separately, exactly).
-fn value_stats(stats: &EpochStats) -> Vec<u64> {
+/// The value-determined subset of the last epoch's [`EpochStats`] and
+/// recovery counts: everything except wall-clock timings, the paging
+/// counters (defined to differ between backends), and the memory
+/// accounting (compared separately, exactly).
+fn value_stats(runner: &Runner, stats: &EpochStats) -> Vec<u64> {
+    let log = runner.recovery_log().of_epoch(runner.epochs_run() - 1);
     vec![
         stats.loss.to_bits(),
         stats.num_steps as u64,
         stats.total_input_nodes as u64,
         stats.total_src_nodes as u64,
         stats.host_bytes as u64,
-        stats.oom_retries as u64,
-        stats.anomaly_rollbacks as u64,
-        stats.injected_faults as u64,
+        log.retries() as u64,
+        log.anomaly_rollbacks() as u64,
+        log.injected_faults() as u64,
     ]
 }
 
@@ -86,27 +88,26 @@ fn trajectory(
 ) {
     betty_runtime::with_threads(threads, || {
         let mut runner = Runner::new(ds, cfg, seed);
-        let mut log = RecoveryLog::new();
         let mut epochs = Vec::new();
         let mut peaks = Vec::new();
         let mut counters = (0u64, 0u64, 0u64);
-        let train = |runner: &mut Runner, log: &mut RecoveryLog| {
+        let train = |runner: &mut Runner| {
             runner
-                .train_epoch_elastic(ds, StrategyKind::Betty, 1, &DeviceGroup::new(1), log)
+                .train_epoch_elastic(ds, StrategyKind::Betty, 1, &DeviceGroup::new(1))
                 .expect("retry budget covers the single injected OOM")
                 .combined
         };
         for _ in 0..3 {
-            let stats = train(&mut runner, &mut log);
-            epochs.push(value_stats(&stats));
+            let stats = train(&mut runner);
+            epochs.push(value_stats(&runner, &stats));
             peaks.push((stats.max_peak_bytes, stats.estimated_peak_bytes));
             counters.0 += stats.feature_hits;
             counters.1 += stats.feature_misses;
             counters.2 += stats.feature_pages_in;
         }
         let saved = runner.export_session();
-        let live = train(&mut runner, &mut log);
-        epochs.push(value_stats(&live));
+        let live = train(&mut runner);
+        epochs.push(value_stats(&runner, &live));
         peaks.push((live.max_peak_bytes, live.estimated_peak_bytes));
         // Resume: a fresh runner over the same (possibly paged) dataset must
         // replay the post-checkpoint epoch bit-identically.
@@ -114,9 +115,9 @@ fn trajectory(
         resumed
             .import_session(&saved)
             .expect("same config and dataset shape");
-        let replay = train(&mut resumed, &mut log);
+        let replay = train(&mut resumed);
         assert_eq!(
-            value_stats(&replay),
+            value_stats(&resumed, &replay),
             *epochs.last().unwrap(),
             "the resumed epoch diverged from the uninterrupted run"
         );

@@ -1,7 +1,7 @@
 //! Simulated multi-device training (paper §7 future work): scheduling and
 //! equivalence guarantees, including elastic failover.
 
-use betty::{lpt_assignment, DeviceGroup, ExperimentConfig, RecoveryLog, Runner, StrategyKind};
+use betty::{lpt_assignment, DeviceGroup, ExperimentConfig, RecoveryEvent, Runner, StrategyKind};
 use betty_data::{Dataset, DatasetSpec};
 use betty_device::{gib, FaultPlan};
 use betty_nn::AggregatorSpec;
@@ -41,7 +41,6 @@ fn every_micro_batch_is_assigned_and_loss_matches_single_device() {
             StrategyKind::Betty,
             k,
             &DeviceGroup::new(4),
-            &mut RecoveryLog::new(),
         )
         .unwrap();
     assert_eq!(epoch.assignment.len(), epoch.combined.num_steps);
@@ -69,7 +68,6 @@ fn model_parameters_identical_to_single_device_after_epoch() {
                     StrategyKind::Betty,
                     6,
                     &DeviceGroup::new(devices),
-                    &mut RecoveryLog::new(),
                 )
                 .unwrap();
         }
@@ -90,7 +88,6 @@ fn wall_time_improves_with_devices() {
             StrategyKind::Betty,
             8,
             &DeviceGroup::new(1),
-            &mut RecoveryLog::new(),
         )
         .unwrap();
     let four = runner
@@ -99,7 +96,6 @@ fn wall_time_improves_with_devices() {
             StrategyKind::Betty,
             8,
             &DeviceGroup::new(4),
-            &mut RecoveryLog::new(),
         )
         .unwrap();
     // Step times are measured, hence noisy from one epoch to the next:
@@ -147,18 +143,10 @@ fn failover_is_bit_identical_to_fault_free_run_across_thread_counts() {
     let run = |cfg: &ExperimentConfig, threads: usize| {
         betty_runtime::with_threads(threads, || {
             let mut runner = Runner::new(&ds, cfg, 21);
-            let mut log = RecoveryLog::new();
             let mut losses = Vec::new();
-            for epoch in 0..2 {
-                log.set_epoch(epoch);
+            for _ in 0..2 {
                 let multi = runner
-                    .train_epoch_elastic(
-                        &ds,
-                        StrategyKind::Betty,
-                        8,
-                        &DeviceGroup::new(4),
-                        &mut log,
-                    )
+                    .train_epoch_elastic(&ds, StrategyKind::Betty, 8, &DeviceGroup::new(4))
                     .unwrap();
                 losses.push(multi.combined.loss.to_bits());
             }
@@ -194,12 +182,11 @@ fn elastic_epoch_reports_failover_in_stats_and_log() {
         ..config()
     };
     let mut runner = Runner::new(&ds, &cfg, 21);
-    let mut log = RecoveryLog::new();
     let multi = runner
-        .train_epoch_elastic(&ds, StrategyKind::Betty, 8, &DeviceGroup::new(4), &mut log)
+        .train_epoch_elastic(&ds, StrategyKind::Betty, 8, &DeviceGroup::new(4))
         .unwrap();
-    assert_eq!(multi.combined.devices_lost, 1);
-    assert!(multi.combined.migrated_steps > 0, "device 1 died before any step");
+    let log = runner.recovery_log();
+    assert!(log.migrated_steps() > 0, "device 1 died before any step");
     assert_eq!(multi.live_ranks, 3);
     assert_eq!(multi.health[1], betty::DeviceHealth::Failed);
     assert!(multi.assignment.iter().all(|&d| d != 1), "nothing ran on the dead device");
@@ -207,6 +194,53 @@ fn elastic_epoch_reports_failover_in_stats_and_log() {
     assert_eq!(log.work_migrations(), 1);
     assert_eq!(log.ring_rebuilds(), 1);
     assert!(multi.failover_overhead_sec() >= 0.0);
+}
+
+/// A lost device's unfinished micro-batch that would not fit the
+/// survivors' headroom-shrunk planning capacity escalates K before
+/// anything runs, and the log records each such escalation: as many as
+/// the epoch's `Recovered` entry reports attempts.
+#[test]
+fn over_budget_migration_escalates_k_and_is_logged() {
+    let ds = dataset();
+    let k = 4;
+    // The device is exactly as large as the biggest micro-batch of the
+    // K = 4 plan the epoch makes first: that plan fits, but not under the
+    // headroom a retry plans against.
+    let mut probe = Runner::new(&ds, &config(), 21);
+    let batch = probe.sample_full_batch(&ds);
+    let plan = probe.plan_fixed(&batch, StrategyKind::Betty, k);
+    let peaks: Vec<usize> = plan.estimates.iter().map(|e| e.peak_bytes()).collect();
+    let biggest = (0..k).max_by_key(|&i| peaks[i]).unwrap();
+    // Kill, before its first step, the device LPT hands that micro-batch.
+    let work: Vec<f64> = plan.micro_batches.iter().map(|mb| mb.total_edges() as f64).collect();
+    let device = lpt_assignment(&work, 2)[biggest];
+    let cfg = ExperimentConfig {
+        capacity_bytes: peaks[biggest],
+        fault_plan: FaultPlan {
+            device_fail_steps: vec![(device, 0)],
+            ..FaultPlan::default()
+        },
+        ..config()
+    };
+    let mut runner = Runner::new(&ds, &cfg, 21);
+    let epoch = runner
+        .train_epoch_elastic(&ds, StrategyKind::Betty, k, &DeviceGroup::new(2))
+        .expect("a finer plan fits the survivor");
+    assert!(epoch.assignment.len() > k, "K escalated past {k}");
+    let log = runner.recovery_log();
+    let events = || log.entries().iter().map(|e| &e.event);
+    let escalations = events()
+        .filter(|e| matches!(e, RecoveryEvent::MigrationEscalation { .. }))
+        .count();
+    let attempts = events()
+        .find_map(|e| match e {
+            RecoveryEvent::Recovered { attempts, .. } => Some(*attempts),
+            _ => None,
+        })
+        .expect("the epoch recovered");
+    assert!(escalations >= 1, "{}", log.summary());
+    assert_eq!(escalations, attempts, "{}", log.summary());
 }
 
 #[test]
@@ -219,14 +253,13 @@ fn elastic_epoch_without_faults_matches_multi_device_path() {
             StrategyKind::Betty,
             6,
             &DeviceGroup::new(3),
-            &mut RecoveryLog::new(),
         )
         .unwrap();
     let mut elastic = Runner::new(&ds, &config(), 7);
-    let mut log = RecoveryLog::new();
     let b = elastic
-        .train_epoch_elastic(&ds, StrategyKind::Betty, 6, &DeviceGroup::new(3), &mut log)
+        .train_epoch_elastic(&ds, StrategyKind::Betty, 6, &DeviceGroup::new(3))
         .unwrap();
+    let log = elastic.recovery_log();
     assert_eq!(a.assignment, b.assignment);
     assert_eq!(a.combined.loss.to_bits(), b.combined.loss.to_bits());
     assert_eq!(b.live_ranks, 3);
@@ -237,7 +270,7 @@ fn elastic_epoch_without_faults_matches_multi_device_path() {
     assert_eq!(log.work_migrations(), 0);
     assert_eq!(log.ring_rebuilds(), 0);
     assert_eq!(log.link_retries(), 0);
-    assert_eq!(b.combined.injected_faults, 0);
+    assert_eq!(log.injected_faults(), 0);
 }
 
 proptest! {
@@ -294,7 +327,6 @@ proptest! {
                         StrategyKind::Betty,
                         k,
                         &DeviceGroup::new(devices),
-                        &mut RecoveryLog::new(),
                     )
                     .unwrap()
             })
@@ -317,7 +349,6 @@ fn more_devices_than_micro_batches_is_fine() {
             StrategyKind::Betty,
             2,
             &DeviceGroup::new(8),
-            &mut RecoveryLog::new(),
         )
         .unwrap();
     // Some devices idle; wall time is still the busiest device.

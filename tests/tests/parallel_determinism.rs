@@ -3,7 +3,7 @@
 //! pipeline must produce byte-identical results regardless of thread
 //! count or pipeline depth.
 
-use betty::{DeviceGroup, EpochStats, ExperimentConfig, RecoveryLog, Runner, StrategyKind};
+use betty::{DeviceGroup, EpochStats, ExperimentConfig, Runner, StrategyKind};
 use betty_data::{Dataset, DatasetSpec};
 use betty_device::{gib, FaultPlan};
 use betty_graph::{dependency_reg, sample_batch, shared_neighbor_graph, CsrGraph, NodeId};
@@ -68,12 +68,14 @@ proptest! {
     }
 }
 
-/// The deterministic subset of [`EpochStats`]: everything except
-/// wall-clock timings and the plan-ahead accounting extras (staged bytes
-/// and overlap are *defined* to differ between a pipelined and a
-/// synchronous epoch; they describe where time/memory went, not what was
+/// The deterministic subset of the last epoch's [`EpochStats`] and
+/// recovery counts: everything except wall-clock timings and the
+/// plan-ahead accounting extras (overlap, and the log's pipeline
+/// invalidations, are *defined* to differ between a pipelined and a
+/// synchronous epoch; they describe where time went, not what was
 /// computed).
-fn deterministic_stats(stats: &EpochStats) -> Vec<u64> {
+fn deterministic_stats(runner: &Runner, stats: &EpochStats) -> Vec<u64> {
+    let log = runner.recovery_log().of_epoch(runner.epochs_run() - 1);
     vec![
         stats.loss.to_bits(),
         stats.num_steps as u64,
@@ -81,9 +83,9 @@ fn deterministic_stats(stats: &EpochStats) -> Vec<u64> {
         stats.total_input_nodes as u64,
         stats.total_src_nodes as u64,
         stats.host_bytes as u64,
-        stats.oom_retries as u64,
-        stats.anomaly_rollbacks as u64,
-        stats.injected_faults as u64,
+        log.retries() as u64,
+        log.anomaly_rollbacks() as u64,
+        log.injected_faults() as u64,
         stats.estimated_peak_bytes as u64,
         stats.estimator_drift.to_bits(),
     ]
@@ -130,14 +132,13 @@ proptest! {
                     ..config()
                 };
                 let mut runner = Runner::new(&ds, &cfg, seed);
-                let mut log = RecoveryLog::new();
                 let group = DeviceGroup::new(1);
                 let mut epochs = Vec::new();
                 for _ in 0..3 {
                     let epoch = runner
-                        .train_epoch_elastic(&ds, StrategyKind::Betty, 1, &group, &mut log)
+                        .train_epoch_elastic(&ds, StrategyKind::Betty, 1, &group)
                         .expect("retry budget covers the single injected OOM");
-                    epochs.push(deterministic_stats(&epoch.combined));
+                    epochs.push(deterministic_stats(&runner, &epoch.combined));
                 }
                 assert_eq!(
                     runner.plan_ahead_active(),
@@ -150,9 +151,9 @@ proptest! {
                 assert!(!runner.plan_ahead_active(), "evaluation must reset the pipeline");
                 for _ in 0..2 {
                     let epoch = runner
-                        .train_epoch_elastic(&ds, StrategyKind::Betty, 1, &group, &mut log)
+                        .train_epoch_elastic(&ds, StrategyKind::Betty, 1, &group)
                         .expect("post-evaluation epochs are fault-free");
-                    epochs.push(deterministic_stats(&epoch.combined));
+                    epochs.push(deterministic_stats(&runner, &epoch.combined));
                 }
                 let params = param_bits(&runner);
                 (epochs, accuracy, params)

@@ -5,10 +5,8 @@
 
 use std::error::Error;
 
-use betty::fit::{fit, fit_with_log, FitConfig};
-use betty::{
-    DeviceGroup, ExperimentConfig, RecoveryLog, RetryPolicy, RunError, Runner, StrategyKind,
-};
+use betty::fit::{fit, FitConfig};
+use betty::{DeviceGroup, ExperimentConfig, RetryPolicy, RunError, Runner, StrategyKind};
 use betty_data::{Dataset, DatasetSpec};
 use betty_device::{gib, FaultPlan, OomError};
 use betty_nn::AggregatorSpec;
@@ -46,7 +44,7 @@ fn faulted_first_step_recovers_and_matches_clean_accuracy() {
 
     let mut clean_runner = Runner::new(&ds, &config(), 42);
     let clean = fit(&mut clean_runner, &ds, &fit_config).expect("clean run fits");
-    assert!(clean.recovery.is_empty(), "no faults armed, none expected");
+    assert!(clean_runner.recovery_log().is_empty(), "no faults armed, none expected");
 
     let faulted_config = ExperimentConfig {
         fault_plan: FaultPlan {
@@ -59,14 +57,15 @@ fn faulted_first_step_recovers_and_matches_clean_accuracy() {
     let report = fit(&mut runner, &ds, &fit_config).expect("recovery must rescue the run");
 
     assert_eq!(report.epochs_run, 10);
+    let log = runner.recovery_log();
     assert!(
-        report.recovery.oom_retries() >= 1,
+        log.oom_retries() >= 1,
         "recovery log must record the OOM retry: {}",
-        report.recovery.summary()
+        log.summary()
     );
-    assert!(report.recovery.injected_faults() >= 1);
-    assert!(!report.recovery.exhausted());
-    assert_eq!(report.history[0].oom_retries, 1);
+    assert!(log.injected_faults() >= 1);
+    assert!(!log.exhausted());
+    assert_eq!(log.of_epoch(0).retries(), 1);
     // Escalation moved epoch 0 to K ≥ 2; gradient accumulation keeps the
     // optimization equivalent, so accuracy stays in family with the
     // clean run.
@@ -133,9 +132,9 @@ fn plan_that_fits_the_estimator_but_not_the_device_is_rescued() {
     let mut runner = Runner::new(&ds, &jittered, 42);
     let report = fit(&mut runner, &ds, &fit_config).expect("escalation must find a fitting K");
     assert!(
-        report.recovery.oom_retries() >= 1,
+        runner.recovery_log().oom_retries() >= 1,
         "the first plan must have OOMed at runtime: {}",
-        report.recovery.summary()
+        runner.recovery_log().summary()
     );
 
     let unbounded = ExperimentConfig {
@@ -167,13 +166,12 @@ fn recovered_epoch_is_bit_identical_to_unfaulted_run_at_same_k() {
         ..config()
     };
     let mut faulted = Runner::new(&ds, &faulted_config, 7);
-    let mut log = RecoveryLog::new();
     let epoch = faulted
-        .train_epoch_elastic(&ds, StrategyKind::Betty, 1, &DeviceGroup::new(1), &mut log)
+        .train_epoch_elastic(&ds, StrategyKind::Betty, 1, &DeviceGroup::new(1))
         .expect("recovers");
     let (stats, k) = (epoch.combined, epoch.assignment.len());
     assert!(k >= 2, "escalation must have raised K, got {k}");
-    assert_eq!(stats.oom_retries, 1);
+    assert_eq!(faulted.recovery_log().retries(), 1);
 
     let mut clean = Runner::new(&ds, &config(), 7);
     let clean_stats = clean
@@ -213,12 +211,10 @@ fn fault_and_recovery_sequence_is_deterministic() {
     };
     let run = || {
         let mut runner = Runner::new(&ds, &faulted_config, 11);
-        let mut log = RecoveryLog::new();
         let mut outcomes = Vec::new();
-        for epoch in 0..4 {
-            log.set_epoch(epoch);
+        for _ in 0..4 {
             let group = DeviceGroup::new(1);
-            match runner.train_epoch_elastic(&ds, StrategyKind::Betty, 1, &group, &mut log) {
+            match runner.train_epoch_elastic(&ds, StrategyKind::Betty, 1, &group) {
                 Ok(epoch) => outcomes.push(format!(
                     "ok {} K={}",
                     epoch.combined.loss.to_bits(),
@@ -230,16 +226,17 @@ fn fault_and_recovery_sequence_is_deterministic() {
                 }
             }
         }
-        (log, outcomes)
+        (runner, outcomes)
     };
-    let (log_a, outcomes_a) = run();
-    let (log_b, outcomes_b) = run();
+    let (a, outcomes_a) = run();
+    let (b, outcomes_b) = run();
+    let (log_a, log_b) = (a.recovery_log(), b.recovery_log());
     assert!(
         log_a.oom_retries() >= 1,
         "scenario should trigger at least the scheduled recovery: {}",
         log_a.summary()
     );
-    assert_eq!(log_a, log_b, "fault/recovery sequences diverged");
+    assert_eq!(log_a.entries(), log_b.entries(), "fault/recovery sequences diverged");
     assert_eq!(outcomes_a, outcomes_b);
 }
 
@@ -260,8 +257,7 @@ fn retry_exhaustion_preserves_original_oom_in_source_chain() {
         ..config()
     };
     let mut runner = Runner::new(&ds, &hopeless, 0);
-    let mut log = RecoveryLog::new();
-    let err = fit_with_log(
+    let err = fit(
         &mut runner,
         &ds,
         &FitConfig {
@@ -269,11 +265,11 @@ fn retry_exhaustion_preserves_original_oom_in_source_chain() {
             patience: None,
             ..FitConfig::default()
         },
-        &mut log,
     )
     .expect_err("every allocation fails");
 
     assert!(matches!(err, RunError::RetryExhausted { attempts: 2, .. }));
+    let log = runner.recovery_log();
     assert!(log.exhausted(), "log must flag the exhaustion");
     assert_eq!(log.oom_retries(), 2);
 
@@ -313,13 +309,11 @@ fn inert_fault_plan_is_byte_for_byte_noop() {
     let mut armed_runner = Runner::new(&ds, &armed_config, 5);
     let armed = fit(&mut armed_runner, &ds, &fit_config).unwrap();
 
-    assert!(armed.recovery.is_empty());
+    assert!(plain_runner.recovery_log().is_empty() && armed_runner.recovery_log().is_empty());
     assert_eq!(plain.history.len(), armed.history.len());
     for (p, a) in plain.history.iter().zip(&armed.history) {
         assert_eq!(p.loss.to_bits(), a.loss.to_bits());
         assert_eq!(p.max_peak_bytes, a.max_peak_bytes);
-        assert_eq!(p.injected_faults, 0);
-        assert_eq!(a.injected_faults, 0);
     }
     assert_eq!(plain.best_val_accuracy, armed.best_val_accuracy);
     assert_eq!(

@@ -5,9 +5,11 @@
 //! device ledger.
 
 use betty::{
-    validate_jsonl, EpochStats, ExperimentConfig, Runner, SpanKind, StrategyKind, TraceRecorder,
+    validate_jsonl, DeviceGroup, EpochStats, ExperimentConfig, RecoveryEvent, Runner, SpanKind,
+    StrategyKind, TraceRecorder,
 };
 use betty_data::{Dataset, DatasetSpec};
+use betty_device::FaultPlan;
 use betty_nn::AggregatorSpec;
 
 const EPOCHS: usize = 3;
@@ -114,6 +116,59 @@ fn jsonl_export_is_valid_and_covers_every_event_type() {
             }
         }
     }
+}
+
+/// The trace's fault records are the recovery-log entries recorded while
+/// tracing — one each, with its epoch, its kind and the line the log
+/// prints — and export as schema-valid JSONL. An epoch trained before
+/// tracing began contributes none.
+#[test]
+fn fault_records_are_the_log_entries_recorded_while_tracing() {
+    let ds = dataset();
+    let cfg = ExperimentConfig {
+        fault_plan: FaultPlan {
+            transfer_stall_rate: 1.0,
+            // Epoch 1's third step: the first traced epoch rolls back.
+            nan_loss_steps: vec![K + 2],
+            ..FaultPlan::default()
+        },
+        ..config(AggregatorSpec::Mean)
+    };
+    let mut runner = Runner::new(&ds, &cfg, 0);
+    let group = DeviceGroup::new(1);
+    let epoch = |runner: &mut Runner| {
+        runner
+            .train_epoch_elastic(&ds, StrategyKind::Betty, K, &group)
+            .expect("one rollback is in the default budget");
+    };
+    epoch(&mut runner);
+    let untraced = runner.recovery_log().len();
+    assert!(untraced > 0, "every transfer of epoch 0 stalled");
+    runner.enable_tracing();
+    for _ in 1..EPOCHS {
+        epoch(&mut runner);
+    }
+    let trace = runner.take_trace().expect("tracing was enabled");
+    let entries = &runner.recovery_log().entries()[untraced..];
+    let records: Vec<(usize, &str, String)> = trace
+        .fault_records()
+        .iter()
+        .map(|r| (r.epoch, r.kind.as_str(), r.detail.clone()))
+        .collect();
+    let logged: Vec<(usize, &str, String)> = entries
+        .iter()
+        .map(|e| (e.epoch, e.event.kind(), e.event.to_string()))
+        .collect();
+    assert_eq!(records, logged);
+    assert!(entries.iter().any(|e| matches!(e.event, RecoveryEvent::AnomalyRollback { .. })));
+    assert_eq!(records.first().map(|r| r.0), Some(1), "epoch 0 was not traced");
+
+    let jsonl = trace.to_jsonl();
+    validate_jsonl(&jsonl).expect("exported trace must be valid JSONL");
+    let faults = jsonl.lines().filter(|l| l.starts_with("{\"type\":\"fault\"")).count();
+    assert_eq!(faults, entries.len());
+    assert!(jsonl.contains("\"kind\":\"anomaly_rollback\""), "{jsonl}");
+    assert!(!jsonl.contains("\"type\":\"anomaly\""), "a caught NaN is a fault record");
 }
 
 #[test]
