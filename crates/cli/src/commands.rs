@@ -32,8 +32,7 @@ const PAGED_STORE: &[&str] = &[
 ];
 /// What [`load`] reads to find or synthesize the dataset.
 const DATASET: &[&str] = &["data", "preset", "scale", "feature-dim", "seed"];
-/// What [`experiment_config`] reads besides the globals, [`FAULTS`] and
-/// the `--no-sentinel` switch.
+/// What [`experiment_config`] reads besides the globals and [`FAULTS`].
 const MODEL: &[&str] = &[
     "fanouts",
     "hidden",
@@ -81,7 +80,7 @@ pub const INFO: Accepts = Accepts {
 /// What `betty partition` reads.
 pub const PARTITION: Accepts = Accepts {
     values: &[GLOBAL, PAGED_STORE, DATASET, MODEL, FAULTS, &["k", "strategy"]],
-    switches: &[GLOBAL_SWITCHES, &["no-sentinel", "compare"]],
+    switches: &[GLOBAL_SWITCHES, &["compare"]],
 };
 /// What `betty train` reads.
 pub const TRAIN: Accepts = Accepts {
@@ -105,12 +104,12 @@ pub const TRAIN: Accepts = Accepts {
             "trace-out",
         ],
     ],
-    switches: &[GLOBAL_SWITCHES, &["no-sentinel", "resume", "trace-summary"]],
+    switches: &[GLOBAL_SWITCHES, &["resume", "trace-summary"]],
 };
 /// What `betty eval` reads.
 pub const EVAL: Accepts = Accepts {
     values: &[GLOBAL, PAGED_STORE, DATASET, MODEL, FAULTS, &["checkpoint", "chunk"]],
-    switches: &[GLOBAL_SWITCHES, &["no-sentinel"]],
+    switches: &[GLOBAL_SWITCHES],
 };
 
 /// Parses the `--precision` storage dtype (default f32).
@@ -127,15 +126,27 @@ fn preset_by_name(name: &str) -> Result<DatasetSpec, ArgError> {
         .ok_or_else(|| ArgError(format!("unknown preset '{name}' (try: cora, pubmed, reddit, ogbn-arxiv, ogbn-products)")))
 }
 
+/// The spec `--preset`, `--scale` and `--feature-dim` name, with the
+/// values [`DatasetSpec::scaled`] and [`DatasetSpec::with_feature_dim`]
+/// would panic on turned into usage errors.
+fn preset_spec(args: &Args, preset: &str) -> Result<DatasetSpec, ArgError> {
+    let scale = args.get_or("scale", 0.01f64)?;
+    if !(scale > 0.0 && scale <= 1.0) {
+        return Err(ArgError(format!("--scale must be in (0, 1], got {scale}")));
+    }
+    let feature_dim = args.get_or("feature-dim", 32usize)?;
+    if feature_dim == 0 {
+        return Err(ArgError("--feature-dim must be positive".into()));
+    }
+    Ok(preset_by_name(preset)?.scaled(scale).with_feature_dim(feature_dim))
+}
+
 fn load(args: &Args) -> Result<Dataset, Box<dyn Error>> {
     let ds = if let Some(path) = args.get("data") {
         load_dataset(path)?
     } else if let Some(preset) = args.get("preset") {
         // Allow generating on the fly: --preset without --data.
-        let spec = preset_by_name(preset)?
-            .scaled(args.get_or("scale", 0.01f64)?)
-            .with_feature_dim(args.get_or("feature-dim", 32usize)?);
-        spec.generate(args.get_or("seed", 0u64)?)
+        preset_spec(args, preset)?.generate(args.get_or("seed", 0u64)?)
     } else {
         return Err(Box::new(ArgError(
             "provide --data <file> or --preset <name>".into(),
@@ -251,7 +262,6 @@ fn experiment_config(args: &Args) -> Result<ExperimentConfig, Box<dyn Error>> {
             max_io_retries: args.get_or("io-retries", RetryPolicy::default().max_io_retries)?,
         },
         pool: !args.has_flag("no-pool"),
-        sentinel: !args.has_flag("no-sentinel"),
         plan_ahead: args.get_or("plan-ahead", 0usize)?,
         precision: precision(args)?,
         ..ExperimentConfig::default()
@@ -293,12 +303,21 @@ fn fault_plan(args: &Args) -> Result<FaultPlan, Box<dyn Error>> {
 /// flags, validating any device-level fault specs against the group
 /// size so a malformed spec is a usage error, not a panic mid-run.
 fn device_group(args: &Args, devices: usize, config: &ExperimentConfig) -> Result<DeviceGroup, Box<dyn Error>> {
+    // NaN or a negative value would silently turn timeouts and straggler
+    // detection off; 0 is a legal (always-firing) setting.
+    let non_negative = |key: &str, default: f64| -> Result<f64, ArgError> {
+        let value = args.get_or(key, default)?;
+        if value.is_finite() && value >= 0.0 {
+            Ok(value)
+        } else {
+            Err(ArgError(format!("--{key} must be finite and non-negative, got {value}")))
+        }
+    };
     let mut group = DeviceGroup::new(devices);
     group.allreduce_timeout_sec =
-        args.get_or("allreduce-timeout-ms", group.allreduce_timeout_sec * 1e3)? / 1e3;
+        non_negative("allreduce-timeout-ms", group.allreduce_timeout_sec * 1e3)? / 1e3;
     group.max_device_retries = args.get_or("max-device-retries", group.max_device_retries)?;
-    group.straggler_threshold =
-        args.get_or("straggler-threshold", group.straggler_threshold)?;
+    group.straggler_threshold = non_negative("straggler-threshold", group.straggler_threshold)?;
     config
         .fault_plan
         .validate_for_devices(devices)
@@ -312,11 +331,8 @@ fn mib(bytes: usize) -> f64 {
 
 /// `betty generate`.
 pub fn generate(args: &Args) -> CmdResult {
-    let preset = args.require("preset")?;
+    let spec = preset_spec(args, args.require("preset")?)?;
     let out = args.require("out")?.to_string();
-    let spec = preset_by_name(preset)?
-        .scaled(args.get_or("scale", 0.01f64)?)
-        .with_feature_dim(args.get_or("feature-dim", 32usize)?);
     let ds = spec.generate(args.get_or("seed", 0u64)?);
     save_dataset(&ds, &out)?;
     println!(
@@ -707,6 +723,10 @@ pub fn scrub(dir: &str) -> CmdResult {
 
 /// `betty eval`.
 pub fn eval(args: &Args) -> CmdResult {
+    let chunk = args.get_or("chunk", 1024usize)?;
+    if chunk == 0 {
+        return Err(Box::new(ArgError("--chunk must be positive".into())));
+    }
     let ds = load(args)?;
     let config = experiment_config(args)?;
     let ckpt = args.require("checkpoint")?.to_string();
@@ -716,7 +736,7 @@ pub fn eval(args: &Args) -> CmdResult {
         runner.trainer().model(),
         &ds,
         &ds.test_idx,
-        args.get_or("chunk", 1024usize)?,
+        chunk,
     );
     println!(
         "exact full-graph test accuracy: {:.2}% ({} nodes)",

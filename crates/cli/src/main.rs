@@ -72,7 +72,6 @@ COMMANDS:
               unit work that flags a device; default 1.5)]
              [--anomaly-retries N  (epoch rollbacks allowed on NaN/Inf
               loss or gradients before aborting; default 1)]
-             [--no-sentinel  (disable NaN/Inf detection and rollback)]
              observability:
              [--trace-out <trace.jsonl>  (step spans, memory timeline,
               estimator-drift records as JSON-lines)]

@@ -234,27 +234,58 @@ fn traced_faulted_run_exports_its_recovery_log() {
 /// A learning rate that is not a positive finite number, and a capacity
 /// whose byte count overflows, are usage errors (exit 1) naming the flag:
 /// `--lr NaN` used to panic in the optimizer, `--lr inf` to train, and
-/// `--capacity-mib 2^44` to wrap to a 0-byte device.
+/// `--capacity-mib 2^44` to wrap to a 0-byte device. So are the values
+/// the library asserts against or would read as "off": a `--scale`
+/// outside (0, 1] or a zero `--feature-dim` panicked (exit 101) in every
+/// command that builds a preset, `eval --chunk 0` in chunked inference,
+/// and a NaN or negative `--allreduce-timeout-ms` or
+/// `--straggler-threshold` silently disabled timeouts and straggler
+/// detection.
 #[test]
 fn bad_learning_rates_and_capacities_are_usage_errors() {
     let too_many_mib = (1u64 << 44).to_string();
-    let cases: [(&[&str], &str); 4] = [
-        (&["--lr", "NaN"], "learning rate must be positive and finite"),
-        (&["--lr", "inf"], "learning rate must be positive and finite"),
-        (&["--lr", "0"], "learning rate must be positive and finite"),
-        (&["--capacity-mib", too_many_mib.as_str()], "--capacity-mib"),
+    let data = tmp("usage.btd");
+    // A checkpoint of the shape `eval` is given, so `--chunk 0` is the
+    // only thing wrong with the eval case.
+    let ckpt = tmp("usage.ckpt");
+    let out = betty()
+        .args(["train", "--preset", "cora", "--scale", "0.05", "--epochs", "1", "--hidden", "8"])
+        .arg("--checkpoint")
+        .arg(&ckpt)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let (data_arg, ckpt_arg) = (data.to_str().unwrap(), ckpt.to_str().unwrap());
+    let train: &[&str] = &["train", "--preset", "cora", "--epochs", "1"];
+    let generate: &[&str] = &["generate", "--preset", "cora", "--out", data_arg];
+    let eval: &[&str] = &["eval", "--preset", "cora", "--hidden", "8", "--checkpoint", ckpt_arg];
+    let cases: [(&[&str], &[&str], &str); 16] = [
+        (train, &["--scale", "0.05", "--lr", "NaN"], "learning rate must be positive and finite"),
+        (train, &["--scale", "0.05", "--lr", "inf"], "learning rate must be positive and finite"),
+        (train, &["--scale", "0.05", "--lr", "0"], "learning rate must be positive and finite"),
+        (train, &["--scale", "0.05", "--capacity-mib", too_many_mib.as_str()], "--capacity-mib"),
+        (generate, &["--scale", "0"], "--scale must be in (0, 1]"),
+        (generate, &["--scale", "NaN"], "--scale must be in (0, 1]"),
+        (generate, &["--scale", "-1"], "--scale must be in (0, 1]"),
+        (generate, &["--scale", "0.05", "--feature-dim", "0"], "--feature-dim must be positive"),
+        (train, &["--scale", "inf"], "--scale must be in (0, 1]"),
+        (&["partition", "--preset", "cora"], &["--feature-dim", "0"], "--feature-dim"),
+        (eval, &["--scale", "0.05", "--chunk", "0"], "--chunk must be positive"),
+        (train, &["--scale", "0.05", "--allreduce-timeout-ms", "NaN"], "--allreduce-timeout-ms"),
+        (train, &["--scale", "0.05", "--allreduce-timeout-ms", "-1"], "--allreduce-timeout-ms"),
+        (train, &["--scale", "0.05", "--allreduce-timeout-ms", "inf"], "--allreduce-timeout-ms"),
+        (train, &["--scale", "0.05", "--straggler-threshold", "NaN"], "--straggler-threshold"),
+        (train, &["--scale", "0.05", "--straggler-threshold", "-1"], "--straggler-threshold"),
     ];
-    for (args, message) in cases {
-        let out = betty()
-            .args(["train", "--preset", "cora", "--scale", "0.05", "--epochs", "1"])
-            .args(args)
-            .output()
-            .unwrap();
+    for (command, args, message) in cases {
+        let out = betty().args(command).args(args).output().unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
-        assert!(stderr.contains(message), "{args:?}: {stderr}");
-        assert!(out.stdout.is_empty(), "{args:?} started work before rejecting");
+        assert_eq!(out.status.code(), Some(1), "{command:?} {args:?}: {stderr}");
+        assert!(stderr.contains(message), "{command:?} {args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{command:?} {args:?} started work before rejecting");
     }
+    assert!(!data.exists(), "a rejected generate wrote its output");
+    let _ = std::fs::remove_file(&ckpt);
 }
 
 #[test]

@@ -49,9 +49,9 @@ pub struct ExperimentConfig {
     /// the trainer's device and transfer link, the all-reduce link and the
     /// paged feature store. The empty default injects nothing.
     pub fault_plan: FaultPlan,
-    /// OOM recovery policy used by
-    /// [`Runner::train_epoch_elastic`](crate::Runner::train_epoch_elastic)
-    /// and [`fit`](crate::fit()).
+    /// Recovery policy used by
+    /// [`Runner::train_epoch_elastic`](crate::Runner::train_epoch_elastic),
+    /// the one epoch call of the CLI's `train` loop.
     pub retry: RetryPolicy,
     /// Pooled tensor workspace: the trainer reuses one autograd tape and
     /// recycles its value/gradient buffers across micro-batches, so
@@ -59,11 +59,6 @@ pub struct ExperimentConfig {
     /// buffers are fully overwritten before use, so losses and parameters
     /// are bit-identical either way. The CLI exposes this as `--no-pool`.
     pub pool: bool,
-    /// Numeric-anomaly sentinel: after every micro-batch backward pass the
-    /// trainer checks the loss and all parameter gradients for NaN/Inf and
-    /// fails the step before the optimizer can consume poisoned values.
-    /// The CLI exposes this as `--no-sentinel`.
-    pub sentinel: bool,
     /// Partition-ahead pipeline depth: how many future epochs' batches may
     /// be staged or in progress on one background planner thread while
     /// the current epoch trains. `0` (the default) is the classic
@@ -98,7 +93,6 @@ impl Default for ExperimentConfig {
             fault_plan: FaultPlan::default(),
             retry: RetryPolicy::default(),
             pool: true,
-            sentinel: true,
             plan_ahead: 0,
             precision: DType::F32,
         }
@@ -303,7 +297,6 @@ mod tests {
                 ..RetryPolicy::default()
             },
             pool: false,
-            sentinel: false,
             plan_ahead: 3,
             ..ExperimentConfig::default()
         };

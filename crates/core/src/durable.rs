@@ -1,24 +1,24 @@
 //! Durable, crash-safe training sessions: periodic on-disk checkpoints
 //! and resume.
 //!
-//! A [`CheckpointPlan`] names a directory and a cadence; [`fit`](crate::fit())
-//! (and the CLI's epoch loop) save a full [`TrainState`] — parameters,
-//! Adam moments, both RNG streams, step/epoch counters, the loss history,
-//! and the config fingerprint — at the end of every `every`-th epoch.
-//! Writes go through [`betty_tensor::sealed::write_atomic`], so a
-//! checkpoint either exists completely with valid CRCs or not at all; a
-//! SIGKILL mid-write leaves the previous checkpoint intact.
+//! A [`CheckpointPlan`] names a directory and a cadence; the CLI's epoch
+//! loop saves a full [`TrainState`] — parameters, Adam moments, both RNG
+//! streams, the step/epoch counters and the config fingerprint — at the
+//! end of every `every`-th epoch. Writes go through
+//! [`betty_tensor::sealed::write_atomic`], so a checkpoint either exists
+//! completely with valid CRCs or not at all; a SIGKILL mid-write leaves
+//! the previous checkpoint intact.
 //!
-//! Resume ([`latest_checkpoint`] + [`Runner::import_session`]) restores
-//! every piece of state training consumes, so a killed-and-resumed run
-//! produces losses and parameters bit-identical to one that was never
+//! Resume ([`latest_valid_checkpoint`] + [`Runner::resume`](crate::Runner::resume))
+//! restores every piece of state training consumes, so a killed-and-resumed
+//! run produces losses and parameters bit-identical to one that was never
 //! interrupted.
 //!
 //! # Slot layout
 //!
-//! [`TrainState`] stores RNGs, counters and floats positionally; the
-//! constants below assign the slots their meaning. [`Runner`] owns slots
-//! `0..RUNNER_COUNTERS`; the fit loop appends its own after them.
+//! [`TrainState`] stores RNGs and counters positionally; the constants
+//! below assign the slots their meaning, all of them owned by
+//! [`Runner`](crate::Runner).
 
 use std::path::{Path, PathBuf};
 
@@ -41,18 +41,8 @@ pub const CTR_GLOBAL_STEP: usize = 1;
 /// partitioning strategy every epoch, so a resumed session must keep it
 /// even when the resuming process was built with a different seed).
 pub const CTR_SEED: usize = 2;
-/// Number of counter slots owned by [`Runner`](crate::Runner); fit-level
-/// counters follow.
+/// Number of counter slots owned by [`Runner`](crate::Runner).
 pub const RUNNER_COUNTERS: usize = 3;
-/// [`TrainState::counters`] slot of the next epoch index to train.
-pub const CTR_NEXT_EPOCH: usize = 3;
-/// [`TrainState::counters`] slot of the best-validation epoch index.
-pub const CTR_BEST_EPOCH: usize = 4;
-/// [`TrainState::counters`] slot of the epochs-since-best counter.
-pub const CTR_SINCE_BEST: usize = 5;
-
-/// [`TrainState::floats`] slot of the best validation accuracy.
-pub const FLT_BEST_VAL: usize = 0;
 
 /// Where and how often to write durable checkpoints.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -131,41 +121,6 @@ fn epoch_of(path: &Path) -> Option<usize> {
     let name = path.file_name()?.to_str()?;
     let stem = name.strip_prefix("ckpt-")?.strip_suffix(".btc")?;
     stem.parse().ok()
-}
-
-/// Finds the newest checkpoint (highest epoch) in `dir`.
-///
-/// Returns `Ok(None)` when the directory is missing or holds no
-/// `ckpt-NNNNNN.btc` files.
-///
-/// # Errors
-///
-/// [`RunError::Checkpoint`] if the directory exists but cannot be read.
-pub fn latest_checkpoint(dir: impl AsRef<Path>) -> Result<Option<(usize, PathBuf)>, RunError> {
-    let dir = dir.as_ref();
-    let entries = match std::fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => {
-            return Err(RunError::Checkpoint(format!(
-                "cannot read checkpoint dir {}: {e}",
-                dir.display()
-            )))
-        }
-    };
-    let mut best: Option<(usize, PathBuf)> = None;
-    for entry in entries {
-        let entry = entry.map_err(|e| {
-            RunError::Checkpoint(format!("cannot read checkpoint dir {}: {e}", dir.display()))
-        })?;
-        let path = entry.path();
-        if let Some(epoch) = epoch_of(&path) {
-            if best.as_ref().is_none_or(|(b, _)| epoch > *b) {
-                best = Some((epoch, path));
-            }
-        }
-    }
-    Ok(best)
 }
 
 /// The newest *loadable* checkpoint in a directory, plus every newer
@@ -277,29 +232,6 @@ mod tests {
         assert!(plan.due_after(9, 10), "final epoch is always due");
     }
 
-    #[test]
-    fn latest_checkpoint_picks_highest_epoch() {
-        let dir = std::env::temp_dir().join(format!("betty-durable-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        assert_eq!(latest_checkpoint(&dir).unwrap(), None, "missing dir is not an error");
-        std::fs::create_dir_all(&dir).unwrap();
-        assert_eq!(latest_checkpoint(&dir).unwrap(), None);
-        for epoch in [2usize, 11, 5] {
-            let state = TrainState {
-                params: vec![betty_tensor::Tensor::ones(&[2, 2])],
-                counters: vec![epoch as u64],
-                ..TrainState::default()
-            };
-            CheckpointPlan::new(&dir, 1).save(&state, epoch).unwrap();
-        }
-        std::fs::write(dir.join("not-a-checkpoint.txt"), b"x").unwrap();
-        let (epoch, path) = latest_checkpoint(&dir).unwrap().expect("checkpoints exist");
-        assert_eq!(epoch, 11);
-        let state = load_checkpoint_state(&path).unwrap();
-        assert_eq!(state.counters, vec![11]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     fn save_slot(dir: &Path, epoch: usize) -> PathBuf {
         let state = TrainState {
             params: vec![betty_tensor::Tensor::ones(&[2, 2])],
@@ -325,9 +257,12 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         assert_eq!(latest_valid_checkpoint(&dir).unwrap(), None);
 
-        for epoch in [3usize, 7, 9] {
+        // Written out of order beside a file that is not a slot: the
+        // newest is picked by the epoch in its name.
+        for epoch in [3usize, 9, 7] {
             save_slot(&dir, epoch);
         }
+        std::fs::write(dir.join("not-a-checkpoint.txt"), b"x").unwrap();
         let healthy = latest_valid_checkpoint(&dir).unwrap().unwrap();
         assert_eq!(healthy.epoch, 9);
         assert!(healthy.skipped.is_empty());
@@ -340,10 +275,6 @@ mod tests {
         assert_eq!(fell_back.epoch, 7);
         assert_eq!(fell_back.state.counters, vec![7]);
         assert_eq!(fell_back.skipped, vec![newest.clone()]);
-
-        // `latest_checkpoint` (the raw filename scan) still names the
-        // corrupt slot — the fallback is a loader-level concern.
-        assert_eq!(latest_checkpoint(&dir).unwrap().unwrap().0, 9);
 
         // All slots corrupt → a Checkpoint error listing each slot.
         corrupt_file(&CheckpointPlan::new(&dir, 1).path_for(7));

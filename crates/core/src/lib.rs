@@ -52,7 +52,6 @@ mod accounting;
 mod config;
 pub mod durable;
 mod eval;
-pub mod fit;
 pub mod multi;
 mod pipeline;
 mod planner;
@@ -64,11 +63,9 @@ mod trainer;
 
 pub use config::{ExperimentConfig, ModelKind};
 pub use durable::{
-    latest_checkpoint, latest_valid_checkpoint, load_checkpoint_state, CheckpointPlan,
-    CheckpointResolution,
+    latest_valid_checkpoint, load_checkpoint_state, CheckpointPlan, CheckpointResolution,
 };
 pub use eval::{accuracy, accuracy_full_graph, predict, predict_full_graph};
-pub use fit::{fit, FitConfig, FitReport};
 pub use multi::{
     lpt_assignment, simulate_elastic_schedule, DeviceGroup, DeviceHealth, DevicesExhausted,
     ElasticSchedule, Failover, MultiDeviceEpoch,

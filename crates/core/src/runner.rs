@@ -337,7 +337,6 @@ impl Runner {
             seed.wrapping_add(1),
         );
         trainer.set_pooling(config.pool);
-        trainer.set_sentinel(config.sentinel);
         trainer.set_precision(config.precision);
         let plan = &config.fault_plan;
         trainer.arm_faults(plan);
@@ -579,15 +578,6 @@ impl Runner {
     /// The memory-aware planner (and its estimator).
     pub fn planner(&self) -> &MemoryAwarePlanner {
         &self.planner
-    }
-
-    /// Updates the learning rate mid-training (for LR schedules).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not positive.
-    pub fn set_learning_rate(&mut self, lr: f32) {
-        self.trainer.set_learning_rate(lr);
     }
 
     /// Samples the full training batch with the configured fanouts.
@@ -1238,8 +1228,7 @@ impl Runner {
     /// session bit-identically: parameters, Adam moments, both RNG
     /// streams (dropout and neighbor sampling), the epoch/step counters,
     /// and the config fingerprint. Slot meanings are the
-    /// [`crate::durable`] constants; fit-level state (loss history,
-    /// early-stopping counters) is appended by the caller.
+    /// [`crate::durable`] constants.
     pub fn export_session(&self) -> TrainState {
         let mut state = TrainState::from_model(self.trainer.model());
         state.adam = Some(self.trainer.export_optimizer_state());

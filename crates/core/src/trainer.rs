@@ -7,7 +7,7 @@ use rand::SeedableRng;
 use rand_pcg::Pcg64Mcg;
 
 use betty_data::Dataset;
-use betty_device::{Device, FaultEvent, FaultPlan, OomError, TransferModel, BYTES_PER_VALUE};
+use betty_device::{Device, FaultEvent, FaultPlan, OomError, TransferModel};
 use betty_graph::Batch;
 use betty_nn::{Adam, GnnModel, Optimizer, Param, Session};
 use betty_tensor::{DType, PoolStats, Reduction};
@@ -187,15 +187,6 @@ impl TrainerSnapshot {
     pub fn num_params(&self) -> usize {
         self.params.len()
     }
-
-    /// Host bytes held by the checkpoint (values + gradients), for
-    /// overhead reporting.
-    pub fn param_bytes(&self) -> usize {
-        self.params
-            .iter()
-            .map(|p| p.len() * 2 * BYTES_PER_VALUE)
-            .sum()
-    }
 }
 
 /// How a step's loss feeds the gradient.
@@ -229,9 +220,6 @@ pub struct Trainer {
     /// tape in place and rebuilds it from recycled buffers instead of
     /// reallocating the whole forward/backward state.
     session: Session,
-    /// Numeric-anomaly sentinel: when on (the default), a NaN/Inf loss or
-    /// gradient aborts the step instead of corrupting the accumulation.
-    sentinel: bool,
     /// Global steps whose loss is poisoned to NaN (armed from
     /// [`FaultPlan::nan_loss_steps`]); each entry fires once.
     nan_steps: std::collections::BTreeSet<usize>,
@@ -266,7 +254,6 @@ impl Trainer {
             global_step: 0,
             trace: None,
             session: Session::new(),
-            sentinel: true,
             nan_steps: std::collections::BTreeSet::new(),
             nan_events: Vec::new(),
             precision: DType::F32,
@@ -287,20 +274,6 @@ impl Trainer {
     /// The active storage precision.
     pub fn precision(&self) -> DType {
         self.precision
-    }
-
-    /// Turns the numeric-anomaly sentinel on or off. With the sentinel
-    /// off, a NaN/Inf loss propagates into the accumulated gradients and
-    /// every subsequent update — the historical (silent-corruption)
-    /// behaviour, kept as an escape hatch and for demonstrating what the
-    /// sentinel prevents.
-    pub fn set_sentinel(&mut self, on: bool) {
-        self.sentinel = on;
-    }
-
-    /// Whether the numeric-anomaly sentinel is active.
-    pub fn sentinel(&self) -> bool {
-        self.sentinel
     }
 
     /// Turns the pooled tensor workspace on or off (`--no-pool` escape
@@ -344,11 +317,6 @@ impl Trainer {
         self.trace.take()
     }
 
-    /// Whether trace recording is enabled.
-    pub fn tracing_enabled(&self) -> bool {
-        self.trace.is_some()
-    }
-
     /// Mutable access to the active trace recorder, for callers that add
     /// their own spans (sampling, partitioning, planning, allreduce).
     pub fn trace_mut(&mut self) -> Option<&mut TraceRecorder> {
@@ -378,16 +346,6 @@ impl Trainer {
     /// The feature page-in link model (NVMe-like), for inspection.
     pub fn feature_link(&self) -> &TransferModel {
         &self.feature_link
-    }
-
-    /// Updates the optimizer's learning rate (for
-    /// [`betty_nn::schedule`] schedules).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not positive.
-    pub fn set_learning_rate(&mut self, lr: f32) {
-        self.optimizer.set_lr(lr);
     }
 
     /// Global step index the next [`Trainer::micro_batch_epoch`] step
@@ -736,8 +694,7 @@ impl Trainer {
         sess.graph.recycle_indices(targets);
         // Injected NaN fault: poison the loss *before* backward, so the
         // gradients genuinely carry the corruption the sentinel must
-        // catch (with the sentinel off, the poison reaches the optimizer
-        // — the silent-corruption failure mode this run demonstrates).
+        // catch.
         let injected_nan = self.nan_steps.remove(&step);
         let loss_var = if injected_nan {
             self.nan_events.push(FaultEvent::NanLoss { step });
@@ -787,26 +744,24 @@ impl Trainer {
         // reach the optimizer — one poisoned micro-batch would corrupt
         // the whole accumulated gradient and every later update. The
         // caller rolls back to its last good snapshot.
-        if self.sentinel {
-            let anomaly = if !loss.is_finite() {
-                Some(AnomalyKind::NonFiniteLoss)
-            } else if self
-                .model
-                .params()
-                .iter()
-                .any(|p| p.grad().data().iter().any(|g| !g.is_finite()))
-            {
-                Some(AnomalyKind::NonFiniteGradient)
-            } else {
-                None
-            };
-            if let Some(kind) = anomaly {
-                return Err(TrainError::NumericAnomaly {
-                    step,
-                    kind,
-                    injected: injected_nan,
-                });
-            }
+        let anomaly = if !loss.is_finite() {
+            Some(AnomalyKind::NonFiniteLoss)
+        } else if self
+            .model
+            .params()
+            .iter()
+            .any(|p| p.grad().data().iter().any(|g| !g.is_finite()))
+        {
+            Some(AnomalyKind::NonFiniteGradient)
+        } else {
+            None
+        };
+        if let Some(kind) = anomaly {
+            return Err(TrainError::NumericAnomaly {
+                step,
+                kind,
+                injected: injected_nan,
+            });
         }
 
         let peak_bytes = self.device.peak_bytes();
@@ -1004,7 +959,6 @@ mod tests {
         t.micro_batch_epoch(&ds, std::slice::from_ref(&batch)).unwrap();
         let snap = t.snapshot();
         assert!(snap.num_params() > 0);
-        assert!(snap.param_bytes() > 0);
         let a = t
             .micro_batch_epoch(&ds, std::slice::from_ref(&batch))
             .unwrap().0;
@@ -1090,7 +1044,7 @@ mod tests {
         let mut plain = Trainer::new(model(&ds, 7), 0.01, Device::unbounded(), 3);
         let mut traced = Trainer::new(model(&ds, 7), 0.01, Device::unbounded(), 3);
         traced.enable_tracing();
-        assert!(traced.tracing_enabled());
+        assert!(traced.trace_mut().is_some());
         for _ in 0..2 {
             let a = plain.micro_batch_epoch(&ds, &micros).unwrap().0;
             let b = traced.micro_batch_epoch(&ds, &micros).unwrap().0;
@@ -1100,7 +1054,7 @@ mod tests {
             assert_eq!(a.transfer_sec.to_bits(), b.transfer_sec.to_bits());
         }
         let trace = traced.disable_tracing().expect("recorder comes back");
-        assert!(!traced.tracing_enabled());
+        assert!(traced.trace_mut().is_none());
         let steps = 2 * micros.len();
         let count_kind = |k: SpanKind| trace.spans().iter().filter(|s| s.kind == k).count();
         assert_eq!(count_kind(SpanKind::Transfer), steps);
@@ -1142,7 +1096,6 @@ mod tests {
         assert!(micros.len() >= 2);
         let mut clean = Trainer::new(model(&ds, 7), 0.01, Device::unbounded(), 3);
         let mut faulty = Trainer::new(model(&ds, 7), 0.01, Device::unbounded(), 3);
-        assert!(faulty.sentinel(), "sentinel defaults on");
         let a0 = clean.micro_batch_epoch(&ds, &micros).unwrap().0;
         let b0 = faulty.micro_batch_epoch(&ds, &micros).unwrap().0;
         assert_eq!(a0.loss.to_bits(), b0.loss.to_bits());
@@ -1181,24 +1134,6 @@ mod tests {
             "rollback + retry must be bit-identical to a never-faulted run"
         );
         assert!(b1.loss.is_finite());
-    }
-
-    #[test]
-    fn sentinel_off_lets_the_poison_through() {
-        use betty_device::FaultPlan;
-        let ds = dataset();
-        let batch = full_batch(&ds, 2);
-        let mut t = Trainer::new(model(&ds, 0), 0.01, Device::unbounded(), 3);
-        t.set_sentinel(false);
-        assert!(!t.sentinel());
-        t.arm_faults(&FaultPlan {
-            nan_loss_steps: vec![0],
-            ..FaultPlan::default()
-        });
-        // Without the sentinel the epoch "succeeds" with a NaN loss — the
-        // silent corruption the sentinel exists to stop.
-        let stats = t.micro_batch_epoch(&ds, std::slice::from_ref(&batch)).unwrap().0;
-        assert!(stats.loss.is_nan());
     }
 
     #[test]

@@ -157,13 +157,6 @@ impl CsrGraph {
         deg
     }
 
-    /// Out-degree of every node.
-    pub fn out_degrees(&self) -> Vec<usize> {
-        (0..self.num_nodes())
-            .map(|u| self.indptr[u + 1] - self.indptr[u])
-            .collect()
-    }
-
     /// The reverse graph (every edge flipped), preserving weights.
     ///
     /// A counting transpose: sources are visited in ascending order, so
@@ -223,40 +216,6 @@ impl CsrGraph {
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         self.neighbors(u).binary_search(&v).is_ok()
     }
-
-    /// Induced subgraph on `nodes`, relabelled `0..nodes.len()`.
-    ///
-    /// Returns the subgraph and the mapping from new id to original id
-    /// (`nodes` itself, copied).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` contains duplicates or out-of-range ids.
-    pub fn induced_subgraph(&self, nodes: &[NodeId]) -> (Self, Vec<NodeId>) {
-        let n = self.num_nodes();
-        let mut local = vec![u32::MAX; n];
-        for (i, &g) in nodes.iter().enumerate() {
-            assert!((g as usize) < n, "node {g} out of bounds");
-            assert!(local[g as usize] == u32::MAX, "duplicate node {g}");
-            local[g as usize] = i as u32;
-        }
-        let mut edges = Vec::new();
-        for &g in nodes {
-            let s = self.indptr[g as usize];
-            let e = self.indptr[g as usize + 1];
-            for i in s..e {
-                let v = self.indices[i];
-                if local[v as usize] != u32::MAX {
-                    let w = self.weights.as_ref().map_or(1.0, |ws| ws[i]);
-                    edges.push((local[g as usize], local[v as usize], w));
-                }
-            }
-        }
-        (
-            Self::from_weighted_edges(nodes.len(), edges, self.weights.is_some()),
-            nodes.to_vec(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -282,7 +241,8 @@ mod tests {
     fn degrees() {
         let g = diamond();
         assert_eq!(g.in_degrees(), vec![0, 1, 1, 2]);
-        assert_eq!(g.out_degrees(), vec![2, 1, 1, 0]);
+        let out: Vec<usize> = (0..4).map(|u| g.out_degree(u)).collect();
+        assert_eq!(out, vec![2, 1, 1, 0]);
     }
 
     #[test]
@@ -315,18 +275,6 @@ mod tests {
         let g = CsrGraph::from_edges(2, &[(0, 1), (0, 1)]);
         assert_eq!(g.num_edges(), 2);
         assert_eq!(g.neighbors(0), &[1, 1]);
-    }
-
-    #[test]
-    fn induced_subgraph_relabels() {
-        let g = diamond();
-        let (sub, map) = g.induced_subgraph(&[0, 1, 3]);
-        assert_eq!(map, vec![0, 1, 3]);
-        assert_eq!(sub.num_nodes(), 3);
-        // Kept edges: 0→1 and 1→3 (local 1→2). 0→2 and 2→3 drop out.
-        assert_eq!(sub.num_edges(), 2);
-        assert!(sub.has_edge(0, 1));
-        assert!(sub.has_edge(1, 2));
     }
 
     #[test]

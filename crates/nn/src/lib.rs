@@ -18,7 +18,7 @@
 //! * [`Session`] — binds persistent [`Param`]s to tape variables for one
 //!   forward/backward pass and accumulates gradients back, which is what
 //!   makes micro-batch gradient accumulation (§4.2) a one-liner.
-//! * [`Adam`] — the optimizer; [`schedule`] — learning-rate schedules.
+//! * [`Adam`] — the optimizer.
 //!
 //! # Example: one training step
 //!
@@ -54,7 +54,6 @@ mod models;
 mod optim;
 mod param;
 mod sage;
-pub mod schedule;
 mod session;
 
 pub use aggregator::{Aggregator, AggregatorSpec};
@@ -72,5 +71,4 @@ pub use models::{Conv, Gat, Gcn, Gin, GnnModel, GraphSage, Stack};
 pub use optim::{Adam, AdamState, Optimizer};
 pub use param::{Param, Params};
 pub use sage::SageConv;
-pub use schedule::{CosineAnnealing, LrSchedule, StepDecay};
 pub use session::Session;

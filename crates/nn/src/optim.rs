@@ -14,13 +14,6 @@ pub trait Optimizer {
     /// Scalar count of optimizer state values per model value (2 for
     /// Adam's two moments) — what the memory estimator's item (8) charges.
     fn state_values_per_param(&self) -> usize;
-
-    /// Updates the learning rate (used by [`crate::schedule`] schedules).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not positive.
-    fn set_lr(&mut self, lr: f32);
 }
 
 /// Adam (Kingma & Ba) with bias correction.
@@ -43,7 +36,7 @@ pub struct Adam {
 /// [`Adam::export_state`]; [`Adam::import_state`] re-keys them under the
 /// loading process's ids. Entries are `None` for parameters the optimizer
 /// has never stepped. The learning rate is intentionally excluded: it is
-/// configuration (possibly schedule-driven), not progress.
+/// configuration, not progress.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdamState {
     /// Number of optimizer steps taken (drives bias correction).
@@ -149,11 +142,6 @@ impl Optimizer for Adam {
     fn state_values_per_param(&self) -> usize {
         2
     }
-
-    fn set_lr(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
 }
 
 #[cfg(test)]
@@ -228,16 +216,5 @@ mod tests {
         let none_state = AdamState { t: 0, moments: vec![None] };
         opt.import_state(&[&p], &none_state).unwrap();
         assert_eq!(opt.export_state(&[&p]), none_state);
-    }
-
-    #[test]
-    fn set_lr_changes_step_size() {
-        let mut p = Param::new(Tensor::from_slice(&[1.0]));
-        p.accumulate_grad(&Tensor::from_slice(&[1.0]));
-        // Adam's first step moves each value by about lr, whatever |g|.
-        let mut opt = Adam::new(0.1);
-        opt.set_lr(0.5);
-        opt.step(&mut [&mut p]);
-        assert!((p.value().at(0) - 0.5).abs() < 1e-6, "{}", p.value().at(0));
     }
 }

@@ -341,13 +341,6 @@ impl Tensor {
         }
     }
 
-    /// In-place scaling by a scalar.
-    pub fn scale_assign(&mut self, factor: f32) {
-        for d in self.data_mut() {
-            *d *= factor;
-        }
-    }
-
     /// Fill every element with `value`.
     pub fn fill(&mut self, value: f32) {
         for d in self.data_mut() {
@@ -480,8 +473,6 @@ mod tests {
         let b = Tensor::from_slice(&[0.5, 0.5]);
         a.add_assign(&b);
         assert_eq!(a.data(), &[1.5, 2.5]);
-        a.scale_assign(2.0);
-        assert_eq!(a.data(), &[3.0, 5.0]);
     }
 
     #[test]

@@ -184,8 +184,10 @@ fn resume_falls_back_past_a_corrupt_newest_slot_bit_identically() {
     assert_eq!(found.skipped, vec![newest], "the corrupt slot is reported");
 
     // Restoring it and retraining the lost epoch reproduces the
-    // uninterrupted parameters bit for bit.
-    let mut resumed = Runner::new(&ds, &cfg, 11);
+    // uninterrupted parameters bit for bit — in a runner deliberately
+    // built with another seed, as a new process is free to do: every
+    // piece of state that matters must come from the checkpoint.
+    let mut resumed = Runner::new(&ds, &cfg, 999);
     resumed
         .import_session(&found.state)
         .expect("same config, same shapes");
@@ -259,6 +261,27 @@ fn resume_rejects_a_checkpoint_from_a_different_dataset() {
         ),
         "a checkpoint from a narrower feature matrix was accepted"
     );
+
+    // A different experiment on the same dataset is rejected the same
+    // way: a wider model, and a bf16 run (its values round through the
+    // 16-bit grid, so it trains a different function than the f32 one).
+    let wider_model = ExperimentConfig {
+        hidden_dim: 24,
+        ..cfg.clone()
+    };
+    let bf16 = ExperimentConfig {
+        precision: betty_tensor::DType::Bf16,
+        ..cfg.clone()
+    };
+    for other in [wider_model, bf16] {
+        match Runner::new(&cora, &other, 7).import_session(&saved) {
+            Err(RunError::Checkpoint(msg)) => {
+                assert!(msg.contains("fingerprint mismatch"), "unexpected rejection: {msg}");
+            }
+            Err(err) => panic!("wrong error kind: {err}"),
+            Ok(()) => panic!("a checkpoint of another experiment was accepted: {other:?}"),
+        }
+    }
 }
 
 #[test]

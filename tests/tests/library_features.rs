@@ -1,12 +1,10 @@
-//! Library-surface features composing end to end: LR schedules,
-//! checkpointing, dataset I/O, and exact full-graph inference.
+//! Library-surface features composing end to end: checkpointing, dataset
+//! I/O, and exact full-graph inference.
 
 use betty::{accuracy_full_graph, ExperimentConfig, Runner, StrategyKind};
 use betty_data::{load_dataset, save_dataset, DatasetSpec};
 use betty_device::gib;
-use betty_nn::{
-    load_checkpoint, save_checkpoint, AggregatorSpec, CosineAnnealing, GraphSage, LrSchedule,
-};
+use betty_nn::{load_checkpoint, save_checkpoint, AggregatorSpec, GraphSage};
 use rand::SeedableRng;
 use rand_pcg::Pcg64Mcg;
 
@@ -27,25 +25,6 @@ fn config() -> ExperimentConfig {
         capacity_bytes: gib(8),
         ..ExperimentConfig::default()
     }
-}
-
-#[test]
-fn cosine_schedule_trains_through_runner() {
-    let ds = dataset();
-    let mut runner = Runner::new(&ds, &config(), 1);
-    let schedule = CosineAnnealing {
-        total_epochs: 10,
-        min_factor: 0.1,
-    };
-    let mut losses = Vec::new();
-    for epoch in 0..10 {
-        runner.set_learning_rate(schedule.lr_at(1e-2, epoch));
-        let stats = runner
-            .train_epoch_betty(&ds, StrategyKind::Betty, 2)
-            .unwrap();
-        losses.push(stats.loss);
-    }
-    assert!(losses.last().unwrap() < &losses[0], "{losses:?}");
 }
 
 #[test]

@@ -1,12 +1,14 @@
 //! Fault injection and checkpointed OOM recovery, end to end: a run whose
 //! first step OOMs must finish training through automatic K-escalation,
-//! recovery must replay the epoch bit-exactly from its checkpoint, and the
-//! whole fault/recovery sequence must be deterministic in the fault seed.
+//! recovery must replay the epoch bit-exactly from its checkpoint, the
+//! whole fault/recovery sequence must be deterministic in the fault seed,
+//! and a spent anomaly budget must end the run.
 
 use std::error::Error;
 
-use betty::fit::{fit, FitConfig};
-use betty::{DeviceGroup, ExperimentConfig, RetryPolicy, RunError, Runner, StrategyKind};
+use betty::{
+    DeviceGroup, EpochStats, ExperimentConfig, RetryPolicy, RunError, Runner, StrategyKind,
+};
 use betty_data::{Dataset, DatasetSpec};
 use betty_device::{gib, FaultPlan, OomError};
 use betty_nn::AggregatorSpec;
@@ -30,20 +32,40 @@ fn config() -> ExperimentConfig {
     }
 }
 
+/// Per-epoch stats of a multi-epoch run and its best validation accuracy.
+#[derive(Debug)]
+struct Run {
+    history: Vec<EpochStats>,
+    best_val_accuracy: f64,
+}
+
+/// Trains `epochs` auto-K epochs on a group of one — the executor with
+/// OOM and anomaly recovery — and evaluates on the validation split after
+/// each. The evaluation draws from the sampler's RNG stream, so it runs
+/// every epoch even where a scenario reads only the losses.
+fn train(runner: &mut Runner, ds: &Dataset, epochs: usize) -> Result<Run, RunError> {
+    let group = DeviceGroup::new(1);
+    let mut run = Run {
+        history: Vec::new(),
+        best_val_accuracy: f64::NEG_INFINITY,
+    };
+    for _ in 0..epochs {
+        let epoch = runner.train_epoch_elastic(ds, StrategyKind::Betty, 1, &group)?;
+        run.history.push(epoch.combined);
+        let val = runner.evaluate(ds, &ds.val_idx);
+        run.best_val_accuracy = run.best_val_accuracy.max(val);
+    }
+    Ok(run)
+}
+
 /// The acceptance scenario: the first training step OOMs (injected), yet
-/// `fit` completes by rolling back to the checkpoint and escalating K,
+/// the run completes by rolling back to the checkpoint and escalating K,
 /// logs the retry, and lands within tolerance of the never-faulted run.
 #[test]
 fn faulted_first_step_recovers_and_matches_clean_accuracy() {
     let ds = dataset();
-    let fit_config = FitConfig {
-        max_epochs: 10,
-        patience: None,
-        ..FitConfig::default()
-    };
-
     let mut clean_runner = Runner::new(&ds, &config(), 42);
-    let clean = fit(&mut clean_runner, &ds, &fit_config).expect("clean run fits");
+    let clean = train(&mut clean_runner, &ds, 10).expect("clean run fits");
     assert!(clean_runner.recovery_log().is_empty(), "no faults armed, none expected");
 
     let faulted_config = ExperimentConfig {
@@ -54,9 +76,9 @@ fn faulted_first_step_recovers_and_matches_clean_accuracy() {
         ..config()
     };
     let mut runner = Runner::new(&ds, &faulted_config, 42);
-    let report = fit(&mut runner, &ds, &fit_config).expect("recovery must rescue the run");
+    let report = train(&mut runner, &ds, 10).expect("recovery must rescue the run");
 
-    assert_eq!(report.epochs_run, 10);
+    assert_eq!(report.history.len(), 10);
     let log = runner.recovery_log();
     assert!(
         log.oom_retries() >= 1,
@@ -124,13 +146,8 @@ fn plan_that_fits_the_estimator_but_not_the_device_is_rescued() {
         },
         ..config()
     };
-    let fit_config = FitConfig {
-        max_epochs: 8,
-        patience: None,
-        ..FitConfig::default()
-    };
     let mut runner = Runner::new(&ds, &jittered, 42);
-    let report = fit(&mut runner, &ds, &fit_config).expect("escalation must find a fitting K");
+    let report = train(&mut runner, &ds, 8).expect("escalation must find a fitting K");
     assert!(
         runner.recovery_log().oom_retries() >= 1,
         "the first plan must have OOMed at runtime: {}",
@@ -142,7 +159,7 @@ fn plan_that_fits_the_estimator_but_not_the_device_is_rescued() {
         ..config()
     };
     let mut unbounded_runner = Runner::new(&ds, &unbounded, 42);
-    let baseline = fit(&mut unbounded_runner, &ds, &fit_config).unwrap();
+    let baseline = train(&mut unbounded_runner, &ds, 8).unwrap();
     let diff = (report.best_val_accuracy - baseline.best_val_accuracy).abs();
     assert!(
         diff < 0.15,
@@ -257,16 +274,7 @@ fn retry_exhaustion_preserves_original_oom_in_source_chain() {
         ..config()
     };
     let mut runner = Runner::new(&ds, &hopeless, 0);
-    let err = fit(
-        &mut runner,
-        &ds,
-        &FitConfig {
-            max_epochs: 3,
-            patience: None,
-            ..FitConfig::default()
-        },
-    )
-    .expect_err("every allocation fails");
+    let err = train(&mut runner, &ds, 3).expect_err("every allocation fails");
 
     assert!(matches!(err, RunError::RetryExhausted { attempts: 2, .. }));
     let log = runner.recovery_log();
@@ -286,6 +294,30 @@ fn retry_exhaustion_preserves_original_oom_in_source_chain() {
     assert!(oom.injected, "the original failure was an injected fault");
 }
 
+/// A poisoned loss with no rollback budget left ends the run with the
+/// anomaly error, and the log marks the abort.
+#[test]
+fn exhausted_anomaly_budget_aborts_the_run() {
+    let ds = dataset();
+    let cfg = ExperimentConfig {
+        fault_plan: FaultPlan {
+            nan_loss_steps: vec![1],
+            ..FaultPlan::default()
+        },
+        retry: RetryPolicy {
+            max_anomaly_retries: 0,
+            ..RetryPolicy::default()
+        },
+        ..config()
+    };
+    let mut runner = Runner::new(&ds, &cfg, 0);
+    let err = train(&mut runner, &ds, 4).expect_err("no rollback is budgeted");
+    assert!(matches!(err, RunError::Anomaly { rollbacks: 0, .. }), "{err:?}");
+    let log = runner.recovery_log();
+    assert!(log.anomaly_aborted(), "{}", log.summary());
+    assert_eq!(log.anomaly_rollbacks(), 0);
+}
+
 /// An armed fault plan with every rate at zero is a byte-for-byte no-op:
 /// identical losses, identical peak bytes, identical validation accuracy,
 /// and an empty recovery log.
@@ -299,15 +331,10 @@ fn inert_fault_plan_is_byte_for_byte_noop() {
         },
         ..config()
     };
-    let fit_config = FitConfig {
-        max_epochs: 6,
-        patience: None,
-        ..FitConfig::default()
-    };
     let mut plain_runner = Runner::new(&ds, &config(), 5);
-    let plain = fit(&mut plain_runner, &ds, &fit_config).unwrap();
+    let plain = train(&mut plain_runner, &ds, 6).unwrap();
     let mut armed_runner = Runner::new(&ds, &armed_config, 5);
-    let armed = fit(&mut armed_runner, &ds, &fit_config).unwrap();
+    let armed = train(&mut armed_runner, &ds, 6).unwrap();
 
     assert!(plain_runner.recovery_log().is_empty() && armed_runner.recovery_log().is_empty());
     assert_eq!(plain.history.len(), armed.history.len());
