@@ -9,9 +9,8 @@
 //!    comparison.
 //! 2. **Estimator admissibility** — for the fused Mean/Sum aggregators
 //!    (the analytical model of Eq. 5 covers every taped value of every
-//!    model kind; these two are the ones shown), the per-micro-batch
-//!    drift records must show
-//!    `estimated_peak ≥ measured_peak`: the drift ratio
+//!    model kind; these two are the ones shown), every `step` record
+//!    must show `estimated_bytes ≥ peak_bytes`: the drift ratio
 //!    (measured/estimated) stays ≤ 1.0, so a plan that "fits" really
 //!    fits. The worst ratio per configuration lands in the JSON artifact.
 //!
@@ -88,14 +87,15 @@ pub fn run(profile: Profile) {
         );
 
         let trace = traced.take_trace().expect("tracing was enabled");
-        assert_eq!(trace.drift_records().len(), total_steps);
-        for d in trace.drift_records() {
+        assert_eq!(trace.steps().len(), total_steps);
+        for r in trace.steps() {
+            let s = &r.stats;
             assert!(
-                d.admissible(),
+                s.estimated_bytes >= s.peak_bytes,
                 "{aggregator:?} estimate must be admissible: step {} estimated {} < measured {}",
-                d.step,
-                d.estimated_bytes,
-                d.measured_bytes
+                s.step,
+                s.estimated_bytes,
+                s.peak_bytes
             );
         }
         assert!(

@@ -143,6 +143,12 @@ fn preset_spec(args: &Args, preset: &str) -> Result<DatasetSpec, ArgError> {
 
 fn load(args: &Args) -> Result<Dataset, Box<dyn Error>> {
     let ds = if let Some(path) = args.get("data") {
+        // A dataset file has its own size and width; these shape a preset.
+        if let Some(flag) = ["scale", "feature-dim"].into_iter().find(|f| args.get(f).is_some()) {
+            return Err(Box::new(ArgError(format!(
+                "--{flag} shapes a --preset and cannot apply to --data {path}"
+            ))));
+        }
         load_dataset(path)?
     } else if let Some(preset) = args.get("preset") {
         // Allow generating on the fly: --preset without --data.
@@ -335,13 +341,13 @@ pub fn generate(args: &Args) -> CmdResult {
     let out = args.require("out")?.to_string();
     let ds = spec.generate(args.get_or("seed", 0u64)?);
     save_dataset(&ds, &out)?;
-    println!(
+    say!(
         "wrote {} ({} nodes, {} edges, {} classes) to {out}",
         ds.name,
         ds.graph.num_nodes(),
         ds.graph.num_edges(),
         ds.num_classes
-    );
+    )?;
     Ok(())
 }
 
@@ -350,34 +356,34 @@ pub fn info(args: &Args) -> CmdResult {
     let ds = load(args)?;
     let in_degs = ds.graph.in_degrees();
     let stats = degree::stats(&in_degs);
-    println!("dataset    {}", ds.name);
-    println!("nodes      {}", ds.graph.num_nodes());
-    println!("edges      {}", ds.graph.num_edges());
-    println!(
+    say!("dataset    {}", ds.name)?;
+    say!("nodes      {}", ds.graph.num_nodes())?;
+    say!("edges      {}", ds.graph.num_edges())?;
+    say!(
         "features   {} ({} store)",
         ds.feature_dim(),
         ds.features.backend_name()
-    );
-    println!("classes    {}", ds.num_classes);
-    println!(
+    )?;
+    say!("classes    {}", ds.num_classes)?;
+    say!(
         "splits     train {} / val {} / test {}",
         ds.train_idx.len(),
         ds.val_idx.len(),
         ds.test_idx.len()
-    );
-    println!(
+    )?;
+    say!(
         "in-degree  min {} / median {} / mean {:.1} / max {}",
         stats.min, stats.median, stats.mean, stats.max
-    );
+    )?;
     if let Some(slope) = degree::log_log_slope(&degree::histogram(&in_degs)) {
-        println!("power law  log-log slope {slope:.2}");
+        say!("power law  log-log slope {slope:.2}")?;
     }
     let cc = betty_graph::weakly_connected_components(&ds.graph);
-    println!(
+    say!(
         "components {} (largest covers {:.1}% of nodes)",
         cc.count(),
         100.0 * cc.largest() as f64 / ds.graph.num_nodes().max(1) as f64
-    );
+    )?;
     Ok(())
 }
 
@@ -389,49 +395,49 @@ pub fn partition(args: &Args) -> CmdResult {
     let mut runner = Runner::new(&ds, &config, args.get_or("seed", 0u64)?);
     let batch = runner.sample_full_batch(&ds);
     if args.has_flag("compare") {
-        println!(
+        say!(
             "{:<8} {:>12} {:>12} {:>14} {:>14}",
             "strategy", "inputs", "redundancy", "est peak MiB", "partition ms"
-        );
+        )?;
         for kind in StrategyKind::ALL {
             let plan = runner.plan_fixed(&batch, kind, k);
             let report = input_redundancy(&plan.micro_batches);
-            println!(
+            say!(
                 "{:<8} {:>12} {:>11.3}x {:>14.2} {:>14.1}",
                 kind.name(),
                 report.total_input_nodes,
                 report.redundancy_ratio(),
                 mib(plan.max_estimated_peak()),
                 plan.partition_sec * 1e3,
-            );
+            )?;
         }
         return Ok(());
     }
     let kind = strategy(args)?;
     let plan = runner.plan_fixed(&batch, kind, k);
     let report = input_redundancy(&plan.micro_batches);
-    println!(
+    say!(
         "strategy {} split {} outputs into {} micro-batches ({:.1} ms partition, {:.1} ms extraction)",
         kind,
         batch.output_nodes().len(),
         plan.micro_batches.len(),
         plan.partition_sec * 1e3,
         plan.extraction_sec * 1e3,
-    );
-    println!(
+    )?;
+    say!(
         "input nodes {} (unique {}, redundancy {:.3}x)",
         report.total_input_nodes,
         report.unique_input_nodes,
         report.redundancy_ratio()
-    );
-    println!("{:>4} {:>10} {:>12} {:>14}", "id", "outputs", "inputs", "est peak MiB");
+    )?;
+    say!("{:>4} {:>10} {:>12} {:>14}", "id", "outputs", "inputs", "est peak MiB")?;
     for (i, (mb, est)) in plan.micro_batches.iter().zip(&plan.estimates).enumerate() {
-        println!(
+        say!(
             "{i:>4} {:>10} {:>12} {:>14.2}",
             mb.output_nodes().len(),
             mb.input_nodes().len(),
             mib(est.peak_bytes())
-        );
+        )?;
     }
     Ok(())
 }
@@ -504,71 +510,71 @@ pub fn train(args: &Args) -> CmdResult {
             ))));
         };
         for skipped in &found.skipped {
-            println!(
+            say!(
                 "skipping corrupt checkpoint {} (failed CRC/format validation)",
                 skipped.display()
-            );
+            )?;
         }
         runner.resume(&found)?;
         let path = found.path;
         start_epoch = runner.epochs_run();
         if start_epoch >= epochs {
-            println!(
+            say!(
                 "resumed from {} — all {epochs} epochs already trained",
                 path.display()
-            );
+            )?;
         } else {
-            println!(
+            say!(
                 "resumed from {} ({start_epoch} epochs done, continuing at epoch {start_epoch})",
                 path.display()
-            );
+            )?;
         }
     }
-    println!(
+    say!(
         "training {} on {} ({} train nodes), strategy {kind}, capacity {:.0} MiB",
         args.get("model").unwrap_or("sage"),
         ds.name,
         ds.train_idx.len(),
         mib(config.capacity_bytes)
-    );
+    )?;
     if ds.features.is_paged() {
-        println!(
+        say!(
             "feature store: paged ({:.1} MiB of features on disk, {:.1} MiB pinned cache)",
             mib(ds.features.size_bytes()),
             mib(ds.features.cache_reservation_bytes())
-        );
+        )?;
     }
     if !config.fault_plan.is_noop() {
-        println!(
+        say!(
             "fault injection armed (seed {}), recovery budget {} retries",
             config.fault_plan.seed, config.retry.max_retries
-        );
+        )?;
     }
-    println!(
+    say!(
         "{:>6} {:>10} {:>5} {:>12} {:>10}",
         "epoch", "loss", "K", "peak MiB", "val acc"
-    );
+    )?;
     let run = |runner: &mut Runner| -> CmdResult {
         for epoch in start_epoch..epochs {
             let multi = runner.train_epoch_elastic(&ds, kind, k0, &group)?;
             if multi.live_ranks < devices {
-                println!(
+                say!(
                     "epoch {epoch}: {} of {devices} ranks survived \
                      (+{:.3}s failover overhead)",
                     multi.live_ranks,
                     multi.failover_overhead_sec()
-                );
+                )?;
             }
             let (stats, k) = (multi.combined, multi.assignment.len());
             let report = epoch == epochs - 1 || epoch % 5 == 0;
             if report {
                 let val = runner.evaluate(&ds, &ds.val_idx);
-                println!(
+                say!(
                     "{epoch:>6} {:>10.4} {k:>5} {:>12.1} {:>9.1}%",
                     stats.loss,
                     mib(stats.max_peak_bytes),
                     val * 100.0
-                );
+                )?;
             }
             // Saved after the (optional) evaluation so the sampler RNG
             // in the checkpoint already reflects what evaluation drew;
@@ -587,10 +593,10 @@ pub fn train(args: &Args) -> CmdResult {
     if let Some(trace) = runner.take_trace() {
         if let Some(path) = &trace_out {
             trace.write_jsonl(path)?;
-            println!("trace written to {path} ({} events)", trace.len());
+            say!("trace written to {path} ({} events)", trace.len())?;
         }
         if trace_summary {
-            println!("{}", trace.summary());
+            say!("{}", trace.summary())?;
         }
     }
     let recovery = runner.recovery_log();
@@ -601,13 +607,13 @@ pub fn train(args: &Args) -> CmdResult {
         return Err(e);
     }
     if !recovery.is_empty() {
-        println!("{}", recovery.summary());
+        say!("{}", recovery.summary())?;
     }
     let test = runner.evaluate(&ds, &ds.test_idx);
-    println!("test accuracy: {:.2}%", test * 100.0);
+    say!("test accuracy: {:.2}%", test * 100.0)?;
     if let Some(path) = args.get("checkpoint") {
         betty_nn::save_checkpoint(runner.trainer().model(), path)?;
-        println!("checkpoint written to {path}");
+        say!("checkpoint written to {path}")?;
     }
     Ok(())
 }
@@ -653,23 +659,23 @@ pub fn scrub(dir: &str) -> CmdResult {
     if root.join(betty_data::META_FILE).exists() {
         scrubbed_anything = true;
         let report = betty_data::scrub(root)?;
-        println!(
+        say!(
             "feature store: {} data shards, {} parity groups (width {})",
             report.shards_checked, report.parity_checked, report.parity_width
-        );
+        )?;
         for shard in &report.shards_repaired {
-            println!("  repaired shard {shard} from parity (bit-identical, re-persisted)");
+            say!("  repaired shard {shard} from parity (bit-identical, re-persisted)")?;
         }
         for group in &report.parity_rebuilt {
-            println!("  rebuilt parity shard of group {group} from its intact data shards");
+            say!("  rebuilt parity shard of group {group} from its intact data shards")?;
         }
         for shard in &report.unrepairable {
-            println!("  UNREPAIRABLE: shard {shard}");
+            say!("  UNREPAIRABLE: shard {shard}")?;
             fatal.push(format!("feature shard {shard}"));
         }
         if report.is_clean() && report.shards_repaired.is_empty() && report.parity_rebuilt.is_empty()
         {
-            println!("  all shards verify clean");
+            say!("  all shards verify clean")?;
         }
     }
 
@@ -691,18 +697,18 @@ pub fn scrub(dir: &str) -> CmdResult {
                 Ok(_) => valid += 1,
                 Err(err) => {
                     corrupt += 1;
-                    println!("  corrupt checkpoint {}: {err}", path.display());
+                    say!("  corrupt checkpoint {}: {err}", path.display())?;
                 }
             }
         }
-        println!(
+        say!(
             "checkpoints: {} slots, {valid} valid, {corrupt} corrupt",
             slots.len()
-        );
+        )?;
         if valid == 0 {
             fatal.push(format!("every checkpoint slot ({corrupt}) is corrupt"));
         } else if corrupt > 0 {
-            println!("  --resume will fall back past the corrupt slot(s) to a valid one");
+            say!("  --resume will fall back past the corrupt slot(s) to a valid one")?;
         }
     }
 
@@ -712,7 +718,7 @@ pub fn scrub(dir: &str) -> CmdResult {
         ))));
     }
     if fatal.is_empty() {
-        println!("scrub: clean");
+        say!("scrub: clean")?;
         Ok(())
     } else {
         Err(Box::new(ScrubFailed {
@@ -738,10 +744,10 @@ pub fn eval(args: &Args) -> CmdResult {
         &ds.test_idx,
         chunk,
     );
-    println!(
+    say!(
         "exact full-graph test accuracy: {:.2}% ({} nodes)",
         acc * 100.0,
         ds.test_idx.len()
-    );
+    )?;
     Ok(())
 }

@@ -8,9 +8,20 @@
 //! betty eval      --data data.btd --checkpoint model.ckpt
 //! ```
 
+/// `println!` through the one stdout handle, returning the write's
+/// `io::Result` instead of panicking: a reader that closed the pipe
+/// (`betty info --data f.btd | head -3`) ends the command quietly.
+macro_rules! say {
+    ($($arg:tt)*) => {{
+        let line = format_args!("{}\n", format_args!($($arg)*));
+        std::io::Write::write_fmt(&mut std::io::stdout(), line)
+    }};
+}
+
 mod args;
 mod commands;
 
+use std::io::ErrorKind;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -73,8 +84,8 @@ COMMANDS:
              [--anomaly-retries N  (epoch rollbacks allowed on NaN/Inf
               loss or gradients before aborting; default 1)]
              observability:
-             [--trace-out <trace.jsonl>  (step spans, memory timeline,
-              estimator-drift records as JSON-lines)]
+             [--trace-out <trace.jsonl>  (spans, memory timeline, one
+              record per step and per epoch, as JSON-lines)]
              [--trace-summary  (print per-phase totals, the worst peak's
               category breakdown, and the estimator-drift envelope)]
   eval       exact full-graph accuracy       --data <file> --checkpoint
@@ -182,13 +193,7 @@ fn main() -> ExitCode {
             eprint!("{USAGE}");
             return ExitCode::FAILURE;
         };
-        return match commands::scrub(dir) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                exit_code_for(e.as_ref())
-            }
-        };
+        return finish(commands::scrub(dir));
     }
     let (run, accepts): (fn(&args::Args) -> commands::CmdResult, _) = match command.as_str() {
         "generate" => (commands::generate, commands::GENERATE),
@@ -197,8 +202,7 @@ fn main() -> ExitCode {
         "train" => (commands::train, commands::TRAIN),
         "eval" => (commands::eval, commands::EVAL),
         "help" | "--help" | "-h" => {
-            print!("{USAGE}");
-            return ExitCode::SUCCESS;
+            return finish(say!("{}", USAGE.trim_end()).map_err(Into::into));
         }
         other => {
             eprintln!("error: unknown command '{other}'\n");
@@ -240,13 +244,22 @@ fn main() -> ExitCode {
             }
         }
     }
-    match run(&parsed) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            exit_code_for(e.as_ref())
-        }
+    finish(run(&parsed))
+}
+
+/// Reports a command's outcome: success, or the error on stderr and its
+/// exit code. A closed stdout is a reader that has read enough, not a
+/// failure: exit 0 and print nothing.
+fn finish(result: commands::CmdResult) -> ExitCode {
+    let Err(e) = result else {
+        return ExitCode::SUCCESS;
+    };
+    let io = e.downcast_ref::<std::io::Error>();
+    if io.is_some_and(|io| io.kind() == ErrorKind::BrokenPipe) {
+        return ExitCode::SUCCESS;
     }
+    eprintln!("error: {e}");
+    exit_code_for(e.as_ref())
 }
 
 /// Maps failures onto distinct exit codes so scripts can tell apart:

@@ -240,11 +240,19 @@ fn traced_faulted_run_exports_its_recovery_log() {
 /// command that builds a preset, `eval --chunk 0` in chunked inference,
 /// and a NaN or negative `--allreduce-timeout-ms` or
 /// `--straggler-threshold` silently disabled timeouts and straggler
-/// detection.
+/// detection. `--scale` and `--feature-dim` shape a preset: beside
+/// `--data` they were ignored, and exited 0.
 #[test]
 fn bad_learning_rates_and_capacities_are_usage_errors() {
     let too_many_mib = (1u64 << 44).to_string();
     let data = tmp("usage.btd");
+    let dataset = tmp("usage-dataset.btd");
+    let out = betty()
+        .args(["generate", "--preset", "cora", "--scale", "0.05", "--out"])
+        .arg(&dataset)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     // A checkpoint of the shape `eval` is given, so `--chunk 0` is the
     // only thing wrong with the eval case.
     let ckpt = tmp("usage.ckpt");
@@ -256,10 +264,12 @@ fn bad_learning_rates_and_capacities_are_usage_errors() {
         .unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let (data_arg, ckpt_arg) = (data.to_str().unwrap(), ckpt.to_str().unwrap());
+    let info_data: &[&str] = &["info", "--data", dataset.to_str().unwrap()];
+    let train_data: &[&str] = &["train", "--data", dataset.to_str().unwrap(), "--epochs", "1"];
     let train: &[&str] = &["train", "--preset", "cora", "--epochs", "1"];
     let generate: &[&str] = &["generate", "--preset", "cora", "--out", data_arg];
     let eval: &[&str] = &["eval", "--preset", "cora", "--hidden", "8", "--checkpoint", ckpt_arg];
-    let cases: [(&[&str], &[&str], &str); 16] = [
+    let cases: [(&[&str], &[&str], &str); 20] = [
         (train, &["--scale", "0.05", "--lr", "NaN"], "learning rate must be positive and finite"),
         (train, &["--scale", "0.05", "--lr", "inf"], "learning rate must be positive and finite"),
         (train, &["--scale", "0.05", "--lr", "0"], "learning rate must be positive and finite"),
@@ -276,6 +286,10 @@ fn bad_learning_rates_and_capacities_are_usage_errors() {
         (train, &["--scale", "0.05", "--allreduce-timeout-ms", "inf"], "--allreduce-timeout-ms"),
         (train, &["--scale", "0.05", "--straggler-threshold", "NaN"], "--straggler-threshold"),
         (train, &["--scale", "0.05", "--straggler-threshold", "-1"], "--straggler-threshold"),
+        (info_data, &["--scale", "0", "--feature-dim", "0"], "--scale shapes a --preset"),
+        (info_data, &["--feature-dim", "-1"], "--feature-dim shapes a --preset"),
+        (train_data, &["--scale", "NaN"], "--scale shapes a --preset"),
+        (train_data, &["--feature-dim", "inf"], "--feature-dim shapes a --preset"),
     ];
     for (command, args, message) in cases {
         let out = betty().args(command).args(args).output().unwrap();
@@ -286,6 +300,37 @@ fn bad_learning_rates_and_capacities_are_usage_errors() {
     }
     assert!(!data.exists(), "a rejected generate wrote its output");
     let _ = std::fs::remove_file(&ckpt);
+    let _ = std::fs::remove_file(&dataset);
+}
+
+/// A reader that closes stdout early (`betty info --data f.btd | head -3`)
+/// has read enough: the command exits 0 and says nothing. `println!`
+/// panicked there with "failed printing to stdout: Broken pipe" (exit 101).
+#[test]
+fn a_closed_stdout_exits_quietly() {
+    let data = tmp("closed-stdout.btd");
+    let out = betty()
+        .args(["generate", "--preset", "cora", "--scale", "0.05", "--out"])
+        .arg(&data)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let data_arg = data.to_str().unwrap();
+    let commands: [&[&str]; 4] = [
+        &["info", "--data", data_arg],
+        &["partition", "--data", data_arg, "--compare"],
+        &["train", "--data", data_arg, "--epochs", "1"],
+        &["help"],
+    ];
+    for command in commands {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = betty().args(command).stdout(writer).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{command:?}: {stderr}");
+        assert!(stderr.is_empty(), "{command:?}: {stderr}");
+    }
+    let _ = std::fs::remove_file(&data);
 }
 
 #[test]

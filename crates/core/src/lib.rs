@@ -57,7 +57,6 @@ mod pipeline;
 mod planner;
 mod recovery;
 mod runner;
-mod stats;
 mod strategy;
 mod trainer;
 
@@ -73,15 +72,15 @@ pub use multi::{
 pub use planner::{MemoryAwarePlanner, Plan, PlanError};
 pub use recovery::{RecoveryEntry, RecoveryEvent, RecoveryLog, RetryPolicy};
 pub use runner::{RunError, Runner, LSTM_TAPE_CONSTANT};
-pub use stats::{EpochStats, StepStats};
 pub use strategy::{build_strategy, StrategyKind};
 pub use trainer::{AnomalyKind, StepPhase, TrainError, Trainer, TrainerSnapshot};
 
-// Re-exported observability types (crate `betty-trace`), so trace
-// consumers — CLI, benches, tests — need no direct dependency.
+// Re-exported observability types (crate `betty-trace`, which owns the
+// step and epoch stats it records), so trace consumers — CLI, benches,
+// tests — need no direct dependency.
 pub use betty_trace::{
-    validate_jsonl, DriftRecord, FaultRecord, MemEvent, MemTimeline, PeakRecord, SpanKind,
-    SpanRecord, TraceRecorder,
+    validate_jsonl, EpochStats, FaultRecord, MemEvent, MemTimeline, SpanKind, SpanRecord,
+    StepRecord, StepStats, TraceRecorder,
 };
 
 use betty_device::AggregatorKind;

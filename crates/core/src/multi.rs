@@ -30,10 +30,9 @@
 use std::fmt;
 
 use betty_device::{FaultEvent, StallInjector};
-use betty_trace::{SpanKind, TraceRecorder};
+use betty_trace::{EpochStats, SpanKind, StepStats, TraceRecorder};
 
 use crate::recovery::{RecoveryEvent, RecoveryLog};
-use crate::stats::{EpochStats, StepStats};
 
 /// Per-device health in the elastic group's state machine.
 ///

@@ -120,8 +120,8 @@ pub struct StagedBundle {
     pub sample_sec: f64,
     /// When sampling began.
     pub sample_started: Instant,
-    /// When planning finished.
-    pub plan_finished: Instant,
+    /// When planning began.
+    pub plan_started: Instant,
 }
 
 /// Everything the planner thread needs to reproduce the runner's
@@ -253,6 +253,7 @@ fn plan_ahead(spec: PipelineSpec, tx: SyncSender<StagedBundle>, done: Arc<Atomic
     loop {
         let (batch, sample_started, sample_sec) =
             sample_next(&spec.graph, &spec.seeds, &spec.fanouts, &mut rng);
+        let plan_started = Instant::now();
         let plan = plan_batch(&spec.planner, &batch, &*strategy, spec.mode, start_k, capacity);
         if let (PlanMode::From(_), Ok(plan)) = (spec.mode, &plan) {
             start_k = plan.k;
@@ -263,7 +264,7 @@ fn plan_ahead(spec: PipelineSpec, tx: SyncSender<StagedBundle>, done: Arc<Atomic
             rng_after: rng.state(),
             sample_sec,
             sample_started,
-            plan_finished: Instant::now(),
+            plan_started,
         };
         done.fetch_add(1, Ordering::Relaxed);
         if tx.send(bundle).is_err() {

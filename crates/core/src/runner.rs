@@ -16,7 +16,7 @@ use betty_device::{
 use betty_graph::{sample_batch_in, Batch, CsrGraph, NodeId};
 use betty_nn::{Gat, Gcn, Gin, GnnModel, GraphSage, TrainState};
 
-use betty_trace::{SpanKind, TraceRecorder};
+use betty_trace::{EpochStats, SpanKind, TraceRecorder};
 
 use crate::config::{ExperimentConfig, ModelKind};
 use crate::durable::CheckpointResolution;
@@ -26,7 +26,6 @@ use crate::pipeline::{
 };
 use crate::planner::{MemoryAwarePlanner, Plan, PlanError};
 use crate::recovery::{RecoveryEvent, RecoveryLog, RetryPolicy};
-use crate::stats::{EpochStats, StepStats};
 use crate::strategy::{build_strategy, StrategyKind};
 use crate::trainer::{TrainError, Trainer};
 use crate::{aggregator_kind, eval};
@@ -254,17 +253,6 @@ fn host_staging_bytes(dataset: &Dataset, sampled: Option<&Batch>, micro_batches:
     dataset.features.size_bytes() + edges * 3 * BYTES_PER_VALUE
 }
 
-/// Records the `partition` and `plan` spans of a planning call that
-/// finished at recorder second `finished`, from the wall times the planner
-/// measured (`partition_sec` is the REG build + cuts, `extraction_sec` the
-/// micro-batch restriction + estimation, each summed over every probe).
-fn record_plan_spans(tr: &mut TraceRecorder, plan: &Plan, finished: f64) {
-    let start = (finished - plan.extraction_sec - plan.partition_sec).max(0.0);
-    tr.record_span(SpanKind::Partition, None, start, plan.partition_sec);
-    let extraction_start = start + plan.partition_sec;
-    tr.record_span(SpanKind::Plan, None, extraction_start, plan.extraction_sec);
-}
-
 /// Per-node LSTM intermediate constant of Eq. 5 for *this* engine: what
 /// the fused sequence op (`betty_tensor::Graph::lstm_sequence`) keeps on
 /// the tape per neighbor step of one destination, in units of the feature
@@ -373,7 +361,7 @@ impl Runner {
     }
 
     /// Starts trace recording on the underlying trainer (spans, device
-    /// memory timeline, estimator-drift records). Tracing never changes
+    /// memory timeline, step and epoch records). Tracing never changes
     /// the math — see [`Trainer::enable_tracing`].
     pub fn enable_tracing(&mut self) {
         self.trainer.enable_tracing();
@@ -402,7 +390,7 @@ impl Runner {
     }
 
     /// Epoch preamble: stamps the recovery log and trace recorder with
-    /// this epoch's ordinal (so entries, spans and drift records carry
+    /// this epoch's ordinal (so entries, spans and step records carry
     /// monotone epoch ids), then lets the feature store apply the shard
     /// corruption its fault stream schedules for this epoch.
     fn begin_epoch(&mut self, dataset: &Dataset) {
@@ -485,6 +473,7 @@ impl Runner {
         mode: PlanMode,
     ) -> StagedBundle {
         let (batch, sample_started, sample_sec) = self.sample_here(dataset);
+        let plan_started = Instant::now();
         let plan = self.plan_here(&batch, strategy, mode, self.config.capacity_bytes);
         StagedBundle {
             batch,
@@ -492,7 +481,7 @@ impl Runner {
             rng_after: self.sample_rng.state(),
             sample_sec,
             sample_started,
-            plan_finished: Instant::now(),
+            plan_started,
         }
     }
 
@@ -504,17 +493,22 @@ impl Runner {
         }
     }
 
-    /// Takes over a plan made in `mode` that finished at `finished`: its
+    /// Takes over a plan made in `mode` that began at `started`: its
     /// `partition` and `plan` spans, and — from a `From` search — its `K`
     /// as where the next search starts.
-    fn adopt_plan(&mut self, plan: &Result<Plan, PlanError>, mode: PlanMode, finished: Instant) {
+    fn adopt_plan(&mut self, plan: &Result<Plan, PlanError>, mode: PlanMode, started: Instant) {
         let Ok(plan) = plan else { return };
         if let PlanMode::From(_) = mode {
             self.warm_k = plan.k;
         }
         if let Some(tr) = self.trainer.trace_mut() {
-            let finished = tr.sec_at(finished);
-            record_plan_spans(tr, plan, finished);
+            // The planner's wall times: `partition_sec` is the REG build +
+            // cuts, `extraction_sec` the micro-batch restriction +
+            // estimation, each summed over every probe.
+            let start = tr.sec_at(started);
+            tr.record_span(SpanKind::Partition, None, start, plan.partition_sec);
+            let extraction_start = start + plan.partition_sec;
+            tr.record_span(SpanKind::Plan, None, extraction_start, plan.extraction_sec);
         }
     }
 
@@ -524,39 +518,8 @@ impl Runner {
     fn consume(&mut self, bundle: StagedBundle, mode: PlanMode) -> (Batch, Result<Plan, PlanError>) {
         self.sample_rng = Pcg64Mcg::new(bundle.rng_after);
         self.record_sample(bundle.sample_started, bundle.sample_sec);
-        self.adopt_plan(&bundle.plan, mode, bundle.plan_finished);
+        self.adopt_plan(&bundle.plan, mode, bundle.plan_started);
         (bundle.batch, bundle.plan)
-    }
-
-    /// Fills [`EpochStats::estimated_peak_bytes`] /
-    /// [`EpochStats::estimator_drift`] from the per-micro-batch
-    /// `estimates` and the measured step peaks, and — when tracing — emits
-    /// one [`betty_trace::DriftRecord`] per micro-batch. The planner
-    /// filters empty parts, so estimates and executed steps align one to
-    /// one; work without estimates leaves both fields at 0.
-    fn annotate_drift(
-        &mut self,
-        stats: &mut EpochStats,
-        steps: &[StepStats],
-        estimates: &[MemoryEstimate],
-    ) {
-        debug_assert!(estimates.is_empty() || steps.len() == estimates.len());
-        // Steps consumed their global ids during the epoch; recover the
-        // first one from the trainer's monotone counter.
-        let base_step = self.trainer.global_step() - steps.len();
-        let mut max_estimated = 0usize;
-        let mut worst_ratio = 0.0f64;
-        for (i, (step, estimate)) in steps.iter().zip(estimates).enumerate() {
-            let estimated = estimate.peak_bytes();
-            max_estimated = max_estimated.max(estimated);
-            let ratio = step.peak_bytes as f64 / estimated.max(1) as f64;
-            worst_ratio = worst_ratio.max(ratio);
-            if let Some(tr) = self.trainer.trace_mut() {
-                tr.record_drift(base_step + i, estimated, step.peak_bytes);
-            }
-        }
-        stats.estimated_peak_bytes = max_estimated;
-        stats.estimator_drift = worst_ratio;
     }
 
     /// The experiment configuration.
@@ -884,9 +847,9 @@ impl Runner {
                 });
                 (batch, next_k)
             } else {
-                let err = match self.trainer.micro_batch_epoch(dataset, &work.micro_batches) {
-                    Ok((mut combined, steps)) => {
-                        self.annotate_drift(&mut combined, &steps, &work.estimates);
+                let (micro_batches, estimates) = (&work.micro_batches, &work.estimates);
+                let err = match self.trainer.micro_batch_epoch(dataset, micro_batches, estimates) {
+                    Ok((combined, steps)) => {
                         let grad_bytes =
                             self.trainer.model().total_param_count() * BYTES_PER_VALUE;
                         let mut epoch = attribute_epoch(
@@ -912,6 +875,9 @@ impl Runner {
                         stats.host_bytes =
                             host_staging_bytes(dataset, sampled.as_ref(), &work.micro_batches);
                         stats.plan_ahead_overlap_sec = overlap_sec;
+                        if let Some(tr) = self.trainer.trace_mut() {
+                            tr.record_epoch(*stats);
+                        }
                         return Ok(epoch);
                     }
                     Err(err) => err,
@@ -1000,8 +966,9 @@ impl Runner {
             };
             let mode = PlanMode::From(next_k);
             let shrunk = policy.planning_capacity(capacity, attempt);
+            let started = Instant::now();
             let plan = self.plan_here(batch, strategy, mode, shrunk);
-            self.adopt_plan(&plan, mode, Instant::now());
+            self.adopt_plan(&plan, mode, started);
             planned = plan.map(Work::from);
         }
     }
@@ -1215,7 +1182,11 @@ impl Runner {
             .collect();
         let result = self.trainer.mini_batch_epoch(dataset, &batches);
         self.drain_faults(dataset);
-        Ok(result?)
+        let stats = result?;
+        if let Some(tr) = self.trainer.trace_mut() {
+            tr.record_epoch(stats);
+        }
+        Ok(stats)
     }
 
     /// Epochs this runner has trained (monotone across every

@@ -7,14 +7,13 @@ use rand::SeedableRng;
 use rand_pcg::Pcg64Mcg;
 
 use betty_data::Dataset;
-use betty_device::{Device, FaultEvent, FaultPlan, OomError, TransferModel};
+use betty_device::{Device, FaultEvent, FaultPlan, MemoryEstimate, OomError, TransferModel};
 use betty_graph::Batch;
 use betty_nn::{Adam, GnnModel, Optimizer, Param, Session};
 use betty_tensor::{DType, PoolStats, Reduction};
-use betty_trace::{SpanKind, TraceRecorder};
+use betty_trace::{EpochStats, SpanKind, StepStats, TraceRecorder};
 
 use crate::accounting::{StepCharges, StepSizes};
-use crate::stats::{EpochStats, StepStats};
 
 /// Which part of a training step was executing when a failure occurred.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -295,14 +294,14 @@ impl Trainer {
         self.session.graph.pool_stats()
     }
 
-    /// Starts trace recording: step spans, the device-memory timeline,
-    /// and at-peak breakdowns are captured from here on. Tracing never
-    /// changes the math — losses, gradients, and RNG consumption are
-    /// bit-identical with tracing on or off (only extra bookkeeping runs,
-    /// and none at all while disabled).
+    /// Starts trace recording: step spans, the device-memory timeline on
+    /// the recorder's clock, and one record per completed step are
+    /// captured from here on. Tracing never changes the math — losses,
+    /// gradients, and RNG consumption are bit-identical with tracing on or
+    /// off (only extra bookkeeping runs, and none at all while disabled).
     pub fn enable_tracing(&mut self) {
-        self.device.enable_timeline();
         let mut recorder = TraceRecorder::new();
+        self.device.enable_timeline(recorder.timeline());
         recorder.set_run_context(
             betty_tensor::Backend::current().name(),
             self.precision.name(),
@@ -318,7 +317,7 @@ impl Trainer {
     }
 
     /// Mutable access to the active trace recorder, for callers that add
-    /// their own spans (sampling, partitioning, planning, allreduce).
+    /// spans (sampling, partitioning, planning, allreduce) and epochs.
     pub fn trace_mut(&mut self) -> Option<&mut TraceRecorder> {
         self.trace.as_mut()
     }
@@ -453,24 +452,12 @@ impl Trainer {
     }
 
     /// Folds this epoch's workspace-pool activity (counter delta since
-    /// `before`) into the epoch stats and, when tracing, the trace stream.
-    fn finish_epoch_pool_stats(&mut self, epoch: &mut EpochStats, before: PoolStats) {
+    /// `before`) into the epoch stats.
+    fn finish_epoch_pool_stats(&self, epoch: &mut EpochStats, before: PoolStats) {
         let delta = self.session.graph.pool_stats().delta_since(&before);
         epoch.pool_hits = delta.hits;
         epoch.pool_misses = delta.misses;
         epoch.pool_bytes_recycled = delta.bytes_recycled;
-        if let Some(tr) = self.trace.as_mut() {
-            tr.record_alloc(self.global_step, delta.hits, delta.misses, delta.bytes_recycled);
-            if epoch.feature_hits + epoch.feature_misses > 0 {
-                tr.record_featurestore(
-                    self.global_step,
-                    epoch.feature_hits,
-                    epoch.feature_misses,
-                    epoch.feature_pages_in,
-                    epoch.feature_page_in_bytes,
-                );
-            }
-        }
     }
 
     /// Returns the persistent tape to its empty state (recycling its
@@ -490,7 +477,9 @@ impl Trainer {
 
     /// Trains one *effective batch* as a sequence of micro-batches with
     /// gradient accumulation: a single optimizer update at the end
-    /// (Fig. 6's micro-batch workflow). Returns the epoch aggregate and
+    /// (Fig. 6's micro-batch workflow). `estimates` is the plan's Eq. 5
+    /// estimate of each micro-batch, or empty when nothing priced them;
+    /// each step carries its own. Returns the epoch aggregate and
     /// the per-micro-batch [`StepStats`] (in `micro_batches` order,
     /// skipping empty ones) — what the multi-device scheduler folds per
     /// device. Passing a single batch is exactly full-batch training.
@@ -508,22 +497,26 @@ impl Trainer {
         &mut self,
         dataset: &Dataset,
         micro_batches: &[Batch],
+        estimates: &[MemoryEstimate],
     ) -> Result<(EpochStats, Vec<StepStats>), TrainError> {
+        debug_assert!(estimates.is_empty() || estimates.len() == micro_batches.len());
         let effective_batch: usize = micro_batches
             .iter()
             .map(|b| b.output_nodes().len())
             .sum();
-        let active: Vec<&Batch> = micro_batches
+        let priced = estimates.iter().map(MemoryEstimate::peak_bytes);
+        let active: Vec<(&Batch, usize)> = micro_batches
             .iter()
-            .filter(|b| !b.output_nodes().is_empty())
+            .zip(priced.chain(std::iter::repeat(0)))
+            .filter(|(b, _)| !b.output_nodes().is_empty())
             .collect();
         let mode = LossMode::MicroBatch { effective_batch };
         let mut epoch = EpochStats::default();
         let mut steps = Vec::with_capacity(active.len());
         let pool_before = self.session.graph.pool_stats();
         self.model.for_each_param_mut(&mut |p| p.zero_grad());
-        for mb in active {
-            let step = self.run_step(dataset, mb, &mode)?;
+        for (mb, estimated_bytes) in active {
+            let step = self.run_step(dataset, mb, estimated_bytes, &mode)?;
             epoch.absorb(&step);
             steps.push(step);
         }
@@ -556,7 +549,7 @@ impl Trainer {
                 continue;
             }
             self.model.for_each_param_mut(&mut |p| p.zero_grad());
-            let step = self.run_step(dataset, batch, &LossMode::MiniBatch)?;
+            let step = self.run_step(dataset, batch, 0, &LossMode::MiniBatch)?;
             self.release_tape();
             self.optimizer.step(&mut self.model.params_mut());
             epoch.absorb(&step);
@@ -569,7 +562,9 @@ impl Trainer {
         Ok(epoch)
     }
 
-    /// Executes one batch forward/backward, charging the device.
+    /// Executes one batch forward/backward, charging the device, and —
+    /// when tracing — records the completed step with its memory events
+    /// and at-peak breakdown.
     ///
     /// Every charge goes through one [`StepCharges`], released on one
     /// path whether the step succeeds or fails, so the device ledger
@@ -578,17 +573,17 @@ impl Trainer {
         &mut self,
         dataset: &Dataset,
         batch: &Batch,
+        estimated_bytes: usize,
         mode: &LossMode,
     ) -> Result<StepStats, TrainError> {
-        let step = self.global_step;
         let mut charges = StepCharges::default();
-        let result = self.charged_step(dataset, batch, mode, &mut charges);
+        let result = self.charged_step(dataset, batch, estimated_bytes, mode, &mut charges);
         charges.release(&mut self.device);
-        if result.is_ok() && self.trace.is_some() {
-            let events = self.device.drain_timeline_events();
-            if let Some(tr) = self.trace.as_mut() {
-                tr.record_mem_events(step, events);
-            }
+        if let (Ok(stats), Some(tr)) = (&result, self.trace.as_mut()) {
+            tr.record_mem_events(stats.step, self.device.drain_timeline_events());
+            // The at-peak snapshot survives the release above.
+            let breakdown = self.device.peak_breakdown();
+            tr.record_step(*stats, breakdown.into_iter().map(|(c, b)| (c.name(), b)).collect());
         }
         result
     }
@@ -600,6 +595,7 @@ impl Trainer {
         &mut self,
         dataset: &Dataset,
         batch: &Batch,
+        estimated_bytes: usize,
         mode: &LossMode,
         charges: &mut StepCharges,
     ) -> Result<StepStats, TrainError> {
@@ -704,10 +700,7 @@ impl Trainer {
         };
         // Forward/backward boundary, read only when tracing so the
         // untraced path does zero extra clock work.
-        let forward_sec = self
-            .trace
-            .as_ref()
-            .map(|_| started.elapsed().as_secs_f64());
+        let forward_done = self.trace.as_ref().map(|_| Instant::now());
 
         // Charge forward activations: named per-layer outputs count as
         // hidden, the rest of the tape as aggregator workspace.
@@ -764,28 +757,19 @@ impl Trainer {
             });
         }
 
-        let peak_bytes = self.device.peak_bytes();
-        if let Some(tr) = self.trace.as_mut() {
-            let end = tr.now_sec();
-            let fwd = forward_sec.unwrap_or(0.0);
-            let start = end - compute_sec;
-            tr.record_span(SpanKind::Forward, Some(step), start, fwd);
-            tr.record_span(SpanKind::Backward, Some(step), start + fwd, compute_sec - fwd);
-            // The at-peak snapshot survives frees, so it is still valid
-            // here, right before the step's charges are released.
-            let breakdown = self
-                .device
-                .peak_breakdown()
-                .into_iter()
-                .map(|(c, b)| (c.name(), b))
-                .collect();
-            tr.record_peak(step, peak_bytes, breakdown);
+        if let (Some(tr), Some(forward_done)) = (self.trace.as_mut(), forward_done) {
+            let fwd = forward_done.duration_since(started).as_secs_f64();
+            tr.record_span(SpanKind::Forward, Some(step), tr.sec_at(started), fwd);
+            let backward_start = tr.sec_at(forward_done);
+            tr.record_span(SpanKind::Backward, Some(step), backward_start, compute_sec - fwd);
         }
         Ok(StepStats {
+            step,
             loss,
             compute_sec,
             transfer_sec,
-            peak_bytes,
+            peak_bytes: self.device.peak_bytes(),
+            estimated_bytes,
             input_nodes: batch.input_nodes().len(),
             total_src_nodes: batch.total_src_nodes(),
             feature_hits: feature_stats.hits,
@@ -845,14 +829,14 @@ mod tests {
         let batch = full_batch(&ds, 2);
         let mut t = Trainer::new(model(&ds, 0), 0.01, Device::unbounded(), 3);
         let first = t
-            .micro_batch_epoch(&ds, std::slice::from_ref(&batch))
+            .micro_batch_epoch(&ds, std::slice::from_ref(&batch), &[])
             .unwrap().0;
         assert!(first.loss.is_finite());
         assert!(first.max_peak_bytes > 0);
         let mut last = first;
         for _ in 0..10 {
             last = t
-                .micro_batch_epoch(&ds, std::slice::from_ref(&batch))
+                .micro_batch_epoch(&ds, std::slice::from_ref(&batch), &[])
                 .unwrap().0;
         }
         assert!(last.loss < first.loss, "{} -> {}", first.loss, last.loss);
@@ -871,10 +855,10 @@ mod tests {
 
         let mut t_full = Trainer::new(model(&ds, 7), 0.01, Device::unbounded(), 3);
         let full = t_full
-            .micro_batch_epoch(&ds, std::slice::from_ref(&batch))
+            .micro_batch_epoch(&ds, std::slice::from_ref(&batch), &[])
             .unwrap().0;
         let mut t_micro = Trainer::new(model(&ds, 7), 0.01, Device::unbounded(), 3);
-        let micro = t_micro.micro_batch_epoch(&ds, &micros).unwrap().0;
+        let micro = t_micro.micro_batch_epoch(&ds, &micros, &[]).unwrap().0;
         // Same initial weights (same seed) → identical effective loss.
         assert!(
             (full.loss - micro.loss).abs() < 1e-4,
@@ -896,9 +880,9 @@ mod tests {
             .collect();
         let mut t = Trainer::new(model(&ds, 0), 0.01, Device::unbounded(), 3);
         let full = t
-            .micro_batch_epoch(&ds, std::slice::from_ref(&batch))
+            .micro_batch_epoch(&ds, std::slice::from_ref(&batch), &[])
             .unwrap().0;
-        let micro = t.micro_batch_epoch(&ds, &micros).unwrap().0;
+        let micro = t.micro_batch_epoch(&ds, &micros, &[]).unwrap().0;
         assert!(
             micro.max_peak_bytes < full.max_peak_bytes,
             "micro {} vs full {}",
@@ -912,7 +896,7 @@ mod tests {
         let ds = dataset();
         let batch = full_batch(&ds, 2);
         let mut t = Trainer::new(model(&ds, 0), 0.01, Device::new(10_000), 3);
-        match t.micro_batch_epoch(&ds, std::slice::from_ref(&batch)) {
+        match t.micro_batch_epoch(&ds, std::slice::from_ref(&batch), &[]) {
             Err(TrainError::StepOom {
                 step,
                 phase,
@@ -935,7 +919,7 @@ mod tests {
         let batch = full_batch(&ds, 2);
         let mut t = Trainer::new(model(&ds, 0), 0.01, Device::new(10_000), 3);
         assert_eq!(t.global_step(), 0);
-        assert!(t.micro_batch_epoch(&ds, std::slice::from_ref(&batch)).is_err());
+        assert!(t.micro_batch_epoch(&ds, std::slice::from_ref(&batch), &[]).is_err());
         assert_eq!(t.global_step(), 1, "a failed step still consumes its index");
     }
 
@@ -956,15 +940,15 @@ mod tests {
         ));
         let mut t = Trainer::new(m, 0.01, Device::unbounded(), 3);
         // Advance so the optimizer has non-trivial moments.
-        t.micro_batch_epoch(&ds, std::slice::from_ref(&batch)).unwrap();
+        t.micro_batch_epoch(&ds, std::slice::from_ref(&batch), &[]).unwrap();
         let snap = t.snapshot();
         assert!(snap.num_params() > 0);
         let a = t
-            .micro_batch_epoch(&ds, std::slice::from_ref(&batch))
+            .micro_batch_epoch(&ds, std::slice::from_ref(&batch), &[])
             .unwrap().0;
         t.restore(&snap);
         let b = t
-            .micro_batch_epoch(&ds, std::slice::from_ref(&batch))
+            .micro_batch_epoch(&ds, std::slice::from_ref(&batch), &[])
             .unwrap().0;
         assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "restore must rewind exactly");
     }
@@ -980,7 +964,7 @@ mod tests {
             ..FaultPlan::default()
         });
         let err = t
-            .micro_batch_epoch(&ds, std::slice::from_ref(&batch))
+            .micro_batch_epoch(&ds, std::slice::from_ref(&batch), &[])
             .unwrap_err();
         assert!(err.is_injected());
         assert!(err.oom().is_some());
@@ -988,7 +972,7 @@ mod tests {
         assert_eq!(events.len(), 1);
         assert!(t.drain_fault_events().is_empty());
         // The very next epoch (step 1) passes: capacity was never short.
-        t.micro_batch_epoch(&ds, std::slice::from_ref(&batch))
+        t.micro_batch_epoch(&ds, std::slice::from_ref(&batch), &[])
             .unwrap();
     }
 
@@ -1016,15 +1000,15 @@ mod tests {
         let mut t = Trainer::new(model(&ds, 0), 0.01, Device::unbounded(), 3);
         // Train once so Adam holds non-zero moments — the bug applied
         // stale momentum, which only shows once moments exist.
-        t.micro_batch_epoch(&ds, std::slice::from_ref(&batch)).unwrap();
+        t.micro_batch_epoch(&ds, std::slice::from_ref(&batch), &[]).unwrap();
         let before = param_bits(&t);
 
         // Zero micro-batches, and micro-batches whose output sets are all
         // empty, both mean no gradient: the optimizer must not step.
-        let stats = t.micro_batch_epoch(&ds, &[]).unwrap().0;
+        let stats = t.micro_batch_epoch(&ds, &[], &[]).unwrap().0;
         assert_eq!(stats.num_steps, 0);
         let empty = batch.restrict(&[]);
-        t.micro_batch_epoch(&ds, std::slice::from_ref(&empty)).unwrap();
+        t.micro_batch_epoch(&ds, std::slice::from_ref(&empty), &[]).unwrap();
         assert_eq!(
             before,
             param_bits(&t),
@@ -1032,7 +1016,7 @@ mod tests {
         );
 
         // A real epoch afterwards still updates them.
-        t.micro_batch_epoch(&ds, std::slice::from_ref(&batch)).unwrap();
+        t.micro_batch_epoch(&ds, std::slice::from_ref(&batch), &[]).unwrap();
         assert_ne!(before, param_bits(&t));
     }
 
@@ -1046,8 +1030,8 @@ mod tests {
         traced.enable_tracing();
         assert!(traced.trace_mut().is_some());
         for _ in 0..2 {
-            let a = plain.micro_batch_epoch(&ds, &micros).unwrap().0;
-            let b = traced.micro_batch_epoch(&ds, &micros).unwrap().0;
+            let a = plain.micro_batch_epoch(&ds, &micros, &[]).unwrap().0;
+            let b = traced.micro_batch_epoch(&ds, &micros, &[]).unwrap().0;
             assert_eq!(a.loss.to_bits(), b.loss.to_bits());
             assert_eq!(a.num_steps, b.num_steps);
             assert_eq!(a.max_peak_bytes, b.max_peak_bytes);
@@ -1060,15 +1044,15 @@ mod tests {
         assert_eq!(count_kind(SpanKind::Transfer), steps);
         assert_eq!(count_kind(SpanKind::Forward), steps);
         assert_eq!(count_kind(SpanKind::Backward), steps);
-        assert_eq!(trace.peaks().len(), steps);
+        assert_eq!(trace.steps().len(), steps);
         assert!(!trace.mem_events().is_empty());
         // Each step's peak snapshot decomposes its recorded peak exactly.
-        for p in trace.peaks() {
-            let sum: usize = p.breakdown.iter().map(|(_, b)| b).sum();
-            assert_eq!(sum, p.peak_bytes);
+        for r in trace.steps() {
+            let sum: usize = r.breakdown.iter().map(|(_, b)| b).sum();
+            assert_eq!(sum, r.stats.peak_bytes);
         }
         // Step ids are monotone within the trace.
-        let ids: Vec<usize> = trace.peaks().iter().map(|p| p.step).collect();
+        let ids: Vec<usize> = trace.steps().iter().map(|r| r.stats.step).collect();
         assert!(ids.windows(2).all(|w| w[1] == w[0] + 1));
     }
 
@@ -1096,8 +1080,8 @@ mod tests {
         assert!(micros.len() >= 2);
         let mut clean = Trainer::new(model(&ds, 7), 0.01, Device::unbounded(), 3);
         let mut faulty = Trainer::new(model(&ds, 7), 0.01, Device::unbounded(), 3);
-        let a0 = clean.micro_batch_epoch(&ds, &micros).unwrap().0;
-        let b0 = faulty.micro_batch_epoch(&ds, &micros).unwrap().0;
+        let a0 = clean.micro_batch_epoch(&ds, &micros, &[]).unwrap().0;
+        let b0 = faulty.micro_batch_epoch(&ds, &micros, &[]).unwrap().0;
         assert_eq!(a0.loss.to_bits(), b0.loss.to_bits());
 
         // Poison the second micro-batch of faulty's next epoch.
@@ -1107,7 +1091,7 @@ mod tests {
             ..FaultPlan::default()
         });
         let snap = faulty.snapshot();
-        let err = faulty.micro_batch_epoch(&ds, &micros).unwrap_err();
+        let err = faulty.micro_batch_epoch(&ds, &micros, &[]).unwrap_err();
         assert!(err.is_injected());
         assert!(err.oom().is_none());
         match &err {
@@ -1126,8 +1110,8 @@ mod tests {
         // are monotone), so the retried epoch is clean — and bit-identical
         // to the trainer that never saw a fault.
         faulty.restore(&snap);
-        let a1 = clean.micro_batch_epoch(&ds, &micros).unwrap().0;
-        let b1 = faulty.micro_batch_epoch(&ds, &micros).unwrap().0;
+        let a1 = clean.micro_batch_epoch(&ds, &micros, &[]).unwrap().0;
+        let b1 = faulty.micro_batch_epoch(&ds, &micros, &[]).unwrap().0;
         assert_eq!(
             a1.loss.to_bits(),
             b1.loss.to_bits(),
@@ -1147,8 +1131,8 @@ mod tests {
         assert!(pooled.pooling());
         assert!(!plain.pooling());
         for _ in 0..3 {
-            let a = pooled.micro_batch_epoch(&ds, &micros).unwrap().0;
-            let b = plain.micro_batch_epoch(&ds, &micros).unwrap().0;
+            let a = pooled.micro_batch_epoch(&ds, &micros, &[]).unwrap().0;
+            let b = plain.micro_batch_epoch(&ds, &micros, &[]).unwrap().0;
             assert_eq!(a.loss.to_bits(), b.loss.to_bits());
             assert_eq!(a.max_peak_bytes, b.max_peak_bytes);
             // Only the pooled trainer recycles buffers.

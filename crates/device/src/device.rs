@@ -293,12 +293,12 @@ impl Device {
         self.faults.drain_events()
     }
 
-    /// Starts recording a memory timeline: every subsequent
-    /// `alloc`/`free`/`free_all` appends a [`MemEvent`]. Replaces any
-    /// timeline already being recorded. When no timeline is enabled (the
-    /// default) the ledger does no tracing work at all.
-    pub fn enable_timeline(&mut self) {
-        self.timeline = Some(MemTimeline::new());
+    /// Starts recording into `timeline` (made on the trace recorder's
+    /// clock): every subsequent `alloc`/`free`/`free_all` appends a
+    /// [`MemEvent`]. Replaces any timeline already being recorded. When no
+    /// timeline is enabled (the default) the ledger does no tracing work.
+    pub fn enable_timeline(&mut self, timeline: MemTimeline) {
+        self.timeline = Some(timeline);
     }
 
     /// Stops timeline recording, returning the timeline (with any
@@ -415,7 +415,7 @@ mod tests {
         let mut d = Device::new(1000);
         assert!(!d.timeline_enabled());
         d.alloc(10, MemoryCategory::Parameters).unwrap(); // before enabling: untraced
-        d.enable_timeline();
+        d.enable_timeline(betty_trace::TraceRecorder::new().timeline());
         assert!(d.timeline_enabled());
         let a = d.alloc(100, MemoryCategory::Blocks).unwrap();
         d.free(a);

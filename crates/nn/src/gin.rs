@@ -5,7 +5,7 @@ use rand::Rng;
 use crate::{Conv, Linear, Param, Params, Session};
 
 /// A Graph Isomorphism Network layer (Xu et al., "How Powerful are Graph
-/// Neural Networks?" — reference [41] of the paper).
+/// Neural Networks?" — reference \[41\] of the paper).
 ///
 /// ```text
 /// h'_v = MLP( (1 + ε) · h_v + Σ_{u→v} h_u )

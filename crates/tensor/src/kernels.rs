@@ -846,8 +846,8 @@ const TANH_CLAMP: f32 = 7.905_311;
 /// Hyperbolic tangent as the ratio of an odd degree-13 and an even degree-6
 /// polynomial in the clamped argument (the coefficients Eigen and XLA
 /// ship): absolute error below `5e-7` everywhere, exactly odd (the sign
-/// only enters through the final factor `x`), `±1` from [`TANH_CLAMP`]
-/// out, NaN in → NaN out.
+/// only enters through the final factor `x`), `±1` from `TANH_CLAMP`
+/// (7.905311) out, NaN in → NaN out.
 ///
 /// This is the crate's only `tanh`: both backends, every lane width and
 /// the LSTM kernels call it, so a value never depends on where it was

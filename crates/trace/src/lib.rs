@@ -1,24 +1,26 @@
 //! **betty-trace** — the observability layer of the Betty workspace.
 //!
-//! Training introspection has three ingredients, all recorded here and
-//! exported as JSON-lines (one event object per line) plus a
-//! human-readable summary:
+//! A trace holds each measurement once, on one clock (the recorder's
+//! origin), and exports it as JSON-lines (one event object per line)
+//! plus a human-readable summary folded from the same records:
 //!
-//! 1. **Spans** ([`SpanRecord`]): timed phases of an epoch/step —
+//! 1. **Step and epoch records** ([`StepRecord`], [`EpochStats`]): the
+//!    [`StepStats`] the trainer returns for each completed step — its
+//!    measured peak beside the plan's Eq. 5 estimate, with the
+//!    per-category breakdown at the peak instant — and the
+//!    [`EpochStats`] each epoch call returns. The stats types live here,
+//!    so the trace stores the trainer's own values rather than copies.
+//! 2. **Spans** ([`SpanRecord`]): timed phases of an epoch/step —
 //!    `sample → partition → plan → transfer → forward → backward →
-//!    allreduce` — tagged with monotonic epoch/step ids. Compute spans
-//!    carry wall-clock durations; transfer/allreduce spans carry the
-//!    simulated link seconds the cost models produce.
-//! 2. **Memory timeline** ([`MemEvent`], recorded by
-//!    `betty_device::Device` into a [`MemTimeline`]): every `alloc`/`free`
-//!    appends the running device total, the signed delta, and the
-//!    category, so the exact shape of a step's memory curve is
-//!    reconstructable. The per-category breakdown *at the global-peak
-//!    instant* is captured separately as a [`PeakRecord`].
-//! 3. **Estimator drift** ([`DriftRecord`]): per micro-batch, the
-//!    analytical peak estimate (Eq. 5) next to the ledger's measured
-//!    peak — the signal that tells OOM recovery whether the estimator
-//!    can be trusted or K-escalation must compensate.
+//!    allreduce` — tagged with monotonic epoch/step ids and placed from
+//!    the instants the code took. Compute spans carry wall-clock
+//!    durations; transfer/allreduce spans carry the simulated link
+//!    seconds the cost models produce.
+//! 3. **Memory timeline** ([`MemEvent`], recorded by
+//!    `betty_device::Device` into a [`MemTimeline`] on the recorder's
+//!    clock): every `alloc`/`free` appends the running device total, the
+//!    signed delta, and the category, so the exact shape of a step's
+//!    memory curve is reconstructable.
 //!
 //! Everything is opt-in: the recorder lives behind an `Option` in the
 //! trainer and the timeline behind an `Option` in the device, so a run
@@ -29,6 +31,11 @@
 
 use std::fmt;
 use std::time::Instant;
+
+mod stats;
+
+pub use stats::{EpochStats, StepStats};
+use stats::hit_rate;
 
 /// Which phase of training a span covers, in pipeline order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -128,7 +135,7 @@ pub struct SpanRecord {
 pub struct MemEvent {
     /// Monotonic sequence number within the timeline.
     pub seq: u64,
-    /// Seconds since the timeline was enabled.
+    /// Seconds on the trace recorder's clock.
     pub at_sec: f64,
     /// Bytes in use on the device after this event.
     pub total_bytes: usize,
@@ -149,17 +156,12 @@ pub struct MemTimeline {
     events: Vec<MemEvent>,
 }
 
-impl Default for MemTimeline {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl MemTimeline {
-    /// An empty timeline whose clock starts now.
-    pub fn new() -> Self {
+    /// An empty timeline stamping seconds since `origin` — the trace
+    /// recorder's ([`TraceRecorder::timeline`]).
+    pub fn new(origin: Instant) -> Self {
         Self {
-            origin: Instant::now(),
+            origin,
             next_seq: 0,
             events: Vec::new(),
         }
@@ -200,109 +202,17 @@ impl MemTimeline {
     }
 }
 
-/// Per-category breakdown captured at the instant a step's global peak
-/// was reached (so the parts always sum to exactly the peak).
+/// What a completed step measured, as the trace holds it: the trainer's
+/// [`StepStats`] and the device's per-category breakdown at the instant
+/// of the step's peak (so the parts always sum to exactly the peak).
 #[derive(Debug, Clone, PartialEq)]
-pub struct PeakRecord {
+pub struct StepRecord {
     /// Epoch of the step.
     pub epoch: usize,
-    /// Global step id.
-    pub step: usize,
-    /// The step's global peak, in bytes.
-    pub peak_bytes: usize,
+    /// The step's stats, as the trainer returned them.
+    pub stats: StepStats,
     /// Bytes per category at the peak instant (stable category names).
     pub breakdown: Vec<(&'static str, usize)>,
-}
-
-/// One micro-batch's estimator-vs-ledger comparison.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DriftRecord {
-    /// Epoch of the step.
-    pub epoch: usize,
-    /// Global step id.
-    pub step: usize,
-    /// The planner's estimated peak ([`peak_bytes`](DriftRecord::estimated_bytes)
-    /// of Eq. 5), in bytes.
-    pub estimated_bytes: usize,
-    /// The device ledger's measured step peak, in bytes.
-    pub measured_bytes: usize,
-}
-
-impl DriftRecord {
-    /// Measured over estimated: `1.0` is a perfect estimate, `< 1.0` a
-    /// safe overestimate, `> 1.0` an underestimate (the dangerous
-    /// direction — the plan may not actually fit).
-    pub fn ratio(&self) -> f64 {
-        self.measured_bytes as f64 / (self.estimated_bytes.max(1)) as f64
-    }
-
-    /// Whether the estimate was admissible (never below the measurement).
-    pub fn admissible(&self) -> bool {
-        self.estimated_bytes >= self.measured_bytes
-    }
-}
-
-/// One epoch's tensor-workspace pool counters: how many buffer requests
-/// the trainer's [`betty_tensor::BufferPool`] served from recycled
-/// storage (hits) versus fresh heap allocations (misses), and how many
-/// bytes the hits recycled. A warm steady state shows misses pinned at 0
-/// while hits and recycled bytes grow every epoch.
-///
-/// [`betty_tensor::BufferPool`]: https://docs.rs/betty-tensor
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AllocRecord {
-    /// Global step id current when the epoch finished.
-    pub step: usize,
-    /// Pool requests served from recycled buffers this epoch.
-    pub hits: u64,
-    /// Pool requests that fell through to the heap this epoch.
-    pub misses: u64,
-    /// Bytes served from recycled buffers this epoch.
-    pub bytes_recycled: u64,
-}
-
-impl AllocRecord {
-    /// Fraction of requests served from the pool; `0.0` when nothing was
-    /// requested.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// One epoch's feature-store access counters: how many gathered rows hit
-/// the resident set, how many had to page their shard in from disk, and
-/// the disk traffic that caused. The dense in-memory backend scores every
-/// row as a hit, so misses/pages are the out-of-core signal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FeatureStoreRecord {
-    /// Global step id current when the epoch finished.
-    pub step: usize,
-    /// Rows served from memory this epoch.
-    pub hits: u64,
-    /// Rows whose shard had to be read from disk first.
-    pub misses: u64,
-    /// Shard loads performed this epoch.
-    pub pages_in: u64,
-    /// Shard payload bytes read from disk this epoch.
-    pub page_in_bytes: u64,
-}
-
-impl FeatureStoreRecord {
-    /// Fraction of row requests served without touching disk; `1.0` when
-    /// nothing was requested (an idle store never misses).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            1.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 /// One entry of the run's recovery log — an injected fault or a
@@ -318,19 +228,17 @@ pub struct FaultRecord {
     pub detail: String,
 }
 
-/// The trace of one training run: spans, memory events, peak snapshots,
-/// drift records, and fault/recovery records, all stamped with monotonic
-/// epoch/step ids.
+/// The trace of one training run on one clock: spans, memory events, one
+/// record per completed step and per epoch, and fault/recovery records,
+/// all stamped with monotonic epoch/step ids.
 #[derive(Debug, Clone)]
 pub struct TraceRecorder {
     origin: Instant,
     epoch: usize,
     spans: Vec<SpanRecord>,
     mem: Vec<(usize, MemEvent)>,
-    peaks: Vec<PeakRecord>,
-    drift: Vec<DriftRecord>,
-    allocs: Vec<(usize, AllocRecord)>,
-    features: Vec<(usize, FeatureStoreRecord)>,
+    steps: Vec<StepRecord>,
+    epochs: Vec<(usize, EpochStats)>,
     faults: Vec<FaultRecord>,
     /// Compute backend and storage precision of the run, when the trainer
     /// stamped them (`("simd", "bf16")`-style pairs).
@@ -351,13 +259,17 @@ impl TraceRecorder {
             epoch: 0,
             spans: Vec::new(),
             mem: Vec::new(),
-            peaks: Vec::new(),
-            drift: Vec::new(),
-            allocs: Vec::new(),
-            features: Vec::new(),
+            steps: Vec::new(),
+            epochs: Vec::new(),
             faults: Vec::new(),
             run_context: None,
         }
+    }
+
+    /// A memory timeline on this recorder's clock, for the device ledger
+    /// to fill.
+    pub fn timeline(&self) -> MemTimeline {
+        MemTimeline::new(self.origin)
     }
 
     /// Stamps the run's compute backend and storage precision; emitted as
@@ -379,20 +291,15 @@ impl TraceRecorder {
         self.epoch = epoch;
     }
 
-    /// The epoch currently being stamped.
-    pub fn epoch(&self) -> usize {
-        self.epoch
-    }
-
-    /// Seconds elapsed since the recorder was created — capture this
-    /// before timed work and pass it to [`TraceRecorder::record_span`].
+    /// Seconds elapsed since the recorder was created: where a span of
+    /// simulated seconds, which no clock measured, begins.
     pub fn now_sec(&self) -> f64 {
         self.origin.elapsed().as_secs_f64()
     }
 
-    /// Converts an [`Instant`] captured elsewhere (e.g. on the pipeline's
-    /// planner thread) into seconds on this recorder's clock. Instants
-    /// predating the recorder clamp to `0.0`.
+    /// Converts an [`Instant`] the caller took (on any thread) into
+    /// seconds on this recorder's clock. Instants predating the recorder
+    /// clamp to `0.0`.
     pub fn sec_at(&self, at: Instant) -> f64 {
         at.checked_duration_since(self.origin)
             .map_or(0.0, |d| d.as_secs_f64())
@@ -414,60 +321,19 @@ impl TraceRecorder {
         self.mem.extend(events.into_iter().map(|e| (step, e)));
     }
 
-    /// Records a step's peak and its at-peak category breakdown.
-    pub fn record_peak(&mut self, step: usize, peak_bytes: usize, breakdown: Vec<(&'static str, usize)>) {
-        self.peaks.push(PeakRecord {
+    /// Records a completed step at the current epoch, with its at-peak
+    /// category breakdown.
+    pub fn record_step(&mut self, stats: StepStats, breakdown: Vec<(&'static str, usize)>) {
+        self.steps.push(StepRecord {
             epoch: self.epoch,
-            step,
-            peak_bytes,
+            stats,
             breakdown,
         });
     }
 
-    /// Records one micro-batch's estimated-vs-measured peak.
-    pub fn record_drift(&mut self, step: usize, estimated_bytes: usize, measured_bytes: usize) {
-        self.drift.push(DriftRecord {
-            epoch: self.epoch,
-            step,
-            estimated_bytes,
-            measured_bytes,
-        });
-    }
-
-    /// Records one epoch's tensor-workspace pool counters at the current
-    /// epoch, keyed by the global step id the epoch ended on.
-    pub fn record_alloc(&mut self, step: usize, hits: u64, misses: u64, bytes_recycled: u64) {
-        self.allocs.push((
-            self.epoch,
-            AllocRecord {
-                step,
-                hits,
-                misses,
-                bytes_recycled,
-            },
-        ));
-    }
-
-    /// Records one epoch's feature-store counters at the current epoch,
-    /// keyed by the global step id the epoch ended on.
-    pub fn record_featurestore(
-        &mut self,
-        step: usize,
-        hits: u64,
-        misses: u64,
-        pages_in: u64,
-        page_in_bytes: u64,
-    ) {
-        self.features.push((
-            self.epoch,
-            FeatureStoreRecord {
-                step,
-                hits,
-                misses,
-                pages_in,
-                page_in_bytes,
-            },
-        ));
+    /// Records the stats an epoch call returned, at the current epoch.
+    pub fn record_epoch(&mut self, stats: EpochStats) {
+        self.epochs.push((self.epoch, stats));
     }
 
     /// Records one recovery-log entry of `epoch`, as a stable kind slug
@@ -495,48 +361,19 @@ impl TraceRecorder {
         &self.mem
     }
 
-    /// All at-peak breakdown snapshots, in record order.
-    pub fn peaks(&self) -> &[PeakRecord] {
-        &self.peaks
+    /// All step records, in record order.
+    pub fn steps(&self) -> &[StepRecord] {
+        &self.steps
     }
 
-    /// All estimator-drift records, in record order.
-    pub fn drift_records(&self) -> &[DriftRecord] {
-        &self.drift
-    }
-
-    /// All per-epoch pool-counter records as `(epoch, record)` pairs, in
-    /// record order.
-    pub fn alloc_records(&self) -> &[(usize, AllocRecord)] {
-        &self.allocs
-    }
-
-    /// All per-epoch feature-store records as `(epoch, record)` pairs, in
-    /// record order.
-    pub fn featurestore_records(&self) -> &[(usize, FeatureStoreRecord)] {
-        &self.features
-    }
-
-    /// Worst (largest) measured/estimated ratio over every drift record;
-    /// `0.0` when nothing was recorded.
-    pub fn max_drift_ratio(&self) -> f64 {
-        self.drift.iter().map(DriftRecord::ratio).fold(0.0, f64::max)
-    }
-
-    /// Whether every recorded estimate was admissible (≥ measured).
-    pub fn all_admissible(&self) -> bool {
-        self.drift.iter().all(DriftRecord::admissible)
+    /// All epoch records as `(epoch, stats)` pairs, in record order.
+    pub fn epochs(&self) -> &[(usize, EpochStats)] {
+        &self.epochs
     }
 
     /// Total recorded events of every type.
     pub fn len(&self) -> usize {
-        self.spans.len()
-            + self.mem.len()
-            + self.peaks.len()
-            + self.drift.len()
-            + self.allocs.len()
-            + self.features.len()
-            + self.faults.len()
+        self.spans.len() + self.mem.len() + self.steps.len() + self.epochs.len() + self.faults.len()
     }
 
     /// Whether nothing has been recorded.
@@ -544,11 +381,10 @@ impl TraceRecorder {
         self.len() == 0
     }
 
-    /// Serializes the whole trace as JSON-lines: one object per event,
-    /// `span` events first, then `mem`, `peak`, `drift`, and `alloc`
-    /// events, each in record order. Every line is a self-contained JSON
-    /// object with a `type` discriminator (see DESIGN.md "Observability"
-    /// for the schema).
+    /// Serializes the whole trace as JSON-lines: the `run` line, then
+    /// `span`, `mem`, `step`, `epoch` and `fault` events, each in record
+    /// order. Every line is a self-contained JSON object with a `type`
+    /// discriminator (see DESIGN.md "Observability" for the schema).
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         if let Some((backend, precision)) = &self.run_context {
@@ -578,49 +414,61 @@ impl TraceRecorder {
                 e.category,
             ));
         }
-        for p in &self.peaks {
-            let breakdown: Vec<String> = p
-                .breakdown
-                .iter()
-                .map(|(name, bytes)| format!("\"{name}\":{bytes}"))
-                .collect();
+        for r in &self.steps {
+            let s = &r.stats;
+            let breakdown: Vec<String> =
+                r.breakdown.iter().map(|(name, bytes)| format!("\"{name}\":{bytes}")).collect();
             out.push_str(&format!(
-                "{{\"type\":\"peak\",\"epoch\":{},\"step\":{},\"peak_bytes\":{},\"breakdown\":{{{}}}}}\n",
-                p.epoch,
-                p.step,
-                p.peak_bytes,
+                "{{\"type\":\"step\",\"epoch\":{},\"step\":{},\"loss\":{},\"compute_sec\":{},\"transfer_sec\":{},\
+                 \"peak_bytes\":{},\"estimated_bytes\":{},\"input_nodes\":{},\"total_src_nodes\":{},\
+                 \"feature_hits\":{},\"feature_misses\":{},\"feature_pages_in\":{},\"feature_page_in_bytes\":{},\
+                 \"page_in_sec\":{},\"repair_sec\":{},\"breakdown\":{{{}}}}}\n",
+                r.epoch,
+                s.step,
+                jnum(s.loss),
+                jnum(s.compute_sec),
+                jnum(s.transfer_sec),
+                s.peak_bytes,
+                s.estimated_bytes,
+                s.input_nodes,
+                s.total_src_nodes,
+                s.feature_hits,
+                s.feature_misses,
+                s.feature_pages_in,
+                s.feature_page_in_bytes,
+                jnum(s.page_in_sec),
+                jnum(s.repair_sec),
                 breakdown.join(","),
             ));
         }
-        for d in &self.drift {
+        for (epoch, e) in &self.epochs {
             out.push_str(&format!(
-                "{{\"type\":\"drift\",\"epoch\":{},\"step\":{},\"estimated_bytes\":{},\"measured_bytes\":{},\"ratio\":{}}}\n",
-                d.epoch,
-                d.step,
-                d.estimated_bytes,
-                d.measured_bytes,
-                jnum(d.ratio()),
-            ));
-        }
-        for (epoch, a) in &self.allocs {
-            out.push_str(&format!(
-                "{{\"type\":\"alloc\",\"epoch\":{epoch},\"step\":{},\"hits\":{},\"misses\":{},\"bytes_recycled\":{},\"hit_rate\":{}}}\n",
-                a.step,
-                a.hits,
-                a.misses,
-                a.bytes_recycled,
-                jnum(a.hit_rate()),
-            ));
-        }
-        for (epoch, r) in &self.features {
-            out.push_str(&format!(
-                "{{\"type\":\"featurestore\",\"epoch\":{epoch},\"step\":{},\"hits\":{},\"misses\":{},\"pages_in\":{},\"page_in_bytes\":{},\"hit_rate\":{}}}\n",
-                r.step,
-                r.hits,
-                r.misses,
-                r.pages_in,
-                r.page_in_bytes,
-                jnum(r.hit_rate()),
+                "{{\"type\":\"epoch\",\"epoch\":{epoch},\"loss\":{},\"num_steps\":{},\"compute_sec\":{},\
+                 \"transfer_sec\":{},\"max_peak_bytes\":{},\"estimated_peak_bytes\":{},\"estimator_drift\":{},\
+                 \"total_input_nodes\":{},\"total_src_nodes\":{},\"host_bytes\":{},\"plan_ahead_overlap_sec\":{},\
+                 \"pool_hits\":{},\"pool_misses\":{},\"pool_bytes_recycled\":{},\"feature_hits\":{},\
+                 \"feature_misses\":{},\"feature_pages_in\":{},\"feature_page_in_bytes\":{},\
+                 \"page_in_sec\":{},\"repair_sec\":{}}}\n",
+                jnum(e.loss),
+                e.num_steps,
+                jnum(e.compute_sec),
+                jnum(e.transfer_sec),
+                e.max_peak_bytes,
+                e.estimated_peak_bytes,
+                jnum(e.estimator_drift),
+                e.total_input_nodes,
+                e.total_src_nodes,
+                e.host_bytes,
+                jnum(e.plan_ahead_overlap_sec),
+                e.pool_hits,
+                e.pool_misses,
+                e.pool_bytes_recycled,
+                e.feature_hits,
+                e.feature_misses,
+                e.feature_pages_in,
+                e.feature_page_in_bytes,
+                jnum(e.page_in_sec),
+                jnum(e.repair_sec),
             ));
         }
         for fault in &self.faults {
@@ -643,9 +491,10 @@ impl TraceRecorder {
         std::fs::write(path, self.to_jsonl())
     }
 
-    /// Human-readable multi-line summary: per-kind span counts and total
-    /// durations, memory-event count, the worst observed peak, and the
-    /// estimator-drift envelope.
+    /// Human-readable multi-line summary, folded from the records:
+    /// per-kind span counts and total durations, memory-event count, the
+    /// worst step peak with its breakdown, the estimator-drift envelope,
+    /// and the epochs' pool and feature-store counters.
     pub fn summary(&self) -> String {
         let mut out = String::from("trace summary:");
         if let Some((backend, precision)) = &self.run_context {
@@ -665,10 +514,10 @@ impl TraceRecorder {
             }
         }
         out.push_str(&format!("\n  memory     {:>6} ledger events", self.mem.len()));
-        if let Some(worst) = self.peaks.iter().max_by_key(|p| p.peak_bytes) {
+        if let Some(worst) = self.steps.iter().max_by_key(|r| r.stats.peak_bytes) {
             out.push_str(&format!(
                 "\n  peak      {} bytes at epoch {} step {} (",
-                worst.peak_bytes, worst.epoch, worst.step
+                worst.stats.peak_bytes, worst.epoch, worst.stats.step
             ));
             let parts: Vec<String> = worst
                 .breakdown
@@ -679,60 +528,51 @@ impl TraceRecorder {
             out.push_str(&parts.join(", "));
             out.push(')');
         }
-        if !self.drift.is_empty() {
-            let worst = self
-                .drift
-                .iter()
-                .max_by(|a, b| a.ratio().total_cmp(&b.ratio()))
-                .expect("non-empty");
+        let priced = self.steps.iter().filter_map(|r| Some((r, r.stats.drift()?)));
+        if let Some((worst, ratio)) = priced.clone().max_by(|a, b| a.1.total_cmp(&b.1)) {
             out.push_str(&format!(
-                "\n  drift     {} records, worst measured/estimated {:.4} at epoch {} step {} ({})",
-                self.drift.len(),
-                worst.ratio(),
+                "\n  drift     {} records, worst measured/estimated {ratio:.4} at epoch {} step {} ({})",
+                priced.count(),
                 worst.epoch,
-                worst.step,
-                if self.all_admissible() {
+                worst.stats.step,
+                if ratio <= 1.0 {
                     "all estimates admissible"
                 } else {
                     "UNDERESTIMATES present"
                 }
             ));
         }
-        if !self.allocs.is_empty() {
-            let (hits, misses, bytes): (u64, u64, u64) = self
-                .allocs
-                .iter()
-                .fold((0, 0, 0), |(h, m, b), (_, a)| {
-                    (h + a.hits, m + a.misses, b + a.bytes_recycled)
-                });
-            let total = hits + misses;
-            let rate = if total == 0 {
-                0.0
-            } else {
-                hits as f64 / total as f64
-            };
+        if !self.epochs.is_empty() {
+            let mut total = EpochStats::default();
+            for (_, e) in &self.epochs {
+                total.pool_hits += e.pool_hits;
+                total.pool_misses += e.pool_misses;
+                total.pool_bytes_recycled += e.pool_bytes_recycled;
+                total.feature_hits += e.feature_hits;
+                total.feature_misses += e.feature_misses;
+                total.feature_pages_in += e.feature_pages_in;
+                total.feature_page_in_bytes += e.feature_page_in_bytes;
+            }
+            let (hits, misses) = (total.pool_hits, total.pool_misses);
             out.push_str(&format!(
-                "\n  alloc     {} epochs, pool {hits} hits / {misses} misses ({:.1}% hit rate), {bytes} bytes recycled",
-                self.allocs.len(),
-                rate * 100.0,
+                "\n  alloc     {} epochs, pool {hits} hits / {misses} misses ({:.1}% hit rate), {} bytes recycled",
+                self.epochs.len(),
+                hit_rate(hits, misses, 0.0) * 100.0,
+                total.pool_bytes_recycled,
             ));
-        }
-        if !self.features.is_empty() {
-            let (hits, misses, pages, bytes): (u64, u64, u64, u64) =
-                self.features.iter().fold((0, 0, 0, 0), |(h, m, p, b), (_, r)| {
-                    (h + r.hits, m + r.misses, p + r.pages_in, b + r.page_in_bytes)
-                });
-            let total = hits + misses;
-            let rate = if total == 0 {
-                1.0
-            } else {
-                hits as f64 / total as f64
-            };
-            out.push_str(&format!(
-                "\n  features  {} epochs, {hits} hits / {misses} misses ({:.1}% hit rate), {pages} pages in, {bytes} bytes read",
-                self.features.len(),
-                rate * 100.0,
-            ));
+            // Only epochs that read features count: an idle store reads none.
+            let read = self.epochs.iter().filter(|(_, e)| e.feature_hits + e.feature_misses > 0);
+            match read.count() {
+                0 => {}
+                epochs => out.push_str(&format!(
+                    "\n  features  {epochs} epochs, {} hits / {} misses ({:.1}% hit rate), {} pages in, {} bytes read",
+                    total.feature_hits,
+                    total.feature_misses,
+                    total.feature_hit_rate() * 100.0,
+                    total.feature_pages_in,
+                    total.feature_page_in_bytes,
+                )),
+            }
         }
         if !self.faults.is_empty() {
             out.push_str(&format!(
@@ -1022,6 +862,17 @@ mod tests {
         assert!(t.is_empty());
     }
 
+    /// A step the plan priced at `estimated` bytes that peaked at `peak`.
+    fn priced_step(step: usize, peak: usize, estimated: usize) -> StepStats {
+        StepStats {
+            step,
+            loss: 0.25,
+            peak_bytes: peak,
+            estimated_bytes: estimated,
+            ..StepStats::default()
+        }
+    }
+
     #[test]
     fn recorder_round_trip_and_jsonl_schema() {
         let mut t = TraceRecorder::new();
@@ -1039,113 +890,103 @@ mod tests {
                 category: "blocks",
             }],
         );
-        t.record_peak(7, 128, vec![("blocks", 128), ("labels", 0)]);
-        t.record_drift(7, 150, 128);
-        t.record_alloc(7, 30, 10, 4096);
+        let step = priced_step(7, 128, 150);
+        t.record_step(step, vec![("blocks", 128), ("labels", 0)]);
+        let mut epoch = EpochStats {
+            pool_hits: 30,
+            pool_misses: 10,
+            pool_bytes_recycled: 4096,
+            ..EpochStats::default()
+        };
+        epoch.absorb(&step);
+        t.record_epoch(epoch);
         t.record_fault(2, "anomaly_rollback", "anomaly rollback 1: injected non-finite loss at step 8");
-        assert_eq!(t.len(), 7);
+        assert_eq!(t.len(), 6);
         assert_eq!(t.fault_records().len(), 1);
         assert_eq!(t.fault_records()[0].epoch, 2);
         assert_eq!(t.spans()[0].epoch, 2);
         assert_eq!(t.spans()[1].step, Some(7));
-        assert!((t.max_drift_ratio() - 128.0 / 150.0).abs() < 1e-12);
-        assert!(t.all_admissible());
+        assert_eq!((t.steps()[0].epoch, t.steps()[0].stats), (2, step));
+        assert_eq!(t.epochs(), &[(2, epoch)]);
 
         let jsonl = t.to_jsonl();
         let lines = validate_jsonl(&jsonl).expect("exported trace must be valid JSONL");
-        assert_eq!(lines, 7);
+        assert_eq!(lines, 6);
         assert!(jsonl.contains("\"type\":\"span\""));
         assert!(jsonl.contains("\"kind\":\"sample\""));
         assert!(jsonl.contains("\"step\":null"));
         assert!(jsonl.contains("\"type\":\"mem\""));
-        assert!(jsonl.contains("\"type\":\"peak\""));
-        assert!(jsonl.contains("\"type\":\"drift\""));
-        assert!(jsonl.contains("\"type\":\"alloc\""));
-        assert!(jsonl.contains("\"bytes_recycled\":4096"));
+        assert!(jsonl.contains("\"type\":\"step\",\"epoch\":2,\"step\":7,"), "{jsonl}");
+        assert!(jsonl.contains("\"peak_bytes\":128,\"estimated_bytes\":150,"), "{jsonl}");
+        assert!(jsonl.contains("\"breakdown\":{\"blocks\":128,\"labels\":0}"), "{jsonl}");
+        assert!(jsonl.contains("\"type\":\"epoch\",\"epoch\":2,"), "{jsonl}");
+        assert!(jsonl.contains("\"pool_bytes_recycled\":4096"));
         assert!(jsonl.contains("\"type\":\"fault\""));
         assert!(jsonl.contains("\"kind\":\"anomaly_rollback\""));
 
         let summary = t.summary();
         assert!(summary.contains("sample"), "{summary}");
-        assert!(summary.contains("drift"), "{summary}");
+        assert!(summary.contains("peak      128 bytes at epoch 2 step 7 (blocks 128)"), "{summary}");
+        assert!(summary.contains("drift     1 records"), "{summary}");
         assert!(summary.contains("all estimates admissible"), "{summary}");
-        assert!(summary.contains("bytes recycled"), "{summary}");
+        assert!(summary.contains("(75.0% hit rate), 4096 bytes recycled"), "{summary}");
         assert!(summary.contains("1 recovery-log entries"), "{summary}");
     }
 
+    /// The summary folds the epoch records' pool and feature-store
+    /// counters. An idle pool reads 0 %, an idle store never misses (no
+    /// `features` line, and a 1.0 rate in [`EpochStats`]).
     #[test]
-    fn alloc_records_track_epoch_and_hit_rate() {
-        let mut t = TraceRecorder::new();
-        t.set_epoch(3);
-        t.record_alloc(12, 90, 10, 1 << 20);
-        let (epoch, rec) = t.alloc_records()[0];
-        assert_eq!(epoch, 3);
-        assert_eq!(rec.step, 12);
-        assert!((rec.hit_rate() - 0.9).abs() < 1e-12);
-        let empty = AllocRecord {
-            step: 0,
-            hits: 0,
-            misses: 0,
-            bytes_recycled: 0,
-        };
-        assert_eq!(empty.hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn featurestore_records_export_and_summarize() {
+    fn epoch_records_summarize_pool_and_feature_counters() {
         let mut t = TraceRecorder::new();
         t.set_epoch(2);
-        t.record_featurestore(11, 75, 25, 5, 10_240);
-        let (epoch, rec) = t.featurestore_records()[0];
-        assert_eq!(epoch, 2);
-        assert_eq!(rec.step, 11);
-        assert!((rec.hit_rate() - 0.75).abs() < 1e-12);
-        let idle = FeatureStoreRecord {
-            step: 0,
-            hits: 0,
-            misses: 0,
-            pages_in: 0,
-            page_in_bytes: 0,
-        };
-        assert_eq!(idle.hit_rate(), 1.0, "an idle store never misses");
+        t.record_epoch(EpochStats {
+            pool_hits: 90,
+            pool_misses: 10,
+            pool_bytes_recycled: 1 << 20,
+            feature_hits: 75,
+            feature_misses: 25,
+            feature_pages_in: 5,
+            feature_page_in_bytes: 10_240,
+            ..EpochStats::default()
+        });
         assert_eq!(t.len(), 1);
         let jsonl = t.to_jsonl();
-        validate_jsonl(&jsonl).expect("featurestore lines must be valid JSONL");
-        assert!(jsonl.contains("\"type\":\"featurestore\""));
-        assert!(jsonl.contains("\"pages_in\":5"));
-        assert!(jsonl.contains("\"page_in_bytes\":10240"));
+        validate_jsonl(&jsonl).expect("epoch lines must be valid JSONL");
+        assert!(jsonl.contains("\"feature_pages_in\":5"));
+        assert!(jsonl.contains("\"feature_page_in_bytes\":10240"));
         let summary = t.summary();
-        assert!(summary.contains("features"), "{summary}");
-        assert!(summary.contains("75.0% hit rate"), "{summary}");
+        assert!(summary.contains("pool 90 hits / 10 misses (90.0% hit rate)"), "{summary}");
+        assert!(summary.contains("features  1 epochs, 75 hits / 25 misses (75.0% hit rate)"), "{summary}");
+        assert!(summary.contains("5 pages in, 10240 bytes read"), "{summary}");
+
+        let mut idle = TraceRecorder::new();
+        idle.record_epoch(EpochStats::default());
+        let summary = idle.summary();
+        assert!(summary.contains("pool 0 hits / 0 misses (0.0% hit rate)"), "{summary}");
+        assert!(!summary.contains("features"), "an idle store reads nothing: {summary}");
+        assert_eq!(EpochStats::default().feature_hit_rate(), 1.0, "an idle store never misses");
     }
 
     #[test]
     fn drift_ratio_flags_underestimates() {
-        let d = DriftRecord {
-            epoch: 0,
-            step: 0,
-            estimated_bytes: 100,
-            measured_bytes: 150,
-        };
-        assert!(!d.admissible());
-        assert!((d.ratio() - 1.5).abs() < 1e-12);
+        let under = priced_step(0, 150, 100);
+        assert!((under.drift().unwrap() - 1.5).abs() < 1e-12);
         let mut t = TraceRecorder::new();
-        t.record_drift(0, 100, 150);
-        assert!(!t.all_admissible());
-        assert!(t.summary().contains("UNDERESTIMATES"));
+        t.record_step(priced_step(1, 90, 100), Vec::new());
+        t.record_step(under, Vec::new());
+        // An unpriced step is no drift record, whatever its peak.
+        t.record_step(priced_step(2, 500, 0), Vec::new());
+        let summary = t.summary();
+        assert!(summary.contains("drift     2 records, worst measured/estimated 1.5000 at epoch 0 step 0"), "{summary}");
+        assert!(summary.contains("UNDERESTIMATES"), "{summary}");
         // Zero estimate never divides by zero.
-        let z = DriftRecord {
-            epoch: 0,
-            step: 0,
-            estimated_bytes: 0,
-            measured_bytes: 5,
-        };
-        assert!(z.ratio().is_finite());
+        assert_eq!(priced_step(0, 5, 0).drift(), None);
     }
 
     #[test]
     fn timeline_sequences_and_drains() {
-        let mut tl = MemTimeline::new();
+        let mut tl = TraceRecorder::new().timeline();
         assert!(tl.is_empty());
         tl.record(100, 100, "parameters");
         tl.record(40, -60, "free_all");
@@ -1208,10 +1049,11 @@ mod tests {
                     category: "blocks",
                 }],
             );
-            t.record_peak(epoch, 128, vec![("blocks", 128), ("labels", 0)]);
-            t.record_drift(epoch, 150, 128);
-            t.record_alloc(epoch, 30, 10, 4096);
-            t.record_featurestore(epoch, 75, 25, 5, 10_240);
+            let step = priced_step(epoch, 128, 150);
+            t.record_step(step, vec![("blocks", 128), ("labels", 0)]);
+            let mut stats = EpochStats::default();
+            stats.absorb(&step);
+            t.record_epoch(stats);
             t.record_fault(epoch, "link_stall", "round 3: +0.250s \"stall\"");
         }
         t.to_jsonl()

@@ -1,8 +1,11 @@
-//! Training statistics collected by the trainer.
+//! What one step and one epoch measured: the trainer's return values,
+//! and the trace's `step` and `epoch` records.
 
 /// Measurements from executing one (micro-)batch step.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StepStats {
+    /// Global step id, monotone across epochs and recovery retries.
+    pub step: usize,
     /// Loss contribution (already scaled to the effective batch).
     pub loss: f64,
     /// Wall-clock compute seconds (forward + backward on this host).
@@ -11,6 +14,9 @@ pub struct StepStats {
     pub transfer_sec: f64,
     /// Peak device bytes during the step.
     pub peak_bytes: usize,
+    /// The plan's Eq. 5 estimate of `peak_bytes`; 0 when the caller
+    /// supplied the micro-batches, so nothing priced them.
+    pub estimated_bytes: usize,
     /// First-layer input nodes loaded.
     pub input_nodes: usize,
     /// Source nodes summed over every layer (compute volume).
@@ -34,7 +40,7 @@ pub struct StepStats {
 
 /// Aggregated measurements for one epoch (all micro-batches of all batches).
 /// Faults and recovery actions are not counted here: the runner's
-/// [`crate::RecoveryLog`] is their one record.
+/// recovery log is their one record.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EpochStats {
     /// Mean training loss over the effective batch.
@@ -72,9 +78,8 @@ pub struct EpochStats {
     pub plan_ahead_overlap_sec: f64,
     /// Largest analytical peak estimate (Eq. 5) over the epoch's
     /// micro-batches, in bytes — the planner's prediction of
-    /// `max_peak_bytes`. 0 when the epoch ran without a plan (e.g.
-    /// [`crate::Runner::train_micro_batches`] with caller-supplied
-    /// batches).
+    /// `max_peak_bytes`. 0 when the epoch ran without a plan (e.g. with
+    /// caller-supplied micro-batches).
     pub estimated_peak_bytes: usize,
     /// Worst per-micro-batch measured/estimated peak ratio — the
     /// estimator-drift metric. `≤ 1.0` means every estimate was
@@ -111,8 +116,17 @@ pub struct EpochStats {
     pub repair_sec: f64,
 }
 
+impl StepStats {
+    /// Measured over estimated peak: `≤ 1.0` is an admissible estimate,
+    /// `> 1.0` an underestimate. `None` for a step nothing priced.
+    pub fn drift(&self) -> Option<f64> {
+        (self.estimated_bytes > 0).then(|| self.peak_bytes as f64 / self.estimated_bytes as f64)
+    }
+}
+
 impl EpochStats {
-    /// Folds a step into the epoch aggregate.
+    /// Folds a step into the epoch aggregate: sums and maxima, and the
+    /// estimate envelope over the steps that carry an estimate.
     pub fn absorb(&mut self, step: &StepStats) {
         self.loss += step.loss;
         self.num_steps += 1;
@@ -127,17 +141,16 @@ impl EpochStats {
         self.feature_page_in_bytes += step.feature_page_in_bytes;
         self.page_in_sec += step.page_in_sec;
         self.repair_sec += step.repair_sec;
+        if let Some(drift) = step.drift() {
+            self.estimated_peak_bytes = self.estimated_peak_bytes.max(step.estimated_bytes);
+            self.estimator_drift = self.estimator_drift.max(drift);
+        }
     }
 
     /// Fraction of feature-row requests served without touching disk
     /// (1.0 when nothing was requested — an idle store never misses).
     pub fn feature_hit_rate(&self) -> f64 {
-        let total = self.feature_hits + self.feature_misses;
-        if total == 0 {
-            1.0
-        } else {
-            self.feature_hits as f64 / total as f64
-        }
+        hit_rate(self.feature_hits, self.feature_misses, 1.0)
     }
 
     /// Epoch wall time: compute plus simulated transfer plus exposed
@@ -158,16 +171,26 @@ impl EpochStats {
     }
 }
 
+/// `hits / (hits + misses)`, or `idle` when nothing was requested.
+pub(crate) fn hit_rate(hits: u64, misses: u64, idle: f64) -> f64 {
+    match hits + misses {
+        0 => idle,
+        total => hits as f64 / total as f64,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn step(peak: usize) -> StepStats {
         StepStats {
+            step: 0,
             loss: 0.5,
             compute_sec: 1.0,
             transfer_sec: 0.5,
             peak_bytes: peak,
+            estimated_bytes: 0,
             input_nodes: 10,
             total_src_nodes: 30,
             feature_hits: 8,
@@ -200,6 +223,25 @@ mod tests {
             "page-in and repair time count"
         );
         assert!((e.computation_efficiency() - 60.0 / 3.03).abs() < 1e-9);
+    }
+
+    /// The estimate envelope folds only the steps that carry an estimate:
+    /// the largest estimate, and the worst measured/estimated ratio.
+    #[test]
+    fn absorb_folds_the_estimate_envelope() {
+        let priced = |peak, estimated| StepStats {
+            estimated_bytes: estimated,
+            ..step(peak)
+        };
+        let mut e = EpochStats::default();
+        e.absorb(&step(500));
+        assert_eq!((e.estimated_peak_bytes, e.estimator_drift), (0, 0.0), "unpriced");
+        e.absorb(&priced(100, 150));
+        e.absorb(&priced(150, 100));
+        assert_eq!(e.estimated_peak_bytes, 150);
+        assert!((e.estimator_drift - 1.5).abs() < 1e-12, "{}", e.estimator_drift);
+        assert_eq!(priced(150, 100).drift(), Some(1.5));
+        assert_eq!(step(5).drift(), None, "a zero estimate never divides");
     }
 
     #[test]

@@ -120,7 +120,7 @@ fn eq5_equals_every_steps_measured_peak() {
             .train_micro_batches(&ds, &plan.micro_batches)
             .expect("8 GiB fits the test batch");
         let trace = sequence.take_trace().expect("tracing was on");
-        let measured: Vec<usize> = trace.peaks().iter().map(|p| p.peak_bytes).collect();
+        let measured: Vec<usize> = trace.steps().iter().map(|r| r.stats.peak_bytes).collect();
         assert_eq!(estimated, measured, "{name} in sequence");
     }
 }
@@ -215,15 +215,15 @@ fn eq5_equals_the_ledger_for_every_model() {
                     .train_epoch_betty(&ds, StrategyKind::Betty, 4)
                     .expect("8 GiB fits the test batch");
                 let trace = runner.take_trace().expect("tracing was on");
-                let drift = trace.drift_records();
-                assert_eq!(drift.len(), 4);
-                for d in drift {
+                let steps = trace.steps();
+                assert_eq!(steps.len(), 4);
+                for r in steps {
                     assert_eq!(
-                        d.measured_bytes,
-                        d.estimated_bytes,
+                        r.stats.peak_bytes,
+                        r.stats.estimated_bytes,
                         "{model:?}/{} dropout {dropout} {precision}: step {}",
                         aggregator.name(),
-                        d.step
+                        r.stats.step
                     );
                 }
             }

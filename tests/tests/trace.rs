@@ -1,8 +1,9 @@
 //! The observability layer end to end: tracing must be invisible to the
-//! training math, the JSONL export must be schema-valid, the estimator
-//! drift report must certify admissible estimates for the fused
-//! aggregators, and the memory timeline must be a consistent replay of the
-//! device ledger.
+//! training math, the trace's step and epoch records must be the stats
+//! the calls returned, the JSONL export must be schema-valid, the step
+//! records must certify admissible estimates for the fused aggregators,
+//! and the memory timeline must be a consistent replay of the device
+//! ledger.
 
 use betty::{
     validate_jsonl, DeviceGroup, EpochStats, ExperimentConfig, RecoveryEvent, Runner, SpanKind,
@@ -78,6 +79,79 @@ fn tracing_on_and_off_produce_identical_epoch_stats() {
     assert!(!trace.is_empty());
 }
 
+/// The fields of [`EpochStats`] that folding the epoch's steps with
+/// [`EpochStats::absorb`] determines: no wall-clock timings, and nothing
+/// the epoch call adds (host bytes, pool counters, plan-ahead overlap).
+fn folded_fields(s: &EpochStats) -> [u64; 11] {
+    [
+        s.loss.to_bits(),
+        s.num_steps as u64,
+        s.max_peak_bytes as u64,
+        s.estimated_peak_bytes as u64,
+        s.estimator_drift.to_bits(),
+        s.total_input_nodes as u64,
+        s.total_src_nodes as u64,
+        s.feature_hits,
+        s.feature_misses,
+        s.feature_pages_in,
+        s.feature_page_in_bytes,
+    ]
+}
+
+/// The trace is a view of what the epoch calls returned, not a copy kept
+/// beside it: each `epoch` record is the [`EpochStats`] its call returned,
+/// folding that epoch's `step` records reproduces it bit for bit, and
+/// each step's `transfer`, `forward` and `backward` spans are its own
+/// timings. Betty epochs carry the plan's estimates; mini-batch epochs,
+/// which nothing priced, carry none.
+#[test]
+fn step_and_epoch_records_are_the_stats_the_calls_returned() {
+    let ds = dataset();
+    let mut runner = Runner::new(&ds, &config(AggregatorSpec::Mean), 0);
+    runner.enable_tracing();
+    let mut returned = Vec::new();
+    for _ in 0..EPOCHS {
+        let betty = runner.train_epoch_betty(&ds, StrategyKind::Betty, K);
+        returned.push((betty.expect("default capacity fits the test batch"), false));
+        let mini = runner.train_epoch_mini(&ds, K);
+        returned.push((mini.expect("default capacity fits the test batch"), true));
+    }
+    let trace = runner.take_trace().expect("tracing was enabled");
+    assert_eq!(trace.epochs().len(), returned.len());
+    for (&(epoch, recorded), &(stats, mini)) in trace.epochs().iter().zip(&returned) {
+        assert_eq!(recorded, stats, "epoch {epoch}: the record is the returned stats");
+        let mut folded = EpochStats::default();
+        for r in trace.steps().iter().filter(|r| r.epoch == epoch) {
+            folded.absorb(&r.stats);
+        }
+        if mini {
+            // A mini-batch epoch reports the mean of its batches' losses.
+            folded.loss /= folded.num_steps as f64;
+            assert_eq!(stats.estimated_peak_bytes, 0, "epoch {epoch}: nothing priced");
+        } else {
+            assert!(stats.estimated_peak_bytes > 0, "epoch {epoch}: the plan priced it");
+        }
+        assert_eq!(folded_fields(&folded), folded_fields(&stats), "epoch {epoch}");
+    }
+    let span = |kind: SpanKind, step: usize| {
+        let mut matching = trace.spans().iter().filter(|s| s.kind == kind && s.step == Some(step));
+        let span = matching.next().unwrap_or_else(|| panic!("step {step} has no {kind} span"));
+        assert!(matching.next().is_none(), "step {step} has two {kind} spans");
+        span.dur_sec
+    };
+    for r in trace.steps() {
+        let s = &r.stats;
+        assert_eq!(span(SpanKind::Transfer, s.step).to_bits(), s.transfer_sec.to_bits());
+        let compute = span(SpanKind::Forward, s.step) + span(SpanKind::Backward, s.step);
+        assert!(
+            (compute - s.compute_sec).abs() <= 1e-9,
+            "step {}: forward + backward {compute} against compute {}",
+            s.step,
+            s.compute_sec
+        );
+    }
+}
+
 #[test]
 fn jsonl_export_is_valid_and_covers_every_event_type() {
     let (_, trace) = traced_run(AggregatorSpec::Mean);
@@ -88,8 +162,8 @@ fn jsonl_export_is_valid_and_covers_every_event_type() {
     for needle in [
         "\"type\":\"span\"",
         "\"type\":\"mem\"",
-        "\"type\":\"peak\"",
-        "\"type\":\"drift\"",
+        "\"type\":\"step\"",
+        "\"type\":\"epoch\"",
     ] {
         assert!(jsonl.contains(needle), "export is missing {needle} events");
     }
@@ -101,7 +175,7 @@ fn jsonl_export_is_valid_and_covers_every_event_type() {
                 assert_eq!(count, EPOCHS, "{} spans", kind.name());
             }
             SpanKind::Transfer | SpanKind::Forward | SpanKind::Backward => {
-                assert_eq!(count, trace.drift_records().len(), "{} spans", kind.name());
+                assert_eq!(count, trace.steps().len(), "{} spans", kind.name());
             }
             // Single-device epochs never all-reduce, fail over, or
             // retry a sync link — this run plans synchronously
@@ -252,12 +326,16 @@ fn pipelined_partition_work_overlaps_training_spans() {
 fn drift_report_certifies_admissible_estimates_for_fused_aggregators() {
     for aggregator in [AggregatorSpec::Mean, AggregatorSpec::Sum] {
         let (stats, trace) = traced_run(aggregator);
-        assert!(!trace.drift_records().is_empty());
-        assert!(
-            trace.all_admissible(),
-            "{aggregator:?}: worst drift {:.4}",
-            trace.max_drift_ratio()
-        );
+        assert_eq!(trace.steps().len(), EPOCHS * K);
+        for r in trace.steps() {
+            assert!(
+                r.stats.drift().is_some_and(|drift| drift <= 1.0),
+                "{aggregator:?} step {}: estimated {} < measured {}",
+                r.stats.step,
+                r.stats.estimated_bytes,
+                r.stats.peak_bytes
+            );
+        }
         for (epoch, s) in stats.iter().enumerate() {
             assert!(
                 s.estimated_peak_bytes >= s.max_peak_bytes,
@@ -296,16 +374,16 @@ fn memory_timeline_replays_the_ledger_consistently() {
     // The per-step maximum of the timeline's running total is exactly the
     // step peak the recorder captured (with its at-peak category snapshot
     // summing to the same number).
-    for peak in trace.peaks() {
-        let step = peak.step;
+    for record in trace.steps() {
+        let (step, peak) = (record.stats.step, record.stats.peak_bytes);
         let step_max = events
             .iter()
             .filter(|(s, _)| *s == step)
             .map(|(_, e)| e.total_bytes)
             .max()
             .expect("peaked step has timeline events");
-        assert_eq!(step_max, peak.peak_bytes, "step {step}");
-        let breakdown_sum: usize = peak.breakdown.iter().map(|(_, b)| b).sum();
-        assert_eq!(breakdown_sum, peak.peak_bytes, "step {step} breakdown");
+        assert_eq!(step_max, peak, "step {step}");
+        let breakdown_sum: usize = record.breakdown.iter().map(|(_, b)| b).sum();
+        assert_eq!(breakdown_sum, peak, "step {step} breakdown");
     }
 }
