@@ -933,37 +933,62 @@ mod tests {
         assert!(summary.contains("1 recovery-log entries"), "{summary}");
     }
 
-    /// The summary folds the epoch records' pool and feature-store
-    /// counters. An idle pool reads 0 %, an idle store never misses (no
-    /// `features` line, and a 1.0 rate in [`EpochStats`]).
+    /// The epoch records carry the workspace pool's counters; the summary
+    /// folds them into a hit rate, and an idle pool reads 0 %.
     #[test]
-    fn epoch_records_summarize_pool_and_feature_counters() {
+    fn alloc_records_track_epoch_and_hit_rate() {
         let mut t = TraceRecorder::new();
-        t.set_epoch(2);
-        t.record_epoch(EpochStats {
+        t.set_epoch(3);
+        let stats = EpochStats {
             pool_hits: 90,
             pool_misses: 10,
             pool_bytes_recycled: 1 << 20,
+            ..EpochStats::default()
+        };
+        t.record_epoch(stats);
+        assert_eq!(t.epochs(), &[(3, stats)]);
+        let jsonl = t.to_jsonl();
+        validate_jsonl(&jsonl).expect("epoch lines must be valid JSONL");
+        assert!(jsonl.contains("\"type\":\"epoch\",\"epoch\":3,"), "{jsonl}");
+        assert!(jsonl.contains("\"pool_bytes_recycled\":1048576"), "{jsonl}");
+        let summary = t.summary();
+        assert!(summary.contains("pool 90 hits / 10 misses (90.0% hit rate), 1048576 bytes recycled"), "{summary}");
+
+        let mut idle = TraceRecorder::new();
+        idle.record_epoch(EpochStats::default());
+        let summary = idle.summary();
+        assert!(summary.contains("pool 0 hits / 0 misses (0.0% hit rate)"), "{summary}");
+    }
+
+    /// The epoch records carry the feature store's counters; they export
+    /// to JSONL and fold into the summary. An idle store never misses: no
+    /// `features` line, and a 1.0 rate in [`EpochStats`].
+    #[test]
+    fn featurestore_records_export_and_summarize() {
+        let mut t = TraceRecorder::new();
+        t.set_epoch(2);
+        let stats = EpochStats {
             feature_hits: 75,
             feature_misses: 25,
             feature_pages_in: 5,
             feature_page_in_bytes: 10_240,
             ..EpochStats::default()
-        });
+        };
+        t.record_epoch(stats);
+        assert_eq!(t.epochs(), &[(2, stats)]);
+        assert!((stats.feature_hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(t.len(), 1);
         let jsonl = t.to_jsonl();
         validate_jsonl(&jsonl).expect("epoch lines must be valid JSONL");
         assert!(jsonl.contains("\"feature_pages_in\":5"));
         assert!(jsonl.contains("\"feature_page_in_bytes\":10240"));
         let summary = t.summary();
-        assert!(summary.contains("pool 90 hits / 10 misses (90.0% hit rate)"), "{summary}");
         assert!(summary.contains("features  1 epochs, 75 hits / 25 misses (75.0% hit rate)"), "{summary}");
         assert!(summary.contains("5 pages in, 10240 bytes read"), "{summary}");
 
         let mut idle = TraceRecorder::new();
         idle.record_epoch(EpochStats::default());
         let summary = idle.summary();
-        assert!(summary.contains("pool 0 hits / 0 misses (0.0% hit rate)"), "{summary}");
         assert!(!summary.contains("features"), "an idle store reads nothing: {summary}");
         assert_eq!(EpochStats::default().feature_hit_rate(), 1.0, "an idle store never misses");
     }
