@@ -23,9 +23,11 @@
 //! | `ADAM` | u64 step count t; u32 count; per param: u8 present, then f32 m…, f32 v… (shapes from `PRMS`) |
 //! | `RNGS` | u32 count; per RNG: u128 raw state as two u64 (lo, hi) |
 //! | `CTRS` | u32 count; u64 each (epoch/step counters, meaning assigned by the caller) |
-//! | `FLTS` | u32 count; f64 bits each (scalar progress such as best validation accuracy) |
-//! | `HIST` | u32 count; f64 bits each (per-epoch loss history) |
 //! | `CFGF` | u64 config fingerprint |
+//!
+//! `FLTS` and `HIST` (scalar progress, loss history), which no caller
+//! filled, are gone: a file carrying either is an unknown-tag `Format`
+//! error.
 //!
 //! A model-only checkpoint (the CLI's `--checkpoint` / `eval` path) is a
 //! v2 file containing just `PRMS`; a training-session checkpoint (the
@@ -53,21 +55,11 @@ const TAG_PARAMS: &[u8; 4] = b"PRMS";
 const TAG_ADAM: &[u8; 4] = b"ADAM";
 const TAG_RNGS: &[u8; 4] = b"RNGS";
 const TAG_COUNTERS: &[u8; 4] = b"CTRS";
-const TAG_FLOATS: &[u8; 4] = b"FLTS";
-const TAG_HISTORY: &[u8; 4] = b"HIST";
 const TAG_FINGERPRINT: &[u8; 4] = b"CFGF";
 
 /// Canonical section order; the loader requires strictly increasing ranks,
 /// which rejects both duplicates and shuffled sections.
-const TAG_ORDER: [&[u8; 4]; 7] = [
-    TAG_PARAMS,
-    TAG_ADAM,
-    TAG_RNGS,
-    TAG_COUNTERS,
-    TAG_FLOATS,
-    TAG_HISTORY,
-    TAG_FINGERPRINT,
-];
+const TAG_ORDER: [&[u8; 4]; 5] = [TAG_PARAMS, TAG_ADAM, TAG_RNGS, TAG_COUNTERS, TAG_FINGERPRINT];
 
 /// Errors from checkpoint loading.
 #[derive(Debug)]
@@ -110,7 +102,7 @@ impl From<io::Error> for CheckpointError {
 /// A complete, process-independent snapshot of a training session.
 ///
 /// `betty-nn` defines only the *container*; the meaning of each `rngs` /
-/// `counters` / `floats` slot is assigned by the caller (the core crate's
+/// `counters` slot is assigned by the caller (the core crate's
 /// durable-session module) via named indices. Empty vectors (and `None`
 /// options) simply omit the corresponding section, which is how a
 /// model-only checkpoint is represented.
@@ -124,10 +116,6 @@ pub struct TrainState {
     pub rngs: Vec<u128>,
     /// Monotone progress counters (next epoch, global step, …).
     pub counters: Vec<u64>,
-    /// Scalar progress values (best validation accuracy, …).
-    pub floats: Vec<f64>,
-    /// Per-epoch training-loss history up to the checkpoint.
-    pub history: Vec<f64>,
     /// Fingerprint of the experiment configuration that produced this
     /// state; resuming under a different configuration is refused.
     pub fingerprint: Option<u64>,
@@ -241,24 +229,6 @@ fn encode_state(state: &TrainState) -> BytesMut {
             buf.put_u64_le(c);
         }
         sections.push((TAG_COUNTERS, buf.to_vec()));
-    }
-
-    if !state.floats.is_empty() {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(state.floats.len() as u32);
-        for &x in &state.floats {
-            buf.put_u64_le(x.to_bits());
-        }
-        sections.push((TAG_FLOATS, buf.to_vec()));
-    }
-
-    if !state.history.is_empty() {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(state.history.len() as u32);
-        for &x in &state.history {
-            buf.put_u64_le(x.to_bits());
-        }
-        sections.push((TAG_HISTORY, buf.to_vec()));
     }
 
     if let Some(fp) = state.fingerprint {
@@ -456,18 +426,6 @@ fn decode_state(bytes: &[u8]) -> Result<TrainState, CheckpointError> {
                     state.counters.push(pr.u64("counter")?);
                 }
             }
-            t if t == TAG_FLOATS => {
-                let count = pr.u32("float count")? as usize;
-                for _ in 0..count {
-                    state.floats.push(f64::from_bits(pr.u64("float")?));
-                }
-            }
-            t if t == TAG_HISTORY => {
-                let count = pr.u32("history count")? as usize;
-                for _ in 0..count {
-                    state.history.push(f64::from_bits(pr.u64("loss")?));
-                }
-            }
             t if t == TAG_FINGERPRINT => state.fingerprint = Some(pr.u64("fingerprint")?),
             _ => unreachable!("tag validated against TAG_ORDER"),
         }
@@ -580,8 +538,6 @@ mod tests {
             adam: Some(opt.export_state(&m.params())),
             rngs: vec![u128::MAX - 2, 42],
             counters: vec![7, 1234, 3],
-            floats: vec![0.875, -1.5e-9],
-            history: vec![2.5, 1.25, 0.625],
             fingerprint: Some(0xDEAD_BEEF_CAFE_F00D),
         };
         let path = tmp("session");
@@ -640,8 +596,6 @@ mod tests {
             adam: Some(AdamState { t: 2, moments: vec![None] }),
             rngs: vec![99],
             counters: vec![1],
-            floats: vec![0.5],
-            history: vec![1.0],
             fingerprint: Some(17),
         };
         let bytes = encode_state(&state).to_vec();
@@ -662,8 +616,6 @@ mod tests {
             }),
             rngs: vec![7, 8],
             counters: vec![9],
-            floats: vec![3.5],
-            history: vec![0.25],
             fingerprint: Some(5),
         };
         let bytes = encode_state(&state).to_vec();
@@ -693,6 +645,19 @@ mod tests {
         out.to_vec()
     }
 
+    /// The two sections no caller filled are gone from the format: a file
+    /// that still carries either is refused, not skipped.
+    #[test]
+    fn dropped_sections_are_rejected() {
+        let floats = [&1u32.to_le_bytes()[..], &0.5f64.to_bits().to_le_bytes()].concat();
+        for tag in [b"FLTS", b"HIST"] {
+            match decode_state(&file(&[(TAG_PARAMS, &0u32.to_le_bytes()), (tag, &floats)])) {
+                Err(CheckpointError::Format(msg)) => assert!(msg.contains("unknown section"), "{msg}"),
+                other => panic!("a {tag:?} section decoded: {other:?}"),
+            }
+        }
+    }
+
     /// A rank of 4 and four in-range dims pass every per-word check; the
     /// 2⁶⁴ values of a `[65536; 4]` shape are what must not be formed.
     #[test]
@@ -720,8 +685,6 @@ mod tests {
             params: vec![a, b],
             rngs: vec![u128::MAX - 5, 77],
             counters: vec![4, 120, 2],
-            floats: vec![0.75, -3.0],
-            history: vec![2.25, 1.5, 1.0],
             fingerprint: Some(0x0123_4567_89AB_CDEF),
         }
     }

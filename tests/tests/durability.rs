@@ -10,8 +10,8 @@ use betty_tensor::Tensor;
 use proptest::prelude::*;
 
 /// A representative session checkpoint exercising every section type:
-/// params, Adam moments, RNG streams, counters, floats, loss history,
-/// and the config fingerprint.
+/// params, Adam moments, RNG streams, counters and the config
+/// fingerprint.
 fn full_state() -> TrainState {
     let params = vec![
         Tensor::from_vec(vec![0.5, -1.25, 3.0, 0.0, 7.5, -0.125], &[2, 3]).unwrap(),
@@ -25,8 +25,6 @@ fn full_state() -> TrainState {
         adam: Some(AdamState { t: 42, moments }),
         rngs: vec![0x1234_5678_9abc_def1, 0xfeed_beef_0000_0003],
         counters: vec![7, 310, 99],
-        floats: vec![0.8125],
-        history: vec![2.0, 1.5, 1.25],
         fingerprint: Some(0xdead_beef_cafe_f00d),
         params,
     }
