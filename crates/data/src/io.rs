@@ -13,10 +13,10 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 
 use betty_graph::{CsrGraph, NodeId};
-use betty_tensor::sealed::write_atomic;
+use betty_tensor::sealed::{write_atomic, Reader, Truncated};
 use betty_tensor::Tensor;
 
 use crate::{DataError, Dataset};
@@ -110,22 +110,6 @@ pub fn save_dataset(dataset: &Dataset, path: impl AsRef<Path>) -> io::Result<()>
     write_atomic(path.as_ref(), &buf)
 }
 
-/// Checks `buf` holds `count` values of `width` bytes, a product that must not wrap.
-fn need(buf: &Bytes, count: usize, width: usize, what: &str) -> Result<(), LoadError> {
-    match count.checked_mul(width) {
-        Some(bytes) if bytes <= buf.remaining() => Ok(()),
-        _ => Err(LoadError::Format(format!(
-            "truncated while reading {what} ({count} × {width} bytes needed, {} left)",
-            buf.remaining()
-        ))),
-    }
-}
-
-fn read_u32_vec(buf: &mut Bytes, n: usize, what: &str) -> Result<Vec<u32>, LoadError> {
-    need(buf, n, 4, what)?;
-    Ok((0..n).map(|_| buf.get_u32_le()).collect())
-}
-
 /// Loads a dataset written by [`save_dataset`].
 ///
 /// # Errors
@@ -133,42 +117,35 @@ fn read_u32_vec(buf: &mut Bytes, n: usize, what: &str) -> Result<Vec<u32>, LoadE
 /// [`LoadError::Io`] on filesystem problems, [`LoadError::Format`] when
 /// the file is not a valid dataset image.
 pub fn load_dataset(path: impl AsRef<Path>) -> Result<Dataset, LoadError> {
-    decode_dataset(Bytes::from(fs::read(path)?))
+    decode_dataset(&fs::read(path)?)
+}
+
+impl From<Truncated> for LoadError {
+    fn from(t: Truncated) -> Self {
+        LoadError::Format(t.0)
+    }
 }
 
 /// Decodes a [`save_dataset`] image, which must end with its features.
-fn decode_dataset(mut buf: Bytes) -> Result<Dataset, LoadError> {
-    need(&buf, MAGIC.len(), 1, "magic")?;
-    if &buf.split_to(MAGIC.len())[..] != MAGIC {
+fn decode_dataset(bytes: &[u8]) -> Result<Dataset, LoadError> {
+    let mut r = Reader(bytes);
+    if r.take(MAGIC.len(), 1, "magic")? != MAGIC {
         return Err(LoadError::Format("bad magic".into()));
     }
-    need(&buf, 1, 4, "name length")?;
-    let name_len = buf.get_u32_le() as usize;
-    need(&buf, name_len, 1, "name")?;
-    let name = String::from_utf8(buf.split_to(name_len).to_vec())
+    let name_len = r.u32("name length")? as usize;
+    let name = String::from_utf8(r.take(name_len, 1, "name")?.to_vec())
         .map_err(|_| LoadError::Format("name is not UTF-8".into()))?;
-    need(&buf, 7, 4, "header counts")?;
-    let n = buf.get_u32_le() as usize;
-    let e = buf.get_u32_le() as usize;
-    let d = buf.get_u32_le() as usize;
-    let classes = buf.get_u32_le() as usize;
-    let n_train = buf.get_u32_le() as usize;
-    let n_val = buf.get_u32_le() as usize;
-    let n_test = buf.get_u32_le() as usize;
+    let [n, e, d, classes, n_train, n_val, n_test] = r.words("header counts")?;
 
-    let flat_edges = read_u32_vec(&mut buf, e.saturating_mul(2), "edges")?;
+    let flat_edges = r.u32s(e.saturating_mul(2), "edges")?;
     let edges: Vec<(NodeId, NodeId)> = flat_edges.chunks_exact(2).map(|p| (p[0], p[1])).collect();
-    let labels: Vec<usize> = read_u32_vec(&mut buf, n, "labels")?
-        .into_iter()
-        .map(|l| l as usize)
-        .collect();
-    let train_idx = read_u32_vec(&mut buf, n_train, "train split")?;
-    let val_idx = read_u32_vec(&mut buf, n_val, "val split")?;
-    let test_idx = read_u32_vec(&mut buf, n_test, "test split")?;
-    need(&buf, n.saturating_mul(d), 4, "features")?;
-    let feats: Vec<f32> = (0..n * d).map(|_| buf.get_f32_le()).collect();
-    if buf.remaining() > 0 {
-        return Err(LoadError::Format(format!("{} bytes after the features", buf.remaining())));
+    let labels: Vec<usize> = r.u32s(n, "labels")?.into_iter().map(|l| l as usize).collect();
+    let train_idx = r.u32s(n_train, "train split")?;
+    let val_idx = r.u32s(n_val, "val split")?;
+    let test_idx = r.u32s(n_test, "test split")?;
+    let feats = r.f32s(n.saturating_mul(d), "features")?;
+    if !r.0.is_empty() {
+        return Err(LoadError::Format(format!("{} bytes after the features", r.0.len())));
     }
 
     for (i, &(u, v)) in edges.iter().enumerate() {
@@ -323,8 +300,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let budget = 4 * valid.len() + 4096;
         let decode = |what: &str, bytes: &[u8]| {
-            let image = Bytes::from(bytes.to_vec());
-            let outcome = catch_unwind(AssertUnwindSafe(|| measured(|| decode_dataset(image))));
+            let outcome = catch_unwind(AssertUnwindSafe(|| measured(|| decode_dataset(bytes))));
             let Ok((decoded, largest, _)) = outcome else {
                 panic!("{what}: the decoder panicked");
             };

@@ -16,7 +16,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use betty_tensor::sealed::{replace_file, seal, sync_dir, unseal, write_atomic};
+use betty_tensor::sealed::{replace_file, seal, sync_dir, unseal, write_atomic, Reader};
 use betty_tensor::{crc32, DType, Tensor};
 
 use crate::featurestore::FeatureStoreError;
@@ -58,17 +58,6 @@ fn put_words(out: &mut Vec<u8>, words: impl IntoIterator<Item = usize>) {
     }
 }
 
-/// Splits `N` header words off the front of `body`, or `None` if it is
-/// shorter than that.
-fn take_words<const N: usize>(body: &[u8]) -> Option<([usize; N], &[u8])> {
-    let (head, rest) = body.split_at_checked(N * 4)?;
-    let mut words = [0usize; N];
-    for (word, chunk) in words.iter_mut().zip(head.chunks_exact(4)) {
-        *word = u32::from_le_bytes(chunk.try_into().expect("chunk is 4 bytes")) as usize;
-    }
-    Some((words, rest))
-}
-
 /// XORs `payload` into `acc`, first zero-extending `acc` to its length —
 /// the one accumulate loop behind writing, rebuilding and repairing from
 /// parity.
@@ -94,17 +83,18 @@ fn unseal_payload<'a>(
     payload_len: usize,
 ) -> Result<&'a [u8], (u64, String)> {
     let (_, body) = unseal(bytes, &[magic])?;
-    let Some((got, payload)) = body.split_at_checked(header.len()) else {
+    let (mut r, count) = (Reader(body), header.len() / 4);
+    let (got, want) = (r.u32s(count, "header"), Reader(header).u32s(count, "header"));
+    let (Ok(got), Ok(want)) = (got, want) else {
         return Err((bytes.len() as u64, "header truncated".into()));
     };
-    let mut pairs = got.chunks_exact(4).zip(header.chunks_exact(4)).enumerate();
-    if let Some((at, (got, want))) = pairs.find(|(_, (got, want))| got != want) {
-        let word = |c: &[u8]| u32::from_le_bytes(c.try_into().expect("chunk is 4 bytes"));
+    if let Some(at) = (0..count).find(|&at| got[at] != want[at]) {
         return Err((
             (magic.len() + at * 4) as u64,
-            format!("header {} is {}, meta implies {}", words[at], word(got), word(want)),
+            format!("header {} is {}, meta implies {}", words[at], got[at], want[at]),
         ));
     }
+    let payload = r.0;
     if payload.len() != payload_len {
         return Err((
             (magic.len() + header.len()) as u64,
@@ -472,23 +462,16 @@ pub(crate) fn write_store(
 fn parse_meta(bytes: &[u8]) -> Result<(usize, usize, usize, DType), String> {
     let (version, body) = unseal(bytes, &[META_MAGIC, META_MAGIC_V2])
         .map_err(|(_, detail)| format!("meta {detail}"))?;
-    let (Some(([rows, cols, page_rows], rest)), true) =
-        (take_words::<3>(body), body.len() == (3 + version) * 4)
-    else {
-        return Err(format!(
-            "meta body is {} bytes, its version holds {}",
-            body.len(),
-            (3 + version) * 4
-        ));
-    };
-    let dtype = match take_words::<1>(rest) {
-        None => DType::F32,
-        Some(([tag], _)) => match DType::from_tag(tag as u32) {
-            Some(DType::F32) | None => {
-                return Err(format!("meta names invalid 16-bit dtype tag {tag}"))
-            }
-            Some(dtype) => dtype,
-        },
+    if body.len() != (3 + version) * 4 {
+        let holds = (3 + version) * 4;
+        return Err(format!("meta body is {} bytes, its version holds {holds}", body.len()));
+    }
+    let mut r = Reader(body);
+    let [rows, cols, page_rows] = r.words("meta")?;
+    let dtype = match r.words("dtype tag").map(|[tag]| (tag, DType::from_tag(tag as u32))) {
+        Err(_) => DType::F32,
+        Ok((_, Some(dtype))) if dtype != DType::F32 => dtype,
+        Ok((tag, _)) => return Err(format!("meta names invalid 16-bit dtype tag {tag}")),
     };
     if page_rows == 0 {
         return Err("page_rows is zero".into());
@@ -505,22 +488,17 @@ fn parse_meta(bytes: &[u8]) -> Result<(usize, usize, usize, DType), String> {
 fn parse_parity_meta(bytes: &[u8], num_shards: usize) -> Result<(usize, Vec<u32>), String> {
     let (_, body) = unseal(bytes, &[PARITY_META_MAGIC])
         .map_err(|(_, detail)| format!("parity meta {detail}"))?;
-    let Some(([width, count], crcs)) = take_words::<2>(body) else {
-        return Err("parity meta header truncated".into());
-    };
+    let mut r = Reader(body);
+    let [width, count] = r.words("parity meta header")?;
     if width == 0 {
         return Err("parity width is zero".into());
     }
-    if count != num_shards || crcs.len() % 4 != 0 || crcs.len() / 4 != count {
+    if count != num_shards || r.0.len() != 4 * count {
         return Err(format!(
             "parity meta covers {count} shards, store has {num_shards}"
         ));
     }
-    let payload_crcs = crcs
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("chunk is 4 bytes")))
-        .collect();
-    Ok((width, payload_crcs))
+    Ok((width, r.u32s(count, "payload CRCs")?))
 }
 
 // ---------------------------------------------------------------------------

@@ -41,9 +41,9 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 
-use betty_tensor::sealed::{seal, unseal, write_atomic};
+use betty_tensor::sealed::{seal, unseal, write_atomic, Reader, Truncated};
 use betty_tensor::Tensor;
 
 use crate::optim::AdamState;
@@ -258,31 +258,9 @@ pub fn save_train_state(state: &TrainState, path: impl AsRef<Path>) -> io::Resul
 // ---------------------------------------------------------------------------
 // Decoding.
 
-struct Reader {
-    buf: Bytes,
-}
-
-impl Reader {
-    fn need(&self, bytes: usize, what: &str) -> Result<(), CheckpointError> {
-        if self.buf.remaining() < bytes {
-            return Err(CheckpointError::Format(format!("truncated at {what}")));
-        }
-        Ok(())
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, CheckpointError> {
-        self.need(1, what)?;
-        Ok(self.buf.get_u8())
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, CheckpointError> {
-        self.need(4, what)?;
-        Ok(self.buf.get_u32_le())
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, CheckpointError> {
-        self.need(8, what)?;
-        Ok(self.buf.get_u64_le())
+impl From<Truncated> for CheckpointError {
+    fn from(t: Truncated) -> Self {
+        CheckpointError::Format(t.0)
     }
 }
 
@@ -296,17 +274,14 @@ fn decode_params(r: &mut Reader) -> Result<Vec<Tensor>, CheckpointError> {
                 "parameter {i}: implausible rank {ndim}"
             )));
         }
-        let shape = (0..ndim).map(|_| r.u32("shape").map(|d| d as usize));
-        let shape = shape.collect::<Result<Vec<_>, _>>()?;
-        // Up to eight untrusted dims: their byte count may not fit a usize.
-        let Some(bytes) = shape.iter().try_fold(4usize, |n, &d| n.checked_mul(d)) else {
+        let shape: Vec<usize> = r.u32s(ndim, "shape")?.into_iter().map(|d| d as usize).collect();
+        // Up to eight untrusted dims: their product may not fit a usize.
+        let Some(values) = shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d)) else {
             return Err(CheckpointError::Format(format!(
                 "parameter {i}: shape {shape:?} overflows"
             )));
         };
-        r.need(bytes, "tensor data")?;
-        let data: Vec<f32> = (0..bytes / 4).map(|_| r.buf.get_f32_le()).collect();
-        let tensor = Tensor::from_vec(data, &shape)
+        let tensor = Tensor::from_vec(r.f32s(values, "tensor data")?, &shape)
             .map_err(|e| CheckpointError::Format(format!("parameter {i}: {e}")))?;
         params.push(tensor);
     }
@@ -330,12 +305,8 @@ fn decode_adam(r: &mut Reader, params: &[Tensor]) -> Result<AdamState, Checkpoin
         match r.u8("moment presence")? {
             0 => moments.push(None),
             1 => {
-                let len = p.len();
-                // `len` values of a decoded tensor: 4 * len fitted a usize.
                 let mut read = |what| -> Result<Tensor, CheckpointError> {
-                    r.need(4 * len, what)?;
-                    let data = (0..len).map(|_| r.buf.get_f32_le()).collect();
-                    Tensor::from_vec(data, p.shape())
+                    Tensor::from_vec(r.f32s(p.len(), what)?, p.shape())
                         .map_err(|e| CheckpointError::Format(format!("moment {i}: {e}")))
                 };
                 let m = read("adam m")?;
@@ -353,9 +324,8 @@ fn decode_adam(r: &mut Reader, params: &[Tensor]) -> Result<AdamState, Checkpoin
 }
 
 fn decode_state(bytes: &[u8]) -> Result<TrainState, CheckpointError> {
-    let mut r = Reader { buf: Bytes::from(bytes.to_vec()) };
-    r.need(MAGIC.len(), "magic")?;
-    if &r.buf.split_to(MAGIC.len())[..] != MAGIC {
+    let mut r = Reader(bytes);
+    if r.take(MAGIC.len(), 1, "magic")? != MAGIC {
         return Err(CheckpointError::Format(
             "bad magic (not a v2 checkpoint)".into(),
         ));
@@ -371,20 +341,17 @@ fn decode_state(bytes: &[u8]) -> Result<TrainState, CheckpointError> {
     let mut saw_params = false;
     let mut last_rank: Option<usize> = None;
     for _ in 0..section_count {
-        r.need(8, "section header")?;
-        let mut tag = [0u8; 4];
-        tag.copy_from_slice(&r.buf[..4]);
-        let len = (&r.buf[4..8]).get_u32_le() as usize;
-        r.need(8 + len + 4, "section payload")?;
-        if unseal(&r.buf[..8 + len + 4], &[&[]]).is_err() {
+        let section = r.0;
+        let tag = r.arrays::<4>(1, "section tag")?[0];
+        let len = r.u32("section length")? as usize;
+        let payload = r.take(len, 1, "section payload")?;
+        r.take(4, 1, "section crc")?;
+        if unseal(&section[..8 + len + 4], &[&[]]).is_err() {
             return Err(CheckpointError::Format(format!(
                 "crc mismatch in section {:?}",
                 String::from_utf8_lossy(&tag)
             )));
         }
-        r.buf.advance(8);
-        let payload = r.buf.split_to(len);
-        r.buf.advance(4);
 
         let rank = TAG_ORDER
             .iter()
@@ -405,7 +372,7 @@ fn decode_state(bytes: &[u8]) -> Result<TrainState, CheckpointError> {
         }
         last_rank = Some(rank);
 
-        let mut pr = Reader { buf: payload };
+        let mut pr = Reader(payload);
         match &tag {
             t if t == TAG_PARAMS => {
                 state.params = decode_params(&mut pr)?;
@@ -414,33 +381,31 @@ fn decode_state(bytes: &[u8]) -> Result<TrainState, CheckpointError> {
             t if t == TAG_ADAM => state.adam = Some(decode_adam(&mut pr, &state.params)?),
             t if t == TAG_RNGS => {
                 let count = pr.u32("rng count")? as usize;
-                for _ in 0..count {
-                    let lo = pr.u64("rng state")?;
-                    let hi = pr.u64("rng state")?;
-                    state.rngs.push((lo as u128) | ((hi as u128) << 64));
+                for pair in pr.arrays::<16>(count, "rng states")? {
+                    state.rngs.push(u128::from_le_bytes(*pair));
                 }
             }
             t if t == TAG_COUNTERS => {
                 let count = pr.u32("counter count")? as usize;
-                for _ in 0..count {
-                    state.counters.push(pr.u64("counter")?);
+                for &counter in pr.arrays::<8>(count, "counters")? {
+                    state.counters.push(u64::from_le_bytes(counter));
                 }
             }
             t if t == TAG_FINGERPRINT => state.fingerprint = Some(pr.u64("fingerprint")?),
             _ => unreachable!("tag validated against TAG_ORDER"),
         }
-        if pr.buf.remaining() != 0 {
+        if !pr.0.is_empty() {
             return Err(CheckpointError::Format(format!(
                 "section {:?} has {} trailing bytes",
                 String::from_utf8_lossy(&tag),
-                pr.buf.remaining()
+                pr.0.len()
             )));
         }
     }
-    if r.buf.remaining() != 0 {
+    if !r.0.is_empty() {
         return Err(CheckpointError::Format(format!(
             "{} trailing bytes after last section",
-            r.buf.remaining()
+            r.0.len()
         )));
     }
     if !saw_params {

@@ -53,6 +53,73 @@ pub fn unseal<'a>(bytes: &'a [u8], magics: &[&[u8]]) -> Result<(usize, &'a [u8])
     Ok((which, body))
 }
 
+/// What a [`Reader`] could not take, naming the field it was reading.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Truncated(pub String);
+
+impl From<Truncated> for String {
+    fn from(t: Truncated) -> String {
+        t.0
+    }
+}
+
+/// The one little-endian reader of every sealed body and file image: each
+/// take names its field, and `count × width` is checked — a product that
+/// may not wrap — before a byte of it is read or allocated for. Every
+/// method fails with [`Truncated`] when fewer bytes are left.
+#[derive(Debug, Clone)]
+pub struct Reader<'a>(pub &'a [u8]);
+
+impl<'a> Reader<'a> {
+    /// The next `count` values of `width` bytes each, borrowed.
+    pub fn take(&mut self, count: usize, width: usize, what: &str) -> Result<&'a [u8], Truncated> {
+        let left = self.0.len();
+        let Some((head, rest)) = count.checked_mul(width).and_then(|n| self.0.split_at_checked(n)) else {
+            return Err(Truncated(format!(
+                "truncated while reading {what} ({count} × {width} bytes needed, {left} left)"
+            )));
+        };
+        self.0 = rest;
+        Ok(head)
+    }
+
+    /// The next `count` values as `N`-byte arrays.
+    pub fn arrays<const N: usize>(&mut self, count: usize, what: &str) -> Result<&'a [[u8; N]], Truncated> {
+        Ok(self.take(count, N, what)?.as_chunks().0)
+    }
+
+    /// The next byte.
+    pub fn u8(&mut self, what: &str) -> Result<u8, Truncated> {
+        Ok(self.take(1, 1, what)?[0])
+    }
+
+    /// The next `u32`.
+    pub fn u32(&mut self, what: &str) -> Result<u32, Truncated> {
+        Ok(u32::from_le_bytes(self.arrays(1, what)?[0]))
+    }
+
+    /// The next `u64`.
+    pub fn u64(&mut self, what: &str) -> Result<u64, Truncated> {
+        Ok(u64::from_le_bytes(self.arrays(1, what)?[0]))
+    }
+
+    /// The next `N` `u32` words, widened.
+    pub fn words<const N: usize>(&mut self, what: &str) -> Result<[usize; N], Truncated> {
+        let words = self.arrays::<4>(N, what)?;
+        Ok(std::array::from_fn(|i| u32::from_le_bytes(words[i]) as usize))
+    }
+
+    /// The next `count` `u32`s.
+    pub fn u32s(&mut self, count: usize, what: &str) -> Result<Vec<u32>, Truncated> {
+        Ok(self.arrays(count, what)?.iter().map(|&b| u32::from_le_bytes(b)).collect())
+    }
+
+    /// The next `count` `f32`s.
+    pub fn f32s(&mut self, count: usize, what: &str) -> Result<Vec<f32>, Truncated> {
+        Ok(self.arrays(count, what)?.iter().map(|&b| f32::from_le_bytes(b)).collect())
+    }
+}
+
 /// Writes `bytes` to `path` so that `path` holds either its old content
 /// or the complete new image, never a torn mix: same-directory
 /// `<name>.tmp` → `write_all` → `sync_all` → `rename`, then an fsync of
@@ -143,6 +210,19 @@ mod tests {
             let expect = if bit / 8 < A.len() { 0 } else { file.len() - 4 };
             assert_eq!(offset, expect as u64, "bit {bit}");
         }
+    }
+
+    /// Takes advance past what they return; a count whose byte size
+    /// wraps, or runs past the end, is refused without moving.
+    #[test]
+    fn reader_checks_count_times_width() {
+        let bytes = [1u8, 0, 0, 0, 2, 0, 0, 0, 0xff];
+        let mut r = Reader(&bytes);
+        assert_eq!(r.words::<2>("pair"), Ok([1, 2]));
+        let wraps = r.take(usize::MAX / 2 + 1, 2, "values").unwrap_err();
+        assert!(wraps.0.contains("values"), "{wraps:?}");
+        assert!(r.u32("word").is_err());
+        assert_eq!((r.u8("byte"), r.0), (Ok(0xff), &[][..]));
     }
 
     #[test]
