@@ -63,7 +63,11 @@
 //! ## Storage fault tolerance
 //!
 //! Mid-run, every physical shard read re-validates the whole file instead
-//! of trusting the open-time check:
+//! of trusting the open-time check. A page-in is one `fs::read`, one CRC
+//! pass over that buffer in place ([`betty_tensor::crc32`], a carry-less
+//! multiply fold where the CPU has one) and no copy: the cache keeps the
+//! buffer and decodes a row out of it when a gather serves that row.
+//! What a read can meet:
 //!
 //! * **Transient I/O errors** (real, or injected through the armed
 //!   [`StorageFaultHook`]) are retried with seeded-jitter exponential
@@ -103,7 +107,7 @@ use betty_tensor::{DType, Tensor};
 use rand::{Rng, SeedableRng};
 use rand_pcg::Pcg64Mcg;
 
-use crate::shards::{shard_header_len, write_store, Layout, ShardFailure};
+use crate::shards::{shard_header_len, write_store, Layout, ShardFailure, ShardPayload};
 pub use crate::shards::{scrub, ScrubReport, META_FILE, PARITY_META_FILE};
 
 /// Default transient-I/O retry budget per logical shard read (the
@@ -494,41 +498,27 @@ fn first_non_finite(values: impl Iterator<Item = f32>) -> Option<(usize, f32)> {
 // ---------------------------------------------------------------------------
 // Paged backend.
 
-/// One resident shard's payload at its storage width. Half-width shards
-/// stay encoded in the cache — the byte savings the planner budgets for
-/// are real in the hot set, not just on disk — and decode per gathered
-/// row on the way out.
-#[derive(Debug)]
-enum ShardPayload {
-    F32(Vec<f32>),
-    Half(Vec<u16>),
-}
-
+/// A resident shard is the file image it was read as, payload bytes at
+/// their storage width: half-width shards stay encoded in the cache — the
+/// byte savings the planner budgets for are real in the hot set, not just
+/// on disk — and every row decodes from the bytes as a gather serves it.
 impl ShardPayload {
     fn byte_len(&self) -> usize {
-        match self {
-            ShardPayload::F32(v) => v.len() * 4,
-            ShardPayload::Half(v) => v.len() * 2,
-        }
+        self.bytes().len()
     }
 
-    /// Decodes one `cols`-wide row into `out`.
-    fn copy_row(&self, dtype: DType, local: usize, cols: usize, out: &mut [f32]) {
-        match self {
-            ShardPayload::F32(v) => out.copy_from_slice(&v[local * cols..(local + 1) * cols]),
-            ShardPayload::Half(v) => {
-                for (o, &b) in out.iter_mut().zip(&v[local * cols..(local + 1) * cols]) {
-                    *o = dtype.decode16(b);
-                }
+    /// Decodes row `local` of `out.len()` values into `out`.
+    fn copy_row(&self, dtype: DType, local: usize, out: &mut [f32]) {
+        let width = dtype.bytes_per_value();
+        let row = &self.bytes()[local * out.len() * width..(local + 1) * out.len() * width];
+        if dtype == DType::F32 {
+            for (o, &b) in out.iter_mut().zip(row.as_chunks().0) {
+                *o = f32::from_le_bytes(b);
             }
-        }
-    }
-
-    /// Decodes the full payload to f32.
-    fn to_f32(&self, dtype: DType) -> Vec<f32> {
-        match self {
-            ShardPayload::F32(v) => v.clone(),
-            ShardPayload::Half(v) => v.iter().map(|&b| dtype.decode16(b)).collect(),
+        } else {
+            for (o, &b) in out.iter_mut().zip(row.as_chunks().0) {
+                *o = dtype.decode16(u16::from_le_bytes(b));
+            }
         }
     }
 }
@@ -799,9 +789,11 @@ impl PagedFeatures {
     /// `find_non_finite`). Transient errors are still retried and
     /// corruption still repaired from parity before the panic fires.
     fn read_shard_f32(&self, shard: usize) -> Vec<f32> {
-        self.try_read_shard_payload(shard, &mut GatherStats::default())
-            .unwrap_or_else(|e| panic!("{e}"))
-            .to_f32(self.dtype())
+        let payload = self.try_read_shard_payload(shard, &mut GatherStats::default());
+        let payload = payload.unwrap_or_else(|e| panic!("{e}"));
+        let mut values = vec![0.0; payload.byte_len() / self.dtype().bytes_per_value()];
+        payload.copy_row(self.dtype(), 0, &mut values);
+        values
     }
 
     /// Reads one shard's payload with full re-validation (seal, header),
@@ -812,7 +804,6 @@ impl PagedFeatures {
         shard: usize,
         stats: &mut GatherStats,
     ) -> Result<ShardPayload, FeatureStoreError> {
-        let dtype = self.dtype();
         let mut chaos = self.chaos();
         let max_io_retries = chaos.max_io_retries;
         let mut attempt = 0usize;
@@ -832,8 +823,7 @@ impl PagedFeatures {
                     format!("injected transient read error (attempt {attempt})"),
                 )))
             } else {
-                self.layout
-                    .with_payload(shard, |payload| decode_payload(payload, dtype))
+                self.layout.read_payload(shard)
             };
             match outcome {
                 Ok(payload) => return Ok(payload),
@@ -872,7 +862,7 @@ impl PagedFeatures {
                         group: shard / self.parity_width(),
                         repair_bytes,
                     });
-                    return Ok(decode_payload(&payload, dtype));
+                    return Ok(payload);
                 }
             }
         }
@@ -1002,7 +992,7 @@ impl PagedFeatures {
                 }
                 for &slot in bucket {
                     let local = indices[slot] - start_row;
-                    payload.copy_row(dtype, local, cols, &mut out[slot * cols..(slot + 1) * cols]);
+                    payload.copy_row(dtype, local, &mut out[slot * cols..(slot + 1) * cols]);
                 }
             },
         )?;
@@ -1052,24 +1042,6 @@ impl PagedFeatures {
             let (at, v) = first_non_finite(self.read_shard_f32(shard).into_iter())?;
             Some((shard * self.page_rows() * self.cols() + at, v))
         })
-    }
-}
-
-/// Decodes raw payload bytes to a cache-resident payload at `dtype`.
-fn decode_payload(bytes: &[u8], dtype: DType) -> ShardPayload {
-    match dtype {
-        DType::F32 => ShardPayload::F32(
-            bytes
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes(c.try_into().expect("chunk is 4 bytes")))
-                .collect(),
-        ),
-        _ => ShardPayload::Half(
-            bytes
-                .chunks_exact(2)
-                .map(|c| u16::from_le_bytes(c.try_into().expect("chunk is 2 bytes")))
-                .collect(),
-        ),
     }
 }
 
@@ -1388,6 +1360,33 @@ mod tests {
     fn matrix(rows: usize, cols: usize, seed: u64) -> Tensor {
         let mut rng = Pcg64Mcg::seed_from_u64(seed);
         betty_tensor::randn(&[rows, cols], &mut rng)
+    }
+
+    /// Rows decoded straight out of a shard's file image — on the gather
+    /// that paged it in, then again from the cache — equal the dense
+    /// store's rows bit for bit at F32 and at a 16-bit width, and the
+    /// cache counts payload bytes, not file bytes.
+    #[test]
+    fn rows_served_from_a_freshly_paged_shard_equal_dense() {
+        for dtype in [DType::F32, DType::Bf16] {
+            let dense = Features::dense_with_dtype(matrix(37, 5, 3), dtype);
+            let dir = tmp_dir(&format!("fresh-{dtype}"));
+            let paged = dense.to_paged(&dir, 8, usize::MAX).unwrap();
+            let indices = [36usize, 0, 17, 8, 8, 35, 9];
+            let (mut fresh, mut warm) = (vec![0.0; 35], vec![0.0; 35]);
+            let first = paged.try_gather_into(&indices, &mut fresh).unwrap();
+            let second = paged.try_gather_into(&indices, &mut warm).unwrap();
+            // Shards 0, 1, 2 (8 rows each) and 4 (the last 5): 29 rows of 5.
+            let payload_bytes = 29 * 5 * dtype.bytes_per_value();
+            assert_eq!((first.misses, first.pages_in, second.hits), (7, 4, 7), "{dtype}");
+            assert_eq!(first.bytes_in as usize, payload_bytes, "{dtype}");
+            let Features::Paged(store) = &paged else { unreachable!() };
+            assert_eq!(store.cache_held_bytes(), payload_bytes, "{dtype}");
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let want = bits(dense.gather_rows(&indices).data());
+            assert_eq!((bits(&fresh), bits(&warm)), (want.clone(), want), "{dtype}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -9,8 +9,13 @@
 //! A store with a damaged shard cannot be opened, so everything here
 //! works from a directory and its meta files, not from an open store:
 //! [`PagedFeatures::open`](crate::PagedFeatures::open), the live read
-//! path and [`scrub`] all read shards through [`Layout::with_payload`]
+//! path and [`scrub`] all read shards through [`Layout::read_payload`]
 //! and rebuild them through [`Layout::repair_shard`].
+//!
+//! A page-in is one read, one check and no copy: `read_payload` keeps the
+//! buffer `fs::read` returned, checks its CRC and header in place, and
+//! hands it over as the [`ShardPayload`] the cache holds; rows are decoded
+//! out of it only as a gather serves them.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -104,6 +109,21 @@ fn unseal_payload<'a>(
     Ok(payload)
 }
 
+/// A validated shard file as it was read: the payload is `file[payload]`,
+/// never copied out of it. A payload rebuilt from parity has no file
+/// around it.
+#[derive(Debug)]
+pub(crate) struct ShardPayload {
+    file: Vec<u8>,
+    payload: std::ops::Range<usize>,
+}
+
+impl ShardPayload {
+    pub(crate) fn bytes(&self) -> &[u8] {
+        &self.file[self.payload.clone()]
+    }
+}
+
 /// How one validated shard read failed.
 pub(crate) enum ShardFailure {
     /// Transient-looking I/O error (worth retrying).
@@ -126,7 +146,7 @@ pub(crate) struct Layout {
     /// With a sidecar, the payload CRC of every data shard — what a
     /// reconstruction is verified against.
     payload_crcs: Vec<u32>,
-    /// Data-shard files read through [`Layout::with_payload`].
+    /// Data-shard files read through [`Layout::read_payload`].
     shard_reads: AtomicUsize,
 }
 
@@ -199,11 +219,7 @@ impl Layout {
     }
 
     fn shard_magic(&self) -> &'static [u8] {
-        if self.dtype == DType::F32 {
-            SHARD_MAGIC
-        } else {
-            SHARD_MAGIC_V2
-        }
+        if self.dtype == DType::F32 { SHARD_MAGIC } else { SHARD_MAGIC_V2 }
     }
 
     /// The header words `shard`'s file must carry — what the writer puts
@@ -244,16 +260,12 @@ impl Layout {
             .map_err(|(offset, detail)| (offset, format!("parity {detail}")))
     }
 
-    /// One physical read of `shard` with full validation; `f` sees the
-    /// payload in place, so nothing outlives the call but what `f` keeps.
-    pub(crate) fn with_payload<T>(
-        &self,
-        shard: usize,
-        f: impl FnOnce(&[u8]) -> T,
-    ) -> Result<T, ShardFailure> {
+    /// One physical read of `shard` with full validation, keeping the
+    /// buffer it was read into.
+    pub(crate) fn read_payload(&self, shard: usize) -> Result<ShardPayload, ShardFailure> {
         self.shard_reads.fetch_add(1, Ordering::Relaxed);
-        let bytes = match std::fs::read(self.shard_path(shard)) {
-            Ok(bytes) => bytes,
+        let file = match std::fs::read(self.shard_path(shard)) {
+            Ok(file) => file,
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
                 return Err(ShardFailure::Corrupt {
                     offset: 0,
@@ -262,9 +274,12 @@ impl Layout {
             }
             Err(e) => return Err(ShardFailure::Io(e)),
         };
-        self.shard_payload(shard, &bytes)
-            .map(f)
-            .map_err(|(offset, detail)| ShardFailure::Corrupt { offset, detail })
+        let payload = match self.shard_payload(shard, &file) {
+            Ok(payload) => payload.len(),
+            Err((offset, detail)) => return Err(ShardFailure::Corrupt { offset, detail }),
+        };
+        let start = shard_header_len(self.dtype);
+        Ok(ShardPayload { file, payload: start..start + payload })
     }
 
     /// One validated read of parity shard `group`; `f` sees its XOR
@@ -281,7 +296,7 @@ impl Layout {
     /// Validates every shard and parity file (the open-time check).
     pub(crate) fn validate(&self) -> Result<(), FeatureStoreError> {
         for shard in 0..self.num_shards() {
-            self.with_payload(shard, |_| ()).map_err(|e| match e {
+            self.read_payload(shard).map_err(|e| match e {
                 ShardFailure::Io(e) => FeatureStoreError::Io(e),
                 ShardFailure::Corrupt { detail, .. } => {
                     FeatureStoreError::Format(format!("shard {shard}: {detail}"))
@@ -305,16 +320,14 @@ impl Layout {
     ) -> Result<u64, String> {
         let mut bytes_read = 0;
         for member in members {
-            let read = |payload: &[u8]| {
-                xor_into(acc, payload);
-                payload.len() as u64
-            };
-            bytes_read += self.with_payload(member, read).map_err(|e| match e {
+            let payload = self.read_payload(member).map_err(|e| match e {
                 ShardFailure::Io(e) => format!("shard {member} is also unreadable ({e})"),
                 ShardFailure::Corrupt { detail, .. } => {
                     format!("shard {member} is also damaged ({detail})")
                 }
             })?;
+            xor_into(acc, payload.bytes());
+            bytes_read += payload.bytes().len() as u64;
         }
         Ok(bytes_read)
     }
@@ -330,7 +343,7 @@ impl Layout {
         shard: usize,
         offset: u64,
         why: &str,
-    ) -> Result<(Vec<u8>, u64), FeatureStoreError> {
+    ) -> Result<(ShardPayload, u64), FeatureStoreError> {
         let fail = |detail: String| FeatureStoreError::Shard {
             shard,
             offset,
@@ -372,7 +385,7 @@ impl Layout {
         let mut body = self.shard_header(shard);
         body.extend_from_slice(&acc);
         write_atomic(&self.shard_path(shard), &seal(self.shard_magic(), &body))?;
-        Ok((acc, repair_bytes))
+        Ok((ShardPayload { payload: 0..my_len, file: acc }, repair_bytes))
     }
 
     /// Seals parity shard `group` around the XOR of its members.
@@ -559,11 +572,9 @@ pub fn scrub(dir: impl AsRef<Path>) -> Result<ScrubReport, FeatureStoreError> {
         ..ScrubReport::default()
     };
     let intact = |shard: usize| {
-        let matches_sidecar = |payload: &[u8]| {
-            let recorded = layout.payload_crcs.get(shard);
-            recorded.is_none_or(|&crc| crc == crc32(payload))
-        };
-        layout.with_payload(shard, matches_sidecar).unwrap_or(false)
+        let recorded = layout.payload_crcs.get(shard);
+        let payload = layout.read_payload(shard);
+        payload.is_ok_and(|p| recorded.is_none_or(|&crc| crc == crc32(p.bytes())))
     };
     if layout.parity_width == 0 {
         // Without a sidecar (whose CRC list is as long as the store) the

@@ -175,6 +175,13 @@ fn push_section(out: &mut BytesMut, tag: &[u8; 4], payload: &[u8]) {
     out.put_slice(&seal(&[], &span));
 }
 
+/// `u32 count | values…`: the body of `RNGS` and `CTRS`.
+fn counted<const N: usize>(values: impl ExactSizeIterator<Item = [u8; N]>) -> Vec<u8> {
+    let mut body = (values.len() as u32).to_le_bytes().to_vec();
+    values.for_each(|v| body.extend_from_slice(&v));
+    body
+}
+
 fn encode_state(state: &TrainState) -> BytesMut {
     let mut sections: Vec<(&[u8; 4], Vec<u8>)> = Vec::new();
 
@@ -200,10 +207,7 @@ fn encode_state(state: &TrainState) -> BytesMut {
                 None => buf.put_u8(0),
                 Some((m, v)) => {
                     buf.put_u8(1);
-                    for &x in m.data() {
-                        buf.put_f32_le(x);
-                    }
-                    for &x in v.data() {
+                    for &x in m.data().iter().chain(v.data()) {
                         buf.put_f32_le(x);
                     }
                 }
@@ -213,28 +217,13 @@ fn encode_state(state: &TrainState) -> BytesMut {
     }
 
     if !state.rngs.is_empty() {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(state.rngs.len() as u32);
-        for &s in &state.rngs {
-            buf.put_u64_le(s as u64);
-            buf.put_u64_le((s >> 64) as u64);
-        }
-        sections.push((TAG_RNGS, buf.to_vec()));
+        sections.push((TAG_RNGS, counted(state.rngs.iter().map(|s| s.to_le_bytes()))));
     }
-
     if !state.counters.is_empty() {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(state.counters.len() as u32);
-        for &c in &state.counters {
-            buf.put_u64_le(c);
-        }
-        sections.push((TAG_COUNTERS, buf.to_vec()));
+        sections.push((TAG_COUNTERS, counted(state.counters.iter().map(|c| c.to_le_bytes()))));
     }
-
     if let Some(fp) = state.fingerprint {
-        let mut buf = BytesMut::new();
-        buf.put_u64_le(fp);
-        sections.push((TAG_FINGERPRINT, buf.to_vec()));
+        sections.push((TAG_FINGERPRINT, fp.to_le_bytes().to_vec()));
     }
 
     let mut out = BytesMut::new();
