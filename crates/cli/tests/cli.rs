@@ -231,6 +231,41 @@ fn traced_faulted_run_exports_its_recovery_log() {
     assert!(jsonl.contains("\"kind\":\"anomaly_rollback\""), "{jsonl}");
 }
 
+/// A rolled-back attempt leaves no `step` record behind: after a NaN
+/// rollback or an OOM retry every epoch has exactly as many step records
+/// as its `epoch` record's `num_steps` (the NaN run used to keep three for
+/// epoch 1, whose record says two).
+#[test]
+fn traced_retried_epochs_keep_only_the_steps_they_count() {
+    let field = |line: &str, key: &str| -> usize {
+        let at = line.find(&format!("\"{key}\":")).unwrap_or_else(|| panic!("{key} in {line}"));
+        let digits = line[at + key.len() + 3..].split(|c: char| !c.is_ascii_digit()).next();
+        digits.unwrap().parse().unwrap()
+    };
+    for fault in ["--fault-nan-steps", "--fault-oom-steps"] {
+        let trace = tmp(&format!("retried{fault}.jsonl"));
+        let out = betty()
+            .args(["train", "--preset", "cora", "--scale", "0.05", "--epochs", "3", "--k", "2"])
+            .args([fault, "3", "--trace-out"])
+            .arg(&trace)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+        let jsonl = std::fs::read_to_string(&trace).unwrap();
+        let _ = std::fs::remove_file(&trace);
+        let (mut steps, mut counted) = (vec![0; 3], vec![0; 3]);
+        for line in jsonl.lines() {
+            if line.starts_with("{\"type\":\"step\"") {
+                steps[field(line, "epoch")] += 1;
+            } else if line.starts_with("{\"type\":\"epoch\"") {
+                counted[field(line, "epoch")] = field(line, "num_steps");
+            }
+        }
+        assert!(jsonl.contains("\"type\":\"fault\""), "{fault}: nothing was retried");
+        assert_eq!(steps, counted, "{fault}: step records per epoch against num_steps");
+    }
+}
+
 /// A learning rate that is not a positive finite number, and a capacity
 /// whose byte count overflows, are usage errors (exit 1) naming the flag:
 /// `--lr NaN` used to panic in the optimizer, `--lr inf` to train, and

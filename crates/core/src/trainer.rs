@@ -170,22 +170,17 @@ impl std::error::Error for TrainError {
 }
 
 /// Lightweight in-memory checkpoint of everything training mutates:
-/// parameter values (and gradients), optimizer moments, and the dropout
-/// RNG. Restoring one onto the trainer it was taken from rewinds
-/// training exactly — a retried epoch is bit-identical to one that
-/// never failed.
+/// parameter values (and gradients), optimizer moments, the dropout RNG
+/// and how many step records the trace holds. Restoring one onto the
+/// trainer it was taken from rewinds training exactly — a retried epoch
+/// is bit-identical to one that never failed, and its trace keeps no
+/// step of the attempt that was thrown away.
 #[derive(Debug, Clone)]
 pub struct TrainerSnapshot {
     params: Vec<Param>,
     optimizer: Adam,
     rng: Pcg64Mcg,
-}
-
-impl TrainerSnapshot {
-    /// Number of parameter tensors captured.
-    pub fn num_params(&self) -> usize {
-        self.params.len()
-    }
+    trace_steps: usize,
 }
 
 /// How a step's loss feeds the gradient.
@@ -398,6 +393,7 @@ impl Trainer {
             params: self.model.params().into_iter().cloned().collect(),
             optimizer: self.optimizer.clone(),
             rng: self.rng.clone(),
+            trace_steps: self.trace.as_ref().map_or(0, |tr| tr.steps().len()),
         }
     }
 
@@ -421,6 +417,9 @@ impl Trainer {
         }
         self.optimizer = snapshot.optimizer.clone();
         self.rng = snapshot.rng.clone();
+        if let Some(tr) = self.trace.as_mut() {
+            tr.truncate_steps(snapshot.trace_steps);
+        }
     }
 
     /// Arms deterministic fault injection on the device (allocation
@@ -942,7 +941,7 @@ mod tests {
         // Advance so the optimizer has non-trivial moments.
         t.micro_batch_epoch(&ds, std::slice::from_ref(&batch), &[]).unwrap();
         let snap = t.snapshot();
-        assert!(snap.num_params() > 0);
+        assert!(!snap.params.is_empty());
         let a = t
             .micro_batch_epoch(&ds, std::slice::from_ref(&batch), &[])
             .unwrap().0;

@@ -190,16 +190,6 @@ impl MemTimeline {
     pub fn drain(&mut self) -> Vec<MemEvent> {
         std::mem::take(&mut self.events)
     }
-
-    /// Number of events currently held.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether no events are currently held.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
 }
 
 /// What a completed step measured, as the trace holds it: the trainer's
@@ -329,6 +319,12 @@ impl TraceRecorder {
             stats,
             breakdown,
         });
+    }
+
+    /// Keeps the first `len` step records and drops the rest: the steps of
+    /// an attempt the caller rolled back, which no epoch record counts.
+    pub fn truncate_steps(&mut self, len: usize) {
+        self.steps.truncate(len);
     }
 
     /// Records the stats an epoch call returned, at the current epoch.
@@ -1012,15 +1008,15 @@ mod tests {
     #[test]
     fn timeline_sequences_and_drains() {
         let mut tl = TraceRecorder::new().timeline();
-        assert!(tl.is_empty());
+        assert!(tl.events().is_empty());
         tl.record(100, 100, "parameters");
         tl.record(40, -60, "free_all");
-        assert_eq!(tl.len(), 2);
+        assert_eq!(tl.events().len(), 2);
         assert_eq!(tl.events()[0].seq, 0);
         assert_eq!(tl.events()[1].delta_bytes, -60);
         let drained = tl.drain();
         assert_eq!(drained.len(), 2);
-        assert!(tl.is_empty());
+        assert!(tl.events().is_empty());
         tl.record(0, -40, "free_all");
         assert_eq!(tl.events()[0].seq, 2, "sequence survives draining");
     }
