@@ -74,6 +74,7 @@ macro_rules! fused_reference {
             {
                 #[target_feature(enable = "fma")]
                 fn fused($($arg: $ty),*) {
+                    debug_assert!(std::arch::is_x86_feature_detected!("fma"));
                     reference($($arg),*);
                 }
                 if std::arch::is_x86_feature_detected!("fma") {
@@ -146,7 +147,8 @@ fn gemm_simd<const AT: bool>(
     {
         if std::arch::is_x86_feature_detected!("avx512f") {
             // SAFETY: avx512f was just detected; the asserts above are the
-            // slice-length preconditions `gemm_avx512` documents.
+            // slice-length preconditions `gemm_avx512` documents (and
+            // debug-asserts, with the feature).
             return unsafe { gemm_avx512(a, (ars, aps), b, out, (m, k, n), zero) };
         }
     }
@@ -172,6 +174,8 @@ fn gemm_avx2<const AT: bool>(
     out: &mut [f32],
     dims: (usize, usize, usize),
 ) {
+    debug_assert!(std::arch::is_x86_feature_detected!("avx2"));
+    debug_assert!(std::arch::is_x86_feature_detected!("fma"));
     gemm_tiles::<NR, AT>(a, lda, b, out, dims);
 }
 
@@ -318,6 +322,7 @@ unsafe fn gemm_avx512(
     (m, k, n): (usize, usize, usize),
     zero: bool,
 ) {
+    debug_assert!(std::arch::is_x86_feature_detected!("avx512f"));
     debug_assert!(b.len() == k * n && out.len() == m * n);
     debug_assert!((m - 1) * ars + (k - 1) * aps < a.len());
     let (a, b, out) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
@@ -362,6 +367,7 @@ unsafe fn gemm_avx512(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 unsafe fn tile_rows<const FULL: bool>(t: Tile512, rows: usize) {
+    debug_assert!(std::arch::is_x86_feature_detected!("avx512f") && rows > 0);
     match rows {
         1 => tile_avx512::<1, FULL>(t),
         2 => tile_avx512::<2, FULL>(t),
@@ -419,6 +425,7 @@ struct Tile512 {
 #[target_feature(enable = "avx512f")]
 unsafe fn tile_avx512<const MRT: usize, const FULL: bool>(t: Tile512) {
     use std::arch::x86_64::*;
+    debug_assert!(std::arch::is_x86_feature_detected!("avx512f"));
     let mut acc = [[_mm512_setzero_ps(); 2]; MRT];
     if !t.zero {
         for (r, accr) in acc.iter_mut().enumerate() {
@@ -1181,7 +1188,8 @@ fn adam_step_simd(value: &mut [f32], grad: &[f32], m: &mut [f32], v: &mut [f32],
     {
         if std::arch::is_x86_feature_detected!("avx512f") {
             // SAFETY: identical safe loop; the feature check above
-            // guarantees the instructions are supported.
+            // guarantees the instructions are supported, and the callee
+            // debug-asserts it.
             unsafe { adam_step_avx512(value, grad, m, v, c) };
             return;
         }
@@ -1198,6 +1206,7 @@ fn adam_step_simd(value: &mut [f32], grad: &[f32], m: &mut [f32], v: &mut [f32],
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 fn adam_step_avx512(value: &mut [f32], grad: &[f32], m: &mut [f32], v: &mut [f32], c: AdamCoeffs) {
+    debug_assert!(std::arch::is_x86_feature_detected!("avx512f"));
     adam_step_inner(value, grad, m, v, c);
 }
 
@@ -1205,6 +1214,7 @@ fn adam_step_avx512(value: &mut [f32], grad: &[f32], m: &mut [f32], v: &mut [f32
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn adam_step_avx2(value: &mut [f32], grad: &[f32], m: &mut [f32], v: &mut [f32], c: AdamCoeffs) {
+    debug_assert!(std::arch::is_x86_feature_detected!("avx2"));
     adam_step_inner(value, grad, m, v, c);
 }
 

@@ -385,6 +385,7 @@ macro_rules! lane_dispatch {
         #[target_feature(enable = "avx512f")]
         #[allow(clippy::too_many_arguments)] // inherits the kernel signature
         fn $avx512($($arg: $ty),*) {
+            debug_assert!(std::arch::is_x86_feature_detected!("avx512f"));
             $body($($arg),*);
         }
 
@@ -392,6 +393,7 @@ macro_rules! lane_dispatch {
         #[target_feature(enable = "avx2")]
         #[allow(clippy::too_many_arguments)] // inherits the kernel signature
         fn $avx2($($arg: $ty),*) {
+            debug_assert!(std::arch::is_x86_feature_detected!("avx2"));
             $body($($arg),*);
         }
 
@@ -401,8 +403,8 @@ macro_rules! lane_dispatch {
             {
                 if std::arch::is_x86_feature_detected!("avx512f") {
                     // SAFETY: the feature check guarantees the
-                    // instructions exist; the wrapper runs ordinary safe
-                    // code.
+                    // instructions exist (the wrapper debug-asserts it);
+                    // the wrapper runs ordinary safe code.
                     unsafe { $avx512($($arg),*) };
                     return;
                 }
@@ -454,10 +456,12 @@ fn prefetch_row(data: &[f32], offset: usize, floats: usize) {
     {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
         let lines = floats.div_ceil(16).min(8);
+        debug_assert!(std::arch::is_x86_feature_detected!("sse"));
         for l in 0..lines {
-            // SAFETY: prefetch is a hint; it cannot fault, and
-            // `wrapping_add` keeps the pointer arithmetic defined even
-            // when the window runs past the slice.
+            // SAFETY: prefetch is a hint; it cannot fault, `wrapping_add`
+            // keeps the pointer arithmetic defined even when the window
+            // runs past the slice, and SSE (asserted above) is part of the
+            // x86-64 baseline.
             unsafe {
                 _mm_prefetch(data.as_ptr().wrapping_add(offset + l * 16).cast(), _MM_HINT_T0);
             }
