@@ -480,7 +480,7 @@ fn parse_meta(bytes: &[u8]) -> Result<(usize, usize, usize, DType), String> {
         return Err(format!("meta body is {} bytes, its version holds {holds}", body.len()));
     }
     let mut r = Reader(body);
-    let [rows, cols, page_rows] = r.words("meta")?;
+    let [rows, cols, page_rows] = r.words("meta").map_err(|t| t.0)?;
     let dtype = match r.words("dtype tag").map(|[tag]| (tag, DType::from_tag(tag as u32))) {
         Err(_) => DType::F32,
         Ok((_, Some(dtype))) if dtype != DType::F32 => dtype,
@@ -502,7 +502,7 @@ fn parse_parity_meta(bytes: &[u8], num_shards: usize) -> Result<(usize, Vec<u32>
     let (_, body) = unseal(bytes, &[PARITY_META_MAGIC])
         .map_err(|(_, detail)| format!("parity meta {detail}"))?;
     let mut r = Reader(body);
-    let [width, count] = r.words("parity meta header")?;
+    let [width, count] = r.words("parity meta header").map_err(|t| t.0)?;
     if width == 0 {
         return Err("parity width is zero".into());
     }
@@ -511,7 +511,7 @@ fn parse_parity_meta(bytes: &[u8], num_shards: usize) -> Result<(usize, Vec<u32>
             "parity meta covers {count} shards, store has {num_shards}"
         ));
     }
-    Ok((width, r.u32s(count, "payload CRCs")?))
+    Ok((width, r.u32s(count, "payload CRCs").map_err(|t| t.0)?))
 }
 
 // ---------------------------------------------------------------------------

@@ -606,7 +606,7 @@ mod tests {
         let floats = [&1u32.to_le_bytes()[..], &0.5f64.to_bits().to_le_bytes()].concat();
         for tag in [b"FLTS", b"HIST"] {
             match decode_state(&file(&[(TAG_PARAMS, &0u32.to_le_bytes()), (tag, &floats)])) {
-                Err(CheckpointError::Format(msg)) => assert!(msg.contains("unknown section"), "{msg}"),
+                Err(CheckpointError::Format(m)) => assert!(m.contains("unknown section"), "{m}"),
                 other => panic!("a {tag:?} section decoded: {other:?}"),
             }
         }

@@ -113,7 +113,7 @@ fn fold_clmul(crc: u32, data: &[u8]) -> u32 {
     let pair = |(lo, hi): (i64, i64)| _mm_set_epi64x(hi, lo);
     let (blocks, tail) = data.as_chunks::<16>();
     let (head, rest) = blocks.split_at(4);
-    let mut lanes = [load(&head[0]), load(&head[1]), load(&head[2]), load(&head[3])];
+    let mut lanes = [0, 1, 2, 3].map(|i| load(&head[i]));
     lanes[0] = _mm_xor_si128(lanes[0], _mm_cvtsi32_si128(crc as i32));
     let mut quads = rest.chunks_exact(4);
     for quad in &mut quads {
@@ -121,13 +121,14 @@ fn fold_clmul(crc: u32, data: &[u8]) -> u32 {
             *lane = fold(*lane, load(block), pair(FOLD_64));
         }
     }
-    let [mut x, x1, x2, x3] = lanes;
-    for next in [x1, x2, x3].into_iter().chain(quads.remainder().iter().map(load)) {
+    let [mut x, rest @ ..] = lanes;
+    for next in rest.into_iter().chain(quads.remainder().iter().map(load)) {
         x = fold(x, next, pair(FOLD_16));
     }
     // 128 → 96 → 64 bits, then Barrett to 32; the CRC is the second dword.
     let low32 = _mm_set_epi32(0, 0, 0, -1);
-    x = _mm_xor_si128(_mm_clmulepi64_si128(x, pair(FOLD_16), 0x10), _mm_srli_si128(x, 8));
+    let x64 = _mm_clmulepi64_si128(x, pair(FOLD_16), 0x10);
+    x = _mm_xor_si128(x64, _mm_srli_si128(x, 8));
     let x96 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), _mm_set_epi64x(0, FOLD_96), 0x00);
     x = _mm_xor_si128(x96, _mm_srli_si128(x, 4));
     let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), pair(BARRETT), 0x10);
@@ -212,7 +213,8 @@ mod tests {
         let bytes = noise(1024 + 16);
         for offset in 0..=15 {
             for len in 0..=1024 {
-                agree(&bytes[offset..offset + len], &format!("len {len} offset {offset}"));
+                let what = format!("len {len} offset {offset}");
+                agree(&bytes[offset..offset + len], &what);
             }
         }
     }
@@ -223,7 +225,8 @@ mod tests {
         let big = noise((1 << 20) + 8);
         for len in [100 << 10, 1 << 20] {
             for offset in [0usize, 3, 7] {
-                agree(&big[offset..offset + len], &format!("len {len} offset {offset}"));
+                let what = format!("len {len} offset {offset}");
+                agree(&big[offset..offset + len], &what);
             }
         }
     }

@@ -57,11 +57,7 @@ pub fn unseal<'a>(bytes: &'a [u8], magics: &[&[u8]]) -> Result<(usize, &'a [u8])
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Truncated(pub String);
 
-impl From<Truncated> for String {
-    fn from(t: Truncated) -> String {
-        t.0
-    }
-}
+type Take<T> = Result<T, Truncated>;
 
 /// The one little-endian reader of every sealed body and file image: each
 /// take names its field, and `count × width` is checked — a product that
@@ -72,9 +68,9 @@ pub struct Reader<'a>(pub &'a [u8]);
 
 impl<'a> Reader<'a> {
     /// The next `count` values of `width` bytes each, borrowed.
-    pub fn take(&mut self, count: usize, width: usize, what: &str) -> Result<&'a [u8], Truncated> {
-        let left = self.0.len();
-        let Some((head, rest)) = count.checked_mul(width).and_then(|n| self.0.split_at_checked(n)) else {
+    pub fn take(&mut self, count: usize, width: usize, what: &str) -> Take<&'a [u8]> {
+        let (left, bytes) = (self.0.len(), count.checked_mul(width));
+        let Some((head, rest)) = bytes.and_then(|n| self.0.split_at_checked(n)) else {
             return Err(Truncated(format!(
                 "truncated while reading {what} ({count} × {width} bytes needed, {left} left)"
             )));
@@ -84,39 +80,41 @@ impl<'a> Reader<'a> {
     }
 
     /// The next `count` values as `N`-byte arrays.
-    pub fn arrays<const N: usize>(&mut self, count: usize, what: &str) -> Result<&'a [[u8; N]], Truncated> {
+    pub fn arrays<const N: usize>(&mut self, count: usize, what: &str) -> Take<&'a [[u8; N]]> {
         Ok(self.take(count, N, what)?.as_chunks().0)
     }
 
     /// The next byte.
-    pub fn u8(&mut self, what: &str) -> Result<u8, Truncated> {
+    pub fn u8(&mut self, what: &str) -> Take<u8> {
         Ok(self.take(1, 1, what)?[0])
     }
 
     /// The next `u32`.
-    pub fn u32(&mut self, what: &str) -> Result<u32, Truncated> {
+    pub fn u32(&mut self, what: &str) -> Take<u32> {
         Ok(u32::from_le_bytes(self.arrays(1, what)?[0]))
     }
 
     /// The next `u64`.
-    pub fn u64(&mut self, what: &str) -> Result<u64, Truncated> {
+    pub fn u64(&mut self, what: &str) -> Take<u64> {
         Ok(u64::from_le_bytes(self.arrays(1, what)?[0]))
     }
 
     /// The next `N` `u32` words, widened.
-    pub fn words<const N: usize>(&mut self, what: &str) -> Result<[usize; N], Truncated> {
-        let words = self.arrays::<4>(N, what)?;
-        Ok(std::array::from_fn(|i| u32::from_le_bytes(words[i]) as usize))
+    pub fn words<const N: usize>(&mut self, what: &str) -> Take<[usize; N]> {
+        let w = self.arrays::<4>(N, what)?;
+        Ok(std::array::from_fn(|i| u32::from_le_bytes(w[i]) as usize))
     }
 
     /// The next `count` `u32`s.
-    pub fn u32s(&mut self, count: usize, what: &str) -> Result<Vec<u32>, Truncated> {
-        Ok(self.arrays(count, what)?.iter().map(|&b| u32::from_le_bytes(b)).collect())
+    pub fn u32s(&mut self, count: usize, what: &str) -> Take<Vec<u32>> {
+        let values = self.arrays(count, what)?;
+        Ok(values.iter().map(|&b| u32::from_le_bytes(b)).collect())
     }
 
     /// The next `count` `f32`s.
-    pub fn f32s(&mut self, count: usize, what: &str) -> Result<Vec<f32>, Truncated> {
-        Ok(self.arrays(count, what)?.iter().map(|&b| f32::from_le_bytes(b)).collect())
+    pub fn f32s(&mut self, count: usize, what: &str) -> Take<Vec<f32>> {
+        let values = self.arrays(count, what)?;
+        Ok(values.iter().map(|&b| f32::from_le_bytes(b)).collect())
     }
 }
 
