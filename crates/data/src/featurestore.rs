@@ -791,6 +791,7 @@ impl PagedFeatures {
     fn read_shard_f32(&self, shard: usize) -> Vec<f32> {
         let payload = self.try_read_shard_payload(shard, &mut GatherStats::default());
         let payload = payload.unwrap_or_else(|e| panic!("{e}"));
+        // The whole payload, decoded as one row.
         let mut values = vec![0.0; payload.byte_len() / self.dtype().bytes_per_value()];
         payload.copy_row(self.dtype(), 0, &mut values);
         values

@@ -25,9 +25,9 @@
 //! | `CTRS` | u32 count; u64 each (epoch/step counters, meaning assigned by the caller) |
 //! | `CFGF` | u64 config fingerprint |
 //!
-//! `FLTS` and `HIST` (scalar progress, loss history), which no caller
-//! filled, are gone: a file carrying either is an unknown-tag `Format`
-//! error.
+//! `FLTS` and `HIST` (scalar progress, loss history) are not sections
+//! of this format, though older writers defined them: a file that
+//! carries either is an unknown-tag `Format` error.
 //!
 //! A model-only checkpoint (the CLI's `--checkpoint` / `eval` path) is a
 //! v2 file containing just `PRMS`; a training-session checkpoint (the

@@ -21,7 +21,7 @@
 //! input and every file written by either validates under the other.
 //! The tests check this against a byte-at-a-time loop at every length up
 //! to 1 KiB and every alignment. On one core of a 2.1 GHz AVX-512 Xeon
-//! the slice-by-8 loop checks 1.05 GB/s and the fold 16 GB/s.
+//! a 100 KiB shard checks at 1.1 GB/s by slice-by-8 and 16.7 GB/s folded.
 
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
