@@ -1,5 +1,5 @@
-//! Sealed files — `magic | body | crc32(body)` — and the atomic write
-//! that puts one on disk.
+//! Sealed files — `magic | body | crc32(body)` — the one [`Reader`] of
+//! their bodies, and the atomic write that puts one on disk.
 //!
 //! Every durable file in the workspace that carries a whole-file checksum
 //! (feature-store meta, data shards, parity meta, parity shards) is a
