@@ -14,7 +14,7 @@
 //! a synchronization-precise event order, and the exhibit only reads
 //! them from quiesced before/after points. When the allocator is *not*
 //! installed (library tests, other binaries) the counters simply stay at
-//! zero, which [`installed`] exposes so measurements can degrade to
+//! zero, which `installed` exposes so measurements can degrade to
 //! wall-clock-only comparisons instead of asserting on dead counters.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -49,13 +49,13 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 /// Heap allocation requests observed so far (0 unless the counting
 /// allocator is installed as the process's global allocator).
-pub fn allocations() -> u64 {
+pub(crate) fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
 /// Whether the counting allocator is actually serving this process. Any
 /// Rust program performs heap work long before `main`, so installed ⇔
 /// non-zero counters by the time any measurement code can run.
-pub fn installed() -> bool {
+pub(crate) fn installed() -> bool {
     allocations() > 0
 }

@@ -2,7 +2,7 @@
 //!
 //! The trainer keeps one autograd tape alive across micro-batches and
 //! recycles every value/gradient buffer through the tape's
-//! [`betty_tensor::BufferPool`], so a steady-state epoch (same-shaped
+//! `betty_tensor::BufferPool`, so a steady-state epoch (same-shaped
 //! micro-batches, cached partitioning) rebuilds its forward/backward pass
 //! without going back to the heap. This exhibit quantifies that claim and
 //! re-checks the correctness contract around it:
@@ -20,7 +20,7 @@
 //!    overwritten before use and thread count never changes the math, so
 //!    pooling is pure mechanics. This is asserted, not just reported.
 //! 3. **Pool hit rate** — after a one-epoch warm-up, the measured epochs
-//!    must serve at least [`STEADY_STATE_HIT_RATE`] of buffer requests
+//!    must serve at least `STEADY_STATE_HIT_RATE` of buffer requests
 //!    from recycled storage. CI's alloc-smoke job re-checks this from the
 //!    JSON artifact (`experiments_out/BENCH_alloc.json`).
 
@@ -35,11 +35,11 @@ use crate::Profile;
 
 /// Minimum fraction of workspace requests the warm pool must serve from
 /// recycled buffers during the measured (post-warm-up) epochs.
-pub const STEADY_STATE_HIT_RATE: f64 = 0.8;
+pub(crate) const STEADY_STATE_HIT_RATE: f64 = 0.8;
 
 /// Minimum no-pool/pool heap-allocation ratio on the steady-state loop
 /// (only asserted when the counting allocator is installed).
-pub const MIN_ALLOC_RATIO: f64 = 5.0;
+pub(crate) const MIN_ALLOC_RATIO: f64 = 5.0;
 
 struct RunResult {
     loss_bits: Vec<u64>,

@@ -12,16 +12,16 @@
 //!    under `Backend::Scalar` and `Backend::Simd` at 1 and 4 worker
 //!    threads. The three products share one register tile on the simd
 //!    backend, so at one shape the backward products must run within
-//!    [`MIN_ADJOINT_RATIO`] of the forward — a fall back to dot-product
+//!    `MIN_ADJOINT_RATIO` of the forward — a fall back to dot-product
 //!    or rank-1 form fails the exhibit instead of only slowing it. Every
 //!    term of a product is kept, so speed may not depend on the data:
 //!    `a·b` and `aᵀ·b` at the output layer's `[n, 64]·[64, 47]` with half
 //!    of the left operand exactly zero (a ReLU or dropout output) must
-//!    run within [`MIN_ZEROS_RATIO`] of their dense twins, and the scalar
-//!    reference must clear [`MIN_SCALAR_GATE_GFLOPS`] at the LSTM gate
+//!    run within `MIN_ZEROS_RATIO` of their dense twins, and the scalar
+//!    reference must clear `MIN_SCALAR_GATE_GFLOPS` at the LSTM gate
 //!    shape (it is fused too, and off its `fma` wrapper it is a libm call
 //!    per element). Rows that are compared are timed alternately.
-//!    The SIMD path must clear [`MIN_KERNEL_SPEEDUP`] on every row (the
+//!    The SIMD path must clear `MIN_KERNEL_SPEEDUP` on every row (the
 //!    committed artifact shows ≥ 2× for matmul and the fused kernel at
 //!    both thread counts on an AVX-512 host; the assertion floor is
 //!    deliberately lower so slower CI steppings fail loudly only on real
@@ -32,11 +32,11 @@
 //! 3. **End-to-end** (`BENCH_kernels_epoch.json`) — steady-state epoch
 //!    time of a power-law-graph training run under each backend, same
 //!    seed. Per-epoch losses must be bit-identical; the SIMD run must be
-//!    faster by [`MIN_EPOCH_SPEEDUP`].
+//!    faster by `MIN_EPOCH_SPEEDUP`.
 //! 4. **Activations** (`ext_kernels_activations.json`) — Melem/s of the
 //!    crate's own `tanh` / `sigmoid` on each backend, with libm's
 //!    `f32::tanh` and `1/(1+exp(-x))` timed in the same run as the
-//!    baseline: the simd rows must clear [`MIN_ACTIVATION_SPEEDUP`], agree
+//!    baseline: the simd rows must clear `MIN_ACTIVATION_SPEEDUP`, agree
 //!    with the scalar rows bit for bit and with libm to 1e-6.
 //! 5. **Fused LSTM** (`ext_kernels_lstm.json`) — nanoseconds per node-step
 //!    of `Graph::lstm_sequence` forward + backward at the SAGE-LSTM shape
@@ -52,7 +52,7 @@
 //!    64` two-term + ReLU, `[n, 64] → 47` two-term), forward and backward
 //!    µs and the bytes each leaves on the tape, on both backends: output
 //!    and every gradient bit-identical, tape bytes within
-//!    [`MAX_AFFINE_TAPE_SHARE`] of the composition's. CI holds every row
+//!    `MAX_AFFINE_TAPE_SHARE` of the composition's. CI holds every row
 //!    of 1024 rows or more to "no slower than the composition"; a 16-row
 //!    step takes 15–95 µs and the two differ by about a microsecond either
 //!    way (0.98–1.08×), so those rows are reported without a floor.
@@ -71,45 +71,45 @@ use crate::Profile;
 /// gather+segment kernel). The real numbers on an AVX-512 host are
 /// ≥ 2×; the floor is deliberately lower so slower CI steppings fail
 /// loudly only on real regressions, not on turbo-bin variance.
-pub const MIN_KERNEL_SPEEDUP: f64 = 1.2;
+pub(crate) const MIN_KERNEL_SPEEDUP: f64 = 1.2;
 
 /// Floor for the Adam step, which is memory-bound (four streams per
 /// value), so vectorization buys little beyond saturating bandwidth;
 /// the assertion only guards against the simd path regressing.
-pub const MIN_ADAM_SPEEDUP: f64 = 1.0;
+pub(crate) const MIN_ADAM_SPEEDUP: f64 = 1.0;
 
 /// Floor for the simd GFLOP/s of `matmul_a_bt` and `matmul_at_b`
 /// relative to `matmul` at the same shape and thread count. Machine
 /// independent: all three run the same tile, so only the tile's
 /// per-call set-up separates them (measured 0.85–1.2 on AVX-512 and
 /// AVX2); the dot-product and rank-1 forms they replaced sat at 0.25–0.5.
-pub const MIN_ADJOINT_RATIO: f64 = 0.6;
+pub(crate) const MIN_ADJOINT_RATIO: f64 = 0.6;
 
 /// Floor for the simd GFLOP/s of a product whose left operand is half
 /// exact zeros, relative to the same product over a dense operand. The
 /// kernels test no operand, so the two run the same instructions
 /// (0.95–1.05 measured); the zero-skip branch this guards against read
 /// 0.2 (9 against 50 GFLOP/s: a misprediction every other element).
-pub const MIN_ZEROS_RATIO: f64 = 0.8;
+pub(crate) const MIN_ZEROS_RATIO: f64 = 0.8;
 
 /// Floor for the scalar reference `matmul` at `1024x200x400`, GFLOP/s.
 /// Measured ≈ 19 through the `fma` wrapper (≈ 14 as multiply-then-add);
 /// `f32::mul_add` compiled without the feature reads 0.7.
-pub const MIN_SCALAR_GATE_GFLOPS: f64 = 10.0;
+pub(crate) const MIN_SCALAR_GATE_GFLOPS: f64 = 10.0;
 
 /// Required end-to-end epoch-time speedup of simd over scalar.
-pub const MIN_EPOCH_SPEEDUP: f64 = 1.05;
+pub(crate) const MIN_EPOCH_SPEEDUP: f64 = 1.05;
 
 /// Floor for the simd rows of the shared `tanh` / `sigmoid` over libm's,
 /// timed in the same run. Measured ≈ 35× (`tanh`) and ≈ 9× (`sigmoid`)
 /// on AVX-512 — libm is a scalar call per element; a row near 1× means
 /// the element function stopped inlining into its lane loop.
-pub const MIN_ACTIVATION_SPEEDUP: f64 = 4.0;
+pub(crate) const MIN_ACTIVATION_SPEEDUP: f64 = 4.0;
 
 /// Ceiling for the bytes the fused affine op leaves on the tape, as a
 /// share of the op-by-op composition's (0.13 and 0.16 at the two shapes
 /// timed: the output against a prefix copy, four products and a sum).
-pub const MAX_AFFINE_TAPE_SHARE: f64 = 0.3;
+pub(crate) const MAX_AFFINE_TAPE_SHARE: f64 = 0.3;
 
 /// One timed kernel invocation set: best-of-`reps` wall seconds.
 fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {

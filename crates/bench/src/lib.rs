@@ -13,8 +13,8 @@
 
 pub mod alloc_count;
 pub mod experiments;
-pub mod presets;
-pub mod report;
+pub(crate) mod presets;
+pub(crate) mod report;
 
 /// How large an experiment run should be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,7 +36,7 @@ impl Profile {
     }
 
     /// Scales an epoch/iteration count down in quick mode.
-    pub fn epochs(&self, full: usize) -> usize {
+    pub(crate) fn epochs(&self, full: usize) -> usize {
         match self {
             Profile::Quick => (full / 4).max(2),
             Profile::Full => full,
@@ -44,7 +44,7 @@ impl Profile {
     }
 
     /// Scales a dataset size factor down in quick mode.
-    pub fn scale(&self, full: f64) -> f64 {
+    pub(crate) fn scale(&self, full: f64) -> f64 {
         match self {
             Profile::Quick => full * 0.35,
             Profile::Full => full,

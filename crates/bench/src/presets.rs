@@ -15,7 +15,7 @@ use betty_nn::AggregatorSpec;
 use crate::Profile;
 
 /// The five datasets at bench scale, Table 4 order.
-pub fn bench_datasets(profile: Profile) -> Vec<Dataset> {
+pub(crate) fn bench_datasets(profile: Profile) -> Vec<Dataset> {
     let specs = [
         (DatasetSpec::cora(), 0.6, 64),
         (DatasetSpec::pubmed(), 0.12, 48),
@@ -38,7 +38,7 @@ pub fn bench_datasets(profile: Profile) -> Vec<Dataset> {
 /// # Panics
 ///
 /// Panics if `name` is not one of the five presets.
-pub fn bench_dataset(name: &str, profile: Profile) -> Dataset {
+pub(crate) fn bench_dataset(name: &str, profile: Profile) -> Dataset {
     bench_datasets(profile)
         .into_iter()
         .find(|d| d.name.starts_with(name))
@@ -47,7 +47,7 @@ pub fn bench_dataset(name: &str, profile: Profile) -> Dataset {
 
 /// A products-like graph for the Fig. 14–16 / Table 6 family, which the
 /// paper runs on ogbn-products with 3-layer fanout (25, 35, 40).
-pub fn products_3layer(profile: Profile) -> (Dataset, ExperimentConfig) {
+pub(crate) fn products_3layer(profile: Profile) -> (Dataset, ExperimentConfig) {
     let ds = DatasetSpec::ogbn_products()
         .scaled(profile.scale(0.0018))
         .with_feature_dim(32)
@@ -71,7 +71,7 @@ pub fn products_3layer(profile: Profile) -> (Dataset, ExperimentConfig) {
 /// plain Mean at 2 layers does not. (The LSTM configs overflowed it too
 /// while the cell was taped op by op; fused, they are the largest rows of
 /// their panels but fit — EXPERIMENTS.md note 6.)
-pub fn wall_capacity(profile: Profile) -> usize {
+pub(crate) fn wall_capacity(profile: Profile) -> usize {
     match profile {
         Profile::Quick => 16 << 20,
         Profile::Full => 64 << 20,
@@ -79,7 +79,7 @@ pub fn wall_capacity(profile: Profile) -> usize {
 }
 
 /// Shorthand for a SAGE config with the wall capacity.
-pub fn wall_config(
+pub(crate) fn wall_config(
     fanouts: Vec<usize>,
     hidden: usize,
     aggregator: AggregatorSpec,

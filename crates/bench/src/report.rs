@@ -7,7 +7,7 @@ use std::path::PathBuf;
 /// `experiments_out/<id>.json` (relative to the working directory, never
 /// to where the binary was built), which is the copy CI validates.
 #[derive(Debug, Clone)]
-pub struct Table {
+pub(crate) struct Table {
     id: String,
     title: String,
     columns: Vec<String>,
@@ -16,7 +16,7 @@ pub struct Table {
 
 impl Table {
     /// Starts a table for exhibit `id` (e.g. `"fig12"`).
-    pub fn new(id: &str, title: &str, columns: &[&str]) -> Self {
+    pub(crate) fn new(id: &str, title: &str, columns: &[&str]) -> Self {
         Self {
             id: id.to_string(),
             title: title.to_string(),
@@ -30,23 +30,13 @@ impl Table {
     /// # Panics
     ///
     /// Panics if the cell count differs from the column count.
-    pub fn row(&mut self, cells: Vec<String>) {
+    pub(crate) fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.columns.len(), "cell/column mismatch");
         self.rows.push(cells);
     }
 
-    /// Number of data rows so far.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Prints the table to stdout and writes `experiments_out/<id>.json`.
-    pub fn finish(&self) {
+    pub(crate) fn finish(&self) {
         let mut widths: Vec<usize> = self.columns.iter().map(|c| c.len()).collect();
         for row in &self.rows {
             for (w, cell) in widths.iter_mut().zip(row) {
@@ -102,17 +92,17 @@ impl Table {
 }
 
 /// Formats bytes as MiB with one decimal.
-pub fn mib(bytes: usize) -> String {
+pub(crate) fn mib(bytes: usize) -> String {
     format!("{:.1}", bytes as f64 / (1 << 20) as f64)
 }
 
 /// Formats a fraction as a percentage with one decimal.
-pub fn pct(fraction: f64) -> String {
+pub(crate) fn pct(fraction: f64) -> String {
     format!("{:.1}%", fraction * 100.0)
 }
 
 /// Formats seconds with three decimals.
-pub fn secs(s: f64) -> String {
+pub(crate) fn secs(s: f64) -> String {
     format!("{s:.3}")
 }
 
@@ -123,9 +113,9 @@ mod tests {
     #[test]
     fn table_rows_tracked() {
         let mut t = Table::new("t", "test", &["a", "b"]);
-        assert!(t.is_empty());
+        assert!(t.rows.is_empty());
         t.row(vec!["1".into(), "2".into()]);
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.rows.len(), 1);
     }
 
     #[test]

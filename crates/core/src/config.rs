@@ -73,7 +73,7 @@ pub struct ExperimentConfig {
     /// the memory estimator sees as smaller per-micro-batch footprints and
     /// the REG planner turns into fewer partitions on the same budget.
     /// Changes the trained function (values round through a 16-bit grid),
-    /// so it is folded into [`ExperimentConfig::fingerprint`]. The CLI
+    /// so it is folded into `ExperimentConfig::fingerprint`. The CLI
     /// exposes this as `--precision`.
     pub precision: DType,
 }
@@ -101,7 +101,7 @@ impl Default for ExperimentConfig {
 
 impl ExperimentConfig {
     /// Number of GNN layers (= fanout entries).
-    pub fn num_layers(&self) -> usize {
+    pub(crate) fn num_layers(&self) -> usize {
         self.fanouts.len()
     }
 
@@ -148,7 +148,7 @@ impl ExperimentConfig {
     /// Fault injection and retry knobs are deliberately excluded — they
     /// perturb *how* a run executes, not *what* it computes, and a run
     /// resumed without the fault plan that killed it must still load.
-    pub fn fingerprint(&self) -> u64 {
+    pub(crate) fn fingerprint(&self) -> u64 {
         let mut h = FNV_OFFSET;
         let mut eat = |bytes: &[u8]| h = fnv1a(h, bytes);
         for &fanout in &self.fanouts {
@@ -182,7 +182,7 @@ impl ExperimentConfig {
     /// shape mismatch deep inside the model). Folding in `feature_dim`,
     /// `num_classes`, and `num_nodes` makes `--resume` reject a
     /// checkpoint produced against a different dataset up front.
-    pub fn fingerprint_for_dataset(
+    pub(crate) fn fingerprint_for_dataset(
         &self,
         feature_dim: usize,
         num_classes: usize,

@@ -27,22 +27,22 @@ use betty_nn::TrainState;
 use crate::runner::RunError;
 
 /// [`TrainState::rngs`] slot of the trainer's dropout RNG.
-pub const RNG_TRAINER: usize = 0;
+pub(crate) const RNG_TRAINER: usize = 0;
 /// [`TrainState::rngs`] slot of the runner's neighbor-sampling RNG.
-pub const RNG_SAMPLER: usize = 1;
+pub(crate) const RNG_SAMPLER: usize = 1;
 /// Number of RNG slots a [`Runner`](crate::Runner) session carries.
-pub const RUNNER_RNGS: usize = 2;
+pub(crate) const RUNNER_RNGS: usize = 2;
 
 /// [`TrainState::counters`] slot of the runner's epochs-run counter.
-pub const CTR_EPOCHS_RUN: usize = 0;
+pub(crate) const CTR_EPOCHS_RUN: usize = 0;
 /// [`TrainState::counters`] slot of the trainer's global step counter.
-pub const CTR_GLOBAL_STEP: usize = 1;
+pub(crate) const CTR_GLOBAL_STEP: usize = 1;
 /// [`TrainState::counters`] slot of the runner's base seed (it feeds the
 /// partitioning strategy every epoch, so a resumed session must keep it
 /// even when the resuming process was built with a different seed).
-pub const CTR_SEED: usize = 2;
+pub(crate) const CTR_SEED: usize = 2;
 /// Number of counter slots owned by [`Runner`](crate::Runner).
-pub const RUNNER_COUNTERS: usize = 3;
+pub(crate) const RUNNER_COUNTERS: usize = 3;
 
 /// Where and how often to write durable checkpoints.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,7 +82,7 @@ impl CheckpointPlan {
     }
 
     /// Checkpoint file path for the state *after* `epoch` completed.
-    pub fn path_for(&self, epoch: usize) -> PathBuf {
+    pub(crate) fn path_for(&self, epoch: usize) -> PathBuf {
         self.dir.join(format!("ckpt-{:06}.btc", epoch))
     }
 
@@ -91,7 +91,7 @@ impl CheckpointPlan {
     /// # Errors
     ///
     /// [`RunError::Checkpoint`] if the directory cannot be created.
-    pub fn ensure_dir(&self) -> Result<(), RunError> {
+    pub(crate) fn ensure_dir(&self) -> Result<(), RunError> {
         std::fs::create_dir_all(&self.dir).map_err(|e| {
             RunError::Checkpoint(format!(
                 "cannot create checkpoint dir {}: {e}",

@@ -26,7 +26,7 @@ use betty_tensor::segment;
 ///
 /// Panics if `fanouts.len()` differs from the model's layer count or
 /// `chunk_size == 0`.
-pub fn predict(
+pub(crate) fn predict(
     model: &dyn GnnModel,
     dataset: &Dataset,
     nodes: &[NodeId],
@@ -70,7 +70,7 @@ pub fn predict(
 /// # Panics
 ///
 /// Panics if `chunk_size == 0`.
-pub fn predict_full_graph(
+pub(crate) fn predict_full_graph(
     model: &dyn GnnModel,
     dataset: &Dataset,
     chunk_size: usize,
@@ -114,7 +114,7 @@ pub fn predict_full_graph(
     h.argmax_rows()
 }
 
-/// Accuracy of [`predict_full_graph`] on a node subset.
+/// Accuracy of `predict_full_graph` on a node subset.
 pub fn accuracy_full_graph(
     model: &dyn GnnModel,
     dataset: &Dataset,
@@ -137,7 +137,7 @@ pub fn accuracy_full_graph(
 /// # Panics
 ///
 /// Same conditions as [`predict`]; returns 0.0 for an empty node list.
-pub fn accuracy(
+pub(crate) fn accuracy(
     model: &dyn GnnModel,
     dataset: &Dataset,
     nodes: &[NodeId],

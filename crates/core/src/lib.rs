@@ -50,9 +50,9 @@
 
 mod accounting;
 mod config;
-pub mod durable;
+pub(crate) mod durable;
 mod eval;
-pub mod multi;
+pub(crate) mod multi;
 mod pipeline;
 mod planner;
 mod recovery;
@@ -64,30 +64,24 @@ pub use config::{ExperimentConfig, ModelKind};
 pub use durable::{
     latest_valid_checkpoint, load_checkpoint_state, CheckpointPlan, CheckpointResolution,
 };
-pub use eval::{accuracy, accuracy_full_graph, predict, predict_full_graph};
-pub use multi::{
-    lpt_assignment, simulate_elastic_schedule, DeviceGroup, DeviceHealth, DevicesExhausted,
-    ElasticSchedule, Failover, MultiDeviceEpoch,
-};
+pub use eval::accuracy_full_graph;
+pub use multi::{lpt_assignment, DeviceGroup, DeviceHealth, DevicesExhausted, MultiDeviceEpoch};
 pub use planner::{MemoryAwarePlanner, Plan, PlanError};
 pub use recovery::{RecoveryEntry, RecoveryEvent, RecoveryLog, RetryPolicy};
-pub use runner::{RunError, Runner, LSTM_TAPE_CONSTANT};
-pub use strategy::{build_strategy, StrategyKind};
-pub use trainer::{AnomalyKind, StepPhase, TrainError, Trainer, TrainerSnapshot};
+pub use runner::{RunError, Runner};
+pub use strategy::StrategyKind;
+pub use trainer::{AnomalyKind, StepPhase, TrainError, Trainer};
 
 // Re-exported observability types (crate `betty-trace`, which owns the
 // step and epoch stats it records), so trace consumers — CLI, benches,
 // tests — need no direct dependency.
-pub use betty_trace::{
-    validate_jsonl, EpochStats, FaultRecord, MemEvent, MemTimeline, SpanKind, SpanRecord,
-    StepRecord, StepStats, TraceRecorder,
-};
+pub use betty_trace::{validate_jsonl, EpochStats, SpanKind, TraceRecorder};
 
 use betty_device::AggregatorKind;
 use betty_nn::AggregatorSpec;
 
 /// Maps the nn-crate aggregator spec onto the device-crate estimator kind.
-pub fn aggregator_kind(spec: AggregatorSpec) -> AggregatorKind {
+pub(crate) fn aggregator_kind(spec: AggregatorSpec) -> AggregatorKind {
     match spec {
         AggregatorSpec::Mean => AggregatorKind::Mean,
         AggregatorSpec::Sum => AggregatorKind::Sum,

@@ -53,7 +53,7 @@ pub enum DeviceHealth {
 
 impl DeviceHealth {
     /// Stable lowercase name.
-    pub const fn name(&self) -> &'static str {
+    pub(crate) const fn name(&self) -> &'static str {
         match self {
             DeviceHealth::Healthy => "healthy",
             DeviceHealth::Degraded => "degraded",
@@ -116,7 +116,7 @@ impl DeviceGroup {
     /// payload. One survivor needs no synchronization at all, so
     /// `live_ranks <= 1` costs zero — degraded rings get cheaper as
     /// ranks drop out.
-    pub fn allreduce_sec(&self, bytes: usize, live_ranks: usize) -> f64 {
+    pub(crate) fn allreduce_sec(&self, bytes: usize, live_ranks: usize) -> f64 {
         if live_ranks <= 1 {
             return 0.0;
         }
@@ -147,7 +147,7 @@ impl std::error::Error for DevicesExhausted {}
 
 /// One device loss and the work migration it forced.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Failover {
+pub(crate) struct Failover {
     /// The device that was lost.
     pub device: usize,
     /// Micro-batches it completed before failing (their host-staged
@@ -162,7 +162,7 @@ pub struct Failover {
 /// Deterministic pre-run simulation of an epoch's schedule under
 /// scheduled device failures: who runs what, who dies, what migrates.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ElasticSchedule {
+pub(crate) struct ElasticSchedule {
     /// The fault-free LPT assignment (device per micro-batch).
     pub initial_assignment: Vec<usize>,
     /// The post-failover assignment actually charged for timing.
@@ -171,16 +171,6 @@ pub struct ElasticSchedule {
     pub health: Vec<DeviceHealth>,
     /// Every device loss, in the order it was processed.
     pub failovers: Vec<Failover>,
-}
-
-impl ElasticSchedule {
-    /// Ranks still alive after the scheduled failures.
-    pub fn live_ranks(&self) -> usize {
-        self.health
-            .iter()
-            .filter(|h| **h != DeviceHealth::Failed)
-            .count()
-    }
 }
 
 /// Simulates the epoch schedule under `device_fail_steps`: starts from
@@ -199,7 +189,7 @@ impl ElasticSchedule {
 ///
 /// [`DevicesExhausted`] when a failure leaves unfinished work and no
 /// surviving device.
-pub fn simulate_elastic_schedule(
+pub(crate) fn simulate_elastic_schedule(
     work: &[f64],
     num_devices: usize,
     device_fail_steps: &[(usize, usize)],
@@ -713,7 +703,6 @@ mod tests {
         assert_eq!(fo.migrated.len(), 1, "its second step migrates");
         assert_eq!(fo.live_ranks, 1);
         assert_eq!(schedule.health, vec![DeviceHealth::Healthy, DeviceHealth::Failed]);
-        assert_eq!(schedule.live_ranks(), 1);
         // The migrated job is now charged to the survivor; completed
         // work stays attributed to the dead device.
         for &job in &fo.migrated {

@@ -63,7 +63,7 @@ use crate::strategy::{build_strategy, StrategyKind};
 /// How an epoch's batch is planned — by the planner thread or, with the
 /// same result, synchronously on the training thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanMode {
+pub(crate) enum PlanMode {
     /// Exactly `k` micro-batches, whatever the capacity: planning is
     /// infallible.
     Fixed(usize),
@@ -74,7 +74,7 @@ pub enum PlanMode {
 
 /// Draws the next full batch from `rng`: the batch, when sampling began,
 /// and its seconds.
-pub fn sample_next(
+pub(crate) fn sample_next(
     graph: &CsrGraph,
     seeds: &[NodeId],
     fanouts: &[usize],
@@ -91,7 +91,7 @@ pub fn sample_next(
 /// # Errors
 ///
 /// [`PlanError`] if no `K` of a `From` search fits.
-pub fn plan_batch(
+pub(crate) fn plan_batch(
     planner: &MemoryAwarePlanner,
     batch: &Batch,
     strategy: &dyn OutputPartitioner,
@@ -107,7 +107,7 @@ pub fn plan_batch(
 
 /// One staged epoch: the sampled batch, its plan, and the bookkeeping the
 /// consumer needs to take over as if it had done the work itself.
-pub struct StagedBundle {
+pub(crate) struct StagedBundle {
     /// The epoch's full training batch, drawn from the runner's
     /// sequential RNG cursor.
     pub batch: Batch,
@@ -126,7 +126,7 @@ pub struct StagedBundle {
 
 /// Everything the planner thread needs to reproduce the runner's
 /// synchronous sampling + planning.
-pub struct PipelineSpec {
+pub(crate) struct PipelineSpec {
     /// Reversed (in-edge) graph the sampler walks.
     pub graph: Arc<CsrGraph>,
     /// Seed nodes of every staged batch (the training split).
@@ -155,7 +155,7 @@ pub struct PipelineSpec {
 /// A bounded-depth pipeline staging `(Batch, Plan)` bundles for future
 /// epochs. See the [module docs](self) for its shape and the determinism
 /// argument.
-pub struct PlanPipeline {
+pub(crate) struct PlanPipeline {
     /// `None` only while dropping: hanging up stops the planner thread.
     handoff: Option<mpsc::Receiver<StagedBundle>>,
     thread: Option<JoinHandle<()>>,
@@ -184,7 +184,7 @@ impl std::fmt::Debug for PlanPipeline {
 
 impl PlanPipeline {
     /// Starts the planner thread, which begins staging at once.
-    pub fn spawn(spec: PipelineSpec) -> Self {
+    pub(crate) fn spawn(spec: PipelineSpec) -> Self {
         let depth = spec.depth.max(1);
         let (tx, handoff) = mpsc::sync_channel(depth - 1);
         let finished = Arc::new(AtomicUsize::new(0));
@@ -208,7 +208,7 @@ impl PlanPipeline {
     /// about to consume. A mismatch (strategy, plan mode, dataset, or
     /// depth changed between epochs) means every staged bundle is wrong
     /// and the pipeline must be dropped.
-    pub fn matches(
+    pub(crate) fn matches(
         &self,
         strategy: StrategyKind,
         mode: PlanMode,
@@ -223,7 +223,7 @@ impl PlanPipeline {
 
     /// Bundles finished but not yet consumed — what an invalidation
     /// throws away.
-    pub fn in_flight(&self) -> usize {
+    pub(crate) fn in_flight(&self) -> usize {
         self.finished.load(Ordering::Relaxed) - self.consumed
     }
 
@@ -232,7 +232,7 @@ impl PlanPipeline {
     /// instant its slot opened (the start of its staging window). `None`
     /// means the planner thread is gone (it panicked); the caller should
     /// fall back to synchronous planning.
-    pub fn next_bundle(&mut self) -> Option<(StagedBundle, f64, Instant)> {
+    pub(crate) fn next_bundle(&mut self) -> Option<(StagedBundle, f64, Instant)> {
         let wait_started = Instant::now();
         let bundle = self.handoff.as_ref()?.recv().ok()?;
         let wait_sec = wait_started.elapsed().as_secs_f64();
@@ -286,7 +286,7 @@ impl Drop for PlanPipeline {
 
 /// Cheap FNV-1a fingerprint of the sampling inputs a pipeline bakes in,
 /// used to detect a caller switching datasets between epochs.
-pub fn dataset_key(dataset: &betty_data::Dataset) -> u64 {
+pub(crate) fn dataset_key(dataset: &betty_data::Dataset) -> u64 {
     let train = &dataset.train_idx;
     [dataset.graph.num_nodes() as u64, train.len() as u64]
         .into_iter()

@@ -44,15 +44,6 @@ impl Plan {
             .max()
             .unwrap_or(0)
     }
-
-    /// Total first-layer input nodes over all micro-batches (redundancy-
-    /// inflated; Table 6's "total number of the first layer input").
-    pub fn total_input_nodes(&self) -> usize {
-        self.micro_batches
-            .iter()
-            .map(|b| b.input_nodes().len())
-            .sum()
-    }
 }
 
 /// Planning failure.
@@ -104,7 +95,7 @@ pub struct MemoryAwarePlanner {
 
 impl MemoryAwarePlanner {
     /// A planner for the given estimator and device capacity.
-    pub fn new(estimator: MemoryEstimator, capacity_bytes: usize, max_partitions: usize) -> Self {
+    pub(crate) fn new(estimator: MemoryEstimator, capacity_bytes: usize, max_partitions: usize) -> Self {
         assert!(max_partitions > 0, "max_partitions must be positive");
         Self {
             estimator,
@@ -120,7 +111,7 @@ impl MemoryAwarePlanner {
     /// `bytes` (the trainer charges the same constant per step, so the
     /// estimator stays drift-free). Pass the store's
     /// `cache_reservation_bytes()`; zero (the dense backend) is a no-op.
-    pub fn with_feature_cache(mut self, bytes: usize) -> Self {
+    pub(crate) fn with_feature_cache(mut self, bytes: usize) -> Self {
         self.feature_cache_bytes = bytes;
         self
     }
@@ -131,7 +122,7 @@ impl MemoryAwarePlanner {
     }
 
     /// The device capacity planning normally targets.
-    pub fn capacity_bytes(&self) -> usize {
+    pub(crate) fn capacity_bytes(&self) -> usize {
         self.capacity_bytes
     }
 
@@ -176,7 +167,7 @@ impl MemoryAwarePlanner {
     ///
     /// [`PlanError::CapacityUnreachable`] if no `K ≤ max_partitions`
     /// fits `capacity_bytes`.
-    pub fn plan_with_capacity(
+    pub(crate) fn plan_with_capacity(
         &self,
         batch: &Batch,
         strategy: &dyn OutputPartitioner,
@@ -789,6 +780,7 @@ mod tests {
         let planner = MemoryAwarePlanner::new(estimator(), usize::MAX, 64);
         let plan1 = planner.plan_fixed(&batch(), &RegPartitioner::new(0), 1);
         let plan8 = planner.plan_fixed(&batch(), &RegPartitioner::new(0), 8);
-        assert!(plan8.total_input_nodes() >= plan1.total_input_nodes());
+        let total = |p: &Plan| -> usize { p.micro_batches.iter().map(|b| b.input_nodes().len()).sum() };
+        assert!(total(&plan8) >= total(&plan1));
     }
 }

@@ -66,7 +66,7 @@ impl RetryPolicy {
     /// # Errors
     ///
     /// Returns a message describing the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if !self.growth.is_finite() || self.growth < 1.0 {
             return Err(format!("retry growth must be ≥ 1, got {}", self.growth));
         }
@@ -81,13 +81,13 @@ impl RetryPolicy {
 
     /// Next partition count after a failure at `k`. Always strictly
     /// increases so a retry never replays the identical plan.
-    pub fn escalate_k(&self, k: usize) -> usize {
+    pub(crate) fn escalate_k(&self, k: usize) -> usize {
         ((k as f64 * self.growth).ceil() as usize).max(k + 1)
     }
 
     /// Planning capacity for `attempt` (0 = first try) given the real
     /// device capacity.
-    pub fn planning_capacity(&self, capacity_bytes: usize, attempt: usize) -> usize {
+    pub(crate) fn planning_capacity(&self, capacity_bytes: usize, attempt: usize) -> usize {
         let scale = (1.0 - self.headroom).powi(attempt as i32);
         ((capacity_bytes as f64 * scale) as usize).max(1)
     }
@@ -509,15 +509,6 @@ impl RecoveryLog {
         &self.entries
     }
 
-    /// The entries stamped with `epoch`, counted like a log of their own.
-    pub fn of_epoch(&self, epoch: usize) -> RecoveryLog {
-        let entries = self.entries.iter().filter(|e| e.epoch == epoch).cloned().collect();
-        RecoveryLog {
-            current_epoch: epoch,
-            entries,
-        }
-    }
-
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
@@ -538,49 +529,9 @@ impl RecoveryLog {
         self.count(|e| matches!(e, RecoveryEvent::OomRetry { .. }))
     }
 
-    /// Recovery attempts consumed: what every `Recovered` and `Exhausted`
-    /// entry reports, summed (each attempt is one `OomRetry` or
-    /// `MigrationEscalation` entry).
-    pub fn retries(&self) -> usize {
-        self.entries
-            .iter()
-            .map(|e| match e.event {
-                RecoveryEvent::Recovered { attempts, .. } | RecoveryEvent::Exhausted { attempts } => {
-                    attempts
-                }
-                _ => 0,
-            })
-            .sum()
-    }
-
-    /// Number of epochs that completed only after retrying.
-    pub fn recoveries(&self) -> usize {
-        self.count(|e| matches!(e, RecoveryEvent::Recovered { .. }))
-    }
-
     /// Number of numeric-anomaly rollbacks.
     pub fn anomaly_rollbacks(&self) -> usize {
         self.count(|e| matches!(e, RecoveryEvent::AnomalyRollback { .. }))
-    }
-
-    /// Whether the run aborted on an unrecoverable numeric anomaly.
-    pub fn anomaly_aborted(&self) -> bool {
-        self.count(|e| matches!(e, RecoveryEvent::AnomalyAbort { .. })) > 0
-    }
-
-    /// Whether any epoch ran out of retries.
-    pub fn exhausted(&self) -> bool {
-        self.count(|e| matches!(e, RecoveryEvent::Exhausted { .. })) > 0
-    }
-
-    /// Number of devices declared lost.
-    pub fn devices_lost(&self) -> usize {
-        self.count(|e| matches!(e, RecoveryEvent::DeviceLost { .. }))
-    }
-
-    /// Number of LPT work migrations off lost devices.
-    pub fn work_migrations(&self) -> usize {
-        self.count(|e| matches!(e, RecoveryEvent::WorkMigrated { .. }))
     }
 
     /// Micro-batches migrated off lost devices.
@@ -592,21 +543,6 @@ impl RecoveryLog {
                 _ => 0,
             })
             .sum()
-    }
-
-    /// Number of ring-all-reduce rebuilds over surviving ranks.
-    pub fn ring_rebuilds(&self) -> usize {
-        self.count(|e| matches!(e, RecoveryEvent::RingRebuilt { .. }))
-    }
-
-    /// Number of devices flagged as stragglers.
-    pub fn stragglers_detected(&self) -> usize {
-        self.count(|e| matches!(e, RecoveryEvent::StragglerDetected { .. }))
-    }
-
-    /// Number of timed-out all-reduce rounds retried with backoff.
-    pub fn link_retries(&self) -> usize {
-        self.count(|e| matches!(e, RecoveryEvent::LinkRetry { .. }))
     }
 
     /// Number of transient shard-read failures absorbed by retry/backoff.
@@ -647,6 +583,61 @@ impl RecoveryLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // Per-kind counts that only the crate's tests read; the log keeps
+    // the ones the CLI and the trace report.
+    impl RecoveryLog {
+        pub(crate) fn of_epoch(&self, epoch: usize) -> RecoveryLog {
+            let entries = self.entries.iter().filter(|e| e.epoch == epoch).cloned().collect();
+            RecoveryLog {
+                current_epoch: epoch,
+                entries,
+            }
+        }
+
+        pub(crate) fn retries(&self) -> usize {
+            self.entries
+                .iter()
+                .map(|e| match e.event {
+                    RecoveryEvent::Recovered { attempts, .. }
+                    | RecoveryEvent::Exhausted { attempts } => attempts,
+                    _ => 0,
+                })
+                .sum()
+        }
+
+        pub(crate) fn recoveries(&self) -> usize {
+            self.count(|e| matches!(e, RecoveryEvent::Recovered { .. }))
+        }
+
+        pub(crate) fn anomaly_aborted(&self) -> bool {
+            self.count(|e| matches!(e, RecoveryEvent::AnomalyAbort { .. })) > 0
+        }
+
+        pub(crate) fn exhausted(&self) -> bool {
+            self.count(|e| matches!(e, RecoveryEvent::Exhausted { .. })) > 0
+        }
+
+        fn devices_lost(&self) -> usize {
+            self.count(|e| matches!(e, RecoveryEvent::DeviceLost { .. }))
+        }
+
+        fn work_migrations(&self) -> usize {
+            self.count(|e| matches!(e, RecoveryEvent::WorkMigrated { .. }))
+        }
+
+        fn ring_rebuilds(&self) -> usize {
+            self.count(|e| matches!(e, RecoveryEvent::RingRebuilt { .. }))
+        }
+
+        fn stragglers_detected(&self) -> usize {
+            self.count(|e| matches!(e, RecoveryEvent::StragglerDetected { .. }))
+        }
+
+        fn link_retries(&self) -> usize {
+            self.count(|e| matches!(e, RecoveryEvent::LinkRetry { .. }))
+        }
+    }
 
     #[test]
     fn default_policy_is_valid() {

@@ -267,7 +267,7 @@ fn host_staging_bytes(dataset: &Dataset, sampled: Option<&Batch>, micro_batches:
 /// cell is ever materialized. The paper's PyTorch constant is 18 and
 /// explicitly implementation-dependent (§4.4.3); Table 7 reports our
 /// estimation error under this one.
-pub const LSTM_TAPE_CONSTANT: usize = 6;
+pub(crate) const LSTM_TAPE_CONSTANT: usize = 6;
 
 impl Runner {
     /// Builds the model, device, estimator and planner for `config`.
@@ -362,7 +362,7 @@ impl Runner {
 
     /// Starts trace recording on the underlying trainer (spans, device
     /// memory timeline, step and epoch records). Tracing never changes
-    /// the math — see [`Trainer::enable_tracing`].
+    /// the math — see `Trainer::enable_tracing`.
     pub fn enable_tracing(&mut self) {
         self.trainer.enable_tracing();
         self.traced_from = self.log.len();
@@ -522,11 +522,6 @@ impl Runner {
         (bundle.batch, bundle.plan)
     }
 
-    /// The experiment configuration.
-    pub fn config(&self) -> &ExperimentConfig {
-        &self.config
-    }
-
     /// The underlying trainer (device, transfer model, model).
     pub fn trainer(&self) -> &Trainer {
         &self.trainer
@@ -549,7 +544,7 @@ impl Runner {
     }
 
     /// Samples a batch for an arbitrary seed set (e.g. mini-batch chunks).
-    pub fn sample_batch_for(&mut self, seeds: &[NodeId]) -> Batch {
+    pub(crate) fn sample_batch_for(&mut self, seeds: &[NodeId]) -> Batch {
         self.pipeline = None; // same cursor argument as sample_full_batch
         sample_batch_in(
             &self.in_graph,
@@ -1199,7 +1194,7 @@ impl Runner {
     /// session bit-identically: parameters, Adam moments, both RNG
     /// streams (dropout and neighbor sampling), the epoch/step counters,
     /// and the config fingerprint. Slot meanings are the
-    /// [`crate::durable`] constants.
+    /// `crate::durable` constants.
     pub fn export_session(&self) -> TrainState {
         let mut state = TrainState::from_model(self.trainer.model());
         state.adam = Some(self.trainer.export_optimizer_state());
@@ -1642,7 +1637,7 @@ mod tests {
         recovering_epoch(&mut runner, &ds)
             .expect("recovery must work in the default configuration");
         assert_eq!(runner.recovery_log().retries(), 1);
-        assert_eq!(runner.trainer().device().current_bytes(), 0);
+        assert_eq!(runner.trainer().device.current_bytes(), 0);
     }
 
     #[test]
@@ -1722,9 +1717,9 @@ mod tests {
         let err = runner
             .train_epoch_betty(&ds, StrategyKind::Betty, 3)
             .unwrap_err();
-        assert!(matches!(&err, RunError::Train(e) if e.is_injected()), "{err:?}");
+        assert!(matches!(&err, RunError::Train(TrainError::StepOom { source, .. }) if source.injected), "{err:?}");
         assert_eq!(
-            runner.trainer().device().current_bytes(),
+            runner.trainer().device.current_bytes(),
             0,
             "a failed step must leave no charge behind"
         );

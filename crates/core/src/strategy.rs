@@ -45,7 +45,7 @@ impl std::fmt::Display for StrategyKind {
 }
 
 /// Instantiates the output-partitioning strategy for `kind`.
-pub fn build_strategy(kind: StrategyKind, seed: u64) -> Box<dyn OutputPartitioner> {
+pub(crate) fn build_strategy(kind: StrategyKind, seed: u64) -> Box<dyn OutputPartitioner> {
     match kind {
         StrategyKind::Range => Box::new(OutputGraphPartitioner::new(RangePartitioner::new())),
         StrategyKind::Random => {

@@ -59,8 +59,7 @@ impl fmt::Display for AnomalyKind {
 /// Training failure.
 ///
 /// Marked `#[non_exhaustive]`: variants may grow. Downstream crates
-/// should prefer the [`TrainError::oom`] accessor or match with a
-/// wildcard arm.
+/// should match with a wildcard arm.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TrainError {
@@ -111,30 +110,6 @@ pub enum TrainError {
     },
 }
 
-impl TrainError {
-    /// The underlying [`OomError`] for any OOM-class variant (`None` for
-    /// numeric anomalies).
-    pub fn oom(&self) -> Option<&OomError> {
-        match self {
-            TrainError::StepOom { source, .. } => Some(source),
-            TrainError::NumericAnomaly { .. } | TrainError::Storage { .. } => None,
-        }
-    }
-
-    /// Whether the failure was injected by an armed
-    /// [`FaultPlan`] rather than a genuine capacity shortfall or
-    /// numeric divergence.
-    pub fn is_injected(&self) -> bool {
-        match self {
-            TrainError::StepOom { source, .. } => source.injected,
-            TrainError::NumericAnomaly { injected, .. } => *injected,
-            // A storage failure is terminal damage (or an exhausted retry
-            // budget) regardless of whether chaos injection produced it.
-            TrainError::Storage { .. } => false,
-        }
-    }
-}
-
 impl fmt::Display for TrainError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -176,7 +151,7 @@ impl std::error::Error for TrainError {
 /// is bit-identical to one that never failed, and its trace keeps no
 /// step of the attempt that was thrown away.
 #[derive(Debug, Clone)]
-pub struct TrainerSnapshot {
+pub(crate) struct TrainerSnapshot {
     params: Vec<Param>,
     optimizer: Adam,
     rng: Pcg64Mcg,
@@ -200,7 +175,7 @@ enum LossMode {
 pub struct Trainer {
     model: Box<dyn GnnModel>,
     optimizer: Adam,
-    device: Device,
+    pub(crate) device: Device,
     transfer: TransferModel,
     /// Simulated NVMe-like link feature shards page in over. Separate
     /// from `transfer` so paged feature stores never perturb the PCIe
@@ -237,7 +212,7 @@ impl fmt::Debug for Trainer {
 
 impl Trainer {
     /// Creates a trainer.
-    pub fn new(model: Box<dyn GnnModel>, learning_rate: f32, device: Device, seed: u64) -> Self {
+    pub(crate) fn new(model: Box<dyn GnnModel>, learning_rate: f32, device: Device, seed: u64) -> Self {
         Self {
             model,
             optimizer: Adam::new(learning_rate),
@@ -260,33 +235,22 @@ impl Trainer {
     /// charges input features and per-layer tensors at the narrow width —
     /// exactly what a [`betty_device::MemoryEstimator`] configured with
     /// the same dtypes predicts.
-    pub fn set_precision(&mut self, dtype: DType) {
+    pub(crate) fn set_precision(&mut self, dtype: DType) {
         self.precision = dtype;
         self.session.graph.set_activation_dtype(dtype);
-    }
-
-    /// The active storage precision.
-    pub fn precision(&self) -> DType {
-        self.precision
     }
 
     /// Turns the pooled tensor workspace on or off (`--no-pool` escape
     /// hatch). Pooling changes allocator traffic only: losses, gradients,
     /// parameters, and device accounting are bit-identical either way,
     /// because every pooled buffer is fully overwritten before it is read.
-    pub fn set_pooling(&mut self, on: bool) {
+    pub(crate) fn set_pooling(&mut self, on: bool) {
         self.session.graph.set_pool_enabled(on);
     }
 
     /// Whether the pooled workspace is active.
-    pub fn pooling(&self) -> bool {
+    pub(crate) fn pooling(&self) -> bool {
         self.session.graph.pool_enabled()
-    }
-
-    /// Cumulative workspace-pool counters (hits, misses, bytes recycled)
-    /// since this trainer was created.
-    pub fn pool_stats(&self) -> PoolStats {
-        self.session.graph.pool_stats()
     }
 
     /// Starts trace recording: step spans, the device-memory timeline on
@@ -294,7 +258,7 @@ impl Trainer {
     /// captured from here on. Tracing never changes the math — losses,
     /// gradients, and RNG consumption are bit-identical with tracing on or
     /// off (only extra bookkeeping runs, and none at all while disabled).
-    pub fn enable_tracing(&mut self) {
+    pub(crate) fn enable_tracing(&mut self) {
         let mut recorder = TraceRecorder::new();
         self.device.enable_timeline(recorder.timeline());
         recorder.set_run_context(
@@ -306,14 +270,14 @@ impl Trainer {
 
     /// Stops trace recording, returning the recorder (with everything it
     /// captured) if tracing was enabled.
-    pub fn disable_tracing(&mut self) -> Option<TraceRecorder> {
+    pub(crate) fn disable_tracing(&mut self) -> Option<TraceRecorder> {
         self.device.disable_timeline();
         self.trace.take()
     }
 
     /// Mutable access to the active trace recorder, for callers that add
     /// spans (sampling, partitioning, planning, allreduce) and epochs.
-    pub fn trace_mut(&mut self) -> Option<&mut TraceRecorder> {
+    pub(crate) fn trace_mut(&mut self) -> Option<&mut TraceRecorder> {
         self.trace.as_mut()
     }
 
@@ -327,18 +291,13 @@ impl Trainer {
         self.model.as_mut()
     }
 
-    /// The simulated device.
-    pub fn device(&self) -> &Device {
-        &self.device
-    }
-
     /// The transfer model, for bandwidth/latency inspection.
     pub fn transfer(&self) -> &TransferModel {
         &self.transfer
     }
 
     /// The feature page-in link model (NVMe-like), for inspection.
-    pub fn feature_link(&self) -> &TransferModel {
+    pub(crate) fn feature_link(&self) -> &TransferModel {
         &self.feature_link
     }
 
@@ -346,31 +305,31 @@ impl Trainer {
     /// will use. Monotone across epochs and recovery retries — a failed
     /// step consumes its index, so a [`FaultPlan::oom_steps`] entry
     /// fires once per run, not once per retry.
-    pub fn global_step(&self) -> usize {
+    pub(crate) fn global_step(&self) -> usize {
         self.global_step
     }
 
     /// Overwrites the global step counter — used when resuming a durable
     /// checkpoint, so step-scheduled faults and trace step ids continue
     /// from where the killed run left off.
-    pub fn set_global_step(&mut self, step: usize) {
+    pub(crate) fn set_global_step(&mut self, step: usize) {
         self.global_step = step;
     }
 
     /// Raw dropout-RNG state, for durable checkpoints.
-    pub fn rng_state(&self) -> u128 {
+    pub(crate) fn rng_state(&self) -> u128 {
         self.rng.state()
     }
 
     /// Restores the dropout RNG to a state captured by
     /// [`Trainer::rng_state`].
-    pub fn set_rng_state(&mut self, state: u128) {
+    pub(crate) fn set_rng_state(&mut self, state: u128) {
         self.rng = Pcg64Mcg::new(state);
     }
 
     /// Positional snapshot of the optimizer's moments and step counter,
     /// for durable checkpoints (see [`betty_nn::AdamState`]).
-    pub fn export_optimizer_state(&self) -> betty_nn::AdamState {
+    pub(crate) fn export_optimizer_state(&self) -> betty_nn::AdamState {
         self.optimizer.export_state(&self.model.params())
     }
 
@@ -382,13 +341,13 @@ impl Trainer {
     ///
     /// Returns a message if the entry count or any moment shape does not
     /// match the model (the optimizer is left unchanged).
-    pub fn import_optimizer_state(&mut self, state: &betty_nn::AdamState) -> Result<(), String> {
+    pub(crate) fn import_optimizer_state(&mut self, state: &betty_nn::AdamState) -> Result<(), String> {
         self.optimizer.import_state(&self.model.params(), state)
     }
 
     /// Captures an in-memory checkpoint of parameters, optimizer
     /// moments, and the dropout RNG (see [`TrainerSnapshot`]).
-    pub fn snapshot(&self) -> TrainerSnapshot {
+    pub(crate) fn snapshot(&self) -> TrainerSnapshot {
         TrainerSnapshot {
             params: self.model.params().into_iter().cloned().collect(),
             optimizer: self.optimizer.clone(),
@@ -405,7 +364,7 @@ impl Trainer {
     ///
     /// Panics if the snapshot's parameter count differs from the
     /// model's (i.e. the snapshot came from a different model).
-    pub fn restore(&mut self, snapshot: &TrainerSnapshot) {
+    pub(crate) fn restore(&mut self, snapshot: &TrainerSnapshot) {
         let mut params = self.model.params_mut();
         assert_eq!(
             params.len(),
@@ -426,7 +385,7 @@ impl Trainer {
     /// faults), the transfer link (stalls), and the trainer itself
     /// (NaN-loss poisoning). Replaces the plan armed so far; a new
     /// trainer holds the empty plan.
-    pub fn arm_faults(&mut self, plan: &FaultPlan) {
+    pub(crate) fn arm_faults(&mut self, plan: &FaultPlan) {
         self.device.arm_faults(plan.alloc_injector());
         self.transfer.arm_faults(plan.transfer_injector());
         self.nan_steps = plan.nan_loss_steps.iter().copied().collect();
@@ -436,7 +395,7 @@ impl Trainer {
     /// and the trainer's NaN-loss poisoner (allocation events first).
     /// [`Runner`](crate::Runner) calls this once per attempt and forwards
     /// what it returns into the recovery log and the trace stream.
-    pub fn drain_fault_events(&mut self) -> Vec<FaultEvent> {
+    pub(crate) fn drain_fault_events(&mut self) -> Vec<FaultEvent> {
         let mut events = self.device.drain_fault_events();
         events.extend(self.transfer.drain_fault_events());
         events.append(&mut self.nan_events);
@@ -446,7 +405,7 @@ impl Trainer {
     /// Releases every outstanding device charge — post-failure cleanup
     /// before a recovery retry. The peak watermark is preserved so the
     /// aborted step stays visible in memory reports.
-    pub fn release_device(&mut self) {
+    pub(crate) fn release_device(&mut self) {
         self.device.free_all();
     }
 
@@ -492,7 +451,7 @@ impl Trainer {
     /// [`TrainError::StepOom`] if any micro-batch exceeds device capacity;
     /// every charge is released before returning and the model is left
     /// unstepped.
-    pub fn micro_batch_epoch(
+    pub(crate) fn micro_batch_epoch(
         &mut self,
         dataset: &Dataset,
         micro_batches: &[Batch],
@@ -536,7 +495,7 @@ impl Trainer {
     /// # Errors
     ///
     /// [`TrainError::StepOom`] if a batch exceeds device capacity.
-    pub fn mini_batch_epoch(
+    pub(crate) fn mini_batch_epoch(
         &mut self,
         dataset: &Dataset,
         batches: &[Batch],
@@ -909,7 +868,7 @@ mod tests {
             other => panic!("expected OOM, got {other:?}"),
         }
         // No partial charges linger after the failure.
-        assert_eq!(t.device().current_bytes(), 0);
+        assert_eq!(t.device.current_bytes(), 0);
     }
 
     #[test]
@@ -965,8 +924,7 @@ mod tests {
         let err = t
             .micro_batch_epoch(&ds, std::slice::from_ref(&batch), &[])
             .unwrap_err();
-        assert!(err.is_injected());
-        assert!(err.oom().is_some());
+        assert!(matches!(&err, TrainError::StepOom { source, .. } if source.injected));
         let events = t.drain_fault_events();
         assert_eq!(events.len(), 1);
         assert!(t.drain_fault_events().is_empty());
@@ -1091,8 +1049,7 @@ mod tests {
         });
         let snap = faulty.snapshot();
         let err = faulty.micro_batch_epoch(&ds, &micros, &[]).unwrap_err();
-        assert!(err.is_injected());
-        assert!(err.oom().is_none());
+        assert!(matches!(err, TrainError::NumericAnomaly { injected: true, .. }));
         match &err {
             TrainError::NumericAnomaly { step, kind, injected } => {
                 assert_eq!(*step, poison_step);
@@ -1101,7 +1058,7 @@ mod tests {
             }
             other => panic!("expected anomaly, got {other:?}"),
         }
-        assert_eq!(faulty.device().current_bytes(), 0, "anomaly path drains charges");
+        assert_eq!(faulty.device.current_bytes(), 0, "anomaly path drains charges");
         let events = faulty.drain_fault_events();
         assert_eq!(events, vec![FaultEvent::NanLoss { step: poison_step }]);
 
@@ -1143,7 +1100,7 @@ mod tests {
             param_bits(&plain),
             "pooling must not change a single parameter bit"
         );
-        let stats = pooled.pool_stats();
+        let stats = pooled.session.graph.pool_stats();
         assert!(stats.hits > 0, "steady state must reuse buffers: {stats:?}");
         assert!(stats.bytes_recycled > 0);
     }

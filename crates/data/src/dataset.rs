@@ -100,7 +100,7 @@ impl Dataset {
     /// # Errors
     ///
     /// [`DataError`] describing the first inconsistency found.
-    pub fn check(&self) -> Result<(), DataError> {
+    pub(crate) fn check(&self) -> Result<(), DataError> {
         let n = self.num_nodes();
         if self.features.rows() != n {
             return Err(DataError::Inconsistent(format!(
@@ -154,7 +154,7 @@ impl Dataset {
     ///
     /// Returns a description of the first inconsistency found (see
     /// [`Dataset::check`] for the structured form).
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         self.check().map_err(|e| e.to_string())
     }
 }

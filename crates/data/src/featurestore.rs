@@ -209,18 +209,6 @@ pub struct GatherStats {
     pub backoff_sec: f64,
 }
 
-impl GatherStats {
-    /// Accumulates another gather's counters into this one.
-    pub fn absorb(&mut self, other: &GatherStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.pages_in += other.pages_in;
-        self.bytes_in += other.bytes_in;
-        self.repair_bytes += other.repair_bytes;
-        self.backoff_sec += other.backoff_sec;
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Storage fault injection.
 
@@ -397,7 +385,7 @@ enum DenseStorage {
 
 impl DenseFeatures {
     /// Wraps a dense f32 tensor (no quantization).
-    pub fn new(tensor: Tensor) -> Self {
+    pub(crate) fn new(tensor: Tensor) -> Self {
         let cols = tensor.cols();
         DenseFeatures {
             storage: DenseStorage::F32(tensor),
@@ -406,7 +394,7 @@ impl DenseFeatures {
     }
 
     /// Encodes `tensor` at `dtype` width. `F32` stores the tensor as-is.
-    pub fn with_dtype(tensor: Tensor, dtype: DType) -> Self {
+    pub(crate) fn with_dtype(tensor: Tensor, dtype: DType) -> Self {
         if dtype == DType::F32 {
             return Self::new(tensor);
         }
@@ -419,7 +407,7 @@ impl DenseFeatures {
     }
 
     /// The storage width of this store.
-    pub fn dtype(&self) -> DType {
+    pub(crate) fn dtype(&self) -> DType {
         match &self.storage {
             DenseStorage::F32(_) => DType::F32,
             DenseStorage::Half { dtype, .. } => *dtype,
@@ -427,7 +415,7 @@ impl DenseFeatures {
     }
 
     /// Number of feature rows (nodes).
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         match &self.storage {
             DenseStorage::F32(t) => t.rows(),
             DenseStorage::Half { rows, .. } => *rows,
@@ -435,7 +423,7 @@ impl DenseFeatures {
     }
 
     /// Feature dimensionality (columns).
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
@@ -446,7 +434,7 @@ impl DenseFeatures {
     ///
     /// Panics if `out.len() != indices.len() * cols` or an index is out of
     /// range.
-    pub fn gather_into(&self, indices: &[usize], out: &mut [f32]) -> GatherStats {
+    pub(crate) fn gather_into(&self, indices: &[usize], out: &mut [f32]) -> GatherStats {
         match &self.storage {
             DenseStorage::F32(t) => {
                 betty_tensor::segment::gather_rows_into(t, indices, out);
@@ -470,7 +458,7 @@ impl DenseFeatures {
     }
 
     /// Materializes the full matrix as a dense f32 tensor.
-    pub fn to_dense(&self) -> Tensor {
+    pub(crate) fn to_dense(&self) -> Tensor {
         match &self.storage {
             DenseStorage::F32(t) => t.clone(),
             DenseStorage::Half { dtype, rows, bits } => {
@@ -481,7 +469,7 @@ impl DenseFeatures {
     }
 
     /// Flat index and value of the first non-finite feature, if any.
-    pub fn find_non_finite(&self) -> Option<(usize, f32)> {
+    pub(crate) fn find_non_finite(&self) -> Option<(usize, f32)> {
         match &self.storage {
             DenseStorage::F32(t) => first_non_finite(t.data().iter().copied()),
             DenseStorage::Half { dtype, bits, .. } => {
@@ -613,7 +601,7 @@ impl PagedFeatures {
     /// # Panics
     ///
     /// Panics if `page_rows == 0`.
-    pub fn spill(
+    pub(crate) fn spill(
         features: &Tensor,
         dir: impl AsRef<Path>,
         page_rows: usize,
@@ -625,7 +613,7 @@ impl PagedFeatures {
         Self::open(dir, cache_budget_bytes)
     }
 
-    /// Opens a paged store written by [`PagedFeatures::spill`], fully
+    /// Opens a paged store written by `PagedFeatures::spill`, fully
     /// validating the meta file and **every** shard and parity file
     /// (seal, then header against the meta) so only damage that happens
     /// later can surface mid-run.
@@ -656,7 +644,7 @@ impl PagedFeatures {
 
     /// Width of the XOR parity groups (data shards per parity shard),
     /// or 0 when the store was spilled without parity.
-    pub fn parity_width(&self) -> usize {
+    pub(crate) fn parity_width(&self) -> usize {
         self.layout.parity_width
     }
 
@@ -670,7 +658,7 @@ impl PagedFeatures {
     /// any previously armed hook and clears everything pending, so each
     /// training run starts from a clean chaos stream. A new store holds
     /// the empty plan's stream, [`SeededStorageFaults::default`].
-    pub fn arm_storage_faults(&self, hook: Box<dyn StorageFaultHook>) {
+    pub(crate) fn arm_storage_faults(&self, hook: Box<dyn StorageFaultHook>) {
         let mut chaos = self.chaos();
         chaos.hook = hook;
         chaos.injected.clear();
@@ -680,7 +668,7 @@ impl PagedFeatures {
     /// Applies the armed hook's corruptions due at the start of `epoch`
     /// ([`PagedFeatures::corrupt_shard_byte`] on each) and records each
     /// one that landed.
-    pub fn begin_epoch(&self, epoch: usize) {
+    pub(crate) fn begin_epoch(&self, epoch: usize) {
         let due = self.chaos().hook.corruptions_due(epoch);
         for shard in due {
             if self.corrupt_shard_byte(shard).is_ok() {
@@ -690,19 +678,19 @@ impl PagedFeatures {
     }
 
     /// Sets the transient-I/O retry budget per logical shard read.
-    pub fn set_max_io_retries(&self, max_io_retries: usize) {
+    pub(crate) fn set_max_io_retries(&self, max_io_retries: usize) {
         self.chaos().max_io_retries = max_io_retries;
     }
 
     /// Removes and returns every fault the hook injected since the last
     /// drain, in the order they happened.
-    pub fn drain_storage_faults(&self) -> Vec<InjectedStorageFault> {
+    pub(crate) fn drain_storage_faults(&self) -> Vec<InjectedStorageFault> {
         std::mem::take(&mut self.chaos().injected)
     }
 
     /// Removes and returns every storage-recovery incident recorded
     /// since the last drain.
-    pub fn drain_storage_incidents(&self) -> Vec<StorageIncident> {
+    pub(crate) fn drain_storage_incidents(&self) -> Vec<StorageIncident> {
         std::mem::take(&mut self.chaos().incidents)
     }
 
@@ -719,7 +707,7 @@ impl PagedFeatures {
     /// [`FeatureStoreError::Io`] if the file cannot be rewritten;
     /// [`FeatureStoreError::Format`] if the store has no such shard or
     /// the shard has no payload bytes to flip.
-    pub fn corrupt_shard_byte(&self, shard: usize) -> Result<u64, FeatureStoreError> {
+    pub(crate) fn corrupt_shard_byte(&self, shard: usize) -> Result<u64, FeatureStoreError> {
         if shard >= self.num_shards() {
             return Err(FeatureStoreError::Format(format!(
                 "shard {shard} out of range for {} shards",
@@ -745,27 +733,27 @@ impl PagedFeatures {
     }
 
     /// Number of feature rows (nodes).
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.layout.rows
     }
 
     /// Feature dimensionality (columns).
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.layout.cols
     }
 
     /// The storage width of the shard payloads.
-    pub fn dtype(&self) -> DType {
+    pub(crate) fn dtype(&self) -> DType {
         self.layout.dtype
     }
 
     /// Rows per shard (the page size).
-    pub fn page_rows(&self) -> usize {
+    pub(crate) fn page_rows(&self) -> usize {
         self.layout.page_rows
     }
 
     /// Number of shard files.
-    pub fn num_shards(&self) -> usize {
+    pub(crate) fn num_shards(&self) -> usize {
         self.layout.num_shards()
     }
 
@@ -779,7 +767,7 @@ impl PagedFeatures {
     /// exactly this many bytes to the `FeatureCache` ledger category every
     /// step, and the planner adds the same constant to every estimate — so
     /// estimator drift stays exact.
-    pub fn cache_reservation_bytes(&self) -> usize {
+    pub(crate) fn cache_reservation_bytes(&self) -> usize {
         self.cache_budget_bytes
             .min(self.rows() * self.cols() * self.dtype().bytes_per_value())
     }
@@ -967,7 +955,7 @@ impl PagedFeatures {
     ///
     /// Panics if `out.len() != indices.len() * cols` or an index is out of
     /// range.
-    pub fn try_gather_into(
+    pub(crate) fn try_gather_into(
         &self,
         indices: &[usize],
         out: &mut [f32],
@@ -1011,7 +999,7 @@ impl PagedFeatures {
     /// # Errors
     ///
     /// [`FeatureStoreError::Shard`] naming the shard and byte offset.
-    pub fn try_prewarm(&self, indices: &[usize]) -> Result<GatherStats, FeatureStoreError> {
+    pub(crate) fn try_prewarm(&self, indices: &[usize]) -> Result<GatherStats, FeatureStoreError> {
         let mut stats = GatherStats::default();
         if self.cols() > 0 {
             self.serve_by_shard(indices, &mut stats, |_, _, _, _| {})?;
@@ -1024,7 +1012,7 @@ impl PagedFeatures {
     /// # Panics
     ///
     /// Panics if a shard is unreadable and cannot be repaired.
-    pub fn to_dense(&self) -> Tensor {
+    pub(crate) fn to_dense(&self) -> Tensor {
         let (rows, cols) = (self.rows(), self.cols());
         let mut data = Vec::with_capacity(rows * cols);
         for shard in 0..self.num_shards() {
@@ -1038,7 +1026,7 @@ impl PagedFeatures {
     /// # Panics
     ///
     /// Panics if a shard is unreadable and cannot be repaired.
-    pub fn find_non_finite(&self) -> Option<(usize, f32)> {
+    pub(crate) fn find_non_finite(&self) -> Option<(usize, f32)> {
         (0..self.num_shards()).find_map(|shard| {
             let (at, v) = first_non_finite(self.read_shard_f32(shard).into_iter())?;
             Some((shard * self.page_rows() * self.cols() + at, v))
@@ -1076,7 +1064,7 @@ impl Features {
     }
 
     /// The storage width of this store's values.
-    pub fn dtype(&self) -> DType {
+    pub(crate) fn dtype(&self) -> DType {
         match self {
             Features::Dense(d) => d.dtype(),
             Features::Paged(p) => p.dtype(),
@@ -1188,7 +1176,7 @@ impl Features {
 
     /// Copies the given rows into `out` (row-major, `indices.len() × cols`)
     /// and reports the cache accounting of the access. Dense stores never
-    /// fail; see [`PagedFeatures::try_gather_into`] for the order a paged
+    /// fail; see `PagedFeatures::try_gather_into` for the order a paged
     /// store serves the rows in.
     ///
     /// # Errors
@@ -1212,7 +1200,7 @@ impl Features {
     }
 
     /// Pages in the shards the given rows live on without copying any
-    /// row out ([`PagedFeatures::try_prewarm`]); dense stores do nothing.
+    /// row out (`PagedFeatures::try_prewarm`); dense stores do nothing.
     ///
     /// # Errors
     ///
@@ -1229,7 +1217,7 @@ impl Features {
         }
     }
 
-    /// See [`PagedFeatures::begin_epoch`] (no-op for dense).
+    /// See `PagedFeatures::begin_epoch` (no-op for dense).
     pub fn begin_epoch(&self, epoch: usize) {
         if let Some(p) = self.paged() {
             p.begin_epoch(epoch);
@@ -1260,12 +1248,7 @@ impl Features {
         self.paged().map_or(0, PagedFeatures::num_shards)
     }
 
-    /// Parity group width of a paged store (0 for dense or no sidecar).
-    pub fn parity_width(&self) -> usize {
-        self.paged().map_or(0, PagedFeatures::parity_width)
-    }
-
-    /// See [`PagedFeatures::corrupt_shard_byte`].
+    /// See `PagedFeatures::corrupt_shard_byte`.
     ///
     /// # Errors
     ///
@@ -1303,23 +1286,17 @@ impl Features {
     }
 
     /// Bytes of memory the store pins for its hot-set cache: 0 for dense
-    /// stores, [`PagedFeatures::cache_reservation_bytes`] for paged ones.
+    /// stores, `PagedFeatures::cache_reservation_bytes` for paged ones.
     pub fn cache_reservation_bytes(&self) -> usize {
         self.paged().map_or(0, PagedFeatures::cache_reservation_bytes)
     }
 
     /// Flat index and value of the first non-finite feature, if any.
-    pub fn find_non_finite(&self) -> Option<(usize, f32)> {
+    pub(crate) fn find_non_finite(&self) -> Option<(usize, f32)> {
         match self {
             Features::Dense(d) => d.find_non_finite(),
             Features::Paged(p) => p.find_non_finite(),
         }
-    }
-
-    /// One feature value (row-major). Test/diagnostic convenience; paged
-    /// stores pay a single-row gather.
-    pub fn at2(&self, row: usize, col: usize) -> f32 {
-        self.gather_rows(&[row]).at2(0, col)
     }
 }
 
@@ -1662,7 +1639,7 @@ mod tests {
         let paged = Features::dense(t.clone())
             .to_paged_with_parity(&dir, 4, usize::MAX, 2)
             .unwrap();
-        assert_eq!(paged.parity_width(), 2);
+        assert_eq!(paged.paged().unwrap().parity_width(), 2);
         // 6 shards → parity groups {0,1}, {2,3}, {4,5}.
         for group in 0..3 {
             assert!(dir.join(parity_name(group)).exists(), "group {group}");
@@ -1672,7 +1649,7 @@ mod tests {
         assert_eq!(paged.gather_rows(&indices), Features::dense(t).gather_rows(&indices));
         // Re-open validates the sidecar too.
         let reopened = Features::Paged(PagedFeatures::open(&dir, usize::MAX).unwrap());
-        assert_eq!(reopened.parity_width(), 2);
+        assert_eq!(reopened.paged().unwrap().parity_width(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1756,7 +1733,7 @@ mod tests {
         let t = matrix(12, 3, 54);
         let dir = tmp_dir("no-parity");
         let paged = Features::dense(t).to_paged(&dir, 4, usize::MAX).unwrap();
-        assert_eq!(paged.parity_width(), 0);
+        assert_eq!(paged.paged().unwrap().parity_width(), 0);
         paged.corrupt_shard_byte(2).unwrap();
         let mut out = vec![0.0f32; 3];
         let err = paged.try_gather_into(&[8], &mut out).unwrap_err();

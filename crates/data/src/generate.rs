@@ -9,7 +9,7 @@ use betty_graph::{CsrGraph, NodeId};
 
 /// Parameters of [`planted_power_law`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct PlantedPowerLawConfig {
+pub(crate) struct PlantedPowerLawConfig {
     /// Number of nodes.
     pub num_nodes: usize,
     /// Number of planted communities (= label classes).
@@ -63,7 +63,7 @@ impl PlantedPowerLawConfig {
 /// **in**-degree — the distribution GNN aggregation and Fig. 9 care about.
 ///
 /// Deterministic for a given seed.
-pub fn planted_power_law(config: &PlantedPowerLawConfig, seed: u64) -> (CsrGraph, Vec<usize>) {
+pub(crate) fn planted_power_law(config: &PlantedPowerLawConfig, seed: u64) -> (CsrGraph, Vec<usize>) {
     config.validate();
     let mut rng = Pcg64Mcg::seed_from_u64(seed);
     let n = config.num_nodes;

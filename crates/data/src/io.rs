@@ -19,7 +19,7 @@ use betty_graph::{CsrGraph, NodeId};
 use betty_tensor::sealed::{write_atomic, Reader, Truncated};
 use betty_tensor::Tensor;
 
-use crate::{DataError, Dataset};
+use crate::dataset::{DataError, Dataset};
 
 const MAGIC: &[u8; 8] = b"BTYDATA1";
 

@@ -33,9 +33,9 @@
 #![deny(missing_docs)]
 
 mod dataset;
-pub mod featurestore;
+pub(crate) mod featurestore;
 mod generate;
-pub mod io;
+pub(crate) mod io;
 mod shards;
 mod spec;
 
@@ -45,6 +45,5 @@ pub use featurestore::{
     PagedFeatures, ReadFault, ScrubReport, SeededStorageFaults, StorageFaultHook, StorageIncident,
     DEFAULT_MAX_IO_RETRIES, META_FILE, PARITY_META_FILE,
 };
-pub use generate::{planted_power_law, PlantedPowerLawConfig};
 pub use io::{load_dataset, save_dataset, LoadError};
 pub use spec::DatasetSpec;

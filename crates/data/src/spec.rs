@@ -36,7 +36,7 @@ pub struct DatasetSpec {
     /// Feature noise level (higher = harder task).
     pub feature_noise: f32,
     /// Uniform-attachment mixing (see
-    /// [`crate::PlantedPowerLawConfig::uniform_attachment_p`]).
+    /// `crate::PlantedPowerLawConfig::uniform_attachment_p`).
     pub uniform_attachment_p: f64,
     /// Applied scale factor.
     pub scale: f64,
@@ -177,7 +177,7 @@ impl DatasetSpec {
     }
 
     /// Node count after scaling (at least 10 × classes).
-    pub fn num_nodes(&self) -> usize {
+    pub(crate) fn num_nodes(&self) -> usize {
         ((self.full_nodes as f64 * self.scale) as usize).max(self.num_classes * 10)
     }
 
@@ -268,13 +268,14 @@ mod tests {
         let k = ds.num_classes;
         let d = ds.feature_dim();
         // Recompute class means from the data.
+        let x = ds.features.gather_rows(&(0..ds.num_nodes()).collect::<Vec<_>>());
         let mut means = vec![vec![0.0f32; d]; k];
         let mut counts = vec![0usize; k];
         for i in 0..ds.num_nodes() {
             let l = ds.labels[i];
             counts[l] += 1;
             for (j, m) in means[l].iter_mut().enumerate() {
-                *m += ds.features.at2(i, j);
+                *m += x.at2(i, j);
             }
         }
         for (m, &c) in means.iter_mut().zip(&counts) {
@@ -284,7 +285,7 @@ mod tests {
         }
         let mut correct = 0usize;
         for i in 0..ds.num_nodes() {
-            let row: Vec<f32> = (0..d).map(|j| ds.features.at2(i, j)).collect();
+            let row: Vec<f32> = (0..d).map(|j| x.at2(i, j)).collect();
             let pred = (0..k)
                 .min_by(|&a, &b| {
                     let da: f32 = row.iter().zip(&means[a]).map(|(x, m)| (x - m).powi(2)).sum();

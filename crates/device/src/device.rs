@@ -34,7 +34,7 @@ pub enum MemoryCategory {
 
 impl MemoryCategory {
     /// All categories, in breakdown-report order.
-    pub const ALL: [MemoryCategory; 9] = [
+    pub(crate) const ALL: [MemoryCategory; 9] = [
         MemoryCategory::Parameters,
         MemoryCategory::InputFeatures,
         MemoryCategory::Labels,
@@ -116,7 +116,6 @@ pub struct Device {
     next_id: u64,
     live: HashMap<u64, (usize, MemoryCategory)>,
     current_by_cat: HashMap<MemoryCategory, usize>,
-    peak_by_cat: HashMap<MemoryCategory, usize>,
     peak_snapshot: HashMap<MemoryCategory, usize>,
     /// The armed plan's allocation injector; an empty plan's by default.
     faults: AllocFaultInjector,
@@ -133,7 +132,6 @@ impl Device {
             next_id: 0,
             live: HashMap::new(),
             current_by_cat: HashMap::new(),
-            peak_by_cat: HashMap::new(),
             peak_snapshot: HashMap::new(),
             faults: FaultPlan::default().alloc_injector(),
             timeline: None,
@@ -180,9 +178,6 @@ impl Device {
         self.current += bytes;
         let cat = self.current_by_cat.entry(category).or_insert(0);
         *cat += bytes;
-        let cat_now = *cat;
-        let peak_cat = self.peak_by_cat.entry(category).or_insert(0);
-        *peak_cat = (*peak_cat).max(cat_now);
         // Category counters must be up to date before the global-peak
         // check: the snapshot taken here is the breakdown *at the peak
         // instant*, so its parts sum exactly to `peak`.
@@ -241,13 +236,11 @@ impl Device {
     /// snapshot) to current usage.
     pub fn reset_peak(&mut self) {
         self.peak = self.current;
-        self.peak_by_cat = self.current_by_cat.clone();
         self.peak_snapshot = self.current_by_cat.clone();
     }
 
     /// Bytes per category *at the instant the global peak was reached*,
-    /// in [`MemoryCategory::ALL`] order. Unlike
-    /// [`Device::independent_peaks`], the entries sum exactly to
+    /// in `MemoryCategory::ALL` order. The entries sum exactly to
     /// [`Device::peak_bytes`], so the breakdown is a faithful Fig. 3-style
     /// decomposition of the worst moment.
     pub fn peak_breakdown(&self) -> Vec<(MemoryCategory, usize)> {
@@ -255,23 +248,6 @@ impl Device {
             .iter()
             .map(|&c| (c, self.peak_snapshot.get(&c).copied().unwrap_or(0)))
             .collect()
-    }
-
-    /// Each category's own high-water mark since the last reset, in
-    /// [`MemoryCategory::ALL`] order. The per-category maxima are reached
-    /// at *different* instants, so these can sum to more than the global
-    /// peak — use [`Device::peak_breakdown`] for a decomposition of the
-    /// peak itself.
-    pub fn independent_peaks(&self) -> Vec<(MemoryCategory, usize)> {
-        MemoryCategory::ALL
-            .iter()
-            .map(|&c| (c, self.peak_by_cat.get(&c).copied().unwrap_or(0)))
-            .collect()
-    }
-
-    /// Current bytes in one category.
-    pub fn current_in(&self, category: MemoryCategory) -> usize {
-        self.current_by_cat.get(&category).copied().unwrap_or(0)
     }
 
     /// Arms fault injection: subsequent allocations consult `injector`
@@ -305,11 +281,6 @@ impl Device {
     /// undrained events) if one was enabled.
     pub fn disable_timeline(&mut self) -> Option<MemTimeline> {
         self.timeline.take()
-    }
-
-    /// Whether a memory timeline is being recorded.
-    pub fn timeline_enabled(&self) -> bool {
-        self.timeline.is_some()
     }
 
     /// Removes and returns the timeline events recorded since the last
@@ -378,11 +349,6 @@ mod tests {
         assert_eq!(bd[&MemoryCategory::AggregatorIntermediate], 100);
         assert_eq!(bd[&MemoryCategory::Gradients], 0);
         assert_eq!(bd[&MemoryCategory::Labels], 0);
-        // The independent per-category maxima keep the old semantics and
-        // may sum to more than the global peak.
-        let ind: std::collections::HashMap<_, _> = d.independent_peaks().into_iter().collect();
-        assert_eq!(ind[&MemoryCategory::AggregatorIntermediate], 100);
-        assert_eq!(ind[&MemoryCategory::Gradients], 60);
     }
 
     #[test]
@@ -413,10 +379,10 @@ mod tests {
     #[test]
     fn timeline_records_allocs_frees_and_bulk_release() {
         let mut d = Device::new(1000);
-        assert!(!d.timeline_enabled());
+        assert!(d.timeline.is_none());
         d.alloc(10, MemoryCategory::Parameters).unwrap(); // before enabling: untraced
         d.enable_timeline(betty_trace::TraceRecorder::new().timeline());
-        assert!(d.timeline_enabled());
+        assert!(d.timeline.is_some());
         let a = d.alloc(100, MemoryCategory::Blocks).unwrap();
         d.free(a);
         d.alloc(40, MemoryCategory::Labels).unwrap();
@@ -438,7 +404,7 @@ mod tests {
         assert_eq!(d.drain_timeline_events()[0].seq, events[3].seq + 1);
         let tl = d.disable_timeline();
         assert!(tl.is_some());
-        assert!(!d.timeline_enabled());
+        assert!(d.timeline.is_none());
         // Disabled again: allocations no longer record.
         d.alloc(5, MemoryCategory::Labels).unwrap();
         assert!(d.drain_timeline_events().is_empty());
@@ -462,7 +428,7 @@ mod tests {
         d.alloc(40, MemoryCategory::Labels).unwrap();
         d.free_all();
         assert_eq!(d.current_bytes(), 0);
-        assert_eq!(d.current_in(MemoryCategory::Blocks), 0);
+        assert_eq!(d.current_by_cat.get(&MemoryCategory::Blocks).copied().unwrap_or(0), 0);
         // Capacity is available again.
         assert!(d.alloc(100, MemoryCategory::Blocks).is_ok());
     }
@@ -516,7 +482,7 @@ mod tests {
         // there as a disarmed one does.
         d.begin_step(0);
         let id = d.alloc(60, MemoryCategory::Blocks).unwrap();
-        assert_eq!(d.current_in(MemoryCategory::Blocks), 60);
+        assert_eq!(d.current_by_cat.get(&MemoryCategory::Blocks).copied().unwrap_or(0), 60);
         // The genuine capacity check still applies, and its failure is
         // neither marked nor recorded as injected.
         let err = d.alloc(200, MemoryCategory::Blocks).unwrap_err();

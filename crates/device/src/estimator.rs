@@ -68,21 +68,6 @@ pub enum AggregatorKind {
     Gin,
 }
 
-impl AggregatorKind {
-    /// Human-readable name used in experiment tables.
-    pub fn name(&self) -> &'static str {
-        match self {
-            AggregatorKind::Mean => "mean",
-            AggregatorKind::Sum => "sum",
-            AggregatorKind::Pool => "pool",
-            AggregatorKind::Lstm => "lstm",
-            AggregatorKind::Attention { .. } => "attention",
-            AggregatorKind::Gcn => "gcn",
-            AggregatorKind::Gin => "gin",
-        }
-    }
-}
-
 /// Static shape of the GNN being trained — everything the estimator needs
 /// that does not depend on the batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -109,7 +94,7 @@ pub struct ModelShape {
 
 impl ModelShape {
     /// Feature width entering layer `i` (raw features for layer 0).
-    pub fn layer_in_dim(&self, layer: usize) -> usize {
+    pub(crate) fn layer_in_dim(&self, layer: usize) -> usize {
         if layer == 0 {
             self.in_dim
         } else {
@@ -118,7 +103,7 @@ impl ModelShape {
     }
 
     /// Feature width leaving layer `i` (classes for the last layer).
-    pub fn layer_out_dim(&self, layer: usize) -> usize {
+    pub(crate) fn layer_out_dim(&self, layer: usize) -> usize {
         if layer + 1 == self.num_layers {
             self.num_classes
         } else {
@@ -157,7 +142,7 @@ pub struct MemoryEstimate {
 
 impl MemoryEstimate {
     /// Contributions resident for the whole step.
-    pub fn stable_bytes(&self) -> usize {
+    pub(crate) fn stable_bytes(&self) -> usize {
         self.parameters
             + self.input_features
             + self.labels
@@ -167,20 +152,10 @@ impl MemoryEstimate {
             + self.feature_cache
     }
 
-    /// Bytes that cross the host→device link for the estimated batch.
-    pub fn transfer_bytes(&self) -> usize {
-        self.blocks + self.input_features + self.labels
-    }
-
     /// Peak = stable + max(aggregator intermediates, gradients): the two
     /// transient contributions dominate at different phases of the step.
     pub fn peak_bytes(&self) -> usize {
         self.stable_bytes() + self.aggregator_intermediate.max(self.gradients)
-    }
-
-    /// Sum of every contribution (upper bound, never all-resident).
-    pub fn total_bytes(&self) -> usize {
-        self.stable_bytes() + self.aggregator_intermediate + self.gradients
     }
 }
 
@@ -231,21 +206,6 @@ impl MemoryEstimator {
     pub fn with_activation_dtype(mut self, dtype: DType) -> Self {
         self.activation_dtype = dtype;
         self
-    }
-
-    /// The feature storage width this estimator charges for item (2).
-    pub fn feature_dtype(&self) -> DType {
-        self.feature_dtype
-    }
-
-    /// The activation storage width this estimator charges items (5)/(6) at.
-    pub fn activation_dtype(&self) -> DType {
-        self.activation_dtype
-    }
-
-    /// The model shape this estimator was built for.
-    pub fn shape(&self) -> &ModelShape {
-        &self.shape
     }
 
     /// Estimates the memory of training one (micro-)batch.
@@ -457,7 +417,6 @@ mod tests {
         assert_eq!(e.peak_bytes(), 100);
         e.gradients = 400;
         assert_eq!(e.peak_bytes(), 400);
-        assert_eq!(e.total_bytes(), 500);
     }
 
     #[test]
@@ -512,8 +471,8 @@ mod tests {
     #[test]
     fn dtype_defaults_are_f32() {
         let est = MemoryEstimator::new(shape(AggregatorKind::Mean));
-        assert_eq!(est.feature_dtype(), DType::F32);
-        assert_eq!(est.activation_dtype(), DType::F32);
+        assert_eq!(est.feature_dtype, DType::F32);
+        assert_eq!(est.activation_dtype, DType::F32);
     }
 
     /// Two layers so one of them is hidden: 3 outputs ← 5 sources ← 6.

@@ -395,7 +395,7 @@ impl AllocFaultInjector {
     }
 
     /// Removes and returns every event recorded since the last drain.
-    pub fn drain_events(&mut self) -> Vec<FaultEvent> {
+    pub(crate) fn drain_events(&mut self) -> Vec<FaultEvent> {
         self.stream.drain_events()
     }
 }

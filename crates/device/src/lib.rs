@@ -44,7 +44,6 @@ pub use transfer::TransferModel;
 
 // Re-exported so ledger consumers can drain timelines without a direct
 // betty-trace dependency.
-pub use betty_trace::{MemEvent, MemTimeline};
 
 /// Bytes per stored value (`f32` everywhere in this reproduction).
 pub const BYTES_PER_VALUE: usize = 4;

@@ -11,9 +11,6 @@ pub struct TransferModel {
     bandwidth_bytes_per_sec: f64,
     latency_sec: f64,
     total_bytes: u64,
-    total_time_sec: f64,
-    num_transfers: u64,
-    total_stall_sec: f64,
     /// The armed plan's stall injector; an empty plan's by default.
     faults: StallInjector,
 }
@@ -26,16 +23,13 @@ impl TransferModel {
     ///
     /// Panics if `bandwidth_bytes_per_sec` is not positive or `latency_sec`
     /// is negative.
-    pub fn new(bandwidth_bytes_per_sec: f64, latency_sec: f64) -> Self {
+    pub(crate) fn new(bandwidth_bytes_per_sec: f64, latency_sec: f64) -> Self {
         assert!(bandwidth_bytes_per_sec > 0.0, "bandwidth must be positive");
         assert!(latency_sec >= 0.0, "latency must be non-negative");
         Self {
             bandwidth_bytes_per_sec,
             latency_sec,
             total_bytes: 0,
-            total_time_sec: 0.0,
-            num_transfers: 0,
-            total_stall_sec: 0.0,
             faults: FaultPlan::default().transfer_injector(),
         }
     }
@@ -75,41 +69,14 @@ impl TransferModel {
         let mut t = self.time_for(bytes);
         if let Some(stall) = self.faults.check() {
             t += stall;
-            self.total_stall_sec += stall;
         }
         self.total_bytes += bytes as u64;
-        self.total_time_sec += t;
-        self.num_transfers += 1;
         t
     }
 
     /// Total bytes moved so far.
     pub fn total_bytes(&self) -> u64 {
         self.total_bytes
-    }
-
-    /// Total simulated transfer time so far, in seconds.
-    pub fn total_time_sec(&self) -> f64 {
-        self.total_time_sec
-    }
-
-    /// Number of recorded transfers.
-    pub fn num_transfers(&self) -> u64 {
-        self.num_transfers
-    }
-
-    /// Simulated seconds spent in injected stalls so far.
-    pub fn total_stall_sec(&self) -> f64 {
-        self.total_stall_sec
-    }
-
-    /// Clears accumulated counters (per-epoch reporting). The fault
-    /// injector keeps its state: counters are reporting-side only.
-    pub fn reset(&mut self) {
-        self.total_bytes = 0;
-        self.total_time_sec = 0.0;
-        self.num_transfers = 0;
-        self.total_stall_sec = 0.0;
     }
 
     /// Arms stall injection: subsequent transfers consult `injector`.
@@ -144,13 +111,9 @@ mod tests {
     #[test]
     fn accumulates() {
         let mut m = TransferModel::new(1e6, 0.0);
-        m.transfer(500_000);
-        m.transfer(500_000);
+        let t = m.transfer(500_000) + m.transfer(500_000);
         assert_eq!(m.total_bytes(), 1_000_000);
-        assert_eq!(m.num_transfers(), 2);
-        assert!((m.total_time_sec() - 1.0).abs() < 1e-9);
-        m.reset();
-        assert_eq!(m.total_bytes(), 0);
+        assert!((t - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -159,9 +122,7 @@ mod tests {
         assert_eq!(m.time_for(0), 0.0, "no bytes, no latency");
         assert!(m.time_for(1) >= 0.25, "non-empty transfers still pay latency");
         assert_eq!(m.transfer(0), 0.0);
-        assert_eq!(m.num_transfers(), 0, "empty transfer must not be counted");
-        assert_eq!(m.total_bytes(), 0);
-        assert_eq!(m.total_time_sec(), 0.0);
+        assert_eq!(m.total_bytes(), 0, "empty transfer must not be counted");
         // An armed injector must not be consulted either — otherwise an
         // empty transfer would consume a stall draw and shift every
         // later stall onto a different transfer.
@@ -173,7 +134,6 @@ mod tests {
         };
         m.arm_faults(plan.transfer_injector());
         assert_eq!(m.transfer(0), 0.0);
-        assert_eq!(m.total_stall_sec(), 0.0);
         assert!(m.drain_fault_events().is_empty());
         assert!(m.transfer(1_000) >= 0.5, "the stall lands on the first real transfer");
     }
@@ -181,12 +141,9 @@ mod tests {
     #[test]
     fn many_small_transfers_cost_more_than_one_big() {
         let mut small = TransferModel::pcie3();
-        for _ in 0..1000 {
-            small.transfer(1_000);
-        }
+        let small_sec: f64 = (0..1000).map(|_| small.transfer(1_000)).sum();
         let mut big = TransferModel::pcie3();
-        big.transfer(1_000_000);
-        assert!(small.total_time_sec() > big.total_time_sec());
+        assert!(small_sec > big.transfer(1_000_000));
         assert_eq!(small.total_bytes(), big.total_bytes());
     }
 
@@ -208,10 +165,8 @@ mod tests {
         m.arm_faults(plan.transfer_injector());
         let t = m.transfer(1_000);
         assert!(t >= 0.5, "stall must lengthen the transfer, got {t}");
-        assert!((m.total_stall_sec() - 0.5).abs() < 1e-12);
+        assert!((t - m.time_for(1_000) - 0.5).abs() < 1e-12);
         assert_eq!(m.drain_fault_events().len(), 1);
-        m.reset();
-        assert_eq!(m.total_stall_sec(), 0.0);
         m.arm_faults(FaultPlan::default().transfer_injector());
         let clean = m.transfer(1_000);
         assert!(clean < 0.5, "the empty plan's transfers are stall-free");

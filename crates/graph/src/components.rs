@@ -11,14 +11,6 @@ pub struct Components {
 }
 
 impl Components {
-    /// Component label of `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of bounds.
-    pub fn label(&self, node: NodeId) -> u32 {
-        self.labels[node as usize]
-    }
 
     /// Number of components.
     pub fn count(&self) -> usize {
@@ -26,7 +18,7 @@ impl Components {
     }
 
     /// Size of every component, indexed by label.
-    pub fn sizes(&self) -> Vec<usize> {
+    pub(crate) fn sizes(&self) -> Vec<usize> {
         let mut sizes = vec![0usize; self.count];
         for &l in &self.labels {
             sizes[l as usize] += 1;
@@ -37,11 +29,6 @@ impl Components {
     /// Size of the largest component (0 for an empty graph).
     pub fn largest(&self) -> usize {
         self.sizes().into_iter().max().unwrap_or(0)
-    }
-
-    /// Whether two nodes share a component.
-    pub fn connected(&self, a: NodeId, b: NodeId) -> bool {
-        self.label(a) == self.label(b)
     }
 }
 
@@ -84,9 +71,9 @@ mod tests {
         let g = CsrGraph::from_edges(6, &[(0, 1), (1, 2), (3, 4)]);
         let cc = weakly_connected_components(&g);
         assert_eq!(cc.count(), 3);
-        assert!(cc.connected(0, 2));
-        assert!(cc.connected(3, 4));
-        assert!(!cc.connected(2, 3));
+        assert_eq!(cc.labels[0], cc.labels[2]);
+        assert_eq!(cc.labels[3], cc.labels[4]);
+        assert_ne!(cc.labels[2], cc.labels[3]);
         let mut sizes = cc.sizes();
         sizes.sort_unstable();
         assert_eq!(sizes, vec![1, 2, 3]);

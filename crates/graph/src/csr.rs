@@ -143,11 +143,6 @@ impl CsrGraph {
             .map(|w| &w[self.indptr[u as usize]..self.indptr[u as usize + 1]])
     }
 
-    /// Out-degree of `u`.
-    pub fn out_degree(&self, u: NodeId) -> usize {
-        self.neighbors(u).len()
-    }
-
     /// In-degree of every node (one O(E) pass).
     pub fn in_degrees(&self) -> Vec<usize> {
         let mut deg = vec![0usize; self.num_nodes()];
@@ -203,19 +198,6 @@ impl CsrGraph {
             })
         })
     }
-
-    /// Sum of all edge weights (edge count for unweighted graphs).
-    pub fn total_weight(&self) -> f64 {
-        match &self.weights {
-            Some(w) => w.iter().map(|&x| x as f64).sum(),
-            None => self.num_edges() as f64,
-        }
-    }
-
-    /// Whether edge `u → v` exists (binary search).
-    pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.neighbors(u).binary_search(&v).is_ok()
-    }
 }
 
 #[cfg(test)]
@@ -234,14 +216,13 @@ mod tests {
         assert_eq!(g.num_edges(), 4);
         assert_eq!(g.neighbors(0), &[1, 2]);
         assert_eq!(g.neighbors(3), &[] as &[NodeId]);
-        assert_eq!(g.out_degree(0), 2);
     }
 
     #[test]
     fn degrees() {
         let g = diamond();
         assert_eq!(g.in_degrees(), vec![0, 1, 1, 2]);
-        let out: Vec<usize> = (0..4).map(|u| g.out_degree(u)).collect();
+        let out: Vec<usize> = (0..4).map(|u| g.neighbors(u).len()).collect();
         assert_eq!(out, vec![2, 1, 1, 0]);
     }
 
@@ -260,14 +241,6 @@ mod tests {
         let r = g.reverse();
         assert_eq!(r.neighbor_weights(1), Some(&[2.5f32][..]));
         assert_eq!(r.neighbor_weights(2), Some(&[4.0f32][..]));
-        assert_eq!(g.total_weight(), 6.5);
-    }
-
-    #[test]
-    fn has_edge_binary_search() {
-        let g = diamond();
-        assert!(g.has_edge(0, 2));
-        assert!(!g.has_edge(2, 0));
     }
 
     #[test]

@@ -158,6 +158,7 @@ fn lstm_aggregate(sess: &mut Session, cell: &LstmCell, block: &Block, src_feats:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::param::tests::ParamList;
     use betty_tensor::Tensor;
     use rand::SeedableRng;
     use rand_pcg::Pcg64Mcg;

@@ -6,7 +6,7 @@ use crate::{Conv, Linear, Param, Params, Session};
 
 /// How a multi-head [`GatConv`] merges its heads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HeadMerge {
+pub(crate) enum HeadMerge {
     /// Concatenate head outputs (hidden layers): width `heads × out_dim`.
     Concat,
     /// Average head outputs (output layer): width `out_dim`.
@@ -36,7 +36,7 @@ impl GatConv {
     /// # Panics
     ///
     /// Panics if `num_heads == 0` or `head_dim == 0`.
-    pub fn new(
+    pub(crate) fn new(
         in_dim: usize,
         head_dim: usize,
         num_heads: usize,
@@ -125,6 +125,7 @@ impl Params for GatConv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::param::tests::ParamList;
     use betty_tensor::{Reduction, Tensor};
     use rand::SeedableRng;
     use rand_pcg::Pcg64Mcg;

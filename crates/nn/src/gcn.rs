@@ -25,7 +25,7 @@ pub struct GcnConv {
 
 impl GcnConv {
     /// A layer mapping `in_dim → out_dim`.
-    pub fn new(in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
+    pub(crate) fn new(in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
         Self {
             linear: Linear::new(in_dim, out_dim, rng),
         }
@@ -73,6 +73,7 @@ impl Params for GcnConv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::param::tests::ParamList;
     use betty_tensor::{Reduction, Tensor};
     use rand::SeedableRng;
     use rand_pcg::Pcg64Mcg;

@@ -22,7 +22,7 @@ pub struct GinConv {
 
 impl GinConv {
     /// A layer mapping `in_dim → out_dim` through a `hidden`-wide MLP.
-    pub fn new(in_dim: usize, hidden: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
+    pub(crate) fn new(in_dim: usize, hidden: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
         Self {
             eps: Param::new(Tensor::zeros(&[1])),
             fc1: Linear::new(in_dim, hidden, rng),
@@ -71,6 +71,7 @@ impl Params for GinConv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::param::tests::ParamList;
     use betty_tensor::Reduction;
     use rand::SeedableRng;
     use rand_pcg::Pcg64Mcg;

@@ -10,10 +10,10 @@
 //!   memory-hungry LSTM aggregator, one packed sequence per layer).
 //! * [`GatConv`] — multi-head graph attention.
 //! * [`GcnConv`] / [`GinConv`] — the GCN and GIN convolutions.
-//! * [`Stack`] — the one multi-layer model: a [`Conv`] per block, the
+//! * [`Stack`] — the one multi-layer model: a `Conv` per block, the
 //!   [`GnnModel`] the trainer drives. [`GraphSage`], [`Gat`], [`Gcn`] and
 //!   [`Gin`] are its four instances.
-//! * [`Params`] — one parameter walk per owner, in the one order the
+//! * `Params` — one parameter walk per owner, in the one order the
 //!   optimizer, checkpoints and gradient accumulation share.
 //! * [`Session`] — binds persistent [`Param`]s to tape variables for one
 //!   forward/backward pass and accumulates gradients back, which is what
@@ -44,7 +44,7 @@
 #![deny(missing_docs)]
 
 mod aggregator;
-pub mod checkpoint;
+pub(crate) mod checkpoint;
 mod gat;
 mod gcn;
 mod gin;
@@ -62,13 +62,14 @@ pub use checkpoint::{
     TrainState,
 };
 pub use gat::GatConv;
-pub use gat::HeadMerge;
 pub use gcn::GcnConv;
 pub use gin::GinConv;
 pub use linear::Linear;
 pub use lstm::LstmCell;
-pub use models::{Conv, Gat, Gcn, Gin, GnnModel, GraphSage, Stack};
+pub use models::{Gat, Gcn, Gin, GnnModel, GraphSage, Stack};
 pub use optim::{Adam, AdamState, Optimizer};
-pub use param::{Param, Params};
+pub use param::Param;
 pub use sage::SageConv;
 pub use session::Session;
+pub(crate) use models::Conv;
+pub(crate) use param::Params;

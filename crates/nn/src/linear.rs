@@ -12,7 +12,7 @@ pub struct Linear {
 
 impl Linear {
     /// Glorot-initialized layer mapping `in_dim → out_dim`.
-    pub fn new(in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
+    pub(crate) fn new(in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
         Self {
             weight: Param::new(glorot_uniform(in_dim, out_dim, rng)),
             bias: Param::new(Tensor::zeros(&[out_dim])),
@@ -21,13 +21,13 @@ impl Linear {
 
     /// Applies the layer to `[n, in_dim]` variable `x`: one tape node
     /// holding `x·W + b`.
-    pub fn forward(&self, sess: &mut Session, x: VarId) -> VarId {
+    pub(crate) fn forward(&self, sess: &mut Session, x: VarId) -> VarId {
         self.forward_act(sess, x, false)
     }
 
     /// `x·W + b`, passed through a ReLU when `relu` — still one tape node:
     /// the pre-activation is never stored.
-    pub fn forward_act(&self, sess: &mut Session, x: VarId, relu: bool) -> VarId {
+    pub(crate) fn forward_act(&self, sess: &mut Session, x: VarId, relu: bool) -> VarId {
         let rows = sess.graph.value(x).rows();
         let term = self.term(sess, x);
         sess.graph.affine(&[term], rows, relu)
@@ -59,6 +59,7 @@ impl Params for Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::param::tests::ParamList;
     use betty_tensor::Reduction;
     use rand::SeedableRng;
     use rand_pcg::Pcg64Mcg;

@@ -18,7 +18,7 @@ pub struct LstmCell {
 
 impl LstmCell {
     /// A cell with input width `input_dim` and state width `hidden_dim`.
-    pub fn new(input_dim: usize, hidden_dim: usize, rng: &mut impl Rng) -> Self {
+    pub(crate) fn new(input_dim: usize, hidden_dim: usize, rng: &mut impl Rng) -> Self {
         Self {
             weight: Param::new(glorot_uniform(input_dim + hidden_dim, 4 * hidden_dim, rng)),
             bias: Param::new(Tensor::zeros(&[4 * hidden_dim])),
@@ -27,7 +27,7 @@ impl LstmCell {
     }
 
     /// State width.
-    pub fn hidden_dim(&self) -> usize {
+    pub(crate) fn hidden_dim(&self) -> usize {
         self.hidden_dim
     }
 
@@ -39,7 +39,7 @@ impl LstmCell {
     /// row of `src` (`[_, X]`) each consumes. Equal lengths `L` are
     /// `sizes = [n; L]`. One tape node, whatever the lengths
     /// ([`betty_tensor::Graph::lstm_sequence`]).
-    pub fn sequence(&self, sess: &mut Session, src: VarId, steps: &[usize], sizes: &[usize]) -> VarId {
+    pub(crate) fn sequence(&self, sess: &mut Session, src: VarId, steps: &[usize], sizes: &[usize]) -> VarId {
         let w = sess.bind(&self.weight);
         let b = sess.bind(&self.bias);
         sess.graph.lstm_sequence(src, steps, sizes, w, b)
@@ -61,6 +61,7 @@ impl Params for LstmCell {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::param::tests::ParamList;
     use rand::SeedableRng;
     use rand_pcg::Pcg64Mcg;
 

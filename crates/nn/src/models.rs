@@ -7,7 +7,7 @@ use crate::{AggregatorSpec, GatConv, GcnConv, GinConv, Param, Params, SageConv, 
 
 /// One GNN layer: a block's source features in, its destination features
 /// out.
-pub trait Conv: Params {
+pub(crate) trait Conv: Params {
     /// Applies the layer over `block` to source features
     /// `[block.num_src(), in_dim]`, producing `[block.num_dst(), out_dim]`.
     /// A `hidden` layer (every one but a model's last) ends in its
@@ -126,7 +126,7 @@ fn dropout(sess: &mut Session, x: VarId, p: f32, training: bool, rng: &mut dyn R
     sess.graph.dropout_with_mask(x, &mask, p)
 }
 
-/// A multi-layer GNN: `in_dim → hidden…hidden → num_classes`, one [`Conv`]
+/// A multi-layer GNN: `in_dim → hidden…hidden → num_classes`, one `Conv`
 /// per block, dropout after every layer but the last.
 #[derive(Debug, Clone)]
 pub struct Stack<C> {

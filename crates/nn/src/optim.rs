@@ -4,7 +4,7 @@ use crate::Param;
 
 /// A first-order optimizer over a parameter list.
 ///
-/// Optimizers are stateful (Adam keeps moments keyed by [`Param::id`]);
+/// Optimizers are stateful (Adam keeps moments keyed by `Param::id`);
 /// call [`Optimizer::step`] after gradients have been accumulated and
 /// [`Param::zero_grad`] on every parameter before the next batch.
 pub trait Optimizer {
@@ -29,7 +29,7 @@ pub struct Adam {
 
 /// A process-independent snapshot of Adam's mutable state.
 ///
-/// [`Adam`] keys its moments by [`Param::id`], which is a process-global
+/// [`Adam`] keys its moments by `Param::id`, which is a process-global
 /// counter — ids differ between the run that saved a checkpoint and the
 /// run that loads it. `AdamState` therefore stores the moments
 /// *positionally*, in the parameter-list order the caller passed to
@@ -75,7 +75,7 @@ impl Adam {
     }
 
     /// Restores a snapshot taken by [`Adam::export_state`], re-keying each
-    /// moment pair under the current process's [`Param::id`]s.
+    /// moment pair under the current process's `Param::id`s.
     ///
     /// # Errors
     ///

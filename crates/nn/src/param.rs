@@ -20,7 +20,7 @@ pub struct Param {
 
 impl Param {
     /// Wraps an initial value.
-    pub fn new(value: Tensor) -> Self {
+    pub(crate) fn new(value: Tensor) -> Self {
         let grad = Tensor::zeros(value.shape());
         Self {
             id: NEXT_PARAM_ID.fetch_add(1, Ordering::Relaxed),
@@ -30,7 +30,7 @@ impl Param {
     }
 
     /// Process-unique identity used by [`crate::Session`] to key bindings.
-    pub fn id(&self) -> u64 {
+    pub(crate) fn id(&self) -> u64 {
         self.id
     }
 
@@ -40,7 +40,7 @@ impl Param {
     }
 
     /// Mutable access to the value (used by optimizers).
-    pub fn value_mut(&mut self) -> &mut Tensor {
+    pub(crate) fn value_mut(&mut self) -> &mut Tensor {
         &mut self.value
     }
 
@@ -54,7 +54,7 @@ impl Param {
     /// # Panics
     ///
     /// Panics if shapes differ.
-    pub fn accumulate_grad(&mut self, delta: &Tensor) {
+    pub(crate) fn accumulate_grad(&mut self, delta: &Tensor) {
         self.grad.add_assign(delta);
     }
 
@@ -64,13 +64,8 @@ impl Param {
     }
 
     /// Number of scalar values in the parameter.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.value.len()
-    }
-
-    /// Whether the parameter is empty (never true for real layers).
-    pub fn is_empty(&self) -> bool {
-        self.value.is_empty()
     }
 }
 
@@ -78,26 +73,12 @@ impl Param {
 /// order, which the optimizer's moments, checkpoints and gradient
 /// accumulation all line up on. `visit_mut` must follow `visit`'s order;
 /// everything else is built on the two.
-pub trait Params {
+pub(crate) trait Params {
     /// Visits every parameter.
     fn visit<'a>(&'a self, f: &mut dyn FnMut(&'a Param));
 
     /// Visits every parameter mutably, in [`Params::visit`] order.
     fn visit_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param));
-
-    /// All parameters, in walk order.
-    fn params(&self) -> Vec<&Param> {
-        let mut out = Vec::new();
-        self.visit(&mut |p| out.push(p));
-        out
-    }
-
-    /// Mutable access to all parameters, in walk order.
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut out = Vec::new();
-        self.visit_mut(&mut |p| out.push(p));
-        out
-    }
 
     /// Scalar parameter count.
     fn num_params(&self) -> usize {
@@ -108,8 +89,25 @@ pub trait Params {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Parameter lists built on the walk, which only tests take.
+    pub(crate) trait ParamList: Params {
+        fn params(&self) -> Vec<&Param> {
+            let mut out = Vec::new();
+            self.visit(&mut |p| out.push(p));
+            out
+        }
+
+        fn params_mut(&mut self) -> Vec<&mut Param> {
+            let mut out = Vec::new();
+            self.visit_mut(&mut |p| out.push(p));
+            out
+        }
+    }
+
+    impl<T: Params + ?Sized> ParamList for T {}
 
     #[test]
     fn ids_are_unique() {

@@ -20,7 +20,7 @@ pub struct SageConv {
 
 impl SageConv {
     /// A layer mapping `in_dim → out_dim` with the given aggregator.
-    pub fn new(in_dim: usize, out_dim: usize, spec: AggregatorSpec, rng: &mut impl Rng) -> Self {
+    pub(crate) fn new(in_dim: usize, out_dim: usize, spec: AggregatorSpec, rng: &mut impl Rng) -> Self {
         Self {
             fc_self: Linear::new(in_dim, out_dim, rng),
             fc_neigh: Linear::new(in_dim, out_dim, rng),
@@ -66,6 +66,7 @@ impl Params for SageConv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::param::tests::ParamList;
     use betty_tensor::{Reduction, Tensor};
     use rand::SeedableRng;
     use rand_pcg::Pcg64Mcg;

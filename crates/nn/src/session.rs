@@ -26,21 +26,6 @@ impl Session {
         Self::default()
     }
 
-    /// Wraps an existing tape (no bindings yet) — lets generic tape
-    /// utilities such as [`betty_tensor::check::check_gradient`] drive
-    /// layer code.
-    pub fn from_graph(graph: Graph) -> Self {
-        Self {
-            graph,
-            bindings: HashMap::new(),
-        }
-    }
-
-    /// Consumes the session, returning the tape.
-    pub fn into_graph(self) -> Graph {
-        self.graph
-    }
-
     /// Clears the tape and bindings for the next micro-batch while keeping
     /// the tape's buffer pool warm: values and gradients from the finished
     /// step are recycled instead of freed, so rebuilding a same-shaped
@@ -51,7 +36,7 @@ impl Session {
     }
 
     /// Returns the tape leaf bound to `param`, creating it on first use.
-    pub fn bind(&mut self, param: &Param) -> VarId {
+    pub(crate) fn bind(&mut self, param: &Param) -> VarId {
         if let Some(&v) = self.bindings.get(&param.id()) {
             return v;
         }
@@ -87,6 +72,21 @@ impl Session {
 mod tests {
     use super::*;
     use betty_tensor::Tensor;
+
+    // Lets generic tape utilities such as
+    // `betty_tensor::check::check_gradient` drive layer code.
+    impl Session {
+        pub(crate) fn from_graph(graph: Graph) -> Self {
+            Self {
+                graph,
+                bindings: HashMap::new(),
+            }
+        }
+
+        pub(crate) fn into_graph(self) -> Graph {
+            self.graph
+        }
+    }
 
     #[test]
     fn bind_is_idempotent() {

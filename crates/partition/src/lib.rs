@@ -9,7 +9,7 @@
 //!   graph-growing initial partitioning, and boundary Kernighan–Lin
 //!   refinement with a balance constraint. Used both as the "Metis" baseline
 //!   and as the cut engine inside Betty's REG partitioning.
-//! * [`reg_partition`] — Algorithm 1 of the paper: build the
+//! * [`RegPartitioner`] — Algorithm 1 of the paper: build the
 //!   Redundancy-Embedded Graph of a batch's output layer and min-cut it.
 //!
 //! All partitioners are deterministic given their seed.
@@ -42,10 +42,7 @@ mod simple;
 pub use metrics::{input_redundancy, RedundancyReport};
 pub use multilevel::{CutHierarchy, MultilevelPartitioner};
 pub use partitioning::Partitioning;
-pub use reg::{
-    reg_partition, OutputGraphPartitioner, OutputPartitioner, PreparedSplit, RegPartitioner,
-    RegScope,
-};
+pub use reg::{OutputGraphPartitioner, OutputPartitioner, PreparedSplit, RegPartitioner, RegScope};
 pub use simple::{RandomPartitioner, RangePartitioner};
 
 use betty_graph::CsrGraph;

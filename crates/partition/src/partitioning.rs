@@ -21,15 +21,6 @@ impl Partitioning {
         Self { assignment, k }
     }
 
-    /// Part label of `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of bounds.
-    pub fn part_of(&self, node: NodeId) -> u32 {
-        self.assignment[node as usize]
-    }
-
     /// The raw per-node labels.
     pub fn assignment(&self) -> &[u32] {
         &self.assignment
@@ -44,21 +35,12 @@ impl Partitioning {
         parts
     }
 
-    /// Number of nodes per part.
-    pub fn part_sizes(&self) -> Vec<usize> {
-        let mut sizes = vec![0usize; self.k];
-        for &p in &self.assignment {
-            sizes[p as usize] += 1;
-        }
-        sizes
-    }
-
     /// Total node weight per part.
     ///
     /// # Panics
     ///
     /// Panics if `weights.len()` differs from the node count.
-    pub fn part_weights(&self, weights: &[f64]) -> Vec<f64> {
+    pub(crate) fn part_weights(&self, weights: &[f64]) -> Vec<f64> {
         assert_eq!(weights.len(), self.assignment.len(), "one weight per node");
         let mut out = vec![0.0; self.k];
         for (i, &p) in self.assignment.iter().enumerate() {
@@ -101,16 +83,26 @@ impl Partitioning {
         let ideal = total / self.k as f64;
         pw.iter().cloned().fold(0.0, f64::max) / ideal
     }
-
-    /// Whether every part holds at least one node.
-    pub fn all_parts_nonempty(&self) -> bool {
-        self.part_sizes().iter().all(|&s| s > 0)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // Label queries only the crate's tests make.
+    impl Partitioning {
+        pub(crate) fn part_of(&self, node: NodeId) -> u32 {
+            self.assignment[node as usize]
+        }
+
+        pub(crate) fn part_sizes(&self) -> Vec<usize> {
+            self.parts().iter().map(Vec::len).collect()
+        }
+
+        pub(crate) fn all_parts_nonempty(&self) -> bool {
+            self.part_sizes().iter().all(|&s| s > 0)
+        }
+    }
 
     fn path4() -> CsrGraph {
         // 0—1—2—3 as a symmetric path.

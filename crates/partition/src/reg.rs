@@ -3,7 +3,8 @@
 
 use betty_graph::{dependency_reg, shared_neighbor_graph, Batch, Block, CsrGraph, NodeId};
 
-use crate::{CutHierarchy, MultilevelPartitioner, Partitioner, Partitioning};
+use crate::multilevel::CutHierarchy;
+use crate::{MultilevelPartitioner, Partitioner, Partitioning};
 
 /// Which redundancy information the REG embeds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -70,26 +71,6 @@ impl<S: OutputPartitioner + ?Sized> PreparedSplit for Unprepared<'_, S> {
     }
 }
 
-/// Algorithm 1: builds the Redundancy-Embedded Graph of the output layer
-/// and min-cuts it with the supplied partitioner.
-///
-/// Returns the per-partition lists of output-node *global* ids
-/// (`batched_output_nodes_list` in the paper's pseudo-code).
-///
-/// # Panics
-///
-/// Panics if `k == 0`.
-pub fn reg_partition(batch: &Batch, k: usize, cutter: &impl Partitioner) -> Vec<Vec<NodeId>> {
-    assert!(k > 0, "k must be positive");
-    let last = batch.blocks().last().expect("batch is never empty");
-    // Lines 1–7: construct REG = AᵀA over output nodes, self-loops removed.
-    let reg = shared_neighbor_graph(last);
-    // Line 8: K-way min-cut of REG.
-    let parts = cutter.partition(&reg, k);
-    // Lines 9–12: collect output-node ids per part.
-    locals_to_globals(&parts, last)
-}
-
 fn locals_to_globals(parts: &Partitioning, last: &Block) -> Vec<Vec<NodeId>> {
     let dst = last.dst_globals();
     parts
@@ -140,11 +121,6 @@ impl RegPartitioner {
         assert!(hub_cap >= 2, "hub_cap below 2 drops every pair");
         self.hub_cap = hub_cap;
         self
-    }
-
-    /// The configured scope.
-    pub fn scope(&self) -> RegScope {
-        self.scope
     }
 }
 
@@ -270,7 +246,9 @@ mod tests {
     #[test]
     fn reg_groups_heavy_sharers_together() {
         let batch = fig8_like_batch();
-        let parts = reg_partition(&batch, 2, &MultilevelPartitioner::new(0));
+        let last = batch.blocks().last().unwrap();
+        let cut = MultilevelPartitioner::new(0).partition(&shared_neighbor_graph(last), 2);
+        let parts = locals_to_globals(&cut, last);
         assert_eq!(parts.len(), 2);
         let part_of = |v: NodeId| parts.iter().position(|p| p.contains(&v)).unwrap();
         // 1 and 8 share 4 sources: splitting them would cut weight 4.

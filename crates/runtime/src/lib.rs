@@ -41,7 +41,7 @@
 //!    exhibits comparing widths),
 //! 2. the `BETTY_THREADS` environment variable,
 //! 3. [`std::thread::available_parallelism`], capped at
-//!    [`MAX_DEFAULT_THREADS`].
+//!    `MAX_DEFAULT_THREADS`.
 //!
 //! 2 and 3 are read once per process; the override is an atomic that wins
 //! whenever it is set.
@@ -57,7 +57,7 @@ use std::sync::{Mutex, OnceLock};
 /// Betty's kernels operate on batches that rarely profit from more than a
 /// handful of cores; past this point scoped-spawn overhead dominates.
 /// Explicit overrides (`--threads` / `BETTY_THREADS`) are *not* capped.
-pub const MAX_DEFAULT_THREADS: usize = 8;
+pub(crate) const MAX_DEFAULT_THREADS: usize = 8;
 
 /// Process-wide thread override; `0` means "not set".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);

@@ -85,7 +85,7 @@ impl DType {
     }
 
     /// Quantizes every element in place. `F32` touches nothing.
-    pub fn quantize_slice(self, data: &mut [f32]) {
+    pub(crate) fn quantize_slice(self, data: &mut [f32]) {
         match self {
             DType::F32 => {}
             DType::Bf16 => {

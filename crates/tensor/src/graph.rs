@@ -91,7 +91,6 @@ enum UnaryKind {
     Relu,
     LeakyRelu(f32),
     Elu(f32),
-    Sigmoid,
     Tanh,
 }
 
@@ -110,7 +109,6 @@ impl UnaryKind {
                     alpha * (x.exp() - 1.0)
                 }
             }),
-            UnaryKind::Sigmoid => kernels::sigmoid_into(a, out),
             UnaryKind::Tanh => kernels::tanh_into(a, out),
         }
     }
@@ -133,11 +131,6 @@ impl UnaryKind {
             UnaryKind::Elu(alpha) => {
                 for (g, (&x, &y)) in g.iter_mut().zip(xy) {
                     *g *= if x > 0.0 { 1.0 } else { y + alpha };
-                }
-            }
-            UnaryKind::Sigmoid => {
-                for (g, (_, &y)) in g.iter_mut().zip(xy) {
-                    *g *= y * (1.0 - y);
                 }
             }
             UnaryKind::Tanh => {
@@ -179,11 +172,6 @@ enum Op {
     GatherRows(Vec<usize>),
     ScatterRows(Vec<usize>),
     SegmentSum(Vec<usize>),
-    SegmentMean {
-        ids: Vec<usize>,
-        /// `[n_segments]`: `1 / max(count, 1)` per segment.
-        inv: Tensor,
-    },
     SegmentMax {
         /// Row index of each `(segment, column)` winner; `usize::MAX` marks
         /// an empty segment.
@@ -209,7 +197,6 @@ enum Op {
         ids: Vec<usize>,
         n_segments: usize,
     },
-    LogSoftmaxRows,
     CrossEntropy {
         /// `[n, classes]` log-softmax of the logits, kept for the adjoint.
         log_probs: Tensor,
@@ -244,10 +231,6 @@ impl Op {
             Op::DropoutMask(t) => pool.give(t),
             Op::GatherRows(idx) | Op::ScatterRows(idx) | Op::SegmentSum(idx) => {
                 pool.give_indices(idx);
-            }
-            Op::SegmentMean { ids, inv } => {
-                pool.give_indices(ids);
-                pool.give(inv);
             }
             Op::SegmentMax { argmax } => pool.give_indices(argmax),
             Op::FusedSum {
@@ -469,19 +452,6 @@ impl Op {
                 segment::gather_rows_into(g, ids, o.data_mut());
                 out.push(Some(o));
             }
-            Op::SegmentMean { ids, inv } => {
-                let cols = g.cols();
-                let mut grad = pool.scratch(&[ids.len(), cols]);
-                segment::gather_rows_into(g, ids, grad.data_mut());
-                let gd = grad.data_mut();
-                let inv = inv.data();
-                for (r, &s) in ids.iter().enumerate() {
-                    for v in &mut gd[r * cols..(r + 1) * cols] {
-                        *v *= inv[s];
-                    }
-                }
-                out.push(Some(grad));
-            }
             Op::SegmentMax { argmax } => {
                 let src = parent(0);
                 let (rows, cols) = (src.rows(), src.cols());
@@ -559,19 +529,6 @@ impl Op {
                 }
                 pool.give(gy);
                 pool.give(sums);
-                out.push(Some(o));
-            }
-            Op::LogSoftmaxRows => {
-                let y = value;
-                let (rows, cols) = (y.rows(), y.cols());
-                let mut o = pooled_copy(pool, g);
-                let od = o.data_mut();
-                for r in 0..rows {
-                    let row_sum: f32 = g.row(r).iter().sum();
-                    for c in 0..cols {
-                        od[r * cols + c] -= y.at2(r, c).exp() * row_sum;
-                    }
-                }
                 out.push(Some(o));
             }
             Op::CrossEntropy {
@@ -752,7 +709,7 @@ pub enum Reduction {
     Sum,
 }
 
-/// A dynamic computation tape backed by a [`BufferPool`].
+/// A dynamic computation tape backed by a `BufferPool`.
 ///
 /// See the [crate-level documentation](crate) for an end-to-end example.
 #[derive(Default)]
@@ -843,11 +800,6 @@ impl Graph {
         self.activation_bytes = self.nodes.iter().map(|n| n.stored_bytes(dtype)).sum();
     }
 
-    /// The storage width simulated for forward activations.
-    pub fn activation_dtype(&self) -> DType {
-        self.activation_dtype
-    }
-
     /// Clears the tape for reuse, retaining buffer capacity.
     ///
     /// Op payloads are dismantled first — auxiliary tensors they hold may
@@ -891,14 +843,9 @@ impl Graph {
 
     /// Takes a pooled buffer with *unspecified contents* for use outside the
     /// tape (e.g. staging gathered input features). The caller must
-    /// overwrite every element; hand it back with [`Graph::recycle`].
+    /// overwrite every element.
     pub fn take_scratch(&mut self, shape: &[usize]) -> Tensor {
         self.pool.scratch(shape)
-    }
-
-    /// Returns a tensor to this tape's pool for reuse.
-    pub fn recycle(&mut self, t: Tensor) {
-        self.pool.give(t);
     }
 
     /// Takes an empty pooled index buffer (e.g. for staging gather indices
@@ -1040,11 +987,6 @@ impl Graph {
     /// Exponential linear unit with scale `alpha`.
     pub fn elu(&mut self, a: VarId, alpha: f32) -> VarId {
         self.unary(a, UnaryKind::Elu(alpha))
-    }
-
-    /// Logistic sigmoid.
-    pub fn sigmoid(&mut self, a: VarId) -> VarId {
-        self.unary(a, UnaryKind::Sigmoid)
     }
 
     /// Hyperbolic tangent.
@@ -1301,49 +1243,6 @@ impl Graph {
         self.push(value, Parents::One(values), Some(Op::SegmentSum(ids)))
     }
 
-    /// Per-segment mean over rows of `values` keyed by `segment_ids`.
-    pub fn segment_mean(
-        &mut self,
-        values: VarId,
-        segment_ids: &[usize],
-        n_segments: usize,
-    ) -> VarId {
-        let ids = self.pooled_indices(segment_ids);
-        let mut counts = self.pool.take_indices();
-        counts.resize(n_segments, 0);
-        for &s in &ids {
-            assert!(s < n_segments, "segment id {s} >= {n_segments}");
-            counts[s] += 1;
-        }
-        let Graph { nodes, pool, .. } = self;
-        let cols = nodes[values.0].value.cols();
-        let mut value = pool.zeros(&[n_segments, cols]);
-        segment::segment_sum_into(&nodes[values.0].value, &ids, value.data_mut());
-        // One spare slot keeps the payload shape non-empty when there are
-        // no segments; every element is written either way.
-        let mut inv = pool.scratch(&[n_segments.max(1)]);
-        let invd = inv.data_mut();
-        invd[0] = 1.0;
-        for (s, &cnt) in counts.iter().enumerate() {
-            invd[s] = 1.0 / cnt.max(1) as f32;
-        }
-        let vd = value.data_mut();
-        for (s, &cnt) in counts.iter().enumerate() {
-            if cnt > 1 {
-                let scale = 1.0 / cnt as f32;
-                for v in &mut vd[s * cols..(s + 1) * cols] {
-                    *v *= scale;
-                }
-            }
-        }
-        pool.give_indices(counts);
-        self.push(
-            value,
-            Parents::One(values),
-            Some(Op::SegmentMean { ids, inv }),
-        )
-    }
-
     /// Per-segment elementwise max over rows of `values`.
     pub fn segment_max(&mut self, values: VarId, segment_ids: &[usize], n_segments: usize) -> VarId {
         let mut argmax = self.pool.take_indices();
@@ -1502,17 +1401,6 @@ impl Graph {
             Parents::One(values),
             Some(Op::SegmentSoftmax { ids, n_segments }),
         )
-    }
-
-    /// Row-wise log-softmax (numerically stable).
-    ///
-    /// Backward: `dX = dY − softmax(X) · rowsum(dY)`.
-    pub fn log_softmax_rows(&mut self, a: VarId) -> VarId {
-        let Graph { nodes, pool, .. } = self;
-        let av = &nodes[a.0].value;
-        let mut value = pool.scratch(av.shape());
-        kernels::log_softmax_rows_into(av, value.data_mut());
-        self.push(value, Parents::One(a), Some(Op::LogSoftmaxRows))
     }
 
     // ---- recurrent ----
@@ -1720,6 +1608,7 @@ fn accumulate(slot: &mut Option<Tensor>, pg: Tensor, pool: &mut BufferPool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::tests::approx_eq;
 
     fn t(data: &[f32], shape: &[usize]) -> Tensor {
         Tensor::from_vec(data.to_vec(), shape).unwrap()
@@ -1797,17 +1686,20 @@ mod tests {
             "sum = n * mean"
         );
         let scaled = crate::kernels::scale(g2.grad(l2).unwrap(), 0.5);
-        assert!(g1.grad(l1).unwrap().approx_eq(&scaled, 1e-6));
+        assert!(approx_eq(g1.grad(l1).unwrap(), &scaled, 1e-6));
     }
 
     #[test]
     fn segment_ops_backward() {
         let mut g = Graph::new();
         let v = g.leaf(t(&[1.0, 2.0, 3.0], &[3, 1]));
-        let s = g.segment_mean(v, &[0, 0, 1], 2);
-        let loss = g.sum(s);
+        let s = g.segment_sum(v, &[0, 0, 1], 2);
+        let w = g.constant(t(&[0.5, 1.0], &[2, 1]));
+        let m = g.scale_rows_by(s, w);
+        let loss = g.sum(m);
         g.backward(loss);
         // Mean over 2 rows → each contributes 1/2; singleton contributes 1.
+        assert_eq!(g.value(m).data(), &[1.5, 3.0]);
         assert_eq!(g.grad(v).unwrap().data(), &[0.5, 0.5, 1.0]);
     }
 
@@ -1824,19 +1716,18 @@ mod tests {
         let l1 = gf.sum(fused);
         gf.backward(l1);
 
-        // Unfused reference: gather → segment_mean.
+        // Unfused reference: gather → segment_sum → scale by 1 / count.
         let mut gu = Graph::new();
         let s2 = gu.leaf(src_t.clone());
         let msgs = gu.gather_rows(s2, &gather);
-        let mean = gu.segment_mean(msgs, &seg, 3);
+        let sums = gu.segment_sum(msgs, &seg, 3);
+        let inv = gu.constant(t(&[0.5, 0.5, 1.0], &[3, 1]));
+        let mean = gu.scale_rows_by(sums, inv);
         let l2 = gu.sum(mean);
         gu.backward(l2);
 
-        assert!(gf.value(fused).approx_eq(gu.value(mean), 1e-6));
-        assert!(gf
-            .grad(s1)
-            .unwrap()
-            .approx_eq(gu.grad(s2).unwrap(), 1e-6));
+        assert!(approx_eq(gf.value(fused), gu.value(mean), 1e-6));
+        assert!(approx_eq(gf.grad(s1).unwrap(), gu.grad(s2).unwrap(), 1e-6));
         // The fused tape holds strictly fewer activation bytes.
         assert!(gf.activation_bytes() < gu.activation_bytes());
 
@@ -1848,15 +1739,12 @@ mod tests {
         let s4 = gr.leaf(src_t);
         let msgs = gr.gather_rows(s4, &gather);
         let rsum = gr.segment_sum(msgs, &seg, 3);
-        assert!(gs.value(fsum).approx_eq(gr.value(rsum), 1e-6));
+        assert!(approx_eq(gs.value(fsum), gr.value(rsum), 1e-6));
         let ls = gs.sum(fsum);
         gs.backward(ls);
         let lr = gr.sum(rsum);
         gr.backward(lr);
-        assert!(gs
-            .grad(s3)
-            .unwrap()
-            .approx_eq(gr.grad(s4).unwrap(), 1e-6));
+        assert!(approx_eq(gs.grad(s3).unwrap(), gr.grad(s4).unwrap(), 1e-6));
     }
 
     #[test]
@@ -2058,7 +1946,7 @@ mod tests {
     fn activation_dtype_quantizes_and_halves_byte_accounting() {
         let mut g = Graph::new();
         g.set_activation_dtype(DType::Bf16);
-        assert_eq!(g.activation_dtype(), DType::Bf16);
+        assert_eq!(g.activation_dtype, DType::Bf16);
 
         let a = g.leaf(t(&[1.0, 2.5000123, -3.0, 0.4999], &[2, 2]));
         // Leaf stays exact and full-width.
@@ -2120,7 +2008,7 @@ mod tests {
         let mut g = Graph::new();
         let mut s = g.take_scratch(&[4, 3]);
         s.fill(1.0);
-        g.recycle(s);
+        g.pool.give(s);
         let s2 = g.take_scratch(&[3, 4]);
         assert_eq!(s2.len(), 12);
         assert_eq!(g.pool_stats().hits, 1);

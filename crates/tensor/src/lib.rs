@@ -37,10 +37,10 @@ mod lstm;
 mod pool;
 mod tensor;
 
-pub mod backend;
+pub(crate) mod backend;
 pub mod check;
 pub mod dtype;
-pub mod init;
+pub(crate) mod init;
 pub mod kernels;
 pub mod sealed;
 pub mod segment;
@@ -50,9 +50,9 @@ pub use crc::crc32;
 pub use dtype::DType;
 pub use error::TensorError;
 pub use graph::{AffineTerm, Graph, Reduction, VarId};
-pub use pool::{BufferPool, PoolStats};
-pub use init::{glorot_uniform, kaiming_uniform, randn, uniform};
+pub use pool::PoolStats;
+pub use init::{glorot_uniform, randn};
 pub use tensor::Tensor;
 
 /// Convenient result alias for fallible tensor operations.
-pub type Result<T> = std::result::Result<T, TensorError>;
+pub(crate) type Result<T> = std::result::Result<T, TensorError>;

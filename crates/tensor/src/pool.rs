@@ -57,16 +57,6 @@ impl PoolStats {
             bytes_recycled: self.bytes_recycled.saturating_sub(earlier.bytes_recycled),
         }
     }
-
-    /// Fraction of requests served from the pool; 0.0 when idle.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 /// Capacity-keyed free lists of reusable tensors.
@@ -75,7 +65,7 @@ impl PoolStats {
 /// release drops, so `--no-pool` runs the exact same kernel code with the
 /// exact same values — only the allocator traffic differs.
 #[derive(Debug)]
-pub struct BufferPool {
+pub(crate) struct BufferPool {
     free: BTreeMap<usize, Vec<Tensor>>,
     free_indices: Vec<Vec<usize>>,
     enabled: bool,
@@ -90,7 +80,7 @@ impl Default for BufferPool {
 
 impl BufferPool {
     /// Creates an enabled, empty pool.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             free: BTreeMap::new(),
             free_indices: Vec::new(),
@@ -100,7 +90,7 @@ impl BufferPool {
     }
 
     /// Turns recycling on or off; disabling drops all cached buffers.
-    pub fn set_enabled(&mut self, enabled: bool) {
+    pub(crate) fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
         if !enabled {
             self.free.clear();
@@ -109,24 +99,13 @@ impl BufferPool {
     }
 
     /// Whether recycling is on.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.enabled
     }
 
     /// Cumulative counters since construction.
-    pub fn stats(&self) -> PoolStats {
+    pub(crate) fn stats(&self) -> PoolStats {
         self.stats
-    }
-
-    /// Number of buffers currently cached across all capacity classes.
-    pub fn cached_buffers(&self) -> usize {
-        self.free.values().map(Vec::len).sum()
-    }
-
-    /// Drops every cached buffer (counters are kept).
-    pub fn clear(&mut self) {
-        self.free.clear();
-        self.free_indices.clear();
     }
 
     /// Takes an empty index buffer, recycling a released one when possible.
@@ -135,7 +114,7 @@ impl BufferPool {
     /// in steady state their grown capacities are reused verbatim, so
     /// filling one with `extend_from_slice` performs no allocation. A hit
     /// counts the recycled capacity toward `bytes_recycled`.
-    pub fn take_indices(&mut self) -> Vec<usize> {
+    pub(crate) fn take_indices(&mut self) -> Vec<usize> {
         if self.enabled {
             if let Some(mut v) = self.free_indices.pop() {
                 v.clear();
@@ -151,7 +130,7 @@ impl BufferPool {
 
     /// Releases an index buffer for reuse (dropped when the pool is off,
     /// the buffer never grew, or the free list is full).
-    pub fn give_indices(&mut self, v: Vec<usize>) {
+    pub(crate) fn give_indices(&mut self, v: Vec<usize>) {
         if self.enabled && v.capacity() > 0 && self.free_indices.len() < MAX_FREE_INDICES {
             self.free_indices.push(v);
         }
@@ -197,7 +176,7 @@ impl BufferPool {
     /// pooled runs hand out stale data here, unpooled runs hand out zeros,
     /// and the bit-identity property tests exist to catch any consumer
     /// that breaks this promise.
-    pub fn scratch(&mut self, shape: &[usize]) -> Tensor {
+    pub(crate) fn scratch(&mut self, shape: &[usize]) -> Tensor {
         assert!(!shape.is_empty(), "shape must have at least one dimension");
         let len: usize = shape.iter().product();
         if self.enabled {
@@ -211,12 +190,12 @@ impl BufferPool {
     }
 
     /// Takes a zero-filled buffer of the given shape.
-    pub fn zeros(&mut self, shape: &[usize]) -> Tensor {
+    pub(crate) fn zeros(&mut self, shape: &[usize]) -> Tensor {
         self.full(shape, 0.0)
     }
 
     /// Takes a buffer of the given shape filled with `value`.
-    pub fn full(&mut self, shape: &[usize], value: f32) -> Tensor {
+    pub(crate) fn full(&mut self, shape: &[usize], value: f32) -> Tensor {
         assert!(!shape.is_empty(), "shape must have at least one dimension");
         let len: usize = shape.iter().product();
         if self.enabled {
@@ -235,7 +214,7 @@ impl BufferPool {
     /// Tensors whose storage is still shared (another `Arc` clone is alive)
     /// are dropped instead of cached — recycling them would alias live
     /// data. Empty buffers are dropped too.
-    pub fn give(&mut self, mut t: Tensor) {
+    pub(crate) fn give(&mut self, mut t: Tensor) {
         if !self.enabled {
             return;
         }
@@ -256,6 +235,12 @@ impl BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl BufferPool {
+        fn cached_buffers(&self) -> usize {
+            self.free.values().map(Vec::len).sum()
+        }
+    }
 
     #[test]
     fn recycles_released_buffers() {

@@ -154,26 +154,14 @@ pub(crate) fn scatter_add_slice(out: &mut [f32], cols: usize, values: &[f32], in
     }
 }
 
-/// Places row `r` of `values` into row `indices[r]` of a fresh
-/// `[n_rows, D]` zero tensor (later writes overwrite earlier ones).
-///
-/// # Panics
-///
-/// Panics if any index is out of bounds.
-pub fn scatter_rows(values: &Tensor, indices: &[usize], n_rows: usize) -> Tensor {
-    let cols = values.cols();
-    let mut out = Tensor::zeros(&[n_rows, cols]);
-    scatter_rows_into(values, indices, out.data_mut());
-    out
-}
-
-/// [`scatter_rows`] writing into `out`, which must be zero-filled
-/// `[n_rows * cols]` (rows not referenced are left untouched).
+/// Places row `r` of `values` into row `indices[r]` of `out`, which must
+/// be zero-filled `[n_rows * cols]` (rows not referenced are left
+/// untouched).
 ///
 /// # Panics
 ///
 /// Panics if an index is out of bounds or lengths disagree.
-pub fn scatter_rows_into(values: &Tensor, indices: &[usize], out: &mut [f32]) {
+pub(crate) fn scatter_rows_into(values: &Tensor, indices: &[usize], out: &mut [f32]) {
     let cols = values.cols();
     assert_eq!(values.rows(), indices.len(), "one index per value row");
     assert_eq!(out.len() % cols.max(1), 0, "scatter output length mismatch");
@@ -184,27 +172,14 @@ pub fn scatter_rows_into(values: &Tensor, indices: &[usize], out: &mut [f32]) {
     }
 }
 
-/// Sums rows of `values` into `n_segments` buckets keyed by `segment_ids`.
-///
-/// `values` is `[E, D]`, `segment_ids` has length `E`; output is
-/// `[n_segments, D]`. Segments with no member are zero.
-///
-/// # Panics
-///
-/// Panics if a segment id is `>= n_segments` or lengths disagree.
-pub fn segment_sum(values: &Tensor, segment_ids: &[usize], n_segments: usize) -> Tensor {
-    let mut out = Tensor::zeros(&[n_segments, values.cols()]);
-    segment_sum_into(values, segment_ids, out.data_mut());
-    out
-}
-
-/// [`segment_sum`] accumulating into `out`, which must be zero-filled
-/// `[n_segments * cols]`.
+/// Sums the rows of `values` into buckets keyed by `segment_ids`,
+/// accumulating into `out`, which must be zero-filled `[n_segments * cols]`
+/// (segments with no member stay zero).
 ///
 /// # Panics
 ///
 /// Panics if a segment id is out of bounds or lengths disagree.
-pub fn segment_sum_into(values: &Tensor, segment_ids: &[usize], out: &mut [f32]) {
+pub(crate) fn segment_sum_into(values: &Tensor, segment_ids: &[usize], out: &mut [f32]) {
     let cols = values.cols();
     assert_eq!(values.rows(), segment_ids.len(), "one segment id per row");
     if cols == 0 {
@@ -220,22 +195,9 @@ pub fn segment_sum_into(values: &Tensor, segment_ids: &[usize], out: &mut [f32])
     }
 }
 
-/// Per-segment mean; empty segments produce zero rows.
-///
-/// Returns the mean tensor together with the per-segment counts (needed by
-/// the backward pass).
-pub fn segment_mean(
-    values: &Tensor,
-    segment_ids: &[usize],
-    n_segments: usize,
-) -> (Tensor, Vec<usize>) {
-    let mut out = Tensor::zeros(&[n_segments, values.cols()]);
-    let counts = segment_mean_into(values, segment_ids, out.data_mut());
-    (out, counts)
-}
-
-/// [`segment_mean`] accumulating into `out`, which must be zero-filled
-/// `[n_segments * cols]`; returns the per-segment counts.
+/// Per-segment mean (empty segments produce zero rows), accumulated into
+/// `out`, which must be zero-filled `[n_segments * cols]`; returns the
+/// per-segment counts the backward pass needs.
 ///
 /// # Panics
 ///
@@ -279,24 +241,9 @@ pub fn segment_mean_into_reusing(
     }
 }
 
-/// Per-segment elementwise max.
-///
-/// Returns the max tensor (empty segments are zero) and, per output cell, the
-/// index of the winning input row (`usize::MAX` for empty segments) — the
-/// state the backward pass routes gradients through.
-pub fn segment_max(
-    values: &Tensor,
-    segment_ids: &[usize],
-    n_segments: usize,
-) -> (Tensor, Vec<usize>) {
-    let cols = values.cols();
-    let mut out = Tensor::zeros(&[n_segments, cols]);
-    let argmax = segment_max_into(values, segment_ids, out.data_mut());
-    (out, argmax)
-}
-
-/// [`segment_max`] writing into `out` (fully overwritten — the kernel
-/// seeds every cell with `-∞` first); returns the per-cell argmax.
+/// Per-segment elementwise max into `out` (fully overwritten — the kernel
+/// seeds every cell with `-∞` first; empty segments are zero); returns the
+/// winning input row per cell (`usize::MAX` for empty segments).
 ///
 /// # Panics
 ///
@@ -732,25 +679,8 @@ lane_dispatch!(
     )
 );
 
-/// Fused gather + segment-sum: `out[seg_ids[e]] += src[gather_ids[e]]`
-/// without materializing the `[E, D]` message tensor (the moral equivalent
-/// of DGL's fused message-passing kernels).
-///
-/// # Panics
-///
-/// Panics if index slices disagree in length or contain out-of-bounds ids.
-pub fn fused_gather_segment_sum(
-    src: &Tensor,
-    gather_ids: &[usize],
-    segment_ids: &[usize],
-    n_segments: usize,
-) -> Tensor {
-    let mut out = Tensor::zeros(&[n_segments, src.cols()]);
-    fused_gather_segment_sum_into(src, gather_ids, segment_ids, out.data_mut());
-    out
-}
-
-/// [`fused_gather_segment_sum`] accumulating into `out`, which must be
+/// Fused gather + segment-sum, `out[seg_ids[e]] += src[gather_ids[e]]`,
+/// without materializing the `[E, D]` message tensor. `out` must be
 /// zero-filled `[n_segments * cols]`.
 ///
 /// # Panics
@@ -796,32 +726,15 @@ pub fn fused_gather_segment_sum_into(
     }
 }
 
-/// Adjoint of [`fused_gather_segment_sum`] (optionally degree-normalized):
-/// scatters `grad[seg_ids[e]] * scale[seg_ids[e]]` back into the source
-/// rows, again with no `[E, D]` intermediate.
+/// Adjoint of [`fused_gather_segment_sum_into`] (optionally
+/// degree-normalized): scatters `grad[seg_ids[e]] * scale[seg_ids[e]]`
+/// back into the source rows of `out`, which must be zero-filled
+/// `[n_src_rows * cols]`.
 ///
 /// # Panics
 ///
 /// Panics if slices disagree in length or ids are out of bounds.
-pub fn fused_gather_segment_sum_backward(
-    grad: &Tensor,
-    gather_ids: &[usize],
-    segment_ids: &[usize],
-    segment_scale: Option<&[f32]>,
-    n_src_rows: usize,
-) -> Tensor {
-    let mut out = Tensor::zeros(&[n_src_rows, grad.cols()]);
-    fused_gather_segment_sum_backward_into(grad, gather_ids, segment_ids, segment_scale, out.data_mut());
-    out
-}
-
-/// [`fused_gather_segment_sum_backward`] accumulating into `out`, which
-/// must be zero-filled `[n_src_rows * cols]`.
-///
-/// # Panics
-///
-/// Panics if slices disagree in length or ids are out of bounds.
-pub fn fused_gather_segment_sum_backward_into(
+pub(crate) fn fused_gather_segment_sum_backward_into(
     grad: &Tensor,
     gather_ids: &[usize],
     segment_ids: &[usize],
@@ -863,32 +776,15 @@ pub fn fused_gather_segment_sum_backward_into(
     }
 }
 
-/// Weighted fused gather + segment-sum:
-/// `out[seg_ids[e]] += weights[e] · src[gather_ids[e]]`, with no `[E, D]`
-/// intermediate (the kernel behind normalized aggregations such as GCN).
+/// Weighted fused gather + segment-sum,
+/// `out[seg_ids[e]] += weights[e] · src[gather_ids[e]]` (the kernel behind
+/// GCN's normalized aggregation). `out` must be zero-filled
+/// `[n_segments * cols]`.
 ///
 /// # Panics
 ///
 /// Panics if slice lengths disagree or ids are out of bounds.
-pub fn fused_gather_segment_weighted_sum(
-    src: &Tensor,
-    gather_ids: &[usize],
-    segment_ids: &[usize],
-    weights: &[f32],
-    n_segments: usize,
-) -> Tensor {
-    let mut out = Tensor::zeros(&[n_segments, src.cols()]);
-    fused_gather_segment_weighted_sum_into(src, gather_ids, segment_ids, weights, out.data_mut());
-    out
-}
-
-/// [`fused_gather_segment_weighted_sum`] accumulating into `out`, which
-/// must be zero-filled `[n_segments * cols]`.
-///
-/// # Panics
-///
-/// Panics if slice lengths disagree or ids are out of bounds.
-pub fn fused_gather_segment_weighted_sum_into(
+pub(crate) fn fused_gather_segment_weighted_sum_into(
     src: &Tensor,
     gather_ids: &[usize],
     segment_ids: &[usize],
@@ -930,31 +826,14 @@ pub fn fused_gather_segment_weighted_sum_into(
     }
 }
 
-/// Adjoint of [`fused_gather_segment_weighted_sum`]:
-/// `d_src[gather_ids[e]] += weights[e] · grad[seg_ids[e]]`.
-///
-/// # Panics
-///
-/// Panics if slice lengths disagree or ids are out of bounds.
-pub fn fused_gather_segment_weighted_sum_backward(
-    grad: &Tensor,
-    gather_ids: &[usize],
-    segment_ids: &[usize],
-    weights: &[f32],
-    n_src_rows: usize,
-) -> Tensor {
-    let mut out = Tensor::zeros(&[n_src_rows, grad.cols()]);
-    fused_gather_segment_weighted_sum_backward_into(grad, gather_ids, segment_ids, weights, out.data_mut());
-    out
-}
-
-/// [`fused_gather_segment_weighted_sum_backward`] accumulating into `out`,
+/// Adjoint of [`fused_gather_segment_weighted_sum_into`],
+/// `d_src[gather_ids[e]] += weights[e] · grad[seg_ids[e]]`, into `out`,
 /// which must be zero-filled `[n_src_rows * cols]`.
 ///
 /// # Panics
 ///
 /// Panics if slice lengths disagree or ids are out of bounds.
-pub fn fused_gather_segment_weighted_sum_backward_into(
+pub(crate) fn fused_gather_segment_weighted_sum_backward_into(
     grad: &Tensor,
     gather_ids: &[usize],
     segment_ids: &[usize],
@@ -996,24 +875,14 @@ pub fn fused_gather_segment_weighted_sum_backward_into(
     }
 }
 
-/// Numerically-stable softmax within each segment, applied column-wise.
-///
-/// For attention: `values` is `[E, H]` of per-edge scores, grouped by
-/// destination; each column of each segment is normalized independently.
-/// Rows in empty segments are untouched by definition (there are none).
-pub fn segment_softmax(values: &Tensor, segment_ids: &[usize], n_segments: usize) -> Tensor {
-    let mut out = Tensor::zeros(values.shape());
-    segment_softmax_into(values, segment_ids, n_segments, out.data_mut());
-    out
-}
-
-/// [`segment_softmax`] writing into `out`, which must have `values.len()`
-/// elements and is fully overwritten (contents on entry are irrelevant).
+/// Numerically-stable softmax within each segment, column-wise (attention
+/// scores `[E, H]` grouped by destination), written into `out`, which must
+/// have `values.len()` elements and is fully overwritten.
 ///
 /// # Panics
 ///
 /// Panics if lengths disagree or ids exceed `n_segments`.
-pub fn segment_softmax_into(
+pub(crate) fn segment_softmax_into(
     values: &Tensor,
     segment_ids: &[usize],
     n_segments: usize,
@@ -1056,6 +925,64 @@ mod tests {
     use betty_runtime::{with_threads, MIN_SHARD_WORK};
 
     use super::*;
+    use crate::kernels::tests::alloc;
+
+    // Allocating forms of the `_into` kernels, for these tests.
+    fn scatter_rows(values: &Tensor, indices: &[usize], n_rows: usize) -> Tensor {
+        alloc(&[n_rows, values.cols()], |o| scatter_rows_into(values, indices, o))
+    }
+
+    fn segment_sum(values: &Tensor, ids: &[usize], n: usize) -> Tensor {
+        alloc(&[n, values.cols()], |o| segment_sum_into(values, ids, o))
+    }
+
+    fn segment_mean(values: &Tensor, ids: &[usize], n: usize) -> (Tensor, Vec<usize>) {
+        let mut counts = Vec::new();
+        let out = alloc(&[n, values.cols()], |o| counts = segment_mean_into(values, ids, o));
+        (out, counts)
+    }
+
+    fn segment_max(values: &Tensor, ids: &[usize], n: usize) -> (Tensor, Vec<usize>) {
+        let mut argmax = Vec::new();
+        let out = alloc(&[n, values.cols()], |o| argmax = segment_max_into(values, ids, o));
+        (out, argmax)
+    }
+
+    fn fused_gather_segment_sum(src: &Tensor, gather: &[usize], seg: &[usize], n: usize) -> Tensor {
+        alloc(&[n, src.cols()], |o| fused_gather_segment_sum_into(src, gather, seg, o))
+    }
+
+    fn fused_gather_segment_sum_backward(
+        grad: &Tensor,
+        gather: &[usize],
+        seg: &[usize],
+        scale: Option<&[f32]>,
+        n_src_rows: usize,
+    ) -> Tensor {
+        alloc(&[n_src_rows, grad.cols()], |o| {
+            fused_gather_segment_sum_backward_into(grad, gather, seg, scale, o)
+        })
+    }
+
+    fn fused_gather_segment_weighted_sum(src: &Tensor, gather: &[usize], seg: &[usize], w: &[f32], n: usize) -> Tensor {
+        alloc(&[n, src.cols()], |o| fused_gather_segment_weighted_sum_into(src, gather, seg, w, o))
+    }
+
+    fn fused_gather_segment_weighted_sum_backward(
+        grad: &Tensor,
+        gather: &[usize],
+        seg: &[usize],
+        w: &[f32],
+        n_src_rows: usize,
+    ) -> Tensor {
+        alloc(&[n_src_rows, grad.cols()], |o| {
+            fused_gather_segment_weighted_sum_backward_into(grad, gather, seg, w, o)
+        })
+    }
+
+    fn segment_softmax(values: &Tensor, ids: &[usize], n: usize) -> Tensor {
+        alloc(values.shape(), |o| segment_softmax_into(values, ids, n, o))
+    }
 
     fn t(data: &[f32], shape: &[usize]) -> Tensor {
         Tensor::from_vec(data.to_vec(), shape).unwrap()

@@ -273,33 +273,9 @@ impl Tensor {
         self.data[r * cols + c]
     }
 
-    /// Transpose of a rank-2 tensor (materialized).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is not rank 2.
-    pub fn transpose(&self) -> Self {
-        let (r, c) = (self.rows(), self.cols());
-        let mut out = vec![0.0f32; r * c];
-        crate::kernels::transpose_into(self, &mut out);
-        Self {
-            data: Arc::new(out),
-            shape: Shape::from_slice(&[c, r]),
-        }
-    }
-
     /// Sum of all elements.
     pub fn sum_all(&self) -> f32 {
         self.data.iter().sum()
-    }
-
-    /// Mean of all elements; 0.0 for an empty tensor.
-    pub fn mean_all(&self) -> f32 {
-        if self.is_empty() {
-            0.0
-        } else {
-            self.sum_all() / self.len() as f32
-        }
     }
 
     /// Maximum absolute element; 0.0 for an empty tensor.
@@ -307,25 +283,9 @@ impl Tensor {
         self.data.iter().fold(0.0f32, |m, v| m.max(v.abs()))
     }
 
-    /// L2 norm of the flattened tensor.
-    pub fn norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
-    }
-
     /// Whether all elements are finite.
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite())
-    }
-
-    /// True when `self` and `other` have identical shape and all elements
-    /// differ by at most `tol`.
-    pub fn approx_eq(&self, other: &Tensor, tol: f32) -> bool {
-        self.shape == other.shape
-            && self
-                .data
-                .iter()
-                .zip(other.data.iter())
-                .all(|(a, b)| (a - b).abs() <= tol)
     }
 
     /// In-place elementwise addition of another tensor.
@@ -402,6 +362,7 @@ impl Default for Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::tests::{approx_eq, transpose};
 
     #[test]
     fn from_vec_checks_shape() {
@@ -439,10 +400,10 @@ mod tests {
     #[test]
     fn transpose_roundtrip() {
         let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]).unwrap();
-        let tt = t.transpose();
+        let tt = transpose(&t);
         assert_eq!(tt.shape(), &[3, 2]);
         assert_eq!(tt.at2(0, 1), 4.0);
-        assert_eq!(tt.transpose(), t);
+        assert_eq!(transpose(&tt), t);
     }
 
     #[test]
@@ -479,19 +440,17 @@ mod tests {
     fn reductions() {
         let t = Tensor::from_slice(&[1.0, -4.0, 3.0]);
         assert_eq!(t.sum_all(), 0.0);
-        assert_eq!(t.mean_all(), 0.0);
         assert_eq!(t.max_abs(), 4.0);
-        assert!((t.norm() - (26.0f32).sqrt()).abs() < 1e-6);
     }
 
     #[test]
     fn approx_eq_tolerance() {
         let a = Tensor::from_slice(&[1.0, 2.0]);
         let b = Tensor::from_slice(&[1.0 + 1e-6, 2.0 - 1e-6]);
-        assert!(a.approx_eq(&b, 1e-5));
-        assert!(!a.approx_eq(&b, 1e-8));
+        assert!(approx_eq(&a, &b, 1e-5));
+        assert!(!approx_eq(&a, &b, 1e-8));
         let c = Tensor::from_slice(&[1.0]);
-        assert!(!a.approx_eq(&c, 1.0));
+        assert!(!approx_eq(&a, &c, 1.0));
     }
 
     #[test]

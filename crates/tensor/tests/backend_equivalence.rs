@@ -20,6 +20,29 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
 }
 
+/// `[rows, cols]` zeros that `f` writes into.
+fn alloc(rows: usize, cols: usize, f: impl FnOnce(&mut [f32])) -> Tensor {
+    let mut out = Tensor::zeros(&[rows, cols]);
+    f(out.data_mut());
+    out
+}
+
+fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
+    alloc(a.rows(), b.cols(), |o| kernels::matmul_into(a, b, o))
+}
+
+fn matmul_at_b(a: &Tensor, b: &Tensor) -> Tensor {
+    alloc(a.cols(), b.cols(), |o| kernels::matmul_at_b_into(a, b, o))
+}
+
+fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
+    alloc(a.rows(), b.rows(), |o| kernels::matmul_a_bt_into(a, b, o))
+}
+
+fn transpose(a: &Tensor) -> Tensor {
+    alloc(a.cols(), a.rows(), |o| kernels::transpose_into(a, o))
+}
+
 /// [`bits`] with every NaN mapped to one pattern: which of two NaN
 /// operands' payloads an add or multiply propagates is the instruction
 /// selector's choice, so only *where* NaNs appear is part of the contract.
@@ -75,9 +98,9 @@ fn assert_matmul_family_agrees(m: usize, k: usize, n: usize, seed: u64) {
     let bt = spiked(n, k, seed, 2);
     let at = spiked(k, m, seed, 3);
     for threads in [1usize, 4] {
-        assert_backends_agree(threads, || kernels::matmul(&a, &b));
-        assert_backends_agree(threads, || kernels::matmul_a_bt(&a, &bt));
-        assert_backends_agree(threads, || kernels::matmul_at_b(&at, &b));
+        assert_backends_agree(threads, || matmul(&a, &b));
+        assert_backends_agree(threads, || matmul_a_bt(&a, &bt));
+        assert_backends_agree(threads, || matmul_at_b(&at, &b));
     }
 }
 
@@ -97,9 +120,9 @@ fn matmul_family_is_bit_identical_at_lstm_shapes() {
 /// through each product of the family, by name.
 fn product_three_ways(a: &Tensor, b: &Tensor) -> [(&'static str, Tensor); 3] {
     [
-        ("a @ b", kernels::matmul(a, b)),
-        ("aT @ b", kernels::matmul_at_b(&a.transpose(), b)),
-        ("a @ bT", kernels::matmul_a_bt(a, &b.transpose())),
+        ("a @ b", matmul(a, b)),
+        ("aT @ b", matmul_at_b(&transpose(a), b)),
+        ("a @ bT", matmul_a_bt(a, &transpose(b))),
     ]
 }
 
@@ -196,9 +219,9 @@ fn backward_with_packed_weights_matches_the_scalar_kernels_bit_for_bit() {
         // d(loss)/dy = c: dX1 = c1·wᵀ; dW = x2ᵀ·c2, then += x1ᵀ·c1 (the
         // sweep meets the later product first).
         let (want_dx1, want_dw) = with_backend(Backend::Scalar, || {
-            let mut dw = kernels::matmul_at_b(&x2, &c2);
-            dw.add_assign(&kernels::matmul_at_b(&x1, &c1));
-            (kernels::matmul_a_bt(&c1, &w), dw)
+            let mut dw = matmul_at_b(&x2, &c2);
+            dw.add_assign(&matmul_at_b(&x1, &c1));
+            (matmul_a_bt(&c1, &w), dw)
         });
         assert_eq!(dx1, bits(&want_dx1), "dX at step {step}");
         assert_eq!(dw, bits(&want_dw), "dW at step {step}");
@@ -244,13 +267,13 @@ proptest! {
         let segment_ids: Vec<usize> = edges.iter().map(|e| e.1).collect();
         for threads in [1usize, 4] {
             assert_backends_agree(threads, || {
-                segment::fused_gather_segment_sum(&src, &gather_ids, &segment_ids, 6)
+                alloc(6, 5, |o| segment::fused_gather_segment_sum_into(&src, &gather_ids, &segment_ids, o))
             });
         }
         // cols = 0: both backends must return an all-zero [6, 0] tensor.
         let empty = arb_narrow(&src);
         assert_backends_agree(1, || {
-            segment::fused_gather_segment_sum(&empty, &gather_ids, &segment_ids, 6)
+            alloc(6, 0, |o| segment::fused_gather_segment_sum_into(&empty, &gather_ids, &segment_ids, o))
         });
     }
 

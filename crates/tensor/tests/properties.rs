@@ -9,6 +9,36 @@ fn arb_tensor(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
         .prop_map(move |data| Tensor::from_vec(data, &[rows, cols]).expect("sized data"))
 }
 
+/// `[rows, cols]` zeros that `f` writes into.
+fn alloc(rows: usize, cols: usize, f: impl FnOnce(&mut [f32])) -> Tensor {
+    let mut out = Tensor::zeros(&[rows, cols]);
+    f(out.data_mut());
+    out
+}
+
+fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
+    alloc(a.rows(), b.cols(), |o| kernels::matmul_into(a, b, o))
+}
+
+fn transpose(a: &Tensor) -> Tensor {
+    alloc(a.cols(), a.rows(), |o| kernels::transpose_into(a, o))
+}
+
+fn add(a: &Tensor, b: &Tensor) -> Tensor {
+    let sum = a.data().iter().zip(b.data()).map(|(x, y)| x + y).collect();
+    Tensor::from_vec(sum, a.shape()).expect("same shape")
+}
+
+/// `Σ a ⊙ b`.
+fn dot(a: &Tensor, b: &Tensor) -> f32 {
+    a.data().iter().zip(b.data()).map(|(x, y)| x * y).sum()
+}
+
+/// Same shape, and every element within `tol`.
+fn approx_eq(a: &Tensor, b: &Tensor, tol: f32) -> bool {
+    a.shape() == b.shape() && a.data().iter().zip(b.data()).all(|(x, y)| (x - y).abs() <= tol)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -19,34 +49,24 @@ proptest! {
         c in arb_tensor(4, 2),
     ) {
         // A(B + C) == AB + AC
-        let lhs = kernels::matmul(&a, &kernels::add(&b, &c));
-        let rhs = kernels::add(&kernels::matmul(&a, &b), &kernels::matmul(&a, &c));
-        prop_assert!(lhs.approx_eq(&rhs, 1e-3), "{lhs:?} vs {rhs:?}");
+        let lhs = matmul(&a, &add(&b, &c));
+        let rhs = add(&matmul(&a, &b), &matmul(&a, &c));
+        prop_assert!(approx_eq(&lhs, &rhs, 1e-3), "{lhs:?} vs {rhs:?}");
     }
 
     #[test]
     fn transpose_is_involutive(a in arb_tensor(5, 3)) {
-        prop_assert_eq!(a.transpose().transpose(), a);
+        prop_assert_eq!(transpose(&transpose(&a)), a);
     }
 
     #[test]
     fn transposed_matmul_variants_agree(a in arb_tensor(3, 5), b in arb_tensor(3, 4)) {
-        let atb = kernels::matmul_at_b(&a, &b);
-        let reference = kernels::matmul(&a.transpose(), &b);
-        prop_assert!(atb.approx_eq(&reference, 1e-3));
+        let atb = alloc(5, 4, |o| kernels::matmul_at_b_into(&a, &b, o));
+        let reference = matmul(&transpose(&a), &b);
+        prop_assert!(approx_eq(&atb, &reference, 1e-3));
         // x @ yᵀ with x = aᵀ (5×3), y = bᵀ (4×3): result is aᵀ·b (5×4).
-        let abt = kernels::matmul_a_bt(&a.transpose(), &b.transpose());
-        prop_assert!(abt.approx_eq(&kernels::matmul(&a.transpose(), &b), 1e-3));
-    }
-
-    #[test]
-    fn softmax_rows_are_distributions(a in arb_tensor(4, 6)) {
-        let sm = kernels::softmax_rows(&a);
-        for r in 0..4 {
-            let s: f32 = sm.row(r).iter().sum();
-            prop_assert!((s - 1.0).abs() < 1e-4, "row {r} sums to {s}");
-            prop_assert!(sm.row(r).iter().all(|&v| v >= 0.0));
-        }
+        let abt = alloc(5, 4, |o| kernels::matmul_a_bt_into(&transpose(&a), &transpose(&b), o));
+        prop_assert!(approx_eq(&abt, &reference, 1e-3));
     }
 
     #[test]
@@ -59,10 +79,10 @@ proptest! {
         // test  <A x, y> == <x, Aᵀ y>  with A = gather by idx.
         let gathered = segment::gather_rows(&src, &idx);
         let y = Tensor::ones(&[idx.len(), 3]);
-        let lhs: f32 = kernels::mul(&gathered, &y).sum_all();
+        let lhs = dot(&gathered, &y);
         let mut scattered = Tensor::zeros(&[6, 3]);
         segment::scatter_add_rows(&mut scattered, &y, &idx);
-        let rhs: f32 = kernels::mul(&src, &scattered).sum_all();
+        let rhs = dot(&src, &scattered);
         prop_assert!((lhs - rhs).abs() < 1e-3 * lhs.abs().max(1.0));
         let _ = grad; // reserved for extended adjoint checks
     }
@@ -80,13 +100,18 @@ proptest! {
         let mut g2 = Graph::new();
         let x2 = g2.leaf(src);
         let msgs = g2.gather_rows(x2, &gather_ids);
-        let manual = g2.segment_mean(msgs, &seg_ids, 3);
-        prop_assert!(g1.value(fused).approx_eq(g2.value(manual), 1e-4));
+        let sums = g2.segment_sum(msgs, &seg_ids, 3);
+        let mut counts = [0.0f32; 3];
+        seg_ids.iter().for_each(|&s| counts[s] += 1.0);
+        let inv = counts.map(|c| 1.0 / c.max(1.0)).to_vec();
+        let inv = g2.constant(Tensor::from_vec(inv, &[3, 1]).expect("one per segment"));
+        let manual = g2.scale_rows_by(sums, inv);
+        prop_assert!(approx_eq(g1.value(fused), g2.value(manual), 1e-4));
         let l1 = g1.sum(fused);
         g1.backward(l1);
         let l2 = g2.sum(manual);
         g2.backward(l2);
-        prop_assert!(g1.grad(x1).unwrap().approx_eq(g2.grad(x2).unwrap(), 1e-4));
+        prop_assert!(approx_eq(g1.grad(x1).unwrap(), g2.grad(x2).unwrap(), 1e-4));
     }
 
     #[test]
@@ -103,7 +128,8 @@ proptest! {
         vals in arb_tensor(7, 2),
         seg in proptest::collection::vec(0usize..4, 7),
     ) {
-        let summed = segment::segment_sum(&vals, &seg, 4);
+        let all: Vec<usize> = (0..7).collect();
+        let summed = alloc(4, 2, |o| segment::fused_gather_segment_sum_into(&vals, &all, &seg, o));
         prop_assert!(
             (summed.sum_all() - vals.sum_all()).abs() < 1e-3,
             "mass not conserved"
@@ -119,13 +145,16 @@ proptest! {
 
     #[test]
     fn scale_rows_matches_diagonal_matmul(a in arb_tensor(3, 4), s in proptest::collection::vec(-2.0f32..2.0, 3)) {
-        let scaled = kernels::scale_rows(&a, &s);
+        let mut g = Graph::new();
+        let (x, by) = (g.leaf(a.clone()), g.constant(Tensor::from_vec(s.clone(), &[3, 1]).expect("one per row")));
+        let scaled = g.scale_rows_by(x, by);
+        let scaled = g.value(scaled);
         // Equivalent to D·A with D = diag(s).
         let mut d = Tensor::zeros(&[3, 3]);
         for (i, &si) in s.iter().enumerate() {
             d.data_mut()[i * 3 + i] = si;
         }
-        let reference = kernels::matmul(&d, &a);
-        prop_assert!(scaled.approx_eq(&reference, 1e-4));
+        let reference = matmul(&d, &a);
+        prop_assert!(approx_eq(scaled, &reference, 1e-4));
     }
 }

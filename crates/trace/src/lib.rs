@@ -159,7 +159,7 @@ pub struct MemTimeline {
 impl MemTimeline {
     /// An empty timeline stamping seconds since `origin` — the trace
     /// recorder's ([`TraceRecorder::timeline`]).
-    pub fn new(origin: Instant) -> Self {
+    pub(crate) fn new(origin: Instant) -> Self {
         Self {
             origin,
             next_seq: 0,
@@ -178,11 +178,6 @@ impl MemTimeline {
             delta_bytes,
             category,
         });
-    }
-
-    /// Events recorded so far.
-    pub fn events(&self) -> &[MemEvent] {
-        &self.events
     }
 
     /// Removes and returns the recorded events; sequence numbers keep
@@ -267,13 +262,6 @@ impl TraceRecorder {
     /// from different backend/dtype configurations are distinguishable.
     pub fn set_run_context(&mut self, backend: impl Into<String>, precision: impl Into<String>) {
         self.run_context = Some((backend.into(), precision.into()));
-    }
-
-    /// The stamped `(backend, precision)` pair, if any.
-    pub fn run_context(&self) -> Option<(&str, &str)> {
-        self.run_context
-            .as_ref()
-            .map(|(b, p)| (b.as_str(), p.as_str()))
     }
 
     /// Sets the epoch stamped onto subsequently recorded events.
@@ -844,9 +832,9 @@ mod tests {
     #[test]
     fn run_context_is_stamped_into_jsonl_and_summary() {
         let mut t = TraceRecorder::new();
-        assert_eq!(t.run_context(), None);
+        assert_eq!(t.run_context, None);
         t.set_run_context("simd", "bf16");
-        assert_eq!(t.run_context(), Some(("simd", "bf16")));
+        assert_eq!(t.run_context, Some(("simd".into(), "bf16".into())));
         let jsonl = t.to_jsonl();
         assert!(
             jsonl.starts_with("{\"type\":\"run\",\"backend\":\"simd\",\"precision\":\"bf16\"}\n"),
@@ -1008,17 +996,17 @@ mod tests {
     #[test]
     fn timeline_sequences_and_drains() {
         let mut tl = TraceRecorder::new().timeline();
-        assert!(tl.events().is_empty());
+        assert!(tl.events.is_empty());
         tl.record(100, 100, "parameters");
         tl.record(40, -60, "free_all");
-        assert_eq!(tl.events().len(), 2);
-        assert_eq!(tl.events()[0].seq, 0);
-        assert_eq!(tl.events()[1].delta_bytes, -60);
+        assert_eq!(tl.events.len(), 2);
+        assert_eq!(tl.events[0].seq, 0);
+        assert_eq!(tl.events[1].delta_bytes, -60);
         let drained = tl.drain();
         assert_eq!(drained.len(), 2);
-        assert!(tl.events().is_empty());
+        assert!(tl.events.is_empty());
         tl.record(0, -40, "free_all");
-        assert_eq!(tl.events()[0].seq, 2, "sequence survives draining");
+        assert_eq!(tl.events[0].seq, 2, "sequence survives draining");
     }
 
     #[test]

@@ -8,6 +8,7 @@
 use betty::{DeviceGroup, DeviceHealth, EpochStats, ExperimentConfig, Runner, StrategyKind};
 use betty_data::{Dataset, DatasetSpec};
 use betty_device::{gib, FaultPlan};
+use betty_integration_tests::LogCounts;
 use betty_nn::AggregatorSpec;
 use betty_runtime::with_threads;
 
@@ -151,8 +152,9 @@ fn every_constructor_matches_the_reference_at_every_setting() {
                 }
             }
             let log = row.runner.recovery_log();
-            let faulted = log.injected_faults() + log.retries() + log.anomaly_rollbacks();
-            assert_eq!(faulted + log.devices_lost(), 0, "{cell}: {}", log.summary());
+            let c = LogCounts::of(&row.runner, None);
+            let faulted = c.injected_faults + c.retries + c.anomaly_rollbacks;
+            assert_eq!(faulted + c.devices_lost, 0, "{cell}: {}", log.summary());
         }
     }
 }
@@ -188,10 +190,11 @@ fn fixed_k_epoch_recovers_from_an_injected_oom_on_any_group() {
             epoch.combined
         });
         let log = row.runner.recovery_log();
-        let first = log.of_epoch(0);
-        assert_eq!(first.retries(), 1, "{devices} devices");
-        assert_eq!(first.injected_faults(), 1, "{devices} devices");
-        assert_eq!((log.oom_retries(), log.recoveries()), (1, 1), "{}", log.summary());
+        let first = LogCounts::of(&row.runner, Some(0));
+        assert_eq!(first.retries, 1, "{devices} devices");
+        assert_eq!(first.injected_faults, 1, "{devices} devices");
+        let all = LogCounts::of(&row.runner, None);
+        assert_eq!((all.oom_retries, all.recoveries), (1, 1), "{}", log.summary());
         assert!(ks[0] > K, "epoch 0 escalated past K = {K}: {ks:?}");
         assert_eq!(ks[1..], [K; EPOCHS - 1], "later epochs start from K again");
         for (got, want) in row.stats.iter().zip(&clean.stats) {
@@ -227,7 +230,8 @@ fn injected_nan_replays_bit_identically_on_any_group() {
         });
         assert_eq!(row.bits, oracle.bits, "{devices} devices");
         let log = row.runner.recovery_log();
-        assert_eq!(log.of_epoch(0).anomaly_rollbacks(), 1, "{devices} devices");
+        let first = LogCounts::of(&row.runner, Some(0));
+        assert_eq!(first.anomaly_rollbacks, 1, "{devices} devices");
         assert_eq!(log.anomaly_rollbacks(), 1, "{}", log.summary());
     }
 }
@@ -274,7 +278,7 @@ fn multi_device_epoch_runs_the_straggler_detector() {
     let epoch = runner
         .train_epoch_elastic(&ds, StrategyKind::Betty, K, &group)
         .unwrap();
-    assert_eq!(runner.recovery_log().stragglers_detected(), 3);
+    assert_eq!(LogCounts::of(&runner, None).stragglers_detected, 3);
     assert_eq!(epoch.health, [DeviceHealth::Degraded; 3]);
     assert_eq!(epoch.live_ranks, 3, "degraded devices keep serving");
 }

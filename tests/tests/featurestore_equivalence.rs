@@ -11,6 +11,7 @@
 use betty::{DeviceGroup, EpochStats, ExperimentConfig, Runner, StrategyKind};
 use betty_data::{Dataset, DatasetSpec, Features};
 use betty_device::{gib, FaultPlan};
+use betty_integration_tests::LogCounts;
 use betty_nn::AggregatorSpec;
 use betty_tensor::DType;
 use proptest::prelude::*;
@@ -42,16 +43,16 @@ fn config(fault_plan: FaultPlan) -> ExperimentConfig {
 /// counters (defined to differ between backends), and the memory
 /// accounting (compared separately, exactly).
 fn value_stats(runner: &Runner, stats: &EpochStats) -> Vec<u64> {
-    let log = runner.recovery_log().of_epoch(runner.epochs_run() - 1);
+    let log = LogCounts::of(runner, Some(runner.epochs_run() - 1));
     vec![
         stats.loss.to_bits(),
         stats.num_steps as u64,
         stats.total_input_nodes as u64,
         stats.total_src_nodes as u64,
         stats.host_bytes as u64,
-        log.retries() as u64,
-        log.anomaly_rollbacks() as u64,
-        log.injected_faults() as u64,
+        log.retries as u64,
+        log.anomaly_rollbacks as u64,
+        log.injected_faults as u64,
     ]
 }
 

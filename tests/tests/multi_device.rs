@@ -4,6 +4,7 @@
 use betty::{lpt_assignment, DeviceGroup, ExperimentConfig, RecoveryEvent, Runner, StrategyKind};
 use betty_data::{Dataset, DatasetSpec};
 use betty_device::{gib, FaultPlan};
+use betty_integration_tests::LogCounts;
 use betty_nn::AggregatorSpec;
 use proptest::prelude::*;
 
@@ -185,14 +186,14 @@ fn elastic_epoch_reports_failover_in_stats_and_log() {
     let multi = runner
         .train_epoch_elastic(&ds, StrategyKind::Betty, 8, &DeviceGroup::new(4))
         .unwrap();
-    let log = runner.recovery_log();
-    assert!(log.migrated_steps() > 0, "device 1 died before any step");
+    let log = LogCounts::of(&runner, None);
+    assert!(log.migrated_steps > 0, "device 1 died before any step");
     assert_eq!(multi.live_ranks, 3);
     assert_eq!(multi.health[1], betty::DeviceHealth::Failed);
     assert!(multi.assignment.iter().all(|&d| d != 1), "nothing ran on the dead device");
-    assert_eq!(log.devices_lost(), 1);
-    assert_eq!(log.work_migrations(), 1);
-    assert_eq!(log.ring_rebuilds(), 1);
+    assert_eq!(log.devices_lost, 1);
+    assert_eq!(log.work_migrations, 1);
+    assert_eq!(log.ring_rebuilds, 1);
     assert!(multi.failover_overhead_sec() >= 0.0);
 }
 
@@ -259,18 +260,18 @@ fn elastic_epoch_without_faults_matches_multi_device_path() {
     let b = elastic
         .train_epoch_elastic(&ds, StrategyKind::Betty, 6, &DeviceGroup::new(3))
         .unwrap();
-    let log = elastic.recovery_log();
+    let log = LogCounts::of(&elastic, None);
     assert_eq!(a.assignment, b.assignment);
     assert_eq!(a.combined.loss.to_bits(), b.combined.loss.to_bits());
     assert_eq!(b.live_ranks, 3);
     // Straggler detection works off measured wall clocks, so a noisy
     // scheduler may flag one even without injected slowdowns; every
     // *deterministic* failover category must stay silent.
-    assert_eq!(log.devices_lost(), 0);
-    assert_eq!(log.work_migrations(), 0);
-    assert_eq!(log.ring_rebuilds(), 0);
-    assert_eq!(log.link_retries(), 0);
-    assert_eq!(log.injected_faults(), 0);
+    assert_eq!(log.devices_lost, 0);
+    assert_eq!(log.work_migrations, 0);
+    assert_eq!(log.ring_rebuilds, 0);
+    assert_eq!(log.link_retries, 0);
+    assert_eq!(log.injected_faults, 0);
 }
 
 proptest! {

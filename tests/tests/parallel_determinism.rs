@@ -7,6 +7,7 @@ use betty::{DeviceGroup, EpochStats, ExperimentConfig, Runner, StrategyKind};
 use betty_data::{Dataset, DatasetSpec};
 use betty_device::{gib, FaultPlan};
 use betty_graph::{dependency_reg, sample_batch, shared_neighbor_graph, CsrGraph, NodeId};
+use betty_integration_tests::LogCounts;
 use betty_nn::AggregatorSpec;
 use betty_runtime::with_threads;
 use proptest::prelude::*;
@@ -75,7 +76,7 @@ proptest! {
 /// synchronous epoch; they describe where time went, not what was
 /// computed).
 fn deterministic_stats(runner: &Runner, stats: &EpochStats) -> Vec<u64> {
-    let log = runner.recovery_log().of_epoch(runner.epochs_run() - 1);
+    let log = LogCounts::of(runner, Some(runner.epochs_run() - 1));
     vec![
         stats.loss.to_bits(),
         stats.num_steps as u64,
@@ -83,9 +84,9 @@ fn deterministic_stats(runner: &Runner, stats: &EpochStats) -> Vec<u64> {
         stats.total_input_nodes as u64,
         stats.total_src_nodes as u64,
         stats.host_bytes as u64,
-        log.retries() as u64,
-        log.anomaly_rollbacks() as u64,
-        log.injected_faults() as u64,
+        log.retries as u64,
+        log.anomaly_rollbacks as u64,
+        log.injected_faults as u64,
         stats.estimated_peak_bytes as u64,
         stats.estimator_drift.to_bits(),
     ]

@@ -135,9 +135,10 @@ proptest! {
         let g = CsrGraph::from_edges(n, &edges);
         let p = MultilevelPartitioner::new(0).partition(&g, k);
         prop_assert_eq!(p.assignment().len(), n);
-        prop_assert_eq!(p.part_sizes().iter().sum::<usize>(), n);
+        let parts = p.parts();
+        prop_assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), n);
         if n >= k {
-            prop_assert!(p.all_parts_nonempty());
+            prop_assert!(parts.iter().all(|part| !part.is_empty()));
         }
     }
 
@@ -148,7 +149,7 @@ proptest! {
         // Recompute the cut by hand.
         let manual: f64 = edges
             .iter()
-            .filter(|&&(u, v)| p.part_of(u) != p.part_of(v))
+            .filter(|&&(u, v)| p.assignment()[u as usize] != p.assignment()[v as usize])
             .count() as f64;
         prop_assert_eq!(p.edge_cut(&g), manual);
     }

@@ -9,6 +9,7 @@
 use betty::{DeviceGroup, ExperimentConfig, Runner, StrategyKind};
 use betty_data::{Dataset, DatasetSpec};
 use betty_device::{gib, FaultPlan};
+use betty_integration_tests::LogCounts;
 use betty_nn::AggregatorSpec;
 use betty_runtime::with_threads;
 
@@ -16,17 +17,17 @@ type Counters = [usize; 9];
 
 /// One epoch's counts, in the order of the module docs.
 fn counters(runner: &Runner, epoch: usize) -> Counters {
-    let log = runner.recovery_log().of_epoch(epoch);
+    let log = LogCounts::of(runner, Some(epoch));
     [
-        log.retries(),
-        log.injected_faults(),
-        log.anomaly_rollbacks(),
-        log.devices_lost(),
-        log.migrated_steps(),
-        log.link_retries(),
-        log.stragglers_detected(),
-        log.io_retries(),
-        log.shards_repaired(),
+        log.retries,
+        log.injected_faults,
+        log.anomaly_rollbacks,
+        log.devices_lost,
+        log.migrated_steps,
+        log.link_retries,
+        log.stragglers_detected,
+        log.io_retries,
+        log.shards_repaired,
     ]
 }
 

@@ -12,6 +12,7 @@ use betty_data::{
     StorageIncident,
 };
 use betty_device::{gib, FaultPlan};
+use betty_integration_tests::LogCounts;
 use betty_nn::AggregatorSpec;
 use proptest::prelude::*;
 
@@ -48,15 +49,15 @@ fn config(fault_plan: FaultPlan) -> ExperimentConfig {
 /// and repairs), which is *defined* to differ between a faulted and a
 /// fault-free run.
 fn value_stats(runner: &Runner, stats: &EpochStats) -> Vec<u64> {
-    let log = runner.recovery_log().of_epoch(runner.epochs_run() - 1);
+    let log = LogCounts::of(runner, Some(runner.epochs_run() - 1));
     vec![
         stats.loss.to_bits(),
         stats.num_steps as u64,
         stats.total_input_nodes as u64,
         stats.total_src_nodes as u64,
         stats.host_bytes as u64,
-        log.retries() as u64,
-        log.anomaly_rollbacks() as u64,
+        log.retries as u64,
+        log.anomaly_rollbacks as u64,
     ]
 }
 
