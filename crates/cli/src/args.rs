@@ -5,7 +5,7 @@ use std::fmt;
 
 /// A parse or validation failure, printed to the user with usage help.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArgError(pub String);
+pub(crate) struct ArgError(pub String);
 
 impl fmt::Display for ArgError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -18,7 +18,7 @@ impl std::error::Error for ArgError {}
 /// The flags one command reads, as groups of keys: `values` take an
 /// argument (`--k 8`), `switches` take none (`--resume`).
 #[derive(Debug, Clone, Copy)]
-pub struct Accepts {
+pub(crate) struct Accepts {
     /// Keys read with [`Args::get`] and its typed forms.
     pub values: &'static [&'static [&'static str]],
     /// Keys read with [`Args::has_flag`].
@@ -27,7 +27,7 @@ pub struct Accepts {
 
 /// Parsed `--key value` flags (plus bare `--flag` booleans).
 #[derive(Debug, Clone, Default)]
-pub struct Args {
+pub(crate) struct Args {
     values: HashMap<String, String>,
     flags: Vec<String>,
 }
@@ -39,7 +39,7 @@ impl Args {
     /// # Errors
     ///
     /// Rejects positional arguments and repeated keys.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, ArgError> {
+    pub(crate) fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, ArgError> {
         let mut out = Args::default();
         let mut iter = args.into_iter().peekable();
         while let Some(arg) = iter.next() {
@@ -74,7 +74,7 @@ impl Args {
     /// # Errors
     ///
     /// Names the offending flag.
-    pub fn reject_unread(&self, accepts: &Accepts) -> Result<(), ArgError> {
+    pub(crate) fn reject_unread(&self, accepts: &Accepts) -> Result<(), ArgError> {
         let listed = |groups: &[&[&str]], key: &str| groups.iter().any(|g| g.contains(&key));
         let mut given: Vec<(&str, Option<&str>)> = self
             .values
@@ -96,12 +96,12 @@ impl Args {
     }
 
     /// String value of `--key`, if present.
-    pub fn get(&self, key: &str) -> Option<&str> {
+    pub(crate) fn get(&self, key: &str) -> Option<&str> {
         self.values.get(key).map(String::as_str)
     }
 
     /// Whether a bare `--key` flag was given.
-    pub fn has_flag(&self, key: &str) -> bool {
+    pub(crate) fn has_flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
     }
 
@@ -110,7 +110,7 @@ impl Args {
     /// # Errors
     ///
     /// Errors when the flag is missing.
-    pub fn require(&self, key: &str) -> Result<&str, ArgError> {
+    pub(crate) fn require(&self, key: &str) -> Result<&str, ArgError> {
         self.get(key)
             .ok_or_else(|| ArgError(format!("missing required flag --{key}")))
     }
@@ -120,7 +120,7 @@ impl Args {
     /// # Errors
     ///
     /// Errors when the value does not parse as `T`.
-    pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, ArgError> {
+    pub(crate) fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, ArgError> {
         match self.get(key) {
             None => Ok(default),
             Some(raw) => raw
@@ -134,7 +134,7 @@ impl Args {
     /// # Errors
     ///
     /// Errors when an element does not parse.
-    pub fn get_usize_list(&self, key: &str) -> Result<Option<Vec<usize>>, ArgError> {
+    pub(crate) fn get_usize_list(&self, key: &str) -> Result<Option<Vec<usize>>, ArgError> {
         let Some(raw) = self.get(key) else {
             return Ok(None);
         };
@@ -155,7 +155,7 @@ impl Args {
     /// # Errors
     ///
     /// Errors when a pair is missing its `:` or a side does not parse.
-    pub fn get_pair_list<T: std::str::FromStr>(
+    pub(crate) fn get_pair_list<T: std::str::FromStr>(
         &self,
         key: &str,
     ) -> Result<Option<Vec<(usize, T)>>, ArgError> {

@@ -18,7 +18,7 @@ use betty_tensor::DType;
 use crate::args::{Accepts, ArgError, Args};
 
 /// What a subcommand returns.
-pub type CmdResult = Result<(), Box<dyn Error>>;
+pub(crate) type CmdResult = Result<(), Box<dyn Error>>;
 
 /// Flags every command takes (USAGE "GLOBAL FLAGS"), then [`PAGED_STORE`].
 const GLOBAL: &[&str] = &["feature-store", "threads", "backend", "precision", "plan-ahead"];
@@ -68,22 +68,22 @@ const FAULTS: &[&str] = &[
 ];
 
 /// What `betty generate` reads.
-pub const GENERATE: Accepts = Accepts {
+pub(crate) const GENERATE: Accepts = Accepts {
     values: &[GLOBAL, PAGED_STORE, &["preset", "out", "scale", "feature-dim", "seed"]],
     switches: &[GLOBAL_SWITCHES],
 };
 /// What `betty info` reads.
-pub const INFO: Accepts = Accepts {
+pub(crate) const INFO: Accepts = Accepts {
     values: &[GLOBAL, PAGED_STORE, DATASET],
     switches: &[GLOBAL_SWITCHES],
 };
 /// What `betty partition` reads.
-pub const PARTITION: Accepts = Accepts {
+pub(crate) const PARTITION: Accepts = Accepts {
     values: &[GLOBAL, PAGED_STORE, DATASET, MODEL, FAULTS, &["k", "strategy"]],
     switches: &[GLOBAL_SWITCHES, &["compare"]],
 };
 /// What `betty train` reads.
-pub const TRAIN: Accepts = Accepts {
+pub(crate) const TRAIN: Accepts = Accepts {
     values: &[
         GLOBAL,
         PAGED_STORE,
@@ -107,7 +107,7 @@ pub const TRAIN: Accepts = Accepts {
     switches: &[GLOBAL_SWITCHES, &["resume", "trace-summary"]],
 };
 /// What `betty eval` reads.
-pub const EVAL: Accepts = Accepts {
+pub(crate) const EVAL: Accepts = Accepts {
     values: &[GLOBAL, PAGED_STORE, DATASET, MODEL, FAULTS, &["checkpoint", "chunk"]],
     switches: &[GLOBAL_SWITCHES],
 };
@@ -134,10 +134,7 @@ fn preset_spec(args: &Args, preset: &str) -> Result<DatasetSpec, ArgError> {
     if !(scale > 0.0 && scale <= 1.0) {
         return Err(ArgError(format!("--scale must be in (0, 1], got {scale}")));
     }
-    let feature_dim = args.get_or("feature-dim", 32usize)?;
-    if feature_dim == 0 {
-        return Err(ArgError("--feature-dim must be positive".into()));
-    }
+    let feature_dim = positive(args, "feature-dim", 32)?;
     Ok(preset_by_name(preset)?.scaled(scale).with_feature_dim(feature_dim))
 }
 
@@ -154,9 +151,7 @@ fn load(args: &Args) -> Result<Dataset, Box<dyn Error>> {
         // Allow generating on the fly: --preset without --data.
         preset_spec(args, preset)?.generate(args.get_or("seed", 0u64)?)
     } else {
-        return Err(Box::new(ArgError(
-            "provide --data <file> or --preset <name>".into(),
-        )));
+        return Err(ArgError("provide --data <file> or --preset <name>".into()).into());
     };
     apply_feature_store(ds, args)
 }
@@ -181,9 +176,7 @@ fn apply_feature_store(mut ds: Dataset, args: &Args) -> Result<Dataset, Box<dyn 
         "dense" => {
             for flag in PAGED_STORE {
                 if args.get(flag).is_some() {
-                    return Err(Box::new(ArgError(format!(
-                        "--{flag} requires --feature-store paged"
-                    ))));
+                    return Err(ArgError(format!("--{flag} requires --feature-store paged")).into());
                 }
             }
             Ok(ds)
@@ -192,12 +185,7 @@ fn apply_feature_store(mut ds: Dataset, args: &Args) -> Result<Dataset, Box<dyn 
             // An unbounded cache is still charged honestly: the
             // reservation is min(budget, total feature bytes).
             let cache = args.get_or("feature-cache-bytes", usize::MAX)?;
-            let page_rows = args.get_or("feature-page-rows", 1024usize)?;
-            if page_rows == 0 {
-                return Err(Box::new(ArgError(
-                    "--feature-page-rows must be positive".into(),
-                )));
-            }
+            let page_rows = positive(args, "feature-page-rows", 1024)?;
             let dir = match args.get("feature-dir") {
                 Some(d) => std::path::PathBuf::from(d),
                 None => std::env::temp_dir().join(format!(
@@ -214,9 +202,15 @@ fn apply_feature_store(mut ds: Dataset, args: &Args) -> Result<Dataset, Box<dyn 
             ds.features = ds.features.to_paged_with_parity(&dir, page_rows, cache, parity)?;
             Ok(ds)
         }
-        other => Err(Box::new(ArgError(format!(
-            "unknown feature store '{other}' (try: dense, paged)"
-        )))),
+        other => Err(ArgError(format!("unknown feature store '{other}' (try: dense, paged)")).into()),
+    }
+}
+
+/// `--{key}` as a count that must be positive (`default` when absent).
+fn positive(args: &Args, key: &str, default: usize) -> Result<usize, ArgError> {
+    match args.get_or(key, default)? {
+        0 => Err(ArgError(format!("--{key} must be positive, got 0"))),
+        n => Ok(n),
     }
 }
 
@@ -336,7 +330,7 @@ fn mib(bytes: usize) -> f64 {
 }
 
 /// `betty generate`.
-pub fn generate(args: &Args) -> CmdResult {
+pub(crate) fn generate(args: &Args) -> CmdResult {
     let spec = preset_spec(args, args.require("preset")?)?;
     let out = args.require("out")?.to_string();
     let ds = spec.generate(args.get_or("seed", 0u64)?);
@@ -352,7 +346,7 @@ pub fn generate(args: &Args) -> CmdResult {
 }
 
 /// `betty info`.
-pub fn info(args: &Args) -> CmdResult {
+pub(crate) fn info(args: &Args) -> CmdResult {
     let ds = load(args)?;
     let in_degs = ds.graph.in_degrees();
     let stats = degree::stats(&in_degs);
@@ -388,10 +382,10 @@ pub fn info(args: &Args) -> CmdResult {
 }
 
 /// `betty partition`.
-pub fn partition(args: &Args) -> CmdResult {
+pub(crate) fn partition(args: &Args) -> CmdResult {
+    let k = positive(args, "k", 8)?;
     let ds = load(args)?;
     let config = experiment_config(args)?;
-    let k = args.get_or("k", 8usize)?;
     let mut runner = Runner::new(&ds, &config, args.get_or("seed", 0u64)?);
     let batch = runner.sample_full_batch(&ds);
     if args.has_flag("compare") {
@@ -443,7 +437,7 @@ pub fn partition(args: &Args) -> CmdResult {
 }
 
 /// `betty train`.
-pub fn train(args: &Args) -> CmdResult {
+pub(crate) fn train(args: &Args) -> CmdResult {
     let ds = load(args)?;
     let config = experiment_config(args)?;
     let plan = &config.fault_plan;
@@ -463,16 +457,17 @@ pub fn train(args: &Args) -> CmdResult {
     }
     let kind = strategy(args)?;
     let epochs = args.get_or("epochs", 20usize)?;
-    let devices = args.get_or("devices", 1usize)?;
+    let devices = positive(args, "devices", 1)?;
     let seed = args.get_or("seed", 0u64)?;
     // The K every epoch starts from; recovery escalates it on a failure.
     let k0: usize = match args.get("k").unwrap_or("auto") {
         "auto" => 1,
-        given => given.parse().map_err(|_| {
-            ArgError(format!("--k: expected 'auto' or a number, got '{given}'"))
-        })?,
+        given => match given.parse() {
+            Ok(k) if k > 0 => k,
+            _ => return Err(Box::new(ArgError(format!("--k: expected 'auto' or a positive number, got '{given}'")))),
+        },
     };
-    let group = device_group(args, devices.max(1), &config)?;
+    let group = device_group(args, devices, &config)?;
     let trace_out = args.get("trace-out").map(str::to_string);
     let trace_summary = args.has_flag("trace-summary");
     let ckpt_plan = match args.get("checkpoint-dir") {
@@ -590,10 +585,15 @@ pub fn train(args: &Args) -> CmdResult {
     let result = run(&mut runner);
     // The trace is written even when training failed: a trace of the run
     // that OOMed is exactly what the flags exist to capture.
+    // A trace that cannot be written names its path; when the run failed
+    // too, the run's error and exit code win and this goes to stderr.
     if let Some(trace) = runner.take_trace() {
         if let Some(path) = &trace_out {
-            trace.write_jsonl(path)?;
-            say!("trace written to {path} ({} events)", trace.len())?;
+            match trace.write_jsonl(path) {
+                Ok(()) => say!("trace written to {path} ({} events)", trace.len())?,
+                Err(e) if result.is_err() => eprintln!("cannot write trace to {path}: {e}"),
+                Err(e) => return Err(format!("cannot write trace to {path}: {e}").into()),
+            }
         }
         if trace_summary {
             say!("{}", trace.summary())?;
@@ -622,7 +622,7 @@ pub fn train(args: &Args) -> CmdResult {
 /// its own distinct exit code (7) so scripts can tell "the store needs
 /// to be re-generated" apart from usage errors and training failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScrubFailed {
+pub(crate) struct ScrubFailed {
     /// What is still damaged, one clause per item.
     pub detail: String,
 }
@@ -646,7 +646,7 @@ impl Error for ScrubFailed {}
 /// falls back past them. Unrepairable damage (a feature-shard group with
 /// two bad members, no parity sidecar, or *every* checkpoint slot
 /// corrupt) returns [`ScrubFailed`], which exits with code 7.
-pub fn scrub(dir: &str) -> CmdResult {
+pub(crate) fn scrub(dir: &str) -> CmdResult {
     let root = std::path::Path::new(dir);
     if !root.is_dir() {
         return Err(Box::new(ArgError(format!(
@@ -728,11 +728,8 @@ pub fn scrub(dir: &str) -> CmdResult {
 }
 
 /// `betty eval`.
-pub fn eval(args: &Args) -> CmdResult {
-    let chunk = args.get_or("chunk", 1024usize)?;
-    if chunk == 0 {
-        return Err(Box::new(ArgError("--chunk must be positive".into())));
-    }
+pub(crate) fn eval(args: &Args) -> CmdResult {
+    let chunk = positive(args, "chunk", 1024)?;
     let ds = load(args)?;
     let config = experiment_config(args)?;
     let ckpt = args.require("checkpoint")?.to_string();

@@ -338,6 +338,58 @@ fn bad_learning_rates_and_capacities_are_usage_errors() {
     let _ = std::fs::remove_file(&dataset);
 }
 
+/// Runs `betty` and returns its exit code and stderr.
+fn run_betty(args: &[&str]) -> (Option<i32>, String, bool) {
+    let out = betty().args(args).output().expect("spawn");
+    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned(), out.stdout.is_empty())
+}
+
+#[test]
+fn partition_k_zero_is_a_usage_error() {
+    let base = ["partition", "--preset", "cora", "--scale", "0.02", "--k", "0"];
+    for extra in [&[][..], &["--compare"], &["--strategy", "range"]] {
+        let args: Vec<&str> = base.iter().chain(extra).copied().collect();
+        let (code, stderr, quiet) = run_betty(&args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("--k must be positive"), "{args:?}: {stderr}");
+        assert!(quiet, "{args:?} started work before rejecting");
+    }
+}
+
+#[test]
+fn train_k_zero_is_a_usage_error() {
+    let (code, stderr, quiet) = run_betty(&["train", "--preset", "cora", "--scale", "0.02", "--epochs", "1", "--k", "0"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("--k"), "{stderr}");
+    assert!(quiet, "--k 0 started training");
+}
+
+#[test]
+fn train_devices_zero_is_a_usage_error() {
+    let (code, stderr, quiet) = run_betty(&["train", "--preset", "cora", "--scale", "0.02", "--epochs", "1", "--devices", "0"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("--devices must be positive"), "{stderr}");
+    assert!(quiet, "--devices 0 started training");
+}
+
+/// An unwritable `--trace-out` names its path. After a run that
+/// succeeded that is the error (exit 1); after one that failed, the run's
+/// own error and exit code win and the write failure is only reported.
+#[test]
+fn unwritable_trace_out_names_its_path_and_never_hides_the_run_error() {
+    let path = tmp("no-such-dir").join("t.jsonl");
+    let path = path.to_str().unwrap();
+    let train = ["train", "--preset", "cora", "--scale", "0.02", "--epochs", "1", "--hidden", "8"];
+    let args: Vec<&str> = train.iter().copied().chain(["--trace-out", path]).collect();
+    let (code, stderr, _) = run_betty(&args);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains(path), "{stderr}");
+    let args: Vec<&str> = train.iter().copied().chain(["--capacity-mib", "0", "--trace-out", path]).collect();
+    let (code, stderr, _) = run_betty(&args);
+    assert_eq!(code, Some(2), "planning failure must keep its exit code: {stderr}");
+    assert!(stderr.contains(&format!("cannot write trace to {path}")), "{stderr}");
+}
+
 /// A reader that closes stdout early (`betty info --data f.btd | head -3`)
 /// has read enough: the command exits 0 and says nothing. `println!`
 /// panicked there with "failed printing to stdout: Broken pipe" (exit 101).
