@@ -51,7 +51,7 @@ pub struct CheckpointPlan {
     pub dir: PathBuf,
     /// Save after every `every`-th epoch (1 = every epoch). The final
     /// epoch is always saved regardless of cadence.
-    pub every: usize,
+    pub(crate) every: usize,
 }
 
 impl CheckpointPlan {

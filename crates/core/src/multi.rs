@@ -72,10 +72,10 @@ impl fmt::Display for DeviceHealth {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceGroup {
     /// Number of accelerators.
-    pub num_devices: usize,
+    pub(crate) num_devices: usize,
     /// Sustained all-reduce link bandwidth in bytes/second (NVLink-ish
     /// default: 50 GB/s).
-    pub allreduce_bandwidth: f64,
+    pub(crate) allreduce_bandwidth: f64,
     /// Heartbeat timeout for one all-reduce round: an injected stall at
     /// or above this declares the round timed out and triggers a
     /// backoff retry (default 100 ms).
@@ -89,7 +89,7 @@ pub struct DeviceGroup {
     /// Base delay of the exponential backoff between sync retries;
     /// attempt `i` waits `base · 2^(i−1) · (1 + jitter)` with seeded
     /// jitter in `[0, 1)` (default 50 ms).
-    pub backoff_base_sec: f64,
+    pub(crate) backoff_base_sec: f64,
 }
 
 impl DeviceGroup {
@@ -130,7 +130,7 @@ impl DeviceGroup {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DevicesExhausted {
     /// Devices that had been declared lost when the group ran dry.
-    pub lost: usize,
+    pub(crate) lost: usize,
 }
 
 impl fmt::Display for DevicesExhausted {
@@ -394,11 +394,11 @@ pub struct MultiDeviceEpoch {
     pub live_ranks: usize,
     /// Stalls, timeouts, and backoff waits paid at the sync on top of
     /// `allreduce_sec`.
-    pub sync_overhead_sec: f64,
+    pub(crate) sync_overhead_sec: f64,
     /// Wall seconds the epoch would have taken with no faults injected
     /// (fault-free LPT schedule, full ring, no stalls) — the baseline
     /// for `failover_overhead_sec`.
-    pub fault_free_wall_sec: f64,
+    pub(crate) fault_free_wall_sec: f64,
 }
 
 impl MultiDeviceEpoch {

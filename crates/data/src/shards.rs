@@ -535,7 +535,7 @@ pub struct ScrubReport {
     pub parity_width: usize,
     /// Data-shard files read: every shard once to verify it, plus the
     /// members of each group that had something rebuilt a second time.
-    pub shard_reads: usize,
+    pub(crate) shard_reads: usize,
 }
 
 impl ScrubReport {

@@ -22,24 +22,24 @@ pub struct DatasetSpec {
     /// Preset name.
     pub name: &'static str,
     /// Node count at scale 1.0 (Table 4).
-    pub full_nodes: usize,
+    pub(crate) full_nodes: usize,
     /// Feature dimension (Table 4).
-    pub feature_dim: usize,
+    pub(crate) feature_dim: usize,
     /// Class count.
-    pub num_classes: usize,
+    pub(crate) num_classes: usize,
     /// Preferential-attachment edges per node (mean out-degree).
-    pub edges_per_node: usize,
+    pub(crate) edges_per_node: usize,
     /// Cross-community edge probability.
-    pub inter_community_p: f64,
+    pub(crate) inter_community_p: f64,
     /// Fraction of nodes in the training split.
-    pub train_fraction: f64,
+    pub(crate) train_fraction: f64,
     /// Feature noise level (higher = harder task).
-    pub feature_noise: f32,
+    pub(crate) feature_noise: f32,
     /// Uniform-attachment mixing (see
     /// `crate::PlantedPowerLawConfig::uniform_attachment_p`).
-    pub uniform_attachment_p: f64,
+    pub(crate) uniform_attachment_p: f64,
     /// Applied scale factor.
-    pub scale: f64,
+    pub(crate) scale: f64,
 }
 
 impl DatasetSpec {

@@ -9,9 +9,9 @@ use crate::{Graph, Tensor, VarId};
 #[derive(Debug, Clone, PartialEq)]
 pub struct GradCheck {
     /// Largest absolute difference between analytic and numeric gradients.
-    pub max_abs_err: f32,
+    pub(crate) max_abs_err: f32,
     /// Largest relative difference (scaled by magnitude, floored at 1.0).
-    pub max_rel_err: f32,
+    pub(crate) max_rel_err: f32,
 }
 
 impl GradCheck {

@@ -136,7 +136,7 @@ pub struct MemEvent {
     /// Monotonic sequence number within the timeline.
     pub seq: u64,
     /// Seconds on the trace recorder's clock.
-    pub at_sec: f64,
+    pub(crate) at_sec: f64,
     /// Bytes in use on the device after this event.
     pub total_bytes: usize,
     /// Signed size of the event (+alloc / −free); a bulk `free_all` is
