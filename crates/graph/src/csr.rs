@@ -243,6 +243,19 @@ mod tests {
         assert_eq!(r.neighbor_weights(2), Some(&[4.0f32][..]));
     }
 
+    /// Neighbor lists are sorted, so a binary search over one finds an edge.
+    #[test]
+    fn has_edge_binary_search() {
+        let has_edge =
+            |g: &CsrGraph, u: NodeId, v: NodeId| g.neighbors(u).binary_search(&v).is_ok();
+        let g = diamond();
+        assert!(has_edge(&g, 0, 2));
+        assert!(!has_edge(&g, 2, 0));
+        let g = CsrGraph::from_edges(5, &[(0, 4), (0, 1), (0, 3), (2, 0)]);
+        assert!([1, 3, 4].iter().all(|&v| has_edge(&g, 0, v)));
+        assert!(!has_edge(&g, 0, 2) && !has_edge(&g, 0, 0));
+    }
+
     #[test]
     fn parallel_edges_kept() {
         let g = CsrGraph::from_edges(2, &[(0, 1), (0, 1)]);

@@ -133,6 +133,26 @@ mod tests {
         assert!(res.passes(1e-2), "{res:?}");
     }
 
+    /// The rows' log-softmax as `cross_entropy` tapes it: one loss per
+    /// class, each through `tanh`, so every column reaches the gradient.
+    #[test]
+    fn checks_log_softmax_rows() {
+        let x = input(&[3, 4], 11);
+        let res = check_gradient(&x, |g, x| {
+            let per_class: Vec<VarId> = (0..4)
+                .map(|c| {
+                    let ce = g.cross_entropy(x, &[c; 3], crate::graph::Reduction::Mean);
+                    g.tanh(ce)
+                })
+                .collect();
+            per_class
+                .into_iter()
+                .reduce(|a, b| g.add(a, b))
+                .expect("four classes")
+        });
+        assert!(res.passes(2e-2), "{res:?}");
+    }
+
     #[test]
     fn checks_segment_max() {
         let x = input(&[5, 3], 7);

@@ -1425,11 +1425,19 @@ pub(crate) mod tests {
         assert!(ls.all_finite());
     }
 
+    /// `slice_cols_into` copies a column range; two slices that split the
+    /// columns concatenate back to the input.
     #[test]
-    fn slice_cols_copies_the_column_range() {
-        let h = t(&[1.0, 2.0, 3.0, 4.0], &[1, 4]);
-        let s = alloc(&[1, 2], |o| slice_cols_into(&h, 1, 2, o));
-        assert_eq!(s.data(), &[2.0, 3.0]);
+    fn concat_and_slice() {
+        let h = t(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0], &[2, 4]);
+        let s = alloc(&[2, 2], |o| slice_cols_into(&h, 1, 2, o));
+        assert_eq!(s.data(), &[2.0, 3.0, 6.0, 7.0]);
+        let left = alloc(&[2, 1], |o| slice_cols_into(&h, 0, 1, o));
+        let right = alloc(&[2, 3], |o| slice_cols_into(&h, 1, 3, o));
+        let concat: Vec<f32> = (0..2)
+            .flat_map(|i| [left.row(i), right.row(i)].concat())
+            .collect();
+        assert_eq!(concat, h.data());
     }
 
     #[test]
@@ -1481,10 +1489,10 @@ pub(crate) mod tests {
         assert_eq!(bits(&fast), reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
     }
 
-    /// The kernels that overwrite `out` give the same bits over a dirty
-    /// buffer as over a zeroed one.
+    /// The `_into` kernels that overwrite `out` give the same bits over a
+    /// dirty buffer as the allocating forms (over a zeroed one).
     #[test]
-    fn overwriting_kernels_ignore_a_dirty_output() {
+    fn into_variants_bitwise_match_allocating_variants() {
         let a = big(19, 11, 31);
         let c = big(19, 13, 33);
         let mut out = vec![f32::NAN; 11 * 13];

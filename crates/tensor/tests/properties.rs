@@ -70,6 +70,21 @@ proptest! {
     }
 
     #[test]
+    fn softmax_rows_are_distributions(a in arb_tensor(4, 6)) {
+        // Row r of `a` is column r of its transpose: one segment of six.
+        let mut g = Graph::new();
+        let x = g.leaf(transpose(&a));
+        let sm = g.segment_softmax(x, &[0; 6], 1);
+        let sm = g.value(sm);
+        for r in 0..4 {
+            let row: Vec<f32> = (0..6).map(|i| sm.data()[i * 4 + r]).collect();
+            let s: f32 = row.iter().sum();
+            prop_assert!((s - 1.0).abs() < 1e-4, "row {r} sums to {s}");
+            prop_assert!(row.iter().all(|&v| v >= 0.0));
+        }
+    }
+
+    #[test]
     fn gather_scatter_adjoint_identity(
         src in arb_tensor(6, 3),
         idx in proptest::collection::vec(0usize..6, 1..12),
