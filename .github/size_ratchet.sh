@@ -13,7 +13,7 @@ cd "$(dirname "$0")/.."
 # row            code  doc   paths (directories are searched recursively)
 table='
 bench            3556  557   crates/bench/src
-cli              1112  117   crates/cli/src
+cli              1110  107   crates/cli/src
 core             3506  1271  crates/core/src
 data             1967  728   crates/data/src
 device           885   383   crates/device/src

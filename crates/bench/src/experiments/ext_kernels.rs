@@ -568,12 +568,8 @@ fn activation_table(profile: Profile) {
     for (name, libm, ours) in cases {
         kernels::map_into(&x, &mut out, libm);
         let reference = out.clone();
-        let scalar = with_backend(Backend::Scalar, || {
-            ours(&x, &mut out);
-            out.clone()
-        });
-        let simd = with_backend(Backend::Simd, || {
-            ours(&x, &mut out);
+        let [scalar, simd] = [Backend::Scalar, Backend::Simd].map(|backend| {
+            with_backend(backend, || ours(&x, &mut out));
             out.clone()
         });
         assert_eq!(bits(&scalar), bits(&simd), "{name}: simd must be bit-identical to scalar");
@@ -583,9 +579,13 @@ fn activation_table(profile: Profile) {
             .map(|(a, b)| (a - b).abs())
             .fold(0.0f32, f32::max);
         assert!(worst <= 1e-6, "{name}: {worst:e} away from libm");
-        let libm_sec = best_of(reps, || kernels::map_into(&x, &mut out, libm));
-        let scalar_sec = best_of(reps, || with_backend(Backend::Scalar, || ours(&x, &mut out)));
-        let simd_sec = best_of(reps, || with_backend(Backend::Simd, || ours(&x, &mut out)));
+        // Best of `reps` rounds of libm, scalar and simd in turn: load falls on all three alike.
+        let [libm_sec, scalar_sec, simd_sec] = (0..reps).fold([f64::MAX; 3], |best, _| {
+            let libm_sec = best_of(1, || kernels::map_into(&x, &mut out, libm));
+            let scalar_sec = best_of(1, || with_backend(Backend::Scalar, || ours(&x, &mut out)));
+            let simd_sec = best_of(1, || with_backend(Backend::Simd, || ours(&x, &mut out)));
+            [best[0].min(libm_sec), best[1].min(scalar_sec), best[2].min(simd_sec)]
+        });
         let speedup = libm_sec / simd_sec;
         assert!(
             speedup >= MIN_ACTIVATION_SPEEDUP,

@@ -1,7 +1,11 @@
-//! Minimal `--key value` argument parsing (no external dependency).
+//! Minimal `--key value` argument parsing (no external dependency),
+//! checked and read through the rows of the flag table.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::str::FromStr;
+
+use crate::flags::{rows, Check, Command, Flag, Needs, DATA};
 
 /// A parse or validation failure, printed to the user with usage help.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -15,30 +19,19 @@ impl fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
-/// The flags one command reads, as groups of keys: `values` take an
-/// argument (`--k 8`), `switches` take none (`--resume`).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Accepts {
-    /// Keys read with [`Args::get`] and its typed forms.
-    pub values: &'static [&'static [&'static str]],
-    /// Keys read with [`Args::has_flag`].
-    pub switches: &'static [&'static [&'static str]],
-}
-
-/// Parsed `--key value` flags (plus bare `--flag` booleans).
-#[derive(Debug, Clone, Default)]
+/// Parsed `--key value` flags (plus bare `--flag` switches).
+#[derive(Debug, Default)]
 pub(crate) struct Args {
     values: HashMap<String, String>,
-    flags: Vec<String>,
+    switches: Vec<String>,
+    /// Every key a read looked up, for the tests that hold each column of
+    /// the table to what its command reads.
+    #[cfg(test)]
+    pub(crate) read: std::cell::RefCell<std::collections::BTreeSet<&'static str>>,
 }
 
 impl Args {
-    /// Parses flags from an argument iterator (program name and
-    /// subcommand already consumed).
-    ///
-    /// # Errors
-    ///
-    /// Rejects positional arguments and repeated keys.
+    /// Parses the flags after the command name.
     pub(crate) fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, ArgError> {
         let mut out = Args::default();
         let mut iter = args.into_iter().peekable();
@@ -49,143 +42,139 @@ impl Args {
             if key.is_empty() {
                 return Err(ArgError("empty flag '--'".into()));
             }
-            let is_value = iter
-                .peek()
-                .map(|next| !next.starts_with("--"))
-                .unwrap_or(false);
-            if is_value {
-                let value = iter.next().expect("peeked");
-                if out.values.insert(key.to_string(), value).is_some() {
-                    return Err(ArgError(format!("flag --{key} given twice")));
+            if out.values.contains_key(key) || out.switches.iter().any(|s| s == key) {
+                return Err(ArgError(format!("flag --{key} given twice")));
+            }
+            match iter.next_if(|next| !next.starts_with("--")) {
+                Some(value) => {
+                    out.values.insert(key.to_string(), value);
                 }
-            } else {
-                out.flags.push(key.to_string());
+                None => out.switches.push(key.to_string()),
             }
         }
         Ok(out)
     }
 
-    /// Checks what was given against what the command reads: a flag that
-    /// would otherwise be silently ignored — a misspelt key, a value flag
-    /// whose value is missing, a switch handed a value — is an error
-    /// naming it (the first in alphabetical order, so the message does not
-    /// depend on hash order).
-    ///
-    /// # Errors
-    ///
-    /// Names the offending flag.
-    pub(crate) fn reject_unread(&self, accepts: &Accepts) -> Result<(), ArgError> {
-        let listed = |groups: &[&[&str]], key: &str| groups.iter().any(|g| g.contains(&key));
-        let mut given: Vec<(&str, Option<&str>)> = self
-            .values
-            .iter()
-            .map(|(k, v)| (k.as_str(), Some(v.as_str())))
-            .chain(self.flags.iter().map(|k| (k.as_str(), None)))
-            .collect();
+    /// Checks the flags against `command`'s column: one it would ignore (a
+    /// misspelt key, another command's flag, a value flag without a value,
+    /// a switch with one) is an error naming the alphabetically first; then
+    /// each given flag, in table order, must have what its row needs.
+    pub(crate) fn reject_unread(&self, command: Command) -> Result<(), ArgError> {
+        let values = self.values.iter().map(|(k, v)| (k.as_str(), Some(v.as_str())));
+        let mut given: Vec<_> = values.chain(self.switches.iter().map(|k| (k.as_str(), None))).collect();
         given.sort_unstable();
         for (key, value) in given {
-            let problem = match (value, listed(accepts.values, key), listed(accepts.switches, key)) {
-                (Some(_), true, _) | (None, _, true) => continue,
-                (Some(value), false, true) => format!("--{key} takes no value (got '{value}')"),
-                (None, true, false) => format!("--{key} needs a value"),
-                _ => format!("unknown flag --{key} for this command"),
+            let row = rows().find(|f| f.key == key && f.reads(command));
+            let switch = row.map(|f| matches!(f.check, Check::Switch));
+            let problem = match (value, switch) {
+                (Some(""), Some(false)) | (None, Some(false)) => format!("--{key} needs a value"),
+                (Some(_), Some(false)) | (None, Some(true)) => continue,
+                (Some(value), Some(true)) => format!("--{key} takes no value (got '{value}')"),
+                (_, None) => format!("unknown flag --{key} for this command"),
+            };
+            return Err(ArgError(problem));
+        }
+        for flag in rows().filter(|f| self.given(f)) {
+            let problem = match flag.needs {
+                Needs::Flag(other) if !self.given(other) => format!("--{} requires --{}", flag.key, other.key),
+                Needs::Value(other, want) if self.get(other).or(other.default) != Some(want) => {
+                    format!("--{} requires --{} {want}", flag.key, other.key)
+                }
+                Needs::Preset if self.given(&DATA) => format!(
+                    "--{} shapes a --preset and cannot apply to --data {}",
+                    flag.key,
+                    self.get(&DATA).unwrap_or_default()
+                ),
+                _ => continue,
             };
             return Err(ArgError(problem));
         }
         Ok(())
     }
 
-    /// String value of `--key`, if present.
-    pub(crate) fn get(&self, key: &str) -> Option<&str> {
-        self.values.get(key).map(String::as_str)
+    fn given(&self, flag: &Flag) -> bool {
+        self.get(flag).is_some() || self.switches.iter().any(|s| s == flag.key)
     }
 
-    /// Whether a bare `--key` flag was given.
-    pub(crate) fn has_flag(&self, key: &str) -> bool {
-        self.flags.iter().any(|f| f == key)
+    fn get(&self, flag: &Flag) -> Option<&str> {
+        self.values.get(flag.key).map(String::as_str)
     }
 
-    /// Required string value.
-    ///
-    /// # Errors
-    ///
-    /// Errors when the flag is missing.
-    pub(crate) fn require(&self, key: &str) -> Result<&str, ArgError> {
-        self.get(key)
-            .ok_or_else(|| ArgError(format!("missing required flag --{key}")))
+    /// `flag`'s value as given, else its default, once its row's check passes.
+    fn raw(&self, flag: &Flag) -> Result<Option<&str>, ArgError> {
+        #[cfg(test)]
+        self.read.borrow_mut().insert(flag.key);
+        let Some(raw) = self.get(flag).or(flag.default) else {
+            return Ok(None);
+        };
+        flag.verify(raw).map_err(ArgError)?;
+        Ok(Some(raw))
     }
 
-    /// Typed value with a default.
-    ///
-    /// # Errors
-    ///
-    /// Errors when the value does not parse as `T`.
-    pub(crate) fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, ArgError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| ArgError(format!("--{key}: cannot parse '{raw}'"))),
+    /// Whether the switch `flag` was given.
+    pub(crate) fn switch(&self, flag: &Flag) -> bool {
+        #[cfg(test)]
+        self.read.borrow_mut().insert(flag.key);
+        self.given(flag)
+    }
+
+    /// `flag`'s value as `T`, if it was given or has a default.
+    pub(crate) fn opt<T: FromStr>(&self, flag: &Flag) -> Result<Option<T>, ArgError> {
+        let parse = |raw: &str| raw.parse().map_err(|_| ArgError(format!("--{}: cannot parse '{raw}'", flag.key)));
+        self.raw(flag)?.map(parse).transpose()
+    }
+
+    /// `flag`'s value as `T`: given, or its default.
+    pub(crate) fn value<T: FromStr>(&self, flag: &Flag) -> Result<T, ArgError> {
+        self.opt(flag)?.ok_or_else(|| ArgError(format!("missing required flag --{}", flag.key)))
+    }
+
+    /// A count, or `None` for `auto`.
+    pub(crate) fn count_or_auto(&self, flag: &Flag) -> Result<Option<usize>, ArgError> {
+        match self.value::<String>(flag)?.as_str() {
+            "auto" => Ok(None),
+            count => count.parse().map(Some).map_err(|_| ArgError(format!("--{}: cannot parse '{count}'", flag.key))),
         }
     }
 
-    /// Comma-separated list of `usize` (e.g. `--fanouts 10,25`).
-    ///
-    /// # Errors
-    ///
-    /// Errors when an element does not parse.
-    pub(crate) fn get_usize_list(&self, key: &str) -> Result<Option<Vec<usize>>, ArgError> {
-        let Some(raw) = self.get(key) else {
-            return Ok(None);
+    /// The entry of `values` at the place of `flag`'s word among its choices.
+    pub(crate) fn pick<T: Copy>(&self, flag: &Flag, values: &[T]) -> Result<T, ArgError> {
+        let word: String = self.value(flag)?;
+        let Check::OneOf(words) = flag.check else {
+            unreachable!("--{} has no choices", flag.key)
         };
-        raw.split(',')
-            .map(|part| {
-                part.trim()
-                    .parse()
-                    .map_err(|_| ArgError(format!("--{key}: bad element '{part}'")))
-            })
-            .collect::<Result<Vec<usize>, _>>()
-            .map(Some)
+        debug_assert_eq!(words.len(), values.len(), "--{}: one value per choice", flag.key);
+        Ok(values[words.iter().position(|w| *w == word).expect("the row's check passed")])
     }
 
-    /// Comma-separated list of `device:value` pairs (e.g.
-    /// `--fault-device-fail 1:3,2:0` or `--fault-straggler 0:2.5`),
-    /// parsed into `(usize, T)` tuples.
-    ///
-    /// # Errors
-    ///
-    /// Errors when a pair is missing its `:` or a side does not parse.
-    pub(crate) fn get_pair_list<T: std::str::FromStr>(
-        &self,
-        key: &str,
-    ) -> Result<Option<Vec<(usize, T)>>, ArgError> {
-        let Some(raw) = self.get(key) else {
-            return Ok(None);
-        };
-        raw.split(',')
-            .map(|part| {
-                let part = part.trim();
-                let (device, value) = part.split_once(':').ok_or_else(|| {
-                    ArgError(format!("--{key}: '{part}' is not a device:value pair"))
-                })?;
-                let device = device
-                    .trim()
-                    .parse()
-                    .map_err(|_| ArgError(format!("--{key}: bad device index '{device}'")))?;
-                let value = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| ArgError(format!("--{key}: bad value '{value}'")))?;
-                Ok((device, value))
-            })
-            .collect::<Result<Vec<(usize, T)>, _>>()
-            .map(Some)
+    /// Comma-separated list (`--fanouts 10,25`), empty when absent undefaulted.
+    pub(crate) fn list<T: FromStr>(&self, flag: &Flag) -> Result<Vec<T>, ArgError> {
+        let element = |part: &str| part.trim().parse().map_err(|_| ArgError(format!("--{}: bad element '{part}'", flag.key)));
+        self.raw(flag)?.map_or(Ok(Vec::new()), |raw| raw.split(',').map(element).collect())
+    }
+
+    /// A list of [`Pair`]s, as `(device, value)` tuples.
+    pub(crate) fn pairs<T: FromStr>(&self, flag: &Flag) -> Result<Vec<(usize, T)>, ArgError> {
+        Ok(self.list(flag)?.into_iter().map(|Pair(device, value)| (device, value)).collect())
+    }
+}
+
+/// A `device:value` element of a list flag (`1:3`, `0:2.5`).
+struct Pair<T>(usize, T);
+
+impl<T: FromStr> FromStr for Pair<T> {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<Self, ()> {
+        let (device, value) = s.split_once(':').ok_or(())?;
+        Ok(Pair(device.trim().parse().map_err(drop)?, value.trim().parse().map_err(drop)?))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flags::*;
 
     fn parse(parts: &[&str]) -> Result<Args, ArgError> {
         Args::parse(parts.iter().map(|s| s.to_string()))
@@ -193,82 +182,91 @@ mod tests {
 
     #[test]
     fn parses_values_and_flags() {
-        let a = parse(&["--scale", "0.1", "--verbose", "--k", "8"]).unwrap();
-        assert_eq!(a.get("scale"), Some("0.1"));
-        assert!(a.has_flag("verbose"));
-        assert_eq!(a.get_or("k", 1usize).unwrap(), 8);
-        assert_eq!(a.get_or("missing", 3usize).unwrap(), 3);
+        let a = parse(&["--scale", "0.1", "--resume", "--k", "8"]).unwrap();
+        assert_eq!(a.value::<f64>(&SCALE).unwrap(), 0.1);
+        assert!(a.switch(&RESUME));
+        assert!(!a.switch(&COMPARE));
+        assert_eq!(a.value::<usize>(&K).unwrap(), 8);
+        assert_eq!(a.value::<usize>(&RETRIES).unwrap(), 3, "the row's default");
+        assert_eq!(a.opt::<String>(&CHECKPOINT).unwrap(), None, "no default, not given");
     }
 
     #[test]
     fn rejects_positional_and_duplicates() {
         assert!(parse(&["oops"]).is_err());
         assert!(parse(&["--k", "1", "--k", "2"]).is_err());
+        assert!(parse(&["--resume", "--resume"]).is_err());
+        assert!(parse(&["--k", "1", "--k"]).is_err());
     }
 
     #[test]
     fn reject_unread_names_what_the_command_would_have_ignored() {
-        let accepts = Accepts {
-            values: &[&["epochs", "k"], &["fault-oom-steps"]],
-            switches: &[&["resume"]],
-        };
-        let check = |parts: &[&str]| parse(parts).unwrap().reject_unread(&accepts).map_err(|e| e.0);
-        assert_eq!(check(&["--epochs", "5", "--resume", "--fault-oom-steps", "0,3"]), Ok(()));
-        assert_eq!(check(&[]), Ok(()));
+        let check = |command, parts: &[&str]| parse(parts).unwrap().reject_unread(command).map_err(|e| e.0);
+        let train = |parts: &[&str]| check(Command::Train, parts);
+        assert_eq!(train(&["--epochs", "5", "--resume", "--checkpoint-dir", "d", "--fault-oom-steps", "0,3"]), Ok(()));
+        assert_eq!(train(&[]), Ok(()));
         // A misspelt key, with or without a value.
         let unknown = |key| Err(format!("unknown flag --{key} for this command"));
-        assert_eq!(check(&["--epcohs", "50"]), unknown("epcohs"));
-        assert_eq!(check(&["--fault-oom-step", "3"]), unknown("fault-oom-step"));
-        assert_eq!(check(&["--epochs", "5", "--verbose"]), unknown("verbose"));
-        // A value flag given bare: at the end, or swallowed by the next flag.
-        assert_eq!(check(&["--epochs", "5", "--k"]), Err("--k needs a value".into()));
-        assert_eq!(check(&["--k", "--epochs", "5"]), Err("--k needs a value".into()));
+        assert_eq!(train(&["--epcohs", "50"]), unknown("epcohs"));
+        assert_eq!(train(&["--fault-oom-step", "3"]), unknown("fault-oom-step"));
+        assert_eq!(train(&["--epochs", "5", "--verbose"]), unknown("verbose"));
+        // A flag of another command.
+        assert_eq!(check(Command::Info, &["--epochs", "5"]), unknown("epochs"));
+        assert_eq!(check(Command::Generate, &["--no-pool"]), unknown("no-pool"));
+        assert_eq!(check(Command::Partition, &["--fault-oom-steps", "0"]), unknown("fault-oom-steps"));
+        // A value flag given bare or empty: at the end, or swallowed by the next flag.
+        assert_eq!(train(&["--epochs", "5", "--k"]), Err("--k needs a value".into()));
+        assert_eq!(train(&["--k", "--epochs", "5"]), Err("--k needs a value".into()));
+        assert_eq!(train(&["--k", ""]), Err("--k needs a value".into()));
         // A switch handed a value.
-        assert_eq!(
-            check(&["--resume", "yes"]),
-            Err("--resume takes no value (got 'yes')".into())
-        );
+        assert_eq!(train(&["--resume", "yes"]), Err("--resume takes no value (got 'yes')".into()));
         // Several offenders: the alphabetically first is named.
-        assert_eq!(check(&["--zeta", "1", "--alpha"]), unknown("alpha"));
+        assert_eq!(train(&["--zeta", "1", "--alpha"]), unknown("alpha"));
+        // What a row needs beside it.
+        assert_eq!(train(&["--resume"]), Err("--resume requires --checkpoint-dir".into()));
+        let dense = train(&["--feature-dir", "d", "--feature-store", "dense"]);
+        assert_eq!(dense, Err("--feature-dir requires --feature-store paged".into()));
+        assert_eq!(train(&["--feature-dir", "d", "--feature-store", "paged"]), Ok(()));
+        let shaped = check(Command::Info, &["--data", "f", "--feature-dim", "0", "--scale", "0"]);
+        assert_eq!(shaped, Err("--scale shapes a --preset and cannot apply to --data f".into()));
     }
 
     #[test]
     fn lists_parse() {
         let a = parse(&["--fanouts", "10,25, 30"]).unwrap();
-        assert_eq!(a.get_usize_list("fanouts").unwrap(), Some(vec![10, 25, 30]));
-        assert_eq!(a.get_usize_list("absent").unwrap(), None);
+        assert_eq!(a.list::<usize>(&FANOUTS).unwrap(), vec![10, 25, 30]);
+        assert_eq!(a.list::<usize>(&FAULT_OOM_STEPS).unwrap(), Vec::<usize>::new());
+        assert_eq!(parse(&[]).unwrap().list::<usize>(&FANOUTS).unwrap(), vec![10, 25], "the row's default");
         let bad = parse(&["--fanouts", "10,x"]).unwrap();
-        assert!(bad.get_usize_list("fanouts").is_err());
+        assert!(bad.list::<usize>(&FANOUTS).is_err());
     }
 
     #[test]
     fn pair_lists_parse() {
         let a = parse(&["--fault-device-fail", "1:3, 2:0"]).unwrap();
-        assert_eq!(
-            a.get_pair_list::<usize>("fault-device-fail").unwrap(),
-            Some(vec![(1, 3), (2, 0)])
-        );
+        assert_eq!(a.pairs::<usize>(&FAULT_DEVICE_FAIL).unwrap(), vec![(1, 3), (2, 0)]);
         let s = parse(&["--fault-straggler", "0:2.5"]).unwrap();
-        assert_eq!(
-            s.get_pair_list::<f64>("fault-straggler").unwrap(),
-            Some(vec![(0, 2.5)])
-        );
-        assert_eq!(a.get_pair_list::<usize>("absent").unwrap(), None);
+        assert_eq!(s.pairs::<f64>(&FAULT_STRAGGLER).unwrap(), vec![(0, 2.5)]);
+        assert_eq!(a.pairs::<usize>(&FAULT_SHARD_CORRUPT).unwrap(), vec![]);
         let bad = parse(&["--fault-device-fail", "3"]).unwrap();
-        assert!(bad.get_pair_list::<usize>("fault-device-fail").is_err());
+        assert!(bad.pairs::<usize>(&FAULT_DEVICE_FAIL).is_err());
         let bad = parse(&["--fault-device-fail", "x:1"]).unwrap();
-        assert!(bad.get_pair_list::<usize>("fault-device-fail").is_err());
+        assert!(bad.pairs::<usize>(&FAULT_DEVICE_FAIL).is_err());
     }
 
     #[test]
     fn require_reports_missing() {
         let a = parse(&[]).unwrap();
-        assert!(a.require("data").unwrap_err().to_string().contains("--data"));
+        assert!(a.value::<String>(&DATA).unwrap_err().to_string().contains("--data"));
     }
 
     #[test]
     fn bad_typed_value_reports_key() {
-        let a = parse(&["--k", "NaNs"]).unwrap();
-        assert!(a.get_or("k", 0usize).is_err());
+        let a = parse(&["--k", "NaNs", "--epochs", "-1", "--scale", "2"]).unwrap();
+        assert_eq!(a.count_or_auto(&K).unwrap_err().0, "--k: cannot parse 'NaNs'");
+        assert_eq!(a.value::<usize>(&EPOCHS).unwrap_err().0, "--epochs: cannot parse '-1'");
+        assert_eq!(a.value::<f64>(&SCALE).unwrap_err().0, "--scale must be in (0, 1], got 2");
+        assert_eq!(parse(&["--k", "auto"]).unwrap().count_or_auto(&K).unwrap(), None);
+        assert_eq!(parse(&[]).unwrap().count_or_auto(&K).unwrap(), None, "auto is the default");
     }
 }

@@ -1,8 +1,9 @@
-//! Subcommand implementations.
+//! Subcommand implementations. [`prepare`] reads a command's options
+//! from its flags before any work and returns the work.
 
 use std::error::Error;
-
 use std::fmt;
+use std::path::PathBuf;
 
 use betty::{
     latest_valid_checkpoint, load_checkpoint_state, CheckpointPlan, DeviceGroup, ExperimentConfig,
@@ -13,316 +14,176 @@ use betty_device::FaultPlan;
 use betty_graph::degree;
 use betty_nn::AggregatorSpec;
 use betty_partition::input_redundancy;
-use betty_tensor::DType;
+use betty_tensor::{Backend, DType};
 
-use crate::args::{Accepts, ArgError, Args};
+use crate::args::{ArgError, Args};
+use crate::flags::*;
 
 /// What a subcommand returns.
 pub(crate) type CmdResult = Result<(), Box<dyn Error>>;
 
-/// Flags every command takes (USAGE "GLOBAL FLAGS"), then [`PAGED_STORE`].
-const GLOBAL: &[&str] = &["feature-store", "threads", "backend", "precision", "plan-ahead"];
-const GLOBAL_SWITCHES: &[&str] = &["no-pool"];
-/// The flags that mean something only under `--feature-store paged`.
-const PAGED_STORE: &[&str] = &[
-    "feature-cache-bytes",
-    "feature-page-rows",
-    "feature-dir",
-    "feature-parity",
-];
-/// What [`load`] reads to find or synthesize the dataset.
-const DATASET: &[&str] = &["data", "preset", "scale", "feature-dim", "seed"];
-/// What [`experiment_config`] reads besides the globals and [`FAULTS`].
-const MODEL: &[&str] = &[
-    "fanouts",
-    "hidden",
-    "aggregator",
-    "model",
-    "heads",
-    "dropout",
-    "lr",
-    "capacity-mib",
-    "retries",
-    "retry-growth",
-    "retry-headroom",
-    "anomaly-retries",
-    "io-retries",
-];
-/// The fault-injection flags [`fault_plan`] reads.
-const FAULTS: &[&str] = &[
-    "fault-seed",
-    "fault-alloc-rate",
-    "fault-oom-steps",
-    "fault-jitter",
-    "fault-stall-rate",
-    "fault-stall-sec",
-    "fault-nan-steps",
-    "fault-device-fail",
-    "fault-straggler",
-    "fault-link-rate",
-    "fault-link-stall-sec",
-    "fault-io-rate",
-    "fault-io-stall-rate",
-    "fault-io-stall-sec",
-    "fault-shard-corrupt",
-];
+/// A command's work, its options already read.
+pub(crate) type Work = Box<dyn FnOnce() -> CmdResult>;
 
-/// What `betty generate` reads.
-pub(crate) const GENERATE: Accepts = Accepts {
-    values: &[GLOBAL, PAGED_STORE, &["preset", "out", "scale", "feature-dim", "seed"]],
-    switches: &[GLOBAL_SWITCHES],
-};
-/// What `betty info` reads.
-pub(crate) const INFO: Accepts = Accepts {
-    values: &[GLOBAL, PAGED_STORE, DATASET],
-    switches: &[GLOBAL_SWITCHES],
-};
-/// What `betty partition` reads.
-pub(crate) const PARTITION: Accepts = Accepts {
-    values: &[GLOBAL, PAGED_STORE, DATASET, MODEL, FAULTS, &["k", "strategy"]],
-    switches: &[GLOBAL_SWITCHES, &["compare"]],
-};
-/// What `betty train` reads.
-pub(crate) const TRAIN: Accepts = Accepts {
-    values: &[
-        GLOBAL,
-        PAGED_STORE,
-        DATASET,
-        MODEL,
-        FAULTS,
-        &[
-            "k",
-            "strategy",
-            "epochs",
-            "devices",
-            "allreduce-timeout-ms",
-            "max-device-retries",
-            "straggler-threshold",
-            "checkpoint",
-            "checkpoint-dir",
-            "checkpoint-every",
-            "trace-out",
-        ],
-    ],
-    switches: &[GLOBAL_SWITCHES, &["resume", "trace-summary"]],
-};
-/// What `betty eval` reads.
-pub(crate) const EVAL: Accepts = Accepts {
-    values: &[GLOBAL, PAGED_STORE, DATASET, MODEL, FAULTS, &["checkpoint", "chunk"]],
-    switches: &[GLOBAL_SWITCHES],
-};
-
-/// Parses the `--precision` storage dtype (default f32).
-fn precision(args: &Args) -> Result<DType, ArgError> {
-    let raw = args.get("precision").unwrap_or("f32");
-    DType::parse(raw)
-        .ok_or_else(|| ArgError(format!("--precision: unknown dtype '{raw}' (try: f32, bf16, f16)")))
-}
-
-fn preset_by_name(name: &str) -> Result<DatasetSpec, ArgError> {
-    DatasetSpec::all()
-        .into_iter()
-        .find(|s| s.name == name)
-        .ok_or_else(|| ArgError(format!("unknown preset '{name}' (try: cora, pubmed, reddit, ogbn-arxiv, ogbn-products)")))
-}
-
-/// The spec `--preset`, `--scale` and `--feature-dim` name, with the
-/// values [`DatasetSpec::scaled`] and [`DatasetSpec::with_feature_dim`]
-/// would panic on turned into usage errors.
-fn preset_spec(args: &Args, preset: &str) -> Result<DatasetSpec, ArgError> {
-    let scale = args.get_or("scale", 0.01f64)?;
-    if !(scale > 0.0 && scale <= 1.0) {
-        return Err(ArgError(format!("--scale must be in (0, 1], got {scale}")));
-    }
-    let feature_dim = positive(args, "feature-dim", 32)?;
-    Ok(preset_by_name(preset)?.scaled(scale).with_feature_dim(feature_dim))
-}
-
-fn load(args: &Args) -> Result<Dataset, Box<dyn Error>> {
-    let ds = if let Some(path) = args.get("data") {
-        // A dataset file has its own size and width; these shape a preset.
-        if let Some(flag) = ["scale", "feature-dim"].into_iter().find(|f| args.get(f).is_some()) {
-            return Err(Box::new(ArgError(format!(
-                "--{flag} shapes a --preset and cannot apply to --data {path}"
-            ))));
+/// Reads `command`'s options, every flag of its column and no other, before
+/// any work (no file is touched), and returns the work they describe.
+pub(crate) fn prepare(command: Command, args: &Args) -> Result<Work, ArgError> {
+    Ok(match command {
+        Command::Generate => {
+            let spec = preset(args)?.ok_or_else(|| ArgError(format!("missing required flag --{}", PRESET.key)))?;
+            let (out, seed): (String, u64) = (args.value(&OUT)?, args.value(&SEED)?);
+            Box::new(move || generate(&spec.generate(seed), &out))
         }
-        load_dataset(path)?
-    } else if let Some(preset) = args.get("preset") {
-        // Allow generating on the fly: --preset without --data.
-        preset_spec(args, preset)?.generate(args.get_or("seed", 0u64)?)
-    } else {
-        return Err(ArgError("provide --data <file> or --preset <name>".into()).into());
-    };
-    apply_feature_store(ds, args)
-}
-
-/// Applies the `--feature-store` flag family to a freshly loaded dataset.
-///
-/// `--feature-store paged` spills the feature matrix into row-range
-/// shards on disk and serves every gather through a pinned hot-set cache
-/// bounded by `--feature-cache-bytes`; training losses are bit-identical
-/// to the dense in-memory default, only where the features live (and the
-/// paging counters in `--trace-out`) change.
-fn apply_feature_store(mut ds: Dataset, args: &Args) -> Result<Dataset, Box<dyn Error>> {
-    // Re-encode features at the requested storage width *before* any
-    // paged spill, so on-disk shards carry 16-bit payloads and the hot-set
-    // cache holds half the bytes (a paged store cannot be re-encoded).
-    let dtype = precision(args)?;
-    if dtype != DType::F32 {
-        ds.features = ds.features.with_dtype(dtype);
-    }
-    let backend = args.get("feature-store").unwrap_or("dense");
-    match backend {
-        "dense" => {
-            for flag in PAGED_STORE {
-                if args.get(flag).is_some() {
-                    return Err(ArgError(format!("--{flag} requires --feature-store paged")).into());
-                }
-            }
-            Ok(ds)
+        Command::Info => {
+            let source = Source::read(args)?;
+            Box::new(move || info(&source))
         }
-        "paged" => {
-            // An unbounded cache is still charged honestly: the
-            // reservation is min(budget, total feature bytes).
-            let cache = args.get_or("feature-cache-bytes", usize::MAX)?;
-            let page_rows = positive(args, "feature-page-rows", 1024)?;
-            let dir = match args.get("feature-dir") {
-                Some(d) => std::path::PathBuf::from(d),
-                None => std::env::temp_dir().join(format!(
-                    "betty-features-{}-{}",
-                    ds.name,
-                    std::process::id()
-                )),
+        Command::Partition => {
+            let source = Source::read(args)?;
+            let config = ExperimentConfig { dropout: args.value(&DROPOUT)?, ..model(args, source.precision)? };
+            config.validate().map_err(ArgError)?;
+            let k = args.count_or_auto(&K)?.unwrap_or(8);
+            let (strategy, compare) = (strategy(args)?, args.switch(&COMPARE));
+            let compute = Compute { threads: args.value(&THREADS)?, backend: None };
+            Box::new(move || partition(&source, &config, &compute, k, (!compare).then_some(strategy)))
+        }
+        Command::Train => train(args)?,
+        Command::Eval => {
+            let chunk = args.value(&CHUNK)?;
+            let source = Source::read(args)?;
+            let config = ExperimentConfig {
+                fault_plan: storage_faults(args)?,
+                retry: RetryPolicy { max_io_retries: args.value(&IO_RETRIES)?, ..RetryPolicy::default() },
+                ..model(args, source.precision)?
             };
-            // --feature-parity P interleaves one XOR parity shard per P
-            // data shards, so a single corrupt shard per group can be
-            // reconstructed bit-identically mid-run (0 = no parity; the
-            // store bytes are then identical to a parity-free spill).
-            let parity = args.get_or("feature-parity", 0usize)?;
-            ds.features = ds.features.to_paged_with_parity(&dir, page_rows, cache, parity)?;
-            Ok(ds)
+            config.validate().map_err(ArgError)?;
+            let (checkpoint, compute): (String, _) = (args.value(&CHECKPOINT)?, Compute::read(args)?);
+            Box::new(move || eval(&source, &config, &compute, &checkpoint, chunk))
         }
-        other => Err(ArgError(format!("unknown feature store '{other}' (try: dense, paged)")).into()),
+    })
+}
+
+/// The spec `--preset` names, shaped by `--scale` and `--feature-dim` (their
+/// rows keep out what `scaled` and `with_feature_dim` would panic on).
+fn preset(args: &Args) -> Result<Option<DatasetSpec>, ArgError> {
+    let (scale, feature_dim) = (args.value(&SCALE)?, args.value(&FEATURE_DIM)?);
+    let name: Option<String> = args.opt(&PRESET)?;
+    let spec = name.and_then(|name| DatasetSpec::all().into_iter().find(|s| s.name == name));
+    Ok(spec.map(|s| s.scaled(scale).with_feature_dim(feature_dim)))
+}
+
+/// Where a command's dataset comes from, and where its features live.
+struct Source {
+    data: Option<String>,
+    preset: Option<DatasetSpec>,
+    seed: u64,
+    precision: DType,
+    /// `--feature-store paged`'s shard rows, cache, parity and directory.
+    paged: Option<(usize, usize, usize, Option<PathBuf>)>,
+}
+
+impl Source {
+    fn read(args: &Args) -> Result<Self, ArgError> {
+        let (data, preset, seed) = (args.opt(&DATA)?, preset(args)?, args.value(&SEED)?);
+        let precision = args.pick(&PRECISION, &[DType::F32, DType::Bf16, DType::F16])?;
+        let paged = args.pick(&FEATURE_STORE, &[false, true])?;
+        // An unbounded cache is still charged honestly: the reservation is
+        // min(budget, total feature bytes).
+        let cache = args.opt(&FEATURE_CACHE_BYTES)?.unwrap_or(usize::MAX);
+        let store = (args.value(&FEATURE_PAGE_ROWS)?, cache, args.value(&FEATURE_PARITY)?, args.opt(&FEATURE_DIR)?);
+        Ok(Source { data, preset, seed, precision, paged: paged.then_some(store) })
+    }
+
+    /// Loads `--data` or synthesizes `--preset`, and stores its features as
+    /// asked; the guard removes a spill directory `--feature-dir` did not name.
+    fn load(&self) -> Result<(Dataset, Option<SpillDir>), Box<dyn Error>> {
+        let mut ds = match (&self.data, &self.preset) {
+            (Some(path), None) => load_dataset(path)?,
+            (None, Some(spec)) => spec.generate(self.seed),
+            (Some(_), Some(_)) => return Err(ArgError("give --data <file> or --preset <name>, not both".into()).into()),
+            (None, None) => return Err(ArgError("provide --data <file> or --preset <name>".into()).into()),
+        };
+        // Re-encode at the storage width *before* any spill, so shards
+        // carry 16-bit payloads and the cache holds half the bytes (a paged
+        // store cannot be re-encoded).
+        if self.precision != DType::F32 {
+            ds.features = ds.features.with_dtype(self.precision);
+        }
+        let Some((page_rows, cache, parity, dir)) = &self.paged else {
+            return Ok((ds, None));
+        };
+        let spill = dir.is_none().then(|| {
+            let name = format!("betty-features-{}-{}", ds.name, std::process::id());
+            SpillDir(std::env::temp_dir().join(name))
+        });
+        let dir = dir.as_ref().or(spill.as_ref().map(|s| &s.0)).expect("a directory either way");
+        ds.features = ds.features.to_paged_with_parity(dir, *page_rows, *cache, *parity)?;
+        Ok((ds, spill))
     }
 }
 
-/// `--{key}` as a count that must be positive (`default` when absent).
-fn positive(args: &Args, key: &str, default: usize) -> Result<usize, ArgError> {
-    match args.get_or(key, default)? {
-        0 => Err(ArgError(format!("--{key} must be positive, got 0"))),
-        n => Ok(n),
+/// The per-process directory a paged store spills to when `--feature-dir`
+/// names none, removed when the command ends, on success or error.
+struct SpillDir(PathBuf);
+
+impl Drop for SpillDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// `--threads` and `--backend`, pinned before the command's work.
+struct Compute {
+    /// 0 keeps the `BETTY_THREADS` / core-count resolution.
+    threads: usize,
+    /// `None` keeps the `BETTY_BACKEND` / simd resolution.
+    backend: Option<Backend>,
+}
+
+impl Compute {
+    fn read(args: &Args) -> Result<Self, ArgError> {
+        let backend = args.opt::<String>(&BACKEND)?;
+        Ok(Compute { threads: args.value(&THREADS)?, backend: backend.as_deref().and_then(Backend::parse) })
+    }
+
+    fn pin(&self) {
+        if self.threads > 0 {
+            betty_runtime::set_thread_override(Some(self.threads));
+        }
+        if self.backend.is_some() {
+            betty_tensor::set_backend_override(self.backend);
+        }
     }
 }
 
 fn strategy(args: &Args) -> Result<StrategyKind, ArgError> {
-    match args.get("strategy").unwrap_or("betty") {
-        "betty" => Ok(StrategyKind::Betty),
-        "range" => Ok(StrategyKind::Range),
-        "random" => Ok(StrategyKind::Random),
-        "metis" => Ok(StrategyKind::Metis),
-        other => Err(ArgError(format!("unknown strategy '{other}'"))),
-    }
+    use StrategyKind::{Betty, Metis, Random, Range};
+    args.pick(&STRATEGY, &[Betty, Range, Random, Metis])
 }
 
-fn experiment_config(args: &Args) -> Result<ExperimentConfig, Box<dyn Error>> {
-    let aggregator = match args.get("aggregator").unwrap_or("mean") {
-        "mean" => AggregatorSpec::Mean,
-        "sum" => AggregatorSpec::Sum,
-        "pool" => AggregatorSpec::Pool,
-        "lstm" => AggregatorSpec::Lstm,
-        other => return Err(Box::new(ArgError(format!("unknown aggregator '{other}'")))),
-    };
-    let model = match args.get("model").unwrap_or("sage") {
-        "sage" => ModelKind::GraphSage,
-        "gat" => ModelKind::Gat,
-        "gcn" => ModelKind::Gcn,
-        "gin" => ModelKind::Gin,
-        other => return Err(Box::new(ArgError(format!("unknown model '{other}'")))),
-    };
-    let capacity_mib: usize = args.get_or("capacity-mib", 24 * 1024)?;
-    let capacity_bytes = capacity_mib.checked_mul(1 << 20).ok_or_else(|| {
-        ArgError(format!("--capacity-mib {capacity_mib}: more bytes than this machine can address"))
-    })?;
-    let config = ExperimentConfig {
-        fanouts: args.get_usize_list("fanouts")?.unwrap_or(vec![10, 25]),
-        hidden_dim: args.get_or("hidden", 64usize)?,
-        aggregator,
-        model,
-        num_heads: args.get_or("heads", 4usize)?,
-        dropout: args.get_or("dropout", 0.1f32)?,
-        learning_rate: args.get_or("lr", 3e-3f32)?,
-        capacity_bytes,
-        fault_plan: fault_plan(args)?,
-        retry: RetryPolicy {
-            max_retries: args.get_or("retries", RetryPolicy::default().max_retries)?,
-            growth: args.get_or("retry-growth", RetryPolicy::default().growth)?,
-            headroom: args.get_or("retry-headroom", RetryPolicy::default().headroom)?,
-            max_anomaly_retries: args
-                .get_or("anomaly-retries", RetryPolicy::default().max_anomaly_retries)?,
-            max_io_retries: args.get_or("io-retries", RetryPolicy::default().max_io_retries)?,
-        },
-        pool: !args.has_flag("no-pool"),
-        plan_ahead: args.get_or("plan-ahead", 0usize)?,
-        precision: precision(args)?,
+/// The model shape `partition`, `train` and `eval` build, at `precision`.
+fn model(args: &Args, precision: DType) -> Result<ExperimentConfig, ArgError> {
+    use AggregatorSpec::{Lstm, Mean, Pool, Sum};
+    Ok(ExperimentConfig {
+        fanouts: args.list(&FANOUTS)?,
+        hidden_dim: args.value(&HIDDEN)?,
+        aggregator: args.pick(&AGGREGATOR, &[Mean, Sum, Pool, Lstm])?,
+        model: args.pick(&MODEL, &[ModelKind::GraphSage, ModelKind::Gat, ModelKind::Gcn, ModelKind::Gin])?,
+        num_heads: args.value(&HEADS)?,
+        precision,
         ..ExperimentConfig::default()
-    };
-    config.validate().map_err(ArgError)?;
-    Ok(config)
-}
-
-/// Builds the fault-injection plan from `--fault-*` flags: the empty plan
-/// when none was given.
-fn fault_plan(args: &Args) -> Result<FaultPlan, Box<dyn Error>> {
-    let defaults = FaultPlan::default();
-    Ok(FaultPlan {
-        seed: args.get_or("fault-seed", defaults.seed)?,
-        alloc_failure_rate: args.get_or("fault-alloc-rate", defaults.alloc_failure_rate)?,
-        oom_steps: args.get_usize_list("fault-oom-steps")?.unwrap_or_default(),
-        capacity_jitter: args.get_or("fault-jitter", defaults.capacity_jitter)?,
-        transfer_stall_rate: args.get_or("fault-stall-rate", defaults.transfer_stall_rate)?,
-        transfer_stall_sec: args.get_or("fault-stall-sec", defaults.transfer_stall_sec)?,
-        nan_loss_steps: args.get_usize_list("fault-nan-steps")?.unwrap_or_default(),
-        device_fail_steps: args
-            .get_pair_list::<usize>("fault-device-fail")?
-            .unwrap_or_default(),
-        straggler_factors: args
-            .get_pair_list::<f64>("fault-straggler")?
-            .unwrap_or_default(),
-        link_stall_rate: args.get_or("fault-link-rate", defaults.link_stall_rate)?,
-        link_stall_sec: args.get_or("fault-link-stall-sec", defaults.link_stall_sec)?,
-        io_failure_rate: args.get_or("fault-io-rate", defaults.io_failure_rate)?,
-        io_stall_rate: args.get_or("fault-io-stall-rate", defaults.io_stall_rate)?,
-        io_stall_sec: args.get_or("fault-io-stall-sec", defaults.io_stall_sec)?,
-        shard_corrupt: args
-            .get_pair_list::<usize>("fault-shard-corrupt")?
-            .unwrap_or_default(),
     })
 }
 
-/// Builds the elastic device group from `--devices` and its tuning
-/// flags, validating any device-level fault specs against the group
-/// size so a malformed spec is a usage error, not a panic mid-run.
-fn device_group(args: &Args, devices: usize, config: &ExperimentConfig) -> Result<DeviceGroup, Box<dyn Error>> {
-    // NaN or a negative value would silently turn timeouts and straggler
-    // detection off; 0 is a legal (always-firing) setting.
-    let non_negative = |key: &str, default: f64| -> Result<f64, ArgError> {
-        let value = args.get_or(key, default)?;
-        if value.is_finite() && value >= 0.0 {
-            Ok(value)
-        } else {
-            Err(ArgError(format!("--{key} must be finite and non-negative, got {value}")))
-        }
-    };
-    let mut group = DeviceGroup::new(devices);
-    group.allreduce_timeout_sec =
-        non_negative("allreduce-timeout-ms", group.allreduce_timeout_sec * 1e3)? / 1e3;
-    group.max_device_retries = args.get_or("max-device-retries", group.max_device_retries)?;
-    group.straggler_threshold = non_negative("straggler-threshold", group.straggler_threshold)?;
-    config
-        .fault_plan
-        .validate_for_devices(devices)
-        .map_err(ArgError)?;
-    Ok(group)
+/// The storage faults: they fire in `train`'s and a paged `eval`'s reads.
+fn storage_faults(args: &Args) -> Result<FaultPlan, ArgError> {
+    Ok(FaultPlan {
+        seed: args.value(&FAULT_SEED)?,
+        io_failure_rate: args.value(&FAULT_IO_RATE)?,
+        io_stall_rate: args.value(&FAULT_IO_STALL_RATE)?,
+        io_stall_sec: args.value(&FAULT_IO_STALL_SEC)?,
+        ..FaultPlan::default()
+    })
 }
 
 fn mib(bytes: usize) -> f64 {
@@ -330,11 +191,8 @@ fn mib(bytes: usize) -> f64 {
 }
 
 /// `betty generate`.
-pub(crate) fn generate(args: &Args) -> CmdResult {
-    let spec = preset_spec(args, args.require("preset")?)?;
-    let out = args.require("out")?.to_string();
-    let ds = spec.generate(args.get_or("seed", 0u64)?);
-    save_dataset(&ds, &out)?;
+fn generate(ds: &Dataset, out: &str) -> CmdResult {
+    save_dataset(ds, out)?;
     say!(
         "wrote {} ({} nodes, {} edges, {} classes) to {out}",
         ds.name,
@@ -346,8 +204,8 @@ pub(crate) fn generate(args: &Args) -> CmdResult {
 }
 
 /// `betty info`.
-pub(crate) fn info(args: &Args) -> CmdResult {
-    let ds = load(args)?;
+fn info(source: &Source) -> CmdResult {
+    let (ds, _spill) = source.load()?;
     let in_degs = ds.graph.in_degrees();
     let stats = degree::stats(&in_degs);
     say!("dataset    {}", ds.name)?;
@@ -381,17 +239,16 @@ pub(crate) fn info(args: &Args) -> CmdResult {
     Ok(())
 }
 
-/// `betty partition`.
-pub(crate) fn partition(args: &Args) -> CmdResult {
-    let k = positive(args, "k", 8)?;
-    let ds = load(args)?;
-    let config = experiment_config(args)?;
-    let mut runner = Runner::new(&ds, &config, args.get_or("seed", 0u64)?);
+/// `betty partition`: one strategy's split, or all four (`None`, `--compare`).
+fn partition(source: &Source, config: &ExperimentConfig, compute: &Compute, k: usize, strategy: Option<StrategyKind>) -> CmdResult {
+    compute.pin();
+    let (ds, _spill) = source.load()?;
+    let mut runner = Runner::new(&ds, config, source.seed);
     let batch = runner.sample_full_batch(&ds);
-    if args.has_flag("compare") {
+    let Some(kind) = strategy else {
         say!(
-            "{:<8} {:>12} {:>12} {:>14} {:>14}",
-            "strategy", "inputs", "redundancy", "est peak MiB", "partition ms"
+            "strategy {:>12} {:>12} {:>14} {:>14}",
+            "inputs", "redundancy", "est peak MiB", "partition ms"
         )?;
         for kind in StrategyKind::ALL {
             let plan = runner.plan_fixed(&batch, kind, k);
@@ -406,8 +263,7 @@ pub(crate) fn partition(args: &Args) -> CmdResult {
             )?;
         }
         return Ok(());
-    }
-    let kind = strategy(args)?;
+    };
     let plan = runner.plan_fixed(&batch, kind, k);
     let report = input_redundancy(&plan.micro_batches);
     say!(
@@ -436,186 +292,202 @@ pub(crate) fn partition(args: &Args) -> CmdResult {
     Ok(())
 }
 
-/// `betty train`.
-pub(crate) fn train(args: &Args) -> CmdResult {
-    let ds = load(args)?;
-    let config = experiment_config(args)?;
-    let plan = &config.fault_plan;
-    if plan.has_storage_faults() && !ds.features.is_paged() {
-        return Err(Box::new(ArgError(
-            "--fault-io-rate / --fault-io-stall-rate / --fault-shard-corrupt \
-             target the paged feature store; add --feature-store paged"
-                .into(),
-        )));
-    }
-    let shards = ds.features.num_shards();
-    if let Some(&(shard, epoch)) = plan.shard_corrupt.iter().find(|&&(s, _)| s >= shards) {
-        return Err(Box::new(ArgError(format!(
-            "--fault-shard-corrupt entry (shard {shard}, epoch {epoch}): \
-             shard index out of range for {shards} shards"
-        ))));
-    }
-    let kind = strategy(args)?;
-    let epochs = args.get_or("epochs", 20usize)?;
-    let devices = positive(args, "devices", 1)?;
-    let seed = args.get_or("seed", 0u64)?;
-    // The K every epoch starts from; recovery escalates it on a failure.
-    let k0: usize = match args.get("k").unwrap_or("auto") {
-        "auto" => 1,
-        given => match given.parse() {
-            Ok(k) if k > 0 => k,
-            _ => return Err(Box::new(ArgError(format!("--k: expected 'auto' or a positive number, got '{given}'")))),
+/// `betty train`: its options, then the work.
+fn train(args: &Args) -> Result<Work, ArgError> {
+    let source = Source::read(args)?;
+    let capacity_mib: usize = args.value(&CAPACITY_MIB)?;
+    let capacity_bytes = capacity_mib.checked_mul(1 << 20).ok_or_else(|| {
+        ArgError(format!("--capacity-mib {capacity_mib}: more bytes than this machine can address"))
+    })?;
+    let config = ExperimentConfig {
+        dropout: args.value(&DROPOUT)?,
+        learning_rate: args.value(&LR)?,
+        capacity_bytes,
+        fault_plan: FaultPlan {
+            alloc_failure_rate: args.value(&FAULT_ALLOC_RATE)?,
+            oom_steps: args.list(&FAULT_OOM_STEPS)?,
+            capacity_jitter: args.value(&FAULT_JITTER)?,
+            transfer_stall_rate: args.value(&FAULT_STALL_RATE)?,
+            transfer_stall_sec: args.value(&FAULT_STALL_SEC)?,
+            nan_loss_steps: args.list(&FAULT_NAN_STEPS)?,
+            device_fail_steps: args.pairs(&FAULT_DEVICE_FAIL)?,
+            straggler_factors: args.pairs(&FAULT_STRAGGLER)?,
+            link_stall_rate: args.value(&FAULT_LINK_RATE)?,
+            link_stall_sec: args.value(&FAULT_LINK_STALL_SEC)?,
+            shard_corrupt: args.pairs(&FAULT_SHARD_CORRUPT)?,
+            ..storage_faults(args)?
         },
+        retry: RetryPolicy {
+            max_retries: args.value(&RETRIES)?,
+            growth: args.value(&RETRY_GROWTH)?,
+            headroom: args.value(&RETRY_HEADROOM)?,
+            max_anomaly_retries: args.value(&ANOMALY_RETRIES)?,
+            max_io_retries: args.value(&IO_RETRIES)?,
+        },
+        pool: !args.switch(&NO_POOL),
+        plan_ahead: args.value(&PLAN_AHEAD)?,
+        ..model(args, source.precision)?
     };
-    let group = device_group(args, devices, &config)?;
-    let trace_out = args.get("trace-out").map(str::to_string);
-    let trace_summary = args.has_flag("trace-summary");
-    let ckpt_plan = match args.get("checkpoint-dir") {
-        Some(dir) => {
-            let plan = CheckpointPlan::new(dir, args.get_or("checkpoint-every", 1usize)?);
-            plan.validate().map_err(ArgError)?;
-            Some(plan)
-        }
-        None if args.get("checkpoint-every").is_some() => {
-            return Err(Box::new(ArgError(
-                "--checkpoint-every requires --checkpoint-dir".into(),
-            )));
-        }
-        None if args.has_flag("resume") => {
-            return Err(Box::new(ArgError("--resume requires --checkpoint-dir".into())));
-        }
-        None => None,
-    };
-    let mut runner = Runner::new(&ds, &config, seed);
-    if trace_out.is_some() || trace_summary {
-        runner.enable_tracing();
-    }
-    // Resume replaces every piece of the freshly built session — params,
-    // Adam moments, both RNG streams, counters, even the base seed — so
-    // the continued run is bit-identical to one that was never killed.
-    // A checkpoint-slot fallback (newest slot fails CRC, an older one
-    // loads) lands in the runner's recovery log.
-    let mut start_epoch = 0usize;
-    if args.has_flag("resume") {
-        let plan = ckpt_plan.as_ref().expect("checked above");
-        let Some(found) = latest_valid_checkpoint(&plan.dir)? else {
+    config.validate().map_err(ArgError)?;
+    // The elastic group, with device-level fault specs checked against
+    // its size so a malformed one is a usage error, not a panic mid-run.
+    let devices = args.value(&DEVICES)?;
+    let mut group = DeviceGroup::new(devices);
+    group.allreduce_timeout_sec = args.value::<f64>(&ALLREDUCE_TIMEOUT_MS)? / 1e3;
+    group.max_device_retries = args.value(&MAX_DEVICE_RETRIES)?;
+    group.straggler_threshold = args.value(&STRAGGLER_THRESHOLD)?;
+    config.fault_plan.validate_for_devices(devices).map_err(ArgError)?;
+    let every = args.value(&CHECKPOINT_EVERY)?;
+    let checkpoints = args.opt::<String>(&CHECKPOINT_DIR)?.map(|dir| CheckpointPlan::new(dir, every));
+    checkpoints.as_ref().map_or(Ok(()), CheckpointPlan::validate).map_err(ArgError)?;
+    let (model, kind, epochs): (String, _, usize) = (args.value(&MODEL)?, strategy(args)?, args.value(&EPOCHS)?);
+    // The K every epoch starts from; recovery escalates it on a failure.
+    let k0 = args.count_or_auto(&K)?.unwrap_or(1);
+    let (checkpoint, resume): (Option<String>, _) = (args.opt(&CHECKPOINT)?, args.switch(&RESUME));
+    let (trace_out, trace_summary): (Option<String>, _) = (args.opt(&TRACE_OUT)?, args.switch(&TRACE_SUMMARY));
+    let compute = Compute::read(args)?;
+    Ok(Box::new(move || {
+        compute.pin();
+        let (ds, _spill) = source.load()?;
+        let shards = ds.features.num_shards();
+        if let Some(&(shard, epoch)) = config.fault_plan.shard_corrupt.iter().find(|&&(s, _)| s >= shards) {
             return Err(Box::new(ArgError(format!(
-                "--resume: no checkpoint found in {}",
-                plan.dir.display()
+                "--{} entry (shard {shard}, epoch {epoch}): \
+                 shard index out of range for {shards} shards",
+                FAULT_SHARD_CORRUPT.key
             ))));
-        };
-        for skipped in &found.skipped {
-            say!(
-                "skipping corrupt checkpoint {} (failed CRC/format validation)",
-                skipped.display()
-            )?;
         }
-        runner.resume(&found)?;
-        let path = found.path;
-        start_epoch = runner.epochs_run();
-        if start_epoch >= epochs {
-            say!(
-                "resumed from {} — all {epochs} epochs already trained",
-                path.display()
-            )?;
-        } else {
-            say!(
-                "resumed from {} ({start_epoch} epochs done, continuing at epoch {start_epoch})",
-                path.display()
-            )?;
+        let mut runner = Runner::new(&ds, &config, source.seed);
+        if trace_out.is_some() || trace_summary {
+            runner.enable_tracing();
         }
-    }
-    say!(
-        "training {} on {} ({} train nodes), strategy {kind}, capacity {:.0} MiB",
-        args.get("model").unwrap_or("sage"),
-        ds.name,
-        ds.train_idx.len(),
-        mib(config.capacity_bytes)
-    )?;
-    if ds.features.is_paged() {
-        say!(
-            "feature store: paged ({:.1} MiB of features on disk, {:.1} MiB pinned cache)",
-            mib(ds.features.size_bytes()),
-            mib(ds.features.cache_reservation_bytes())
-        )?;
-    }
-    if !config.fault_plan.is_noop() {
-        say!(
-            "fault injection armed (seed {}), recovery budget {} retries",
-            config.fault_plan.seed, config.retry.max_retries
-        )?;
-    }
-    say!(
-        "{:>6} {:>10} {:>5} {:>12} {:>10}",
-        "epoch", "loss", "K", "peak MiB", "val acc"
-    )?;
-    let run = |runner: &mut Runner| -> CmdResult {
-        for epoch in start_epoch..epochs {
-            let multi = runner.train_epoch_elastic(&ds, kind, k0, &group)?;
-            if multi.live_ranks < devices {
+        // Resume replaces every piece of the freshly built session — params,
+        // Adam moments, both RNG streams, counters, even the base seed — so
+        // the continued run is bit-identical to one that was never killed.
+        // A checkpoint-slot fallback (newest slot fails CRC, an older one
+        // loads) lands in the runner's recovery log.
+        let mut start_epoch = 0usize;
+        if resume {
+            let plan = checkpoints.as_ref().expect("--resume needs --checkpoint-dir");
+            let Some(found) = latest_valid_checkpoint(&plan.dir)? else {
+                return Err(Box::new(ArgError(format!(
+                    "--resume: no checkpoint found in {}",
+                    plan.dir.display()
+                ))));
+            };
+            for skipped in &found.skipped {
                 say!(
-                    "epoch {epoch}: {} of {devices} ranks survived \
-                     (+{:.3}s failover overhead)",
-                    multi.live_ranks,
-                    multi.failover_overhead_sec()
+                    "skipping corrupt checkpoint {} (failed CRC/format validation)",
+                    skipped.display()
                 )?;
             }
-            let (stats, k) = (multi.combined, multi.assignment.len());
-            let report = epoch == epochs - 1 || epoch % 5 == 0;
-            if report {
-                let val = runner.evaluate(&ds, &ds.val_idx);
+            runner.resume(&found)?;
+            let path = found.path;
+            start_epoch = runner.epochs_run();
+            if start_epoch >= epochs {
                 say!(
-                    "{epoch:>6} {:>10.4} {k:>5} {:>12.1} {:>9.1}%",
-                    stats.loss,
-                    mib(stats.max_peak_bytes),
-                    val * 100.0
+                    "resumed from {} — all {epochs} epochs already trained",
+                    path.display()
+                )?;
+            } else {
+                say!(
+                    "resumed from {} ({start_epoch} epochs done, continuing at epoch {start_epoch})",
+                    path.display()
                 )?;
             }
-            // Saved after the (optional) evaluation so the sampler RNG
-            // in the checkpoint already reflects what evaluation drew;
-            // resuming then replays the uninterrupted stream exactly.
-            if let Some(plan) = &ckpt_plan {
-                if plan.due_after(epoch, epochs) {
-                    plan.save(&runner.export_session(), epoch)?;
+        }
+        say!(
+            "training {} on {} ({} train nodes), strategy {kind}, capacity {:.0} MiB",
+            model,
+            ds.name,
+            ds.train_idx.len(),
+            mib(config.capacity_bytes)
+        )?;
+        if ds.features.is_paged() {
+            say!(
+                "feature store: paged ({:.1} MiB of features on disk, {:.1} MiB pinned cache)",
+                mib(ds.features.size_bytes()),
+                mib(ds.features.cache_reservation_bytes())
+            )?;
+        }
+        if !config.fault_plan.is_noop() {
+            say!(
+                "fault injection armed (seed {}), recovery budget {} retries",
+                config.fault_plan.seed, config.retry.max_retries
+            )?;
+        }
+        say!(
+            "{:>6} {:>10} {:>5} {:>12} {:>10}",
+            "epoch", "loss", "K", "peak MiB", "val acc"
+        )?;
+        let run = |runner: &mut Runner| -> CmdResult {
+            for epoch in start_epoch..epochs {
+                let multi = runner.train_epoch_elastic(&ds, kind, k0, &group)?;
+                if multi.live_ranks < devices {
+                    say!(
+                        "epoch {epoch}: {} of {devices} ranks survived \
+                         (+{:.3}s failover overhead)",
+                        multi.live_ranks,
+                        multi.failover_overhead_sec()
+                    )?;
+                }
+                let (stats, k) = (multi.combined, multi.assignment.len());
+                let report = epoch == epochs - 1 || epoch % 5 == 0;
+                if report {
+                    let val = runner.evaluate(&ds, &ds.val_idx);
+                    say!(
+                        "{epoch:>6} {:>10.4} {k:>5} {:>12.1} {:>9.1}%",
+                        stats.loss,
+                        mib(stats.max_peak_bytes),
+                        val * 100.0
+                    )?;
+                }
+                // Saved after the (optional) evaluation so the sampler RNG
+                // in the checkpoint already reflects what evaluation drew;
+                // resuming then replays the uninterrupted stream exactly.
+                if let Some(plan) = &checkpoints {
+                    if plan.due_after(epoch, epochs) {
+                        plan.save(&runner.export_session(), epoch)?;
+                    }
                 }
             }
-        }
-        Ok(())
-    };
-    let result = run(&mut runner);
-    // The trace is written even when training failed: a trace of the run
-    // that OOMed is exactly what the flags exist to capture.
-    // A trace that cannot be written names its path; when the run failed
-    // too, the run's error and exit code win and this goes to stderr.
-    if let Some(trace) = runner.take_trace() {
-        if let Some(path) = &trace_out {
-            match trace.write_jsonl(path) {
-                Ok(()) => say!("trace written to {path} ({} events)", trace.len())?,
-                Err(e) if result.is_err() => eprintln!("cannot write trace to {path}: {e}"),
-                Err(e) => return Err(format!("cannot write trace to {path}: {e}").into()),
+            Ok(())
+        };
+        let result = run(&mut runner);
+        // The trace is written even when training failed: a trace of the run
+        // that OOMed is exactly what the flags exist to capture.
+        // A trace that cannot be written names its path; when the run failed
+        // too, the run's error and exit code win and this goes to stderr.
+        if let Some(trace) = runner.take_trace() {
+            if let Some(path) = &trace_out {
+                match trace.write_jsonl(path) {
+                    Ok(()) => say!("trace written to {path} ({} events)", trace.len())?,
+                    Err(e) if result.is_err() => eprintln!("cannot write trace to {path}: {e}"),
+                    Err(e) => return Err(format!("cannot write trace to {path}: {e}").into()),
+                }
+            }
+            if trace_summary {
+                say!("{}", trace.summary())?;
             }
         }
-        if trace_summary {
-            say!("{}", trace.summary())?;
+        let recovery = runner.recovery_log();
+        if let Err(e) = result {
+            if !recovery.is_empty() {
+                eprintln!("{}", recovery.summary());
+            }
+            return Err(e);
         }
-    }
-    let recovery = runner.recovery_log();
-    if let Err(e) = result {
         if !recovery.is_empty() {
-            eprintln!("{}", recovery.summary());
+            say!("{}", recovery.summary())?;
         }
-        return Err(e);
-    }
-    if !recovery.is_empty() {
-        say!("{}", recovery.summary())?;
-    }
-    let test = runner.evaluate(&ds, &ds.test_idx);
-    say!("test accuracy: {:.2}%", test * 100.0)?;
-    if let Some(path) = args.get("checkpoint") {
-        betty_nn::save_checkpoint(runner.trainer().model(), path)?;
-        say!("checkpoint written to {path}")?;
-    }
-    Ok(())
+        let test = runner.evaluate(&ds, &ds.test_idx);
+        say!("test accuracy: {:.2}%", test * 100.0)?;
+        if let Some(path) = &checkpoint {
+            betty_nn::save_checkpoint(runner.trainer().model(), path)?;
+            say!("checkpoint written to {path}")?;
+        }
+        Ok(())
+    }))
 }
 
 /// Damage survived a [`scrub`] pass: `main` maps this marker error onto
@@ -728,23 +600,180 @@ pub(crate) fn scrub(dir: &str) -> CmdResult {
 }
 
 /// `betty eval`.
-pub(crate) fn eval(args: &Args) -> CmdResult {
-    let chunk = positive(args, "chunk", 1024)?;
-    let ds = load(args)?;
-    let config = experiment_config(args)?;
-    let ckpt = args.require("checkpoint")?.to_string();
-    let mut runner = Runner::new(&ds, &config, args.get_or("seed", 0u64)?);
-    betty_nn::load_checkpoint(runner.trainer_mut().model_mut(), &ckpt)?;
-    let acc = betty::accuracy_full_graph(
-        runner.trainer().model(),
-        &ds,
-        &ds.test_idx,
-        chunk,
-    );
+fn eval(source: &Source, config: &ExperimentConfig, compute: &Compute, checkpoint: &str, chunk: usize) -> CmdResult {
+    compute.pin();
+    let (ds, _spill) = source.load()?;
+    let mut runner = Runner::new(&ds, config, source.seed);
+    betty_nn::load_checkpoint(runner.trainer_mut().model_mut(), checkpoint)?;
+    let acc = betty::accuracy_full_graph(runner.trainer().model(), &ds, &ds.test_idx, chunk);
     say!(
         "exact full-graph test accuracy: {:.2}% ({} nodes)",
         acc * 100.0,
         ds.test_idx.len()
     )?;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use super::*;
+
+    fn args(argv: &[&str]) -> Args {
+        Args::parse(argv.iter().map(|s| s.to_string())).unwrap()
+    }
+
+    /// A value every row accepts: its default, its first choice, or one of
+    /// the shape its placeholder shows.
+    fn sample(flag: &Flag) -> &'static str {
+        match (flag.default, flag.check, flag.key) {
+            (Some(default), ..) => default,
+            (None, Check::OneOf(words), _) => words[0],
+            (None, _, "feature-cache-bytes") => "4096",
+            (None, _, "fault-oom-steps" | "fault-nan-steps") => "1",
+            (None, _, "fault-device-fail" | "fault-shard-corrupt") => "0:1",
+            (None, _, "fault-straggler") => "0:2.5",
+            (None, ..) => "some-path",
+        }
+    }
+
+    /// Each column lists exactly what its command reads: built from an argv
+    /// that sets every flag of the column, the options look up each of those
+    /// keys and no other, and succeed before any work.
+    #[test]
+    fn each_column_is_what_its_command_reads() {
+        for command in Command::ALL {
+            let column: BTreeSet<&str> = rows().filter(|f| f.reads(command)).map(|f| f.key).collect();
+            let mut argv = Vec::new();
+            for flag in rows().filter(|f| f.reads(command)) {
+                argv.push(format!("--{}", flag.key));
+                if !matches!(flag.check, Check::Switch) {
+                    argv.push(sample(flag).to_string());
+                }
+            }
+            let parsed = Args::parse(argv.clone()).unwrap();
+            assert!(prepare(command, &parsed).is_ok(), "{command:?} {argv:?}");
+            assert_eq!(*parsed.read.borrow(), column, "{command:?} reads other keys than its column");
+            // No flag given: the defaults are read, and only the column.
+            let bare = args(&[]);
+            let _ = prepare(command, &bare);
+            assert!(bare.read.borrow().is_subset(&column), "{command:?}");
+        }
+    }
+
+    /// Argv built from the table's own keys, with values that are zero,
+    /// negative, NaN, infinite, empty, repeated or unknown, through the
+    /// checks and the option building the commands use: each is a usage
+    /// error or options, never a panic.
+    #[test]
+    fn hostile_values_are_usage_errors_or_options_never_panics() {
+        let (mut cases, mut accepted) = (0, 0);
+        for command in Command::ALL {
+            for flag in rows().filter(|f| f.reads(command)) {
+                // A tiny preset, and what the command needs to get past its
+                // required flags; the flag under test is given only once.
+                let base = [("preset", "cora"), ("scale", "0.02"), ("epochs", "1"), ("out", "o"), ("checkpoint", "c")];
+                let mut needs: Vec<String> = match flag.needs {
+                    Needs::Value(other, value) => vec![format!("--{}", other.key), value.to_string()],
+                    Needs::Flag(other) => vec![format!("--{}", other.key), "d".into()],
+                    Needs::Nothing | Needs::Preset => Vec::new(),
+                };
+                for (key, value) in base {
+                    if key != flag.key && rows().any(|f| f.key == key && f.reads(command)) {
+                        needs.extend([format!("--{key}"), value.to_string()]);
+                    }
+                }
+                let key = format!("--{}", flag.key);
+                let mut argvs: Vec<Vec<String>> = ["0", "-1", "NaN", "inf", ""]
+                    .iter()
+                    .map(|value| [key.clone(), value.to_string()].to_vec())
+                    .collect();
+                argvs.push(vec![key.clone(), "0".into(), key.clone(), "0".into()]);
+                argvs.push(vec![key.clone(), key.clone()]);
+                argvs.push(vec![key.clone()]);
+                argvs.push(vec!["--no-such-flag".into(), "1".into()]);
+                for argv in argvs {
+                    let argv: Vec<String> = needs.iter().cloned().chain(argv).collect();
+                    let outcome = Args::parse(argv.clone()).and_then(|a| {
+                        a.reject_unread(command)?;
+                        prepare(command, &a).map(drop)
+                    });
+                    match outcome {
+                        Ok(()) => accepted += 1,
+                        Err(e) => assert!(!e.0.starts_with("unexpected positional"), "{command:?} {argv:?}: {e}"),
+                    }
+                    cases += 1;
+                }
+            }
+        }
+        assert!(cases > 1000 && accepted > 50, "{accepted} of {cases} cases accepted");
+    }
+
+    /// The table's defaults are the library's: a run given no flag gets the
+    /// configuration the library builds by default.
+    #[test]
+    fn the_tables_defaults_are_the_librarys() {
+        let none = args(&[]);
+        let config = ExperimentConfig::default();
+        assert_eq!(model(&none, DType::F32).unwrap(), config);
+        assert_eq!(storage_faults(&none).unwrap(), FaultPlan::default());
+        let value = |flag: &Flag| flag.default.unwrap().to_string();
+        let retry = RetryPolicy::default();
+        assert_eq!(value(&DROPOUT).parse::<f32>().unwrap(), config.dropout);
+        assert_eq!(value(&LR).parse::<f32>().unwrap(), config.learning_rate);
+        assert_eq!(value(&CAPACITY_MIB).parse::<usize>().unwrap() << 20, config.capacity_bytes);
+        assert_eq!(value(&PLAN_AHEAD).parse::<usize>().unwrap(), config.plan_ahead);
+        assert_eq!(value(&RETRIES).parse::<usize>().unwrap(), retry.max_retries);
+        assert_eq!(value(&RETRY_GROWTH).parse::<f64>().unwrap(), retry.growth);
+        assert_eq!(value(&RETRY_HEADROOM).parse::<f64>().unwrap(), retry.headroom);
+        assert_eq!(value(&ANOMALY_RETRIES).parse::<usize>().unwrap(), retry.max_anomaly_retries);
+        assert_eq!(value(&IO_RETRIES).parse::<usize>().unwrap(), retry.max_io_retries);
+        let faults = FaultPlan::default();
+        for (flag, rate) in [
+            (&FAULT_ALLOC_RATE, faults.alloc_failure_rate),
+            (&FAULT_JITTER, faults.capacity_jitter),
+            (&FAULT_STALL_RATE, faults.transfer_stall_rate),
+            (&FAULT_STALL_SEC, faults.transfer_stall_sec),
+            (&FAULT_LINK_RATE, faults.link_stall_rate),
+            (&FAULT_LINK_STALL_SEC, faults.link_stall_sec),
+        ] {
+            assert_eq!(value(flag).parse::<f64>().unwrap(), rate, "--{}", flag.key);
+        }
+        let group = DeviceGroup::new(1);
+        assert_eq!(value(&ALLREDUCE_TIMEOUT_MS).parse::<f64>().unwrap() / 1e3, group.allreduce_timeout_sec);
+        assert_eq!(value(&MAX_DEVICE_RETRIES).parse::<usize>().unwrap(), group.max_device_retries);
+        assert_eq!(value(&STRAGGLER_THRESHOLD).parse::<f64>().unwrap(), group.straggler_threshold);
+    }
+
+    /// Each choice of a row reads as the library value of that name.
+    #[test]
+    fn choices_read_as_the_library_values_they_name() {
+        let words = |flag: &Flag| match flag.check {
+            Check::OneOf(words) => words,
+            _ => panic!("--{} has no choices", flag.key),
+        };
+        let presets: Vec<&str> = DatasetSpec::all().into_iter().map(|s| s.name).collect();
+        assert_eq!(words(&PRESET), presets);
+        for word in words(&PRECISION) {
+            let source = Source::read(&args(&["--precision", word])).unwrap();
+            assert_eq!(source.precision.name(), *word);
+        }
+        for word in words(&STRATEGY) {
+            assert_eq!(strategy(&args(&["--strategy", word])).unwrap().name(), *word);
+        }
+        for word in words(&BACKEND) {
+            let compute = Compute::read(&args(&["--backend", word])).unwrap();
+            assert_eq!(compute.backend, Backend::parse(word));
+            assert!(compute.backend.is_some());
+        }
+        for word in words(&MODEL) {
+            let kind = model(&args(&["--model", word]), DType::F32).unwrap().model;
+            assert!(format!("{kind:?}").to_lowercase().ends_with(word), "{word} reads as {kind:?}");
+        }
+        for word in words(&AGGREGATOR) {
+            let spec = model(&args(&["--aggregator", word]), DType::F32).unwrap().aggregator;
+            assert_eq!(format!("{spec:?}").to_lowercase(), *word);
+        }
+    }
 }

@@ -810,3 +810,181 @@ fn train_from_preset_without_file() {
         .unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 }
+
+/// A flag the command does not act on is a usage error naming it, before
+/// any work: `generate` writes a dense file whatever the feature store,
+/// `info` trains nothing, `partition` trains nothing (so no training fault
+/// or retry budget can fire), and `eval` arms only the storage faults.
+#[test]
+fn flags_a_command_does_not_act_on_are_usage_errors() {
+    let out = tmp("ignored.btd");
+    let out_arg = out.to_str().unwrap();
+    let generate: &[&str] = &["generate", "--preset", "cora", "--scale", "0.02", "--out", out_arg];
+    let info: &[&str] = &["info", "--preset", "cora", "--scale", "0.02"];
+    let partition: &[&str] = &["partition", "--preset", "cora", "--scale", "0.02"];
+    let eval: &[&str] = &["eval", "--preset", "cora", "--scale", "0.02", "--checkpoint", "m.ckpt"];
+    let cases: &[(&[&str], &[&str])] = &[
+        (generate, &["--feature-store", "paged"]),
+        (generate, &["--feature-cache-bytes", "4096"]),
+        (generate, &["--feature-page-rows", "16"]),
+        (generate, &["--feature-dir", "x"]),
+        (generate, &["--feature-parity", "2"]),
+        (generate, &["--precision", "bf16"]),
+        (generate, &["--plan-ahead", "5"]),
+        (generate, &["--no-pool"]),
+        (generate, &["--threads", "2"]),
+        (generate, &["--backend", "scalar"]),
+        (info, &["--plan-ahead", "3"]),
+        (info, &["--no-pool"]),
+        (info, &["--threads", "2"]),
+        (partition, &["--fault-oom-steps", "0"]),
+        (partition, &["--fault-io-rate", "0.5"]),
+        (partition, &["--retries", "2"]),
+        (partition, &["--io-retries", "2"]),
+        (partition, &["--plan-ahead", "1"]),
+        (partition, &["--no-pool"]),
+        (partition, &["--lr", "0.1"]),
+        (eval, &["--fault-nan-steps", "1"]),
+        (eval, &["--fault-shard-corrupt", "0:0"]),
+        (eval, &["--retries", "2"]),
+        (eval, &["--dropout", "0.5"]),
+        (eval, &["--plan-ahead", "1"]),
+    ];
+    for (command, extra) in cases {
+        let (code, stderr, quiet) = run_betty(&[*command, *extra].concat());
+        assert_eq!(code, Some(1), "{command:?} {extra:?}: {stderr}");
+        assert!(stderr.contains(&format!("unknown flag {} for this command", extra[0])), "{extra:?}: {stderr}");
+        assert!(quiet, "{command:?} {extra:?} started work before rejecting");
+    }
+    assert!(!out.exists(), "a rejected generate wrote its output");
+}
+
+/// `partition --compare` runs all four strategies, and still reads
+/// `--strategy`: a valid one is harmless, a nonsense one is an error.
+#[test]
+fn partition_compare_checks_its_strategy() {
+    let compare = ["partition", "--preset", "cora", "--scale", "0.02", "--k", "2", "--compare"];
+    let (code, stderr, quiet) = run_betty(&[&compare[..], &["--strategy", "nonsense"]].concat());
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("unknown strategy 'nonsense'"), "{stderr}");
+    assert!(quiet);
+    let out = betty().args(compare).args(["--strategy", "range"]).output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    for strategy in ["betty", "range", "random", "metis"] {
+        assert!(stdout.lines().any(|l| l.starts_with(strategy)), "{stdout}");
+    }
+}
+
+/// Without `--feature-dir` a paged store spills to
+/// `$TMPDIR/betty-features-<name>-<pid>`, which the command removes when
+/// it ends, on success or error; a `--feature-dir` the user named stays.
+#[test]
+fn paged_runs_remove_the_shard_directory_they_made() {
+    let tmpdir = tmp("spill-tmpdir");
+    let _ = std::fs::remove_dir_all(&tmpdir);
+    std::fs::create_dir_all(&tmpdir).unwrap();
+    let paged = ["--preset", "cora", "--scale", "0.02", "--feature-store", "paged"];
+    let runs: [(&[&str], i32); 3] = [
+        (&["train", "--epochs", "1"], 0),
+        (&["info"], 0),
+        (&["train", "--epochs", "1", "--fault-shard-corrupt", "999:0"], 1),
+    ];
+    for (command, expected) in runs {
+        let child = betty()
+            .args(command)
+            .args(paged)
+            .env("TMPDIR", &tmpdir)
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .unwrap();
+        let suffix = format!("-{}", child.id());
+        let status = child.wait_with_output().unwrap().status;
+        assert_eq!(status.code(), Some(expected), "{command:?}");
+        let left: Vec<_> = std::fs::read_dir(&tmpdir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.starts_with("betty-features-") && name.ends_with(&suffix))
+            .collect();
+        assert!(left.is_empty(), "{command:?} left {left:?} behind");
+    }
+    let kept = tmpdir.join("kept");
+    let out = betty().args(["info"]).args(paged).arg("--feature-dir").arg(&kept).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(kept.join("features.meta").exists(), "the named --feature-dir went");
+    let _ = std::fs::remove_dir_all(&tmpdir);
+}
+
+/// Every flag `betty help` lists, once, at 0 (a switch bare), on a tiny
+/// preset: the binary exits 0 or 1 (never 101), and prints nothing on
+/// stdout when it exits 1. The one exception is `--capacity-mib 0`, a
+/// device no plan fits: exit 2. The cross-product of hostile values runs
+/// in-process, in the unit tests of the option building.
+#[test]
+fn one_spawned_case_per_flag_exits_0_or_1() {
+    let help = String::from_utf8(betty().arg("help").output().unwrap().stdout).unwrap();
+    let (flags, entries) = help.split_once("\nFLAGS:\n").unwrap();
+    // Each command's line, then its flags on the lines indented under it.
+    let mut columns: Vec<(&str, Vec<&str>)> = Vec::new();
+    for line in flags.lines().skip_while(|l| !l.starts_with("COMMANDS")).skip(1) {
+        if line.starts_with("  ") && !line.starts_with("   ") {
+            columns.push((line.split_whitespace().next().unwrap(), Vec::new()));
+        } else if let Some((_, keys)) = columns.last_mut() {
+            keys.extend(line.split_whitespace().filter(|w| w.starts_with("--")));
+        }
+    }
+    columns.retain(|(name, _)| *name != "scrub");
+    assert_eq!(columns.len(), 5, "{flags}");
+    let entry = |key: &str| {
+        let head = format!("\n  {key}");
+        let at = entries.find(&format!("{head} ")).or_else(|| entries.find(&format!("{head}\n"))).unwrap();
+        let rest = &entries[at + 3..];
+        rest[..rest.find("\n  --").unwrap_or(rest.len())].to_string()
+    };
+    let dir = tmp("spawn-fuzz");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut seen = Vec::new();
+    for (command, keys) in &columns {
+        for key in keys {
+            if seen.contains(key) {
+                continue;
+            }
+            seen.push(*key);
+            let entry = entry(key);
+            let switch = entry.lines().next().unwrap().trim() == *key;
+            let base = [("--preset", "cora"), ("--scale", "0.02"), ("--epochs", "1"), ("--out", "o.btd"), ("--checkpoint", "m.ckpt")];
+            let mut argv = vec![command.to_string()];
+            for (flag, value) in base {
+                if flag != *key && keys.contains(&flag) {
+                    argv.extend([flag.to_string(), value.to_string()]);
+                }
+            }
+            for need in ["--feature-store paged", "--checkpoint-dir"] {
+                if entry.replace('\n', " ").split_whitespace().collect::<Vec<_>>().join(" ").contains(&format!("Needs {need}")) {
+                    argv.extend(need.split(' ').map(str::to_string));
+                    if need == "--checkpoint-dir" {
+                        argv.push("ck".into());
+                    }
+                }
+            }
+            argv.push(key.to_string());
+            if !switch {
+                argv.push("0".into());
+            }
+            // Each case in a directory of its own, for what it writes.
+            let cwd = dir.join(key.trim_start_matches('-'));
+            std::fs::create_dir_all(&cwd).unwrap();
+            let out = betty().args(&argv).current_dir(&cwd).env("TMPDIR", &cwd).output().unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let allowed: &[i32] = if *key == "--capacity-mib" { &[2] } else { &[0, 1] };
+            assert!(out.status.code().is_some_and(|c| allowed.contains(&c)), "{argv:?}: {:?}\n{stderr}", out.status);
+            if out.status.code() == Some(1) {
+                assert!(out.stdout.is_empty(), "{argv:?} printed before failing: {stderr}");
+            }
+        }
+    }
+    assert_eq!(seen.len(), 59, "{seen:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
