@@ -12,19 +12,20 @@ cd "$(dirname "$0")/.."
 
 # row            code  doc   paths (directories are searched recursively)
 table='
-bench            3556  557   crates/bench/src
-cli              1110  107   crates/cli/src
+bench            3518  532   crates/bench/src
+cli              1107  107   crates/cli/src
 core             3506  1271  crates/core/src
-data             1967  728   crates/data/src
+data             1967  727   crates/data/src
 device           885   383   crates/device/src
 graph            934   375   crates/graph/src
 nn               1397  402   crates/nn/src
 partition        1140  309   crates/partition/src
 runtime          185   128   crates/runtime/src
 tensor           4401  1341  crates/tensor/src
+testkit          133   49    crates/testkit/src
 trace            767   241   crates/trace/src
-feature-store    1383  554   crates/data/src/featurestore.rs crates/data/src/shards.rs
-storage          2542  925   crates/data/src crates/nn/src/checkpoint.rs crates/tensor/src/crc.rs crates/tensor/src/sealed.rs
+feature-store    1382  552   crates/data/src/featurestore.rs crates/data/src/shards.rs
+storage          2542  924   crates/data/src crates/nn/src/checkpoint.rs crates/tensor/src/crc.rs crates/tensor/src/sealed.rs
 '
 
 count() {

@@ -9,9 +9,9 @@
 //!
 //! 1. **Heap-allocation ratio** — identical steady-state epoch loops run
 //!    with the pool on and off (`--no-pool`), at 1 and 4 worker threads,
-//!    inside the counting global allocator the `ext_alloc` binary
+//!    inside the tracking global allocator the `ext_alloc` binary
 //!    installs. Pool-off must need ≥ 5× more allocation requests. When
-//!    the counting allocator is not installed (e.g. this exhibit invoked
+//!    the tracking allocator is not installed (e.g. this exhibit invoked
 //!    from `cargo bench --bench paper`, whose process keeps the system
 //!    allocator), the ratio columns report `n/a` and only wall-clock and
 //!    pool counters are compared.
@@ -27,8 +27,8 @@
 use std::time::Instant;
 
 use betty::{ExperimentConfig, Runner, StrategyKind};
+use betty_testkit::{allocation_calls, installed};
 
-use crate::alloc_count;
 use crate::presets::bench_dataset;
 use crate::report::Table;
 use crate::Profile;
@@ -38,7 +38,7 @@ use crate::Profile;
 pub(crate) const STEADY_STATE_HIT_RATE: f64 = 0.8;
 
 /// Minimum no-pool/pool heap-allocation ratio on the steady-state loop
-/// (only asserted when the counting allocator is installed).
+/// (only asserted when the tracking allocator is installed).
 pub(crate) const MIN_ALLOC_RATIO: f64 = 5.0;
 
 struct RunResult {
@@ -77,7 +77,7 @@ fn measure(ds: &betty_data::Dataset, pool: bool, epochs: usize, k: usize) -> Run
     let mut hits = 0u64;
     let mut misses = 0u64;
     let mut bytes_recycled = 0u64;
-    let allocs_before = alloc_count::allocations();
+    let allocs_before = allocation_calls();
     let started = Instant::now();
     for _ in 0..epochs {
         let stats = runner
@@ -90,7 +90,7 @@ fn measure(ds: &betty_data::Dataset, pool: bool, epochs: usize, k: usize) -> Run
         bytes_recycled += stats.pool_bytes_recycled;
     }
     let wall_sec = started.elapsed().as_secs_f64();
-    let heap_allocs = alloc_count::allocations() - allocs_before;
+    let heap_allocs = allocation_calls() - allocs_before;
 
     let param_bits = runner
         .trainer()
@@ -116,10 +116,10 @@ pub fn run(profile: Profile) {
     let ds = bench_dataset("ogbn-arxiv", profile);
     let epochs = profile.epochs(8);
     let k = 4usize;
-    let counting = alloc_count::installed();
+    let counting = installed();
     if !counting {
         println!(
-            "ext_alloc: counting allocator not installed in this process; \
+            "ext_alloc: tracking allocator not installed in this process; \
              reporting wall-clock and pool counters only"
         );
     }
@@ -252,19 +252,19 @@ fn kernel_alloc_table(counting: bool) {
     );
 
     // segment_mean: counts buffer.
-    let before = alloc_count::allocations();
+    let before = allocation_calls();
     for _ in 0..calls {
         out_fresh.fill(0.0);
         let _counts = segment::segment_mean_into(&values, &ids, &mut out_fresh);
     }
-    let fresh_mean = alloc_count::allocations() - before;
+    let fresh_mean = allocation_calls() - before;
     let mut counts = Vec::new();
-    let before = alloc_count::allocations();
+    let before = allocation_calls();
     for _ in 0..calls {
         out_reusing.fill(0.0);
         segment::segment_mean_into_reusing(&values, &ids, &mut out_reusing, &mut counts);
     }
-    let reusing_mean = alloc_count::allocations() - before;
+    let reusing_mean = allocation_calls() - before;
     assert_eq!(
         out_fresh.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
         out_reusing.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -272,19 +272,19 @@ fn kernel_alloc_table(counting: bool) {
     );
 
     // segment_max: argmax buffer.
-    let before = alloc_count::allocations();
+    let before = allocation_calls();
     for _ in 0..calls {
         out_fresh.fill(0.0);
         let _argmax = segment::segment_max_into(&values, &ids, &mut out_fresh);
     }
-    let fresh_max = alloc_count::allocations() - before;
+    let fresh_max = allocation_calls() - before;
     let mut argmax = Vec::new();
-    let before = alloc_count::allocations();
+    let before = allocation_calls();
     for _ in 0..calls {
         out_reusing.fill(0.0);
         segment::segment_max_into_reusing(&values, &ids, &mut out_reusing, &mut argmax);
     }
-    let reusing_max = alloc_count::allocations() - before;
+    let reusing_max = allocation_calls() - before;
     assert_eq!(
         out_fresh.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
         out_reusing.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),

@@ -11,7 +11,6 @@
 //! differ from the paper while orderings, ratios, and crossovers are the
 //! reproduction targets.
 
-pub mod alloc_count;
 pub mod experiments;
 pub(crate) mod presets;
 pub(crate) mod report;

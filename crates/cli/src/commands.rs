@@ -347,6 +347,7 @@ fn train(args: &Args) -> Result<Work, ArgError> {
     let (trace_out, trace_summary): (Option<String>, _) = (args.opt(&TRACE_OUT)?, args.switch(&TRACE_SUMMARY));
     let compute = Compute::read(args)?;
     Ok(Box::new(move || {
+        checkpoints.as_ref().map_or(Ok(()), CheckpointPlan::ensure_dir)?;
         compute.pin();
         let (ds, _spill) = source.load()?;
         let shards = ds.features.num_shards();
@@ -605,12 +606,8 @@ fn eval(source: &Source, config: &ExperimentConfig, compute: &Compute, checkpoin
     let (ds, _spill) = source.load()?;
     let mut runner = Runner::new(&ds, config, source.seed);
     betty_nn::load_checkpoint(runner.trainer_mut().model_mut(), checkpoint)?;
-    let acc = betty::accuracy_full_graph(runner.trainer().model(), &ds, &ds.test_idx, chunk);
-    say!(
-        "exact full-graph test accuracy: {:.2}% ({} nodes)",
-        acc * 100.0,
-        ds.test_idx.len()
-    )?;
+    let acc = betty::accuracy_full_graph(runner.trainer().model(), &ds, &ds.test_idx, chunk)?;
+    say!("exact full-graph test accuracy: {:.2}% ({} nodes)", acc * 100.0, ds.test_idx.len())?;
     Ok(())
 }
 

@@ -104,7 +104,7 @@ fn exit_code_for(top: &(dyn std::error::Error + 'static)) -> ExitCode {
                 betty::RunError::DevicesExhausted(_) => ExitCode::from(6),
             };
         }
-        if err.downcast_ref::<betty::TrainError>().is_some() {
+        if err.is::<betty::TrainError>() || err.is::<betty_data::FeatureStoreError>() {
             return ExitCode::from(4);
         }
         cursor = err.source();

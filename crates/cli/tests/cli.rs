@@ -606,6 +606,47 @@ fn out_of_range_shard_corruption_is_a_usage_error() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `eval` densifies a paged store through the same retried, repaired
+/// shard reads as training; a shard that stays unreadable is storage
+/// damage (exit 4, the shard named), as it is for `train` — not a panic.
+#[test]
+fn eval_of_an_unreadable_store_exits_4_naming_the_shard() {
+    let model = tmp("unreadable-eval.ckpt");
+    let tiny = ["--preset", "cora", "--scale", "0.02"];
+    let out = betty().arg("train").args(tiny).args(["--epochs", "1", "--checkpoint"]).arg(&model).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = betty()
+        .arg("eval")
+        .args(tiny)
+        .args(["--feature-store", "paged", "--fault-io-rate", "1", "--io-retries", "0", "--checkpoint"])
+        .arg(&model)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(4), "{stderr}");
+    assert!(stderr.contains("feature shard 0"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let _ = std::fs::remove_file(&model);
+}
+
+/// A `--checkpoint-dir` that cannot be made (here: an existing file) fails
+/// before epoch 0, with nothing on stdout, not at the first save.
+#[test]
+fn an_uncreatable_checkpoint_dir_fails_before_epoch_0() {
+    let file = tmp("checkpoint-dir-is-a-file");
+    std::fs::write(&file, b"not a directory").unwrap();
+    let out = betty()
+        .args(["train", "--preset", "cora", "--scale", "0.02", "--epochs", "2", "--checkpoint-dir"])
+        .arg(&file)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("cannot create checkpoint dir"), "{stderr}");
+    assert!(out.stdout.is_empty(), "trained before failing: {}", String::from_utf8_lossy(&out.stdout));
+    let _ = std::fs::remove_file(&file);
+}
+
 #[test]
 fn storage_chaos_run_is_bit_identical_to_fault_free_run() {
     let quiet_dir = tmp("chaos-quiet-store");

@@ -91,7 +91,7 @@ impl CheckpointPlan {
     /// # Errors
     ///
     /// [`RunError::Checkpoint`] if the directory cannot be created.
-    pub(crate) fn ensure_dir(&self) -> Result<(), RunError> {
+    pub fn ensure_dir(&self) -> Result<(), RunError> {
         std::fs::create_dir_all(&self.dir).map_err(|e| {
             RunError::Checkpoint(format!(
                 "cannot create checkpoint dir {}: {e}",

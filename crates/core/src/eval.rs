@@ -2,7 +2,7 @@
 
 use rand::RngCore;
 
-use betty_data::Dataset;
+use betty_data::{Dataset, FeatureStoreError};
 use betty_graph::{sample_batch_in, CsrGraph, NodeId};
 use betty_nn::{GnnModel, Session};
 use betty_tensor::segment;
@@ -56,7 +56,9 @@ pub(crate) fn predict(
     predictions
 }
 
-/// Exact layer-wise full-graph inference.
+/// Exact layer-wise full-graph inference: the predicted class of every
+/// node in the graph, or the [`FeatureStoreError`] of a paged shard that
+/// cannot be read back.
 ///
 /// Computes layer `i`'s output for *every* node (in chunks of `chunk_size`
 /// destinations, each with its complete in-neighborhood) before starting
@@ -65,8 +67,6 @@ pub(crate) fn predict(
 /// memory-bounded execution: peak memory is governed by the chunk size,
 /// not the graph.
 ///
-/// Returns the predicted class of every node in the graph.
-///
 /// # Panics
 ///
 /// Panics if `chunk_size == 0`.
@@ -74,13 +74,13 @@ pub(crate) fn predict_full_graph(
     model: &dyn GnnModel,
     dataset: &Dataset,
     chunk_size: usize,
-) -> Vec<usize> {
+) -> Result<Vec<usize>, FeatureStoreError> {
     assert!(chunk_size > 0, "chunk_size must be positive");
     let n = dataset.num_nodes();
     let in_graph = dataset.graph.reverse();
     // Layer 0 reads the raw features; densifying once keeps the layer
     // loop backend-agnostic (inference is out of the training hot path).
-    let mut h = dataset.features.to_dense();
+    let mut h = dataset.features.to_dense()?;
     for layer in 0..model.num_layers() {
         let out_dim = if layer + 1 == model.num_layers() {
             model.num_classes()
@@ -111,25 +111,25 @@ pub(crate) fn predict_full_graph(
         }
         h = next;
     }
-    h.argmax_rows()
+    Ok(h.argmax_rows())
 }
 
-/// Accuracy of `predict_full_graph` on a node subset.
+/// Accuracy of `predict_full_graph` on a node subset, or its error.
 pub fn accuracy_full_graph(
     model: &dyn GnnModel,
     dataset: &Dataset,
     nodes: &[NodeId],
     chunk_size: usize,
-) -> f64 {
+) -> Result<f64, FeatureStoreError> {
     if nodes.is_empty() {
-        return 0.0;
+        return Ok(0.0);
     }
-    let preds = predict_full_graph(model, dataset, chunk_size);
+    let preds = predict_full_graph(model, dataset, chunk_size)?;
     let correct = nodes
         .iter()
         .filter(|&&v| preds[v as usize] == dataset.labels[v as usize])
         .count();
-    correct as f64 / nodes.len() as f64
+    Ok(correct as f64 / nodes.len() as f64)
 }
 
 /// Fraction of `nodes` whose prediction matches the dataset label.
@@ -199,7 +199,7 @@ mod tests {
             16,
             &mut rng,
         );
-        let full = predict_full_graph(&model, &ds, 64);
+        let full = predict_full_graph(&model, &ds, 64).unwrap();
         for (&node, &s) in nodes.iter().zip(&sampled) {
             assert_eq!(full[node as usize], s, "node {node} disagrees");
         }
@@ -214,10 +214,10 @@ mod tests {
         let mut rng = Pcg64Mcg::seed_from_u64(2);
         let model =
             GraphSage::new(8, 8, ds.num_classes, 2, AggregatorSpec::Mean, 0.0, &mut rng);
-        let a = predict_full_graph(&model, &ds, 7);
-        let b = predict_full_graph(&model, &ds, 1000);
+        let a = predict_full_graph(&model, &ds, 7).unwrap();
+        let b = predict_full_graph(&model, &ds, 1000).unwrap();
         assert_eq!(a, b);
-        let acc = accuracy_full_graph(&model, &ds, &ds.test_idx, 64);
+        let acc = accuracy_full_graph(&model, &ds, &ds.test_idx, 64).unwrap();
         assert!((0.0..=1.0).contains(&acc));
     }
 

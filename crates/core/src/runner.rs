@@ -1801,10 +1801,7 @@ mod tests {
     }
 
     fn fnv1a(lines: &[String]) -> u64 {
-        lines.iter().flat_map(|l| l.bytes().chain([b'\n'])).fold(
-            0xcbf2_9ce4_8422_2325,
-            |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3),
-        )
+        betty_testkit::fnv1a(lines.iter().flat_map(|l| l.bytes().chain([b'\n'])))
     }
 
     /// Two epochs' recovery logs, recorded before the storage stream

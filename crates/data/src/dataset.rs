@@ -137,7 +137,8 @@ impl Dataset {
             }
         }
         let d = self.feature_dim();
-        if let Some((i, value)) = self.features.find_non_finite() {
+        let non_finite = self.features.find_non_finite();
+        if let Some((i, value)) = non_finite.map_err(|e| DataError::Inconsistent(e.to_string()))? {
             let (node, dim) = locate_flat(i, d);
             return Err(DataError::NonFiniteFeature {
                 node,

@@ -772,17 +772,14 @@ impl PagedFeatures {
             .min(self.rows() * self.cols() * self.dtype().bytes_per_value())
     }
 
-    /// Reads one shard's payload as f32, panicking on unrecoverable
-    /// failure — for the infallible whole-matrix readers (`to_dense`,
-    /// `find_non_finite`). Transient errors are still retried and
-    /// corruption still repaired from parity before the panic fires.
-    fn read_shard_f32(&self, shard: usize) -> Vec<f32> {
-        let payload = self.try_read_shard_payload(shard, &mut GatherStats::default());
-        let payload = payload.unwrap_or_else(|e| panic!("{e}"));
-        // The whole payload, decoded as one row.
+    /// Reads one shard's whole payload as one row of f32 for the
+    /// whole-matrix readers (`to_dense`, `find_non_finite`): retried and
+    /// repaired from parity as a gather is, an error when neither helps.
+    fn try_read_shard_f32(&self, shard: usize) -> Result<Vec<f32>, FeatureStoreError> {
+        let payload = self.try_read_shard_payload(shard, &mut GatherStats::default())?;
         let mut values = vec![0.0; payload.byte_len() / self.dtype().bytes_per_value()];
         payload.copy_row(self.dtype(), 0, &mut values);
-        values
+        Ok(values)
     }
 
     /// Reads one shard's payload with full re-validation (seal, header),
@@ -1007,30 +1004,26 @@ impl PagedFeatures {
         Ok(stats)
     }
 
-    /// Materializes the full matrix as a dense f32 tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shard is unreadable and cannot be repaired.
-    pub(crate) fn to_dense(&self) -> Tensor {
+    /// Materializes the full matrix as a dense f32 tensor; a shard that
+    /// cannot be read or repaired is a [`FeatureStoreError::Shard`].
+    pub(crate) fn to_dense(&self) -> Result<Tensor, FeatureStoreError> {
         let (rows, cols) = (self.rows(), self.cols());
         let mut data = Vec::with_capacity(rows * cols);
         for shard in 0..self.num_shards() {
-            data.extend_from_slice(&self.read_shard_f32(shard));
+            data.extend_from_slice(&self.try_read_shard_f32(shard)?);
         }
-        Tensor::from_vec(data, &[rows, cols]).expect("shard geometry is validated")
+        Ok(Tensor::from_vec(data, &[rows, cols]).expect("shard geometry is validated"))
     }
 
-    /// Flat index and value of the first non-finite feature, if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shard is unreadable and cannot be repaired.
-    pub(crate) fn find_non_finite(&self) -> Option<(usize, f32)> {
-        (0..self.num_shards()).find_map(|shard| {
-            let (at, v) = first_non_finite(self.read_shard_f32(shard).into_iter())?;
-            Some((shard * self.page_rows() * self.cols() + at, v))
-        })
+    /// Flat index and value of the first non-finite feature, if any; an
+    /// error as [`PagedFeatures::to_dense`]'s.
+    pub(crate) fn find_non_finite(&self) -> Result<Option<(usize, f32)>, FeatureStoreError> {
+        for shard in 0..self.num_shards() {
+            if let Some((at, v)) = first_non_finite(self.try_read_shard_f32(shard)?.into_iter()) {
+                return Ok(Some((shard * self.page_rows() * self.cols() + at, v)));
+            }
+        }
+        Ok(None)
     }
 }
 
@@ -1117,7 +1110,7 @@ impl Features {
         cache_budget_bytes: usize,
         parity: usize,
     ) -> Result<Self, FeatureStoreError> {
-        let dense = self.to_dense();
+        let dense = self.to_dense()?;
         Ok(Features::Paged(PagedFeatures::spill(
             &dense,
             dir,
@@ -1278,9 +1271,13 @@ impl Features {
     }
 
     /// Materializes the full matrix as a dense f32 tensor.
-    pub fn to_dense(&self) -> Tensor {
+    ///
+    /// # Errors
+    ///
+    /// [`FeatureStoreError::Shard`] if a paged shard cannot be read or repaired.
+    pub fn to_dense(&self) -> Result<Tensor, FeatureStoreError> {
         match self {
-            Features::Dense(d) => d.to_dense(),
+            Features::Dense(d) => Ok(d.to_dense()),
             Features::Paged(p) => p.to_dense(),
         }
     }
@@ -1291,10 +1288,11 @@ impl Features {
         self.paged().map_or(0, PagedFeatures::cache_reservation_bytes)
     }
 
-    /// Flat index and value of the first non-finite feature, if any.
-    pub(crate) fn find_non_finite(&self) -> Option<(usize, f32)> {
+    /// Flat index and value of the first non-finite feature, if any; an
+    /// error as [`Features::to_dense`]'s.
+    pub(crate) fn find_non_finite(&self) -> Result<Option<(usize, f32)>, FeatureStoreError> {
         match self {
-            Features::Dense(d) => d.find_non_finite(),
+            Features::Dense(d) => Ok(d.find_non_finite()),
             Features::Paged(p) => p.find_non_finite(),
         }
     }
@@ -1309,13 +1307,12 @@ impl From<Tensor> for Features {
 impl PartialEq for Features {
     /// Logical equality: same shape and the same `f32` bits, regardless
     /// of backend (a paged store equals the dense matrix it was spilled
-    /// from).
+    /// from). A store with an unreadable shard equals nothing.
     fn eq(&self, other: &Self) -> bool {
         match (self, other) {
             (Features::Dense(a), Features::Dense(b)) => a == b,
-            (a, b) => {
-                a.rows() == b.rows() && a.cols() == b.cols() && a.to_dense() == b.to_dense()
-            }
+            (a, b) if a.rows() != b.rows() || a.cols() != b.cols() => false,
+            (a, b) => matches!((a.to_dense(), b.to_dense()), (Ok(a), Ok(b)) if a == b),
         }
     }
 }
@@ -1498,10 +1495,10 @@ mod tests {
         let mut t = matrix(9, 4, 9);
         t.data_mut()[4 * 4 + 2] = f32::NEG_INFINITY;
         let dense = Features::dense(t.clone());
-        assert_eq!(dense.find_non_finite().map(|(i, _)| i), Some(18));
+        assert_eq!(dense.find_non_finite().unwrap().map(|(i, _)| i), Some(18));
         let dir = tmp_dir("nonfinite");
         let paged = dense.to_paged(&dir, 2, usize::MAX).unwrap();
-        assert_eq!(paged.find_non_finite().map(|(i, _)| i), Some(18));
+        assert_eq!(paged.find_non_finite().unwrap().map(|(i, _)| i), Some(18));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1853,7 +1850,7 @@ mod tests {
 
         // Everything validates again, values intact.
         let reopened = Features::Paged(PagedFeatures::open(&dir, usize::MAX).unwrap());
-        assert_eq!(reopened.to_dense(), t);
+        assert_eq!(reopened.to_dense().unwrap(), t);
         // A second scrub finds nothing to do.
         let again = scrub(&dir).unwrap();
         assert!(again.shards_repaired.is_empty() && again.parity_rebuilt.is_empty());
@@ -1895,13 +1892,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    fn fnv1a(h: &mut u64, bytes: &[u8]) {
-        for &b in bytes {
-            *h ^= u64::from(b);
-            *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
     /// The stream's first 64 verdicts over cycling shards and 8 backoff
     /// jitters, recorded when the stream lived in the device crate behind
     /// an adapter. Never edit the hash for a refactor: a moved draw (a
@@ -1909,17 +1899,18 @@ mod tests {
     #[test]
     fn the_storage_stream_is_pinned() {
         let mut hook = SeededStorageFaults::new(0x5EED, 0.3, 0.2, 0.004, Vec::new());
-        let (mut h, mut fails, mut stalls) = (0xcbf2_9ce4_8422_2325u64, 0, 0);
+        let (mut stream, mut fails, mut stalls) = (Vec::new(), 0, 0);
         for i in 0..64 {
             let verdict = hook.check_read(i % 7, 0);
             fails += usize::from(verdict.fail);
             stalls += usize::from(verdict.stall_sec > 0.0);
-            fnv1a(&mut h, &[u8::from(verdict.fail)]);
-            fnv1a(&mut h, &verdict.stall_sec.to_bits().to_le_bytes());
+            stream.push(u8::from(verdict.fail));
+            stream.extend(verdict.stall_sec.to_bits().to_le_bytes());
         }
         for _ in 0..8 {
-            fnv1a(&mut h, &hook.backoff_jitter().to_bits().to_le_bytes());
+            stream.extend(hook.backoff_jitter().to_bits().to_le_bytes());
         }
+        let h = betty_testkit::fnv1a(stream);
         assert_eq!((h, fails, stalls), (0xbd3e_5612_4460_f8ed, 16, 13));
     }
 

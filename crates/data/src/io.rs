@@ -81,7 +81,8 @@ fn put_u32_slice(buf: &mut BytesMut, values: impl IntoIterator<Item = u32>) {
 ///
 /// # Errors
 ///
-/// Returns the underlying I/O error if the file cannot be written.
+/// Returns the underlying I/O error if the file cannot be written, or a
+/// paged store's unrepairable shard as one.
 pub fn save_dataset(dataset: &Dataset, path: impl AsRef<Path>) -> io::Result<()> {
     let mut buf = BytesMut::new();
     buf.put_slice(MAGIC);
@@ -104,7 +105,7 @@ pub fn save_dataset(dataset: &Dataset, path: impl AsRef<Path>) -> io::Result<()>
     put_u32_slice(&mut buf, dataset.test_idx.iter().copied());
     // Features always serialize densely, whatever backend the in-memory
     // dataset uses — the file format is backend-agnostic.
-    for &f in dataset.features.to_dense().data() {
+    for &f in dataset.features.to_dense().map_err(io::Error::other)?.data() {
         buf.put_f32_le(f);
     }
     write_atomic(path.as_ref(), &buf)
@@ -288,68 +289,49 @@ mod tests {
     /// not a count of stored values — but never to one of another shape.
     #[test]
     fn fuzzed_images_are_rejected_or_keep_the_original_shape() {
-        use crate::shards::tests::measured;
+        use betty_testkit::{fuzz_decoder, Expect};
         use rand::{Rng, SeedableRng};
         use rand_pcg::Pcg64Mcg;
-        use std::panic::{catch_unwind, AssertUnwindSafe};
 
         let ds = DatasetSpec::cora().scaled(0.03).with_feature_dim(3).generate(8);
         let path = tmp("fuzz");
         save_dataset(&ds, &path).unwrap();
         let valid = std::fs::read(&path).unwrap();
         let _ = std::fs::remove_file(&path);
-        let budget = 4 * valid.len() + 4096;
-        let decode = |what: &str, bytes: &[u8]| {
-            let outcome = catch_unwind(AssertUnwindSafe(|| measured(|| decode_dataset(bytes))));
-            let Ok((decoded, largest, _)) = outcome else {
-                panic!("{what}: the decoder panicked");
-            };
-            assert!(largest <= budget, "{what}: allocated {largest} bytes at once");
-            decoded
-        };
         let shape = |d: &Dataset| {
             let splits = (d.train_idx.len(), d.val_idx.len(), d.test_idx.len());
             (d.num_nodes(), d.graph.num_edges(), d.feature_dim(), splits)
         };
-        let original = |d: &Dataset| {
-            (d.name == ds.name && d.graph == ds.graph && d.features == ds.features)
-                && (d.labels == ds.labels && d.train_idx == ds.train_idx)
-                && (d.val_idx == ds.val_idx && d.test_idx == ds.test_idx)
-                && (d.num_classes == ds.num_classes && shape(d) == shape(&ds))
+        let whole = |d: Dataset| {
+            let splits = (d.train_idx, d.val_idx, d.test_idx);
+            (d.name, d.graph, d.features, d.labels, d.num_classes, splits)
         };
-        assert!(original(&decode("the valid image", &valid).unwrap()));
+        assert!(whole(decode_dataset(&valid).unwrap()) == whole(ds.clone()));
 
-        for len in 0..valid.len() {
-            let what = format!("truncation to {len} bytes");
-            assert!(decode(&what, &valid[..len]).is_err(), "{what} decoded");
-        }
         let mut rng = Pcg64Mcg::seed_from_u64(0xb7da_7a01);
-        for case in 0..2000 {
-            let mut flipped = valid.clone();
+        let flips = (0..2000).map(|case| {
+            let mut image = valid.clone();
             let bit = rng.gen_range(0..valid.len() * 8);
-            flipped[bit / 8] ^= 1 << (bit % 8);
-            let what = format!("flip {case} of bit {bit}");
-            if let Ok(d) = decode(&what, &flipped) {
-                assert_eq!(shape(&d), shape(&ds), "{what} decoded to another shape");
-            }
-        }
+            image[bit / 8] ^= 1 << (bit % 8);
+            (format!("flip {case} of bit {bit}"), image, Expect::Original)
+        });
+        fuzz_decoder("BTYDATA1", &valid, valid.len(), flips, |b| decode_dataset(b).map(|d| shape(&d)));
         // The header words after the name: n, e, d, classes, then the
         // three split sizes. Classes is not a count of stored values.
         let words = MAGIC.len() + 4 + ds.name.len();
+        let mut lies = Vec::new();
         for word in [0, 1, 2, 4, 5, 6] {
             let at = words + 4 * word;
             let truth = u32::from_le_bytes(valid[at..at + 4].try_into().unwrap());
             let random: u32 = rng.gen();
             for lie in [0, 1, u32::MAX, 0x8000_0000, truth.wrapping_add(1), truth.wrapping_sub(1), random] {
-                let mut lying = valid.clone();
-                lying[at..at + 4].copy_from_slice(&lie.to_le_bytes());
+                let mut image = valid.clone();
+                image[at..at + 4].copy_from_slice(&lie.to_le_bytes());
                 let what = format!("header word {word} = {lie} (truly {truth})");
-                match decode(&what, &lying) {
-                    Ok(d) => assert!(lie == truth && original(&d), "{what} decoded"),
-                    Err(e) => assert!(lie != truth, "{what}: {e}"),
-                }
+                lies.push((what, image, Expect::Rejected));
             }
         }
+        fuzz_decoder("BTYDATA1", &valid, 0, lies, |b| decode_dataset(b).map(whole));
     }
 
     #[test]

@@ -614,71 +614,17 @@ pub fn scrub(dir: impl AsRef<Path>) -> Result<ScrubReport, FeatureStoreError> {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::PagedFeatures;
+    use betty_testkit::{fnv1a, measured, Expect};
     use rand::{Rng, SeedableRng};
     use rand_pcg::Pcg64Mcg;
-    use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
-    use std::cell::Cell;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    // -----------------------------------------------------------------------
-    // What the calling thread has allocated: the largest single request and
-    // the high-water mark of live bytes since the last `reset`. Thread-local
-    // (const-initialised, no destructor, so safe to touch from inside the
-    // allocator), which keeps the figures exact while other tests run.
-
-    thread_local! {
-        static LARGEST: Cell<usize> = const { Cell::new(0) };
-        static LIVE: Cell<isize> = const { Cell::new(0) };
-        static PEAK: Cell<isize> = const { Cell::new(0) };
-    }
-
-    struct Tracking;
-
-    fn track(delta: isize) {
-        let _ = LARGEST.try_with(|l| l.set(l.get().max(delta.max(0) as usize)));
-        let _ = LIVE.try_with(|live| {
-            live.set(live.get() + delta);
-            let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
-        });
-    }
-
-    // SAFETY: every method forwards its arguments unchanged to `System`,
-    // which upholds the `GlobalAlloc` contract; the bookkeeping around the
-    // calls touches only thread-local `Cell`s and cannot unwind.
-    unsafe impl GlobalAlloc for Tracking {
-        unsafe fn alloc(&self, layout: AllocLayout) -> *mut u8 {
-            track(layout.size() as isize);
-            // SAFETY: the caller's contract is `System.alloc`'s contract.
-            unsafe { System.alloc(layout) }
-        }
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: AllocLayout) {
-            track(-(layout.size() as isize));
-            // SAFETY: `ptr` came from `System` with this layout.
-            unsafe { System.dealloc(ptr, layout) }
-        }
-        unsafe fn realloc(&self, ptr: *mut u8, layout: AllocLayout, new_size: usize) -> *mut u8 {
-            track(new_size as isize);
-            track(-(layout.size() as isize));
-            // SAFETY: `ptr` came from `System` with this layout.
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-    }
-
+    // Read by the kit's `measured` and `fuzz_decoder`, here and in `io.rs`.
     #[global_allocator]
-    static ALLOCATOR: Tracking = Tracking;
-
-    /// Runs `f`; returns its result, the largest single allocation it made
-    /// and how far its live bytes rose above where they started.
-    pub(crate) fn measured<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
-        LARGEST.with(|l| l.set(0));
-        let before = LIVE.with(Cell::get);
-        PEAK.with(|p| p.set(before));
-        let out = f();
-        (out, LARGEST.with(Cell::get), (PEAK.with(Cell::get) - before) as usize)
-    }
+    static ALLOCATOR: betty_testkit::Tracking = betty_testkit::Tracking;
 
     // -----------------------------------------------------------------------
     // Fixtures.
@@ -706,12 +652,6 @@ pub(crate) mod tests {
             .collect();
         files.sort();
         files
-    }
-
-    fn fnv1a(name: &str) -> u64 {
-        name.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
     }
 
     // -----------------------------------------------------------------------
@@ -796,14 +736,13 @@ pub(crate) mod tests {
         Mutation::Resize,
     ];
 
-    /// Pushes `valid` through `decode` under every truncation up to
-    /// `header + 8` bytes and `cases` name-seeded mutations. `decode`
+    /// Pushes `valid` through the kit's `fuzz_decoder`: every truncation
+    /// up to `header + 8` bytes and 2000 name-seeded mutations. `decode`
     /// renders an accepted file as comparable bytes; every outcome must be
     /// an `Err`, or an `Ok` equal to the unmutated file's — except that a
     /// `Lie` may decode to something else when `lie_may_decode` (a meta file
     /// that says another shape under a valid seal *is* a valid meta file;
-    /// the directory-level test is where that lie is caught). No case may
-    /// panic or make an allocation larger than a few of the file.
+    /// the directory-level test is where that lie is caught).
     fn fuzz_decoder(
         name: &str,
         valid: &[u8],
@@ -812,31 +751,17 @@ pub(crate) mod tests {
         lie_may_decode: bool,
         decode: impl Fn(&[u8]) -> Result<Vec<u8>, String>,
     ) {
-        let original = decode(valid).expect("the unmutated file decodes");
-        let budget = 4 * valid.len() + 4096;
-        let run = |what: String, mutated: &[u8], lie: bool| {
-            let outcome = catch_unwind(AssertUnwindSafe(|| measured(|| decode(mutated))));
-            let Ok((decoded, largest, _)) = outcome else {
-                panic!("{name}: decoder panicked on {what}");
-            };
-            assert!(largest <= budget, "{name}: {what} allocated {largest} bytes at once");
-            if let Ok(decoded) = decoded {
-                assert!(
-                    decoded == original || (lie && lie_may_decode) || mutated == valid,
-                    "{name}: {what} decoded to something else"
-                );
-            }
-        };
-        for len in 0..=(MAGIC_LEN + 4 * header_words + 8).min(valid.len() - 1) {
-            run(format!("truncation to {len} bytes"), &valid[..len], false);
-        }
-        for case in 0..2000u64 {
-            let seed = fnv1a(name) ^ case;
+        let cases = (0..2000u64).map(|case| {
+            let seed = fnv1a(name.bytes()) ^ case;
             let mut rng = Pcg64Mcg::seed_from_u64(seed);
             let kind = MUTATIONS[case as usize % MUTATIONS.len()];
-            let mutated = mutate(&mut rng, kind, valid, header_words, other);
-            run(format!("case {case} ({kind:?}, seed {seed:#x})"), &mutated, kind == Mutation::Lie);
-        }
+            let lie = kind == Mutation::Lie && lie_may_decode;
+            let what = format!("case {case} ({kind:?}, seed {seed:#x})");
+            let expect = if lie { Expect::Anything } else { Expect::Original };
+            (what, mutate(&mut rng, kind, valid, header_words, other), expect)
+        });
+        let truncations = (MAGIC_LEN + 4 * header_words + 8).min(valid.len() - 1) + 1;
+        betty_testkit::fuzz_decoder(name, valid, truncations, cases, decode);
     }
 
     #[test]
@@ -891,7 +816,7 @@ pub(crate) mod tests {
             let pristine = read_files(&dir);
             let budget = 16 * pristine.iter().map(|(_, bytes)| bytes.len()).sum::<usize>();
             for case in 0..cases {
-                let seed = fnv1a(&name) ^ case;
+                let seed = fnv1a(name.bytes()) ^ case;
                 let what = format!("{name} case {case} (seed {seed:#x})");
                 let mut rng = Pcg64Mcg::seed_from_u64(seed);
                 let (victim, bytes) = &pristine[rng.gen_range(0..pristine.len())];
@@ -911,7 +836,7 @@ pub(crate) mod tests {
                     }
                 }
 
-                let serves_original = |store: &PagedFeatures| store.to_dense() == features;
+                let serves_original = |store: &PagedFeatures| store.to_dense().is_ok_and(|d| d == features);
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
                     let (opened, open_largest, _) = measured(|| PagedFeatures::open(&dir, usize::MAX));
                     let (scrubbed, scrub_largest, _) = measured(|| scrub(&dir));

@@ -453,6 +453,10 @@ mod tests {
     use rand::SeedableRng;
     use rand_pcg::Pcg64Mcg;
 
+    // Read by the kit's `fuzz_decoder` for its allocation bound.
+    #[global_allocator]
+    static ALLOCATOR: betty_testkit::Tracking = betty_testkit::Tracking;
+
     fn model(seed: u64) -> GraphSage {
         GraphSage::new(4, 8, 3, 2, AggregatorSpec::Pool, 0.0, &mut Pcg64Mcg::seed_from_u64(seed))
     }
@@ -681,28 +685,18 @@ mod tests {
     /// Truncation at every offset, then 2 400 seeded mutations of a full
     /// session file: bit flips (the CRC's to catch), word lies about a
     /// count, rank or dim re-sealed so the structural checks meet them, and
-    /// sections cut or padded under a re-sealed length. Every case must be
-    /// an `Err` or decode to the original; none may panic.
+    /// sections cut or padded under a re-sealed length. Every truncation
+    /// must be an `Err` and every mutation an `Err` or the original; none
+    /// may panic or allocate more than `4 × len + 4096` bytes at once.
     #[test]
     fn fuzz_decoder() {
+        use betty_testkit::Expect;
         use rand::{Rng, SeedableRng};
-        use std::panic::{catch_unwind, AssertUnwindSafe};
         let state = full_state();
         let valid = encode_state(&state).to_vec();
         assert_eq!(decode_state(&valid).unwrap(), state);
         let words = structural_words(&valid, &state);
-        let run = |what: String, bytes: &[u8]| {
-            let outcome = catch_unwind(AssertUnwindSafe(|| decode_state(bytes)));
-            match outcome {
-                Err(_) => panic!("decoder panicked on {what}"),
-                Ok(Ok(decoded)) => assert_eq!(decoded, state, "{what} decoded to something else"),
-                Ok(Err(_)) => {}
-            }
-        };
-        for len in 0..valid.len() {
-            run(format!("truncation to {len} bytes"), &valid[..len]);
-        }
-        for case in 0..2400u64 {
+        let cases = (0..2400u64).map(|case| {
             let mut rng = rand_pcg::Pcg64Mcg::seed_from_u64(0xC4EC ^ case);
             let mut bytes = valid.clone();
             match case % 3 {
@@ -743,8 +737,9 @@ mod tests {
                     bytes.splice(start..start + 12 + len, section.to_vec());
                 }
             }
-            run(format!("case {case}"), &bytes);
-        }
+            (format!("case {case}"), bytes, Expect::Original)
+        });
+        betty_testkit::fuzz_decoder("checkpoint", &valid, valid.len(), cases, decode_state);
     }
 
     #[test]

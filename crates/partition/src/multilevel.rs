@@ -926,63 +926,13 @@ impl Partitioner for MultilevelPartitioner {
 
 #[cfg(test)]
 mod tests {
-    use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
-    use std::cell::Cell;
-
     use super::*;
     use betty_graph::NodeId;
+    use betty_testkit::measured;
 
-    // What the calling thread has allocated: the high-water mark of live
-    // bytes since `measured` started. Thread-local (const-initialised, no
-    // destructor, so safe to touch from inside the allocator), which keeps
-    // the figure exact while other tests run.
-    thread_local! {
-        static LIVE: Cell<isize> = const { Cell::new(0) };
-        static PEAK: Cell<isize> = const { Cell::new(0) };
-    }
-
-    struct Tracking;
-
-    fn track(delta: isize) {
-        let _ = LIVE.try_with(|live| {
-            live.set(live.get() + delta);
-            let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
-        });
-    }
-
-    // SAFETY: every method forwards its arguments unchanged to `System`,
-    // which upholds the `GlobalAlloc` contract; the bookkeeping around the
-    // calls touches only thread-local `Cell`s and cannot unwind.
-    unsafe impl GlobalAlloc for Tracking {
-        unsafe fn alloc(&self, layout: AllocLayout) -> *mut u8 {
-            track(layout.size() as isize);
-            // SAFETY: the caller's contract is `System.alloc`'s contract.
-            unsafe { System.alloc(layout) }
-        }
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: AllocLayout) {
-            track(-(layout.size() as isize));
-            // SAFETY: `ptr` came from `System` with this layout.
-            unsafe { System.dealloc(ptr, layout) }
-        }
-        unsafe fn realloc(&self, ptr: *mut u8, layout: AllocLayout, new_size: usize) -> *mut u8 {
-            track(new_size as isize);
-            track(-(layout.size() as isize));
-            // SAFETY: `ptr` came from `System` with this layout.
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-    }
-
+    // Read by the kit's `measured`.
     #[global_allocator]
-    static ALLOCATOR: Tracking = Tracking;
-
-    /// Runs `f`; returns its result and how far the calling thread's live
-    /// bytes rose above where they started.
-    fn measured<T>(f: impl FnOnce() -> T) -> (T, usize) {
-        let before = LIVE.with(Cell::get);
-        PEAK.with(|p| p.set(before));
-        let out = f();
-        (out, (PEAK.with(Cell::get) - before) as usize)
-    }
+    static ALLOCATOR: betty_testkit::Tracking = betty_testkit::Tracking;
 
     /// Builds a symmetric graph from undirected edge pairs.
     fn undirected(n: usize, edges: &[(NodeId, NodeId)]) -> CsrGraph {
@@ -1839,7 +1789,7 @@ mod tests {
             part_w[p as usize] += 1.0;
             part_count[p as usize] += 1;
         }
-        let ((conn, moved), peak) = measured(|| {
+        let ((conn, moved), _, peak) = measured(|| {
             let mut conn = Connectivity::new(&level, &assignment, k);
             let moved = move_pass(
                 &mut conn,

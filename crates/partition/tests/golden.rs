@@ -4,23 +4,22 @@
 //! to a reusable coarsening hierarchy, flat CSR levels and flat swap
 //! tables. Every rewrite of `multilevel.rs` must keep them: plans — and
 //! with them losses, peak bytes and the chosen K — are promised to be
-//! bit-identical across that change.
+//! bit-identical across that change. A change that moves them on purpose
+//! re-records them with `GOLDEN_PRINT=1 cargo test -p betty-partition
+//! --test golden -- --nocapture`.
 
 use betty_graph::{dependency_reg, sample_batch, Batch, Block, CsrGraph, NodeId};
 use betty_partition::{MultilevelPartitioner, Partitioner};
+use betty_testkit::{check_golden, fnv1a};
 use rand::{Rng, SeedableRng};
 use rand_pcg::Pcg64Mcg;
 
 const CUTTER_SEED: u64 = 17;
 const HUB_CAP: usize = 32;
 
-fn fnv1a(labels: &[u32]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in labels.iter().flat_map(|l| l.to_le_bytes()) {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// FNV-1a of an assignment's little-endian bytes.
+fn assignment_hash(labels: &[u32]) -> u64 {
+    fnv1a(labels.iter().flat_map(|l| l.to_le_bytes()))
 }
 
 /// The REG of a batch sampled from a seeded random graph.
@@ -94,14 +93,9 @@ fn graphs() -> [(&'static str, CsrGraph); 3] {
 }
 
 fn assert_golden(actual: &[(&str, usize, u64)]) {
-    let table: String = actual
-        .iter()
-        .map(|(name, k, hash)| format!("    ({name:?}, {k}, {hash:#018x}),\n"))
-        .collect();
-    assert!(
-        actual == GOLDEN,
-        "assignments differ from the parent commit; actual table:\n{table}"
-    );
+    check_golden("assignments at the parent commit", actual, &GOLDEN, |(name, k, hash)| {
+        format!("    ({name:?}, {k}, {hash:#018x}),")
+    });
 }
 
 #[test]
@@ -111,7 +105,7 @@ fn from_scratch_assignments_match_the_parent_commit() {
     for (name, reg) in &graphs() {
         for &(_, k, _) in GOLDEN.iter().filter(|row| row.0 == *name) {
             let parts = cutter.partition(reg, parts_asked(k, reg));
-            actual.push((*name, k, fnv1a(parts.assignment())));
+            actual.push((*name, k, assignment_hash(parts.assignment())));
         }
     }
     assert_golden(&actual);
@@ -134,7 +128,7 @@ fn shared_hierarchy_assignments_match_the_parent_commit() {
         // 16, 2, 300, 1, 8, n+5, 3, 64, 11, then everything again backwards.
         let order = [5usize, 1, 7, 0, 4, 8, 2, 6, 3];
         for &i in order.iter().chain(order.iter().rev()) {
-            let hash = fnv1a(hierarchy.cut(parts_asked(rows[i], reg)).assignment());
+            let hash = assignment_hash(hierarchy.cut(parts_asked(rows[i], reg)).assignment());
             assert!(
                 hashes[i] == 0 || hashes[i] == hash,
                 "{name}: two cuts at k = {} differ",

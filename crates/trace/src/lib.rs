@@ -829,6 +829,10 @@ impl JsonParser<'_> {
 mod tests {
     use super::*;
 
+    // Read by the kit's `fuzz_decoder` for its allocation bound.
+    #[global_allocator]
+    static ALLOCATOR: betty_testkit::Tracking = betty_testkit::Tracking;
+
     #[test]
     fn run_context_is_stamped_into_jsonl_and_summary() {
         let mut t = TraceRecorder::new();
@@ -1071,9 +1075,11 @@ mod tests {
     /// Seeded byte-level fuzz of the validator over a real export: bit
     /// flips, truncations, splices and runs of `[` / `{` at random
     /// offsets. Every case must come back `Ok` or `Err` — no panic, no
-    /// stack overflow. A failing case prints its kind, number and seed.
+    /// stack overflow, no allocation past the kit's bound. A failing case
+    /// prints its kind, number and seed.
     #[test]
     fn mutated_traces_validate_to_a_structured_outcome() {
+        use betty_testkit::{fuzz_decoder, Expect};
         let valid = exported_trace().into_bytes();
         assert!(validate_jsonl(std::str::from_utf8(&valid).unwrap()).is_ok());
         // SplitMix64: the crate has no RNG dependency.
@@ -1084,7 +1090,7 @@ mod tests {
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
             z ^ (z >> 31)
         };
-        for case in 0..4000u64 {
+        let cases = (0..4000u64).map(|case| {
             let seed = 0x7ace_f022 ^ case;
             let mut rng = seed;
             let mut at = |bound: usize| (next(&mut rng) % bound as u64) as usize;
@@ -1111,10 +1117,9 @@ mod tests {
                     bytes.splice(offset..offset, std::iter::repeat_n(open, run));
                 }
             }
-            let text = String::from_utf8_lossy(&bytes);
-            let outcome = std::panic::catch_unwind(|| validate_jsonl(&text));
-            assert!(outcome.is_ok(), "case {case} ({kind}, seed {seed:#x}) panicked");
-        }
+            (format!("case {case} ({kind}, seed {seed:#x})"), bytes, Expect::Anything)
+        });
+        fuzz_decoder("trace", &valid, 0, cases, |b| validate_jsonl(&String::from_utf8_lossy(b)));
     }
 
     #[test]

@@ -29,7 +29,8 @@
 //! GAT's ELU and attention softmax too), so the hashes stay pinned to the
 //! platform they were recorded on (x86-64 Linux, glibc); run with
 //! `GOLDEN_PRINT=1 cargo test -p betty-integration-tests --test
-//! golden_training -- --nocapture` to print the table for a new one.
+//! golden_training -- --nocapture` to print the table for a new one
+//! (the one switch of `betty_testkit`'s golden recorder).
 
 #![cfg(all(target_arch = "x86_64", target_os = "linux"))]
 
@@ -38,15 +39,7 @@ use betty_data::DatasetSpec;
 use betty_device::gib;
 use betty_nn::AggregatorSpec;
 use betty_tensor::{with_backend, Backend};
-
-fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in words.into_iter().flat_map(u64::to_le_bytes) {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use betty_testkit::{check_golden, fnv1a, printing};
 
 /// Two epochs at K = 3 on a tiny power-law graph; the hash covers both
 /// epoch losses (also returned) and every parameter bit afterwards.
@@ -79,7 +72,7 @@ fn train_hash(model: ModelKind, aggregator: AggregatorSpec, backend: Backend) ->
         for p in runner.trainer().model().params() {
             words.extend(p.value().data().iter().map(|v| u64::from(v.to_bits())));
         }
-        (fnv1a(words), losses)
+        (fnv1a(words.into_iter().flat_map(u64::to_le_bytes)), losses)
     })
 }
 
@@ -143,23 +136,24 @@ const GOLDEN: [Golden; 6] = [
 
 #[test]
 fn two_epochs_match_the_parent_commit_bit_for_bit() {
+    let (mut got, mut want) = (Vec::new(), Vec::new());
     for Golden { name, model, aggregator, hash, parent_losses } in GOLDEN {
         for backend in [Backend::Scalar, Backend::Simd] {
-            let (got, losses) = train_hash(model, aggregator, backend);
+            let (hash_got, losses) = train_hash(model, aggregator, backend);
             for (loss, parent) in losses.iter().zip(parent_losses) {
                 assert!(
                     (loss - parent).abs() <= 1e-5 * parent,
                     "{name} on {backend}: loss {loss} left the parent's {parent}"
                 );
             }
-            if std::env::var_os("GOLDEN_PRINT").is_some() {
-                println!("(\"{name}\", {backend}) = {got:#018x}  losses {losses:?}");
-                continue;
+            if printing() {
+                println!("// {name} on {backend}: losses {losses:?}");
             }
-            assert_eq!(
-                got, hash,
-                "{name} on {backend}: loss or parameter bits moved ({got:#018x})"
-            );
+            got.push((name, backend, hash_got));
+            want.push((name, backend, hash));
         }
     }
+    check_golden("loss and parameter bits", &got, &want, |(name, backend, hash)| {
+        format!("(\"{name}\", {backend}) = {hash:#018x}")
+    });
 }

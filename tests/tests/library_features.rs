@@ -76,11 +76,11 @@ fn checkpoint_preserves_full_graph_accuracy() {
         0.0,
         &mut Pcg64Mcg::seed_from_u64(99),
     );
-    let before = accuracy_full_graph(&other, &ds, &ds.test_idx, 64);
+    let before = accuracy_full_graph(&other, &ds, &ds.test_idx, 64).unwrap();
     load_checkpoint(&mut other, &path).unwrap();
     let _ = std::fs::remove_file(&path);
-    let restored = accuracy_full_graph(&other, &ds, &ds.test_idx, 64);
-    let original = accuracy_full_graph(&model, &ds, &ds.test_idx, 64);
+    let restored = accuracy_full_graph(&other, &ds, &ds.test_idx, 64).unwrap();
+    let original = accuracy_full_graph(&model, &ds, &ds.test_idx, 64).unwrap();
     assert_eq!(restored, original, "restored model must match byte-wise");
     // (`before` is almost surely different — two random inits.)
     let _ = before;

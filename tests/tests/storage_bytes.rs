@@ -6,7 +6,7 @@
 //! The values were recorded from the writers as they stood before the
 //! sealed-file codec existed. A refactor of the codecs must leave every
 //! one of them alone; a deliberate format change re-records them with
-//! `STORAGE_BYTES_PRINT=1 cargo test -p betty-integration-tests --test
+//! `GOLDEN_PRINT=1 cargo test -p betty-integration-tests --test
 //! storage_bytes -- --nocapture` and says so in the CHANGELOG.
 
 use std::path::{Path, PathBuf};
@@ -15,14 +15,11 @@ use betty_data::{save_dataset, Dataset, Features};
 use betty_graph::CsrGraph;
 use betty_nn::{save_train_state, AdamState, TrainState};
 use betty_tensor::{DType, Tensor};
+use betty_testkit::{check_golden, fnv1a};
 
-/// FNV-1a, 64-bit. Not `crc32`: a file that ends in the CRC of its own
-/// body has the same CRC-32 as every other file of its length and magic
-/// (the residue property), which would pin nothing.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+/// FNV-1a of a file's bytes (not its CRC-32, which pins nothing).
+fn file_hash(path: &Path) -> u64 {
+    fnv1a(std::fs::read(path).unwrap())
 }
 
 fn tmp(name: &str) -> PathBuf {
@@ -46,7 +43,7 @@ fn dir_checksums(dir: &Path) -> Vec<(String, u64)> {
         .map(|entry| {
             let path = entry.unwrap().path();
             let name = path.file_name().unwrap().to_string_lossy().into_owned();
-            (name, fnv1a(&std::fs::read(&path).unwrap()))
+            (name, file_hash(&path))
         })
         .collect();
     files.sort();
@@ -54,15 +51,8 @@ fn dir_checksums(dir: &Path) -> Vec<(String, u64)> {
 }
 
 fn check(what: &str, got: &[(String, u64)], want: &[(&str, u64)]) {
-    if std::env::var_os("STORAGE_BYTES_PRINT").is_some() {
-        println!("// {what}");
-        for (name, hash) in got {
-            println!("(\"{name}\", {hash:#018x}),");
-        }
-        return;
-    }
     let want: Vec<(String, u64)> = want.iter().map(|&(n, c)| (n.to_string(), c)).collect();
-    assert_eq!(got, want, "{what}: on-disk bytes changed");
+    check_golden(what, got, &want, |(name, hash)| format!("(\"{name}\", {hash:#018x}),"));
 }
 
 fn spilled(dtype: DType, parity: usize) -> Vec<(String, u64)> {
@@ -156,7 +146,7 @@ fn dataset_file() {
     };
     let path = tmp("dataset.btd");
     save_dataset(&dataset, &path).unwrap();
-    let hash = fnv1a(&std::fs::read(&path).unwrap());
+    let hash = file_hash(&path);
     let _ = std::fs::remove_file(&path);
     check(
         "dataset",
@@ -178,7 +168,7 @@ fn checkpoint_file() {
     };
     let path = tmp("session.btc");
     save_train_state(&state, &path).unwrap();
-    let hash = fnv1a(&std::fs::read(&path).unwrap());
+    let hash = file_hash(&path);
     let _ = std::fs::remove_file(&path);
     check(
         "checkpoint",
