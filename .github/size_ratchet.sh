@@ -17,7 +17,7 @@ cli              1107  107   crates/cli/src
 core             3506  1271  crates/core/src
 data             1967  727   crates/data/src
 device           885   383   crates/device/src
-graph            934   375   crates/graph/src
+graph            933   375   crates/graph/src
 nn               1397  402   crates/nn/src
 partition        1140  309   crates/partition/src
 runtime          185   128   crates/runtime/src

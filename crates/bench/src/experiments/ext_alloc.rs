@@ -134,7 +134,7 @@ pub fn run(profile: Profile) {
             "steps",
             "heap allocs",
             "allocs/step",
-            "wall (s)",
+            "wall/step (µs)",
             "hit rate",
             "MiB recycled",
             "alloc ratio",
@@ -214,7 +214,7 @@ pub fn run(profile: Profile) {
                 } else {
                     "n/a".to_string()
                 },
-                crate::report::secs(run.wall_sec),
+                format!("{:.1}", 1e6 * run.wall_sec / run.steps.max(1) as f64),
                 format!("{run_rate:.3}"),
                 crate::report::mib(run.bytes_recycled as usize),
                 ratio_cell,

@@ -46,9 +46,7 @@ impl Args {
                 return Err(ArgError(format!("flag --{key} given twice")));
             }
             match iter.next_if(|next| !next.starts_with("--")) {
-                Some(value) => {
-                    out.values.insert(key.to_string(), value);
-                }
+                Some(value) => drop(out.values.insert(key.to_string(), value)),
                 None => out.switches.push(key.to_string()),
             }
         }
@@ -80,7 +78,7 @@ impl Args {
                 Needs::Value(other, want) if self.get(other).or(other.default) != Some(want) => {
                     format!("--{} requires --{} {want}", flag.key, other.key)
                 }
-                Needs::Preset if self.given(&DATA) => format!(
+                Needs::Preset(on) if on.contains(&command) && self.given(&DATA) => format!(
                     "--{} shapes a --preset and cannot apply to --data {}",
                     flag.key,
                     self.get(&DATA).unwrap_or_default()
@@ -229,6 +227,13 @@ mod tests {
         assert_eq!(train(&["--feature-dir", "d", "--feature-store", "paged"]), Ok(()));
         let shaped = check(Command::Info, &["--data", "f", "--feature-dim", "0", "--scale", "0"]);
         assert_eq!(shaped, Err("--scale shapes a --preset and cannot apply to --data f".into()));
+        // `--seed` seeds nothing that info or eval read from a file; train samples with it.
+        for command in [Command::Info, Command::Eval] {
+            let seeded = check(command, &["--data", "f", "--seed", "3"]);
+            assert_eq!(seeded, Err("--seed shapes a --preset and cannot apply to --data f".into()));
+            assert_eq!(check(command, &["--preset", "cora", "--seed", "3"]), Ok(()));
+        }
+        assert_eq!(train(&["--data", "f", "--seed", "3"]), Ok(()));
     }
 
     #[test]

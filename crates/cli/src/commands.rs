@@ -674,7 +674,7 @@ mod tests {
                 let mut needs: Vec<String> = match flag.needs {
                     Needs::Value(other, value) => vec![format!("--{}", other.key), value.to_string()],
                     Needs::Flag(other) => vec![format!("--{}", other.key), "d".into()],
-                    Needs::Nothing | Needs::Preset => Vec::new(),
+                    Needs::Nothing | Needs::Preset(_) => Vec::new(),
                 };
                 for (key, value) in base {
                     if key != flag.key && rows().any(|f| f.key == key && f.reads(command)) {

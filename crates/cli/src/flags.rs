@@ -55,8 +55,8 @@ pub(crate) enum Needs {
     Flag(&'static Flag),
     /// Another flag at this value (its default counts).
     Value(&'static Flag, &'static str),
-    /// A `--preset` to shape: refused beside `--data`.
-    Preset,
+    /// A `--preset` to shape on these commands: refused beside `--data`.
+    Preset(&'static [Command]),
 }
 
 /// One row of the table.
@@ -137,11 +137,12 @@ const MODELS: &[Command] = &[Partition, Train, Eval];
 pub(crate) const DATA: Flag = Flag::new("data", "<file>", LOADS).help("a dataset file written by generate");
 pub(crate) const PRESET: Flag = Flag::new("preset", "", EVERYWHERE).check(Check::OneOf(&["cora", "pubmed", "reddit", "ogbn-arxiv", "ogbn-products"]))
     .help("synthesize this dataset instead of loading --data (generate needs it)");
-pub(crate) const SCALE: Flag = Flag::new("scale", "F", EVERYWHERE).default("0.01").check(Check::Unit).needs(Needs::Preset)
+pub(crate) const SCALE: Flag = Flag::new("scale", "F", EVERYWHERE).default("0.01").check(Check::Unit).needs(Needs::Preset(EVERYWHERE))
     .help("the preset's node count, as a fraction of the real graph's");
-pub(crate) const FEATURE_DIM: Flag = Flag::new("feature-dim", "D", EVERYWHERE).default("32").check(Check::Positive).needs(Needs::Preset)
+pub(crate) const FEATURE_DIM: Flag = Flag::new("feature-dim", "D", EVERYWHERE).default("32").check(Check::Positive).needs(Needs::Preset(EVERYWHERE))
     .help("the preset's feature width");
-pub(crate) const SEED: Flag = Flag::new("seed", "N", EVERYWHERE).default("0").help("seeds a preset's graph and features, and a run's sampling and weights");
+pub(crate) const SEED: Flag = Flag::new("seed", "N", EVERYWHERE).default("0").needs(Needs::Preset(&[Info, Eval]))
+    .help("seeds a preset's graph and features, and a run's sampling and weights");
 pub(crate) const OUT: Flag = Flag::new("out", "<file>", &[Generate]).help("where generate writes the dataset (required)");
 
 pub(crate) const FEATURE_STORE: Flag = Flag::new("feature-store", "", LOADS).default("dense").check(Check::OneOf(&["dense", "paged"]))
@@ -286,7 +287,8 @@ pub(crate) fn help() -> String {
                 Needs::Nothing => String::new(),
                 Needs::Flag(other) => format!(" Needs --{}.", other.key),
                 Needs::Value(other, value) => format!(" Needs --{} {value}.", other.key),
-                Needs::Preset => " Shapes a --preset; not with --data.".into(),
+                Needs::Preset(EVERYWHERE) => " Shapes a --preset; not with --data.".into(),
+                Needs::Preset(on) => format!(" On {}, shapes a --preset; not with --data.", on.iter().map(|c| c.name()).collect::<Vec<_>>().join(" and ")),
             };
             let _ = writeln!(out, "  {}", flag.synopsis());
             wrap(&mut out, 6, &format!("{}.{needs}", flag.help.trim_end_matches('.')));

@@ -304,7 +304,8 @@ fn bad_learning_rates_and_capacities_are_usage_errors() {
     let train: &[&str] = &["train", "--preset", "cora", "--epochs", "1"];
     let generate: &[&str] = &["generate", "--preset", "cora", "--out", data_arg];
     let eval: &[&str] = &["eval", "--preset", "cora", "--hidden", "8", "--checkpoint", ckpt_arg];
-    let cases: [(&[&str], &[&str], &str); 20] = [
+    let eval_data: &[&str] = &["eval", "--data", dataset.to_str().unwrap(), "--checkpoint", ckpt_arg];
+    let cases: [(&[&str], &[&str], &str); 22] = [
         (train, &["--scale", "0.05", "--lr", "NaN"], "learning rate must be positive and finite"),
         (train, &["--scale", "0.05", "--lr", "inf"], "learning rate must be positive and finite"),
         (train, &["--scale", "0.05", "--lr", "0"], "learning rate must be positive and finite"),
@@ -325,6 +326,8 @@ fn bad_learning_rates_and_capacities_are_usage_errors() {
         (info_data, &["--feature-dim", "-1"], "--feature-dim shapes a --preset"),
         (train_data, &["--scale", "NaN"], "--scale shapes a --preset"),
         (train_data, &["--feature-dim", "inf"], "--feature-dim shapes a --preset"),
+        (info_data, &["--seed", "5"], "--seed shapes a --preset"),
+        (eval_data, &["--seed", "5"], "--seed shapes a --preset"),
     ];
     for (command, args, message) in cases {
         let out = betty().args(command).args(args).output().unwrap();

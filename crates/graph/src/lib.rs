@@ -16,7 +16,7 @@
 //!   [`Batch`] from seed (output) nodes.
 //! * [`shared_neighbor_graph`] — Gustavson-style sparse `Aᵀ·A` restricted to
 //!   destination nodes: the **Redundancy-Embedded Graph** (REG) of the paper.
-//! * [`ColumnBitmap`] — the ascending, sort-free row emission the REG build
+//! * [`RowAccumulator`] — the branch-free, sort-free row sum the REG build
 //!   and the partitioner's coarse levels share.
 //! * [`degree`] — degree-distribution statistics (power-law tails,
 //!   in-degree bucketing histograms).
@@ -47,7 +47,7 @@ mod sampling;
 mod spgemm;
 
 pub use batch::Batch;
-pub use bitmap::ColumnBitmap;
+pub use bitmap::RowAccumulator;
 pub use block::Block;
 pub use components::{weakly_connected_components, Components};
 pub use csr::CsrGraph;

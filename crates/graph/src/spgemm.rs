@@ -7,26 +7,21 @@
 //! each shared source, so a minimum-weight cut of the REG minimizes
 //! redundancy.
 //!
-//! # Parallel construction
+//! # Construction
 //!
-//! Both constructions reduce to symmetric co-occurrence counting over a
-//! family of node sets (a block's per-source destination lists, or a
-//! batch's per-node dependant sets), held flat in a [`SetFamily`] and built
-//! by counting passes over block-local ids — no hashing, no per-set
-//! allocation — and share one sharded Gustavson kernel,
-//! [`co_occurrence_csr`]: the set family is inverted into a CSR
-//! row-to-sets index once, destination rows are sharded across
-//! [`betty_runtime::map_ranges`] workers when
-//! [`betty_runtime::Shards::for_work`] says the pair updates are worth it
-//! (weighted by per-row work so power-law hubs don't serialize a shard),
-//! each worker counts its rows into a private dense accumulator and emits
-//! each row in order from a [`ColumnBitmap`], and shard outputs are
-//! concatenated in row order. Weights are exact small-integer counts, so
-//! per-row sums are order-independent and the resulting [`CsrGraph`] is
-//! **bit-identical for every thread count** — `BETTY_THREADS=1` reproduces
-//! the historical serial output byte for byte.
+//! Both constructions count symmetric co-occurrences over a family of node
+//! sets (a block's per-source destination lists, or a batch's per-node
+//! dependant sets) held flat in a [`SetFamily`]. Each stage lays its rows
+//! out with [`for_each_row`], every input read once and in order, none
+//! fetched from a random place per row: the sets from the block edges,
+//! then each row's pair updates from the sets, counted in a
+//! [`RowAccumulator`] on [`betty_runtime::map_ranges`] workers balanced by
+//! pair updates. Counts are exact small integers, so the [`CsrGraph`] is
+//! **bit-identical for every thread count**.
 
-use crate::{Block, ColumnBitmap, CsrGraph};
+use std::ops::Range;
+
+use crate::{Block, CsrGraph, RowAccumulator};
 
 /// A family of duplicate-free sets over `0..n`, stored back to back: set
 /// `k` is `data[offsets[k]..offsets[k + 1]]`.
@@ -36,49 +31,69 @@ struct SetFamily {
 }
 
 impl SetFamily {
-    fn len(&self) -> usize {
-        self.offsets.len() - 1
+    /// The sets `{0}, {1}, …, {n − 1}`.
+    fn singletons(n: usize) -> Self {
+        let (offsets, data) = ((0..=n).collect(), (0..n as u32).collect());
+        SetFamily { offsets, data }
     }
 
     fn set(&self, k: usize) -> &[u32] {
         &self.data[self.offsets[k]..self.offsets[k + 1]]
     }
 
-    /// `(id, members)` of the sets that hold a pair at all.
-    fn paired(&self) -> impl Iterator<Item = (u32, &[u32])> {
-        (0..self.len())
-            .map(|k| (k as u32, self.set(k)))
-            .filter(|(_, set)| set.len() >= 2)
+    /// Where in `data` the sets that hold a pair at all lie.
+    fn paired(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        let sets = self.offsets.windows(2).map(|w| w[0]..w[1]);
+        sets.filter(|set| set.len() >= 2)
     }
+}
 
-    /// Each source's destinations, by block-local ids. Block edges are
-    /// grouped by ascending destination, so a counting pass leaves every
-    /// list ascending and a parallel edge next to its twin, where it is
-    /// dropped.
-    fn destinations_by_source(block: &Block) -> SetFamily {
-        let n = block.num_src();
-        let edges = || block.edge_src_locals().iter().zip(block.edge_dst_locals());
-        let mut offsets = vec![0usize; n + 1];
-        let mut last = vec![u32::MAX; n];
-        for (&s, &d) in edges() {
-            if last[s as usize] != d {
-                last[s as usize] = d;
-                offsets[s as usize + 1] += 1;
-            }
+/// Most entries a layout holds at once (16 MiB of them).
+const CHUNK: usize = 1 << 22;
+
+/// The rows [`for_each_row`] is laying out from `lo`: row `r` ends at
+/// `entries[ends[r - lo]]` so far.
+struct Rows {
+    lo: usize,
+    ends: Vec<usize>,
+    entries: Vec<u32>,
+}
+
+impl Rows {
+    /// Appends `slice` to row `r` if `r` is being laid out.
+    fn put(&mut self, r: usize, slice: &[u32]) {
+        if let Some(end) = r.checked_sub(self.lo).and_then(|r| self.ends.get_mut(r)) {
+            self.entries[*end..*end + slice.len()].copy_from_slice(slice);
+            *end += slice.len();
         }
-        for s in 0..n {
-            offsets[s + 1] += offsets[s];
+    }
+}
+
+/// Calls `visit(r, entries)` on each row `r` of `range` in order, its
+/// `costs[r]` entries back to back as `fill` puts them; rows are laid out
+/// in chunks of at most `budget` entries (or of one row), a `fill` each.
+fn for_each_row(
+    costs: &[usize],
+    range: Range<usize>,
+    budget: usize,
+    fill: impl Fn(&mut Rows),
+    mut visit: impl FnMut(usize, &[u32]),
+) {
+    let mut rows = Rows { lo: range.start, ends: Vec::new(), entries: Vec::new() };
+    while rows.lo < range.end {
+        // One row at least, then as many as the budget holds.
+        let mut total = 0;
+        let fits = costs[rows.lo..range.end].iter().take_while(|&&c| { total += c; total <= budget });
+        let hi = rows.lo + fits.count().max(1);
+        let mut at = 0;
+        rows.ends.clear();
+        rows.ends.extend(costs[rows.lo..hi].iter().map(|&c| { at += c; at - c }));
+        rows.entries.resize(rows.entries.len().max(at), 0);
+        fill(&mut rows);
+        for (r, &end) in (rows.lo..hi).zip(&rows.ends) {
+            visit(r, &rows.entries[end - costs[r]..end]);
         }
-        let mut cursor = offsets[..n].to_vec();
-        let mut data = vec![0u32; offsets[n]];
-        for (&s, &d) in edges() {
-            let at = &mut cursor[s as usize];
-            if *at == offsets[s as usize] || data[*at - 1] != d {
-                data[*at] = d;
-                *at += 1;
-            }
-        }
-        SetFamily { offsets, data }
+        rows.lo = hi;
     }
 }
 
@@ -90,97 +105,46 @@ impl SetFamily {
 /// to 2²⁴: far above what the fanouts let one node's sets number.
 fn co_occurrence_csr(n: usize, sets: &SetFamily) -> CsrGraph {
     // The work is the pair updates, Σ|S|², in the gate's units.
-    let work = sets.paired().map(|(_, set)| set.len() * set.len()).sum();
-    co_occurrence_sharded(n, sets, betty_runtime::Shards::for_work(n, work).count())
+    let work = sets.paired().map(|set| set.len() * set.len()).sum();
+    co_occurrence_sharded(n, sets, betty_runtime::Shards::for_work(n, work).count(), CHUNK)
 }
 
-/// [`co_occurrence_csr`] on `shards` row ranges balanced by pair updates.
-fn co_occurrence_sharded(n: usize, sets: &SetFamily, shards: usize) -> CsrGraph {
-    // Invert: CSR from row id to the ids of the sets containing it.
-    let mut inv_ptr = vec![0usize; n + 1];
-    for (_, set) in sets.paired() {
-        for &i in set {
-            inv_ptr[i as usize + 1] += 1;
-        }
+/// [`co_occurrence_csr`] on `shards` row ranges balanced by pair updates,
+/// in chunks of `budget`: row `i`'s updates are every set holding `i`.
+fn co_occurrence_sharded(n: usize, sets: &SetFamily, shards: usize, budget: usize) -> CsrGraph {
+    let mut costs = vec![0usize; n];
+    for set in sets.paired() {
+        sets.data[set.clone()].iter().for_each(|&i| costs[i as usize] += set.len());
     }
-    for i in 0..n {
-        inv_ptr[i + 1] += inv_ptr[i];
-    }
-    let mut inv = vec![0u32; inv_ptr[n]];
-    let mut cursor = inv_ptr[..n].to_vec();
-    for (sid, set) in sets.paired() {
-        for &i in set {
-            inv[cursor[i as usize]] = sid;
-            cursor[i as usize] += 1;
-        }
-    }
-    let containing = |i: usize| {
-        inv[inv_ptr[i]..inv_ptr[i + 1]]
-            .iter()
-            .map(|&sid| sets.set(sid as usize))
-    };
-    // Per-row Gustavson cost: every containing set is scanned in full. One
-    // shard is not weighed.
-    let ranges = if shards > 1 {
-        let costs: Vec<usize> = (0..n)
-            .map(|i| containing(i).map(<[u32]>::len).sum())
-            .collect();
-        betty_runtime::shard_ranges_weighted(&costs, shards)
-    } else {
-        betty_runtime::shard_ranges(n, 1)
-    };
+    let ranges = betty_runtime::shard_ranges_weighted(&costs, shards);
     let shards = betty_runtime::map_ranges(ranges, |_, range| {
-        // Dense counts and first touches, private to this worker. Every
-        // update writes a `touched` slot, so a full row writes slot `n` too.
-        let mut count = vec![0u32; n];
-        let mut touched = vec![0u32; n + 1];
-        let mut row = ColumnBitmap::new(n);
-        let mut row_ends = Vec::with_capacity(range.len());
-        let mut indices = Vec::new();
-        let mut weights = Vec::new();
-        for i in range {
-            let mut len = 0;
-            for set in containing(i) {
-                for &j in set {
-                    let c = &mut count[j as usize];
-                    touched[len] = j;
-                    len += usize::from(*c == 0);
-                    *c += 1;
-                }
+        let mut row = RowAccumulator::new(n);
+        let (mut row_ends, mut indices, mut weights) = (Vec::new(), Vec::new(), Vec::new());
+        let fill = |rows: &mut Rows| {
+            for set in sets.paired().map(|set| &sets.data[set]) {
+                set.iter().for_each(|&i| rows.put(i as usize, set));
             }
-            for &j in &touched[..len] {
-                row.insert(j);
-            }
-            // The diagonal was counted like any entry (no test per update);
-            // it is dropped here.
-            row.drain(|j| {
-                if j as usize != i {
-                    indices.push(j);
-                    weights.push(count[j as usize] as f32);
-                }
-                count[j as usize] = 0;
-            });
+        };
+        for_each_row(&costs, range, budget, fill, |i, updates| {
+            row.extend(updates.iter().map(|&j| (j, 1.0)));
+            // The diagonal was counted like any entry; it is dropped here.
+            let counted = row.drain(i as u32);
+            indices.extend(counted.iter().map(|&(j, _)| j));
+            weights.extend(counted.iter().map(|&(_, count)| count));
             row_ends.push(indices.len());
-        }
+        });
         (row_ends, indices, weights)
     });
-    // Merge in row order: shard ranges are contiguous and ordered, so this
-    // is a straight concatenation onto the first shard's arrays.
-    let nnz: usize = shards.iter().map(|(_, idx, _)| idx.len()).sum();
+    // Shard ranges are contiguous and ordered: concatenate onto the first.
     let mut shards = shards.into_iter();
     let (row_ends, mut indices, mut weights) = shards.next().unwrap_or_default();
-    let mut indptr = Vec::with_capacity(n + 1);
-    indptr.push(0usize);
-    indptr.extend(row_ends);
-    indices.reserve_exact(nnz - indices.len());
-    weights.reserve_exact(nnz - weights.len());
+    let mut indptr: Vec<usize> = std::iter::once(0).chain(row_ends).collect();
     for (row_ends, idx, w) in shards {
         let base = indices.len();
         indptr.extend(row_ends.into_iter().map(|end| base + end));
         indices.extend(idx);
         weights.extend(w);
     }
-    debug_assert_eq!(indptr.len(), n + 1);
     CsrGraph::from_csr_parts(indptr, indices, Some(weights))
 }
 
@@ -189,19 +153,14 @@ fn co_occurrence_sharded(n: usize, sets: &SetFamily, shards: usize) -> CsrGraph 
 /// Nodes of the result are the block's destinations in *local* order
 /// (`0..num_dst`); an edge `i → j` (and its mirror `j → i`) carries weight
 /// `|sources(i) ∩ sources(j)|`. Self-loops (the diagonal of `Aᵀ·A`) are
-/// removed, matching Algorithm 1.
-///
-/// Implementation is Gustavson's row-wise SpGEMM over the source-to-
-/// destination incidence: for each source `k` with destination list `N(k)`,
-/// every ordered pair in `N(k) × N(k)` contributes 1 — accumulated sparsely
-/// per destination row, sharded across up to
-/// [`betty_runtime::configured_threads`] workers. A source contributing to
-/// `d` destinations costs `d²` updates; destinations' in-degrees are
-/// fanout-bounded, keeping this tractable
-/// (the paper computes the same product via `dgl.adj_product_graph`).
+/// removed, matching Algorithm 1. Each source `k` with destinations `N(k)`
+/// adds 1 for every ordered pair of `N(k) × N(k)`: `|N(k)|²` updates, which
+/// the fanouts keep tractable (the paper computes the same product via
+/// `dgl.adj_product_graph`).
 pub fn shared_neighbor_graph(block: &Block) -> CsrGraph {
-    let by_source = SetFamily::destinations_by_source(block);
-    co_occurrence_csr(block.num_dst(), &by_source)
+    let n = block.num_dst();
+    let by_source = dependants(block, &SetFamily::singletons(n), n, 0..0, usize::MAX, CHUNK);
+    co_occurrence_csr(n, &by_source)
 }
 
 /// Builds the *full-dependency* Redundancy-Embedded Graph of a batch.
@@ -218,64 +177,72 @@ pub fn shared_neighbor_graph(block: &Block) -> CsrGraph {
 /// `hub_cap` bounds the dependants-set size per node: a node needed by more
 /// than `hub_cap` outputs is duplicated into nearly every micro-batch no
 /// matter the cut, so its pair contributions are skipped. Such a set is
-/// never built: it is dropped on reaching `hub_cap + 1` members and
-/// whatever feeds on its owner is dropped unread (`D(s) ⊇ D(d)` for every
-/// edge `s → d`), so propagation reads at most `hub_cap` members per block
-/// edge and the pair enumeration is `O(Σ min(|D|, cap)²)`.
-///
-/// Dependency-set propagation is inherently sequential across layers and
-/// stays on the calling thread; the quadratic pair-counting stage runs on
-/// the sharded kernel, bit-identical at every thread count.
+/// dropped, and whatever feeds on its owner is dropped unread (`D(s) ⊇
+/// D(d)` for every edge `s → d`), so propagation reads at most `hub_cap`
+/// members per block edge and the pair enumeration is `O(Σ min(|D|, cap)²)`.
 ///
 /// Nodes of the result are the batch's output nodes in *local (dst) order*
 /// of the last block, matching [`shared_neighbor_graph`].
 pub fn dependency_reg(batch: &crate::Batch, hub_cap: usize) -> CsrGraph {
     let n_out = batch.output_nodes().len();
-    // D(v) = the output locals depending on v, for the destinations of the
-    // block about to be read, by destination-local id. Every node has a
-    // dependant, so an empty set marks one over `hub_cap`.
-    let mut dep = SetFamily {
-        offsets: (0..=n_out).collect(),
-        data: (0..n_out as u32).collect(),
-    };
+    co_occurrence_csr(n_out, &dependency_sets(batch, hub_cap, CHUNK))
+}
+
+/// `D(v)`, the output locals depending on `v`, for every source of the
+/// first block, each block laid out in chunks of at most `budget` entries.
+fn dependency_sets(batch: &crate::Batch, hub_cap: usize, budget: usize) -> SetFamily {
+    let n_out = batch.output_nodes().len();
+    let mut dep = SetFamily::singletons(n_out);
     // From the output block down: a block's destinations are the sources
     // of the block above under the same local ids (the stacking invariant),
     // so `dep` is complete before it is read and is replaced whole, after
     // the block scan — a source that is also a destination feeds on its
-    // set from above, as every edge out of it does.
+    // set from above, as every edge out of it does. Every node has a
+    // dependant, so an empty set marks one over `hub_cap`.
     for block in batch.blocks().iter().rev() {
-        let by_source = SetFamily::destinations_by_source(block);
-        // `seen[o] == s` once output `o` is in the set being built for `s`.
-        let mut seen = vec![u32::MAX; n_out];
-        let mut offsets = Vec::with_capacity(block.num_src() + 1);
-        offsets.push(0usize);
-        let mut data: Vec<u32> = Vec::with_capacity(dep.data.len());
-        for s in 0..block.num_src() {
-            // D(s) = ⋃ D(d) over s's edges s → d, and s itself where it is
-            // a destination (a self-edge adds nothing to that).
-            let own = (s < block.num_dst()).then_some(s as u32);
-            let feeders = || own.iter().chain(by_source.set(s));
-            let start = data.len();
-            // D(s) ⊇ D(d): one feeder over the cap puts s over it.
-            if feeders().all(|&d| !dep.set(d as usize).is_empty()) {
-                for &d in feeders() {
-                    for &o in dep.set(d as usize) {
-                        if seen[o as usize] != s as u32 {
-                            seen[o as usize] = s as u32;
-                            data.push(o);
-                        }
-                    }
-                    if data.len() - start > hub_cap {
-                        data.truncate(start);
-                        break;
-                    }
-                }
-            }
-            offsets.push(data.len());
-        }
-        dep = SetFamily { offsets, data };
+        dep = dependants(block, &dep, n_out, 0..block.num_dst(), hub_cap, budget);
     }
-    co_occurrence_csr(n_out, &dep)
+    dep
+}
+
+/// For each source `s` of `block`, the union of the sets of `dep` (over
+/// `0..n`) feeding it: `dep.set(d)` for each edge `s → d`, and `dep.set(s)`
+/// for `s` in `own`. It is empty if a feeding set is, or if it has more
+/// than `cap` members. Feeding sets are laid out `s`'s own first, then by
+/// edge (ascending destination); each member is written past the union,
+/// which takes it if `seen` has not stamped it with `s` — no branch.
+fn dependants(
+    block: &Block,
+    dep: &SetFamily,
+    n: usize,
+    own: Range<usize>,
+    cap: usize,
+    budget: usize,
+) -> SetFamily {
+    let edges = block.edge_src_locals().iter().zip(block.edge_dst_locals());
+    let edges = edges.map(|(&s, &d)| (s as usize, d as usize));
+    let feeds = || own.clone().map(|s| (s, s)).chain(edges.clone());
+    let (mut empty, mut costs) = (vec![false; block.num_src()], vec![0; block.num_src()]);
+    for (s, d) in feeds() {
+        (empty[s], costs[s]) = (empty[s] | dep.set(d).is_empty(), costs[s] + dep.set(d).len());
+    }
+    costs.iter_mut().zip(&empty).for_each(|(c, &e)| *c *= usize::from(!e));
+    let fill = |rows: &mut Rows| {
+        feeds().filter(|&(s, _)| !empty[s]).for_each(|(s, d)| rows.put(s, dep.set(d)));
+    };
+    let (mut seen, mut union) = (vec![u32::MAX; n], vec![0u32; n + 1]);
+    let mut family = SetFamily { offsets: vec![0], data: Vec::new() };
+    for_each_row(&costs, 0..costs.len(), budget, fill, |s, fed| {
+        let mut len = 0;
+        for &o in fed {
+            union[len] = o;
+            len += usize::from(seen[o as usize] != s as u32);
+            seen[o as usize] = s as u32;
+        }
+        family.data.extend_from_slice(&union[..len * usize::from(len <= cap)]);
+        family.offsets.push(family.data.len());
+    });
+    family
 }
 
 #[cfg(test)]
@@ -370,7 +337,8 @@ mod tests {
     /// each row sorted. The sort-free kernel must reproduce it bit for bit.
     fn co_occurrence_sorted(n: usize, sets: &SetFamily) -> CsrGraph {
         let mut containing = vec![Vec::new(); n];
-        for (_, set) in sets.paired() {
+        for set in sets.paired() {
+            let set = &sets.data[set];
             for &i in set {
                 containing[i as usize].push(set);
             }
@@ -451,8 +419,10 @@ mod tests {
                 assert_eq!(oracle.neighbors(c as u32).len(), n - 1, "row {c} touches every column");
             }
             for shards in [1usize, 2, 3, 7] {
-                let sharded = co_occurrence_sharded(n, &family, shards);
-                assert_eq!(sharded, oracle, "n = {n}, {shards} shards");
+                for budget in [n / 8, 1000, usize::MAX] {
+                    let sharded = co_occurrence_sharded(n, &family, shards, budget);
+                    assert_eq!(sharded, oracle, "n = {n}, {shards} shards, {budget} a chunk");
+                }
             }
             assert_eq!(co_occurrence_csr(n, &family), oracle, "n = {n}, gated");
         }
@@ -801,6 +771,16 @@ mod tests {
                         &with_threads(threads, || dependency_reg(&batch, hub_cap)),
                         "seed {} layers {} n_out {} hub_cap {} threads {}",
                         seed, layers, n_out, hub_cap, threads
+                    );
+                }
+                // Sources laid out one a chunk, and a few at a time.
+                for budget in [0, 7] {
+                    let sets = dependency_sets(&batch, hub_cap, budget);
+                    proptest::prop_assert_eq!(
+                        &reference,
+                        &co_occurrence_csr(n_out as usize, &sets),
+                        "seed {} layers {} n_out {} hub_cap {} budget {}",
+                        seed, layers, n_out, hub_cap, budget
                     );
                 }
             }

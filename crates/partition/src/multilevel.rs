@@ -16,16 +16,15 @@
 //! counting transpose and a two-pointer merge of two ascending rows — or,
 //! for a graph that is already symmetric (the REG), `A` itself, which cuts
 //! exactly as `A + Aᵀ = 2A` does; a coarse row is gathered from its one or
-//! two fine rows into a stamped dense accumulator and drained in order from
-//! a [`ColumnBitmap`]: nothing is sorted. Entries that merge are summed in a
+//! two fine rows into a [`RowAccumulator`] and drained in order: nothing is
+//! sorted or tested on its way in. Entries that merge are summed in a
 //! specified order — `A`'s before `Aᵀ`'s, the lower fine row before the
 //! higher, each in neighbour order — which for the REG's small-integer
 //! weights is the same bits as any other.
 //!
 //! Refinement and rebalancing read one [`Connectivity`] table per level —
-//! each node's edge weight into each part its neighbours occupy — built
-//! once from the level's rows and updated in `O(deg)` per move, instead of
-//! recounting a node's row on every visit.
+//! each node's edge weight into each part its neighbours occupy — kept by
+//! `O(deg)` per move instead of recounting a node's row on every visit.
 //!
 //! Only the depth of the coarsening depends on `k`: the levels live in a
 //! [`CutHierarchy`] that cuts one graph at any number of `k`s, and
@@ -38,7 +37,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_pcg::Pcg64Mcg;
 
-use betty_graph::{ColumnBitmap, CsrGraph};
+use betty_graph::{CsrGraph, RowAccumulator};
 
 use crate::{Partitioner, Partitioning};
 
@@ -185,37 +184,28 @@ fn coarsen(level: &Level, rng: &mut Pcg64Mcg) -> Option<Level> {
         if mate[u as usize] != u32::MAX {
             continue;
         }
-        // Heaviest unmatched neighbor.
-        let mut best: Option<(u32, f32)> = None;
+        // Heaviest unmatched neighbor, the first of equals (`u` while there
+        // is none), picked by selects, not branches.
+        let (mut best, mut best_w) = (u, 0.0f32);
         for &(v, w) in level.neighbors(u as usize) {
-            if mate[v as usize] == u32::MAX && v != u {
-                match best {
-                    Some((_, bw)) if bw >= w => {}
-                    _ => best = Some((v, w)),
-                }
-            }
+            let free = mate[v as usize] == u32::MAX && v != u;
+            let take = free & (best == u || best_w.partial_cmp(&w).is_none_or(|o| o.is_lt()));
+            best = if take { v } else { best };
+            best_w = if take { w } else { best_w };
         }
-        match best {
-            Some((v, _)) => {
-                mate[u as usize] = v;
-                mate[v as usize] = u;
-            }
-            None => mate[u as usize] = u,
-        }
+        mate[u as usize] = best;
+        mate[best as usize] = u;
     }
-    // Assign coarse ids (pair representative = smaller id).
+    // Assign coarse ids (pair representative = smaller id): every node
+    // has a mate now, itself if unmatched.
     let mut fine_to_coarse = vec![u32::MAX; n];
     let mut next = 0u32;
-    for u in 0..n as u32 {
-        if fine_to_coarse[u as usize] != u32::MAX {
-            continue;
+    for u in 0..n {
+        let v = mate[u] as usize;
+        if v >= u {
+            (fine_to_coarse[u], fine_to_coarse[v]) = (next, next);
+            next += 1;
         }
-        let v = mate[u as usize];
-        fine_to_coarse[u as usize] = next;
-        if v != u && v != u32::MAX {
-            fine_to_coarse[v as usize] = next;
-        }
-        next += 1;
     }
     let coarse_n = next as usize;
     if coarse_n as f64 > 0.95 * n as f64 {
@@ -228,12 +218,12 @@ fn coarsen(level: &Level, rng: &mut Pcg64Mcg) -> Option<Level> {
     // Coarse rows in ascending order, each gathered Gustavson-style from
     // its one or two members' rows (lower fine id first, each in neighbour
     // order — the order duplicates are summed in) into a dense accumulator
-    // stamped with the row, and emitted in neighbour order from a bitmap.
+    // and emitted in neighbour order. Every entry is added, the pair's own
+    // edge too, which the drain drops.
     let mut indptr = Vec::with_capacity(coarse_n + 1);
     indptr.push(0usize);
     let mut adj: Vec<(u32, f32)> = Vec::with_capacity(level.adj.len());
-    let mut acc = vec![(u32::MAX, 0.0f32); coarse_n];
-    let mut row = ColumnBitmap::new(coarse_n);
+    let mut row = RowAccumulator::new(coarse_n);
     for u in 0..n {
         let v = mate[u] as usize;
         if v < u {
@@ -241,20 +231,10 @@ fn coarsen(level: &Level, rng: &mut Pcg64Mcg) -> Option<Level> {
         }
         let c = fine_to_coarse[u];
         for &member in &[u, v][..1 + usize::from(v != u)] {
-            for &(x, w) in level.neighbors(member) {
-                let cx = fine_to_coarse[x as usize];
-                let slot = &mut acc[cx as usize];
-                if cx == c {
-                    continue;
-                } else if slot.0 == c {
-                    slot.1 += w;
-                } else {
-                    *slot = (c, w);
-                    row.insert(cx);
-                }
-            }
+            let entries = level.neighbors(member).iter();
+            row.extend(entries.map(|&(x, w)| (fine_to_coarse[x as usize], w)));
         }
-        row.drain(|cx| adj.push((cx, acc[cx as usize].1)));
+        adj.extend_from_slice(row.drain(c));
         indptr.push(adj.len());
     }
     Some(Level {
@@ -281,16 +261,10 @@ fn initial_partition(level: &Level, k: usize, rng: &mut Pcg64Mcg) -> Vec<u32> {
         if unassigned == 0 {
             break;
         }
-        let remaining_parts = (k as u32 - p) as f64;
-        let target = (total - assigned_w) / remaining_parts;
-        // Find an unassigned seed.
-        while cursor < n && assignment[order[cursor] as usize] != u32::MAX {
-            cursor += 1;
-        }
-        if cursor >= n {
+        let target = (total - assigned_w) / (k as u32 - p) as f64;
+        let Some(seed) = next_unassigned(&order, &mut cursor, &assignment) else {
             break;
-        }
-        let seed = order[cursor];
+        };
         let mut grown = 0.0f64;
         let mut queue = VecDeque::from([seed]);
         assignment[seed as usize] = p;
@@ -301,13 +275,9 @@ fn initial_partition(level: &Level, k: usize, rng: &mut Pcg64Mcg) -> Vec<u32> {
                 Some(u) => u,
                 None => {
                     // Disconnected remainder: jump to a fresh seed.
-                    while cursor < n && assignment[order[cursor] as usize] != u32::MAX {
-                        cursor += 1;
-                    }
-                    if cursor >= n {
+                    let Some(s) = next_unassigned(&order, &mut cursor, &assignment) else {
                         break;
-                    }
-                    let s = order[cursor];
+                    };
                     assignment[s as usize] = p;
                     unassigned -= 1;
                     grown += level.node_w[s as usize];
@@ -329,12 +299,16 @@ fn initial_partition(level: &Level, k: usize, rng: &mut Pcg64Mcg) -> Vec<u32> {
         assigned_w += grown;
     }
     // Everything left goes to the last part.
-    for a in assignment.iter_mut() {
-        if *a == u32::MAX {
-            *a = (k - 1) as u32;
-        }
-    }
+    assignment.iter_mut().filter(|a| **a == u32::MAX).for_each(|a| *a = (k - 1) as u32);
     assignment
+}
+
+/// The next node of `order` from `*cursor` on that is not yet assigned.
+fn next_unassigned(order: &[u32], cursor: &mut usize, assignment: &[u32]) -> Option<u32> {
+    while order.get(*cursor).is_some_and(|&u| assignment[u as usize] != u32::MAX) {
+        *cursor += 1;
+    }
+    order.get(*cursor).copied()
 }
 
 /// One part of a node's [`Connectivity`] row.
@@ -449,36 +423,44 @@ impl<'a> Connectivity<'a> {
         self.weight(u, over) - self.weight(u, dest)
     }
 
-    /// Records that `u` left part `from` for part `to`: the rows of `u`'s
-    /// neighbours change, nothing else.
+    /// Records that `u` left part `from` for part `to != from`: the rows of
+    /// `u`'s neighbours change, nothing else.
     fn moved(&mut self, u: usize, from: u32, to: u32) {
         for &(v, w) in self.level.neighbors(u) {
             let (row, len) = (
                 &mut self.links[self.start[v as usize]..],
                 &mut self.len[v as usize],
             );
-            let i = (row[..*len as usize].iter().position(|l| l.part == from))
-                .expect("a neighbour's part is in the row");
+            // Where `from` and `to` sit, found in one pass with no early
+            // exit; `to` is one past the row while it is not in it.
+            let old_len = *len as usize;
+            let (mut i, mut at_to) = (old_len, old_len);
+            for (at, link) in row[..old_len].iter().enumerate() {
+                i = if link.part == from { at } else { i };
+                at_to = if link.part == to { at } else { at_to };
+            }
+            assert!(i < old_len, "a neighbour's part is in the row");
             row[i].neighbours -= 1;
             row[i].weight -= w;
             if row[i].neighbours == 0 {
+                // The last link fills the hole; a missing `to` goes after
+                // the new last.
                 *len -= 1;
                 row[i] = row[*len as usize];
+                at_to = if at_to == *len as usize { i } else { at_to.min(*len as usize) };
             }
-            match row[..*len as usize].iter_mut().find(|l| l.part == to) {
-                Some(link) => {
-                    (link.neighbours, link.weight) = (link.neighbours + 1, link.weight + w)
-                }
-                // A new part: the row has room, one link per neighbour.
-                None => {
-                    row[*len as usize] = Link {
-                        part: to,
-                        neighbours: 1,
-                        weight: w,
-                    };
-                    *len += 1;
-                }
+            if at_to == *len as usize {
+                // A new part, summed from `-0.0`: the row has room, one link
+                // per neighbour.
+                row[at_to] = Link {
+                    part: to,
+                    neighbours: 0,
+                    weight: -0.0,
+                };
+                *len += 1;
             }
+            (row[at_to].neighbours, row[at_to].weight) =
+                (row[at_to].neighbours + 1, row[at_to].weight + w);
         }
     }
 }
@@ -636,15 +618,33 @@ fn swap_pass(
     // a boundary node between them, in a map.
     let dense = k <= DENSE_SWAP_PARTS;
     let mut table = vec![EMPTY_SLOT; if dense { k * k } else { 0 }];
+    // Per row of the table, once each of its slots holds two candidates:
+    // the lowest runner-up gain among them, which only rises. A node
+    // offers `0.0 − own` to every part holding none of its neighbours; no
+    // slot of its row takes that when it is no more than this bar, so then
+    // only the parts that do hold a neighbour are offered.
+    let mut bar: Vec<Option<f32>> = vec![None; if dense { k } else { 0 }];
     let mut sparse: BTreeMap<(usize, usize), Slot> = BTreeMap::new();
     for (u, &cp) in assignment.iter().enumerate() {
         let cp = cp as usize;
         if dense {
-            conn.spread(u, |to| {
-                for p in (0..k).filter(|&p| p != cp) {
-                    offer(&mut table[cp * k + p], to[p] - to[cp], u as u32);
+            let slots = &mut table[cp * k..][..k];
+            let own = conn.weight(u, cp);
+            if bar[cp].is_some_and(|bar| (0.0 - own).total_cmp(&bar).is_le()) {
+                for link in conn.row(u).iter().filter(|l| l.part as usize != cp) {
+                    offer(&mut slots[link.part as usize], link.weight - own, u as u32);
                 }
-            });
+            } else {
+                conn.spread(u, |to| {
+                    for p in (0..k).filter(|&p| p != cp) {
+                        offer(&mut slots[p], to[p] - to[cp], u as u32);
+                    }
+                });
+                let mut runners_up = (0..k).filter(|&p| p != cp).map(|p| slots[p][1]);
+                bar[cp] = runners_up.try_fold(f32::INFINITY, |low, (gain, node)| {
+                    (node != NO_NODE).then(|| std::cmp::min_by(gain, low, f32::total_cmp))
+                });
+            }
         } else {
             // Each of a node's offers goes to a slot of its own, so only
             // the node order (ascending) breaks gain ties.
