@@ -18,6 +18,16 @@ macro_rules! say {
     }};
 }
 
+/// `eprintln!` that drops the write's error instead of panicking: with
+/// stderr closed there is nowhere left to report to, and the exit code
+/// still says what happened.
+macro_rules! warn {
+    ($($arg:tt)*) => {{
+        let line = format!("{}\n", format_args!($($arg)*));
+        let _ = std::io::Write::write_all(&mut std::io::stderr(), line.as_bytes());
+    }};
+}
+
 mod args;
 mod commands;
 #[rustfmt::skip]
@@ -31,7 +41,7 @@ use flags::Command;
 fn main() -> ExitCode {
     let mut argv = std::env::args().skip(1);
     let Some(name) = argv.next() else {
-        eprint!("{}", flags::help());
+        warn!("{}", flags::help().trim_end());
         return ExitCode::FAILURE;
     };
     // `scrub` takes a positional directory, which the flag parser
@@ -61,8 +71,8 @@ fn main() -> ExitCode {
 
 /// Names a usage error on stderr, then the help; exit 1.
 fn usage_error(message: &str) -> ExitCode {
-    eprintln!("error: {message}\n");
-    eprint!("{}", flags::help());
+    warn!("error: {message}\n");
+    warn!("{}", flags::help().trim_end());
     ExitCode::FAILURE
 }
 
@@ -77,7 +87,7 @@ fn finish(result: commands::CmdResult) -> ExitCode {
     if io.is_some_and(|io| io.kind() == ErrorKind::BrokenPipe) {
         return ExitCode::SUCCESS;
     }
-    eprintln!("error: {e}");
+    warn!("error: {e}");
     exit_code_for(e.as_ref())
 }
 

@@ -423,6 +423,27 @@ fn a_closed_stdout_exits_quietly() {
     let _ = std::fs::remove_file(&data);
 }
 
+/// A closed stderr costs the message, not the exit code: usage errors and
+/// a data file that does not exist still exit 1.
+#[test]
+fn a_closed_stderr_keeps_the_exit_code() {
+    let missing = tmp("closed-stderr-missing.btd");
+    let missing = missing.to_str().unwrap();
+    let commands: [&[&str]; 5] = [
+        &[],
+        &["nosuch"],
+        &["info", "--data", missing, "--scale", "0.5"],
+        &["info", "--data", missing],
+        &["scrub", missing],
+    ];
+    for command in commands {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = betty().args(command).stderr(writer).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{command:?}");
+    }
+}
+
 #[test]
 fn resume_without_checkpoint_dir_is_a_usage_error() {
     let out = betty()

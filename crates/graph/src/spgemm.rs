@@ -726,6 +726,22 @@ mod tests {
         crate::Batch::new(blocks)
     }
 
+    /// A batch as the sampler draws it: `layers` hops of fanouts 10, 5, 10
+    /// from the first `n_out` nodes of a random directed graph with
+    /// repeated edges and self-loops.
+    fn sampled_batch(seed: u64, layers: usize, n_out: u32) -> crate::Batch {
+        use rand::Rng;
+        use rand::SeedableRng;
+        let mut rng = rand_pcg::Pcg64Mcg::seed_from_u64(seed ^ 0x5a5a);
+        let n = n_out + rng.gen_range(0..4 * n_out);
+        let edges: Vec<(NodeId, NodeId)> = (0..rng.gen_range(0..4 * n))
+            .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+            .collect();
+        let graph = CsrGraph::from_edges(n as usize, &edges);
+        let seeds: Vec<NodeId> = (0..n_out).collect();
+        crate::sample_batch(&graph, &seeds, &[10, 5, 10][..layers], &mut rng)
+    }
+
     #[test]
     fn saturation_boundary_keeps_the_set_at_the_cap_and_drops_the_one_over_it() {
         // Source 100 feeds outputs 0..3, source 101 outputs 0..=3; below,
@@ -763,25 +779,27 @@ mod tests {
             n_out in 6u32..60,
         ) {
             for hub_cap in [2usize, 3, 32, usize::MAX] {
-                let batch = power_law_batch(seed, layers, n_out, hub_cap);
-                let reference = dependency_reg_reference(&batch, hub_cap);
-                for threads in [1usize, 4] {
-                    proptest::prop_assert_eq!(
-                        &reference,
-                        &with_threads(threads, || dependency_reg(&batch, hub_cap)),
-                        "seed {} layers {} n_out {} hub_cap {} threads {}",
-                        seed, layers, n_out, hub_cap, threads
-                    );
-                }
-                // Sources laid out one a chunk, and a few at a time.
-                for budget in [0, 7] {
-                    let sets = dependency_sets(&batch, hub_cap, budget);
-                    proptest::prop_assert_eq!(
-                        &reference,
-                        &co_occurrence_csr(n_out as usize, &sets),
-                        "seed {} layers {} n_out {} hub_cap {} budget {}",
-                        seed, layers, n_out, hub_cap, budget
-                    );
+                let sampled = sampled_batch(seed, layers, n_out);
+                for batch in [power_law_batch(seed, layers, n_out, hub_cap), sampled] {
+                    let reference = dependency_reg_reference(&batch, hub_cap);
+                    for threads in [1usize, 4] {
+                        proptest::prop_assert_eq!(
+                            &reference,
+                            &with_threads(threads, || dependency_reg(&batch, hub_cap)),
+                            "seed {} layers {} n_out {} hub_cap {} threads {}",
+                            seed, layers, n_out, hub_cap, threads
+                        );
+                    }
+                    // Sources laid out one a chunk, and a few at a time.
+                    for budget in [0, 7] {
+                        let sets = dependency_sets(&batch, hub_cap, budget);
+                        proptest::prop_assert_eq!(
+                            &reference,
+                            &co_occurrence_csr(n_out as usize, &sets),
+                            "seed {} layers {} n_out {} hub_cap {} budget {}",
+                            seed, layers, n_out, hub_cap, budget
+                        );
+                    }
                 }
             }
         }
@@ -805,23 +823,25 @@ mod tests {
             seed in 0u64..1 << 32,
             n_out in 2u32..24,
         ) {
-            let batch = power_law_batch(seed, 1, n_out, usize::MAX);
-            let block = &batch.blocks()[0];
-            let expected = brute_force(block);
-            for threads in [1usize, 4] {
-                let reg = with_threads(threads, || shared_neighbor_graph(block));
-                for i in 0..n_out {
-                    let row: Vec<(u32, f32)> = (0..n_out)
-                        .map(|j| (j, expected[i as usize][j as usize]))
-                        .filter(|&(_, w)| w != 0.0)
-                        .collect();
-                    let got: Vec<(u32, f32)> = reg
-                        .neighbors(i)
-                        .iter()
-                        .copied()
-                        .zip(reg.neighbor_weights(i).unwrap().iter().copied())
-                        .collect();
-                    proptest::prop_assert_eq!(row, got, "seed {} row {} threads {}", seed, i, threads);
+            // The sampled batch's last block is its output layer.
+            for batch in [power_law_batch(seed, 1, n_out, usize::MAX), sampled_batch(seed, 2, n_out)] {
+                let block = batch.blocks().last().unwrap();
+                let expected = brute_force(block);
+                for threads in [1usize, 4] {
+                    let reg = with_threads(threads, || shared_neighbor_graph(block));
+                    for i in 0..n_out {
+                        let row: Vec<(u32, f32)> = (0..n_out)
+                            .map(|j| (j, expected[i as usize][j as usize]))
+                            .filter(|&(_, w)| w != 0.0)
+                            .collect();
+                        let got: Vec<(u32, f32)> = reg
+                            .neighbors(i)
+                            .iter()
+                            .copied()
+                            .zip(reg.neighbor_weights(i).unwrap().iter().copied())
+                            .collect();
+                        proptest::prop_assert_eq!(row, got, "seed {} row {} threads {}", seed, i, threads);
+                    }
                 }
             }
         }

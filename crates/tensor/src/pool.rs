@@ -14,8 +14,8 @@
 //! ([`BufferPool::zeros`] / [`BufferPool::full`]) or as dirty scratch the
 //! caller promises to overwrite completely ([`BufferPool::scratch`]).
 //! Either way no kernel ever reads bytes that depend on pool history, which
-//! is why pooled and unpooled training are bit-identical (property-tested
-//! in `tests/alloc_pool.rs`).
+//! is why pooled and unpooled training are bit-identical (checked by the
+//! pool-off cells of `tests/tests/epoch_matrix.rs`).
 
 use std::collections::BTreeMap;
 

@@ -40,7 +40,10 @@ fn checkpoint_bytes(dir: &str) -> Vec<u8> {
 }
 
 fn tmp(dir: &str, name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("betty-durability-{dir}-{name}-{}", std::process::id()))
+    std::env::temp_dir().join(format!(
+        "betty-durability-{dir}-{name}-{}",
+        std::process::id()
+    ))
 }
 
 /// Writes `bytes` and asserts loading fails with `Format` (not `Io`,
@@ -104,7 +107,9 @@ fn session_import_resets_a_hot_plan_ahead_pipeline() {
         );
         assert_eq!(losses, sync_losses, "pipelined trajectory diverged");
 
-        runner.import_session(&saved).expect("same config, same shapes");
+        runner
+            .import_session(&saved)
+            .expect("same config, same shapes");
         assert!(
             !runner.plan_ahead_active(),
             "import must invalidate in-flight pipeline state"
@@ -163,7 +168,8 @@ fn resume_falls_back_past_a_corrupt_newest_slot_bit_identically() {
     let mut live = Runner::new(&ds, &cfg, 11);
     for epoch in 0..4 {
         train(&mut live);
-        plan.save(&live.export_session(), epoch).expect("slot saved");
+        plan.save(&live.export_session(), epoch)
+            .expect("slot saved");
     }
     assert_eq!(param_bits(&reference), param_bits(&live));
 
@@ -189,7 +195,11 @@ fn resume_falls_back_past_a_corrupt_newest_slot_bit_identically() {
     resumed
         .import_session(&found.state)
         .expect("same config, same shapes");
-    assert_eq!(resumed.epochs_run(), 3, "the epoch-2 slot holds three trained epochs");
+    assert_eq!(
+        resumed.epochs_run(),
+        3,
+        "the epoch-2 slot holds three trained epochs"
+    );
     train(&mut resumed);
     assert_eq!(
         param_bits(&reference),
@@ -201,7 +211,7 @@ fn resume_falls_back_past_a_corrupt_newest_slot_bit_identically() {
 
 #[test]
 fn resume_rejects_a_checkpoint_from_a_different_dataset() {
-    use betty::{ExperimentConfig, Runner, RunError, StrategyKind};
+    use betty::{ExperimentConfig, RunError, Runner, StrategyKind};
     use betty_data::DatasetSpec;
 
     // The historical bug: `ExperimentConfig::fingerprint` covers only
@@ -274,7 +284,10 @@ fn resume_rejects_a_checkpoint_from_a_different_dataset() {
     for other in [wider_model, bf16] {
         match Runner::new(&cora, &other, 7).import_session(&saved) {
             Err(RunError::Checkpoint(msg)) => {
-                assert!(msg.contains("fingerprint mismatch"), "unexpected rejection: {msg}");
+                assert!(
+                    msg.contains("fingerprint mismatch"),
+                    "unexpected rejection: {msg}"
+                );
             }
             Err(err) => panic!("wrong error kind: {err}"),
             Ok(()) => panic!("a checkpoint of another experiment was accepted: {other:?}"),
@@ -336,15 +349,13 @@ fn corrupted_feature_shard_is_rejected_on_open() {
         "the untouched store must open"
     );
 
-    let expect_format = |what: &str| {
-        match PagedFeatures::open(&dir, usize::MAX) {
-            Err(FeatureStoreError::Format(_)) => {}
-            Err(FeatureStoreError::Io(e)) => {
-                panic!("{what}: corruption surfaced as an I/O error: {e}")
-            }
-            Err(other) => panic!("{what}: wrong error kind: {other}"),
-            Ok(_) => panic!("{what}: corrupted shard opened successfully"),
+    let expect_format = |what: &str| match PagedFeatures::open(&dir, usize::MAX) {
+        Err(FeatureStoreError::Format(_)) => {}
+        Err(FeatureStoreError::Io(e)) => {
+            panic!("{what}: corruption surfaced as an I/O error: {e}")
         }
+        Err(other) => panic!("{what}: wrong error kind: {other}"),
+        Ok(_) => panic!("{what}: corrupted shard opened successfully"),
     };
 
     // Truncation anywhere — mid-magic, mid-header, mid-payload, mid-CRC —

@@ -137,7 +137,14 @@ const GOLDEN: [Golden; 6] = [
 #[test]
 fn two_epochs_match_the_parent_commit_bit_for_bit() {
     let (mut got, mut want) = (Vec::new(), Vec::new());
-    for Golden { name, model, aggregator, hash, parent_losses } in GOLDEN {
+    for Golden {
+        name,
+        model,
+        aggregator,
+        hash,
+        parent_losses,
+    } in GOLDEN
+    {
         for backend in [Backend::Scalar, Backend::Simd] {
             let (hash_got, losses) = train_hash(model, aggregator, backend);
             for (loss, parent) in losses.iter().zip(parent_losses) {
@@ -153,7 +160,10 @@ fn two_epochs_match_the_parent_commit_bit_for_bit() {
             want.push((name, backend, hash));
         }
     }
-    check_golden("loss and parameter bits", &got, &want, |(name, backend, hash)| {
-        format!("(\"{name}\", {backend}) = {hash:#018x}")
-    });
+    check_golden(
+        "loss and parameter bits",
+        &got,
+        &want,
+        |(name, backend, hash)| format!("(\"{name}\", {backend}) = {hash:#018x}"),
+    );
 }

@@ -85,7 +85,15 @@ fn check_equivalence(aggregator: AggregatorSpec, k: usize, tol: f32) {
     let batch = full_batch(&ds);
     let effective = batch.output_nodes().len();
     let mut rng = Pcg64Mcg::seed_from_u64(99);
-    let mut model = GraphSage::new(ds.feature_dim(), 8, ds.num_classes, 2, aggregator, 0.0, &mut rng);
+    let mut model = GraphSage::new(
+        ds.feature_dim(),
+        8,
+        ds.num_classes,
+        2,
+        aggregator,
+        0.0,
+        &mut rng,
+    );
 
     let full_grads = accumulate(&mut model, &ds, std::slice::from_ref(&batch), effective);
 
@@ -257,7 +265,15 @@ fn optimizer_trajectories_identical() {
     let effective = batch.output_nodes().len();
     let make_model = || {
         let mut rng = Pcg64Mcg::seed_from_u64(17);
-        GraphSage::new(ds.feature_dim(), 8, ds.num_classes, 2, AggregatorSpec::Mean, 0.0, &mut rng)
+        GraphSage::new(
+            ds.feature_dim(),
+            8,
+            ds.num_classes,
+            2,
+            AggregatorSpec::Mean,
+            0.0,
+            &mut rng,
+        )
     };
     let mut full_model = make_model();
     let mut micro_model = make_model();
@@ -270,7 +286,12 @@ fn optimizer_trajectories_identical() {
     let mut opt_full = Adam::new(0.01);
     let mut opt_micro = Adam::new(0.01);
     for _ in 0..3 {
-        accumulate(&mut full_model, &ds, std::slice::from_ref(&batch), effective);
+        accumulate(
+            &mut full_model,
+            &ds,
+            std::slice::from_ref(&batch),
+            effective,
+        );
         opt_full.step(&mut full_model.params_mut());
         accumulate(&mut micro_model, &ds, &micros, effective);
         opt_micro.step(&mut micro_model.params_mut());

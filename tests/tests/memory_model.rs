@@ -57,7 +57,10 @@ fn mean_estimation_error_is_small() {
     // measured peak (`solo_run_error_is_the_unfilled_staging_reservation`)
     // and the error sits well inside Table 7's < 8 %.
     for (predicted, measured) in estimates(AggregatorSpec::Mean, 4) {
-        assert!(predicted >= measured, "mean under-estimated: {predicted} < {measured}");
+        assert!(
+            predicted >= measured,
+            "mean under-estimated: {predicted} < {measured}"
+        );
         let err = (predicted - measured) / measured;
         assert!(err < 0.08, "mean-aggregator estimation error {err}");
     }
@@ -69,7 +72,10 @@ fn lstm_estimation_error_within_paper_band() {
     // tapes exactly Eq. 5's six values per neighbor step, so the error is
     // zero (`eq5_equals_every_steps_measured_peak`).
     for (predicted, measured) in estimates(AggregatorSpec::Lstm, 4) {
-        assert!(predicted >= measured, "lstm under-estimated: {predicted} < {measured}");
+        assert!(
+            predicted >= measured,
+            "lstm under-estimated: {predicted} < {measured}"
+        );
         let err = (predicted - measured) / measured;
         assert!(err < 0.08, "lstm estimation error {err}");
     }
@@ -89,7 +95,11 @@ fn pool_estimation_error_is_bounded() {
 #[test]
 fn solo_run_error_is_the_unfilled_staging_reservation() {
     let ds = dataset();
-    for aggregator in [AggregatorSpec::Mean, AggregatorSpec::Pool, AggregatorSpec::Lstm] {
+    for aggregator in [
+        AggregatorSpec::Mean,
+        AggregatorSpec::Pool,
+        AggregatorSpec::Lstm,
+    ] {
         let mut runner = Runner::new(&ds, &config(aggregator), 0);
         let batch = runner.sample_full_batch(&ds);
         let plan = runner.plan_fixed(&batch, StrategyKind::Betty, 4);
@@ -98,7 +108,12 @@ fn solo_run_error_is_the_unfilled_staging_reservation() {
             let stats = solo
                 .train_micro_batches(&ds, std::slice::from_ref(mb))
                 .expect("8 GiB fits the test batch");
-            assert_eq!(est.peak_bytes(), stats.max_peak_bytes, "{}", aggregator.name());
+            assert_eq!(
+                est.peak_bytes(),
+                stats.max_peak_bytes,
+                "{}",
+                aggregator.name()
+            );
         }
     }
 }
@@ -108,7 +123,11 @@ fn solo_run_error_is_the_unfilled_staging_reservation() {
 #[test]
 fn eq5_equals_every_steps_measured_peak() {
     let ds = dataset();
-    for aggregator in [AggregatorSpec::Mean, AggregatorSpec::Pool, AggregatorSpec::Lstm] {
+    for aggregator in [
+        AggregatorSpec::Mean,
+        AggregatorSpec::Pool,
+        AggregatorSpec::Lstm,
+    ] {
         let name = aggregator.name();
         let mut runner = Runner::new(&ds, &config(aggregator), 0);
         let batch = runner.sample_full_batch(&ds);
@@ -174,11 +193,16 @@ fn gat_runner_memory_accounting_works() {
     let plan = runner.plan_fixed(&batch, StrategyKind::Betty, 2);
     // The attention estimator must be in the right ballpark (within 2× of
     // measured) so that planning with GAT is meaningful.
-    let stats = runner.train_micro_batches(&ds, &plan.micro_batches).unwrap();
+    let stats = runner
+        .train_micro_batches(&ds, &plan.micro_batches)
+        .unwrap();
     let est = plan.max_estimated_peak() as f64;
     let meas = stats.max_peak_bytes as f64;
     let ratio = est / meas;
-    assert!((0.5..2.0).contains(&ratio), "estimate/measured ratio {ratio}");
+    assert!(
+        (0.5..2.0).contains(&ratio),
+        "estimate/measured ratio {ratio}"
+    );
 }
 
 /// Eq. 5's contract, for every model the runner builds, with dropout off

@@ -4,7 +4,7 @@
 use betty::{lpt_assignment, DeviceGroup, ExperimentConfig, RecoveryEvent, Runner, StrategyKind};
 use betty_data::{Dataset, DatasetSpec};
 use betty_device::{gib, FaultPlan};
-use betty_integration_tests::LogCounts;
+use betty_integration_tests::{param_bits, LogCounts};
 use betty_nn::AggregatorSpec;
 use proptest::prelude::*;
 
@@ -37,12 +37,7 @@ fn every_micro_batch_is_assigned_and_loss_matches_single_device() {
 
     let mut multi = Runner::new(&ds, &config(), 3);
     let epoch = multi
-        .train_epoch_elastic(
-            &ds,
-            StrategyKind::Betty,
-            k,
-            &DeviceGroup::new(4),
-        )
+        .train_epoch_elastic(&ds, StrategyKind::Betty, k, &DeviceGroup::new(4))
         .unwrap();
     assert_eq!(epoch.assignment.len(), epoch.combined.num_steps);
     assert!(epoch.assignment.iter().all(|&d| d < 4));
@@ -64,12 +59,7 @@ fn model_parameters_identical_to_single_device_after_epoch() {
         let mut runner = Runner::new(&ds, &config(), 9);
         for _ in 0..3 {
             runner
-                .train_epoch_elastic(
-                    &ds,
-                    StrategyKind::Betty,
-                    6,
-                    &DeviceGroup::new(devices),
-                )
+                .train_epoch_elastic(&ds, StrategyKind::Betty, 6, &DeviceGroup::new(devices))
                 .unwrap();
         }
         runner.evaluate(&ds, &ds.test_idx)
@@ -84,25 +74,19 @@ fn wall_time_improves_with_devices() {
     let ds = dataset();
     let mut runner = Runner::new(&ds, &config(), 0);
     let one = runner
-        .train_epoch_elastic(
-            &ds,
-            StrategyKind::Betty,
-            8,
-            &DeviceGroup::new(1),
-        )
+        .train_epoch_elastic(&ds, StrategyKind::Betty, 8, &DeviceGroup::new(1))
         .unwrap();
     let four = runner
-        .train_epoch_elastic(
-            &ds,
-            StrategyKind::Betty,
-            8,
-            &DeviceGroup::new(4),
-        )
+        .train_epoch_elastic(&ds, StrategyKind::Betty, 8, &DeviceGroup::new(4))
         .unwrap();
     // Step times are measured, hence noisy from one epoch to the next:
     // compare each epoch's wall time only with the serial sum of its own
     // steps, never across the two runs.
-    assert!(four.speedup_vs_serial() > 1.0, "{}", four.speedup_vs_serial());
+    assert!(
+        four.speedup_vs_serial() > 1.0,
+        "{}",
+        four.speedup_vs_serial()
+    );
     assert!((one.speedup_vs_serial() - 1.0).abs() < 1e-9);
     let busiest = four.per_device.iter().map(|d| d.num_steps).max();
     assert!(
@@ -110,17 +94,6 @@ fn wall_time_improves_with_devices() {
         "busiest of 4 devices ran {busiest:?} of {} steps",
         one.per_device[0].num_steps
     );
-}
-
-/// Parameter bits of a runner's model, for exact identity checks.
-fn param_bits(runner: &Runner) -> Vec<u32> {
-    runner
-        .trainer()
-        .model()
-        .params()
-        .iter()
-        .flat_map(|p| p.value().data().iter().map(|v| v.to_bits()))
-        .collect()
 }
 
 /// The headline elastic guarantee: killing devices mid-epoch changes
@@ -190,7 +163,10 @@ fn elastic_epoch_reports_failover_in_stats_and_log() {
     assert!(log.migrated_steps > 0, "device 1 died before any step");
     assert_eq!(multi.live_ranks, 3);
     assert_eq!(multi.health[1], betty::DeviceHealth::Failed);
-    assert!(multi.assignment.iter().all(|&d| d != 1), "nothing ran on the dead device");
+    assert!(
+        multi.assignment.iter().all(|&d| d != 1),
+        "nothing ran on the dead device"
+    );
     assert_eq!(log.devices_lost, 1);
     assert_eq!(log.work_migrations, 1);
     assert_eq!(log.ring_rebuilds, 1);
@@ -214,7 +190,11 @@ fn over_budget_migration_escalates_k_and_is_logged() {
     let peaks: Vec<usize> = plan.estimates.iter().map(|e| e.peak_bytes()).collect();
     let biggest = (0..k).max_by_key(|&i| peaks[i]).unwrap();
     // Kill, before its first step, the device LPT hands that micro-batch.
-    let work: Vec<f64> = plan.micro_batches.iter().map(|mb| mb.total_edges() as f64).collect();
+    let work: Vec<f64> = plan
+        .micro_batches
+        .iter()
+        .map(|mb| mb.total_edges() as f64)
+        .collect();
     let device = lpt_assignment(&work, 2)[biggest];
     let cfg = ExperimentConfig {
         capacity_bytes: peaks[biggest],
@@ -249,12 +229,7 @@ fn elastic_epoch_without_faults_matches_multi_device_path() {
     let ds = dataset();
     let mut plain = Runner::new(&ds, &config(), 7);
     let a = plain
-        .train_epoch_elastic(
-            &ds,
-            StrategyKind::Betty,
-            6,
-            &DeviceGroup::new(3),
-        )
+        .train_epoch_elastic(&ds, StrategyKind::Betty, 6, &DeviceGroup::new(3))
         .unwrap();
     let mut elastic = Runner::new(&ds, &config(), 7);
     let b = elastic
@@ -345,12 +320,7 @@ fn more_devices_than_micro_batches_is_fine() {
     let ds = dataset();
     let mut runner = Runner::new(&ds, &config(), 0);
     let epoch = runner
-        .train_epoch_elastic(
-            &ds,
-            StrategyKind::Betty,
-            2,
-            &DeviceGroup::new(8),
-        )
+        .train_epoch_elastic(&ds, StrategyKind::Betty, 2, &DeviceGroup::new(8))
         .unwrap();
     // Some devices idle; wall time is still the busiest device.
     assert!(epoch.wall_sec() > 0.0);

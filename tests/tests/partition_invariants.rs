@@ -118,9 +118,8 @@ fn k_way_restrict_rejects_a_non_output() {
 #[test]
 fn k_way_restrict_rejects_a_bad_part_among_good_ones() {
     let batch = Batch::new(vec![Block::new(vec![0, 1, 2], &[(5, 0), (5, 1), (6, 2)])]);
-    let outcome = std::panic::catch_unwind(|| {
-        batch.restrict_all(&[vec![0], vec![1, 2], vec![2, 2]])
-    });
+    let outcome =
+        std::panic::catch_unwind(|| batch.restrict_all(&[vec![0], vec![1, 2], vec![2, 2]]));
     assert!(outcome.is_err());
     // All parts good: the failed call left nothing behind.
     let good = batch.restrict_all(&[vec![0], vec![2, 1]]);

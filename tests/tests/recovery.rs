@@ -67,7 +67,10 @@ fn faulted_first_step_recovers_and_matches_clean_accuracy() {
     let ds = dataset();
     let mut clean_runner = Runner::new(&ds, &config(), 42);
     let clean = train(&mut clean_runner, &ds, 10).expect("clean run fits");
-    assert!(clean_runner.recovery_log().is_empty(), "no faults armed, none expected");
+    assert!(
+        clean_runner.recovery_log().is_empty(),
+        "no faults armed, none expected"
+    );
 
     let faulted_config = ExperimentConfig {
         fault_plan: FaultPlan {
@@ -254,7 +257,11 @@ fn fault_and_recovery_sequence_is_deterministic() {
         "scenario should trigger at least the scheduled recovery: {}",
         log_a.summary()
     );
-    assert_eq!(log_a.entries(), log_b.entries(), "fault/recovery sequences diverged");
+    assert_eq!(
+        log_a.entries(),
+        log_b.entries(),
+        "fault/recovery sequences diverged"
+    );
     assert_eq!(outcomes_a, outcomes_b);
 }
 
@@ -279,7 +286,11 @@ fn retry_exhaustion_preserves_original_oom_in_source_chain() {
 
     assert!(matches!(err, RunError::RetryExhausted { attempts: 2, .. }));
     let log = runner.recovery_log();
-    assert_eq!(LogCounts::of(&runner, None).exhausted, 1, "log must flag the exhaustion");
+    assert_eq!(
+        LogCounts::of(&runner, None).exhausted,
+        1,
+        "log must flag the exhaustion"
+    );
     assert_eq!(log.oom_retries(), 2);
 
     // Walk the chain down to the device-level OOM that started it all.
@@ -313,9 +324,17 @@ fn exhausted_anomaly_budget_aborts_the_run() {
     };
     let mut runner = Runner::new(&ds, &cfg, 0);
     let err = train(&mut runner, &ds, 4).expect_err("no rollback is budgeted");
-    assert!(matches!(err, RunError::Anomaly { rollbacks: 0, .. }), "{err:?}");
+    assert!(
+        matches!(err, RunError::Anomaly { rollbacks: 0, .. }),
+        "{err:?}"
+    );
     let log = runner.recovery_log();
-    assert_eq!(LogCounts::of(&runner, None).anomaly_aborts, 1, "{}", log.summary());
+    assert_eq!(
+        LogCounts::of(&runner, None).anomaly_aborts,
+        1,
+        "{}",
+        log.summary()
+    );
     assert_eq!(log.anomaly_rollbacks(), 0);
 }
 

@@ -59,12 +59,16 @@ fn group(devices: usize) -> DeviceGroup {
 fn elastic(k: usize, devices: usize) -> impl FnMut(&mut Runner, &Dataset) {
     let group = group(devices);
     move |r, ds| {
-        r.train_epoch_elastic(ds, StrategyKind::Betty, k, &group).unwrap();
+        r.train_epoch_elastic(ds, StrategyKind::Betty, k, &group)
+            .unwrap();
     }
 }
 
 fn cora(scale: f64, seed: u64) -> Dataset {
-    DatasetSpec::cora().scaled(scale).with_feature_dim(16).generate(seed)
+    DatasetSpec::cora()
+        .scaled(scale)
+        .with_feature_dim(16)
+        .generate(seed)
 }
 
 fn config(dropout: f32, fault_plan: FaultPlan) -> ExperimentConfig {
@@ -85,7 +89,10 @@ fn paged(ds: &Dataset, tag: &str) -> (Dataset, std::path::PathBuf) {
     let dir = std::env::temp_dir().join(format!("betty-counters-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut paged = ds.clone();
-    paged.features = paged.features.to_paged_with_parity(&dir, 8, usize::MAX, 2).unwrap();
+    paged.features = paged
+        .features
+        .to_paged_with_parity(&dir, 8, usize::MAX, 2)
+        .unwrap();
     (paged, dir)
 }
 
@@ -106,7 +113,10 @@ fn recovery_counters_are_pinned() {
     };
     let mut cfg = config(0.3, storage);
     cfg.retry.max_retries = 8;
-    got.push(("pinned storage plan", run(&store, &cfg, 3, 1, elastic(4, 1))));
+    got.push((
+        "pinned storage plan",
+        run(&store, &cfg, 3, 1, elastic(4, 1)),
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     let device = FaultPlan {
         seed: 3,
@@ -119,7 +129,10 @@ fn recovery_counters_are_pinned() {
     };
     let mut cfg = config(0.3, device);
     cfg.retry.max_retries = 8;
-    got.push(("pinned device plan", run(&matrix, &cfg, 3, 1, elastic(4, 1))));
+    got.push((
+        "pinned device plan",
+        run(&matrix, &cfg, 3, 1, elastic(4, 1)),
+    ));
 
     // The epoch matrix's OOM, NaN and device-failure cells.
     let oom = FaultPlan {
@@ -170,7 +183,10 @@ fn recovery_counters_are_pinned() {
             ..FaultPlan::default()
         },
     );
-    got.push(("failover", run(&cora(0.1, 6), &failover, 21, 1, elastic(8, 4))));
+    got.push((
+        "failover",
+        run(&cora(0.1, 6), &failover, 21, 1, elastic(8, 4)),
+    ));
     let links = config(
         0.0,
         FaultPlan {
@@ -182,7 +198,10 @@ fn recovery_counters_are_pinned() {
             ..FaultPlan::default()
         },
     );
-    got.push(("failover, link stalls", run(&cora(0.1, 6), &links, 21, 2, elastic(8, 4))));
+    got.push((
+        "failover, link stalls",
+        run(&cora(0.1, 6), &links, 21, 2, elastic(8, 4)),
+    ));
 
     // Storage chaos over four epochs: transient errors, stalls, and a
     // corruption repaired from parity at epoch 1.
@@ -214,7 +233,12 @@ fn recovery_counters_are_pinned() {
         vec![QUIET; 3],
         vec![[0, 1, 0, 1, 2, 0, 3, 0, 0]],
         vec![[0, 2, 0, 2, 5, 0, 3, 0, 0], [0, 3, 0, 2, 5, 1, 3, 0, 0]],
-        vec![[0, 33, 0, 0, 0, 0, 0, 12, 0], [0, 1, 0, 0, 0, 0, 0, 0, 1], QUIET, QUIET],
+        vec![
+            [0, 33, 0, 0, 0, 0, 0, 12, 0],
+            [0, 1, 0, 0, 0, 0, 0, 0, 1],
+            QUIET,
+            QUIET,
+        ],
     ];
     assert_eq!(got.len(), want.len());
     for ((name, got), want) in got.iter().zip(&want) {

@@ -52,7 +52,9 @@ fn dir_checksums(dir: &Path) -> Vec<(String, u64)> {
 
 fn check(what: &str, got: &[(String, u64)], want: &[(&str, u64)]) {
     let want: Vec<(String, u64)> = want.iter().map(|&(n, c)| (n.to_string(), c)).collect();
-    check_golden(what, got, &want, |(name, hash)| format!("(\"{name}\", {hash:#018x}),"));
+    check_golden(what, got, &want, |(name, hash)| {
+        format!("(\"{name}\", {hash:#018x}),")
+    });
 }
 
 fn spilled(dtype: DType, parity: usize) -> Vec<(String, u64)> {

@@ -1,9 +1,9 @@
-//! The observability layer end to end: tracing must be invisible to the
-//! training math, the trace's step and epoch records must be the stats
-//! the calls returned, the JSONL export must be schema-valid, the step
-//! records must certify admissible estimates for the fused aggregators,
-//! and the memory timeline must be a consistent replay of the device
-//! ledger.
+//! The observability layer end to end: the trace's step and epoch
+//! records must be the stats the calls returned, the JSONL export must be
+//! schema-valid, the step records must certify admissible estimates for
+//! the fused aggregators, and the memory timeline must be a consistent
+//! replay of the device ledger. That tracing is invisible to the training
+//! math is a cell family of `epoch_matrix`.
 
 use betty::{
     validate_jsonl, DeviceGroup, EpochStats, ExperimentConfig, RecoveryEvent, Runner, SpanKind,
@@ -33,19 +33,6 @@ fn config(aggregator: AggregatorSpec) -> ExperimentConfig {
     }
 }
 
-/// The deterministic subset of [`EpochStats`] — everything except
-/// wall-clock timings, which can never be bit-identical across runs.
-fn deterministic_fields(s: &EpochStats) -> (u64, usize, usize, usize, u64, usize) {
-    (
-        s.loss.to_bits(),
-        s.num_steps,
-        s.max_peak_bytes,
-        s.estimated_peak_bytes,
-        s.estimator_drift.to_bits(),
-        s.host_bytes,
-    )
-}
-
 fn traced_run(aggregator: AggregatorSpec) -> (Vec<EpochStats>, TraceRecorder) {
     let ds = dataset();
     let mut runner = Runner::new(&ds, &config(aggregator), 0);
@@ -59,24 +46,6 @@ fn traced_run(aggregator: AggregatorSpec) -> (Vec<EpochStats>, TraceRecorder) {
         .collect();
     let trace = runner.take_trace().expect("tracing was enabled");
     (stats, trace)
-}
-
-#[test]
-fn tracing_on_and_off_produce_identical_epoch_stats() {
-    let ds = dataset();
-    let mut plain = Runner::new(&ds, &config(AggregatorSpec::Mean), 0);
-    let (traced_stats, trace) = traced_run(AggregatorSpec::Mean);
-    for (epoch, traced) in traced_stats.iter().enumerate() {
-        let untraced = plain
-            .train_epoch_betty(&ds, StrategyKind::Betty, K)
-            .expect("default capacity fits the test batch");
-        assert_eq!(
-            deterministic_fields(traced),
-            deterministic_fields(&untraced),
-            "epoch {epoch}: tracing changed the training outcome"
-        );
-    }
-    assert!(!trace.is_empty());
 }
 
 /// The fields of [`EpochStats`] that folding the epoch's steps with
@@ -119,7 +88,10 @@ fn step_and_epoch_records_are_the_stats_the_calls_returned() {
     let trace = runner.take_trace().expect("tracing was enabled");
     assert_eq!(trace.epochs().len(), returned.len());
     for (&(epoch, recorded), &(stats, mini)) in trace.epochs().iter().zip(&returned) {
-        assert_eq!(recorded, stats, "epoch {epoch}: the record is the returned stats");
+        assert_eq!(
+            recorded, stats,
+            "epoch {epoch}: the record is the returned stats"
+        );
         let mut folded = EpochStats::default();
         for r in trace.steps().iter().filter(|r| r.epoch == epoch) {
             folded.absorb(&r.stats);
@@ -127,21 +99,42 @@ fn step_and_epoch_records_are_the_stats_the_calls_returned() {
         if mini {
             // A mini-batch epoch reports the mean of its batches' losses.
             folded.loss /= folded.num_steps as f64;
-            assert_eq!(stats.estimated_peak_bytes, 0, "epoch {epoch}: nothing priced");
+            assert_eq!(
+                stats.estimated_peak_bytes, 0,
+                "epoch {epoch}: nothing priced"
+            );
         } else {
-            assert!(stats.estimated_peak_bytes > 0, "epoch {epoch}: the plan priced it");
+            assert!(
+                stats.estimated_peak_bytes > 0,
+                "epoch {epoch}: the plan priced it"
+            );
         }
-        assert_eq!(folded_fields(&folded), folded_fields(&stats), "epoch {epoch}");
+        assert_eq!(
+            folded_fields(&folded),
+            folded_fields(&stats),
+            "epoch {epoch}"
+        );
     }
     let span = |kind: SpanKind, step: usize| {
-        let mut matching = trace.spans().iter().filter(|s| s.kind == kind && s.step == Some(step));
-        let span = matching.next().unwrap_or_else(|| panic!("step {step} has no {kind} span"));
-        assert!(matching.next().is_none(), "step {step} has two {kind} spans");
+        let mut matching = trace
+            .spans()
+            .iter()
+            .filter(|s| s.kind == kind && s.step == Some(step));
+        let span = matching
+            .next()
+            .unwrap_or_else(|| panic!("step {step} has no {kind} span"));
+        assert!(
+            matching.next().is_none(),
+            "step {step} has two {kind} spans"
+        );
         span.dur_sec
     };
     for r in trace.steps() {
         let s = &r.stats;
-        assert_eq!(span(SpanKind::Transfer, s.step).to_bits(), s.transfer_sec.to_bits());
+        assert_eq!(
+            span(SpanKind::Transfer, s.step).to_bits(),
+            s.transfer_sec.to_bits()
+        );
         let compute = span(SpanKind::Forward, s.step) + span(SpanKind::Backward, s.step);
         assert!(
             (compute - s.compute_sec).abs() <= 1e-9,
@@ -234,15 +227,27 @@ fn fault_records_are_the_log_entries_recorded_while_tracing() {
         .map(|e| (e.epoch, e.event.kind(), e.event.to_string()))
         .collect();
     assert_eq!(records, logged);
-    assert!(entries.iter().any(|e| matches!(e.event, RecoveryEvent::AnomalyRollback { .. })));
-    assert_eq!(records.first().map(|r| r.0), Some(1), "epoch 0 was not traced");
+    assert!(entries
+        .iter()
+        .any(|e| matches!(e.event, RecoveryEvent::AnomalyRollback { .. })));
+    assert_eq!(
+        records.first().map(|r| r.0),
+        Some(1),
+        "epoch 0 was not traced"
+    );
 
     let jsonl = trace.to_jsonl();
     validate_jsonl(&jsonl).expect("exported trace must be valid JSONL");
-    let faults = jsonl.lines().filter(|l| l.starts_with("{\"type\":\"fault\"")).count();
+    let faults = jsonl
+        .lines()
+        .filter(|l| l.starts_with("{\"type\":\"fault\""))
+        .count();
     assert_eq!(faults, entries.len());
     assert!(jsonl.contains("\"kind\":\"anomaly_rollback\""), "{jsonl}");
-    assert!(!jsonl.contains("\"type\":\"anomaly\""), "a caught NaN is a fault record");
+    assert!(
+        !jsonl.contains("\"type\":\"anomaly\""),
+        "a caught NaN is a fault record"
+    );
 }
 
 #[test]
@@ -269,7 +274,10 @@ fn pipelined_partition_work_overlaps_training_spans() {
                     .to_bits()
             })
             .collect();
-        assert!(runner.plan_ahead_active(), "pipeline must be live at depth 2");
+        assert!(
+            runner.plan_ahead_active(),
+            "pipeline must be live at depth 2"
+        );
         (losses, runner.take_trace().expect("tracing was enabled"))
     });
 
@@ -290,12 +298,15 @@ fn pipelined_partition_work_overlaps_training_spans() {
                     && matches!(s.kind, SpanKind::Forward | SpanKind::Backward)
             })
             .collect();
-        assert!(!trained_before.is_empty(), "epoch {} trained", window.epoch - 1);
+        assert!(
+            !trained_before.is_empty(),
+            "epoch {} trained",
+            window.epoch - 1
+        );
         for span in trained_before {
             assert!(
                 window.start_sec <= span.start_sec
-                    && span.start_sec + span.dur_sec
-                        <= window.start_sec + window.dur_sec,
+                    && span.start_sec + span.dur_sec <= window.start_sec + window.dur_sec,
                 "epoch {}'s staging window [{:.6}, {:.6}] must contain epoch {}'s \
                  {} span [{:.6}, {:.6}]",
                 window.epoch,
