@@ -1,4 +1,5 @@
-//! Golden test for training numerics: two epochs of six models, hashed.
+//! Golden test for training numerics: two epochs of six models, hashed,
+//! and of `sage-lstm` again at each half storage width.
 //!
 //! The hashes pin every loss bit and every parameter bit, on both
 //! backends, against silent change: a rewrite of the dense kernels, the
@@ -38,15 +39,22 @@ use betty::{ExperimentConfig, ModelKind, Runner, StrategyKind};
 use betty_data::DatasetSpec;
 use betty_device::gib;
 use betty_nn::AggregatorSpec;
-use betty_tensor::{with_backend, Backend};
+use betty_tensor::{with_backend, Backend, DType};
 use betty_testkit::{check_golden, fnv1a, printing};
 
 /// Two epochs at K = 3 on a tiny power-law graph; the hash covers both
 /// epoch losses (also returned) and every parameter bit afterwards.
 /// Feature width 20 and hidden width 36 make the LSTM gate product
 /// `[n, 40]·[40, 80]` and the dense layers cross the 6×32 and 6×16 tile
-/// boundaries with remainders.
-fn train_hash(model: ModelKind, aggregator: AggregatorSpec, backend: Backend) -> (u64, [f64; 2]) {
+/// boundaries with remainders. `precision` is the storage width of
+/// features and activations, so a half width pins every rounding onto
+/// the 16-bit grid along with the rest.
+fn train_hash(
+    model: ModelKind,
+    aggregator: AggregatorSpec,
+    precision: DType,
+    backend: Backend,
+) -> (u64, [f64; 2]) {
     with_backend(backend, || {
         let ds = DatasetSpec::cora()
             .scaled(0.12)
@@ -58,6 +66,7 @@ fn train_hash(model: ModelKind, aggregator: AggregatorSpec, backend: Backend) ->
             aggregator,
             model,
             dropout: 0.3,
+            precision,
             capacity_bytes: gib(8),
             ..ExperimentConfig::default()
         };
@@ -80,20 +89,23 @@ struct Golden {
     name: &'static str,
     model: ModelKind,
     aggregator: AggregatorSpec,
+    precision: DType,
     hash: u64,
     /// The two epoch losses at the last commit whose matmuls rounded
     /// twice per term (both backends). `sage-pool`, `gcn` and `gin` were
     /// pinned after that change; theirs are the losses they were pinned
     /// with. `sage-lstm`'s are those of the last commit that bucketed its
-    /// sequences by in-degree.
+    /// sequences by in-degree; the half-width rows' are those they were
+    /// pinned with, before the op stopped saving its hidden states.
     parent_losses: [f64; 2],
 }
 
-const GOLDEN: [Golden; 6] = [
+const GOLDEN: [Golden; 8] = [
     Golden {
         name: "sage-lstm",
         model: ModelKind::GraphSage,
         aggregator: AggregatorSpec::Lstm,
+        precision: DType::F32,
         hash: 0x363b5d650b5af43a,
         parent_losses: [2.471467435359955, 2.2415486574172974],
     },
@@ -101,6 +113,7 @@ const GOLDEN: [Golden; 6] = [
         name: "sage-mean",
         model: ModelKind::GraphSage,
         aggregator: AggregatorSpec::Mean,
+        precision: DType::F32,
         hash: 0xd4e7e9d7ef2474f4,
         parent_losses: [2.779236376285553, 2.5386061668395996],
     },
@@ -108,6 +121,7 @@ const GOLDEN: [Golden; 6] = [
         name: "gat",
         model: ModelKind::Gat,
         aggregator: AggregatorSpec::Mean,
+        precision: DType::F32,
         hash: 0x1aa754e764a0b2fd,
         parent_losses: [1.9478726387023926, 1.9360283613204956],
     },
@@ -115,6 +129,7 @@ const GOLDEN: [Golden; 6] = [
         name: "sage-pool",
         model: ModelKind::GraphSage,
         aggregator: AggregatorSpec::Pool,
+        precision: DType::F32,
         hash: 0x41e461b93578b3fb,
         parent_losses: [2.712488830089569, 2.5197341442108154],
     },
@@ -122,6 +137,7 @@ const GOLDEN: [Golden; 6] = [
         name: "gcn",
         model: ModelKind::Gcn,
         aggregator: AggregatorSpec::Mean,
+        precision: DType::F32,
         hash: 0x595c207d2f877b79,
         parent_losses: [2.1625558137893677, 2.122723877429962],
     },
@@ -129,8 +145,25 @@ const GOLDEN: [Golden; 6] = [
         name: "gin",
         model: ModelKind::Gin,
         aggregator: AggregatorSpec::Mean,
+        precision: DType::F32,
         hash: 0x0535cfb1c4acdec5,
         parent_losses: [3.6337804198265076, 3.0000107288360596],
+    },
+    Golden {
+        name: "sage-lstm-bf16",
+        model: ModelKind::GraphSage,
+        aggregator: AggregatorSpec::Lstm,
+        precision: DType::Bf16,
+        hash: 0xcbb7e634c957640b,
+        parent_losses: [2.471475899219513, 2.240814507007599],
+    },
+    Golden {
+        name: "sage-lstm-f16",
+        model: ModelKind::GraphSage,
+        aggregator: AggregatorSpec::Lstm,
+        precision: DType::F16,
+        hash: 0xd8e4b418725cca0b,
+        parent_losses: [2.4715073704719543, 2.241581618785858],
     },
 ];
 
@@ -141,12 +174,13 @@ fn two_epochs_match_the_parent_commit_bit_for_bit() {
         name,
         model,
         aggregator,
+        precision,
         hash,
         parent_losses,
     } in GOLDEN
     {
         for backend in [Backend::Scalar, Backend::Simd] {
-            let (hash_got, losses) = train_hash(model, aggregator, backend);
+            let (hash_got, losses) = train_hash(model, aggregator, precision, backend);
             for (loss, parent) in losses.iter().zip(parent_losses) {
                 assert!(
                     (loss - parent).abs() <= 1e-5 * parent,
