@@ -463,7 +463,7 @@ fn train(args: &Args) -> Result<Work, ArgError> {
             if let Some(path) = &trace_out {
                 match trace.write_jsonl(path) {
                     Ok(()) => say!("trace written to {path} ({} events)", trace.len())?,
-                    Err(e) if result.is_err() => warn!("cannot write trace to {path}: {e}"),
+                    Err(e) if result.is_err() => drop(say!(to stderr, "cannot write trace to {path}: {e}")),
                     Err(e) => return Err(format!("cannot write trace to {path}: {e}").into()),
                 }
             }
@@ -474,7 +474,7 @@ fn train(args: &Args) -> Result<Work, ArgError> {
         let recovery = runner.recovery_log();
         if let Err(e) = result {
             if !recovery.is_empty() {
-                warn!("{}", recovery.summary());
+                let _ = say!(to stderr, "{}", recovery.summary());
             }
             return Err(e);
         }

@@ -8,24 +8,14 @@
 //! betty eval      --data data.btd --checkpoint model.ckpt
 //! ```
 
-/// `println!` through the one stdout handle, returning the write's
-/// `io::Result` instead of panicking: a reader that closed the pipe
-/// (`betty info --data f.btd | head -3`) ends the command quietly.
+/// `println!`, or `eprintln!` as `say!(to stderr, …)`, returning the write's
+/// `io::Result` instead of panicking: a closed stdout pipe ends the command
+/// quietly, and a closed stderr costs the message, never the exit code.
 macro_rules! say {
-    ($($arg:tt)*) => {{
-        let line = format_args!("{}\n", format_args!($($arg)*));
-        std::io::Write::write_fmt(&mut std::io::stdout(), line)
-    }};
-}
-
-/// `eprintln!` that drops the write's error instead of panicking: with
-/// stderr closed there is nowhere left to report to, and the exit code
-/// still says what happened.
-macro_rules! warn {
-    ($($arg:tt)*) => {{
-        let line = format!("{}\n", format_args!($($arg)*));
-        let _ = std::io::Write::write_all(&mut std::io::stderr(), line.as_bytes());
-    }};
+    (to $stream:ident, $($arg:tt)*) => {
+        std::io::Write::write_fmt(&mut std::io::$stream(), format_args!("{}\n", format_args!($($arg)*)))
+    };
+    ($($arg:tt)*) => { say!(to stdout, $($arg)*) };
 }
 
 mod args;
@@ -41,7 +31,7 @@ use flags::Command;
 fn main() -> ExitCode {
     let mut argv = std::env::args().skip(1);
     let Some(name) = argv.next() else {
-        warn!("{}", flags::help().trim_end());
+        let _ = say!(to stderr, "{}", flags::help().trim_end());
         return ExitCode::FAILURE;
     };
     // `scrub` takes a positional directory, which the flag parser
@@ -71,8 +61,8 @@ fn main() -> ExitCode {
 
 /// Names a usage error on stderr, then the help; exit 1.
 fn usage_error(message: &str) -> ExitCode {
-    warn!("error: {message}\n");
-    warn!("{}", flags::help().trim_end());
+    let _ = say!(to stderr, "error: {message}\n");
+    let _ = say!(to stderr, "{}", flags::help().trim_end());
     ExitCode::FAILURE
 }
 
@@ -87,7 +77,7 @@ fn finish(result: commands::CmdResult) -> ExitCode {
     if io.is_some_and(|io| io.kind() == ErrorKind::BrokenPipe) {
         return ExitCode::SUCCESS;
     }
-    warn!("error: {e}");
+    let _ = say!(to stderr, "error: {e}");
     exit_code_for(e.as_ref())
 }
 
