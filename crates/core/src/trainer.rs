@@ -661,7 +661,8 @@ impl Trainer {
         let forward_done = self.trace.as_ref().map(|_| Instant::now());
 
         // Charge forward activations: named per-layer outputs count as
-        // hidden, the rest of the tape as aggregator workspace.
+        // hidden, the rest of the tape but the parameter leaves (which
+        // alias the resident parameters) as aggregator workspace.
         let hidden_bytes: usize = batch
             .blocks()
             .iter()
@@ -676,9 +677,7 @@ impl Trainer {
             })
             .sum();
         let tape_bytes = sess.activation_bytes();
-        let aggregator_bytes = tape_bytes
-            .saturating_sub(input_bytes)
-            .saturating_sub(hidden_bytes);
+        let aggregator_bytes = tape_bytes.saturating_sub(input_bytes + hidden_bytes + sizes.params);
         charges
             .charge_forward(&mut self.device, hidden_bytes, aggregator_bytes)
             .map_err(oom(StepPhase::Forward))?;

@@ -25,15 +25,15 @@
 //! |-------|---------------------------------|
 //! | SAGE mean / sum | the aggregate `n·d` (the self term reads `h_dst` in place) |
 //! | SAGE pool | gathered messages `e·d`, their activated transform `e·d`, the max `n·d` |
-//! | SAGE LSTM | `c·d` per neighbour step, i.e. per edge (Eq. 5; `c` = 6 here: four gates, cell, hidden — the last step's hidden state is the packed sequence's output), and the final states' placement `n·d` |
+//! | SAGE LSTM | `c·d` per neighbour step, i.e. per edge (Eq. 5; `c` = 5 here: four gates and the cell), the packed sequence's output `n_seq·d` (the last hidden state of each of the `n_seq` destinations with a neighbour), and the final states' placement `n·d` |
 //! | GCN | the normalised aggregate `n·d` |
 //! | GIN | neighbour sum, gathered `h_dst`, scaled self, their sum (`n·d` each), the MLP's hidden `n·h`, and two f32 scalars (`1`, `1 + ε`) |
 //! | GAT | projection `s·p` (`p` = heads × head width `w`); per head: its slice `s·w`, two attention-vector slices `w`, two score halves `s`, five edge-score tensors `e`, gathered and weighted features `2·e·w`, the pooled `n·w`; then the concatenation `n·o` (hidden layers, before the ELU) or `heads − 1` running sums `n·o` (the last layer's mean) |
 //!
 //! Every layer but the last additionally holds the dropped-out copy of its
 //! output (`n·o`) when dropout is on — the mask itself is an op payload,
-//! not a tape value. Once per step the tape also binds a copy of every
-//! parameter and the loss head's two scalars, all at f32.
+//! not a tape value. Once per step the tape also holds the loss head's two
+//! f32 scalars; the parameters it binds share item (1)'s storage.
 
 use betty_graph::Batch;
 use betty_tensor::DType;
@@ -239,11 +239,8 @@ impl MemoryEstimator {
         let params = s.params_gnn + s.params_agg;
 
         // (6) what each layer's tape holds besides its output, plus the
-        // tape contributions that exist once per step rather than per
-        // layer: the define-by-run graph binds a copy of every parameter
-        // as a leaf (so the tape holds params *in addition to* the
-        // resident copy of item (1)), and the loss head tapes the
-        // cross-entropy output and micro-batch rescale.
+        // loss head's cross-entropy output and micro-batch rescale. The
+        // leaf the tape binds for a parameter aliases item (1).
         let (layer_agg_values, layer_scalars) = batch
             .blocks()
             .iter()
@@ -260,9 +257,8 @@ impl MemoryEstimator {
 
         // Storage widths. Per-layer tensors (hidden outputs and aggregator
         // workspace) are stored at the activation width; input features at
-        // the feature store's width. The taped parameter copies and the
-        // scalars stay f32 — the tape never quantizes leaves or scalars —
-        // as do items (1), (3), (4), (7), and (8).
+        // the feature store's width. The scalars stay f32 — the tape never
+        // quantizes scalars — as do items (1), (3), (4), (7), and (8).
         let feat_w = self.feature_dtype.bytes_per_value();
         let act_w = self.activation_dtype.bytes_per_value();
         MemoryEstimate {
@@ -272,7 +268,7 @@ impl MemoryEstimator {
             blocks: block_values * BYTES_PER_VALUE,
             hidden_outputs: hidden_values * act_w,
             aggregator_intermediate: layer_agg_values * act_w
-                + (params + LOSS_TAPE_VALUES + layer_scalars) * BYTES_PER_VALUE,
+                + (LOSS_TAPE_VALUES + layer_scalars) * BYTES_PER_VALUE,
             gradients: params * BYTES_PER_VALUE,
             optimizer_states: 2 * params * BYTES_PER_VALUE,
             feature_cache: 0,
@@ -314,9 +310,12 @@ impl MemoryEstimator {
             AggregatorKind::Pool => 2 * e * d + sage_overhead,
             // Eq. 5: Σ_buckets L_i · B_i · d · c — the nodes fed through
             // the LSTM at each in-degree, which sum to one neighbour step
-            // per edge. The layer's one packed sequence places its final
-            // states straight into the aggregate.
-            AggregatorKind::Lstm => e * d * self.lstm_values_per_node + sage_overhead,
+            // per edge — then the layer's one packed sequence's output,
+            // which is scattered into the aggregate.
+            AggregatorKind::Lstm => {
+                let n_seq = (0..n_dst).filter(|&v| block.in_degree(v) > 0).count();
+                e * d * self.lstm_values_per_node + n_seq * d + sage_overhead
+            }
             // The neighbour sum, the gathered self rows, their `1 + ε`
             // multiple and the combination, then the MLP's hidden layer.
             AggregatorKind::Gin => 4 * n_dst * d + n_dst * self.shape.hidden_dim,
@@ -383,9 +382,9 @@ mod tests {
         // One layer, 2 dsts × 3 classes.
         assert_eq!(e.hidden_outputs, 2 * 3 * 4);
         // Mean runs fused and the dense map keeps only its output (item
-        // 5): the aggregate n_dst·d = 2·8 = 16 values, plus the taped
-        // parameter copies (120) and the 2-value loss head.
-        assert_eq!(e.aggregator_intermediate, (16 + 120 + 2) * 4);
+        // 5): the aggregate n_dst·d = 2·8 = 16 values, plus the 2-value
+        // loss head. The parameters the tape binds are item (1).
+        assert_eq!(e.aggregator_intermediate, (16 + 2) * 4);
         assert_eq!(e.gradients, 120 * 4);
         assert_eq!(e.optimizer_states, 240 * 4);
     }
@@ -395,16 +394,16 @@ mod tests {
         let est = MemoryEstimator::new(shape(AggregatorKind::Lstm));
         let e = est.estimate(&one_layer_batch());
         // Buckets: degree 2 × 1 node + degree 1 × 1 node = 3 node-steps.
-        // Eq. 5 term = 3 · d(8) · 18; plus the final states' 16-value
-        // placement, taped params (120), and the loss head.
-        assert_eq!(e.aggregator_intermediate, (3 * 8 * 18 + 16 + 122) * 4);
+        // Eq. 5 term = 3 · d(8) · 18; plus the two sequences' final states
+        // (2 · 8), their 16-value placement, and the loss head.
+        assert_eq!(e.aggregator_intermediate, (3 * 8 * 18 + 16 + 16 + 2) * 4);
     }
 
     #[test]
     fn lstm_constant_is_tunable() {
         let est = MemoryEstimator::new(shape(AggregatorKind::Lstm)).with_lstm_constant(25);
         let e = est.estimate(&one_layer_batch());
-        assert_eq!(e.aggregator_intermediate, (3 * 8 * 25 + 16 + 122) * 4);
+        assert_eq!(e.aggregator_intermediate, (3 * 8 * 25 + 16 + 16 + 2) * 4);
     }
 
     #[test]
@@ -449,9 +448,9 @@ mod tests {
         assert_eq!(bf16.input_features, 5 * 8 * 2);
         // Item (5) halves at the activation width.
         assert_eq!(bf16.hidden_outputs, 2 * 3 * 2);
-        // Item (6): the 16 aggregate values halve; the taped parameter
-        // copies (120) and loss head (2) stay f32.
-        assert_eq!(bf16.aggregator_intermediate, 16 * 2 + 122 * 4);
+        // Item (6): the 16 aggregate values halve; the loss head (2) stays
+        // f32.
+        assert_eq!(bf16.aggregator_intermediate, 16 * 2 + 2 * 4);
         // Everything else is unchanged — f32 storage throughout.
         assert_eq!(bf16.parameters, f32_est.parameters);
         assert_eq!(bf16.labels, f32_est.labels);
@@ -512,7 +511,7 @@ mod tests {
         let b = one_layer_batch(); // n_dst 2, n_src 5, e 3, d 8, o 3
         let layer = |agg| {
             let e = MemoryEstimator::new(shape(agg)).estimate(&b);
-            e.aggregator_intermediate / 4 - 122
+            e.aggregator_intermediate / 4 - 2
         };
         // Messages and their activated transform, then the max.
         assert_eq!(layer(AggregatorKind::Pool), 2 * 3 * 8 + 2 * 8);

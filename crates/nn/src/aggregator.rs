@@ -235,8 +235,8 @@ mod tests {
 
     /// The tape of one LSTM layer is one packed sequence node and one
     /// placement however many distinct degrees and however long the
-    /// sequences are, and holds exactly Eq. 5's six values per neighbor
-    /// step plus the placement rows.
+    /// sequences are, and holds exactly Eq. 5's five values per neighbor
+    /// step, the six sequences' final states and the placement rows.
     #[test]
     fn lstm_tapes_one_sequence_node_per_layer() {
         // Degrees 0, 1, 1, 3, 3, 3, 6 over seven destinations.
@@ -255,7 +255,7 @@ mod tests {
         assert_eq!(sess.graph.value(out).shape(), &[7, d]);
         // Two parameter leaves, then the sequence and the scatter.
         assert_eq!(sess.graph.len() - nodes, 2 + 1 + 1);
-        let values = agg.num_params() + 6 * node_steps * d + 7 * d;
+        let values = agg.num_params() + 5 * node_steps * d + 6 * d + 7 * d;
         assert_eq!(sess.activation_bytes() - bytes, values * 4);
     }
 

@@ -98,6 +98,23 @@ mod tests {
         assert_eq!(s.graph.len(), 1);
     }
 
+    /// A bound leaf shares the parameter's storage through a forward and
+    /// backward pass and a reset, which is why the estimator charges a
+    /// parameter once (item 1) and not again as a tape value.
+    #[test]
+    fn bound_leaf_aliases_the_resident_parameter() {
+        let mut s = Session::new();
+        let p = Param::new(Tensor::from_vec(vec![1.0, -2.0, 3.0, -4.0], &[2, 2]).unwrap());
+        let v = s.bind(&p);
+        assert_eq!(s.graph.value(v).data().as_ptr(), p.value().data().as_ptr());
+        let r = s.graph.relu(v);
+        let loss = s.graph.sum(r);
+        s.graph.backward(loss);
+        assert_eq!(s.graph.value(v).data().as_ptr(), p.value().data().as_ptr());
+        s.reset();
+        assert_eq!(p.value().data(), &[1.0, -2.0, 3.0, -4.0]);
+    }
+
     #[test]
     fn distinct_params_get_distinct_leaves() {
         let mut s = Session::new();

@@ -1421,8 +1421,8 @@ impl Graph {
     /// of sequence `r`'s steps and composing the cell out of
     /// `concat_cols`/`matmul`/`add_bias`/`slice_cols`/activations gives —
     /// without taping any of those intermediates. Per neighbour step and
-    /// state unit the op keeps six values (the four activated gates, the
-    /// cell state and the hidden state, its own output included), charged
+    /// state unit the op keeps five values (the four activated gates and
+    /// the cell state; the hidden states are rebuilt from them), charged
     /// to [`Graph::activation_bytes`] at the activation width like node
     /// values; its adjoint runs the whole back-propagation through time,
     /// accumulating each of `d src`, `dW` and `db` in one buffer.

@@ -14,12 +14,12 @@
 //! ```
 //!
 //! from `h_0 = c_0 = 0`, and a sequence's last `h_t` is row `r` of the
-//! op's `[n, H]` value. What is kept for the backward pass is [`Saved`] —
-//! six values per neighbour step and state unit, counting the op's own
-//! output — and nothing else round-trips through memory: `x_t` is
-//! gathered again from the source, `tanh(c_t)` is recomputed, the
-//! pre-activation gates and the gate slices an op-by-op cell tapes never
-//! exist, and the `[x ‖ h]` rows exist a chunk at a time.
+//! op's `[n, H]` value, which holds each sequence's latest `h` as it runs.
+//! The backward pass keeps [`Saved`], five values per neighbour step and
+//! state unit, and nothing else round-trips through memory: `x_t` is
+//! gathered again, `tanh(c_t)` and `h_{t-1} = o ⊙ tanh(c_{t-1})` are
+//! recomputed, the pre-activation gates and the gate slices an op-by-op
+//! cell tapes never exist, and the `[x ‖ h]` rows exist a chunk at a time.
 //!
 //! Forward, a step runs in chunks of [`CHUNK_ROWS`] rows — gather the
 //! chunk's `[x_t ‖ h_{t-1}]` rows, multiply them by the whole `W` into
@@ -58,22 +58,19 @@ pub(crate) struct Saved {
     gates: Tensor,
     /// `[R, H]` cell states, one row per neighbour step.
     cells: Tensor,
-    /// `[R − n, H]` hidden states `h_{t-1}`, row `j` the one packed row
-    /// `n + j` (a step after the first) reads; a sequence's last `h` is
-    /// the op's value.
-    hidden: Tensor,
+    /// The activation width, which a rebuilt `h_{t-1}` is rounded to again.
+    dtype: DType,
 }
 
 impl Saved {
     /// Elements held, for the tape's activation ledger.
     pub(crate) fn len(&self) -> usize {
-        self.gates.len() + self.cells.len() + self.hidden.len()
+        self.gates.len() + self.cells.len()
     }
 
     pub(crate) fn recycle_into(self, pool: &mut BufferPool) {
         pool.give(self.gates);
         pool.give(self.cells);
-        pool.give(self.hidden);
     }
 }
 
@@ -122,8 +119,9 @@ pub(crate) fn forward(
 
     let mut gates = pool.scratch(&[rows, 4 * h]);
     let mut cells = pool.scratch(&[rows, h]);
-    let mut hidden = pool.scratch(&[rows - n, h]);
-    // Every sequence ends at some step, which writes its row.
+    // Row `r` is sequence `r`'s latest `h`: a chunk copies its rows into
+    // its inputs before its cell overwrites them, and no step after a
+    // sequence's last writes its row again.
     let mut out = pool.scratch(&[n, h]);
     let mut inputs = pool.scratch(&[CHUNK_ROWS, x + h]);
     let c0 = pool.zeros(&[CHUNK_ROWS, h]);
@@ -133,75 +131,65 @@ pub(crate) fn forward(
     };
     let mut off = 0;
     for (t, &size) in sizes.iter().enumerate() {
-        // Sequences `..next` go on to step `t + 1`, the rest end here.
-        let next = sizes.get(t + 1).copied().unwrap_or(0);
         let (c_done, c_now) = cells.data_mut().split_at_mut(off * h);
-        let (h_done, h_next) = hidden.data_mut().split_at_mut((off + size - n) * h);
         for r0 in (0..size).step_by(CHUNK_ROWS) {
             let r1 = size.min(r0 + CHUNK_ROWS);
             let len = r1 - r0;
             let gates_c = &mut gates.data_mut()[(off + r0) * 4 * h..(off + r1) * 4 * h];
             let steps_c = &steps[off + r0..off + r1];
+            let h_c = &mut out.data_mut()[r0 * h..r1 * h];
             let c_prev = if t == 0 {
                 // `h_0 = 0` is not multiplied: its terms are all `±0.0`,
                 // which would leave the sums bit for bit as they are (a
                 // NaN or `∞` in `W[X..]` first shows at `t = 1`).
                 let x_c = &mut inputs.data_mut()[..len * x];
-                gather_inputs(src, steps_c, None, x_c);
+                gather_inputs(src, steps_c, x_c, x);
                 kernels::matmul_set(x_c, wx, gates_c, (len, x, 4 * h));
                 &c0.data()[..len * h]
             } else {
-                let h_prev = &h_done[(off - n + r0) * h..(off - n + r1) * h];
                 let xh_c = &mut inputs.data_mut()[..len * (x + h)];
-                gather_inputs(src, steps_c, Some(h_prev), xh_c);
+                gather_inputs(src, steps_c, xh_c, x + h);
+                for (row, h_prev) in xh_c.chunks_exact_mut(x + h).zip(h_c.chunks_exact(h)) {
+                    row[x..].copy_from_slice(h_prev);
+                }
                 kernels::matmul_set(xh_c, w.data(), gates_c, (len, x + h, 4 * h));
                 let prev = off - sizes[t - 1];
                 &c_done[(prev + r0) * h..(prev + r1) * h]
             };
-            let c_c = &mut c_now[r0 * h..r1 * h];
-            // Rows below `next` hand `h_t` to step `t + 1`; the others end
-            // their sequence and write it out.
-            let split = next.clamp(r0, r1) - r0;
-            let (g_on, g_end) = gates_c.split_at_mut(split * 4 * h);
-            let (cp_on, cp_end) = c_prev.split_at(split * h);
-            let (c_on, c_end) = c_c.split_at_mut(split * h);
-            let h_on = &mut h_next[r0.min(next) * h..][..split * h];
-            let h_end = &mut out.data_mut()[(r0 + split) * h..r1 * h];
-            cell(g_on, b.data(), cp_on, c_on, h_on, h, dtype);
-            cell(g_end, b.data(), cp_end, c_end, h_end, h, dtype);
+            cell(gates_c, b.data(), c_prev, &mut c_now[r0 * h..r1 * h], h_c, h, dtype);
         }
         off += size;
     }
     pool.give(inputs);
     pool.give(c0);
-    (
-        out,
-        Saved {
-            gates,
-            cells,
-            hidden,
-        },
-    )
+    (out, Saved { gates, cells, dtype })
 }
 
-/// Row `r` of `out` is row `steps[r]` of `src` followed, when `hidden` is
-/// given, by row `r` of it: the `[x ‖ h]` left operand of one product
-/// against the whole weight (`[x]` alone against `W[..X]`).
-fn gather_inputs(src: &Tensor, steps: &[usize], hidden: Option<&[f32]>, out: &mut [f32]) {
+/// Row `r` of `out`, `width` values wide, starts with row `steps[r]` of
+/// `src`: the `x_t` half of the `[x_t ‖ h_{t-1}]` left operand of one
+/// product against the whole weight (all of `[x_t]` against `W[..X]`).
+fn gather_inputs(src: &Tensor, steps: &[usize], out: &mut [f32], width: usize) {
     let x = src.cols();
-    let h = hidden.map_or(0, |hd| hd.len() / steps.len().max(1));
-    assert_eq!(out.len(), steps.len() * (x + h), "lstm input rows length mismatch");
+    assert_eq!(out.len(), steps.len() * width, "lstm input rows length mismatch");
     if out.is_empty() {
         return;
     }
-    for (r, (row, &s)) in out.chunks_exact_mut(x + h).zip(steps).enumerate() {
-        let (xr, hr) = row.split_at_mut(x);
-        xr.copy_from_slice(src.row(s));
-        if let Some(hidden) = hidden {
-            hr.copy_from_slice(&hidden[r * h..][..h]);
-        }
+    for (row, &s) in out.chunks_exact_mut(width).zip(steps) {
+        row[..x].copy_from_slice(src.row(s));
     }
 }
+
+/// `h = o ⊙ tanh(c)` of one row, rounded to `dtype`: the cell's last
+/// stage, and how the adjoint rebuilds the `h_{t-1}` it multiplied.
+#[inline(always)]
+fn hidden(o: &[f32], c: &[f32], h: &mut [f32], dtype: DType) {
+    for ((h, &o), &c) in h.iter_mut().zip(o).zip(c) {
+        *h = o * tanh(c);
+    }
+    dtype.quantize_slice(h);
+}
+
+lane_dispatch!(hidden_dispatch, hidden_avx512, hidden_avx2, hidden(o: &[f32], c: &[f32], h: &mut [f32], dtype: DType));
 
 /// One step of a run of sequences, a row at a time so a row's gates are still
 /// in cache when its state is updated: activates `gates` (`[n, 4H]`,
@@ -239,12 +227,7 @@ fn cell_forward(
         if dtype != DType::F32 {
             dtype.quantize_slice(c);
         }
-        for j in 0..hd {
-            h[j] = o[j] * tanh(c[j]);
-        }
-        if dtype != DType::F32 {
-            dtype.quantize_slice(h);
-        }
+        hidden(o, c, h, dtype);
     }
 }
 
@@ -334,6 +317,12 @@ pub(crate) fn backward(
     let mut dw = want_w.then(|| pool.zeros(w.shape()));
     let mut db = want_b.then(|| pool.zeros(&[4 * h]));
     let mut dsrc = wt_x.is_some().then(|| pool.zeros(src.shape()));
+    let rebuild = match Backend::current() {
+        Backend::Scalar => hidden,
+        Backend::Simd => hidden_dispatch,
+    };
+    // Step `t` and its first packed row, at the row being walked.
+    let (mut t, mut off) = (0, 0);
     // A block's `[x ‖ h_{t-1}]` rows for `dW`, then its `d x` rows before
     // they are scattered onto the source.
     let mut block = pool.scratch(&[GRAD_BLOCK_ROWS, x + h]);
@@ -352,16 +341,25 @@ pub(crate) fn backward(
         if let Some(dw) = &mut dw {
             // Packed rows `..n` are step 0, which multiplied no `h`: they
             // feed `dW[..X]` alone. Every later row feeds the whole `dW`
-            // through the `h_{t-1}` saved at `hidden[row − n]`.
+            // through its `h_{t-1}`, rebuilt from the row of the step
+            // before: row `j` of step `t` follows row `j − sizes[t − 1]`.
             let mid = n.clamp(r0, r1);
             let (first, later) = dgates_b.split_at((mid - r0) * 4 * h);
             let x_b = &mut block.data_mut()[..(mid - r0) * x];
-            gather_inputs(src, &steps[r0..mid], None, x_b);
+            gather_inputs(src, &steps[r0..mid], x_b, x);
             let dwx = &mut dw.data_mut()[..x * 4 * h];
             kernels::matmul_at_b_acc(x_b, first, dwx, (mid - r0, x, 4 * h));
-            let hidden_b = &saved.hidden.data()[(mid.max(n) - n) * h..(r1.max(n) - n) * h];
             let xh_b = &mut block.data_mut()[..(r1 - mid) * (x + h)];
-            gather_inputs(src, &steps[mid..r1], Some(hidden_b), xh_b);
+            gather_inputs(src, &steps[mid..r1], xh_b, x + h);
+            // Rows past step 0 are walked one by one, in ascending order.
+            for (j, row) in (mid..r1).zip(xh_b.chunks_exact_mut(x + h)) {
+                if j == off + sizes[t] {
+                    (off, t) = (j, t + 1);
+                }
+                let p = j - sizes[t - 1];
+                let o = &saved.gates.data()[(4 * p + 3) * h..][..h];
+                rebuild(o, &saved.cells.data()[p * h..][..h], &mut row[x..], saved.dtype);
+            }
             kernels::matmul_at_b_acc(xh_b, later, dw.data_mut(), (r1 - mid, x + h, 4 * h));
         }
         if let (Some(dsrc), Some(wt_x)) = (&mut dsrc, wt_x) {
@@ -670,9 +668,10 @@ mod tests {
         }
     }
 
-    /// The ledger charges exactly what the op keeps — six values per
-    /// neighbour step and state unit, output included — at the tape's
-    /// activation width, and nothing for the gathered inputs.
+    /// The ledger charges exactly what the op keeps — five values per
+    /// neighbour step and state unit, and the `[n, H]` output — at the
+    /// tape's activation width, and nothing for the gathered inputs or the
+    /// hidden states the adjoint rebuilds.
     #[test]
     fn activation_ledger_counts_the_saved_state_at_every_width() {
         let (x, h, n) = (5, 3, 4);
@@ -689,10 +688,10 @@ mod tests {
             let nodes = g.len();
             let hl = g.lstm_sequence(src, &steps, &sizes, w, b);
             assert_eq!(g.len(), nodes + 1, "one tape node per sequence batch");
-            let saved = 4 * len * h + len * h + (len - n) * h;
+            let saved = 4 * len * h + len * h;
             let charged = (saved + g.value(hl).len()) * dtype.bytes_per_value();
             assert_eq!(g.activation_bytes() - before, charged, "{dtype}");
-            assert_eq!(charged, 6 * len * h * dtype.bytes_per_value());
+            assert_eq!(charged, (5 * len + n) * h * dtype.bytes_per_value());
             // Half widths store every kept value on the 16-bit grid.
             assert!(
                 g.value(hl).data().iter().all(|&v| dtype.quantize(v) == v),

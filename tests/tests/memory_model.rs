@@ -69,8 +69,8 @@ fn mean_estimation_error_is_small() {
 #[test]
 fn lstm_estimation_error_within_paper_band() {
     // Table 7 reports < 8% for the LSTM aggregator. The fused sequence op
-    // tapes exactly Eq. 5's six values per neighbor step, so the error is
-    // zero (`eq5_equals_every_steps_measured_peak`).
+    // tapes exactly Eq. 5's five values per neighbor step and its output,
+    // so the error is zero (`eq5_equals_every_steps_measured_peak`).
     for (predicted, measured) in estimates(AggregatorSpec::Lstm, 4) {
         assert!(
             predicted >= measured,
