@@ -12,16 +12,16 @@ cd "$(dirname "$0")/.."
 
 # row            code  doc   paths (directories are searched recursively)
 table='
-bench            3518  532   crates/bench/src
-cli              1107  107   crates/cli/src
-core             3505  1271  crates/core/src
+bench            3223  488   crates/bench/src
+cli              1104  107   crates/cli/src
+core             3502  1266  crates/core/src
 data             1967  727   crates/data/src
 device           884   383   crates/device/src
 graph            933   375   crates/graph/src
 nn               1397  402   crates/nn/src
 partition        1140  309   crates/partition/src
 runtime          185   128   crates/runtime/src
-tensor           4399  1341  crates/tensor/src
+tensor           4333  1315  crates/tensor/src
 testkit          133   49    crates/testkit/src
 trace            767   241   crates/trace/src
 feature-store    1382  552   crates/data/src/featurestore.rs crates/data/src/shards.rs

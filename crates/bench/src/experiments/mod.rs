@@ -2,7 +2,6 @@
 //! table(s) and writes JSON rows under `experiments_out/`.
 
 pub mod ablation;
-pub mod ext_alloc;
 pub mod ext_elastic;
 pub mod ext_featurestore;
 pub mod ext_kernels;
@@ -52,7 +51,6 @@ pub fn run_all(profile: Profile) {
     ext_plan_ahead::run(profile);
     ext_recovery::run(profile);
     ext_trace::run(profile);
-    ext_alloc::run(profile);
     ext_featurestore::run(profile);
     ext_storage_chaos::run(profile);
     ext_kernels::run(profile);

@@ -210,7 +210,7 @@ mod tests {
         assert_eq!(train(&["--epochs", "5", "--verbose"]), unknown("verbose"));
         // A flag of another command.
         assert_eq!(check(Command::Info, &["--epochs", "5"]), unknown("epochs"));
-        assert_eq!(check(Command::Generate, &["--no-pool"]), unknown("no-pool"));
+        assert_eq!(check(Command::Generate, &["--trace-summary"]), unknown("trace-summary"));
         assert_eq!(check(Command::Partition, &["--fault-oom-steps", "0"]), unknown("fault-oom-steps"));
         // A value flag given bare or empty: at the end, or swallowed by the next flag.
         assert_eq!(train(&["--epochs", "5", "--k"]), Err("--k needs a value".into()));

@@ -324,7 +324,6 @@ fn train(args: &Args) -> Result<Work, ArgError> {
             max_anomaly_retries: args.value(&ANOMALY_RETRIES)?,
             max_io_retries: args.value(&IO_RETRIES)?,
         },
-        pool: !args.switch(&NO_POOL),
         plan_ahead: args.value(&PLAN_AHEAD)?,
         ..model(args, source.precision)?
     };

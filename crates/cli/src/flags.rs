@@ -179,8 +179,6 @@ pub(crate) const LR: Flag = Flag::new("lr", "F", &[Train]).default("0.003").help
 pub(crate) const CAPACITY_MIB: Flag = Flag::new("capacity-mib", "M", &[Train]).default("24576").help("the simulated device's memory in MiB");
 pub(crate) const PLAN_AHEAD: Flag = Flag::new("plan-ahead", "N", &[Train]).default("0")
     .help("stage up to N future epochs' sampling and REG partitioning on one planner thread while the current epoch trains (0: each epoch plans its own batch inline). Staged plans search K from the last plan's K, as inline ones do. Losses, parameters and every deterministic stat are bit-identical at any depth; under --threads 1 every depth is 0.");
-pub(crate) const NO_POOL: Flag = Flag::switch("no-pool", &[Train])
-    .help("rebuild every micro-batch's autograd tape from fresh heap allocations instead of the pooled workspace; bit-identical either way (an escape hatch for allocator debugging)");
 pub(crate) const THREADS: Flag = Flag::new("threads", "N", MODELS).default("0")
     .help("worker threads. The REG build and micro-batch extraction are always sharded across them, a dense product or fused aggregation only when a call carries 2^26 multiply-adds per shard. 1 is exactly serial; 0 is the BETTY_THREADS env var, then the core count (capped at 8). Every count gives bit-identical results.");
 pub(crate) const BACKEND: Flag = Flag::new("backend", "", &[Train, Eval]).check(Check::OneOf(&["scalar", "simd"]))
@@ -244,7 +242,7 @@ const TABLE: &[(&str, &[&Flag])] = &[
     ("dataset", &[&DATA, &PRESET, &SCALE, &FEATURE_DIM, &SEED, &OUT]),
     ("feature store", &[&FEATURE_STORE, &FEATURE_CACHE_BYTES, &FEATURE_PAGE_ROWS, &FEATURE_DIR, &FEATURE_PARITY, &PRECISION]),
     ("the model", &[&FANOUTS, &MODEL, &AGGREGATOR, &HIDDEN, &HEADS, &DROPOUT, &CHECKPOINT, &CHUNK]),
-    ("planning and training", &[&K, &STRATEGY, &COMPARE, &EPOCHS, &LR, &CAPACITY_MIB, &PLAN_AHEAD, &NO_POOL, &THREADS, &BACKEND]),
+    ("planning and training", &[&K, &STRATEGY, &COMPARE, &EPOCHS, &LR, &CAPACITY_MIB, &PLAN_AHEAD, &THREADS, &BACKEND]),
     ("the device group", &[&DEVICES, &ALLREDUCE_TIMEOUT_MS, &MAX_DEVICE_RETRIES, &STRAGGLER_THRESHOLD]),
     ("durability", &[&CHECKPOINT_DIR, &CHECKPOINT_EVERY, &RESUME]),
     ("recovery", &[&RETRIES, &RETRY_GROWTH, &RETRY_HEADROOM, &ANOMALY_RETRIES, &IO_RETRIES]),
@@ -346,10 +344,10 @@ mod tests {
     #[test]
     fn every_key_is_one_row_and_read_by_a_command() {
         let mut keys: Vec<&str> = rows().map(|f| f.key).collect();
-        assert_eq!(keys.len(), 59);
+        assert_eq!(keys.len(), 58);
         keys.sort_unstable();
         keys.dedup();
-        assert_eq!(keys.len(), 59, "a key has two rows");
+        assert_eq!(keys.len(), 58, "a key has two rows");
         for flag in rows() {
             assert!(Command::ALL.into_iter().any(|c| flag.reads(c)), "--{} is read by no command", flag.key);
             if let Some(default) = flag.default {

@@ -896,18 +896,18 @@ fn flags_a_command_does_not_act_on_are_usage_errors() {
         (generate, &["--feature-parity", "2"]),
         (generate, &["--precision", "bf16"]),
         (generate, &["--plan-ahead", "5"]),
-        (generate, &["--no-pool"]),
+        (generate, &["--trace-summary"]),
         (generate, &["--threads", "2"]),
         (generate, &["--backend", "scalar"]),
         (info, &["--plan-ahead", "3"]),
-        (info, &["--no-pool"]),
+        (info, &["--trace-summary"]),
         (info, &["--threads", "2"]),
         (partition, &["--fault-oom-steps", "0"]),
         (partition, &["--fault-io-rate", "0.5"]),
         (partition, &["--retries", "2"]),
         (partition, &["--io-retries", "2"]),
         (partition, &["--plan-ahead", "1"]),
-        (partition, &["--no-pool"]),
+        (partition, &["--trace-summary"]),
         (partition, &["--lr", "0.1"]),
         (eval, &["--fault-nan-steps", "1"]),
         (eval, &["--fault-shard-corrupt", "0:0"]),
@@ -1050,6 +1050,6 @@ fn one_spawned_case_per_flag_exits_0_or_1() {
             }
         }
     }
-    assert_eq!(seen.len(), 59, "{seen:?}");
+    assert_eq!(seen.len(), 58, "{seen:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -53,12 +53,6 @@ pub struct ExperimentConfig {
     /// [`Runner::train_epoch_elastic`](crate::Runner::train_epoch_elastic),
     /// the one epoch call of the CLI's `train` loop.
     pub retry: RetryPolicy,
-    /// Pooled tensor workspace: the trainer reuses one autograd tape and
-    /// recycles its value/gradient buffers across micro-batches, so
-    /// steady-state epochs run with near-zero allocator traffic. Pooled
-    /// buffers are fully overwritten before use, so losses and parameters
-    /// are bit-identical either way. The CLI exposes this as `--no-pool`.
-    pub pool: bool,
     /// Partition-ahead pipeline depth: how many future epochs' batches may
     /// be staged or in progress on one background planner thread while
     /// the current epoch trains. `0` (the default) is the classic
@@ -92,7 +86,6 @@ impl Default for ExperimentConfig {
             max_partitions: 512,
             fault_plan: FaultPlan::default(),
             retry: RetryPolicy::default(),
-            pool: true,
             plan_ahead: 0,
             precision: DType::F32,
         }
@@ -296,7 +289,6 @@ mod tests {
                 max_retries: 9,
                 ..RetryPolicy::default()
             },
-            pool: false,
             plan_ahead: 3,
             ..ExperimentConfig::default()
         };

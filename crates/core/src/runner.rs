@@ -324,7 +324,6 @@ impl Runner {
             Device::new(config.capacity_bytes),
             seed.wrapping_add(1),
         );
-        trainer.set_pooling(config.pool);
         trainer.set_precision(config.precision);
         let plan = &config.fault_plan;
         trainer.arm_faults(plan);
@@ -759,6 +758,7 @@ impl Runner {
         spec: &EpochSpec<'_>,
     ) -> Result<MultiDeviceEpoch, RunError> {
         self.begin_epoch(dataset);
+        let since = self.trainer.totals();
         let (group, policy) = (spec.group, &spec.retry);
         let capacity = self.config.capacity_bytes;
         let max_partitions = self.config.max_partitions;
@@ -867,6 +867,7 @@ impl Runner {
                             });
                         }
                         let stats = &mut epoch.combined;
+                        self.trainer.count_since(stats, since);
                         stats.host_bytes =
                             host_staging_bytes(dataset, sampled.as_ref(), &work.micro_batches);
                         stats.plan_ahead_overlap_sec = overlap_sec;

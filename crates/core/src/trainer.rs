@@ -15,6 +15,10 @@ use betty_trace::{EpochStats, SpanKind, StepStats, TraceRecorder};
 
 use crate::accounting::{StepCharges, StepSizes};
 
+/// A trainer's running totals ([`Trainer::totals`]): feature hits, misses,
+/// pages in and bytes paged in, and the tape's pool counters.
+pub(crate) type Totals = ([u64; 4], PoolStats);
+
 /// Which part of a training step was executing when a failure occurred.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepPhase {
@@ -185,10 +189,13 @@ pub struct Trainer {
     rng: Pcg64Mcg,
     global_step: usize,
     trace: Option<TraceRecorder>,
-    /// Persistent autograd workspace: with pooling on, each step resets the
-    /// tape in place and rebuilds it from recycled buffers instead of
-    /// reallocating the whole forward/backward state.
+    /// Persistent autograd workspace: each step resets the tape in place
+    /// and rebuilds it from recycled buffers instead of reallocating the
+    /// whole forward/backward state.
     session: Session,
+    /// Feature hits, misses, pages in and bytes paged in of every gather
+    /// since the trainer was built, rolled-back attempts' included.
+    gathered: [u64; 4],
     /// Global steps whose loss is poisoned to NaN (armed from
     /// [`FaultPlan::nan_loss_steps`]); each entry fires once.
     nan_steps: std::collections::BTreeSet<usize>,
@@ -223,6 +230,7 @@ impl Trainer {
             global_step: 0,
             trace: None,
             session: Session::new(),
+            gathered: [0; 4],
             nan_steps: std::collections::BTreeSet::new(),
             nan_events: Vec::new(),
             precision: DType::F32,
@@ -238,19 +246,6 @@ impl Trainer {
     pub(crate) fn set_precision(&mut self, dtype: DType) {
         self.precision = dtype;
         self.session.graph.set_activation_dtype(dtype);
-    }
-
-    /// Turns the pooled tensor workspace on or off (`--no-pool` escape
-    /// hatch). Pooling changes allocator traffic only: losses, gradients,
-    /// parameters, and device accounting are bit-identical either way,
-    /// because every pooled buffer is fully overwritten before it is read.
-    pub(crate) fn set_pooling(&mut self, on: bool) {
-        self.session.graph.set_pool_enabled(on);
-    }
-
-    /// Whether the pooled workspace is active.
-    pub(crate) fn pooling(&self) -> bool {
-        self.session.graph.pool_enabled()
     }
 
     /// Starts trace recording: step spans, the device-memory timeline on
@@ -409,28 +404,29 @@ impl Trainer {
         self.device.free_all();
     }
 
-    /// Folds this epoch's workspace-pool activity (counter delta since
-    /// `before`) into the epoch stats.
-    fn finish_epoch_pool_stats(&self, epoch: &mut EpochStats, before: PoolStats) {
-        let delta = self.session.graph.pool_stats().delta_since(&before);
-        epoch.pool_hits = delta.hits;
-        epoch.pool_misses = delta.misses;
-        epoch.pool_bytes_recycled = delta.bytes_recycled;
+    /// The monotone running totals an epoch's feature and pool counters
+    /// are deltas of: a rollback never resets them.
+    pub(crate) fn totals(&self) -> Totals {
+        (self.gathered, self.session.graph.pool_stats())
     }
 
-    /// Returns the persistent tape to its empty state (recycling its
-    /// buffers when pooling, or rebuilding it fresh when not), releasing
-    /// every `Arc` clone it holds of parameter values. Must run before an
-    /// optimizer step: a live tape would force copy-on-write of each
-    /// parameter the step touches.
+    /// Sets `epoch`'s feature and pool counters to the work done since
+    /// `since` was read, every attempt included.
+    pub(crate) fn count_since(&self, epoch: &mut EpochStats, since: Totals) {
+        let f = |i: usize| self.gathered[i] - since.0[i];
+        let pool = self.session.graph.pool_stats().delta_since(&since.1);
+        (epoch.feature_hits, epoch.feature_misses) = (f(0), f(1));
+        (epoch.feature_pages_in, epoch.feature_page_in_bytes) = (f(2), f(3));
+        (epoch.pool_hits, epoch.pool_misses) = (pool.hits, pool.misses);
+        epoch.pool_bytes_recycled = pool.bytes_recycled;
+    }
+
+    /// Returns the persistent tape to its empty state, recycling its
+    /// buffers and releasing every `Arc` clone it holds of parameter
+    /// values. Must run before an optimizer step: a live tape would force
+    /// copy-on-write of each parameter the step touches.
     fn release_tape(&mut self) {
-        if self.pooling() {
-            self.session.reset();
-        } else {
-            self.session = Session::new();
-            self.session.graph.set_pool_enabled(false);
-            self.session.graph.set_activation_dtype(self.precision);
-        }
+        self.session.reset();
     }
 
     /// Trains one *effective batch* as a sequence of micro-batches with
@@ -471,7 +467,7 @@ impl Trainer {
         let mode = LossMode::MicroBatch { effective_batch };
         let mut epoch = EpochStats::default();
         let mut steps = Vec::with_capacity(active.len());
-        let pool_before = self.session.graph.pool_stats();
+        let since = self.totals();
         self.model.for_each_param_mut(&mut |p| p.zero_grad());
         for (mb, estimated_bytes) in active {
             let step = self.run_step(dataset, mb, estimated_bytes, &mode)?;
@@ -485,7 +481,7 @@ impl Trainer {
             self.release_tape();
             self.optimizer.step(&mut self.model.params_mut());
         }
-        self.finish_epoch_pool_stats(&mut epoch, pool_before);
+        self.count_since(&mut epoch, since);
         Ok((epoch, steps))
     }
 
@@ -501,7 +497,7 @@ impl Trainer {
         batches: &[Batch],
     ) -> Result<EpochStats, TrainError> {
         let mut epoch = EpochStats::default();
-        let pool_before = self.session.graph.pool_stats();
+        let since = self.totals();
         for batch in batches {
             if batch.output_nodes().is_empty() {
                 continue;
@@ -516,7 +512,7 @@ impl Trainer {
         if epoch.num_steps > 0 {
             epoch.loss /= epoch.num_steps as f64;
         }
-        self.finish_epoch_pool_stats(&mut epoch, pool_before);
+        self.count_since(&mut epoch, since);
         Ok(epoch)
     }
 
@@ -600,9 +596,7 @@ impl Trainer {
 
         // Reuse the persistent workspace: reset drains the previous step's
         // tape into the buffer pool, so this step's identically-shaped
-        // tensors are served without touching the allocator. With pooling
-        // off, a fresh session reproduces the historical allocate-per-step
-        // behaviour exactly.
+        // tensors are served without touching the allocator.
         self.release_tape();
 
         // Host-side feature gather for the micro-batch's input nodes,
@@ -618,6 +612,10 @@ impl Trainer {
             .try_gather_into(&input_idx, input_feats.data_mut());
         self.session.graph.recycle_indices(input_idx);
         let feature_stats = gathered.map_err(storage)?;
+        let f = &feature_stats;
+        for (total, n) in self.gathered.iter_mut().zip([f.hits, f.misses, f.pages_in, f.bytes_in]) {
+            *total += n;
+        }
         // Shards the cache does not hold page in over the NVMe-like
         // feature link. Dense stores and warm caches read zero bytes,
         // which the link models as free.
@@ -1075,32 +1073,20 @@ mod tests {
         assert!(b1.loss.is_finite());
     }
 
+    /// One epoch warms the pool: every later epoch of the same
+    /// micro-batches is served at least 80 % from recycled buffers.
     #[test]
-    fn pool_toggle_is_bit_identical() {
+    fn a_warm_pool_serves_the_steady_state() {
         let ds = dataset();
-        let batch = full_batch(&ds, 2);
-        let micros = micros_of(&batch, 4);
-        let mut pooled = Trainer::new(model(&ds, 7), 0.01, Device::unbounded(), 3);
-        let mut plain = Trainer::new(model(&ds, 7), 0.01, Device::unbounded(), 3);
-        plain.set_pooling(false);
-        assert!(pooled.pooling());
-        assert!(!plain.pooling());
+        let micros = micros_of(&full_batch(&ds, 2), 4);
+        let mut t = Trainer::new(model(&ds, 7), 0.01, Device::unbounded(), 3);
+        let cold = t.micro_batch_epoch(&ds, &micros, &[]).unwrap().0;
+        assert!(cold.pool_misses > 0, "a cold pool misses");
         for _ in 0..3 {
-            let a = pooled.micro_batch_epoch(&ds, &micros, &[]).unwrap().0;
-            let b = plain.micro_batch_epoch(&ds, &micros, &[]).unwrap().0;
-            assert_eq!(a.loss.to_bits(), b.loss.to_bits());
-            assert_eq!(a.max_peak_bytes, b.max_peak_bytes);
-            // Only the pooled trainer recycles buffers.
-            assert_eq!(b.pool_hits, 0);
-            assert_eq!(b.pool_bytes_recycled, 0);
+            let warm = t.micro_batch_epoch(&ds, &micros, &[]).unwrap().0;
+            let rate = warm.pool_hits as f64 / (warm.pool_hits + warm.pool_misses) as f64;
+            assert!(rate >= 0.8, "steady-state hit rate {rate:.3}");
+            assert!(warm.pool_bytes_recycled > 0);
         }
-        assert_eq!(
-            param_bits(&pooled),
-            param_bits(&plain),
-            "pooling must not change a single parameter bit"
-        );
-        let stats = pooled.session.graph.pool_stats();
-        assert!(stats.hits > 0, "steady state must reuse buffers: {stats:?}");
-        assert!(stats.bytes_recycled > 0);
     }
 }

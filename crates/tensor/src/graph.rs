@@ -15,8 +15,9 @@
 //! [`Graph::reset`] drains the finished tape back into the pool instead of
 //! freeing it. Micro-batched training replays near-identical shapes every
 //! step, so after a warm-up step the tape is rebuilt with almost no heap
-//! allocation. Pooled and unpooled execution run the same kernels on the
-//! same bytes — every pooled buffer is fully written before it is read — so
+//! allocation. A warm tape runs the same kernels as a cold one, whose
+//! buffers are fresh zeros: every pooled buffer is fully written before it
+//! is read (debug builds poison recycled scratch with NaN to check it), so
 //! results are bit-identical either way.
 
 use std::ops::Range;
@@ -756,7 +757,7 @@ fn pooled_copy(pool: &mut BufferPool, g: &Tensor) -> Tensor {
 }
 
 impl Graph {
-    /// Creates an empty tape with an enabled buffer pool.
+    /// Creates an empty tape with an empty buffer pool.
     pub fn new() -> Self {
         Self::default()
     }
@@ -828,17 +829,6 @@ impl Graph {
     /// Cumulative buffer-pool counters (hits, misses, bytes recycled).
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
-    }
-
-    /// Enables or disables buffer recycling (disabled pools are transparent:
-    /// identical kernels and values, fresh allocations).
-    pub fn set_pool_enabled(&mut self, enabled: bool) {
-        self.pool.set_enabled(enabled);
-    }
-
-    /// Whether buffer recycling is on.
-    pub fn pool_enabled(&self) -> bool {
-        self.pool.enabled()
     }
 
     /// Takes a pooled buffer with *unspecified contents* for use outside the
@@ -1250,7 +1240,7 @@ impl Graph {
         let vv = &nodes[values.0].value;
         let cols = vv.cols();
         let mut value = pool.scratch(&[n_segments, cols]);
-        segment::segment_max_into_reusing(vv, segment_ids, value.data_mut(), &mut argmax);
+        segment::segment_max_into(vv, segment_ids, value.data_mut(), &mut argmax);
         self.push(
             value,
             Parents::One(values),
@@ -1311,7 +1301,7 @@ impl Graph {
             counts[s] += 1;
         }
         let Graph { nodes, pool, .. } = self;
-        // See `segment_mean` for the spare-slot convention.
+        // A spare slot keeps `inv` writable when there is no segment.
         let mut inv = pool.scratch(&[n_segments.max(1)]);
         let invd = inv.data_mut();
         invd[0] = 0.0;
@@ -1748,6 +1738,14 @@ mod tests {
     }
 
     #[test]
+    fn fused_mean_divides_by_count() {
+        let mut g = Graph::new();
+        let v = g.leaf(t(&[2.0, 4.0, 6.0], &[3, 1]));
+        let m = g.fused_neighbor_mean(v, &[0, 1, 2], &[0, 0, 1], 2);
+        assert_eq!(g.value(m).data(), &[3.0, 6.0]);
+    }
+
+    #[test]
     fn fused_mean_empty_segment_is_zero() {
         let mut g = Graph::new();
         let s = g.leaf(t(&[1.0, 2.0], &[1, 2]));
@@ -1909,20 +1907,23 @@ mod tests {
         assert_eq!(wg1, wg2);
     }
 
+    /// Debug builds hand out recycled scratch filled with NaN, so a kernel
+    /// that read scratch before writing it would turn the warm step's
+    /// loss and gradients into NaN here.
     #[test]
-    fn pooled_and_unpooled_are_bit_identical() {
-        let mut pooled = Graph::new();
-        // Warm the pool so the second pooled step runs on recycled buffers.
-        run_step(&mut pooled);
-        pooled.reset();
-        let (loss_p, wg_p) = run_step(&mut pooled);
+    fn a_warm_poisoned_tape_reproduces_a_cold_tapes_bits() {
+        let mut warm = Graph::new();
+        run_step(&mut warm);
+        warm.reset();
+        let before = warm.pool_stats();
+        let (loss_w, wg_w) = run_step(&mut warm);
+        let served = warm.pool_stats().delta_since(&before);
+        assert!(served.hits > 0 && served.misses == 0, "{served:?}");
 
-        let mut plain = Graph::new();
-        plain.set_pool_enabled(false);
-        let (loss_u, wg_u) = run_step(&mut plain);
-
-        assert_eq!(loss_p.to_bits(), loss_u.to_bits());
-        assert_eq!(wg_p, wg_u);
+        let (loss_c, wg_c) = run_step(&mut Graph::new());
+        assert!(loss_c.is_finite());
+        assert_eq!(loss_w.to_bits(), loss_c.to_bits());
+        assert_eq!(wg_w, wg_c);
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //! Correctness contract: a pooled buffer is handed out either fully filled
 //! ([`BufferPool::zeros`] / [`BufferPool::full`]) or as dirty scratch the
 //! caller promises to overwrite completely ([`BufferPool::scratch`]).
-//! Either way no kernel ever reads bytes that depend on pool history, which
-//! is why pooled and unpooled training are bit-identical (checked by the
-//! pool-off cells of `tests/tests/epoch_matrix.rs`).
+//! Either way no kernel ever reads bytes that depend on pool history, so a
+//! warm pool trains bit-identically to a cold one, whose misses hand out
+//! fresh zeroed buffers. Debug builds poison recycled scratch with NaN, so
+//! a kernel that reads before it writes fails every bit-identity test.
 
 use std::collections::BTreeMap;
 
@@ -60,15 +61,10 @@ impl PoolStats {
 }
 
 /// Capacity-keyed free lists of reusable tensors.
-///
-/// Disabled pools are transparent: every request allocates fresh and every
-/// release drops, so `--no-pool` runs the exact same kernel code with the
-/// exact same values — only the allocator traffic differs.
 #[derive(Debug)]
 pub(crate) struct BufferPool {
     free: BTreeMap<usize, Vec<Tensor>>,
     free_indices: Vec<Vec<usize>>,
-    enabled: bool,
     stats: PoolStats,
 }
 
@@ -79,28 +75,13 @@ impl Default for BufferPool {
 }
 
 impl BufferPool {
-    /// Creates an enabled, empty pool.
+    /// Creates an empty pool.
     pub(crate) fn new() -> Self {
         Self {
             free: BTreeMap::new(),
             free_indices: Vec::new(),
-            enabled: true,
             stats: PoolStats::default(),
         }
-    }
-
-    /// Turns recycling on or off; disabling drops all cached buffers.
-    pub(crate) fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-        if !enabled {
-            self.free.clear();
-            self.free_indices.clear();
-        }
-    }
-
-    /// Whether recycling is on.
-    pub(crate) fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Cumulative counters since construction.
@@ -115,23 +96,20 @@ impl BufferPool {
     /// filling one with `extend_from_slice` performs no allocation. A hit
     /// counts the recycled capacity toward `bytes_recycled`.
     pub(crate) fn take_indices(&mut self) -> Vec<usize> {
-        if self.enabled {
-            if let Some(mut v) = self.free_indices.pop() {
-                v.clear();
-                self.stats.hits += 1;
-                self.stats.bytes_recycled +=
-                    (v.capacity() * std::mem::size_of::<usize>()) as u64;
-                return v;
-            }
-            self.stats.misses += 1;
+        if let Some(mut v) = self.free_indices.pop() {
+            v.clear();
+            self.stats.hits += 1;
+            self.stats.bytes_recycled += (v.capacity() * std::mem::size_of::<usize>()) as u64;
+            return v;
         }
+        self.stats.misses += 1;
         Vec::new()
     }
 
-    /// Releases an index buffer for reuse (dropped when the pool is off,
-    /// the buffer never grew, or the free list is full).
+    /// Releases an index buffer for reuse (dropped when the buffer never
+    /// grew or the free list is full).
     pub(crate) fn give_indices(&mut self, v: Vec<usize>) {
-        if self.enabled && v.capacity() > 0 && self.free_indices.len() < MAX_FREE_INDICES {
+        if v.capacity() > 0 && self.free_indices.len() < MAX_FREE_INDICES {
             self.free_indices.push(v);
         }
     }
@@ -172,20 +150,21 @@ impl BufferPool {
 
     /// Takes a buffer of the given shape with *unspecified contents*.
     ///
-    /// The caller must overwrite every element before any are read —
-    /// pooled runs hand out stale data here, unpooled runs hand out zeros,
-    /// and the bit-identity property tests exist to catch any consumer
-    /// that breaks this promise.
+    /// The caller must overwrite every element before any are read. A
+    /// miss hands out fresh zeros and a hit stale data, which debug builds
+    /// replace with NaN: a consumer that breaks the promise then turns a
+    /// warm tape's loss into NaN instead of matching a cold tape's bits.
     pub(crate) fn scratch(&mut self, shape: &[usize]) -> Tensor {
         assert!(!shape.is_empty(), "shape must have at least one dimension");
         let len: usize = shape.iter().product();
-        if self.enabled {
-            if let Some(mut t) = self.take_hit(len) {
-                t.set_shape_in_place(shape);
-                return t;
+        if let Some(mut t) = self.take_hit(len) {
+            t.set_shape_in_place(shape);
+            if cfg!(debug_assertions) {
+                t.fill(f32::NAN);
             }
-            self.stats.misses += 1;
+            return t;
         }
+        self.stats.misses += 1;
         Tensor::zeros(shape)
     }
 
@@ -198,14 +177,12 @@ impl BufferPool {
     pub(crate) fn full(&mut self, shape: &[usize], value: f32) -> Tensor {
         assert!(!shape.is_empty(), "shape must have at least one dimension");
         let len: usize = shape.iter().product();
-        if self.enabled {
-            if let Some(mut t) = self.take_hit(len) {
-                t.set_shape_in_place(shape);
-                t.fill(value);
-                return t;
-            }
-            self.stats.misses += 1;
+        if let Some(mut t) = self.take_hit(len) {
+            t.set_shape_in_place(shape);
+            t.fill(value);
+            return t;
         }
+        self.stats.misses += 1;
         Tensor::full(shape, value)
     }
 
@@ -215,9 +192,6 @@ impl BufferPool {
     /// are dropped instead of cached — recycling them would alias live
     /// data. Empty buffers are dropped too.
     pub(crate) fn give(&mut self, mut t: Tensor) {
-        if !self.enabled {
-            return;
-        }
         let Some(buf) = t.unique_buffer_mut() else {
             return;
         };
@@ -324,17 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_pool_is_transparent() {
-        let mut pool = BufferPool::new();
-        pool.set_enabled(false);
-        pool.give(Tensor::zeros(&[4]));
-        assert_eq!(pool.cached_buffers(), 0);
-        let t = pool.zeros(&[4]);
-        assert_eq!(t.len(), 4);
-        assert_eq!(pool.stats(), PoolStats::default());
-    }
-
-    #[test]
     fn full_overwrites_stale_contents() {
         let mut pool = BufferPool::new();
         let mut t = pool.scratch(&[3]);
@@ -342,6 +305,18 @@ mod tests {
         pool.give(t);
         let ones = pool.full(&[3], 1.0);
         assert_eq!(ones.data(), &[1.0, 1.0, 1.0]);
+    }
+
+    #[test]
+    fn recycled_scratch_is_poisoned_in_debug_builds() {
+        let mut pool = BufferPool::new();
+        let fresh = pool.scratch(&[3]);
+        assert_eq!(fresh.data(), &[0.0; 3], "a miss hands out fresh zeros");
+        pool.give(fresh);
+        let recycled = pool.scratch(&[3]);
+        assert_eq!(pool.stats().hits, 1);
+        let poisoned = recycled.data().iter().all(|v| v.is_nan());
+        assert_eq!(poisoned, cfg!(debug_assertions));
     }
 
     #[test]
@@ -356,16 +331,6 @@ mod tests {
         assert!(v2.is_empty(), "recycled index buffers come back empty");
         assert_eq!(v2.capacity(), cap);
         assert_eq!(pool.stats().hits, 1);
-    }
-
-    #[test]
-    fn disabled_pool_drops_index_buffers() {
-        let mut pool = BufferPool::new();
-        pool.set_enabled(false);
-        pool.give_indices(vec![1, 2]);
-        let v = pool.take_indices();
-        assert_eq!(v.capacity(), 0);
-        assert_eq!(pool.stats(), PoolStats::default());
     }
 
     #[test]

@@ -195,72 +195,16 @@ pub(crate) fn segment_sum_into(values: &Tensor, segment_ids: &[usize], out: &mut
     }
 }
 
-/// Per-segment mean (empty segments produce zero rows), accumulated into
-/// `out`, which must be zero-filled `[n_segments * cols]`; returns the
-/// per-segment counts the backward pass needs.
-///
-/// # Panics
-///
-/// Panics if a segment id is out of bounds or lengths disagree.
-pub fn segment_mean_into(values: &Tensor, segment_ids: &[usize], out: &mut [f32]) -> Vec<usize> {
-    let mut counts = Vec::new();
-    segment_mean_into_reusing(values, segment_ids, out, &mut counts);
-    counts
-}
-
-/// [`segment_mean_into`] writing the per-segment counts into a
-/// caller-provided buffer (cleared and refilled), so a recycled buffer
-/// makes the op allocation-free — same pattern as
-/// [`segment_max_into_reusing`].
-///
-/// # Panics
-///
-/// Panics if a segment id is out of bounds or lengths disagree.
-pub fn segment_mean_into_reusing(
-    values: &Tensor,
-    segment_ids: &[usize],
-    out: &mut [f32],
-    counts: &mut Vec<usize>,
-) {
-    let cols = values.cols();
-    let n_segments = out.len().checked_div(cols).unwrap_or(0);
-    counts.clear();
-    counts.resize(n_segments, 0);
-    for &s in segment_ids {
-        assert!(s < n_segments, "segment id {s} >= {n_segments}");
-        counts[s] += 1;
-    }
-    segment_sum_into(values, segment_ids, out);
-    for (s, &cnt) in counts.iter().enumerate() {
-        if cnt > 1 {
-            let inv = 1.0 / cnt as f32;
-            for v in &mut out[s * cols..(s + 1) * cols] {
-                *v *= inv;
-            }
-        }
-    }
-}
-
 /// Per-segment elementwise max into `out` (fully overwritten — the kernel
-/// seeds every cell with `-∞` first; empty segments are zero); returns the
-/// winning input row per cell (`usize::MAX` for empty segments).
+/// seeds every cell with `-∞` first; empty segments are zero), with the
+/// winning input row per cell (`usize::MAX` for empty segments) written
+/// into `argmax`, which is cleared and refilled: a recycled buffer makes
+/// the call allocation-free.
 ///
 /// # Panics
 ///
 /// Panics if a segment id is out of bounds or lengths disagree.
-pub fn segment_max_into(values: &Tensor, segment_ids: &[usize], out: &mut [f32]) -> Vec<usize> {
-    let mut argmax = Vec::new();
-    segment_max_into_reusing(values, segment_ids, out, &mut argmax);
-    argmax
-}
-
-/// [`segment_max_into`] writing the argmax into a caller-provided buffer
-/// (cleared and refilled), so a recycled buffer makes the op allocation-free.
-///
-/// # Panics
-///
-/// Panics if a segment id is out of bounds or lengths disagree.
-pub fn segment_max_into_reusing(
+pub fn segment_max_into(
     values: &Tensor,
     segment_ids: &[usize],
     out: &mut [f32],
@@ -927,6 +871,9 @@ mod tests {
     use super::*;
     use crate::kernels::tests::alloc;
 
+    #[global_allocator]
+    static ALLOCATOR: betty_testkit::Tracking = betty_testkit::Tracking;
+
     // Allocating forms of the `_into` kernels, for these tests.
     fn scatter_rows(values: &Tensor, indices: &[usize], n_rows: usize) -> Tensor {
         alloc(&[n_rows, values.cols()], |o| scatter_rows_into(values, indices, o))
@@ -936,15 +883,9 @@ mod tests {
         alloc(&[n, values.cols()], |o| segment_sum_into(values, ids, o))
     }
 
-    fn segment_mean(values: &Tensor, ids: &[usize], n: usize) -> (Tensor, Vec<usize>) {
-        let mut counts = Vec::new();
-        let out = alloc(&[n, values.cols()], |o| counts = segment_mean_into(values, ids, o));
-        (out, counts)
-    }
-
     fn segment_max(values: &Tensor, ids: &[usize], n: usize) -> (Tensor, Vec<usize>) {
         let mut argmax = Vec::new();
-        let out = alloc(&[n, values.cols()], |o| argmax = segment_max_into(values, ids, o));
+        let out = alloc(&[n, values.cols()], |o| segment_max_into(values, ids, o, &mut argmax));
         (out, argmax)
     }
 
@@ -1017,15 +958,6 @@ mod tests {
         assert_eq!(s.row(0), &[3.0, 30.0]);
         assert_eq!(s.row(1), &[3.0, 30.0]);
         assert_eq!(s.row(2), &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn segment_mean_divides_by_count() {
-        let v = t(&[2.0, 4.0, 6.0], &[3, 1]);
-        let (m, counts) = segment_mean(&v, &[0, 0, 1], 2);
-        assert_eq!(m.row(0), &[3.0]);
-        assert_eq!(m.row(1), &[6.0]);
-        assert_eq!(counts, vec![2, 1]);
     }
 
     #[test]
@@ -1210,11 +1142,30 @@ mod tests {
         segment_softmax_into(&scores, &s_ids, 3, &mut sout);
         assert_eq!(bits(&sm), sout.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
 
-        // segment_max_into seeds with -inf itself: dirty out is fine.
+        // segment_max_into seeds with -inf itself: dirty out is fine, and
+        // a dirty argmax buffer is cleared.
         let (mx, arg) = segment_max(&scores, &s_ids, 3);
         let mut mout = vec![f32::NAN; 3 * 3];
-        let arg2 = segment_max_into(&scores, &s_ids, &mut mout);
+        let mut arg2 = vec![7; 20];
+        segment_max_into(&scores, &s_ids, &mut mout, &mut arg2);
         assert_eq!(mx.data(), &mout[..]);
         assert_eq!(arg, arg2);
+    }
+
+    /// The tape's max reduction recycles its argmax buffer: once the
+    /// buffer has grown, a call allocates nothing at all.
+    #[test]
+    fn segment_max_with_a_warm_argmax_buffer_never_allocates() {
+        let values = salted(256, 32, 0.61);
+        let ids: Vec<usize> = (0..256).map(|r| (r * 13 + 5) % 64).collect();
+        let mut out = vec![0.0f32; 64 * 32];
+        let mut argmax = Vec::new();
+        segment_max_into(&values, &ids, &mut out, &mut argmax);
+        let ((), largest, rise) = betty_testkit::measured(|| {
+            for _ in 0..16 {
+                segment_max_into(&values, &ids, &mut out, &mut argmax);
+            }
+        });
+        assert_eq!((largest, rise), (0, 0), "a warm call allocated");
     }
 }

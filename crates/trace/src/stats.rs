@@ -88,7 +88,7 @@ pub struct EpochStats {
     /// plan that "fits". 0 when the epoch ran without a plan.
     pub estimator_drift: f64,
     /// Tensor-workspace buffers served from the trainer's pool during this
-    /// epoch (a hit avoids one heap allocation). 0 when pooling is off.
+    /// epoch, every attempt included (a hit avoids one heap allocation).
     pub pool_hits: u64,
     /// Workspace requests the pool had to satisfy with a fresh heap
     /// allocation. In steady state (same-shaped micro-batches) this
@@ -97,9 +97,9 @@ pub struct EpochStats {
     /// Bytes handed back out from recycled buffers instead of the heap
     /// (`4 * elements` summed over every pool hit).
     pub pool_bytes_recycled: u64,
-    /// Feature rows served from the store's resident set over the epoch.
-    /// The dense in-memory backend scores every row as a hit, so
-    /// `feature_misses == 0` is the out-of-core story's baseline.
+    /// Feature rows served from the store's resident set over the epoch,
+    /// rolled-back attempts included (so are the three counters below).
+    /// The dense backend scores every row as a hit: `feature_misses == 0`.
     pub feature_hits: u64,
     /// Feature rows that required paging their shard in from disk.
     pub feature_misses: u64,

@@ -179,8 +179,6 @@ pub struct Cell {
     pub plan_ahead: usize,
     /// Pinned worker-thread count.
     pub threads: usize,
-    /// Pooled tensor workspace.
-    pub pool: bool,
     /// Pinned kernel backend.
     pub backend: Backend,
     /// Feature store.
@@ -199,7 +197,7 @@ impl Cell {
     /// The reference settings for this cell's aggregator, `K` and
     /// scenario: `train_epoch_betty`, or a group of one under an OOM (whose
     /// recovery re-plans at a larger `K`); dense store, one thread, no
-    /// plan-ahead, pool on, simd, untraced. Every other scenario has the
+    /// plan-ahead, simd, untraced. Every other scenario has the
     /// clean oracle: a rolled-back NaN step replays bit for bit, storage
     /// faults find no shard on a dense store, and device faults no second
     /// device in a group of one.
@@ -212,7 +210,6 @@ impl Cell {
             row,
             plan_ahead: 0,
             threads: 1,
-            pool: true,
             backend: Backend::Simd,
             store: Store::Dense,
             traced: false,
@@ -237,11 +234,10 @@ impl Cell {
         scenario && (self.plan_ahead == 0 || self.threads > 1)
     }
 
-    /// `base` with this cell's aggregator, pool, depth and fault plan.
+    /// `base` with this cell's aggregator, depth and fault plan.
     fn config(&self, base: &ExperimentConfig) -> ExperimentConfig {
         let mut cfg = ExperimentConfig {
             aggregator: self.aggregator,
-            pool: self.pool,
             plan_ahead: self.plan_ahead,
             ..base.clone()
         };
@@ -358,8 +354,8 @@ pub struct Outcome {
     /// detector compares measured wall clocks, so they are timings.
     pub log: LogCounts,
     /// Feature hits, misses, shards paged in and bytes paged in, summed
-    /// over the counted epochs, and the bytes the cache holds at the end
-    /// (it also holds what a rolled-back attempt paged in).
+    /// over the counted epochs (a rolled-back attempt's included), and the
+    /// bytes the cache holds at the end.
     pub paging: [u64; 5],
     /// Storage-recovery seconds, summed.
     pub repair_sec: f64,
